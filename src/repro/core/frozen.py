@@ -1,42 +1,57 @@
-"""``FrozenQCTree`` — an immutable, array-backed QC-tree for serving reads.
+"""``FrozenQCTree`` — the one immutable, array-backed QC-tree reads run on.
 
 The mutable :class:`~repro.core.qctree.QCTree` stores edges and links as
 nested dicts, which is ideal for incremental maintenance but pays pointer
 chasing, per-step allocation, and an O(depth) ``upper_bound_of`` walk on
-every query.  Freezing (:meth:`QCTree.freeze
-<repro.core.qctree.QCTree.freeze>`) compiles the tree into a dense,
-read-only layout in the spirit of compact multidimensional-array cube
-representations:
+every query.  The read tree is a dense, pointer-free layout in the spirit
+of compact multidimensional-array cube representations:
 
-* nodes are renumbered into preorder (root is 0), dropping free slots;
+* nodes are numbered in preorder (root is 0);
 * tree edges and drill-down links live in CSR-style parallel arrays —
-  per-node *sorted* ``(dim, value)`` key slices resolved with
-  :mod:`bisect` — plus a merged per-node *routing* table (edges shadow
+  per-node *sorted* key slices resolved with :mod:`bisect`, keys being
+  ``dim * stride + value`` ints (``(dim, value)`` tuples for exotic,
+  non-int labels) — plus a merged per-node *routing* dict (edges shadow
   links on equal labels) so one probe per step serves Algorithm 3's
-  edge-then-link rule on the ``_locate`` fast path;
-* ``last_child_dim`` and the Lemma-2 *forced* descent (the unique child
-  in the last child-bearing dimension) are precomputed per node;
-* every node's upper bound is materialized, turning the final
-  verification of Algorithm 3 into an O(1) tuple fetch, and class
-  aggregate values are pre-extracted from their states.
+  edge-then-link rule;
+* ``last_dim`` and the Lemma-2 *forced* descent (the unique child in
+  the last child-bearing dimension) are precomputed per node, and a
+  class-kind vector marks the aggregate-bearing nodes;
+* every node's upper bound is a ready tuple, turning the final
+  verification of Algorithm 3 into an O(1) fetch, and class aggregate
+  values are pre-extracted from their states.
 
-The frozen view implements the traversal protocol shared with
-:class:`~repro.core.qctree.QCTree` (``child`` / ``link_target`` /
-``last_child_dim`` / ``children_in_dim`` / ``state`` /
-``upper_bound_of`` / ``value_at`` / the ``iter_*`` family), so
-:mod:`~repro.core.point_query`, :mod:`~repro.core.range_query`, and the
-iceberg machinery run unchanged against either representation; it
-additionally provides the optimized ``_locate`` fast path that
-:func:`~repro.core.point_query.locate` dispatches to.  Answers — and
-node-access counts — are identical by construction, and
-``frozen.signature() == tree.signature()``.
+One class, two storages
+-----------------------
+Everything above is written once, against *indexable sequences*.  What
+differs is only where the sequences live:
+
+* **heap** — :meth:`QCTree.freeze <repro.core.qctree.QCTree.freeze>` /
+  :meth:`FrozenQCTree.from_tree` compile the dict tree into tuples, with
+  every routing dict, upper bound and value built eagerly;
+* **attached** — :meth:`FrozenQCTree.from_buffers` wraps the typed
+  ``memoryview`` sections of a ``QCTREE/3`` blob (shared memory or an
+  mmap'd file, see :mod:`repro.shard.pack`) without copying them.  A
+  node's routing dict, upper-bound tuple and value/state are decoded on
+  first visit and cached, so attach stays O(1) and the hot prefix of the
+  tree reaches heap speed after warmup.
+
+The traversal protocol shared with :class:`~repro.core.qctree.QCTree`
+(``child`` / ``link_target`` / ``last_child_dim`` / ``children_in_dim``
+/ ``state`` / ``upper_bound_of`` / ``value_at`` / the ``iter_*`` family)
+and the Algorithm-3 fast paths (``_search_route`` / ``_descend_to_class``
+/ ``_locate`` / ``_point_query``) are the same functions on both; the
+only storage-specific code is the two constructors and the lazy decode
+guards (``route is None`` / ``ub is None`` / ``value is _UNSET``), which
+never fire on a heap tree.  Answers — and node-access counts — equal the
+dict tree's by construction, and ``frozen.signature() ==
+tree.signature()``.
 
 Incremental refreeze
 --------------------
 Recompiling the whole tree after every maintenance batch throws away the
 locality the paper's Algorithms 5–7 work hard for, so :meth:`patch`
 splices a recorded :class:`~repro.core.maintenance.delta.
-MaintenanceDelta` into a *new* frozen view at cost proportional to the
+MaintenanceDelta` into a *new* heap tree at cost proportional to the
 dirty set: touched nodes get fresh routing/edge/link rows, pruned nodes
 become unreachable tombstone slots, and brand-new nodes are appended
 into spare capacity past the preorder prefix.  Per-node edge and link
@@ -47,18 +62,20 @@ back to a full :meth:`from_tree` compile when the dirty set is too large
 (``full_refreeze_ratio``), when accumulated tombstones/overlay debt says
 it is time to compact (``compact_ratio``), or when the delta needs
 representation changes a splice cannot express (label-code overflow of
-the routing-key stride).  Either way the result answers every query
-identically to a from-scratch freeze — the property tests assert
-node-for-node equivalence.
+the routing-key stride; an attached tree, which has no map back to the
+dict tree's ids).  Either way the result answers every query identically
+to a from-scratch freeze — the property tests assert node-for-node
+equivalence.
 
 Freezing requires each dimension's label codes to be mutually comparable
 (dictionary-encoded ints always are); a mixed-type dimension cannot be
 sorted and raises :class:`~repro.errors.QueryError`.
 
 Instances are immutable: attribute assignment after construction raises
-:class:`TypeError`, so a frozen view can be shared across threads and
-cached query results can never be invalidated by in-place edits — the
-warehouse swaps in a whole new view instead (patched or recompiled).
+:class:`TypeError`, so a tree can be shared across threads (the lazy
+caches of an attached tree only ever fill a slot with the one value it
+can hold) and cached query results can never be invalidated by in-place
+edits — the warehouse swaps in a whole new tree instead.
 """
 
 from __future__ import annotations
@@ -67,8 +84,8 @@ from bisect import bisect_left
 from typing import Iterator, Optional
 
 from repro.core.cells import ALL, Cell
-from repro.core.qctree import QCTree, tree_signature
-from repro.cube.aggregates import values_close
+from repro.core.qctree import QCTree
+from repro.cube.aggregates import make_aggregate
 from repro.errors import QueryError
 
 
@@ -76,9 +93,21 @@ from repro.errors import QueryError
 #: used for query values that cannot possibly label an edge or link.
 _ABSENT = object()
 
+#: Marks a value/state slot of an attached tree not decoded yet (``None``
+#: is taken: it is the decoded value of a non-class node).
+_UNSET = object()
+
+#: The ``QCTREE/3`` sections an attached tree reads in place; section
+#: ``name`` is held in slot ``_name``.
+BUFFER_SECTIONS = (
+    "edge_start", "edge_key", "edge_child",
+    "link_start", "link_key", "link_target",
+    "last_dim", "forced", "ub", "class_kind", "state_data", "value_data",
+)
+
 
 def _route_key(stride, dim, value):
-    """The routing-dict key for label ``(dim, value)``.
+    """The routing/CSR key for label ``(dim, value)``.
 
     In int-key mode (``stride > 0``) out-of-range and un-comparable
     values map to :data:`_ABSENT` so they miss the table — exactly as
@@ -96,16 +125,11 @@ def _route_key(stride, dim, value):
     return (dim, value)
 
 
-def _derive_row(tree, node, remap):
-    """One node's frozen row, derived from the dict tree.
-
-    Returns ``(edges, links, routing, last_dim, forced)`` where edges and
-    links are sorted ``((dim, value), mapped_id)`` lists and ``routing``
-    is the merged label map (edges shadow links, mirroring
-    ``search_route``'s edge-first probe order).  Raises ``TypeError``
-    when a dimension mixes label types that do not sort and ``KeyError``
-    when a neighbor is missing from ``remap``.
-    """
+def _sorted_row(tree, node, remap):
+    """One dict-tree node's ``(edges, links)`` as sorted
+    ``((dim, value), mapped_id)`` lists.  Raises ``TypeError`` when a
+    dimension mixes label types that do not sort and ``KeyError`` when a
+    neighbor is missing from ``remap``."""
     edges = sorted(
         ((dim, val), remap[child])
         for dim, val, child in tree.iter_children_of(node)
@@ -114,36 +138,106 @@ def _derive_row(tree, node, remap):
         ((dim, val), remap[target])
         for dim, val, target in tree.iter_links_of(node)
     )
-    routing = dict(links)
-    routing.update(edges)
+    return edges, links
+
+
+def _compile_row(edges, links, stride):
+    """One node's array row from its :func:`_sorted_row`.
+
+    Returns ``(edge_keys, edge_children, link_keys, link_targets,
+    routing, last_dim, forced)`` with keys encoded for ``stride`` and
+    ``routing`` the merged label map (edges shadow links, mirroring
+    ``search_route``'s edge-first probe order).
+    """
+    edge_keys, edge_children = zip(*edges) if edges else ((), ())
+    link_keys, link_targets = zip(*links) if links else ((), ())
+    if stride:
+        edge_keys = [dim * stride + val for dim, val in edge_keys]
+        link_keys = [dim * stride + val for dim, val in link_keys]
+    routing = dict(zip(link_keys, link_targets))
+    routing.update(zip(edge_keys, edge_children))
     last_dim = -1
     forced = -1
     if edges:
+        # Sorted by (dim, value): the last dimension's children are the
+        # tail, so there is exactly one iff the second-to-last differs.
         last_dim = edges[-1][0][0]
-        in_last = [c for (d, _), c in edges if d == last_dim]
-        if len(in_last) == 1:
-            forced = in_last[0]
-    return edges, links, routing, last_dim, forced
+        if len(edges) == 1 or edges[-2][0][0] != last_dim:
+            forced = edge_children[-1]
+    return (edge_keys, edge_children, link_keys, link_targets,
+            routing, last_dim, forced)
+
+
+def template_width(template) -> int:
+    """Number of ``float64`` leaves in a packed state/value template."""
+    if template is None:
+        return 0
+    if isinstance(template, list):
+        return sum(template_width(t) for t in template)
+    return 1
+
+
+def _rebuild(template, flat, pos: int):
+    """Rebuild one aggregate state/value from its packed ``float64``
+    leaves (the inverse of :func:`repro.shard.pack._flatten_into`);
+    returns ``(value, next_pos)``."""
+    if isinstance(template, list):
+        parts = []
+        for sub in template:
+            value, pos = _rebuild(sub, flat, pos)
+            parts.append(value)
+        return tuple(parts), pos
+    leaf = flat[pos]
+    return (int(leaf) if template == "i" else leaf), pos + 1
+
+
+class _LazyStates:
+    """``tree.state`` of an attached tree: a sequence decoding each
+    class state from the packed state matrix on first access."""
+
+    __slots__ = ("_tree", "_cache")
+
+    def __init__(self, tree, n: int):
+        self._tree = tree
+        self._cache = [_UNSET] * n
+
+    def __len__(self) -> int:
+        return len(self._cache)
+
+    def __getitem__(self, node: int):
+        state = self._cache[node]
+        if state is _UNSET:
+            tree = self._tree
+            state = self._cache[node] = tree._decode(
+                tree._state_data, tree._state_codec, node
+            )
+        return state
+
+    def __iter__(self):
+        return (self[node] for node in range(len(self._cache)))
 
 
 class FrozenQCTree:
-    """Read-optimized immutable snapshot of a :class:`QCTree`.
+    """Read-optimized immutable QC-tree over heap or attached storage.
 
-    Build via :meth:`QCTree.freeze` (or :meth:`from_tree`); node ids are
-    compact preorder ids, *not* the source tree's ids.  A :meth:`patch`
-    keeps existing ids stable, appends new nodes past the preorder
-    prefix, and leaves tombstone slots where nodes were pruned.
+    Build via :meth:`QCTree.freeze` (or :meth:`from_tree`), or attach a
+    ``QCTREE/3`` blob with :func:`repro.shard.pack.attach_packed`; node
+    ids are compact preorder ids, *not* the source tree's ids.  A
+    :meth:`patch` keeps existing ids stable, appends new nodes past the
+    preorder prefix, and leaves tombstone slots where nodes were pruned.
     """
 
     __slots__ = (
         "n_dims", "dim_names", "aggregate", "root", "state",
-        "snapshot_meta", "patch_stats",
-        "_node_dim", "_node_value", "_parent", "_value", "_ubs",
-        "_edge_start", "_edge_keys", "_edge_child",
-        "_link_start", "_link_keys", "_link_target",
-        "_routes", "_stride", "_last_dim", "_forced",
+        "snapshot_meta", "patch_stats", "_stride",
+        "_edge_start", "_edge_key", "_edge_child",
+        "_link_start", "_link_key", "_link_target",
+        "_last_dim", "_forced", "_class_kind",
+        "_routes", "_ubs", "_value",
+        # heap only: patch bookkeeping
         "_source_map", "_dead", "_edge_over", "_link_over",
-        "_sealed",
+        # attached only: the packed rows the lazy decode reads
+        "_ub", "_state_data", "_value_data", "_state_codec", "_value_codec",
     )
 
     def __init__(self):
@@ -153,52 +247,47 @@ class FrozenQCTree:
         )
 
     @classmethod
-    def from_tree(cls, tree: QCTree) -> "FrozenQCTree":
-        """Compile ``tree`` into the frozen layout (see module docstring)."""
+    def _new(cls, **fields) -> "FrozenQCTree":
         self = object.__new__(cls)
+        for slot in ("_source_map", "_edge_over", "_link_over", "_ub",
+                     "_state_data", "_value_data", "_state_codec",
+                     "_value_codec"):
+            object.__setattr__(self, slot, None)
+        object.__setattr__(self, "_dead", frozenset())
+        object.__setattr__(self, "root", 0)
+        for slot, value in fields.items():
+            object.__setattr__(self, slot, value)
+        return self
+
+    @classmethod
+    def from_tree(cls, tree: QCTree) -> "FrozenQCTree":
+        """Compile ``tree`` into heap storage (see module docstring)."""
         order = list(tree.iter_nodes())
         remap = {node: i for i, node in enumerate(order)}
         n = len(order)
-
-        node_dim = [0] * n
-        node_value = [None] * n
-        parent = [0] * n
-        state = [None] * n
-        value = [None] * n
-        ubs = [None] * n
+        state = [tree.state[old] for old in order]
+        value_of = tree.aggregate.value
         edge_start = [0] * (n + 1)
-        edge_keys: list = []
+        edge_key: list = []
         edge_child: list = []
         link_start = [0] * (n + 1)
-        link_keys: list = []
+        link_key: list = []
         link_target: list = []
         routes: list = [None] * n
         last_dim = [-1] * n
         forced = [-1] * n
-
         try:
             for i, old in enumerate(order):
-                node_dim[i] = tree.node_dim[old]
-                node_value[i] = tree.node_value[old]
-                parent[i] = remap.get(tree.parent[old], -1)
-                st = tree.state[old]
-                state[i] = st
-                if st is not None:
-                    value[i] = tree.aggregate.value(st)
-                ubs[i] = tree.upper_bound_of(old)
-
-                edges, links, routing, last, force = _derive_row(
-                    tree, old, remap
+                (e_keys, e_children, l_keys, l_targets,
+                 routes[i], last_dim[i], forced[i]) = _compile_row(
+                    *_sorted_row(tree, old, remap), 0
                 )
-                edge_keys.extend(k for k, _ in edges)
-                edge_child.extend(c for _, c in edges)
-                edge_start[i + 1] = len(edge_keys)
-                link_keys.extend(k for k, _ in links)
-                link_target.extend(t for _, t in links)
-                link_start[i + 1] = len(link_keys)
-                routes[i] = routing
-                last_dim[i] = last
-                forced[i] = force
+                edge_key.extend(e_keys)
+                edge_child.extend(e_children)
+                edge_start[i + 1] = len(edge_key)
+                link_key.extend(l_keys)
+                link_target.extend(l_targets)
+                link_start[i + 1] = len(link_key)
         except TypeError as exc:
             raise QueryError(
                 "cannot freeze QC-tree: a dimension mixes label types "
@@ -206,57 +295,83 @@ class FrozenQCTree:
             ) from exc
 
         # When every label is a non-negative int (dictionary codes always
-        # are), routing keys compress to ``dim * stride + value`` — one
-        # int hash per probe instead of a tuple allocation.  The stride
-        # carries 2× headroom past the largest code seen, so a later
-        # patch() can splice in freshly minted dictionary codes without
-        # re-keying every routing dict.  ``stride`` stays 0 for exotic
+        # are), the (dim, value) keys compress to ``dim * stride + value``
+        # — one int hash per probe instead of a tuple allocation.  The
+        # stride carries 2× headroom past the largest code seen, so a
+        # later patch() can splice in freshly minted dictionary codes
+        # without re-keying every row.  ``stride`` stays 0 for exotic
         # label types, keeping (dim, value) keys.
-        labels = [
-            value
-            for routing in routes
-            for (_, value) in routing
-        ]
+        labels = [v for _, v in edge_key]
+        labels += [v for _, v in link_key]
         stride = 0
         if labels and all(type(v) is int and v >= 0 for v in labels):
             stride = 2 * (max(labels) + 1)
+            edge_key = [dim * stride + v for dim, v in edge_key]
+            link_key = [dim * stride + v for dim, v in link_key]
             routes = [
-                {dim * stride + value: target
-                 for (dim, value), target in routing.items()}
+                {dim * stride + v: target
+                 for (dim, v), target in routing.items()}
                 for routing in routes
             ]
 
-        put = object.__setattr__
-        put(self, "n_dims", tree.n_dims)
-        put(self, "dim_names", tuple(tree.dim_names))
-        put(self, "aggregate", tree.aggregate)
-        put(self, "root", 0)
-        put(self, "state", tuple(state))
-        put(self, "snapshot_meta", dict(getattr(tree, "snapshot_meta", {})))
-        put(self, "patch_stats", {
-            "mode": "fresh", "dirty": n, "touched": n, "appended": 0,
-            "tombstoned": 0, "dead_slots": 0, "overlay": 0, "slots": n,
-        })
-        put(self, "_node_dim", tuple(node_dim))
-        put(self, "_node_value", tuple(node_value))
-        put(self, "_parent", tuple(parent))
-        put(self, "_value", tuple(value))
-        put(self, "_ubs", tuple(ubs))
-        put(self, "_edge_start", tuple(edge_start))
-        put(self, "_edge_keys", tuple(edge_keys))
-        put(self, "_edge_child", tuple(edge_child))
-        put(self, "_link_start", tuple(link_start))
-        put(self, "_link_keys", tuple(link_keys))
-        put(self, "_link_target", tuple(link_target))
-        put(self, "_routes", tuple(routes))
-        put(self, "_stride", stride)
-        put(self, "_last_dim", tuple(last_dim))
-        put(self, "_forced", tuple(forced))
-        put(self, "_source_map", remap)
-        put(self, "_dead", frozenset())
-        put(self, "_edge_over", None)
-        put(self, "_link_over", None)
-        put(self, "_sealed", True)
+        return cls._new(
+            n_dims=tree.n_dims,
+            dim_names=tuple(tree.dim_names),
+            aggregate=tree.aggregate,
+            state=tuple(state),
+            snapshot_meta=dict(getattr(tree, "snapshot_meta", {})),
+            patch_stats={
+                "mode": "fresh", "dirty": n, "touched": n, "appended": 0,
+                "tombstoned": 0, "dead_slots": 0, "overlay": 0, "slots": n,
+            },
+            _stride=stride,
+            _edge_start=tuple(edge_start),
+            _edge_key=tuple(edge_key),
+            _edge_child=tuple(edge_child),
+            _link_start=tuple(link_start),
+            _link_key=tuple(link_key),
+            _link_target=tuple(link_target),
+            _last_dim=tuple(last_dim),
+            _forced=tuple(forced),
+            _class_kind=tuple(0 if st is None else 1 for st in state),
+            _routes=tuple(routes),
+            _ubs=tuple(tree.upper_bound_of(old) for old in order),
+            _value=tuple(
+                None if st is None else value_of(st) for st in state
+            ),
+            _source_map=remap,
+        )
+
+    @classmethod
+    def from_buffers(cls, meta: dict, views: dict) -> "FrozenQCTree":
+        """Wrap the sections of a ``QCTREE/3`` blob in place.
+
+        ``meta`` is the blob's JSON meta block and ``views`` maps each
+        name of :data:`BUFFER_SECTIONS` to its typed ``memoryview``.
+        Nothing per node is decoded here: routing dicts, upper bounds,
+        values and states fill in on first visit.
+        """
+        n = meta["counts"]["nodes"]
+        self = cls._new(
+            n_dims=meta["n_dims"],
+            dim_names=tuple(meta["dim_names"]),
+            aggregate=make_aggregate(meta["aggregate"]),
+            snapshot_meta=dict(meta.get("snapshot_meta") or {}),
+            patch_stats={
+                "mode": "attached", "dirty": 0, "touched": 0, "appended": 0,
+                "tombstoned": 0, "dead_slots": 0, "overlay": 0, "slots": n,
+            },
+            _stride=meta["stride"],
+            _routes=[None] * n,
+            _ubs=[None] * n,
+            _value=[_UNSET] * n,
+            _state_codec=(meta["state_template"],
+                          template_width(meta["state_template"])),
+            _value_codec=(meta["value_template"],
+                          template_width(meta["value_template"])),
+            **{"_" + name: views[name] for name in BUFFER_SECTIONS},
+        )
+        object.__setattr__(self, "state", _LazyStates(self, n))
         return self
 
     # -- incremental refreeze --------------------------------------------------
@@ -287,8 +402,9 @@ class FrozenQCTree:
           rows would exceed this fraction of the live nodes, the spare
           capacity is reclaimed by repacking (``mode="compacted"``).
         * representation limits — a label code past the routing-key
-          stride's headroom, an unsortable label mix, or an unmapped
-          neighbor (``mode="full"``, see ``patch_stats["reason"]``).
+          stride's headroom, an unsortable label mix, an unmapped
+          neighbor, or an attached tree (``mode="full"``, see
+          ``patch_stats["reason"]``).
         """
         tree = delta.tree
         dirty = delta.dirty
@@ -297,11 +413,11 @@ class FrozenQCTree:
 
         def full(mode: str, reason: str) -> "FrozenQCTree":
             out = FrozenQCTree.from_tree(tree)
-            stats = dict(out.patch_stats)
-            stats.update(mode=mode, reason=reason, dirty=len(dirty))
-            object.__setattr__(out, "patch_stats", stats)
+            out.patch_stats.update(mode=mode, reason=reason, dirty=len(dirty))
             return out
 
+        if self._source_map is None:
+            return full("full", "attached")
         n_live = self.n_nodes
         if len(dirty) > full_refreeze_ratio * max(1, n_live):
             return full("full", "dirty-ratio")
@@ -310,7 +426,7 @@ class FrozenQCTree:
         free = tree._free()
         tree_size = len(tree.node_dim)
         source_map = dict(self._source_map)
-        base_slots = len(self.state)
+        base_slots = len(self._routes)
         dead = set(self._dead)
         gone: list = []      # frozen slots to tombstone
         rebuild: list = []   # (dict id, frozen slot) rows to (re)derive
@@ -343,10 +459,8 @@ class FrozenQCTree:
         agg = tree.aggregate
         stride = self._stride
         grow = len(appended)
-        node_dim = list(self._node_dim) + [0] * grow
-        node_value = list(self._node_value) + [None] * grow
-        parent = list(self._parent) + [-1] * grow
         state = list(self.state) + [None] * grow
+        kind = list(self._class_kind) + [0] * grow
         value = list(self._value) + [None] * grow
         ubs = list(self._ubs) + [None] * grow
         routes = list(self._routes) + [None] * grow
@@ -357,10 +471,8 @@ class FrozenQCTree:
 
         for slot in gone:
             dead.add(slot)
-            node_dim[slot] = 0
-            node_value[slot] = None
-            parent[slot] = -1
             state[slot] = None
+            kind[slot] = 0
             value[slot] = None
             ubs[slot] = None
             routes[slot] = {}
@@ -371,34 +483,23 @@ class FrozenQCTree:
 
         try:
             for d, slot in rebuild:
-                edges, links, routing, last, force = _derive_row(
-                    tree, d, source_map
+                edges, links = _sorted_row(tree, d, source_map)
+                if stride and not all(
+                    type(val) is int and 0 <= val < stride
+                    for part in (edges, links) for (_, val), _ in part
+                ):
+                    return full("full", "stride-overflow")
+                (e_keys, e_children, l_keys, l_targets,
+                 routes[slot], last_dim[slot], forced[slot]) = _compile_row(
+                    edges, links, stride
                 )
-                if stride:
-                    packed = {}
-                    for (dim, val), target in routing.items():
-                        if type(val) is not int or not (0 <= val < stride):
-                            return full("full", "stride-overflow")
-                        packed[dim * stride + val] = target
-                    routing = packed
-                node_dim[slot] = tree.node_dim[d]
-                node_value[slot] = tree.node_value[d]
-                parent[slot] = source_map.get(tree.parent[d], -1)
                 st = tree.state[d]
                 state[slot] = st
+                kind[slot] = 0 if st is None else 1
                 value[slot] = agg.value(st) if st is not None else None
                 ubs[slot] = tree.upper_bound_of(d)
-                routes[slot] = routing
-                last_dim[slot] = last
-                forced[slot] = force
-                edge_over[slot] = (
-                    tuple(k for k, _ in edges),
-                    tuple(c for _, c in edges),
-                )
-                link_over[slot] = (
-                    tuple(k for k, _ in links),
-                    tuple(t for _, t in links),
-                )
+                edge_over[slot] = (tuple(e_keys), tuple(e_children))
+                link_over[slot] = (tuple(l_keys), tuple(l_targets))
         except TypeError:
             return full("full", "unsortable-labels")
         except KeyError:
@@ -407,45 +508,40 @@ class FrozenQCTree:
             # catch a recorder gap that made this path common).
             return full("full", "unmapped-neighbor")
 
-        out = object.__new__(FrozenQCTree)
-        put = object.__setattr__
-        put(out, "n_dims", tree.n_dims)
-        put(out, "dim_names", tuple(tree.dim_names))
-        put(out, "aggregate", agg)
-        put(out, "root", 0)
-        put(out, "state", tuple(state))
-        put(out, "snapshot_meta", dict(getattr(tree, "snapshot_meta", {})))
-        put(out, "patch_stats", {
-            "mode": "patched",
-            "dirty": len(dirty),
-            "touched": len(rebuild),
-            "appended": grow,
-            "tombstoned": len(gone),
-            "dead_slots": len(dead),
-            "overlay": len(edge_over),
-            "slots": base_slots + grow,
-        })
-        put(out, "_node_dim", tuple(node_dim))
-        put(out, "_node_value", tuple(node_value))
-        put(out, "_parent", tuple(parent))
-        put(out, "_value", tuple(value))
-        put(out, "_ubs", tuple(ubs))
-        put(out, "_edge_start", self._edge_start)
-        put(out, "_edge_keys", self._edge_keys)
-        put(out, "_edge_child", self._edge_child)
-        put(out, "_link_start", self._link_start)
-        put(out, "_link_keys", self._link_keys)
-        put(out, "_link_target", self._link_target)
-        put(out, "_routes", tuple(routes))
-        put(out, "_stride", stride)
-        put(out, "_last_dim", tuple(last_dim))
-        put(out, "_forced", tuple(forced))
-        put(out, "_source_map", source_map)
-        put(out, "_dead", frozenset(dead))
-        put(out, "_edge_over", edge_over)
-        put(out, "_link_over", link_over)
-        put(out, "_sealed", True)
-        return out
+        return FrozenQCTree._new(
+            n_dims=tree.n_dims,
+            dim_names=tuple(tree.dim_names),
+            aggregate=agg,
+            state=tuple(state),
+            snapshot_meta=dict(getattr(tree, "snapshot_meta", {})),
+            patch_stats={
+                "mode": "patched",
+                "dirty": len(dirty),
+                "touched": len(rebuild),
+                "appended": grow,
+                "tombstoned": len(gone),
+                "dead_slots": len(dead),
+                "overlay": len(edge_over),
+                "slots": base_slots + grow,
+            },
+            _stride=stride,
+            _edge_start=self._edge_start,
+            _edge_key=self._edge_key,
+            _edge_child=self._edge_child,
+            _link_start=self._link_start,
+            _link_key=self._link_key,
+            _link_target=self._link_target,
+            _last_dim=tuple(last_dim),
+            _forced=tuple(forced),
+            _class_kind=tuple(kind),
+            _routes=tuple(routes),
+            _ubs=tuple(ubs),
+            _value=tuple(value),
+            _source_map=source_map,
+            _dead=frozenset(dead),
+            _edge_over=edge_over,
+            _link_over=link_over,
+        )
 
     # -- immutability --------------------------------------------------------
 
@@ -455,134 +551,117 @@ class FrozenQCTree:
     def __delattr__(self, name):
         raise TypeError("FrozenQCTree is immutable")
 
+    # -- storage access ------------------------------------------------------
+
+    def _row(self, node: int, links: bool = False):
+        """``(keys, targets, lo, hi)`` — ``node``'s sorted edge (or link)
+        slice: a patched node's overlay row, else its CSR slice."""
+        if links:
+            over, start = self._link_over, self._link_start
+            keys, targets = self._link_key, self._link_target
+        else:
+            over, start = self._edge_over, self._edge_start
+            keys, targets = self._edge_key, self._edge_child
+        if over:
+            pair = over.get(node)
+            if pair is not None:
+                return pair[0], pair[1], 0, len(pair[0])
+        return keys, targets, start[node], start[node + 1]
+
+    def _route_of(self, node: int) -> dict:
+        """Build and cache ``node``'s routing dict (attached trees, on
+        first visit): links first, so edges shadow them."""
+        route = {}
+        for links in (True, False):
+            keys, targets, lo, hi = self._row(node, links)
+            for i in range(lo, hi):
+                route[keys[i]] = targets[i]
+        self._routes[node] = route
+        return route
+
+    def _decode(self, data, codec, node: int):
+        """One node's state/value from its packed ``float64`` row."""
+        if not self._class_kind[node]:
+            return None
+        template, width = codec
+        base = node * width
+        return _rebuild(template, data[base:base + width], 0)[0]
+
     # -- size & iteration ----------------------------------------------------
 
     @property
     def n_nodes(self) -> int:
-        return len(self.state) - len(self._dead)
+        return len(self._routes) - len(self._dead)
 
     @property
     def n_links(self) -> int:
+        total = len(self._link_key)
         over = self._link_over
-        if not over:
-            return len(self._link_keys)
-        start = self._link_start
-        base_n = len(start) - 1
-        total = sum(len(keys) for keys, _ in over.values())
-        total += sum(
-            start[node + 1] - start[node]
-            for node in range(base_n)
-            if node not in over
-        )
+        if over:
+            start = self._link_start
+            base_n = len(start) - 1
+            for node, (keys, _) in over.items():
+                total += len(keys)
+                if node < base_n:
+                    total -= start[node + 1] - start[node]
         return total
 
     @property
     def n_classes(self) -> int:
-        return sum(1 for s in self.state if s is not None)
+        return sum(self._class_kind)
 
     def iter_nodes(self) -> Iterator[int]:
         """Live node ids (preorder for a fresh compile; a patched view
         appends new nodes past the preorder prefix and skips tombstones)."""
         dead = self._dead
         if not dead:
-            return iter(range(len(self.state)))
-        return (n for n in range(len(self.state)) if n not in dead)
+            return iter(range(len(self._routes)))
+        return (n for n in range(len(self._routes)) if n not in dead)
 
     def iter_class_nodes(self) -> Iterator[int]:
-        for node, s in enumerate(self.state):
-            if s is not None:
-                yield node
+        kind = self._class_kind
+        return (node for node in range(len(kind)) if kind[node])
 
-    def iter_links(self) -> Iterator[tuple]:
-        start, keys, targets = (
-            self._link_start, self._link_keys, self._link_target
-        )
-        over = self._link_over
-        base_n = len(start) - 1
-        for node in range(len(self.state)):
-            pair = over.get(node) if over else None
-            if pair is not None:
-                o_keys, o_targets = pair
-                for (dim, value), target in zip(o_keys, o_targets):
-                    yield node, dim, value, target
-            elif node < base_n:
-                for i in range(start[node], start[node + 1]):
-                    dim, value = keys[i]
-                    yield node, dim, value, targets[i]
+    def _iter_row(self, node: int, links: bool) -> Iterator[tuple]:
+        keys, targets, lo, hi = self._row(node, links)
+        stride = self._stride
+        for i in range(lo, hi):
+            dim, value = divmod(keys[i], stride) if stride else keys[i]
+            yield dim, value, targets[i]
 
     def iter_children_of(self, node: int) -> Iterator[tuple]:
-        over = self._edge_over
-        pair = over.get(node) if over else None
-        if pair is not None:
-            keys, children = pair
-            for (dim, value), child in zip(keys, children):
-                yield dim, value, child
-            return
-        start, base_keys = self._edge_start, self._edge_keys
-        for i in range(start[node], start[node + 1]):
-            dim, value = base_keys[i]
-            yield dim, value, self._edge_child[i]
+        return self._iter_row(node, False)
 
     def iter_links_of(self, node: int) -> Iterator[tuple]:
-        over = self._link_over
-        pair = over.get(node) if over else None
-        if pair is not None:
-            keys, targets = pair
-            for (dim, value), target in zip(keys, targets):
-                yield dim, value, target
-            return
-        start, base_keys = self._link_start, self._link_keys
-        for i in range(start[node], start[node + 1]):
-            dim, value = base_keys[i]
-            yield dim, value, self._link_target[i]
+        return self._iter_row(node, True)
+
+    def iter_links(self) -> Iterator[tuple]:
+        for node in self.iter_nodes():
+            for dim, value, target in self._iter_row(node, True):
+                yield node, dim, value, target
 
     # -- traversal protocol --------------------------------------------------
 
-    def child(self, node: int, dim: int, value) -> Optional[int]:
-        """Tree child of ``node`` labeled ``(dim, value)``, or None."""
-        over = self._edge_over
-        if over is not None:
-            pair = over.get(node)
-            if pair is not None:
-                keys, children = pair
-                try:
-                    i = bisect_left(keys, (dim, value))
-                except TypeError:
-                    return None
-                if i < len(keys) and keys[i] == (dim, value):
-                    return children[i]
-                return None
-        lo, hi = self._edge_start[node], self._edge_start[node + 1]
+    def _find(self, node: int, dim: int, value, links: bool) -> Optional[int]:
+        key = _route_key(self._stride, dim, value)
+        if key is _ABSENT:
+            return None
+        keys, targets, lo, hi = self._row(node, links)
         try:
-            i = bisect_left(self._edge_keys, (dim, value), lo, hi)
+            i = bisect_left(keys, key, lo, hi)
         except TypeError:
             return None  # value type never present in this dimension
-        if i < hi and self._edge_keys[i] == (dim, value):
-            return self._edge_child[i]
+        if i < hi and keys[i] == key:
+            return targets[i]
         return None
+
+    def child(self, node: int, dim: int, value) -> Optional[int]:
+        """Tree child of ``node`` labeled ``(dim, value)``, or None."""
+        return self._find(node, dim, value, False)
 
     def link_target(self, node: int, dim: int, value) -> Optional[int]:
         """Link target of ``node`` labeled ``(dim, value)``, or None."""
-        over = self._link_over
-        if over is not None:
-            pair = over.get(node)
-            if pair is not None:
-                keys, targets = pair
-                try:
-                    i = bisect_left(keys, (dim, value))
-                except TypeError:
-                    return None
-                if i < len(keys) and keys[i] == (dim, value):
-                    return targets[i]
-                return None
-        lo, hi = self._link_start[node], self._link_start[node + 1]
-        try:
-            i = bisect_left(self._link_keys, (dim, value), lo, hi)
-        except TypeError:
-            return None
-        if i < hi and self._link_keys[i] == (dim, value):
-            return self._link_target[i]
-        return None
+        return self._find(node, dim, value, True)
 
     def last_child_dim(self, node: int) -> Optional[int]:
         """The largest dimension with a tree child (precomputed)."""
@@ -591,60 +670,62 @@ class FrozenQCTree:
 
     def children_in_dim(self, node: int, dim: int) -> dict:
         """Mapping ``value -> child`` of ``node``'s tree children in ``dim``."""
-        over = self._edge_over
-        if over is not None:
-            pair = over.get(node)
-            if pair is not None:
-                keys, children = pair
-                first = bisect_left(keys, (dim,))
-                out = {}
-                for i in range(first, len(keys)):
-                    d, value = keys[i]
-                    if d != dim:
-                        break
-                    out[value] = children[i]
-                return out
-        lo, hi = self._edge_start[node], self._edge_start[node + 1]
-        keys = self._edge_keys
-        first = bisect_left(keys, (dim,), lo, hi)
+        keys, children, lo, hi = self._row(node)
+        stride = self._stride
+        first = bisect_left(keys, dim * stride if stride else (dim,), lo, hi)
         out = {}
         for i in range(first, hi):
-            d, value = keys[i]
+            d, value = divmod(keys[i], stride) if stride else keys[i]
             if d != dim:
                 break
-            out[value] = self._edge_child[i]
+            out[value] = children[i]
         return out
 
     # -- cell <-> node -------------------------------------------------------
 
     def upper_bound_of(self, node: int) -> Cell:
-        """The cell spelled by ``node``'s root path (materialized, O(1))."""
-        return self._ubs[node]
+        """The cell spelled by ``node``'s root path (O(1) once decoded)."""
+        ub = self._ubs[node]
+        if ub is None:
+            flat = self._ub
+            base = node * self.n_dims
+            ub = self._ubs[node] = tuple(
+                ALL if v < 0 else v for v in flat[base:base + self.n_dims]
+            )
+        return ub
 
     def value_at(self, node: int):
-        """User-facing aggregate value at a class node (pre-extracted)."""
-        return self._value[node]
+        """User-facing aggregate value at a class node (None elsewhere)."""
+        value = self._value[node]
+        if value is _UNSET:
+            value = self._value[node] = self._decode(
+                self._value_data, self._value_codec, node
+            )
+        return value
 
     def class_upper_bounds(self) -> dict:
         return {
-            self._ubs[node]: self._value[node]
+            self.upper_bound_of(node): self.value_at(node)
             for node in self.iter_class_nodes()
         }
 
-    # -- optimized traversal fast paths --------------------------------------
+    # -- Algorithm 3 fast paths ----------------------------------------------
 
     def _search_route(self, node: int, dim: int, value,
                       counter=None) -> Optional[int]:
-        """``search_route`` over the packed arrays; answers and counts
-        exactly like :func:`repro.core.point_query.search_route`.
-        :func:`repro.core.range_query.range_query` binds this per query.
+        """``search_route`` over the arrays; answers and counts exactly
+        like :func:`repro.core.point_query.search_route`.
+        :func:`repro.core.range_query.range_classes` binds this per query.
         """
         routes = self._routes
         forced = self._forced
         last_dim = self._last_dim
         key = _route_key(self._stride, dim, value)
         while True:
-            nxt = routes[node].get(key)
+            route = routes[node]
+            if route is None:
+                route = self._route_of(node)
+            nxt = route.get(key)
             if nxt is not None:
                 if counter is not None:
                     counter[0] += 1
@@ -660,9 +741,9 @@ class FrozenQCTree:
 
     def _descend_to_class(self, node: int, counter=None) -> Optional[int]:
         """``descend_to_class`` via the precomputed forced-child array."""
-        state = self.state
+        kind = self._class_kind
         forced = self._forced
-        while state[node] is None:
+        while not kind[node]:
             node = forced[node]
             if node < 0:
                 return None
@@ -670,17 +751,15 @@ class FrozenQCTree:
                 counter[0] += 1
         return node
 
-    # -- optimized point-query walk ------------------------------------------
-
     def _locate(self, cell: Cell, counter=None) -> Optional[int]:
-        """Algorithm 3 over the packed arrays; semantics and node-access
-        counts identical to :func:`repro.core.point_query.locate_generic`.
+        """Algorithm 3 over the arrays; semantics and node-access counts
+        identical to :func:`repro.core.point_query.locate_generic`.
         """
         routes = self._routes
         stride = self._stride
         forced = self._forced
         last_dim = self._last_dim
-        state = self.state
+        kind = self._class_kind
         node = 0
         if counter is not None:
             counter[0] += 1
@@ -689,7 +768,10 @@ class FrozenQCTree:
                 continue
             key = _route_key(stride, dim, value)
             while True:
-                nxt = routes[node].get(key)
+                route = routes[node]
+                if route is None:
+                    route = self._route_of(node)
+                nxt = route.get(key)
                 if nxt is not None:
                     node = nxt
                     if counter is not None:
@@ -706,14 +788,17 @@ class FrozenQCTree:
                 node = nxt
                 if counter is not None:
                     counter[0] += 1
-        while state[node] is None:
+        while not kind[node]:
             nxt = forced[node]
             if nxt < 0:
                 return None
             node = nxt
             if counter is not None:
                 counter[0] += 1
-        for cv, uv in zip(cell, self._ubs[node]):
+        ub = self._ubs[node]
+        if ub is None:
+            ub = self.upper_bound_of(node)
+        for cv, uv in zip(cell, ub):
             if cv is not ALL and cv != uv:
                 return None
         return node
@@ -722,7 +807,7 @@ class FrozenQCTree:
         """Aggregate value of ``cell`` or None — the tightest serving path.
 
         Same walk as :meth:`_locate` with the access counter, the node
-        id, and the ``generalizes`` call stripped out;
+        id, and every method call a heap tree does not need stripped out;
         :func:`repro.core.point_query.point_query` dispatches here.
         """
         if len(cell) != self.n_dims:
@@ -734,7 +819,7 @@ class FrozenQCTree:
         stride = self._stride
         forced = self._forced
         last_dim = self._last_dim
-        state = self.state
+        kind = self._class_kind
         node = 0
         for dim, value in enumerate(cell):
             if value is ALL:
@@ -750,7 +835,10 @@ class FrozenQCTree:
             else:
                 key = (dim, value)
             while True:
-                nxt = routes[node].get(key)
+                route = routes[node]
+                if route is None:
+                    route = self._route_of(node)
+                nxt = route.get(key)
                 if nxt is not None:
                     node = nxt
                     break
@@ -760,58 +848,40 @@ class FrozenQCTree:
                 node = forced[node]
                 if node < 0:
                     return None
-        while state[node] is None:
+        while not kind[node]:
             node = forced[node]
             if node < 0:
                 return None
-        for cv, uv in zip(cell, self._ubs[node]):
+        ub = self._ubs[node]
+        if ub is None:
+            ub = self.upper_bound_of(node)
+        for cv, uv in zip(cell, ub):
             if cv is not ALL and cv != uv:
                 return None
-        return self._value[node]
+        value = self._value[node]
+        return self.value_at(node) if value is _UNSET else value
 
     # -- packing -------------------------------------------------------------
 
     def pack(self, table=None, stamp=(0, 0)) -> bytes:
-        """Serialize this frozen view to the zero-copy ``QCTREE/3``
-        layout (see :mod:`repro.shard.pack`): typed little-endian
-        buffers attachable from shared memory or an mmap'd file and
-        traversed in place by :class:`~repro.shard.pack.PackedQCTree`.
-        Packing walks the traversal protocol, so a patched view
-        (overlays, tombstones) compacts into fresh contiguous ids.
-        ``table`` embeds the base table, making the blob a complete
-        serving snapshot."""
+        """Serialize this tree to the zero-copy ``QCTREE/3`` layout (see
+        :mod:`repro.shard.pack`): typed little-endian buffers attachable
+        from shared memory or an mmap'd file and traversed in place by
+        :meth:`from_buffers`.  Packing walks the traversal protocol, so a
+        patched view (overlays, tombstones) compacts into fresh
+        contiguous ids.  ``table`` embeds the base table, making the
+        blob a complete serving snapshot."""
         from repro.shard.pack import pack_snapshot_bytes
 
         return pack_snapshot_bytes(self, table=table, stamp=stamp)
 
     # -- comparison & display ------------------------------------------------
 
-    def signature(self) -> tuple:
-        """Same structural signature as the source tree's
-        :meth:`QCTree.signature <repro.core.qctree.QCTree.signature>`."""
-        return tree_signature(self)
-
-    def equivalent_to(self, other, rel_tol: float = 1e-9) -> bool:
-        """Structural equality with float-tolerant aggregate comparison;
-        ``other`` may be frozen or dict-backed."""
-        mine, theirs = self.signature(), other.signature()
-        if mine[0] != theirs[0] or mine[1] != theirs[1]:
-            return False
-        if len(mine[2]) != len(theirs[2]):
-            return False
-        return all(
-            ub_a == ub_b and values_close(val_a, val_b, rel_tol=rel_tol)
-            for (ub_a, val_a), (ub_b, val_b) in zip(mine[2], theirs[2])
-        )
-
-    def stats(self) -> dict:
-        """Size statistics, same keys as :meth:`QCTree.stats`."""
-        return {
-            "nodes": self.n_nodes,
-            "tree_edges": self.n_nodes - 1,
-            "links": self.n_links,
-            "classes": self.n_classes,
-        }
+    # Written against the traversal protocol only, so the dict tree's
+    # own definitions serve every representation.
+    signature = QCTree.signature
+    equivalent_to = QCTree.equivalent_to
+    stats = QCTree.stats
 
     def __repr__(self):
         mode = self.patch_stats.get("mode", "fresh")

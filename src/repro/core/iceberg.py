@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.cells import ALL, generalizes
+from repro.core.cells import generalizes
 from repro.core.point_query import descend_to_class
 from repro.core.qctree import QCTree
-from repro.core.range_query import RangeQuery
+from repro.core.range_query import RangeQuery, expand_range
 from repro.errors import QueryError
 from repro.index.bptree import BPlusTree
 
@@ -208,26 +208,13 @@ def _marked_range_query(tree, spec, threshold, op, index, key) -> dict:
             if node not in useful:
                 return None
 
-    def rec(dim, node, assigned):
-        if node is None:
-            return
-        if dim == query.n_dims:
-            final = descend_to_class(tree, node)
-            if final is None or final not in satisfying:
-                return
-            cell = tuple(assigned)
-            if generalizes(cell, tree.upper_bound_of(final)):
-                value = tree.value_at(final)
-                if _satisfies(keyfn(value), threshold, op):
-                    results[cell] = value
-            return
-        entry = query.positions[dim]
-        if entry is ALL:
-            rec(dim + 1, node, assigned + [ALL])
-            return
-        for value in entry:
-            rec(dim + 1, route(node, dim, value), assigned + [value])
-
-    if tree.root in useful:
-        rec(0, tree.root, [])
+    if tree.root not in useful:
+        return results
+    for cell, node in expand_range(query, tree.root, route):
+        final = descend_to_class(tree, node)
+        if (final is not None and final in satisfying
+                and generalizes(cell, tree.upper_bound_of(final))):
+            value = tree.value_at(final)
+            if _satisfies(keyfn(value), threshold, op):
+                results[cell] = value
     return results

@@ -1,7 +1,8 @@
 """Batched maintenance fast path for Algorithms 5–7.
 
-``BENCH_refreeze.json`` showed that once refreeze became an incremental
-patch, dict-tree maintenance itself was ~95% of write latency.  The
+Once refreeze became an incremental patch, dict-tree maintenance itself
+was ~95% of write latency (today: the ``maintenance.*`` per-layer lines
+of ``benchmarks/e2e``).  The
 per-write cost is dominated by work that is *identical across tuples*:
 the Δ-partition DFS, closure jumps and cover-index probes over the old
 tree, and — whenever a write mints a new class bound — a cover index
@@ -58,13 +59,13 @@ def _dimension_order_key(n_dims):
     tree (Theorem 1: the tree is unique under row permutation) but gives
     the Δ-partition DFS its best case — equal prefixes collapse into
     single recursion branches instead of being rediscovered per tuple.
-    Measures are included as a tie-break so the sort is deterministic
-    for duplicate keys with different measures.
+    The key is the dimension labels only: Python's sort is stable, so
+    duplicate dimension tuples keep their arrival order whatever their
+    measures — the order earliest-match delete (and segment compaction,
+    which re-inserts rows through here) depends on.
     """
     def key(record):
-        return tuple(_label_key(v) for v in record[:n_dims]) + tuple(
-            _label_key(v) for v in record[n_dims:]
-        )
+        return tuple(_label_key(v) for v in record[:n_dims])
 
     return key
 

@@ -34,13 +34,17 @@ they move to; counting the starting node is the caller's job.
 
 The functions here run against either tree representation: the mutable
 dict-backed :class:`~repro.core.qctree.QCTree` or the immutable
-array-backed :class:`~repro.core.frozen.FrozenQCTree`, which share the
+array-backed :class:`~repro.core.frozen.FrozenQCTree` (over heap or
+attached ``QCTREE/3`` storage — one class either way), which share the
 traversal protocol (``child`` / ``link_target`` / ``last_child_dim`` /
-``children_in_dim`` / ``state`` / ``upper_bound_of``).  A representation
-may additionally expose an optimized ``_locate`` method with identical
-semantics; :func:`locate` dispatches to it when present, and
-:func:`locate_generic` always takes the protocol path (the parity tests
-compare the two).
+``children_in_dim`` / ``state`` / ``upper_bound_of``).
+:func:`search_route`, :func:`descend_to_class` and
+:func:`locate_generic` are Algorithm 3 over that protocol and nothing
+else — the *reference* the array tree's ``_search_route`` /
+``_descend_to_class`` / ``_locate`` / ``_point_query`` fast paths are
+held to, answer for answer and node access for node access, by the
+parity tests.  :func:`locate` and :func:`point_query` dispatch to the
+fast path when the representation has one.
 """
 
 from __future__ import annotations
@@ -115,8 +119,8 @@ def locate(tree, cell: Cell, counter=None) -> Optional[int]:
     node counts, so an all-``*`` query on a class root reports 1).
 
     Dispatches to the tree's optimized ``_locate`` when the representation
-    provides one (:class:`~repro.core.frozen.FrozenQCTree` does); both
-    paths answer and count identically.
+    provides one (the array tree does, on every storage); both paths
+    answer and count identically.
     """
     if len(cell) != tree.n_dims:
         raise QueryError(
@@ -133,7 +137,7 @@ def locate_generic(tree, cell: Cell, counter=None) -> Optional[int]:
     """:func:`locate` over the shared traversal protocol only.
 
     Works on any representation and never takes a representation-specific
-    fast path; the frozen/dict parity tests run it against both trees.
+    fast path; the parity tests run it against every representation.
     """
     node = tree.root
     if counter is not None:
@@ -156,7 +160,7 @@ def point_query(tree, cell: Cell):
     """Answer a point query: the aggregate value of ``cell`` or None.
 
     Dispatches to the representation's ``_point_query`` fast path when it
-    has one (the frozen serving view does); otherwise routes through
+    has one (the array tree does); otherwise routes through
     :func:`locate`.  Both give the same answers.
     """
     fast = getattr(tree, "_point_query", None)

@@ -10,16 +10,25 @@ prefixes once per point.  Algorithm 4 instead expands one range dimension
 at a time during a single traversal: as soon as a partial assignment
 cannot be routed any further, the whole sub-space of completions is pruned
 (the paper's Example 6).
+
+That traversal exists once, :func:`expand_range`, parameterized by the
+routing step: :func:`range_classes` runs it with ``search_route`` (the
+array tree's ``_search_route`` when the representation has one) and
+returns ``{point cell: class node}``, of which :func:`range_query`
+(values), the segment scatter-gather (mergeable states) and the
+constrained-iceberg *mark* plan (a step restricted to useful nodes) are
+thin consumers.  Likewise the raw-label → code loop of every raw range
+entry point is the one :func:`encode_range`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
 
-from repro.core.cells import ALL, Cell, generalizes
+from repro.core.cells import ALL, generalizes
 from repro.core.point_query import descend_to_class, search_route
 from repro.core.qctree import QCTree
-from repro.errors import QueryError
+from repro.errors import QueryError, SchemaError
 
 
 class RangeQuery:
@@ -73,53 +82,73 @@ class RangeQuery:
         yield from rec(0, [])
 
 
+def expand_range(query: RangeQuery, root, step) -> list:
+    """The Algorithm-4 traversal, written once.
+
+    Expands one range dimension at a time from ``root``;
+    ``step(node, dim, value)`` routes one value (a ``search_route``) and
+    returns None to prune the whole sub-space of completions.  Returns
+    ``[(point cell, node the walk stands on after its last value)]`` —
+    the caller finishes each with the forced descent and verification.
+    """
+    positions = query.positions
+    n_dims = query.n_dims
+    reached: list = []
+
+    def rec(dim: int, node, assigned: list) -> None:
+        if node is None:
+            return
+        if dim == n_dims:
+            reached.append((tuple(assigned), node))
+            return
+        entry = positions[dim]
+        if entry is ALL:
+            rec(dim + 1, node, assigned + [ALL])
+            return
+        for value in entry:
+            rec(dim + 1, step(node, dim, value), assigned + [value])
+
+    rec(0, root, [])
+    return reached
+
+
+def range_classes(tree, spec) -> dict:
+    """Algorithm 4: ``{point cell: class node}`` for every point cell of
+    the range that exists in the cube.
+
+    The one walk both consumers share — :func:`range_query` reads each
+    node's value, the segment scatter-gather its mergeable state.
+    ``spec`` is anything :class:`RangeQuery` accepts.
+    """
+    query = spec if isinstance(spec, RangeQuery) else RangeQuery(spec, tree.n_dims)
+    # Bind the representation's traversal fast paths once per query; the
+    # array tree provides them, the dict-backed tree takes the generic
+    # protocol route.  Answers are identical either way.
+    step = getattr(tree, "_search_route", None)
+    if step is not None:
+        descend = tree._descend_to_class
+    else:
+        step = partial(search_route, tree)
+        descend = partial(descend_to_class, tree)
+    found: dict = {}
+    for cell, node in expand_range(query, tree.root, step):
+        node = descend(node)
+        if node is not None and generalizes(cell, tree.upper_bound_of(node)):
+            found[cell] = node
+    return found
+
+
 def range_query(tree: QCTree, spec) -> dict:
     """Answer a range query: ``{point cell: aggregate value}``.
 
     ``spec`` is anything :class:`RangeQuery` accepts.  Cells whose cover
     set is empty are absent from the result.
     """
-    query = spec if isinstance(spec, RangeQuery) else RangeQuery(spec, tree.n_dims)
-    results: dict = {}
-    # Bind the representation's traversal fast paths once per query; the
-    # frozen serving view provides them, the dict-backed tree takes the
-    # generic protocol route.  Answers are identical either way.
-    fast_step = getattr(tree, "_search_route", None)
-    fast_descend = getattr(tree, "_descend_to_class", None)
-
-    def rec(dim: int, node: Optional[int], assigned: list) -> None:
-        if node is None:
-            return
-        if dim == query.n_dims:
-            _finish(tree, node, tuple(assigned), results, fast_descend)
-            return
-        entry = query.positions[dim]
-        if entry is ALL:
-            rec(dim + 1, node, assigned + [ALL])
-            return
-        for value in entry:
-            rec(
-                dim + 1,
-                fast_step(node, dim, value) if fast_step is not None
-                else search_route(tree, node, dim, value),
-                assigned + [value],
-            )
-
-    rec(0, tree.root, [])
-    return results
-
-
-def _finish(tree: QCTree, node: int, cell: Cell, results: dict,
-            fast_descend=None) -> None:
-    """Final descent + verification for one fully assigned point."""
-    if fast_descend is not None:
-        node = fast_descend(node)
-    else:
-        node = descend_to_class(tree, node)
-    if node is None:
-        return
-    if generalizes(cell, tree.upper_bound_of(node)):
-        results[cell] = tree.value_at(node)
+    value_at = tree.value_at
+    return {
+        cell: value_at(node)
+        for cell, node in range_classes(tree, spec).items()
+    }
 
 
 def range_query_naive(tree: QCTree, spec) -> dict:
@@ -139,15 +168,14 @@ def range_query_naive(tree: QCTree, spec) -> dict:
     return results
 
 
-def range_query_raw(tree: QCTree, table, raw_spec) -> dict:
-    """Range query with user-facing labels; results are decoded cells.
+def encode_range(table, raw_spec):
+    """Encode a raw-label range spec into ``table``'s codes — the one
+    label→code loop every raw range entry point shares.
 
     Candidate values missing from a dimension's dictionary are dropped (a
-    value never loaded cannot match anything); if a dimension's candidates
-    all vanish, the range is empty and so is the result.
+    value never loaded cannot match anything); returns None when a
+    dimension's candidates all vanish (the range cannot match anything).
     """
-    from repro.errors import SchemaError
-
     encoded = []
     for dim, entry in enumerate(raw_spec):
         if entry is ALL or entry is None or entry == "*":
@@ -168,7 +196,16 @@ def range_query_raw(tree: QCTree, table, raw_spec) -> dict:
             except SchemaError:
                 continue
         if not codes:
-            return {}
+            return None
         encoded.append(codes)
+    return encoded
+
+
+def range_query_raw(tree: QCTree, table, raw_spec) -> dict:
+    """Range query with user-facing labels; results are decoded cells
+    (see :func:`encode_range` for how unknown labels are treated)."""
+    encoded = encode_range(table, raw_spec)
+    if encoded is None:
+        return {}
     results = range_query(tree, encoded)
     return {table.decode_cell(cell): value for cell, value in results.items()}

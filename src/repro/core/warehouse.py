@@ -6,6 +6,11 @@ QC-tree summary, the measure index for iceberg queries, incremental
 maintenance, semantic exploration, and persistence.  Queries accept raw
 dimension labels (``"S1"``, ``"*"``) and return decoded results.
 
+:class:`BaseWarehouse` is the part of that façade the serving layer
+programs against — query families, exploration, ``maintain`` with its
+WAL logging, serving stamp and view — written once for this warehouse
+and :class:`~repro.segments.warehouse.SegmentedWarehouse`.
+
 Example
 -------
 >>> schema = Schema(dimensions=("Store", "Product", "Season"), measures=("Sale",))
@@ -65,7 +70,310 @@ def _csv_stamped_lsn(table_path) -> int:
         return 0
 
 
-class QCWarehouse:
+def wal_batch(record) -> tuple:
+    """``(inserts, deletes)`` of one committed WAL record: pure batches
+    are logged under the classic ``insert``/``delete`` ops, mixed ones
+    as one ``maintain`` record with ``-``/``+``-tagged rows."""
+    if record.op == "maintain":
+        return (
+            [r[1:] for r in record.records if r[:1] == ("+",)],
+            [r[1:] for r in record.records if r[:1] == ("-",)],
+        )
+    if record.op == "insert":
+        return record.records, ()
+    return (), record.records
+
+
+class BaseWarehouse:
+    """The server-facing warehouse surface, written once.
+
+    Everything :class:`~repro.serving.server.QCServer` and its callers
+    use of a warehouse that does not depend on how the store is laid out
+    lives here: the stamped query cache, the four query families, the
+    semantic exploration API, the mutation entry points with their
+    write-ahead logging, and the serving stamp / view / degraded flag.
+    A concrete warehouse (:class:`QCWarehouse`: one tree;
+    :class:`~repro.segments.warehouse.SegmentedWarehouse`: many) supplies
+    four hooks:
+
+    ``snapshot_view()``
+        a fresh immutable snapshot of the current serving state, with
+        the query methods every family delegates to;
+    ``_scan_point(raw_cell)``
+        the degraded-mode point answer, straight from the base rows;
+    ``_cache_prefix``
+        a tuple prepended to every query-cache key (the segment
+        generation, so seals and compactions re-key);
+    ``_apply(inserts, deletes)``
+        the WAL-free batch body (also the recovery replay path), which
+        ends by calling ``_mutated``.
+    """
+
+    _cache_prefix: tuple = ()
+
+    def __init__(self, aggregate, index_key, wal, cache_size: int,
+                 full_refreeze_ratio: float):
+        self.aggregate = make_aggregate(aggregate)
+        self._index_key = index_key
+        self.wal: Optional[WriteAheadLog] = wal
+        self._cache = LsnQueryCache(cache_size) if cache_size else None
+        #: Dirty fraction above which the next refreeze recompiles instead
+        #: of patching (forwarded to :meth:`FrozenQCTree.patch
+        #: <repro.core.frozen.FrozenQCTree.patch>`).
+        self.full_refreeze_ratio = full_refreeze_ratio
+        self._epoch = 0
+        self._view = None
+        self._degraded = False
+        self._fsck_report = None
+        self.last_recovery: Optional[dict] = None
+        #: ``patch_stats`` of the most recent refreeze (None before the
+        #: first one) — how the serving view was last brought current.
+        self.last_refreeze: Optional[dict] = None
+        #: Stats of the most recent :meth:`maintain` call (None before
+        #: the first one): tuple counts, ``partition_s`` / ``merge_s`` /
+        #: ``index_s`` sub-phase seconds, and the delta summary.
+        self.last_maintenance: Optional[dict] = None
+        self._maintain_batched = 0
+        self._maintain_sequential = 0
+
+    @classmethod
+    def from_records(cls, records, schema: Schema, aggregate="count",
+                     index_key=None, **options):
+        """Build a warehouse from raw records."""
+        return cls(BaseTable.from_records(records, schema), aggregate,
+                   index_key=index_key, **options)
+
+    # -- serving state -------------------------------------------------------
+
+    def serving_stamp(self) -> tuple:
+        """The logical version cached answers are valid at.
+
+        ``(WAL LSN, mutation epoch)``: the LSN covers logged maintenance
+        (PR 1's durability path), the epoch covers un-logged changes —
+        WAL-less warehouses, :meth:`rebuild`, degraded-mode flips, and a
+        segmented store's seals and compactions.
+        """
+        lsn = self.wal.last_lsn if self.wal is not None else 0
+        return (lsn, self._epoch)
+
+    @property
+    def view(self):
+        """The snapshot queries delegate to right now.
+
+        Rebuilt lazily after each mutation (:meth:`snapshot_view`), so
+        every query family — point, range, iceberg, *and* the semantic
+        exploration API — runs on the frozen trees while healthy.
+        """
+        if self._view is None:
+            self._view = self.snapshot_view()
+        return self._view
+
+    @property
+    def degraded(self) -> bool:
+        """True when the last :meth:`verify` found corruption."""
+        return self._degraded
+
+    def _adopt_fsck(self, report):
+        """Record a :meth:`verify` report; a pass/fail flip switches the
+        serving representation, so indexed node ids and cached answers
+        are both suspect — the cache may hold answers computed before
+        the corruption was detected."""
+        was_degraded = self._degraded
+        self._degraded = not report.ok
+        self._fsck_report = report
+        if was_degraded != self._degraded:
+            self.invalidate_serving_view()
+        return report
+
+    # -- queries -------------------------------------------------------------
+
+    def _cached(self, key, compute, copy=None):
+        """Serve ``compute()`` through the stamped query cache.
+
+        ``key`` of None (query not normalizable) bypasses the cache, as
+        does a disabled cache or degraded mode.  ``copy`` (e.g. ``dict``
+        / ``list``) guards mutable cached results: both the hit and the
+        fill path return a private copy, so a caller mutating its answer
+        can never poison the cache.
+        """
+        cache = self._cache
+        if cache is None or key is None or self._degraded:
+            return compute()
+        key = self._cache_prefix + key
+        stamp = self.serving_stamp()
+        value = cache.lookup(key, stamp)
+        if value is MISS:
+            value = compute()
+            cache.store(key, stamp, value)
+        return value if copy is None else copy(value)
+
+    def point(self, raw_cell):
+        """Point query with raw labels (``"*"`` / None / ALL for any).
+
+        Served from the query cache when a fresh answer for the cell is
+        present, else from the :attr:`view`.  A degraded warehouse (one
+        whose tree failed :meth:`verify`) answers by scanning the base
+        rows instead of routing through the possibly-corrupt tree —
+        slower, but never wrong — and bypasses the cache entirely.
+        """
+        if self._degraded:
+            return self._scan_point(raw_cell)
+        return self._cached(
+            point_cache_key(raw_cell), lambda: self.view.point(raw_cell)
+        )
+
+    def range(self, raw_spec) -> dict:
+        """Range query with raw labels; returns ``{decoded cell: value}``.
+
+        Cached under a normalized spec key — equivalent scalar/list/set/
+        ``range`` spellings of the same query share one entry — at the
+        current serving stamp, so any mutation invalidates it.
+        """
+        return self._cached(
+            range_cache_key(raw_spec),
+            lambda: self.view.range(raw_spec),
+            copy=dict,
+        )
+
+    def iceberg(self, threshold, op: str = ">=") -> list:
+        """Pure iceberg query: classes whose aggregate clears the threshold.
+
+        Returns ``[(decoded upper bound, value), ...]``; cached at the
+        current serving stamp like :meth:`range`.
+        """
+        return self._cached(
+            iceberg_cache_key(threshold, op),
+            lambda: self.view.iceberg(threshold, op=op),
+            copy=list,
+        )
+
+    def iceberg_in_range(self, raw_spec, threshold, op: str = ">=",
+                         strategy: str = "filter") -> dict:
+        """Constrained iceberg query; returns ``{decoded cell: value}``."""
+        return self._cached(
+            constrained_iceberg_cache_key(raw_spec, threshold, op, strategy),
+            lambda: self.view.iceberg_in_range(
+                raw_spec, threshold, op=op, strategy=strategy
+            ),
+            copy=dict,
+        )
+
+    # -- exploration ---------------------------------------------------------
+
+    # All exploration runs through the serving view (the frozen trees
+    # while healthy): the shared traversal protocol makes every
+    # representation answer identically, so these are thin delegations.
+
+    def class_of(self, raw_cell):
+        """The class containing a cell: ``(decoded upper bound, value)``."""
+        return self.view.class_of(raw_cell)
+
+    def rollup(self, raw_cell) -> list:
+        """Intelligent roll-up: most general contexts with the same value."""
+        return self.view.rollup(raw_cell)
+
+    def rollup_exceptions(self, raw_cell) -> list:
+        """Classes inside the roll-up region that break the value."""
+        return self.view.rollup_exceptions(raw_cell)
+
+    def drilldowns(self, raw_cell) -> list:
+        """One-step drill-down classes from a cell's class."""
+        return self.view.drilldowns(raw_cell)
+
+    def rollups(self, raw_cell) -> list:
+        """One-step roll-up classes from a cell's class."""
+        return self.view.rollups(raw_cell)
+
+    def open_class(self, raw_cell):
+        """Drill into a class: upper bound, lower bounds, members (decoded)."""
+        return self.view.open_class(raw_cell)
+
+    # -- maintenance ---------------------------------------------------------
+
+    def maintain(self, inserts=(), deletes=()) -> None:
+        """Apply one mixed maintenance batch through the batched engine.
+
+        Every mutating entry point (:meth:`insert`, :meth:`delete`,
+        :meth:`modify`) funnels here: deletes are applied before inserts
+        (§3.3 modification order), the whole batch runs as a single
+        :func:`~repro.core.maintenance.maintain_batch` transaction
+        recording one merged delta, and consequently produces one
+        refreeze patch and one serving-version bump.
+
+        With a write-ahead log attached (:meth:`attach_wal`), the batch
+        is durably logged *before* anything mutates (see
+        :func:`wal_batch` for the record shapes), so a crash at any
+        later point is recoverable via ``recover``.  An empty batch is a
+        true no-op: nothing is logged, the serving version does not
+        move, and cached answers stay valid.
+        """
+        inserts = [tuple(r) for r in inserts]
+        deletes = [tuple(r) for r in deletes]
+        if not inserts and not deletes:
+            return
+        if self.wal is not None:
+            if not deletes:
+                self.wal.append("insert", inserts)
+            elif not inserts:
+                self.wal.append("delete", deletes)
+            else:
+                tagged = [("-",) + r for r in deletes]
+                tagged += [("+",) + r for r in inserts]
+                self.wal.append("maintain", tagged)
+        self._apply(inserts, deletes)
+
+    def _record_batch(self, inserts, deletes, result, **extra) -> None:
+        """Bookkeeping after a successful ``maintain_batch``."""
+        if len(inserts) + len(deletes) > 1:
+            self._maintain_batched += 1
+        else:
+            self._maintain_sequential += 1
+        stats = dict(result.stats)
+        stats["delta"] = result.delta.summary()
+        stats.update(extra)
+        self.last_maintenance = stats
+
+    def insert(self, records) -> None:
+        """Insert raw records incrementally (one batched maintenance call).
+
+        The mutation is transactional: on failure the warehouse is
+        unchanged.  See :meth:`maintain` for the logging contract.
+        """
+        self.maintain(inserts=records)
+
+    def delete(self, records) -> None:
+        """Delete raw records incrementally (batch, matched on dimensions,
+        earliest surviving row first)."""
+        self.maintain(deletes=records)
+
+    def modify(self, old_records, new_records) -> None:
+        """Replace records: the paper's "modifications can be simulated by
+        deletions and insertions" (§3.3), executed as ONE mixed batch —
+        one WAL record, one transaction, one delta, one refreeze patch."""
+        self.maintain(inserts=new_records, deletes=old_records)
+
+    def attach_wal(self, wal_path) -> WriteAheadLog:
+        """Start write-ahead logging maintenance batches to ``wal_path``.
+
+        Returns the log; subsequent :meth:`maintain` calls append to it
+        before mutating.  ``checkpoint`` folds the logged batches into a
+        snapshot and truncates the log.
+        """
+        self.wal = WriteAheadLog(wal_path)
+        return self.wal
+
+    def _common_stats(self, out: dict) -> dict:
+        """The stats entries every warehouse reports the same way."""
+        if self._cache is not None:
+            out["query_cache"] = self._cache.stats()
+        if self.last_refreeze is not None:
+            out["refreeze"] = dict(self.last_refreeze)
+        if self.last_maintenance is not None:
+            out["maintenance"] = dict(self.last_maintenance)
+        return out
+
+
+class QCWarehouse(BaseWarehouse):
     """A queryable, maintainable OLAP warehouse backed by a QC-tree.
 
     Reads are served from a frozen, array-backed view of the tree
@@ -86,33 +394,13 @@ class QCWarehouse:
                  tree=None, index_key=None, wal=None,
                  serve_frozen: bool = True, cache_size: int = 1024,
                  full_refreeze_ratio: float = 0.25):
+        super().__init__(aggregate, index_key, wal, cache_size,
+                         full_refreeze_ratio)
         self.table = table
-        self.aggregate = make_aggregate(aggregate)
         self.tree = tree if tree is not None else build_qctree(table, self.aggregate)
-        self._index_key = index_key
-        self.wal: Optional[WriteAheadLog] = wal
-        self._degraded = False
-        self._fsck_report = None
-        self.last_recovery: Optional[dict] = None
         self._serve_frozen = serve_frozen
         self._frozen = None
-        self._view: Optional[ServingSnapshot] = None
-        self._cache = LsnQueryCache(cache_size) if cache_size else None
-        self._epoch = 0
-        #: Dirty fraction above which the next refreeze recompiles instead
-        #: of patching (forwarded to :meth:`FrozenQCTree.patch
-        #: <repro.core.frozen.FrozenQCTree.patch>`).
-        self.full_refreeze_ratio = full_refreeze_ratio
         self._pending_delta = None
-        #: ``patch_stats`` of the most recent refreeze (None before the
-        #: first one) — how the serving view was last brought current.
-        self.last_refreeze: Optional[dict] = None
-        #: Stats of the most recent :meth:`maintain` call (None before
-        #: the first one): tuple counts, ``partition_s`` / ``merge_s`` /
-        #: ``index_s`` sub-phase seconds, and the delta summary.
-        self.last_maintenance: Optional[dict] = None
-        self._maintain_batched = 0
-        self._maintain_sequential = 0
         # The long-lived cover index over the live table: built lazily
         # on the first write (or deep verify), patched per batch from
         # the maintenance delta afterwards, discarded whenever a failed
@@ -121,13 +409,6 @@ class QCWarehouse:
         self._cover_index_rebuilt = 0
         self._cover_index_patched = 0
         self._cover_index_evictions = 0
-
-    @classmethod
-    def from_records(cls, records, schema: Schema, aggregate="count",
-                     index_key=None, **serving) -> "QCWarehouse":
-        """Build a warehouse from raw records."""
-        return cls(BaseTable.from_records(records, schema), aggregate,
-                   index_key=index_key, **serving)
 
     # -- queries -------------------------------------------------------------
 
@@ -156,28 +437,6 @@ class QCWarehouse:
             self.last_refreeze = dict(self._frozen.patch_stats)
         self._pending_delta = None
         return self._frozen
-
-    def serving_stamp(self) -> tuple:
-        """The logical version cached answers are valid at.
-
-        ``(WAL LSN, mutation epoch)``: the LSN covers logged maintenance
-        (PR 1's durability path), the epoch covers un-logged changes —
-        WAL-less warehouses, :meth:`rebuild`, degraded-mode flips.
-        """
-        lsn = self.wal.last_lsn if self.wal is not None else 0
-        return (lsn, self._epoch)
-
-    @property
-    def view(self) -> ServingSnapshot:
-        """The :class:`ServingSnapshot` queries delegate to right now.
-
-        Rebuilt lazily after each mutation over :attr:`serving_tree`, so
-        every query family — point, range, iceberg, *and* the semantic
-        exploration API — runs on the frozen view while healthy.
-        """
-        if self._view is None:
-            self._view = self.snapshot_view()
-        return self._view
 
     def snapshot_view(self) -> ServingSnapshot:
         """A fresh immutable snapshot of the current serving state.
@@ -227,41 +486,6 @@ class QCWarehouse:
         """
         self._mutated()
 
-    def _cached(self, key, compute, copy=None):
-        """Serve ``compute()`` through the stamped query cache.
-
-        ``key`` of None (query not normalizable) bypasses the cache, as
-        does a disabled cache or degraded mode.  ``copy`` (e.g. ``dict``
-        / ``list``) guards mutable cached results: both the hit and the
-        fill path return a private copy, so a caller mutating its answer
-        can never poison the cache.
-        """
-        cache = self._cache
-        if cache is None or key is None or self._degraded:
-            return compute()
-        stamp = self.serving_stamp()
-        value = cache.lookup(key, stamp)
-        if value is MISS:
-            value = compute()
-            cache.store(key, stamp, value)
-        return value if copy is None else copy(value)
-
-    def point(self, raw_cell):
-        """Point query with raw labels (``"*"`` / None / ALL for any).
-
-        Served from the query cache when a fresh answer for the cell is
-        present, else from the :attr:`view` over :attr:`serving_tree`.
-        A degraded warehouse (one whose tree failed :meth:`verify`)
-        answers by scanning the base table instead of routing through
-        the possibly-corrupt tree — slower, but never wrong — and
-        bypasses the cache entirely.
-        """
-        if self._degraded:
-            return self._scan_point(raw_cell)
-        return self._cached(
-            point_cache_key(raw_cell), lambda: self.view.point(raw_cell)
-        )
-
     def _scan_point(self, raw_cell):
         if len(raw_cell) != self.table.n_dims:
             raise QueryError(
@@ -273,42 +497,6 @@ class QCWarehouse:
         except SchemaError:
             return None
         return scan_point_query(self.table, self.aggregate, cell)
-
-    def range(self, raw_spec) -> dict:
-        """Range query with raw labels; returns ``{decoded cell: value}``.
-
-        Cached under a normalized spec key — equivalent scalar/list/set/
-        ``range`` spellings of the same query share one entry — at the
-        current serving stamp, so any mutation invalidates it.
-        """
-        return self._cached(
-            range_cache_key(raw_spec),
-            lambda: self.view.range(raw_spec),
-            copy=dict,
-        )
-
-    def iceberg(self, threshold, op: str = ">=") -> list:
-        """Pure iceberg query: classes whose aggregate clears the threshold.
-
-        Returns ``[(decoded upper bound, value), ...]``; cached at the
-        current serving stamp like :meth:`range`.
-        """
-        return self._cached(
-            iceberg_cache_key(threshold, op),
-            lambda: self.view.iceberg(threshold, op=op),
-            copy=list,
-        )
-
-    def iceberg_in_range(self, raw_spec, threshold, op: str = ">=",
-                         strategy: str = "filter") -> dict:
-        """Constrained iceberg query; returns ``{decoded cell: value}``."""
-        return self._cached(
-            constrained_iceberg_cache_key(raw_spec, threshold, op, strategy),
-            lambda: self.view.iceberg_in_range(
-                raw_spec, threshold, op=op, strategy=strategy
-            ),
-            copy=dict,
-        )
 
     @property
     def index(self) -> MeasureIndex:
@@ -340,37 +528,8 @@ class QCWarehouse:
             self._cover_index_rebuilt += 1
         return self._cover_index
 
-    def maintain(self, inserts=(), deletes=()) -> None:
-        """Apply one mixed maintenance batch through the batched engine.
-
-        Every mutating entry point (:meth:`insert`, :meth:`delete`,
-        :meth:`modify`) funnels here: deletes are applied before inserts
-        (§3.3 modification order), the whole batch runs as a single
-        :func:`~repro.core.maintenance.maintain_batch` transaction
-        recording one merged delta, and consequently produces one
-        refreeze patch and one serving-version bump.
-
-        With a write-ahead log attached (:meth:`attach_wal`), the batch
-        is durably logged *before* the tree mutates — pure batches under
-        the classic ``insert``/``delete`` ops, mixed batches as one
-        ``maintain`` record with ``-``/``+``-tagged rows — so a crash at
-        any later point is recoverable via :meth:`recover`.  An empty
-        batch is a true no-op: nothing is logged, the serving version
-        does not move, and cached answers stay valid.
-        """
-        inserts = [tuple(r) for r in inserts]
-        deletes = [tuple(r) for r in deletes]
-        if not inserts and not deletes:
-            return
-        if self.wal is not None:
-            if not deletes:
-                self.wal.append("insert", inserts)
-            elif not inserts:
-                self.wal.append("delete", deletes)
-            else:
-                tagged = [("-",) + r for r in deletes]
-                tagged += [("+",) + r for r in inserts]
-                self.wal.append("maintain", tagged)
+    def _apply(self, inserts, deletes) -> None:
+        """The WAL-free batch body (also the recovery replay path)."""
         try:
             result = maintain_batch(self.tree, self.table,
                                     inserts=inserts, deletes=deletes,
@@ -384,41 +543,8 @@ class QCWarehouse:
         self.table = result.table
         self._cover_index_patched += 1
         self._cover_index_evictions += result.stats["index_evictions"]
-        if len(inserts) + len(deletes) > 1:
-            self._maintain_batched += 1
-        else:
-            self._maintain_sequential += 1
-        stats = dict(result.stats)
-        stats["delta"] = result.delta.summary()
-        self.last_maintenance = stats
+        self._record_batch(inserts, deletes, result)
         self._mutated(result.delta)
-
-    def insert(self, records) -> None:
-        """Insert raw records incrementally (one batched maintenance call).
-
-        The mutation is transactional: on failure the warehouse is
-        unchanged.  See :meth:`maintain` for the logging contract.
-        """
-        self.maintain(inserts=records)
-
-    def delete(self, records) -> None:
-        """Delete raw records incrementally (batch, matched on dimensions).
-
-        Logged ahead of the mutation when a WAL is attached, like
-        :meth:`insert`.
-        """
-        self.maintain(deletes=records)
-
-    # Batch-oriented aliases: the serving layer's vocabulary for the
-    # same entry points (a "tuple" being one raw record).
-    insert_tuples = insert
-    delete_tuples = delete
-
-    def modify(self, old_records, new_records) -> None:
-        """Replace records: the paper's "modifications can be simulated by
-        deletions and insertions" (§3.3), executed as ONE mixed batch —
-        one WAL record, one transaction, one delta, one refreeze patch."""
-        self.maintain(inserts=new_records, deletes=old_records)
 
     def what_if(self, insertions=(), deletions=()) -> dict:
         """What-if analysis (§1): the class-level impact of a hypothetical
@@ -457,37 +583,6 @@ class QCWarehouse:
                 if not values_close(before[ub], after[ub])
             },
         }
-
-    # -- exploration ------------------------------------------------------------
-
-    # All exploration runs through the serving view (the frozen tree
-    # while healthy): the shared traversal protocol makes the dict and
-    # frozen representations answer identically, so these are thin
-    # delegations — see :class:`~repro.serving.snapshot.ServingSnapshot`.
-
-    def class_of(self, raw_cell):
-        """The class containing a cell: ``(decoded upper bound, value)``."""
-        return self.view.class_of(raw_cell)
-
-    def rollup(self, raw_cell) -> list:
-        """Intelligent roll-up: most general contexts with the same value."""
-        return self.view.rollup(raw_cell)
-
-    def rollup_exceptions(self, raw_cell) -> list:
-        """Classes inside the roll-up region that break the value."""
-        return self.view.rollup_exceptions(raw_cell)
-
-    def drilldowns(self, raw_cell) -> list:
-        """One-step drill-down classes from a cell's class."""
-        return self.view.drilldowns(raw_cell)
-
-    def rollups(self, raw_cell) -> list:
-        """One-step roll-up classes from a cell's class."""
-        return self.view.rollups(raw_cell)
-
-    def open_class(self, raw_cell):
-        """Drill into a class: upper bound, lower bounds, members (decoded)."""
-        return self.view.open_class(raw_cell)
 
     # -- persistence ---------------------------------------------------------------
 
@@ -545,16 +640,6 @@ class QCWarehouse:
 
     # -- durability ------------------------------------------------------------
 
-    def attach_wal(self, wal_path) -> WriteAheadLog:
-        """Start write-ahead logging maintenance batches to ``wal_path``.
-
-        Returns the log; subsequent :meth:`insert`/:meth:`delete` calls
-        append to it before mutating.  Call :meth:`checkpoint` to fold
-        the logged batches into a snapshot and truncate the log.
-        """
-        self.wal = WriteAheadLog(wal_path)
-        return self.wal
-
     def checkpoint(self, tree_path, table_path=None) -> None:
         """Snapshot the warehouse, then truncate the WAL.
 
@@ -603,29 +688,15 @@ class QCWarehouse:
         for record in wal.records():
             if record.lsn <= tree_lsn:
                 continue  # already folded into the snapshot
-            if record.op == "maintain":
-                # Mixed batch: rows tagged "-" (delete) / "+" (insert).
-                inserts = [r[1:] for r in record.records if r[:1] == ("+",)]
-                deletes = [r[1:] for r in record.records if r[:1] == ("-",)]
-            elif record.op == "insert":
-                inserts, deletes = record.records, ()
-            else:
-                inserts, deletes = (), record.records
+            inserts, deletes = wal_batch(record)
             try:
-                # Replay runs the same batched engine as the live path —
+                # Replay runs the same batch body as the live path —
                 # including the persistent cover index, built once from
                 # the checkpoint table and patched per replayed batch —
                 # so the recovered tree is node-for-node the live one.
-                result = maintain_batch(
-                    wh.tree, wh.table, inserts=inserts, deletes=deletes,
-                    cover_index=wh.cover_index,
-                )
-                wh.table = result.table
+                wh._apply(list(inserts), list(deletes))
                 replayed += 1
             except MaintenanceError as exc:
-                # The tree rolled back but the index may hold the
-                # skipped batch's delta; rebuild it lazily.
-                wh._cover_index = None
                 skipped.append((record.lsn, str(exc)))
         wh._mutated()
         wh.wal = wal
@@ -657,16 +728,7 @@ class QCWarehouse:
             # re-deriving the posting lists for the aggregate pass.
             cover_index=self._cover_index if deep else None,
         )
-        was_degraded = self._degraded
-        self._degraded = not report.ok
-        self._fsck_report = report
-        if was_degraded != self._degraded:
-            # The serving representation just switched (frozen <-> dict),
-            # so indexed node ids and cached answers are both suspect —
-            # the cache may hold answers computed before the corruption
-            # was detected.
-            self._mutated()
-        return report
+        return self._adopt_fsck(report)
 
     def rebuild(self) -> None:
         """Rebuild the tree from the base table (recovers from degraded
@@ -675,11 +737,6 @@ class QCWarehouse:
         self._mutated()
         self._degraded = False
         self._fsck_report = None
-
-    @property
-    def degraded(self) -> bool:
-        """True when the last :meth:`verify` found corruption."""
-        return self._degraded
 
     # -- reporting -------------------------------------------------------------------
 
@@ -712,13 +769,7 @@ class QCWarehouse:
         if self._cover_index is not None:
             cover.update(self._cover_index.stats())
         tree_stats["cover_index"] = cover
-        if self._cache is not None:
-            tree_stats["query_cache"] = self._cache.stats()
-        if self.last_refreeze is not None:
-            tree_stats["refreeze"] = dict(self.last_refreeze)
-        if self.last_maintenance is not None:
-            tree_stats["maintenance"] = dict(self.last_maintenance)
-        return tree_stats
+        return self._common_stats(tree_stats)
 
     def __repr__(self):
         flags = ", degraded" if self._degraded else ""

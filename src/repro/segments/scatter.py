@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.cells import ALL, Cell, generalizes, meet
+from repro.core.cells import ALL, Cell, meet
 from repro.core.classes import enumerate_temp_classes
 from repro.core.iceberg import _satisfies
-from repro.core.point_query import descend_to_class, locate, search_route
-from repro.core.range_query import RangeQuery
+from repro.core.point_query import locate
+from repro.core.range_query import encode_range, range_classes
 from repro.cube.aggregates import values_close
 from repro.cube.quotient import lower_bounds_from_difference_sets
 from repro.cube.table import BaseTable, _label_sort_key
@@ -168,50 +168,16 @@ def union_class_probe(pieces, aggregate, sem: Cell):
 
 
 def _range_states(tree, spec) -> dict:
-    """Algorithm 4 over one tree, collecting class *states* per point cell.
-
-    Mirrors :func:`~repro.core.range_query.range_query` exactly — same
-    traversal, same fast-path dispatch, same final verification — but
-    keeps the mergeable state instead of extracting the value, which is
-    what cross-segment gathering needs.
-    """
-    query = spec if isinstance(spec, RangeQuery) else RangeQuery(
-        spec, tree.n_dims
-    )
-    results: dict = {}
-    fast_step = getattr(tree, "_search_route", None)
-    fast_descend = getattr(tree, "_descend_to_class", None)
-
-    def finish(node: int, cell: Cell) -> None:
-        if fast_descend is not None:
-            node = fast_descend(node)
-        else:
-            node = descend_to_class(tree, node)
-        if node is None:
-            return
-        if generalizes(cell, tree.upper_bound_of(node)):
-            results[cell] = tree.state[node]
-
-    def rec(dim: int, node: Optional[int], assigned: list) -> None:
-        if node is None:
-            return
-        if dim == query.n_dims:
-            finish(node, tuple(assigned))
-            return
-        entry = query.positions[dim]
-        if entry is ALL:
-            rec(dim + 1, node, assigned + [ALL])
-            return
-        for value in entry:
-            rec(
-                dim + 1,
-                fast_step(node, dim, value) if fast_step is not None
-                else search_route(tree, node, dim, value),
-                assigned + [value],
-            )
-
-    rec(0, tree.root, [])
-    return results
+    """Algorithm 4 over one tree, keeping each point cell's mergeable
+    class *state* (what cross-segment gathering needs) where
+    :func:`~repro.core.range_query.range_query` extracts the value —
+    both read the one :func:`~repro.core.range_query.range_classes`
+    walk."""
+    state = tree.state
+    return {
+        cell: state[node]
+        for cell, node in range_classes(tree, spec).items()
+    }
 
 
 # -- query families ----------------------------------------------------------
@@ -229,9 +195,10 @@ def scatter_point(pieces, aggregate, raw_cell):
 def scatter_range(pieces, aggregate, raw_spec) -> dict:
     """Range query across segments: ``{decoded point cell: value}``.
 
-    Candidate labels missing from *every* segment dictionary make the
-    range empty (monolithic semantics); labels missing from only some
-    segments simply contribute nothing there.
+    Each segment encodes the spec into its own dictionaries: candidate
+    labels missing from a segment contribute nothing there, and a
+    dimension whose candidates are missing from *every* segment leaves
+    every segment out, so the range is empty (monolithic semantics).
     """
     n_dims = pieces[0].table.n_dims
     if len(raw_spec) != n_dims:
@@ -239,39 +206,10 @@ def scatter_range(pieces, aggregate, raw_spec) -> dict:
             f"range query {raw_spec!r} has {len(raw_spec)} positions, "
             f"store has {n_dims} dimensions"
         )
-    parsed = []
-    for dim, entry in enumerate(raw_spec):
-        if entry is ALL or entry is None or entry == "*":
-            parsed.append(ALL)
-            continue
-        values = (
-            list(entry)
-            if isinstance(entry, (list, tuple, set, frozenset, range))
-            else [entry]
-        )
-        known = [v for v in values if _label_known(pieces, dim, v)]
-        if not known:
-            return {}
-        parsed.append(known)
     gathered: dict = {}
     for piece in pieces:
-        encoded = []
-        alive = True
-        for dim, entry in enumerate(parsed):
-            if entry is ALL:
-                encoded.append(ALL)
-                continue
-            codes = []
-            for value in entry:
-                try:
-                    codes.append(piece.table.encode_value(dim, value))
-                except SchemaError:
-                    continue
-            if not codes:
-                alive = False
-                break
-            encoded.append(codes)
-        if not alive:
+        encoded = encode_range(piece.table, raw_spec)
+        if encoded is None:
             continue
         for cell, state in _range_states(piece.tree, encoded).items():
             sem = _decode_to_sem(piece, cell)

@@ -26,8 +26,11 @@ removed copy-on-write (:meth:`Segment.rewrite_without
 batch still behaves transactionally — the segment list and head are only
 swapped after every piece of the batch has succeeded.
 
-The public surface mirrors ``QCWarehouse`` closely enough that
-:class:`~repro.serving.server.QCServer` runs on either without changes.
+The server-facing surface (query families, exploration, ``maintain`` and
+its WAL logging, serving stamp/view) is the shared
+:class:`~repro.core.warehouse.BaseWarehouse`, so
+:class:`~repro.serving.server.QCServer` runs on either warehouse without
+changes; this class supplies the segment-aware hooks behind it.
 """
 
 from __future__ import annotations
@@ -40,20 +43,17 @@ from typing import Optional
 
 from repro.core.construct import build_qctree
 from repro.core.maintenance.batch import maintain_batch
-from repro.core.query_cache import (
-    MISS,
-    LsnQueryCache,
-    constrained_iceberg_cache_key,
-    iceberg_cache_key,
-    point_cache_key,
-    range_cache_key,
-)
 from repro.core.serialize import (
     _spec_to_json,
     load_qctree_from,
     save_qctree,
 )
-from repro.core.warehouse import _csv_stamped_lsn, _stamped_lsn
+from repro.core.warehouse import (
+    BaseWarehouse,
+    _csv_stamped_lsn,
+    _stamped_lsn,
+    wal_batch,
+)
 from repro.cube.aggregates import aggregate_spec, make_aggregate
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
@@ -71,16 +71,17 @@ from repro.segments.segment import Segment, bump_segment_ids, next_segment_id
 from repro.segments.snapshot import SegmentedSnapshot
 
 
-class SegmentedWarehouse:
+class SegmentedWarehouse(BaseWarehouse):
     """A queryable, maintainable OLAP warehouse over QC-tree segments.
 
     Drop-in for :class:`~repro.core.warehouse.QCWarehouse` under the
-    serving layer: same mutation entry points (``maintain``/``insert``/
-    ``delete``/``modify``), same query surface, same stamped query-cache
-    behaviour (with the segment-set *generation* folded into every cache
-    key, so seals and compactions re-key even though they preserve
-    answers), same WAL/checkpoint/recover durability contract — but
-    write latency is bounded by head size, not cube size.
+    serving layer — both inherit the mutation entry points, the query
+    surface and the stamped query cache from
+    :class:`~repro.core.warehouse.BaseWarehouse` (here with the
+    segment-set *generation* folded into every cache key, so seals and
+    compactions re-key even though they preserve answers) and offer the
+    same WAL/checkpoint/recover durability contract — but write latency
+    is bounded by head size, not cube size.
     """
 
     def __init__(self, table: BaseTable, aggregate="count",
@@ -89,15 +90,13 @@ class SegmentedWarehouse:
                  seal_rows: int = 2048, seal_batches: int = 256,
                  compact_min_segments: int = 4,
                  compact_interval: float = 0.05):
+        super().__init__(aggregate, index_key, wal, cache_size,
+                         full_refreeze_ratio)
         self.schema = table.schema
-        self.aggregate = make_aggregate(aggregate)
-        self._index_key = index_key
-        self.wal: Optional[WriteAheadLog] = wal
         self.seal_rows = seal_rows
         self.seal_batches = seal_batches
         self.compact_min_segments = compact_min_segments
         self.compact_interval = compact_interval
-        self.full_refreeze_ratio = full_refreeze_ratio
 
         # One re-entrant lock covers segment-list swaps and head
         # mutation; heavy work (compaction merges, frozen-view compiles)
@@ -112,24 +111,13 @@ class SegmentedWarehouse:
         self._head_pending_delta = None
         self._head_batches = 0
 
-        self._epoch = 0
         #: Bumped on every segment-set change (seal, compaction, delete
         #: rewrite, recovery); prepended to every query-cache key.
         self._generation = 0
-        self._view: Optional[SegmentedSnapshot] = None
-        self._cache = LsnQueryCache(cache_size) if cache_size else None
-
-        self._degraded = False
-        self._fsck_report = None
         self._seals = 0
         self._compactions = 0
         self._segment_rewrites = 0
-        self._maintain_batched = 0
-        self._maintain_sequential = 0
         self._checkpoint_seq = 0
-        self.last_maintenance: Optional[dict] = None
-        self.last_refreeze: Optional[dict] = None
-        self.last_recovery: Optional[dict] = None
         self.last_seal: Optional[dict] = None
         self.last_compaction: Optional[dict] = None
         self.last_compaction_error: Optional[str] = None
@@ -142,13 +130,6 @@ class SegmentedWarehouse:
         # A big bootstrap table seals immediately: the head stays small
         # from the first write on.
         self._maybe_seal()
-
-    @classmethod
-    def from_records(cls, records, schema: Schema, aggregate="count",
-                     index_key=None, **options) -> "SegmentedWarehouse":
-        """Build a segmented warehouse from raw records."""
-        return cls(BaseTable.from_records(records, schema), aggregate,
-                   index_key=index_key, **options)
 
     # -- serving view --------------------------------------------------------
 
@@ -184,20 +165,6 @@ class SegmentedWarehouse:
                 self.last_refreeze = dict(self._head_frozen.patch_stats)
             self._head_pending_delta = None
             return self._head_frozen
-
-    def serving_stamp(self) -> tuple:
-        """``(WAL LSN, mutation epoch)`` — the version answers are valid
-        at.  Seals and compactions bump the epoch (and the generation)
-        even though they preserve answers, so cached entries re-key."""
-        lsn = self.wal.last_lsn if self.wal is not None else 0
-        return (lsn, self._epoch)
-
-    @property
-    def view(self) -> SegmentedSnapshot:
-        """The snapshot queries delegate to right now (lazily rebuilt)."""
-        if self._view is None:
-            self._view = self.snapshot_view()
-        return self._view
 
     def snapshot_view(self) -> SegmentedSnapshot:
         """A fresh immutable snapshot: one piece per sealed segment
@@ -252,28 +219,11 @@ class SegmentedWarehouse:
 
     # -- queries -------------------------------------------------------------
 
-    def _cached(self, key, compute, copy=None):
-        cache = self._cache
-        if cache is None or key is None or self._degraded:
-            return compute()
-        # The generation prefix re-keys every entry when the segment set
-        # changes (seal / compaction / rewrite), independent of the
-        # stamp check.
-        key = (self._generation,) + key
-        stamp = self.serving_stamp()
-        value = cache.lookup(key, stamp)
-        if value is MISS:
-            value = compute()
-            cache.store(key, stamp, value)
-        return value if copy is None else copy(value)
-
-    def point(self, raw_cell):
-        """Point query with raw labels (``"*"`` / None / ALL for any)."""
-        if self._degraded:
-            return self._scan_point(raw_cell)
-        return self._cached(
-            point_cache_key(raw_cell), lambda: self.view.point(raw_cell)
-        )
+    @property
+    def _cache_prefix(self) -> tuple:
+        # Re-keys every entry when the segment set changes (seal /
+        # compaction / rewrite), independent of the stamp check.
+        return (self._generation,)
 
     def _scan_point(self, raw_cell):
         if len(raw_cell) != self._head_table.n_dims:
@@ -298,57 +248,6 @@ class SegmentedWarehouse:
             )
         return None if state is None else self.aggregate.value(state)
 
-    def range(self, raw_spec) -> dict:
-        """Range query with raw labels; returns ``{decoded cell: value}``."""
-        return self._cached(
-            range_cache_key(raw_spec),
-            lambda: self.view.range(raw_spec),
-            copy=dict,
-        )
-
-    def iceberg(self, threshold, op: str = ">=") -> list:
-        """Pure iceberg query: ``[(decoded upper bound, value), ...]``."""
-        return self._cached(
-            iceberg_cache_key(threshold, op),
-            lambda: self.view.iceberg(threshold, op=op),
-            copy=list,
-        )
-
-    def iceberg_in_range(self, raw_spec, threshold, op: str = ">=",
-                         strategy: str = "filter") -> dict:
-        """Constrained iceberg query; returns ``{decoded cell: value}``."""
-        return self._cached(
-            constrained_iceberg_cache_key(raw_spec, threshold, op, strategy),
-            lambda: self.view.iceberg_in_range(
-                raw_spec, threshold, op=op, strategy=strategy
-            ),
-            copy=dict,
-        )
-
-    def class_of(self, raw_cell):
-        """The class containing a cell: ``(decoded upper bound, value)``."""
-        return self.view.class_of(raw_cell)
-
-    def rollup(self, raw_cell) -> list:
-        """Intelligent roll-up: most general contexts with the same value."""
-        return self.view.rollup(raw_cell)
-
-    def rollup_exceptions(self, raw_cell) -> list:
-        """Classes inside the roll-up region that break the value."""
-        return self.view.rollup_exceptions(raw_cell)
-
-    def drilldowns(self, raw_cell) -> list:
-        """One-step drill-down classes from a cell's class."""
-        return self.view.drilldowns(raw_cell)
-
-    def rollups(self, raw_cell) -> list:
-        """One-step roll-up classes from a cell's class."""
-        return self.view.rollups(raw_cell)
-
-    def open_class(self, raw_cell):
-        """Drill into a class: upper bound, lower bounds, members (decoded)."""
-        return self.view.open_class(raw_cell)
-
     # -- maintenance ---------------------------------------------------------
 
     def _head_cover_index(self):
@@ -358,33 +257,14 @@ class SegmentedWarehouse:
             self._head_index = CoverIndex(self._head_table)
         return self._head_index
 
-    def maintain(self, inserts=(), deletes=()) -> None:
-        """Apply one mixed maintenance batch.
+    def _apply(self, inserts, deletes) -> None:
+        """The WAL-free batch body (also the recovery replay path).
 
-        Same contract as ``QCWarehouse.maintain`` — WAL-logged before
-        mutating, transactional, one serving-version bump — but the
-        write cost is bounded by the head: inserts always go to the
+        Write cost is bounded by the head: inserts always go to the
         head; deletes are routed to whichever piece owns the matching
         row (earliest surviving match first, exactly the monolithic
         matching order), with sealed segments rewritten copy-on-write.
         """
-        inserts = [tuple(r) for r in inserts]
-        deletes = [tuple(r) for r in deletes]
-        if not inserts and not deletes:
-            return
-        if self.wal is not None:
-            if not deletes:
-                self.wal.append("insert", inserts)
-            elif not inserts:
-                self.wal.append("delete", deletes)
-            else:
-                tagged = [("-",) + r for r in deletes]
-                tagged += [("+",) + r for r in inserts]
-                self.wal.append("maintain", tagged)
-        self._apply(inserts, deletes)
-
-    def _apply(self, inserts, deletes) -> None:
-        """The WAL-free batch body (also the recovery replay path)."""
         with self._lock:
             segment_plan, head_deletes = self._route_deletes(deletes)
             new_segments = None
@@ -415,14 +295,8 @@ class SegmentedWarehouse:
                 self._segment_rewrites += rewrites
             self._head_table = result.table
             self._head_batches += 1
-            if len(inserts) + len(deletes) > 1:
-                self._maintain_batched += 1
-            else:
-                self._maintain_sequential += 1
-            stats = dict(result.stats)
-            stats["delta"] = result.delta.summary()
-            stats["segment_rewrites"] = rewrites
-            self.last_maintenance = stats
+            self._record_batch(inserts, deletes, result,
+                               segment_rewrites=rewrites)
             self._mutated(result.delta, segments_changed=rewrites > 0)
             self._maybe_seal()
 
@@ -476,21 +350,6 @@ class SegmentedWarehouse:
                 f"{unmatched!r}"
             )
         return plan, head_plan
-
-    def insert(self, records) -> None:
-        """Insert raw records (one batched maintenance call)."""
-        self.maintain(inserts=records)
-
-    def delete(self, records) -> None:
-        """Delete raw records (batch, matched on dimensions)."""
-        self.maintain(deletes=records)
-
-    insert_tuples = insert
-    delete_tuples = delete
-
-    def modify(self, old_records, new_records) -> None:
-        """Replace records as ONE mixed batch (§3.3 order: deletes first)."""
-        self.maintain(inserts=new_records, deletes=old_records)
 
     # -- sealing -------------------------------------------------------------
 
@@ -587,10 +446,11 @@ class SegmentedWarehouse:
         return True
 
     def _merge_segments(self, base: Segment, newer: Segment) -> Segment:
-        # The OLDER segment is always the merge base: appending the
-        # newer segment's records (a stable sort within the batch)
-        # preserves global row arrival order, which earliest-first
-        # delete matching depends on.
+        # The OLDER segment is always the merge base, and maintain_batch
+        # sorts the newer segment's records on their dimension labels
+        # only (a stable sort), so rows with the same dimension tuple
+        # keep their global arrival order — what earliest-first delete
+        # matching depends on.
         tree = base.tree.copy()
         records = list(newer.table.iter_records())
         result = maintain_batch(tree, base.table, inserts=records)
@@ -660,11 +520,6 @@ class SegmentedWarehouse:
         return False
 
     # -- durability ----------------------------------------------------------
-
-    def attach_wal(self, wal_path) -> WriteAheadLog:
-        """Start write-ahead logging maintenance batches to ``wal_path``."""
-        self.wal = WriteAheadLog(wal_path)
-        return self.wal
 
     def checkpoint(self, directory) -> None:
         """Snapshot the whole segment set into ``directory``, then
@@ -800,13 +655,7 @@ class SegmentedWarehouse:
         for record in wal.records():
             if record.lsn <= checkpoint_lsn:
                 continue
-            if record.op == "maintain":
-                inserts = [r[1:] for r in record.records if r[:1] == ("+",)]
-                deletes = [r[1:] for r in record.records if r[:1] == ("-",)]
-            elif record.op == "insert":
-                inserts, deletes = record.records, ()
-            else:
-                inserts, deletes = (), record.records
+            inserts, deletes = wal_batch(record)
             try:
                 # Replay runs the normal batch path minus the WAL
                 # append — including seal thresholds, so recovery
@@ -851,13 +700,7 @@ class SegmentedWarehouse:
                            issue.node)
             for what, count in sub.checked.items():
                 report.checked[what] = report.checked.get(what, 0) + count
-        was_degraded = self._degraded
-        self._degraded = not report.ok
-        self._fsck_report = report
-        if was_degraded != self._degraded:
-            with self._lock:
-                self._mutated()
-        return report
+        return self._adopt_fsck(report)
 
     def rebuild(self) -> None:
         """Rebuild every piece's tree from its table (recovers from
@@ -874,11 +717,6 @@ class SegmentedWarehouse:
             self._mutated()
             self._degraded = False
             self._fsck_report = None
-
-    @property
-    def degraded(self) -> bool:
-        """True when the last :meth:`verify` found corruption."""
-        return self._degraded
 
     # -- reporting -----------------------------------------------------------
 
@@ -938,12 +776,7 @@ class SegmentedWarehouse:
                 "maintain_batched": self._maintain_batched,
                 "maintain_sequential": self._maintain_sequential,
             }
-        if self._cache is not None:
-            out["query_cache"] = self._cache.stats()
-        if self.last_refreeze is not None:
-            out["refreeze"] = dict(self.last_refreeze)
-        if self.last_maintenance is not None:
-            out["maintenance"] = dict(self.last_maintenance)
+        self._common_stats(out)
         if self.last_seal is not None:
             out["last_seal"] = dict(self.last_seal)
         if self.last_compaction is not None:

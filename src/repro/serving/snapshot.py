@@ -3,7 +3,9 @@
 The concurrent serving design (and the warehouse's own read path) rests
 on a simple rule: everything a query touches is bundled into a single
 snapshot object whose parts never mutate — the array-backed
-:class:`~repro.core.frozen.FrozenQCTree`, the copy-on-write
+:class:`~repro.core.frozen.FrozenQCTree` (over heap storage in a thread
+server, attached to a shared ``QCTREE/3`` blob in a shard worker), the
+copy-on-write
 :class:`~repro.cube.table.BaseTable` (maintenance builds a *new* table;
 published ones are never edited in place), and the serving stamp
 ``(WAL LSN, mutation epoch)`` they are valid at.  A reader grabs one
@@ -37,7 +39,6 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-from repro.core.cells import ALL
 from repro.core.explore import (
     class_of,
     drill_into_class,
@@ -48,8 +49,8 @@ from repro.core.explore import (
 )
 from repro.core.iceberg import MeasureIndex, constrained_iceberg, pure_iceberg
 from repro.core.point_query import point_query_raw
-from repro.core.range_query import range_query_raw
-from repro.errors import SchemaError
+from repro.core.qctree import QCTree
+from repro.core.range_query import encode_range, range_query_raw
 
 
 class ServingSnapshot:
@@ -112,7 +113,7 @@ class ServingSnapshot:
     def iceberg_in_range(self, raw_spec, threshold, op: str = ">=",
                          strategy: str = "filter") -> dict:
         """Constrained iceberg query; returns ``{decoded cell: value}``."""
-        encoded = self.encode_range(raw_spec)
+        encoded = encode_range(self.table, raw_spec)
         if encoded is None:
             return {}
         results = constrained_iceberg(
@@ -121,30 +122,6 @@ class ServingSnapshot:
             key=self.index_key,
         )
         return {self.table.decode_cell(c): v for c, v in results.items()}
-
-    def encode_range(self, raw_spec):
-        """Encode a raw range spec, or None when a dimension's candidate
-        set vanishes entirely (the range cannot match anything)."""
-        encoded = []
-        for dim, entry in enumerate(raw_spec):
-            if entry is ALL or entry is None or entry == "*":
-                encoded.append(ALL)
-                continue
-            values = (
-                entry
-                if isinstance(entry, (list, tuple, set, frozenset, range))
-                else [entry]
-            )
-            codes = []
-            for value in values:
-                try:
-                    codes.append(self.table.encode_value(dim, value))
-                except SchemaError:
-                    continue
-            if not codes:
-                return None
-            encoded.append(codes)
-        return encoded
 
     # -- exploration ---------------------------------------------------------
 
@@ -205,7 +182,9 @@ class ServingSnapshot:
         return {
             "lsn": lsn,
             "epoch": epoch,
-            "frozen": type(self.tree).__name__ == "FrozenQCTree",
+            # Anything but the mutable dict tree is the immutable array
+            # tree, whichever storage (heap or attached) it reads.
+            "frozen": not isinstance(self.tree, QCTree),
             "n_rows": self.table.n_rows,
             "classes": self.tree.n_classes,
             "nodes": self.tree.n_nodes,

@@ -65,10 +65,6 @@ def latency_summary(latencies_s) -> dict:
     }
 
 
-#: Deprecated alias, kept for external callers of the old private name.
-_latency_summary = latency_summary
-
-
 # -- request builders --------------------------------------------------------
 
 
@@ -173,7 +169,6 @@ def run_closed_loop(server, requests, clients: int = 4,
 
     latencies = [lat for out in outcomes for lat in out[0]]
     ok = sum(out[1] for out in outcomes)
-    attempt = latency_summary(latencies)
     result = {
         "model": "closed",
         "clients": clients,
@@ -187,10 +182,8 @@ def run_closed_loop(server, requests, clients: int = 4,
         # Closed-loop latency is *think-time adjusted*: each client waits
         # for the previous answer before attempting the next request, so
         # a stall is billed once, not once per request that would have
-        # arrived — coordinated omission.  The honest name is
-        # ``attempt_latency``; ``latency`` stays as a deprecated alias.
-        "attempt_latency": attempt,
-        "latency": attempt,
+        # arrived — coordinated omission.  Hence ``attempt_latency``.
+        "attempt_latency": latency_summary(latencies),
     }
     if retry is not None:
         result["retries"] = retry.stats()
@@ -245,7 +238,6 @@ def run_open_loop(server, requests, rate_hz: float,
         except Exception:
             errors += 1
     wall_s = time.perf_counter() - start
-    response = latency_summary(latencies)
     return {
         "model": "open",
         "offered_rate_rps": round(rate_hz, 3),
@@ -258,9 +250,7 @@ def run_open_loop(server, requests, rate_hz: float,
         "throughput_rps": round(ok / wall_s, 3) if wall_s > 0 else 0.0,
         # Open-loop latency runs from the scheduled arrival to the
         # answer — response time in the queueing-theory sense.
-        # ``latency`` stays as a deprecated alias.
-        "response_latency": response,
-        "latency": response,
+        "response_latency": latency_summary(latencies),
     }
 
 

@@ -7,7 +7,9 @@ at one core for pure-CPU traffic.  This package breaks that cap:
   stable packing of a frozen serving snapshot (tree CSR arrays,
   aggregate state vectors, base table) into typed little-endian
   buffers, attachable zero-copy from shared memory or an mmap'd file
-  and traversed in place by :class:`~repro.shard.pack.PackedQCTree`;
+  and traversed in place by the same
+  :class:`~repro.core.frozen.FrozenQCTree` class the thread server
+  reads from heap storage;
 * :mod:`~repro.shard.segment` — ``/dev/shm`` segment lifecycle with
   strict hygiene (no leaked ``qctree-*`` segments after close, crash,
   or SIGTERM);
@@ -22,7 +24,6 @@ See DESIGN §10 for the layout, lifecycle, and failure-mode table.
 
 from repro.shard.pack import (
     AttachedSnapshot,
-    PackedQCTree,
     attach_packed,
     attach_packed_file,
     pack_snapshot_bytes,
@@ -38,7 +39,6 @@ from repro.shard.server import ShardRouter, ShardServer
 
 __all__ = [
     "AttachedSnapshot",
-    "PackedQCTree",
     "ShardRouter",
     "ShardServer",
     "active_segments",

@@ -1,14 +1,14 @@
 """``QCTREE/3`` — the packed, shareable snapshot codec.
 
-:class:`~repro.core.frozen.FrozenQCTree` is already pointer-free CSR
-arrays, but they are *Python* arrays: tuples of tuples, per-node routing
-dicts, boxed aggregate states.  Packing flattens the whole serving
-snapshot — tree topology, upper bounds, aggregate state/value vectors,
-and the base table — into a handful of typed little-endian buffers
-(``int64`` / ``float64``) plus one small JSON meta block that interns
-every string exactly once (dimension names, the aggregate spec, and the
-per-dimension label dictionaries; rows and tree labels store only int
-codes).  The result is byte-layout-stable::
+A heap :class:`~repro.core.frozen.FrozenQCTree` is already pointer-free
+CSR arrays, but they are *Python* arrays: tuples of ints, per-node
+routing dicts, boxed aggregate states.  Packing flattens the whole
+serving snapshot — tree topology, upper bounds, aggregate state/value
+vectors, and the base table — into a handful of typed little-endian
+buffers (``int64`` / ``float64``) plus one small JSON meta block that
+interns every string exactly once (dimension names, the aggregate spec,
+and the per-dimension label dictionaries; rows and tree labels store
+only int codes).  The result is byte-layout-stable::
 
     QCTREE/3 crc32=XXXXXXXX meta=M body=B\\n
     <M bytes of JSON meta>
@@ -17,12 +17,20 @@ codes).  The result is byte-layout-stable::
 
 and therefore *attachable*: map the bytes — from
 ``multiprocessing.shared_memory`` or an mmap'd snapshot file — and
-traverse them in place through :class:`PackedQCTree`, which implements
-the same traversal protocol (and the same ``_locate`` /
-``_point_query`` fast paths) as the frozen tree.  Attach cost is
-parsing the small meta block and slicing a dozen memoryviews — no
-deserialization of nodes, rows, or states — so N worker processes can
-serve one physical copy of the snapshot (see :mod:`repro.shard.server`).
+:func:`attach_packed` hands the section views to
+:meth:`FrozenQCTree.from_buffers
+<repro.core.frozen.FrozenQCTree.from_buffers>`, which is the same tree
+class over ``memoryview`` storage: same traversal protocol, same
+``_locate`` / ``_point_query`` functions.  Attach cost is parsing the
+small meta block and slicing a dozen memoryviews — no deserialization of
+nodes, rows, or states — so N worker processes can serve one physical
+copy of the snapshot (see :mod:`repro.shard.server`).
+
+This module is the byte layout and nothing else: the one generic writer
+(:func:`pack_snapshot_bytes`, which walks the traversal protocol and so
+packs a dict tree, a heap tree with overlays and tombstones, or an
+attached tree alike), the header/CRC parsing of :func:`attach_packed`,
+the packed base-table view, and the ``QCTREE/3`` → mutable rebuild.
 
 Aggregate states and values are packed as fixed-shape ``float64`` rows:
 every class of one tree shares its state *shape* (e.g. ``(sum, count)``
@@ -41,17 +49,14 @@ import re
 import sys
 import zlib
 from array import array
-from bisect import bisect_left
-from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.core.cells import ALL, Cell
-from repro.core.qctree import tree_signature
-from repro.cube.aggregates import make_aggregate, values_close
+from repro.core.cells import ALL
+from repro.core.frozen import BUFFER_SECTIONS, FrozenQCTree, template_width
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
-from repro.errors import QueryError, SerializationError
+from repro.errors import SerializationError
 
 MAGIC_V3 = b"QCTREE/3"
 _V3_HEADER = re.compile(
@@ -71,7 +76,6 @@ SECTIONS = (
 )
 
 _MAX_EXACT_INT = 2 ** 53
-_UNSET = object()
 
 
 # -- state/value templates ---------------------------------------------------
@@ -88,14 +92,6 @@ def _template_of(sample):
             "and (nested) tuples of them are packable"
         )
     return "i" if isinstance(sample, int) else "f"
-
-
-def _template_width(template) -> int:
-    if template is None:
-        return 0
-    if isinstance(template, list):
-        return sum(_template_width(t) for t in template)
-    return 1
 
 
 def _flatten_into(value, template, out) -> None:
@@ -123,18 +119,6 @@ def _flatten_into(value, template, out) -> None:
             f"uniform leaf type {template!r}"
         )
     out.append(float(value))
-
-
-def _rebuild(template, flat, pos: int):
-    """Inverse of :func:`_flatten_into`; returns ``(value, next_pos)``."""
-    if isinstance(template, list):
-        parts = []
-        for sub in template:
-            value, pos = _rebuild(sub, flat, pos)
-            parts.append(value)
-        return tuple(parts), pos
-    leaf = flat[pos]
-    return (int(leaf) if template == "i" else leaf), pos + 1
 
 
 # -- packing -----------------------------------------------------------------
@@ -248,8 +232,8 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
         for j, val in enumerate(ub):
             ub_flat[base + j] = -1 if val is ALL else val
 
-    s_width = _template_width(state_template)
-    v_width = _template_width(value_template)
+    s_width = template_width(state_template)
+    v_width = template_width(value_template)
     state_data = array("d", bytes(8 * n * s_width))
     for i, row in state_rows:
         state_data[i * s_width:(i + 1) * s_width] = array("d", row)
@@ -348,374 +332,6 @@ def _aggregate_spec_json(aggregate):
     return _spec_to_json(aggregate_spec(aggregate))
 
 
-# -- the attached, traversed-in-place tree -----------------------------------
-
-
-class _StateVector:
-    """Sequence view satisfying the protocol's ``tree.state[node]``
-    access over the packed state matrix."""
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree):
-        self._tree = tree
-
-    def __len__(self) -> int:
-        return self._tree._n
-
-    def __getitem__(self, node: int):
-        return self._tree._state_at(node)
-
-    def __iter__(self):
-        tree = self._tree
-        return (tree._state_at(i) for i in range(tree._n))
-
-
-class PackedQCTree:
-    """A QC-tree traversed in place over packed typed buffers.
-
-    Implements the shared traversal protocol plus the same optimized
-    fast paths as :class:`~repro.core.frozen.FrozenQCTree`, so every
-    query algorithm (point / range / iceberg / exploration) runs on it
-    unchanged.  Routing merges the CSR edge and link slices lazily into
-    per-node dicts on first visit — the hot prefix of the tree reaches
-    frozen-dict lookup speed after warmup while attach stays O(1).
-
-    Node ids are compact ``0..n-1`` preorder ids assigned at pack time.
-    The structure is immutable; the buffers may be shared read-only by
-    many processes.
-    """
-
-    __slots__ = (
-        "n_dims", "dim_names", "aggregate", "root", "state", "snapshot_meta",
-        "_n", "_stride", "_counts",
-        "_edge_start", "_edge_key", "_edge_child",
-        "_link_start", "_link_key", "_link_target",
-        "_last_dim", "_forced", "_ub", "_class_kind",
-        "_state_data", "_value_data",
-        "_state_template", "_value_template", "_s_width", "_v_width",
-        "_routes", "_ub_cache", "_value_cache", "_state_cache",
-    )
-
-    def __init__(self, meta: dict, views: dict):
-        counts = meta["counts"]
-        n = counts["nodes"]
-        self.n_dims = meta["n_dims"]
-        self.dim_names = tuple(meta["dim_names"])
-        self.aggregate = make_aggregate(_spec_from_json(meta["aggregate"]))
-        self.root = 0
-        self.snapshot_meta = dict(meta.get("snapshot_meta") or {})
-        self._n = n
-        self._stride = meta["stride"]
-        self._counts = dict(counts)
-        self._edge_start = views["edge_start"]
-        self._edge_key = views["edge_key"]
-        self._edge_child = views["edge_child"]
-        self._link_start = views["link_start"]
-        self._link_key = views["link_key"]
-        self._link_target = views["link_target"]
-        self._last_dim = views["last_dim"]
-        self._forced = views["forced"]
-        self._ub = views["ub"]
-        self._class_kind = views["class_kind"]
-        self._state_data = views["state_data"]
-        self._value_data = views["value_data"]
-        self._state_template = meta["state_template"]
-        self._value_template = meta["value_template"]
-        self._s_width = _template_width(self._state_template)
-        self._v_width = _template_width(self._value_template)
-        self._routes: list = [None] * n
-        self._ub_cache: list = [None] * n
-        self._value_cache: list = [_UNSET] * n
-        self._state_cache: list = [_UNSET] * n
-        self.state = _StateVector(self)
-
-    # -- size & iteration ----------------------------------------------------
-
-    @property
-    def n_nodes(self) -> int:
-        return self._n
-
-    @property
-    def n_links(self) -> int:
-        return self._counts["links"]
-
-    @property
-    def n_classes(self) -> int:
-        return self._counts["classes"]
-
-    def iter_nodes(self) -> Iterator[int]:
-        return iter(range(self._n))
-
-    def iter_class_nodes(self) -> Iterator[int]:
-        kind = self._class_kind
-        return (node for node in range(self._n) if kind[node])
-
-    def iter_links(self) -> Iterator[tuple]:
-        start, keys, targets = self._link_start, self._link_key, self._link_target
-        stride = self._stride
-        for node in range(self._n):
-            for i in range(start[node], start[node + 1]):
-                key = keys[i]
-                yield node, key // stride, key % stride, targets[i]
-
-    def iter_children_of(self, node: int) -> Iterator[tuple]:
-        start, keys, children = self._edge_start, self._edge_key, self._edge_child
-        stride = self._stride
-        for i in range(start[node], start[node + 1]):
-            key = keys[i]
-            yield key // stride, key % stride, children[i]
-
-    def iter_links_of(self, node: int) -> Iterator[tuple]:
-        start, keys, targets = self._link_start, self._link_key, self._link_target
-        stride = self._stride
-        for i in range(start[node], start[node + 1]):
-            key = keys[i]
-            yield key // stride, key % stride, targets[i]
-
-    # -- traversal protocol --------------------------------------------------
-
-    def _key_of(self, dim: int, value):
-        """The packed routing key, or None for values that provably miss
-        (out of code range or un-comparable) — mirroring
-        :func:`repro.core.frozen._route_key` semantics."""
-        stride = self._stride
-        try:
-            if 0 <= value < stride:
-                return dim * stride + value
-        except TypeError:
-            pass
-        return None
-
-    def child(self, node: int, dim: int, value) -> Optional[int]:
-        key = self._key_of(dim, value)
-        if key is None:
-            return None
-        lo, hi = self._edge_start[node], self._edge_start[node + 1]
-        keys = self._edge_key
-        i = bisect_left(keys, key, lo, hi)
-        if i < hi and keys[i] == key:
-            return self._edge_child[i]
-        return None
-
-    def link_target(self, node: int, dim: int, value) -> Optional[int]:
-        key = self._key_of(dim, value)
-        if key is None:
-            return None
-        lo, hi = self._link_start[node], self._link_start[node + 1]
-        keys = self._link_key
-        i = bisect_left(keys, key, lo, hi)
-        if i < hi and keys[i] == key:
-            return self._link_target[i]
-        return None
-
-    def last_child_dim(self, node: int) -> Optional[int]:
-        last = self._last_dim[node]
-        return None if last < 0 else last
-
-    def children_in_dim(self, node: int, dim: int) -> dict:
-        lo, hi = self._edge_start[node], self._edge_start[node + 1]
-        keys = self._edge_key
-        stride = self._stride
-        first = bisect_left(keys, dim * stride, lo, hi)
-        out = {}
-        for i in range(first, hi):
-            key = keys[i]
-            if key >= (dim + 1) * stride:
-                break
-            out[key % stride] = self._edge_child[i]
-        return out
-
-    # -- cell <-> node -------------------------------------------------------
-
-    def upper_bound_of(self, node: int) -> Cell:
-        ub = self._ub_cache[node]
-        if ub is None:
-            flat = self._ub
-            base = node * self.n_dims
-            ub = tuple(
-                ALL if flat[base + j] < 0 else flat[base + j]
-                for j in range(self.n_dims)
-            )
-            self._ub_cache[node] = ub
-        return ub
-
-    def value_at(self, node: int):
-        value = self._value_cache[node]
-        if value is _UNSET:
-            if not self._class_kind[node]:
-                value = None
-            else:
-                width = self._v_width
-                base = node * width
-                value, _ = _rebuild(
-                    self._value_template,
-                    self._value_data[base:base + width], 0,
-                )
-            self._value_cache[node] = value
-        return value
-
-    def _state_at(self, node: int):
-        state = self._state_cache[node]
-        if state is _UNSET:
-            if not self._class_kind[node]:
-                state = None
-            else:
-                width = self._s_width
-                base = node * width
-                state, _ = _rebuild(
-                    self._state_template,
-                    self._state_data[base:base + width], 0,
-                )
-            self._state_cache[node] = state
-        return state
-
-    def class_upper_bounds(self) -> dict:
-        return {
-            self.upper_bound_of(node): self.value_at(node)
-            for node in self.iter_class_nodes()
-        }
-
-    # -- routing (lazy per-node merge of edges over links) -------------------
-
-    def _route_map(self, node: int) -> dict:
-        route = self._routes[node]
-        if route is None:
-            route = {}
-            lo, hi = self._link_start[node], self._link_start[node + 1]
-            keys, targets = self._link_key, self._link_target
-            for i in range(lo, hi):
-                route[keys[i]] = targets[i]
-            lo, hi = self._edge_start[node], self._edge_start[node + 1]
-            keys, children = self._edge_key, self._edge_child
-            for i in range(lo, hi):
-                route[keys[i]] = children[i]
-            self._routes[node] = route
-        return route
-
-    # -- optimized traversal fast paths --------------------------------------
-
-    def _search_route(self, node: int, dim: int, value,
-                      counter=None) -> Optional[int]:
-        key = self._key_of(dim, value)
-        forced = self._forced
-        last_dim = self._last_dim
-        while True:
-            nxt = self._route_map(node).get(key) if key is not None else None
-            if nxt is not None:
-                if counter is not None:
-                    counter[0] += 1
-                return nxt
-            last = last_dim[node]
-            if last < 0 or last >= dim:
-                return None
-            node = forced[node]
-            if node < 0:
-                return None
-            if counter is not None:
-                counter[0] += 1
-
-    def _descend_to_class(self, node: int, counter=None) -> Optional[int]:
-        kind = self._class_kind
-        forced = self._forced
-        while not kind[node]:
-            node = forced[node]
-            if node < 0:
-                return None
-            if counter is not None:
-                counter[0] += 1
-        return node
-
-    def _locate(self, cell: Cell, counter=None) -> Optional[int]:
-        forced = self._forced
-        last_dim = self._last_dim
-        kind = self._class_kind
-        node = 0
-        if counter is not None:
-            counter[0] += 1
-        for dim, value in enumerate(cell):
-            if value is ALL:
-                continue
-            key = self._key_of(dim, value)
-            while True:
-                nxt = (
-                    self._route_map(node).get(key)
-                    if key is not None else None
-                )
-                if nxt is not None:
-                    node = nxt
-                    if counter is not None:
-                        counter[0] += 1
-                    break
-                last = last_dim[node]
-                if last < 0 or last >= dim:
-                    return None
-                nxt = forced[node]
-                if nxt < 0:
-                    return None
-                node = nxt
-                if counter is not None:
-                    counter[0] += 1
-        while not kind[node]:
-            nxt = forced[node]
-            if nxt < 0:
-                return None
-            node = nxt
-            if counter is not None:
-                counter[0] += 1
-        for cv, uv in zip(cell, self.upper_bound_of(node)):
-            if cv is not ALL and cv != uv:
-                return None
-        return node
-
-    def _point_query(self, cell: Cell):
-        if len(cell) != self.n_dims:
-            raise QueryError(
-                f"query cell {cell!r} has {len(cell)} positions, tree has "
-                f"{self.n_dims} dimensions"
-            )
-        node = self._locate(cell)
-        return None if node is None else self.value_at(node)
-
-    # -- comparison & display ------------------------------------------------
-
-    def signature(self) -> tuple:
-        return tree_signature(self)
-
-    def equivalent_to(self, other, rel_tol: float = 1e-9) -> bool:
-        mine, theirs = self.signature(), other.signature()
-        if mine[0] != theirs[0] or mine[1] != theirs[1]:
-            return False
-        if len(mine[2]) != len(theirs[2]):
-            return False
-        return all(
-            ub_a == ub_b and values_close(val_a, val_b, rel_tol=rel_tol)
-            for (ub_a, val_a), (ub_b, val_b) in zip(mine[2], theirs[2])
-        )
-
-    def stats(self) -> dict:
-        return {
-            "nodes": self.n_nodes,
-            "tree_edges": self.n_nodes - 1,
-            "links": self.n_links,
-            "classes": self.n_classes,
-        }
-
-    def __repr__(self):
-        return (
-            f"PackedQCTree(nodes={self.n_nodes}, links={self.n_links}, "
-            f"classes={self.n_classes}, aggregate={self.aggregate.name})"
-        )
-
-
-def _spec_from_json(spec):
-    """JSON round-trip of an aggregate spec: lists are MultiAggregate
-    parts, strings are the ``tag(measure)`` call form."""
-    if isinstance(spec, list):
-        return [_spec_from_json(s) for s in spec]
-    return spec
-
-
 # -- packed base table -------------------------------------------------------
 
 
@@ -756,7 +372,8 @@ class _PackedRows:
 class AttachedSnapshot:
     """A ``QCTREE/3`` blob attached in place.
 
-    Holds the :class:`PackedQCTree`, the reconstructed (row-view-backed)
+    Holds the attached :class:`~repro.core.frozen.FrozenQCTree`, the
+    reconstructed (row-view-backed)
     :class:`~repro.cube.table.BaseTable` when the blob carried one, the
     serving ``stamp``, and the exported memoryviews.  Call
     :meth:`release` before closing the underlying shared-memory segment
@@ -791,16 +408,10 @@ class AttachedSnapshot:
         """Release every memoryview exported from the backing buffer."""
         tree = self.tree
         if tree is not None:
-            # Drop the tree's buffer-backed attributes so nothing keeps
-            # an export alive past release().
-            for slot in ("_edge_start", "_edge_key", "_edge_child",
-                         "_link_start", "_link_key", "_link_target",
-                         "_last_dim", "_forced", "_ub", "_class_kind",
-                         "_state_data", "_value_data"):
-                try:
-                    setattr(tree, slot, array("q"))
-                except Exception:
-                    pass
+            # Drop the tree's buffer-backed slots so nothing keeps an
+            # export alive past release().
+            for name in BUFFER_SECTIONS:
+                object.__setattr__(tree, "_" + name, ())
         self.tree = None
         self.table = None
         for view in self._views:
@@ -878,7 +489,7 @@ def _attach_views(view, views, verify: bool):
             section = view[lo:lo + 8 * count].cast(fmt)
             section_views[name] = section
             views.append(section)
-        tree = PackedQCTree(meta, section_views)
+        tree = FrozenQCTree.from_buffers(meta, section_views)
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(
             f"corrupt QCTREE/3 payload: {exc}"

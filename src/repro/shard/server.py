@@ -1,9 +1,8 @@
 """``ShardServer`` — multi-process serving over shared-memory snapshots.
 
 The thread-based :class:`~repro.serving.server.QCServer` is capped at
-one core for pure-CPU traffic: every reader thread shares the GIL
-(``BENCH_concurrent.json``'s flat ``cpu`` series).  This module breaks
-that cap with the classic shared-nothing-readers design:
+one core for pure-CPU traffic: every reader thread shares the GIL.
+This module breaks that cap with the classic shared-nothing-readers design:
 
 * the **parent** keeps everything the thread server already does —
   admission queue, deadlines, metrics ledger, stamped query cache,

@@ -179,22 +179,6 @@ def test_latency_summary_has_p999():
     assert latency_summary([])["p999_us"] == 0.0
 
 
-def test_closed_loop_report_keeps_deprecated_latency_alias():
-    table = make_random_table(6, n_dims=2, cardinality=3, n_rows=15)
-    server = QCServer(QCWarehouse(table, aggregate="count"), workers=2,
-                      cache_size=0)
-    try:
-        requests = point_requests(table, 20, seed=5)
-        closed = run_closed_loop(server, requests, clients=2)
-        assert closed["attempt_latency"] == closed["latency"]
-        assert "p999_us" in closed["attempt_latency"]
-        open_report = run_open_loop(server, requests, rate_hz=2000.0)
-        assert open_report["response_latency"] == open_report["latency"]
-        assert "p999_us" in open_report["response_latency"]
-    finally:
-        server.close()
-
-
 def test_no_threads_leak_from_harness(stall_server):
     """The harness and transport leave no threads behind (checked here
     while they are live so the fixture teardown proves the negative)."""

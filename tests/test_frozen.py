@@ -5,21 +5,36 @@ tree it compiles from: same signature, same answers and node-access
 counts for every query kind, same protocol surface — only faster.
 """
 
+import contextlib
+import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.cells import ALL
 from repro.core.construct import build_qctree
-from repro.core.frozen import FrozenQCTree
+from repro.core.frozen import _UNSET, FrozenQCTree
 from repro.core.iceberg import MeasureIndex, constrained_iceberg, pure_iceberg
+from repro.core.maintenance import apply_deletions, apply_insertions
 from repro.core.point_query import locate, locate_generic, point_query
 from repro.core.qctree import tree_signature
 from repro.core.range_query import range_query
-from repro.core.serialize import dumps_qctree, loads_qctree
+from repro.core.serialize import (
+    dumps_qctree,
+    loads_qctree,
+    save_qctree_packed,
+)
 from repro.errors import QueryError
+from repro.segments.scatter import _range_states
+from repro.shard.pack import (
+    attach_packed,
+    attach_packed_file,
+    pack_snapshot_bytes,
+)
 from tests.conftest import all_cells, approx_equal, make_random_table
 
 
@@ -186,3 +201,172 @@ class TestFreezeOnLoad:
         loaded = loads_qctree(dumps_qctree(tree))
         assert not isinstance(loaded, FrozenQCTree)
         assert loaded.signature() == tree.signature()
+
+
+# -- one parity suite over every storage -------------------------------------
+
+STORAGES = ("fresh", "patched", "bytes", "mmap")
+
+
+@contextlib.contextmanager
+def open_storage(kind, seed, tmp_path, **kwargs):
+    """``(table, dict tree, array tree)`` with the array tree on one of
+    the four storages: a fresh heap compile, a heap tree patched so that
+    it carries overlay rows, appended slots *and* tombstones, a
+    ``QCTREE/3`` blob attached from ``bytes``, and one attached from an
+    mmap'd file."""
+    kwargs.setdefault("n_dims", 3)
+    kwargs.setdefault("cardinality", 3)
+    kwargs.setdefault("n_rows", 12)
+    table = make_random_table(seed, **kwargs)
+    tree = build_qctree(table, ("sum", "m"))
+    if kind == "patched":
+        fresh = (table.cardinality(0) + 1,) * table.n_dims
+        table = apply_insertions(tree, table, [fresh + (5.0,)])
+        stale = tree.freeze()
+        tree.begin_delta()
+        # Insert before deleting: the other way round the new path
+        # would reuse the ids the delete frees and leave no tombstone.
+        newer = (table.cardinality(0) + 2,) * table.n_dims
+        table = apply_insertions(tree, table, [newer + (3.0,)])
+        table = apply_deletions(tree, table, [fresh + (5.0,)])
+        delta = tree.end_delta()
+        array_tree = stale.patch(delta, full_refreeze_ratio=1.0,
+                                 compact_ratio=100.0)
+        assert array_tree.patch_stats["mode"] == "patched"
+        assert array_tree._dead and array_tree._edge_over
+        assert array_tree.patch_stats["appended"] > 0
+    else:
+        array_tree = tree.freeze()
+    attached = None
+    if kind == "bytes":
+        attached = attach_packed(pack_snapshot_bytes(array_tree, table))
+    elif kind == "mmap":
+        path = tmp_path / f"{seed}.qct3"
+        save_qctree_packed(array_tree, path, table=table)
+        attached = attach_packed_file(path)
+    try:
+        yield table, tree, (attached.tree if attached else array_tree)
+    finally:
+        if attached is not None:
+            attached.release()
+
+
+def _odd_values():
+    return st.one_of(
+        st.just(ALL), st.integers(-3, 12), st.just(10**9),
+        st.sampled_from([3.0, 3.5, 0.0, "x", "0", True, None]),
+    )
+
+
+@pytest.mark.parametrize("kind", STORAGES)
+class TestEveryStorage:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_locate_answers_and_counts_equal_generic_on_dict_tree(
+            self, kind, seed, tmp_path):
+        """The array fast path answers — and costs, in the paper's
+        node-access count — exactly what Algorithm 3 over the traversal
+        protocol does on the source dict tree."""
+        with open_storage(kind, seed, tmp_path) as (table, tree, array):
+            for cell in all_cells(table):
+                want, got = [0], [0]
+                want_node = locate_generic(tree, cell, counter=want)
+                got_node = array._locate(cell, counter=got)
+                assert got == want, cell
+                assert (got_node is None) == (want_node is None), cell
+                if got_node is not None:
+                    assert array.upper_bound_of(got_node) == \
+                        tree.upper_bound_of(want_node)
+                assert approx_equal(
+                    array._point_query(cell), point_query(tree, cell)
+                )
+                generic = [0]
+                locate_generic(array, cell, counter=generic)
+                assert generic == want, cell
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_odd_values_and_wrong_arity(self, kind, tmp_path_factory, data):
+        """Out-of-range, negative, float, string, bool, None and
+        wrong-arity inputs behave exactly as on the dict tree."""
+        tmp_path = tmp_path_factory.mktemp("odd")
+        with open_storage(kind, 7, tmp_path, n_dims=2, cardinality=4,
+                          n_rows=10) as (table, tree, array):
+            cell = tuple(data.draw(
+                st.lists(_odd_values(), min_size=1, max_size=3)
+            ))
+            if len(cell) != table.n_dims:
+                with pytest.raises(QueryError):
+                    point_query(array, cell)
+                with pytest.raises(QueryError):
+                    range_query(array, list(cell))
+                return
+            assert point_query(array, cell) == point_query(tree, cell), cell
+            spec = [
+                ALL if v is ALL else [v, data.draw(_odd_values().filter(
+                    lambda w: w is not ALL and type(w) is type(v)
+                ))]
+                for v in cell
+            ]
+            assert range_query(array, spec) == range_query(tree, spec), spec
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_range_states_equal_range_query_cell_for_cell(
+            self, kind, seed, tmp_path):
+        with open_storage(kind, seed + 50, tmp_path) as (table, tree, array):
+            rng = random.Random(seed)
+            value = array.aggregate.value
+            for _ in range(5):
+                spec = [
+                    ALL if rng.random() < 0.3 else sorted(rng.sample(
+                        range(table.cardinality(j)),
+                        rng.randint(1, table.cardinality(j)),
+                    ))
+                    for j in range(table.n_dims)
+                ]
+                states = _range_states(array, spec)
+                values = range_query(array, spec)
+                assert list(states) == list(values)
+                assert values == range_query(tree, spec)
+                for cell, state in states.items():
+                    assert approx_equal(value(state), values[cell])
+
+    def test_one_set_of_functions(self, kind, tmp_path):
+        """Every storage is the same class, so the protocol and the
+        fast paths resolve to the same function objects as on a fresh
+        heap tree."""
+        with open_storage(kind, 1, tmp_path) as (_, tree, array):
+            heap = tree.freeze()
+            assert type(array) is type(heap) is FrozenQCTree
+            for name in (
+                "_search_route", "_descend_to_class", "_locate",
+                "_point_query", "child", "link_target", "children_in_dim",
+                "iter_children_of", "iter_links_of", "signature",
+                "equivalent_to", "stats",
+            ):
+                assert getattr(array, name).__func__ is \
+                    getattr(heap, name).__func__, name
+
+
+def test_fast_paths_are_defined_once_in_the_source_tree():
+    src = pathlib.Path(repro.__file__).parent
+    text = "\n".join(p.read_text() for p in src.rglob("*.py"))
+    for name in ("_search_route", "_descend_to_class", "_locate",
+                 "_point_query"):
+        assert len(re.findall(rf"def {name}\(", text)) == 1, name
+
+
+@pytest.mark.parametrize("kind", ("bytes", "mmap"))
+def test_attach_decodes_nothing_per_node(kind, tmp_path):
+    """Attach stays O(1): no routing dict, upper bound, value or state
+    exists until a query visits the node — and then only for the nodes
+    on the walk."""
+    with open_storage(kind, 3, tmp_path) as (table, _, array):
+        assert all(route is None for route in array._routes)
+        assert all(ub is None for ub in array._ubs)
+        assert all(value is _UNSET for value in array._value)
+        assert all(state is _UNSET for state in array.state._cache)
+        counter = [0]
+        array._locate((ALL,) * table.n_dims, counter=counter)
+        built = sum(route is not None for route in array._routes)
+        assert built <= counter[0] < array.n_nodes

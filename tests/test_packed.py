@@ -11,11 +11,13 @@ packed from — and the v3 byte format round-trips through the generic
 from __future__ import annotations
 
 import mmap
-from array import array
+from multiprocessing import shared_memory
 
 import pytest
 
 from repro.core.cells import ALL
+from repro.core.frozen import FrozenQCTree
+from repro.core.qctree import QCTree
 from repro.core.serialize import (
     SerializationError,
     load_qctree_from,
@@ -24,7 +26,6 @@ from repro.core.serialize import (
 )
 from repro.core.warehouse import QCWarehouse
 from repro.shard.pack import (
-    PackedQCTree,
     attach_packed,
     attach_packed_file,
     pack_snapshot_bytes,
@@ -60,7 +61,7 @@ def assert_trees_equivalent(packed, frozen, table):
 
 class TestPackAttachParity:
     def test_attached_is_packed_tree(self, attached):
-        assert isinstance(attached.tree, PackedQCTree)
+        assert type(attached.tree) is FrozenQCTree
         assert attached.stamp == (3, 7)
         assert attached.nbytes > 0
 
@@ -135,6 +136,21 @@ class TestPackAttachParity:
         # exported view is gone — the hygiene property shm close needs.
         payload += b"x"
 
+    def test_release_lets_shared_memory_close(self, snapshot):
+        """After release() no export pins the segment — including the
+        row slices the lazy decodes took — so the handle closes."""
+        payload = pack_snapshot_bytes(snapshot.tree, snapshot.table)
+        shm = shared_memory.SharedMemory(create=True, size=len(payload))
+        try:
+            shm.buf[:len(payload)] = payload
+            att = attach_packed(shm.buf)
+            assert att.tree.signature() == snapshot.tree.signature()
+            assert list(att.tree.state) == list(snapshot.tree.state)
+            att.release()
+            shm.close()  # BufferError while any export is alive
+        finally:
+            shm.unlink()
+
     def test_mutable_rebuild_is_equivalent(self, attached, snapshot):
         from repro.core.serialize import _tree_from_document
 
@@ -156,14 +172,14 @@ class TestV3Format:
         path = tmp_path / "packed.qct3"
         save_qctree_packed(snapshot.tree, path, table=snapshot.table)
         tree = load_qctree_from(path, freeze=True)
-        assert isinstance(tree, PackedQCTree)
+        assert type(tree) is FrozenQCTree
         assert tree.signature() == snapshot.tree.signature()
 
     def test_save_load_mutable_mode(self, snapshot, tmp_path):
         path = tmp_path / "packed.qct3"
         save_qctree_packed(snapshot.tree, path, table=snapshot.table)
         tree = load_qctree_from(path, freeze=False)
-        assert not isinstance(tree, PackedQCTree)
+        assert type(tree) is QCTree
         assert tree.equivalent_to(snapshot.tree)
 
     def test_attach_packed_file_mmap(self, snapshot, tmp_path):
@@ -232,6 +248,16 @@ class TestServingSnapshotBridge:
             serving.point((ALL,) * n), snapshot.point((ALL,) * n)
         )
         assert serving.stamp == (3, 7)
+
+    def test_describe_says_frozen_on_every_array_storage(
+            self, attached, snapshot, sales_table):
+        """What a shard worker serves (the attached tree) is as frozen
+        as the heap view; only the mutable dict tree is not."""
+        assert attached.serving_snapshot().describe()["frozen"] is True
+        assert snapshot.describe()["frozen"] is True
+        mutable = QCWarehouse(sales_table, aggregate="avg(Sale)",
+                              serve_frozen=False)
+        assert mutable.snapshot_view().describe()["frozen"] is False
 
     def test_writes_not_supported_on_packed(self, attached):
         # The packed view is immutable by construction: it has no

@@ -288,6 +288,34 @@ class TestRecoveryParity:
         assert_parity(mono, recovered, final, rng, "post-compaction ckpt")
 
 
+class TestDuplicateKeyOrder:
+    def test_earliest_match_delete_survives_compaction(self):
+        """Two rows with the same dimension tuple and different measures
+        arrive in two batches; after a seal and a compaction (which
+        re-inserts the newer segment's rows as one batch) a single
+        delete must still remove the *first arrival* — compaction may
+        not reorder duplicates by measure."""
+        key = ("v0", "v1", "v2")
+        base = [("v1", "v1", "v1", 2.0)]
+        mono = QCWarehouse.from_records(base, SCHEMA, ("sum", "m"),
+                                        cache_size=0)
+        seg = SegmentedWarehouse.from_records(
+            base, SCHEMA, ("sum", "m"), seal_rows=100, seal_batches=100,
+            compact_min_segments=1, cache_size=0,
+        )
+        seg.seal()
+        for measure in (9.0, 1.0):
+            mono.insert([key + (measure,)])
+            seg.insert([key + (measure,)])
+        seg.seal()
+        assert seg.compact_now() == 1
+        mono.delete([key + (0.0,)])
+        seg.delete([key + (0.0,)])
+        assert mono.point(key) == 1.0
+        assert seg.point(key) == mono.point(key)
+        assert seg.point(("*", "*", "*")) == mono.point(("*", "*", "*"))
+
+
 class TestFailureParity:
     def test_unmatched_delete_fails_both_and_changes_neither(self):
         base, batches, _ = make_program(3, n_batches=3)
