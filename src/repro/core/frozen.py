@@ -179,7 +179,7 @@ def template_width(template) -> int:
 
 def _rebuild(template, flat, pos: int):
     """Rebuild one aggregate state/value from its packed ``float64``
-    leaves (the inverse of :func:`repro.shard.pack._flatten_into`);
+    leaves (the inverse of :func:`repro.shard.pack._leaf_columns`);
     returns ``(value, next_pos)``."""
     if isinstance(template, list):
         parts = []
@@ -867,10 +867,11 @@ class FrozenQCTree:
         """Serialize this tree to the zero-copy ``QCTREE/3`` layout (see
         :mod:`repro.shard.pack`): typed little-endian buffers attachable
         from shared memory or an mmap'd file and traversed in place by
-        :meth:`from_buffers`.  Packing walks the traversal protocol, so a
-        patched view (overlays, tombstones) compacts into fresh
-        contiguous ids.  ``table`` embeds the base table, making the
-        blob a complete serving snapshot."""
+        :meth:`from_buffers`.  The writer reads this tree's arrays in
+        bulk (no per-node walk); a patched view (overlays, tombstones,
+        appended slots) compacts into fresh contiguous ids on the way
+        out.  ``table`` embeds the base table, making the blob a
+        complete serving snapshot."""
         from repro.shard.pack import pack_snapshot_bytes
 
         return pack_snapshot_bytes(self, table=table, stamp=stamp)

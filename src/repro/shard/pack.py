@@ -26,11 +26,27 @@ small meta block and slicing a dozen memoryviews — no deserialization of
 nodes, rows, or states — so N worker processes can serve one physical
 copy of the snapshot (see :mod:`repro.shard.server`).
 
-This module is the byte layout and nothing else: the one generic writer
-(:func:`pack_snapshot_bytes`, which walks the traversal protocol and so
-packs a dict tree, a heap tree with overlays and tombstones, or an
-attached tree alike), the header/CRC parsing of :func:`attach_packed`,
-the packed base-table view, and the ``QCTREE/3`` → mutable rebuild.
+This module is the byte layout and nothing else: the one writer
+(:func:`pack_snapshot_bytes`), the header/CRC parsing of
+:func:`attach_packed`, the packed base-table view, and the ``QCTREE/3``
+→ mutable rebuild.
+
+The writer is columnar.  Every shard write publishes a whole new blob
+right after an O(dirty) refreeze, so packing must not cost a Python
+visit per node: it reads the frozen tree's storage in bulk with NumPy —
+a live mask and its running sum renumber the slots (tombstones and
+spare capacity drop out), the patch overlay rows are appended behind
+the shared CSR arrays in the only Python loop (O(dirty)) and one ragged
+gather fetches every live row, keys are split and re-strided with a
+vectorised ``divmod``, ``last_dim`` / ``forced`` come from the compacted
+rows, and upper bounds, state/value matrices and the table sections are
+bulk conversions whose checks run a column at a time.  A dict-backed
+:class:`~repro.core.qctree.QCTree` is frozen first; an attached tree
+feeds its ``memoryview`` sections through the same code.  The invariant:
+for every input the bytes are exactly those of the per-node protocol
+walk this writer replaced (kept as ``tests/reference_pack.py``, the
+oracle of ``tests/test_pack_oracle.py``), so readers of the format never
+noticed.
 
 Aggregate states and values are packed as fixed-shape ``float64`` rows:
 every class of one tree shares its state *shape* (e.g. ``(sum, count)``
@@ -46,17 +62,17 @@ from __future__ import annotations
 import json
 import mmap
 import re
-import sys
 import zlib
-from array import array
+from itertools import chain, compress
 
 import numpy as np
 
 from repro.core.cells import ALL
-from repro.core.frozen import BUFFER_SECTIONS, FrozenQCTree, template_width
+from repro.core.frozen import BUFFER_SECTIONS, FrozenQCTree
+from repro.core.qctree import QCTree
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
-from repro.errors import SerializationError
+from repro.errors import QueryError, SerializationError
 
 MAGIC_V3 = b"QCTREE/3"
 _V3_HEADER = re.compile(
@@ -74,6 +90,9 @@ SECTIONS = (
     ("state_data", "d"), ("value_data", "d"),
     ("table_rows", "q"), ("table_measures", "d"),
 )
+
+#: Little-endian item types of the two section formats.
+_DTYPES = {"q": np.dtype("<i8"), "d": np.dtype("<f8")}
 
 _MAX_EXACT_INT = 2 ** 53
 
@@ -94,34 +113,97 @@ def _template_of(sample):
     return "i" if isinstance(sample, int) else "f"
 
 
-def _flatten_into(value, template, out) -> None:
-    """Append ``value``'s leaves to ``out``, verifying it matches the
-    template shape and leaf types exactly (so reconstruction is lossless)."""
+def _template_leaves(template) -> list:
+    """The ``"i"`` / ``"f"`` leaves of a template, in packed order."""
     if isinstance(template, list):
-        if not isinstance(value, tuple) or len(value) != len(template):
+        return [leaf for sub in template for leaf in _template_leaves(sub)]
+    return [] if template is None else [template]
+
+
+def _is_int_leaf(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and -_MAX_EXACT_INT < value < _MAX_EXACT_INT)
+
+
+def _leaf_columns(values, template, out) -> None:
+    """Append one ``float64`` column per leaf of ``template`` to ``out``,
+    holding that leaf of every payload in ``values`` — after verifying
+    that *each* payload matches the template's shape and leaf types
+    exactly (so reconstruction is lossless).  The checks run a column at
+    a time (type sets, ``min``/``max``); only a failing column is
+    rescanned to name the offending value."""
+    kinds = set(map(type, values))
+    if isinstance(template, list):
+        width = len(template)
+        if (not all(issubclass(kind, tuple) for kind in kinds)
+                or set(map(len, values)) != {width}):
+            bad = next(v for v in values
+                       if not isinstance(v, tuple) or len(v) != width)
             raise SerializationError(
-                f"aggregate payload {value!r} does not match the tree's "
+                f"aggregate payload {bad!r} does not match the tree's "
                 f"uniform shape {template!r}"
             )
-        for part, sub in zip(value, template):
-            _flatten_into(part, sub, out)
+        for column, sub in zip(zip(*values), template):
+            _leaf_columns(column, sub, out)
         return
     if template == "i":
-        if (isinstance(value, bool) or not isinstance(value, int)
-                or not -_MAX_EXACT_INT < value < _MAX_EXACT_INT):
+        if (any(kind is bool or not issubclass(kind, int) for kind in kinds)
+                or not -_MAX_EXACT_INT < min(values)
+                or not max(values) < _MAX_EXACT_INT):
+            bad = next(v for v in values if not _is_int_leaf(v))
             raise SerializationError(
-                f"aggregate int payload {value!r} is not exactly packable "
+                f"aggregate int payload {bad!r} is not exactly packable "
                 "as float64"
             )
-    elif not isinstance(value, float):
+    elif not all(issubclass(kind, float) for kind in kinds):
+        bad = next(v for v in values if not isinstance(v, float))
         raise SerializationError(
-            f"aggregate payload {value!r} does not match the tree's "
+            f"aggregate payload {bad!r} does not match the tree's "
             f"uniform leaf type {template!r}"
         )
-    out.append(float(value))
+    out.append(np.fromiter(values, dtype=np.float64, count=len(values)))
+
+
+def _payload_matrix(payloads, template, class_ids, n: int):
+    """The ``n × width`` ``float64`` matrix of a heap tree's states (or
+    values): class node ``class_ids[k]`` holds the leaves of
+    ``payloads[k]``, every other row is zero."""
+    columns: list = []
+    if payloads:
+        _leaf_columns(payloads, template, columns)
+    matrix = np.zeros((n, len(columns)), dtype=np.float64)
+    for j, column in enumerate(columns):
+        matrix[class_ids, j] = column
+    return matrix
+
+
+def _packed_matrix(data, template, is_class):
+    """The same matrix re-read from an attached tree's packed rows:
+    class rows pass through, the rest are zeroed, and ``"i"`` leaves
+    must still hold integers ``float64`` represents exactly."""
+    leaves = _template_leaves(template)
+    matrix = np.asarray(data, dtype=np.float64).reshape(
+        is_class.size, len(leaves)
+    )
+    matrix = np.where(is_class[:, None], matrix, 0.0)
+    for j, leaf in enumerate(leaves):
+        if leaf != "i":
+            continue
+        column = matrix[:, j]
+        exact = (np.abs(column) < _MAX_EXACT_INT) & (column == np.trunc(column))
+        if not exact.all():
+            raise SerializationError(
+                f"aggregate int payload {column[~exact][0]!r} is not "
+                "exactly packable as float64"
+            )
+    return matrix
 
 
 # -- packing -----------------------------------------------------------------
+
+#: Stand-in for ``ALL`` while upper bounds are validated (a label can
+#: never be this negative, ``-1`` could be a bad label).
+_ALL_CODE = np.iinfo(np.int64).min
 
 
 def _check_label(value):
@@ -134,118 +216,186 @@ def _check_label(value):
     return value
 
 
+def _compact_rows(start, keys, targets, over, live, remap, stride, what):
+    """One CSR family (edges or links) compacted onto the live nodes.
+
+    ``start`` / ``keys`` / ``targets`` are the tree's shared CSR arrays
+    (tuples or ``memoryview`` sections) and ``over`` the patch overlay
+    ``slot -> (keys, targets)`` that shadows them.  Overlay rows are
+    appended behind the CSR arrays — the only Python loop, O(dirty) —
+    and then every live node's row is fetched by one ragged gather, so
+    tombstones, stale shadowed rows and spare capacity simply drop out.
+    Returns ``(new_start, dims, values, new_targets)`` in the compact
+    ids of ``remap``.
+    """
+    slots = live.size
+    start = np.asarray(start, dtype=np.int64)
+    base = start.size - 1
+    begin = np.zeros(slots, dtype=np.int64)
+    count = np.zeros(slots, dtype=np.int64)
+    begin[:base] = start[:-1]
+    count[:base] = np.diff(start)
+    over_keys: list = []
+    over_targets: list = []
+    for slot, (row_keys, row_targets) in (over or {}).items():
+        begin[slot] = len(keys) + len(over_keys)
+        count[slot] = len(row_keys)
+        over_keys.extend(row_keys)
+        over_targets.extend(row_targets)
+    begin, count = begin[live], count[live]
+    new_start = np.zeros(count.size + 1, dtype=np.int64)
+    np.cumsum(count, out=new_start[1:])
+    pick = np.repeat(begin - new_start[:-1], count) + np.arange(new_start[-1])
+
+    if stride:
+        packed = np.concatenate([
+            np.asarray(keys, dtype=np.int64),
+            np.asarray(over_keys, dtype=np.int64),
+        ])[pick]
+        dims, values = np.divmod(packed, stride)
+    else:
+        # Exotic (dim, value) tuple keys: the labels are not known to
+        # be dictionary codes, so each one is checked.
+        pairs = list(keys) + over_keys
+        pairs = [pairs[i] for i in pick.tolist()]
+        for _dim, value in pairs:
+            _check_label(value)
+        dims, values = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+    hops = np.concatenate([
+        np.asarray(targets, dtype=np.int64),
+        np.asarray(over_targets, dtype=np.int64),
+    ])[pick]
+    sound = (hops >= 0) & (hops < slots)
+    sound[sound] = live[hops[sound]]
+    if not sound.all():
+        at = int(np.flatnonzero(~sound)[0])
+        owner = int(np.searchsorted(new_start, at, side="right")) - 1
+        raise SerializationError(
+            f"cannot pack {what} ({int(dims[at])}, {int(values[at])}) of "
+            f"node {owner}: it points at slot {int(hops[at])}, which is "
+            "tombstoned or out of range"
+        )
+    return new_start, dims, values, remap[hops]
+
+
+def _upper_bounds(tree, live):
+    """The ``n × n_dims`` upper-bound matrix of the live nodes, ``ALL``
+    as ``-1``."""
+    n_dims = tree.n_dims
+    if tree._ub is not None:  # attached: the section, already coded
+        return np.maximum(
+            np.asarray(tree._ub, dtype=np.int64).reshape(-1, n_dims), -1
+        )
+    flat = list(chain.from_iterable(compress(tree._ubs, live.tolist())))
+    if not set(map(type, flat)) <= {int, type(ALL)}:
+        for value in flat:
+            if value is not ALL:
+                _check_label(value)
+    codes = np.fromiter(
+        [_ALL_CODE if value is ALL else value for value in flat],
+        dtype=np.int64, count=len(flat),
+    )
+    negative = codes[(codes < 0) & (codes != _ALL_CODE)]
+    if negative.size:
+        _check_label(int(negative[0]))
+    return np.maximum(codes, -1).reshape(-1, n_dims)
+
+
+def _class_sections(tree, live):
+    """``(is_class, templates, matrices)`` of the live nodes: the class
+    mask, then the ``(state, value)`` pair of shape templates and of
+    ``n × width`` ``float64`` matrices (zero rows off the classes)."""
+    kind = np.asarray(tree._class_kind, dtype=np.int64) != 0
+    is_class = kind[live]
+    if tree._ub is not None:  # attached: the packed rows themselves
+        templates = (tree._state_codec[0], tree._value_codec[0])
+        packed = (tree._state_data, tree._value_data)
+        return is_class, templates, tuple(
+            _packed_matrix(data, template, is_class)
+            for data, template in zip(packed, templates)
+        )
+    holds = (kind & live).tolist()
+    class_ids = np.flatnonzero(is_class)
+    templates, matrices = [], []
+    for payloads in (tree.state, tree._value):
+        payloads = tuple(compress(payloads, holds))
+        template = _template_of(payloads[0]) if payloads else None
+        templates.append(template)
+        matrices.append(
+            _payload_matrix(payloads, template, class_ids, is_class.size)
+        )
+    return is_class, tuple(templates), tuple(matrices)
+
+
 def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
                         snapshot_meta=None) -> bytes:
     """Serialize a serving snapshot to the ``QCTREE/3`` byte layout.
 
-    ``tree`` may be frozen, packed, or dict-backed — packing walks the
-    shared traversal protocol, so patched frozen views (overlays,
-    tombstones) compact transparently into fresh contiguous ids.
+    The writer is columnar: it reads a :class:`FrozenQCTree`'s storage
+    in bulk — the CSR arrays, the patch overlays, the tombstone set, the
+    upper-bound / state / value vectors of a heap tree or the typed
+    sections of an attached one — and never visits a node.  A live mask
+    and its running sum renumber the slots, so a patched view (overlay
+    rows, tombstones, appended slots) compacts into fresh contiguous ids
+    on the way out.  A dict-backed :class:`QCTree` is frozen first.  The
+    invariant the tests hold it to: for any input, byte for byte the
+    blob the per-node protocol walk it replaced would have written
+    (``tests/reference_pack.py``).
     ``table`` rides along when given, making the blob a complete
     self-contained snapshot a worker process can serve from.
     """
-    order = list(tree.iter_nodes())
-    remap = {old: i for i, old in enumerate(order)}
-    n = len(order)
+    if isinstance(tree, QCTree):
+        try:
+            tree = FrozenQCTree.from_tree(tree)
+        except QueryError as exc:
+            raise SerializationError(f"cannot pack: {exc}") from exc
     n_dims = tree.n_dims
+    slots = len(tree._routes)
+    live = np.ones(slots, dtype=bool)
+    live[np.fromiter(tree._dead, dtype=np.intp, count=len(tree._dead))] = False
+    n = int(live.sum())
     if n == 0:
         raise SerializationError("cannot pack an empty QC-tree (no root)")
+    remap = np.cumsum(live) - 1
 
-    per_edges = []
-    per_links = []
-    ubs = []
-    max_label = -1
-    states = tree.state
-    state_template = None
-    value_template = None
-    state_rows = []
-    value_rows = []
-    class_kind = array("q", bytes(8 * n))
-    for i, old in enumerate(order):
-        edges = sorted(
-            ((dim, _check_label(val)), remap[child])
-            for dim, val, child in tree.iter_children_of(old)
-        )
-        links = sorted(
-            ((dim, _check_label(val)), remap[target])
-            for dim, val, target in tree.iter_links_of(old)
-        )
-        per_edges.append(edges)
-        per_links.append(links)
-        for (_, val), _child in edges:
-            if val > max_label:
-                max_label = val
-        for (_, val), _target in links:
-            if val > max_label:
-                max_label = val
-        ub = tree.upper_bound_of(old)
-        for val in ub:
-            if val is not ALL:
-                _check_label(val)
-                if val > max_label:
-                    max_label = val
-        ubs.append(ub)
-        state = states[old]
-        if state is not None:
-            class_kind[i] = 1
-            value = tree.value_at(old)
-            if state_template is None:
-                state_template = _template_of(state)
-                value_template = _template_of(value)
-            srow: list = []
-            _flatten_into(state, state_template, srow)
-            vrow: list = []
-            _flatten_into(value, value_template, vrow)
-            state_rows.append((i, srow))
-            value_rows.append((i, vrow))
+    stride = tree._stride
+    edge_start, edge_dim, edge_val, edge_child = _compact_rows(
+        tree._edge_start, tree._edge_key, tree._edge_child,
+        tree._edge_over, live, remap, stride, "edge",
+    )
+    link_start, link_dim, link_val, link_target = _compact_rows(
+        tree._link_start, tree._link_key, tree._link_target,
+        tree._link_over, live, remap, stride, "link",
+    )
+    ub = _upper_bounds(tree, live)
 
-    stride = max_label + 1 if max_label >= 0 else 1
+    # Re-stride the keys to the tightest fit: the frozen tree's own
+    # stride carries patch headroom the packed layout does not need.
+    max_label = max(
+        int(part.max(initial=-1)) for part in (edge_val, link_val, ub)
+    )
+    stride = max(max_label, 0) + 1
+    edge_key = edge_dim * stride + edge_val
+    link_key = link_dim * stride + link_val
 
-    edge_start = array("q", [0] * (n + 1))
-    edge_key = array("q")
-    edge_child = array("q")
-    link_start = array("q", [0] * (n + 1))
-    link_key = array("q")
-    link_target = array("q")
-    last_dim = array("q", [-1] * n)
-    forced = array("q", [-1] * n)
-    for i in range(n):
-        edges = per_edges[i]
-        for (dim, val), child in edges:
-            edge_key.append(dim * stride + val)
-            edge_child.append(child)
-        edge_start[i + 1] = len(edge_key)
-        for (dim, val), target in per_links[i]:
-            link_key.append(dim * stride + val)
-            link_target.append(target)
-        link_start[i + 1] = len(link_key)
-        if edges:
-            last = edges[-1][0][0]
-            last_dim[i] = last
-            in_last = [c for (d, _), c in edges if d == last]
-            if len(in_last) == 1:
-                forced[i] = in_last[0]
+    # Lemma 2: rows are (dim, value)-sorted, so a node's last dimension
+    # is its last edge's, and the descent is forced iff that dimension
+    # holds exactly one child.
+    last_dim = np.full(n, -1, dtype=np.int64)
+    forced = np.full(n, -1, dtype=np.int64)
+    parents = np.flatnonzero(np.diff(edge_start))
+    tail = edge_start[parents + 1] - 1
+    last_dim[parents] = edge_dim[tail]
+    lone = (tail == edge_start[parents]) | (edge_dim[tail - 1] != edge_dim[tail])
+    forced[parents[lone]] = edge_child[tail[lone]]
 
-    ub_flat = array("q", bytes(8 * n * n_dims))
-    for i, ub in enumerate(ubs):
-        base = i * n_dims
-        for j, val in enumerate(ub):
-            ub_flat[base + j] = -1 if val is ALL else val
+    is_class, templates, matrices = _class_sections(tree, live)
 
-    s_width = template_width(state_template)
-    v_width = template_width(value_template)
-    state_data = array("d", bytes(8 * n * s_width))
-    for i, row in state_rows:
-        state_data[i * s_width:(i + 1) * s_width] = array("d", row)
-    value_data = array("d", bytes(8 * n * v_width))
-    for i, row in value_rows:
-        value_data[i * v_width:(i + 1) * v_width] = array("d", row)
-
-    table_rows = array("q")
-    table_measures = array("d")
+    table_rows = np.empty(0, dtype=np.int64)
+    table_measures = np.empty(0, dtype=np.float64)
     table_meta = None
     if table is not None:
-        n_rows = table.n_rows
         labels = [list(table._decoders[j]) for j in range(n_dims)]
         try:
             json.dumps(labels)
@@ -253,12 +403,16 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
             raise SerializationError(
                 f"table labels are not JSON-serializable: {exc}"
             ) from exc
-        table_rows = array("q", (v for row in table.rows for v in row))
-        table_measures = array(
-            "d", np.asarray(table.measures, dtype=np.float64).reshape(-1)
-        )
+        rows = table.rows
+        if isinstance(rows, _PackedRows):
+            table_rows = np.asarray(rows._flat, dtype=np.int64)
+        else:
+            table_rows = np.fromiter(
+                chain.from_iterable(rows), dtype=np.int64
+            )
+        table_measures = np.asarray(table.measures, dtype=np.float64)
         table_meta = {
-            "n_rows": n_rows,
+            "n_rows": table.n_rows,
             "measure_names": list(table.schema.measure_names),
             "labels": labels,
         }
@@ -269,23 +423,20 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
         "link_start": link_start, "link_key": link_key,
         "link_target": link_target,
         "last_dim": last_dim, "forced": forced,
-        "ub": ub_flat, "class_kind": class_kind,
-        "state_data": state_data, "value_data": value_data,
+        "ub": ub, "class_kind": is_class,
+        "state_data": matrices[0], "value_data": matrices[1],
         "table_rows": table_rows, "table_measures": table_measures,
     }
     sections = []
     chunks = []
     offset = 0
     for name, fmt in SECTIONS:
-        arr = arrays[name]
-        if sys.byteorder != "little":  # pragma: no cover - LE containers
-            arr = array(fmt, arr)
-            arr.byteswap()
-        raw = arr.tobytes()
-        sections.append([name, fmt, offset, len(arr)])
+        raw = np.ascontiguousarray(
+            arrays[name], dtype=_DTYPES[fmt]
+        ).tobytes()
+        sections.append([name, fmt, offset, len(raw) // 8])
         chunks.append(raw)
         offset += len(raw)
-    body = b"".join(chunks)
 
     lsn, epoch = (stamp if stamp is not None else (0, 0))
     meta = {
@@ -295,11 +446,11 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
         "aggregate": _aggregate_spec_json(tree.aggregate),
         "stride": stride,
         "counts": {
-            "nodes": n, "edges": len(edge_key), "links": len(link_key),
-            "classes": len(state_rows),
+            "nodes": n, "edges": int(edge_key.size),
+            "links": int(link_key.size), "classes": int(is_class.sum()),
         },
-        "state_template": state_template,
-        "value_template": value_template,
+        "state_template": templates[0],
+        "value_template": templates[1],
         "stamp": [int(lsn), int(epoch)],
         "snapshot_meta": dict(
             snapshot_meta if snapshot_meta is not None
@@ -316,13 +467,14 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
         ) from exc
 
     crc = zlib.crc32(meta_bytes)
-    crc = zlib.crc32(body, crc) & 0xFFFFFFFF
+    for raw in chunks:
+        crc = zlib.crc32(raw, crc)
     header = (
-        f"QCTREE/3 crc32={crc:08x} meta={len(meta_bytes)} "
-        f"body={len(body)}\n"
+        f"QCTREE/3 crc32={crc & 0xFFFFFFFF:08x} meta={len(meta_bytes)} "
+        f"body={offset}\n"
     ).encode("ascii")
     pad = (-(len(header) + len(meta_bytes))) % 8
-    return header + meta_bytes + b"\0" * pad + body
+    return b"".join([header, meta_bytes, b"\0" * pad, *chunks])
 
 
 def _aggregate_spec_json(aggregate):

@@ -626,7 +626,11 @@ class ShardServer(QCServer):
         try:
             with self._shard_lock:
                 live = [h for h in self._handles if h.alive]
-                expected = set()
+                # Expect every live worker *before* announcing: a fast
+                # worker's ack can beat this loop, and an ack for a slot
+                # not yet expected would be lost — the ticket would then
+                # never clear (a full ack timeout, a segment never GC'd).
+                expected = {h.slot for h in live}
                 ticket_event = threading.Event()
                 self._tickets[epoch] = (expected, ticket_event)
                 self._epoch = epoch
@@ -636,9 +640,10 @@ class ShardServer(QCServer):
             now = time.monotonic()
             for handle in live:
                 if handle.send(("publish", lsn, epoch, shm.name, inject)):
-                    with self._shard_lock:
-                        expected.add(handle.slot)
                     handle.last_announce = now
+                else:
+                    with self._shard_lock:
+                        expected.discard(handle.slot)
             with self._shard_lock:
                 if not expected:
                     ticket_event.set()

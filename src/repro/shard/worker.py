@@ -105,6 +105,11 @@ def _answer_batch(ops, snapshot, batch) -> list:
 def worker_main(conn, segment_name: str, lsn: int, epoch: int,
                 index_key=None) -> None:
     """Entry point of a shard worker process (runs until ``stop``/EOF)."""
+    # The fork copied the parent's whole heap (dict tree, heap frozen
+    # view, cover index, table).  The worker never frees any of it, yet
+    # each full collection would walk it all — a ~30 ms stall every few
+    # bulk batches.  Park it in the permanent generation.
+    gc.freeze()
     ops = _snapshot_ops()
     current = _Attachment(segment_name, index_key)
     current.snapshot.stamp = (lsn, epoch)

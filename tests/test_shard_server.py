@@ -10,6 +10,7 @@ leave *nothing* behind on shutdown: no threads, no processes, and no
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import subprocess
@@ -27,7 +28,10 @@ from repro.shard import (
     ShardServer,
     active_segments,
     created_segments,
+    pack_snapshot_bytes,
 )
+from repro.shard.segment import create_segment, unlink_segment
+from repro.shard.worker import worker_main
 
 from .conftest import approx_equal
 
@@ -125,6 +129,40 @@ class TestWrites:
         ))
         server.insert([("S9", "P1", "s", 1.0)])
         # Only the current epoch's segment should remain registered.
+        assert wait_until(lambda: len(created_segments()) == 1)
+
+    def test_ack_that_beats_the_announce_loop_is_not_lost(self, server):
+        """A worker can ack a publish before ``_publish`` has finished
+        announcing it to the rest of the fleet (it does, now that its
+        detach no longer collects the heap it inherited at fork).  The
+        ticket must already expect it, or it never clears: a full ack
+        timeout per write and an epoch segment that is never unlinked."""
+        first, last = server._handles
+        first_send, last_send = first.send, last.send
+        held = []
+
+        def hold_the_announce(message):
+            if message[0] != "publish":
+                return first_send(message)
+            held.append(message)  # worker 0 hears of it last
+            return True
+
+        def send_then_wait_for_the_ack(message):
+            sent = last_send(message)
+            if sent and message[0] == "publish":
+                assert wait_until(lambda: last.attached_epoch == message[2])
+                while held:
+                    first_send(held.pop())
+            return sent
+
+        first.send = hold_the_announce
+        last.send = send_then_wait_for_the_ack
+        # No supervisor re-announce meanwhile: a second ack would paper
+        # over a lost one.
+        first.last_announce = last.last_announce = time.monotonic()
+        server.PUBLISH_ACK_TIMEOUT_S = 0.2  # keep a regression quick
+        server.insert([("S4", "P1", "s", 1.0)])
+        assert server._tickets == {}
         assert wait_until(lambda: len(created_segments()) == 1)
 
     def test_delete_matches_thread_server(self, server):
@@ -242,6 +280,55 @@ class TestRouter:
         router = ShardRouter()
         slots = [router.slot("iceberg", (9.0,), 4) for _ in range(8)]
         assert slots == [0, 1, 2, 3, 0, 1, 2, 3]
+
+
+class _StubPipe:
+    """The worker's end of the pipe, scripted: hands out ``inbox`` and
+    then EOF, records what the worker sends."""
+
+    def __init__(self, inbox):
+        self.inbox = list(inbox)
+        self.sent = []
+
+    def recv(self):
+        if not self.inbox:
+            raise EOFError
+        return self.inbox.pop(0)
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def close(self):
+        pass
+
+
+class TestWorkerMain:
+    @pytest.fixture
+    def segment(self, warehouse):
+        snapshot = warehouse.snapshot_view()
+        shm = create_segment(
+            pack_snapshot_bytes(snapshot.tree, snapshot.table)
+        )
+        yield shm.name
+        gc.unfreeze()  # worker_main ran in this process: undo its freeze
+        unlink_segment(shm.name)
+        assert created_segments() == []
+
+    def test_freezes_the_inherited_heap(self, segment):
+        """A forked worker must not rescan the parent's heap on every
+        full collection: ``worker_main`` parks it before serving."""
+        gc.unfreeze()
+        assert gc.get_freeze_count() == 0
+        pipe = _StubPipe([
+            ("q", [(1, "point", (("S2", ALL, "f"),), {})]),
+            ("stop",),
+        ])
+        worker_main(pipe, segment, lsn=4, epoch=1)
+        assert gc.get_freeze_count() > 0
+        assert pipe.sent[0] == ("ready", os.getpid(), 1)
+        assert pipe.sent[1][0] == "a"
+        rid, ok, _answer = pipe.sent[1][1][0]
+        assert (rid, ok) == (1, True)
 
 
 class TestHygiene:
