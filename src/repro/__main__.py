@@ -67,7 +67,8 @@ import argparse
 import sys
 
 from repro import __version__
-from repro.core.serialize import load_qctree_from, save_qctree
+from repro.core.piece import Piece, paired_table
+from repro.core.serialize import load_qctree_from
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
@@ -83,9 +84,14 @@ def _schema_from_args(args) -> Schema:
 
 
 def _load_warehouse(args):
-    tree = load_qctree_from(args.tree)
-    schema = Schema(dimensions=tree.dim_names, measures=args_measures(args))
-    table = BaseTable.from_csv(args.table, schema)
+    """The saved pair behind every query/serve command, through the one
+    pair loader (:meth:`Piece.load <repro.core.piece.Piece.load>`), so
+    the CLI answers exactly what ``QCWarehouse.load`` answers."""
+    dim_names = load_qctree_from(args.tree).dim_names
+    schema = Schema(dimensions=dim_names,
+                    measures=args_measures(args, dim_names))
+    piece, _, _ = Piece.load(args.tree, args.table, schema)
+    aggregate = piece.tree.aggregate
     if getattr(args, "segmented", False):
         # Segmented ingest: the snapshot's table seeds the store (a
         # bootstrap bigger than --seal-rows seals immediately) and the
@@ -94,7 +100,7 @@ def _load_warehouse(args):
         from repro.segments import SegmentedWarehouse
 
         warehouse = SegmentedWarehouse(
-            table, aggregate=tree.aggregate,
+            piece.table, aggregate=aggregate,
             full_refreeze_ratio=getattr(args, "refreeze_ratio", 0.25),
             seal_rows=getattr(args, "seal_rows", 2048),
         )
@@ -102,7 +108,7 @@ def _load_warehouse(args):
         return warehouse
     serve_frozen = getattr(args, "engine", "frozen") != "dict"
     return QCWarehouse(
-        table, aggregate=tree.aggregate, tree=tree,
+        piece.table, aggregate=aggregate, tree=piece.tree,
         serve_frozen=serve_frozen,
         full_refreeze_ratio=getattr(args, "refreeze_ratio", 0.25),
     )
@@ -113,18 +119,15 @@ def _workload_table(warehouse) -> BaseTable:
 
     ``warehouse.table`` is the whole base table for a monolithic store,
     but only the mutable *head* for a segmented one — empty right after
-    the bootstrap seal — so fall back to the oldest populated segment.
+    the bootstrap seal — so take the oldest populated piece.
     """
-    table = warehouse.table
-    if table.n_rows:
-        return table
-    for segment in getattr(warehouse, "_segments", []):
-        if segment.table.n_rows:
-            return segment.table
-    return table
+    for piece in warehouse.pieces():
+        if piece.n_rows:
+            return piece.table
+    return warehouse.table
 
 
-def args_measures(args):
+def args_measures(args, dim_names):
     header_measures = getattr(args, "measures", None)
     if header_measures:
         return tuple(header_measures.split(","))
@@ -133,8 +136,7 @@ def args_measures(args):
 
     with open(args.table, newline="") as fp:
         header = next(csv.reader(fp))
-    tree = load_qctree_from(args.tree)
-    return tuple(header[len(tree.dim_names):])
+    return tuple(header[len(dim_names):])
 
 
 def parse_cell(text: str) -> tuple:
@@ -160,7 +162,9 @@ def cmd_build(args) -> int:
     schema = _schema_from_args(args)
     table = BaseTable.from_csv(args.csv, schema)
     warehouse = QCWarehouse(table, aggregate=args.aggregate)
-    save_qctree(warehouse.tree, args.out)
+    # Written the way ``save()`` writes it: the label dictionaries ride
+    # along, so the file pairs with any CSV holding the same rows.
+    warehouse.save(args.out)
     stats = warehouse.stats()
     print(
         f"built {args.out}: {stats['classes']} classes, "
@@ -271,7 +275,7 @@ def cmd_serve(args) -> int:
         server = _make_server(warehouse, args, cache_size=args.cache_size)
     except BaseException:
         # A stranded segment compactor (non-daemon) would hang exit.
-        getattr(warehouse, "close", lambda: None)()
+        warehouse.close()
         raise
     stats = warehouse.stats()
     detail = (
@@ -373,7 +377,7 @@ def cmd_bench_serve(args) -> int:
         server = _make_server(warehouse, args, faults=faults)
     except BaseException:
         # A stranded segment compactor (non-daemon) would hang exit.
-        getattr(warehouse, "close", lambda: None)()
+        warehouse.close()
         raise
     with server:
         if args.open_loop:
@@ -464,9 +468,16 @@ def cmd_fsck(args) -> int:
     table = None
     if args.table is not None:
         schema = Schema(
-            dimensions=tree.dim_names, measures=args_measures(args)
+            dimensions=tree.dim_names,
+            measures=args_measures(args, tree.dim_names),
         )
         table = BaseTable.from_csv(args.table, schema)
+        # Check the *stored* tree (never a rebuilt one) against the rows
+        # under the codes it was saved with; a legacy file without
+        # dictionaries is checked under the CSV's own sorted codes.
+        paired = paired_table(tree, table)
+        if paired is not None:
+            table = paired
     report = fsck_tree(
         tree, table=table, samples=args.samples, seed=args.seed
     )

@@ -23,11 +23,10 @@ Example
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
-from repro.core.construct import build_qctree
 from repro.core.iceberg import MeasureIndex
-from repro.core.maintenance.batch import maintain_batch
 from repro.core.maintenance.delete import apply_deletions
 from repro.core.maintenance.insert import apply_insertions
 from repro.core.query_cache import (
@@ -38,36 +37,14 @@ from repro.core.query_cache import (
     point_cache_key,
     range_cache_key,
 )
-from repro.core.serialize import load_qctree_from, save_qctree
+from repro.core.piece import Piece
 from repro.cube.aggregates import make_aggregate
 from repro.cube.schema import Schema
-from repro.cube.table import BaseTable, csv_comment
+from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError, QueryError, SchemaError
-from repro.reliability.fsck import fsck_tree, scan_point_query
+from repro.reliability.fsck import FsckReport
 from repro.reliability.wal import WriteAheadLog
 from repro.serving.snapshot import ServingSnapshot
-
-
-def _stamped_lsn(meta) -> int:
-    """The ``wal_lsn`` stamp of a snapshot meta dict (0 when absent)."""
-    try:
-        return int(meta.get("wal_lsn") or 0)
-    except (AttributeError, TypeError, ValueError):
-        return 0
-
-
-def _csv_stamped_lsn(table_path) -> int:
-    """The ``wal_lsn`` stamp of a table CSV comment (0 when absent)."""
-    try:
-        comment = csv_comment(table_path)
-    except OSError:
-        return 0
-    if not comment or not comment.startswith("wal_lsn="):
-        return 0
-    try:
-        return int(comment.split("=", 1)[1])
-    except ValueError:
-        return 0
 
 
 def wal_batch(record) -> tuple:
@@ -92,21 +69,29 @@ class BaseWarehouse:
     lives here: the stamped query cache, the four query families, the
     semantic exploration API, the mutation entry points with their
     write-ahead logging, and the serving stamp / view / degraded flag.
-    A concrete warehouse (:class:`QCWarehouse`: one tree;
-    :class:`~repro.segments.warehouse.SegmentedWarehouse`: many) supplies
-    four hooks:
+    A concrete warehouse is one or more :class:`~repro.core.piece.Piece`
+    objects — ``(dict tree, table)`` pairs that own their frozen view,
+    cover index and on-disk twin — of which exactly one, ``_live``, takes
+    writes (:class:`QCWarehouse`: that one piece;
+    :class:`~repro.segments.warehouse.SegmentedWarehouse`: sealed pieces
+    plus it).  It supplies four hooks:
 
+    ``pieces()``
+        every piece of the store, oldest first, the live one last (the
+        default is the one-piece store);
     ``snapshot_view()``
         a fresh immutable snapshot of the current serving state, with
         the query methods every family delegates to;
-    ``_scan_point(raw_cell)``
-        the degraded-mode point answer, straight from the base rows;
     ``_cache_prefix``
         a tuple prepended to every query-cache key (the segment
         generation, so seals and compactions re-key);
     ``_apply(inserts, deletes)``
         the WAL-free batch body (also the recovery replay path), which
         ends by calling ``_mutated``.
+
+    Everything that is the one-piece case of a loop over ``pieces()`` —
+    :meth:`verify`, :meth:`rebuild`, the degraded-mode scan, the WAL
+    replay of ``recover`` — is written here, once.
     """
 
     _cache_prefix: tuple = ()
@@ -119,8 +104,16 @@ class BaseWarehouse:
         self._cache = LsnQueryCache(cache_size) if cache_size else None
         #: Dirty fraction above which the next refreeze recompiles instead
         #: of patching (forwarded to :meth:`FrozenQCTree.patch
-        #: <repro.core.frozen.FrozenQCTree.patch>`).
+        #: <repro.core.frozen.FrozenQCTree.patch>` by every piece).
         self.full_refreeze_ratio = full_refreeze_ratio
+        # One re-entrant lock covers piece-list swaps and live-piece
+        # mutation; heavy work (compaction merges, frozen-view compiles)
+        # happens outside it, so readers and writers only ever wait on
+        # pointer swaps.  A monolithic warehouse has no background
+        # thread and only ever takes it uncontended.
+        self._lock = threading.RLock()
+        #: The one piece writes land in; set by the concrete warehouse.
+        self._live: Optional[Piece] = None
         self._epoch = 0
         self._view = None
         self._degraded = False
@@ -135,6 +128,11 @@ class BaseWarehouse:
         self.last_maintenance: Optional[dict] = None
         self._maintain_batched = 0
         self._maintain_sequential = 0
+
+    def _new_piece(self, table: BaseTable) -> Piece:
+        """A fresh piece over ``table`` with this warehouse's aggregate
+        and refreeze ratio."""
+        return Piece.build(table, self.aggregate, self.full_refreeze_ratio)
 
     @classmethod
     def from_records(cls, records, schema: Schema, aggregate="count",
@@ -156,6 +154,30 @@ class BaseWarehouse:
         lsn = self.wal.last_lsn if self.wal is not None else 0
         return (lsn, self._epoch)
 
+    def pieces(self) -> list:
+        """Every ``(dict tree, table)`` pair, oldest first, live last."""
+        return [self._live]
+
+    @property
+    def tree(self):
+        """The live piece's mutable dict tree."""
+        return self._live.tree
+
+    @property
+    def table(self) -> BaseTable:
+        """The live piece's base table."""
+        return self._live.table
+
+    @property
+    def serving_tree(self):
+        """The live piece's frozen view, brought current lazily:
+        compiled on first use, incrementally patched from the merged
+        maintenance deltas afterwards (:meth:`Piece.frozen_view
+        <repro.core.piece.Piece.frozen_view>`)."""
+        frozen = self._live.frozen_view()
+        self.last_refreeze = dict(frozen.patch_stats)
+        return frozen
+
     @property
     def view(self):
         """The snapshot queries delegate to right now.
@@ -173,17 +195,97 @@ class BaseWarehouse:
         """True when the last :meth:`verify` found corruption."""
         return self._degraded
 
-    def _adopt_fsck(self, report):
-        """Record a :meth:`verify` report; a pass/fail flip switches the
-        serving representation, so indexed node ids and cached answers
-        are both suspect — the cache may hold answers computed before
-        the corruption was detected."""
+    def _mutated(self) -> None:
+        """Invalidate every warehouse-level read structure after a change
+        to any piece: the cached view is dropped and the epoch bump
+        invalidates every cached answer.  (The pieces look after their
+        own frozen views: a batch's delta is merged into the live
+        piece's pending patch, everything else drops the view.)"""
+        self._view = None
+        self._epoch += 1
+
+    def invalidate_serving_view(self) -> None:
+        """Drop every derived serving structure and start clean.
+
+        The next :attr:`serving_tree` access recompiles the frozen view
+        from the dict tree instead of patching; the next :attr:`view`
+        access rebuilds the snapshot; the epoch bump invalidates every
+        cached answer.  This is the serving layer's recovery fallback:
+        when an incremental refreeze or a snapshot publication fails
+        partway, the accumulated patch state is suspect — discarding it
+        and recompiling from the (transactionally maintained) dict tree
+        is always safe.
+        """
+        with self._lock:
+            self._live.drop_view()
+            self._mutated()
+
+    def verify(self, deep: bool = True, samples: Optional[int] = 64,
+               seed: int = 0) -> FsckReport:
+        """Fsck every piece and merge the reports; returns the
+        :class:`FsckReport <repro.reliability.fsck.FsckReport>`.
+
+        ``deep=True`` also re-derives sampled class aggregates from the
+        base tables.  A failing report flips the warehouse into degraded
+        mode: :meth:`point` answers by base-table scan until a later
+        :meth:`verify` passes (e.g. after :meth:`rebuild`).
+        """
+        pieces = self.pieces()
+        report = FsckReport()
+        for piece in pieces:
+            sub = piece.fsck(deep=deep, samples=samples, seed=seed)
+            # A one-piece store has nothing to tell apart.
+            prefix = f"{piece.name}: " if len(pieces) > 1 else ""
+            for issue in sub.issues:
+                report.add(issue.code, prefix + issue.message, issue.node)
+            for what, count in sub.checked.items():
+                report.checked[what] = report.checked.get(what, 0) + count
+        # A pass/fail flip switches the serving representation, so
+        # indexed node ids and cached answers are both suspect — the
+        # cache may hold answers computed before the corruption was
+        # detected.
         was_degraded = self._degraded
         self._degraded = not report.ok
         self._fsck_report = report
         if was_degraded != self._degraded:
             self.invalidate_serving_view()
         return report
+
+    def rebuild(self) -> None:
+        """Rebuild every piece's tree from its table (recovers from
+        degraded mode when the tables are trustworthy)."""
+        with self._lock:
+            for piece in self.pieces():
+                piece.rebuild()
+            self._mutated()
+            self._degraded = False
+            self._fsck_report = None
+
+    def _scan_point(self, raw_cell):
+        """The degraded-mode point answer, straight from the base rows
+        of every piece (states merge because each base row lives in
+        exactly one piece)."""
+        n_dims = self._live.table.n_dims
+        if len(raw_cell) != n_dims:
+            raise QueryError(
+                f"query cell {raw_cell!r} has {len(raw_cell)} positions, "
+                f"table has {n_dims} dimensions"
+            )
+        state = None
+        for piece in self.pieces():
+            table = piece.table
+            try:
+                cell = table.encode_cell(raw_cell)
+            except SchemaError:
+                continue
+            rows = table.select(cell)
+            if not rows:
+                continue
+            part = self.aggregate.state(table, rows)
+            state = part if state is None else self.aggregate.merge(
+                state, part
+            )
+        return None if state is None else self.aggregate.value(state)
 
     # -- queries -------------------------------------------------------------
 
@@ -362,8 +464,79 @@ class BaseWarehouse:
         self.wal = WriteAheadLog(wal_path)
         return self.wal
 
-    def _common_stats(self, out: dict) -> dict:
-        """The stats entries every warehouse reports the same way."""
+    def _replay(self, wal_path, checkpoint_lsn: int, **report) -> None:
+        """Finish a ``recover``: re-apply, in order, every committed WAL
+        batch past ``checkpoint_lsn``, then adopt the log.
+
+        Replay runs the same batch body as the live path (``_apply``,
+        minus the WAL append) — including the persistent cover index,
+        built once from the checkpoint table and patched per replayed
+        batch, and a segmented store's seal thresholds — so the
+        recovered store is node-for-node the live one.  A batch the
+        snapshot's lsn stamp already includes is skipped, so a crash
+        *during* a checkpoint (snapshot written, log not yet truncated)
+        never applies a batch twice; a torn WAL tail (crash mid-append)
+        is dropped — that batch never committed; a batch that
+        deterministically refuses to apply (:class:`MaintenanceError`,
+        e.g. it already failed identically before the crash) is skipped
+        and reported rather than wedging recovery.  ``last_recovery``
+        records what happened, plus the caller's ``report`` entries.
+        """
+        wal = WriteAheadLog(wal_path)
+        replayed, skipped = 0, []
+        for record in wal.records():
+            if record.lsn <= checkpoint_lsn:
+                continue  # already folded into the snapshot
+            inserts, deletes = wal_batch(record)
+            try:
+                self._apply(list(inserts), list(deletes))
+                replayed += 1
+            except MaintenanceError as exc:
+                skipped.append((record.lsn, str(exc)))
+        self.invalidate_serving_view()
+        self.wal = wal
+        self.last_recovery = dict(
+            report,
+            replayed=replayed,
+            skipped=skipped,
+            torn_tail=wal.tail_was_torn,
+            checkpoint_lsn=checkpoint_lsn,
+        )
+
+    # -- what the servers call on any warehouse ---------------------------------
+
+    def close(self) -> None:
+        """Stop background work (none here); the warehouse stays
+        queryable."""
+
+    def set_phase_observer(self, observer) -> None:
+        """Register ``observer(phase_name, seconds)`` for background
+        phases the serving layer cannot time itself (none here)."""
+
+    def segment_health(self) -> Optional[dict]:
+        """Segment lifecycle readout for ``health``/``stats()``; None
+        for a store that has no segments."""
+        return None
+
+    def _common_stats(self, out: dict, serving: str, frozen: bool = True,
+                      **stamp) -> dict:
+        """The stats entries every warehouse reports the same way: the
+        serving stamp (WAL LSN + mutation epoch + whether a frozen view
+        is serving, plus the caller's ``stamp`` entries) and the query
+        cache's hit/miss/eviction counters, so operators can see cache
+        health and the serving version without poking private
+        attributes."""
+        lsn, epoch = self.serving_stamp()
+        out.update(
+            n_rows=sum(piece.n_rows for piece in self.pieces()),
+            n_dims=self.table.n_dims,
+            aggregate=self.aggregate.name,
+            degraded=self._degraded,
+            serving=serving,
+            serving_stamp=dict(stamp, lsn=lsn, epoch=epoch, frozen=frozen),
+            maintain_batched=self._maintain_batched,
+            maintain_sequential=self._maintain_sequential,
+        )
         if self._cache is not None:
             out["query_cache"] = self._cache.stats()
         if self.last_refreeze is not None:
@@ -396,19 +569,11 @@ class QCWarehouse(BaseWarehouse):
                  full_refreeze_ratio: float = 0.25):
         super().__init__(aggregate, index_key, wal, cache_size,
                          full_refreeze_ratio)
-        self.table = table
-        self.tree = tree if tree is not None else build_qctree(table, self.aggregate)
+        self._live = (
+            Piece(tree, table, full_refreeze_ratio) if tree is not None
+            else self._new_piece(table)
+        )
         self._serve_frozen = serve_frozen
-        self._frozen = None
-        self._pending_delta = None
-        # The long-lived cover index over the live table: built lazily
-        # on the first write (or deep verify), patched per batch from
-        # the maintenance delta afterwards, discarded whenever a failed
-        # batch leaves it ahead of the rolled-back table.
-        self._cover_index = None
-        self._cover_index_rebuilt = 0
-        self._cover_index_patched = 0
-        self._cover_index_evictions = 0
 
     # -- queries -------------------------------------------------------------
 
@@ -423,20 +588,7 @@ class QCWarehouse(BaseWarehouse):
         """
         if not self._serve_frozen or self._degraded:
             return self.tree
-        if self._frozen is None:
-            self._frozen = self.tree.freeze()
-            self.last_refreeze = dict(self._frozen.patch_stats)
-        elif self._pending_delta is not None:
-            # Incremental refreeze: splice the accumulated dirty set into
-            # the stale frozen view instead of recompiling it — cost
-            # proportional to the maintenance delta, not the tree size.
-            self._frozen = self._frozen.patch(
-                self._pending_delta,
-                full_refreeze_ratio=self.full_refreeze_ratio,
-            )
-            self.last_refreeze = dict(self._frozen.patch_stats)
-        self._pending_delta = None
-        return self._frozen
+        return super().serving_tree
 
     def snapshot_view(self) -> ServingSnapshot:
         """A fresh immutable snapshot of the current serving state.
@@ -450,53 +602,6 @@ class QCWarehouse(BaseWarehouse):
             self.serving_tree, self.table, self.aggregate,
             stamp=self.serving_stamp(), index_key=self._index_key,
         )
-
-    def _mutated(self, delta=None) -> None:
-        """Invalidate every read-path structure after a tree change.
-
-        With a recorded :class:`~repro.core.maintenance.delta.
-        MaintenanceDelta` the stale frozen view is *kept* and the delta
-        accumulated, so the next :attr:`serving_tree` access patches it
-        incrementally; without one (rebuild, recovery, degraded-mode
-        flips) the view is dropped and recompiled from scratch.
-        """
-        if (delta is not None and self._frozen is not None
-                and self._serve_frozen and not self._degraded):
-            pending = self._pending_delta
-            self._pending_delta = (
-                delta if pending is None else pending.merge(delta)
-            )
-        else:
-            self._frozen = None
-            self._pending_delta = None
-        self._view = None
-        self._epoch += 1
-
-    def invalidate_serving_view(self) -> None:
-        """Drop every derived serving structure and start clean.
-
-        The next :attr:`serving_tree` access recompiles the frozen view
-        from the dict tree instead of patching; the next :attr:`view`
-        access rebuilds the snapshot; the epoch bump invalidates every
-        cached answer.  This is the serving layer's recovery fallback:
-        when an incremental refreeze or a snapshot publication fails
-        partway, the accumulated patch state is suspect — discarding it
-        and recompiling from the (transactionally maintained) dict tree
-        is always safe.
-        """
-        self._mutated()
-
-    def _scan_point(self, raw_cell):
-        if len(raw_cell) != self.table.n_dims:
-            raise QueryError(
-                f"query cell {raw_cell!r} has {len(raw_cell)} positions, "
-                f"table has {self.table.n_dims} dimensions"
-            )
-        try:
-            cell = self.table.encode_cell(raw_cell)
-        except SchemaError:
-            return None
-        return scan_point_query(self.table, self.aggregate, cell)
 
     @property
     def index(self) -> MeasureIndex:
@@ -512,39 +617,16 @@ class QCWarehouse(BaseWarehouse):
 
     @property
     def cover_index(self):
-        """The persistent posting-list index over the live table.
-
-        One :class:`~repro.cube.cover_index.CoverIndex` per live table:
-        built from scratch at most once (counted under
-        ``cover_index.rebuilt`` in :meth:`stats`), then patched in
-        place by every maintenance batch — posting sets and surviving
-        closure memos carry across batches instead of being re-derived
-        per write.
-        """
-        if self._cover_index is None:
-            from repro.cube.cover_index import CoverIndex
-
-            self._cover_index = CoverIndex(self.table)
-            self._cover_index_rebuilt += 1
-        return self._cover_index
+        """The live piece's persistent posting-list index
+        (:attr:`Piece.cover_index <repro.core.piece.Piece.cover_index>`;
+        its counters are ``cover_index`` in :meth:`stats`)."""
+        return self._live.cover_index
 
     def _apply(self, inserts, deletes) -> None:
         """The WAL-free batch body (also the recovery replay path)."""
-        try:
-            result = maintain_batch(self.tree, self.table,
-                                    inserts=inserts, deletes=deletes,
-                                    cover_index=self.cover_index)
-        except BaseException:
-            # The tree rolled back, but the persistent index may
-            # already hold the batch delta — drop it; the next batch
-            # rebuilds it lazily.
-            self._cover_index = None
-            raise
-        self.table = result.table
-        self._cover_index_patched += 1
-        self._cover_index_evictions += result.stats["index_evictions"]
+        result = self._live.apply(inserts, deletes)
         self._record_batch(inserts, deletes, result)
-        self._mutated(result.delta)
+        self._mutated()
 
     def what_if(self, insertions=(), deletions=()) -> dict:
         """What-if analysis (§1): the class-level impact of a hypothetical
@@ -589,25 +671,25 @@ class QCWarehouse(BaseWarehouse):
     def save(self, tree_path, table_path=None) -> None:
         """Persist the QC-tree (and optionally the base table as CSV).
 
-        Both writes are atomic; with a WAL attached, both snapshots are
-        stamped with the last log position they include (``wal_lsn``),
-        which lets :meth:`recover` skip already-applied batches.  The
-        table is written *before* the tree, so a crash between the two
-        leaves a recognisable state: a table stamped ahead of the tree
-        (recovery rebuilds the tree from it) rather than the reverse,
-        which would be unrecoverable without a table at the tree's lsn.
+        Both writes are atomic and ordered table first, tree second;
+        with a WAL attached, both snapshots are stamped with the last
+        log position they include (``wal_lsn``), which lets
+        :meth:`recover` skip already-applied batches — see
+        :meth:`Piece.save <repro.core.piece.Piece.save>` for why that
+        order is the recoverable one.
         """
         lsn = self.wal.last_lsn if self.wal is not None else None
-        if table_path is not None:
-            comment = f"wal_lsn={lsn}" if lsn is not None else None
-            self.table.to_csv(table_path, comment=comment)
         meta = {"wal_lsn": lsn} if lsn is not None else None
-        # The label dictionaries ride along: the tree stores encoded
-        # codes, and a CSV round-trip would otherwise re-mint them in
-        # sorted order — silently mispairing tree and table whenever
-        # maintenance appended labels out of sorted order.
-        save_qctree(self.tree, tree_path, meta=meta,
-                    labels=self.table._decoders)
+        self._live.save(tree_path, table_path, meta=meta)
+
+    @classmethod
+    def _restore(cls, tree_path, table_path, schema, index_key) -> tuple:
+        """``(warehouse, lsn, rebuilt)`` from the one pair loader
+        (:meth:`Piece.load <repro.core.piece.Piece.load>`)."""
+        piece, lsn, rebuilt = Piece.load(tree_path, table_path, schema)
+        wh = cls(piece.table, piece.tree.aggregate, tree=piece.tree,
+                 index_key=index_key)
+        return wh, lsn, rebuilt
 
     @classmethod
     def load(cls, tree_path, table_path, schema: Schema,
@@ -618,24 +700,9 @@ class QCWarehouse(BaseWarehouse):
         time instead of on the first query — useful when the load is a
         deliberate warm-up (e.g. a serving replica coming online).
         """
-        tree = load_qctree_from(tree_path)
-        table = BaseTable.from_csv(table_path, schema)
-        aggregate = tree.aggregate
-        labels = getattr(tree, "snapshot_labels", None)
-        if labels is not None:
-            try:
-                # Align the CSV table's codes with the codes the tree
-                # was saved under (see :meth:`save`).
-                table = table.with_label_dictionaries(labels)
-            except SchemaError:
-                # The pair is inconsistent (e.g. a table replaced after
-                # the tree was written): the table is authoritative, so
-                # rebuild the tree from it.
-                tree = None
-        wh = cls(table, aggregate=aggregate, tree=tree,
-                 index_key=index_key)
+        wh, _, _ = cls._restore(tree_path, table_path, schema, index_key)
         if freeze:
-            wh._frozen = wh.tree.freeze()
+            wh.serving_tree
         return wh
 
     # -- durability ------------------------------------------------------------
@@ -659,117 +726,28 @@ class QCWarehouse(BaseWarehouse):
                 index_key=None) -> "QCWarehouse":
         """Rebuild a warehouse after a crash: snapshot + WAL replay.
 
-        Loads the last checkpoint (``tree_path`` + ``table_path``), then
-        re-applies, in order, every committed WAL batch the snapshot's
-        lsn stamp does not already include — so a crash *during* a
-        checkpoint (snapshot written, log not yet truncated) never
-        applies a batch twice.  A torn WAL tail (crash mid-append) is
-        dropped — that batch never committed.  A batch that
-        deterministically refuses to apply
-        (:class:`MaintenanceError`, e.g. it already failed identically
-        before the crash) is skipped and reported rather than wedging
-        recovery.  The returned warehouse keeps logging to the same WAL;
-        ``last_recovery`` records what was replayed.
+        Loads the last checkpoint (``tree_path`` + ``table_path``) — a
+        torn one, whose table snapshot committed but whose tree snapshot
+        (written after it) did not, has its tree rebuilt from the table,
+        which already contains every batch up to its stamp — then
+        replays the WAL past the snapshot's lsn (:meth:`_replay
+        <BaseWarehouse._replay>`).  The returned warehouse keeps logging
+        to the same WAL; ``last_recovery`` records what was replayed.
         """
-        wh = cls.load(tree_path, table_path, schema, index_key=index_key)
-        tree_lsn = _stamped_lsn(getattr(wh.tree, "snapshot_meta", {}))
-        table_lsn = _csv_stamped_lsn(table_path)
-        rebuilt = False
-        if table_lsn > tree_lsn:
-            # Torn checkpoint: the table snapshot committed but the tree
-            # snapshot (written after it) did not.  The table already
-            # contains every batch up to its stamp, so rebuild the tree
-            # from it rather than replaying into the stale one.
-            wh.rebuild()
-            tree_lsn = table_lsn
-            rebuilt = True
-        wal = WriteAheadLog(wal_path)
-        replayed, skipped = 0, []
-        for record in wal.records():
-            if record.lsn <= tree_lsn:
-                continue  # already folded into the snapshot
-            inserts, deletes = wal_batch(record)
-            try:
-                # Replay runs the same batch body as the live path —
-                # including the persistent cover index, built once from
-                # the checkpoint table and patched per replayed batch —
-                # so the recovered tree is node-for-node the live one.
-                wh._apply(list(inserts), list(deletes))
-                replayed += 1
-            except MaintenanceError as exc:
-                skipped.append((record.lsn, str(exc)))
-        wh._mutated()
-        wh.wal = wal
-        wh.last_recovery = {
-            "replayed": replayed,
-            "skipped": skipped,
-            "torn_tail": wal.tail_was_torn,
-            "checkpoint_lsn": tree_lsn,
-            "rebuilt": rebuilt,
-        }
+        wh, lsn, rebuilt = cls._restore(tree_path, table_path, schema,
+                                        index_key)
+        wh._replay(wal_path, lsn, rebuilt=rebuilt)
         return wh
-
-    def verify(self, deep: bool = True, samples: Optional[int] = 64,
-               seed: int = 0):
-        """Run the QC-tree fsck; returns the :class:`FsckReport
-        <repro.reliability.fsck.FsckReport>`.
-
-        ``deep=True`` also re-derives sampled class aggregates from the
-        base table.  A failing report flips the warehouse into degraded
-        mode: :meth:`point` answers by base-table scan until a later
-        :meth:`verify` passes (e.g. after the tree is rebuilt).
-        """
-        report = fsck_tree(
-            self.tree,
-            table=self.table if deep else None,
-            samples=samples,
-            seed=seed,
-            # Reuse the persistent index (when one is live) instead of
-            # re-deriving the posting lists for the aggregate pass.
-            cover_index=self._cover_index if deep else None,
-        )
-        return self._adopt_fsck(report)
-
-    def rebuild(self) -> None:
-        """Rebuild the tree from the base table (recovers from degraded
-        mode when the table itself is trustworthy)."""
-        self.tree = build_qctree(self.table, self.aggregate)
-        self._mutated()
-        self._degraded = False
-        self._fsck_report = None
 
     # -- reporting -------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Summary counts for the warehouse and its tree.
-
-        Includes the serving stamp (WAL LSN + mutation epoch + whether
-        the frozen view is serving) and the query cache's hit/miss/
-        eviction counters, so operators can see cache health and the
-        serving version without poking private attributes.
-        """
-        tree_stats = self.tree.stats()
+        """Summary counts for the warehouse and its tree, on top of the
+        shared entries (:meth:`_common_stats`)."""
+        out = self.tree.stats()
+        out["cover_index"] = self._live.cover_stats()
         frozen = self._serve_frozen and not self._degraded
-        lsn, epoch = self.serving_stamp()
-        tree_stats.update(
-            n_rows=self.table.n_rows,
-            n_dims=self.table.n_dims,
-            aggregate=self.aggregate.name,
-            degraded=self._degraded,
-            serving="frozen" if frozen else "dict",
-            serving_stamp={"lsn": lsn, "epoch": epoch, "frozen": frozen},
-            maintain_batched=self._maintain_batched,
-            maintain_sequential=self._maintain_sequential,
-        )
-        cover = {
-            "patched": self._cover_index_patched,
-            "rebuilt": self._cover_index_rebuilt,
-            "evictions": self._cover_index_evictions,
-        }
-        if self._cover_index is not None:
-            cover.update(self._cover_index.stats())
-        tree_stats["cover_index"] = cover
-        return self._common_stats(tree_stats)
+        return self._common_stats(out, "frozen" if frozen else "dict", frozen)
 
     def __repr__(self):
         flags = ", degraded" if self._degraded else ""

@@ -22,8 +22,7 @@ See :class:`SegmentedWarehouse` for the public API (a drop-in for
 ``QCWarehouse`` under :class:`~repro.serving.server.QCServer`).
 """
 
-from repro.segments.segment import Segment
 from repro.segments.snapshot import SegmentedSnapshot
 from repro.segments.warehouse import SegmentedWarehouse
 
-__all__ = ["Segment", "SegmentedSnapshot", "SegmentedWarehouse"]
+__all__ = ["SegmentedSnapshot", "SegmentedWarehouse"]

@@ -43,9 +43,11 @@ from repro.cube.table import BaseTable, _label_sort_key
 from repro.errors import QueryError, SchemaError
 
 
-class Piece:
-    """One scatter target: a tree (any traversal-protocol representation)
-    plus the base table that owns its label dictionaries."""
+class PieceView:
+    """One scatter target: an immutable reading of one
+    :class:`~repro.core.piece.Piece` — its frozen tree (any
+    traversal-protocol representation works) plus the copy-on-write base
+    table that owns its label dictionaries."""
 
     __slots__ = ("tree", "table")
 
@@ -86,7 +88,7 @@ def raw_sort_key(sem: Cell) -> tuple:
     )
 
 
-def _encode(piece: Piece, sem: Cell) -> Optional[Cell]:
+def _encode(piece: PieceView, sem: Cell) -> Optional[Cell]:
     """Encode a sem cell into one piece's dictionaries, or None when a
     label is absent there (that piece holds no covered rows)."""
     try:
@@ -95,7 +97,7 @@ def _encode(piece: Piece, sem: Cell) -> Optional[Cell]:
         return None
 
 
-def _decode_to_sem(piece: Piece, cell: Cell) -> Cell:
+def _decode_to_sem(piece: PieceView, cell: Cell) -> Cell:
     return tuple(
         ALL if v is ALL else piece.table.decode_value(j, v)
         for j, v in enumerate(cell)
@@ -129,7 +131,7 @@ def check_labels(pieces, sem: Cell) -> None:
 # -- the two gather primitives ----------------------------------------------
 
 
-def _piece_probe(piece: Piece, sem: Cell):
+def _piece_probe(piece: PieceView, sem: Cell):
     """Locate a cell's class within one piece: ``(sem ub, state)`` or None."""
     cell = _encode(piece, sem)
     if cell is None:
@@ -223,7 +225,7 @@ def scatter_range(pieces, aggregate, raw_spec) -> dict:
     }
 
 
-def _class_states(piece: Piece) -> dict:
+def _class_states(piece: PieceView) -> dict:
     """All class bounds of one piece, in sem form, with their states."""
     tree = piece.tree
     return {

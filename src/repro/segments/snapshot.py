@@ -2,7 +2,7 @@
 
 The monolithic :class:`~repro.serving.snapshot.ServingSnapshot` bundles
 ONE (tree, table) pair; the segmented equivalent bundles an ordered
-tuple of :class:`~repro.segments.scatter.Piece` objects — every sealed
+tuple of :class:`~repro.segments.scatter.PieceView` objects — every sealed
 segment's frozen tree + table, oldest first, with the head's frozen view
 last — plus the aggregate, the serving stamp, and the segment-set
 *generation*.  Queries scatter across the pieces and gather per-cell

@@ -240,9 +240,9 @@ def health_report(server) -> dict:
     # Segmented warehouses expose their lifecycle counters (segment
     # count, head size, seal/compaction progress and backlog) so
     # operators can watch ingest health from the same endpoint.
-    segment_health = getattr(warehouse, "segment_health", None)
-    if segment_health is not None:
-        report["segments"] = segment_health()
+    segments = warehouse.segment_health()
+    if segments is not None:
+        report["segments"] = segments
     # Multi-process shard servers report their worker-process fleet
     # (liveness, restarts, attached epochs, segment footprint) the same
     # way — see ``ShardServer.shard_health``.

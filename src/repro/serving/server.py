@@ -199,13 +199,11 @@ class QCServer:
         # itself (a segmented warehouse's seals and compactions) report
         # them through an observer hook into the same write_phase
         # histograms the write pipeline uses.
-        set_observer = getattr(warehouse, "set_phase_observer", None)
-        if set_observer is not None:
-            set_observer(
-                lambda phase, seconds: self._metrics.observe(
-                    f"write_phase:{phase}", seconds
-                )
+        warehouse.set_phase_observer(
+            lambda phase, seconds: self._metrics.observe(
+                f"write_phase:{phase}", seconds
             )
+        )
         self._ops = {op: _snapshot_op(op) for op in SNAPSHOT_OPS}
         self._ops["health"] = lambda snapshot: self.health()
         self._metrics = ServerMetrics()
@@ -921,9 +919,7 @@ class QCServer:
         # Warehouses running background work of their own (a segmented
         # warehouse's compactor) stop it here, keeping the no-leaked-
         # threads guarantee.
-        warehouse_close = getattr(self.warehouse, "close", None)
-        if warehouse_close is not None:
-            warehouse_close()
+        self.warehouse.close()
 
     def __enter__(self) -> "QCServer":
         return self
@@ -993,9 +989,9 @@ class QCServer:
         stats["breaker"] = (
             self._breaker.snapshot() if self._breaker is not None else None
         )
-        segment_health = getattr(self.warehouse, "segment_health", None)
-        if segment_health is not None:
-            stats["segments"] = segment_health()
+        segments = self.warehouse.segment_health()
+        if segments is not None:
+            stats["segments"] = segments
         shard_health = getattr(self, "shard_health", None)
         if shard_health is not None:
             stats["shard"] = shard_health()

@@ -63,6 +63,7 @@ from repro.errors import (
     WorkerCrashedError,
 )
 from repro.serving.server import SNAPSHOT_OPS, QCServer, _snapshot_op
+from repro.serving.snapshot import ServingSnapshot
 from repro.shard.pack import pack_snapshot_bytes
 from repro.shard.segment import create_segment, unlink_segment
 from repro.shard.worker import worker_main
@@ -313,7 +314,7 @@ class ShardServer(QCServer):
                 "(serve_frozen=True and not degraded); the mutable dict "
                 "tree cannot be shared with concurrent writers"
             )
-        if getattr(snapshot, "table", None) is None:
+        if not isinstance(snapshot, ServingSnapshot):
             raise ServingError(
                 "ShardServer requires a monolithic (tree, table) snapshot; "
                 "segmented warehouses are served by the thread-based "

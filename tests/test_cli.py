@@ -72,6 +72,34 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Root" in out and "Store=S1" in out
 
+    def test_saved_warehouse_answers_like_the_api(self, tmp_path, capsys):
+        """Labels appended out of sorted order: the CLI must re-encode
+        the CSV to the tree's codes, as ``QCWarehouse.load`` does."""
+        from repro import QCWarehouse, Schema
+
+        schema = Schema(dimensions=("A", "B"), measures=("m",))
+        wh = QCWarehouse.from_records(
+            [("b", "x", 1.0), ("c", "y", 2.0)], schema, ("sum", "m"))
+        wh.insert([("a", "z", 5.0)])
+        tree, table = str(tmp_path / "t.qct"), str(tmp_path / "t.csv")
+        wh.save(tree, table)
+        for cell in ("a,*", "b,*", "c,*", "*,z"):
+            assert main(["point", tree, "--table", table, cell]) == 0
+            want = wh.point(tuple(cell.split(",")))
+            assert capsys.readouterr().out.strip() == str(want), cell
+        assert main(["range", tree, "--table", table, "a|b|c,*"]) == 0
+        got = dict(line.split("\t")
+                   for line in capsys.readouterr().out.splitlines())
+        want = wh.range((["a", "b", "c"], "*"))
+        assert got == {",".join(c): str(v) for c, v in want.items()}
+        # fsck checks the stored tree under the same pairing.
+        assert main(["fsck", tree, "--table", table, "--samples", "0"]) == 0
+
+    def test_built_tree_carries_its_label_dictionaries(self, built_tree):
+        from repro.core.serialize import load_qctree_from
+
+        assert load_qctree_from(built_tree).snapshot_labels is not None
+
     def test_missing_file_is_error_not_traceback(self, tmp_path, capsys):
         code = main(["stats", str(tmp_path / "nope.qct")])
         assert code == 1

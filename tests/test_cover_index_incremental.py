@@ -338,7 +338,7 @@ class TestMaintenanceWithPersistentIndex:
         # and lazily rebuilt by the next successful write.
         with pytest.raises(MaintenanceError):
             wh.delete([("nope", "nope", 0.0)])
-        assert wh._cover_index is None
+        assert wh.pieces()[0].live_cover_index is None
         wh.insert([("d", "w", 4.0)])
         stats = wh.stats()["cover_index"]
         assert stats["rebuilt"] == 2
@@ -361,7 +361,7 @@ class TestMaintenanceWithPersistentIndex:
     def test_fsck_reuses_live_index(self, sales_table):
         wh = QCWarehouse(sales_table, aggregate=("sum", "Sale"))
         wh.insert([("S3", "P1", "s", 2.0)])
-        assert wh._cover_index is not None
+        assert wh.pieces()[0].live_cover_index is not None
         report = wh.verify(deep=True, samples=None)
         assert report.ok, str(report)
 
@@ -390,7 +390,7 @@ class TestMaintenanceWithPersistentIndex:
         assert recovered.tree.signature() == wh.tree.signature()
         # The replay path built the index once and patched it through
         # every replayed batch; it must match a fresh build.
-        assert recovered._cover_index is not None
+        assert recovered.pieces()[0].live_cover_index is not None
         assert recovered.stats()["cover_index"]["rebuilt"] == 1
         fresh = CoverIndex(recovered.table)
         for j in range(recovered.table.n_dims):
@@ -400,5 +400,5 @@ class TestMaintenanceWithPersistentIndex:
         schema = Schema(dimensions=("A",), measures=("m",))
         wh = QCWarehouse.from_records([("a", 1.0)], schema)
         wh.insert([])
-        assert wh._cover_index is None
+        assert wh.pieces()[0].live_cover_index is None
         assert wh.stats()["cover_index"]["rebuilt"] == 0

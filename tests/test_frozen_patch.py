@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cells import ALL
 from repro.core.construct import build_qctree
 from repro.core.maintenance import (
     MaintenanceDelta,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import threading
 import time
 
@@ -254,6 +253,28 @@ class TestCompactor:
             before[0] + before[1]
 
 
+class TestSealedPiecesShareTheLifecycle:
+    @pytest.mark.parametrize("ratio, modes", [
+        (0.0, ("full",)), (1.0, ("patched", "compacted")),
+    ])
+    def test_sealed_piece_refreezes_with_the_warehouse_ratio(self, ratio,
+                                                             modes):
+        wh = _warehouse(n_rows=0, seal_rows=100, full_refreeze_ratio=ratio)
+        wh.maintain(inserts=_records(6))
+        wh.view  # compile the head's frozen view
+        wh.maintain(inserts=_records(2, start=6))
+        assert wh.serving_tree.patch_stats["mode"] in modes  # the head
+        wh.maintain(inserts=_records(2, start=8))
+        sealed = wh.seal()  # handed over with its unread delta
+        assert sealed.pending_delta is not None
+        assert sealed.frozen_view().patch_stats["mode"] in modes
+        # ... and so does a copy-on-write replacement of it.
+        wh.maintain(deletes=[_record(0)])
+        replaced = wh._segments[0]
+        assert replaced is not sealed and replaced.frozen_ready
+        assert replaced.frozen_view().patch_stats["mode"] in modes
+
+
 class TestManifest:
     def _payload(self):
         return dict(
@@ -349,6 +370,71 @@ class TestCheckpointRecover:
             )
         report = recovered.verify(deep=True, samples=None)
         assert report.ok, report.issues
+
+        # The report says so: any piece rebuilt, and which sealed ones.
+        assert recovered.last_recovery["rebuilt"] is True
+        assert recovered.last_recovery["rebuilt_segments"] == [
+            payload["segments"][0]["id"]
+        ]
+        # The rebuilt piece has no good file on disk: the next
+        # checkpoint rewrites it instead of trusting the name.
+        recovered.checkpoint(tmp_path / "ckpt")
+        again = SegmentedWarehouse.recover(
+            tmp_path / "ckpt", tmp_path / "wal", SCHEMA, seal_rows=4
+        )
+        assert again.last_recovery["rebuilt"] is False
+
+    def test_second_checkpoint_skips_its_own_segment_files(self, tmp_path):
+        wh = self._grown(tmp_path)
+        wh.checkpoint(tmp_path / "ckpt")
+        payload = load_manifest(tmp_path / "ckpt")
+        files = [tmp_path / "ckpt" / entry[kind]
+                 for entry in payload["segments"]
+                 for kind in ("tree", "table")]
+        assert files
+        before = [os.stat(f).st_mtime_ns for f in files]
+        time.sleep(0.01)
+        wh.checkpoint(tmp_path / "ckpt")
+        assert [os.stat(f).st_mtime_ns for f in files] == before
+        # ... and so does a warehouse recovered from that directory.
+        recovered = SegmentedWarehouse.recover(
+            tmp_path / "ckpt", tmp_path / "wal", SCHEMA, seal_rows=4
+        )
+        recovered.checkpoint(tmp_path / "ckpt")
+        assert [os.stat(f).st_mtime_ns for f in files] == before
+
+    def test_checkpoint_directory_of_another_run(self, tmp_path, monkeypatch):
+        """A fresh warehouse whose segment ids collide with files an
+        earlier run left in the directory must overwrite them, not adopt
+        them by name."""
+        import itertools
+
+        from repro.segments import warehouse as segments_warehouse
+
+        def run(start):
+            monkeypatch.setattr(segments_warehouse, "_ids",
+                                itertools.count(1))
+            wh = _warehouse(n_rows=0, seal_rows=4)
+            wh.maintain(inserts=_records(9, start=start))
+            wh.checkpoint(tmp_path / "ckpt")
+            return wh
+
+        stale, live = run(0), run(20)
+        assert ({s.segment_id for s in stale._segments}
+                == {s.segment_id for s in live._segments})
+        recovered = SegmentedWarehouse.recover(
+            tmp_path / "ckpt", tmp_path / "wal", SCHEMA, seal_rows=4
+        )
+        assert not recovered.last_recovery["rebuilt"]
+        assert recovered.n_rows == live.n_rows == 9
+        everything = ("*", "*", "*")
+        assert values_close(recovered.point(everything),
+                            live.point(everything))
+        assert not values_close(live.point(everything),
+                                stale.point(everything))
+        spec = (["x0", "x1", "x2", "x3"], "*", "*")
+        assert recovered.range(spec) == live.range(spec)
+        assert recovered.iceberg(0.0) == live.iceberg(0.0)
 
     def test_orphans_reported_not_fatal(self, tmp_path):
         wh = self._grown(tmp_path)

@@ -243,6 +243,20 @@ class TestConstruction:
             ShardServer(warehouse, processes=1)
         assert created_segments() == []
 
+    def test_rejects_segmented_warehouse(self, sales_table):
+        """One packed snapshot cannot scatter-gather: serving only the
+        head piece would answer NULL for every sealed row."""
+        from repro.segments import SegmentedWarehouse
+
+        warehouse = SegmentedWarehouse(
+            sales_table, aggregate="avg(Sale)", seal_rows=2
+        )
+        assert warehouse.segment_health()["segments_live"] == 1
+        with pytest.raises(ServingError, match="monolithic"):
+            ShardServer(warehouse, processes=1)
+        assert created_segments() == []
+        assert active_segments() == []
+
     def test_closed_server_rejects_queries(self, warehouse):
         server = ShardServer(warehouse, processes=1)
         server.close()

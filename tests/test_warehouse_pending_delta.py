@@ -58,9 +58,9 @@ class TestPendingDeltaAccumulation:
         wh.delete([("S1", "P2", "s", 0.0)])
         wh.maintain(inserts=[("S1", "P3", "f", 8.0)],
                     deletes=[("S3", "P1", "w", 0.0)])
-        assert wh._pending_delta is not None  # nothing read yet
+        assert wh.pieces()[0].pending_delta is not None  # nothing read yet
         _assert_serves_like_rebuild(wh)
-        assert wh._pending_delta is None  # consumed by the single patch
+        assert wh.pieces()[0].pending_delta is None  # consumed by the one patch
         assert wh.last_refreeze["mode"] in ("patched", "compacted")
 
     def test_delete_empties_class_created_by_pending_insert(self):
