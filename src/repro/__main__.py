@@ -74,6 +74,7 @@ from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import ReproError
 from repro.reliability.fsck import fsck_tree
+from repro.serving.protocol import parse_cell, parse_range_spec as parse_range
 
 
 def _schema_from_args(args) -> Schema:
@@ -137,25 +138,6 @@ def args_measures(args, dim_names):
     with open(args.table, newline="") as fp:
         header = next(csv.reader(fp))
     return tuple(header[len(dim_names):])
-
-
-def parse_cell(text: str) -> tuple:
-    """Parse ``"S2,*,f"`` into a raw cell tuple."""
-    return tuple(part.strip() for part in text.split(","))
-
-
-def parse_range(text: str) -> tuple:
-    """Parse ``"S1|S2,*,f"`` into a raw range spec."""
-    spec = []
-    for part in text.split(","):
-        part = part.strip()
-        if part == "*":
-            spec.append("*")
-        elif "|" in part:
-            spec.append([v.strip() for v in part.split("|")])
-        else:
-            spec.append(part)
-    return tuple(spec)
 
 
 def cmd_build(args) -> int:

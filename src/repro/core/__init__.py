@@ -18,15 +18,10 @@ from repro.core.serialize import (
     dumps_qctree, load_qctree_from, loads_qctree, save_qctree,
 )
 from repro.core.warehouse import QCWarehouse
-from repro.core.analyze import analyze_tree
-from repro.core.lattice_graph import (
-    lattice_to_dot, quotient_lattice, tree_to_dot,
-)
 
 __all__ = [
     "ALL", "QCTree", "FrozenQCTree", "LsnQueryCache",
     "build_qctree", "build_qctree_reference", "locate",
-    "analyze_tree", "lattice_to_dot", "quotient_lattice", "tree_to_dot",
     "point_query",
     "point_query_raw", "RangeQuery", "range_query", "range_query_naive",
     "range_query_raw", "MeasureIndex", "constrained_iceberg", "pure_iceberg",

@@ -5,8 +5,8 @@ Because cover-equivalent cells share their aggregate, the natural unit of
 answer is the *class*: a pure iceberg query returns the satisfying classes
 (upper bound + value), each standing for all its member cells.
 
-Pure iceberg queries run off a :class:`MeasureIndex` — a B+-tree over the
-class nodes' aggregate values — with a single range scan.  *Constrained*
+Pure iceberg queries run off a :class:`MeasureIndex` — the class nodes
+sorted by aggregate value — with a single range scan.  *Constrained*
 iceberg queries combine a range query with the threshold; the paper offers
 two strategies, both implemented here:
 
@@ -24,6 +24,7 @@ two strategies, both implemented here:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Callable, Optional
 
 from repro.core.cells import generalizes
@@ -31,61 +32,59 @@ from repro.core.point_query import descend_to_class
 from repro.core.qctree import QCTree
 from repro.core.range_query import RangeQuery, expand_range
 from repro.errors import QueryError
-from repro.index.bptree import BPlusTree
 
 _OPS = {
-    ">=": ("ge", True), ">": ("ge", False),
-    "<=": ("le", True), "<": ("le", False),
+    ">=": (bisect_left, True), ">": (bisect_right, True),
+    "<=": (bisect_right, False), "<": (bisect_left, False),
 }
 
 
 class MeasureIndex:
-    """B+-tree index of a QC-tree's class nodes keyed by aggregate value.
+    """Sorted index of a QC-tree's class nodes keyed by aggregate value.
 
     ``key`` maps a class's user-facing aggregate value to the sortable
     scalar indexed; it defaults to the identity and must be supplied for
     multi-aggregate trees (e.g. ``key=lambda v: v[0]``).
+
+    The index belongs to one immutable tree (a serving snapshot) and is
+    rebuilt, never updated, so it is two parallel lists sorted by key
+    (ties in ``iter_class_nodes`` order) answered by one ``bisect`` and
+    a slice.  A key that is not equal to itself (NaN) is left out: no
+    comparison with it is true, which is what ``_satisfies`` — the
+    filter plan and the segment scatter — decides, i.e. ``HAVING``.
     """
 
-    def __init__(self, tree: QCTree, key: Optional[Callable] = None,
-                 order: int = 32):
+    def __init__(self, tree: QCTree, key: Optional[Callable] = None):
         self.tree = tree
         self.key = key if key is not None else lambda value: value
-        self._bpt = BPlusTree(order=order)
+        pairs = []
         for node in tree.iter_class_nodes():
-            self._bpt.insert(self._node_key(node), node)
-
-    def _node_key(self, node: int):
-        value = self.tree.value_at(node)
-        key = self.key(value)
-        if not isinstance(key, (int, float)):
-            raise QueryError(
-                f"measure index key must be numeric, got {key!r}; "
-                "pass key= to select a component of the aggregate"
-            )
-        return key
+            k = self.key(tree.value_at(node))
+            if not isinstance(k, (int, float)):
+                raise QueryError(
+                    f"measure index key must be numeric, got {k!r}; "
+                    "pass key= to select a component of the aggregate"
+                )
+            if k == k:
+                pairs.append((k, node))
+        pairs.sort(key=lambda pair: pair[0])
+        self._keys = [k for k, _ in pairs]
+        self._nodes = [node for _, node in pairs]
 
     def __len__(self) -> int:
-        return len(self._bpt)
-
-    def add(self, node: int) -> None:
-        """Register a class node (call after maintenance adds one)."""
-        self._bpt.insert(self._node_key(node), node)
-
-    def discard(self, node: int, old_key) -> None:
-        """Unregister a class node given the key it was stored under."""
-        self._bpt.remove(old_key, node)
+        return len(self._keys)
 
     def nodes_satisfying(self, threshold, op: str = ">=") -> list:
-        """Class node ids whose indexed key satisfies ``key op threshold``."""
+        """Class node ids whose indexed key satisfies ``key op threshold``,
+        in ascending key order."""
         if op not in _OPS:
             raise QueryError(f"unknown iceberg operator {op!r}; use one of {sorted(_OPS)}")
-        direction, inclusive = _OPS[op]
-        if direction == "ge":
-            scan = self._bpt.range_scan(low=threshold, include_low=inclusive)
-        else:
-            scan = self._bpt.range_scan(high=threshold, include_high=inclusive)
-        return [node for _, node in scan]
+        if threshold != threshold:
+            # No key compares true with NaN; bisect would still cut.
+            return []
+        bisect, upward = _OPS[op]
+        cut = bisect(self._keys, threshold)
+        return self._nodes[cut:] if upward else self._nodes[:cut]
 
 
 def pure_iceberg(

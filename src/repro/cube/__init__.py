@@ -3,7 +3,6 @@
 from repro.cube.schema import Dimension, Measure, Schema
 from repro.cube.table import BaseTable
 from repro.cube.cover_index import CoverIndex
-from repro.cube.hierarchy import Hierarchy, HierarchyMember, compile_spec, rollup_by_level
 from repro.cube.aggregates import (
     AggregateFunction, Average, Count, Max, Min, MultiAggregate, Sum,
     make_aggregate, values_close,
@@ -11,7 +10,6 @@ from repro.cube.aggregates import (
 
 __all__ = [
     "Dimension", "Measure", "Schema", "BaseTable", "CoverIndex",
-    "Hierarchy", "HierarchyMember", "compile_spec", "rollup_by_level",
     "AggregateFunction", "Average", "Count", "Max", "Min", "MultiAggregate",
     "Sum", "make_aggregate", "values_close",
 ]

@@ -30,7 +30,6 @@ from repro.reliability.fsck import (
     FsckIssue,
     FsckReport,
     fsck_tree,
-    scan_point_query,
 )
 from repro.reliability.transactional import restore_tree, transactional
 from repro.reliability.wal import WalRecord, WriteAheadLog
@@ -38,7 +37,7 @@ from repro.reliability.wal import WalRecord, WriteAheadLog
 __all__ = [
     "FaultClock", "InjectedCrash", "count_io", "crash_on_io",
     "partial_append", "torn_write",
-    "FsckIssue", "FsckReport", "fsck_tree", "scan_point_query",
+    "FsckIssue", "FsckReport", "fsck_tree",
     "restore_tree", "transactional",
     "WalRecord", "WriteAheadLog",
 ]

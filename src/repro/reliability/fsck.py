@@ -45,7 +45,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.cells import ALL, format_cell
+from repro.core.cells import format_cell
 from repro.core.point_query import locate
 from repro.core.qctree import QCTree
 from repro.cube.aggregates import values_close
@@ -293,17 +293,3 @@ def fsck_tree(tree: QCTree, table=None, samples: Optional[int] = 64,
         # targeted checks did not anticipate becomes a finding.
         report.add("fsck-crashed", f"verification aborted: {exc!r}")
     return report
-
-
-def scan_point_query(table, aggregate, cell):
-    """Answer a point query by scanning the base table (degraded mode).
-
-    ``cell`` is encoded; returns the aggregate value or None for an
-    empty cover set.  O(rows) per query — the fallback a degraded
-    warehouse uses when its tree fails verification.
-    """
-    rows = [i for i, row in enumerate(table.rows)
-            if all(v is ALL or v == t for v, t in zip(cell, row))]
-    if not rows:
-        return None
-    return aggregate.value(aggregate.state(table, rows))

@@ -210,9 +210,7 @@ class AsyncQCServer:
         self._listener = await asyncio.start_server(
             self._handle_connection, self._host, self._requested_port
         )
-        register = getattr(self._server, "register_transport", None)
-        if register is not None:
-            register(self)
+        self._server.register_transport(self)
         return self
 
     async def serve_forever(self) -> None:
@@ -251,9 +249,7 @@ class AsyncQCServer:
             # All connection tasks are done, so the pool is idle (or
             # finishing its last write); shutdown is near-instant.
             self._write_pool.shutdown(wait=True)
-        unregister = getattr(self._server, "unregister_transport", None)
-        if unregister is not None:
-            unregister(self)
+        self._server.unregister_transport(self)
 
     async def __aenter__(self) -> "AsyncQCServer":
         await self.start()

@@ -246,9 +246,8 @@ def health_report(server) -> dict:
     # Multi-process shard servers report their worker-process fleet
     # (liveness, restarts, attached epochs, segment footprint) the same
     # way — see ``ShardServer.shard_health``.
-    shard_health = getattr(server, "shard_health", None)
-    if shard_health is not None:
-        shard = shard_health()
+    shard = server.shard_health()
+    if shard is not None:
         report["shard"] = shard
         if live and shard["processes_alive"] == 0 and status == "ok":
             report["status"] = "degraded"
@@ -256,7 +255,7 @@ def health_report(server) -> dict:
     # Registered front-door transports (e.g. the asyncio TCP listener)
     # gate readiness: a server whose listener stopped accepting is not
     # worth routing traffic to, even though the worker pool is healthy.
-    transports = getattr(server, "transports", ())
+    transports = server.transports
     if transports:
         descriptions = [t.describe() for t in transports]
         report["transports"] = descriptions

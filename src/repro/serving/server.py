@@ -576,6 +576,11 @@ class QCServer:
         See :func:`~repro.serving.health.health_report`."""
         return health_report(self)
 
+    def shard_health(self) -> Optional[dict]:
+        """Worker-process fleet readout for ``health``/``stats()``; None
+        for a server that has no process fleet."""
+        return None
+
     # -- write path (single writer, snapshot swap) ---------------------------
 
     def insert(self, records) -> None:
@@ -992,9 +997,9 @@ class QCServer:
         segments = self.warehouse.segment_health()
         if segments is not None:
             stats["segments"] = segments
-        shard_health = getattr(self, "shard_health", None)
-        if shard_health is not None:
-            stats["shard"] = shard_health()
+        shard = self.shard_health()
+        if shard is not None:
+            stats["shard"] = shard
         transports = self.transports
         if transports:
             stats["transports"] = [t.describe() for t in transports]

@@ -5,7 +5,7 @@ import pytest
 from repro.core.construct import build_qctree
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
-from repro.reliability.fsck import fsck_tree, scan_point_query
+from repro.reliability.fsck import fsck_tree
 from tests.conftest import all_cells, approx_equal, make_random_table
 
 
@@ -142,20 +142,27 @@ class TestCorruptionIsFlagged:
 
 
 class TestScanPointQuery:
-    def test_scan_matches_tree(self, sales_table):
+    """The base-table scan a degraded warehouse answers points with."""
+
+    @pytest.fixture
+    def degraded(self, sales_table):
+        wh = QCWarehouse(sales_table, aggregate=("avg", "Sale"))
+        wh._degraded = True
+        return wh
+
+    def test_scan_matches_tree(self, sales_table, degraded):
         tree = build_qctree(sales_table, ("avg", "Sale"))
         from repro.core.point_query import point_query
 
         for cell in all_cells(sales_table):
             assert approx_equal(
-                scan_point_query(sales_table, tree.aggregate, cell),
+                degraded.point(sales_table.decode_cell(cell)),
                 point_query(tree, cell),
             )
 
-    def test_scan_empty_cover_is_none(self, sales_table):
-        agg = build_qctree(sales_table, "count").aggregate
-        miss = (0, 0, 0)  # S1, P1, f — not a real combination
-        assert scan_point_query(sales_table, agg, miss) is None
+    def test_scan_empty_cover_is_none(self, degraded):
+        # S1, P1, f — not a real combination
+        assert degraded.point(("S1", "P1", "f")) is None
 
 
 class TestDegradedMode:
