@@ -93,7 +93,7 @@ def _load_warehouse(args):
                     measures=args_measures(args, dim_names))
     piece, _, _ = Piece.load(args.tree, args.table, schema)
     aggregate = piece.tree.aggregate
-    if getattr(args, "segmented", False):
+    if args.segmented:
         # Segmented ingest: the snapshot's table seeds the store (a
         # bootstrap bigger than --seal-rows seals immediately) and the
         # background compactor starts right away; the .qct tree is used
@@ -102,16 +102,15 @@ def _load_warehouse(args):
 
         warehouse = SegmentedWarehouse(
             piece.table, aggregate=aggregate,
-            full_refreeze_ratio=getattr(args, "refreeze_ratio", 0.25),
-            seal_rows=getattr(args, "seal_rows", 2048),
+            full_refreeze_ratio=args.refreeze_ratio,
+            seal_rows=args.seal_rows,
         )
         warehouse.start_compactor()
         return warehouse
-    serve_frozen = getattr(args, "engine", "frozen") != "dict"
     return QCWarehouse(
         piece.table, aggregate=aggregate, tree=piece.tree,
-        serve_frozen=serve_frozen,
-        full_refreeze_ratio=getattr(args, "refreeze_ratio", 0.25),
+        serve_frozen=args.engine != "dict",
+        full_refreeze_ratio=args.refreeze_ratio,
     )
 
 
@@ -129,9 +128,8 @@ def _workload_table(warehouse) -> BaseTable:
 
 
 def args_measures(args, dim_names):
-    header_measures = getattr(args, "measures", None)
-    if header_measures:
-        return tuple(header_measures.split(","))
+    if args.measures:
+        return tuple(args.measures.split(","))
     # Infer measures from the CSV header: everything after the dimensions.
     import csv
 
@@ -230,9 +228,8 @@ def _make_server(warehouse, args, **extra):
     supervisor kill leaves no ``/dev/shm`` litter)."""
     from repro.serving.server import QCServer
 
-    processes = getattr(args, "processes", 0)
-    if processes:
-        if getattr(args, "segmented", False):
+    if args.processes:
+        if args.segmented:
             raise ReproError(
                 "--processes serves one packed snapshot and cannot "
                 "scatter-gather a --segmented warehouse"
@@ -241,7 +238,7 @@ def _make_server(warehouse, args, **extra):
 
         install_signal_cleanup()
         return ShardServer(
-            warehouse, processes=processes, workers=args.workers,
+            warehouse, processes=args.processes, workers=args.workers,
             queue_size=args.queue_size, default_timeout=args.timeout,
             warm_keys=args.warm_keys, **extra,
         )
@@ -266,7 +263,7 @@ def cmd_serve(args) -> int:
         else f"{stats['classes']} classes"
     )
     fleet = (f"{args.processes} processes, " if args.processes else "")
-    if getattr(args, "use_async", False):
+    if args.use_async:
         return _serve_async(server, args, detail, fleet)
     print(
         f"serving {args.tree}: {detail}, "
@@ -461,7 +458,8 @@ def cmd_fsck(args) -> int:
         if paired is not None:
             table = paired
     report = fsck_tree(
-        tree, table=table, samples=args.samples, seed=args.seed
+        # --samples 0 means "check every class".
+        tree, table=table, samples=args.samples or None, seed=args.seed
     )
     for issue in report.issues:
         print(issue)
@@ -501,6 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["frozen", "dict"],
                        help="query engine: the read-optimized frozen view "
                             "(default) or the mutable dict-backed tree")
+        # What the shared loader reads of flags only some of these
+        # commands have; those flags take their defaults from here.
+        p.set_defaults(measures=None, segmented=False,
+                       refreeze_ratio=0.25, seal_rows=2048)
         return p
 
     p_point = with_table(sub.add_parser("point", help="answer a point query"))
@@ -530,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--warm-keys", type=int, default=32,
                        help="hottest cache keys replayed after each "
                             "snapshot swap (default 32; 0 disables)")
-        p.add_argument("--refreeze-ratio", type=float, default=0.25,
+        p.add_argument("--refreeze-ratio", type=float,
                        help="dirty fraction above which a write recompiles "
                             "the frozen view instead of patching it "
                             "(default 0.25; 0 always recompiles, 1 always "
@@ -547,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "segments, queries scatter-gather, a background "
                             "compactor merges segments (write latency "
                             "bounded by head size, not cube size)")
-        p.add_argument("--seal-rows", type=int, default=2048,
+        p.add_argument("--seal-rows", type=int,
                        help="head rows at which a segmented warehouse "
                             "seals the head into a segment (default 2048; "
                             "only with --segmented)")
@@ -643,8 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "samples", None) == 0:
-        args.samples = None  # fsck: 0 means "check every class"
     try:
         return args.func(args)
     except ReproError as exc:

@@ -160,6 +160,37 @@ def generalizations(cell: Cell) -> Iterator[Cell]:
             yield tuple(out)
 
 
+def closures_below(probe, bound: Cell) -> dict:
+    """Classes that are closures of generalizations of ``bound``.
+
+    ``probe(cell)`` is a cube's closure operator: ``(upper bound,
+    payload)`` of the class containing ``cell``, or None when the cell is
+    empty.  Returns ``{upper_bound: payload}``.  The walk starts at the
+    fully general cell and repeatedly jumps to closures, specializing one
+    dimension of ``bound`` at a time — each distinct class is visited
+    once, mirroring the construction DFS's pruning — so it never touches
+    base rows and works in any cell space (dictionary codes over one
+    tree, raw labels over a union of pieces).
+    """
+    found: dict = {}
+    n_dims = len(bound)
+
+    def rec(cell: Cell) -> None:
+        hit = probe(cell)
+        if hit is None:
+            return
+        ub, payload = hit
+        if ub in found:
+            return
+        found[ub] = payload
+        for j in range(n_dims):
+            if ub[j] is ALL and bound[j] is not ALL:
+                rec(ub[:j] + (bound[j],) + ub[j + 1:])
+
+    rec((ALL,) * n_dims)
+    return found
+
+
 def dict_sort_key(cell: Cell) -> tuple:
     """Return a sort key realizing the paper's dictionary order on cells.
 

@@ -1,190 +1,226 @@
-"""Semantic exploration on a QC-tree: the OLAP services quotient cubes enable.
+"""Semantic exploration on a quotient cube: the OLAP services it enables.
 
 The paper motivates quotient cubes with navigation that plain cubes make
 painful: intelligent roll-up ("what are the most general circumstances
 under which this observation still holds?"), drilling *into* a class to
 inspect its internal structure, and moving between classes instead of
-between cells.  All operations here run off the QC-tree (plus the base
-table only where member enumeration genuinely needs cover information).
+between cells.
+
+Every operation is written once, over a small **cube interface** — the
+``cube_*`` functions below take any object with
+
+``encode(raw_cell)`` / ``decode(cell)``
+    user-facing labels to the cube's own cell space and back
+    (``encode`` raises :class:`~repro.errors.SchemaError` for a wrong
+    arity or a label the cube has never seen);
+``probe(cell)``
+    the closure operator: ``(upper bound, value)`` of the class
+    containing ``cell``, or None when the cell is empty;
+``cover_values(ub, dim)``
+    the values at ``dim`` among the base rows ``ub`` covers;
+``lower_bounds(ub)``
+    the true lower bounds of the class at ``ub``;
+``sort_key(cell)``
+    the dictionary order of that cell space
+
+and work entirely in that cube's cell space.  :class:`TreeCube` is one
+``(tree, table)`` pair in dictionary-code space (it runs off the
+QC-tree, plus the base table only where member enumeration genuinely
+needs cover information); :class:`~repro.serving.scatter.UnionCube` is
+the union of several pieces in raw-label space.  The historical
+code-space functions (:func:`class_of` … :func:`drill_into_class`) are
+the ``TreeCube`` spelling of the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Optional
 
 from repro.core.cells import (
     ALL,
     Cell,
+    closures_below,
     dict_sort_key,
     generalizes,
+    nonstar_positions,
+    specialize,
 )
-from repro.core.maintenance.insert import closures_below
 from repro.core.point_query import locate
 from repro.core.qctree import QCTree
 from repro.cube.aggregates import values_close
 from repro.errors import QueryError
 
 
-@dataclass
-class ClassView:
-    """A class surfaced by an exploration call."""
+class TreeCube:
+    """One ``(tree, table)`` pair as a cube, in dictionary-code space.
 
-    upper_bound: Cell
-    value: object
+    Any traversal-protocol tree works (dict or array-backed).  Without a
+    ``table`` only the tree-only operations are exact: cells stay
+    encoded in error messages, and a class is approximated by its upper
+    bound alone (see :meth:`lower_bounds`).
+    """
 
-    def __repr__(self):
-        return f"ClassView(ub={self.upper_bound}, value={self.value})"
+    __slots__ = ("tree", "table")
+
+    sort_key = staticmethod(dict_sort_key)
+
+    def __init__(self, tree, table=None):
+        self.tree = tree
+        self.table = table
+
+    def encode(self, raw_cell) -> Cell:
+        return self.table.encode_cell(raw_cell)
+
+    def decode(self, cell: Cell) -> tuple:
+        return cell if self.table is None else self.table.decode_cell(cell)
+
+    def probe(self, cell: Cell):
+        node = locate(self.tree, cell)
+        if node is None:
+            return None
+        return self.tree.upper_bound_of(node), self.tree.value_at(node)
+
+    def cover_values(self, ub: Cell, dim: int) -> set:
+        rows = self.table.rows
+        return {rows[i][dim] for i in self.table.select(ub)}
+
+    def lower_bounds(self, ub: Cell) -> list:
+        if self.table is None:
+            # No cover information: only the upper bound itself is known
+            # to be a member, so callers explore its generalizations
+            # alone — a cheaper approximation that can miss neighbours
+            # entered through other members.
+            return [ub]
+        # Lazy: cube.quotient imports core.cells, whose package imports
+        # this module.
+        from repro.cube.quotient import class_lower_bounds
+
+        return class_lower_bounds(self.table, ub)
 
 
-def class_of(tree: QCTree, cell: Cell) -> Optional[ClassView]:
-    """The class containing ``cell``, or None if it is not in the cube."""
-    node = locate(tree, cell)
-    if node is None:
-        return None
-    return ClassView(tree.upper_bound_of(node), tree.value_at(node))
+# -- the one implementation, over any cube ------------------------------------
 
 
-def intelligent_rollup(tree: QCTree, cell: Cell, rel_tol: float = 1e-9) -> list:
+def _start_class(cube, cell: Cell) -> tuple:
+    """``(upper bound, value)`` of ``cell``'s class; an empty cell is a
+    :class:`QueryError` spelled in the user's labels."""
+    hit = cube.probe(cell)
+    if hit is None:
+        raise QueryError(f"cell {cube.decode(cell)!r} is not in the cube")
+    return hit
+
+
+def _rollup_region(cube, cell: Cell, rel_tol: float, holds: bool) -> list:
+    """The classes that are closures of generalizations of ``cell``'s
+    class and whose value matches ``cell``'s (``holds``) or breaks from
+    it, as ``(upper bound, value)``.  The search runs over *classes*, not
+    cells (the paper: "we only need to search at most 2 classes")."""
+    start_ub, value = _start_class(cube, cell)
+    return [
+        pair for pair in closures_below(cube.probe, start_ub).items()
+        if values_close(pair[1], value, rel_tol=rel_tol) == holds
+    ]
+
+
+def cube_rollup(cube, cell: Cell, rel_tol: float = 1e-9) -> list:
     """Most general contexts where ``cell``'s aggregate value still holds.
 
     This is the paper's intelligent roll-up example (§1): starting from
     ``(S2, P1, f)`` with AVG 9, the answer describes how far one can
-    generalize while the value stays 9.  The search runs over *classes*,
-    not cells: only the closures of ``cell``'s generalizations are
-    examined (the paper: "we only need to search at most 2 classes").
-
-    Returns the matching classes ordered most-general-first; the leading
+    generalize while the value stays 9.  Returns the matching classes as
+    ``(upper bound, value)`` ordered most-general-first; the leading
     entries are the roll-up frontier, and any non-matching class between
     them and ``cell`` (e.g. ``(*, P1, *)`` in the running example) is the
     "except" part of the paper's phrasing, obtainable via
-    :func:`rollup_exceptions`.
+    :func:`cube_rollup_exceptions`.
     """
-    start = locate(tree, cell)
-    if start is None:
-        raise QueryError(f"cell {cell!r} is not in the cube")
-    value = tree.value_at(start)
-    matches = [
-        ClassView(ub, tree.value_at(node))
-        for ub, node in closures_below(tree, tree.upper_bound_of(start)).items()
-        if values_close(tree.value_at(node), value, rel_tol=rel_tol)
-    ]
-    matches.sort(key=lambda c: (len([v for v in c.upper_bound if v is not ALL]),
-                                dict_sort_key(c.upper_bound)))
-    return matches
+    return sorted(
+        _rollup_region(cube, cell, rel_tol, holds=True),
+        key=lambda pair: (len(nonstar_positions(pair[0])),
+                          cube.sort_key(pair[0])),
+    )
 
 
-def rollup_exceptions(tree: QCTree, cell: Cell, rel_tol: float = 1e-9) -> list:
-    """Classes between ``cell`` and its roll-up frontier with other values."""
-    start = locate(tree, cell)
-    if start is None:
-        raise QueryError(f"cell {cell!r} is not in the cube")
-    value = tree.value_at(start)
-    return [
-        ClassView(ub, tree.value_at(node))
-        for ub, node in closures_below(tree, tree.upper_bound_of(start)).items()
-        if not values_close(tree.value_at(node), value, rel_tol=rel_tol)
-    ]
+def cube_rollup_exceptions(cube, cell: Cell, rel_tol: float = 1e-9) -> list:
+    """Classes between ``cell`` and its roll-up frontier with other
+    values, in the walk's discovery order (the same on every cube)."""
+    return _rollup_region(cube, cell, rel_tol, holds=False)
 
 
-def lattice_drilldowns(tree: QCTree, cell: Cell, table) -> list:
+def _neighbours(cube, ub: Cell, cells) -> list:
+    """The distinct classes other than ``ub``'s that ``cells`` fall in,
+    as ``(upper bound, value)`` in dictionary order."""
+    seen: dict = {}
+    for cell in cells:
+        hit = cube.probe(cell)
+        if hit is not None and hit[0] != ub:
+            seen.setdefault(*hit)
+    return sorted(seen.items(), key=lambda pair: cube.sort_key(pair[0]))
+
+
+def cube_drilldowns(cube, cell: Cell) -> list:
     """Classes reached by one-step drill-downs from ``cell``'s class.
 
     Instantiates each ``*`` dimension of the class upper bound with every
-    value present in its cover (needs the base table to enumerate values)
+    value present in its cover (needs base rows to enumerate values)
     and returns the distinct destination classes.
     """
-    node = locate(tree, cell)
-    if node is None:
-        raise QueryError(f"cell {cell!r} is not in the cube")
-    ub = tree.upper_bound_of(node)
-    rows = table.select(ub)
-    seen = {}
-    for j, v in enumerate(ub):
-        if v is not ALL:
-            continue
-        for value in sorted({table.rows[i][j] for i in rows}):
-            target = locate(tree, ub[:j] + (value,) + ub[j + 1:])
-            if target is not None and target != node:
-                tub = tree.upper_bound_of(target)
-                seen.setdefault(tub, ClassView(tub, tree.value_at(target)))
-    return sorted(seen.values(), key=lambda c: dict_sort_key(c.upper_bound))
+    ub, _ = _start_class(cube, cell)
+    return _neighbours(cube, ub, (
+        specialize(ub, j, value)
+        for j, v in enumerate(ub) if v is ALL
+        for value in cube.cover_values(ub, j)
+    ))
 
 
-def lattice_rollups(tree: QCTree, cell: Cell, table=None) -> list:
+def cube_rollups(cube, cell: Cell) -> list:
     """Classes reached by one-step roll-ups from ``cell``'s class.
 
     A lattice child is reachable by generalizing one dimension of *some
     member cell*, not necessarily of the upper bound (e.g. in the paper's
-    Figure 3, C6 is a child of C5 via member ``(*, P1, s)``).  With a
-    base ``table`` the members are enumerated exactly; without one, only
-    upper-bound generalizations are explored (a cheaper approximation
-    that can miss children entered through other members).
+    Figure 3, C6 is a child of C5 via member ``(*, P1, s)``), so the
+    members are enumerated exactly from the class's true lower bounds.
     """
-    node = locate(tree, cell)
-    if node is None:
-        raise QueryError(f"cell {cell!r} is not in the cube")
-    ub = tree.upper_bound_of(node)
-    if table is not None:
-        from repro.cube.quotient import class_lower_bounds
-
-        lowers = class_lower_bounds(table, ub)
-        members = list(_interval_union_members(lowers, ub))
-    else:
-        members = [ub]
-    seen = {}
-    for member in members:
-        for j, v in enumerate(member):
-            if v is ALL:
-                continue
-            target = locate(tree, member[:j] + (ALL,) + member[j + 1:])
-            if target is not None and target != node:
-                tub = tree.upper_bound_of(target)
-                seen.setdefault(tub, ClassView(tub, tree.value_at(target)))
-    return sorted(seen.values(), key=lambda c: dict_sort_key(c.upper_bound))
+    ub, _ = _start_class(cube, cell)
+    return _neighbours(cube, ub, (
+        specialize(member, j, ALL)
+        for member in _interval_union_members(cube.lower_bounds(ub), ub)
+        for j in nonstar_positions(member)
+    ))
 
 
-def drill_into_class(tree: QCTree, cell: Cell, table) -> "ClassStructure":
+def cube_open_class(cube, cell: Cell) -> "ClassStructure":
     """Open a class up and inspect its internal structure (Figure 3).
 
     Returns the class's upper bound, its true lower bounds, and all its
     member cells with the intra-class drill-down edges — the picture the
     paper draws when drilling into class ``C3``.
     """
-    node = locate(tree, cell)
-    if node is None:
-        raise QueryError(f"cell {cell!r} is not in the cube")
-    ub = tree.upper_bound_of(node)
-    from repro.cube.quotient import class_lower_bounds
-
-    lowers = class_lower_bounds(table, ub)
-    members = sorted(_interval_union_members(lowers, ub), key=dict_sort_key)
+    ub, value = _start_class(cube, cell)
+    lowers = cube.lower_bounds(ub)
+    members = sorted(_interval_union_members(lowers, ub), key=cube.sort_key)
+    inside = set(members)
     edges = []
     for c in members:
         for j, v in enumerate(c):
             if v is not ALL:
                 continue
-            d = c[:j] + (ub[j],) + c[j + 1:]
-            if d != c and d in set(members):
+            d = specialize(c, j, ub[j])
+            if d != c and d in inside:
                 edges.append((c, d))
     return ClassStructure(ub, tuple(lowers), tuple(members), tuple(edges),
-                          tree.value_at(node))
+                          value)
 
 
 def _interval_union_members(lower_bounds, upper_bound) -> Iterator[Cell]:
     """All cells between some lower bound and the upper bound."""
     seen = set()
-    free_dims = [
-        j for j, v in enumerate(upper_bound) if v is not ALL
-    ]
+    free_dims = nonstar_positions(upper_bound)
     # Members keep a superset of some minimal kept-set; enumerate kept-sets
     # grown from each lower bound.
-    from itertools import combinations
-
-    lb_kept = [
-        {j for j, v in enumerate(lb) if v is not ALL} for lb in lower_bounds
-    ]
-    for kept in lb_kept:
+    for kept in (set(nonstar_positions(lb)) for lb in lower_bounds):
         optional = [j for j in free_dims if j not in kept]
         for r in range(len(optional) + 1):
             for extra in combinations(optional, r):
@@ -198,9 +234,23 @@ def _interval_union_members(lower_bounds, upper_bound) -> Iterator[Cell]:
                 )
 
 
+# -- the code-space spelling ---------------------------------------------------
+
+
+@dataclass
+class ClassView:
+    """A class surfaced by an exploration call."""
+
+    upper_bound: Cell
+    value: object
+
+    def __repr__(self):
+        return f"ClassView(ub={self.upper_bound}, value={self.value})"
+
+
 @dataclass
 class ClassStructure:
-    """The opened-up view of one class (see :func:`drill_into_class`)."""
+    """The opened-up view of one class (see :func:`cube_open_class`)."""
 
     upper_bound: Cell
     lower_bounds: tuple
@@ -216,3 +266,40 @@ class ClassStructure:
         return generalizes(cell, self.upper_bound) and any(
             generalizes(lb, cell) for lb in self.lower_bounds
         )
+
+
+def _views(pairs) -> list:
+    return [ClassView(ub, value) for ub, value in pairs]
+
+
+def class_of(tree: QCTree, cell: Cell) -> Optional[ClassView]:
+    """The class containing ``cell``, or None if it is not in the cube."""
+    hit = TreeCube(tree).probe(cell)
+    return None if hit is None else ClassView(*hit)
+
+
+def intelligent_rollup(tree: QCTree, cell: Cell, rel_tol: float = 1e-9) -> list:
+    """:func:`cube_rollup` over one tree, as :class:`ClassView` objects."""
+    return _views(cube_rollup(TreeCube(tree), cell, rel_tol))
+
+
+def rollup_exceptions(tree: QCTree, cell: Cell, rel_tol: float = 1e-9) -> list:
+    """:func:`cube_rollup_exceptions` over one tree."""
+    return _views(cube_rollup_exceptions(TreeCube(tree), cell, rel_tol))
+
+
+def lattice_drilldowns(tree: QCTree, cell: Cell, table) -> list:
+    """:func:`cube_drilldowns` over one ``(tree, table)`` pair."""
+    return _views(cube_drilldowns(TreeCube(tree, table), cell))
+
+
+def lattice_rollups(tree: QCTree, cell: Cell, table=None) -> list:
+    """:func:`cube_rollups` over one tree; without a base ``table`` only
+    upper-bound generalizations are explored
+    (:meth:`TreeCube.lower_bounds`)."""
+    return _views(cube_rollups(TreeCube(tree, table), cell))
+
+
+def drill_into_class(tree: QCTree, cell: Cell, table) -> ClassStructure:
+    """:func:`cube_open_class` over one ``(tree, table)`` pair."""
+    return cube_open_class(TreeCube(tree, table), cell)

@@ -190,13 +190,15 @@ def _marked_range_query(tree, spec, threshold, op, index, key) -> dict:
     results: dict = {}
 
     def route(node, dim, value):
-        """search_route restricted to useful nodes."""
+        """search_route, pruned where it steps off the useful nodes (the
+        route itself is never bent: past a useless node the cell's own
+        class cannot satisfy, and any other class is a wrong answer)."""
         while True:
             nxt = tree.child(node, dim, value)
-            if nxt is None or nxt not in useful:
+            if nxt is None:
                 nxt = tree.link_target(node, dim, value)
-            if nxt is not None and nxt in useful:
-                return nxt
+            if nxt is not None:
+                return nxt if nxt in useful else None
             last = tree.last_child_dim(node)
             if last is None or last >= dim:
                 return None

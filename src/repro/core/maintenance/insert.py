@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import time
 
+from repro.core import cells
 from repro.core.cells import ALL, Cell, meet
 from repro.core.classes import enumerate_temp_classes
 from repro.core.point_query import locate
@@ -49,29 +50,15 @@ _MISSING = object()
 def closures_below(tree: QCTree, bound: Cell) -> dict:
     """Old classes that are closures of generalizations of ``bound``.
 
-    Returns ``{upper_bound: node}``.  The walk starts at the fully general
-    cell and repeatedly jumps to closures (via :func:`locate` on the tree,
-    never touching the base table), specializing one dimension of
-    ``bound`` at a time — each distinct class is visited once, mirroring
-    the construction DFS's pruning.
+    Returns ``{upper_bound: node}``: the shared closure-jumping walk
+    (:func:`repro.core.cells.closures_below`) probing with
+    :func:`locate` on the tree, never touching the base table.
     """
-    n_dims = tree.n_dims
-    found: dict = {}
-
-    def rec(cell: Cell) -> None:
+    def probe(cell: Cell):
         node = locate(tree, cell)
-        if node is None:
-            return
-        ub = tree.upper_bound_of(node)
-        if ub in found:
-            return
-        found[ub] = node
-        for j in range(n_dims):
-            if ub[j] is ALL and bound[j] is not ALL:
-                rec(ub[:j] + (bound[j],) + ub[j + 1:])
+        return None if node is None else (tree.upper_bound_of(node), node)
 
-    rec((ALL,) * n_dims)
-    return found
+    return cells.closures_below(probe, bound)
 
 
 def _class_ubs_below(tree: QCTree, bound: Cell) -> list:
@@ -165,6 +152,9 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
         return ub_of(node) if node is not None else None
 
     def closures_below_cached(bound: Cell) -> dict:
+        """:func:`repro.core.cells.closures_below` inlined over the batch
+        memos on purpose: this is classification's inner loop, and a
+        probe callback would cost one more Python frame per cell."""
         found: dict = {}
 
         def rec(cell: Cell) -> None:

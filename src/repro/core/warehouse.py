@@ -44,6 +44,7 @@ from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError, QueryError, SchemaError
 from repro.reliability.fsck import FsckReport
 from repro.reliability.wal import WriteAheadLog
+from repro.serving.scatter import PieceView
 from repro.serving.snapshot import ServingSnapshot
 
 
@@ -74,27 +75,27 @@ class BaseWarehouse:
     cover index and on-disk twin — of which exactly one, ``_live``, takes
     writes (:class:`QCWarehouse`: that one piece;
     :class:`~repro.segments.warehouse.SegmentedWarehouse`: sealed pieces
-    plus it).  It supplies four hooks:
+    plus it).  It supplies three hooks:
 
     ``pieces()``
         every piece of the store, oldest first, the live one last (the
         default is the one-piece store);
-    ``snapshot_view()``
-        a fresh immutable snapshot of the current serving state, with
-        the query methods every family delegates to;
-    ``_cache_prefix``
-        a tuple prepended to every query-cache key (the segment
-        generation, so seals and compactions re-key);
+    ``_generation``
+        bumped on every change of the piece *set* (seal, compaction,
+        delete rewrite, recovery; never, for one piece) and stamped on
+        snapshots for ``describe()``; each bump comes with an epoch
+        bump, so the stamp alone invalidates the query cache;
     ``_apply(inserts, deletes)``
         the WAL-free batch body (also the recovery replay path), which
         ends by calling ``_mutated``.
 
     Everything that is the one-piece case of a loop over ``pieces()`` —
-    :meth:`verify`, :meth:`rebuild`, the degraded-mode scan, the WAL
-    replay of ``recover`` — is written here, once.
+    :meth:`snapshot_view`, :meth:`verify`, :meth:`rebuild`, the
+    degraded-mode scan, the WAL replay of ``recover`` — is written here,
+    once.
     """
 
-    _cache_prefix: tuple = ()
+    _generation = 0
 
     def __init__(self, aggregate, index_key, wal, cache_size: int,
                  full_refreeze_ratio: float):
@@ -177,6 +178,26 @@ class BaseWarehouse:
         frozen = self._live.frozen_view()
         self.last_refreeze = dict(frozen.patch_stats)
         return frozen
+
+    def snapshot_view(self) -> ServingSnapshot:
+        """A fresh immutable snapshot of the current serving state: one
+        view per sealed piece (oldest first, each finalizing its frozen
+        view here if no one has yet) plus the live piece's
+        :attr:`serving_tree`, last.
+
+        This is the publication point the concurrent server
+        (:class:`~repro.serving.server.QCServer`) swaps into place after
+        each mutation; the snapshot shares no mutable structure with the
+        warehouse as long as the warehouse serves frozen.
+        """
+        with self._lock:
+            views = [PieceView(piece.frozen_view(), piece.table)
+                     for piece in self.pieces()[:-1]]
+            views.append(PieceView(self.serving_tree, self.table))
+            return ServingSnapshot(
+                views, self.aggregate, stamp=self.serving_stamp(),
+                generation=self._generation, index_key=self._index_key,
+            )
 
     @property
     def view(self):
@@ -301,7 +322,6 @@ class BaseWarehouse:
         cache = self._cache
         if cache is None or key is None or self._degraded:
             return compute()
-        key = self._cache_prefix + key
         stamp = self.serving_stamp()
         value = cache.lookup(key, stamp)
         if value is MISS:
@@ -589,19 +609,6 @@ class QCWarehouse(BaseWarehouse):
         if not self._serve_frozen or self._degraded:
             return self.tree
         return super().serving_tree
-
-    def snapshot_view(self) -> ServingSnapshot:
-        """A fresh immutable snapshot of the current serving state.
-
-        This is the publication point the concurrent server
-        (:class:`~repro.serving.server.QCServer`) swaps into place after
-        each mutation; the snapshot shares no mutable structure with the
-        warehouse as long as the warehouse serves frozen.
-        """
-        return ServingSnapshot(
-            self.serving_tree, self.table, self.aggregate,
-            stamp=self.serving_stamp(), index_key=self._index_key,
-        )
 
     @property
     def index(self) -> MeasureIndex:

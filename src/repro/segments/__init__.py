@@ -14,7 +14,9 @@ engines (Apache Pinot's star-tree realtime tables) do:
   tree and the per-cell aggregate *states* are merged across segments
   (:meth:`AggregateFunction.merge <repro.cube.aggregates.
   AggregateFunction.merge>`), which is sound because states are built
-  over disjoint row sets;
+  over disjoint row sets — the several-piece plans of the one
+  :class:`~repro.serving.snapshot.ServingSnapshot`
+  (:mod:`repro.serving.scatter`);
 * a background **compactor** unions adjacent sealed segments into one,
   swapping the segment set atomically so readers never block.
 
@@ -22,7 +24,6 @@ See :class:`SegmentedWarehouse` for the public API (a drop-in for
 ``QCWarehouse`` under :class:`~repro.serving.server.QCServer`).
 """
 
-from repro.segments.snapshot import SegmentedSnapshot
 from repro.segments.warehouse import SegmentedWarehouse
 
-__all__ = ["SegmentedSnapshot", "SegmentedWarehouse"]
+__all__ = ["SegmentedWarehouse"]

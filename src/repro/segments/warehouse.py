@@ -14,7 +14,7 @@ This warehouse bounds it by *head* size instead:
   empty head; the sealed piece finalizes its frozen view lazily, off the
   write path;
 * queries **scatter-gather** across the sealed segments plus the head
-  (:mod:`repro.segments.scatter`), merging per-cell aggregate states;
+  (:mod:`repro.serving.scatter`), merging per-cell aggregate states;
 * a background **compactor** unions adjacent segments (always folding
   the *newer* segment's rows into a copy of the *older* one, preserving
   global row arrival order — what delete matching keys on) and swaps the
@@ -50,8 +50,6 @@ from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError, QueryError, SchemaError
 from repro.segments.manifest import find_orphans, load_manifest, save_manifest
-from repro.segments.scatter import PieceView
-from repro.segments.snapshot import SegmentedSnapshot
 
 _ids = itertools.count(1)
 
@@ -102,9 +100,6 @@ class SegmentedWarehouse(BaseWarehouse):
         self._segments: list = []
         self._head_batches = 0
 
-        #: Bumped on every segment-set change (seal, compaction, delete
-        #: rewrite, recovery); prepended to every query-cache key.
-        self._generation = 0
         self._seals = 0
         self._compactions = 0
         self._segment_rewrites = 0
@@ -130,19 +125,6 @@ class SegmentedWarehouse(BaseWarehouse):
         with self._lock:
             return self._segments + [self._live]
 
-    def snapshot_view(self) -> SegmentedSnapshot:
-        """A fresh immutable snapshot: one view per sealed piece (oldest
-        first, each finalizing its frozen view here if no one has yet)
-        plus the head's frozen view, last."""
-        with self._lock:
-            views = [PieceView(piece.frozen_view(), piece.table)
-                     for piece in self._segments]
-            views.append(PieceView(self.serving_tree, self._live.table))
-            return SegmentedSnapshot(
-                views, self.aggregate, stamp=self.serving_stamp(),
-                generation=self._generation, index_key=self._index_key,
-            )
-
     def _segments_swapped(self) -> None:
         self._generation += 1
         self._mutated()
@@ -161,14 +143,6 @@ class SegmentedWarehouse(BaseWarehouse):
         ``compact``); :class:`~repro.serving.server.QCServer` wires this
         into its ``write_phase:*`` histograms."""
         self._phase_observer = observer
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def _cache_prefix(self) -> tuple:
-        # Re-keys every entry when the segment set changes (seal /
-        # compaction / rewrite), independent of the stamp check.
-        return (self._generation,)
 
     # -- maintenance ---------------------------------------------------------
 

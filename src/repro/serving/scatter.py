@@ -1,4 +1,6 @@
-"""Scatter-gather query answering over a set of QC-tree segments.
+"""Scatter-gather query answering over several QC-tree pieces — the
+many-piece plans of :class:`~repro.serving.snapshot.ServingSnapshot`
+(a segmented store's sealed segments plus its head).
 
 Each segment owns an independent tree + base table (with its *own* label
 dictionaries), so cross-segment merging happens in **raw label space**:
@@ -23,9 +25,13 @@ Soundness rests on two facts:
   and why :func:`scatter_iceberg` must enumerate union classes from the
   concatenated rows rather than from per-segment class lists.
 
-Every function here reproduces the corresponding monolithic answer
+Every function here reproduces the corresponding one-piece answer
 *answer-for-answer* (the differential oracle in
-``tests/test_segments_oracle.py`` holds this to account).
+``tests/test_segments_oracle.py`` holds this to account).  Point, range
+and iceberg are gathered here; the exploration family is not written a
+second time — :class:`UnionCube` hands the union's closure operator,
+cover and lower bounds to the one implementation in
+:mod:`repro.core.explore`.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from repro.core.classes import enumerate_temp_classes
 from repro.core.iceberg import _satisfies
 from repro.core.point_query import locate
 from repro.core.range_query import encode_range, range_classes
-from repro.cube.aggregates import values_close
 from repro.cube.quotient import lower_bounds_from_difference_sets
 from repro.cube.table import BaseTable, _label_sort_key
 from repro.errors import QueryError, SchemaError
@@ -97,35 +102,19 @@ def _encode(piece: PieceView, sem: Cell) -> Optional[Cell]:
         return None
 
 
+def _knows(piece: PieceView, dim: int, label) -> bool:
+    try:
+        piece.table.encode_value(dim, label)
+    except SchemaError:
+        return False
+    return True
+
+
 def _decode_to_sem(piece: PieceView, cell: Cell) -> Cell:
     return tuple(
         ALL if v is ALL else piece.table.decode_value(j, v)
         for j, v in enumerate(cell)
     )
-
-
-def _label_known(pieces, dim: int, label) -> bool:
-    for piece in pieces:
-        try:
-            piece.table.encode_value(dim, label)
-            return True
-        except SchemaError:
-            continue
-    return False
-
-
-def check_labels(pieces, sem: Cell) -> None:
-    """Raise :class:`SchemaError` when a label is unknown to *every*
-    segment — the union dictionary does not contain it, matching the
-    monolithic ``encode_cell`` failure the exploration API surfaces."""
-    for j, v in enumerate(sem):
-        if v is ALL:
-            continue
-        if not _label_known(pieces, j, v):
-            raise SchemaError(
-                f"unknown label {v!r} in dimension {j} (no segment "
-                f"dictionary contains it)"
-            )
 
 
 # -- the two gather primitives ----------------------------------------------
@@ -257,8 +246,7 @@ def scatter_iceberg(pieces, aggregate, threshold, op: str = ">=",
     over the concatenated rows, which bounds a cold iceberg at one
     cube-enumeration pass; with a single populated piece its own class
     list is used directly.  Warehouse-level callers cache the answer
-    under the (generation, lsn) key, so repeats are free until the next
-    write.
+    under the serving stamp, so repeats are free until the next write.
     """
     if keyfn is None:
         keyfn = lambda value: value  # noqa: E731
@@ -310,209 +298,99 @@ def scatter_iceberg_in_range(pieces, aggregate, raw_spec, threshold,
     }
 
 
-# -- exploration -------------------------------------------------------------
+# -- exploration: the union as a cube -----------------------------------------
 
 
-def _require_class(pieces, aggregate, raw_cell):
-    """Shared exploration entry: sem cell -> (sem ub, state), with the
-    monolithic error contract (SchemaError for labels unknown to the
-    union, QueryError for cells outside the cube)."""
-    n_dims = pieces[0].table.n_dims
-    if len(raw_cell) != n_dims:
-        raise SchemaError(
-            f"cell {raw_cell!r} has {len(raw_cell)} positions, "
-            f"store has {n_dims} dimensions"
-        )
-    sem = sem_cell(raw_cell, n_dims)
-    check_labels(pieces, sem)
-    hit = union_class_probe(pieces, aggregate, sem)
-    if hit is None:
-        raise QueryError(f"cell {raw_cell!r} is not in the cube")
-    return sem, hit
+class UnionCube:
+    """The union of several pieces as a cube, in raw-label ("sem") space
+    — the many-piece counterpart of :class:`~repro.core.explore.TreeCube`
+    behind the one exploration implementation
+    (:mod:`repro.core.explore`), with :func:`union_class_probe` standing
+    in for ``locate``."""
 
+    __slots__ = ("pieces", "aggregate")
 
-def scatter_class_of(pieces, aggregate, raw_cell):
-    """``(decoded upper bound, value)`` of a cell's union class, or None."""
-    n_dims = pieces[0].table.n_dims
-    if len(raw_cell) != n_dims:
-        raise SchemaError(
-            f"cell {raw_cell!r} has {len(raw_cell)} positions, "
-            f"store has {n_dims} dimensions"
-        )
-    sem = sem_cell(raw_cell, n_dims)
-    check_labels(pieces, sem)
-    hit = union_class_probe(pieces, aggregate, sem)
-    if hit is None:
-        return None
-    ub, state = hit
-    return decode_sem(ub), aggregate.value(state)
+    sort_key = staticmethod(raw_sort_key)
+    decode = staticmethod(decode_sem)
 
+    def __init__(self, pieces, aggregate):
+        self.pieces = pieces
+        self.aggregate = aggregate
 
-def _closures_below(pieces, aggregate, bound: Cell) -> dict:
-    """Union classes that are closures of generalizations of ``bound``:
-    ``{sem ub: merged state}`` — the scatter analogue of
-    :func:`repro.core.maintenance.insert.closures_below`, with
-    :func:`union_class_probe` standing in for ``locate``."""
-    found: dict = {}
-    n_dims = len(bound)
+    def encode(self, raw_cell) -> Cell:
+        """Sem form of a user-facing cell, with the monolithic
+        ``encode_cell`` error contract: :class:`SchemaError` for a wrong
+        arity, or for a label unknown to *every* piece — the union
+        dictionary does not contain it."""
+        n_dims = self.pieces[0].table.n_dims
+        if len(raw_cell) != n_dims:
+            raise SchemaError(
+                f"cell {raw_cell!r} has {len(raw_cell)} positions, "
+                f"store has {n_dims} dimensions"
+            )
+        sem = sem_cell(raw_cell, n_dims)
+        for j, v in enumerate(sem):
+            if v is not ALL and not any(
+                _knows(piece, j, v) for piece in self.pieces
+            ):
+                raise SchemaError(
+                    f"unknown label {v!r} in dimension {j} (no segment "
+                    f"dictionary contains it)"
+                )
+        return sem
 
-    def rec(cell: Cell) -> None:
-        hit = union_class_probe(pieces, aggregate, cell)
+    def probe(self, sem: Cell):
+        hit = union_class_probe(self.pieces, self.aggregate, sem)
         if hit is None:
-            return
-        ub, state = hit
-        if ub in found:
-            return
-        found[ub] = state
-        for j in range(n_dims):
-            if ub[j] is ALL and bound[j] is not ALL:
-                rec(ub[:j] + (bound[j],) + ub[j + 1:])
+            return None
+        return hit[0], self.aggregate.value(hit[1])
 
-    rec((ALL,) * n_dims)
-    return found
-
-
-def scatter_rollup(pieces, aggregate, raw_cell, rel_tol: float = 1e-9) -> list:
-    """Intelligent roll-up across segments, most-general-first."""
-    _, (start_ub, start_state) = _require_class(pieces, aggregate, raw_cell)
-    value = aggregate.value(start_state)
-    matches = [
-        (ub, aggregate.value(state))
-        for ub, state in _closures_below(pieces, aggregate, start_ub).items()
-        if values_close(aggregate.value(state), value, rel_tol=rel_tol)
-    ]
-    matches.sort(key=lambda pair: (
-        len([v for v in pair[0] if v is not ALL]), raw_sort_key(pair[0])
-    ))
-    return [(decode_sem(ub), v) for ub, v in matches]
-
-
-def scatter_rollup_exceptions(pieces, aggregate, raw_cell,
-                              rel_tol: float = 1e-9) -> list:
-    """Classes in the roll-up region whose value breaks from the cell's."""
-    _, (start_ub, start_state) = _require_class(pieces, aggregate, raw_cell)
-    value = aggregate.value(start_state)
-    out = [
-        (ub, aggregate.value(state))
-        for ub, state in _closures_below(pieces, aggregate, start_ub).items()
-        if not values_close(aggregate.value(state), value, rel_tol=rel_tol)
-    ]
-    out.sort(key=lambda pair: raw_sort_key(pair[0]))
-    return [(decode_sem(ub), v) for ub, v in out]
-
-
-def _cover_values(pieces, ub: Cell, dim: int) -> set:
-    """Raw labels appearing at ``dim`` among the union's rows covered by
-    ``ub`` (drill-down candidate enumeration)."""
-    values: set = set()
-    for piece in pieces:
-        cell = _encode(piece, ub)
-        if cell is None:
-            continue
-        rows = piece.table.select(cell)
-        values.update(
-            piece.table.decode_value(dim, piece.table.rows[i][dim])
-            for i in rows
-        )
-    return values
-
-
-def scatter_drilldowns(pieces, aggregate, raw_cell) -> list:
-    """One-step drill-down classes from a cell's union class."""
-    _, (ub, _state) = _require_class(pieces, aggregate, raw_cell)
-    seen: dict = {}
-    for j, v in enumerate(ub):
-        if v is not ALL:
-            continue
-        for value in _cover_values(pieces, ub, j):
-            hit = union_class_probe(
-                pieces, aggregate, ub[:j] + (value,) + ub[j + 1:]
-            )
-            if hit is None:
+    def cover_values(self, ub: Cell, dim: int) -> set:
+        """Raw labels appearing at ``dim`` among the union's rows covered
+        by ``ub`` (drill-down candidate enumeration)."""
+        values: set = set()
+        for piece in self.pieces:
+            cell = _encode(piece, ub)
+            if cell is None:
                 continue
-            tub, tstate = hit
-            if tub != ub:
-                seen.setdefault(tub, aggregate.value(tstate))
-    out = sorted(seen.items(), key=lambda pair: raw_sort_key(pair[0]))
-    return [(decode_sem(tub), v) for tub, v in out]
-
-
-def _union_lower_bounds(pieces, ub: Cell) -> list:
-    """True lower bounds of the union class at ``ub``.
-
-    The difference-set family of :func:`~repro.cube.quotient.
-    class_lower_bounds` is label-local — ``D_t = {j : ub[j] != * and
-    ub[j] != t[j]}`` — so per-segment families computed in each segment's
-    own encoding union into exactly the monolithic family.
-    """
-    difference_sets: set = set()
-    for piece in pieces:
-        table = piece.table
-        targets = []
-        for j, v in enumerate(ub):
-            if v is ALL:
-                targets.append(ALL)
-            else:
-                try:
-                    targets.append(table.encode_value(j, v))
-                except SchemaError:
-                    targets.append(_MISSING)
-        for row in table.rows:
-            diff = frozenset(
-                j
-                for j, t in enumerate(targets)
-                if t is not ALL and (t is _MISSING or t != row[j])
+            table = piece.table
+            values.update(
+                table.decode_value(dim, table.rows[i][dim])
+                for i in table.select(cell)
             )
-            if diff:
-                difference_sets.add(diff)
-            # An empty diff means the row is inside cov(ub): not an
-            # outside tuple, contributes no constraint.
-    return lower_bounds_from_difference_sets(ub, difference_sets)
+        return values
+
+    def lower_bounds(self, ub: Cell) -> list:
+        """True lower bounds of the union class at ``ub``.
+
+        The difference-set family of :func:`~repro.cube.quotient.
+        class_lower_bounds` is label-local — ``D_t = {j : ub[j] != * and
+        ub[j] != t[j]}`` — so per-segment families computed in each
+        segment's own encoding union into exactly the monolithic family.
+        """
+        difference_sets: set = set()
+        for piece in self.pieces:
+            table = piece.table
+            targets = []
+            for j, v in enumerate(ub):
+                if v is ALL:
+                    targets.append(ALL)
+                else:
+                    try:
+                        targets.append(table.encode_value(j, v))
+                    except SchemaError:
+                        targets.append(_MISSING)
+            for row in table.rows:
+                diff = frozenset(
+                    j
+                    for j, t in enumerate(targets)
+                    if t is not ALL and (t is _MISSING or t != row[j])
+                )
+                if diff:
+                    difference_sets.add(diff)
+                # An empty diff means the row is inside cov(ub): not an
+                # outside tuple, contributes no constraint.
+        return lower_bounds_from_difference_sets(ub, difference_sets)
 
 
 _MISSING = object()
-
-
-def scatter_rollups(pieces, aggregate, raw_cell) -> list:
-    """One-step roll-up classes from a cell's union class.
-
-    Like the monolithic :func:`~repro.core.explore.lattice_rollups` with
-    a table: members are enumerated exactly from the class's true lower
-    bounds, so children entered through non-upper-bound members are
-    found.
-    """
-    _, (ub, _state) = _require_class(pieces, aggregate, raw_cell)
-    from repro.core.explore import _interval_union_members
-
-    lowers = _union_lower_bounds(pieces, ub)
-    members = list(_interval_union_members(lowers, ub))
-    seen: dict = {}
-    for member in members:
-        for j, v in enumerate(member):
-            if v is ALL:
-                continue
-            hit = union_class_probe(
-                pieces, aggregate, member[:j] + (ALL,) + member[j + 1:]
-            )
-            if hit is None:
-                continue
-            tub, tstate = hit
-            if tub != ub:
-                seen.setdefault(tub, aggregate.value(tstate))
-    out = sorted(seen.items(), key=lambda pair: raw_sort_key(pair[0]))
-    return [(decode_sem(tub), v) for tub, v in out]
-
-
-def scatter_open_class(pieces, aggregate, raw_cell) -> dict:
-    """Drill into a union class: upper bound, lower bounds, members."""
-    _, (ub, state) = _require_class(pieces, aggregate, raw_cell)
-    from repro.core.explore import _interval_union_members
-
-    lowers = _union_lower_bounds(pieces, ub)
-    members = sorted(_interval_union_members(lowers, ub), key=raw_sort_key)
-    return {
-        "upper_bound": decode_sem(ub),
-        "lower_bounds": [decode_sem(lb) for lb in lowers],
-        "members": [decode_sem(m) for m in members],
-        "value": aggregate.value(state),
-    }

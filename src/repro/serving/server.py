@@ -229,7 +229,7 @@ class QCServer:
         # here so stats()/health reflect the full serving surface.
         self._transports: list = []
         self._transport_lock = threading.Lock()
-        self._snapshot = self._build_snapshot()
+        self._snapshot = self._servable_snapshot(self.warehouse)
         # Worker pool + supervisor.  The worker list is mutated by the
         # supervisor on respawn, so every access is under the lock.
         self._worker_lock = threading.Lock()
@@ -253,16 +253,20 @@ class QCServer:
 
     # -- snapshot lifecycle --------------------------------------------------
 
-    def _build_snapshot(self):
-        snapshot = self.warehouse.snapshot_view()
-        if snapshot.tree is self.warehouse.tree:
+    @classmethod
+    def _servable_snapshot(cls, warehouse):
+        """A fresh snapshot of ``warehouse`` that is safe to publish
+        (a classmethod: the shard server packs one before any server
+        state exists)."""
+        snapshot = warehouse.snapshot_view()
+        if snapshot.tree is warehouse.tree:
             # serve_frozen=False or degraded: the "snapshot" would alias
             # the mutable dict tree, which the writer path edits in
             # place — concurrent readers would see torn state.
             raise ServingError(
-                "QCServer requires a healthy frozen-serving warehouse "
-                "(serve_frozen=True and not degraded); the mutable dict "
-                "tree cannot be shared with concurrent writers"
+                f"{cls.__name__} requires a healthy frozen-serving "
+                "warehouse (serve_frozen=True and not degraded); the "
+                "mutable dict tree cannot be shared with concurrent writers"
             )
         return snapshot
 
@@ -277,7 +281,7 @@ class QCServer:
         serving the previous snapshot throughout.  The swap is the last
         statement: a failure anywhere earlier leaves the previous
         snapshot published, never a torn one."""
-        snapshot = self._build_snapshot()
+        snapshot = self._servable_snapshot(self.warehouse)
         self._snapshot = snapshot  # atomic reference swap
         self._metrics.counter("snapshot_swaps").inc()
 
@@ -317,7 +321,7 @@ class QCServer:
             raise QueryError(
                 f"unknown server op {op!r}; known: {sorted(self._ops)}"
             )
-        breaker = self._breaker
+        breaker = self._breaker_for(op)
         if breaker is not None and not breaker.allow():
             self._metrics.counter("breaker_rejected").inc()
             raise CircuitOpenError(
@@ -344,6 +348,14 @@ class QCServer:
             )
         self._metrics.counter("submitted").inc()
         return request.future
+
+    def _breaker_for(self, op: str):
+        """The breaker ``op`` answers to.  ``health`` is the op that
+        *reports* the breaker: it must be answerable while the breaker
+        is open, and its success as a half-open probe would close a
+        breaker it says nothing about — so it neither consults nor
+        feeds it."""
+        return None if op == "health" else self._breaker
 
     def query(self, op: str, /, *args, timeout: Optional[float] = None,
               **kwargs):
@@ -398,26 +410,27 @@ class QCServer:
         future = request.future
         if future is None or future.done():
             return
+        breaker = self._breaker_for(request.op)
         try:
             if future.set_running_or_notify_cancel():
                 self._metrics.counter("errors").inc()
-                if self._breaker is not None:
-                    self._breaker.on_failure()
+                if breaker is not None:
+                    breaker.on_failure()
                 future.set_exception(WorkerCrashedError(
                     f"worker died before answering {request.op!r}; "
                     "the read never ran and is safe to retry"
                 ))
             else:
                 self._metrics.counter("cancelled").inc()
-                if self._breaker is not None:
-                    self._breaker.on_discard()
+                if breaker is not None:
+                    breaker.on_discard()
         except Exception:
             pass  # racing future state: the caller already has an outcome
 
     def _serve(self, request: Request) -> None:
         self._fire("worker")  # simulated pre-claim worker death
         future = request.future
-        breaker = self._breaker
+        breaker = self._breaker_for(request.op)
         if request.expired():
             self._metrics.counter("timeouts").inc()
             if breaker is not None:

@@ -1,37 +1,47 @@
 """``ServingSnapshot`` — one immutable, published version of the read state.
 
-The concurrent serving design (and the warehouse's own read path) rests
+The concurrent serving design (and the warehouses' own read path) rests
 on a simple rule: everything a query touches is bundled into a single
-snapshot object whose parts never mutate — the array-backed
+snapshot object whose parts never mutate — an ordered tuple of
+:class:`~repro.serving.scatter.PieceView` objects (oldest sealed segment
+first, the live piece last), each an array-backed
 :class:`~repro.core.frozen.FrozenQCTree` (over heap storage in a thread
-server, attached to a shared ``QCTREE/3`` blob in a shard worker), the
-copy-on-write
-:class:`~repro.cube.table.BaseTable` (maintenance builds a *new* table;
-published ones are never edited in place), and the serving stamp
-``(WAL LSN, mutation epoch)`` they are valid at.  A reader grabs one
-snapshot reference and answers entirely from it; a writer prepares the
-next snapshot off the read path and publishes it with a single reference
-assignment.  Readers therefore never block on writers and never observe
-a half-applied mutation.
+server, attached to a shared ``QCTREE/3`` blob in a shard worker) plus
+its copy-on-write :class:`~repro.cube.table.BaseTable` (maintenance
+builds a *new* table; published ones are never edited in place) — with
+the aggregate, the serving stamp ``(WAL LSN, mutation epoch)`` they are
+valid at, and the segment-set *generation*.  A reader grabs one snapshot
+reference and answers entirely from it; a writer (or a seal, or a
+compaction) prepares the next snapshot off the read path and publishes
+it with a single reference assignment.  Readers therefore never block on
+writers and never observe a half-applied mutation.
+
+One ``(tree, table)`` pair is the one-piece case of a set of pieces: the
+paper's closure is a meet (``cl_U(c) = meet_s cl_s(c)``) and aggregate
+states merge over disjoint row sets.  The snapshot chooses each family's
+plan from the number of pieces it holds, which is all a
+:class:`~repro.core.warehouse.QCWarehouse`, a
+:class:`~repro.segments.warehouse.SegmentedWarehouse`, an attached blob
+and the servers need to know:
+
+* one piece — the tree is walked directly (Algorithms 3/4, and the
+  lazily built :class:`~repro.core.iceberg.MeasureIndex` for icebergs,
+  constructed on first use under a lock and immutable afterwards);
+* several — the query scatters across the pieces and gathers per-cell
+  aggregate **states** (:mod:`repro.serving.scatter`, which also says
+  why the merged answers equal the one-piece ones exactly).
+
+The semantic exploration API (``rollup``, ``drilldowns``,
+``open_class``, …) is one implementation (:mod:`repro.core.explore`)
+over the snapshot's *cube* — a :class:`~repro.core.explore.TreeCube` or
+a :class:`~repro.serving.scatter.UnionCube` — so both stores answer, and
+fail, alike.
 
 Every query family runs through the shared traversal protocol, so a
-snapshot works over either tree representation: the frozen view on the
-healthy serving path, or the mutable dict tree when a warehouse serves
-with ``serve_frozen=False`` (such a snapshot is *not* safe to share with
-a concurrent writer — :class:`~repro.serving.server.QCServer` refuses
-it).  This includes the semantic exploration API (``rollup``,
-``drilldowns``, ``open_class``, …), which previously always walked the
-dict tree: it is served from the snapshot's tree like Algorithms 3/4.
-
-The only lazily built piece is the :class:`~repro.core.iceberg.
-MeasureIndex`, which is expensive and rarely needed; it is constructed
-on first use under a lock and immutable afterwards.
-
-The segmented store publishes the same surface over *many* (tree,
-table) pairs: :class:`~repro.segments.snapshot.SegmentedSnapshot`
-mirrors this class method-for-method, scatter-gathering across one
-piece per sealed segment plus the head.  The server publishes either
-kind interchangeably.
+one-piece snapshot also works over the mutable dict tree when a
+warehouse serves with ``serve_frozen=False`` (such a snapshot is *not*
+safe to share with a concurrent writer —
+:class:`~repro.serving.server.QCServer` refuses it).
 """
 
 from __future__ import annotations
@@ -39,41 +49,48 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-from repro.core.explore import (
-    class_of,
-    drill_into_class,
-    intelligent_rollup,
-    lattice_drilldowns,
-    lattice_rollups,
-    rollup_exceptions,
-)
+from repro.core import explore
 from repro.core.iceberg import MeasureIndex, constrained_iceberg, pure_iceberg
 from repro.core.point_query import point_query_raw
 from repro.core.qctree import QCTree
 from repro.core.range_query import encode_range, range_query_raw
+from repro.errors import QueryError
+from repro.serving import scatter
 
 
 class ServingSnapshot:
     """A self-contained, shareable read view of a warehouse.
 
-    Bundles the tree representation queries traverse, the base table
-    used for label encoding/decoding and member enumeration, the
-    aggregate, and the serving stamp the answers are valid at.  All
-    query methods accept and return *raw* (decoded) labels, exactly like
-    the corresponding :class:`~repro.core.warehouse.QCWarehouse`
-    methods — the warehouse delegates to a snapshot internally.
+    Bundles the pieces queries traverse, the aggregate, and the serving
+    stamp the answers are valid at.  ``tree``/``table`` are the *last*
+    (live) piece's — what the server's mutable-alias guard and a
+    one-piece plan read.  All query methods accept and return *raw*
+    (decoded) labels, exactly like the corresponding
+    :class:`~repro.core.warehouse.BaseWarehouse` methods — the
+    warehouses delegate to a snapshot internally.
     """
 
-    __slots__ = ("tree", "table", "aggregate", "stamp", "index_key",
-                 "_index", "_index_lock")
+    __slots__ = ("pieces", "aggregate", "stamp", "generation", "index_key",
+                 "tree", "table", "cube", "_single", "_index", "_index_lock")
 
-    def __init__(self, tree, table, aggregate, stamp=(0, 0),
+    def __init__(self, pieces, aggregate, stamp=(0, 0), generation=0,
                  index_key=None):
-        self.tree = tree
-        self.table = table
+        #: Oldest sealed segment first; the live piece is always last.
+        self.pieces = tuple(pieces)
+        if not self.pieces:
+            raise ValueError("a snapshot needs at least one piece")
         self.aggregate = aggregate
         self.stamp = tuple(stamp)
+        self.generation = generation
         self.index_key = index_key
+        live = self.pieces[-1]
+        self.tree = live.tree
+        self.table = live.table
+        self._single = len(self.pieces) == 1
+        self.cube = (
+            explore.TreeCube(self.tree, self.table) if self._single
+            else scatter.UnionCube(self.pieces, aggregate)
+        )
         self._index: Optional[MeasureIndex] = None
         self._index_lock = threading.Lock()
 
@@ -81,7 +98,8 @@ class ServingSnapshot:
 
     @property
     def index(self) -> MeasureIndex:
-        """The measure index over this snapshot's tree, built on first use.
+        """The measure index over the live piece's tree (the whole cube
+        of a one-piece snapshot), built on first use.
 
         Double-checked under a lock so concurrent readers build it once;
         after publication it is only ever read.
@@ -99,20 +117,43 @@ class ServingSnapshot:
 
     def point(self, raw_cell):
         """Point query with raw labels (``"*"`` / None / ALL for any)."""
-        return point_query_raw(self.tree, self.table, raw_cell)
+        if self._single:
+            return point_query_raw(self.tree, self.table, raw_cell)
+        return scatter.scatter_point(self.pieces, self.aggregate, raw_cell)
 
     def range(self, raw_spec) -> dict:
         """Range query with raw labels; returns ``{decoded cell: value}``."""
-        return range_query_raw(self.tree, self.table, raw_spec)
+        if self._single:
+            return range_query_raw(self.tree, self.table, raw_spec)
+        return scatter.scatter_range(self.pieces, self.aggregate, raw_spec)
 
     def iceberg(self, threshold, op: str = ">=") -> list:
         """Pure iceberg query: ``[(decoded upper bound, value), ...]``."""
-        classes = pure_iceberg(self.tree, threshold, op=op, index=self.index)
-        return [(self.table.decode_cell(ub), value) for ub, value in classes]
+        if self._single:
+            classes = pure_iceberg(self.tree, threshold, op=op,
+                                   index=self.index)
+            return [(self.table.decode_cell(ub), value)
+                    for ub, value in classes]
+        return scatter.scatter_iceberg(
+            self.pieces, self.aggregate, threshold, op=op,
+            keyfn=self.index_key,
+        )
 
     def iceberg_in_range(self, raw_spec, threshold, op: str = ">=",
                          strategy: str = "filter") -> dict:
-        """Constrained iceberg query; returns ``{decoded cell: value}``."""
+        """Constrained iceberg query; returns ``{decoded cell: value}``.
+
+        The paper's two plans (``"filter"`` / ``"mark"``) are
+        answer-equivalent; over several pieces either one filters the
+        gathered range answer.
+        """
+        if strategy not in ("filter", "mark"):
+            raise QueryError(f"unknown iceberg strategy {strategy!r}")
+        if not self._single:
+            return scatter.scatter_iceberg_in_range(
+                self.pieces, self.aggregate, raw_spec, threshold, op=op,
+                keyfn=self.index_key,
+            )
         encoded = encode_range(self.table, raw_spec)
         if encoded is None:
             return {}
@@ -125,52 +166,43 @@ class ServingSnapshot:
 
     # -- exploration ---------------------------------------------------------
 
+    def _classes(self, op, raw_cell) -> list:
+        """One exploration op over this snapshot's cube, raw labels in,
+        ``[(decoded upper bound, value), ...]`` out."""
+        cube = self.cube
+        return [(cube.decode(ub), value)
+                for ub, value in op(cube, cube.encode(raw_cell))]
+
     def class_of(self, raw_cell):
         """The class containing a cell: ``(decoded upper bound, value)``."""
-        view = class_of(self.tree, self.table.encode_cell(raw_cell))
-        if view is None:
-            return None
-        return self.table.decode_cell(view.upper_bound), view.value
+        cube = self.cube
+        hit = cube.probe(cube.encode(raw_cell))
+        return None if hit is None else (cube.decode(hit[0]), hit[1])
 
     def rollup(self, raw_cell) -> list:
         """Intelligent roll-up: most general contexts with the same value."""
-        views = intelligent_rollup(self.tree, self.table.encode_cell(raw_cell))
-        return [(self.table.decode_cell(v.upper_bound), v.value)
-                for v in views]
+        return self._classes(explore.cube_rollup, raw_cell)
 
     def rollup_exceptions(self, raw_cell) -> list:
         """Classes inside the roll-up region that break the value."""
-        views = rollup_exceptions(self.tree, self.table.encode_cell(raw_cell))
-        return [(self.table.decode_cell(v.upper_bound), v.value)
-                for v in views]
+        return self._classes(explore.cube_rollup_exceptions, raw_cell)
 
     def drilldowns(self, raw_cell) -> list:
         """One-step drill-down classes from a cell's class."""
-        views = lattice_drilldowns(
-            self.tree, self.table.encode_cell(raw_cell), self.table
-        )
-        return [(self.table.decode_cell(v.upper_bound), v.value)
-                for v in views]
+        return self._classes(explore.cube_drilldowns, raw_cell)
 
     def rollups(self, raw_cell) -> list:
         """One-step roll-up classes from a cell's class."""
-        views = lattice_rollups(
-            self.tree, self.table.encode_cell(raw_cell), self.table
-        )
-        return [(self.table.decode_cell(v.upper_bound), v.value)
-                for v in views]
+        return self._classes(explore.cube_rollups, raw_cell)
 
     def open_class(self, raw_cell):
         """Drill into a class: upper bound, lower bounds, members (decoded)."""
-        structure = drill_into_class(
-            self.tree, self.table.encode_cell(raw_cell), self.table
-        )
+        cube = self.cube
+        structure = explore.cube_open_class(cube, cube.encode(raw_cell))
         return {
-            "upper_bound": self.table.decode_cell(structure.upper_bound),
-            "lower_bounds": [
-                self.table.decode_cell(lb) for lb in structure.lower_bounds
-            ],
-            "members": [self.table.decode_cell(m) for m in structure.members],
+            "upper_bound": cube.decode(structure.upper_bound),
+            "lower_bounds": [cube.decode(lb) for lb in structure.lower_bounds],
+            "members": [cube.decode(m) for m in structure.members],
             "value": structure.value,
         }
 
@@ -179,21 +211,30 @@ class ServingSnapshot:
     def describe(self) -> dict:
         """Identity of this snapshot, for server stats and logs."""
         lsn, epoch = self.stamp
-        return {
+        out = {
             "lsn": lsn,
             "epoch": epoch,
             # Anything but the mutable dict tree is the immutable array
-            # tree, whichever storage (heap or attached) it reads.
+            # tree, whichever storage (heap or attached) it reads; a
+            # sealed piece is only ever published frozen.
             "frozen": not isinstance(self.tree, QCTree),
-            "n_rows": self.table.n_rows,
-            "classes": self.tree.n_classes,
-            "nodes": self.tree.n_nodes,
+            "n_rows": sum(p.table.n_rows for p in self.pieces),
+            "classes": sum(p.tree.n_classes for p in self.pieces),
+            "nodes": sum(p.tree.n_nodes for p in self.pieces),
         }
+        if not self._single:
+            out.update(
+                segments=len(self.pieces) - 1,
+                head_rows=self.table.n_rows,
+                generation=self.generation,
+            )
+        return out
 
     def __repr__(self):
         lsn, epoch = self.stamp
         return (
             f"ServingSnapshot(lsn={lsn}, epoch={epoch}, "
-            f"rows={self.table.n_rows}, classes={self.tree.n_classes}, "
+            f"gen={self.generation}, pieces={len(self.pieces)}, "
+            f"rows={sum(p.table.n_rows for p in self.pieces)}, "
             f"tree={type(self.tree).__name__})"
         )

@@ -544,6 +544,7 @@ class AttachedSnapshot:
         self._views = views
 
     def serving_snapshot(self, index_key=None):
+        from repro.serving.scatter import PieceView
         from repro.serving.snapshot import ServingSnapshot
 
         if self.table is None:
@@ -552,7 +553,7 @@ class AttachedSnapshot:
                 "serve raw-label queries from it"
             )
         return ServingSnapshot(
-            self.tree, self.table, self.tree.aggregate,
+            [PieceView(self.tree, self.table)], self.tree.aggregate,
             stamp=self.stamp, index_key=index_key,
         )
 

@@ -63,7 +63,6 @@ from repro.errors import (
     WorkerCrashedError,
 )
 from repro.serving.server import SNAPSHOT_OPS, QCServer, _snapshot_op
-from repro.serving.snapshot import ServingSnapshot
 from repro.shard.pack import pack_snapshot_bytes
 from repro.shard.segment import create_segment, unlink_segment
 from repro.shard.worker import worker_main
@@ -87,6 +86,9 @@ class ShardRouter:
     always lands on the same worker slot; everything else round-robins.
     """
 
+    #: The ops routed by prefix (a subset of ``SNAPSHOT_OPS``).
+    PREFIX_OPS = ("point", "range", "class_of", "open_class")
+
     def __init__(self, seed: int = 0):
         self._rr = count(seed)
 
@@ -94,7 +96,7 @@ class ShardRouter:
     def prefix_key(op: str, args: tuple):
         """The routing key, or None when the request has no usable
         first-dimension prefix."""
-        if op not in ("point", "range", "class_of", "open_class") or not args:
+        if op not in ShardRouter.PREFIX_OPS or not args:
             return None
         spec = args[0]
         try:
@@ -265,7 +267,7 @@ class ShardServer(QCServer):
         # Pack and publish epoch 1 and fork the fleet *before*
         # super().__init__ spawns any thread: forking a single-threaded
         # parent is safe on every Python.
-        snapshot = self._shardable_snapshot(warehouse)
+        snapshot = self._servable_snapshot(warehouse)
         payload = pack_snapshot_bytes(
             snapshot.tree, snapshot.table, stamp=snapshot.stamp
         )
@@ -305,20 +307,18 @@ class ShardServer(QCServer):
 
     # -- snapshot packing ----------------------------------------------------
 
-    @staticmethod
-    def _shardable_snapshot(warehouse):
-        snapshot = warehouse.snapshot_view()
-        if snapshot.tree is warehouse.tree:
+    @classmethod
+    def _servable_snapshot(cls, warehouse):
+        snapshot = super()._servable_snapshot(warehouse)
+        # Refused on what the store can become, not on today's count: a
+        # segmented head that has not sealed yet is one piece until its
+        # first seal, which would fail every later publish.
+        if (len(snapshot.pieces) != 1
+                or warehouse.segment_health() is not None):
             raise ServingError(
-                "ShardServer requires a healthy frozen-serving warehouse "
-                "(serve_frozen=True and not degraded); the mutable dict "
-                "tree cannot be shared with concurrent writers"
-            )
-        if not isinstance(snapshot, ServingSnapshot):
-            raise ServingError(
-                "ShardServer requires a monolithic (tree, table) snapshot; "
-                "segmented warehouses are served by the thread-based "
-                "QCServer"
+                "ShardServer packs one monolithic (tree, table) piece per "
+                "epoch; a store of several pieces is served by the "
+                "thread-based QCServer"
             )
         return snapshot
 
@@ -353,12 +353,19 @@ class ShardServer(QCServer):
             )
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         lsn, _ = self._stamp
+        # The parent-side pipe ends a forked child inherits: its own and
+        # every other worker's.  The child closes them first thing —
+        # while any copy is open its ``recv()`` never sees EOF, and the
+        # fleet outlives a killed parent as orphans.
+        inherited = [parent_conn] + [
+            h.conn for h in self._handles if not h.conn.closed
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
             proc = self._ctx.Process(
                 target=worker_main,
                 args=(child_conn, self._epoch_segments[self._epoch],
-                      lsn, self._epoch, self._index_key),
+                      lsn, self._epoch, self._index_key, inherited),
                 name=f"{getattr(self, 'name', 'shard')}-proc-{slot}",
                 daemon=True,
             )
@@ -610,7 +617,7 @@ class ShardServer(QCServer):
         workers leave *them* on their last-good epoch, repaired by the
         supervisor.
         """
-        snapshot = self._shardable_snapshot(self.warehouse)
+        snapshot = self._servable_snapshot(self.warehouse)
         t0 = time.monotonic()
         payload = pack_snapshot_bytes(
             snapshot.tree, snapshot.table, stamp=snapshot.stamp

@@ -103,8 +103,14 @@ def _answer_batch(ops, snapshot, batch) -> list:
 
 
 def worker_main(conn, segment_name: str, lsn: int, epoch: int,
-                index_key=None) -> None:
-    """Entry point of a shard worker process (runs until ``stop``/EOF)."""
+                index_key=None, inherited=()) -> None:
+    """Entry point of a shard worker process (runs until ``stop``/EOF).
+
+    ``inherited`` are the parent-side pipe ends the fork copied into
+    this process; they are closed before anything else, so that the
+    parent's death — however abrupt — is an EOF on ``conn``."""
+    for parent_end in inherited:
+        parent_end.close()
     # The fork copied the parent's whole heap (dict tree, heap frozen
     # view, cover index, table).  The worker never frees any of it, yet
     # each full collection would walk it all — a ~30 ms stall every few

@@ -18,12 +18,14 @@ identical either way).
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.warehouse import QCWarehouse
+from repro.errors import CircuitOpenError
 from repro.serving import AsyncServerThread, LineClient, QCServer, protocol
 from repro.shard import ShardServer
 
@@ -245,6 +247,21 @@ def test_shard_server_oracle_over_async_transport():
         server.close()
 
 
+def close_breaker(server, table) -> None:
+    """Close ``server``'s breaker the way a client would.  The refused
+    cells of the random programs above count as failures and may have
+    left this module-scoped server's breaker open (readiness is rightly
+    false then): wait out the cooldown and let one good ``point`` be the
+    half-open probe."""
+    deadline = time.monotonic() + 10.0
+    while server.breaker.state != "closed":
+        assert time.monotonic() < deadline, server.breaker.snapshot()
+        try:
+            server.query("point", ("*",) * table.n_dims)
+        except CircuitOpenError:
+            time.sleep(0.05)
+
+
 def test_transport_registers_in_stats_and_health(thread_setup):
     table, server, handle = thread_setup
     stats = server.stats()
@@ -252,6 +269,7 @@ def test_transport_registers_in_stats_and_health(thread_setup):
         t["kind"] == "asyncio" and t["listening"]
         for t in stats["transports"]
     )
+    close_breaker(server, table)
     report = server.query("health")
     assert report["transports"][0]["port"] == handle.port
     assert report["ready"]

@@ -29,7 +29,7 @@ from repro.core.serialize import (
     save_qctree_packed,
 )
 from repro.errors import QueryError
-from repro.segments.scatter import _range_states
+from repro.serving.scatter import _range_states
 from repro.shard.pack import (
     attach_packed,
     attach_packed_file,

@@ -4,7 +4,7 @@ two constrained strategies (filter / mark)."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cells import ALL
@@ -203,6 +203,9 @@ class TestUnknownMeasures:
             max_size=4,
         ),
     )
+    # The mark plan once stepped around a useless child to a more
+    # specific class: (1,*,*,0) answered 16 where its class sums 24.
+    @example(seed=152, n_rows=5, specials=[])
     def test_index_is_the_filter_plan(self, seed, n_rows, specials):
         """``pure_iceberg`` through the index returns every class whose
         value ``_satisfies`` — dict tree and frozen view — ``mark``

@@ -33,7 +33,7 @@ from repro.core.warehouse import QCWarehouse
 from repro.cube.aggregates import values_close
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
-from repro.errors import MaintenanceError
+from repro.errors import MaintenanceError, QueryError, SchemaError
 from repro.segments import SegmentedWarehouse
 
 N_DIMS = 3
@@ -342,6 +342,80 @@ class TestFailureParity:
         assert mono.point(("v0", "v0", "v0")) is not None
         assert values_close(
             mono.point(("v0", "v0", "v0")), seg.point(("v0", "v0", "v0"))
+        )
+
+
+#: Requests both stores must refuse, by kind, with the error type they
+#: must use.
+EMPTY = ("v0", "v1", "v2")  # encodable everywhere, covered nowhere
+EXPLORATION_OPS = ("rollup", "rollup_exceptions", "drilldowns", "rollups",
+                   "open_class")
+REFUSED = {
+    "empty-cell": [(op, (EMPTY,), {}, QueryError)
+                   for op in EXPLORATION_OPS],
+    "unknown-label": [(op, (("v9", "*", "*"),), {}, SchemaError)
+                      for op in EXPLORATION_OPS + ("class_of",)],
+    "wrong-arity": [(op, (("v0", "*"),), {}, SchemaError)
+                    for op in EXPLORATION_OPS + ("class_of",)]
+    + [("point", (("v0", "*"),), {}, QueryError),
+       ("range", (("v0", "*"),), {}, QueryError)],
+    "iceberg-strategy": [
+        ("iceberg_in_range", (("*", "*", "*"), 1.0), {"strategy": "bogus"},
+         QueryError),
+    ],
+}
+
+
+@pytest.fixture(scope="module", params=[6, 10**6],
+                ids=["several-pieces", "one-piece"])
+def diagonal(request):
+    """``(mono, seg, records)`` over ``(vi, vi, vi)`` rows (so
+    :data:`EMPTY` is empty), the segmented store sealing at 6 rows or —
+    N = 1, the monolithic case of the one snapshot — never."""
+    records = [
+        (_label(i), _label(i), _label(i), _measure((i, i, i)))
+        for i in range(CARD)
+    ] * 3
+    mono = QCWarehouse.from_records(records, SCHEMA, ("sum", "m"),
+                                    cache_size=0)
+    seg = SegmentedWarehouse.from_records(
+        records, SCHEMA, ("sum", "m"), cache_size=0,
+        seal_rows=request.param, seal_batches=100,
+    )
+    extra = [("v0", "v0", "v1", _measure((0, 0, 1)))]
+    mono.insert(extra)
+    seg.insert(extra)
+    assert (len(seg.snapshot_view().pieces) > 1) == (request.param == 6)
+    return mono, seg, records + extra
+
+
+class TestRefusalParity:
+    """Both stores refuse alike — same error type, and the user's
+    labels (never a store's dictionary codes) in the message."""
+
+    @pytest.mark.parametrize("kind", REFUSED)
+    def test_refused_alike(self, diagonal, kind):
+        mono, seg, _ = diagonal
+        for op, args, kwargs, error in REFUSED[kind]:
+            for wh in (mono, seg):
+                with pytest.raises(error) as info:
+                    getattr(wh, op)(*args, **kwargs)
+                assert type(info.value) is error, (op, wh)
+                if kind == "empty-cell":
+                    assert repr(EMPTY) in str(info.value), (op, wh)
+                if kind == "iceberg-strategy":
+                    assert "unknown iceberg strategy" in str(info.value)
+
+    def test_every_family_answers_alike(self, diagonal):
+        """All ten families, on several pieces and on the N = 1 store;
+        ``"mark"`` has no several-piece plan of its own and answers by
+        filtering the gathered range, like ``"filter"``."""
+        mono, seg, records = diagonal
+        assert_parity(mono, seg, records, random.Random(1), "diagonal")
+        spec = (["v0", "v1"], "*", "*")
+        assert _dicts_close(
+            mono.iceberg_in_range(spec, 2.0, strategy="mark"),
+            seg.iceberg_in_range(spec, 2.0, strategy="mark"),
         )
 
 

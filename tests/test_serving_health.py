@@ -11,6 +11,7 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     QueryError,
+    SchemaError,
     ServerOverloadedError,
     ServingError,
     WorkerCrashedError,
@@ -285,6 +286,27 @@ class TestBreakerIntegration:
             # Breaker rejections never enter the admission ledger.
             assert counters["submitted"] == 4
             assert server.health()["status"] == "degraded"
+
+    def test_health_answers_while_breaker_is_open(self, warehouse):
+        """``health`` is the op that *reports* the breaker: an open
+        breaker must not shed it, and its success past the cooldown must
+        not count as the half-open probe that closes the breaker."""
+        clock = FakeClock()
+        breaker = CircuitBreaker(clock=clock)  # the default thresholds
+        with QCServer(warehouse, workers=1, breaker=breaker) as server:
+            for _ in range(breaker.min_requests):
+                with pytest.raises(SchemaError):
+                    server.query("rollup", ("zz", "*", "*"))
+            assert breaker.state == OPEN
+            report = server.query("health")
+            assert report["breaker"]["state"] == OPEN
+            assert not report["ready"]
+            with pytest.raises(CircuitOpenError):
+                server.submit("point", ("S2", "*", "f"))
+            clock.advance(2 * breaker.cooldown_s)
+            assert server.query("health")["breaker"]["state"] == OPEN
+            assert server.point(("S2", "*", "f")) == 9.0  # the real probe
+            assert breaker.state == CLOSED
 
     def test_breaker_recovers_through_half_open_probe(self, warehouse):
         breaker = CircuitBreaker(error_threshold=0.5, min_requests=4,

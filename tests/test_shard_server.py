@@ -257,6 +257,23 @@ class TestConstruction:
         assert created_segments() == []
         assert active_segments() == []
 
+    def test_rejects_unsealed_segmented_warehouse(self, sales_table):
+        """Refused for what the store can become: a head that has not
+        sealed yet is one piece today, and its first seal would fail
+        every later publish into degraded read-only mode."""
+        from repro.segments import SegmentedWarehouse
+
+        warehouse = SegmentedWarehouse(
+            sales_table, aggregate="avg(Sale)", seal_rows=10**6
+        )
+        try:
+            assert len(warehouse.snapshot_view().pieces) == 1
+            with pytest.raises(ServingError, match="monolithic"):
+                ShardServer(warehouse, processes=1)
+            assert created_segments() == []
+        finally:
+            warehouse.close()
+
     def test_closed_server_rejects_queries(self, warehouse):
         server = ShardServer(warehouse, processes=1)
         server.close()
@@ -369,8 +386,11 @@ class TestHygiene:
             assert server.point(("S2", "*", "f")) == 9.0
         assert created_segments() == []
 
-    def test_sigterm_leaves_no_segments(self, tmp_path):
-        """A supervisor SIGTERM must not leave /dev/shm litter."""
+    @staticmethod
+    def _signal_a_serving_script(tmp_path, signum) -> tuple:
+        """Run a two-worker ShardServer in a child interpreter, deliver
+        ``signum`` to it, and wait (up to 5 s) for its forked workers to
+        exit; returns ``(script pid, worker pids still alive)``."""
         script = tmp_path / "serve_until_term.py"
         script.write_text(
             "import signal, sys\n"
@@ -384,7 +404,8 @@ class TestHygiene:
             "install_signal_cleanup()\n"
             "server = ShardServer(QCWarehouse(table, aggregate='sum(m)'),\n"
             "                     processes=2)\n"
-            "print('READY', flush=True)\n"
+            "print('READY', *[h.proc.pid for h in server._handles],\n"
+            "      flush=True)\n"
             "signal.pause()\n"
         )
         env = dict(os.environ)
@@ -397,16 +418,47 @@ class TestHygiene:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
-            assert proc.stdout.readline().strip() == "READY"
+            ready, *workers = proc.stdout.readline().split()
+            assert ready == "READY" and len(workers) == 2
             mine = [s for s in active_segments()
                     if s.startswith(f"qctree-{proc.pid}-")]
             assert mine, "server should have published a segment"
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(signum)
             proc.wait(timeout=10)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+        def alive(pid) -> bool:
+            # An orphan nobody reaps stays a zombie: exited all the same.
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 5.0
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        return proc.pid, [pid for pid in workers if alive(pid)]
+
+    def test_sigterm_leaves_no_segments(self, tmp_path):
+        """A supervisor SIGTERM must leave neither /dev/shm litter nor
+        orphaned worker processes."""
+        pid, orphans = self._signal_a_serving_script(tmp_path,
+                                                     signal.SIGTERM)
+        assert orphans == []
         leftovers = [s for s in active_segments()
-                     if s.startswith(f"qctree-{proc.pid}-")]
+                     if s.startswith(f"qctree-{pid}-")]
         assert leftovers == []
+
+    def test_sigkill_leaves_no_orphans(self, tmp_path):
+        """SIGKILL runs no handler, so /dev/shm cleanup cannot be
+        promised — but the workers must still see EOF and exit."""
+        pid, orphans = self._signal_a_serving_script(tmp_path,
+                                                     signal.SIGKILL)
+        for name in active_segments():
+            if name.startswith(f"qctree-{pid}-"):
+                os.unlink(os.path.join("/dev/shm", name))
+        assert orphans == []
