@@ -145,6 +145,11 @@ def specialize(cell: Cell, dim: int, value) -> Cell:
     return cell[:dim] + (value,) + cell[dim + 1:]
 
 
+def truncate(cell: Cell, before_dim: int) -> Cell:
+    """Keep ``cell``'s values strictly before ``before_dim``; ``*`` after."""
+    return tuple(v if d < before_dim else ALL for d, v in enumerate(cell))
+
+
 def generalizations(cell: Cell) -> Iterator[Cell]:
     """Yield every generalization of ``cell`` (including ``cell`` itself).
 

@@ -18,9 +18,12 @@ once per batch instead:
   each shared prefix once and computes the Δ class partition in a
   single pass over the whole batch;
 * classification against the old tree shares one memoized closure /
-  locate / cover-probe cache across every tuple of the batch, and the
-  new-table cover index — the big per-write cost — is built at most
-  once per batch rather than once per tuple;
+  locate cache across every tuple of the batch, what the batch asks of
+  the tree's shape goes through one walk restricted to its rows
+  (:meth:`QCTree.walk_generalizing
+  <repro.core.qctree.QCTree.walk_generalizing>`), and the new-table
+  cover index — the big per-write cost — is built at most once per
+  batch rather than once per tuple;
 * deletes and inserts are applied as *one* logical batch (deletes
   first, then inserts — the paper's §3.3 "modification = deletion +
   insertion" ordering), under one transactional guard, recording one
@@ -86,8 +89,7 @@ class BatchMaintenanceResult:
         ``"patched"`` when a persistent index absorbed the batch delta,
         ``"rebuilt"`` when a full-table index had to be constructed,
         ``None`` when the batch needed no full-table index at all),
-        ``index_evictions`` (memo entries a patch invalidated), plus
-        ``noop`` for empty batches.
+        plus ``noop`` for empty batches.
     """
 
     __slots__ = ("table", "delta", "stats")
@@ -130,11 +132,11 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
     (:meth:`~repro.cube.cover_index.CoverIndex.apply_deletes` then
     :meth:`~repro.cube.cover_index.CoverIndex.apply_inserts`) instead
     of re-deriving a full-table index inside the batch, and the
-    maintenance algorithms reuse its surviving posting sets and closure
-    memos.  On success the index is in sync with ``result.table``.  On
-    *failure* the tree rolls back but the index may already hold the
-    batch delta — the caller must discard it (the warehouse rebuilds
-    its index lazily after a failed batch).
+    maintenance algorithms reuse its posting sets (each patch clears
+    the closure memo).  On success the index is in sync with
+    ``result.table``.  On *failure* the tree rolls back but the index
+    may already hold the batch delta — the caller must discard it (the
+    warehouse rebuilds its index lazily after a failed batch).
 
     If the tree already has an active delta recorder
     (:meth:`QCTree.begin_delta <repro.core.qctree.QCTree.begin_delta>`),
@@ -149,7 +151,6 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
         "partition_s": 0.0,
         "merge_s": 0.0,
         "index_s": 0.0,
-        "index_evictions": 0,
         "cover_index": None,
         "noop": not inserts and not deletes,
     }
@@ -183,11 +184,7 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
         # With a persistent index, each phase's delta is patched in just
         # before the phase that needs it: batch_delete reads cover sets
         # of the *reduced* table (deletes applied, inserts not yet),
-        # batch_insert of the final one.  Memo entries sharing no
-        # posting with the batch survive into this batch's closure
-        # work — the whole point of keeping the index alive.
-        evictions_before = \
-            cover_index.evictions if cover_index is not None else 0
+        # batch_insert of the final one.
 
         def _patch(apply, payload):
             _t = time.perf_counter()
@@ -208,8 +205,6 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
 
         if cover_index is not None:
             stats["cover_index"] = "patched"
-            stats["index_evictions"] = \
-                cover_index.evictions - evictions_before
 
         stats["partition_s"] = timings["partition"]
         stats["merge_s"] = timings["merge"]

@@ -6,10 +6,13 @@ or *merges* into the class of the more specific closure its remaining
 cover now implies (the paper's Example 4).
 
 Affected classes are exactly those whose upper bound generalizes some
-deleted tuple — enumerable by walking the tree restricted to the tuple's
-values.  For each affected bound ``U`` the remaining cover decides its
-fate; aggregate states are subtracted in place when the aggregate supports
-it (COUNT/SUM/AVG) and recomputed from the new base table otherwise
+deleted tuple — enumerable by walking the tree restricted to the tuples'
+values (:meth:`QCTree.walk_generalizing
+<repro.core.qctree.QCTree.walk_generalizing>`, which the stale links of
+(a) and the classes below a vanished bound are read off as well).  For
+each affected bound ``U`` the remaining cover decides its fate;
+aggregate states are subtracted in place when the aggregate supports it
+(COUNT/SUM/AVG) and recomputed from the new base table otherwise
 (MIN/MAX).
 
 Links are maintained by *justification*: a link labeled ``(j, v)`` out of
@@ -27,55 +30,13 @@ from __future__ import annotations
 import time
 from collections import Counter
 
-from repro.core.cells import ALL, Cell
+from repro.core.cells import ALL, generalizes, truncate
 from repro.cube.cover_index import CoverIndex
 from repro.core.point_query import locate
 from repro.core.qctree import QCTree
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError
 from repro.reliability.transactional import transactional
-
-
-def _class_nodes_below(tree: QCTree, cell: Cell) -> dict:
-    """``{upper_bound: node}`` of classes whose bound generalizes ``cell``."""
-    out: dict = {}
-
-    def rec(node: int) -> None:
-        if tree.state[node] is not None:
-            out[tree.upper_bound_of(node)] = node
-        for dim, by_value in tree.children[node].items():
-            value = cell[dim]
-            if value is not ALL and value in by_value:
-                rec(by_value[value])
-
-    rec(tree.root)
-    return out
-
-
-def _affected_class_nodes(tree: QCTree, delta_rows) -> dict:
-    """``{upper_bound: node}`` of classes generalizing *any* delta row.
-
-    One walk for the whole batch: the recursion carries the subset of
-    delta rows consistent with the current path, so shared path prefixes
-    are visited once instead of once per deleted row.
-    """
-    out: dict = {}
-    rows = [tuple(r) for r in set(delta_rows)]
-
-    def rec(node: int, subset: list) -> None:
-        if tree.state[node] is not None:
-            out[tree.upper_bound_of(node)] = node
-        for dim, by_value in tree.children[node].items():
-            buckets: dict = {}
-            for row in subset:
-                value = row[dim]
-                if value in by_value:
-                    buckets.setdefault(value, []).append(row)
-            for value, part in buckets.items():
-                rec(by_value[value], part)
-
-    rec(tree.root, rows)
-    return out
 
 
 def _classes_through_prefix(tree: QCTree, src: int, min_dim: int) -> list:
@@ -92,10 +53,6 @@ def _classes_through_prefix(tree: QCTree, src: int, min_dim: int) -> list:
 
     rec(src)
     return out
-
-
-def _truncate(cell: Cell, before_dim: int) -> Cell:
-    return tuple(v if d < before_dim else ALL for d, v in enumerate(cell))
 
 
 def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
@@ -135,9 +92,7 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
             timings["index"] = timings.get("index", 0.0) \
                 + (time.perf_counter() - _t_start)
             timings["index_rebuilds"] = timings.get("index_rebuilds", 0) + 1
-    delta_index = CoverIndex(rows=list(delta_rows), n_dims=n_dims)
     new_closure = new_index.closure
-    delta_covers = delta_index.covers_any
 
     # Subtracting deleted contributions from class states needs the deleted
     # rows' measures; callers that have them attach a ``.measures`` array
@@ -146,15 +101,18 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
     delta_measures = getattr(delta_rows, "measures", None)
     subtract_possible = agg.subtractable and delta_measures is not None
     if subtract_possible:
+        delta_index = CoverIndex(rows=list(delta_rows), n_dims=n_dims)
         delta_table = BaseTable(
             new_table.schema, list(delta_rows), delta_measures,
             new_table._decoders, new_table._encoders,
         )
 
     # -- phase 1: fates of affected classes (pre-mutation) -----------------
-    affected = _affected_class_nodes(tree, delta_rows)
+    # Both Δ-questions — the affected classes here, the stale links of (a)
+    # — walk the tree restricted to the distinct deleted rows.
+    distinct_rows = set(delta_rows)
     fates = []  # (old bound, node, new bound or None, new state or None)
-    for ub, node in affected.items():
+    for ub, node in tree.classes_generalizing(distinct_rows):
         w = new_closure(ub)
         if w is None:
             state = None
@@ -193,12 +151,9 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
         tree.remove_link(src, j, v)
 
     # (a) links whose drill-down cell covered deleted tuples are stale.
-    for src, j, v, _tgt in list(tree.iter_links()):
-        drill = tree.upper_bound_of(src)
-        drill = drill[:j] + (v,) + drill[j + 1:]
-        if delta_covers(drill):
-            remove_link_tracked(src, j, v)
-            candidates.add((tree.upper_bound_of(src), j, v))
+    for src, j, v in tree.links_covering(distinct_rows):
+        remove_link_tracked(src, j, v)
+        candidates.add((tree.upper_bound_of(src), j, v))
 
     # (b) links out of nodes on vanished paths may lose their justification.
     for ub, node, w, _state in fates:
@@ -232,22 +187,20 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
     for ub, node, w, _state in fates:
         if w == ub:
             continue
-        for cub in _class_nodes_below(tree, ub):
+        for cub, _ in tree.classes_generalizing([ub]):
             for j in range(n_dims):
                 if cub[j] is ALL and ub[j] is not ALL:
-                    candidates.add((_truncate(cub, j), j, ub[j]))
+                    candidates.add((truncate(cub, j), j, ub[j]))
     for w in merge_targets:
         rows_w = new_index.rows(w)
         for j in range(n_dims):
             if w[j] is not ALL:
                 continue
-            trunc = _truncate(w, j)
+            trunc = truncate(w, j)
             for v in sorted({new_index.row(i)[j] for i in rows_w}):
                 candidates.add((trunc, j, v))
 
     # -- phase 4: justification-based refresh ---------------------------------
-    from repro.core.cells import generalizes
-
     # The class set is static during phase 4 (only links change), so the
     # per-(node, dim) class enumeration is memoized across candidates.
     # Every class found by the walk has no value at or before ``j`` beyond
@@ -262,7 +215,7 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
         return cached
 
     for src_cell, j, v in candidates:
-        trunc = _truncate(src_cell, j)
+        trunc = truncate(src_cell, j)
         src = tree.find_path(trunc)
         if src is None:
             continue

@@ -19,7 +19,11 @@ pre-update tree:
 3. Drill-down links are reconciled from the closure relation: stale links
    whose drill-down cell covers Δ-tuples are retargeted, and every new
    bound gets the links into it (from its ancestor classes) and out of it
-   (to its drill-downs' closures) — each filtered by the *context rule*:
+   (to its drill-downs' closures) — the stale links and the ancestors
+   both read off :meth:`QCTree.walk_generalizing
+   <repro.core.qctree.QCTree.walk_generalizing>`, the tree restricted to
+   the Δ-tuples (resp. the bound), never a scan of the tree — each
+   filtered by the *context rule*:
    a link labeled ``(j, v)`` out of node ``p`` is stored only if the cell
    spelled by ``p`` plus ``v`` at ``j`` closes to the link's target, which
    is precisely the invariant Algorithm 3 relies on when routing queries.
@@ -34,7 +38,7 @@ from __future__ import annotations
 import time
 
 from repro.core import cells
-from repro.core.cells import ALL, Cell, meet
+from repro.core.cells import ALL, Cell, meet, truncate
 from repro.core.classes import enumerate_temp_classes
 from repro.core.point_query import locate
 from repro.core.qctree import QCTree
@@ -59,29 +63,6 @@ def closures_below(tree: QCTree, bound: Cell) -> dict:
         return None if node is None else (tree.upper_bound_of(node), node)
 
     return cells.closures_below(probe, bound)
-
-
-def _class_ubs_below(tree: QCTree, bound: Cell) -> list:
-    """Upper bounds of classes that generalize ``bound`` (tree walk)."""
-    out = []
-
-    def rec(node: int) -> None:
-        if tree.state[node] is not None:
-            out.append(tree.upper_bound_of(node))
-        for dim, by_value in tree.children[node].items():
-            value = bound[dim]
-            if value is not ALL and value in by_value:
-                rec(by_value[value])
-
-    rec(tree.root)
-    return out
-
-
-def _truncate(cell: Cell, before_dim: int) -> Cell:
-    """Keep ``cell``'s values strictly before ``before_dim``; ``*`` after."""
-    return tuple(
-        v if d < before_dim else ALL for d, v in enumerate(cell)
-    )
 
 
 def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
@@ -120,7 +101,6 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
     n_dims = tree.n_dims
     delta_index = CoverIndex(delta_table)
     delta_closure = delta_index.closure
-    _cover_cache: dict = {}
     _old_closure_cache: dict = {}
     _ub_cache: dict = {}
 
@@ -128,12 +108,6 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
         cached = _ub_cache.get(node)
         if cached is None:
             cached = _ub_cache[node] = tree.upper_bound_of(node)
-        return cached
-
-    def delta_cover(cell: Cell) -> frozenset:
-        cached = _cover_cache.get(cell)
-        if cached is None:
-            cached = _cover_cache[cell] = delta_index.rows(cell)
         return cached
 
     def locate_cached(cell: Cell):
@@ -191,10 +165,10 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
     # Step 2: classification, all against the pre-update tree.
     records = []  # (final bound W, old node or None, new state)
     for ctil, dstate in delta_states.items():
-        cover_c = delta_cover(ctil)
+        cover_c = delta_index.rows(ctil)
         for ub, node in closures_below_cached(ctil).items():
             w = meet(ub, ctil)
-            if delta_cover(w) != cover_c:
+            if delta_index.rows(w) != cover_c:
                 continue  # W covers other Δ-tuples; it pairs with their closure
             records.append((w, node, agg.merge(tree.state[node], dstate)))
         if locate_cached(ctil) is None:
@@ -208,11 +182,9 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
 
     # Step 3a: stale-link retargets (drill-down cell covers Δ-tuples).
     retargets = []
-    for src, j, v, _tgt in list(tree.iter_links()):
-        drill = tree.upper_bound_of(src)
+    for src, j, v in tree.links_covering(delta_table.rows):
+        drill = ub_of(src)
         drill = drill[:j] + (v,) + drill[j + 1:]
-        if not delta_cover(drill):
-            continue
         retargets.append((src, j, v, new_closure(drill)))
 
     # Step 3b: link candidates around new bounds (closures pre-mutation).
@@ -224,7 +196,7 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
         # Ancestors among the OLD classes; new-bound-to-new-bound links
         # are produced by the out-link pass below (every new bound's
         # drill-downs are expanded), so no quadratic cross-product here.
-        for cub in _class_ubs_below(tree, w):
+        for cub, _ in tree.classes_generalizing([w]):
             if cub == w:
                 continue
             for j in range(n_dims):
@@ -232,7 +204,7 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
                     continue
                 if new_closure(cub[:j] + (w[j],) + cub[j + 1:]) != w:
                     continue
-                trunc = _truncate(cub, j)
+                trunc = truncate(cub, j)
                 if new_closure(trunc[:j] + (w[j],) + trunc[j + 1:]) != w:
                     continue  # context rule: the node cannot claim this route
                 new_links.append((trunc, j, w[j], w))
@@ -248,7 +220,7 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
         for j in range(n_dims):
             if w[j] is not ALL:
                 continue
-            trunc = _truncate(w, j)
+            trunc = truncate(w, j)
             for v in sorted({new_index.row(i)[j] for i in rows_w}):
                 target = new_closure(trunc[:j] + (v,) + trunc[j + 1:])
                 if target is None:

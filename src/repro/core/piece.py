@@ -80,8 +80,7 @@ class Piece:
 
     __slots__ = ("tree", "table", "full_refreeze_ratio", "segment_id",
                  "_frozen", "_pending", "_cover_index", "_cover_rebuilt",
-                 "_cover_patched", "_cover_evictions", "_row_counts",
-                 "_saved_at", "_lock")
+                 "_cover_patched", "_row_counts", "_saved_at", "_lock")
 
     def __init__(self, tree, table: BaseTable,
                  full_refreeze_ratio: float = 0.25, frozen=None,
@@ -105,7 +104,6 @@ class Piece:
         self._cover_index = None
         self._cover_rebuilt = 0
         self._cover_patched = 0
-        self._cover_evictions = 0
         self._row_counts: Optional[Counter] = None
         self._saved_at = None
         self._lock = threading.Lock()
@@ -198,8 +196,8 @@ class Piece:
         One :class:`~repro.cube.cover_index.CoverIndex` per live table:
         built from scratch at most once (counted under ``rebuilt`` in
         :meth:`cover_stats`), then patched in place by every maintenance
-        batch — posting sets and surviving closure memos carry across
-        batches instead of being re-derived per write.
+        batch — the posting sets carry across batches instead of being
+        re-derived per write.
         """
         if self._cover_index is None:
             self._cover_index = CoverIndex(self.table)
@@ -218,7 +216,6 @@ class Piece:
         out = {
             "patched": self._cover_patched,
             "rebuilt": self._cover_rebuilt,
-            "evictions": self._cover_evictions,
         }
         if self._cover_index is not None:
             out.update(self._cover_index.stats())
@@ -247,7 +244,6 @@ class Piece:
             self.table = result.table
             self._row_counts = None
             self._cover_patched += 1
-            self._cover_evictions += result.stats["index_evictions"]
             if self._frozen is not None:
                 pending = self._pending
                 self._pending = (

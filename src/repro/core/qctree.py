@@ -169,6 +169,60 @@ class QCTree:
             for value, target in by_value.items():
                 yield dim, value, target
 
+    def walk_generalizing(self, cells) -> Iterator[tuple]:
+        """Yield ``(node, subset)`` for every node whose root path
+        generalizes at least one of ``cells`` — the Δ-restricted walk
+        every question of Algorithms 5–7 about a batch is asked through.
+
+        ``subset`` lists the ``cells`` that path generalizes (a ``*``
+        position matches no edge).  Each node comes exactly once, in
+        preorder — ``children[node]`` in dict order, values in the order
+        ``cells`` first shows them.  The recursion carries the subset
+        down, so a prefix several cells share is visited once, not once
+        per cell, and nothing but the cells' own generalizations is
+        touched: the cost follows the delta, not the tree.  Tree edges
+        must not change while the generator is live (links may).
+        """
+        def rec(node: int, subset: list):
+            yield node, subset
+            for dim, by_value in self.children[node].items():
+                buckets: dict = {}
+                for cell in subset:
+                    value = cell[dim]
+                    if value in by_value:
+                        buckets.setdefault(value, []).append(cell)
+                for value, part in buckets.items():
+                    yield from rec(by_value[value], part)
+
+        cells = list(cells)
+        if cells:
+            yield from rec(self.root, cells)
+
+    def classes_generalizing(self, cells) -> Iterator[tuple]:
+        """Yield ``(upper bound, node)`` of every class whose bound
+        generalizes at least one of ``cells``, in walk order."""
+        for node, _ in self.walk_generalizing(cells):
+            if self.state[node] is not None:
+                yield self.upper_bound_of(node), node
+
+    def links_covering(self, rows) -> list:
+        """Labels ``(source, dim, value)`` of the links whose drill-down
+        cell covers at least one of ``rows``.
+
+        A link ``(j, v)`` out of ``src`` drills down to ``src``'s path
+        with ``v`` at ``j``; that cell covers a row iff the row agrees
+        with the path — it is in the walk's subset at ``src`` — and
+        carries ``v`` at ``j``.  These are the links a batch of ``rows``
+        makes stale, found without scanning the links of the tree.
+        """
+        return [
+            (node, dim, value)
+            for node, subset in self.walk_generalizing(rows)
+            for dim, by_value in self.links[node].items()
+            for value in {row[dim] for row in subset}
+            if value in by_value
+        ]
+
     # -- dirty-set recording --------------------------------------------------
 
     def begin_delta(self):

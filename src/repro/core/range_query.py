@@ -175,7 +175,14 @@ def encode_range(table, raw_spec):
     Candidate values missing from a dimension's dictionary are dropped (a
     value never loaded cannot match anything); returns None when a
     dimension's candidates all vanish (the range cannot match anything).
+    A spec of the wrong arity is refused here, in the caller's labels,
+    before any of them is encoded.
     """
+    if len(raw_spec) != table.n_dims:
+        raise QueryError(
+            f"range query {raw_spec!r} has {len(raw_spec)} positions, "
+            f"store has {table.n_dims} dimensions"
+        )
     encoded = []
     for dim, entry in enumerate(raw_spec):
         if entry is ALL or entry is None or entry == "*":

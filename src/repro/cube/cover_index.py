@@ -9,12 +9,9 @@ query by intersecting the postings of the cell's non-``*`` dimensions
 The index is **long-lived and incrementally maintainable**: instead of
 rebuilding the posting lists per write batch — an O(rows x dims) tax
 that grows with cube size, not batch size — :meth:`CoverIndex.apply_inserts`
-and :meth:`CoverIndex.apply_deletes` patch the posting sets in place and
-invalidate only the memoized ``rows()``/``closure()`` entries whose
-cells *touch* a changed ``(dimension, value)`` posting.  Cells that
-share no posting with the batch keep their cached answers across
-batches, which is exactly the non-redundant-delta discipline the write
-path wants: a redundant write costs nothing at the index.
+and :meth:`CoverIndex.apply_deletes` patch the posting sets in place.
+What lives across batches is the posting sets and the stable row ids;
+the ``rows()``/``closure()`` memo lives for one phase of one batch.
 
 Row identity
 ------------
@@ -29,16 +26,14 @@ callers aggregating measures (``agg.state(table, rows)``) must use.
 :meth:`rows` keeps returning the raw id sets, which is all the closure
 machinery needs (:meth:`row` resolves an id to its dimension tuple).
 
-Invalidation rule
------------------
-A memoized cell reads the postings ``(j, cell[j])`` of its non-``*``
-dimensions (the fully-``*`` cell reads the live-row set instead).  Any
-row insert or delete changes exactly the postings ``(j, row[j])``; every
-cell whose *cover set or closure could have changed* agrees with the row
-on all its non-``*`` dimensions, hence touches one of those postings.
-So dropping the cached entries registered under the changed postings
-(plus the fully-``*`` cell) is conservative and sufficient — proven by
-the differential suite in ``tests/test_cover_index_incremental.py``.
+Memo lifetime
+-------------
+A patch clears both memo dicts.  Measured on the benchmark's table,
+lookups answered by an entry cached in an *earlier* batch were 12 of
+21,964 (32-row insert/delete laps), 6 of 1,248 (one-row laps) and 2 of
+10,062 (inserts, then random deletes) — a cell a batch asks about agrees
+with one of its rows, so the patch opening the batch must drop it anyway
+— while tracking which entries could survive was ≈ 20 % of an insert.
 """
 
 from __future__ import annotations
@@ -102,17 +97,12 @@ class CoverIndex:
         self._postings = postings
         self._closure_cache: dict = {}
         self._rows_cache: dict = {}
-        # Reverse map (dim, value) -> cells cached against that posting,
-        # plus the fully-* cells (they read the live set, not a posting).
-        self._watchers: dict = {}
-        self._general_cells: set = set()
         # id <-> position translation, rebuilt lazily after deletes.
         self._id_by_pos = None
         self._pos_by_id = None
         # Observability: how much patching happened to this instance.
         self.applied_inserts = 0
         self.applied_deletes = 0
-        self.evictions = 0
 
     # -- basic accessors ---------------------------------------------------
 
@@ -148,7 +138,6 @@ class CoverIndex:
             "cached_closures": len(self._closure_cache),
             "applied_inserts": self.applied_inserts,
             "applied_deletes": self.applied_deletes,
-            "evictions": self.evictions,
         }
 
     # -- id <-> position translation ---------------------------------------
@@ -182,9 +171,7 @@ class CoverIndex:
         cached = self._rows_cache.get(cell)
         if cached is not None:
             return cached
-        result = self._rows_uncached(cell)
-        self._rows_cache[cell] = result
-        self._watch(cell)
+        result = self._rows_cache[cell] = self._rows_uncached(cell)
         return result
 
     def _rows_uncached(self, cell: Cell) -> frozenset:
@@ -206,42 +193,12 @@ class CoverIndex:
                 break
         return frozenset(result)
 
-    def covers_any(self, cell: Cell) -> bool:
-        """True iff ``cell`` covers at least one row.
-
-        A short-circuit existence probe: it reuses a cached cover set
-        when one exists but never materializes (or caches) the full
-        intersection itself — it walks the smallest posting and stops at
-        the first row surviving in every other posting.
-        """
-        cached = self._rows_cache.get(cell)
-        if cached is not None:
-            return bool(cached)
-        lists = []
-        for j, value in enumerate(cell):
-            if value is ALL:
-                continue
-            bucket = self._postings[j].get(value)
-            if not bucket:
-                return False
-            lists.append(bucket)
-        if not lists:
-            return bool(self._live)
-        if len(lists) == 1:
-            return True  # a non-empty posting is its own witness
-        lists.sort(key=len)
-        smallest, rest = lists[0], lists[1:]
-        for i in smallest:
-            if all(i in bucket for bucket in rest):
-                return True
-        return False
-
     def closure_and_rows(self, cell: Cell):
         """``(closure or None, covered row ids)`` in one call.
 
         This is the *single* cache path for closures: :meth:`closure`
         delegates here, the closure memo is only ever filled alongside
-        the row-set memo, and invalidation drops both together — so a
+        the row-set memo, and a patch clears both together — so a
         cached closure can never outlive the cached cover set it was
         derived from.
         """
@@ -263,9 +220,8 @@ class CoverIndex:
     def apply_inserts(self, rows) -> list:
         """Index ``rows`` (encoded tuples) appended at the table's end.
 
-        Patches the posting sets in place and invalidates only the
-        memoized entries touching a changed ``(dimension, value)``
-        posting.  Returns the stable ids assigned to the new rows.
+        Patches the posting sets in place and clears the memo.  Returns
+        the stable ids assigned to the new rows.
         """
         rows = [tuple(r) for r in rows]
         for row in rows:
@@ -277,7 +233,6 @@ class CoverIndex:
         if not rows:
             return []
         self.table = None  # the construction table no longer matches
-        changed = set()
         assigned = []
         postings = self._postings
         for row in rows:
@@ -295,9 +250,9 @@ class CoverIndex:
                     postings[j][value] = {i}
                 else:
                     bucket.add(i)
-                changed.add((j, value))
         self.applied_inserts += len(rows)
-        self._invalidate(changed)
+        self._rows_cache.clear()
+        self._closure_cache.clear()
         return assigned
 
     def apply_deletes(self, row_ids) -> list:
@@ -309,8 +264,8 @@ class CoverIndex:
         produces), i.e. positions *before* compaction.  Patches the
         posting sets in place (empty buckets are removed so a patched
         index stays posting-for-posting identical to a freshly built
-        one) and invalidates only the touched memo entries.  Returns the
-        stable ids that were retired.
+        one) and clears the memo.  Returns the stable ids that were
+        retired.
         """
         positions = list(row_ids)
         order = self._position_order()
@@ -329,7 +284,6 @@ class CoverIndex:
         if not ids:
             return []
         self.table = None
-        changed = set()
         postings = self._postings
         for i in ids:
             row = self._rows.pop(i)
@@ -340,59 +294,10 @@ class CoverIndex:
                     bucket.discard(i)
                     if not bucket:
                         del postings[j][value]
-                changed.add((j, value))
         # Positions compact after a delete; rebuild the maps lazily.
         self._id_by_pos = None
         self._pos_by_id = None
         self.applied_deletes += len(ids)
-        self._invalidate(changed)
+        self._rows_cache.clear()
+        self._closure_cache.clear()
         return ids
-
-    # -- memo bookkeeping ---------------------------------------------------
-
-    def _watch(self, cell: Cell) -> None:
-        """Register a freshly cached cell under every posting it reads."""
-        general = True
-        watchers = self._watchers
-        for j, value in enumerate(cell):
-            if value is ALL:
-                continue
-            general = False
-            key = (j, value)
-            bucket = watchers.get(key)
-            if bucket is None:
-                watchers[key] = {cell}
-            else:
-                bucket.add(cell)
-        if general:
-            self._general_cells.add(cell)
-
-    def _invalidate(self, changed) -> None:
-        """Drop every memo entry registered under a changed posting.
-
-        The fully-``*`` cells are always dropped too: their cover set is
-        the live-row set, which changes on any insert or delete.  Each
-        dropped cell is unregistered from *all* its postings, so watcher
-        sets never accumulate stale entries.
-        """
-        victims = set(self._general_cells)
-        self._general_cells.clear()
-        watchers = self._watchers
-        for key in changed:
-            cells = watchers.pop(key, None)
-            if cells:
-                victims.update(cells)
-        rows_cache = self._rows_cache
-        closure_cache = self._closure_cache
-        for cell in victims:
-            if rows_cache.pop(cell, _MISSING) is not _MISSING:
-                self.evictions += 1
-            closure_cache.pop(cell, None)
-            for j, value in enumerate(cell):
-                if value is ALL:
-                    continue
-                bucket = watchers.get((j, value))
-                if bucket is not None:
-                    bucket.discard(cell)
-                    if not bucket:
-                        del watchers[(j, value)]

@@ -191,12 +191,6 @@ def scatter_range(pieces, aggregate, raw_spec) -> dict:
     dimension whose candidates are missing from *every* segment leaves
     every segment out, so the range is empty (monolithic semantics).
     """
-    n_dims = pieces[0].table.n_dims
-    if len(raw_spec) != n_dims:
-        raise QueryError(
-            f"range query {raw_spec!r} has {len(raw_spec)} positions, "
-            f"store has {n_dims} dimensions"
-        )
     gathered: dict = {}
     for piece in pieces:
         encoded = encode_range(piece.table, raw_spec)

@@ -763,9 +763,6 @@ class QCServer:
             index_mode = maintenance.get("cover_index")
             if index_mode is not None:
                 metrics.counter(f"cover_index_{index_mode}").inc()
-            evicted = maintenance.get("index_evictions", 0)
-            if evicted:
-                metrics.counter("cover_index_evictions").inc(evicted)
         metrics.observe("write_phase:refreeze", t2 - t1)
         metrics.observe("write_phase:publish", t3 - t2)
         metrics.observe("write_phase:warm", t4 - t3)

@@ -192,6 +192,23 @@ class TestServeCommand:
         assert lines[1].startswith("error:")
         assert lines[2] == "9.0"
 
+    def test_malformed_range_keeps_serving(self, built_tree, sales_csv,
+                                           monkeypatch, capsys):
+        """One position too many used to leave ``encode_range`` as a bare
+        ``IndexError`` the stdin loop does not catch; one too few named
+        dictionary codes instead of the caller's labels."""
+        code, out, _ = self.run_serve(
+            built_tree, sales_csv, monkeypatch, capsys,
+            "range S1|S2,*,*,P1\nrange S1|S2,*\npoint S2,*,f\n",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].startswith("error: QueryError: ")
+        assert "4 positions" in lines[0]
+        assert lines[1].startswith("error: QueryError: ")
+        assert "['S1', 'S2']" in lines[1]
+        assert lines[2] == "9.0"
+
     def test_eof_closes_cleanly(self, built_tree, sales_csv, monkeypatch,
                                 capsys):
         import threading

@@ -34,11 +34,6 @@ class TestAgainstLinearScan:
             assert sorted(rows) == table.select(cell)
             assert ub == closure(table, cell)
 
-    def test_covers_any(self, sales_table):
-        index = CoverIndex(sales_table)
-        assert index.covers_any(sales_table.encode_cell(("S1", "*", "*")))
-        assert not index.covers_any(sales_table.encode_cell(("S2", "*", "s")))
-
 
 class TestEdgeCases:
     def test_from_bare_rows(self):

@@ -5,9 +5,9 @@ The contract under test: a :class:`CoverIndex` patched in place by
 from scratch over the final row set — posting-for-posting (after
 translating stable ids to table positions) and closure-for-closure —
 under arbitrary interleavings of insert batches, delete batches, and
-cache-warming queries.  Plus regression tests for the three bugfixes
-that rode along: the ``covers_any`` existence probe, constructor
-validation, and the unified rows/closure cache.
+cache-warming queries.  Plus regression tests for the two bugfixes
+that rode along: constructor validation and the unified rows/closure
+cache.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def assert_equivalent(patched: CoverIndex, model_rows: list) -> None:
     for cell in CELLS:
         assert patched.positions(cell) == fresh.rows(cell), cell
         assert patched.closure(cell) == fresh.closure(cell), cell
-        assert patched.covers_any(cell) == fresh.covers_any(cell), cell
+        assert bool(patched.rows(cell)) == bool(fresh.rows(cell)), cell
 
 
 rows_strategy = st.lists(
@@ -104,7 +104,7 @@ class TestIncrementalDifferential:
         assert index.rows(probe) == frozenset({0, 1})
         index.apply_deletes([0, 1])     # dim-0 value 0 posting empties
         assert index.rows(probe) == frozenset()
-        assert not index.covers_any((0, ALL, ALL))
+        assert not bool(index.rows((0, ALL, ALL)))
         assert index.closure(probe) is None
         assert_equivalent(index, [(1, 2, 2)])
         # Re-insert a previously deleted value: the cached-empty answer
@@ -117,44 +117,14 @@ class TestIncrementalDifferential:
     def test_delete_everything_then_repopulate(self):
         rows = [(0, 0, 0), (1, 1, 1)]
         index = CoverIndex(rows=rows, n_dims=N_DIMS)
-        assert index.covers_any((ALL, ALL, ALL))
+        assert bool(index.rows((ALL, ALL, ALL)))
         index.apply_deletes([0, 1])
         assert index.n_rows == 0
         assert index.rows((ALL, ALL, ALL)) == frozenset()
-        assert not index.covers_any((ALL, ALL, ALL))
+        assert not bool(index.rows((ALL, ALL, ALL)))
         index.apply_inserts([(2, 2, 2)])
         assert index.positions((ALL, ALL, ALL)) == frozenset({0})
         assert_equivalent(index, [(2, 2, 2)])
-
-    def test_untouched_memo_entries_survive_a_patch(self):
-        """The point of the exercise: cells sharing no posting with the
-        batch keep their cached cover sets and closures."""
-        rows = [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
-        index = CoverIndex(rows=rows, n_dims=N_DIMS)
-        kept, touched = (1, ALL, ALL), (2, ALL, ALL)
-        index.closure_and_rows(kept)
-        index.closure_and_rows(touched)
-        before = index.evictions
-        index.apply_inserts([(2, 3, 3)])
-        assert kept in index._rows_cache          # survived
-        assert kept in index._closure_cache
-        assert touched not in index._rows_cache   # shares posting (0, 2)
-        assert index.evictions == before + 1
-        # The surviving entry is still *correct*, not merely present.
-        assert index.closure(kept) == (1, 1, 1)
-        assert index.positions(touched) == frozenset({2, 3})
-
-    def test_eviction_counter_counts_rows_entries(self):
-        rows = [(0, 0, 0), (1, 1, 1)]
-        index = CoverIndex(rows=rows, n_dims=N_DIMS)
-        index.rows((0, ALL, ALL))
-        index.rows((1, ALL, ALL))
-        index.rows((ALL, ALL, ALL))     # general cell: dropped every patch
-        assert index.evictions == 0
-        index.apply_inserts([(0, 3, 3)])
-        # (0,*,*) touches posting (0,0); (*,*,*) is general; (1,*,*) kept.
-        assert index.evictions == 2
-        assert (1, ALL, ALL) in index._rows_cache
 
     def test_positions_translate_after_deletes(self):
         rows = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)]
@@ -214,37 +184,6 @@ class TestConstructorValidation:
             CoverIndex(rows=[(0,)], n_dims=-1)
         with pytest.raises(SchemaError, match="non-negative int"):
             CoverIndex(rows=[(0,)], n_dims="1")
-
-
-class TestCoversAnyProbe:
-    def test_does_not_pollute_the_rows_cache(self):
-        rows = [(v % CARD, v % 3, v % 2) for v in range(40)]
-        index = CoverIndex(rows=rows, n_dims=N_DIMS)
-        cell = (ALL, 0, 0)
-        assert index.covers_any(cell)
-        assert cell not in index._rows_cache
-        assert index.covers_any((3, 2, 1))       # row 11 is (3, 2, 1)
-        assert (3, 2, 1) not in index._rows_cache
-        assert not index.covers_any((3, 2, 0))   # v%4==3 forces v odd
-        assert (3, 2, 0) not in index._rows_cache
-
-    def test_uses_a_cached_cover_set(self):
-        index = CoverIndex(rows=[(0, 0, 0)], n_dims=N_DIMS)
-        cell = (0, ALL, ALL)
-        index.rows(cell)
-        # Remove the posting behind the cache's back: a hit on the
-        # cached set (not a posting walk) is the only way to still
-        # answer True.
-        index._postings[0].clear()
-        assert index.covers_any(cell)
-
-    @given(rows_strategy, st.sampled_from(CELLS))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_rows_nonemptiness(self, rows, cell):
-        if not rows:
-            rows = [(0, 0, 0)]
-        index = CoverIndex(rows=rows, n_dims=N_DIMS)
-        assert index.covers_any(cell) == bool(index.rows(cell))
 
 
 class TestUnifiedClosureCache:

@@ -363,6 +363,11 @@ REFUSED = {
         ("iceberg_in_range", (("*", "*", "*"), 1.0), {"strategy": "bogus"},
          QueryError),
     ],
+    "range-arity": [
+        (op, (spec,) + rest, {}, QueryError)
+        for spec in ((["v0"], "*"), ("v0", "*", "*", "v1"))
+        for op, rest in (("range", ()), ("iceberg_in_range", (1.0,)))
+    ],
 }
 
 
@@ -405,6 +410,8 @@ class TestRefusalParity:
                     assert repr(EMPTY) in str(info.value), (op, wh)
                 if kind == "iceberg-strategy":
                     assert "unknown iceberg strategy" in str(info.value)
+                if kind == "range-arity":
+                    assert repr(args[0]) in str(info.value), (op, wh)
 
     def test_every_family_answers_alike(self, diagonal):
         """All ten families, on several pieces and on the N = 1 store;

@@ -189,7 +189,7 @@ def test_mixed_insert_delete_membership():
 
         assert seen, "readers made no progress"
         assert set(seen) <= valid
-        assert server.point(("*", "*")) == base
+        assert read(server, ("*", "*")) == base
     finally:
         if monkey is not None:
             monkey.stop()
