@@ -423,7 +423,7 @@ class FrozenQCTree:
             return full("full", "dirty-ratio")
 
         # -- classify dirty ids against the post-mutation ground truth ----
-        free = tree._free()
+        free = tree._free_ids
         tree_size = len(tree.node_dim)
         source_map = dict(self._source_map)
         base_slots = len(self._routes)

@@ -120,10 +120,8 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
             # States are computed before any mutation: a node may be both
             # updated and the target of a merge, and subtraction must see
             # the pre-deletion state.
-            covered = [
-                # delta rows covered by the surviving bound
-                i for i in sorted(delta_index.rows(w))
-            ]
+            # delta rows covered by the surviving bound
+            covered = sorted(delta_index.rows(w))
             source = locate(tree, w)
             removed = agg.state(delta_table, covered)
             state = (
@@ -140,19 +138,10 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
     _t_partition = time.perf_counter()
 
     candidates: set = set()  # (source path cell, j, v)
-    incoming = tree.incoming_links()
-
-    def remove_link_tracked(src: int, j: int, v) -> None:
-        target = tree.link_target(src, j, v)
-        if target is not None:
-            entries = incoming.get(target)
-            if entries:
-                entries.discard((src, j, v))
-        tree.remove_link(src, j, v)
 
     # (a) links whose drill-down cell covered deleted tuples are stale.
     for src, j, v in tree.links_covering(distinct_rows):
-        remove_link_tracked(src, j, v)
+        tree.remove_link(src, j, v)
         candidates.add((tree.upper_bound_of(src), j, v))
 
     # (b) links out of nodes on vanished paths may lose their justification.
@@ -181,7 +170,7 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
                 tree.set_state(tree.insert_path(w), state)
     for ub, node, w, _state in fates:
         if w != ub:
-            tree.clear_state_and_prune(node, incoming=incoming)
+            tree.clear_state_and_prune(node)
 
     # -- phase 3: remaining link candidates (post-mutation tree) -------------
     for ub, node, w, _state in fates:

@@ -29,6 +29,11 @@ Recorded categories (they may overlap):
     nodes whose outgoing drill-down links changed;
 ``reedged``
     nodes whose tree-edge set changed (a child was added or pruned).
+
+While a :func:`~repro.reliability.transactional.transactional` guard is
+open (every batch runs under one) the recorder is also the batch's *undo
+journal*: each hook keeps what the primitive overwrote next to the id it
+dirties.  Only the dirty set outlives the batch.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ class MaintenanceDelta:
     """
 
     __slots__ = ("tree", "created", "removed", "restated", "relinked",
-                 "reedged")
+                 "reedged", "journal")
 
     def __init__(self, tree):
         self.tree = tree
@@ -55,34 +60,56 @@ class MaintenanceDelta:
         self.restated: set = set()
         self.relinked: set = set()
         self.reedged: set = set()
+        #: ``(kind, node, old)`` undo entries, newest last, while a
+        #: transactional guard is open on the tree; None otherwise.
+        self.journal = None
 
     # -- recording hooks (called by QCTree primitives) -----------------------
+    # ``old`` is what the primitive overwrote, kept only while a
+    # guard is open: the previous state; ``(dim, value, previous
+    # target or None)`` of a link; the ``(dim, value, parent)`` a reused
+    # slot held (None for an appended one); a pruned node's out-links.
 
-    def note_created(self, node: int) -> None:
+    def note_created(self, node: int, old=None) -> None:
         self.created.add(node)
         self.removed.discard(node)
+        if self.journal is not None:
+            self.journal.append(("created", node, old))
 
-    def note_removed(self, node: int) -> None:
+    def note_removed(self, node: int, old=None) -> None:
         self.removed.add(node)
+        if self.journal is not None:
+            self.journal.append(("removed", node, old))
 
-    def note_state(self, node: int) -> None:
+    def note_state(self, node: int, old=None) -> None:
         self.restated.add(node)
+        if self.journal is not None:
+            self.journal.append(("state", node, old))
 
-    def note_links(self, node: int) -> None:
+    def note_links(self, node: int, old=None) -> None:
         self.relinked.add(node)
+        if self.journal is not None:
+            self.journal.append(("link", node, old))
 
     def note_edges(self, node: int) -> None:
         self.reedged.add(node)
+
+    def _categories(self) -> tuple:
+        return (self.created, self.removed, self.restated, self.relinked,
+                self.reedged)
+
+    def forget(self, node: int) -> None:
+        """Drop ``node`` from every category: a rollback took the id off
+        the end of the tree's lists, so it names nothing any more."""
+        for ids in self._categories():
+            ids.discard(node)
 
     # -- consumption ---------------------------------------------------------
 
     @property
     def dirty(self) -> set:
         """Every node id the batch touched, in any way."""
-        return (
-            self.created | self.removed | self.restated
-            | self.relinked | self.reedged
-        )
+        return set().union(*self._categories())
 
     def __len__(self) -> int:
         return len(self.dirty)
@@ -103,18 +130,7 @@ class MaintenanceDelta:
         maintenance engine fold any number of per-batch deltas into one
         refreeze patch; ``a | b`` is shorthand for ``a.merge(b)``.
         """
-        if other.tree is not self.tree:
-            raise ValueError(
-                "cannot merge maintenance deltas recorded against "
-                "different trees"
-            )
-        merged = MaintenanceDelta(self.tree)
-        merged.created = self.created | other.created
-        merged.removed = self.removed | other.removed
-        merged.restated = self.restated | other.restated
-        merged.relinked = self.relinked | other.relinked
-        merged.reedged = self.reedged | other.reedged
-        return merged
+        return MaintenanceDelta.union(self.tree, (self, other))
 
     __or__ = merge
 
@@ -125,11 +141,8 @@ class MaintenanceDelta:
                 "cannot merge maintenance deltas recorded against "
                 "different trees"
             )
-        self.created |= other.created
-        self.removed |= other.removed
-        self.restated |= other.restated
-        self.relinked |= other.relinked
-        self.reedged |= other.reedged
+        for mine, theirs in zip(self._categories(), other._categories()):
+            mine |= theirs
 
     @classmethod
     def union(cls, tree, deltas) -> "MaintenanceDelta":
@@ -158,9 +171,5 @@ class MaintenanceDelta:
         }
 
     def __repr__(self):
-        s = self.summary()
-        return (
-            f"MaintenanceDelta(dirty={s['dirty']}, created={s['created']}, "
-            f"removed={s['removed']}, restated={s['restated']}, "
-            f"relinked={s['relinked']}, reedged={s['reedged']})"
-        )
+        counts = ", ".join(f"{k}={n}" for k, n in self.summary().items())
+        return f"MaintenanceDelta({counts})"

@@ -37,6 +37,7 @@ from repro.cube.cover_index import CoverIndex
 from repro.cube.table import BaseTable, csv_comment
 from repro.errors import SchemaError, SerializationError
 from repro.reliability.fsck import fsck_tree
+from repro.reliability.transactional import transactional
 
 
 def _stamped_lsn(meta) -> int:
@@ -252,15 +253,39 @@ class Piece:
                 )
         return result
 
+    def preview(self, inserts=(), deletes=()) -> tuple:
+        """``(before, after)`` — the classes as ``{decoded upper bound:
+        value}`` now and as the batch would leave them; nothing is kept.
+
+        Apply → read → roll back on the live dict tree, borrowed under
+        the piece's lock: readers only ever see the frozen view, which
+        the round trip leaves current.  The persistent cover index is
+        not lent (a rolled-back batch would leave it ahead of the table).
+        """
+        def classes(table):
+            return {table.decode_cell(ub): value for ub, value
+                    in self.tree.class_upper_bounds().items()}
+
+        with self._lock, transactional(self.tree) as rollback:
+            try:
+                before = classes(self.table)
+                result = maintain_batch(self.tree, self.table,
+                                        inserts=inserts, deletes=deletes)
+                return before, classes(result.table)
+            finally:
+                rollback()
+
     def derive(self, inserts=(), deletes=(),
                segment_id: Optional[int] = None) -> "Piece":
         """A new piece equal to this one after the batch; this piece is
         not touched.
 
-        The batch runs on a *copy* of the dict tree and a finalised
-        frozen view is patched copy-on-write, so concurrent readers and
-        failed batches both see the original.  ``deletes`` are matched
-        the way :func:`~repro.core.maintenance.delete.resolve_deletions`
+        The batch runs on a *copy* of the dict tree (the one tree copy
+        left on a write path: a second tree is the contract here) and a
+        finalised frozen view is patched copy-on-write, so concurrent
+        readers and failed batches both see the original.  ``deletes``
+        are matched the way
+        :func:`~repro.core.maintenance.delete.resolve_deletions`
         matches — earliest rows first, measures ignored; ``inserts`` are
         appended after this piece's rows and ``maintain_batch`` sorts
         them on their dimension labels only (a stable sort), so rows

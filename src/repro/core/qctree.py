@@ -68,6 +68,14 @@ def tree_signature(tree) -> tuple:
     return paths, links, classes
 
 
+def _drop(nested: dict, dim: int, value) -> None:
+    """Delete ``nested[dim][value]`` and the level it empties."""
+    by_value = nested[dim]
+    del by_value[value]
+    if not by_value:
+        del nested[dim]
+
+
 class QCTree:
     """A quotient cube tree over ``n_dims`` dimensions.
 
@@ -93,6 +101,7 @@ class QCTree:
         self.links: list = [{}]      # node -> {dim: {value: target_id}}
         self.state: list = [None]    # node -> aggregate state or None
         self.root = 0
+        self._free_ids: set = set()  # pruned node ids awaiting reuse
         self._delta = None           # active MaintenanceDelta recorder
 
     # -- size & iteration ---------------------------------------------------
@@ -100,31 +109,21 @@ class QCTree:
     @property
     def n_nodes(self) -> int:
         """Number of live nodes, including the root."""
-        return len(self.node_dim) - len(self._free())
-
-    def _free(self) -> set:
-        return getattr(self, "_free_ids", set())
+        return len(self.node_dim) - len(self._free_ids)
 
     @property
     def n_links(self) -> int:
-        """Total number of drill-down links."""
-        free = self._free()
+        """Total number of drill-down links (a freed slot holds none)."""
         return sum(
             len(by_value)
-            for node, by_dim in enumerate(self.links)
-            if node not in free
+            for by_dim in self.links
             for by_value in by_dim.values()
         )
 
     @property
     def n_classes(self) -> int:
         """Number of class (aggregate-carrying) nodes."""
-        free = self._free()
-        return sum(
-            1
-            for node, s in enumerate(self.state)
-            if s is not None and node not in free
-        )
+        return sum(1 for s in self.state if s is not None)
 
     def iter_nodes(self) -> Iterator[int]:
         """Yield live node ids in preorder."""
@@ -144,10 +143,7 @@ class QCTree:
 
     def iter_links(self) -> Iterator[tuple]:
         """Yield links as ``(source, dim, value, target)``."""
-        free = self._free()
         for node, by_dim in enumerate(self.links):
-            if node in free:
-                continue
             for dim, by_value in by_dim.items():
                 for value, target in by_value.items():
                     yield node, dim, value, target
@@ -249,6 +245,42 @@ class QCTree:
         self._delta = None
         return delta
 
+    def rollback_to(self, mark: int) -> None:
+        """Undo, newest first, every write the active recorder journalled
+        past ``mark``.  :mod:`repro.reliability.transactional` owns the
+        journal and states the contract."""
+        delta = self._delta
+        journal = delta.journal
+        while len(journal) > mark:
+            kind, node, old = journal.pop()
+            if kind == "state":
+                self.state[node] = old
+            elif kind == "link":
+                dim, value, target = old
+                if target is None:
+                    _drop(self.links[node], dim, value)
+                else:
+                    self.links[node].setdefault(dim, {})[value] = target
+            elif kind == "created":
+                _drop(self.children[self.parent[node]],
+                      self.node_dim[node], self.node_value[node])
+                if old is None:
+                    # LIFO: everything appended after it is already gone.
+                    for column in (self.node_dim, self.node_value,
+                                   self.parent, self.children, self.links,
+                                   self.state):
+                        column.pop()
+                    delta.forget(node)
+                else:
+                    (self.node_dim[node], self.node_value[node],
+                     self.parent[node]) = old
+                    self._free_ids.add(node)
+            else:  # "removed": the slot still holds its label and parent
+                self.children[self.parent[node]].setdefault(
+                    self.node_dim[node], {})[self.node_value[node]] = node
+                self.links[node] = old
+                self._free_ids.discard(node)
+
     # -- structural primitives ----------------------------------------------
 
     def child(self, node: int, dim: int, value) -> Optional[int]:
@@ -275,15 +307,14 @@ class QCTree:
         return self.children[node].get(dim, {})
 
     def _new_node(self, parent: int, dim: int, value) -> int:
-        free = self._free()
-        if free:
-            node = free.pop()
+        reused = None
+        if self._free_ids:
+            node = self._free_ids.pop()
+            reused = (self.node_dim[node], self.node_value[node],
+                      self.parent[node])
             self.node_dim[node] = dim
             self.node_value[node] = value
             self.parent[node] = parent
-            self.children[node] = {}
-            self.links[node] = {}
-            self.state[node] = None
         else:
             node = len(self.node_dim)
             self.node_dim.append(dim)
@@ -294,7 +325,7 @@ class QCTree:
             self.state.append(None)
         self.children[parent].setdefault(dim, {})[value] = node
         if self._delta is not None:
-            self._delta.note_created(node)
+            self._delta.note_created(node, reused)
             self._delta.note_edges(parent)
         return node
 
@@ -316,14 +347,7 @@ class QCTree:
 
     def find_path(self, upper_bound: Cell) -> Optional[int]:
         """Node whose root path spells ``upper_bound``, or None."""
-        node = self.root
-        for dim, value in enumerate(upper_bound):
-            if value is ALL:
-                continue
-            node = self.child(node, dim, value)
-            if node is None:
-                return None
-        return node
+        return self.path_prefix_node(upper_bound, self.n_dims)
 
     def path_prefix_node(self, upper_bound: Cell, through_dim: int) -> Optional[int]:
         """Node for the prefix of ``upper_bound``'s path through ``through_dim``.
@@ -353,77 +377,67 @@ class QCTree:
         """
         if self.child(source, dim, value) == target:
             return
-        self.links[source].setdefault(dim, {})[value] = target
+        by_value = self.links[source].setdefault(dim, {})
+        old = by_value.get(value)
+        by_value[value] = target
         if self._delta is not None:
-            self._delta.note_links(source)
+            self._delta.note_links(source, (dim, value, old))
 
     def remove_link(self, source: int, dim: int, value) -> None:
         """Drop the link labeled ``(dim, value)`` out of ``source`` if present."""
-        by_dim = self.links[source].get(dim)
-        if by_dim is not None:
-            removed = value in by_dim
-            by_dim.pop(value, None)
-            if not by_dim:
-                del self.links[source][dim]
-            if removed and self._delta is not None:
-                self._delta.note_links(source)
+        old = self.link_target(source, dim, value)
+        if old is None:
+            return
+        _drop(self.links[source], dim, value)
+        if self._delta is not None:
+            self._delta.note_links(source, (dim, value, old))
 
     def set_state(self, node: int, state) -> None:
         """Attach an aggregate state, making ``node`` a class node."""
+        old = self.state[node]
         self.state[node] = state
         if self._delta is not None:
-            self._delta.note_state(node)
+            self._delta.note_state(node, old)
 
-    def incoming_links(self) -> dict:
-        """``{target: {(src, dim, value), ...}}`` over all current links.
+    def has_incoming_link(self, node: int) -> bool:
+        """Whether some drill-down link targets ``node``.
 
-        Batch maintenance builds this once and keeps it current across its
-        own link removals, then passes it to :meth:`clear_state_and_prune`
-        to avoid re-scanning the tree per pruned class.
+        Definition 1 labels a link with its target's own ``(dimension,
+        value)`` and hangs it off a node whose path generalizes the
+        target's, so only the walk restricted to ``node``'s path is
+        asked — at most ``2**k`` nodes for ``k`` values, never the tree.
         """
-        incoming: dict = {}
-        for src, dim, value, target in self.iter_links():
-            incoming.setdefault(target, set()).add((src, dim, value))
-        return incoming
+        dim, value = self.node_dim[node], self.node_value[node]
+        return any(
+            self.link_target(src, dim, value) == node
+            for src, _ in self.walk_generalizing([self.upper_bound_of(node)])
+        )
 
-    def clear_state_and_prune(self, node: int, incoming=None) -> None:
+    def clear_state_and_prune(self, node: int) -> None:
         """Remove a class node's state; prune now-useless trailing nodes.
 
-        A node is pruned when it has no state, no children, and no incoming
-        links; pruning walks up the path.  Links *out of* pruned nodes are
-        discarded (and reflected in ``incoming`` when provided).  Callers
-        are responsible for first removing links *into* nodes they expect
-        to disappear (maintenance does).  ``incoming`` defaults to a fresh
-        :meth:`incoming_links` snapshot.
+        A node is pruned when it has no state, no children, and no
+        incoming link (:meth:`has_incoming_link`, read off the live tree
+        at prune time); pruning walks up the path.  Links *out of*
+        pruned nodes are discarded.  Callers are responsible for first
+        removing links *into* nodes they expect to disappear
+        (maintenance does).
         """
-        self.state[node] = None
+        self.set_state(node, None)
         delta = self._delta
-        if delta is not None:
-            delta.note_state(node)
-        if incoming is None:
-            incoming = self.incoming_links()
         while (
             node != self.root
             and self.state[node] is None
             and not self.children[node]
-            and not incoming.get(node)
+            and not self.has_incoming_link(node)
         ):
             parent = self.parent[node]
-            dim, value = self.node_dim[node], self.node_value[node]
-            by_dim = self.children[parent][dim]
-            del by_dim[value]
-            if not by_dim:
-                del self.children[parent][dim]
-            for out_dim, by_value in self.links[node].items():
-                for out_value, target in by_value.items():
-                    entries = incoming.get(target)
-                    if entries:
-                        entries.discard((node, out_dim, out_value))
-            self.links[node] = {}
-            self._free_ids = self._free()
+            _drop(self.children[parent],
+                  self.node_dim[node], self.node_value[node])
+            dropped, self.links[node] = self.links[node], {}
             self._free_ids.add(node)
             if delta is not None:
-                delta.note_removed(node)
+                delta.note_removed(node, dropped)
                 delta.note_edges(parent)
             node = parent
 
@@ -442,9 +456,11 @@ class QCTree:
     def copy(self) -> "QCTree":
         """Structural copy sharing immutable labels and states.
 
-        Maintenance mutates trees in place; benchmarks and what-if flows
-        copy first.  Aggregate states are immutable values (ints, floats,
-        tuples), so sharing them is safe.
+        Maintenance mutates trees in place (and undoes a failed batch
+        from its journal); benchmarks and :meth:`Piece.derive
+        <repro.core.piece.Piece.derive>` copy first.  Aggregate states
+        are immutable values (ints, floats, tuples), so sharing them is
+        safe.
         """
         clone = QCTree(self.n_dims, self.aggregate, dim_names=self.dim_names)
         clone.node_dim = list(self.node_dim)
@@ -459,8 +475,7 @@ class QCTree:
             for node in self.links
         ]
         clone.state = list(self.state)
-        if self._free():
-            clone._free_ids = set(self._free())
+        clone._free_ids = set(self._free_ids)
         return clone
 
     # -- cell <-> node -------------------------------------------------------
@@ -519,10 +534,14 @@ class QCTree:
         along paths, labels matching edge keys, link endpoints alive, no
         link duplicating a tree edge, and free-list hygiene.
         """
-        free = self._free()
+        free = self._free_ids
         live = set(self.iter_nodes())
         assert self.root in live
         assert not (live & free), "freed node still reachable"
+        assert not any(
+            self.children[n] or self.links[n] or self.state[n] is not None
+            for n in free
+        ), "freed slot not emptied"
         for node in live:
             if node != self.root:
                 parent = self.parent[node]

@@ -27,8 +27,6 @@ import threading
 from typing import Optional
 
 from repro.core.iceberg import MeasureIndex
-from repro.core.maintenance.delete import apply_deletions
-from repro.core.maintenance.insert import apply_insertions
 from repro.core.query_cache import (
     MISS,
     LsnQueryCache,
@@ -639,28 +637,16 @@ class QCWarehouse(BaseWarehouse):
         """What-if analysis (§1): the class-level impact of a hypothetical
         update, without touching this warehouse.
 
-        Applies the deletions then the insertions to *copies* of the tree
-        and table and diffs the class structure.  Returns a dict with
-        ``added``, ``removed``, and ``changed`` mappings from decoded
-        upper bounds to aggregate values (``changed`` maps to
-        ``(before, after)`` pairs).
+        Applies the deletions then the insertions to the live piece,
+        reads the class structure and rolls the batch back
+        (:meth:`Piece.preview <repro.core.piece.Piece.preview>`), then
+        diffs.  Returns a dict with ``added``, ``removed``, and
+        ``changed`` mappings from decoded upper bounds to aggregate
+        values (``changed`` maps to ``(before, after)`` pairs).
         """
         from repro.cube.aggregates import values_close
 
-        before = {
-            self.table.decode_cell(ub): value
-            for ub, value in self.tree.class_upper_bounds().items()
-        }
-        tree = self.tree.copy()
-        table = self.table
-        if deletions:
-            table = apply_deletions(tree, table, deletions)
-        if insertions:
-            table = apply_insertions(tree, table, insertions)
-        after = {
-            table.decode_cell(ub): value
-            for ub, value in tree.class_upper_bounds().items()
-        }
+        before, after = self._live.preview(insertions, deletions)
         return {
             "added": {ub: v for ub, v in after.items() if ub not in before},
             "removed": {

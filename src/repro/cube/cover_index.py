@@ -4,7 +4,8 @@ Maintenance repeatedly asks "which rows does this cell cover?" and "what
 is this cell's closure?".  A linear scan per question is O(rows x dims);
 this index stores one posting set per (dimension, value), answers a cover
 query by intersecting the postings of the cell's non-``*`` dimensions
-(smallest first), and memoizes closures.
+(smallest first), answers a closure query by testing the cover set
+against the posting sets of one covered row's values, and memoizes both.
 
 The index is **long-lived and incrementally maintainable**: instead of
 rebuilding the posting lists per write batch — an O(rows x dims) tax
@@ -38,7 +39,7 @@ with one of its rows, so the patch opening the batch must drop it anyway
 
 from __future__ import annotations
 
-from repro.core.cells import ALL, Cell, meet_of_tuples
+from repro.core.cells import ALL, Cell
 from repro.errors import SchemaError
 
 _MISSING = object()
@@ -207,8 +208,14 @@ class CoverIndex:
             return None, rows
         cached = self._closure_cache.get(cell, _MISSING)
         if cached is _MISSING:
-            cached = meet_of_tuples(self._rows[i] for i in rows)
-            self._closure_cache[cell] = cached
+            # ub(c)[j] = x iff every tuple of cov(c) has x at j: x can
+            # only be what any one covered row has there, and "every
+            # tuple" is a subset test against that value's posting set.
+            witness = self._rows[next(iter(rows))]
+            cached = self._closure_cache[cell] = tuple(
+                x if value is ALL and rows <= self._postings[j][x] else value
+                for j, (value, x) in enumerate(zip(cell, witness))
+            )
         return cached, rows
 
     def closure(self, cell: Cell):

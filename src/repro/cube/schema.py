@@ -49,6 +49,10 @@ class Schema:
 
     dimensions: tuple = field(default=())
     measures: tuple = field(default=())
+    #: Dimension names in schema order.
+    dimension_names: tuple = field(init=False, repr=False, compare=False)
+    #: Measure names in schema order.
+    measure_names: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(
@@ -61,6 +65,10 @@ class Schema:
         )
         object.__setattr__(self, "dimensions", dims)
         object.__setattr__(self, "measures", meas)
+        # Derived once: aggregates read ``measure_names`` per state call.
+        object.__setattr__(self, "dimension_names",
+                           tuple(d.name for d in dims))
+        object.__setattr__(self, "measure_names", tuple(m.name for m in meas))
         if not dims:
             raise SchemaError("a schema needs at least one dimension")
         names = [d.name for d in dims] + [m.name for m in meas]
@@ -76,16 +84,6 @@ class Schema:
     def n_measures(self) -> int:
         """Number of measures."""
         return len(self.measures)
-
-    @property
-    def dimension_names(self) -> tuple:
-        """Dimension names in schema order."""
-        return tuple(d.name for d in self.dimensions)
-
-    @property
-    def measure_names(self) -> tuple:
-        """Measure names in schema order."""
-        return tuple(m.name for m in self.measures)
 
     def dim_index(self, name: str) -> int:
         """Return the position of dimension ``name``.

@@ -31,13 +31,13 @@ from repro.reliability.fsck import (
     FsckReport,
     fsck_tree,
 )
-from repro.reliability.transactional import restore_tree, transactional
+from repro.reliability.transactional import transactional
 from repro.reliability.wal import WalRecord, WriteAheadLog
 
 __all__ = [
     "FaultClock", "InjectedCrash", "count_io", "crash_on_io",
     "partial_append", "torn_write",
     "FsckIssue", "FsckReport", "fsck_tree",
-    "restore_tree", "transactional",
+    "transactional",
     "WalRecord", "WriteAheadLog",
 ]

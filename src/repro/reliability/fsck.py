@@ -96,7 +96,7 @@ class FsckReport:
 
 def _check_structure(tree: QCTree, report: FsckReport) -> set:
     """Walk the child maps; returns the set of reachable live nodes."""
-    free = tree._free()
+    free = tree._free_ids
     n_slots = len(tree.node_dim)
     live: set = {tree.root}
     stack = [tree.root]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cells import ALL
+from repro.core.cells import ALL, meet_of_tuples
 from repro.core.construct import build_qctree
 from repro.core.maintenance import maintain_batch
 from repro.core.warehouse import QCWarehouse
@@ -94,6 +94,31 @@ class TestIncrementalDifferential:
                 index.apply_inserts(inserts)
                 model.extend(inserts)
             assert_equivalent(index, model)
+
+    @given(
+        st.lists(st.tuples(*[st.integers(0, CARD - 1)] * N_DIMS),
+                 min_size=1, max_size=10),
+        st.lists(st.integers(0, 200), max_size=4),
+        rows_strategy,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_closure_is_the_meet_of_the_cover(self, initial, picks, inserts):
+        """The closure read off the postings ≡ the definition, a meet
+        over ``rows(cell)`` — fresh, after deletes, after inserts."""
+        def check(index):
+            for cell in CELLS:
+                cover = index.rows(cell)
+                assert index.closure(cell) == (
+                    meet_of_tuples(index.row(i) for i in cover)
+                    if cover else None
+                ), cell
+
+        index = CoverIndex(rows=initial, n_dims=N_DIMS)
+        check(index)
+        index.apply_deletes(sorted({p % len(initial) for p in picks}))
+        check(index)
+        index.apply_inserts(inserts)
+        check(index)
 
     def test_delete_to_empty_posting_then_reinsert(self):
         """A posting emptied by deletes must vanish (not linger as a

@@ -97,7 +97,7 @@ class TestDeltaRecording:
         apply_deletions(tree, table, [rec])
         delta = tree.end_delta()
         assert delta.restated or delta.removed
-        free = tree._free()
+        free = tree._free_ids
         assert delta.removed <= free | delta.created
 
     def test_recording_stops_after_end_delta(self):

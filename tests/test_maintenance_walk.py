@@ -2,9 +2,10 @@
 
 :meth:`QCTree.walk_generalizing` is the one place the maintenance engine
 says "the part of the tree a batch can touch".  It is checked here
-against the definitions it replaces — a filter over *every* node, and
-the whole-tree link scan that ``batch_insert`` step 3a and
-``batch_delete`` (a) used to run (kept below as the oracle) — on trees
+against the definitions it replaces — a filter over *every* node, the
+whole-tree link scan that ``batch_insert`` step 3a and ``batch_delete``
+(a) used to run, and the ``{target: links}`` map the prune's safety
+check used to be given (both kept below as the oracles) — on trees
 that have already been through random maintenance programs, so freed
 node ids and re-linked nodes are in play.
 """
@@ -48,6 +49,11 @@ def stale_links_by_scan(tree, rows) -> set:
     return stale
 
 
+def link_targets_by_scan(tree) -> set:
+    """The whole-tree definition: every node some link points at."""
+    return {target for _, _, _, target in tree.iter_links()}
+
+
 class TestWalkGeneralizing:
     @given(program_strategy, st.lists(cell_strategy, max_size=6))
     @settings(max_examples=150, deadline=None)
@@ -89,6 +95,16 @@ class TestStaleLinks:
         assert set(found) == stale_links_by_scan(tree, rows)
 
 
+class TestIncomingLinks:
+    @given(program_strategy)
+    @settings(max_examples=150, deadline=None)
+    def test_equal_the_whole_tree_scan(self, program):
+        tree, _ = maintained(program)
+        linked = link_targets_by_scan(tree)
+        for node in tree.iter_nodes():
+            assert tree.has_incoming_link(node) == (node in linked), node
+
+
 class TestNoWholeTreePass:
     """Structural, no wall clock: a one-row batch does not enumerate the
     links of the tree (it did once per insert and twice per delete)."""
@@ -114,7 +130,7 @@ class TestNoWholeTreePass:
         tree, table = maintained((11, 3))
         calls = self.count_link_scans(monkeypatch)
         maintain_batch(tree, table, deletes=[next(table.iter_records())])
-        assert len(calls) <= 1  # incoming_links(), the prune's safety net
+        assert len(calls) == 0
 
 
 class TestCoverIndexMemoIsPerPatch:

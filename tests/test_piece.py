@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.construct import build_qctree
+from repro.core.maintenance import maintain_batch
 from repro.core.piece import Piece
+from repro.core.qctree import QCTree
 from repro.core.serialize import save_qctree
+from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError, SerializationError
@@ -102,6 +105,49 @@ class TestFailedBatch:
         piece.apply(inserts=[(0, 0, 0, 1.0)])  # rebuilt lazily
         assert piece.cover_stats()["rebuilt"] == 2
         assert piece.tree.equivalent_to(build_qctree(piece.table, AGG))
+
+
+class TestPreview:
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 10_000), ready=st.booleans())
+    def test_reads_the_batch_and_keeps_nothing(self, seed, ready):
+        table, batches, _ = make_program(seed, 2, n_rows=6)
+        piece = Piece.build(table, AGG)
+        piece.apply(*batches[0])
+        if ready:
+            piece.frozen_view()
+        state, index = _state(piece), piece.live_cover_index
+        before, after = piece.preview(*batches[1])
+        assert _state(piece) == state and piece.live_cover_index is index
+        assert before == {
+            piece.table.decode_cell(ub): value
+            for ub, value in piece.tree.class_upper_bounds().items()
+        }
+        piece.apply(*batches[1])
+        assert after == piece.preview()[0]
+        _assert_view_current(piece)
+
+
+class TestOneTreeCopy:
+    def test_only_derive_copies_the_tree(self, monkeypatch):
+        """A write costs its delta: no path copies the tree but
+        ``derive``, whose contract is a second tree — once."""
+        copies = []
+        copy = QCTree.copy
+        monkeypatch.setattr(
+            QCTree, "copy", lambda tree: copies.append(tree) or copy(tree))
+        table, batches, _ = make_program(5, 3, n_rows=8)
+        piece = Piece.build(table, AGG)
+        piece.frozen_view()
+        piece.apply(*batches[0])
+        maintain_batch(build_qctree(table, AGG), table, *batches[0])
+        wh = QCWarehouse(table, AGG)
+        wh.what_if(insertions=batches[0][0], deletions=batches[0][1])
+        with pytest.raises(MaintenanceError):
+            piece.apply(deletes=[(99, 99, 99, 0.0)])
+        assert copies == []
+        piece.derive(*batches[1])
+        assert len(copies) == 1
 
 
 class TestDerive:

@@ -113,9 +113,9 @@ class TestStateAndPrune:
     def test_prune_respects_incoming_links(self, empty_tree):
         target = empty_tree.insert_path((1, 2, ALL))
         empty_tree.set_state(target, 1)
-        src = empty_tree.insert_path((ALL, ALL, 5))
-        empty_tree.set_state(src, 2)
-        empty_tree.add_link(src, 0, 1, target)
+        # A Definition-1 link: labelled with its target's own (dim,
+        # value), out of a node whose path generalizes the target's.
+        empty_tree.add_link(empty_tree.root, 1, 2, target)
         empty_tree.clear_state_and_prune(target)
         # node kept alive by the incoming link
         assert empty_tree.find_path((1, 2, ALL)) is not None

@@ -6,9 +6,15 @@ answers, same structure, invariants intact — raising
 :class:`MaintenanceError` for anything that is not a repro error already.
 """
 
+import functools
+from contextlib import contextmanager
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.construct import build_qctree
+from repro.core.maintenance import maintain_batch
 from repro.core.maintenance.delete import apply_deletions
 from repro.core.maintenance.insert import apply_insertions
 from repro.core.point_query import point_query
@@ -16,7 +22,9 @@ from repro.core.qctree import QCTree
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.errors import MaintenanceError
+from repro.reliability.transactional import transactional
 from tests.conftest import all_cells, approx_equal
+from tests.test_maintenance_oracle import make_program, run_batched
 
 
 SCHEMA = Schema(dimensions=("Store", "Product", "Season"),
@@ -101,6 +109,22 @@ class _FailAfter:
         self.remaining -= 1
         return self.method(*args, **kwargs)
 
+    def __get__(self, instance, owner):
+        # Bind like the function it stands in for, so calls before the
+        # failure point reach the real method with ``self``.
+        return self if instance is None else functools.partial(self, instance)
+
+
+@contextmanager
+def failing_at(method_name, n):
+    """``QCTree.<method_name>`` raises on its (n+1)-th call in the block."""
+    original = getattr(QCTree, method_name)
+    setattr(QCTree, method_name, _FailAfter(original, n))
+    try:
+        yield
+    finally:
+        setattr(QCTree, method_name, original)
+
 
 def count_calls(method_name, operation, tree):
     calls = 0
@@ -127,19 +151,13 @@ class TestMidMutationFailure:
     def _sweep(self, make_tree, table_of, operation, method_name="set_state"):
         total = count_calls(method_name, operation, make_tree())
         assert total > 0
-        original = getattr(QCTree, method_name)
         for n in range(total):
             tree = make_tree()
             before = snapshot_answers(tree, table_of(tree))
             signature = tree.signature()
-            setattr(QCTree, method_name,
-                    _FailAfter(lambda *a, **k: original(*a, **k), n))
-            try:
-                with pytest.raises(MaintenanceError,
-                                   match="rolled back"):
-                    operation(tree)
-            finally:
-                setattr(QCTree, method_name, original)
+            with failing_at(method_name, n), \
+                    pytest.raises(MaintenanceError, match="rolled back"):
+                operation(tree)
             assert tree.signature() == signature, f"failure point {n}"
             assert_unchanged(tree, table_of(tree), before)
 
@@ -179,6 +197,123 @@ class TestMidMutationFailure:
         finally:
             QCTree.set_state = original
         assert isinstance(exc_info.value.__cause__, RuntimeError)
+
+
+#: The only writers of the tree's six parallel lists.
+PRIMITIVES = ("_new_node", "insert_path", "add_link", "remove_link",
+              "set_state", "clear_state_and_prune")
+AGG = ("sum", "m")
+
+
+def lists_of(tree):
+    """What "never happened" is equality of: the six parallel lists and
+    the free set (the signature follows from them)."""
+    return (tree.node_dim, tree.node_value, tree.parent, tree.children,
+            tree.links, tree.state, tree._free_ids)
+
+
+def sweep_batch(tree, table, inserts=(), deletes=()):
+    """Fail the batch at every call of every primitive — on ONE tree, so
+    a rollback that drifts shows at a later point — then let it through.
+    Returns the successful batch's result."""
+    def run(target):
+        return maintain_batch(target, table, inserts=inserts, deletes=deletes)
+
+    pristine = tree.copy()
+    swept = 0
+    for name in PRIMITIVES:
+        total = count_calls(name, run, tree.copy())
+        for n in range(total):
+            with failing_at(name, n), \
+                    pytest.raises(MaintenanceError, match="rolled back"):
+                run(tree)
+            assert lists_of(tree) == lists_of(pristine), (name, n)
+            assert tree._delta is None
+            tree.check_invariants()
+        swept += total
+    assert swept > 0
+    result = run(tree)
+    assert tree.equivalent_to(build_qctree(result.table, AGG))
+    return result
+
+
+class TestRollbackIsNeverHappened:
+    """The undo journal, enumerated: every primitive × every call index
+    of insert, delete and mixed batches."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 4))
+    @settings(max_examples=20, deadline=None)
+    def test_every_primitive_at_every_call_index(self, seed, n_batches):
+        table, batches, _ = make_program(seed, n_batches)
+        *earlier, (inserts, deletes) = batches
+        # Earlier batches prune, so the swept one also reuses freed ids.
+        tree, table = run_batched(table, earlier)
+        for ins, dels in ((inserts, []), ([], deletes), (inserts, deletes)):
+            if ins or dels:
+                sweep_batch(tree.copy(), table, ins, dels)
+
+    def test_id_reuse_after_a_prune(self):
+        """A created node that reused a pruned id goes back to the free
+        set holding what the slot held; one pruned *and* reused inside
+        the failing batch comes back alive."""
+        table, _, _ = make_program(0, 0, n_rows=6)
+        tree = build_qctree(table, AGG)
+        victim = next(table.iter_records())
+        tree_after, table_after = run_batched(table, [([], [victim])])
+        freed = set(tree_after._free_ids)
+        assert freed, "the delete pruned nothing"
+        fresh = [(4, 4, 4, 1.0)]
+        result = sweep_batch(tree_after, table_after, inserts=fresh)
+        assert freed & result.delta.created, "no freed id was reused"
+        slots = len(tree.node_dim)
+        result = sweep_batch(tree, table, inserts=fresh, deletes=[victim])
+        assert len(tree.node_dim) - slots < len(result.delta.created)
+
+    def test_guards_nest(self, sales_table):
+        """An outer rollback undoes inner guards that completed."""
+        tree = build_qctree(sales_table, ("avg", "Sale"))
+        pristine = tree.copy()
+        with transactional(tree) as rollback:
+            mid = apply_insertions(tree, sales_table,
+                                   [("S3", "P1", "w", 2.0)])
+            inserted = tree.copy()
+            with pytest.raises(MaintenanceError):
+                apply_deletions(tree, mid, [("S9", "P9", "w", 0.0)])
+            with failing_at("add_link", 0), \
+                    pytest.raises(MaintenanceError, match="rolled back"):
+                apply_insertions(tree, mid, [("S2", "P2", "f", 4.0)])
+            # The inner failure undid itself only.
+            assert lists_of(tree) == lists_of(inserted)
+            rollback()
+        assert lists_of(tree) == lists_of(pristine)
+        assert tree._delta is None
+
+    def test_failed_batch_under_an_outer_recording_still_patches(self):
+        """The dirty set a rolled-back batch leaves in an outer recorder
+        is a harmless superset — minus the ids the rollback took off the
+        end of the lists, which name nothing."""
+        table, _, _ = make_program(3, 0, n_rows=8)
+        tree = build_qctree(table, AGG)
+        frozen = tree.freeze()
+        fresh = [(3, 4, 3, 1.0), (4, 3, 4, 2.0)]
+
+        def run(target):
+            return maintain_batch(target, table, inserts=fresh)
+
+        assert count_calls("_new_node", run, tree.copy()) > 0
+        last = count_calls("set_state", run, tree.copy()) - 1
+        delta = tree.begin_delta()
+        with failing_at("set_state", last), \
+                pytest.raises(MaintenanceError, match="rolled back"):
+            run(tree)
+        assert tree._delta is delta and delta.journal is None
+        assert delta.dirty and max(delta.dirty) < len(tree.node_dim)
+        run(tree)
+        tree.end_delta()
+        patched = frozen.patch(delta, full_refreeze_ratio=1.0,
+                               compact_ratio=10.0)
+        assert patched.patch_stats["mode"] == "patched"
+        assert patched.signature() == tree.freeze().signature()
 
 
 class TestNonSubtractableAggregate:
