@@ -12,7 +12,6 @@ pipeline can be driven from the shell::
     python -m repro fsck sales.qct --table sales.csv
     python -m repro dump sales.qct --table sales.csv
     python -m repro serve sales.qct --table sales.csv --workers 4
-    python -m repro bench-serve sales.qct --table sales.csv --workers 4
 
 Cells use ``,`` between dimensions and ``*`` for ALL; range dimensions
 separate candidate values with ``|``.
@@ -35,11 +34,10 @@ concurrent warehouse::
 staleness, queue depth, worker liveness, degraded state, breaker state)
 — the line a probe or load balancer should poll.
 
-Both ``serve`` and ``bench-serve`` accept ``--processes N`` to serve
-reads from N forked worker processes over one shared-memory packed
-snapshot (:class:`~repro.shard.server.ShardServer`) instead of GIL-bound
-threads; SIGTERM cleanup of ``/dev/shm`` segments is installed
-automatically.
+``serve --processes N`` serves reads from N forked worker processes
+over one shared-memory packed snapshot
+(:class:`~repro.shard.server.ShardServer`) instead of GIL-bound threads;
+SIGTERM cleanup of ``/dev/shm`` segments is installed automatically.
 
 ``serve --async --port N`` serves the same line protocol over TCP
 through the asyncio front door (:mod:`repro.serving.async_server`)
@@ -47,18 +45,9 @@ instead of stdin — tens of thousands of connections, per-connection
 in-flight caps, early protocol-level load shedding, and ``@<seconds>``
 deadline budgets; stdin becomes a control channel (``quit``/EOF stops).
 
-``bench-serve`` drives a closed-loop (or, with ``--rate``, open-loop)
-point-query workload through the server and prints a JSON report.
-``--open-loop --rate R`` instead drives a seeded Poisson/uniform arrival
-schedule over the asyncio TCP transport and measures latency from the
-*scheduled* send instant — free of coordinated omission
-(:mod:`repro.serving.arrivals`).
-``--chaos`` runs the same mixed read/write workload under seeded fault
-injection (worker kills, write-pipeline crashes, op errors/stalls) with
-retrying clients, and reports what the fault-tolerance machinery did.
-
-Exit status: 0 on success, 1 on any error (bad input, missing or
-corrupt files), 2 when ``fsck`` finds corruption.
+Exit status: 0 on success, 1 on any error (bad input, a command line
+``argparse`` rejects, missing or corrupt files), 2 when ``fsck`` finds
+corruption.
 """
 
 from __future__ import annotations
@@ -75,6 +64,31 @@ from repro.cube.table import BaseTable
 from repro.errors import ReproError
 from repro.reliability.fsck import fsck_tree
 from repro.serving.protocol import parse_cell, parse_range_spec as parse_range
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other error; ``argparse``'s own 2
+    is what ``fsck`` reports corruption with."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _int_in(low: int, high=None):
+    """An ``argparse`` ``type=`` for an integer flag in ``low..high``:
+    out of range is a usage error (one ``error:`` line, exit 1), not a
+    traceback from whatever constructor the number reaches."""
+    bounds = f">= {low}" if high is None else f"in {low}..{high}"
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid … value"
+    return parse
 
 
 def _schema_from_args(args) -> Schema:
@@ -101,30 +115,11 @@ def _load_warehouse(args):
         from repro.segments import SegmentedWarehouse
 
         warehouse = SegmentedWarehouse(
-            piece.table, aggregate=aggregate,
-            full_refreeze_ratio=args.refreeze_ratio,
-            seal_rows=args.seal_rows,
+            piece.table, aggregate=aggregate, seal_rows=args.seal_rows,
         )
         warehouse.start_compactor()
         return warehouse
-    return QCWarehouse(
-        piece.table, aggregate=aggregate, tree=piece.tree,
-        serve_frozen=args.engine != "dict",
-        full_refreeze_ratio=args.refreeze_ratio,
-    )
-
-
-def _workload_table(warehouse) -> BaseTable:
-    """A populated table to draw workload cells/records from.
-
-    ``warehouse.table`` is the whole base table for a monolithic store,
-    but only the mutable *head* for a segmented one — empty right after
-    the bootstrap seal — so take the oldest populated piece.
-    """
-    for piece in warehouse.pieces():
-        if piece.n_rows:
-            return piece.table
-    return warehouse.table
+    return QCWarehouse(piece.table, aggregate=aggregate, tree=piece.tree)
 
 
 def args_measures(args, dim_names):
@@ -221,13 +216,18 @@ def _serve_dispatch(server, warehouse, line, out) -> bool:
     return True
 
 
-def _make_server(warehouse, args, **extra):
+def _make_server(warehouse, args):
     """Build the server the flags ask for: a thread-pool ``QCServer``,
     or — with ``--processes N`` — a multi-process ``ShardServer`` over a
     shared-memory packed snapshot (with SIGTERM segment cleanup so a
     supervisor kill leaves no ``/dev/shm`` litter)."""
     from repro.serving.server import QCServer
 
+    options = dict(
+        workers=args.workers, queue_size=args.queue_size,
+        default_timeout=args.timeout, warm_keys=args.warm_keys,
+        cache_size=args.cache_size,
+    )
     if args.processes:
         if args.segmented:
             raise ReproError(
@@ -237,21 +237,14 @@ def _make_server(warehouse, args, **extra):
         from repro.shard import ShardServer, install_signal_cleanup
 
         install_signal_cleanup()
-        return ShardServer(
-            warehouse, processes=args.processes, workers=args.workers,
-            queue_size=args.queue_size, default_timeout=args.timeout,
-            warm_keys=args.warm_keys, **extra,
-        )
-    return QCServer(
-        warehouse, workers=args.workers, queue_size=args.queue_size,
-        default_timeout=args.timeout, warm_keys=args.warm_keys, **extra,
-    )
+        return ShardServer(warehouse, processes=args.processes, **options)
+    return QCServer(warehouse, **options)
 
 
 def cmd_serve(args) -> int:
     warehouse = _load_warehouse(args)
     try:
-        server = _make_server(warehouse, args, cache_size=args.cache_size)
+        server = _make_server(warehouse, args)
     except BaseException:
         # A stranded segment compactor (non-daemon) would hang exit.
         warehouse.close()
@@ -335,113 +328,6 @@ def _serve_async(server, args, detail: str, fleet: str) -> int:
     return 0
 
 
-def cmd_bench_serve(args) -> int:
-    import json
-
-    from repro.reliability.faults import ChaosMonkey, ServingFaults
-    from repro.serving.retry import RetryPolicy
-    from repro.serving.workload import (
-        point_requests,
-        register_stalled_point,
-        run_closed_loop,
-        run_mixed,
-        run_open_loop,
-    )
-
-    warehouse = _load_warehouse(args)
-    try:
-        sample_table = _workload_table(warehouse)
-        requests = point_requests(sample_table, args.requests, seed=7)
-        faults = ServingFaults() if args.chaos else None
-        server = _make_server(warehouse, args, faults=faults)
-    except BaseException:
-        # A stranded segment compactor (non-daemon) would hang exit.
-        warehouse.close()
-        raise
-    with server:
-        if args.open_loop:
-            # True open-loop over the asyncio TCP front door: seeded
-            # arrival schedule fixed up front, latency measured from the
-            # scheduled send instant (coordinated-omission-free).
-            if not args.rate:
-                raise ReproError("--open-loop requires --rate")
-            from repro.serving.arrivals import (
-                ArrivalSchedule,
-                request_plan,
-                run_open_loop_tcp,
-            )
-            from repro.serving.async_server import AsyncServerThread
-
-            plan = request_plan(sample_table, args.requests, seed=7)
-            schedule = ArrivalSchedule(
-                args.rate, args.requests, kind=args.arrival,
-                seed=args.arrival_seed,
-            )
-            handle = AsyncServerThread(server, port=0)
-            try:
-                result = run_open_loop_tcp(
-                    handle.host, handle.port, plan, schedule,
-                    connections=args.connections, warmup=8,
-                )
-                result["transport"] = handle.door.describe()
-            finally:
-                handle.close()
-            if handle.leftover_tasks:  # pragma: no cover - defensive
-                raise ReproError(
-                    f"{len(handle.leftover_tasks)} asyncio tasks "
-                    f"survived the transport drain"
-                )
-        else:
-            if args.chaos and not args.stall_us:
-                # Stretch the run so the injection stream actually
-                # lands; an unstalled in-memory workload outruns the
-                # monkey.
-                args.stall_us = 500.0
-            if args.stall_us:
-                op = register_stalled_point(server, args.stall_us / 1e6)
-                requests = [(op, a) for _, a in requests]
-            if args.chaos:
-                # Mixed read/write workload under seeded fault
-                # injection: retrying clients against killed workers,
-                # crashed write phases, and injected op errors/stalls.
-                record = next(sample_table.iter_records())
-                batches = [("insert", [record]), ("delete", [record])]
-                retry = RetryPolicy()
-                ops = ("point_stall",) if args.stall_us else ("point",)
-                with ChaosMonkey(faults, seed=args.chaos_seed,
-                                 interval_s=0.005, ops=ops) as monkey:
-                    result = run_mixed(
-                        server, requests, clients=args.clients,
-                        write_batches=batches * max(args.writes, 4),
-                        timeout=args.timeout, retry=retry,
-                        tolerate_write_errors=True,
-                    )
-                server.recover()  # clear degraded state the monkey left
-                result["chaos"] = monkey.summary()
-            elif args.rate:
-                result = run_open_loop(server, requests, args.rate,
-                                       timeout=args.timeout)
-            elif args.writes:
-                record = next(sample_table.iter_records())
-                batches = [("insert", [record]), ("delete", [record])]
-                result = run_mixed(server, requests, clients=args.clients,
-                                   write_batches=batches * args.writes,
-                                   timeout=args.timeout)
-            else:
-                result = run_closed_loop(server, requests,
-                                         clients=args.clients,
-                                         timeout=args.timeout)
-        result["server"] = server.stats()
-        counters = result["server"]["counters"]
-        result["ledger_ok"] = (
-            counters["submitted"] == counters["completed"]
-            + counters["timeouts"] + counters["errors"]
-            + counters["cancelled"]
-        )
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0 if result["ledger_ok"] else 1
-
-
 def cmd_fsck(args) -> int:
     tree = load_qctree_from(args.tree)
     table = None
@@ -468,7 +354,7 @@ def cmd_fsck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro", description="QC-tree warehouse command line"
     )
     parser.add_argument(
@@ -495,14 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("tree")
         p.add_argument("--table", required=True,
                        help="CSV base table (for label encoding)")
-        p.add_argument("--engine", default="frozen",
-                       choices=["frozen", "dict"],
-                       help="query engine: the read-optimized frozen view "
-                            "(default) or the mutable dict-backed tree")
         # What the shared loader reads of flags only some of these
         # commands have; those flags take their defaults from here.
-        p.set_defaults(measures=None, segmented=False,
-                       refreeze_ratio=0.25, seal_rows=2048)
+        p.set_defaults(measures=None, segmented=False)
         return p
 
     p_point = with_table(sub.add_parser("point", help="answer a point query"))
@@ -521,46 +402,45 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump = with_table(sub.add_parser("dump", help="pretty-print the tree"))
     p_dump.set_defaults(func=cmd_dump)
 
-    def with_server(p):
-        with_table(p)
-        p.add_argument("--workers", type=int, default=4,
-                       help="reader worker threads (default 4)")
-        p.add_argument("--queue-size", type=int, default=128,
-                       help="admission queue bound (default 128)")
-        p.add_argument("--timeout", type=float, default=None,
-                       help="per-request deadline in seconds (default none)")
-        p.add_argument("--warm-keys", type=int, default=32,
-                       help="hottest cache keys replayed after each "
-                            "snapshot swap (default 32; 0 disables)")
-        p.add_argument("--refreeze-ratio", type=float,
-                       help="dirty fraction above which a write recompiles "
-                            "the frozen view instead of patching it "
-                            "(default 0.25; 0 always recompiles, 1 always "
-                            "patches)")
-        p.add_argument("--processes", type=int, default=0,
-                       help="serve reads from N forked worker processes "
-                            "over a shared-memory packed snapshot "
-                            "(ShardServer; breaks the GIL cap for "
-                            "CPU-bound traffic; default 0 = threads only; "
-                            "incompatible with --segmented)")
-        p.add_argument("--segmented", action="store_true",
-                       help="serve from a SegmentedWarehouse: writes land "
-                            "in a small head that seals into immutable "
-                            "segments, queries scatter-gather, a background "
-                            "compactor merges segments (write latency "
-                            "bounded by head size, not cube size)")
-        p.add_argument("--seal-rows", type=int,
-                       help="head rows at which a segmented warehouse "
-                            "seals the head into a segment (default 2048; "
-                            "only with --segmented)")
-        return p
-
-    p_serve = with_server(sub.add_parser(
+    p_serve = with_table(sub.add_parser(
         "serve",
         help="serve queries over stdin/stdout through a QCServer, or "
              "over TCP with --async",
     ))
-    p_serve.add_argument("--cache-size", type=int, default=4096,
+    # What stays settable, and why.  --processes / --segmented / --async
+    # each pick a server, store or transport that benchmarks/e2e has a
+    # workload on both sides of (shard_bulk, ingest_seg, door_tcp against
+    # olap_inproc); the rest are deployment and tuning values (pool and
+    # queue sizes, deadlines, cache sizes, listen address, connection
+    # caps, the seal threshold).  The read engine and the refreeze
+    # thresholds are not here: the code chooses those from what it
+    # observes (degraded or not; the dirty share of a batch).
+    p_serve.add_argument("--workers", type=_int_in(1), default=4,
+                         help="reader worker threads (default 4)")
+    p_serve.add_argument("--queue-size", type=_int_in(1), default=128,
+                         help="admission queue bound (default 128)")
+    p_serve.add_argument("--timeout", type=float, default=None,
+                         help="per-request deadline in seconds (default none)")
+    p_serve.add_argument("--warm-keys", type=int, default=32,
+                         help="hottest cache keys replayed after each "
+                              "snapshot swap (default 32; 0 disables)")
+    p_serve.add_argument("--processes", type=_int_in(0), default=0,
+                         help="serve reads from N forked worker processes "
+                              "over a shared-memory packed snapshot "
+                              "(ShardServer; breaks the GIL cap for "
+                              "CPU-bound traffic; default 0 = threads only; "
+                              "incompatible with --segmented)")
+    p_serve.add_argument("--segmented", action="store_true",
+                         help="serve from a SegmentedWarehouse: writes land "
+                              "in a small head that seals into immutable "
+                              "segments, queries scatter-gather, a background "
+                              "compactor merges segments (write latency "
+                              "bounded by head size, not cube size)")
+    p_serve.add_argument("--seal-rows", type=_int_in(1), default=2048,
+                         help="head rows at which a segmented warehouse "
+                              "seals the head into a segment (default 2048; "
+                              "only with --segmented)")
+    p_serve.add_argument("--cache-size", type=_int_in(0), default=4096,
                          help="LSN-stamped result cache entries (default "
                               "4096; 0 disables)")
     p_serve.add_argument("--async", dest="use_async", action="store_true",
@@ -571,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="listen address for --async "
                               "(default 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=0,
+    p_serve.add_argument("--port", type=_int_in(0, 65535), default=0,
                          help="listen port for --async (default 0 = "
                               "ephemeral; the bound port is printed)")
     p_serve.add_argument("--max-connections", type=int, default=10_000,
@@ -584,46 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "the cap the socket stops being read (TCP "
                               "backpressure)")
     p_serve.set_defaults(func=cmd_serve)
-
-    p_bench = with_server(sub.add_parser(
-        "bench-serve",
-        help="drive a point-query workload through a QCServer and "
-             "print a JSON report",
-    ))
-    p_bench.add_argument("--requests", type=int, default=2000,
-                         help="number of point requests (default 2000)")
-    p_bench.add_argument("--clients", type=int, default=4,
-                         help="closed-loop client threads (default 4)")
-    p_bench.add_argument("--rate", type=float, default=None,
-                         help="open-loop arrival rate in req/s "
-                              "(default: closed loop)")
-    p_bench.add_argument("--open-loop", action="store_true",
-                         help="drive the workload over the asyncio TCP "
-                              "front door on a seeded open-loop arrival "
-                              "schedule (coordinated-omission-free; "
-                              "requires --rate); reports latency from "
-                              "the scheduled send instant per op family")
-    p_bench.add_argument("--arrival", default="poisson",
-                         choices=["poisson", "uniform"],
-                         help="open-loop inter-arrival process "
-                              "(default poisson)")
-    p_bench.add_argument("--arrival-seed", type=int, default=0,
-                         help="arrival schedule seed (default 0)")
-    p_bench.add_argument("--connections", type=int, default=4,
-                         help="open-loop client connections (default 4)")
-    p_bench.add_argument("--stall-us", type=float, default=0.0,
-                         help="simulated per-request downstream I/O stall "
-                              "in microseconds (default 0)")
-    p_bench.add_argument("--writes", type=int, default=0,
-                         help="concurrent insert+delete write pairs to "
-                              "apply during the run (default 0)")
-    p_bench.add_argument("--chaos", action="store_true",
-                         help="run the mixed workload under seeded fault "
-                              "injection (worker kills, write-pipeline "
-                              "crashes, op faults) with retrying clients")
-    p_bench.add_argument("--chaos-seed", type=int, default=0,
-                         help="chaos injection seed (default 0)")
-    p_bench.set_defaults(func=cmd_bench_serve)
 
     p_fsck = sub.add_parser(
         "fsck", help="verify a saved tree's invariants (exit 2 on corruption)"

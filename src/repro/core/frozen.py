@@ -59,8 +59,8 @@ slices of touched nodes live in a small overlay consulted before the
 shared CSR arrays; the untouched majority of every array is reused
 (tuples are shared or block-copied, never re-derived).  A patch falls
 back to a full :meth:`from_tree` compile when the dirty set is too large
-(``full_refreeze_ratio``), when accumulated tombstones/overlay debt says
-it is time to compact (``compact_ratio``), or when the delta needs
+(:data:`FULL_REFREEZE_RATIO`), when accumulated tombstones/overlay debt
+says it is time to compact (:data:`COMPACT_RATIO`), or when the delta needs
 representation changes a splice cannot express (label-code overflow of
 the routing-key stride; an attached tree, which has no map back to the
 dict tree's ids).  Either way the result answers every query identically
@@ -96,6 +96,18 @@ _ABSENT = object()
 #: Marks a value/state slot of an attached tree not decoded yet (``None``
 #: is taken: it is the decoded value of a non-class node).
 _UNSET = object()
+
+#: :meth:`FrozenQCTree.patch` recompiles instead of splicing when the
+#: dirty set exceeds this fraction of the live nodes.  A constant, not an
+#: option: the code picks the mode from the dirty set it observes, and
+#: the benchmark has a workload on each side (a 32-row batch on the
+#: 45k-node ``olap_inproc`` tree dirties 2.5 % and patches; a batch on an
+#: ``ingest_seg`` head of < 2,000 nodes dirties half of it and recompiles).
+FULL_REFREEZE_RATIO = 0.25
+
+#: ... and repacks when tombstones plus overlay rows would exceed this
+#: fraction of the live nodes.
+COMPACT_RATIO = 0.5
 
 #: The ``QCTREE/3`` sections an attached tree reads in place; section
 #: ``name`` is held in slot ``_name``.
@@ -376,8 +388,7 @@ class FrozenQCTree:
 
     # -- incremental refreeze --------------------------------------------------
 
-    def patch(self, delta, full_refreeze_ratio: float = 0.25,
-              compact_ratio: float = 0.5) -> "FrozenQCTree":
+    def patch(self, delta) -> "FrozenQCTree":
         """Splice a :class:`~repro.core.maintenance.delta.MaintenanceDelta`
         into a new frozen view, at cost proportional to the dirty set.
 
@@ -394,13 +405,12 @@ class FrozenQCTree:
         Fallback heuristics (each produces a full recompile, reported in
         ``patch_stats["mode"]``):
 
-        * ``full_refreeze_ratio`` — when the dirty set exceeds this
+        * :data:`FULL_REFREEZE_RATIO` — when the dirty set exceeds this
           fraction of the live nodes, splicing would touch most of the
-          tree anyway (``mode="full"``).  ``0`` forces a recompile on
-          every call; ``1`` effectively disables the check.
-        * ``compact_ratio`` — when accumulated tombstones plus overlay
-          rows would exceed this fraction of the live nodes, the spare
-          capacity is reclaimed by repacking (``mode="compacted"``).
+          tree anyway (``mode="full"``).
+        * :data:`COMPACT_RATIO` — when accumulated tombstones plus
+          overlay rows would exceed this fraction of the live nodes, the
+          spare capacity is reclaimed by repacking (``mode="compacted"``).
         * representation limits — a label code past the routing-key
           stride's headroom, an unsortable label mix, an unmapped
           neighbor, or an attached tree (``mode="full"``, see
@@ -419,7 +429,7 @@ class FrozenQCTree:
         if self._source_map is None:
             return full("full", "attached")
         n_live = self.n_nodes
-        if len(dirty) > full_refreeze_ratio * max(1, n_live):
+        if len(dirty) > FULL_REFREEZE_RATIO * max(1, n_live):
             return full("full", "dirty-ratio")
 
         # -- classify dirty ids against the post-mutation ground truth ----
@@ -452,7 +462,7 @@ class FrozenQCTree:
         overlay_after.update(gone)
         dead_after = len(dead) + len(gone)
         live_after = base_slots + len(appended) - dead_after
-        if dead_after + len(overlay_after) > compact_ratio * max(1, live_after):
+        if dead_after + len(overlay_after) > COMPACT_RATIO * max(1, live_after):
             return full("compacted", "patch-debt")
 
         # -- splice ---------------------------------------------------------

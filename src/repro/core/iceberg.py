@@ -125,7 +125,11 @@ def constrained_iceberg(
     """Range query + iceberg condition: ``{point cell: value}``.
 
     ``strategy`` selects the paper's plan (1) ``"filter"`` or plan (2)
-    ``"mark"``; both return identical results.
+    ``"mark"``; both return identical results.  It stays an option
+    because the two plans are the paper's subject here, not one job done
+    twice: which wins depends on the threshold's selectivity, and
+    Ablation A2 (``benchmarks/bench_ablation_iceberg_strategies.py``)
+    measures both.
     """
     if strategy == "filter":
         from repro.core.range_query import range_query

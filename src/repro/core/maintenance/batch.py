@@ -1,16 +1,16 @@
-"""Batched maintenance fast path for Algorithms 5–7.
+"""The one maintenance entry point: Algorithms 5–7 on a batch.
 
 Once refreeze became an incremental patch, dict-tree maintenance itself
 was ~95% of write latency (today: the ``maintenance.*`` per-layer lines
 of ``benchmarks/e2e``).  The
 per-write cost is dominated by work that is *identical across tuples*:
 the Δ-partition DFS, closure jumps and cover-index probes over the old
-tree, and — whenever a write mints a new class bound — a cover index
-over the whole new base table.  Driving N tuples through N single-tuple
-maintenance calls re-derives all of it N times.
+tree.  Driving N tuples through N single-tuple maintenance calls
+re-derives all of it N times.
 
-:func:`maintain_batch` is the single entry point that amortizes it
-once per batch instead:
+:func:`maintain_batch` is the single entry point — every insertion and
+deletion in the program, a batch of one included, is a call of it — and
+it amortizes that work once per batch instead:
 
 * the insert delta is **sorted in dimension order** so the cover-
   partition DFS (:func:`~repro.core.classes.enumerate_temp_classes`,
@@ -21,9 +21,10 @@ once per batch instead:
   locate cache across every tuple of the batch, what the batch asks of
   the tree's shape goes through one walk restricted to its rows
   (:meth:`QCTree.walk_generalizing
-  <repro.core.qctree.QCTree.walk_generalizing>`), and the new-table
-  cover index — the big per-write cost — is built at most once per
-  batch rather than once per tuple;
+  <repro.core.qctree.QCTree.walk_generalizing>`), and every cover
+  question goes to ONE cover index — the caller's long-lived one,
+  patched in place with the batch delta, or one built here for a caller
+  that holds none — never an index re-derived per phase or per tuple;
 * deletes and inserts are applied as *one* logical batch (deletes
   first, then inserts — the paper's §3.3 "modification = deletion +
   insertion" ordering), under one transactional guard, recording one
@@ -45,6 +46,7 @@ import time
 
 from repro.core.maintenance.delete import batch_delete, resolve_deletions
 from repro.core.maintenance.insert import batch_insert
+from repro.cube.cover_index import CoverIndex
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError, SchemaError
 from repro.reliability.transactional import transactional
@@ -84,12 +86,8 @@ class BatchMaintenanceResult:
         how many tuples or which mix of inserts and deletes;
     ``stats``
         counts and the ``partition`` / ``merge`` / ``index`` sub-phase
-        seconds (``partition_s`` / ``merge_s`` / ``index_s``), the
-        cover-index mode for the batch (``cover_index``:
-        ``"patched"`` when a persistent index absorbed the batch delta,
-        ``"rebuilt"`` when a full-table index had to be constructed,
-        ``None`` when the batch needed no full-table index at all),
-        plus ``noop`` for empty batches.
+        seconds (``partition_s`` / ``merge_s`` / ``index_s``), plus
+        ``noop`` for empty batches.
     """
 
     __slots__ = ("table", "delta", "stats")
@@ -126,13 +124,13 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
     deleting k copies requires k matching rows — exactly the semantics
     of running the tuples one at a time.
 
-    ``cover_index``, when given, is the caller's long-lived
+    ``cover_index`` is the caller's long-lived
     :class:`~repro.cube.cover_index.CoverIndex`, *in sync with*
-    ``table``.  The batch delta is applied to it in place
-    (:meth:`~repro.cube.cover_index.CoverIndex.apply_deletes` then
-    :meth:`~repro.cube.cover_index.CoverIndex.apply_inserts`) instead
-    of re-deriving a full-table index inside the batch, and the
-    maintenance algorithms reuse its posting sets (each patch clears
+    ``table``; a caller that holds none gets one built here, over
+    ``table``, for this batch alone.  The batch delta is applied to it
+    in place (:meth:`~repro.cube.cover_index.CoverIndex.apply_deletes`
+    then :meth:`~repro.cube.cover_index.CoverIndex.apply_inserts`) and
+    the maintenance algorithms read its posting sets (each patch clears
     the closure memo).  On success the index is in sync with
     ``result.table``.  On *failure* the tree rolls back but the index
     may already hold the batch delta — the caller must discard it (the
@@ -151,7 +149,6 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
         "partition_s": 0.0,
         "merge_s": 0.0,
         "index_s": 0.0,
-        "cover_index": None,
         "noop": not inserts and not deletes,
     }
     owns_recorder = tree._delta is None
@@ -164,8 +161,7 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
         # the whole batch against the pre-batch table before any tree
         # mutation, and the insert delta is encoded against the reduced
         # table (fresh labels keep their codes stable either way).
-        timings = {"partition": 0.0, "merge": 0.0,
-                   "index": 0.0, "index_rebuilds": 0}
+        timings = {"partition": 0.0, "merge": 0.0, "index": 0.0}
         if deletes:
             mid_table, delta_rows = resolve_deletions(table, deletes)
         else:
@@ -181,37 +177,74 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
         else:
             new_table, delta_table = mid_table, None
 
-        # With a persistent index, each phase's delta is patched in just
-        # before the phase that needs it: batch_delete reads cover sets
-        # of the *reduced* table (deletes applied, inserts not yet),
+        # Each phase's delta is patched into the index just before the
+        # phase that reads it: batch_delete reads cover sets of the
+        # *reduced* table (deletes applied, inserts not yet),
         # batch_insert of the final one.
 
-        def _patch(apply, payload):
+        def _indexed(build, payload):
             _t = time.perf_counter()
-            apply(payload)
+            built = build(payload)
             timings["index"] += time.perf_counter() - _t
+            return built
 
+        if cover_index is None:
+            cover_index = _indexed(CoverIndex, table)
         with transactional(tree):
             if delta_rows is not None:
-                if cover_index is not None:
-                    _patch(cover_index.apply_deletes, delta_rows.positions)
-                batch_delete(tree, mid_table, delta_rows, timings=timings,
-                             cover_index=cover_index)
+                _indexed(cover_index.apply_deletes, delta_rows.positions)
+                batch_delete(tree, mid_table, delta_rows, cover_index,
+                             timings=timings)
             if delta_table is not None:
-                if cover_index is not None:
-                    _patch(cover_index.apply_inserts, delta_table.rows)
-                batch_insert(tree, new_table, delta_table, timings=timings,
-                             cover_index=cover_index)
-
-        if cover_index is not None:
-            stats["cover_index"] = "patched"
+                _indexed(cover_index.apply_inserts, delta_table.rows)
+                batch_insert(tree, delta_table, cover_index,
+                             timings=timings)
 
         stats["partition_s"] = timings["partition"]
         stats["merge_s"] = timings["merge"]
         stats["index_s"] = timings["index"]
-        if cover_index is None and timings["index_rebuilds"]:
-            stats["cover_index"] = "rebuilt"
         return BatchMaintenanceResult(new_table, recorder, stats)
     finally:
         if owns_recorder:
             tree.end_delta()
+
+
+def apply_insertions(tree, table: BaseTable, records) -> BaseTable:
+    """Insert raw records as one batch; returns the extended base table
+    (the caller's is never mutated; on :class:`MaintenanceError` the
+    tree is observably unchanged)."""
+    return maintain_batch(tree, table, inserts=records).table
+
+
+def apply_deletions(tree, table: BaseTable, records) -> BaseTable:
+    """Delete raw records (multiset, matched on dimension labels — the
+    paper deletes by key) as one batch; returns the reduced table.
+    Raises :class:`MaintenanceError`, tree unchanged, when a record has
+    no matching row left."""
+    return maintain_batch(tree, table, deletes=records).table
+
+
+def insert_one_by_one(tree, table: BaseTable, records) -> BaseTable:
+    """Insert records tuple by tuple: batches of one over ONE cover
+    index, built here and patched by every call — the way a warehouse
+    driven a tuple at a time holds it.
+
+    The baseline the paper's Figure 14 compares batch insertion against:
+    every tuple repeats the point-query-heavy classification, so this is
+    expected to scale worse than one batch.
+    """
+    index = CoverIndex(table)
+    for record in records:
+        table = maintain_batch(tree, table, inserts=[record],
+                               cover_index=index).table
+    return table
+
+
+def delete_one_by_one(tree, table: BaseTable, records) -> BaseTable:
+    """Delete records one batch-of-one at a time over one cover index
+    (Ablation A3's baseline; see :func:`insert_one_by_one`)."""
+    index = CoverIndex(table)
+    for record in records:
+        table = maintain_batch(tree, table, deletes=[record],
+                               cover_index=index).table
+    return table

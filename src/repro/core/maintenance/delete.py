@@ -36,7 +36,6 @@ from repro.core.point_query import locate
 from repro.core.qctree import QCTree
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError
-from repro.reliability.transactional import transactional
 
 
 def _classes_through_prefix(tree: QCTree, src: int, min_dim: int) -> list:
@@ -56,13 +55,18 @@ def _classes_through_prefix(tree: QCTree, src: int, min_dim: int) -> list:
 
 
 def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
-                 timings=None, cover_index=None) -> None:
-    """Apply the deletion of ``delta_rows`` (encoded dim tuples) in place.
+                 cover_index: CoverIndex, timings=None) -> None:
+    """Apply the deletion of ``delta_rows`` in place.
 
     ``new_table`` must be the base table with those rows already removed
-    (see :meth:`BaseTable.without_rows`); ``delta_rows`` is the multiset of
-    removed rows.  After the call the tree equals the one built from
-    scratch on ``new_table``.
+    and ``delta_rows`` the removed rows as
+    :func:`resolve_deletions` returns them (encoded dimension tuples
+    carrying their ``.measures``); ``cover_index`` is the caller's
+    :class:`~repro.cube.cover_index.CoverIndex` *already synced to*
+    ``new_table`` (the deletions applied via
+    :meth:`~repro.cube.cover_index.CoverIndex.apply_deletes`).  After
+    the call the tree equals the one built from scratch on
+    ``new_table``.
 
     ``timings``, when given, accumulates elapsed seconds like
     :func:`~repro.core.maintenance.insert.batch_insert` does:
@@ -70,40 +74,21 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
     (phase 1, computed against the pre-mutation tree); *merge* covers
     link invalidation, the structural apply, and the justification-based
     link refresh (phases 2–4).
-
-    ``cover_index``, when given, is a long-lived
-    :class:`~repro.cube.cover_index.CoverIndex` *already synced to*
-    ``new_table`` (the caller applied the deletions via
-    :meth:`~repro.cube.cover_index.CoverIndex.apply_deletes`); without
-    one, a fresh full-table index is built — the per-batch O(rows ×
-    dims) rebuild recorded under ``timings["index"]`` /
-    ``timings["index_rebuilds"]``.
     """
     if not delta_rows:
         return
     _t_start = time.perf_counter()
     agg = tree.aggregate
     n_dims = tree.n_dims
-    if cover_index is not None:
-        new_index = cover_index
-    else:
-        new_index = CoverIndex(new_table)
-        if timings is not None:
-            timings["index"] = timings.get("index", 0.0) \
-                + (time.perf_counter() - _t_start)
-            timings["index_rebuilds"] = timings.get("index_rebuilds", 0) + 1
-    new_closure = new_index.closure
+    new_closure = cover_index.closure
 
-    # Subtracting deleted contributions from class states needs the deleted
-    # rows' measures; callers that have them attach a ``.measures`` array
-    # (see apply_deletions).  Without them, or for non-subtractable
-    # aggregates, states are recomputed from the new base table instead.
-    delta_measures = getattr(delta_rows, "measures", None)
-    subtract_possible = agg.subtractable and delta_measures is not None
-    if subtract_possible:
+    # Subtractable aggregates (COUNT/SUM/AVG) take the deleted rows'
+    # contribution out of the class states in place; the others are
+    # recomputed from the new base table.
+    if agg.subtractable:
         delta_index = CoverIndex(rows=list(delta_rows), n_dims=n_dims)
         delta_table = BaseTable(
-            new_table.schema, list(delta_rows), delta_measures,
+            new_table.schema, list(delta_rows), delta_rows.measures,
             new_table._decoders, new_table._encoders,
         )
 
@@ -116,7 +101,7 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
         w = new_closure(ub)
         if w is None:
             state = None
-        elif subtract_possible:
+        elif agg.subtractable:
             # States are computed before any mutation: a node may be both
             # updated and the target of a merge, and subtraction must see
             # the pre-deletion state.
@@ -133,7 +118,7 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
             # positions(), not rows(): the measure matrix is addressed by
             # compacted table position, which diverges from the stable
             # ids a long-lived index keeps across deletes.
-            state = agg.state(new_table, sorted(new_index.positions(w)))
+            state = agg.state(new_table, sorted(cover_index.positions(w)))
         fates.append((ub, node, w, state))
     _t_partition = time.perf_counter()
 
@@ -181,12 +166,12 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
                 if cub[j] is ALL and ub[j] is not ALL:
                     candidates.add((truncate(cub, j), j, ub[j]))
     for w in merge_targets:
-        rows_w = new_index.rows(w)
+        rows_w = cover_index.rows(w)
         for j in range(n_dims):
             if w[j] is not ALL:
                 continue
             trunc = truncate(w, j)
-            for v in sorted({new_index.row(i)[j] for i in rows_w}):
+            for v in sorted({cover_index.row(i)[j] for i in rows_w}):
                 candidates.add((trunc, j, v))
 
     # -- phase 4: justification-based refresh ---------------------------------
@@ -245,8 +230,8 @@ def resolve_deletions(table: BaseTable, records):
     """Match raw delete records against ``table``'s rows, pre-mutation.
 
     Returns ``(new_table, delta_rows)``: the table with the matched rows
-    removed and the removed rows themselves (a list with a ``.measures``
-    array attached, the shape :func:`batch_delete` consumes).  Matching
+    removed and the removed rows themselves (a :class:`_DeltaRows`, the
+    shape :func:`batch_delete` consumes).  Matching
     is by dimension labels only (the paper deletes by key); measure
     values in the records are ignored.  Raises
     :class:`MaintenanceError` — before anything is derived — when a
@@ -278,27 +263,3 @@ def resolve_deletions(table: BaseTable, records):
     delta.measures = table.measures[drop]
     delta.positions = drop
     return new_table, delta
-
-
-def apply_deletions(tree: QCTree, table: BaseTable, records) -> BaseTable:
-    """Delete raw records (multiset) from the warehouse; returns new table.
-
-    Each record's dimension labels must match existing rows; measure
-    values are ignored for matching (the paper deletes by key).  Raises
-    :class:`MaintenanceError` when a record has no matching row left.
-    The operation is transactional: validation happens before any
-    mutation, and a failure inside the batch rolls the tree back, so the
-    tree (and the caller's table) is observably unchanged on error.
-    """
-    new_table, delta = resolve_deletions(table, records)
-    with transactional(tree):
-        batch_delete(tree, new_table, delta)
-    return new_table
-
-
-def delete_one_by_one(tree: QCTree, table: BaseTable, records) -> BaseTable:
-    """Delete records one batch-of-one at a time (Figure 14's baseline)."""
-    current = table
-    for record in records:
-        current = apply_deletions(tree, current, [record])
-    return current

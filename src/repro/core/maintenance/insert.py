@@ -44,8 +44,7 @@ from repro.core.point_query import locate
 from repro.core.qctree import QCTree
 from repro.cube.cover_index import CoverIndex
 from repro.cube.table import BaseTable
-from repro.errors import MaintenanceError, SchemaError
-from repro.reliability.transactional import transactional
+from repro.errors import MaintenanceError
 
 
 _MISSING = object()
@@ -65,15 +64,18 @@ def closures_below(tree: QCTree, bound: Cell) -> dict:
     return cells.closures_below(probe, bound)
 
 
-def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
-                 timings=None, cover_index=None) -> None:
+def batch_insert(tree: QCTree, delta_table: BaseTable,
+                 cover_index: CoverIndex, timings=None) -> None:
     """Apply the insertion of ``delta_table``'s rows to ``tree`` in place.
 
-    ``new_table`` must already contain the old rows plus the delta (use
-    :meth:`repro.cube.table.BaseTable.extended`, which also produces a
-    consistently encoded ``delta_table``).  After the call the tree equals
-    the one :func:`repro.core.construct.build_qctree` builds on
-    ``new_table``.
+    ``delta_table`` is the consistently encoded delta
+    :meth:`repro.cube.table.BaseTable.extended` produces next to the new
+    base table, and ``cover_index`` the caller's
+    :class:`~repro.cube.cover_index.CoverIndex` *already synced to* that
+    new table (old rows plus the delta, applied via
+    :meth:`~repro.cube.cover_index.CoverIndex.apply_inserts`).  After
+    the call the tree equals the one
+    :func:`repro.core.construct.build_qctree` builds on the new table.
 
     ``timings``, when given, is a dict whose ``"partition"`` and
     ``"merge"`` entries are incremented with the elapsed seconds of the
@@ -82,14 +84,6 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
     1–2); *merge* covers link derivation and the structural apply (step
     3 onward).  The batched maintenance engine surfaces these as the
     ``write_phases`` sub-phases.
-
-    ``cover_index``, when given, is a long-lived
-    :class:`~repro.cube.cover_index.CoverIndex` *already synced to*
-    ``new_table`` (the caller applied the batch delta via
-    :meth:`~repro.cube.cover_index.CoverIndex.apply_inserts`); without
-    one, a fresh index over the full new table is built on demand —
-    the O(rows × dims) rebuild the persistent index exists to avoid
-    (``timings["index"]`` / ``timings["index_rebuilds"]`` record it).
     """
     if delta_table.n_dims != tree.n_dims:
         raise MaintenanceError(
@@ -189,9 +183,6 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
 
     # Step 3b: link candidates around new bounds (closures pre-mutation).
     new_links = []  # (source truncated context, j, v, target bound)
-    # Built lazily: only batches creating bounds need a full-table index,
-    # and a persistent one (kept current by the caller) skips the rebuild.
-    new_index = cover_index
     for w in new_bounds:
         # Ancestors among the OLD classes; new-bound-to-new-bound links
         # are produced by the out-link pass below (every new bound's
@@ -208,20 +199,12 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
                 if new_closure(trunc[:j] + (w[j],) + trunc[j + 1:]) != w:
                     continue  # context rule: the node cannot claim this route
                 new_links.append((trunc, j, w[j], w))
-        if new_index is None:
-            _t_index = time.perf_counter()
-            new_index = CoverIndex(new_table)
-            if timings is not None:
-                timings["index"] = timings.get("index", 0.0) \
-                    + (time.perf_counter() - _t_index)
-                timings["index_rebuilds"] = \
-                    timings.get("index_rebuilds", 0) + 1
-        rows_w = new_index.rows(w)
+        rows_w = cover_index.rows(w)
         for j in range(n_dims):
             if w[j] is not ALL:
                 continue
             trunc = truncate(w, j)
-            for v in sorted({new_index.row(i)[j] for i in rows_w}):
+            for v in sorted({cover_index.row(i)[j] for i in rows_w}):
                 target = new_closure(trunc[:j] + (v,) + trunc[j + 1:])
                 if target is None:
                     continue
@@ -250,33 +233,3 @@ def batch_insert(tree: QCTree, new_table: BaseTable, delta_table: BaseTable,
             + (_t_partition - _t_start)
         timings["merge"] = timings.get("merge", 0.0) \
             + (time.perf_counter() - _t_partition)
-
-
-def apply_insertions(tree: QCTree, table: BaseTable, records) -> BaseTable:
-    """Insert raw records; returns the extended base table.
-
-    Convenience wrapper pairing :meth:`BaseTable.extended` with
-    :func:`batch_insert`.  The operation is transactional: it either
-    completes or raises :class:`MaintenanceError` with the tree (and the
-    caller's table, which is never mutated) observably unchanged.
-    """
-    try:
-        new_table, delta = table.extended(records)
-    except SchemaError as exc:
-        raise MaintenanceError(f"cannot insert batch: {exc}") from exc
-    with transactional(tree):
-        batch_insert(tree, new_table, delta)
-    return new_table
-
-
-def insert_one_by_one(tree: QCTree, table: BaseTable, records) -> BaseTable:
-    """Insert records tuple by tuple (one batch call each).
-
-    The baseline the paper's Figure 14 compares batch insertion against:
-    every tuple repeats the point-query-heavy classification, so this is
-    expected to scale worse than one batch.
-    """
-    current = table
-    for record in records:
-        current = apply_insertions(tree, current, [record])
-    return current

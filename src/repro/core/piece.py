@@ -79,21 +79,16 @@ def paired_table(tree, table: BaseTable) -> Optional[BaseTable]:
 class Piece:
     """Owner of one ``(dict tree, table)`` pair (see module docstring)."""
 
-    __slots__ = ("tree", "table", "full_refreeze_ratio", "segment_id",
-                 "_frozen", "_pending", "_cover_index", "_cover_rebuilt",
-                 "_cover_patched", "_row_counts", "_saved_at", "_lock")
+    __slots__ = ("tree", "table", "segment_id", "_frozen", "_pending",
+                 "_cover_index", "_cover_rebuilt", "_cover_patched",
+                 "_row_counts", "_saved_at", "_lock")
 
-    def __init__(self, tree, table: BaseTable,
-                 full_refreeze_ratio: float = 0.25, frozen=None,
+    def __init__(self, tree, table: BaseTable, frozen=None,
                  segment_id: Optional[int] = None):
         #: The mutable dict tree Algorithms 5–7 run against.
         self.tree = tree
         #: The base table (copy-on-write: a batch installs a *new* one).
         self.table = table
-        #: Dirty fraction above which a refreeze recompiles instead of
-        #: patching — the owning warehouse's, for live and sealed pieces
-        #: alike.
-        self.full_refreeze_ratio = full_refreeze_ratio
         #: None while live; the segment id once sealed (immutable).
         self.segment_id = segment_id
         self._frozen = frozen
@@ -110,10 +105,9 @@ class Piece:
         self._lock = threading.Lock()
 
     @classmethod
-    def build(cls, table: BaseTable, aggregate,
-              full_refreeze_ratio: float = 0.25) -> "Piece":
+    def build(cls, table: BaseTable, aggregate) -> "Piece":
         """A fresh piece over ``table`` (Algorithm 1 construction)."""
-        return cls(build_qctree(table, aggregate), table, full_refreeze_ratio)
+        return cls(build_qctree(table, aggregate), table)
 
     # -- read view -----------------------------------------------------------
 
@@ -123,7 +117,9 @@ class Piece:
         Compiled on first use; afterwards the deltas accumulated since
         the last read are spliced into the stale view — cost
         proportional to the maintenance delta, not the tree size —
-        unless the dirty fraction exceeds :attr:`full_refreeze_ratio`.
+        unless :meth:`FrozenQCTree.patch
+        <repro.core.frozen.FrozenQCTree.patch>` finds the dirty set too
+        large and recompiles.
         Sealing hands a live piece over with whatever view and unread
         delta it had, so for a sealed piece the expensive compile/patch
         happens here — off the write path — at most once.
@@ -135,10 +131,7 @@ class Piece:
             if self._frozen is None:
                 self._frozen = self.tree.freeze()
             elif self._pending is not None:
-                self._frozen = self._frozen.patch(
-                    self._pending,
-                    full_refreeze_ratio=self.full_refreeze_ratio,
-                )
+                self._frozen = self._frozen.patch(self._pending)
             self._pending = None
             return self._frozen
 
@@ -297,11 +290,9 @@ class Piece:
                                 inserts=inserts, deletes=deletes)
         frozen = None
         if self.frozen_ready:
-            frozen = self._frozen.patch(
-                result.delta, full_refreeze_ratio=self.full_refreeze_ratio
-            )
-        return Piece(tree, result.table, self.full_refreeze_ratio,
-                     frozen=frozen, segment_id=segment_id)
+            frozen = self._frozen.patch(result.delta)
+        return Piece(tree, result.table, frozen=frozen,
+                     segment_id=segment_id)
 
     def seal(self, segment_id: int) -> None:
         """Make this piece immutable under ``segment_id`` — O(1): the
@@ -368,8 +359,7 @@ class Piece:
         self._saved_at = paths
 
     @classmethod
-    def load(cls, tree_path, table_path, schema, aggregate=None,
-             full_refreeze_ratio: float = 0.25) -> tuple:
+    def load(cls, tree_path, table_path, schema, aggregate=None) -> tuple:
         """Restore a pair written by :meth:`save`; returns ``(piece,
         lsn, rebuilt)`` — the WAL position the pair includes and whether
         the tree had to be rebuilt from the CSV.
@@ -407,13 +397,13 @@ class Piece:
             lsn = _stamped_lsn(tree.snapshot_meta)
             paired = None if table_lsn > lsn else paired_table(tree, table)
             if paired is not None:
-                piece = cls(tree, paired, full_refreeze_ratio)
+                piece = cls(tree, paired)
                 piece._saved_at = (os.path.abspath(tree_path),
                                    os.path.abspath(table_path))
                 return piece, lsn, False
             if aggregate is None:
                 aggregate = tree.aggregate
-        return cls.build(table, aggregate, full_refreeze_ratio), table_lsn, True
+        return cls.build(table, aggregate), table_lsn, True
 
     def __repr__(self):
         return (

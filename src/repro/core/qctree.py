@@ -528,38 +528,12 @@ class QCTree:
         return True
 
     def check_invariants(self) -> None:
-        """Assert the QC-tree's structural invariants (for tests).
+        """Assert that :func:`~repro.reliability.fsck.fsck_tree` finds
+        nothing (for tests): structure, links and class routing."""
+        from repro.reliability.fsck import fsck_tree
 
-        Checks: parent/child consistency, strictly increasing dimensions
-        along paths, labels matching edge keys, link endpoints alive, no
-        link duplicating a tree edge, and free-list hygiene.
-        """
-        free = self._free_ids
-        live = set(self.iter_nodes())
-        assert self.root in live
-        assert not (live & free), "freed node still reachable"
-        assert not any(
-            self.children[n] or self.links[n] or self.state[n] is not None
-            for n in free
-        ), "freed slot not emptied"
-        for node in live:
-            if node != self.root:
-                parent = self.parent[node]
-                dim, value = self.node_dim[node], self.node_value[node]
-                assert parent in live, f"node {node} has dead parent"
-                assert self.children[parent][dim][value] == node
-                assert dim > self.node_dim[parent] or parent == self.root
-            for dim, by_value in self.children[node].items():
-                assert dim > self.node_dim[node] or node == self.root
-                for value, child in by_value.items():
-                    assert self.node_dim[child] == dim
-                    assert self.node_value[child] == value
-            for dim, by_value in self.links[node].items():
-                for value, target in by_value.items():
-                    assert target in live, "link to dead node"
-                    assert self.child(node, dim, value) != target, (
-                        "link duplicates a tree edge"
-                    )
+        report = fsck_tree(self)
+        assert report.ok, str(report)
 
     def stats(self) -> dict:
         """Size statistics used by the storage model and the benchmarks."""

@@ -7,17 +7,20 @@ node table (label dim, label value, parent, aggregate state), and the
 link list.  Node ids are compacted on save, so freed slots never leak
 into the file.
 
-Three format versions exist:
+Three format versions exist (each is read because files of it exist;
+which one is *written* is a caller's choice between a text pair loader
+and a zero-copy attach, and ROADMAP item 3 owns collapsing them):
 
 ``QCTREE/3`` (packed, binary)
     The zero-copy layout of :mod:`repro.shard.pack`: typed little-endian
     buffers behind a checksummed header, attachable from shared memory
     or an mmap'd file and traversed in place — no deserialization.
     :func:`save_qctree_packed` writes it (atomically, like v2);
-    :func:`load_qctree_from` auto-detects it, returning the packed view
-    (``freeze=True``) or rebuilding a mutable tree from it
-    (``freeze=False``) — so v3 loads everywhere v2 does, and v2 files
-    still load and re-pack.
+    :func:`load_qctree_from` auto-detects it and rebuilds a mutable
+    tree from it — so v3 loads everywhere v2 does, and v2 files still
+    load and re-pack; the in-place view is
+    :func:`repro.shard.pack.attach_packed` /
+    :func:`~repro.shard.pack.attach_packed_file`.
 
 ``QCTREE/2`` (written)
     The header line carries a CRC32 of the payload bytes plus the node
@@ -200,17 +203,14 @@ def _parse_payload(payload: str, payload_offset: int):
         ) from exc
 
 
-def load_qctree(fp, freeze: bool = False):
+def load_qctree(fp):
     """Read a QC-tree written by :func:`dump_qctree` (v2) or the legacy v1.
 
-    Raises :class:`SerializationError` on bad magic, checksum or count
-    mismatch, malformed JSON, or structurally inconsistent content; the
-    message carries the failing byte offset where one is known.
-
-    ``freeze=True`` returns the immutable, read-optimized
-    :class:`~repro.core.frozen.FrozenQCTree` compiled from the loaded
-    tree instead of the mutable tree itself — for read-only consumers
-    that will never run maintenance on the snapshot.
+    Returns the mutable tree (``.freeze()`` compiles the read-optimized
+    view).  Raises :class:`SerializationError` on bad magic, checksum or
+    count mismatch, malformed JSON, or structurally inconsistent
+    content; the message carries the failing byte offset where one is
+    known.
     """
     header = fp.readline()
     magic = header.strip()
@@ -250,12 +250,10 @@ def load_qctree(fp, freeze: bool = False):
                 f"links={want_links}, payload has nodes={n_nodes} "
                 f"links={n_links}"
             )
-        tree = _tree_from_document(document)
-        return tree.freeze() if freeze else tree
+        return _tree_from_document(document)
     if magic == _MAGIC_V1:
-        document = _parse_payload(fp.read(), payload_offset)
-        tree = _tree_from_document(document)
-        return tree.freeze() if freeze else tree
+        return _tree_from_document(
+            _parse_payload(fp.read(), payload_offset))
     raise SerializationError(
         f"bad magic {magic!r}; expected {_MAGIC_V2!r} (or legacy "
         f"{_MAGIC_V1!r})"
@@ -301,14 +299,14 @@ def _fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-def load_qctree_from(path, freeze: bool = False):
-    """Read a QC-tree from ``path``.
+def load_qctree_from(path):
+    """Read a QC-tree (any format version) from ``path``; returns the
+    mutable tree, as :func:`load_qctree` does.
 
     Any corruption — an empty file, binary garbage, truncation, a bad
     checksum, malformed JSON — raises :class:`SerializationError` with
     the path in the message; only genuine I/O failures (missing file,
-    permissions) surface as :class:`OSError`.  ``freeze=True`` returns
-    the read-optimized frozen view, as in :func:`load_qctree`.
+    permissions) surface as :class:`OSError`.
     """
     path_text = os.fspath(path)
     with open(path, "rb") as fp:
@@ -316,7 +314,7 @@ def load_qctree_from(path, freeze: bool = False):
     if not data:
         raise SerializationError(f"{path_text}: file is empty")
     if data.startswith(_MAGIC_V3):
-        return _load_packed(data, path_text, freeze)
+        return _load_packed(data, path_text)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -325,21 +323,19 @@ def load_qctree_from(path, freeze: bool = False):
             f"offset {exc.start})"
         ) from exc
     try:
-        return loads_qctree(text, freeze=freeze)
+        return loads_qctree(text)
     except SerializationError as exc:
         raise SerializationError(f"{path_text}: {exc}") from exc
 
 
-def _load_packed(data: bytes, path_text: str, freeze: bool):
-    """Load a ``QCTREE/3`` blob: the packed in-place view when
-    ``freeze=True``, else a mutable rebuild through the v2 document."""
+def _load_packed(data: bytes, path_text: str):
+    """Load a ``QCTREE/3`` blob: a mutable rebuild through the v2
+    document."""
     from repro.shard.pack import attach_packed, packed_to_document
 
     try:
-        attached = attach_packed(data, verify=True)
-        if freeze:
-            return attached.tree
-        return _tree_from_document(packed_to_document(attached))
+        return _tree_from_document(
+            packed_to_document(attach_packed(data, verify=True)))
     except SerializationError as exc:
         raise SerializationError(f"{path_text}: {exc}") from exc
 
@@ -383,6 +379,6 @@ def dumps_qctree(tree: QCTree, meta=None) -> str:
     return buffer.getvalue()
 
 
-def loads_qctree(text: str, freeze: bool = False):
+def loads_qctree(text: str):
     """Deserialize a QC-tree from a string."""
-    return load_qctree(io.StringIO(text), freeze=freeze)
+    return load_qctree(io.StringIO(text))

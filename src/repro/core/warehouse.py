@@ -95,16 +95,11 @@ class BaseWarehouse:
 
     _generation = 0
 
-    def __init__(self, aggregate, index_key, wal, cache_size: int,
-                 full_refreeze_ratio: float):
+    def __init__(self, aggregate, index_key, wal, cache_size: int):
         self.aggregate = make_aggregate(aggregate)
         self._index_key = index_key
         self.wal: Optional[WriteAheadLog] = wal
         self._cache = LsnQueryCache(cache_size) if cache_size else None
-        #: Dirty fraction above which the next refreeze recompiles instead
-        #: of patching (forwarded to :meth:`FrozenQCTree.patch
-        #: <repro.core.frozen.FrozenQCTree.patch>` by every piece).
-        self.full_refreeze_ratio = full_refreeze_ratio
         # One re-entrant lock covers piece-list swaps and live-piece
         # mutation; heavy work (compaction merges, frozen-view compiles)
         # happens outside it, so readers and writers only ever wait on
@@ -127,11 +122,6 @@ class BaseWarehouse:
         self.last_maintenance: Optional[dict] = None
         self._maintain_batched = 0
         self._maintain_sequential = 0
-
-    def _new_piece(self, table: BaseTable) -> Piece:
-        """A fresh piece over ``table`` with this warehouse's aggregate
-        and refreeze ratio."""
-        return Piece.build(table, self.aggregate, self.full_refreeze_ratio)
 
     @classmethod
     def from_records(cls, records, schema: Schema, aggregate="count",
@@ -186,7 +176,7 @@ class BaseWarehouse:
         This is the publication point the concurrent server
         (:class:`~repro.serving.server.QCServer`) swaps into place after
         each mutation; the snapshot shares no mutable structure with the
-        warehouse as long as the warehouse serves frozen.
+        warehouse unless the warehouse is degraded.
         """
         with self._lock:
             views = [PieceView(piece.frozen_view(), piece.table)
@@ -571,27 +561,22 @@ class QCWarehouse(BaseWarehouse):
     (:meth:`QCTree.freeze <repro.core.qctree.QCTree.freeze>`) brought
     current lazily after each mutation — incrementally patched from the
     recorded maintenance delta when the dirty set is small
-    (:meth:`FrozenQCTree.patch <repro.core.frozen.FrozenQCTree.patch>`,
-    see ``full_refreeze_ratio``), recompiled otherwise — with point
-    answers memoized in a bounded
+    (:meth:`FrozenQCTree.patch <repro.core.frozen.FrozenQCTree.patch>`),
+    recompiled otherwise — with point answers memoized in a bounded
     LRU cache stamped by the serving version (WAL LSN + local mutation
     epoch) — any insert, delete, rebuild, or recovery atomically
-    invalidates every cached answer.  Pass ``serve_frozen=False`` to
-    query the mutable dict-backed tree directly, or ``cache_size=0`` to
-    disable the cache.
+    invalidates every cached answer.  Pass ``cache_size=0`` to disable
+    the cache.
     """
 
     def __init__(self, table: BaseTable, aggregate="count",
                  tree=None, index_key=None, wal=None,
-                 serve_frozen: bool = True, cache_size: int = 1024,
-                 full_refreeze_ratio: float = 0.25):
-        super().__init__(aggregate, index_key, wal, cache_size,
-                         full_refreeze_ratio)
+                 cache_size: int = 1024):
+        super().__init__(aggregate, index_key, wal, cache_size)
         self._live = (
-            Piece(tree, table, full_refreeze_ratio) if tree is not None
-            else self._new_piece(table)
+            Piece(tree, table) if tree is not None
+            else Piece.build(table, self.aggregate)
         )
-        self._serve_frozen = serve_frozen
 
     # -- queries -------------------------------------------------------------
 
@@ -600,11 +585,12 @@ class QCWarehouse(BaseWarehouse):
         """The representation queries run against right now.
 
         The frozen view while healthy (built on first use after any
-        mutation); the mutable tree when ``serve_frozen=False`` or while
-        degraded (fsck found corruption — no point compiling a corrupt
-        tree into a faster one).
+        mutation); the mutable tree while degraded (fsck found
+        corruption — no point compiling a corrupt tree into a faster
+        one).  The selection is made from ``_degraded``, a state the
+        code observes; there is no option that picks the read engine.
         """
-        if not self._serve_frozen or self._degraded:
+        if self._degraded:
             return self.tree
         return super().serving_tree
 
@@ -642,7 +628,9 @@ class QCWarehouse(BaseWarehouse):
         (:meth:`Piece.preview <repro.core.piece.Piece.preview>`), then
         diffs.  Returns a dict with ``added``, ``removed``, and
         ``changed`` mappings from decoded upper bounds to aggregate
-        values (``changed`` maps to ``(before, after)`` pairs).
+        values (``changed`` maps to ``(before, after)`` pairs).  No CLI
+        verb or protocol command reaches it; it stays as the paper's
+        motivating application, on the same journal every write uses.
         """
         from repro.cube.aggregates import values_close
 
@@ -686,17 +674,11 @@ class QCWarehouse(BaseWarehouse):
 
     @classmethod
     def load(cls, tree_path, table_path, schema: Schema,
-             index_key=None, freeze: bool = False) -> "QCWarehouse":
-        """Restore a warehouse persisted by :meth:`save`.
-
-        ``freeze=True`` compiles the frozen serving view eagerly at load
-        time instead of on the first query — useful when the load is a
-        deliberate warm-up (e.g. a serving replica coming online).
-        """
-        wh, _, _ = cls._restore(tree_path, table_path, schema, index_key)
-        if freeze:
-            wh.serving_tree
-        return wh
+             index_key=None) -> "QCWarehouse":
+        """Restore a warehouse persisted by :meth:`save` (the frozen
+        serving view is compiled on the first query, or by reading
+        :attr:`serving_tree`)."""
+        return cls._restore(tree_path, table_path, schema, index_key)[0]
 
     # -- durability ------------------------------------------------------------
 
@@ -739,7 +721,7 @@ class QCWarehouse(BaseWarehouse):
         shared entries (:meth:`_common_stats`)."""
         out = self.tree.stats()
         out["cover_index"] = self._live.cover_stats()
-        frozen = self._serve_frozen and not self._degraded
+        frozen = not self._degraded
         return self._common_stats(out, "frozen" if frozen else "dict", frozen)
 
     def __repr__(self):

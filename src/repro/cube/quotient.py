@@ -147,16 +147,6 @@ class QuotientCube:
                 ), "non-minimal lower bound retained"
 
 
-def _minimal_cells(cells) -> list:
-    """The minimal elements of a set of cells under generalization."""
-    unique = list(dict.fromkeys(cells))
-    return [
-        c
-        for c in unique
-        if not any(strictly_generalizes(d, c) for d in unique if d != c)
-    ]
-
-
 def class_lower_bounds(table: BaseTable, upper_bound: Cell) -> list:
     """True lower bounds of the class whose upper bound is ``upper_bound``.
 

@@ -33,6 +33,27 @@ def _label_sort_key(label):
     return (label.__class__.__name__, label)
 
 
+def _measure_matrix(records, schema: Schema):
+    """The float64 measure matrix of raw ``records`` (dimension labels
+    then measures, schema order); :class:`SchemaError` for a record of
+    the wrong width or a measure that is not a number."""
+    n_dims, n_meas = schema.n_dims, schema.n_measures
+    matrix = []
+    for r in records:
+        if len(r) != n_dims + n_meas:
+            raise SchemaError(
+                f"record {r!r} has {len(r)} fields, schema expects "
+                f"{n_dims + n_meas}"
+            )
+        try:
+            matrix.append([float(v) for v in r[n_dims:]])
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(
+                f"record {r!r} has a non-numeric measure: {exc}"
+            ) from exc
+    return np.array(matrix, dtype=np.float64).reshape(len(records), n_meas)
+
+
 def csv_comment(path) -> Optional[str]:
     """The leading ``# ...`` comment of a CSV written by
     :meth:`BaseTable.to_csv`, or None if the file has none."""
@@ -71,13 +92,8 @@ class BaseTable:
         is a multiset, as required by the maintenance algorithms).
         """
         records = [tuple(r) for r in records]
-        n_dims, n_meas = schema.n_dims, schema.n_measures
-        width = n_dims + n_meas
-        for r in records:
-            if len(r) != width:
-                raise SchemaError(
-                    f"record {r!r} has {len(r)} fields, schema expects {width}"
-                )
+        n_dims = schema.n_dims
+        measures = _measure_matrix(records, schema)
         encoders = []
         decoders = []
         for j in range(n_dims):
@@ -87,9 +103,6 @@ class BaseTable:
         rows = [
             tuple(encoders[j][r[j]] for j in range(n_dims)) for r in records
         ]
-        measures = np.array(
-            [[float(v) for v in r[n_dims:]] for r in records], dtype=np.float64
-        ).reshape(len(records), n_meas)
         return cls(schema, rows, measures, decoders, encoders)
 
     @classmethod
@@ -215,13 +228,8 @@ class BaseTable:
         delta alone.
         """
         records = [tuple(r) for r in records]
-        n_dims, n_meas = self.n_dims, self.schema.n_measures
-        width = n_dims + n_meas
-        for r in records:
-            if len(r) != width:
-                raise SchemaError(
-                    f"record {r!r} has {len(r)} fields, schema expects {width}"
-                )
+        n_dims = self.n_dims
+        new_measures = _measure_matrix(records, self.schema)
         encoders = [dict(e) for e in self._encoders]
         decoders = [list(d) for d in self._decoders]
         for j in range(n_dims):
@@ -234,9 +242,6 @@ class BaseTable:
         new_rows = [
             tuple(encoders[j][r[j]] for j in range(n_dims)) for r in records
         ]
-        new_measures = np.array(
-            [[float(v) for v in r[n_dims:]] for r in records], dtype=np.float64
-        ).reshape(len(records), n_meas)
         combined = BaseTable(
             self.schema,
             self.rows + new_rows,

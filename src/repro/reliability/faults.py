@@ -33,8 +33,7 @@ must survive, so tests can drive every recovery path deterministically.
   a bounded number of times, so a test arms exactly the crash it wants
   and asserts the recovery it expects.
 * :class:`ChaosMonkey` drives a seeded random stream of those faults
-  from a background thread — the engine behind the chaos test suite and
-  ``python -m repro bench-serve --chaos``.
+  from a background thread — the engine behind the chaos test suite.
 
 :class:`InjectedCrash` deliberately subclasses :class:`BaseException`:
 a crash is not an error the code under test may catch, roll back, and

@@ -12,8 +12,9 @@ Checks, in order:
 ``structure``
     Node bookkeeping: parents alive and mutually consistent with child
     maps, labels matching edge keys, dimensions strictly increasing
-    along every root path, no cycles, no freed slot reachable, no
-    allocated node orphaned.  Any structural finding short-circuits the
+    along every root path, no cycles, no freed slot reachable or still
+    holding children, links or a state, no allocated node orphaned.  Any
+    structural finding short-circuits the
     class and aggregate passes — those walk parent chains and child maps
     and could fail to terminate over the very corruption just found.
 
@@ -148,6 +149,12 @@ def _check_structure(tree: QCTree, report: FsckReport) -> set:
                     continue
                 live.add(child)
                 stack.append(child)
+    for slot in free:
+        if (tree.children[slot] or tree.links[slot]
+                or tree.state[slot] is not None):
+            report.add("structure-freed-not-empty",
+                       "freed slot still holds children, links or a state",
+                       slot)
     allocated = n_slots - len(free)
     if len(live) < allocated:
         report.add("structure-orphaned",

@@ -83,12 +83,10 @@ class SegmentedWarehouse(BaseWarehouse):
 
     def __init__(self, table: BaseTable, aggregate="count",
                  index_key=None, wal=None, cache_size: int = 1024,
-                 full_refreeze_ratio: float = 0.25,
                  seal_rows: int = 2048, seal_batches: int = 256,
                  compact_min_segments: int = 4,
                  compact_interval: float = 0.05):
-        super().__init__(aggregate, index_key, wal, cache_size,
-                         full_refreeze_ratio)
+        super().__init__(aggregate, index_key, wal, cache_size)
         self.schema = table.schema
         self.seal_rows = seal_rows
         self.seal_batches = seal_batches
@@ -111,7 +109,7 @@ class SegmentedWarehouse(BaseWarehouse):
         self._compactor = None
         self._compactor_stop = None
 
-        self._live = self._new_piece(table)
+        self._live = Piece.build(table, self.aggregate)
         # A big bootstrap table seals immediately: the head stays small
         # from the first write on.
         self._maybe_seal()
@@ -241,7 +239,8 @@ class SegmentedWarehouse(BaseWarehouse):
         # (typically by the compactor thread or the first read).
         sealed.seal(next_segment_id())
         self._segments.append(sealed)
-        self._live = self._new_piece(BaseTable.from_records([], self.schema))
+        self._live = Piece.build(
+            BaseTable.from_records([], self.schema), self.aggregate)
         self._head_batches = 0
         self._seals += 1
         seconds = time.perf_counter() - t0
@@ -459,7 +458,7 @@ class SegmentedWarehouse(BaseWarehouse):
             piece, _, rebuilt = Piece.load(
                 os.path.join(directory, entry["tree"]),
                 os.path.join(directory, entry["table"]),
-                schema, wh.aggregate, wh.full_refreeze_ratio,
+                schema, wh.aggregate,
             )
             return piece, rebuilt
 

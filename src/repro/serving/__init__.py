@@ -9,47 +9,37 @@ mutation path applies maintenance to the dict tree, refreezes off the
 read path, and publishes the result — readers never block on writers.
 Production trimmings live alongside: a bounded admission queue with
 load shedding and per-request deadlines
-(:mod:`~repro.serving.admission`), a metrics registry
-(:mod:`~repro.serving.metrics`), and closed-/open-loop workload drivers
-(:mod:`~repro.serving.workload`) used by ``python -m repro bench-serve``
-and the concurrent-serving benchmark.
+(:mod:`~repro.serving.admission`) and a metrics registry
+(:mod:`~repro.serving.metrics`).
 
 The fault-tolerance layer rides on top: a worker supervisor and
 recoverable write pipeline inside the server, health/readiness probes
 and the admission :class:`~repro.serving.health.CircuitBreaker`
-(:mod:`~repro.serving.health`), client-side retry for idempotent reads
-(:mod:`~repro.serving.retry`), and deterministic serving-layer fault
-injection in :class:`~repro.reliability.faults.ServingFaults`.
+(:mod:`~repro.serving.health`), and deterministic serving-layer fault
+injection in :class:`~repro.reliability.faults.ServingFaults` (the
+retrying client the chaos suites drive it with is ``tests/retry.py``).
 
 The network front door is asyncio: :class:`AsyncQCServer`
 (:mod:`~repro.serving.async_server`) speaks the shared line protocol
 (:mod:`~repro.serving.protocol`) over TCP, bridging each request into
-``QCServer.submit()`` futures with end-to-end backpressure, and the
-coordinated-omission-free open-loop load harness lives in
-:mod:`~repro.serving.arrivals`.
+``QCServer.submit()`` futures with end-to-end backpressure.  The one
+load generator is the coordinated-omission-free open-loop harness of
+:mod:`~repro.serving.arrivals`, which ``benchmarks/e2e`` drives.
 """
 
 from repro.serving.admission import TIMEOUT, AdmissionQueue, Request
 from repro.serving.arrivals import (
     ArrivalSchedule,
+    latency_summary,
     open_loop_run,
-    request_plan,
     run_open_loop_tcp,
 )
 from repro.serving.async_server import AsyncQCServer, AsyncServerThread
 from repro.serving.health import CircuitBreaker, health_report
 from repro.serving.metrics import LatencyHistogram, ServerMetrics
 from repro.serving.protocol import LineClient, parse_line, response_complete
-from repro.serving.retry import RETRYABLE, RetryPolicy
 from repro.serving.server import QCServer
 from repro.serving.snapshot import ServingSnapshot
-from repro.serving.workload import (
-    latency_summary,
-    register_stalled_point,
-    run_closed_loop,
-    run_mixed,
-    run_open_loop,
-)
 
 __all__ = [
     "AdmissionQueue",
@@ -60,9 +50,7 @@ __all__ = [
     "LatencyHistogram",
     "LineClient",
     "QCServer",
-    "RETRYABLE",
     "Request",
-    "RetryPolicy",
     "ServerMetrics",
     "ServingSnapshot",
     "TIMEOUT",
@@ -70,11 +58,6 @@ __all__ = [
     "latency_summary",
     "open_loop_run",
     "parse_line",
-    "register_stalled_point",
-    "request_plan",
     "response_complete",
-    "run_closed_loop",
-    "run_mixed",
-    "run_open_loop",
     "run_open_loop_tcp",
 ]

@@ -40,17 +40,39 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Optional
 
 from repro.errors import ServingError
 from repro.serving import protocol
-from repro.serving.workload import latency_summary, percentile_us
 
 #: Outcome classification by the error type carried on the wire.
 _SHED_PREFIXES = (
     "error: ServerOverloadedError", "error: CircuitOpenError",
 )
 _TIMEOUT_PREFIX = "error: DeadlineExceededError"
+
+
+def percentile_us(latencies_s, p: float) -> float:
+    """The ``p``-th percentile of a latency sample, in microseconds."""
+    if not latencies_s:
+        return 0.0
+    ordered = sorted(latencies_s)
+    rank = max(0, min(len(ordered) - 1, round(p / 100.0 * len(ordered)) - 1))
+    return round(ordered[rank] * 1e6, 3)
+
+
+def latency_summary(latencies_s) -> dict:
+    """Count / mean / p50 / p90 / p99 / p999 / max readout in µs."""
+    return {
+        "count": len(latencies_s),
+        "mean_us": round(
+            sum(latencies_s) / len(latencies_s) * 1e6, 3
+        ) if latencies_s else 0.0,
+        "p50_us": percentile_us(latencies_s, 50),
+        "p90_us": percentile_us(latencies_s, 90),
+        "p99_us": percentile_us(latencies_s, 99),
+        "p999_us": percentile_us(latencies_s, 99.9),
+        "max_us": round(max(latencies_s) * 1e6, 3) if latencies_s else 0.0,
+    }
 
 
 class ArrivalSchedule:
@@ -319,41 +341,3 @@ def run_open_loop_tcp(host: str, port: int, plan,
         open_loop_run(host, port, plan, schedule,
                       connections=connections, warmup=warmup)
     )
-
-
-def request_plan(table, n: int, seed: int = 0,
-                 mix: Optional[dict] = None) -> list:
-    """A seeded mixed-family request plan drawn from ``table``.
-
-    ``mix`` maps family name to weight; default is the read-heavy
-    serving blend ``point:8, range:1, iceberg:1``.  Returns
-    ``(family, line)`` pairs ready for :func:`open_loop_run`.
-    """
-    from repro.serving.workload import point_requests, range_requests
-
-    mix = dict(mix or {"point": 8, "range": 1, "iceberg": 1})
-    rng = random.Random(seed)
-    points = point_requests(table, n, seed=seed)
-    ranges = range_requests(table, max(1, n // 4), seed=seed + 1)
-    families = list(mix)
-    weights = [mix[f] for f in families]
-    plan = []
-    for i in range(n):
-        family = rng.choices(families, weights=weights)[0]
-        if family == "point":
-            _, (cell,) = points[i % len(points)]
-            plan.append(("point", "point " + ",".join(map(str, cell))))
-        elif family == "range":
-            _, (spec,) = ranges[i % len(ranges)]
-            parts = []
-            for entry in spec:
-                if isinstance(entry, (list, tuple)):
-                    parts.append("|".join(map(str, entry)))
-                else:
-                    parts.append(str(entry))
-            plan.append(("range", "range " + ",".join(parts)))
-        elif family == "iceberg":
-            plan.append(("iceberg", f"iceberg {rng.randint(1, 4)} >="))
-        else:
-            raise ServingError(f"unknown request family {family!r}")
-    return plan

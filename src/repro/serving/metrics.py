@@ -172,8 +172,8 @@ class ServerMetrics:
     ``cache_warmed``
         cache entries re-filled by post-swap warming.
 
-    Per-op histograms measure *service* latency (worker execution); the
-    workload drivers separately measure client-observed latency, which
+    Per-op histograms measure *service* latency (worker execution); a
+    load generator separately measures client-observed latency, which
     adds queueing delay.  Histograms named ``write_phase:<phase>``
     (maintain / refreeze / publish / warm) are reported separately under
     ``write_phases`` in :meth:`to_dict`, splitting the writer's total

@@ -57,8 +57,7 @@ realtime OLAP serving stacks do:
   crosses a threshold, half-opening to probe recovery.
 * Every failure mode above is drivable deterministically through
   :class:`~repro.reliability.faults.ServingFaults` (the ``faults``
-  constructor hook), which the chaos test suite and
-  ``bench-serve --chaos`` build on.
+  constructor hook), which the chaos test suite builds on.
 
 Admission control (bounded queue, load shedding, per-request
 deadlines) lives in :mod:`~repro.serving.admission`; request metrics in
@@ -67,9 +66,9 @@ iceberg) are memoized in an :class:`~repro.core.query_cache.
 LsnQueryCache` keyed by the snapshot's stamp, so a snapshot swap
 implicitly invalidates every cached answer.
 
-The op table is extensible: later scaling PRs (sharding, async
-transports, multi-backend) plug in via :meth:`QCServer.register_op`
-without touching the worker loop.
+The op table has one seam, :meth:`QCServer.register_op`: tests
+substitute slow, blocking or failing ops through it without touching
+the worker loop.
 """
 
 from __future__ import annotations
@@ -137,8 +136,8 @@ class QCServer:
     Parameters
     ----------
     warehouse:
-        A :class:`~repro.core.warehouse.QCWarehouse` serving frozen
-        (the default).  The server owns its mutation path: apply writes
+        A healthy (not degraded) warehouse, so that the snapshot is its
+        frozen view.  The server owns its mutation path: apply writes
         through the server, not the warehouse, while serving.
     workers:
         Reader threads.  They are deliberately *non-daemon*: a clean
@@ -174,6 +173,11 @@ class QCServer:
         ``write:<phase>``) on the hot paths so tests and chaos runs can
         inject failures deterministically.  ``None`` (the default) adds
         no overhead beyond an attribute check.
+
+    The first five are deployment and tuning values; ``supervised`` /
+    ``supervise_interval`` / ``quarantine_after`` / ``breaker`` /
+    ``faults`` are the fault-tolerance knobs — safety code, which tests
+    switch off or arm one at a time to isolate the mechanism they check.
     """
 
     #: Seconds a worker waits per timed queue take before heartbeating.
@@ -260,13 +264,13 @@ class QCServer:
         state exists)."""
         snapshot = warehouse.snapshot_view()
         if snapshot.tree is warehouse.tree:
-            # serve_frozen=False or degraded: the "snapshot" would alias
-            # the mutable dict tree, which the writer path edits in
-            # place — concurrent readers would see torn state.
+            # Degraded: the "snapshot" would alias the mutable dict
+            # tree, which the writer path edits in place — concurrent
+            # readers would see torn state.
             raise ServingError(
                 f"{cls.__name__} requires a healthy frozen-serving "
-                "warehouse (serve_frozen=True and not degraded); the "
-                "mutable dict tree cannot be shared with concurrent writers"
+                "warehouse (not degraded); the mutable dict tree cannot "
+                "be shared with concurrent writers"
             )
         return snapshot
 
@@ -298,8 +302,10 @@ class QCServer:
         """Add (or override) a served operation.
 
         ``fn(snapshot, *args, **kwargs)`` runs on a worker thread
-        against the request's pinned snapshot.  This is the extension
-        point later transports and workload shims build on.
+        against the request's pinned snapshot.  This is the seam tests
+        substitute slow, blocking or failing ops through (a gate that
+        holds every worker busy, a stalled point query, an op that
+        raises).
         """
         self._ops[name] = fn
 
@@ -747,9 +753,7 @@ class QCServer:
         maintenance = warehouse.last_maintenance
         if maintenance is not None:
             # The batched engine's sub-phases: Δ-partition + classification
-            # vs link derivation + structural apply vs cover-index upkeep
-            # (incremental patch, or a full rebuild when no persistent
-            # index was available).
+            # vs link derivation + structural apply vs cover-index upkeep.
             metrics.observe(
                 "write_phase:maintain_partition", maintenance["partition_s"]
             )
@@ -760,9 +764,6 @@ class QCServer:
                 "write_phase:maintain_index",
                 maintenance.get("index_s", 0.0),
             )
-            index_mode = maintenance.get("cover_index")
-            if index_mode is not None:
-                metrics.counter(f"cover_index_{index_mode}").inc()
         metrics.observe("write_phase:refreeze", t2 - t1)
         metrics.observe("write_phase:publish", t3 - t2)
         metrics.observe("write_phase:warm", t4 - t3)

@@ -38,10 +38,10 @@ a :class:`~repro.serving.scatter.UnionCube` — so both stores answer, and
 fail, alike.
 
 Every query family runs through the shared traversal protocol, so a
-one-piece snapshot also works over the mutable dict tree when a
-warehouse serves with ``serve_frozen=False`` (such a snapshot is *not*
-safe to share with a concurrent writer —
-:class:`~repro.serving.server.QCServer` refuses it).
+one-piece snapshot also works over the mutable dict tree — what a
+degraded warehouse answers from, and the reference the parity suites
+build directly (such a snapshot is *not* safe to share with a
+concurrent writer — :class:`~repro.serving.server.QCServer` refuses it).
 """
 
 from __future__ import annotations

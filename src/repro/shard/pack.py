@@ -580,8 +580,11 @@ def attach_packed(buffer, verify: bool = False) -> AttachedSnapshot:
 
     ``buffer`` may be ``bytes``, a ``memoryview`` (e.g.
     ``SharedMemory.buf``), or an ``mmap`` object.  ``verify=True``
-    checks the header CRC over meta+body (used for file loads; shared
-    memory published by the local writer skips it for instant attach).
+    checks the header CRC over meta+body.  Its two callers need
+    different values, which is why it is an option: a file may have
+    rotted on disk (:func:`attach_packed_file`, ``load_qctree_from``
+    verify), shared memory published by the local writer a moment ago
+    has not, and a shard worker's attach must stay O(1).
     """
     view = memoryview(buffer)
     views = [view]

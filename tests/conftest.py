@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import os
 import random
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
 from hypothesis import settings
 
+from repro.core import frozen
 from repro.core.cells import ALL
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
+from repro.serving.scatter import PieceView
+from repro.serving.snapshot import ServingSnapshot
 
 # Hypothesis profiles: "ci" is fully seeded (derandomized) so every CI
 # run across every Python version explores the same example corpus —
@@ -55,6 +59,37 @@ def extended_sales_table(sales_schema):
         ],
         sales_schema,
     )
+
+
+def dict_view(warehouse):
+    """The reference frozen parity is checked against: a snapshot
+    straight over the warehouse's mutable dict tree, as it is now."""
+    return ServingSnapshot([PieceView(warehouse.tree, warehouse.table)],
+                           warehouse.aggregate)
+
+
+@contextmanager
+def refreeze_ratios(full=None, compact=None):
+    """Force ``FrozenQCTree.patch``'s mode for the block: the two
+    thresholds are module constants of ``repro.core.frozen`` (0 always
+    recompiles / repacks, a large value never does).  A context manager,
+    not ``monkeypatch``, so hypothesis-driven tests can use it per
+    example."""
+    saved = frozen.FULL_REFREEZE_RATIO, frozen.COMPACT_RATIO
+    if full is not None:
+        frozen.FULL_REFREEZE_RATIO = full
+    if compact is not None:
+        frozen.COMPACT_RATIO = compact
+    try:
+        yield
+    finally:
+        frozen.FULL_REFREEZE_RATIO, frozen.COMPACT_RATIO = saved
+
+
+def patch_with(frozen_tree, delta, full=None, compact=None):
+    """``frozen_tree.patch(delta)`` under :func:`refreeze_ratios`."""
+    with refreeze_ratios(full=full, compact=compact):
+        return frozen_tree.patch(delta)
 
 
 def make_random_table(seed, n_dims=None, cardinality=None, n_rows=None):

@@ -21,9 +21,11 @@ re-issuing it cannot double-apply anything.  Writes are deliberately
 may already be applied-but-unpublished, and blind client retry would
 double-apply it; the server's own pipeline recovery owns that path.
 
-``python -m repro bench-serve`` threads a policy through its closed-loop
-clients (and ``--chaos`` depends on it: injected kills and breaker
-trips become retries, not lost requests).
+This is the retrying client of the chaos suites (``test_serving_faults``,
+``test_serving_health``, ``test_serving_stress``, ``test_shard_faults``):
+injected kills and breaker trips become retries, not lost requests.  No
+path of the program itself runs it, so it lives here, not in
+``repro.serving``.
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ be reproducible per seed, and — the coordinated-omission guard — be
 completely independent of how the server behaves.  The harness-level
 tests then assert the consequence: with an injected server stall, the
 generator keeps sending on schedule and the stall shows up *in the
-recorded latencies*, which is exactly what a closed-loop driver hides
-(the open ≥ closed p99 regression at the bottom).
+recorded latencies*, which is exactly what a closed-loop driver hides.
 """
 
 from __future__ import annotations
@@ -27,11 +26,8 @@ from repro.serving import (
     AsyncServerThread,
     QCServer,
     latency_summary,
-    run_closed_loop,
-    run_open_loop,
     run_open_loop_tcp,
 )
-from repro.serving.workload import point_requests
 
 from .conftest import make_random_table
 
@@ -154,18 +150,6 @@ def test_stalled_server_cannot_slow_arrivals(stall_server):
     # The stall (20 ms/request at half the needed service rate) piled
     # queueing delay into the tail: p99 far above a single service time.
     assert report["latency"]["p99_us"] > 40_000
-
-
-def test_open_loop_p99_at_least_closed_loop_p99_under_stall(stall_server):
-    """The regression behind the field rename: a closed-loop driver
-    coordinates with the stall (each client politely waits), so its p99
-    understates what an open-loop arrival process experiences."""
-    table, server, handle = stall_server
-    requests = point_requests(table, 24, seed=3)
-    closed = run_closed_loop(server, requests, clients=2)
-    open_report = run_open_loop(server, requests, rate_hz=100.0)
-    assert open_report["response_latency"]["p99_us"] \
-        >= closed["attempt_latency"]["p99_us"]
 
 
 # -- report-field contract ---------------------------------------------------

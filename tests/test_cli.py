@@ -209,6 +209,40 @@ class TestServeCommand:
         assert "['S1', 'S2']" in lines[1]
         assert lines[2] == "9.0"
 
+    def test_non_numeric_measure_keeps_serving(self, built_tree, sales_csv,
+                                               monkeypatch, capsys):
+        """``float("x")``'s bare ``ValueError`` used to kill the stdin
+        loop with a traceback."""
+        code, out, _ = self.run_serve(
+            built_tree, sales_csv, monkeypatch, capsys,
+            "insert S3,P1,s,x\npoint S2,*,f\n",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].startswith("error: MaintenanceError: ")
+        assert "non-numeric measure" in lines[0]
+        assert lines[1:] == ["9.0"]
+
+    @pytest.mark.parametrize("flags", [
+        ("--workers", "0"),
+        ("--queue-size", "0"),
+        ("--processes", "-1"),
+        ("--cache-size", "-1"),
+        ("--async", "--port", "99999"),
+        ("--segmented", "--seal-rows", "0"),
+    ], ids=" ".join)
+    def test_out_of_range_flag_is_a_usage_error(self, built_tree, sales_csv,
+                                                capsys, flags):
+        """Exit 1 with one ``error:`` line — these used to reach a
+        constructor and die with a ``ValueError`` / ``OverflowError``
+        traceback (``--seal-rows 0`` was silently accepted)."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["serve", built_tree, "--table", sales_csv, *flags])
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"argument {flags[-2]}: must be" in err
+
     def test_eof_closes_cleanly(self, built_tree, sales_csv, monkeypatch,
                                 capsys):
         import threading
@@ -220,45 +254,6 @@ class TestServeCommand:
         assert out.strip() == "9.0"
         assert not any(t.name.startswith("qcserver")
                        for t in threading.enumerate())
-
-
-class TestBenchServeCommand:
-    def test_closed_loop_report(self, built_tree, sales_csv, capsys):
-        import json
-
-        code = main(["bench-serve", built_tree, "--table", sales_csv,
-                     "--workers", "2", "--requests", "50", "--clients", "2"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["model"] == "closed"
-        assert report["ok"] == 50
-        assert report["throughput_rps"] > 0
-        assert report["server"]["counters"]["completed"] == 50
-
-    def test_open_loop_with_writes_unsupported_combo_ignored(
-            self, built_tree, sales_csv, capsys):
-        import json
-
-        code = main(["bench-serve", built_tree, "--table", sales_csv,
-                     "--workers", "1", "--requests", "30",
-                     "--rate", "5000"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["model"] == "open"
-        assert report["ok"] + report["shed"] + report["timeouts"] \
-            + report["errors"] == 30
-
-    def test_mixed_writes_report(self, built_tree, sales_csv, capsys):
-        import json
-
-        code = main(["bench-serve", built_tree, "--table", sales_csv,
-                     "--workers", "2", "--requests", "40", "--clients", "2",
-                     "--writes", "1"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["model"] == "mixed"
-        assert report["writes"]["batches"] == 2  # one insert+delete pair
-        assert report["server"]["counters"]["snapshot_swaps"] == 2
 
 
 class TestFsckCommand:

@@ -35,7 +35,12 @@ from repro.shard.pack import (
     attach_packed_file,
     pack_snapshot_bytes,
 )
-from tests.conftest import all_cells, approx_equal, make_random_table
+from tests.conftest import (
+    all_cells,
+    approx_equal,
+    make_random_table,
+    refreeze_ratios,
+)
 
 
 def _tree_pair(seed, aggregate=("sum", "m"), **kwargs):
@@ -191,7 +196,7 @@ class TestFreezeOnLoad:
     def test_loads_with_freeze_returns_frozen(self):
         _, tree, _ = _tree_pair(11)
         text = dumps_qctree(tree, meta={"wal_lsn": 3})
-        loaded = loads_qctree(text, freeze=True)
+        loaded = loads_qctree(text).freeze()
         assert isinstance(loaded, FrozenQCTree)
         assert loaded.signature() == tree.signature()
         assert loaded.snapshot_meta == {"wal_lsn": 3}
@@ -231,8 +236,8 @@ def open_storage(kind, seed, tmp_path, **kwargs):
         table = apply_insertions(tree, table, [newer + (3.0,)])
         table = apply_deletions(tree, table, [fresh + (5.0,)])
         delta = tree.end_delta()
-        array_tree = stale.patch(delta, full_refreeze_ratio=1.0,
-                                 compact_ratio=100.0)
+        with refreeze_ratios(full=1.0, compact=100.0):
+            array_tree = stale.patch(delta)
         assert array_tree.patch_stats["mode"] == "patched"
         assert array_tree._dead and array_tree._edge_over
         assert array_tree.patch_stats["appended"] > 0

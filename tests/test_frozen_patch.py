@@ -23,7 +23,13 @@ from repro.core.maintenance import (
 )
 from repro.core.point_query import point_query
 from repro.core.warehouse import QCWarehouse
-from tests.conftest import all_cells, approx_equal, make_random_table
+from tests.conftest import (
+    all_cells,
+    approx_equal,
+    make_random_table,
+    patch_with,
+    refreeze_ratios,
+)
 
 
 def _build(seed, **kwargs):
@@ -152,7 +158,7 @@ class TestPatchEquivalence:
         rng = random.Random(seed)
         for _ in range(8):
             table, delta = _mutate_once(tree, table, rng)
-            frozen = frozen.patch(delta, full_refreeze_ratio=0.9)
+            frozen = patch_with(frozen, delta, full=0.9)
             _assert_equivalent(frozen, tree, table)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -165,7 +171,7 @@ class TestPatchEquivalence:
         for _ in range(4):
             table, delta = _mutate_once(tree, table, rng)
             merged = delta if merged is None else merged.merge(delta)
-        patched = frozen.patch(merged, full_refreeze_ratio=0.9)
+        patched = patch_with(frozen, merged, full=0.9)
         _assert_equivalent(patched, tree, table)
 
     def test_modify_through_warehouse(self):
@@ -191,7 +197,7 @@ class TestPatchEquivalence:
         rng = random.Random(seed)
         for op in ops:
             table, delta = _mutate_once(tree, table, rng, op=op)
-            frozen = frozen.patch(delta, full_refreeze_ratio=0.9)
+            frozen = patch_with(frozen, delta, full=0.9)
         _assert_equivalent(frozen, tree, table)
 
     def test_all_query_families_agree(self, extended_sales_table):
@@ -222,18 +228,14 @@ class TestPatchEquivalence:
 
 
 class TestFallbackFuzz:
-    """Satellite: force ``full_refreeze_ratio`` to 0 and 1 — always-full
+    """Satellite: force ``FULL_REFREEZE_RATIO`` to 0 and 1 — always-full
     and always-patch must serve identical answers."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_ratio_zero_and_one_agree(self, seed):
         table = make_random_table(seed, n_dims=3, cardinality=3, n_rows=12)
-        always_full = QCWarehouse(
-            table, ("sum", "m"), full_refreeze_ratio=0.0, cache_size=0
-        )
-        always_patch = QCWarehouse(
-            table, ("sum", "m"), full_refreeze_ratio=1.0, cache_size=0
-        )
+        always_full = QCWarehouse(table, ("sum", "m"), cache_size=0)
+        always_patch = QCWarehouse(table, ("sum", "m"), cache_size=0)
         always_full.view
         always_patch.view
         rng = random.Random(seed)
@@ -241,6 +243,12 @@ class TestFallbackFuzz:
             rec = _random_record(table, rng, fresh_labels=step % 2 == 0)
             always_full.insert([rec])
             always_patch.insert([rec])
+            # The refreeze is lazy: bring each view current under the
+            # ratio that forces its mode.
+            with refreeze_ratios(full=0.0):
+                always_full.serving_tree
+            with refreeze_ratios(full=1.0):
+                always_patch.serving_tree
             for cell in all_cells(always_full.table):
                 raw = always_full.table.decode_cell(cell)
                 assert approx_equal(
@@ -255,7 +263,7 @@ class TestFallbackFuzz:
         frozen = tree.freeze()
         rng = random.Random(9)
         table, delta = _mutate_once(tree, table, rng, op="insert_new")
-        out = frozen.patch(delta, full_refreeze_ratio=0.0)
+        out = patch_with(frozen, delta, full=0.0)
         assert out.patch_stats["mode"] == "full"
         assert out.patch_stats["reason"] == "dirty-ratio"
 
@@ -271,7 +279,7 @@ class TestFallbackFuzz:
                 tree, table, rng,
                 op="insert_new" if step % 2 == 0 else "delete",
             )
-            frozen = frozen.patch(delta, full_refreeze_ratio=1.0)
+            frozen = patch_with(frozen, delta, full=1.0)
             stats = frozen.patch_stats
             if stats["mode"] == "compacted":
                 saw_compaction = True
@@ -295,7 +303,7 @@ class TestFallbackFuzz:
         tree.begin_delta()
         table = apply_insertions(tree, table, records)
         delta = tree.end_delta()
-        out = frozen.patch(delta, full_refreeze_ratio=1.0)
+        out = patch_with(frozen, delta, full=1.0)
         assert out.patch_stats["mode"] == "full"
         assert out.patch_stats["reason"] == "stride-overflow"
         _assert_equivalent(out, tree, table)
@@ -408,8 +416,8 @@ class TestDeltaUnion:
         assert union.reedged == whole.reedged
         assert whole.removed <= union.removed
         assert union.removed - whole.removed <= union.created
-        patched_a = frozen_a.patch(union, full_refreeze_ratio=1.0)
-        patched_b = frozen_b.patch(whole, full_refreeze_ratio=1.0)
+        patched_a = patch_with(frozen_a, union, full=1.0)
+        patched_b = patch_with(frozen_b, whole, full=1.0)
         assert patched_a.signature() == tree.freeze().signature()
         assert patched_b.signature() == clone.freeze().signature()
         assert patched_a.signature() == patched_b.signature()
@@ -437,7 +445,7 @@ class TestDeltaUnion:
         merged = MaintenanceDelta.union(tree, deltas)
         reused = merged.removed & merged.created
         assert reused, "expected pruned ids to be reallocated"
-        patched = frozen.patch(merged, full_refreeze_ratio=1.0)
+        patched = patch_with(frozen, merged, full=1.0)
         _assert_equivalent(patched, tree, tables[-1])
 
 

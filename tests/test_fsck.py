@@ -133,6 +133,21 @@ class TestCorruptionIsFlagged:
         report = fsck_tree(tree)
         assert "structure-orphaned" in codes(report)
 
+    def test_freed_slot_not_emptied(self, sales_table):
+        """A deletion that pruned a node but left its old state (or
+        children, or links) in the freed slot: the next ``insert_path``
+        to reuse the slot would inherit them."""
+        from repro.core.maintenance import apply_deletions
+
+        tree = self._tree(sales_table)
+        apply_deletions(tree, sales_table, [("S2", "P1", "f", 9.0)])
+        assert tree._free_ids and fsck_tree(tree).ok
+        tree.state[next(iter(tree._free_ids))] = (9.0, 1)
+        report = fsck_tree(tree)
+        assert codes(report) == {"structure-freed-not-empty"}
+        with pytest.raises(AssertionError, match="structure-freed-not-empty"):
+            tree.check_invariants()
+
     def test_fsck_never_raises_on_garbage(self, sales_table):
         tree = self._tree(sales_table)
         tree.node_dim[tree.root] = "garbage"
@@ -191,6 +206,8 @@ class TestDegradedMode:
         assert not report.ok
         assert wh.degraded
         assert wh.stats()["degraded"] is True
+        assert wh.stats()["serving"] == "dict"
+        assert wh.serving_tree is wh.tree
         assert "degraded" in repr(wh)
         # Degraded answers come from the base table and are still right.
         for cell in all_cells(wh.table):

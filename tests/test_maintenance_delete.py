@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.construct import build_qctree
-from repro.core.maintenance.delete import (
+from repro.core.maintenance import (
     apply_deletions,
+    apply_insertions,
     delete_one_by_one,
 )
-from repro.core.maintenance.insert import apply_insertions
 from repro.core.point_query import point_query
 from repro.errors import MaintenanceError
 from tests.conftest import all_cells, approx_equal, make_random_table

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.construct import build_qctree
-from repro.core.maintenance.insert import (
+from repro.core.maintenance import (
     apply_insertions,
     batch_insert,
-    closures_below,
     insert_one_by_one,
 )
+from repro.core.maintenance.insert import closures_below
+from repro.cube.cover_index import CoverIndex
 from repro.core.point_query import point_query
 from repro.cube.lattice import closure
 from repro.cube.schema import Schema
@@ -149,7 +150,7 @@ class TestTheorem2:
             [(0,)], [[1.0]], Schema(dimensions=("X",), measures=("m",))
         )
         with pytest.raises(MaintenanceError):
-            batch_insert(tree, other, other)
+            batch_insert(tree, other, CoverIndex(other))
 
     def test_repeated_batches_stay_consistent(self, sales_table):
         rng = random.Random(0)

@@ -41,7 +41,7 @@ from repro.core.maintenance import (
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
-from tests.conftest import approx_equal
+from tests.conftest import approx_equal, dict_view, patch_with
 
 N_DIMS = 3
 CARD = 3
@@ -214,9 +214,10 @@ def assert_answers_equal(wh_a, wh_b, records, label, rng):
 
 
 def _warehouse(tree, table, frozen):
-    return QCWarehouse(
-        table, ("sum", "m"), tree=tree, serve_frozen=frozen, cache_size=0
-    )
+    """The pair behind a warehouse (frozen serving) or answered straight
+    from its dict tree."""
+    wh = QCWarehouse(table, ("sum", "m"), tree=tree, cache_size=0)
+    return wh if frozen else dict_view(wh)
 
 
 def check_program(seed, n_batches, n_rows=None, max_batch=5):
@@ -371,7 +372,7 @@ class TestBatchEdgeCases:
         deletes = [list(table.iter_records())[0]]
         inserts = [_gen_record(rng, fresh=True) for _ in range(4)]
         result = maintain_batch(tree, table, inserts=inserts, deletes=deletes)
-        patched = frozen.patch(result.delta, full_refreeze_ratio=1.0)
+        patched = patch_with(frozen, result.delta, full=1.0)
         assert patched.signature() == tree.freeze().signature()
 
     def test_insert_order_independence(self):

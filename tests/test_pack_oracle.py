@@ -30,7 +30,7 @@ from repro.cube.table import BaseTable
 from repro.errors import SerializationError
 from repro.shard import ShardServer, created_segments
 from repro.shard.pack import attach_packed, pack_snapshot_bytes
-from tests.conftest import make_random_table
+from tests.conftest import make_random_table, patch_with, refreeze_ratios
 from tests.reference_pack import reference_pack
 from tests.test_frozen_patch import _mutate_once, _random_record
 
@@ -45,7 +45,7 @@ AGGREGATES = {
               ("min", "m")],
 }
 
-#: ``(full_refreeze_ratio, compact_ratio)`` pairs steering
+#: ``(FULL_REFREEZE_RATIO, COMPACT_RATIO)`` values steering
 #: :meth:`FrozenQCTree.patch` into each of its outcomes.
 RATIOS = {
     "splice": (1.0, 1e9),     # always patch, never compact
@@ -63,11 +63,10 @@ def _drive(seed, ops, aggregate, ratios):
     frozen = tree.freeze()
     modes = [frozen.patch_stats["mode"]]
     rng = random.Random(seed)
-    full_ratio, compact_ratio = ratios
+    full, compact = ratios
     for op in ops:
         table, delta = _mutate_once(tree, table, rng, op=op)
-        frozen = frozen.patch(delta, full_refreeze_ratio=full_ratio,
-                              compact_ratio=compact_ratio)
+        frozen = patch_with(frozen, delta, full=full, compact=compact)
         modes.append(frozen.patch_stats["mode"])
     return tree, frozen, table, modes
 
@@ -139,9 +138,9 @@ class TestByteIdentity:
 
     def test_warehouse_snapshots_match(self, extended_sales_table):
         """The serving path's own (tree, table) pairs — string labels,
-        the patch ratio a warehouse really uses."""
-        wh = QCWarehouse(extended_sales_table, "avg(Sale)", cache_size=0,
-                         full_refreeze_ratio=1.0)
+        views patched by the warehouse (the ratio lifted so the tiny
+        tree patches instead of recompiling)."""
+        wh = QCWarehouse(extended_sales_table, "avg(Sale)", cache_size=0)
         wh.serving_tree
         for inserts, deletes in [
             ([("S3", "P1", "s", 7.0)], []),
@@ -149,7 +148,8 @@ class TestByteIdentity:
             ([("S1", "P9", "w", 2.5)], [("S3", "P1", "s", 7.0)]),
         ]:
             wh.maintain(inserts=inserts, deletes=deletes)
-            snap = wh.snapshot_view()
+            with refreeze_ratios(full=1.0):
+                snap = wh.snapshot_view()
             _assert_same_bytes(wh.tree, snap.tree, snap.table)
 
 
@@ -213,8 +213,8 @@ class TestEdgeCases:
         assert frozen._stride == 0
         tree.begin_delta()
         table = apply_insertions(tree, table, [(1, 0, 2.0), (0, 1, 3.0)])
-        frozen = frozen.patch(tree.end_delta(), full_refreeze_ratio=1e9,
-                              compact_ratio=1e9)
+        frozen = patch_with(frozen, tree.end_delta(), full=1e9,
+                            compact=1e9)
         assert frozen.patch_stats["mode"] == "patched"
         assert frozen._stride == 0 and frozen.n_nodes > 1
         _assert_same_bytes(tree, frozen, table)

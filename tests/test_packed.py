@@ -32,7 +32,7 @@ from repro.shard.pack import (
     packed_to_document,
 )
 
-from .conftest import all_cells, approx_equal, make_random_table
+from .conftest import all_cells, approx_equal, dict_view, make_random_table
 
 
 @pytest.fixture
@@ -171,14 +171,14 @@ class TestV3Format:
     def test_save_load_frozen_mode(self, snapshot, tmp_path):
         path = tmp_path / "packed.qct3"
         save_qctree_packed(snapshot.tree, path, table=snapshot.table)
-        tree = load_qctree_from(path, freeze=True)
+        tree = load_qctree_from(path).freeze()
         assert type(tree) is FrozenQCTree
         assert tree.signature() == snapshot.tree.signature()
 
     def test_save_load_mutable_mode(self, snapshot, tmp_path):
         path = tmp_path / "packed.qct3"
         save_qctree_packed(snapshot.tree, path, table=snapshot.table)
-        tree = load_qctree_from(path, freeze=False)
+        tree = load_qctree_from(path)
         assert type(tree) is QCTree
         assert tree.equivalent_to(snapshot.tree)
 
@@ -255,9 +255,8 @@ class TestServingSnapshotBridge:
         as the heap view; only the mutable dict tree is not."""
         assert attached.serving_snapshot().describe()["frozen"] is True
         assert snapshot.describe()["frozen"] is True
-        mutable = QCWarehouse(sales_table, aggregate="avg(Sale)",
-                              serve_frozen=False)
-        assert mutable.snapshot_view().describe()["frozen"] is False
+        mutable = QCWarehouse(sales_table, aggregate="avg(Sale)")
+        assert dict_view(mutable).describe()["frozen"] is False
 
     def test_writes_not_supported_on_packed(self, attached):
         # The packed view is immutable by construction: it has no

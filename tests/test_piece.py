@@ -22,6 +22,7 @@ from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError, SerializationError
+from tests.conftest import refreeze_ratios
 from tests.test_maintenance_oracle import N_DIMS, make_program
 
 AGG = ("sum", "m")
@@ -57,18 +58,20 @@ class TestRefreeze:
     def test_view_equals_fresh_freeze_after_any_apply_sequence(
             self, seed, n_batches, read_every, ratio):
         table, batches, _ = make_program(seed, n_batches)
-        piece = Piece.build(table, AGG, full_refreeze_ratio=ratio)
+        piece = Piece.build(table, AGG)
         piece.frozen_view()
-        for step, (inserts, deletes) in enumerate(batches, start=1):
-            piece.apply(inserts, deletes)
-            assert piece.pending_delta is not None and not piece.frozen_ready
-            if step % read_every:
-                continue  # deltas merge while unread
-            view = piece.frozen_view()
-            assert piece.pending_delta is None and piece.frozen_ready
-            assert piece.frozen_view() is view  # consumed exactly once
+        with refreeze_ratios(full=ratio):
+            for step, (inserts, deletes) in enumerate(batches, start=1):
+                piece.apply(inserts, deletes)
+                assert piece.pending_delta is not None
+                assert not piece.frozen_ready
+                if step % read_every:
+                    continue  # deltas merge while unread
+                view = piece.frozen_view()
+                assert piece.pending_delta is None and piece.frozen_ready
+                assert piece.frozen_view() is view  # consumed exactly once
+                _assert_view_current(piece)
             _assert_view_current(piece)
-        _assert_view_current(piece)
         assert piece.tree.equivalent_to(build_qctree(piece.table, AGG))
 
     def test_no_view_no_pending(self):
@@ -82,10 +85,11 @@ class TestRefreeze:
 
     def test_ratio_zero_always_recompiles(self):
         table, batches, _ = make_program(5, 1, n_rows=8)
-        piece = Piece.build(table, AGG, full_refreeze_ratio=0.0)
+        piece = Piece.build(table, AGG)
         piece.frozen_view()
         piece.apply(*batches[0])
-        assert piece.frozen_view().patch_stats["mode"] == "full"
+        with refreeze_ratios(full=0.0):
+            assert piece.frozen_view().patch_stats["mode"] == "full"
 
 
 class TestFailedBatch:

@@ -17,6 +17,7 @@ from repro.core.query_cache import (
 )
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
+from tests.conftest import dict_view
 
 SCHEMA = Schema(dimensions=("Store", "Product", "Season"), measures=("Sale",))
 RECORDS = [
@@ -271,10 +272,10 @@ class TestWarehouseIntegration:
 
     def test_dict_engine_answers_match(self):
         frozen_wh = make_wh()
-        dict_wh = make_wh(serve_frozen=False)
+        reference = dict_view(frozen_wh)
         for cell in (("S1", "*", "*"), ("*", "P2", "*"), ("S2", "*", "s")):
-            assert frozen_wh.point(cell) == dict_wh.point(cell)
-        assert dict_wh.stats()["serving"] == "dict"
+            assert frozen_wh.point(cell) == reference.point(cell)
+        assert reference.describe()["frozen"] is False
         assert frozen_wh.stats()["serving"] == "frozen"
 
 

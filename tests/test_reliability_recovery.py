@@ -142,6 +142,31 @@ class TestRecoverReplaysBatches:
         assert_equivalent_answers(recovered, reference)
 
 
+    def test_non_numeric_measure_is_refused_then_skipped(self, paths):
+        """``float("x")`` used to leave the table encoder as a bare
+        ``ValueError``: the live insert escaped the ``MaintenanceError``
+        contract and — logged before it failed — the record wedged
+        ``recover()``, taking every later batch with it."""
+        tree_path, wal_path, table_path = paths
+        wh = fresh_warehouse(paths)
+        from repro.errors import MaintenanceError
+
+        before = wh.tree.signature(), list(wh.table.iter_records())
+        with pytest.raises(MaintenanceError, match="non-numeric measure"):
+            wh.insert([("S1", "P1", "s", "x")])  # logged, then refused
+        assert (wh.tree.signature(), list(wh.table.iter_records())) == before
+        wh.insert(INSERT_1)
+        del wh
+
+        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
+                                        SCHEMA)
+        assert recovered.last_recovery["replayed"] == 1
+        (lsn, reason), = recovered.last_recovery["skipped"]
+        assert "non-numeric measure" in reason
+        reference = reference_after([("insert", INSERT_1)])
+        assert_equivalent_answers(recovered, reference)
+
+
 class TestCrashWindows:
     def test_crash_between_wal_append_and_mutation(self, paths):
         tree_path, wal_path, table_path = paths

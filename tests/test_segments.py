@@ -29,6 +29,7 @@ from repro.segments.manifest import (
     load_manifest,
     save_manifest,
 )
+from tests.conftest import refreeze_ratios
 
 SCHEMA = Schema(dimensions=("A", "B", "C"), measures=("m",))
 
@@ -259,20 +260,21 @@ class TestSealedPiecesShareTheLifecycle:
     ])
     def test_sealed_piece_refreezes_with_the_warehouse_ratio(self, ratio,
                                                              modes):
-        wh = _warehouse(n_rows=0, seal_rows=100, full_refreeze_ratio=ratio)
+        wh = _warehouse(n_rows=0, seal_rows=100)
         wh.maintain(inserts=_records(6))
         wh.view  # compile the head's frozen view
-        wh.maintain(inserts=_records(2, start=6))
-        assert wh.serving_tree.patch_stats["mode"] in modes  # the head
-        wh.maintain(inserts=_records(2, start=8))
-        sealed = wh.seal()  # handed over with its unread delta
-        assert sealed.pending_delta is not None
-        assert sealed.frozen_view().patch_stats["mode"] in modes
-        # ... and so does a copy-on-write replacement of it.
-        wh.maintain(deletes=[_record(0)])
-        replaced = wh._segments[0]
-        assert replaced is not sealed and replaced.frozen_ready
-        assert replaced.frozen_view().patch_stats["mode"] in modes
+        with refreeze_ratios(full=ratio):
+            wh.maintain(inserts=_records(2, start=6))
+            assert wh.serving_tree.patch_stats["mode"] in modes  # the head
+            wh.maintain(inserts=_records(2, start=8))
+            sealed = wh.seal()  # handed over with its unread delta
+            assert sealed.pending_delta is not None
+            assert sealed.frozen_view().patch_stats["mode"] in modes
+            # ... and so does a copy-on-write replacement of it.
+            wh.maintain(deletes=[_record(0)])
+            replaced = wh._segments[0]
+            assert replaced is not sealed and replaced.frozen_ready
+            assert replaced.frozen_view().patch_stats["mode"] in modes
 
 
 class TestManifest:

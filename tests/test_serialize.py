@@ -59,8 +59,8 @@ class TestRoundTrip:
         assert clone.n_classes == 0 and clone.n_nodes == 1
 
     def test_pruned_slots_compacted(self, sales_table):
-        from repro.core.maintenance.insert import apply_insertions
-        from repro.core.maintenance.delete import apply_deletions
+        from repro.core.maintenance import apply_insertions
+        from repro.core.maintenance import apply_deletions
 
         tree = build_qctree(sales_table, ("avg", "Sale"))
         bigger = apply_insertions(tree, sales_table,

@@ -34,9 +34,10 @@ from repro.reliability.faults import (
     ServingFaults,
     WorkerKilled,
 )
-from repro.serving import QCServer, RetryPolicy
+from repro.serving import QCServer
 
 from .conftest import all_cells, approx_equal
+from .retry import RetryPolicy
 
 
 @pytest.fixture

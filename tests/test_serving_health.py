@@ -17,8 +17,9 @@ from repro.errors import (
     WorkerCrashedError,
 )
 from repro.reliability.faults import InjectedCrash, ServingFaults
-from repro.serving import CircuitBreaker, QCServer, RetryPolicy
+from repro.serving import CircuitBreaker, QCServer
 from repro.serving.health import CLOSED, HALF_OPEN, OPEN
+from tests.retry import RetryPolicy
 
 
 class FakeClock:

@@ -17,6 +17,7 @@ from repro.errors import (
 )
 from repro.serving import QCServer
 from repro.serving.metrics import LatencyHistogram, ServerMetrics
+from tests.conftest import refreeze_ratios
 
 
 @pytest.fixture
@@ -126,7 +127,10 @@ class TestWrites:
             assert server.point(("S2", "*", "f"), timeout=2.0) == 9.0
 
     def test_dict_serving_warehouse_rejected(self, sales_table):
-        mutable = QCWarehouse(sales_table, serve_frozen=False)
+        """A degraded warehouse answers from its mutable dict tree,
+        which cannot be shared with the writer path."""
+        mutable = QCWarehouse(sales_table)
+        mutable._degraded = True
         with pytest.raises(ServingError, match="frozen-serving"):
             QCServer(mutable, workers=1)
 
@@ -333,10 +337,10 @@ class TestWritePath:
 
     def test_small_write_takes_patched_refreeze(self, sales_table):
         # The sales tree is tiny, so one insert dirties more than the
-        # default 25% ratio; a permissive ratio proves the plumbing.
-        warehouse = QCWarehouse(sales_table, aggregate="avg(Sale)",
-                                full_refreeze_ratio=1.0)
-        with QCServer(warehouse, workers=2) as server:
+        # 25% ratio; a permissive ratio proves the plumbing.
+        warehouse = QCWarehouse(sales_table, aggregate="avg(Sale)")
+        with refreeze_ratios(full=1.0), \
+                QCServer(warehouse, workers=2) as server:
             server.point(("S2", "*", "f"))  # compile the initial view
             server.insert([("S3", "P1", "s", 5.0)])
             stats = server.stats()

@@ -30,8 +30,9 @@ import time
 
 from repro.core.warehouse import QCWarehouse
 from repro.reliability.faults import ChaosMonkey, ServingFaults
-from repro.serving import QCServer, RetryPolicy
+from repro.serving import QCServer
 from tests.conftest import make_random_table
+from tests.retry import RetryPolicy
 
 N_CLIENTS = 4
 N_BATCHES = 12

@@ -18,7 +18,7 @@ import pytest
 from repro.core.warehouse import QCWarehouse
 from repro.errors import ServerDegradedError, WorkerCrashedError
 from repro.reliability.faults import InjectedCrash, ServingFaults
-from repro.serving.retry import RetryPolicy
+from tests.retry import RetryPolicy
 from repro.shard import ShardServer, created_segments
 
 RECORD = ("S3", "P1", "s", 5.0)

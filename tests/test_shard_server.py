@@ -236,9 +236,8 @@ class TestConstruction:
             ShardServer(warehouse, processes=0)
 
     def test_rejects_dict_engine_warehouse(self, sales_table):
-        warehouse = QCWarehouse(
-            sales_table, aggregate="avg(Sale)", serve_frozen=False
-        )
+        warehouse = QCWarehouse(sales_table, aggregate="avg(Sale)")
+        warehouse._degraded = True  # answers from the mutable dict tree
         with pytest.raises(ServingError, match="frozen"):
             ShardServer(warehouse, processes=1)
         assert created_segments() == []

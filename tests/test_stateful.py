@@ -18,8 +18,8 @@ from hypothesis.stateful import (
 )
 
 from repro.core.construct import build_qctree
-from repro.core.maintenance.delete import apply_deletions
-from repro.core.maintenance.insert import apply_insertions
+from repro.core.maintenance import apply_deletions
+from repro.core.maintenance import apply_insertions
 from repro.core.point_query import point_query
 from repro.cube.lattice import cell_aggregate
 from repro.cube.schema import Schema

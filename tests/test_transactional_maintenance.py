@@ -15,15 +15,15 @@ from hypothesis import strategies as st
 
 from repro.core.construct import build_qctree
 from repro.core.maintenance import maintain_batch
-from repro.core.maintenance.delete import apply_deletions
-from repro.core.maintenance.insert import apply_insertions
+from repro.core.maintenance import apply_deletions
+from repro.core.maintenance import apply_insertions
 from repro.core.point_query import point_query
 from repro.core.qctree import QCTree
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.errors import MaintenanceError
 from repro.reliability.transactional import transactional
-from tests.conftest import all_cells, approx_equal
+from tests.conftest import all_cells, approx_equal, patch_with
 from tests.test_maintenance_oracle import make_program, run_batched
 
 
@@ -310,8 +310,7 @@ class TestRollbackIsNeverHappened:
         assert delta.dirty and max(delta.dirty) < len(tree.node_dim)
         run(tree)
         tree.end_delta()
-        patched = frozen.patch(delta, full_refreeze_ratio=1.0,
-                               compact_ratio=10.0)
+        patched = patch_with(frozen, delta, full=1.0, compact=10.0)
         assert patched.patch_stats["mode"] == "patched"
         assert patched.signature() == tree.freeze().signature()
 

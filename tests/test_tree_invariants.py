@@ -10,8 +10,8 @@ import random
 import pytest
 
 from repro.core.construct import build_qctree
-from repro.core.maintenance.delete import apply_deletions
-from repro.core.maintenance.insert import apply_insertions
+from repro.core.maintenance import apply_deletions
+from repro.core.maintenance import apply_insertions
 from repro.core.serialize import dumps_qctree, loads_qctree
 from tests.conftest import make_random_table
 

@@ -18,7 +18,7 @@ from repro.core.construct import build_qctree
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.errors import MaintenanceError
-from tests.conftest import all_cells, approx_equal
+from tests.conftest import all_cells, approx_equal, refreeze_ratios
 
 SCHEMA = Schema(dimensions=("Store", "Product", "Season"),
                 measures=("Sale",))
@@ -52,14 +52,15 @@ class TestPendingDeltaAccumulation:
     def test_interleaved_batches_patch_once(self):
         """Insert, delete, and mixed batches with no read in between
         still fold into ONE pending delta and one incremental patch."""
-        wh = _warehouse(full_refreeze_ratio=1.0)  # always patch, never rebuild
+        wh = _warehouse()
         wh.view  # compile the initial frozen view
         wh.insert([("S3", "P1", "w", 2.0), ("S3", "P2", "w", 5.0)])
         wh.delete([("S1", "P2", "s", 0.0)])
         wh.maintain(inserts=[("S1", "P3", "f", 8.0)],
                     deletes=[("S3", "P1", "w", 0.0)])
         assert wh.pieces()[0].pending_delta is not None  # nothing read yet
-        _assert_serves_like_rebuild(wh)
+        with refreeze_ratios(full=1.0):  # always patch, never rebuild
+            _assert_serves_like_rebuild(wh)
         assert wh.pieces()[0].pending_delta is None  # consumed by the one patch
         assert wh.last_refreeze["mode"] in ("patched", "compacted")
 
