@@ -207,11 +207,12 @@ def _serve_dispatch(server, warehouse, line, out) -> bool:
         getattr(server, parsed.command)([parsed.args[0]])
         print(protocol.format_response(parsed, None), file=out, flush=True)
         return True
-    # Queries (health included) go through the worker pool: a reply
-    # proves a live worker, not just a live control thread.
-    value = server.submit(
+    # Queries go through the worker pool unless the answer is a cache
+    # hit; ``health`` is never cached, so its reply still proves a live
+    # worker, not just a live control thread.
+    value = server.query(
         parsed.op, *parsed.args, timeout=parsed.timeout, **parsed.kwargs
-    ).result()
+    )
     print(protocol.format_response(parsed, value), file=out, flush=True)
     return True
 

@@ -139,17 +139,33 @@ class LsnQueryCache:
         comparison and the answer there is no window where an old entry
         can be served against new data.
         """
-        self._note_heat(key)
+        value = self.probe(key, stamp)
+        if value is MISS:
+            self._note_heat(key)
+            if stamp != self._stamp:
+                self.invalidate(stamp)
+            self.misses += 1
+        return value
+
+    def probe(self, key, stamp):
+        """The hit half of :meth:`lookup`: the cached answer, counted as
+        a hit exactly as ``lookup`` counts one (hits, heat, LRU order) —
+        or :data:`MISS` with nothing counted and nothing invalidated.
+
+        For a caller that answers hits itself and hands everything else
+        to a path that does its own ``lookup``: that lookup counts the
+        miss (and re-pins the stamp) once, so the hit rate is the one a
+        single ``lookup`` per request would have produced.
+        """
         if stamp != self._stamp:
-            self.invalidate(stamp)
-            self.misses += 1
             return MISS
+        entries = self._entries
         try:
-            value = self._entries.pop(key)
+            value = entries[key]
         except KeyError:
-            self.misses += 1
             return MISS
-        self._entries[key] = value  # re-append: most recently used
+        entries.move_to_end(key)  # most recently used
+        self._note_heat(key)
         self.hits += 1
         return value
 

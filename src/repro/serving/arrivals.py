@@ -153,13 +153,6 @@ class _ClientConn:
         self.expected: asyncio.Queue = asyncio.Queue()
 
 
-def _command_of(line: str) -> str:
-    parts = line.strip().split()
-    if parts and parts[0].startswith("@") and len(parts) > 1:
-        return parts[1]
-    return parts[0] if parts else ""
-
-
 def _classify(first_line: str) -> str:
     if not first_line.startswith("error:"):
         return "ok"
@@ -234,7 +227,7 @@ async def open_loop_run(host: str, port: int, plan,
             # Runs with its own reader tasks (one full request/response
             # cycle per connection) before the measured readers exist.
             family, line = plan[0]
-            command = _command_of(line)
+            command = protocol.command_of(line)
             warm_results: list = [None] * (warmup * len(conns))
             warm_readers = []
             for ci, conn in enumerate(conns):
@@ -268,7 +261,9 @@ async def open_loop_run(host: str, port: int, plan,
             # omission sneaking back in through the client's buffers).
             conn.writer.write(line.encode("utf-8") + b"\n")
             send_lags.append(clock() - target)
-            conn.expected.put_nowait((i, family, _command_of(line), target))
+            conn.expected.put_nowait(
+                (i, family, protocol.command_of(line), target)
+            )
         for conn in conns:
             conn.expected.put_nowait(None)
         await asyncio.gather(*readers)

@@ -3,48 +3,88 @@
 The thread server's worker pool answers queries; what it lacked was a
 *transport* that can hold tens of thousands of open connections without
 a thread per client.  :class:`AsyncQCServer` supplies it: one asyncio
-event loop accepts connections, parses the line protocol
-(:mod:`~repro.serving.protocol`), and bridges each request into the
-existing ``QCServer.submit()`` future machinery via
-:func:`asyncio.wrap_future` — the worker pool, admission queue,
-deadlines, metrics ledger, cache, circuit breaker, and the whole
-fault-tolerance layer are reused unchanged, for the thread server and
-the multi-process :class:`~repro.shard.server.ShardServer` alike.
+event loop accepts connections and serves each with one
+:class:`asyncio.Protocol` object that parses the line protocol
+(:mod:`~repro.serving.protocol`) and answers every request **on the
+first thread that can answer it** — the admission queue, deadlines,
+metrics ledger, cache, circuit breaker and the whole fault-tolerance
+layer are the server's own, for the thread server and the multi-process
+:class:`~repro.shard.server.ShardServer` alike.
+
+**Which thread runs what** (one request, left to right):
+
+=================  =======================================  ==============
+step               loop thread (``{name}-loop``)            other threads
+=================  =======================================  ==============
+socket read        ``data_received``: every complete line
+                   of the read is parsed and dispatched,
+                   in order
+cache hit          ``QCServer.cached_answer`` → formatted,
+                   placed in its response slot
+miss / uncached    ``QCServer.submit`` (admission, early    a worker
+                   shedding, the ``@<budget>`` deadline)    answers it
+write              handed to the 1-thread write executor    that thread
+                   (single-writer discipline)               runs it
+``stats``          answered inline
+completion         ``call_soon_threadsafe`` → the slot is   the resolving
+                   filled                                   thread calls it
+socket write       every answer ready at the head of the
+                   connection's order, in ONE
+                   ``transport.write`` per read or
+                   completion
+=================  =======================================  ==============
+
+A cache hit therefore never leaves the loop thread: no future, no
+queue, no second thread — a dict lookup is not worth two hand-offs.
+It is answered inline only under the conditions
+:meth:`QCServer.cached_answer <repro.serving.server.QCServer.
+cached_answer>` states (cache on and key cacheable, server open, op
+registered, no fault plan installed, breaker CLOSED, looked up at the
+published snapshot's stamp); anything else is admitted through
+``submit()`` exactly as before.  Responses leave in **submission
+order** per connection: each request takes a slot in a deque when it
+is dispatched, and only the ready slots at the head are written — a
+hit behind an unanswered miss waits its turn.
 
 **Backpressure is wired end to end** rather than left to TCP buffers:
 
 * *Per-connection in-flight cap* — each connection may have at most
-  ``max_inflight`` requests admitted but unanswered.  At the cap the
-  read loop simply stops reading the socket, so a client that pipelines
-  faster than the server answers is throttled by TCP flow control at
-  the *sender*, and server-side memory per connection stays bounded
-  (one queue of at most ``max_inflight`` pending responses).
+  ``max_inflight`` requests dispatched but unwritten.  At the cap the
+  connection stops parsing and pauses reading its socket, so a
+  client that pipelines faster than the server answers is throttled by
+  TCP flow control at the *sender*, and server-side memory per
+  connection stays bounded (``max_inflight`` slots plus at most one
+  socket read of unparsed lines, none longer than the line limit).
 * *Early protocol-level rejection* — when ``QCServer.submit`` sheds
-  (admission queue full, circuit open), the transport immediately
-  queues an ``error: ServerOverloadedError: ...`` response line instead
-  of letting requests pile into socket buffers.  The client learns it
-  must back off after one round trip, while workers never see the
-  request.
+  (admission queue full, circuit open), the connection immediately
+  answers ``error: ServerOverloadedError: ...`` instead of letting
+  requests pile into socket buffers.  The client learns it must back
+  off after one round trip, while workers never see the request.
 * *Deadline propagation* — a client-supplied ``@<budget_s>`` line
   prefix becomes the request's admission deadline, so work the client
   has given up on is dropped at dequeue instead of served into the
   void.
 * *Connection cap* — beyond ``max_connections`` concurrent sessions,
   new connections get a single rejection line and are closed before
-  they allocate any per-connection state.
-* *Slow readers shed load, not memory* — responses are written with
-  ``drain()`` under the transport's write high-water mark; a client
-  that stops reading (slow-loris) blocks only its own connection's
-  responder at the cap, never the event loop or the worker pool.
+  they hold any request state.
+* *Slow readers shed load, not memory* — when a client stops reading
+  (slow-loris) the transport's write buffer passes its high-water mark
+  and calls ``pause_writing()``: the connection stops writing *and*
+  stops reading, so its ready answers stay in their (capped) slots and
+  nothing else — never the event loop or the worker pool — waits on it.
+* *Malformed input is answered, not trusted* — a request line over
+  :data:`LINE_LIMIT` bytes or one that is not UTF-8 gets a typed
+  ``error:`` line (the oversized one also ends the session: the stream
+  is no longer parseable).
 
-**Clean drain**: :meth:`AsyncQCServer.aclose` stops the listener,
-cancels every connection's read loop, and then *waits for the
-responders to drain* — every admitted request is answered (or failed by
-the server's own shutdown path) before the transport returns, so no
-asyncio task outlives the close, no wrapped future is stranded, and the
-server's admission ledger (``submitted == completed + timeouts +
-errors + cancelled``) still balances.  A bounded ``drain_timeout``
-guards against a wedged server: past it, remaining tasks are cancelled
+**Clean drain**: :meth:`AsyncQCServer.aclose` stops the listener, stops
+every connection's reading, and then *waits for the admitted requests
+to be answered* — each one is written (or, for a peer that vanished,
+dropped once it resolves) before its connection closes, so no asyncio
+task outlives the close, no future is stranded, and the server's
+admission ledger (``submitted == completed + timeouts + errors +
+cancelled``) still balances.  A bounded ``drain_timeout`` guards
+against a wedged server: past it, the remaining connections are aborted
 (the underlying futures then resolve through ``QCServer``'s own
 stranded-request accounting).
 
@@ -63,9 +103,11 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
+from repro.core.query_cache import MISS
 from repro.errors import ReproError, ServerOverloadedError, ServingError
 from repro.serving import protocol
 from repro.serving.metrics import Counter
@@ -76,47 +118,206 @@ COUNTERS = (
     "requests", "writes", "shed_early", "protocol_errors",
 )
 
+#: Longest request line accepted, in bytes (asyncio's own stream-reader
+#: default).
+LINE_LIMIT = 1 << 16
 
-class _TextItem:
-    """A response already formatted (stats, early rejections)."""
+
+class _Slot:
+    """One response's place in its connection's order; ``text`` is None
+    until the answer is in."""
 
     __slots__ = ("text",)
 
-    def __init__(self, text: str):
+    def __init__(self, text: Optional[str] = None):
         self.text = text
 
 
-class _ErrorItem:
-    """A failure to report without any in-flight work behind it."""
+class _Session(asyncio.Protocol):
+    """One connection: its unparsed bytes, its response slots in
+    submission order, and the three conditions under which it stops
+    taking requests (cap reached, peer not reading, session over).
 
-    __slots__ = ("exc",)
+    Every method runs on the loop thread.  :meth:`_advance` is the one
+    place state moves: parse what may be parsed, write what is ready,
+    match the socket's read side to what is left — called after every
+    event that can change any of it.
+    """
 
-    def __init__(self, exc: BaseException):
-        self.exc = exc
+    def __init__(self, door: "AsyncQCServer"):
+        self.door = door
+        self.transport = None
+        self.n_dims = door._server.warehouse.table.n_dims
+        self.buffer = b""       # received, not yet parsed
+        self.slots: deque = deque()
+        self.accepting = False  # False for good: quit, oversized line,
+        #                         EOF consumed, peer lost, door closing
+        self.eof = False        # the peer sent everything it will send
+        self.writable = True    # its write buffer is under high water
+        self.lost = False       # peer gone: answers drain into the void
 
+    # -- transport events ----------------------------------------------------
 
-class _AwaitItem:
-    """An admitted request whose answer is still in flight."""
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        door = self.door
+        if door._closing or len(door._sessions) >= door.max_connections:
+            # Reject before holding any request state: one protocol-
+            # level line, then close.  Bounded memory under a
+            # connection flood is exactly this branch.
+            door._count("connections_rejected")
+            transport.write((protocol.format_error(ServerOverloadedError(
+                f"connection limit reached "
+                f"({door.max_connections} active); retry later"
+            )) + "\n").encode("utf-8"))
+            transport.close()
+            return
+        self.accepting = True
+        door._sessions.add(self)
+        door._count("connections_opened")
 
-    __slots__ = ("parsed", "awaitable")
+    def data_received(self, data: bytes) -> None:
+        if self.accepting:
+            self.buffer += data
+            self._advance()
 
-    def __init__(self, parsed, awaitable):
-        self.parsed = parsed
-        self.awaitable = awaitable
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._advance()
+        return True  # keep the write side open: answers are still due
 
+    def pause_writing(self) -> None:
+        # Called from inside our own ``transport.write``: the
+        # ``_advance`` that is writing sees the flag when it returns.
+        self.writable = False
 
-class _Connection:
-    """Per-connection state: the stream pair, the ordered response
-    queue, and the in-flight semaphore that implements the cap."""
+    def resume_writing(self) -> None:
+        self.writable = True
+        self._advance()
 
-    __slots__ = ("reader", "writer", "queue", "sem", "broken")
+    def connection_lost(self, exc) -> None:
+        self.lost = True
+        self.stop()
 
-    def __init__(self, reader, writer, max_inflight: int):
-        self.reader = reader
-        self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue()
-        self.sem = asyncio.Semaphore(max_inflight)
-        self.broken = False
+    # -- driven by the door --------------------------------------------------
+
+    def stop(self) -> None:
+        """Take no more requests; what was admitted is still answered,
+        then the connection closes."""
+        self.accepting = False
+        self.buffer = b""
+        self._advance()
+
+    def abandon(self) -> None:
+        """Forced end of a wedged drain: drop the connection and the
+        slots nobody will fill in time."""
+        self.lost = True
+        self.slots.clear()
+        self.transport.abort()
+        self.stop()
+
+    def answer(self, slot: _Slot, parsed, future) -> None:
+        """Completion of an admitted request (scheduled onto the loop by
+        the thread that resolved ``future``)."""
+        try:
+            slot.text = protocol.format_response(parsed, future.result())
+        except BaseException as exc:
+            # Whatever the worker stored goes on the wire verbatim —
+            # injected crashes are BaseExceptions and still an answer.
+            slot.text = protocol.format_error(exc)
+        self._advance()
+
+    # -- the state machine ---------------------------------------------------
+
+    def _advance(self) -> None:
+        self._take_lines()
+        while self._flush() and self.buffer:
+            self._take_lines()  # writing made room under the cap
+        if not self.accepting and not self.slots:
+            if self.lost:
+                self.door._forget(self)
+            else:
+                self.transport.close()  # flushes, then connection_lost
+        elif not (self.lost or self.eof):
+            # The backpressure point: at the in-flight cap (or behind a
+            # peer that is not reading) the socket stops being read and
+            # TCP pushes back on the sender.  Both calls are no-ops when
+            # the transport is already in the state asked for.
+            if (self.accepting and self.writable
+                    and len(self.slots) < self.door.max_inflight):
+                self.transport.resume_reading()
+            else:
+                self.transport.pause_reading()
+
+    def _take_lines(self) -> None:
+        """Parse and dispatch buffered lines, in order, while the
+        connection may take requests.  Every line that is answered —
+        errors too, so a garbage stream cannot grow the deque — holds a
+        slot until its answer is written."""
+        door = self.door
+        slots = self.slots
+        cap = door.max_inflight
+        buffer = self.buffer
+        start = 0
+        while self.accepting and self.writable and len(slots) < cap:
+            end = buffer.find(b"\n", start)
+            if end < 0:
+                if len(buffer) - start > LINE_LIMIT:
+                    end = len(buffer)  # refused below, as a whole
+                elif self.eof:
+                    # The peer's last line may lack its newline.
+                    end = len(buffer)
+                    self.accepting = False
+                else:
+                    break
+            raw = buffer[start:end]
+            start = end + 1
+            if len(raw) > LINE_LIMIT:
+                # The stream is no longer parseable: answer, then end.
+                self._refuse(ValueError(
+                    f"request line exceeds {LINE_LIMIT} bytes"
+                ))
+                self.accepting = False
+                break
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                self._refuse(exc)
+                continue
+            if not line or line.startswith("#"):
+                continue
+            try:
+                parsed = protocol.parse_line(line, n_dims=self.n_dims)
+            except ReproError as exc:
+                self._refuse(exc)
+                continue
+            if parsed.kind == "quit":
+                self.accepting = False
+                break
+            slots.append(door._dispatch(self, parsed))
+        self.buffer = buffer[start:] if self.accepting else b""
+
+    def _refuse(self, exc: Exception) -> None:
+        """A line that cannot be a request: a typed error takes its
+        place in the order."""
+        self.door._count("protocol_errors")
+        self.slots.append(_Slot(protocol.format_error(exc)))
+
+    def _flush(self) -> bool:
+        """Write every answer ready at the head of the order in one
+        ``transport.write``; True when slots were freed."""
+        if not (self.writable or self.lost):
+            return False  # the peer is not reading: hold, stay capped
+        slots = self.slots
+        ready = []
+        while slots and slots[0].text is not None:
+            ready.append(slots.popleft().text)
+        if not ready:
+            return False
+        if not self.lost:
+            ready.append("")  # the last answer's newline
+            self.transport.write("\n".join(ready).encode("utf-8"))
+        return True
 
 
 class AsyncQCServer:
@@ -136,7 +337,7 @@ class AsyncQCServer:
         Concurrent session cap; connections beyond it receive one
         ``error: ServerOverloadedError`` line and are closed.
     max_inflight:
-        Per-connection cap on admitted-but-unanswered requests; past it
+        Per-connection cap on dispatched-but-unwritten requests; past it
         the connection's socket is simply not read (TCP backpressure to
         the sender).
     default_timeout:
@@ -144,7 +345,7 @@ class AsyncQCServer:
         (None = the server's own default).
     drain_timeout:
         Upper bound on how long :meth:`aclose` waits for in-flight
-        requests to drain before cancelling them.
+        requests to drain before aborting their connections.
     """
 
     def __init__(self, server, host: str = "127.0.0.1", port: int = 0, *,
@@ -169,12 +370,12 @@ class AsyncQCServer:
         self._drain_timeout = drain_timeout
         self.name = name
         self._counters = {c: Counter(c) for c in COUNTERS}
-        self._active = 0
         self._listener = None
         self._loop = None
         self._closing = False
-        self._handlers: set = set()
-        self._responders: set = set()
+        #: Connections that are open or still owe admitted answers.
+        self._sessions: set = set()
+        self._drained: Optional[asyncio.Future] = None
         self._write_pool: Optional[ThreadPoolExecutor] = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -207,8 +408,8 @@ class AsyncQCServer:
         self._write_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"{self.name}-writer"
         )
-        self._listener = await asyncio.start_server(
-            self._handle_connection, self._host, self._requested_port
+        self._listener = await self._loop.create_server(
+            lambda: _Session(self), self._host, self._requested_port
         )
         self._server.register_transport(self)
         return self
@@ -222,10 +423,11 @@ class AsyncQCServer:
     async def aclose(self) -> None:
         """Stop accepting, drain in-flight requests, stop cleanly.
 
-        Cancels read loops (no new admissions), then waits up to
-        ``drain_timeout`` for responders to finish answering what was
-        admitted; anything still pending after that is cancelled so no
-        task survives the close.  Idempotent.
+        Stops every connection's reading (no new admissions), then
+        waits up to ``drain_timeout`` for what was admitted to be
+        answered and the connections to close; anything still open
+        after that is aborted so nothing survives the close.
+        Idempotent.
         """
         if self._closing:
             return
@@ -233,20 +435,16 @@ class AsyncQCServer:
         if self._listener is not None:
             self._listener.close()
             await self._listener.wait_closed()
-        for task in list(self._handlers):
-            task.cancel()
-        pending = self._handlers | self._responders
-        if pending:
-            done, still_pending = await asyncio.wait(
-                pending, timeout=self._drain_timeout
-            )
-            if still_pending:
-                # Wedged drain (e.g. the server itself hung): force it.
-                for task in still_pending:
-                    task.cancel()
-                await asyncio.gather(*still_pending, return_exceptions=True)
+        for session in list(self._sessions):
+            session.stop()
+        if self._sessions:
+            self._drained = self._loop.create_future()
+            await asyncio.wait({self._drained}, timeout=self._drain_timeout)
+            # Wedged drain (e.g. the server itself hung): force it.
+            for session in list(self._sessions):
+                session.abandon()
         if self._write_pool is not None:
-            # All connection tasks are done, so the pool is idle (or
+            # Every connection is done, so the pool is idle (or
             # finishing its last write); shutdown is near-instant.
             self._write_pool.shutdown(wait=True)
         self._server.unregister_transport(self)
@@ -263,97 +461,23 @@ class AsyncQCServer:
     def _count(self, name: str, n: int = 1) -> None:
         self._counters[name].inc(n)
 
-    async def _handle_connection(self, reader, writer) -> None:
-        if self._closing or self._active >= self.max_connections:
-            # Reject before allocating any per-connection state: one
-            # protocol-level line, then close.  Bounded memory under a
-            # connection flood is exactly this branch.
-            self._count("connections_rejected")
-            try:
-                writer.write(
-                    (protocol.format_error(ServerOverloadedError(
-                        f"connection limit reached "
-                        f"({self.max_connections} active); retry later"
-                    )) + "\n").encode("utf-8")
-                )
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-            writer.close()
+    def _forget(self, session: _Session) -> None:
+        """``session`` is closed and owes nothing (idempotent)."""
+        if session not in self._sessions:
             return
-        self._active += 1
-        self._count("connections_opened")
-        task = asyncio.current_task()
-        self._handlers.add(task)
-        conn = _Connection(reader, writer, self.max_inflight)
-        responder = asyncio.create_task(
-            self._respond_loop(conn), name=f"{self.name}-responder"
-        )
-        self._responders.add(responder)
-        try:
-            await self._read_loop(conn)
-        except asyncio.CancelledError:
-            pass  # transport closing: fall through to the drain
-        except (ConnectionError, OSError):
-            pass  # peer vanished mid-read
-        finally:
-            conn.queue.put_nowait(None)
-            try:
-                await responder
-            except asyncio.CancelledError:
-                pass  # forced shutdown cancelled the drain underneath us
-            self._responders.discard(responder)
-            self._handlers.discard(task)
-            self._active -= 1
-            self._count("connections_closed")
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        self._sessions.remove(session)
+        self._count("connections_closed")
+        drained = self._drained
+        if drained is not None and not self._sessions and not drained.done():
+            drained.set_result(None)
 
-    async def _read_loop(self, conn: _Connection) -> None:
-        n_dims = self._server.warehouse.table.n_dims
-        while True:
-            try:
-                raw = await conn.reader.readline()
-            except (ValueError, asyncio.LimitOverrunError) as exc:
-                # Oversized line: the stream is no longer parseable.
-                self._count("protocol_errors")
-                await conn.sem.acquire()
-                conn.queue.put_nowait(_ErrorItem(exc))
-                return
-            if not raw:
-                return  # EOF
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                self._count("protocol_errors")
-                await conn.sem.acquire()
-                conn.queue.put_nowait(_ErrorItem(exc))
-                continue
-            if not line or line.startswith("#"):
-                continue
-            # The backpressure point: at the in-flight cap this blocks,
-            # the socket stops being read, and TCP pushes back on the
-            # sender.  Every queued item holds one slot (errors too, so
-            # a garbage stream cannot grow the response queue).
-            await conn.sem.acquire()
-            try:
-                parsed = protocol.parse_line(line, n_dims=n_dims)
-            except ReproError as exc:
-                self._count("protocol_errors")
-                conn.queue.put_nowait(_ErrorItem(exc))
-                continue
-            if parsed.kind == "quit":
-                conn.sem.release()
-                return
-            conn.queue.put_nowait(self._dispatch(parsed))
+    def _dispatch(self, session: _Session,
+                  parsed: protocol.ParsedLine) -> _Slot:
+        """One parsed request → its response slot, filled here when the
+        loop thread can answer (cache hit, ``stats``, a refusal) and by
+        :meth:`_Session.answer` otherwise.
 
-    def _dispatch(self, parsed: protocol.ParsedLine):
-        """Turn one parsed request into a queued response item.
-
-        Queries are submitted to the server *here*, on the read loop, so
+        Queries are submitted to the server *here*, on the loop, so
         admission-control rejections surface immediately as protocol
         errors (early shedding) while accepted work proceeds
         concurrently and answers in submission order.
@@ -361,67 +485,45 @@ class AsyncQCServer:
         server = self._server
         if parsed.kind == "stats":
             try:
-                return _TextItem(
-                    protocol.format_response(parsed, server.stats())
-                )
+                return _Slot(protocol.format_response(parsed, server.stats()))
             except Exception as exc:
-                return _ErrorItem(exc)
+                return _Slot(protocol.format_error(exc))
         if parsed.kind == "write":
             fn = server.insert if parsed.command == "insert" else server.delete
-            future = self._loop.run_in_executor(
-                self._write_pool, fn, [parsed.args[0]]
-            )
+            future = self._write_pool.submit(fn, [parsed.args[0]])
             self._count("writes")
-            return _AwaitItem(parsed, future)
-        timeout = (
-            parsed.timeout if parsed.timeout is not None
-            else self._default_timeout
-        )
-        try:
-            future = server.submit(
-                parsed.op, *parsed.args, timeout=timeout, **parsed.kwargs
-            )
-        except BaseException as exc:
-            if isinstance(exc, ServerOverloadedError):
-                self._count("shed_early")
-            return _ErrorItem(exc)
-        self._count("requests")
-        return _AwaitItem(parsed, asyncio.wrap_future(future, loop=self._loop))
-
-    async def _respond_loop(self, conn: _Connection) -> None:
-        """Write responses in submission order, releasing the
-        connection's in-flight slot as each one resolves.
-
-        A broken peer (slow-loris that closed, reset, …) flips the
-        connection to drain mode: remaining answers are still awaited —
-        keeping the server ledger balanced — but not written.
-        """
-        while True:
-            item = await conn.queue.get()
-            if item is None:
-                return
+        else:
             try:
-                if isinstance(item, _TextItem):
-                    text = item.text
-                elif isinstance(item, _ErrorItem):
-                    text = protocol.format_error(item.exc)
-                else:
-                    try:
-                        value = await item.awaitable
-                        text = protocol.format_response(item.parsed, value)
-                    except asyncio.CancelledError:
-                        raise  # forced shutdown: do not swallow
-                    except BaseException as exc:
-                        text = protocol.format_error(exc)
-            finally:
-                conn.sem.release()
-            if conn.broken:
-                continue
+                value = server.cached_answer(
+                    parsed.op, parsed.args, parsed.kwargs
+                )
+                if value is not MISS:
+                    self._count("requests")
+                    return _Slot(protocol.format_response(parsed, value))
+                timeout = (
+                    parsed.timeout if parsed.timeout is not None
+                    else self._default_timeout
+                )
+                future = server.submit(
+                    parsed.op, *parsed.args, timeout=timeout, **parsed.kwargs
+                )
+            except Exception as exc:
+                if isinstance(exc, ServerOverloadedError):
+                    self._count("shed_early")
+                return _Slot(protocol.format_error(exc))
+            self._count("requests")
+        slot = _Slot()
+        call_soon = self._loop.call_soon_threadsafe
+
+        def resolved(future) -> None:
+            # On whichever thread resolved the future: one hop back.
             try:
-                conn.writer.write(text.encode("utf-8") + b"\n")
-                await conn.writer.drain()
-            except (ConnectionError, OSError, RuntimeError):
-                conn.broken = True
+                call_soon(session.answer, slot, parsed, future)
+            except RuntimeError:
+                pass  # loop closed after a forced drain: nobody waits
+
+        future.add_done_callback(resolved)
+        return slot
 
     # -- reporting -----------------------------------------------------------
 
@@ -435,7 +537,7 @@ class AsyncQCServer:
             "host": self._host,
             "port": self.port,
             "connections": {
-                "active": self._active,
+                "active": len(self._sessions),
                 "max": self.max_connections,
                 "opened": counters["connections_opened"],
                 "closed": counters["connections_closed"],
@@ -451,7 +553,7 @@ class AsyncQCServer:
     def __repr__(self):
         return (
             f"AsyncQCServer({self._host}:{self.port}, "
-            f"active={self._active}/{self.max_connections}, "
+            f"active={len(self._sessions)}/{self.max_connections}, "
             f"ready={self.ready})"
         )
 

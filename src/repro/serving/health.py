@@ -122,6 +122,18 @@ class CircuitBreaker:
                 self._successes = 0
                 self._failures = 0
 
+    def on_window_success(self) -> None:
+        """Record a success that is no verdict on the worker pool: a
+        cache hit answered on the caller's thread (no worker ran), or a
+        request its op refused as malformed (the server served it
+        correctly; the client was wrong).  It counts in the CLOSED
+        window like any success and never closes a half-open breaker —
+        only a probe a worker answered may do that."""
+        with self._lock:
+            if self._state == CLOSED:
+                self._roll_window(self._clock())
+                self._successes += 1
+
     def on_failure(self) -> None:
         """Record a failed request; may open the breaker."""
         with self._lock:

@@ -43,8 +43,11 @@ submission order) can split the byte stream back into answers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+import socket
+from collections import deque
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from repro.errors import QueryError
 
@@ -67,7 +70,7 @@ COMMANDS = tuple(sorted(
 
 def parse_cell(text: str) -> tuple:
     """Parse ``"S2,*,f"`` into a raw cell tuple."""
-    return tuple(part.strip() for part in text.split(","))
+    return tuple(map(str.strip, text.split(",")))
 
 
 def parse_range_spec(text: str) -> tuple:
@@ -96,8 +99,7 @@ def coerce_record(fields, n_dims: int) -> tuple:
     return tuple(record)
 
 
-@dataclass(frozen=True)
-class ParsedLine:
+class ParsedLine(NamedTuple):
     """One parsed protocol request.
 
     ``kind`` routes dispatch: ``"query"`` goes through
@@ -105,13 +107,17 @@ class ParsedLine:
     path, ``"stats"`` is answered inline by the transport, and
     ``"quit"`` ends the session.  ``timeout`` carries the client's
     ``@<budget_s>`` deadline (None = transport default).
+
+    An immutable record built once per request line, inside the
+    measured round trip — a named tuple, because a frozen dataclass
+    pays six ``object.__setattr__`` calls to say the same thing.
     """
 
     kind: str
     command: str
     op: Optional[str] = None
     args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
+    kwargs: Mapping = MappingProxyType({})
     timeout: Optional[float] = None
 
 
@@ -134,15 +140,21 @@ def parse_line(line: str, n_dims: Optional[int] = None) -> ParsedLine:
                 f"bad deadline budget {head!r}; expected @<seconds> "
                 f"(e.g. @0.25 point S2,*,f)"
             ) from None
-        if timeout <= 0:
+        if not (timeout > 0 and math.isfinite(timeout)):
+            # ``nan <= 0`` is False: a NaN budget would pass a plain
+            # sign test and become a deadline no clock ever exceeds.
             raise QueryError(
-                f"deadline budget must be positive, got {head!r}"
+                f"deadline budget must be positive and finite, "
+                f"got {head!r}"
             )
         line = rest.strip()
     parts = line.split(None, 1)
     if not parts:
         raise QueryError("empty request line")
     command, rest = parts[0], (parts[1].strip() if len(parts) > 1 else "")
+    if command == "point":  # first: the line a serving door mostly reads
+        return ParsedLine("query", command, "point", (parse_cell(rest),),
+                          timeout=timeout)
     if command in ("quit", "exit"):
         return ParsedLine(kind="quit", command="quit", timeout=timeout)
     if command == "stats":
@@ -162,9 +174,6 @@ def parse_line(line: str, n_dims: Optional[int] = None) -> ParsedLine:
         record = coerce_record(parse_cell(rest), n_dims)
         return ParsedLine(kind="write", command=command, args=(record,),
                           timeout=timeout)
-    if command == "point":
-        return ParsedLine(kind="query", command=command, op="point",
-                          args=(parse_cell(rest),), timeout=timeout)
     if command == "range":
         return ParsedLine(kind="query", command=command, op="range",
                           args=(parse_range_spec(rest),), timeout=timeout)
@@ -267,45 +276,63 @@ def response_complete(command: str, lines) -> bool:
     raise QueryError(f"no framing rule for command {command!r}")
 
 
+def command_of(line: str) -> str:
+    """The command word of a request line (past any ``@<budget_s>``
+    prefix) — what a pipelining client remembers per request to frame
+    its response."""
+    parts = line.split(None, 2)
+    if not parts:
+        return ""
+    if parts[0].startswith("@") and len(parts) > 1:
+        return parts[1]
+    return parts[0]
+
+
 class LineClient:
-    """A small blocking TCP client for the line protocol (tests, shells).
+    """A small blocking TCP client for the line protocol (tests, shells,
+    the benchmark's closed loop).
 
     Supports pipelining: :meth:`send` writes a request without waiting,
     :meth:`read_response` consumes the next response off the wire using
-    :func:`response_complete` framing.  :meth:`call` does both.
+    :func:`response_complete` framing.  :meth:`call` does both — one
+    ``sendall`` and, when the response arrives whole, one ``recv``: the
+    client sits inside every round trip it measures, so it talks to the
+    socket directly (``TCP_NODELAY``, its own receive buffer) instead
+    of through a buffered file pair.
     """
 
-    def __init__(self, host: str, port: int, timeout: float = 30.0):
-        import socket
+    _RECV_BYTES = 1 << 16
 
+    def __init__(self, host: str, port: int, timeout: float = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
-        self._pending: list = []
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._pending: deque = deque()  # commands awaiting a response
+        self._lines: deque = deque()    # received complete lines
+        self._tail = b""                # received bytes of a partial line
 
     def send(self, line: str) -> None:
         """Pipeline one request line (no response wait)."""
-        parsed_command = line.strip().split()
-        command = parsed_command[0] if parsed_command else ""
-        if command.startswith("@") and len(parsed_command) > 1:
-            command = parsed_command[1]
-        self._pending.append(command)
-        self._file.write(line.encode("utf-8") + b"\n")
-        self._file.flush()
+        self._pending.append(command_of(line))
+        self._sock.sendall(line.encode("utf-8") + b"\n")
 
     def read_response(self) -> str:
         """The next pipelined response, framed per its request command."""
         if not self._pending:
             raise QueryError("no pipelined request awaiting a response")
-        command = self._pending.pop(0)
+        command = self._pending.popleft()
+        received = self._lines
         lines: list = []
         while not response_complete(command, lines):
-            raw = self._file.readline()
-            if not raw:
-                raise ConnectionError(
-                    f"connection closed mid-response to {command!r} "
-                    f"(got {lines!r})"
-                )
-            lines.append(raw.decode("utf-8").rstrip("\n"))
+            while not received:
+                chunk = self._sock.recv(self._RECV_BYTES)
+                if not chunk:
+                    raise ConnectionError(
+                        f"connection closed mid-response to {command!r} "
+                        f"(got {lines!r})"
+                    )
+                *whole, self._tail = (self._tail + chunk).split(b"\n")
+                received.extend(whole)
+            lines.append(received.popleft().decode("utf-8"))
         return "\n".join(lines)
 
     def call(self, line: str) -> str:
@@ -314,10 +341,6 @@ class LineClient:
         return self.read_response()
 
     def close(self) -> None:
-        try:
-            self._file.close()
-        except OSError:
-            pass
         try:
             self._sock.close()
         except OSError:

@@ -64,7 +64,11 @@ deadlines) lives in :mod:`~repro.serving.admission`; request metrics in
 :mod:`~repro.serving.metrics`.  Cacheable answers (point / range /
 iceberg) are memoized in an :class:`~repro.core.query_cache.
 LsnQueryCache` keyed by the snapshot's stamp, so a snapshot swap
-implicitly invalidates every cached answer.
+implicitly invalidates every cached answer.  A *hit* in it is answered
+by the thread that asked — :meth:`QCServer.cached_answer`, used by the
+synchronous :meth:`QCServer.query` family and by the asyncio front door
+on its loop thread — because a dict lookup is not worth two thread
+hand-offs; :meth:`QCServer.submit` always admits to the worker pool.
 
 The op table has one seam, :meth:`QCServer.register_op`: tests
 substitute slow, blocking or failing ops through it without touching
@@ -91,6 +95,7 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     QueryError,
+    SchemaError,
     ServerClosedError,
     ServerDegradedError,
     ServerOverloadedError,
@@ -99,7 +104,7 @@ from repro.errors import (
     WriteQuarantinedError,
 )
 from repro.serving.admission import TIMEOUT, AdmissionQueue, Request
-from repro.serving.health import CircuitBreaker, health_report
+from repro.serving.health import CLOSED, CircuitBreaker, health_report
 from repro.serving.metrics import ServerMetrics
 
 #: Snapshot methods exposed as server operations out of the box.
@@ -363,22 +368,81 @@ class QCServer:
         feeds it."""
         return None if op == "health" else self._breaker
 
+    def cached_answer(self, op: str, args: tuple, kwargs: dict):
+        """The answer to a read when the calling thread can give it — a
+        hit in the stamped cache — else :data:`~repro.core.query_cache.
+        MISS`, and the caller goes on to :meth:`submit`.  The one hit
+        path: the front door calls it on its loop thread, :meth:`query`
+        on the caller's.
+
+        A hit is a dict lookup; carrying it to a worker and back costs
+        two thread hand-offs that dwarf it.  It is answered here only
+        when the answer cannot differ from the worker's:
+
+        * the cache is on and the request has a cache key, the server
+          is open and the op registered — what a worker would look up;
+        * no ``faults`` plan is installed — a plan's ``op:<name>`` site
+          fires on a worker, and a hit answered here would skip it;
+        * the breaker is CLOSED — while it sheds, a hit is shed like
+          any request, and a hit must never be the half-open probe:
+          ``allow()`` would spend the probe slot and ``on_success``
+          would close the breaker on evidence that no worker ran;
+        * the lookup is at the stamp of ``self._snapshot`` read once,
+          so a publication can never be answered from the entries of
+          the snapshot it replaced.
+
+        The ledger is kept as a worker keeps it (``submitted``,
+        ``completed``, the op's histogram, a window success for the
+        breaker) and mutable answers are copied.  A miss counts
+        nothing: the worker's own ``lookup`` counts it, once.
+        """
+        cache = self._cache
+        breaker = self._breaker
+        if (cache is None or self._faults is not None or self._closed
+                or op not in self._ops
+                or (breaker is not None and breaker.state != CLOSED)):
+            return MISS
+        key = self._cache_key(op, args, kwargs)
+        if key is None:
+            return MISS
+        start = time.monotonic()
+        stamp = self._snapshot.stamp
+        with self._cache_lock:
+            value = cache.probe(key, stamp)
+        if value is MISS:
+            return MISS
+        metrics = self._metrics
+        metrics.counter("submitted").inc()
+        metrics.counter("completed").inc()
+        metrics.observe(op, time.monotonic() - start)
+        if breaker is not None:
+            breaker.on_window_success()
+        copy = _CACHE_COPY.get(op)
+        return value if copy is None else copy(value)
+
     def query(self, op: str, /, *args, timeout: Optional[float] = None,
               **kwargs):
-        """Synchronous convenience wrapper: submit and wait."""
-        return self.submit(op, *args, timeout=timeout, **kwargs).result()
+        """Synchronous convenience wrapper: a cache hit is answered on
+        the calling thread (:meth:`cached_answer`), anything else is
+        submitted and waited for."""
+        value = self.cached_answer(op, args, kwargs)
+        if value is MISS:
+            value = self.submit(
+                op, *args, timeout=timeout, **kwargs
+            ).result()
+        return value
 
     def point(self, raw_cell, timeout: Optional[float] = None):
-        """Synchronous point query through the worker pool."""
+        """Synchronous point query (:meth:`query`)."""
         return self.query("point", raw_cell, timeout=timeout)
 
     def range(self, raw_spec, timeout: Optional[float] = None) -> dict:
-        """Synchronous range query through the worker pool."""
+        """Synchronous range query (:meth:`query`)."""
         return self.query("range", raw_spec, timeout=timeout)
 
     def iceberg(self, threshold, op: str = ">=",
                 timeout: Optional[float] = None) -> list:
-        """Synchronous pure iceberg query through the worker pool."""
+        """Synchronous pure iceberg query (:meth:`query`)."""
         return self.query("iceberg", threshold, op=op, timeout=timeout)
 
     # -- worker pool ---------------------------------------------------------
@@ -460,7 +524,16 @@ class QCServer:
             self._metrics.observe(request.op, time.monotonic() - start)
             self._metrics.counter("errors").inc()
             if breaker is not None:
-                breaker.on_failure()
+                if isinstance(exc, (QueryError, SchemaError)):
+                    # The op refused a malformed request: the server
+                    # served it correctly, the client was wrong.  An
+                    # error in the ledger, but one client's typos must
+                    # not shed every client's load — and it is no
+                    # verdict for a half-open probe (slot released).
+                    breaker.on_window_success()
+                    breaker.on_discard()
+                else:
+                    breaker.on_failure()
             future.set_exception(exc)
             return
         self._metrics.observe(request.op, time.monotonic() - start)
@@ -911,9 +984,7 @@ class QCServer:
                 return
             self._closed = True
         # Supervisor first, so no worker is respawned mid-shutdown.
-        self._stop_supervisor.set()
-        if self._supervisor is not None:
-            self._supervisor.join(timeout)
+        self._halt_supervisor(timeout)
         for request in self._queue.close():
             self._metrics.counter("stranded").inc()
             future = request.future
@@ -936,6 +1007,13 @@ class QCServer:
         # warehouse's compactor) stop it here, keeping the no-leaked-
         # threads guarantee.
         self.warehouse.close()
+
+    def _halt_supervisor(self, timeout: Optional[float] = None) -> None:
+        """Stop the supervisor and wait out the scan it is in
+        (idempotent)."""
+        self._stop_supervisor.set()
+        if self._supervisor is not None:
+            self._supervisor.join(timeout)
 
     def __enter__(self) -> "QCServer":
         return self

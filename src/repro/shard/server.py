@@ -181,6 +181,7 @@ class _ProcHandle:
     def __init__(self, slot: int, proc, conn):
         self.slot = slot
         self.proc = proc
+        self.pid = proc.pid  # kept: a closed Process forgets its pid
         self.conn = conn
         self.lock = threading.Lock()
         self.send_lock = threading.Lock()
@@ -734,12 +735,7 @@ class ShardServer(QCServer):
             old.fail_pending(WorkerCrashedError(
                 f"shard worker process {i} died; retry"
             ))
-            if old.receiver is not None and old.receiver.is_alive():
-                try:
-                    old.conn.close()
-                except OSError:
-                    pass
-                old.receiver.join(timeout=1.0)
+            self._retire_receiver(old, timeout=1.0)
             old.proc.join(timeout=0)
             try:
                 fresh = self._spawn_process(i)
@@ -783,12 +779,14 @@ class ShardServer(QCServer):
             "local_fallbacks": counters.counter(
                 "shard_local_fallbacks").value,
             "reannounces": counters.counter("shard_reannounces").value,
+            "receiver_join_timeouts": counters.counter(
+                "shard_receiver_join_timeouts").value,
             "publishes": counters.counter("shard_publishes").value,
             "current_epoch": epoch,
             "workers": [
                 {
                     "slot": h.slot,
-                    "pid": h.proc.pid,
+                    "pid": h.pid,
                     "alive": h.alive and h.proc.is_alive(),
                     "attached_epoch": h.attached_epoch,
                     "answered": h.answered,
@@ -820,19 +818,32 @@ class ShardServer(QCServer):
                 handle.proc.join(timeout=2.0)
             with handle.lock:
                 handle.alive = False
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
             handle.fail_pending(down)
         for handle in handles:
-            if handle.receiver is not None:
-                handle.receiver.join(timeout=5.0)
+            self._retire_receiver(handle, timeout=5.0)
             # Release the process object's zombie bookkeeping.
             try:
                 handle.proc.close()
             except Exception:
                 pass
+
+    def _retire_receiver(self, handle: _ProcHandle, timeout: float) -> None:
+        """Join the receiver of a worker that is gone, *then* close the
+        parent's end of its pipe.  The worker's exit is an EOF on that
+        pipe, which is what ends a receiver blocked in ``recv()``;
+        closing the connection under it would not wake the read, and
+        the descriptor number could be reused while it still waits on
+        it.  A join that times out is counted
+        (``shard_health()["receiver_join_timeouts"]``), not silent."""
+        receiver = handle.receiver
+        if receiver is not None:
+            receiver.join(timeout)
+            if receiver.is_alive():
+                self._metrics.counter("shard_receiver_join_timeouts").inc()
+        try:
+            handle.conn.close()
+        except OSError:
+            pass
 
     def _unlink_all_segments(self) -> None:
         with self._shard_lock:
@@ -849,8 +860,12 @@ class ShardServer(QCServer):
         with self._lifecycle_lock:
             already = self._closed
         if not already:
-            # Fleet first: in-flight forwards fail fast instead of
+            # Supervisor first: a scan that respawns a worker while the
+            # fleet is being stopped would install a process and a
+            # receiver thread that nobody stops.  Then the fleet, before
+            # the thread pool: in-flight forwards fail fast instead of
             # pinning worker threads on the RPC timeout during join.
+            self._halt_supervisor(timeout)
             self._shutdown_processes()
         super().close(timeout)
         self._unlink_all_segments()

@@ -275,7 +275,7 @@ def test_health_degrades_when_listener_stops():
 
 @pytest.mark.parametrize("garbage", [
     "frobnicate 1,2", "point", "iceberg nope", "@-1 point *,*",
-    "@abc point *,*", "", "   ",
+    "@abc point *,*", "", "   ", "@nan point *,*", "@inf point *,*",
 ])
 def test_garbage_lines_get_typed_errors_and_hold_no_state(garbage):
     table, server = make_server()

@@ -149,6 +149,41 @@ class WriteStream:
         return f"insert {record}"
 
 
+def test_shard_server_oracle_over_async_transport():
+    """The same program shape against a forked two-process fleet: the
+    transport bridges ``ShardServer.submit`` futures identically,
+    mid-stream writes (which republish the shared-memory snapshot)
+    included.
+
+    First in the module on purpose: the fleet must fork while no
+    transport's loop thread is running, and ``thread_setup`` below keeps
+    one running from its first use to the end of the module."""
+    table = make_random_table(17, n_dims=3, cardinality=3, n_rows=30)
+    server = ShardServer(QCWarehouse(table, aggregate="count"),
+                         processes=2, cache_size=0)
+    handle = None
+    try:
+        # Transport starts after the fleet forks (the fork-safety order
+        # the shard server warns about).
+        handle = AsyncServerThread(server, port=0)
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            writes = WriteStream(table, rng)
+            client = LineClient(handle.host, handle.port)
+            try:
+                for i, line in enumerate(program_lines(table, rng, 10)):
+                    check_line(client, server, table, line)
+                    if i % 5 == 4:
+                        check_line(client, server, table,
+                                   writes.next_line())
+            finally:
+                client.close()
+    finally:
+        if handle is not None:
+            handle.close()
+        server.close()
+
+
 @pytest.fixture(scope="module")
 def thread_setup():
     table = make_random_table(13, n_dims=3, cardinality=3, n_rows=40)
@@ -216,43 +251,13 @@ def test_budget_prefix_answers_or_expires(thread_setup):
         client.close()
 
 
-def test_shard_server_oracle_over_async_transport():
-    """The same program shape against a forked two-process fleet: the
-    transport bridges ``ShardServer.submit`` futures identically,
-    mid-stream writes (which republish the shared-memory snapshot)
-    included."""
-    table = make_random_table(17, n_dims=3, cardinality=3, n_rows=30)
-    server = ShardServer(QCWarehouse(table, aggregate="count"),
-                         processes=2, cache_size=0)
-    handle = None
-    try:
-        # Transport starts after the fleet forks (the fork-safety order
-        # the shard server warns about).
-        handle = AsyncServerThread(server, port=0)
-        for seed in (1, 2, 3):
-            rng = random.Random(seed)
-            writes = WriteStream(table, rng)
-            client = LineClient(handle.host, handle.port)
-            try:
-                for i, line in enumerate(program_lines(table, rng, 10)):
-                    check_line(client, server, table, line)
-                    if i % 5 == 4:
-                        check_line(client, server, table,
-                                   writes.next_line())
-            finally:
-                client.close()
-    finally:
-        if handle is not None:
-            handle.close()
-        server.close()
-
-
 def close_breaker(server, table) -> None:
-    """Close ``server``'s breaker the way a client would.  The refused
-    cells of the random programs above count as failures and may have
-    left this module-scoped server's breaker open (readiness is rightly
-    false then): wait out the cooldown and let one good ``point`` be the
-    half-open probe."""
+    """Close ``server``'s breaker the way a client would, should
+    anything have left this module-scoped server's breaker open
+    (readiness is false then): wait out the cooldown and let one good
+    ``point`` be the half-open probe.  (The refused cells of the random
+    programs above do not open it: a request the op refuses is the
+    client's error, not a breaker failure.)"""
     deadline = time.monotonic() + 10.0
     while server.breaker.state != "closed":
         assert time.monotonic() < deadline, server.breaker.snapshot()

@@ -11,12 +11,15 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     QueryError,
-    SchemaError,
     ServerOverloadedError,
     ServingError,
     WorkerCrashedError,
 )
-from repro.reliability.faults import InjectedCrash, ServingFaults
+from repro.reliability.faults import (
+    InjectedCrash,
+    InjectedFault,
+    ServingFaults,
+)
 from repro.serving import CircuitBreaker, QCServer
 from repro.serving.health import CLOSED, HALF_OPEN, OPEN
 from tests.retry import RetryPolicy
@@ -119,6 +122,25 @@ class TestCircuitBreaker:
         assert breaker.allow()
         breaker.on_discard()
         assert breaker.allow()  # slot released, next probe admitted
+
+    def test_window_success_counts_but_is_no_probe_verdict(self):
+        """``on_window_success`` (a cache hit no worker ran, a request
+        its op refused) dilutes the CLOSED window like any success and
+        leaves a half-open breaker — and its probe slot — alone."""
+        clock = FakeClock()
+        breaker = self.make(clock)
+        for _ in range(4):
+            breaker.on_window_success()
+        for _ in range(3):
+            breaker.on_failure()
+        assert breaker.state == CLOSED  # 3 of 7: under the threshold
+        breaker.on_failure()
+        assert breaker.state == OPEN
+        clock.advance(1.5)
+        assert breaker.allow()  # the probe
+        breaker.on_window_success()
+        assert breaker.state == HALF_OPEN
+        assert not breaker.allow()  # the slot is still the probe's
 
     def test_window_ages_out_old_errors(self):
         clock = FakeClock()
@@ -270,15 +292,24 @@ class TestHealthReport:
             assert server.health()["breaker"] is None
 
 
+def failing_rollup() -> ServingFaults:
+    """A plan under which every ``rollup`` fails *in the server* — what
+    trips a breaker.  (A ``rollup`` the op refuses, wrong cell or wrong
+    arity, is the client's error and no longer feeds it.)"""
+    faults = ServingFaults()
+    faults.arm("op:rollup", times=None)
+    return faults
+
+
 class TestBreakerIntegration:
     def test_error_burst_trips_breaker_and_sheds(self, warehouse):
         breaker = CircuitBreaker(error_threshold=0.5, min_requests=4,
                                  cooldown_s=30.0)
-        with QCServer(warehouse, workers=1, breaker=breaker) as server:
-            # rollup of a non-upper-bound cell raises QueryError.
+        with QCServer(warehouse, workers=1, breaker=breaker,
+                      faults=failing_rollup()) as server:
             for _ in range(4):
-                with pytest.raises(QueryError):
-                    server.query("rollup", ("S1", "P1", "f"))
+                with pytest.raises(InjectedFault):
+                    server.query("rollup", ("S2", "P1", "f"))
             assert breaker.state == OPEN
             with pytest.raises(CircuitOpenError):
                 server.submit("point", ("S2", "*", "f"))
@@ -294,10 +325,11 @@ class TestBreakerIntegration:
         not count as the half-open probe that closes the breaker."""
         clock = FakeClock()
         breaker = CircuitBreaker(clock=clock)  # the default thresholds
-        with QCServer(warehouse, workers=1, breaker=breaker) as server:
+        with QCServer(warehouse, workers=1, breaker=breaker,
+                      faults=failing_rollup()) as server:
             for _ in range(breaker.min_requests):
-                with pytest.raises(SchemaError):
-                    server.query("rollup", ("zz", "*", "*"))
+                with pytest.raises(InjectedFault):
+                    server.query("rollup", ("S2", "P1", "f"))
             assert breaker.state == OPEN
             report = server.query("health")
             assert report["breaker"]["state"] == OPEN
@@ -312,16 +344,61 @@ class TestBreakerIntegration:
     def test_breaker_recovers_through_half_open_probe(self, warehouse):
         breaker = CircuitBreaker(error_threshold=0.5, min_requests=4,
                                  cooldown_s=0.05)
-        with QCServer(warehouse, workers=1, breaker=breaker) as server:
+        with QCServer(warehouse, workers=1, breaker=breaker,
+                      faults=failing_rollup()) as server:
             for _ in range(4):
-                with pytest.raises(QueryError):
-                    server.query("rollup", ("S1", "P1", "f"))
+                with pytest.raises(InjectedFault):
+                    server.query("rollup", ("S2", "P1", "f"))
             assert breaker.state == OPEN
             import time
             time.sleep(0.1)  # past the cooldown: next request is a probe
             assert server.point(("S2", "*", "f")) == 9.0
             assert breaker.state == CLOSED
             assert server.point(("S2", "*", "f")) == 9.0
+
+    def test_a_clients_typos_do_not_open_the_breaker(self, warehouse):
+        """25 wrong-arity ``point`` lines on one connection (each a
+        ``QueryError`` raised by the op) are that client's errors: the
+        ledger counts them, the breaker does not, and a second
+        connection's well-formed request is answered."""
+        from repro.serving import AsyncServerThread, LineClient
+
+        server = QCServer(warehouse, workers=1, cache_size=0)
+        handle = AsyncServerThread(server, port=0)
+        try:
+            assert server.breaker.min_requests <= 25
+            with LineClient(handle.host, handle.port) as careless:
+                for _ in range(25):
+                    assert careless.call("point a,b").startswith(
+                        "error: QueryError")
+            with LineClient(handle.host, handle.port) as careful:
+                assert careful.call("point S2,*,f") == "9.0"
+            assert server.breaker.state == CLOSED
+            assert server.breaker.snapshot()["window_failures"] == 0
+            counters = server.stats()["counters"]
+            assert counters["errors"] == 25
+            assert counters["breaker_rejected"] == 0
+            assert server.health()["ready"]
+        finally:
+            handle.close()
+            server.close()
+
+    def test_a_refused_request_is_no_verdict_for_the_probe(self, warehouse):
+        """Half-open, the probe turns out to be a client's typo: the
+        breaker neither closes nor reopens on it, and the slot is free
+        for the next request — which is the real probe."""
+        clock = FakeClock()
+        breaker = CircuitBreaker(min_requests=4, clock=clock)
+        with QCServer(warehouse, workers=1, breaker=breaker) as server:
+            for _ in range(4):
+                breaker.on_failure()
+            clock.advance(2 * breaker.cooldown_s)
+            with pytest.raises(QueryError):
+                server.query("point", ("a", "b"))
+            assert breaker.state == HALF_OPEN
+            assert breaker.snapshot()["times_opened"] == 1
+            assert server.point(("S2", "*", "f")) == 9.0
+            assert breaker.state == CLOSED
 
     def test_circuit_open_is_retryable_overload(self):
         assert issubclass(CircuitOpenError, ServerOverloadedError)

@@ -380,6 +380,35 @@ class TestHygiene:
             if t.name.startswith(server.name)
         ]
 
+    def test_close_during_a_respawn_leaves_nothing(self, warehouse):
+        """``close()`` while the supervisor is mid-respawn (a fork that
+        takes a while on a loaded box): the fresh worker and its
+        receiver thread must be stopped with the rest of the fleet, not
+        installed after the fleet was stopped — the ``shard-rx`` thread
+        ``test_close_leaves_nothing`` once found alive."""
+        server = ShardServer(warehouse, processes=2)
+        began = threading.Event()
+        spawn = server._spawn_process
+
+        def slow_spawn(slot):
+            began.set()
+            time.sleep(0.3)
+            return spawn(slot)
+
+        server._spawn_process = slow_spawn
+        os.kill(server._handles[0].proc.pid, signal.SIGKILL)
+        assert began.wait(5.0), "supervisor never started the respawn"
+        server.close()
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith(server.name)
+        ]
+        for handle in server._handles:
+            with pytest.raises(ValueError):  # closed, hence reaped
+                handle.proc.is_alive()
+        assert server.shard_health()["receiver_join_timeouts"] == 0
+        assert created_segments() == []
+
     def test_context_manager_cleans_up(self, warehouse):
         with ShardServer(warehouse, processes=1) as server:
             assert server.point(("S2", "*", "f")) == 9.0
