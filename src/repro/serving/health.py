@@ -196,8 +196,9 @@ def health_report(server) -> dict:
         worker thread alive;
     ``ready``
         worth routing traffic to: live, not degraded (server write
-        pipeline or warehouse), breaker not open, and admission queue
-        not full;
+        pipeline or warehouse), breaker not open, and admission not
+        shedding (``QCServer._backlog``: the queue's depth — and, for a
+        shard server, its forwards in flight — under ``queue_size``);
     ``status``
         ``"ok"`` / ``"degraded"`` / ``"down"``, the one-word rollup;
     ``staleness``
@@ -218,7 +219,7 @@ def health_report(server) -> dict:
     degraded = server.write_degraded or warehouse.degraded
     live = not server.closed and workers["alive"] > 0
     ready = (
-        live and not degraded and depth < queue.maxsize
+        live and not degraded and server._backlog() < queue.maxsize
         and (breaker is None or breaker["state"] != OPEN)
     )
     if not live:

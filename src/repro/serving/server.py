@@ -127,6 +127,12 @@ def _snapshot_op(name):
     return call
 
 
+def _own_copy(op: str, value):
+    """The caller's copy of an answer the cache may also hold."""
+    copy = _CACHE_COPY.get(op)
+    return value if copy is None else copy(value)
+
+
 class QCServer:
     """Multi-worker query service over a frozen-serving warehouse.
 
@@ -332,17 +338,9 @@ class QCServer:
             raise QueryError(
                 f"unknown server op {op!r}; known: {sorted(self._ops)}"
             )
-        breaker = self._breaker_for(op)
-        if breaker is not None and not breaker.allow():
-            self._metrics.counter("breaker_rejected").inc()
-            raise CircuitOpenError(
-                "circuit breaker open after an error burst; "
-                "back off and retry"
-            )
-        limit = self.default_timeout if timeout is None else timeout
-        deadline = None if limit is None else time.monotonic() + limit
+        breaker = self._admit(op)
         request = Request(op=op, args=args, kwargs=kwargs, future=Future(),
-                          deadline=deadline)
+                          deadline=self._deadline(timeout))
         try:
             admitted = self._queue.offer(request)
         except RuntimeError:
@@ -350,12 +348,9 @@ class QCServer:
                 breaker.on_discard()
             raise ServerClosedError("server is closed") from None
         if not admitted:
-            if breaker is not None:
-                breaker.on_discard()
-            self._metrics.counter("shed").inc()
-            raise ServerOverloadedError(
-                f"admission queue full ({self._queue.maxsize} waiting); "
-                f"request {op!r} shed"
+            raise self._shed(
+                breaker, f"admission queue full ({self._queue.maxsize} "
+                f"waiting); request {op!r} shed"
             )
         self._metrics.counter("submitted").inc()
         return request.future
@@ -367,6 +362,38 @@ class QCServer:
         breaker it says nothing about — so it neither consults nor
         feeds it."""
         return None if op == "health" else self._breaker
+
+    def _admit(self, op: str):
+        """Ask ``op``'s breaker to admit one request: returns the
+        breaker (None when none applies), whose ``allow()`` the request
+        now holds, or raises :class:`~repro.errors.CircuitOpenError`."""
+        breaker = self._breaker_for(op)
+        if breaker is not None and not breaker.allow():
+            self._metrics.counter("breaker_rejected").inc()
+            raise CircuitOpenError(
+                "circuit breaker open after an error burst; "
+                "back off and retry"
+            )
+        return breaker
+
+    def _shed(self, breaker, message: str) -> ServerOverloadedError:
+        """Count a request shed after :meth:`_admit` (its probe slot, if
+        any, released); returns the error to raise."""
+        if breaker is not None:
+            breaker.on_discard()
+        self._metrics.counter("shed").inc()
+        return ServerOverloadedError(message)
+
+    def _deadline(self, timeout: Optional[float]) -> Optional[float]:
+        """The absolute :func:`time.monotonic` deadline of a request
+        submitted now with ``timeout`` (default ``default_timeout``)."""
+        limit = self.default_timeout if timeout is None else timeout
+        return None if limit is None else time.monotonic() + limit
+
+    def _backlog(self) -> int:
+        """Admitted requests waiting for a worker — the count load
+        shedding bounds by ``queue_size`` and health readiness reads."""
+        return self._queue.depth()
 
     def cached_answer(self, op: str, args: tuple, kwargs: dict):
         """The answer to a read when the calling thread can give it — a
@@ -417,8 +444,7 @@ class QCServer:
         metrics.observe(op, time.monotonic() - start)
         if breaker is not None:
             breaker.on_window_success()
-        copy = _CACHE_COPY.get(op)
-        return value if copy is None else copy(value)
+        return _own_copy(op, value)
 
     def query(self, op: str, /, *args, timeout: Optional[float] = None,
               **kwargs):
@@ -480,67 +506,93 @@ class QCServer:
         future = request.future
         if future is None or future.done():
             return
-        breaker = self._breaker_for(request.op)
         try:
             if future.set_running_or_notify_cancel():
-                self._metrics.counter("errors").inc()
-                if breaker is not None:
-                    breaker.on_failure()
-                future.set_exception(WorkerCrashedError(
-                    f"worker died before answering {request.op!r}; "
-                    "the read never ran and is safe to retry"
-                ))
+                self._settle(future, request.op, None, False,
+                             WorkerCrashedError(
+                                 f"worker died before answering "
+                                 f"{request.op!r}; the read never ran and "
+                                 "is safe to retry"
+                             ))
             else:
-                self._metrics.counter("cancelled").inc()
-                if breaker is not None:
-                    breaker.on_discard()
+                self._cancelled(request.op)
         except Exception:
             pass  # racing future state: the caller already has an outcome
 
     def _serve(self, request: Request) -> None:
         self._fire("worker")  # simulated pre-claim worker death
         future = request.future
-        breaker = self._breaker_for(request.op)
         if request.expired():
-            self._metrics.counter("timeouts").inc()
-            if breaker is not None:
-                breaker.on_failure()
-            future.set_exception(DeadlineExceededError(
-                f"request {request.op!r} spent "
-                f"{time.monotonic() - request.enqueued_at:.3f}s queued, "
-                f"past its deadline"
-            ))
+            self._settle(future, request.op, None, False,
+                         DeadlineExceededError(
+                             f"request {request.op!r} spent "
+                             f"{time.monotonic() - request.enqueued_at:.3f}s "
+                             f"queued, past its deadline"
+                         ))
             return
         if not future.set_running_or_notify_cancel():
-            self._metrics.counter("cancelled").inc()
-            if breaker is not None:
-                breaker.on_discard()
+            self._cancelled(request.op)
             return
         snapshot = self._snapshot  # pin one immutable version
         start = time.monotonic()
         try:
             value = self._answer(snapshot, request)
         except BaseException as exc:
-            self._metrics.observe(request.op, time.monotonic() - start)
-            self._metrics.counter("errors").inc()
-            if breaker is not None:
-                if isinstance(exc, (QueryError, SchemaError)):
-                    # The op refused a malformed request: the server
-                    # served it correctly, the client was wrong.  An
-                    # error in the ledger, but one client's typos must
-                    # not shed every client's load — and it is no
-                    # verdict for a half-open probe (slot released).
-                    breaker.on_window_success()
-                    breaker.on_discard()
-                else:
-                    breaker.on_failure()
-            future.set_exception(exc)
+            self._settle(future, request.op, start, False, exc)
             return
-        self._metrics.observe(request.op, time.monotonic() - start)
-        self._metrics.counter("completed").inc()
+        self._settle(future, request.op, start, True, value)
+
+    def _settle(self, future, op: str, start: Optional[float], ok: bool,
+                value) -> None:
+        """Keep the ledger for one admitted read and resolve its future
+        with ``value`` (an answer when ``ok``, else the exception).  The
+        one place a read's outcome is counted: a pool worker's
+        :meth:`_serve` and the shard server's forwards, answered on its
+        receiver threads, both end here.
+
+        A :class:`~repro.errors.DeadlineExceededError` counts under
+        ``timeouts`` (a breaker failure, no latency sample); any other
+        outcome is timed from ``start`` into the op's histogram and
+        counts under ``completed`` / ``errors``.
+        """
+        metrics = self._metrics
+        breaker = self._breaker_for(op)
+        if ok:
+            metrics.observe(op, time.monotonic() - start)
+            metrics.counter("completed").inc()
+            if breaker is not None:
+                breaker.on_success()
+            future.set_result(value)
+            return
+        if isinstance(value, DeadlineExceededError):
+            metrics.counter("timeouts").inc()
+            if breaker is not None:
+                breaker.on_failure()
+            future.set_exception(value)
+            return
+        if start is not None:
+            metrics.observe(op, time.monotonic() - start)
+        metrics.counter("errors").inc()
         if breaker is not None:
-            breaker.on_success()
-        future.set_result(value)
+            if isinstance(value, (QueryError, SchemaError)):
+                # The op refused a malformed request: the server served
+                # it correctly, the client was wrong.  An error in the
+                # ledger, but one client's typos must not shed every
+                # client's load — and it is no verdict for a half-open
+                # probe (slot released).
+                breaker.on_window_success()
+                breaker.on_discard()
+            else:
+                breaker.on_failure()
+        future.set_exception(value)
+
+    def _cancelled(self, op: str) -> None:
+        """Count an admitted read its caller cancelled before it ran
+        (no outcome: its half-open probe slot, if any, is released)."""
+        self._metrics.counter("cancelled").inc()
+        breaker = self._breaker_for(op)
+        if breaker is not None:
+            breaker.on_discard()
 
     def _cache_key(self, op: str, args: tuple, kwargs: dict):
         if op == "point" and len(args) == 1 and not kwargs:
@@ -571,15 +623,17 @@ class QCServer:
             value = cache.lookup(key, snapshot.stamp)
         if value is MISS:
             value = self._ops[op](snapshot, *args, **kwargs)
-            # Skip the store when a swap already superseded this
-            # snapshot — storing would re-pin the cache to the old
-            # stamp and thrash entries filled under the new one.
-            # (Stamped lookups stay correct either way.)
-            if snapshot is self._snapshot:
-                with self._cache_lock:
-                    cache.store(key, snapshot.stamp, value)
-        copy = _CACHE_COPY.get(op)
-        return value if copy is None else copy(value)
+            self._cache_store(key, snapshot, value)
+        return _own_copy(op, value)
+
+    def _cache_store(self, key, snapshot, value) -> None:
+        """Remember an answer computed against ``snapshot`` — unless a
+        swap already superseded it: storing would re-pin the cache to
+        the old stamp and thrash entries filled under the new one.
+        (Stamped lookups stay correct either way.)"""
+        if snapshot is self._snapshot:
+            with self._cache_lock:
+                self._cache.store(key, snapshot.stamp, value)
 
     # -- supervisor ----------------------------------------------------------
 

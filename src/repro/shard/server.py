@@ -47,14 +47,19 @@ thread-mode rather than failing.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import threading
 import time
 import warnings
 import zlib
+from collections import deque
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from itertools import count
 from typing import Optional
 
 from repro.core.cells import ALL
+from repro.core.query_cache import MISS
 from repro.errors import (
     DeadlineExceededError,
     QueryError,
@@ -62,7 +67,12 @@ from repro.errors import (
     ServingError,
     WorkerCrashedError,
 )
-from repro.serving.server import SNAPSHOT_OPS, QCServer, _snapshot_op
+from repro.serving.server import (
+    SNAPSHOT_OPS,
+    QCServer,
+    _own_copy,
+    _snapshot_op,
+)
 from repro.shard.pack import pack_snapshot_bytes
 from repro.shard.segment import create_segment, unlink_segment
 from repro.shard.worker import worker_main
@@ -116,20 +126,34 @@ class ShardRouter:
         return zlib.adler32(repr(key).encode("utf-8", "replace")) % n_slots
 
 
-class _Pending:
-    """One in-flight forwarded request awaiting its worker's answer."""
+class _Forward:
+    """One request forwarded to a worker process, awaiting its answer.
 
-    __slots__ = ("ok", "payload", "event")
+    ``future`` resolves to the answer.  A *direct* forward (``server``
+    set) was sent by the thread that called :meth:`ShardServer.submit`;
+    ``future`` is that caller's, and its answer keeps the ledger and
+    fills the cache on the receiver thread (:meth:`ShardServer.
+    _settle_forward`).  A pool thread's forward (``server`` None) leaves
+    both to ``_serve`` and waits on ``future`` itself.
+    """
 
-    def __init__(self):
-        self.ok = False
-        self.payload = None
-        self.event = threading.Event()
+    __slots__ = ("future", "server", "op", "key", "snapshot", "sent_at")
+
+    def __init__(self, server=None, op=None, key=None, snapshot=None):
+        self.future = Future()
+        self.server = server
+        self.op = op
+        self.key = key
+        self.snapshot = snapshot
+        self.sent_at = time.monotonic()
 
     def complete(self, ok: bool, payload) -> None:
-        self.ok = ok
-        self.payload = payload
-        self.event.set()
+        if self.server is not None:
+            self.server._settle_forward(self, ok, payload)
+        elif ok:
+            self.future.set_result(payload)
+        else:
+            self.future.set_exception(payload)
 
 
 class _BatchSlot:
@@ -146,12 +170,14 @@ class _BatchSlot:
 
 
 class _Batch:
-    """Gather side of a scattered bulk query."""
+    """Gather side of a scattered bulk query.  ``flags[i]`` is None
+    until element ``i`` is answered, then whether it succeeded."""
 
     def __init__(self, size: int):
         self.results = [None] * size
-        self.flags = [False] * size
+        self.flags = [None] * size
         self._remaining = size
+        self._closed = False
         self._lock = threading.Lock()
         self.event = threading.Event()
         if size == 0:
@@ -159,6 +185,8 @@ class _Batch:
 
     def put(self, index: int, ok: bool, payload) -> None:
         with self._lock:
+            if self._closed:
+                return  # the gatherer gave up on it: counted a timeout
             self.results[index] = payload
             self.flags[index] = ok
             self._remaining -= 1
@@ -166,16 +194,49 @@ class _Batch:
         if done:
             self.event.set()
 
+    def close(self) -> list:
+        """Stop accepting answers; returns the final ``flags``."""
+        with self._lock:
+            self._closed = True
+            return list(self.flags)
+
+
+def _send_failed(handle) -> WorkerCrashedError:
+    return WorkerCrashedError(
+        f"shard worker {handle.slot} is down or its pipe broke mid-send; "
+        "the read never ran and is safe to retry"
+    )
+
+
+def _rpc_timeout(handle, limit: float) -> DeadlineExceededError:
+    return DeadlineExceededError(
+        f"shard worker {handle.slot} did not answer within {limit}s"
+    )
+
+
+#: What the kernel charges a pipe's socket buffer per message on top of
+#: its bytes (measured on Linux x86-64: 278 messages of 83 bytes fill
+#: the 208 KiB default buffer, ≈ 770 bytes of bookkeeping each).
+_MESSAGE_OVERHEAD = 1024
+
 
 class _ProcHandle:
     """Parent-side state of one worker process: the process, its pipe,
     the in-flight table, and the epoch it last confirmed attaching.
 
-    Locking: ``lock`` guards ``pending``/``alive``; ``send_lock``
-    serializes pipe sends and is *never* taken by the receiver thread,
-    so a send blocked on a full pipe can never stop the receiver from
-    draining answers (which is what unblocks the worker, and hence the
-    send).
+    Locking: ``lock`` guards ``pending``/``alive``/``outstanding``;
+    ``send_lock`` serializes pipe sends and is *never* taken by the
+    receiver thread, so a send blocked on a full pipe can never stop the
+    receiver from draining answers (which is what unblocks the worker,
+    and hence the send).
+
+    ``outstanding`` is what the request messages sent and not yet
+    answered charge the pipe (bytes plus :data:`_MESSAGE_OVERHEAD`
+    each), ``unanswered`` their charges in send order: the worker
+    answers each request message with one answer message, in order, and
+    has read all of it by then.  So ``outstanding`` bounds what can sit
+    unread in the pipe, and a send that keeps it under a budget far
+    below the socket buffer cannot block.
     """
 
     def __init__(self, slot: int, proc, conn):
@@ -186,6 +247,8 @@ class _ProcHandle:
         self.lock = threading.Lock()
         self.send_lock = threading.Lock()
         self.pending: dict = {}
+        self.unanswered: deque = deque()
+        self.outstanding = 0
         self.alive = True
         self.attached_epoch = 0
         self.answered = 0
@@ -193,15 +256,43 @@ class _ProcHandle:
         self.last_announce = 0.0
 
     def send(self, message) -> bool:
+        """Send a control message (blocking while the pipe is full);
+        False when the worker is gone."""
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
         with self.send_lock:
-            with self.lock:
-                if not self.alive:
-                    return False
-            try:
-                self.conn.send(message)
-                return True
-            except (OSError, ValueError, BrokenPipeError):
+            return self.post(data)
+
+    def post(self, data: bytes, sinks: Optional[dict] = None) -> bool:
+        """Send one pickled message; the caller holds ``send_lock``.
+
+        ``sinks`` (``{rid: sink}``) makes it a request message: they
+        join ``pending`` and its charge joins ``outstanding`` before the
+        bytes leave, so its answer can never arrive first.  False when
+        the worker is gone — the sinks are registered all the same, and
+        the caller takes back with :meth:`reclaim` those nobody else
+        failed meanwhile, so each is completed exactly once.
+        """
+        with self.lock:
+            if sinks is not None:
+                self.pending.update(sinks)
+            if not self.alive:
                 return False
+            if sinks is not None:
+                charge = len(data) + _MESSAGE_OVERHEAD
+                self.unanswered.append(charge)
+                self.outstanding += charge
+        try:
+            self.conn.send_bytes(data)
+        except (OSError, ValueError):
+            return False
+        return True
+
+    def reclaim(self, rids) -> list:
+        """Remove ``rids`` from ``pending``; returns the sinks that were
+        still there (the caller now owns completing them)."""
+        with self.lock:
+            taken = [self.pending.pop(rid, None) for rid in rids]
+        return [sink for sink in taken if sink is not None]
 
     def fail_pending(self, exc) -> None:
         with self.lock:
@@ -224,19 +315,32 @@ class ShardServer(QCServer):
     ...                                     # /dev/shm segments left
 
     ``processes`` sets the worker-process fleet; ``workers`` (the
-    inherited thread pool) defaults to ``processes`` — parent threads
-    only forward and wait on pipes, releasing the GIL, so thread count
-    just bounds per-request concurrency.  Everything else is inherited
-    :class:`~repro.serving.server.QCServer` behavior: admission,
-    deadlines, cache (answers are cached parent-side keyed by snapshot
-    stamp), breaker, write pipeline, degraded mode, fault injection
-    (plus the shard sites ``shard:publish`` and ``shard:attach``).
+    inherited thread pool) defaults to ``processes``.  A snapshot op is
+    normally not the pool's: :meth:`submit` pickles it and sends it on
+    the worker's pipe from the calling thread, and the worker's
+    receiver thread keeps the ledger and resolves the future — no
+    thread hand-off but the answer's.  The pool runs what that direct
+    path leaves it (see :meth:`submit`): ``register_op`` ops, ``health``,
+    every op under a ``faults`` plan, the local fallback, and a send
+    that would wait on a busy or full pipe.  Everything else is
+    inherited :class:`~repro.serving.server.QCServer` behavior:
+    admission, deadlines, cache (answers are cached parent-side keyed
+    by snapshot stamp), breaker, write pipeline, degraded mode, fault
+    injection (plus the shard sites ``shard:publish`` and
+    ``shard:attach``).
     """
 
-    #: Seconds a forwarding thread waits for a worker answer before
-    #: failing the request (worker death is detected far sooner via
-    #: pipe EOF; this bounds a wedged-but-alive worker).
+    #: Seconds a forward waits for its worker's answer before it fails
+    #: with ``DeadlineExceededError`` (worker death is detected far
+    #: sooner via pipe EOF; this bounds a wedged-but-alive worker).  The
+    #: supervisor's scan enforces it while direct forwards are in
+    #: flight; a pool thread's forward also waits no longer.
     SHARD_RPC_TIMEOUT_S = 30.0
+    #: Pipe charge (``_ProcHandle.outstanding``, bytes) under which a
+    #: direct send must keep its worker's pipe — far below the 208 KiB
+    #: socket buffer, so a ``submit()`` on an event-loop thread never
+    #: blocks on a send.
+    DIRECT_SEND_BUDGET = 64 * 1024
     #: Bounded wait for workers to ack an epoch swap; laggards are
     #: repaired by the supervisor, readers are never blocked on them.
     PUBLISH_ACK_TIMEOUT_S = 5.0
@@ -258,12 +362,15 @@ class ShardServer(QCServer):
         self._shard_lock = threading.Lock()
         self._rid = count(1)
         self._handles: list = []
+        self._routable: tuple = ()  # see _reroute_locked
         self._epoch = 0
         self._stamp = (0, 0)
         self._epoch_segments: dict = {}  # epoch -> segment name
         self._tickets: dict = {}  # epoch -> [expected slot set, Event]
         self._snapshot_bytes = 0
         self._procs_stopped = False
+        self._inflight_lock = threading.Lock()
+        self._inflight = 0  # direct forwards awaiting an answer
 
         # Pack and publish epoch 1 and fork the fleet *before*
         # super().__init__ spawns any thread: forking a single-threaded
@@ -280,6 +387,7 @@ class ShardServer(QCServer):
         try:
             for slot in range(processes):
                 self._handles.append(self._spawn_process(slot))
+            self._reroute_locked()  # no other thread exists yet
         except BaseException:
             self._shutdown_processes()
             self._unlink_all_segments()
@@ -293,14 +401,14 @@ class ShardServer(QCServer):
             self._unlink_all_segments()
             raise
 
-        # Re-point the snapshot ops at the worker fleet.  The inherited
+        # Re-point the snapshot ops at the worker fleet.  On the pool's
         # read path (_serve/_answer: deadlines, cache, metrics, breaker,
-        # op fault sites) is untouched — only the innermost call changes
-        # from "walk my snapshot" to "ask a worker process".  Ops added
-        # later via register_op keep running parent-side.
+        # op fault sites) only the innermost call changes from "walk my
+        # snapshot" to "ask a worker process".  Ops added later via
+        # register_op keep running parent-side.
         self._local_ops = {op: _snapshot_op(op) for op in SNAPSHOT_OPS}
-        for op in SNAPSHOT_OPS:
-            self._ops[op] = self._forwarder(op)
+        self._forwarders = {op: self._forwarder(op) for op in SNAPSHOT_OPS}
+        self._ops.update(self._forwarders)
 
         # Receivers start only now: every fork already happened.
         for handle in self._handles:
@@ -407,9 +515,15 @@ class ShardServer(QCServer):
                 break
             kind = message[0]
             if kind == "a":
-                for rid, ok, payload in message[1]:
-                    with handle.lock:
-                        sink = handle.pending.pop(rid, None)
+                with handle.lock:
+                    handle.outstanding -= handle.unanswered.popleft()
+                    owed = [
+                        (handle.pending.pop(rid, None), ok, payload)
+                        for rid, ok, payload in message[1]
+                    ]
+                for sink, ok, payload in owed:
+                    # A sink already gone was failed or given up on (RPC
+                    # timeout, map_query timeout): its answer is dropped.
                     if sink is not None:
                         handle.answered += 1
                         sink.complete(ok, payload)
@@ -417,6 +531,7 @@ class ShardServer(QCServer):
                 epoch = message[1]
                 with self._shard_lock:
                     handle.attached_epoch = epoch
+                    self._reroute_locked()
                     self._ack_ticket_locked(epoch, handle.slot)
             elif kind == "pub_err":
                 epoch = message[1]
@@ -428,15 +543,16 @@ class ShardServer(QCServer):
         with handle.lock:
             was_alive = handle.alive
             handle.alive = False
+        with self._shard_lock:
+            self._reroute_locked()
+            for epoch in list(self._tickets):
+                self._ack_ticket_locked(epoch, handle.slot)
         if was_alive and not self._procs_stopped:
             self._metrics.counter("shard_process_crashes").inc()
         handle.fail_pending(WorkerCrashedError(
             f"shard worker process {handle.slot} died before answering; "
             "the read never ran and is safe to retry"
         ))
-        with self._shard_lock:
-            for epoch in list(self._tickets):
-                self._ack_ticket_locked(epoch, handle.slot)
 
     def _ack_ticket_locked(self, epoch: int, slot: int) -> None:
         ticket = self._tickets.get(epoch)
@@ -467,51 +583,164 @@ class ShardServer(QCServer):
         call.__name__ = f"shard_op_{op}"
         return call
 
-    def _serving_handles(self) -> list:
-        """Live workers attached to the *current* epoch — the only ones
-        routable, so every answer (and thus every parent-side cache
-        fill, keyed by the current stamp) reflects the published
-        snapshot even while laggards still serve an old epoch."""
-        with self._shard_lock:
-            epoch = self._epoch
-            return [
-                h for h in self._handles
-                if h.alive and h.attached_epoch == epoch
-            ]
+    def _reroute_locked(self) -> None:
+        """Recompute ``_routable``: the live workers attached to the
+        *current* epoch — the only ones routable, so every answer (and
+        thus every parent-side cache fill, keyed by the current stamp)
+        reflects the published snapshot even while laggards still serve
+        an old epoch.  Called under ``_shard_lock`` wherever one of its
+        inputs changes (the epoch, a worker's attached epoch or
+        liveness, the handle list); a request reads the tuple without a
+        lock.  A worker that dies before the next recompute is still in
+        it — its send fails with the retryable ``WorkerCrashedError``,
+        as a request racing the death always could."""
+        epoch = self._epoch
+        self._routable = tuple(
+            h for h in self._handles
+            if h.alive and h.attached_epoch == epoch
+        )
 
     def _pick(self, op: str, args: tuple) -> Optional[_ProcHandle]:
-        live = self._serving_handles()
-        if not live:
-            return None
+        live = self._routable
+        if len(live) < 2:  # nothing to place: skip the prefix hash
+            return live[0] if live else None
         return live[self._router.slot(op, args, len(live))]
 
     def _forward(self, handle: _ProcHandle, op: str, args: tuple,
                  kwargs: dict):
+        """A pool thread's forward: send, then wait for the answer."""
         rid = next(self._rid)
-        pending = _Pending()
-        with handle.lock:
-            if not handle.alive:
-                raise WorkerCrashedError(
-                    f"shard worker {handle.slot} is down; retry"
+        sink = _Forward()
+        data = pickle.dumps(("q", [(rid, op, args, kwargs)]),
+                            pickle.HIGHEST_PROTOCOL)
+        with handle.send_lock:
+            sent = handle.post(data, {rid: sink})
+        if not sent:
+            handle.reclaim((rid,))
+            raise _send_failed(handle)
+        try:
+            return sink.future.result(self.SHARD_RPC_TIMEOUT_S)
+        except FutureTimeoutError:
+            handle.reclaim((rid,))
+            raise _rpc_timeout(handle, self.SHARD_RPC_TIMEOUT_S) from None
+
+    def submit(self, op: str, /, *args, timeout: Optional[float] = None,
+               **kwargs) -> Future:
+        """Admit a read; returns a :class:`~concurrent.futures.Future`.
+
+        The inherited contract (shedding, breaker, deadline, ledger)
+        holds on two paths.  A snapshot op is pickled and sent on its
+        worker's pipe *by this thread*, and the worker's receiver thread
+        keeps the ledger and resolves the future — the **direct path**.
+        It is taken only when its answer and its ledger cannot differ
+        from the pool's:
+
+        * the op is one of the fleet's forwarders, not overridden by
+          :meth:`register_op` — an override runs parent-side, on a pool
+          thread;
+        * no ``faults`` plan is installed — the plan's ``worker`` and
+          ``op:<name>`` sites fire on a pool thread;
+        * the server is open — :meth:`~repro.serving.server.QCServer.
+          submit` owns refusing a closed server;
+        * a worker on the current epoch is routable — the local
+          fallback runs a kernel op, which stays off the caller's (or
+          an event loop's) thread;
+        * the worker's ``send_lock`` is free and the message fits
+          :data:`DIRECT_SEND_BUDGET` — so this call never blocks on a
+          pipe (the asyncio door calls it on its loop thread).
+
+        Anything else goes through the inherited :meth:`~repro.serving.
+        server.QCServer.submit` unchanged.  The direct path sheds with
+        :class:`~repro.errors.ServerOverloadedError` once ``queue_size``
+        direct forwards are in flight (health readiness reads the same
+        count), carries the deadline to the worker, which answers
+        :class:`~repro.errors.DeadlineExceededError` unrun past it, and
+        fails a forward unanswered for ``SHARD_RPC_TIMEOUT_S`` (the
+        supervisor's scan).  A cacheable op looks up here, counting a
+        miss once, and its answer is stored on arrival while its
+        snapshot is still the published one.
+        """
+        forwarder = self._forwarders.get(op)
+        handle = None
+        if (forwarder is not None and self._ops.get(op) is forwarder
+                and self._faults is None and not self._closed):
+            snapshot = self._snapshot  # pin one version, as _serve does
+            handle = self._pick(op, args)
+        if handle is not None and handle.send_lock.acquire(blocking=False):
+            try:
+                future = self._submit_direct(
+                    handle, snapshot, op, args, kwargs, timeout
                 )
-            handle.pending[rid] = pending
-        if not handle.send(("q", [(rid, op, args, kwargs)])):
-            with handle.lock:
-                handle.pending.pop(rid, None)
-            raise WorkerCrashedError(
-                f"shard worker {handle.slot} pipe broke mid-send; "
-                "the read never ran and is safe to retry"
+            finally:
+                handle.send_lock.release()
+            if future is not None:
+                return future
+        return super().submit(op, *args, timeout=timeout, **kwargs)
+
+    def _submit_direct(self, handle: _ProcHandle, snapshot, op: str,
+                       args: tuple, kwargs: dict, timeout):
+        """The direct path of :meth:`submit`, ``handle.send_lock`` held.
+        Returns None, having counted nothing, when the message does not
+        fit the pipe budget (the caller falls back to the pool)."""
+        rid = next(self._rid)
+        deadline = self._deadline(timeout)
+        request = ((rid, op, args, kwargs) if deadline is None
+                   else (rid, op, args, kwargs, deadline))
+        try:
+            data = pickle.dumps(("q", [request]), pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return None  # the pool's forward fails its future with it
+        # Only this thread (holding send_lock) can raise ``outstanding``;
+        # the receiver only lowers it, so a stale read errs safe.
+        if (handle.outstanding + len(data) + _MESSAGE_OVERHEAD
+                > self.DIRECT_SEND_BUDGET):
+            return None
+        breaker = self._admit(op)
+        with self._inflight_lock:
+            full = self._inflight >= self._queue.maxsize
+            if not full:
+                self._inflight += 1
+        if full:
+            raise self._shed(
+                breaker, f"{self._queue.maxsize} forwards in flight; "
+                f"request {op!r} shed"
             )
-        if not pending.event.wait(self.SHARD_RPC_TIMEOUT_S):
-            with handle.lock:
-                handle.pending.pop(rid, None)
-            raise DeadlineExceededError(
-                f"shard worker {handle.slot} did not answer {op!r} within "
-                f"{self.SHARD_RPC_TIMEOUT_S}s"
-            )
-        if pending.ok:
-            return pending.payload
-        raise pending.payload
+        self._metrics.counter("submitted").inc()
+        cache = self._cache
+        key = None if cache is None else self._cache_key(op, args, kwargs)
+        sink = _Forward(self, op, key, snapshot)
+        if key is not None:
+            with self._cache_lock:
+                value = cache.lookup(key, snapshot.stamp)
+            if value is not MISS:
+                sink.key = None  # a hit: nothing to store on completion
+                sink.complete(True, _own_copy(op, value))
+                return sink.future
+        if not handle.post(data, {rid: sink}):
+            for owned in handle.reclaim((rid,)):
+                owned.complete(False, _send_failed(handle))
+        return sink.future
+
+    def _settle_forward(self, sink: _Forward, ok: bool, payload) -> None:
+        """Completion of a direct forward, on the thread that took its
+        sink out of ``pending`` (a receiver, the supervisor, a
+        ``close()``): the cache fill and the one ledger helper
+        ``_serve`` uses."""
+        with self._inflight_lock:
+            self._inflight -= 1
+        future = sink.future
+        if not future.set_running_or_notify_cancel():
+            self._cancelled(sink.op)
+            return
+        if ok and sink.key is not None:
+            self._cache_store(sink.key, sink.snapshot, payload)
+            payload = _own_copy(sink.op, payload)
+        self._settle(future, sink.op, sink.sent_at, ok, payload)
+
+    def _backlog(self) -> int:
+        # Each path sheds on its own count against queue_size: the pool
+        # on its queue, the direct path on forwards in flight.
+        return max(super()._backlog(), self._inflight)
 
     # -- bulk path -----------------------------------------------------------
 
@@ -526,8 +755,9 @@ class ShardServer(QCServer):
         per-request pipe+future overhead that bounds ``submit`` — it is
         the path that scales with cores — while keeping the admission
         ledger balanced (each element counts as submitted and
-        completed/errored).  The first failed element's error re-raises
-        after the batch completes.
+        completed/errored; past ``timeout`` the unanswered ones count as
+        timeouts and their late answers are dropped).  The first failed
+        element's error re-raises after the batch completes.
         """
         if self._closed:
             raise ServerClosedError("server is closed")
@@ -539,7 +769,7 @@ class ShardServer(QCServer):
         calls = [tuple(args) for args in calls]
         metrics = self._metrics
         metrics.counter("submitted").inc(len(calls))
-        live = self._serving_handles()
+        live = self._routable
         snapshot = self._snapshot
         start = time.monotonic()
         if not live:
@@ -566,40 +796,42 @@ class ShardServer(QCServer):
         chunks: dict = {}
         for index, args in enumerate(calls):
             handle = live[self._router.slot(op, args, len(live))]
-            chunks.setdefault(handle.slot, (handle, []))[1].append(
-                (index, args)
-            )
-        for handle, items in chunks.values():
-            wire = []
-            with handle.lock:
-                sendable = handle.alive
-                if sendable:
-                    for index, args in items:
-                        rid = next(self._rid)
-                        handle.pending[rid] = _BatchSlot(batch, index)
-                        wire.append((rid, op, args, {}))
-            if sendable and not handle.send(("q", wire)):
-                sendable = False
-                with handle.lock:
-                    for rid, _op, _args, _kw in wire:
-                        handle.pending.pop(rid, None)
-            if not sendable:
+            chunk = chunks.get(handle.slot)
+            if chunk is None:
+                chunk = chunks[handle.slot] = (handle, {}, [])
+            rid = next(self._rid)
+            chunk[1][rid] = _BatchSlot(batch, index)
+            chunk[2].append((rid, op, args, {}))
+        for handle, sinks, wire in chunks.values():
+            data = pickle.dumps(("q", wire), pickle.HIGHEST_PROTOCOL)
+            with handle.send_lock:
+                sent = handle.post(data, sinks)
+            if not sent:
                 down = WorkerCrashedError(
                     f"shard worker {handle.slot} died mid-batch; retry"
                 )
-                for index, _args in items:
-                    batch.put(index, False, down)
+                for slot in handle.reclaim(sinks):
+                    slot.complete(False, down)
         limit = self.SHARD_RPC_TIMEOUT_S if timeout is None else timeout
-        if not batch.event.wait(limit):
+        answered = batch.event.wait(limit)
+        if not answered:
+            # Give up on what is unanswered: out of ``pending`` (a late
+            # answer is dropped), and counted below as timeouts.
+            for handle, sinks, _wire in chunks.values():
+                handle.reclaim(sinks)
+        flags = batch.close()
+        n_ok = flags.count(True)
+        n_err = flags.count(False)
+        metrics.counter("completed").inc(n_ok)
+        metrics.counter("errors").inc(n_err)
+        metrics.counter("timeouts").inc(len(calls) - n_ok - n_err)
+        metrics.observe(op, time.monotonic() - start)
+        if not answered:
             raise DeadlineExceededError(
                 f"bulk {op!r} over {len(calls)} calls did not complete "
                 f"within {limit}s"
             )
-        n_ok = sum(batch.flags)
-        metrics.counter("completed").inc(n_ok)
-        metrics.counter("errors").inc(len(calls) - n_ok)
-        metrics.observe(op, time.monotonic() - start)
-        for flag, payload in zip(batch.flags, batch.results):
+        for flag, payload in zip(flags, batch.results):
             if not flag:
                 raise payload
         return batch.results
@@ -643,6 +875,7 @@ class ShardServer(QCServer):
                 ticket_event = threading.Event()
                 self._tickets[epoch] = (expected, ticket_event)
                 self._epoch = epoch
+                self._reroute_locked()
                 self._stamp = snapshot.stamp
                 self._epoch_segments[epoch] = shm.name
                 self._snapshot_bytes = len(payload)
@@ -724,12 +957,17 @@ class ShardServer(QCServer):
                         and now - handle.last_announce
                         > self.REANNOUNCE_INTERVAL_S):
                     reannounce.append(handle)
+            if respawn:
+                self._reroute_locked()
         for handle in reannounce:
             # Repair a lagging worker: re-announce the current epoch
             # (attach is idempotent worker-side).
             if handle.send(("publish", lsn, epoch, name, None)):
                 handle.last_announce = now
                 self._metrics.counter("shard_reannounces").inc()
+        if self._inflight:  # else nothing to scan but map_query's slots
+            for handle in self._handles:
+                self._fail_overdue(handle, now)
         for i in respawn:
             old = self._handles[i]
             old.fail_pending(WorkerCrashedError(
@@ -744,6 +982,7 @@ class ShardServer(QCServer):
             self._start_receiver(fresh)
             with self._shard_lock:
                 self._handles[i] = fresh
+                self._reroute_locked()
             self._metrics.counter("shard_process_restarts").inc()
         with self._shard_lock:
             stale = len(self._epoch_segments) > 1
@@ -752,6 +991,20 @@ class ShardServer(QCServer):
             # epochs' segments; sweep whenever more than the current
             # epoch's segment is still registered.
             self._gc_segments()
+
+    def _fail_overdue(self, handle: _ProcHandle, now: float) -> None:
+        """Fail the forwards ``handle``'s worker has left unanswered for
+        ``SHARD_RPC_TIMEOUT_S`` — a wedged-but-alive worker holds no
+        thread of ours, so this scan is what bounds its callers' wait.
+        (A ``map_query`` batch keeps its own ``timeout``.)"""
+        limit = self.SHARD_RPC_TIMEOUT_S
+        with handle.lock:
+            overdue = [
+                rid for rid, sink in handle.pending.items()
+                if type(sink) is _Forward and now - sink.sent_at > limit
+            ]
+        for sink in handle.reclaim(overdue):
+            sink.complete(False, _rpc_timeout(handle, limit))
 
     # -- health --------------------------------------------------------------
 
@@ -790,6 +1043,7 @@ class ShardServer(QCServer):
                     "alive": h.alive and h.proc.is_alive(),
                     "attached_epoch": h.attached_epoch,
                     "answered": h.answered,
+                    "inflight": len(h.pending),
                 }
                 for h in handles
             ],
@@ -806,6 +1060,7 @@ class ShardServer(QCServer):
             if self._procs_stopped:
                 return
             self._procs_stopped = True
+            self._routable = ()
             handles = list(self._handles)
         down = ServerClosedError("server shut down before request ran")
         for handle in handles:

@@ -1,0 +1,314 @@
+"""The shard server's direct path: a read sent by the thread that
+submitted it.
+
+``ShardServer.submit`` pickles a snapshot op onto its worker's pipe from
+the calling thread and lets the receiver thread resolve the future; no
+pool thread forwards and waits.  These tests pin what that path must
+keep from the pool's — deadlines, the RPC timeout, shedding and
+readiness, the cache's counts, crash handling — and the cases that must
+still go through the pool.  Every server here is closed by the fixture,
+which then requires a balanced admission ledger.
+"""
+
+from __future__ import annotations
+
+import os
+import signal
+import sys
+import threading
+import time
+from contextlib import contextmanager
+
+import pytest
+
+from repro.core.warehouse import QCWarehouse
+from repro.errors import (
+    DeadlineExceededError,
+    ServerOverloadedError,
+    WorkerCrashedError,
+)
+from repro.reliability.faults import ServingFaults
+from repro.serving import AsyncServerThread, LineClient, QCServer
+from repro.shard import ShardServer, created_segments
+
+CELL = ("S2", "*", "f")  # 9.0 in the paper's sales table
+
+
+def balanced(counters) -> bool:
+    return counters["submitted"] == (
+        counters["completed"] + counters["timeouts"]
+        + counters["errors"] + counters["cancelled"]
+    )
+
+
+@pytest.fixture
+def make_server(sales_table):
+    servers = []
+
+    def make(**kwargs):
+        kwargs.setdefault("processes", 1)
+        kwargs.setdefault("workers", 1)
+        kwargs.setdefault("supervise_interval", 0.02)
+        server = ShardServer(
+            QCWarehouse(sales_table, aggregate="avg(Sale)"), **kwargs
+        )
+        servers.append(server)
+        return server
+
+    yield make
+    for server in servers:
+        server.close()
+        counters = server.stats()["counters"]
+        assert balanced(counters), counters
+    assert created_segments() == []
+
+
+@pytest.fixture
+def server(make_server):
+    return make_server()
+
+
+@contextmanager
+def stopped(pid: int):
+    """Hold a worker process in SIGSTOP for the block."""
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        yield
+    finally:
+        os.kill(pid, signal.SIGCONT)
+
+
+def wait_until(predicate, timeout_s: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
+
+
+def record_pool(server) -> list:
+    """The ops the thread pool serves from now on (the direct path never
+    reaches ``_serve``)."""
+    served = []
+    serve = server._serve
+
+    def recording(request):
+        served.append(request.op)
+        serve(request)
+
+    server._serve = recording
+    return served
+
+
+class TestDirectPath:
+    def test_answers_while_the_pool_is_parked(self, server):
+        """The only pool thread is held by a custom op; a point query
+        still answers, through the fleet."""
+        gate, entered = threading.Event(), threading.Event()
+
+        def park(snapshot):
+            entered.set()
+            gate.wait(10)
+            return "parked"
+
+        server.register_op("park", park)
+        parked = server.submit("park")
+        try:
+            assert entered.wait(5)
+            answered = server.shard_health()["workers"][0]["answered"]
+            assert server.submit("point", CELL).result(timeout=5) == 9.0
+            assert server.shard_health()["workers"][0]["answered"] \
+                == answered + 1
+        finally:
+            gate.set()
+        assert parked.result(timeout=5) == "parked"
+
+    @pytest.mark.parametrize("via", ["timeout", "budget"])
+    def test_deadline_expires_at_a_stopped_worker(self, server, via):
+        """A deadline that passes while the worker cannot read is
+        answered unrun, as the pool answers one that waited queued —
+        through ``submit(timeout=)`` and the door's ``@budget``."""
+        pid = server._handles[0].pid
+        if via == "timeout":
+            with stopped(pid):
+                future = server.submit("point", CELL, timeout=0.2)
+                time.sleep(0.4)
+            with pytest.raises(DeadlineExceededError):
+                future.result(timeout=5)
+        else:
+            door = AsyncServerThread(server)
+            try:
+                with LineClient(door.host, door.port) as client:
+                    with stopped(pid):
+                        client.send("@0.2 point S2,*,f")
+                        time.sleep(0.4)
+                    answer = client.read_response()
+            finally:
+                door.close()
+            assert answer.startswith("error: DeadlineExceededError"), answer
+        counters = server.stats()["counters"]
+        assert counters["timeouts"] == 1
+        assert counters["completed"] == 0
+
+    def test_rpc_timeout_fails_a_wedged_forward(self, server, monkeypatch):
+        """A worker alive but silent past ``SHARD_RPC_TIMEOUT_S``: the
+        supervisor fails the forward, and the late answer is dropped."""
+        monkeypatch.setattr(server, "SHARD_RPC_TIMEOUT_S", 0.3)
+        handle = server._handles[0]
+        with stopped(handle.pid):
+            future = server.submit("point", CELL)
+            assert server.shard_health()["workers"][0]["inflight"] == 1
+            with pytest.raises(DeadlineExceededError, match="did not answer"):
+                future.result(timeout=5)
+            assert server.shard_health()["workers"][0]["inflight"] == 0
+        # The worker reads the request after SIGCONT and answers it; the
+        # answer finds no sink and is dropped, uncounted.
+        assert wait_until(lambda: handle.outstanding == 0)
+        assert handle.answered == 0
+        assert server.submit("point", CELL).result(timeout=5) == 9.0
+        counters = server.stats()["counters"]
+        assert (counters["timeouts"], counters["completed"]) == (1, 1)
+
+    def test_sheds_at_queue_size_forwards_in_flight(self, make_server):
+        server = make_server(queue_size=4)
+        with stopped(server._handles[0].pid):
+            futures = [server.submit("point", CELL) for _ in range(4)]
+            with pytest.raises(ServerOverloadedError):
+                server.submit("point", CELL)
+            assert server.stats()["counters"]["shed"] == 1
+            assert server.health()["ready"] is False
+        assert [f.result(timeout=5) for f in futures] == [9.0] * 4
+        assert server.health()["ready"] is True
+        assert server.stats()["counters"]["submitted"] == 4
+
+    def test_concurrent_submitters_leave_nothing_owed(self, make_server):
+        """Eight threads racing on both pipes (and on the pool when a
+        send lock is taken), switching every 10 µs: every answer right,
+        and the in-flight count, pipe charges and ``pending`` tables all
+        back to zero — a lost update in any of them would show."""
+        server = make_server(processes=2, workers=2, cache_size=0)
+        cells = [(s, p, t) for s in ("S1", "S2") for p in ("P1", "P2", "*")
+                 for t in ("s", "f", "*")]
+        expected = {cell: server.warehouse.point(cell) for cell in cells}
+        wrong = []
+
+        def reader(seed: int) -> None:
+            for i in range(150):
+                cell = cells[(seed * 7 + i) % len(cells)]
+                if server.submit("point", cell).result(timeout=10) \
+                        != expected[cell]:
+                    wrong.append(cell)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert server._inflight == 0
+        for handle in server._handles:
+            assert (handle.outstanding, len(handle.unanswered),
+                    handle.pending) == (0, 0, {})
+        assert server.stats()["counters"]["completed"] == 8 * 150
+
+    def test_killed_worker_fails_direct_forwards(self, server):
+        pid = server._handles[0].pid
+        os.kill(pid, signal.SIGSTOP)
+        futures = [server.submit("point", CELL) for _ in range(3)]
+        os.kill(pid, signal.SIGKILL)
+        for future in futures:
+            with pytest.raises(WorkerCrashedError):
+                future.result(timeout=5)
+        assert server.stats()["counters"]["errors"] == 3
+
+
+class TestPoolPath:
+    def test_busy_send_lock_does_not_block_submit(self, server):
+        served = record_pool(server)
+        handle = server._handles[0]
+        submitted = []
+        with handle.send_lock:
+            caller = threading.Thread(
+                target=lambda: submitted.append(
+                    server.submit("point", CELL)
+                )
+            )
+            caller.start()
+            caller.join(5)
+            assert not caller.is_alive(), "submit() blocked on the pipe"
+            assert not submitted[0].done()
+        assert submitted[0].result(timeout=5) == 9.0
+        assert served == ["point"]
+
+    def test_message_over_the_budget_takes_the_pool(self, server):
+        served = record_pool(server)
+        huge = ("S" * server.DIRECT_SEND_BUDGET, "*", "*")
+        assert server.submit("point", huge).result(timeout=5) is None
+        assert served == ["point"]
+
+    @pytest.mark.parametrize("why", ["faults", "override"])
+    def test_where_the_pool_would_differ(self, make_server, why):
+        """A fault plan's ``worker`` / ``op:`` sites fire on a pool
+        thread, and a ``register_op`` override runs parent-side."""
+        server = make_server(faults=ServingFaults() if why == "faults"
+                             else None)
+        served = record_pool(server)
+        expected = 9.0
+        if why == "override":
+            server.register_op("point", lambda snapshot, cell: "mine")
+            expected = "mine"
+        assert server.submit("point", CELL).result(timeout=5) == expected
+        assert served == ["point"]
+
+
+class TestCache:
+    def test_counts_match_the_thread_server(self, sales_table):
+        """A miss looks up once on the submitting thread, a fill lands
+        in the cache, a mutable answer is the caller's copy — the same
+        hits and misses as the pool would count."""
+        spec = (["S1", "S2"], "*", "s")
+        cells = [CELL, ("S1", "P1", "s"), CELL, ("S1", "*", "*"), CELL]
+        readouts = []
+        for cls, kwargs in ((QCServer, {}), (ShardServer, {"processes": 1})):
+            server = cls(QCWarehouse(sales_table, aggregate="avg(Sale)"),
+                         workers=1, cache_size=16, **kwargs)
+            try:
+                for cell in cells:
+                    server.submit("point", cell).result(timeout=5)
+                server.point(CELL)
+                first = server.submit("range", spec).result(timeout=5)
+                first.clear()
+                assert server.submit("range", spec).result(timeout=5) \
+                    == {("S1", "*", "s"): 9.0}
+            finally:
+                server.close()
+            stats = server.stats()
+            assert balanced(stats["counters"]), stats["counters"]
+            readouts.append((stats["cache"]["hits"],
+                             stats["cache"]["misses"],
+                             stats["counters"]["submitted"]))
+        assert readouts[0] == readouts[1] == (4, 4, 8)
+
+
+class TestMapQueryTimeout:
+    def test_timeout_keeps_the_ledger_balanced(self, server):
+        """A ``map_query`` that gives up counts every element it sent —
+        the unanswered as timeouts — and leaves nothing in ``pending``."""
+        handle = server._handles[0]
+        with stopped(handle.pid):
+            with pytest.raises(DeadlineExceededError):
+                server.map_query("point", [(CELL,)] * 50, timeout=0.2)
+            assert handle.pending == {}
+        assert wait_until(lambda: handle.outstanding == 0)
+        counters = server.stats()["counters"]
+        assert counters["timeouts"] == 50
+        assert balanced(counters), counters
+        assert server.map_query("point", [(CELL,)] * 3) == [9.0] * 3

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -325,8 +326,8 @@ class _StubPipe:
             raise EOFError
         return self.inbox.pop(0)
 
-    def send(self, message):
-        self.sent.append(message)
+    def send_bytes(self, data):
+        self.sent.append(pickle.loads(data))
 
     def close(self):
         pass
