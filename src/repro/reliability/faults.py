@@ -245,9 +245,10 @@ class ServingFaults:
     Sites the server instruments:
 
     ``op:<name>``
-        inside request execution, before the op runs — arm with an
-        exception for a failing op, or with ``delay_s`` alone for an
-        injected slow op;
+        inside request execution, before the op runs, on a pool thread
+        (a shard server answers a read on its pool while the read's
+        site is armed) — arm with an exception for a failing op, or
+        with ``delay_s`` alone for an injected slow op;
     ``worker``
         at the top of request handling, before the future is claimed —
         arm with :class:`WorkerKilled` (the default there) to kill the
@@ -289,6 +290,10 @@ class ServingFaults:
         """Arm the ``worker`` site so the next ``times`` requests kill
         the worker threads that claim them."""
         self.arm("worker", times=times, exc=WorkerKilled)
+
+    def armed(self, site: str) -> bool:
+        """Whether ``site`` has a plan not yet spent."""
+        return site in self._points
 
     def fired(self, site: str) -> int:
         """How many times ``site`` actually fired."""

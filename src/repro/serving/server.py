@@ -127,6 +127,12 @@ def _snapshot_op(name):
     return call
 
 
+#: The one table of snapshot-op functions, ``fn(snapshot, *args,
+#: **kwargs)``: every server's op table starts as a copy of it, and a
+#: shard worker process answers from it.
+SNAPSHOT_OP_TABLE = {op: _snapshot_op(op) for op in SNAPSHOT_OPS}
+
+
 def _own_copy(op: str, value):
     """The caller's copy of an answer the cache may also hold."""
     copy = _CACHE_COPY.get(op)
@@ -219,7 +225,7 @@ class QCServer:
                 f"write_phase:{phase}", seconds
             )
         )
-        self._ops = {op: _snapshot_op(op) for op in SNAPSHOT_OPS}
+        self._ops = dict(SNAPSHOT_OP_TABLE)
         self._ops["health"] = lambda snapshot: self.health()
         self._metrics = ServerMetrics()
         self._queue = AdmissionQueue(queue_size)

@@ -54,7 +54,6 @@ import warnings
 import zlib
 from collections import deque
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from itertools import count
 from typing import Optional
 
@@ -67,12 +66,7 @@ from repro.errors import (
     ServingError,
     WorkerCrashedError,
 )
-from repro.serving.server import (
-    SNAPSHOT_OPS,
-    QCServer,
-    _own_copy,
-    _snapshot_op,
-)
+from repro.serving.server import SNAPSHOT_OP_TABLE, QCServer, _own_copy
 from repro.shard.pack import pack_snapshot_bytes
 from repro.shard.segment import create_segment, unlink_segment
 from repro.shard.worker import worker_main
@@ -127,19 +121,14 @@ class ShardRouter:
 
 
 class _Forward:
-    """One request forwarded to a worker process, awaiting its answer.
-
-    ``future`` resolves to the answer.  A *direct* forward (``server``
-    set) was sent by the thread that called :meth:`ShardServer.submit`;
-    ``future`` is that caller's, and its answer keeps the ledger and
-    fills the cache on the receiver thread (:meth:`ShardServer.
-    _settle_forward`).  A pool thread's forward (``server`` None) leaves
-    both to ``_serve`` and waits on ``future`` itself.
-    """
+    """One read the thread that called :meth:`ShardServer.submit` sent
+    to a worker process.  ``future`` is that caller's; whichever thread
+    completes the forward keeps the ledger and fills the cache
+    (:meth:`ShardServer._settle_forward`)."""
 
     __slots__ = ("future", "server", "op", "key", "snapshot", "sent_at")
 
-    def __init__(self, server=None, op=None, key=None, snapshot=None):
+    def __init__(self, server, op, key, snapshot):
         self.future = Future()
         self.server = server
         self.op = op
@@ -148,12 +137,7 @@ class _Forward:
         self.sent_at = time.monotonic()
 
     def complete(self, ok: bool, payload) -> None:
-        if self.server is not None:
-            self.server._settle_forward(self, ok, payload)
-        elif ok:
-            self.future.set_result(payload)
-        else:
-            self.future.set_exception(payload)
+        self.server._settle_forward(self, ok, payload)
 
 
 class _BatchSlot:
@@ -199,19 +183,6 @@ class _Batch:
         with self._lock:
             self._closed = True
             return list(self.flags)
-
-
-def _send_failed(handle) -> WorkerCrashedError:
-    return WorkerCrashedError(
-        f"shard worker {handle.slot} is down or its pipe broke mid-send; "
-        "the read never ran and is safe to retry"
-    )
-
-
-def _rpc_timeout(handle, limit: float) -> DeadlineExceededError:
-    return DeadlineExceededError(
-        f"shard worker {handle.slot} did not answer within {limit}s"
-    )
 
 
 #: What the kernel charges a pipe's socket buffer per message on top of
@@ -316,31 +287,37 @@ class ShardServer(QCServer):
 
     ``processes`` sets the worker-process fleet; ``workers`` (the
     inherited thread pool) defaults to ``processes``.  A snapshot op is
-    normally not the pool's: :meth:`submit` pickles it and sends it on
-    the worker's pipe from the calling thread, and the worker's
-    receiver thread keeps the ledger and resolves the future — no
-    thread hand-off but the answer's.  The pool runs what that direct
-    path leaves it (see :meth:`submit`): ``register_op`` ops, ``health``,
-    every op under a ``faults`` plan, the local fallback, and a send
-    that would wait on a busy or full pipe.  Everything else is
-    inherited :class:`~repro.serving.server.QCServer` behavior:
-    admission, deadlines, cache (answers are cached parent-side keyed
-    by snapshot stamp), breaker, write pipeline, degraded mode, fault
-    injection (plus the shard sites ``shard:publish`` and
-    ``shard:attach``).
+    answered one of two ways (see :meth:`submit`): *direct* — pickled
+    onto a worker's pipe by the calling thread, its answer settled by
+    that pipe's receiver thread — or *local* — run by the pool against
+    the parent's own snapshot, counted in ``shard_local_fallbacks``.
+    The pool never waits on a worker; besides the local answers it runs
+    ``health`` and ``register_op`` ops.  Everything else is inherited
+    :class:`~repro.serving.server.QCServer` behavior: admission,
+    deadlines, cache (answers are cached parent-side keyed by snapshot
+    stamp), breaker, write pipeline, degraded mode, fault injection
+    (``op:<name>`` and ``worker`` fire on a pool thread — a read whose
+    ``op:`` site is armed is answered locally — plus the shard sites
+    ``shard:publish`` and ``shard:attach``).
     """
 
-    #: Seconds a forward waits for its worker's answer before it fails
-    #: with ``DeadlineExceededError`` (worker death is detected far
-    #: sooner via pipe EOF; this bounds a wedged-but-alive worker).  The
-    #: supervisor's scan enforces it while direct forwards are in
-    #: flight; a pool thread's forward also waits no longer.
+    #: Seconds a direct forward may wait for its worker's answer before
+    #: the supervisor's scan fails it with ``DeadlineExceededError``
+    #: (worker death is detected far sooner via pipe EOF; this bounds a
+    #: wedged-but-alive worker), and ``map_query``'s default timeout.
     SHARD_RPC_TIMEOUT_S = 30.0
     #: Pipe charge (``_ProcHandle.outstanding``, bytes) under which a
     #: direct send must keep its worker's pipe — far below the 208 KiB
     #: socket buffer, so a ``submit()`` on an event-loop thread never
     #: blocks on a send.
     DIRECT_SEND_BUDGET = 64 * 1024
+    #: Seconds a direct send waits for another thread to finish with
+    #: the same pipe.  A holder is mid-send and needs the GIL back (one
+    #: default switch interval).  With 1–8 submitters beside a
+    #: ``map_query`` stream, waiting this long left ≤ 0.8 % of submits
+    #: to the parent (measured on a 2-vCPU x86-64 VM); not waiting
+    #: left 20–58 %.
+    DIRECT_SEND_WAIT_S = 0.005
     #: Bounded wait for workers to ack an epoch swap; laggards are
     #: repaired by the supervisor, readers are never blocked on them.
     PUBLISH_ACK_TIMEOUT_S = 5.0
@@ -351,23 +328,18 @@ class ShardServer(QCServer):
     REANNOUNCE_INTERVAL_S = 0.5
 
     def __init__(self, warehouse, processes: int = 2, workers=None,
-                 router: Optional[ShardRouter] = None,
-                 index_key=None, **kwargs):
+                 router: Optional[ShardRouter] = None, **kwargs):
         if processes < 1:
             raise ValueError(f"need at least one process, got {processes}")
         self._nprocs = processes
         self._router = router if router is not None else ShardRouter()
-        self._index_key = index_key
         self._ctx = _mp_context()
         self._shard_lock = threading.Lock()
         self._rid = count(1)
         self._handles: list = []
         self._routable: tuple = ()  # see _reroute_locked
-        self._epoch = 0
-        self._stamp = (0, 0)
         self._epoch_segments: dict = {}  # epoch -> segment name
         self._tickets: dict = {}  # epoch -> [expected slot set, Event]
-        self._snapshot_bytes = 0
         self._procs_stopped = False
         self._inflight_lock = threading.Lock()
         self._inflight = 0  # direct forwards awaiting an answer
@@ -386,29 +358,16 @@ class ShardServer(QCServer):
         self._epoch_segments[1] = shm.name
         try:
             for slot in range(processes):
-                self._handles.append(self._spawn_process(slot))
+                self._handles.append(
+                    self._spawn_process(slot, snapshot.index_key)
+                )
             self._reroute_locked()  # no other thread exists yet
-        except BaseException:
-            self._shutdown_processes()
-            self._unlink_all_segments()
-            raise
-
-        try:
             super().__init__(warehouse, workers=workers or processes,
                              **kwargs)
         except BaseException:
             self._shutdown_processes()
             self._unlink_all_segments()
             raise
-
-        # Re-point the snapshot ops at the worker fleet.  On the pool's
-        # read path (_serve/_answer: deadlines, cache, metrics, breaker,
-        # op fault sites) only the innermost call changes from "walk my
-        # snapshot" to "ask a worker process".  Ops added later via
-        # register_op keep running parent-side.
-        self._local_ops = {op: _snapshot_op(op) for op in SNAPSHOT_OPS}
-        self._forwarders = {op: self._forwarder(op) for op in SNAPSHOT_OPS}
-        self._ops.update(self._forwarders)
 
         # Receivers start only now: every fork already happened.
         for handle in self._handles:
@@ -433,12 +392,14 @@ class ShardServer(QCServer):
 
     # -- process fleet -------------------------------------------------------
 
-    def _spawn_process(self, slot: int) -> _ProcHandle:
+    def _spawn_process(self, slot: int, index_key) -> _ProcHandle:
         """Fork one worker attached to the current segment and complete
-        its ready handshake.  Called single-threaded from ``__init__``
-        and from the supervisor thread on respawn (where the fork-with-
-        threads DeprecationWarning of newer Pythons is expected and
-        harmless: the child only runs already-imported code)."""
+        its ready handshake; ``index_key`` is the published snapshot's
+        (the worker's iceberg index needs it).  Called single-threaded
+        from ``__init__`` and from the supervisor thread on respawn
+        (where the fork-with-threads DeprecationWarning of newer Pythons
+        is expected and harmless: the child only runs already-imported
+        code)."""
         # Async-transport fork safety: the asyncio front door runs its
         # event loop in a ``*-loop`` thread (AsyncServerThread).  Forking
         # while that loop is mid-write could duplicate its socket state
@@ -474,7 +435,7 @@ class ShardServer(QCServer):
             proc = self._ctx.Process(
                 target=worker_main,
                 args=(child_conn, self._epoch_segments[self._epoch],
-                      lsn, self._epoch, self._index_key, inherited),
+                      lsn, self._epoch, index_key, inherited),
                 name=f"{getattr(self, 'name', 'shard')}-proc-{slot}",
                 daemon=True,
             )
@@ -566,23 +527,6 @@ class ShardServer(QCServer):
 
     # -- read path: forward to the fleet -------------------------------------
 
-    def _forwarder(self, op: str):
-        local = self._local_ops[op]
-
-        def call(snapshot, *args, **kwargs):
-            handle = self._pick(op, args)
-            if handle is None:
-                # No worker is on the current epoch (fleet loss, or the
-                # brief window of an in-flight publish): answer thread-
-                # mode from the parent's own snapshot, which is always
-                # current — correctness never waits on the fleet.
-                self._metrics.counter("shard_local_fallbacks").inc()
-                return local(snapshot, *args, **kwargs)
-            return self._forward(handle, op, args, kwargs)
-
-        call.__name__ = f"shard_op_{op}"
-        return call
-
     def _reroute_locked(self) -> None:
         """Recompute ``_routable``: the live workers attached to the
         *current* epoch — the only ones routable, so every answer (and
@@ -606,67 +550,57 @@ class ShardServer(QCServer):
             return live[0] if live else None
         return live[self._router.slot(op, args, len(live))]
 
-    def _forward(self, handle: _ProcHandle, op: str, args: tuple,
-                 kwargs: dict):
-        """A pool thread's forward: send, then wait for the answer."""
-        rid = next(self._rid)
-        sink = _Forward()
-        data = pickle.dumps(("q", [(rid, op, args, kwargs)]),
-                            pickle.HIGHEST_PROTOCOL)
-        with handle.send_lock:
-            sent = handle.post(data, {rid: sink})
-        if not sent:
-            handle.reclaim((rid,))
-            raise _send_failed(handle)
-        try:
-            return sink.future.result(self.SHARD_RPC_TIMEOUT_S)
-        except FutureTimeoutError:
-            handle.reclaim((rid,))
-            raise _rpc_timeout(handle, self.SHARD_RPC_TIMEOUT_S) from None
-
     def submit(self, op: str, /, *args, timeout: Optional[float] = None,
                **kwargs) -> Future:
         """Admit a read; returns a :class:`~concurrent.futures.Future`.
 
         The inherited contract (shedding, breaker, deadline, ledger)
-        holds on two paths.  A snapshot op is pickled and sent on its
-        worker's pipe *by this thread*, and the worker's receiver thread
-        keeps the ledger and resolves the future — the **direct path**.
-        It is taken only when its answer and its ledger cannot differ
-        from the pool's:
+        holds on both of a snapshot op's paths.  **Direct**: the op is
+        pickled and sent on its worker's pipe *by this thread*, and the
+        worker's receiver thread keeps the ledger and resolves the
+        future.  **Local**: the inherited :meth:`~repro.serving.server.
+        QCServer.submit` admits it to the pool, which answers from the
+        parent's own snapshot — always current, so correctness never
+        waits on the fleet.  It stands aside from the direct path
+        exactly when:
 
-        * the op is one of the fleet's forwarders, not overridden by
-          :meth:`register_op` — an override runs parent-side, on a pool
-          thread;
-        * no ``faults`` plan is installed — the plan's ``worker`` and
-          ``op:<name>`` sites fire on a pool thread;
-        * the server is open — :meth:`~repro.serving.server.QCServer.
-          submit` owns refusing a closed server;
-        * a worker on the current epoch is routable — the local
-          fallback runs a kernel op, which stays off the caller's (or
-          an event loop's) thread;
-        * the worker's ``send_lock`` is free and the message fits
-          :data:`DIRECT_SEND_BUDGET` — so this call never blocks on a
-          pipe (the asyncio door calls it on its loop thread).
+        * the op is not in :data:`~repro.serving.server.
+          SNAPSHOT_OP_TABLE`, or :meth:`register_op` overrode it — the
+          pool runs it as for any server;
+        * the server is closed — :meth:`~repro.serving.server.QCServer.
+          submit` owns refusing it;
+        * no worker on the current epoch is routable (fleet loss, or
+          the brief window of an in-flight publish), or the ``faults``
+          plan has the op's ``op:<name>`` site armed — local, so the
+          site fires on a pool thread as on any server and its
+          ``delay_s`` holds no receiver or caller thread;
+        * the worker's ``send_lock`` stays busy for
+          :data:`DIRECT_SEND_WAIT_S`, or the message does not fit
+          :data:`DIRECT_SEND_BUDGET` (an unpicklable one fits nothing) —
+          local, so this call waits at most that long for another
+          sender and never on a pipe (the asyncio door calls it on its
+          loop thread).
 
-        Anything else goes through the inherited :meth:`~repro.serving.
-        server.QCServer.submit` unchanged.  The direct path sheds with
-        :class:`~repro.errors.ServerOverloadedError` once ``queue_size``
-        direct forwards are in flight (health readiness reads the same
-        count), carries the deadline to the worker, which answers
-        :class:`~repro.errors.DeadlineExceededError` unrun past it, and
-        fails a forward unanswered for ``SHARD_RPC_TIMEOUT_S`` (the
-        supervisor's scan).  A cacheable op looks up here, counting a
-        miss once, and its answer is stored on arrival while its
-        snapshot is still the published one.
+        A local answer counts in ``shard_local_fallbacks``.  The direct
+        path sheds with :class:`~repro.errors.ServerOverloadedError`
+        once ``queue_size`` direct forwards are in flight (health
+        readiness reads the same count), carries the deadline to the
+        worker, which answers :class:`~repro.errors.
+        DeadlineExceededError` unrun past it, and fails a forward
+        unanswered for ``SHARD_RPC_TIMEOUT_S`` (the supervisor's scan).
+        A cacheable op looks up here, counting a miss once, and its
+        answer is stored on arrival while its snapshot is still the
+        published one.
         """
-        forwarder = self._forwarders.get(op)
-        handle = None
-        if (forwarder is not None and self._ops.get(op) is forwarder
-                and self._faults is None and not self._closed):
-            snapshot = self._snapshot  # pin one version, as _serve does
-            handle = self._pick(op, args)
-        if handle is not None and handle.send_lock.acquire(blocking=False):
+        fn = SNAPSHOT_OP_TABLE.get(op)
+        if fn is None or self._ops.get(op) is not fn or self._closed:
+            return super().submit(op, *args, timeout=timeout, **kwargs)
+        snapshot = self._snapshot  # pin one version, as _serve does
+        faults = self._faults
+        handle = (None if faults is not None and faults.armed(f"op:{op}")
+                  else self._pick(op, args))
+        if handle is not None and handle.send_lock.acquire(
+                True, self.DIRECT_SEND_WAIT_S):
             try:
                 future = self._submit_direct(
                     handle, snapshot, op, args, kwargs, timeout
@@ -675,13 +609,15 @@ class ShardServer(QCServer):
                 handle.send_lock.release()
             if future is not None:
                 return future
-        return super().submit(op, *args, timeout=timeout, **kwargs)
+        future = super().submit(op, *args, timeout=timeout, **kwargs)
+        self._metrics.counter("shard_local_fallbacks").inc()
+        return future
 
     def _submit_direct(self, handle: _ProcHandle, snapshot, op: str,
                        args: tuple, kwargs: dict, timeout):
         """The direct path of :meth:`submit`, ``handle.send_lock`` held.
         Returns None, having counted nothing, when the message does not
-        fit the pipe budget (the caller falls back to the pool)."""
+        fit the pipe budget (the caller answers it locally)."""
         rid = next(self._rid)
         deadline = self._deadline(timeout)
         request = ((rid, op, args, kwargs) if deadline is None
@@ -689,7 +625,7 @@ class ShardServer(QCServer):
         try:
             data = pickle.dumps(("q", [request]), pickle.HIGHEST_PROTOCOL)
         except Exception:
-            return None  # the pool's forward fails its future with it
+            return None  # unsendable: answered locally, like one too big
         # Only this thread (holding send_lock) can raise ``outstanding``;
         # the receiver only lowers it, so a stale read errs safe.
         if (handle.outstanding + len(data) + _MESSAGE_OVERHEAD
@@ -718,14 +654,18 @@ class ShardServer(QCServer):
                 return sink.future
         if not handle.post(data, {rid: sink}):
             for owned in handle.reclaim((rid,)):
-                owned.complete(False, _send_failed(handle))
+                owned.complete(False, WorkerCrashedError(
+                    f"shard worker {handle.slot} is down or its pipe "
+                    "broke mid-send; the read never ran and is safe to "
+                    "retry"
+                ))
         return sink.future
 
     def _settle_forward(self, sink: _Forward, ok: bool, payload) -> None:
         """Completion of a direct forward, on the thread that took its
         sink out of ``pending`` (a receiver, the supervisor, a
-        ``close()``): the cache fill and the one ledger helper
-        ``_serve`` uses."""
+        ``close()``) or, for a cache hit, on the submitting thread: the
+        cache fill and the one ledger helper ``_serve`` uses."""
         with self._inflight_lock:
             self._inflight -= 1
         future = sink.future
@@ -761,47 +701,38 @@ class ShardServer(QCServer):
         """
         if self._closed:
             raise ServerClosedError("server is closed")
-        if op not in self._local_ops:
+        fn = SNAPSHOT_OP_TABLE.get(op)
+        if fn is None:
             raise QueryError(
-                f"map_query serves snapshot ops {sorted(self._local_ops)}; "
+                f"map_query serves snapshot ops {sorted(SNAPSHOT_OP_TABLE)}; "
                 f"got {op!r}"
             )
         calls = [tuple(args) for args in calls]
         metrics = self._metrics
         metrics.counter("submitted").inc(len(calls))
         live = self._routable
-        snapshot = self._snapshot
         start = time.monotonic()
-        if not live:
-            metrics.counter("shard_local_fallbacks").inc()
-            results, first_error = [], None
-            local = self._local_ops[op]
-            n_err = 0
-            for args in calls:
-                try:
-                    results.append(local(snapshot, *args))
-                except Exception as exc:
-                    results.append(None)
-                    n_err += 1
-                    if first_error is None:
-                        first_error = exc
-            metrics.counter("completed").inc(len(calls) - n_err)
-            metrics.counter("errors").inc(n_err)
-            metrics.observe(op, time.monotonic() - start)
-            if first_error is not None:
-                raise first_error
-            return results
-
         batch = _Batch(len(calls))
         chunks: dict = {}
-        for index, args in enumerate(calls):
-            handle = live[self._router.slot(op, args, len(live))]
-            chunk = chunks.get(handle.slot)
-            if chunk is None:
-                chunk = chunks[handle.slot] = (handle, {}, [])
-            rid = next(self._rid)
-            chunk[1][rid] = _BatchSlot(batch, index)
-            chunk[2].append((rid, op, args, {}))
+        if not live:
+            # No worker on the current epoch: this thread answers from
+            # the parent's own snapshot, into the batch the fleet fills.
+            metrics.counter("shard_local_fallbacks").inc()
+            snapshot = self._snapshot
+            for index, args in enumerate(calls):
+                try:
+                    batch.put(index, True, fn(snapshot, *args))
+                except Exception as exc:
+                    batch.put(index, False, exc)
+        else:
+            for index, args in enumerate(calls):
+                handle = live[self._router.slot(op, args, len(live))]
+                chunk = chunks.get(handle.slot)
+                if chunk is None:
+                    chunk = chunks[handle.slot] = (handle, {}, [])
+                rid = next(self._rid)
+                chunk[1][rid] = _BatchSlot(batch, index)
+                chunk[2].append((rid, op, args, {}))
         for handle, sinks, wire in chunks.values():
             data = pickle.dumps(("q", wire), pickle.HIGHEST_PROTOCOL)
             with handle.send_lock:
@@ -976,7 +907,7 @@ class ShardServer(QCServer):
             self._retire_receiver(old, timeout=1.0)
             old.proc.join(timeout=0)
             try:
-                fresh = self._spawn_process(i)
+                fresh = self._spawn_process(i, self._snapshot.index_key)
             except Exception:
                 continue  # segment gone or fork failed; retry next scan
             self._start_receiver(fresh)
@@ -1004,7 +935,9 @@ class ShardServer(QCServer):
                 if type(sink) is _Forward and now - sink.sent_at > limit
             ]
         for sink in handle.reclaim(overdue):
-            sink.complete(False, _rpc_timeout(handle, limit))
+            sink.complete(False, DeadlineExceededError(
+                f"shard worker {handle.slot} did not answer within {limit}s"
+            ))
 
     # -- health --------------------------------------------------------------
 
@@ -1117,9 +1050,8 @@ class ShardServer(QCServer):
         if not already:
             # Supervisor first: a scan that respawns a worker while the
             # fleet is being stopped would install a process and a
-            # receiver thread that nobody stops.  Then the fleet, before
-            # the thread pool: in-flight forwards fail fast instead of
-            # pinning worker threads on the RPC timeout during join.
+            # receiver thread that nobody stops.  Then the fleet: its
+            # in-flight forwards fail with ServerClosedError.
             self._halt_supervisor(timeout)
             self._shutdown_processes()
         super().close(timeout)

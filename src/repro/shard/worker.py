@@ -4,9 +4,9 @@ Each worker is a forked child running :func:`worker_main` over one end
 of a duplex pipe.  It attaches the current shared-memory segment (a
 ``QCTREE/3`` blob, see :mod:`repro.shard.pack`), wraps it in a
 :class:`~repro.serving.snapshot.ServingSnapshot`, and answers batches of
-requests against the server's snapshot op table — the same
-``_snapshot_op`` functions the thread-based server dispatches, so both
-serving modes share one query surface.
+requests from :data:`~repro.serving.server.SNAPSHOT_OP_TABLE` — the
+functions the thread-based server dispatches, so both serving modes
+share one query surface.
 
 Wire protocol (tuples over ``multiprocessing.Pipe``).  Both ends send
 ``send_bytes(pickle.dumps(message, HIGHEST_PROTOCOL))`` — the C pickler
@@ -25,7 +25,7 @@ parent → worker
         reaches its worker past it is answered with
         :class:`~repro.errors.DeadlineExceededError` unrun, as the
         thread pool answers one that waited in its queue too long.
-        ``map_query`` and the pool's forwards send four elements.
+        ``map_query`` sends four elements.
     ``("publish", lsn, epoch, segment_name, inject)``
         attach the new segment, then release the old one.  On *any*
         attach failure the worker keeps serving its last-good epoch and
@@ -48,14 +48,9 @@ import time
 
 from repro.errors import DeadlineExceededError, ServingError
 from repro.reliability.faults import InjectedFault
+from repro.serving.server import SNAPSHOT_OP_TABLE
 from repro.shard.pack import attach_packed
 from repro.shard.segment import attach_segment
-
-
-def _snapshot_ops() -> dict:
-    from repro.serving.server import SNAPSHOT_OPS, _snapshot_op
-
-    return {name: _snapshot_op(name) for name in SNAPSHOT_OPS}
 
 
 def _picklable_error(exc):
@@ -97,14 +92,14 @@ class _Attachment:
             pass
 
 
-def _answer_batch(ops, snapshot, batch) -> list:
+def _answer_batch(snapshot, batch) -> list:
     """Answer one request batch.  A function so its locals (snapshot
     reference, captured exception tracebacks) die on return instead of
     pinning the old mapping across an epoch swap or shutdown."""
     answers = []
     for request in batch:
         rid, op, args, kwargs = request[:4]
-        fn = ops.get(op)
+        fn = SNAPSHOT_OP_TABLE.get(op)
         try:
             if len(request) > 4 and time.monotonic() > request[4]:
                 raise DeadlineExceededError(
@@ -140,7 +135,6 @@ def worker_main(conn, segment_name: str, lsn: int, epoch: int,
     # each full collection would walk it all — a ~30 ms stall every few
     # bulk batches.  Park it in the permanent generation.
     gc.freeze()
-    ops = _snapshot_ops()
     current = _Attachment(segment_name, index_key)
     current.snapshot.stamp = (lsn, epoch)
     attached_epoch = epoch
@@ -154,7 +148,7 @@ def worker_main(conn, segment_name: str, lsn: int, epoch: int,
             kind = message[0]
             if kind == "q":
                 _send(conn, (
-                    "a", _answer_batch(ops, current.snapshot, message[1])
+                    "a", _answer_batch(current.snapshot, message[1])
                 ))
             elif kind == "publish":
                 _, new_lsn, new_epoch, new_name, inject = message

@@ -27,7 +27,7 @@ from repro.errors import (
     ServerOverloadedError,
     WorkerCrashedError,
 )
-from repro.reliability.faults import ServingFaults
+from repro.reliability.faults import InjectedFault, ServingFaults
 from repro.serving import AsyncServerThread, LineClient, QCServer
 from repro.shard import ShardServer, created_segments
 
@@ -218,6 +218,83 @@ class TestDirectPath:
             assert (handle.outstanding, len(handle.unanswered),
                     handle.pending) == (0, 0, {})
         assert server.stats()["counters"]["completed"] == 8 * 150
+        # A contended send lock is waited for, not answered on the
+        # parent (≤ 1 % in measured runs; not waiting: ≈ 30 %).
+        assert server.shard_health()["local_fallbacks"] <= 8 * 150 // 20
+
+    def test_submits_beside_a_map_query_stay_on_the_fleet(
+            self, make_server):
+        """One worker, one thread streaming ``map_query`` batches
+        (point, iceberg, range) while this one submits: the batches hold
+        the send lock often, and the submits wait for it instead of
+        running the kernel on the parent."""
+        server = make_server(cache_size=0)
+        spec = (["S1", "S2"], "*", "*")
+        expected = {
+            "point": [9.0] * 64,
+            "iceberg": [server.warehouse.iceberg(5)],
+            "range": [server.warehouse.range(spec)],
+        }
+        batches = [("point", [(CELL,)] * 64), ("iceberg", [(5,)]),
+                   ("range", [(spec,)])]
+        stop, wrong = threading.Event(), []
+
+        def bulk() -> None:
+            k = 0
+            while not stop.is_set():
+                op, calls = batches[k % len(batches)]
+                if server.map_query(op, calls) != expected[op]:
+                    wrong.append(op)
+                k += 1
+
+        streamer = threading.Thread(target=bulk)
+        streamer.start()
+        try:
+            answers = [server.submit("point", CELL).result(timeout=10)
+                       for _ in range(300)]
+        finally:
+            stop.set()
+            streamer.join(30)
+        assert answers == [9.0] * 300 and wrong == []
+        # 0 of 300 in measured runs; not waiting for the lock: 2–45 %.
+        assert server.shard_health()["local_fallbacks"] <= 300 // 50
+
+    def test_armed_op_fault_fails_one_read_on_the_pool(self, make_server):
+        """An armed ``op:point`` site sends the read to the pool, where
+        it fires as on any server: one ``submit`` fails with the
+        injected error, and the next, the site spent, answers from the
+        fleet."""
+        faults = ServingFaults()
+        server = make_server(faults=faults, cache_size=0)
+        served = record_pool(server)
+        faults.arm("op:point", times=1, exc=InjectedFault)
+        with pytest.raises(InjectedFault):
+            server.submit("point", CELL).result(timeout=5)
+        assert server.submit("point", CELL).result(timeout=5) == 9.0
+        assert served == ["point"]
+        assert faults.fired("op:point") == 1
+        shard = server.shard_health()
+        assert shard["workers"][0]["answered"] == 1
+        assert shard["local_fallbacks"] == 1
+        counters = server.stats()["counters"]
+        assert (counters["completed"], counters["errors"]) == (1, 1)
+        assert balanced(counters), counters
+
+    def test_slow_op_fault_holds_only_its_own_read(self, make_server):
+        """A delayed ``op:point`` sleeps on a pool thread: a forward and
+        a publish to the same worker both finish while it sleeps."""
+        faults = ServingFaults()
+        server = make_server(faults=faults, cache_size=0)
+        faults.arm("op:point", times=1, delay_s=2.0, exc=None)
+        slow = server.submit("point", CELL)
+        assert wait_until(lambda: faults.fired("op:point") == 1)
+        assert server.submit("point", CELL).result(timeout=5) == 9.0
+        server.insert([("S3", "P1", "s", 5.0)])
+        assert server.shard_health()["workers"][0]["attached_epoch"] == 2
+        assert server.submit("point", ("S3", "P1", "s")).result(
+            timeout=5) == 5.0
+        assert not slow.done()
+        assert slow.result(timeout=5) == 9.0
 
     def test_killed_worker_fails_direct_forwards(self, server):
         pid = server._handles[0].pid
@@ -232,6 +309,8 @@ class TestDirectPath:
 
 class TestPoolPath:
     def test_busy_send_lock_does_not_block_submit(self, server):
+        """A send lock held past ``DIRECT_SEND_WAIT_S``: ``submit``
+        returns, and the pool answers while the lock is still held."""
         served = record_pool(server)
         handle = server._handles[0]
         submitted = []
@@ -244,29 +323,35 @@ class TestPoolPath:
             caller.start()
             caller.join(5)
             assert not caller.is_alive(), "submit() blocked on the pipe"
-            assert not submitted[0].done()
-        assert submitted[0].result(timeout=5) == 9.0
+            assert submitted[0].result(timeout=5) == 9.0
         assert served == ["point"]
+        assert server.shard_health()["local_fallbacks"] == 1
 
     def test_message_over_the_budget_takes_the_pool(self, server):
         served = record_pool(server)
         huge = ("S" * server.DIRECT_SEND_BUDGET, "*", "*")
         assert server.submit("point", huge).result(timeout=5) is None
         assert served == ["point"]
+        assert server.shard_health()["local_fallbacks"] == 1
 
     @pytest.mark.parametrize("why", ["faults", "override"])
     def test_where_the_pool_would_differ(self, make_server, why):
-        """A fault plan's ``worker`` / ``op:`` sites fire on a pool
-        thread, and a ``register_op`` override runs parent-side."""
+        """A ``register_op`` override runs parent-side, on the pool; a
+        fault plan with no ``op:`` site armed no longer sends a snapshot
+        op there."""
         server = make_server(faults=ServingFaults() if why == "faults"
                              else None)
         served = record_pool(server)
-        expected = 9.0
+        answered = server.shard_health()["workers"][0]["answered"]
         if why == "override":
             server.register_op("point", lambda snapshot, cell: "mine")
-            expected = "mine"
-        assert server.submit("point", CELL).result(timeout=5) == expected
-        assert served == ["point"]
+            assert server.submit("point", CELL).result(timeout=5) == "mine"
+            assert served == ["point"]
+        else:
+            assert server.submit("point", CELL).result(timeout=5) == 9.0
+            assert served == []
+            assert server.shard_health()["workers"][0]["answered"] \
+                == answered + 1
 
 
 class TestCache:

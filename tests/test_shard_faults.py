@@ -84,6 +84,14 @@ class TestWorkerKill:
         assert shard["process_crashes"] >= 1
         assert victim not in [w["pid"] for w in shard["workers"]]
         assert retrying_point(server, ("S2", "*", "f")) == 9.0
+        # The whole fleet at once: the supervisor brings every slot back.
+        for worker in shard["workers"]:
+            os.kill(worker["pid"], signal.SIGKILL)
+        assert wait_until(
+            lambda: server.shard_health()["process_restarts"] >= 3
+        )
+        assert wait_until(lambda: fleet_converged(server))
+        assert retrying_point(server, ("S2", "*", "f")) == 9.0
 
     def test_kill_mid_swap_converges(self, server):
         """A worker dying during a publish must not wedge the protocol:
@@ -97,23 +105,33 @@ class TestWorkerKill:
         assert server.shard_health()["current_epoch"] == 2
         assert retrying_point(server, ("S3", "P1", "s")) == 5.0
 
-    def test_whole_fleet_down_falls_back_to_parent(self, server):
-        victims = [w["pid"] for w in server.shard_health()["workers"]]
-        for pid in victims:
-            os.kill(pid, signal.SIGKILL)
-
-        def answered():
-            # Until the pipe EOF is observed a routed request may fail
-            # with the retryable WorkerCrashedError; once the fleet is
-            # known-dead the parent answers from its own snapshot.
-            try:
-                return server.point(("S2", "*", "f")) == 9.0
-            except WorkerCrashedError:
-                return False
-
-        assert wait_until(answered, timeout_s=5.0)
-        assert wait_until(lambda: fleet_converged(server))
-        assert server.shard_health()["local_fallbacks"] >= 0
+    def test_whole_fleet_down_falls_back_to_parent(self, warehouse):
+        """No supervisor, so the dead fleet stays dead: once every
+        receiver has seen its pipe's EOF, a ``submit`` and a
+        ``map_query`` are each answered from the parent's snapshot."""
+        server = ShardServer(warehouse, processes=2, supervised=False,
+                             cache_size=0)
+        try:
+            for worker in server.shard_health()["workers"]:
+                os.kill(worker["pid"], signal.SIGKILL)
+            assert wait_until(lambda: (
+                server.shard_health()["processes_alive"] == 0
+                and server.shard_health()["process_crashes"] == 2
+            ))
+            cell = ("S2", "*", "f")
+            assert server.submit("point", cell).result(timeout=5) == 9.0
+            assert server.map_query("point", [(cell,)] * 3) == [9.0] * 3
+            shard = server.shard_health()
+            assert shard["local_fallbacks"] == 2
+            assert [w["answered"] for w in shard["workers"]] == [0, 0]
+        finally:
+            server.close()
+        counters = server.stats()["counters"]
+        assert counters["submitted"] == 4 == (
+            counters["completed"] + counters["timeouts"]
+            + counters["errors"] + counters["cancelled"]
+        ), counters
+        assert created_segments() == []
 
     def test_retry_policy_masks_worker_death(self, server):
         retry = RetryPolicy(max_attempts=6, base_delay_s=0.01)

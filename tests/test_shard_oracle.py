@@ -127,6 +127,25 @@ def test_shard_matches_thread_server(seed):
     assert created_segments() == []
 
 
+def test_index_key_reaches_the_fleet(sales_table):
+    """A tuple aggregate's iceberg needs the warehouse's ``index_key``;
+    the workers answer it from the published snapshot's, through
+    ``submit`` and ``map_query`` alike."""
+    def warehouse():
+        return QCWarehouse(sales_table, aggregate=[("sum", "Sale"), "count"],
+                           index_key=lambda value: value[0])
+
+    with QCServer(warehouse(), workers=1, cache_size=0) as oracle:
+        expected = sorted(oracle.iceberg(10), key=repr)
+    assert expected  # not vacuous
+    with ShardServer(warehouse(), processes=1, cache_size=0) as shard:
+        assert sorted(shard.iceberg(10), key=repr) == expected
+        [bulk] = shard.map_query("iceberg", [(10,)])
+        assert sorted(bulk, key=repr) == expected
+        assert shard.shard_health()["local_fallbacks"] == 0
+    assert created_segments() == []
+
+
 def test_every_router_sharding_answers_identically(sales_table):
     """The same workload through every possible slot placement."""
     expected = None

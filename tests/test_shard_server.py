@@ -391,10 +391,10 @@ class TestHygiene:
         began = threading.Event()
         spawn = server._spawn_process
 
-        def slow_spawn(slot):
+        def slow_spawn(*args):
             began.set()
             time.sleep(0.3)
-            return spawn(slot)
+            return spawn(*args)
 
         server._spawn_process = slow_spawn
         os.kill(server._handles[0].proc.pid, signal.SIGKILL)

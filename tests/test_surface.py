@@ -103,8 +103,7 @@ KEYWORDS = {
     "repro.serving:QCServer.stats": (),
     "repro.serving:QCServer.close": ("timeout",),
     "repro.shard:ShardServer": (
-        "warehouse", "processes", "workers", "router", "index_key",
-        "kwargs"),
+        "warehouse", "processes", "workers", "router", "kwargs"),
     "repro.shard:ShardServer.submit": ("op", "args", "timeout", "kwargs"),
     "repro.shard:ShardServer.write": ("inserts", "deletes"),
     "repro.shard:ShardServer.map_query": ("op", "calls", "timeout"),
