@@ -27,7 +27,7 @@ load generator is the coordinated-omission-free open-loop harness of
 :mod:`~repro.serving.arrivals`, which ``benchmarks/e2e`` drives.
 """
 
-from repro.serving.admission import TIMEOUT, AdmissionQueue, Request
+from repro.serving.admission import AdmissionQueue, Request
 from repro.serving.arrivals import (
     ArrivalSchedule,
     latency_summary,
@@ -53,7 +53,6 @@ __all__ = [
     "Request",
     "ServerMetrics",
     "ServingSnapshot",
-    "TIMEOUT",
     "health_report",
     "latency_summary",
     "open_loop_run",

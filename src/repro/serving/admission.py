@@ -1,4 +1,10 @@
-"""Admission control: the bounded request queue in front of the workers.
+"""Admission control: the admitted read and the bounded queue in front of
+the workers.
+
+Every read :meth:`QCServer.submit <repro.serving.server.QCServer.submit>`
+admits is one :class:`Request`, whichever way it is answered — by a pool
+thread off the :class:`AdmissionQueue`, or over a shard worker's pipe —
+and :meth:`Request.complete` is the one way it is finished.
 
 Two policies keep an overloaded server predictable instead of slow:
 
@@ -11,7 +17,9 @@ Two policies keep an overloaded server predictable instead of slow:
   clock).  Workers check it when they dequeue: a request that waited
   past its deadline is answered with
   :class:`~repro.errors.DeadlineExceededError` without executing, so a
-  burst drains at queue speed rather than at service speed.
+  burst drains at queue speed rather than at service speed.  (A read
+  sent on a shard worker's pipe is checked by that worker, and failed
+  at its deadline by the supervisor's scan while the pipe holds it.)
 
 The queue itself is a plain ``deque`` under one condition variable —
 FIFO, no priorities — because fairness between readers is the property
@@ -22,50 +30,42 @@ scheduling PR.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from concurrent.futures import Future
 
 
-class _TimeoutSentinel:
-    """Singleton returned by :meth:`AdmissionQueue.take` when its wait
-    timed out while the queue is still open.
-
-    Distinct from ``None`` (closed and drained) so a supervised worker
-    doing timed takes — it wakes periodically to heartbeat — can retry
-    instead of mistaking an idle queue for shutdown and exiting.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "TIMEOUT"
-
-
-TIMEOUT = _TimeoutSentinel()
-
-
-@dataclass
 class Request:
-    """One admitted unit of work: an operation plus its bookkeeping.
+    """One admitted read, from admission to its one completion.
 
-    ``deadline`` is an absolute :func:`time.monotonic` instant (None =
-    no deadline); ``future`` carries the answer back to the caller.
+    ``future`` carries the answer back to the caller; ``deadline`` is an
+    absolute :func:`time.monotonic` instant (None = no deadline);
+    ``started`` is when the read was admitted, then when a worker began
+    serving it — the age a wedged worker shows.  ``key`` is its cache
+    key once a lookup missed (the completion fills the cache),
+    ``snapshot`` the version it is answered from, and ``pipe`` the shard
+    worker it was sent to (None on the pool).
     """
 
-    op: str
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-    future: object = None
-    deadline: Optional[float] = None
-    enqueued_at: float = field(default_factory=time.monotonic)
+    __slots__ = ("server", "op", "args", "kwargs", "future", "deadline",
+                 "started", "key", "snapshot", "pipe")
 
-    def expired(self, now: Optional[float] = None) -> bool:
-        """True when the deadline passed (never true without one)."""
-        if self.deadline is None:
-            return False
-        return (time.monotonic() if now is None else now) > self.deadline
+    def __init__(self, server, op: str, args: tuple, kwargs: dict,
+                 started: float, deadline):
+        self.server = server
+        self.op = op
+        self.args = args
+        self.kwargs = kwargs
+        self.future = Future()
+        self.deadline = deadline
+        self.started = started
+        self.key = None
+        self.snapshot = None
+        self.pipe = None
+
+    def complete(self, ok: bool, payload) -> None:
+        """Finish the read with its answer (``ok``) or its exception;
+        called exactly once, by whichever thread has the outcome."""
+        self.server._finish(self, ok, payload)
 
 
 class AdmissionQueue:
@@ -83,10 +83,6 @@ class AdmissionQueue:
         """Requests currently waiting (the queue-depth gauge)."""
         return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def offer(self, request: Request) -> bool:
         """Admit ``request`` if there is room; False means *shed it*.
 
@@ -103,22 +99,14 @@ class AdmissionQueue:
             self._cond.notify()
             return True
 
-    def take(self, timeout: Optional[float] = None):
-        """Block for the next request.
-
-        Returns the request, or ``None`` when the queue is closed and
-        drained (the worker should exit), or the :data:`TIMEOUT`
-        sentinel when ``timeout`` elapsed with the queue still open (the
-        worker should heartbeat and retry).  The two idle outcomes are
-        deliberately distinct: conflating them made any timed take look
-        like shutdown and silently killed the worker.
-        """
+    def take(self):
+        """Block for the next request; ``None`` once the queue is closed
+        and drained (the worker should exit)."""
         with self._cond:
             while not self._items:
                 if self._closed:
                     return None
-                if not self._cond.wait(timeout=timeout):
-                    return None if self._closed else TIMEOUT
+                self._cond.wait()
             return self._items.popleft()
 
     def close(self) -> list:

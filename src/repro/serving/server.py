@@ -30,13 +30,14 @@ exactly one shared mutable reference:
 **Fault tolerance** treats node-level failure as routine, the way
 realtime OLAP serving stacks do:
 
-* A **supervisor** thread heartbeats the worker pool: a worker that
+* A **supervisor** thread watches the worker pool: a worker that
   dies with an escaped exception is counted (``worker_crashes``), its
   claimed request is failed with
   :class:`~repro.errors.WorkerCrashedError` instead of hanging the
   caller, and the worker is respawned at a bounded rate
-  (``worker_restarts``); a worker with a stale heartbeat while work is
-  queued is reported as wedged.
+  (``worker_restarts``).  Each worker records the read it holds, so a
+  worker holding one read past ``WEDGE_TIMEOUT_S`` is reported as
+  wedged.
 * The **write pipeline is recoverable end to end**: a maintenance
   failure surfaces the transactional rollback (tree unchanged, error
   re-raised); a failed incremental refreeze falls back to a full
@@ -68,7 +69,10 @@ implicitly invalidates every cached answer.  A *hit* in it is answered
 by the thread that asked — :meth:`QCServer.cached_answer`, used by the
 synchronous :meth:`QCServer.query` family and by the asyncio front door
 on its loop thread — because a dict lookup is not worth two thread
-hand-offs; :meth:`QCServer.submit` always admits to the worker pool.
+hand-offs.  Anything else is admitted by :meth:`QCServer.submit` as one
+:class:`~repro.serving.admission.Request`, which :meth:`QCServer.
+_dispatch` hands to the worker pool, and finished by
+:meth:`QCServer._finish`, whichever thread has its outcome.
 
 The op table has one seam, :meth:`QCServer.register_op`: tests
 substitute slow, blocking or failing ops through it without touching
@@ -103,7 +107,7 @@ from repro.errors import (
     WorkerCrashedError,
     WriteQuarantinedError,
 )
-from repro.serving.admission import TIMEOUT, AdmissionQueue, Request
+from repro.serving.admission import AdmissionQueue, Request
 from repro.serving.health import CLOSED, CircuitBreaker, health_report
 from repro.serving.metrics import ServerMetrics
 
@@ -173,9 +177,9 @@ class QCServer:
         hottest cached keys against the new snapshot on the writer
         thread (0 disables warming).
     supervised:
-        Run the worker supervisor (heartbeats + bounded-rate respawn of
-        dead workers).  On by default; ``supervise_interval`` sets its
-        scan period in seconds.
+        Run the worker supervisor (bounded-rate respawn of dead
+        workers).  On by default; ``supervise_interval`` sets its scan
+        period in seconds.
     quarantine_after:
         Consecutive maintenance-phase crashes of the *same* batch after
         which that batch is quarantined (rejected with
@@ -197,9 +201,7 @@ class QCServer:
     switch off or arm one at a time to isolate the mechanism they check.
     """
 
-    #: Seconds a worker waits per timed queue take before heartbeating.
-    WORKER_POLL_S = 0.1
-    #: Heartbeat age (seconds) past which a busy worker counts as wedged.
+    #: Seconds a worker may hold one read before it counts as wedged.
     WEDGE_TIMEOUT_S = 5.0
     #: Bounded-rate respawn: at most this many restarts per window.
     MAX_RESTARTS_PER_WINDOW = 32
@@ -251,10 +253,15 @@ class QCServer:
         self._transports: list = []
         self._transport_lock = threading.Lock()
         self._snapshot = self._servable_snapshot(self.warehouse)
+        # Reads sent on a worker process's pipe and not yet finished: a
+        # shard server's direct path sheds on this count (always 0 here).
+        self._inflight = 0
+        self._inflight_lock = threading.Lock()
         # Worker pool + supervisor.  The worker list is mutated by the
         # supervisor on respawn, so every access is under the lock.
+        # ``_held[slot]`` is the read that slot's worker is serving.
         self._worker_lock = threading.Lock()
-        self._heartbeats = [time.monotonic()] * workers
+        self._held: list = [None] * workers
         self._restart_times: deque = deque()
         self._workers = [
             self._spawn_worker(slot) for slot in range(workers)
@@ -339,27 +346,51 @@ class QCServer:
         ``timeout`` (seconds, default ``default_timeout``) sets the
         request's deadline; a request still queued when it expires is
         answered with :class:`~repro.errors.DeadlineExceededError`.
+
+        The one admission: the op check, the breaker, the deadline, the
+        shedding and the ``submitted`` count are all here, and
+        :meth:`_dispatch` only decides who answers.
         """
         if op not in self._ops:
             raise QueryError(
                 f"unknown server op {op!r}; known: {sorted(self._ops)}"
             )
-        breaker = self._admit(op)
-        request = Request(op=op, args=args, kwargs=kwargs, future=Future(),
-                          deadline=self._deadline(timeout))
+        breaker = self._breaker_for(op)
+        if breaker is not None and not breaker.allow():
+            self._metrics.counter("breaker_rejected").inc()
+            raise CircuitOpenError(
+                "circuit breaker open after an error burst; "
+                "back off and retry"
+            )
+        now = time.monotonic()
+        limit = self.default_timeout if timeout is None else timeout
+        request = Request(self, op, args, kwargs, now,
+                          None if limit is None else now + limit)
         try:
-            admitted = self._queue.offer(request)
-        except RuntimeError:
+            admitted = self._dispatch(request)
+        except BaseException:
+            if breaker is not None:
+                breaker.on_discard()  # never admitted: no outcome owed
+            raise
+        if not admitted:
             if breaker is not None:
                 breaker.on_discard()
-            raise ServerClosedError("server is closed") from None
-        if not admitted:
-            raise self._shed(
-                breaker, f"admission queue full ({self._queue.maxsize} "
-                f"waiting); request {op!r} shed"
+            self._metrics.counter("shed").inc()
+            raise ServerOverloadedError(
+                f"{self._queue.maxsize} reads waiting or in flight; "
+                f"request {op!r} shed"
             )
         self._metrics.counter("submitted").inc()
         return request.future
+
+    def _dispatch(self, request: Request) -> bool:
+        """Hand an admitted read to what answers it; False sheds it.
+        Here: the worker pool's queue (a shard server overrides this to
+        send snapshot ops on a worker's pipe)."""
+        try:
+            return self._queue.offer(request)
+        except RuntimeError:
+            raise ServerClosedError("server is closed") from None
 
     def _breaker_for(self, op: str):
         """The breaker ``op`` answers to.  ``health`` is the op that
@@ -369,37 +400,12 @@ class QCServer:
         feeds it."""
         return None if op == "health" else self._breaker
 
-    def _admit(self, op: str):
-        """Ask ``op``'s breaker to admit one request: returns the
-        breaker (None when none applies), whose ``allow()`` the request
-        now holds, or raises :class:`~repro.errors.CircuitOpenError`."""
-        breaker = self._breaker_for(op)
-        if breaker is not None and not breaker.allow():
-            self._metrics.counter("breaker_rejected").inc()
-            raise CircuitOpenError(
-                "circuit breaker open after an error burst; "
-                "back off and retry"
-            )
-        return breaker
-
-    def _shed(self, breaker, message: str) -> ServerOverloadedError:
-        """Count a request shed after :meth:`_admit` (its probe slot, if
-        any, released); returns the error to raise."""
-        if breaker is not None:
-            breaker.on_discard()
-        self._metrics.counter("shed").inc()
-        return ServerOverloadedError(message)
-
-    def _deadline(self, timeout: Optional[float]) -> Optional[float]:
-        """The absolute :func:`time.monotonic` deadline of a request
-        submitted now with ``timeout`` (default ``default_timeout``)."""
-        limit = self.default_timeout if timeout is None else timeout
-        return None if limit is None else time.monotonic() + limit
-
     def _backlog(self) -> int:
-        """Admitted requests waiting for a worker — the count load
-        shedding bounds by ``queue_size`` and health readiness reads."""
-        return self._queue.depth()
+        """Admitted reads waiting for a worker — the count load shedding
+        bounds by ``queue_size`` and health readiness reads.  The pool
+        sheds on its queue's depth, the pipes on their reads in
+        flight."""
+        return max(self._queue.depth(), self._inflight)
 
     def cached_answer(self, op: str, args: tuple, kwargs: dict):
         """The answer to a read when the calling thread can give it — a
@@ -488,14 +494,12 @@ class QCServer:
         )
 
     def _worker_loop(self, slot: int) -> None:
-        queue = self._queue
+        queue, held = self._queue, self._held
         while True:
-            self._heartbeats[slot] = time.monotonic()
-            request = queue.take(timeout=self.WORKER_POLL_S)
-            if request is TIMEOUT:
-                continue  # idle wakeup: heartbeat and keep waiting
+            request = queue.take()
             if request is None:
                 return  # closed and drained: clean exit
+            held[slot] = request
             try:
                 self._serve(request)
             except BaseException:
@@ -503,84 +507,89 @@ class QCServer:
                 # sure the claimed request's caller is not left hanging,
                 # and exit the thread; the supervisor respawns the slot.
                 self._metrics.counter("worker_crashes").inc()
-                self._fail_crashed_request(request)
+                request.complete(False, WorkerCrashedError(
+                    f"worker died before answering {request.op!r}; the "
+                    "read never ran and is safe to retry"
+                ))
                 return
-
-    def _fail_crashed_request(self, request: Request) -> None:
-        """Fail the future of a request whose worker died pre-answer, so
-        the caller gets a retryable error instead of hanging forever."""
-        future = request.future
-        if future is None or future.done():
-            return
-        try:
-            if future.set_running_or_notify_cancel():
-                self._settle(future, request.op, None, False,
-                             WorkerCrashedError(
-                                 f"worker died before answering "
-                                 f"{request.op!r}; the read never ran and "
-                                 "is safe to retry"
-                             ))
-            else:
-                self._cancelled(request.op)
-        except Exception:
-            pass  # racing future state: the caller already has an outcome
+            finally:
+                held[slot] = None
 
     def _serve(self, request: Request) -> None:
         self._fire("worker")  # simulated pre-claim worker death
-        future = request.future
-        if request.expired():
-            self._settle(future, request.op, None, False,
-                         DeadlineExceededError(
-                             f"request {request.op!r} spent "
-                             f"{time.monotonic() - request.enqueued_at:.3f}s "
-                             f"queued, past its deadline"
-                         ))
+        now = time.monotonic()
+        if request.future.cancelled() or (
+                request.deadline is not None and now > request.deadline):
+            # Not run: a cancelled read is counted so by the completion,
+            # and an expired one answered unrun, so a burst drains at
+            # queue speed.
+            request.complete(False, DeadlineExceededError(
+                f"request {request.op!r} spent {now - request.started:.3f}s "
+                "queued, past its deadline"
+            ))
             return
-        if not future.set_running_or_notify_cancel():
-            self._cancelled(request.op)
-            return
-        snapshot = self._snapshot  # pin one immutable version
-        start = time.monotonic()
+        request.started = now
+        request.snapshot = self._snapshot  # pin one immutable version
         try:
-            value = self._answer(snapshot, request)
+            value = self._answer(request)
         except BaseException as exc:
-            self._settle(future, request.op, start, False, exc)
+            request.complete(False, exc)
             return
-        self._settle(future, request.op, start, True, value)
+        request.complete(True, value)
 
-    def _settle(self, future, op: str, start: Optional[float], ok: bool,
-                value) -> None:
-        """Keep the ledger for one admitted read and resolve its future
-        with ``value`` (an answer when ``ok``, else the exception).  The
-        one place a read's outcome is counted: a pool worker's
-        :meth:`_serve` and the shard server's forwards, answered on its
-        receiver threads, both end here.
+    def _finish(self, request: Request, ok: bool, payload) -> None:
+        """The one completion of an admitted read, reached through
+        :meth:`Request.complete`, on whichever thread has its outcome: a
+        pool worker, a pipe's receiver, the supervisor, a dying worker
+        or :meth:`close`.  ``payload`` is the answer when ``ok``, else
+        the exception.
 
-        A :class:`~repro.errors.DeadlineExceededError` counts under
-        ``timeouts`` (a breaker failure, no latency sample); any other
-        outcome is timed from ``start`` into the op's histogram and
-        counts under ``completed`` / ``errors``.
+        A read its caller cancelled counts under ``cancelled`` and
+        nothing else (its half-open probe slot released).  A missed
+        lookup's answer fills the cache and the caller gets its own
+        copy.  A :class:`~repro.errors.DeadlineExceededError` counts
+        under ``timeouts`` (a breaker failure, no latency sample); any
+        other outcome is timed from ``started`` into the op's histogram
+        and counts under ``completed`` / ``errors``.
         """
+        if request.pipe is not None:
+            with self._inflight_lock:
+                self._inflight -= 1
+        op, future = request.op, request.future
         metrics = self._metrics
         breaker = self._breaker_for(op)
+        if not future.set_running_or_notify_cancel():
+            metrics.counter("cancelled").inc()
+            if breaker is not None:
+                breaker.on_discard()
+            return
         if ok:
-            metrics.observe(op, time.monotonic() - start)
+            if request.key is not None:
+                # Not stored once a swap superseded its snapshot: that
+                # would re-pin the cache to the old stamp and thrash the
+                # entries filled under the new one.
+                snapshot = request.snapshot
+                if snapshot is self._snapshot:
+                    with self._cache_lock:
+                        self._cache.store(request.key, snapshot.stamp,
+                                          payload)
+                payload = _own_copy(op, payload)
+            metrics.observe(op, time.monotonic() - request.started)
             metrics.counter("completed").inc()
             if breaker is not None:
                 breaker.on_success()
-            future.set_result(value)
+            future.set_result(payload)
             return
-        if isinstance(value, DeadlineExceededError):
+        if isinstance(payload, DeadlineExceededError):
             metrics.counter("timeouts").inc()
             if breaker is not None:
                 breaker.on_failure()
-            future.set_exception(value)
+            future.set_exception(payload)
             return
-        if start is not None:
-            metrics.observe(op, time.monotonic() - start)
+        metrics.observe(op, time.monotonic() - request.started)
         metrics.counter("errors").inc()
         if breaker is not None:
-            if isinstance(value, (QueryError, SchemaError)):
+            if isinstance(payload, (QueryError, SchemaError)):
                 # The op refused a malformed request: the server served
                 # it correctly, the client was wrong.  An error in the
                 # ledger, but one client's typos must not shed every
@@ -590,15 +599,7 @@ class QCServer:
                 breaker.on_discard()
             else:
                 breaker.on_failure()
-        future.set_exception(value)
-
-    def _cancelled(self, op: str) -> None:
-        """Count an admitted read its caller cancelled before it ran
-        (no outcome: its half-open probe slot, if any, is released)."""
-        self._metrics.counter("cancelled").inc()
-        breaker = self._breaker_for(op)
-        if breaker is not None:
-            breaker.on_discard()
+        future.set_exception(payload)
 
     def _cache_key(self, op: str, args: tuple, kwargs: dict):
         if op == "point" and len(args) == 1 and not kwargs:
@@ -616,30 +617,34 @@ class QCServer:
             )
         return None
 
-    def _answer(self, snapshot, request: Request):
+    def _answer(self, request: Request):
         """Execute one read against its pinned snapshot, through the
         stamped cache when the op is cacheable."""
-        op, args, kwargs = request.op, request.args, request.kwargs
+        op = request.op
         self._fire(f"op:{op}")  # injected op errors / slow ops
-        cache = self._cache
-        key = None if cache is None else self._cache_key(op, args, kwargs)
-        if key is None:
-            return self._ops[op](snapshot, *args, **kwargs)
-        with self._cache_lock:
-            value = cache.lookup(key, snapshot.stamp)
+        value = self._lookup(request)
         if value is MISS:
-            value = self._ops[op](snapshot, *args, **kwargs)
-            self._cache_store(key, snapshot, value)
-        return _own_copy(op, value)
+            value = self._ops[op](request.snapshot, *request.args,
+                                  **request.kwargs)
+        return value
 
-    def _cache_store(self, key, snapshot, value) -> None:
-        """Remember an answer computed against ``snapshot`` — unless a
-        swap already superseded it: storing would re-pin the cache to
-        the old stamp and thrash entries filled under the new one.
-        (Stamped lookups stay correct either way.)"""
-        if snapshot is self._snapshot:
-            with self._cache_lock:
-                self._cache.store(key, snapshot.stamp, value)
+    def _lookup(self, request: Request):
+        """The caller's copy of the cached answer to ``request`` at its
+        pinned snapshot, else :data:`~repro.core.query_cache.MISS` — a
+        miss of a cacheable op sets ``request.key``, so the completion
+        fills the cache.  Counts the hit or miss once."""
+        cache = self._cache
+        if cache is None:
+            return MISS
+        key = self._cache_key(request.op, request.args, request.kwargs)
+        if key is None:
+            return MISS
+        with self._cache_lock:
+            value = cache.lookup(key, request.snapshot.stamp)
+        if value is MISS:
+            request.key = key
+            return MISS
+        return _own_copy(request.op, value)
 
     # -- supervisor ----------------------------------------------------------
 
@@ -675,25 +680,26 @@ class QCServer:
                     return  # budget exhausted; retry next scan
                 replacement = self._spawn_worker(slot)
                 self._workers[slot] = replacement
-                self._heartbeats[slot] = now
                 window.append(now)
                 self._metrics.counter("worker_restarts").inc()
                 replacement.start()
 
+    def _held_reads(self) -> list:
+        """The reads each worker holds now, one list per worker: a pool
+        thread's claimed read (a shard server adds each worker process's
+        forwards)."""
+        return [[request] for request in list(self._held)
+                if request is not None]
+
     def worker_health(self) -> dict:
         """Worker-pool liveness: alive/configured counts, supervisor
-        restart/crash totals, heartbeat age, and wedged workers (alive
-        but heartbeat-stale while requests are queued)."""
+        restart/crash totals, the age of the oldest read a worker holds,
+        and wedged workers (holding a read past ``WEDGE_TIMEOUT_S``)."""
         with self._worker_lock:
             threads = list(self._workers)
-            beats = list(self._heartbeats)
         now = time.monotonic()
-        ages = [now - beat for beat in beats]
-        backlog = self._queue.depth() > 0
-        wedged = sum(
-            1 for thread, age in zip(threads, ages)
-            if thread.is_alive() and backlog and age > self.WEDGE_TIMEOUT_S
-        )
+        oldest = [max(now - request.started for request in reads)
+                  for reads in self._held_reads() if reads]
         counters = self._metrics
         return {
             "configured": len(threads),
@@ -701,8 +707,8 @@ class QCServer:
             "restarts": counters.counter("worker_restarts").value,
             "crashes": counters.counter("worker_crashes").value,
             "supervised": self._supervisor is not None,
-            "stalest_heartbeat_s": round(max(ages), 3) if ages else 0.0,
-            "wedged": wedged,
+            "oldest_read_s": round(max(oldest, default=0.0), 3),
+            "wedged": sum(1 for age in oldest if age > self.WEDGE_TIMEOUT_S),
         }
 
     # -- health --------------------------------------------------------------
@@ -1047,18 +1053,9 @@ class QCServer:
         self._halt_supervisor(timeout)
         for request in self._queue.close():
             self._metrics.counter("stranded").inc()
-            future = request.future
-            if future is None:
-                continue
-            if future.set_running_or_notify_cancel():
-                self._metrics.counter("errors").inc()
-                future.set_exception(
-                    ServerClosedError("server shut down before request ran")
-                )
-            else:
-                # Stranded *and* already cancelled by the caller; keep
-                # the admission ledger balanced under ``cancelled``.
-                self._metrics.counter("cancelled").inc()
+            request.complete(False, ServerClosedError(
+                "server shut down before request ran"
+            ))
         with self._worker_lock:
             workers = list(self._workers)
         for thread in workers:

@@ -53,7 +53,6 @@ import time
 import warnings
 import zlib
 from collections import deque
-from concurrent.futures import Future
 from itertools import count
 from typing import Optional
 
@@ -66,7 +65,8 @@ from repro.errors import (
     ServingError,
     WorkerCrashedError,
 )
-from repro.serving.server import SNAPSHOT_OP_TABLE, QCServer, _own_copy
+from repro.serving.admission import Request
+from repro.serving.server import SNAPSHOT_OP_TABLE, QCServer
 from repro.shard.pack import pack_snapshot_bytes
 from repro.shard.segment import create_segment, unlink_segment
 from repro.shard.worker import worker_main
@@ -118,26 +118,6 @@ class ShardRouter:
         if key is None:
             return next(self._rr) % n_slots
         return zlib.adler32(repr(key).encode("utf-8", "replace")) % n_slots
-
-
-class _Forward:
-    """One read the thread that called :meth:`ShardServer.submit` sent
-    to a worker process.  ``future`` is that caller's; whichever thread
-    completes the forward keeps the ledger and fills the cache
-    (:meth:`ShardServer._settle_forward`)."""
-
-    __slots__ = ("future", "server", "op", "key", "snapshot", "sent_at")
-
-    def __init__(self, server, op, key, snapshot):
-        self.future = Future()
-        self.server = server
-        self.op = op
-        self.key = key
-        self.snapshot = snapshot
-        self.sent_at = time.monotonic()
-
-    def complete(self, ok: bool, payload) -> None:
-        self.server._settle_forward(self, ok, payload)
 
 
 class _BatchSlot:
@@ -265,6 +245,13 @@ class _ProcHandle:
             taken = [self.pending.pop(rid, None) for rid in rids]
         return [sink for sink in taken if sink is not None]
 
+    def forwards(self) -> dict:
+        """The unanswered direct forwards by rid (``pending`` also holds
+        ``map_query``'s slots)."""
+        with self.lock:
+            return {rid: sink for rid, sink in self.pending.items()
+                    if type(sink) is Request}
+
     def fail_pending(self, exc) -> None:
         with self.lock:
             stranded = list(self.pending.values())
@@ -286,25 +273,31 @@ class ShardServer(QCServer):
     ...                                     # /dev/shm segments left
 
     ``processes`` sets the worker-process fleet; ``workers`` (the
-    inherited thread pool) defaults to ``processes``.  A snapshot op is
-    answered one of two ways (see :meth:`submit`): *direct* — pickled
-    onto a worker's pipe by the calling thread, its answer settled by
-    that pipe's receiver thread — or *local* — run by the pool against
-    the parent's own snapshot, counted in ``shard_local_fallbacks``.
-    The pool never waits on a worker; besides the local answers it runs
-    ``health`` and ``register_op`` ops.  Everything else is inherited
+    inherited thread pool) defaults to ``processes``.  The inherited
+    :meth:`~repro.serving.server.QCServer.submit` admits every read;
+    only where it goes differs (see :meth:`_dispatch`).  A snapshot op
+    is answered *direct* — pickled onto a worker's pipe by the calling
+    thread, its answer finished by that pipe's receiver thread — or
+    *local* — run by the pool against the parent's own snapshot,
+    counted in ``shard_local_fallbacks``.  The pool never waits on a
+    worker; besides the local answers it runs ``health`` and
+    ``register_op`` ops.  Everything else is inherited
     :class:`~repro.serving.server.QCServer` behavior: admission,
-    deadlines, cache (answers are cached parent-side keyed by snapshot
-    stamp), breaker, write pipeline, degraded mode, fault injection
-    (``op:<name>`` and ``worker`` fire on a pool thread — a read whose
-    ``op:`` site is armed is answered locally — plus the shard sites
-    ``shard:publish`` and ``shard:attach``).
+    deadlines, the one completion, cache (answers are cached
+    parent-side keyed by snapshot stamp), breaker, write pipeline,
+    degraded mode, fault injection (``op:<name>`` and ``worker`` fire
+    on a pool thread — a read whose ``op:`` site is armed is answered
+    locally — plus the shard sites ``shard:publish`` and
+    ``shard:attach``).
     """
 
-    #: Seconds a direct forward may wait for its worker's answer before
-    #: the supervisor's scan fails it with ``DeadlineExceededError``
-    #: (worker death is detected far sooner via pipe EOF; this bounds a
-    #: wedged-but-alive worker), and ``map_query``'s default timeout.
+    #: Seconds a direct forward that carries no deadline may wait for
+    #: its worker's answer before the supervisor's scan fails it with
+    #: ``DeadlineExceededError``; one with a deadline fails at the
+    #: earlier of the two (worker death is detected far sooner via pipe
+    #: EOF; this bounds a wedged-but-alive worker).  With
+    #: ``supervised=False`` there is no scan, and only the worker checks
+    #: a deadline.  Also ``map_query``'s default timeout.
     SHARD_RPC_TIMEOUT_S = 30.0
     #: Pipe charge (``_ProcHandle.outstanding``, bytes) under which a
     #: direct send must keep its worker's pipe — far below the 208 KiB
@@ -341,8 +334,6 @@ class ShardServer(QCServer):
         self._epoch_segments: dict = {}  # epoch -> segment name
         self._tickets: dict = {}  # epoch -> [expected slot set, Event]
         self._procs_stopped = False
-        self._inflight_lock = threading.Lock()
-        self._inflight = 0  # direct forwards awaiting an answer
 
         # Pack and publish epoch 1 and fork the fleet *before*
         # super().__init__ spawns any thread: forking a single-threaded
@@ -550,25 +541,17 @@ class ShardServer(QCServer):
             return live[0] if live else None
         return live[self._router.slot(op, args, len(live))]
 
-    def submit(self, op: str, /, *args, timeout: Optional[float] = None,
-               **kwargs) -> Future:
-        """Admit a read; returns a :class:`~concurrent.futures.Future`.
-
-        The inherited contract (shedding, breaker, deadline, ledger)
-        holds on both of a snapshot op's paths.  **Direct**: the op is
-        pickled and sent on its worker's pipe *by this thread*, and the
-        worker's receiver thread keeps the ledger and resolves the
-        future.  **Local**: the inherited :meth:`~repro.serving.server.
-        QCServer.submit` admits it to the pool, which answers from the
-        parent's own snapshot — always current, so correctness never
-        waits on the fleet.  It stands aside from the direct path
-        exactly when:
+    def _dispatch(self, request: Request) -> bool:
+        """Send an admitted snapshot op on a worker's pipe from this
+        thread (*direct*), else hand it to the inherited pool, which
+        answers it from the parent's own snapshot — always current, so
+        correctness never waits on the fleet.  It stands aside from the
+        direct path exactly when:
 
         * the op is not in :data:`~repro.serving.server.
           SNAPSHOT_OP_TABLE`, or :meth:`register_op` overrode it — the
           pool runs it as for any server;
-        * the server is closed — :meth:`~repro.serving.server.QCServer.
-          submit` owns refusing it;
+        * the server is closed — the pool's queue owns refusing it;
         * no worker on the current epoch is routable (fleet loss, or
           the brief window of an in-flight publish), or the ``faults``
           plan has the op's ``op:<name>`` site armed — local, so the
@@ -581,106 +564,62 @@ class ShardServer(QCServer):
           sender and never on a pipe (the asyncio door calls it on its
           loop thread).
 
-        A local answer counts in ``shard_local_fallbacks``.  The direct
-        path sheds with :class:`~repro.errors.ServerOverloadedError`
-        once ``queue_size`` direct forwards are in flight (health
-        readiness reads the same count), carries the deadline to the
-        worker, which answers :class:`~repro.errors.
-        DeadlineExceededError` unrun past it, and fails a forward
-        unanswered for ``SHARD_RPC_TIMEOUT_S`` (the supervisor's scan).
-        A cacheable op looks up here, counting a miss once, and its
-        answer is stored on arrival while its snapshot is still the
-        published one.
+        Those last two count a local answer in ``shard_local_fallbacks``.
+        The direct path sheds once ``queue_size`` reads are in flight on
+        the pipes, carries the deadline to the worker, which answers
+        :class:`~repro.errors.DeadlineExceededError` unrun past it, and
+        is bounded by the supervisor's scan (:meth:`_fail_overdue`).
         """
+        op, args, kwargs = request.op, request.args, request.kwargs
         fn = SNAPSHOT_OP_TABLE.get(op)
         if fn is None or self._ops.get(op) is not fn or self._closed:
-            return super().submit(op, *args, timeout=timeout, **kwargs)
-        snapshot = self._snapshot  # pin one version, as _serve does
+            return super()._dispatch(request)
+        # Pin before routing: a worker routable now serves this snapshot
+        # or a later one, never an earlier one the cache would store.
+        request.snapshot = self._snapshot
         faults = self._faults
         handle = (None if faults is not None and faults.armed(f"op:{op}")
                   else self._pick(op, args))
         if handle is not None and handle.send_lock.acquire(
                 True, self.DIRECT_SEND_WAIT_S):
             try:
-                future = self._submit_direct(
-                    handle, snapshot, op, args, kwargs, timeout
-                )
+                rid = next(self._rid)
+                deadline = request.deadline
+                try:
+                    data = pickle.dumps(("q", [
+                        (rid, op, args, kwargs) if deadline is None
+                        else (rid, op, args, kwargs, deadline)
+                    ]), pickle.HIGHEST_PROTOCOL)
+                except Exception:
+                    data = None  # unsendable: answered locally
+                # Only this thread (holding send_lock) can raise
+                # ``outstanding``; the receiver only lowers it, so a
+                # stale read errs safe.
+                if data is not None and (
+                        handle.outstanding + len(data) + _MESSAGE_OVERHEAD
+                        <= self.DIRECT_SEND_BUDGET):
+                    with self._inflight_lock:
+                        if self._inflight >= self._queue.maxsize:
+                            return False
+                        self._inflight += 1
+                    request.pipe = handle
+                    value = self._lookup(request)
+                    if value is not MISS:
+                        request.complete(True, value)
+                    elif not handle.post(data, {rid: request}):
+                        for owned in handle.reclaim((rid,)):
+                            owned.complete(False, WorkerCrashedError(
+                                f"shard worker {handle.slot} is down or its "
+                                "pipe broke mid-send; the read never ran "
+                                "and is safe to retry"
+                            ))
+                    return True
             finally:
                 handle.send_lock.release()
-            if future is not None:
-                return future
-        future = super().submit(op, *args, timeout=timeout, **kwargs)
-        self._metrics.counter("shard_local_fallbacks").inc()
-        return future
-
-    def _submit_direct(self, handle: _ProcHandle, snapshot, op: str,
-                       args: tuple, kwargs: dict, timeout):
-        """The direct path of :meth:`submit`, ``handle.send_lock`` held.
-        Returns None, having counted nothing, when the message does not
-        fit the pipe budget (the caller answers it locally)."""
-        rid = next(self._rid)
-        deadline = self._deadline(timeout)
-        request = ((rid, op, args, kwargs) if deadline is None
-                   else (rid, op, args, kwargs, deadline))
-        try:
-            data = pickle.dumps(("q", [request]), pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return None  # unsendable: answered locally, like one too big
-        # Only this thread (holding send_lock) can raise ``outstanding``;
-        # the receiver only lowers it, so a stale read errs safe.
-        if (handle.outstanding + len(data) + _MESSAGE_OVERHEAD
-                > self.DIRECT_SEND_BUDGET):
-            return None
-        breaker = self._admit(op)
-        with self._inflight_lock:
-            full = self._inflight >= self._queue.maxsize
-            if not full:
-                self._inflight += 1
-        if full:
-            raise self._shed(
-                breaker, f"{self._queue.maxsize} forwards in flight; "
-                f"request {op!r} shed"
-            )
-        self._metrics.counter("submitted").inc()
-        cache = self._cache
-        key = None if cache is None else self._cache_key(op, args, kwargs)
-        sink = _Forward(self, op, key, snapshot)
-        if key is not None:
-            with self._cache_lock:
-                value = cache.lookup(key, snapshot.stamp)
-            if value is not MISS:
-                sink.key = None  # a hit: nothing to store on completion
-                sink.complete(True, _own_copy(op, value))
-                return sink.future
-        if not handle.post(data, {rid: sink}):
-            for owned in handle.reclaim((rid,)):
-                owned.complete(False, WorkerCrashedError(
-                    f"shard worker {handle.slot} is down or its pipe "
-                    "broke mid-send; the read never ran and is safe to "
-                    "retry"
-                ))
-        return sink.future
-
-    def _settle_forward(self, sink: _Forward, ok: bool, payload) -> None:
-        """Completion of a direct forward, on the thread that took its
-        sink out of ``pending`` (a receiver, the supervisor, a
-        ``close()``) or, for a cache hit, on the submitting thread: the
-        cache fill and the one ledger helper ``_serve`` uses."""
-        with self._inflight_lock:
-            self._inflight -= 1
-        future = sink.future
-        if not future.set_running_or_notify_cancel():
-            self._cancelled(sink.op)
-            return
-        if ok and sink.key is not None:
-            self._cache_store(sink.key, sink.snapshot, payload)
-            payload = _own_copy(sink.op, payload)
-        self._settle(future, sink.op, sink.sent_at, ok, payload)
-
-    def _backlog(self) -> int:
-        # Each path sheds on its own count against queue_size: the pool
-        # on its queue, the direct path on forwards in flight.
-        return max(super()._backlog(), self._inflight)
+        admitted = super()._dispatch(request)
+        if admitted:
+            self._metrics.counter("shard_local_fallbacks").inc()
+        return admitted
 
     # -- bulk path -----------------------------------------------------------
 
@@ -924,20 +863,28 @@ class ShardServer(QCServer):
             self._gc_segments()
 
     def _fail_overdue(self, handle: _ProcHandle, now: float) -> None:
-        """Fail the forwards ``handle``'s worker has left unanswered for
-        ``SHARD_RPC_TIMEOUT_S`` — a wedged-but-alive worker holds no
-        thread of ours, so this scan is what bounds its callers' wait.
-        (A ``map_query`` batch keeps its own ``timeout``.)"""
+        """Fail the forwards ``handle``'s worker has left unanswered past
+        their deadline or ``SHARD_RPC_TIMEOUT_S``, whichever is earlier
+        — a wedged-but-alive worker holds no thread of ours, so this
+        scan is what bounds its callers' wait.  A late answer finds no
+        sink and is dropped.  (A ``map_query`` batch keeps its own
+        ``timeout``.)"""
         limit = self.SHARD_RPC_TIMEOUT_S
-        with handle.lock:
-            overdue = [
-                rid for rid, sink in handle.pending.items()
-                if type(sink) is _Forward and now - sink.sent_at > limit
-            ]
-        for sink in handle.reclaim(overdue):
-            sink.complete(False, DeadlineExceededError(
-                f"shard worker {handle.slot} did not answer within {limit}s"
+        overdue = [
+            rid for rid, request in handle.forwards().items()
+            if now - request.started > limit or (
+                request.deadline is not None and now > request.deadline)
+        ]
+        for request in handle.reclaim(overdue):
+            request.complete(False, DeadlineExceededError(
+                f"shard worker {handle.slot} did not answer "
+                f"{request.op!r} by its deadline or within {limit}s"
             ))
+
+    def _held_reads(self) -> list:
+        return super()._held_reads() + [
+            list(handle.forwards().values()) for handle in self._handles
+        ]
 
     # -- health --------------------------------------------------------------
 

@@ -18,8 +18,8 @@ parent → worker
     ``("q", [(rid, op, args, kwargs[, deadline]), ...])``
         answer a batch; one reply message covers the whole batch, so a
         batch's answer is the parent's proof that the whole message left
-        the pipe.  ``deadline`` (a request ``ShardServer.submit`` sent
-        from the caller's thread, when it has one) is an absolute
+        the pipe.  ``deadline`` (a read ``ShardServer``'s direct path
+        sent from the caller's thread, when it has one) is an absolute
         ``time.monotonic()`` instant — one clock for the parent and its
         forked children — checked before the op runs: a request that
         reaches its worker past it is answered with

@@ -59,7 +59,7 @@ def assert_answers_match(got: str, want: str, line: str) -> None:
         # clients dispatch on is the type prefix.
         assert got.split(":")[1] == want.split(":")[1], (line, got, want)
     elif line.split()[-1] == "health":
-        # Health answers embed live readings (heartbeat age, transport
+        # Health answers embed live readings (oldest read age, transport
         # request counters) that tick between the two calls; the oracle
         # property is the stable routing verdict.
         import json

@@ -14,6 +14,7 @@ from-scratch rebuild of the warehouse.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -181,6 +182,29 @@ class TestWorkerSupervision:
                 lambda: server.worker_health()["alive"] == 1
             )
             assert server.point(("S2", "*", "f")) == 9.0
+
+    def test_worker_holding_one_read_too_long_shows_wedged(self, warehouse):
+        """A worker thread held by one read past ``WEDGE_TIMEOUT_S`` is
+        wedged, and ``oldest_read_s`` says for how long."""
+        release, entered = threading.Event(), threading.Event()
+
+        def gate(snapshot):
+            entered.set()
+            release.wait(5.0)
+            return "gated"
+
+        with QCServer(warehouse, workers=2) as server:
+            server.WEDGE_TIMEOUT_S = 0.1
+            server.register_op("gate", gate)
+            held = server.submit("gate")
+            assert entered.wait(5.0)
+            time.sleep(0.2)
+            workers = server.worker_health()
+            assert workers["wedged"] == 1
+            assert workers["oldest_read_s"] >= 0.2
+            release.set()
+            assert held.result(5.0) == "gated"
+            assert wait_until(lambda: server.worker_health()["wedged"] == 0)
 
     def test_injected_op_error_does_not_kill_worker(self, warehouse, faults):
         """Op-level faults are request errors, not worker deaths."""

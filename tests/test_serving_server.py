@@ -175,6 +175,28 @@ class TestAdmissionControl:
             with pytest.raises(DeadlineExceededError):
                 doomed.result(5.0)
 
+    def test_cancelled_read_past_its_deadline_spares_the_worker(
+            self, warehouse):
+        """A queued read its caller cancels, whose deadline then passes
+        before a worker claims it, is counted once as cancelled — not
+        as a timeout, and not by killing the worker that claims it."""
+        with QCServer(warehouse, workers=1, queue_size=8) as srv:
+            release, entered = register_gate(srv)
+            blocker = srv.submit("gate")
+            assert entered.wait(5.0)
+            victim = srv.submit("point", ("S2", "*", "f"), timeout=0.05)
+            assert victim.cancel()
+            time.sleep(0.1)
+            release.set()
+            assert blocker.result(5.0) == "gated"
+            # Queued behind the victim: answered once it was claimed.
+            assert srv.submit("point", ("S1", "P1", "s")).result(5.0) == 6.0
+            counters = srv.stats()["counters"]
+            workers = srv.worker_health()
+            assert (counters["cancelled"], counters["timeouts"]) == (1, 0)
+            assert (workers["crashes"], workers["restarts"]) == (0, 0)
+            assert ledger_balances(counters)
+
 
 class TestLifecycle:
     def test_close_is_idempotent_and_joins_workers(self, warehouse):

@@ -151,6 +151,34 @@ class TestDirectPath:
         assert counters["timeouts"] == 1
         assert counters["completed"] == 0
 
+    def test_deadline_fails_while_the_worker_is_still_stopped(self, server):
+        """The supervisor's scan fails a forward at its deadline, well
+        before ``SHARD_RPC_TIMEOUT_S``: the caller has its outcome while
+        the worker cannot answer, and the late answer is dropped."""
+        handle = server._handles[0]
+        with stopped(handle.pid):
+            future = server.submit("point", CELL, timeout=0.2)
+            with pytest.raises(DeadlineExceededError, match="did not answer"):
+                future.result(timeout=2)
+            assert server.shard_health()["workers"][0]["inflight"] == 0
+        assert wait_until(lambda: handle.outstanding == 0)
+        assert handle.answered == 0
+        counters = server.stats()["counters"]
+        assert (counters["timeouts"], counters["completed"]) == (1, 0)
+
+    def test_a_stopped_worker_shows_wedged(self, server, monkeypatch):
+        """A forward held past ``WEDGE_TIMEOUT_S`` marks its worker
+        process wedged in ``workers``, as a pool thread would be."""
+        monkeypatch.setattr(server, "WEDGE_TIMEOUT_S", 0.1)
+        with stopped(server._handles[0].pid):
+            future = server.submit("point", CELL)
+            time.sleep(0.2)
+            workers = server.stats()["workers"]
+            assert workers["wedged"] == 1
+            assert workers["oldest_read_s"] >= 0.2
+        assert future.result(timeout=5) == 9.0
+        assert server.worker_health()["wedged"] == 0
+
     def test_rpc_timeout_fails_a_wedged_forward(self, server, monkeypatch):
         """A worker alive but silent past ``SHARD_RPC_TIMEOUT_S``: the
         supervisor fails the forward, and the late answer is dropped."""
