@@ -130,7 +130,7 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
     ``table``, for this batch alone.  The batch delta is applied to it
     in place (:meth:`~repro.cube.cover_index.CoverIndex.apply_deletes`
     then :meth:`~repro.cube.cover_index.CoverIndex.apply_inserts`) and
-    the maintenance algorithms read its posting sets (each patch clears
+    the maintenance algorithms read its postings (each patch clears
     the closure memo).  On success the index is in sync with
     ``result.table``.  On *failure* the tree rolls back but the index
     may already hold the batch delta — the caller must discard it (the

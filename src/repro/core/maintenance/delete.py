@@ -38,22 +38,6 @@ from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError
 
 
-def _classes_through_prefix(tree: QCTree, src: int, min_dim: int) -> list:
-    """Bounds of classes whose path passes ``src`` using dims > ``min_dim``."""
-    out = []
-
-    def rec(node: int) -> None:
-        if tree.state[node] is not None:
-            out.append(tree.upper_bound_of(node))
-        for dim, by_value in tree.children[node].items():
-            if dim > min_dim:
-                for child in by_value.values():
-                    rec(child)
-
-    rec(src)
-    return out
-
-
 def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
                  cover_index: CoverIndex, timings=None) -> None:
     """Apply the deletion of ``delta_rows`` in place.
@@ -166,27 +150,43 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
                 if cub[j] is ALL and ub[j] is not ALL:
                     candidates.add((truncate(cub, j), j, ub[j]))
     for w in merge_targets:
-        rows_w = cover_index.rows(w)
         for j in range(n_dims):
             if w[j] is not ALL:
                 continue
             trunc = truncate(w, j)
-            for v in sorted({cover_index.row(i)[j] for i in rows_w}):
+            for v in cover_index.values_at(w, j):
                 candidates.add((trunc, j, v))
 
     # -- phase 4: justification-based refresh ---------------------------------
     # The class set is static during phase 4 (only links change), so the
-    # per-(node, dim) class enumeration is memoized across candidates.
-    # Every class found by the walk has no value at or before ``j`` beyond
-    # the source's path, so no further prefix filtering is needed.
-    through_cache: dict = {}
+    # class bounds of each node's subtree are memoized across candidates.
+    # Path dimensions increase, so below a child of ``src`` with dimension
+    # > ``j`` every class has no value at or before ``j`` beyond the
+    # source's path, and its whole subtree qualifies.
+    subtrees: dict = {}  # node -> class bounds in its subtree
 
-    def classes_through(src: int, j: int) -> list:
-        key = (src, j)
-        cached = through_cache.get(key)
-        if cached is None:
-            cached = through_cache[key] = _classes_through_prefix(tree, src, j)
-        return cached
+    def subtree(node: int, cell) -> list:
+        found = subtrees.get(node)
+        if found is None:
+            found = [cell] if tree.state[node] is not None else []
+            for dim, by_value in tree.children[node].items():
+                for value, child in by_value.items():
+                    found += subtree(
+                        child, cell[:dim] + (value,) + cell[dim + 1:]
+                    )
+            subtrees[node] = found
+        return found
+
+    def classes_through(src: int, trunc, j: int):
+        """Bounds of classes whose path passes ``src`` using dims > ``j``."""
+        if tree.state[src] is not None:
+            yield trunc
+        for dim, by_value in tree.children[src].items():
+            if dim > j:
+                for value, child in by_value.items():
+                    yield from subtree(
+                        child, trunc[:dim] + (value,) + trunc[dim + 1:]
+                    )
 
     for src_cell, j, v in candidates:
         trunc = truncate(src_cell, j)
@@ -197,7 +197,7 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
         t_ctx = new_closure(context)
         justified = None
         if t_ctx is not None:
-            for cub in classes_through(src, j):
+            for cub in classes_through(src, trunc, j):
                 drill = cub[:j] + (v,) + cub[j + 1:]
                 # Cheap necessary condition before the closure test: the
                 # drill-down must generalize the context's closure.

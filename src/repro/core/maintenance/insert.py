@@ -159,10 +159,10 @@ def batch_insert(tree: QCTree, delta_table: BaseTable,
     # Step 2: classification, all against the pre-update tree.
     records = []  # (final bound W, old node or None, new state)
     for ctil, dstate in delta_states.items():
-        cover_c = delta_index.rows(ctil)
+        cover_c = delta_index.mask(ctil)
         for ub, node in closures_below_cached(ctil).items():
             w = meet(ub, ctil)
-            if delta_index.rows(w) != cover_c:
+            if delta_index.mask(w) != cover_c:
                 continue  # W covers other Δ-tuples; it pairs with their closure
             records.append((w, node, agg.merge(tree.state[node], dstate)))
         if locate_cached(ctil) is None:
@@ -199,12 +199,11 @@ def batch_insert(tree: QCTree, delta_table: BaseTable,
                 if new_closure(trunc[:j] + (w[j],) + trunc[j + 1:]) != w:
                     continue  # context rule: the node cannot claim this route
                 new_links.append((trunc, j, w[j], w))
-        rows_w = cover_index.rows(w)
         for j in range(n_dims):
             if w[j] is not ALL:
                 continue
             trunc = truncate(w, j)
-            for v in sorted({cover_index.row(i)[j] for i in rows_w}):
+            for v in cover_index.values_at(w, j):
                 target = new_closure(trunc[:j] + (v,) + trunc[j + 1:])
                 if target is None:
                     continue

@@ -185,12 +185,12 @@ class Piece:
 
     @property
     def cover_index(self) -> CoverIndex:
-        """The persistent posting-list index over the live table.
+        """The persistent posting index over the live table.
 
         One :class:`~repro.cube.cover_index.CoverIndex` per live table:
         built from scratch at most once (counted under ``rebuilt`` in
         :meth:`cover_stats`), then patched in place by every maintenance
-        batch — the posting sets carry across batches instead of being
+        batch — the postings carry across batches instead of being
         re-derived per write.
         """
         if self._cover_index is None:

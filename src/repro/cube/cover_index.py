@@ -2,30 +2,36 @@
 
 Maintenance repeatedly asks "which rows does this cell cover?" and "what
 is this cell's closure?".  A linear scan per question is O(rows x dims);
-this index stores one posting set per (dimension, value), answers a cover
-query by intersecting the postings of the cell's non-``*`` dimensions
-(smallest first), answers a closure query by testing the cover set
-against the posting sets of one covered row's values, and memoizes both.
+this index stores one posting per (dimension, value) as a Python-int
+bitmask over row ids, answers a cover query by ANDing the postings of
+the cell's non-``*`` dimensions into the live mask (one C-speed pass,
+no id copied), answers a closure query by testing the cover mask ``m``
+against the postings of one covered row's values (``m & p == m``), and
+memoizes both.
 
 The index is **long-lived and incrementally maintainable**: instead of
-rebuilding the posting lists per write batch — an O(rows x dims) tax
-that grows with cube size, not batch size — :meth:`CoverIndex.apply_inserts`
-and :meth:`CoverIndex.apply_deletes` patch the posting sets in place.
-What lives across batches is the posting sets and the stable row ids;
-the ``rows()``/``closure()`` memo lives for one phase of one batch.
+rebuilding the postings per write batch — an O(rows x dims) tax that
+grows with cube size, not batch size — :meth:`CoverIndex.apply_inserts`
+and :meth:`CoverIndex.apply_deletes` OR / AND-NOT the batch's bits into
+the postings in place.  What lives across batches is the postings and
+the stable row ids; the ``mask()``/``closure()`` memo lives for one
+phase of one batch.
 
 Row identity
 ------------
-Postings store **stable row ids**, assigned in append order and never
-renumbered.  While no delete has happened, ids coincide with base-table
-positions; after a delete, ids of surviving rows keep their values even
-though :meth:`BaseTable.without_rows` compacts positions.  The invariant
-is that *ascending id order equals table position order* (deletes
-preserve relative order, inserts append), so :meth:`positions` can
-translate a cover set into current table row positions — that is what
-callers aggregating measures (``agg.state(table, rows)``) must use.
-:meth:`rows` keeps returning the raw id sets, which is all the closure
-machinery needs (:meth:`row` resolves an id to its dimension tuple).
+Postings store **stable row ids**, assigned in append order.  While no
+delete has happened, ids coincide with base-table positions; after a
+delete, ids of surviving rows keep their values even though
+:meth:`BaseTable.without_rows` compacts positions.  The invariant is
+that *ascending id order equals table position order* (deletes preserve
+relative order, inserts append), so :meth:`positions` can translate a
+cover into current table row positions — that is what callers
+aggregating measures (``agg.state(table, rows)``) must use.
+:meth:`rows` returns the raw ids (:meth:`row` resolves an id to its
+dimension tuple).  A mask is as wide as the largest id, so a delete that
+leaves more than ``2 x live + 64`` ids issued renumbers the live rows to
+their positions and rebuilds the postings (``stats()["id_span"]`` is the
+width); the memo is empty after every patch, so no old id survives it.
 
 Memo lifetime
 -------------
@@ -39,14 +45,31 @@ with one of its rows, so the patch opening the batch must drop it anyway
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.cells import ALL, Cell
 from repro.errors import SchemaError
 
-_MISSING = object()
+
+def _mask(ids: np.ndarray) -> int:
+    """The bitmask of the ascending, non-empty ``ids`` (one pack)."""
+    low = int(ids[0])
+    bits = np.zeros(int(ids[-1]) - low + 1, dtype=bool)
+    bits[ids - low] = True
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    return int.from_bytes(packed, "little") << low
+
+
+def _ids(mask: int) -> np.ndarray:
+    """The set bits of ``mask``, ascending (one unpack)."""
+    packed = np.frombuffer(
+        mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8
+    )
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little"))
 
 
 class CoverIndex:
-    """Posting-list index answering cover and closure queries for a table.
+    """Bitmask-posting index answering cover and closure queries.
 
     Build one from a :class:`~repro.cube.table.BaseTable` (``table=``) or
     from bare encoded rows (``rows=``, with ``n_dims`` derived from the
@@ -84,33 +107,64 @@ class CoverIndex:
                 )
         self.table = table
         self.n_dims = n_dims
-        self._rows = dict(enumerate(rows))  # stable id -> dimension tuple
-        self._live = set(self._rows)
-        self._next_id = len(rows)
-        postings = [dict() for _ in range(n_dims)]
-        for i, row in enumerate(rows):
-            for j, value in enumerate(row):
-                bucket = postings[j].get(value)
-                if bucket is None:
-                    postings[j][value] = {i}
-                else:
-                    bucket.add(i)
-        self._postings = postings
         self._closure_cache: dict = {}
-        self._rows_cache: dict = {}
-        # id <-> position translation, rebuilt lazily after deletes.
-        self._id_by_pos = None
-        self._pos_by_id = None
+        self._rows_cache: dict = {}  # cell -> cover mask
+        self._reset(rows)
         # Observability: how much patching happened to this instance.
         self.applied_inserts = 0
         self.applied_deletes = 0
+
+    def _reset(self, rows: list) -> None:
+        """Index ``rows`` afresh under ids ``0 .. len(rows) - 1``."""
+        self._rows: dict = {}  # stable id -> dimension tuple, id order
+        self._live = 0  # bit i set iff id i is live
+        self._next_id = 0
+        self._postings = [dict() for _ in range(self.n_dims)]
+        self._id_by_pos = None  # live ids in position order, lazily
+        self._add(rows)
+
+    def _add(self, rows: list) -> list:
+        """Assign the next ids to ``rows`` and OR them into the postings."""
+        start, n = self._next_id, len(rows)
+        self._next_id += n
+        ids = list(range(start, start + n))
+        self._rows.update(zip(ids, rows))
+        for postings, value, mask in self._groups(rows, ids):
+            postings[value] = postings.get(value, 0) | mask
+        self._live |= ((1 << n) - 1) << start
+        return ids
+
+    def _groups(self, rows: list, ids: list):
+        """``(postings, value, mask)`` for every distinct value a
+        dimension takes in ``rows``; the mask holds the ascending
+        ``ids`` of the rows carrying it.  A batch of few rows is grouped
+        by a Python loop (NumPy's per-call cost would outweigh it), a
+        table by one stable sort per dimension."""
+        columns = zip(self._postings, zip(*rows))
+        if len(rows) < 1024:
+            for postings, column in columns:
+                low, groups = ids[0], {}
+                for i, value in zip(ids, column):
+                    groups[value] = groups.get(value, 0) | 1 << (i - low)
+                for value, mask in groups.items():
+                    yield postings, value, mask << low
+            return
+        ids = np.array(ids)
+        for postings, column in columns:
+            values = np.array(column)
+            order = np.argsort(values, kind="stable")
+            values = values[order]
+            starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+            groups = np.split(ids[order], starts[1:])
+            for first, group in zip(order[starts].tolist(), groups):
+                yield postings, column[first], _mask(group)
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def n_rows(self) -> int:
         """Number of live rows currently indexed."""
-        return len(self._live)
+        return len(self._rows)
 
     def row(self, row_id: int) -> tuple:
         """The dimension tuple of a live row id (as returned by
@@ -124,17 +178,16 @@ class CoverIndex:
         posting with a freshly built one (the differential oracle's
         equivalence check).
         """
-        self._position_order()
-        pos = self._pos_by_id
         return {
-            value: frozenset(pos[i] for i in bucket)
-            for value, bucket in self._postings[dim].items()
+            value: self._positions_of(mask)
+            for value, mask in self._postings[dim].items()
         }
 
     def stats(self) -> dict:
         """Size and churn counters for observability."""
         return {
-            "live_rows": len(self._live),
+            "live_rows": len(self._rows),
+            "id_span": self._next_id,
             "cached_rows": len(self._rows_cache),
             "cached_closures": len(self._closure_cache),
             "applied_inserts": self.applied_inserts,
@@ -143,15 +196,17 @@ class CoverIndex:
 
     # -- id <-> position translation ---------------------------------------
 
-    def _position_order(self) -> list:
+    def _position_order(self) -> np.ndarray:
         """Live ids in table-position order (ascending id order — deletes
         preserve relative order and inserts append, so the two agree)."""
         if self._id_by_pos is None:
-            self._id_by_pos = sorted(self._live)
-            self._pos_by_id = {
-                i: p for p, i in enumerate(self._id_by_pos)
-            }
+            self._id_by_pos = _ids(self._live)
         return self._id_by_pos
+
+    def _positions_of(self, mask: int) -> frozenset:
+        return frozenset(
+            np.searchsorted(self._position_order(), _ids(mask)).tolist()
+        )
 
     def positions(self, cell: Cell) -> frozenset:
         """Current table row *positions* covered by ``cell``.
@@ -160,75 +215,69 @@ class CoverIndex:
         matrix — after deletes, stable ids and compacted positions
         diverge.
         """
-        ids = self.rows(cell)
-        self._position_order()
-        pos = self._pos_by_id
-        return frozenset(pos[i] for i in ids)
+        return self._positions_of(self.mask(cell))
 
     # -- queries -----------------------------------------------------------
 
+    def mask(self, cell: Cell) -> int:
+        """Bitmask of the row ids covered by ``cell`` (memoized): the live
+        mask ANDed with the postings of the cell's values."""
+        covered = self._rows_cache.get(cell)
+        if covered is None:
+            covered = self._live
+            for postings, value in zip(self._postings, cell):
+                if value is not ALL:
+                    covered &= postings.get(value, 0)
+                    if not covered:
+                        break
+            self._rows_cache[cell] = covered
+        return covered
+
     def rows(self, cell: Cell) -> frozenset:
-        """Row ids covered by ``cell`` (posting intersection, memoized)."""
-        cached = self._rows_cache.get(cell)
-        if cached is not None:
-            return cached
-        result = self._rows_cache[cell] = self._rows_uncached(cell)
-        return result
+        """Row ids covered by ``cell``."""
+        return frozenset(_ids(self.mask(cell)).tolist())
 
-    def _rows_uncached(self, cell: Cell) -> frozenset:
-        lists = []
-        for j, value in enumerate(cell):
-            if value is ALL:
-                continue
-            bucket = self._postings[j].get(value)
-            if not bucket:
-                return frozenset()
-            lists.append(bucket)
-        if not lists:
-            return frozenset(self._live)
-        lists.sort(key=len)
-        result = set(lists[0])
-        for bucket in lists[1:]:
-            result &= bucket
-            if not result:
-                break
-        return frozenset(result)
-
-    def closure_and_rows(self, cell: Cell):
-        """``(closure or None, covered row ids)`` in one call.
-
-        This is the *single* cache path for closures: :meth:`closure`
-        delegates here, the closure memo is only ever filled alongside
-        the row-set memo, and a patch clears both together — so a
-        cached closure can never outlive the cached cover set it was
-        derived from.
-        """
-        rows = self.rows(cell)
-        if not rows:
-            return None, rows
-        cached = self._closure_cache.get(cell, _MISSING)
-        if cached is _MISSING:
-            # ub(c)[j] = x iff every tuple of cov(c) has x at j: x can
-            # only be what any one covered row has there, and "every
-            # tuple" is a subset test against that value's posting set.
-            witness = self._rows[next(iter(rows))]
-            cached = self._closure_cache[cell] = tuple(
-                x if value is ALL and rows <= self._postings[j][x] else value
-                for j, (value, x) in enumerate(zip(cell, witness))
-            )
-        return cached, rows
+    def values_at(self, cell: Cell, j: int) -> list:
+        """Sorted values that rows covered by ``cell`` take at dimension
+        ``j``: those whose posting meets the cover mask, or — when the
+        cover has fewer rows than ``j`` has values — the covered rows'."""
+        covered = self.mask(cell)
+        postings = self._postings[j]
+        if covered.bit_count() < len(postings):
+            return sorted({self._rows[i][j] for i in _ids(covered).tolist()})
+        return sorted(x for x, p in postings.items() if p & covered)
 
     def closure(self, cell: Cell):
         """Closure of ``cell`` over this table, or None (memoized)."""
-        return self.closure_and_rows(cell)[0]
+        covered = self.mask(cell)
+        if not covered:
+            return None
+        cached = self._closure_cache.get(cell)
+        if cached is None:
+            # ub(c)[j] = x iff every tuple of cov(c) has x at j: x can
+            # only be what any one covered row (the lowest id) has
+            # there, and "every tuple" is m & postings[j][x] == m.
+            witness = self._rows[(covered & -covered).bit_length() - 1]
+            cached = self._closure_cache[cell] = tuple(
+                x if value is ALL and covered & postings[x] == covered
+                else value
+                for postings, value, x in zip(self._postings, cell, witness)
+            )
+        return cached
+
+    def closure_and_rows(self, cell: Cell):
+        """``(closure or None, covered row ids)``, both read off the one
+        cover-mask memo; a closure is cached only after its cell's mask
+        and a patch clears both, so it never outlives its cover."""
+        return self.closure(cell), self.rows(cell)
 
     # -- incremental maintenance -------------------------------------------
 
     def apply_inserts(self, rows) -> list:
         """Index ``rows`` (encoded tuples) appended at the table's end.
 
-        Patches the posting sets in place and clears the memo.  Returns
-        the stable ids assigned to the new rows.
+        ORs their ids into the postings and clears the memo.  Returns the
+        stable ids assigned to the new rows.
         """
         rows = [tuple(r) for r in rows]
         for row in rows:
@@ -240,23 +289,8 @@ class CoverIndex:
         if not rows:
             return []
         self.table = None  # the construction table no longer matches
-        assigned = []
-        postings = self._postings
-        for row in rows:
-            i = self._next_id
-            self._next_id += 1
-            self._rows[i] = row
-            self._live.add(i)
-            assigned.append(i)
-            if self._id_by_pos is not None:
-                self._pos_by_id[i] = len(self._id_by_pos)
-                self._id_by_pos.append(i)
-            for j, value in enumerate(row):
-                bucket = postings[j].get(value)
-                if bucket is None:
-                    postings[j][value] = {i}
-                else:
-                    bucket.add(i)
+        assigned = self._add(rows)
+        self._id_by_pos = None
         self.applied_inserts += len(rows)
         self._rows_cache.clear()
         self._closure_cache.clear()
@@ -268,15 +302,16 @@ class CoverIndex:
         ``row_ids`` follow the caller's vocabulary — the row indices of
         the table being shrunk (the ``drop`` list
         :func:`~repro.core.maintenance.delete.resolve_deletions`
-        produces), i.e. positions *before* compaction.  Patches the
-        posting sets in place (empty buckets are removed so a patched
-        index stays posting-for-posting identical to a freshly built
-        one) and clears the memo.  Returns the stable ids that were
-        retired.
+        produces), i.e. positions *before* compaction.  Clears their
+        bits from the postings (emptied postings are removed so a
+        patched index stays posting-for-posting identical to a freshly
+        built one), renumbers the live ids once the id span outgrows
+        ``2 x live + 64`` (inserts grow both alike, so only a delete can
+        cross that line) and clears the memo.  Returns the stable ids
+        that were retired.
         """
         positions = list(row_ids)
         order = self._position_order()
-        ids = []
         seen = set()
         for p in positions:
             if not isinstance(p, int) or isinstance(p, bool) \
@@ -287,23 +322,22 @@ class CoverIndex:
             if p in seen:
                 raise SchemaError(f"duplicate row position {p!r}")
             seen.add(p)
-            ids.append(order[p])
-        if not ids:
+        if not positions:
             return []
         self.table = None
-        postings = self._postings
-        for i in ids:
-            row = self._rows.pop(i)
-            self._live.discard(i)
-            for j, value in enumerate(row):
-                bucket = postings[j].get(value)
-                if bucket is not None:
-                    bucket.discard(i)
-                    if not bucket:
-                        del postings[j][value]
-        # Positions compact after a delete; rebuild the maps lazily.
+        ids = [int(order[p]) for p in positions]
+        ascending = sorted(ids)
+        rows = [self._rows.pop(i) for i in ascending]
+        for postings, value, mask in self._groups(rows, ascending):
+            left = postings[value] & ~mask
+            if left:
+                postings[value] = left
+            else:
+                del postings[value]
+        self._live &= ~_mask(np.array(ascending))
         self._id_by_pos = None
-        self._pos_by_id = None
+        if self._next_id > 2 * len(self._rows) + 64:
+            self._reset(list(self._rows.values()))
         self.applied_deletes += len(ids)
         self._rows_cache.clear()
         self._closure_cache.clear()

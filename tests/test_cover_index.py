@@ -1,5 +1,8 @@
 """Tests for the inverted cover index (repro.cube.cover_index)."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,3 +86,102 @@ class TestHypothesis:
             i for i, row in enumerate(rows) if covers(cell, row)
         )
         assert index.rows(cell) == expected
+
+
+def _scan_closure(rows, cell):
+    """Closure by a scan: the meet of every row the cell covers."""
+    from repro.core.cells import covers, meet_of_tuples
+
+    covered = [row for row in rows if covers(cell, row)]
+    return meet_of_tuples(covered) if covered else None
+
+
+class TestMaskReads:
+    """``values_at`` and ``closure`` read the cover mask; both must agree
+    with a scan over the covered rows."""
+
+    def _check(self, index, rows, cell):
+        for j in range(index.n_dims):
+            assert index.values_at(cell, j) == sorted(
+                {index.row(i)[j] for i in index.rows(cell)}
+            ), (cell, j)
+        assert index.closure(cell) == _scan_closure(rows, cell), cell
+
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1,
+                 max_size=15),
+        st.tuples(*[st.one_of(st.just(ALL), st.integers(0, 3))] * 3),
+        st.tuples(*[st.integers(0, 3)] * 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_values_at_and_closure_match_a_scan(self, rows, cell, extra):
+        index = CoverIndex(rows=rows, n_dims=3)
+        self._check(index, rows, cell)
+        self._check(index, rows, (ALL, ALL, ALL))
+        self._check(index, rows, (9, ALL, ALL))  # empty cover
+        assert index.values_at((9, ALL, ALL), 1) == []
+        # A label minted by the last insert: value 4 exists nowhere else.
+        minted = (4,) + extra[1:]
+        index.apply_inserts([minted])
+        rows = rows + [minted]
+        for probe in (cell, (4, ALL, ALL), (ALL,) + minted[1:],
+                      (ALL, ALL, ALL)):
+            self._check(index, rows, probe)
+
+
+class TestLargeBatches:
+    """A table or a patch of 1,024 rows or more is grouped by one stable
+    sort per dimension and each posting packed from its id array; every
+    read must still agree with a scan."""
+
+    def test_reads_on_a_large_table_match_a_scan(self):
+        table = make_random_table(7, n_dims=4, cardinality=6, n_rows=1500)
+        index = CoverIndex(table)
+        rng = random.Random(7)
+        cells = [(ALL,) * 4] + [
+            tuple(rng.choice([ALL, rng.randrange(6)]) for _ in range(4))
+            for _ in range(80)
+        ]
+        for cell in cells:
+            covered = table.select(cell)
+            assert sorted(index.rows(cell)) == covered, cell
+            assert sorted(index.positions(cell)) == covered, cell
+            assert index.closure(cell) == closure(table, cell), cell
+            for j in range(4):
+                assert index.values_at(cell, j) == sorted(
+                    {table.rows[i][j] for i in covered}
+                ), (cell, j)
+
+    def test_large_deletes_and_inserts_match_a_scan(self):
+        rng = random.Random(11)
+        rows = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(3000)]
+        index = CoverIndex(rows=rows[:300], n_dims=3)
+        index.apply_inserts(rows[300:])  # ids 300.., so every mask shifts
+        drop = rng.sample(range(3000), 1100)
+        index.apply_deletes(drop)
+        assert index.stats()["id_span"] == 3000  # no renumber rebuilt it
+        dropped = set(drop)
+        rows = [row for p, row in enumerate(rows) if p not in dropped]
+        self._check(index, rows)
+        added = [tuple(rng.randrange(5) for _ in range(3)) for _ in range(1100)]
+        index.apply_inserts(added)
+        self._check(index, rows + added)
+
+    @staticmethod
+    def _check(index, rows):
+        from repro.core.cells import covers
+
+        fresh = CoverIndex(rows=rows, n_dims=3)
+        for j in range(3):
+            scanned = {}
+            for p, row in enumerate(rows):
+                scanned.setdefault(row[j], set()).add(p)
+            assert index.postings(j) == fresh.postings(j) == {
+                x: frozenset(ps) for x, ps in scanned.items()
+            }, j
+        for cell in product([ALL] + list(range(5)), repeat=3):
+            covered = frozenset(
+                p for p, row in enumerate(rows) if covers(cell, row)
+            )
+            assert index.positions(cell) == covered, cell
+            assert index.closure(cell) == _scan_closure(rows, cell), cell

@@ -12,6 +12,8 @@ cache.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +163,61 @@ class TestIncrementalDifferential:
         # rows() keeps stable ids; row() resolves them.
         (rid,) = index.rows((3, ALL, ALL))
         assert index.row(rid) == (3, 3, 3)
+
+    def test_id_span_stays_bounded_over_one_row_laps(self):
+        """2,000 one-row insert+delete laps: a mask is as wide as the
+        largest id, so the id span must stay within ``2 x live + 64``,
+        and right after each renumber patched ≡ fresh still holds."""
+        rng = random.Random(7)
+
+        def draw():
+            return tuple(rng.randrange(CARD) for _ in range(N_DIMS))
+
+        model = [draw() for _ in range(8)]
+        index = CoverIndex(rows=model, n_dims=N_DIMS)
+        renumbers = 0
+        for _ in range(2000):
+            row = draw()
+            index.apply_inserts([row])
+            model.append(row)
+            span = index.stats()["id_span"]
+            p = rng.randrange(len(model))
+            index.apply_deletes([p])
+            del model[p]
+            stats = index.stats()
+            assert stats["id_span"] <= 2 * stats["live_rows"] + 64
+            if stats["id_span"] < span:
+                renumbers += 1
+                assert_equivalent(index, model)
+        assert renumbers >= 20
+
+    def test_min_delete_reads_positions_across_a_renumber(self):
+        """MIN's delete path recomputes states from ``positions()``; one-row
+        laps over a long-lived index cross several renumbers and the tree
+        must match a rebuild after each."""
+        table = make_random_table(3, n_dims=N_DIMS, cardinality=CARD,
+                                  n_rows=8)
+        tree = build_qctree(table, ("min", "m"))
+        index = CoverIndex(table)
+        rng = random.Random(5)
+        renumbers = 0
+        for lap in range(160):
+            row = tuple(rng.randrange(CARD) for _ in range(N_DIMS))
+            table = maintain_batch(
+                tree, table, inserts=[table.decode_cell(row) + (lap,)],
+                cover_index=index,
+            ).table
+            span = index.stats()["id_span"]
+            p = rng.randrange(table.n_rows)
+            victim = table.decode_cell(table.rows[p]) + (0.0,)
+            table = maintain_batch(tree, table, deletes=[victim],
+                                   cover_index=index).table
+            if index.stats()["id_span"] < span:
+                renumbers += 1
+                assert tree.signature() == \
+                    build_qctree(table, ("min", "m")).signature()
+                assert_equivalent(index, list(table.rows))
+        assert renumbers >= 2
 
     def test_apply_deletes_validates_positions(self):
         index = CoverIndex(rows=[(0, 0, 0)], n_dims=N_DIMS)
