@@ -1,11 +1,12 @@
-"""The segment manifest: the one atomic commit point of a checkpoint.
+"""The manifest: the one atomic commit point of a checkpoint.
 
-A segmented checkpoint directory holds immutable per-segment files
-(``segment-XXXXXXXX.qct``/``.csv``, written first and never modified),
-the head snapshot (``head-XXXXXXXX.qct``/``.csv``, a fresh
-sequence-numbered pair per checkpoint), and ``MANIFEST.json`` —
-a checksummed JSON document naming exactly which files constitute the
-store, in segment order, at which WAL LSN.
+Every store checkpoints into one directory layout: immutable
+per-segment files (``segment-XXXXXXXX.qct``/``.csv``, written first and
+never modified; none for a store that never seals), the head snapshot
+(``head-XXXXXXXX.qct``/``.csv``, a fresh sequence-numbered pair per
+checkpoint), and ``MANIFEST.json`` — a checksummed JSON document naming
+exactly which files constitute the store, in segment order, at which
+WAL LSN, and the aggregate every tree can be rebuilt with.
 
 The manifest is written *last* and atomically (temp file + fsync +
 rename + directory fsync), so every crash leaves one of two states:

@@ -5,7 +5,7 @@ Theorem 2 makes a QC-tree a *derived index of its base table*: unique
 for the table, so always rebuildable from it, and Algorithms 5–7
 maintain exactly that pair.  Every store in this repo is one or more
 such pairs — a :class:`~repro.core.warehouse.QCWarehouse` holds one live
-piece, a :class:`~repro.segments.warehouse.SegmentedWarehouse` a list of
+piece, a :class:`~repro.core.warehouse.SegmentedWarehouse` a list of
 sealed pieces plus one live piece — and this class is the only place
 that knows a pair's lifecycle: the refreeze decision
 (:meth:`Piece.frozen_view`), the cover index (:attr:`Piece.cover_index`),
@@ -19,8 +19,8 @@ edited), which is what lets a checkpoint skip files this very object
 already wrote.
 
 On disk a piece is the checksummed ``QCTREE/2`` snapshot plus the table
-CSV; see :mod:`repro.segments.manifest` for a segmented store's
-directory layout.
+CSV; see :mod:`repro.core.manifest` for the checkpoint directory
+every store writes.
 """
 
 from __future__ import annotations

@@ -6,10 +6,28 @@ QC-tree summary, the measure index for iceberg queries, incremental
 maintenance, semantic exploration, and persistence.  Queries accept raw
 dimension labels (``"S1"``, ``"*"``) and return decoded results.
 
-:class:`BaseWarehouse` is the part of that façade the serving layer
-programs against — query families, exploration, ``maintain`` with its
-WAL logging, serving stamp and view — written once for this warehouse
-and :class:`~repro.segments.warehouse.SegmentedWarehouse`.
+Theorem 2 makes a QC-tree a derived index of its base table, so a store
+is a list of :class:`~repro.core.piece.Piece` objects — ``(dict tree,
+table)`` pairs over disjoint rows — and distributive/algebraic aggregate
+states merge across them.  Writes land in the last piece, the *head*,
+maintained by the Algorithms 5–7 batched engine.  Once the head crosses
+``seal_rows`` rows or ``SEAL_BATCHES`` batches it **seals**: O(1), the
+piece gets a segment id, joins the sealed list (tree, table, frozen view
+and unread refreeze delta ride along) and a fresh empty head starts.
+Queries scatter-gather across the pieces (:mod:`repro.serving.scatter`);
+a background **compactor** unions adjacent sealed pieces, the *newer*
+one's rows folded into a copy of the *older* one so global arrival order
+— what delete matching keys on — survives.  Deletes are matched the way
+the engine matches them, earliest surviving row first, and rows owned by
+sealed pieces are removed copy-on-write (:meth:`Piece.derive
+<repro.core.piece.Piece.derive>`); the piece list is swapped only after
+the whole batch succeeded.
+
+:class:`QCWarehouse`'s seal thresholds are infinite: its head never
+seals, so it is always one piece and its write cost grows with the cube.
+:class:`~repro.segments.SegmentedWarehouse` is the same class with
+finite thresholds, bounding write cost by head size.  Both checkpoint
+into one layout — the manifest directory of :mod:`repro.core.manifest`.
 
 Example
 -------
@@ -23,10 +41,16 @@ Example
 
 from __future__ import annotations
 
+import itertools
+import math
+import os
 import threading
+import time
 from typing import Optional
 
 from repro.core.iceberg import MeasureIndex
+from repro.core.manifest import find_orphans, load_manifest, save_manifest
+from repro.core.piece import Piece
 from repro.core.query_cache import (
     MISS,
     LsnQueryCache,
@@ -35,11 +59,16 @@ from repro.core.query_cache import (
     point_cache_key,
     range_cache_key,
 )
-from repro.core.piece import Piece
-from repro.cube.aggregates import make_aggregate
+from repro.core.serialize import _spec_to_json
+from repro.cube.aggregates import aggregate_spec, make_aggregate
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
-from repro.errors import MaintenanceError, QueryError, SchemaError
+from repro.errors import (
+    MaintenanceError,
+    QueryError,
+    RecoveryError,
+    SchemaError,
+)
 from repro.reliability.fsck import FsckReport
 from repro.reliability.wal import WriteAheadLog
 from repro.serving.scatter import PieceView
@@ -60,68 +89,78 @@ def wal_batch(record) -> tuple:
     return (), record.records
 
 
-class BaseWarehouse:
-    """The server-facing warehouse surface, written once.
+class QCWarehouse:
+    """A queryable, maintainable OLAP warehouse over QC-tree pieces.
 
-    Everything :class:`~repro.serving.server.QCServer` and its callers
-    use of a warehouse that does not depend on how the store is laid out
-    lives here: the stamped query cache, the four query families, the
-    semantic exploration API, the mutation entry points with their
-    write-ahead logging, and the serving stamp / view / degraded flag.
-    A concrete warehouse is one or more :class:`~repro.core.piece.Piece`
-    objects — ``(dict tree, table)`` pairs that own their frozen view,
-    cover index and on-disk twin — of which exactly one, ``_live``, takes
-    writes (:class:`QCWarehouse`: that one piece;
-    :class:`~repro.segments.warehouse.SegmentedWarehouse`: sealed pieces
-    plus it).  It supplies three hooks:
-
-    ``pieces()``
-        every piece of the store, oldest first, the live one last (the
-        default is the one-piece store);
-    ``_generation``
-        bumped on every change of the piece *set* (seal, compaction,
-        delete rewrite, recovery; never, for one piece) and stamped on
-        snapshots for ``describe()``; each bump comes with an epoch
-        bump, so the stamp alone invalidates the query cache;
-    ``_apply(inserts, deletes)``
-        the WAL-free batch body (also the recovery replay path), which
-        ends by calling ``_mutated``.
-
-    Everything that is the one-piece case of a loop over ``pieces()`` —
-    :meth:`snapshot_view`, :meth:`verify`, :meth:`rebuild`, the
-    degraded-mode scan, the WAL replay of ``recover`` — is written here,
-    once.
+    Reads are served from frozen, array-backed views of the trees
+    (:meth:`QCTree.freeze <repro.core.qctree.QCTree.freeze>`) brought
+    current lazily after each mutation — incrementally patched from the
+    recorded maintenance delta when the dirty set is small
+    (:meth:`FrozenQCTree.patch <repro.core.frozen.FrozenQCTree.patch>`),
+    recompiled otherwise — with answers memoized in a bounded LRU cache
+    stamped by the serving version (WAL LSN + local mutation epoch): any
+    insert, delete, seal, compaction, rebuild or recovery atomically
+    invalidates every cached answer.  Pass ``cache_size=0`` to disable
+    the cache.  See the module docstring for the pieces and sealing.
     """
 
-    _generation = 0
+    #: The seal thresholds: the head seals at ``seal_rows`` rows or
+    #: ``SEAL_BATCHES`` batches.  Both are infinite here, so this head
+    #: never seals; :class:`~repro.segments.SegmentedWarehouse` sets
+    #: finite ones.
+    seal_rows = math.inf
+    SEAL_BATCHES = math.inf
+    #: Sealed pieces the compactor leaves alone.
+    compact_min_segments = 0
+    #: Seconds between background compactor ticks.
+    COMPACT_INTERVAL = 0.05
 
-    def __init__(self, aggregate, index_key, wal, cache_size: int):
+    def __init__(self, table: BaseTable, aggregate="count",
+                 tree=None, index_key=None, wal=None,
+                 cache_size: int = 1024):
         self.aggregate = make_aggregate(aggregate)
         self._index_key = index_key
         self.wal: Optional[WriteAheadLog] = wal
         self._cache = LsnQueryCache(cache_size) if cache_size else None
-        # One re-entrant lock covers piece-list swaps and live-piece
-        # mutation; heavy work (compaction merges, frozen-view compiles)
-        # happens outside it, so readers and writers only ever wait on
-        # pointer swaps.  A monolithic warehouse has no background
-        # thread and only ever takes it uncontended.
+        # One re-entrant lock covers piece-list swaps and head mutation;
+        # heavy work (compaction merges, frozen-view compiles) happens
+        # outside it, so readers and writers only wait on pointer swaps.
         self._lock = threading.RLock()
-        #: The one piece writes land in; set by the concrete warehouse.
-        self._live: Optional[Piece] = None
+        #: The head: the one piece writes land in.
+        self._live = (
+            Piece(tree, table) if tree is not None
+            else Piece.build(table, self.aggregate)
+        )
+        #: Sealed pieces, oldest first; swapped (never edited) under the
+        #: lock.
+        self._segments: list = []
+        self._ids = itertools.count(1)
+        #: Bumped on every change of the piece *set* (seal, compaction,
+        #: delete rewrite, rebuild, recovery) and stamped on snapshots;
+        #: each bump comes with an epoch bump, so the serving stamp
+        #: alone invalidates the query cache.
+        self._generation = 0
         self._epoch = 0
         self._view = None
         self._degraded = False
-        self._fsck_report = None
+        self._head_batches = 0
+        self._seals = self._compactions = self._segment_rewrites = 0
+        self._maintain_batched = self._maintain_sequential = 0
+        self._checkpoint_seq = 0
         self.last_recovery: Optional[dict] = None
-        #: ``patch_stats`` of the most recent refreeze (None before the
-        #: first one) — how the serving view was last brought current.
+        #: ``patch_stats`` of the most recent refreeze of the head.
         self.last_refreeze: Optional[dict] = None
-        #: Stats of the most recent :meth:`maintain` call (None before
-        #: the first one): tuple counts, ``partition_s`` / ``merge_s`` /
-        #: ``index_s`` sub-phase seconds, and the delta summary.
+        #: Stats of the most recent batch: tuple counts, ``partition_s``
+        #: / ``merge_s`` / ``index_s`` sub-phase seconds, the delta.
         self.last_maintenance: Optional[dict] = None
-        self._maintain_batched = 0
-        self._maintain_sequential = 0
+        self.last_seal: Optional[dict] = None
+        self.last_compaction: Optional[dict] = None
+        self.last_compaction_error: Optional[str] = None
+        self._phase_observer = None
+        self._compactor = self._compactor_stop = None
+        # A bootstrap table bigger than the threshold seals at once: the
+        # head stays small from the first write on.
+        self._maybe_seal()
 
     @classmethod
     def from_records(cls, records, schema: Schema, aggregate="count",
@@ -135,34 +174,47 @@ class BaseWarehouse:
     def serving_stamp(self) -> tuple:
         """The logical version cached answers are valid at.
 
-        ``(WAL LSN, mutation epoch)``: the LSN covers logged maintenance
-        (PR 1's durability path), the epoch covers un-logged changes —
-        WAL-less warehouses, :meth:`rebuild`, degraded-mode flips, and a
-        segmented store's seals and compactions.
+        ``(WAL LSN, mutation epoch)``: the LSN covers logged maintenance,
+        the epoch covers un-logged changes — WAL-less warehouses,
+        :meth:`rebuild`, degraded-mode flips, seals and compactions.
         """
         lsn = self.wal.last_lsn if self.wal is not None else 0
         return (lsn, self._epoch)
 
     def pieces(self) -> list:
-        """Every ``(dict tree, table)`` pair, oldest first, live last."""
-        return [self._live]
+        """Every ``(dict tree, table)`` pair: the sealed pieces, oldest
+        first, then the head."""
+        with self._lock:
+            return self._segments + [self._live]
 
     @property
     def tree(self):
-        """The live piece's mutable dict tree."""
+        """The head's mutable dict tree."""
         return self._live.tree
 
     @property
     def table(self) -> BaseTable:
-        """The live piece's base table."""
+        """The head's base table (the whole store's, while one piece)."""
         return self._live.table
 
     @property
+    def n_rows(self) -> int:
+        return sum(piece.n_rows for piece in self.pieces())
+
+    @property
     def serving_tree(self):
-        """The live piece's frozen view, brought current lazily:
-        compiled on first use, incrementally patched from the merged
-        maintenance deltas afterwards (:meth:`Piece.frozen_view
-        <repro.core.piece.Piece.frozen_view>`)."""
+        """The head's representation queries run against right now.
+
+        The frozen view while healthy, brought current lazily: compiled
+        on first use, patched from the merged maintenance deltas
+        afterwards (:meth:`Piece.frozen_view
+        <repro.core.piece.Piece.frozen_view>`).  The mutable dict tree
+        while degraded (fsck found corruption — no point compiling a
+        corrupt tree into a faster one).  The choice follows
+        ``_degraded``, a state the code observes; no option picks it.
+        """
+        if self._degraded:
+            return self.tree
         frozen = self._live.frozen_view()
         self.last_refreeze = dict(frozen.patch_stats)
         return frozen
@@ -170,7 +222,7 @@ class BaseWarehouse:
     def snapshot_view(self) -> ServingSnapshot:
         """A fresh immutable snapshot of the current serving state: one
         view per sealed piece (oldest first, each finalizing its frozen
-        view here if no one has yet) plus the live piece's
+        view here if no one has yet) plus the head's
         :attr:`serving_tree`, last.
 
         This is the publication point the concurrent server
@@ -180,7 +232,7 @@ class BaseWarehouse:
         """
         with self._lock:
             views = [PieceView(piece.frozen_view(), piece.table)
-                     for piece in self.pieces()[:-1]]
+                     for piece in self._segments]
             views.append(PieceView(self.serving_tree, self.table))
             return ServingSnapshot(
                 views, self.aggregate, stamp=self.serving_stamp(),
@@ -189,12 +241,9 @@ class BaseWarehouse:
 
     @property
     def view(self):
-        """The snapshot queries delegate to right now.
-
-        Rebuilt lazily after each mutation (:meth:`snapshot_view`), so
-        every query family — point, range, iceberg, *and* the semantic
-        exploration API — runs on the frozen trees while healthy.
-        """
+        """The snapshot queries delegate to right now — rebuilt lazily
+        after each mutation, so every query family and the exploration
+        API run on the frozen trees while healthy."""
         if self._view is None:
             self._view = self.snapshot_view()
         return self._view
@@ -204,26 +253,35 @@ class BaseWarehouse:
         """True when the last :meth:`verify` found corruption."""
         return self._degraded
 
+    @property
+    def serving(self) -> str:
+        """How reads are served: ``segmented`` for a store that seals,
+        else ``frozen`` — or ``dict`` while degraded."""
+        if self.segment_health() is not None:
+            return "segmented"
+        return "dict" if self._degraded else "frozen"
+
     def _mutated(self) -> None:
         """Invalidate every warehouse-level read structure after a change
         to any piece: the cached view is dropped and the epoch bump
         invalidates every cached answer.  (The pieces look after their
-        own frozen views: a batch's delta is merged into the live
-        piece's pending patch, everything else drops the view.)"""
+        own frozen views.)"""
         self._view = None
         self._epoch += 1
+
+    def _pieces_swapped(self) -> None:
+        self._generation += 1
+        self._mutated()
 
     def invalidate_serving_view(self) -> None:
         """Drop every derived serving structure and start clean.
 
-        The next :attr:`serving_tree` access recompiles the frozen view
-        from the dict tree instead of patching; the next :attr:`view`
-        access rebuilds the snapshot; the epoch bump invalidates every
-        cached answer.  This is the serving layer's recovery fallback:
-        when an incremental refreeze or a snapshot publication fails
-        partway, the accumulated patch state is suspect — discarding it
-        and recompiling from the (transactionally maintained) dict tree
-        is always safe.
+        The next :attr:`serving_tree` access recompiles the head's
+        frozen view instead of patching; the epoch bump invalidates
+        every cached answer.  This is the serving layer's recovery
+        fallback: when a refreeze or a snapshot publication fails
+        partway, the accumulated patch state is suspect — recompiling
+        from the (transactionally maintained) dict tree is always safe.
         """
         with self._lock:
             self._live.drop_view()
@@ -250,12 +308,10 @@ class BaseWarehouse:
             for what, count in sub.checked.items():
                 report.checked[what] = report.checked.get(what, 0) + count
         # A pass/fail flip switches the serving representation, so
-        # indexed node ids and cached answers are both suspect — the
-        # cache may hold answers computed before the corruption was
-        # detected.
+        # indexed node ids and cached answers — possibly computed before
+        # the corruption was detected — are both suspect.
         was_degraded = self._degraded
         self._degraded = not report.ok
-        self._fsck_report = report
         if was_degraded != self._degraded:
             self.invalidate_serving_view()
         return report
@@ -266,15 +322,14 @@ class BaseWarehouse:
         with self._lock:
             for piece in self.pieces():
                 piece.rebuild()
-            self._mutated()
             self._degraded = False
-            self._fsck_report = None
+            self._pieces_swapped()
 
     def _scan_point(self, raw_cell):
         """The degraded-mode point answer, straight from the base rows
         of every piece (states merge because each base row lives in
         exactly one piece)."""
-        n_dims = self._live.table.n_dims
+        n_dims = self.table.n_dims
         if len(raw_cell) != n_dims:
             raise QueryError(
                 f"query cell {raw_cell!r} has {len(raw_cell)} positions, "
@@ -368,6 +423,14 @@ class BaseWarehouse:
             copy=dict,
         )
 
+    @property
+    def index(self) -> MeasureIndex:
+        """The measure index, owned by the serving :attr:`view` — the
+        node ids it stores must belong to the representation queries
+        traverse (the mark strategy intersects them with walk
+        positions)."""
+        return self.view.index
+
     # -- exploration ---------------------------------------------------------
 
     # All exploration runs through the serving view (the frozen trees
@@ -400,21 +463,27 @@ class BaseWarehouse:
 
     # -- maintenance ---------------------------------------------------------
 
+    @property
+    def cover_index(self):
+        """The head's persistent posting-list index
+        (:attr:`Piece.cover_index <repro.core.piece.Piece.cover_index>`;
+        its counters are ``cover_index`` in :meth:`stats`)."""
+        return self._live.cover_index
+
     def maintain(self, inserts=(), deletes=()) -> None:
         """Apply one mixed maintenance batch through the batched engine.
 
         Every mutating entry point (:meth:`insert`, :meth:`delete`,
         :meth:`modify`) funnels here: deletes are applied before inserts
         (§3.3 modification order), the whole batch runs as a single
-        :func:`~repro.core.maintenance.maintain_batch` transaction
-        recording one merged delta, and consequently produces one
-        refreeze patch and one serving-version bump.
+        transaction recording one merged delta, and consequently
+        produces one refreeze patch and one serving-version bump.
 
         With a write-ahead log attached (:meth:`attach_wal`), the batch
         is durably logged *before* anything mutates (see
         :func:`wal_batch` for the record shapes), so a crash at any
-        later point is recoverable via ``recover``.  An empty batch is a
-        true no-op: nothing is logged, the serving version does not
+        later point is recoverable via :meth:`recover`.  An empty batch
+        is a true no-op: nothing is logged, the serving version does not
         move, and cached answers stay valid.
         """
         inserts = [tuple(r) for r in inserts]
@@ -431,17 +500,6 @@ class BaseWarehouse:
                 tagged += [("+",) + r for r in inserts]
                 self.wal.append("maintain", tagged)
         self._apply(inserts, deletes)
-
-    def _record_batch(self, inserts, deletes, result, **extra) -> None:
-        """Bookkeeping after a successful ``maintain_batch``."""
-        if len(inserts) + len(deletes) > 1:
-            self._maintain_batched += 1
-        else:
-            self._maintain_sequential += 1
-        stats = dict(result.stats)
-        stats["delta"] = result.delta.summary()
-        stats.update(extra)
-        self.last_maintenance = stats
 
     def insert(self, records) -> None:
         """Insert raw records incrementally (one batched maintenance call).
@@ -462,175 +520,90 @@ class BaseWarehouse:
         one WAL record, one transaction, one delta, one refreeze patch."""
         self.maintain(inserts=new_records, deletes=old_records)
 
-    def attach_wal(self, wal_path) -> WriteAheadLog:
-        """Start write-ahead logging maintenance batches to ``wal_path``.
-
-        Returns the log; subsequent :meth:`maintain` calls append to it
-        before mutating.  ``checkpoint`` folds the logged batches into a
-        snapshot and truncates the log.
-        """
-        self.wal = WriteAheadLog(wal_path)
-        return self.wal
-
-    def _replay(self, wal_path, checkpoint_lsn: int, **report) -> None:
-        """Finish a ``recover``: re-apply, in order, every committed WAL
-        batch past ``checkpoint_lsn``, then adopt the log.
-
-        Replay runs the same batch body as the live path (``_apply``,
-        minus the WAL append) — including the persistent cover index,
-        built once from the checkpoint table and patched per replayed
-        batch, and a segmented store's seal thresholds — so the
-        recovered store is node-for-node the live one.  A batch the
-        snapshot's lsn stamp already includes is skipped, so a crash
-        *during* a checkpoint (snapshot written, log not yet truncated)
-        never applies a batch twice; a torn WAL tail (crash mid-append)
-        is dropped — that batch never committed; a batch that
-        deterministically refuses to apply (:class:`MaintenanceError`,
-        e.g. it already failed identically before the crash) is skipped
-        and reported rather than wedging recovery.  ``last_recovery``
-        records what happened, plus the caller's ``report`` entries.
-        """
-        wal = WriteAheadLog(wal_path)
-        replayed, skipped = 0, []
-        for record in wal.records():
-            if record.lsn <= checkpoint_lsn:
-                continue  # already folded into the snapshot
-            inserts, deletes = wal_batch(record)
-            try:
-                self._apply(list(inserts), list(deletes))
-                replayed += 1
-            except MaintenanceError as exc:
-                skipped.append((record.lsn, str(exc)))
-        self.invalidate_serving_view()
-        self.wal = wal
-        self.last_recovery = dict(
-            report,
-            replayed=replayed,
-            skipped=skipped,
-            torn_tail=wal.tail_was_torn,
-            checkpoint_lsn=checkpoint_lsn,
-        )
-
-    # -- what the servers call on any warehouse ---------------------------------
-
-    def close(self) -> None:
-        """Stop background work (none here); the warehouse stays
-        queryable."""
-
-    def set_phase_observer(self, observer) -> None:
-        """Register ``observer(phase_name, seconds)`` for background
-        phases the serving layer cannot time itself (none here)."""
-
-    def segment_health(self) -> Optional[dict]:
-        """Segment lifecycle readout for ``health``/``stats()``; None
-        for a store that has no segments."""
-        return None
-
-    def _common_stats(self, out: dict, serving: str, frozen: bool = True,
-                      **stamp) -> dict:
-        """The stats entries every warehouse reports the same way: the
-        serving stamp (WAL LSN + mutation epoch + whether a frozen view
-        is serving, plus the caller's ``stamp`` entries) and the query
-        cache's hit/miss/eviction counters, so operators can see cache
-        health and the serving version without poking private
-        attributes."""
-        lsn, epoch = self.serving_stamp()
-        out.update(
-            n_rows=sum(piece.n_rows for piece in self.pieces()),
-            n_dims=self.table.n_dims,
-            aggregate=self.aggregate.name,
-            degraded=self._degraded,
-            serving=serving,
-            serving_stamp=dict(stamp, lsn=lsn, epoch=epoch, frozen=frozen),
-            maintain_batched=self._maintain_batched,
-            maintain_sequential=self._maintain_sequential,
-        )
-        if self._cache is not None:
-            out["query_cache"] = self._cache.stats()
-        if self.last_refreeze is not None:
-            out["refreeze"] = dict(self.last_refreeze)
-        if self.last_maintenance is not None:
-            out["maintenance"] = dict(self.last_maintenance)
-        return out
-
-
-class QCWarehouse(BaseWarehouse):
-    """A queryable, maintainable OLAP warehouse backed by a QC-tree.
-
-    Reads are served from a frozen, array-backed view of the tree
-    (:meth:`QCTree.freeze <repro.core.qctree.QCTree.freeze>`) brought
-    current lazily after each mutation — incrementally patched from the
-    recorded maintenance delta when the dirty set is small
-    (:meth:`FrozenQCTree.patch <repro.core.frozen.FrozenQCTree.patch>`),
-    recompiled otherwise — with point answers memoized in a bounded
-    LRU cache stamped by the serving version (WAL LSN + local mutation
-    epoch) — any insert, delete, rebuild, or recovery atomically
-    invalidates every cached answer.  Pass ``cache_size=0`` to disable
-    the cache.
-    """
-
-    def __init__(self, table: BaseTable, aggregate="count",
-                 tree=None, index_key=None, wal=None,
-                 cache_size: int = 1024):
-        super().__init__(aggregate, index_key, wal, cache_size)
-        self._live = (
-            Piece(tree, table) if tree is not None
-            else Piece.build(table, self.aggregate)
-        )
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def serving_tree(self):
-        """The representation queries run against right now.
-
-        The frozen view while healthy (built on first use after any
-        mutation); the mutable tree while degraded (fsck found
-        corruption — no point compiling a corrupt tree into a faster
-        one).  The selection is made from ``_degraded``, a state the
-        code observes; there is no option that picks the read engine.
-        """
-        if self._degraded:
-            return self.tree
-        return super().serving_tree
-
-    @property
-    def index(self) -> MeasureIndex:
-        """The measure index, (re)built lazily after updates.
-
-        Owned by the serving :attr:`view` — the node ids it stores must
-        belong to the representation queries traverse (the mark strategy
-        intersects them with live walk positions).
-        """
-        return self.view.index
-
-    # -- maintenance ------------------------------------------------------------
-
-    @property
-    def cover_index(self):
-        """The live piece's persistent posting-list index
-        (:attr:`Piece.cover_index <repro.core.piece.Piece.cover_index>`;
-        its counters are ``cover_index`` in :meth:`stats`)."""
-        return self._live.cover_index
-
     def _apply(self, inserts, deletes) -> None:
-        """The WAL-free batch body (also the recovery replay path)."""
-        result = self._live.apply(inserts, deletes)
-        self._record_batch(inserts, deletes, result)
-        self._mutated()
+        """The WAL-free batch body (also the recovery replay path).
+
+        Inserts go to the head.  With no sealed piece, deletes do too —
+        :func:`~repro.core.maintenance.batch.maintain_batch` validates
+        them; otherwise each is routed to the piece owning its match
+        (:meth:`_route_deletes`) and sealed pieces are replaced
+        copy-on-write.  If the head batch fails, the head rolled back
+        and the piece list was never swapped: the batch is a no-op.
+        """
+        with self._lock:
+            plan = (self._route_deletes(deletes)
+                    if self._segments and deletes else {})
+            head_deletes = plan.pop(len(self._segments), deletes)
+            if plan:
+                segments = list(self._segments)
+                for idx, records in sorted(plan.items()):
+                    segments[idx] = segments[idx].derive(
+                        deletes=records, segment_id=next(self._ids))
+            result = self._live.apply(inserts, head_deletes)
+            if plan:
+                # A fully emptied piece leaves the set entirely.
+                self._segments = [s for s in segments if s.n_rows]
+                self._segment_rewrites += len(plan)
+                self._generation += 1
+            if len(inserts) + len(deletes) > 1:
+                self._maintain_batched += 1
+            else:
+                self._maintain_sequential += 1
+            self.last_maintenance = dict(
+                result.stats, delta=result.delta.summary(),
+                segment_rewrites=len(plan))
+            self._head_batches += 1
+            self._mutated()
+            self._maybe_seal()
+
+    def _route_deletes(self, deletes) -> dict:
+        """Assign each delete record to the piece owning its match:
+        ``{index into pieces(): [records]}``, the head's entry being
+        ``[]`` when none of them are its.
+
+        Validates the *whole* batch before anything mutates, exactly
+        like :func:`~repro.core.maintenance.delete.resolve_deletions`:
+        matching is by dimension labels only, earliest surviving row
+        first — oldest piece first, then the head.  Raises
+        :class:`MaintenanceError` listing every unmatched record.
+        """
+        pieces = self.pieces()
+        n_dims = self.table.n_dims
+        plan: dict = {len(pieces) - 1: []}
+        consumed = [{} for _ in pieces]
+        unmatched = []
+        for record in deletes:
+            dims = tuple(record[:n_dims])
+            for idx, piece in enumerate(pieces):
+                try:
+                    cell = piece.table.encode_cell(dims)
+                except (SchemaError, QueryError):
+                    continue
+                used = consumed[idx].get(cell, 0)
+                if piece.row_counts()[cell] - used > 0:
+                    consumed[idx][cell] = used + 1
+                    plan.setdefault(idx, []).append(record)
+                    break
+            else:
+                unmatched.append(record)
+        if unmatched:
+            raise MaintenanceError(
+                f"cannot delete: no matching rows left for {unmatched!r}"
+            )
+        return plan
 
     def what_if(self, insertions=(), deletions=()) -> dict:
         """What-if analysis (§1): the class-level impact of a hypothetical
         update, without touching this warehouse.
 
-        Applies the deletions then the insertions to the live piece,
-        reads the class structure and rolls the batch back
-        (:meth:`Piece.preview <repro.core.piece.Piece.preview>`), then
-        diffs.  Returns a dict with ``added``, ``removed``, and
-        ``changed`` mappings from decoded upper bounds to aggregate
-        values (``changed`` maps to ``(before, after)`` pairs).  No CLI
-        verb or protocol command reaches it; it stays as the paper's
-        motivating application, on the same journal every write uses.
+        Applies the deletions then the insertions to the head, reads the
+        class structure and rolls the batch back (:meth:`Piece.preview
+        <repro.core.piece.Piece.preview>`), then diffs.  Returns a dict
+        with ``added``, ``removed``, and ``changed`` mappings from
+        decoded upper bounds to aggregate values (``changed`` maps to
+        ``(before, after)`` pairs).  No CLI verb or protocol command
+        reaches it; it stays as the paper's motivating application, on
+        the same journal every write uses.
         """
         from repro.cube.aggregates import values_close
 
@@ -647,87 +620,425 @@ class QCWarehouse(BaseWarehouse):
             },
         }
 
-    # -- persistence ---------------------------------------------------------------
+    # -- sealing and compaction -------------------------------------------------
+
+    def _maybe_seal(self) -> None:
+        if (self._live.n_rows >= self.seal_rows
+                or self._head_batches >= self.SEAL_BATCHES):
+            self._seal_locked()
+
+    def seal(self):
+        """Seal the head into an immutable piece now; returns it, or
+        None when the head is empty or this store never seals."""
+        if self.segment_health() is None:
+            return None
+        with self._lock:
+            return self._seal_locked()
+
+    def _seal_locked(self):
+        sealed = self._live
+        if sealed.n_rows == 0:
+            return None
+        t0 = time.perf_counter()
+        # O(1): the head is handed over wholesale — its frozen view is
+        # finalized lazily by Piece.frozen_view(), off the write path
+        # (typically by the compactor thread or the first read).
+        sealed.seal(next(self._ids))
+        self._segments.append(sealed)
+        self._live = Piece.build(
+            BaseTable.from_records([], sealed.table.schema), self.aggregate)
+        self._head_batches = 0
+        self._seals += 1
+        seconds = time.perf_counter() - t0
+        self.last_seal = {
+            "segment_id": sealed.segment_id,
+            "rows": sealed.n_rows,
+            "seconds": seconds,
+        }
+        self._pieces_swapped()
+        self._observe("seal", seconds)
+        return sealed
+
+    @property
+    def compaction_backlog(self) -> int:
+        """Sealed pieces beyond the configured floor — how many
+        compactions the background thread still owes."""
+        return max(0, len(self._segments) - self.compact_min_segments)
+
+    def compact_once(self) -> bool:
+        """Union one adjacent sealed pair; True when a pair was merged.
+
+        The expensive merge runs outside the warehouse lock against
+        immutable inputs; the result is only installed if both originals
+        still sit adjacent in the list (a concurrent delete rewrite or
+        rebuild abandons the merge — it simply retries on the next
+        tick).
+        """
+        with self._lock:
+            if not self.compaction_backlog:
+                return False
+            # Cheapest adjacent pair first: keeps piece sizes balanced
+            # and the merge cost minimal.
+            best = min(
+                range(len(self._segments) - 1),
+                key=lambda i: (self._segments[i].n_rows
+                               + self._segments[i + 1].n_rows),
+            )
+            base, newer = self._segments[best], self._segments[best + 1]
+            base_tree, newer_tree = base.tree, newer.tree
+        t0 = time.perf_counter()
+        # The OLDER piece is always the merge base, so the newer piece's
+        # rows are appended after it and global arrival order survives.
+        merged = base.derive(inserts=list(newer.table.iter_records()),
+                             segment_id=next(self._ids))
+        seconds = time.perf_counter() - t0
+        with self._lock:
+            try:
+                at = self._segments.index(base)
+            except ValueError:
+                return False
+            if (at + 1 >= len(self._segments)
+                    or self._segments[at + 1] is not newer
+                    # a rebuild() replaced a tree under the merge
+                    or base.tree is not base_tree
+                    or newer.tree is not newer_tree):
+                return False
+            self._segments[at:at + 2] = [merged]
+            self._compactions += 1
+            self.last_compaction = {
+                "merged": (base.segment_id, newer.segment_id),
+                "segment_id": merged.segment_id,
+                "rows": merged.n_rows,
+                "seconds": seconds,
+            }
+            self._pieces_swapped()
+        self._observe("compact", seconds)
+        return True
+
+    def compact_now(self) -> int:
+        """Drain the compaction backlog synchronously; returns the
+        number of merges performed."""
+        done = 0
+        while self.compact_once():
+            done += 1
+        return done
+
+    def start_compactor(self) -> None:
+        """Start the background compactor thread (idempotent).
+
+        Each tick it finalizes any sealed frozen views still pending
+        from a seal, then performs at most one compaction.  The thread
+        is non-daemon; call :meth:`close` to join it.
+        """
+        with self._lock:
+            if self._compactor is not None:
+                return
+            self._compactor_stop = threading.Event()
+            self._compactor = threading.Thread(
+                target=self._compactor_loop, name="qcseg-compactor"
+            )
+        self._compactor.start()
+
+    def _compactor_loop(self) -> None:
+        stop = self._compactor_stop
+        while not stop.wait(self.COMPACT_INTERVAL):
+            try:
+                with self._lock:
+                    segments = list(self._segments)
+                for segment in segments:
+                    if stop.is_set():
+                        return
+                    segment.frozen_view()
+                self.compact_once()
+            except Exception as exc:
+                # Compaction is an optimization: a failed merge must
+                # never take the warehouse down.
+                self.last_compaction_error = repr(exc)
+
+    def close(self) -> None:
+        """Stop background work (joins the compactor thread); the
+        warehouse stays queryable."""
+        with self._lock:
+            thread, self._compactor = self._compactor, None
+        if thread is not None:
+            self._compactor_stop.set()
+            thread.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+    def set_phase_observer(self, observer) -> None:
+        """Register ``observer(phase_name, seconds)`` for background
+        phases the serving layer cannot time itself (``seal``,
+        ``compact``); :class:`~repro.serving.server.QCServer` wires this
+        into its ``write_phase:*`` histograms."""
+        self._phase_observer = observer
+
+    def _observe(self, name: str, seconds: float) -> None:
+        observer = self._phase_observer
+        if observer is not None:
+            try:
+                observer(name, seconds)
+            except Exception:
+                pass
+
+    # -- persistence -----------------------------------------------------------
+
+    def attach_wal(self, wal_path) -> WriteAheadLog:
+        """Start write-ahead logging maintenance batches to ``wal_path``.
+
+        Returns the log; subsequent :meth:`maintain` calls append to it
+        before mutating.  :meth:`checkpoint` folds the logged batches
+        into a snapshot and truncates the log.
+        """
+        self.wal = WriteAheadLog(wal_path)
+        return self.wal
 
     def save(self, tree_path, table_path=None) -> None:
-        """Persist the QC-tree (and optionally the base table as CSV).
+        """Export the head as a ``QCTREE/2`` tree (and optionally its
+        table as CSV) — the whole store while it is one piece.
 
-        Both writes are atomic and ordered table first, tree second;
-        with a WAL attached, both snapshots are stamped with the last
-        log position they include (``wal_lsn``), which lets
-        :meth:`recover` skip already-applied batches — see
-        :meth:`Piece.save <repro.core.piece.Piece.save>` for why that
-        order is the recoverable one.
+        The pair format of :meth:`Piece.save
+        <repro.core.piece.Piece.save>`: both writes atomic, table first,
+        stamped with the WAL position they include when a log is
+        attached.  :meth:`checkpoint` is the durable layout.
         """
         lsn = self.wal.last_lsn if self.wal is not None else None
         meta = {"wal_lsn": lsn} if lsn is not None else None
         self._live.save(tree_path, table_path, meta=meta)
 
     @classmethod
-    def _restore(cls, tree_path, table_path, schema, index_key) -> tuple:
-        """``(warehouse, lsn, rebuilt)`` from the one pair loader
-        (:meth:`Piece.load <repro.core.piece.Piece.load>`)."""
-        piece, lsn, rebuilt = Piece.load(tree_path, table_path, schema)
-        wh = cls(piece.table, piece.tree.aggregate, tree=piece.tree,
-                 index_key=index_key)
-        return wh, lsn, rebuilt
-
-    @classmethod
     def load(cls, tree_path, table_path, schema: Schema,
              index_key=None) -> "QCWarehouse":
-        """Restore a warehouse persisted by :meth:`save` (the frozen
-        serving view is compiled on the first query, or by reading
-        :attr:`serving_tree`)."""
-        return cls._restore(tree_path, table_path, schema, index_key)[0]
+        """Import a pair written by :meth:`save` through the one pair
+        loader (:meth:`Piece.load <repro.core.piece.Piece.load>`).  A
+        torn or missing tree raises: nothing beside it records the
+        aggregate to rebuild with."""
+        piece, _, _ = Piece.load(tree_path, table_path, schema)
+        return cls(piece.table, piece.tree.aggregate, tree=piece.tree,
+                   index_key=index_key)
 
-    # -- durability ------------------------------------------------------------
+    def checkpoint(self, directory) -> None:
+        """Snapshot every piece into ``directory``, then truncate the WAL.
 
-    def checkpoint(self, tree_path, table_path=None) -> None:
-        """Snapshot the warehouse, then truncate the WAL.
-
-        Each step is individually atomic and ordered so a crash at any
-        point recovers cleanly: table first, then tree, then the log.
-        The snapshots carry the lsn they include, and WAL sequence
-        numbers are monotonic across truncations, so :meth:`recover`
-        replays exactly the batches the surviving snapshot is missing —
-        never a batch twice.
+        Each piece is a pair written by :meth:`Piece.save
+        <repro.core.piece.Piece.save>` — sealed ones as
+        ``segment-XXXXXXXX``, skipped when this warehouse already wrote
+        (or recovered) that very file, the head as a fresh
+        sequence-numbered ``head-XXXXXXXX`` pair each time.  The
+        manifest (:mod:`repro.core.manifest`) is written last and
+        atomically, and only after it is durable are files it does not
+        reference garbage-collected.  A crash at any point leaves either
+        the old or the new manifest with all of its files intact; WAL
+        sequence numbers are monotonic across truncations, so
+        :meth:`recover` replays exactly the batches the surviving
+        manifest is missing.
         """
-        self.save(tree_path, table_path)
-        if self.wal is not None:
-            self.wal.truncate()
+        with self._lock:
+            os.makedirs(directory, exist_ok=True)
+            lsn = self.wal.last_lsn if self.wal is not None else 0
+            self._checkpoint_seq += 1
+            seq = self._checkpoint_seq
+
+            def write(piece, stem, meta, **entry) -> dict:
+                tree_name, table_name = f"{stem}.qct", f"{stem}.csv"
+                piece.save(os.path.join(directory, tree_name),
+                           os.path.join(directory, table_name), meta=meta)
+                return dict(entry, rows=piece.n_rows, tree=tree_name,
+                            table=table_name)
+
+            entries = [
+                write(piece, f"segment-{piece.segment_id:08d}",
+                      {"segment_id": piece.segment_id,
+                       "rows": piece.n_rows, "wal_lsn": lsn},
+                      id=piece.segment_id)
+                for piece in self._segments
+            ]
+            head = write(self._live, f"head-{seq:08d}",
+                         {"wal_lsn": lsn, "checkpoint_seq": seq}, seq=seq)
+            top = max((s.segment_id for s in self._segments), default=0)
+            save_manifest(
+                directory,
+                lsn=lsn,
+                generation=self._generation,
+                aggregate_spec=_spec_to_json(aggregate_spec(self.aggregate)),
+                segments=entries,
+                head=head,
+                next_segment_id=top + 1,
+            )
+            payload = {"segments": entries, "head": head}
+            for orphan in find_orphans(directory, payload):
+                try:
+                    os.remove(os.path.join(directory, orphan))
+                except OSError:
+                    pass
+            if self.wal is not None:
+                self.wal.truncate()
 
     @classmethod
-    def recover(cls, tree_path, wal_path, table_path, schema: Schema,
-                index_key=None) -> "QCWarehouse":
-        """Rebuild a warehouse after a crash: snapshot + WAL replay.
+    def recover(cls, directory, wal_path, schema: Schema,
+                index_key=None, **options) -> "QCWarehouse":
+        """Rebuild a warehouse after a crash: manifest + WAL replay.
 
-        Loads the last checkpoint (``tree_path`` + ``table_path``) — a
-        torn one, whose table snapshot committed but whose tree snapshot
-        (written after it) did not, has its tree rebuilt from the table,
-        which already contains every batch up to its stamp — then
-        replays the WAL past the snapshot's lsn (:meth:`_replay
-        <BaseWarehouse._replay>`).  The returned warehouse keeps logging
-        to the same WAL; ``last_recovery`` records what was replayed.
+        Loads the manifest (the single atomic commit point) and restores
+        every piece it names through the one pair loader
+        (:meth:`Piece.load <repro.core.piece.Piece.load>`): a tree that
+        is torn, missing, stamped behind its CSV or unpaired with it is
+        rebuilt from the CSV with the manifest's aggregate.  A store that
+        never seals refuses a manifest holding sealed pieces.  Then every
+        committed WAL batch past the manifest's LSN is re-applied in
+        order through the live batch body (:meth:`_apply`, minus the WAL
+        append), so replay reproduces seals and delete routing exactly:
+
+        * a batch the manifest already includes is skipped, so a crash
+          *during* a checkpoint (manifest durable, log not yet
+          truncated) never applies a batch twice;
+        * a torn WAL tail (crash mid-append) is dropped — that batch
+          never committed;
+        * a batch that deterministically refuses to apply
+          (:class:`MaintenanceError`, e.g. it already failed identically
+          before the crash) is skipped and reported, not wedging
+          recovery.
+
+        The returned warehouse keeps logging to the same WAL;
+        ``last_recovery`` records what happened: ``rebuilt`` (any piece)
+        and ``rebuilt_segments`` (which sealed ones), ``replayed``,
+        ``skipped``, ``torn_tail``, ``checkpoint_lsn``, and the
+        ``orphans`` an interrupted checkpoint left (ignored).
         """
-        wh, lsn, rebuilt = cls._restore(tree_path, table_path, schema,
-                                        index_key)
-        wh._replay(wal_path, lsn, rebuilt=rebuilt)
+        payload = load_manifest(directory)
+        wh = cls(BaseTable.from_records([], schema),
+                 make_aggregate(payload["aggregate"]),
+                 index_key=index_key, **options)
+        if payload["segments"] and wh.segment_health() is None:
+            raise RecoveryError(
+                f"{directory} holds {len(payload['segments'])} sealed "
+                f"segments; a {cls.__name__} is one piece — recover it "
+                f"as a SegmentedWarehouse"
+            )
+
+        def load(entry) -> tuple:
+            piece, _, rebuilt = Piece.load(
+                os.path.join(directory, entry["tree"]),
+                os.path.join(directory, entry["table"]),
+                schema, wh.aggregate,
+            )
+            return piece, rebuilt
+
+        rebuilt_segments = []
+        for entry in payload["segments"]:
+            piece, rebuilt = load(entry)
+            piece.seal(int(entry["id"]))
+            wh._segments.append(piece)
+            if rebuilt:
+                rebuilt_segments.append(piece.segment_id)
+        # Freshly minted ids never collide with persisted ones.
+        wh._ids = itertools.count(max(
+            [int(payload.get("next_segment_id", 1))]
+            + [s.segment_id + 1 for s in wh._segments]
+        ))
+        wh._live, head_rebuilt = load(payload["head"])
+        wh._generation = int(payload.get("generation", 0))
+        wh._checkpoint_seq = int(payload["head"].get("seq", 0))
+        lsn = int(payload["lsn"])
+        wal = WriteAheadLog(wal_path)
+        replayed, skipped = 0, []
+        for record in wal.records():
+            if record.lsn <= lsn:
+                continue  # already folded into the checkpoint
+            inserts, deletes = wal_batch(record)
+            try:
+                wh._apply(list(inserts), list(deletes))
+                replayed += 1
+            except MaintenanceError as exc:
+                skipped.append((record.lsn, str(exc)))
+        wh.invalidate_serving_view()
+        wh.wal = wal
+        wh.last_recovery = dict(
+            rebuilt=head_rebuilt or bool(rebuilt_segments),
+            rebuilt_segments=rebuilt_segments,
+            orphans=find_orphans(directory, payload),
+            segments=len(payload["segments"]),
+            replayed=replayed,
+            skipped=skipped,
+            torn_tail=wal.tail_was_torn,
+            checkpoint_lsn=lsn,
+        )
         return wh
 
-    # -- reporting -------------------------------------------------------------------
+    # -- reporting -------------------------------------------------------------
+
+    def segment_health(self) -> Optional[dict]:
+        """The cheap piece-lifecycle readout the serving layer folds into
+        its ``health`` op and ``stats()``; None for a store that never
+        seals."""
+        if self.seal_rows == self.SEAL_BATCHES == math.inf:
+            return None
+        with self._lock:
+            return {
+                "segments_live": len(self._segments),
+                "head_rows": self.table.n_rows,
+                "seals": self._seals,
+                "compactions": self._compactions,
+                "compaction_backlog": self.compaction_backlog,
+                "compactor_running": self._compactor is not None,
+                "generation": self._generation,
+            }
 
     def stats(self) -> dict:
-        """Summary counts for the warehouse and its tree, on top of the
-        shared entries (:meth:`_common_stats`)."""
-        out = self.tree.stats()
-        out["cover_index"] = self._live.cover_stats()
-        frozen = not self._degraded
-        return self._common_stats(out, "frozen" if frozen else "dict", frozen)
+        """Operational counters (see the README metrics glossary): the
+        head tree's sizes and cover index for a store that never seals,
+        the piece lifecycle for one that does, and for both the serving
+        stamp, the query cache's hit/miss/eviction counters and the last
+        refreeze, batch, seal and compaction."""
+        with self._lock:
+            lsn, epoch = self.serving_stamp()
+            stamp = dict(lsn=lsn, epoch=epoch, frozen=not self._degraded)
+            health = self.segment_health()
+            if health is None:
+                out = self.tree.stats()
+                out["cover_index"] = self._live.cover_stats()
+            else:
+                out = dict(
+                    health,
+                    segment_rows=[s.n_rows for s in self._segments],
+                    head_batches=self._head_batches,
+                    head_classes=self.tree.n_classes,
+                    segment_rewrites=self._segment_rewrites,
+                )
+                stamp["generation"] = self._generation
+            out.update(
+                n_rows=self.n_rows,
+                n_dims=self.table.n_dims,
+                aggregate=self.aggregate.name,
+                degraded=self._degraded,
+                serving=self.serving,
+                serving_stamp=stamp,
+                maintain_batched=self._maintain_batched,
+                maintain_sequential=self._maintain_sequential,
+            )
+        if self._cache is not None:
+            out["query_cache"] = self._cache.stats()
+        for key, value in (("refreeze", self.last_refreeze),
+                           ("maintenance", self.last_maintenance),
+                           ("last_seal", self.last_seal),
+                           ("last_compaction", self.last_compaction)):
+            if value is not None:
+                out[key] = dict(value)
+        if self.last_compaction_error is not None:
+            out["last_compaction_error"] = self.last_compaction_error
+        return out
 
     def __repr__(self):
-        flags = ", degraded" if self._degraded else ""
-        return (
-            f"QCWarehouse(rows={self.table.n_rows}, "
-            f"classes={self.tree.n_classes}, "
-            f"aggregate={self.aggregate.name}{flags})"
-        )
+        with self._lock:
+            flags = ", degraded" if self._degraded else ""
+            return (
+                f"{type(self).__name__}(segments={len(self._segments)}, "
+                f"head_rows={self.table.n_rows}, rows={self.n_rows}, "
+                f"aggregate={self.aggregate.name}{flags})"
+            )
+

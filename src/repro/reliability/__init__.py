@@ -6,8 +6,9 @@ outlive its base data; this package makes it outlive *crashes*:
 * :mod:`repro.core.serialize` (wired here) writes atomic, checksummed
   ``QCTREE/2`` snapshots;
 * :mod:`repro.reliability.wal` logs maintenance batches ahead of tree
-  mutation, so :meth:`QCWarehouse.recover
-  <repro.core.warehouse.QCWarehouse.recover>` can replay them;
+  mutation; ``QCWarehouse.checkpoint(directory)`` folds them into the
+  manifest directory every store writes, and ``QCWarehouse.recover(
+  directory, wal_path, schema)`` replays the rest;
 * :mod:`repro.reliability.transactional` rolls a failed batch back to
   the pre-batch tree;
 * :mod:`repro.reliability.fsck` re-derives the tree's invariants and

@@ -1,13 +1,13 @@
 """Write-ahead log for warehouse maintenance batches.
 
-The QC-tree is an in-memory summary; snapshots persist it, but a crash
-between snapshots would lose every batch applied since the last save.
-The WAL closes that window: :meth:`QCWarehouse.insert
+The QC-tree is an in-memory summary; checkpoints persist it, but a
+crash between checkpoints would lose every batch applied since the last
+one.  The WAL closes that window: :meth:`QCWarehouse.insert
 <repro.core.warehouse.QCWarehouse.insert>` and ``delete`` append the raw
 batch here — flushed and fsynced — *before* mutating the tree, so after
-a crash :meth:`QCWarehouse.recover` can replay the un-checkpointed
-batches on top of the last snapshot.  A successful checkpoint truncates
-the log.
+a crash ``QCWarehouse.recover(directory, wal_path, schema)`` replays the
+un-checkpointed batches on top of the last checkpoint directory, and a
+successful ``checkpoint(directory)`` truncates the log.
 
 File format (text, UTF-8)::
 
@@ -32,10 +32,9 @@ batches.
 
 Sequence numbers are **monotonic across truncations**: :meth:`truncate`
 records the last assigned lsn in the header (``base=<n>``) so later
-appends continue the sequence.  That lets a snapshot stamped with the
-lsn it includes (see :meth:`QCWarehouse.checkpoint
-<repro.core.warehouse.QCWarehouse.checkpoint>`) be compared against any
-later log state without ambiguity — replay skips records the snapshot
+appends continue the sequence.  That lets a checkpoint stamped with the
+lsn it includes (its manifest's ``lsn``) be compared against any later
+log state without ambiguity — replay skips records the checkpoint
 already contains instead of applying them twice.  A bare ``QCWAL/1``
 header (older files) means ``base=0``.
 """

@@ -1,9 +1,10 @@
 """Segmented realtime ingest: immutable QC-tree segments + a mutable head.
 
-The monolithic :class:`~repro.core.warehouse.QCWarehouse` maintains ONE
-live tree, so every write batch pays maintenance cost that grows with
-cube size.  This package restructures the store the way realtime OLAP
-engines (Apache Pinot's star-tree realtime tables) do:
+A :class:`~repro.core.warehouse.QCWarehouse` never seals its head, so
+every write batch pays maintenance cost that grows with cube size.
+:class:`SegmentedWarehouse` is the same class with finite seal
+thresholds, restructuring the store the way realtime OLAP engines
+(Apache Pinot's star-tree realtime tables) do:
 
 * incoming batches land in a small mutable **head** tree, maintained by
   the existing Algorithms 5–7 batched path — write cost is bounded by
@@ -20,8 +21,7 @@ engines (Apache Pinot's star-tree realtime tables) do:
 * a background **compactor** unions adjacent sealed segments into one,
   swapping the segment set atomically so readers never block.
 
-See :class:`SegmentedWarehouse` for the public API (a drop-in for
-``QCWarehouse`` under :class:`~repro.serving.server.QCServer`).
+Everything but the thresholds is :mod:`repro.core.warehouse`.
 """
 
 from repro.segments.warehouse import SegmentedWarehouse

@@ -286,17 +286,16 @@ class QCServer:
         """A fresh snapshot of ``warehouse`` that is safe to publish
         (a classmethod: the shard server packs one before any server
         state exists)."""
-        snapshot = warehouse.snapshot_view()
-        if snapshot.tree is warehouse.tree:
-            # Degraded: the "snapshot" would alias the mutable dict
-            # tree, which the writer path edits in place — concurrent
-            # readers would see torn state.
+        if warehouse.degraded:
+            # The snapshot would alias the mutable dict tree, which the
+            # writer path edits in place — concurrent readers would see
+            # torn state.
             raise ServingError(
                 f"{cls.__name__} requires a healthy frozen-serving "
                 "warehouse (not degraded); the mutable dict tree cannot "
                 "be shared with concurrent writers"
             )
-        return snapshot
+        return warehouse.snapshot_view()
 
     @property
     def snapshot(self):
@@ -1123,6 +1122,7 @@ class QCServer:
             "maxsize": self._queue.maxsize,
         }
         stats["snapshot"] = self._snapshot.describe()
+        stats["serving"] = self.warehouse.serving
         stats["cache"] = (
             self._cache.stats() if self._cache is not None else None
         )

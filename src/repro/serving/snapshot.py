@@ -20,9 +20,8 @@ One ``(tree, table)`` pair is the one-piece case of a set of pieces: the
 paper's closure is a meet (``cl_U(c) = meet_s cl_s(c)``) and aggregate
 states merge over disjoint row sets.  The snapshot chooses each family's
 plan from the number of pieces it holds, which is all a
-:class:`~repro.core.warehouse.QCWarehouse`, a
-:class:`~repro.segments.warehouse.SegmentedWarehouse`, an attached blob
-and the servers need to know:
+:class:`~repro.core.warehouse.QCWarehouse` (one piece, or sealed
+pieces plus a head), an attached blob and the servers need to know:
 
 * one piece — the tree is walked directly (Algorithms 3/4, and the
   lazily built :class:`~repro.core.iceberg.MeasureIndex` for icebergs,
@@ -63,11 +62,10 @@ class ServingSnapshot:
 
     Bundles the pieces queries traverse, the aggregate, and the serving
     stamp the answers are valid at.  ``tree``/``table`` are the *last*
-    (live) piece's — what the server's mutable-alias guard and a
-    one-piece plan read.  All query methods accept and return *raw*
-    (decoded) labels, exactly like the corresponding
-    :class:`~repro.core.warehouse.BaseWarehouse` methods — the
-    warehouses delegate to a snapshot internally.
+    (live) piece's — what a one-piece plan reads.  All query methods
+    accept and return *raw* (decoded) labels, exactly like the
+    corresponding :class:`~repro.core.warehouse.QCWarehouse` methods —
+    the warehouse delegates to a snapshot internally.
     """
 
     __slots__ = ("pieces", "aggregate", "stamp", "generation", "index_key",

@@ -243,6 +243,32 @@ class TestServeCommand:
         assert err.count("error:") == 1
         assert f"argument {flags[-2]}: must be" in err
 
+    def test_segmented_serve_end_to_end(self, built_tree, sales_csv,
+                                        monkeypatch, capsys):
+        """``serve --segmented`` over stdin: the three base rows seal at
+        once, the inserts land and are seen, and ``quit`` joins the
+        compactor."""
+        import json
+        import threading
+
+        before = set(threading.enumerate())
+        code, out, err = self.run_serve(
+            built_tree, sales_csv, monkeypatch, capsys,
+            "insert S3,P1,s,5.0\ninsert S3,P2,s,7.0\ninsert S4,P1,w,1.0\n"
+            "point S3,*,s\npoint *,P1,*\nstats\nquit\n",
+            extra=("--segmented", "--seal-rows", "2"),
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[:5] == ["OK", "OK", "OK", "6.0", "5.25"]
+        stats = json.loads(lines[5])
+        assert stats["serving"] == "segmented"
+        assert stats["segments"]["seals"] >= 1
+        assert "segments" in err  # the banner counts segments
+        assert set(threading.enumerate()) <= before
+        assert not any(t.name == "qcseg-compactor"
+                       for t in threading.enumerate())
+
     def test_eof_closes_cleanly(self, built_tree, sales_csv, monkeypatch,
                                 capsys):
         import threading

@@ -398,14 +398,12 @@ class TestMaintenanceWithPersistentIndex:
             [("a", "x", 1.0), ("b", "y", 2.0)], schema
         )
         wh.attach_wal(tmp_path / "wal.log")
-        wh.save(tmp_path / "t.qct", tmp_path / "t.csv")
+        wh.checkpoint(tmp_path / "ckpt")
         wh.insert([("c", "z", 3.0)])
         wh.delete([("a", "x", 0.0)])
         wh.insert([("d", "w", 4.0), ("e", "v", 5.0)])
         recovered = QCWarehouse.recover(
-            tmp_path / "t.qct", tmp_path / "wal.log", tmp_path / "t.csv",
-            schema,
-        )
+            tmp_path / "ckpt", tmp_path / "wal.log", schema)
         assert recovered.last_recovery["replayed"] == 3
         assert recovered.tree.signature() == wh.tree.signature()
         # The replay path built the index once and patched it through

@@ -219,16 +219,13 @@ class TestWarehouseIntegration:
         assert wh.point(("S1", "*", "*")) == 7.0
 
     def test_recovery_serves_post_replay_answers(self, tmp_path):
-        tree_path = tmp_path / "wh.qct"
-        table_path = tmp_path / "wh.csv"
         wal_path = tmp_path / "wh.wal"
         wh = make_wh()
-        wh.save(tree_path, table_path)
         wh.attach_wal(wal_path)
+        wh.checkpoint(tmp_path / "ckpt")
         wh.insert([("S1", "P1", "w", 3.0)])
         # A crash here loses the in-memory tree; recovery replays the WAL.
-        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
-                                        SCHEMA)
+        recovered = QCWarehouse.recover(tmp_path / "ckpt", wal_path, SCHEMA)
         assert recovered.point(("S1", "*", "*")) == 7.0
         assert recovered.point(("S1", "*", "*")) == 7.0  # cached, same answer
 

@@ -1,28 +1,37 @@
-"""End-to-end crash recovery: snapshot + WAL replay == fresh rebuild.
+"""End-to-end crash recovery: checkpoint + WAL replay == fresh rebuild.
 
-These tests simulate the crash windows the durability design must cover:
+These tests simulate the crash windows the durability design must cover,
+for a store that never seals and for a segmented one — both checkpoint
+into the one manifest directory:
 
-* crash at any I/O step during a checkpoint save (atomic snapshot);
-* crash between the WAL append and the in-memory tree mutation;
+* crash at any I/O step during a checkpoint;
+* crash between the WAL append and the in-memory mutation;
 * crash after mutation but before the next checkpoint;
+* a real process killed after its WAL appends;
 
-and assert that ``QCWarehouse.recover`` restores a warehouse whose
-point, range, and iceberg answers match a tree built from scratch on the
-true final table.
+and assert that ``recover`` restores a warehouse whose point, range, and
+iceberg answers match a tree built from scratch on the true final table.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.construct import build_qctree
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
+from repro.errors import RecoveryError
 from repro.reliability.faults import InjectedCrash, count_io, crash_on_io
 from repro.reliability.wal import WriteAheadLog
+from repro.segments import SegmentedWarehouse
 from tests.conftest import all_cells, approx_equal
 
 
-SCHEMA = Schema(dimensions=("Store", "Product", "Season"),
-                measures=("Sale",))
+DIMS, MEASURES = ("Store", "Product", "Season"), ("Sale",)
+SCHEMA = Schema(dimensions=DIMS, measures=MEASURES)
 BASE = [
     ("S1", "P1", "s", 6.0),
     ("S1", "P2", "s", 12.0),
@@ -31,25 +40,33 @@ BASE = [
 INSERT_1 = [("S2", "P2", "f", 4.0), ("S3", "P1", "w", 2.0)]
 DELETE_1 = [("S1", "P2", "s", 0.0)]
 INSERT_2 = [("S1", "P3", "w", 7.0)]
+INSERT_3 = [("S3", "P3", "s", 5.0), ("S2", "P3", "w", 1.0)]
+#: A segmented store's thresholds: the 3 base rows seal at once.
+SEGMENTED = dict(seal_rows=2, compact_min_segments=2)
 
 
 @pytest.fixture
 def paths(tmp_path):
-    return (str(tmp_path / "tree.qct"), str(tmp_path / "wh.wal"),
-            str(tmp_path / "table.csv"))
+    return str(tmp_path / "ckpt"), str(tmp_path / "wh.wal")
 
 
 def fresh_warehouse(paths, aggregate=("avg", "Sale")):
     """A checkpointed warehouse with an attached WAL."""
-    tree_path, wal_path, table_path = paths
+    directory, wal_path = paths
     wh = QCWarehouse.from_records(BASE, SCHEMA, aggregate=aggregate)
     wh.attach_wal(wal_path)
-    wh.checkpoint(tree_path, table_path)
+    wh.checkpoint(directory)
     return wh
 
 
+def recover(paths, kind=QCWarehouse, **options):
+    directory, wal_path = paths
+    return kind.recover(directory, wal_path, SCHEMA, **options)
+
+
 def assert_equivalent_answers(recovered, reference_wh):
-    """Point/range/iceberg equality against a from-scratch warehouse."""
+    """Point/range/iceberg equality against a from-scratch warehouse, and
+    every recovered piece's tree is a fresh build of its table."""
     table = reference_wh.table
     for cell in all_cells(table):
         raw = table.decode_cell(cell)
@@ -63,8 +80,10 @@ def assert_equivalent_answers(recovered, reference_wh):
     assert [ub for ub, _ in got_ice] == [ub for ub, _ in want_ice]
     assert all(approx_equal(gv, wv) for (_, gv), (_, wv)
                in zip(got_ice, want_ice))
-    assert recovered.tree.equivalent_to(
-        build_qctree(reference_wh.table, reference_wh.aggregate))
+    assert recovered.n_rows == table.n_rows
+    for piece in recovered.pieces():
+        assert piece.tree.equivalent_to(
+            build_qctree(piece.table, recovered.aggregate))
 
 
 def reference_after(batches, aggregate=("avg", "Sale")):
@@ -78,15 +97,13 @@ def reference_after(batches, aggregate=("avg", "Sale")):
 
 class TestRecoverReplaysBatches:
     def test_recover_after_unclean_shutdown(self, paths):
-        tree_path, wal_path, table_path = paths
         wh = fresh_warehouse(paths)
         wh.insert(INSERT_1)
         wh.delete(DELETE_1)
         wh.insert(INSERT_2)
         del wh  # crash: no checkpoint after the three batches
 
-        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
-                                        SCHEMA)
+        recovered = recover(paths)
         assert recovered.last_recovery["replayed"] == 3
         assert recovered.last_recovery["skipped"] == []
         reference = reference_after(
@@ -95,37 +112,33 @@ class TestRecoverReplaysBatches:
         assert_equivalent_answers(recovered, reference)
 
     def test_recover_with_no_pending_batches(self, paths):
-        tree_path, wal_path, table_path = paths
+        directory, _ = paths
         wh = fresh_warehouse(paths)
         wh.insert(INSERT_1)
-        wh.checkpoint(tree_path, table_path)
+        wh.checkpoint(directory)
         del wh
 
-        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
-                                        SCHEMA)
+        recovered = recover(paths)
         assert recovered.last_recovery["replayed"] == 0
         reference = reference_after([("insert", INSERT_1)])
         assert_equivalent_answers(recovered, reference)
 
     def test_recovered_warehouse_keeps_logging(self, paths):
-        tree_path, wal_path, table_path = paths
         wh = fresh_warehouse(paths)
         wh.insert(INSERT_1)
         del wh
 
-        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
-                                        SCHEMA)
+        recovered = recover(paths)
         recovered.insert(INSERT_2)
         del recovered  # crash again before any checkpoint
 
-        twice = QCWarehouse.recover(tree_path, wal_path, table_path, SCHEMA)
+        twice = recover(paths)
         assert twice.last_recovery["replayed"] == 2
         reference = reference_after(
             [("insert", INSERT_1), ("insert", INSERT_2)])
         assert_equivalent_answers(twice, reference)
 
     def test_failed_batch_is_skipped_not_wedged(self, paths):
-        tree_path, wal_path, table_path = paths
         wh = fresh_warehouse(paths)
         from repro.errors import MaintenanceError
 
@@ -134,8 +147,7 @@ class TestRecoverReplaysBatches:
         wh.insert(INSERT_1)
         del wh
 
-        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
-                                        SCHEMA)
+        recovered = recover(paths)
         assert recovered.last_recovery["replayed"] == 1
         assert len(recovered.last_recovery["skipped"]) == 1
         reference = reference_after([("insert", INSERT_1)])
@@ -147,7 +159,6 @@ class TestRecoverReplaysBatches:
         ``ValueError``: the live insert escaped the ``MaintenanceError``
         contract and — logged before it failed — the record wedged
         ``recover()``, taking every later batch with it."""
-        tree_path, wal_path, table_path = paths
         wh = fresh_warehouse(paths)
         from repro.errors import MaintenanceError
 
@@ -158,8 +169,7 @@ class TestRecoverReplaysBatches:
         wh.insert(INSERT_1)
         del wh
 
-        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
-                                        SCHEMA)
+        recovered = recover(paths)
         assert recovered.last_recovery["replayed"] == 1
         (lsn, reason), = recovered.last_recovery["skipped"]
         assert "non-numeric measure" in reason
@@ -167,9 +177,46 @@ class TestRecoverReplaysBatches:
         assert_equivalent_answers(recovered, reference)
 
 
+def segmented_store(paths):
+    """A checkpointed segmented store, then grown past its checkpoint:
+    two sealed pieces and a head, one sealed piece rewritten by a
+    delete and a compaction since — so its next checkpoint writes new
+    segment files and garbage-collects old ones.  Returns the store and
+    its batches."""
+    directory, wal_path = paths
+    wh = SegmentedWarehouse.from_records(BASE, SCHEMA, ("avg", "Sale"),
+                                         **SEGMENTED)
+    wh.attach_wal(wal_path)
+    wh.checkpoint(directory)
+    batches = [("insert", INSERT_1), ("delete", DELETE_1),
+               ("insert", INSERT_3), ("insert", INSERT_2)]
+    for op, records in batches[:3]:
+        getattr(wh, op)(records)
+    assert len(wh.pieces()) == 4
+    assert wh.compact_once()
+    getattr(wh, batches[3][0])(batches[3][1])
+    health = wh.segment_health()
+    assert health["segments_live"] == 2 and health["head_rows"] == 1
+    return wh, batches
+
+
+def monolithic_store(paths):
+    """The same history on a store that never seals."""
+    wh = fresh_warehouse(paths)
+    batches = [("insert", INSERT_1), ("delete", DELETE_1)]
+    for op, records in batches:
+        getattr(wh, op)(records)
+    return wh, batches
+
+
+STORES = {
+    "monolithic": (monolithic_store, QCWarehouse, {}),
+    "segmented": (segmented_store, SegmentedWarehouse, SEGMENTED),
+}
+
+
 class TestCrashWindows:
     def test_crash_between_wal_append_and_mutation(self, paths):
-        tree_path, wal_path, table_path = paths
         wh = fresh_warehouse(paths)
         # The append committed but the process died before the tree (or
         # any later state) changed — exactly what WAL-before-mutate
@@ -177,14 +224,13 @@ class TestCrashWindows:
         wh.wal.append("insert", INSERT_1)
         del wh
 
-        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
-                                        SCHEMA)
+        recovered = recover(paths)
         assert recovered.last_recovery["replayed"] == 1
         reference = reference_after([("insert", INSERT_1)])
         assert_equivalent_answers(recovered, reference)
 
     def test_crash_mid_wal_append_drops_uncommitted_batch(self, paths):
-        tree_path, wal_path, table_path = paths
+        _, wal_path = paths
         wh = fresh_warehouse(paths)
         wh.insert(INSERT_1)
 
@@ -200,8 +246,7 @@ class TestCrashWindows:
             with crash_on_io(fail_after):
                 with pytest.raises(InjectedCrash):
                     w.append("insert", INSERT_2)
-            recovered = QCWarehouse.recover(
-                tree_path, wal_path, table_path, SCHEMA)
+            recovered = recover(paths)
             # Either the batch committed (replayed) or it did not
             # (dropped); both recover to a consistent warehouse.
             expect = [("insert", INSERT_1)]
@@ -211,63 +256,141 @@ class TestCrashWindows:
             with open(wal_path, "wb") as fp:
                 fp.write(log_bytes)
 
-    def test_crash_at_every_io_step_of_checkpoint(self, paths):
-        tree_path, wal_path, table_path = paths
-        wh = fresh_warehouse(paths)
-        wh.insert(INSERT_1)
-        wh.delete(DELETE_1)
-        reference = reference_after(
-            [("insert", INSERT_1), ("delete", DELETE_1)])
+    def test_crash_at_every_io_step_of_checkpoint(self, tmp_path):
+        """For a one-piece store, and for a segmented one whose
+        checkpoint writes new segment files and collects old ones."""
+        for store in sorted(STORES):
+            self.sweep_checkpoint(
+                (str(tmp_path / store), str(tmp_path / f"{store}.wal")),
+                *STORES[store])
 
-        snapshot_state = {
-            p: open(p, "rb").read() for p in (tree_path, wal_path, table_path)
-        }
+    @staticmethod
+    def sweep_checkpoint(paths, grow, kind, options):
+        directory, wal_path = paths
+        wh, batches = grow(paths)
+        reference = reference_after(batches)
+
+        def disk():
+            files = [os.path.join(directory, name)
+                     for name in os.listdir(directory)]
+            return {p: open(p, "rb").read() for p in files + [wal_path]}
+
+        before = disk()
 
         def restore_disk():
-            for p, data in snapshot_state.items():
+            for name in os.listdir(directory):
+                if os.path.join(directory, name) not in before:
+                    os.remove(os.path.join(directory, name))
+            for p, data in before.items():
                 with open(p, "wb") as fp:
                     fp.write(data)
 
-        total = count_io(lambda: wh.checkpoint(tree_path, table_path))
+        total = count_io(lambda: wh.checkpoint(directory))
+        assert disk() != before
         restore_disk()
         for fail_after in range(total):
             with crash_on_io(fail_after):
                 with pytest.raises(InjectedCrash):
-                    wh.checkpoint(tree_path, table_path)
-            recovered = QCWarehouse.recover(
-                tree_path, wal_path, table_path, SCHEMA)
+                    wh.checkpoint(directory)
+            recovered = recover(paths, kind, **options)
             assert_equivalent_answers(recovered, reference)
+            recovered.close()
             restore_disk()
 
     def test_torn_snapshot_is_rejected_loudly(self, paths):
+        """A torn tree file is not trusted: recovery rebuilds the tree
+        from its CSV with the manifest's aggregate and says so in
+        ``last_recovery["rebuilt"]`` — the rule every piece follows.
+        The pair import, which records no aggregate, still raises."""
+        from repro.core.manifest import load_manifest
         from repro.errors import SerializationError
         from repro.reliability.faults import torn_write
 
-        tree_path, wal_path, table_path = paths
+        directory, _ = paths
         wh = fresh_warehouse(paths)
         wh.insert(INSERT_1)
-        wh.checkpoint(tree_path, table_path)
+        wh.checkpoint(directory)
+        head = load_manifest(directory)["head"]
+        tree_path = os.path.join(directory, head["tree"])
         torn_write(tree_path, keep_fraction=0.6)
-        with pytest.raises(SerializationError, match="tree.qct"):
-            QCWarehouse.recover(tree_path, wal_path, table_path, SCHEMA)
+        recovered = recover(paths)
+        assert recovered.last_recovery["rebuilt"] is True
+        assert_equivalent_answers(recovered,
+                                  reference_after([("insert", INSERT_1)]))
+        with pytest.raises(SerializationError, match=head["tree"]):
+            QCWarehouse.load(tree_path, os.path.join(directory,
+                                                     head["table"]), SCHEMA)
+
+    def test_one_piece_store_refuses_sealed_segments(self, paths):
+        """A ``QCWarehouse`` is always one piece: it will not recover a
+        checkpoint holding sealed segments; a segmented store will."""
+        wh, batches = segmented_store(paths)
+        wh.checkpoint(paths[0])
+        with pytest.raises(RecoveryError, match="SegmentedWarehouse"):
+            recover(paths)
+        assert_equivalent_answers(
+            recover(paths, SegmentedWarehouse, **SEGMENTED),
+            reference_after(batches))
+
+
+CHILD = """
+import os, sys
+from repro.core.warehouse import QCWarehouse
+from repro.cube.schema import Schema
+from repro.segments import SegmentedWarehouse
+directory, wal_path, store = sys.argv[1:]
+options = {options!r} if store == "segmented" else {{}}
+kind = SegmentedWarehouse if store == "segmented" else QCWarehouse
+wh = kind.from_records({base!r}, Schema({dims!r}, {measures!r}),
+                       ("avg", "Sale"), **options)
+wh.attach_wal(wal_path)
+wh.checkpoint(directory)
+for op, records in {batches!r}:
+    getattr(wh, op)(records)
+os._exit(137)
+"""
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+def test_killed_process_recovers(paths, store):
+    """A real crash: a child process checkpoints, appends WAL batches and
+    dies with ``os._exit(137)`` — no cleanup, no flush beyond what the
+    WAL made durable.  Recovery answers like a fresh build of the
+    committed rows."""
+    directory, wal_path = paths
+    batches = [("insert", INSERT_1), ("delete", DELETE_1),
+               ("insert", INSERT_3), ("insert", INSERT_2)]
+    script = CHILD.format(
+        options=SEGMENTED, base=BASE, dims=DIMS, measures=MEASURES,
+        batches=batches)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-c", script, directory, wal_path, store],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 137, child.stderr
+    _, kind, options = STORES[store]
+    recovered = recover(paths, kind, **options)
+    assert recovered.last_recovery["replayed"] == len(batches)
+    assert_equivalent_answers(recovered, reference_after(batches))
+    recovered.close()
 
 
 class TestCheckpointTruncatesWal:
     def test_log_empty_after_checkpoint(self, paths):
-        tree_path, wal_path, table_path = paths
+        directory, wal_path = paths
         wh = fresh_warehouse(paths)
         wh.insert(INSERT_1)
         assert len(WriteAheadLog(wal_path)) == 1
-        wh.checkpoint(tree_path, table_path)
+        wh.checkpoint(directory)
         assert len(WriteAheadLog(wal_path)) == 0
 
     def test_count_aggregate_roundtrip(self, paths):
-        tree_path, wal_path, table_path = paths
         wh = fresh_warehouse(paths, aggregate="count")
         wh.insert(INSERT_1)
         del wh
-        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
-                                        SCHEMA)
+        recovered = recover(paths)
         reference = reference_after([("insert", INSERT_1)],
                                     aggregate="count")
         assert_equivalent_answers(recovered, reference)
@@ -279,7 +402,7 @@ class TestCheckpointTruncatesWal:
 def _writers(tmp_path):
     """``{name: (write the file, its directory)}`` for every durable file."""
     from repro.core.serialize import save_qctree_packed
-    from repro.segments.manifest import save_manifest
+    from repro.core.manifest import save_manifest
 
     wh = QCWarehouse.from_records(BASE, SCHEMA, aggregate=("sum", "Sale"))
     wal = WriteAheadLog(tmp_path / "log.wal")

@@ -18,17 +18,13 @@ import time
 
 import pytest
 
+from repro.core.manifest import find_orphans, load_manifest, save_manifest
 from repro.core.warehouse import QCWarehouse
 from repro.cube.aggregates import values_close
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError, RecoveryError, SchemaError
 from repro.segments import SegmentedWarehouse
-from repro.segments.manifest import (
-    find_orphans,
-    load_manifest,
-    save_manifest,
-)
 from tests.conftest import refreeze_ratios
 
 SCHEMA = Schema(dimensions=("A", "B", "C"), measures=("m",))
@@ -44,9 +40,19 @@ def _records(n: int, start: int = 0, card: int = 4):
     return [_record(i, card) for i in range(start, start + n)]
 
 
+@pytest.fixture(autouse=True)
+def seal_batches(monkeypatch):
+    """Seal after 4 batches here (``SEAL_BATCHES`` is a class constant)."""
+    monkeypatch.setattr(SegmentedWarehouse, "SEAL_BATCHES", 4)
+
+
+@pytest.fixture
+def fast_compactor(monkeypatch):
+    monkeypatch.setattr(SegmentedWarehouse, "COMPACT_INTERVAL", 0.01)
+
+
 def _warehouse(n_rows=0, **options):
     options.setdefault("seal_rows", 8)
-    options.setdefault("seal_batches", 4)
     options.setdefault("compact_min_segments", 2)
     return SegmentedWarehouse.from_records(
         _records(n_rows), SCHEMA, ("sum", "m"), **options
@@ -71,8 +77,9 @@ class TestSealing:
         health = wh.segment_health()
         assert health["segments_live"] == 1 and health["head_rows"] == 0
 
-    def test_batch_threshold(self):
-        wh = _warehouse(n_rows=0, seal_rows=10_000, seal_batches=3)
+    def test_batch_threshold(self, monkeypatch):
+        monkeypatch.setattr(SegmentedWarehouse, "SEAL_BATCHES", 3)
+        wh = _warehouse(n_rows=0, seal_rows=10_000)
         for i in range(3):
             wh.maintain(inserts=[_record(i)])
         health = wh.segment_health()
@@ -219,9 +226,8 @@ class TestCompactor:
         assert wh.segment_health()["compactions"] >= 1
         assert wh.last_compaction is not None
 
-    def test_background_compactor_lifecycle(self):
-        wh = _warehouse(n_rows=0, seal_rows=2, compact_min_segments=2,
-                        compact_interval=0.01)
+    def test_background_compactor_lifecycle(self, fast_compactor):
+        wh = _warehouse(n_rows=0, seal_rows=2, compact_min_segments=2)
         before = threading.active_count()
         wh.start_compactor()
         wh.start_compactor()  # idempotent
@@ -236,9 +242,9 @@ class TestCompactor:
         assert threading.active_count() == before
         assert not wh.segment_health()["compactor_running"]
 
-    def test_context_manager_joins_compactor(self):
+    def test_context_manager_joins_compactor(self, fast_compactor):
         before = threading.active_count()
-        with _warehouse(n_rows=0, compact_interval=0.01) as wh:
+        with _warehouse(n_rows=0) as wh:
             wh.start_compactor()
             wh.maintain(inserts=_records(3))
         assert threading.active_count() == before
@@ -413,17 +419,12 @@ class TestCheckpointRecover:
         recovered.checkpoint(tmp_path / "ckpt")
         assert [os.stat(f).st_mtime_ns for f in files] == before
 
-    def test_checkpoint_directory_of_another_run(self, tmp_path, monkeypatch):
+    def test_checkpoint_directory_of_another_run(self, tmp_path):
         """A fresh warehouse whose segment ids collide with files an
-        earlier run left in the directory must overwrite them, not adopt
-        them by name."""
-        import itertools
-
-        from repro.segments import warehouse as segments_warehouse
+        earlier run left in the directory (each store mints its own ids,
+        from 1) must overwrite them, not adopt them by name."""
 
         def run(start):
-            monkeypatch.setattr(segments_warehouse, "_ids",
-                                itertools.count(1))
             wh = _warehouse(n_rows=0, seal_rows=4)
             wh.maintain(inserts=_records(9, start=start))
             wh.checkpoint(tmp_path / "ckpt")
@@ -555,11 +556,10 @@ class TestServingSurface:
         assert stats["serving_stamp"]["generation"] == \
             wh.segment_health()["generation"]
 
-    def test_server_health_and_write_phases(self):
+    def test_server_health_and_write_phases(self, fast_compactor):
         from repro.serving.server import QCServer
 
-        wh = _warehouse(n_rows=0, seal_rows=4, compact_min_segments=2,
-                        compact_interval=0.01)
+        wh = _warehouse(n_rows=0, seal_rows=4, compact_min_segments=2)
         wh.start_compactor()
         server = QCServer(wh, workers=2)
         try:

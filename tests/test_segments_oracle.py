@@ -17,11 +17,18 @@ from repro.core.warehouse import QCWarehouse
 from repro.errors import MaintenanceError, QueryError, SchemaError
 from repro.segments import SegmentedWarehouse
 from tests import model
-from tests.test_stateful import SEG_OPTIONS, replay
+from tests.test_stateful import SEAL_BATCHES, SEG_OPTIONS, replay
 
 SCHEMA = model.SCHEMA
 SEGMENTS = ("write", "burst", "seal", "compact")
 STORES = ("frozen", "segmented")
+
+
+@pytest.fixture(autouse=True)
+def seal_batches(monkeypatch):
+    """The stores seal after ``SEAL_BATCHES`` batches, as the model's
+    machine does."""
+    monkeypatch.setattr(SegmentedWarehouse, "SEAL_BATCHES", SEAL_BATCHES)
 
 
 class TestSegmentedOracle:
@@ -75,7 +82,7 @@ class TestDuplicateKeyOrder:
         not reorder duplicates by measure."""
         key = ("v0", "v1", "v2")
         mono, seg = _pair([("v1", "v1", "v1", 2.0)], seal_rows=100,
-                          seal_batches=100, compact_min_segments=1)
+                          compact_min_segments=1)
         seg.seal()
         for measure in (9.0, 1.0):
             mono.insert([key + (measure,)])
@@ -92,7 +99,7 @@ class TestDuplicateKeyOrder:
         """The first arrival sealed in a segment, the second in the head:
         a delete takes the segment's copy — pieces oldest first."""
         key = ("v0", "v1", "v2")
-        mono, seg = _pair([key + (9.0,)], seal_rows=100, seal_batches=100)
+        mono, seg = _pair([key + (9.0,)], seal_rows=100)
         seg.seal()
         for wh in (mono, seg):
             wh.insert([key + (1.0,)])
@@ -157,7 +164,7 @@ def diagonal(request):
     :data:`EMPTY` is empty), the segmented store sealing at 6 rows or —
     N = 1, the monolithic case of the one snapshot — never."""
     records = [model.record((i, i, i)) for i in range(model.CARD)] * 3
-    mono, seg = _pair(records, seal_rows=request.param, seal_batches=100)
+    mono, seg = _pair(records, seal_rows=request.param)
     extra = [model.record((0, 0, 1))]
     mono.insert(extra)
     seg.insert(extra)

@@ -9,7 +9,8 @@ invariant table is in README § Correctness):
   ``dict`` — its dict tree; ``attached`` — its snapshot packed to
   ``QCTREE/3`` and attached;
 * ``segmented`` — a ``SegmentedWarehouse`` sealing at 6 rows or 3
-  batches and compacting down to 2 segments;
+  batches (``SEAL_BATCHES``, patched while the machine runs) and
+  compacting down to 2 segments;
 * ``server`` / ``server-segmented`` — ``QCServer(workers=1,
   cache_size=64)`` over one warehouse of each kind.
 
@@ -55,7 +56,9 @@ CONFIGS = tuple(STORE_OF)
 assert set(model.CELL_OPS) | {"range", "iceberg", "iceberg_in_range"} == \
     set(SNAPSHOT_OPS)
 
-SEG_OPTIONS = dict(seal_rows=6, seal_batches=3, compact_min_segments=2)
+SEG_OPTIONS = dict(seal_rows=6, compact_min_segments=2)
+#: ``SegmentedWarehouse.SEAL_BATCHES`` while the machine runs.
+SEAL_BATCHES = 3
 SERVER_OPTIONS = dict(workers=1, cache_size=64)
 #: ``refreeze_ratios`` that force ``FrozenQCTree.patch`` to recompile,
 #: or to patch and never compact (a small tree would compact at once,
@@ -65,25 +68,22 @@ PATCHED = dict(full=1.0, compact=float("inf"))
 
 class Store:
     """One warehouse the program writes into — directly, or through a
-    server — with its WAL and checkpoint paths."""
+    server — with its WAL and checkpoint directory."""
 
     def __init__(self, name, records, directory):
         self.name = name
         self.segmented = name.startswith("seg")
         self.served = name.endswith("served")
+        self.kind, self.options = (
+            (SegmentedWarehouse, SEG_OPTIONS) if self.segmented
+            else (QCWarehouse, {}))
         self.wal = os.path.join(directory, f"{name}.wal")
         self.checkpoint_dir = os.path.join(directory, f"{name}.ckpt")
-        self.tree_path = os.path.join(directory, f"{name}.qct")
-        self.table_path = os.path.join(directory, f"{name}.csv")
         #: WAL positions of batches that failed (a batch is logged
         #: before it is applied, so replay meets them again).
         self.failed_lsns = set()
-        table = model.table_of(records)
-        if self.segmented:
-            warehouse = SegmentedWarehouse(table, model.AGGREGATE,
-                                           **SEG_OPTIONS)
-        else:
-            warehouse = QCWarehouse(table, model.AGGREGATE)
+        warehouse = self.kind(model.table_of(records), model.AGGREGATE,
+                              **self.options)
         warehouse.attach_wal(self.wal)
         self._adopt(warehouse)
 
@@ -99,19 +99,12 @@ class Store:
             self.warehouse.maintain(inserts=inserts, deletes=deletes)
 
     def checkpoint(self):
-        if self.segmented:
-            self.warehouse.checkpoint(self.checkpoint_dir)
-        else:
-            self.warehouse.checkpoint(self.tree_path, self.table_path)
+        self.warehouse.checkpoint(self.checkpoint_dir)
 
     def recover(self):
         self.close()
-        if self.segmented:
-            warehouse = SegmentedWarehouse.recover(
-                self.checkpoint_dir, self.wal, model.SCHEMA, **SEG_OPTIONS)
-        else:
-            warehouse = QCWarehouse.recover(
-                self.tree_path, self.wal, self.table_path, model.SCHEMA)
+        warehouse = self.kind.recover(self.checkpoint_dir, self.wal,
+                                      model.SCHEMA, **self.options)
         # Every checkpointed tree pairs with its CSV, and replay skips
         # only the batches that failed live.
         report = warehouse.last_recovery
@@ -137,6 +130,9 @@ class ModelMachine(RuleBasedStateMachine):
     def setup(self, seed, rows):
         # Hypothesis picks the rules; what a rule writes comes from here.
         self.rng = rng = random.Random(seed)
+        self.seal_batches = mock.patch.object(
+            SegmentedWarehouse, "SEAL_BATCHES", SEAL_BATCHES)
+        self.seal_batches.start()
         self.live = [model.gen_record(rng) for _ in range(rows)]
         self.directory = tempfile.mkdtemp(prefix="qc-model-")
         self.stores = {
@@ -154,6 +150,8 @@ class ModelMachine(RuleBasedStateMachine):
             store.close()
         if hasattr(self, "directory"):
             shutil.rmtree(self.directory, ignore_errors=True)
+        if hasattr(self, "seal_batches"):
+            self.seal_batches.stop()
 
     def _mutated(self):
         self.expected = None

@@ -85,7 +85,7 @@ KEYWORDS = {
     "repro:QCWarehouse.attach_wal": ("wal_path",),
     "repro.segments:SegmentedWarehouse": (
         "table", "aggregate", "index_key", "wal", "cache_size", "seal_rows",
-        "seal_batches", "compact_min_segments", "compact_interval"),
+        "compact_min_segments"),
     "repro.segments:SegmentedWarehouse.point": ("raw_cell",),
     "repro.segments:SegmentedWarehouse.range": ("raw_spec",),
     "repro.segments:SegmentedWarehouse.iceberg": ("threshold", "op"),

@@ -12,11 +12,14 @@ that must converge on the same serving tree as the live path.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.core.construct import build_qctree
 from repro.core.warehouse import QCWarehouse
 from repro.errors import MaintenanceError
+from repro.reliability.faults import InjectedCrash
 from tests import model
 from tests.conftest import refreeze_ratios
 
@@ -157,22 +160,20 @@ class TestEmptyAndDuplicateBatches:
 
 class TestRecoveryReplayParity:
     def _paths(self, tmp_path):
-        return (str(tmp_path / "tree.qct"), str(tmp_path / "wh.wal"),
-                str(tmp_path / "table.csv"))
+        return str(tmp_path / "ckpt"), str(tmp_path / "wh.wal")
 
     def test_recover_replays_mixed_batches_like_live(self, tmp_path):
         """Snapshot + WAL replay of pure AND mixed batches converges on
         the live warehouse's serving tree and answers."""
-        tree_path, wal_path, table_path = self._paths(tmp_path)
+        directory, wal_path = self._paths(tmp_path)
         live = _warehouse()
         live.attach_wal(wal_path)
-        live.checkpoint(tree_path, table_path)
+        live.checkpoint(directory)
         live.insert([("S3", "P1", "w", 2.0)])
         live.modify([("S2", "P2", "f", 0.0)], [("S2", "P2", "w", 11.0)])
         live.delete([("S1", "P2", "s", 0.0)])
 
-        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
-                                        SCHEMA)
+        recovered = QCWarehouse.recover(directory, wal_path, SCHEMA)
         assert recovered.last_recovery["replayed"] == 3
         assert recovered.last_recovery["skipped"] == []
         assert sorted(recovered.table.iter_records()) == \
@@ -181,15 +182,19 @@ class TestRecoveryReplayParity:
 
     def test_recover_skips_checkpointed_maintain_records(self, tmp_path):
         """A mixed batch folded into a later checkpoint is not replayed."""
-        tree_path, wal_path, table_path = self._paths(tmp_path)
+        directory, wal_path = self._paths(tmp_path)
         live = _warehouse()
         live.attach_wal(wal_path)
         live.modify([("S1", "P1", "s", 0.0)], [("S1", "P1", "w", 6.0)])
-        live.save(tree_path, table_path)  # snapshot includes the batch
+        # The checkpoint includes the batch; the crash lands before the
+        # log is truncated.
+        with mock.patch.object(live.wal, "truncate",
+                               side_effect=InjectedCrash):
+            with pytest.raises(InjectedCrash):
+                live.checkpoint(directory)
         live.insert([("S4", "P4", "s", 1.0)])
 
-        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
-                                        SCHEMA)
+        recovered = QCWarehouse.recover(directory, wal_path, SCHEMA)
         assert recovered.last_recovery["replayed"] == 1  # only the insert
         assert sorted(recovered.table.iter_records()) == \
             sorted(live.table.iter_records())
@@ -198,14 +203,13 @@ class TestRecoveryReplayParity:
     def test_recovered_warehouse_keeps_batching(self, tmp_path):
         """Post-recovery writes keep flowing through the batched engine
         (same WAL, counters fresh, mixed batches still one record)."""
-        tree_path, wal_path, table_path = self._paths(tmp_path)
+        directory, wal_path = self._paths(tmp_path)
         live = _warehouse()
         live.attach_wal(wal_path)
-        live.checkpoint(tree_path, table_path)
+        live.checkpoint(directory)
         live.insert([("S3", "P1", "w", 2.0)])
 
-        recovered = QCWarehouse.recover(tree_path, wal_path, table_path,
-                                        SCHEMA)
+        recovered = QCWarehouse.recover(directory, wal_path, SCHEMA)
         lsn_before = recovered.wal.last_lsn
         recovered.maintain(inserts=[("S5", "P5", "s", 4.0)],
                            deletes=[("S3", "P1", "w", 0.0)])
