@@ -40,9 +40,10 @@ The traversal protocol shared with :class:`~repro.core.qctree.QCTree`
 / ``state`` / ``upper_bound_of`` / ``value_at`` / the ``iter_*`` family)
 and the Algorithm-3 fast paths (``_search_route`` / ``_descend_to_class``
 / ``_locate`` / ``_point_query``) are the same functions on both; the
-only storage-specific code is the two constructors and the lazy decode
+only storage-specific code is the two constructors, the lazy decode
 guards (``route is None`` / ``ub is None`` / ``value is _UNSET``), which
-never fire on a heap tree.  Answers — and node-access counts — equal the
+never fire on a heap tree, and the attached-only batch kernel
+(``_point_query_batch``, a shard worker's answer to a bulk read).  Answers — and node-access counts — equal the
 dict tree's by construction, and ``frozen.signature() ==
 tree.signature()``.
 
@@ -83,6 +84,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterator, Optional
 
+import numpy as np
+
 from repro.core.cells import ALL, Cell
 from repro.core.qctree import QCTree
 from repro.cube.aggregates import make_aggregate
@@ -96,6 +99,9 @@ _ABSENT = object()
 #: Marks a value/state slot of an attached tree not decoded yet (``None``
 #: is taken: it is the decoded value of a non-class node).
 _UNSET = object()
+
+#: Ends :meth:`FrozenQCTree._batch_routes`, past every routing key.
+_KEY_SENTINEL = np.iinfo(np.int64).max
 
 #: :meth:`FrozenQCTree.patch` recompiles instead of splicing when the
 #: dirty set exceeds this fraction of the live nodes.  A constant, not an
@@ -248,8 +254,10 @@ class FrozenQCTree:
         "_routes", "_ubs", "_value",
         # heap only: patch bookkeeping
         "_source_map", "_dead", "_edge_over", "_link_over",
-        # attached only: the packed rows the lazy decode reads
+        # attached only: the packed rows the lazy decode reads (and the
+        # batch kernel's routing keys)
         "_ub", "_state_data", "_value_data", "_state_codec", "_value_codec",
+        "_batch",
     )
 
     def __init__(self):
@@ -263,7 +271,7 @@ class FrozenQCTree:
         self = object.__new__(cls)
         for slot in ("_source_map", "_edge_over", "_link_over", "_ub",
                      "_state_data", "_value_data", "_state_codec",
-                     "_value_codec"):
+                     "_value_codec", "_batch"):
             object.__setattr__(self, slot, None)
         object.__setattr__(self, "_dead", frozenset())
         object.__setattr__(self, "root", 0)
@@ -870,6 +878,95 @@ class FrozenQCTree:
                 return None
         value = self._value[node]
         return self.value_at(node) if value is _UNSET else value
+
+    def _batch_routes(self):
+        """Every edge and link as a sorted key ``(node * n_dims + dim) *
+        stride + code`` and its target, edges shadowing links as in
+        :meth:`_route_of`; built on first use, kept on the tree."""
+        routes = self._batch
+        if routes is None:
+            n = len(self._routes)
+            width = self.n_dims * self._stride
+            if n * width >= _KEY_SENTINEL:
+                raise OverflowError("batch routing keys overflow int64")
+            keys, targets = [], []
+            for start, key, target in (
+                    (self._link_start, self._link_key, self._link_target),
+                    (self._edge_start, self._edge_key, self._edge_child)):
+                fan = np.diff(np.asarray(start))
+                owner = np.repeat(np.arange(n, dtype=np.int64), fan)
+                keys.append(owner * width + np.asarray(key))
+                targets.append(np.asarray(target))
+            keys = np.concatenate(keys)
+            order = np.argsort(keys, kind="stable")
+            keys, targets = keys[order], np.concatenate(targets)[order]
+            last = np.ones(keys.size, dtype=bool)
+            last[:-1] = keys[1:] != keys[:-1]
+            routes = (np.append(keys[last], _KEY_SENTINEL),
+                      np.append(targets[last], -1))
+            object.__setattr__(self, "_batch", routes)
+        return routes
+
+    def _point_query_batch(self, table, cells) -> list:
+        """Algorithm 3 over raw-label cells of ``n_dims`` labels, on
+        attached storage: each answer as ``point_query_raw`` gives it.
+        The frontier advances one dimension at a time — a
+        ``searchsorted`` over :meth:`_batch_routes` for every live cell,
+        Lemma 2's descents as masked retries."""
+        n_dims, stride = self.n_dims, self._stride
+        keys, targets = self._batch_routes()
+        codes = np.empty((len(cells), n_dims), dtype=np.int64)
+        for dim, column in enumerate(zip(*cells)):
+            code = table._encoders[dim].get
+            codes[:, dim] = [-1 if v is ALL or v is None or v == "*"
+                             else code(v, -2) for v in column]
+        live = ((codes >= -1) & (codes < stride)).all(axis=1)
+        bound = codes >= 0
+        node = np.zeros(len(cells), dtype=np.int64)
+        forced, last_dim = np.asarray(self._forced), np.asarray(self._last_dim)
+        width = n_dims * stride
+        for dim in range(n_dims):
+            todo = np.flatnonzero(live & bound[:, dim])
+            label = codes[todo, dim] + dim * stride
+            while todo.size:
+                at = node[todo]
+                want = at * width + label
+                pos = keys.searchsorted(want)
+                hit = keys[pos] == want
+                node[todo] = np.where(hit, targets[pos], forced[at])
+                if hit.all():
+                    break
+                # Lemma 2: a miss retries from the forced child of a last
+                # child-bearing dimension before ``dim``, or is not a cell.
+                last = last_dim[at]
+                retry = ~hit & (last >= 0) & (last < dim) & (node[todo] >= 0)
+                live[todo[~(hit | retry)]] = False
+                todo, label = todo[retry], label[retry]
+        kind = np.asarray(self._class_kind)
+        todo = np.flatnonzero(live)
+        while todo.size:
+            todo = todo[kind[node[todo]] == 0]
+            node[todo] = forced[node[todo]]
+            live[todo[node[todo] < 0]] = False
+            todo = todo[node[todo] >= 0]
+        hits = np.flatnonzero(live)
+        ub = np.asarray(self._ub).reshape(-1, n_dims)[node[hits]]
+        wrong = (ub != codes[hits]) & bound[hits]
+        hits = hits[~wrong.any(axis=1)]
+        values = [None] * len(cells)
+        if hits.size:
+            template, value_width = self._value_codec
+            found = np.asarray(self._value_data).reshape(
+                -1, value_width)[node[hits]]
+            if isinstance(template, list):
+                found = [_rebuild(template, row, 0)[0]
+                         for row in found.tolist()]
+            else:
+                found = found[:, 0].astype(
+                    int if template == "i" else float).tolist()
+            for i, value in zip(hits.tolist(), found):
+                values[i] = value
+        return values
 
     # -- packing -------------------------------------------------------------
 

@@ -53,7 +53,7 @@ from typing import Optional
 
 from repro.core.cells import ALL, Cell, generalizes
 from repro.core.qctree import QCTree
-from repro.errors import QueryError
+from repro.errors import QueryError, SchemaError
 
 
 def search_route(tree: QCTree, node: int, dim: int, value,
@@ -178,8 +178,6 @@ def point_query_raw(tree: QCTree, table, raw_cell):
     is None rather than an error.  A cell of the wrong arity is a caller
     bug and raises :class:`QueryError`.
     """
-    from repro.errors import SchemaError
-
     if len(raw_cell) != tree.n_dims:
         raise QueryError(
             f"query cell {raw_cell!r} has {len(raw_cell)} positions, tree "

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.core.cells import ALL, generalizes
-from repro.core.point_query import descend_to_class, search_route
+from repro.core.point_query import descend_to_class, point_query, search_route
 from repro.core.qctree import QCTree
 from repro.errors import QueryError, SchemaError
 
@@ -157,8 +157,6 @@ def range_query_naive(tree: QCTree, spec) -> dict:
     Kept as a correctness oracle and as the baseline the benchmarks
     compare Algorithm 4 against.
     """
-    from repro.core.point_query import point_query
-
     query = spec if isinstance(spec, RangeQuery) else RangeQuery(spec, tree.n_dims)
     results = {}
     for cell in query.iter_points():

@@ -69,7 +69,7 @@ from repro.serving.admission import Request
 from repro.serving.server import SNAPSHOT_OP_TABLE, QCServer
 from repro.shard.pack import pack_snapshot_bytes
 from repro.shard.segment import create_segment, unlink_segment
-from repro.shard.worker import worker_main
+from repro.shard.worker import _answer_calls, worker_main
 
 
 def _mp_context():
@@ -120,26 +120,36 @@ class ShardRouter:
         return zlib.adler32(repr(key).encode("utf-8", "replace")) % n_slots
 
 
-class _BatchSlot:
-    """One element of a scattered :meth:`ShardServer.map_query` batch."""
+class _Chunk:
+    """The ``pending`` sink of one worker's share of a ``map_query``
+    batch: fans its answer into the batch by index."""
 
-    __slots__ = ("batch", "index")
+    __slots__ = ("batch", "indices")
 
-    def __init__(self, batch, index: int):
+    def __init__(self, batch, indices):
         self.batch = batch
-        self.index = index
+        self.indices = indices
 
     def complete(self, ok: bool, payload) -> None:
-        self.batch.put(self.index, ok, payload)
+        if ok:
+            self.batch.put(self.indices, *payload)
+        else:
+            self.batch.put(self.indices, (), dict.fromkeys(
+                range(len(self.indices)), payload))
+
+
+def _elements(sink) -> int:
+    """The calls a ``pending`` sink answers."""
+    return 1 if type(sink) is Request else len(sink.indices)
 
 
 class _Batch:
-    """Gather side of a scattered bulk query.  ``flags[i]`` is None
-    until element ``i`` is answered, then whether it succeeded."""
+    """Gather side of a scattered bulk query: ``results`` in input
+    order, and ``failed`` the exception of each element that raised."""
 
     def __init__(self, size: int):
         self.results = [None] * size
-        self.flags = [None] * size
+        self.failed: dict = {}
         self._remaining = size
         self._closed = False
         self._lock = threading.Lock()
@@ -147,22 +157,27 @@ class _Batch:
         if size == 0:
             self.event.set()
 
-    def put(self, index: int, ok: bool, payload) -> None:
+    def put(self, indices, values, errors) -> None:
+        """Answer the elements at ``indices`` with ``values``, bar the
+        positions ``errors`` maps to an exception."""
         with self._lock:
             if self._closed:
-                return  # the gatherer gave up on it: counted a timeout
-            self.results[index] = payload
-            self.flags[index] = ok
-            self._remaining -= 1
+                return  # the gatherer gave up on them: counted timeouts
+            results = self.results
+            for index, value in zip(indices, values):
+                results[index] = value
+            for position, exc in errors.items():
+                self.failed[indices[position]] = exc
+            self._remaining -= len(indices)
             done = self._remaining == 0
         if done:
             self.event.set()
 
-    def close(self) -> list:
-        """Stop accepting answers; returns the final ``flags``."""
+    def close(self) -> int:
+        """Stop accepting answers; returns how many were answered."""
         with self._lock:
             self._closed = True
-            return list(self.flags)
+            return len(self.results) - self._remaining
 
 
 #: What the kernel charges a pipe's socket buffer per message on top of
@@ -247,10 +262,15 @@ class _ProcHandle:
 
     def forwards(self) -> dict:
         """The unanswered direct forwards by rid (``pending`` also holds
-        ``map_query``'s slots)."""
+        ``map_query``'s chunks)."""
         with self.lock:
             return {rid: sink for rid, sink in self.pending.items()
                     if type(sink) is Request}
+
+    def inflight(self) -> int:
+        """The calls sent and not yet answered; a chunk counts each."""
+        with self.lock:
+            return sum(map(_elements, self.pending.values()))
 
     def fail_pending(self, exc) -> None:
         with self.lock:
@@ -477,7 +497,7 @@ class ShardServer(QCServer):
                     # A sink already gone was failed or given up on (RPC
                     # timeout, map_query timeout): its answer is dropped.
                     if sink is not None:
-                        handle.answered += 1
+                        handle.answered += _elements(sink)
                         sink.complete(ok, payload)
             elif kind == "pub_ok":
                 epoch = message[1]
@@ -624,19 +644,19 @@ class ShardServer(QCServer):
     # -- bulk path -----------------------------------------------------------
 
     def map_query(self, op: str, calls, timeout: Optional[float] = None):
-        """Answer many calls of one snapshot op as scattered batches.
+        """Answer many calls of one snapshot op as scattered chunks.
 
         ``calls`` is a sequence of positional-argument tuples, e.g.
         ``[(cell,), (cell2,)]`` for ``point``.  The batch is sharded
         across the routable fleet (prefix-routed, then balanced), each
-        worker answers its whole chunk in one message round-trip, and
-        the results come back in input order.  This amortizes the
-        per-request pipe+future overhead that bounds ``submit`` — it is
-        the path that scales with cores — while keeping the admission
-        ledger balanced (each element counts as submitted and
-        completed/errored; past ``timeout`` the unanswered ones count as
-        timeouts and their late answers are dropped).  The first failed
-        element's error re-raises after the batch completes.
+        worker answers its whole chunk — one request — in one message
+        round-trip, and the results come back in input order.  This
+        amortizes the per-request pipe+future overhead that bounds
+        ``submit`` — it is the path that scales with cores — while
+        keeping the admission ledger balanced (each element counts as
+        submitted and completed/errored; past ``timeout`` the unanswered
+        ones count as timeouts and their late answers are dropped).  The
+        first failed element's error re-raises after the batch completes.
         """
         if self._closed:
             raise ServerClosedError("server is closed")
@@ -652,59 +672,71 @@ class ShardServer(QCServer):
         live = self._routable
         start = time.monotonic()
         batch = _Batch(len(calls))
-        chunks: dict = {}
+        chunks = []
         if not live:
             # No worker on the current epoch: this thread answers from
             # the parent's own snapshot, into the batch the fleet fills.
             metrics.counter("shard_local_fallbacks").inc()
-            snapshot = self._snapshot
-            for index, args in enumerate(calls):
-                try:
-                    batch.put(index, True, fn(snapshot, *args))
-                except Exception as exc:
-                    batch.put(index, False, exc)
-        else:
-            for index, args in enumerate(calls):
-                handle = live[self._router.slot(op, args, len(live))]
-                chunk = chunks.get(handle.slot)
-                if chunk is None:
-                    chunk = chunks[handle.slot] = (handle, {}, [])
-                rid = next(self._rid)
-                chunk[1][rid] = _BatchSlot(batch, index)
-                chunk[2].append((rid, op, args, {}))
-        for handle, sinks, wire in chunks.values():
-            data = pickle.dumps(("q", wire), pickle.HIGHEST_PROTOCOL)
+            batch.put(range(len(calls)),
+                      *_answer_calls(fn, self._snapshot, calls))
+        elif calls:
+            chunks = [(handle, next(self._rid), _Chunk(batch, indices))
+                      for handle, indices in self._place(op, calls, live)]
+        for handle, rid, sink in chunks:
+            share = [calls[i] for i in sink.indices]
+            data = pickle.dumps(("q", [(rid, op, share)]),
+                                pickle.HIGHEST_PROTOCOL)
             with handle.send_lock:
-                sent = handle.post(data, sinks)
+                sent = handle.post(data, {rid: sink})
             if not sent:
                 down = WorkerCrashedError(
                     f"shard worker {handle.slot} died mid-batch; retry"
                 )
-                for slot in handle.reclaim(sinks):
-                    slot.complete(False, down)
+                for owned in handle.reclaim((rid,)):
+                    owned.complete(False, down)
         limit = self.SHARD_RPC_TIMEOUT_S if timeout is None else timeout
         answered = batch.event.wait(limit)
         if not answered:
             # Give up on what is unanswered: out of ``pending`` (a late
             # answer is dropped), and counted below as timeouts.
-            for handle, sinks, _wire in chunks.values():
-                handle.reclaim(sinks)
-        flags = batch.close()
-        n_ok = flags.count(True)
-        n_err = flags.count(False)
-        metrics.counter("completed").inc(n_ok)
+            for handle, rid, _sink in chunks:
+                handle.reclaim((rid,))
+        n_answered = batch.close()
+        n_err = len(batch.failed)
+        metrics.counter("completed").inc(n_answered - n_err)
         metrics.counter("errors").inc(n_err)
-        metrics.counter("timeouts").inc(len(calls) - n_ok - n_err)
+        metrics.counter("timeouts").inc(len(calls) - n_answered)
         metrics.observe(op, time.monotonic() - start)
         if not answered:
             raise DeadlineExceededError(
                 f"bulk {op!r} over {len(calls)} calls did not complete "
                 f"within {limit}s"
             )
-        for flag, payload in zip(flags, batch.results):
-            if not flag:
-                raise payload
+        if batch.failed:
+            raise batch.failed[min(batch.failed)]
         return batch.results
+
+    def _place(self, op: str, calls: list, live: tuple) -> list:
+        """``[(handle, indices)]``: each call where ``router.slot`` puts
+        it, the slot computed once per prefix key; one live worker takes
+        every call."""
+        if len(live) == 1:
+            return [(live[0], range(len(calls)))]
+        router, n = self._router, len(live)
+        slot_of: dict = {}
+        shares: dict = {}
+        for index, args in enumerate(calls):
+            key = router.prefix_key(op, args)
+            try:
+                slot = slot_of[type(key), key]
+            except KeyError:
+                slot = router.slot(op, args, n)
+                if key is not None:
+                    slot_of[type(key), key] = slot
+            except TypeError:  # an unhashable prefix
+                slot = router.slot(op, args, n)
+            shares.setdefault(slot, []).append(index)
+        return [(live[slot], indices) for slot, indices in shares.items()]
 
     # -- publish protocol ----------------------------------------------------
 
@@ -835,7 +867,7 @@ class ShardServer(QCServer):
             if handle.send(("publish", lsn, epoch, name, None)):
                 handle.last_announce = now
                 self._metrics.counter("shard_reannounces").inc()
-        if self._inflight:  # else nothing to scan but map_query's slots
+        if self._inflight:  # else nothing to scan but map_query's chunks
             for handle in self._handles:
                 self._fail_overdue(handle, now)
         for i in respawn:
@@ -923,7 +955,7 @@ class ShardServer(QCServer):
                     "alive": h.alive and h.proc.is_alive(),
                     "attached_epoch": h.attached_epoch,
                     "answered": h.answered,
-                    "inflight": len(h.pending),
+                    "inflight": h.inflight(),
                 }
                 for h in handles
             ],

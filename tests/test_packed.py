@@ -11,12 +11,14 @@ packed from — and the v3 byte format round-trips through the generic
 from __future__ import annotations
 
 import mmap
+from itertools import product
 from multiprocessing import shared_memory
 
 import pytest
 
 from repro.core.cells import ALL
 from repro.core.frozen import FrozenQCTree
+from repro.core.point_query import point_query_raw
 from repro.core.qctree import QCTree
 from repro.core.serialize import (
     SerializationError,
@@ -25,12 +27,14 @@ from repro.core.serialize import (
     save_qctree_packed,
 )
 from repro.core.warehouse import QCWarehouse
+from repro.errors import QueryError
 from repro.shard.pack import (
     attach_packed,
     attach_packed_file,
     pack_snapshot_bytes,
     packed_to_document,
 )
+from repro.shard.worker import _BATCH_MIN, _answer_chunk
 
 from .conftest import all_cells, approx_equal, dict_view, make_random_table
 
@@ -263,6 +267,115 @@ class TestServingSnapshotBridge:
         # mutation surface at all.
         assert not hasattr(attached.tree, "insert")
         assert not hasattr(attached.tree, "set_state")
+
+
+def _attach(table, aggregate="avg(Sale)"):
+    snapshot = QCWarehouse(table, aggregate=aggregate).snapshot_view()
+    return attach_packed(pack_snapshot_bytes(snapshot.tree, snapshot.table))
+
+
+def assert_batch_is_scalar(att, cells):
+    """The batch kernel answers every cell as ``point_query_raw`` does:
+    the same value, of the same type."""
+    values = att.tree._point_query_batch(att.table, cells)
+    assert len(values) == len(cells)
+    for cell, got in zip(cells, values):
+        want = point_query_raw(att.tree, att.table, cell)
+        assert got == want and type(got) is type(want), cell
+
+
+class TestBatchKernel:
+    """``FrozenQCTree._point_query_batch`` (the shard worker's answer to
+    a ``map_query`` point chunk) against the scalar kernel, case by
+    case."""
+
+    def test_every_cell_of_random_tables(self):
+        for seed in range(12):
+            table = make_random_table(seed, n_rows=20)
+            att = _attach(table, "sum(m)")
+            try:
+                labels = [["*"] + list(range(table.cardinality(j)))
+                          for j in range(table.n_dims)]
+                assert_batch_is_scalar(att, list(product(*labels)))
+            finally:
+                att.release()
+
+    def test_absent_label(self, attached):
+        # (*, P9, *) must not walk as if its code were a real one: a
+        # code just below the next dimension's would read (S1, *, *).
+        assert_batch_is_scalar(attached, [
+            ("*", "P9", "*"), ("S9", "*", "*"), ("*", "*", "w"),
+            ("S1", "P9", "s"), ("S1", "*", "*"),
+        ])
+
+    def test_three_all_spellings(self, attached):
+        cells = [("*", "P1", "*"), (None, "P1", None), (ALL, "P1", ALL),
+                 ("S2", None, "f"), (ALL, "*", None)]
+        assert_batch_is_scalar(attached, cells)
+        values = attached.tree._point_query_batch(attached.table, cells)
+        assert values[:3] == [7.5] * 3
+
+    def test_code_past_the_stride_is_absent(self, extended_sales_table):
+        """The table keeps ``P3``'s code (2) after its only row goes, but
+        the packed tree's stride is 2: that code is no label of the
+        tree, not a neighbouring code or the next dimension's."""
+        table = extended_sales_table.without_rows([4])
+        att = _attach(table)
+        try:
+            assert att.tree._stride == 2
+            assert table.encode_value(1, "P3") == 2
+            cells = [("*", "P3", "*"), ("S2", "P3", "*"), ("*", "P3", "f"),
+                     ("*", "P2", "*")]
+            assert_batch_is_scalar(att, cells)
+            values = att.tree._point_query_batch(att.table, cells)
+            assert values == [None, None, None, 8.0]
+        finally:
+            att.release()
+
+    def test_wrong_arity_in_the_middle_of_a_chunk(self, attached):
+        """A shard worker's chunk with a wrong-arity call: that call
+        fails as ``point_query_raw`` fails it, every other is
+        answered."""
+        calls = [(("S1", "*", "*"),), (("S2", "*", "f"),)] * _BATCH_MIN
+        calls[5:5] = [(("S1", "P1"),)]
+        calls[9:9] = [(("S1", "P1", "s", "x"),)]
+        values, errors = _answer_chunk(
+            attached.serving_snapshot(), "point", calls)
+        assert sorted(errors) == [5, 9]
+        for i in (5, 9):
+            with pytest.raises(QueryError) as want:
+                point_query_raw(attached.tree, attached.table, calls[i][0])
+            assert str(errors[i]) == str(want.value)
+        assert values == [None if i in errors else 9.0
+                          for i in range(len(calls))]
+
+    def test_empty_chunk(self, attached):
+        assert attached.tree._point_query_batch(attached.table, []) == []
+
+    @pytest.mark.parametrize("aggregate", [
+        "count", "avg(Sale)", "sum(Sale)", [("sum", "Sale"), "count"],
+    ], ids=["count", "avg", "sum", "sum-and-count"])
+    def test_value_types_per_aggregate(self, sales_table, aggregate):
+        att = _attach(sales_table, aggregate)
+        try:
+            labels = [["*"] + sales_table._decoders[j]
+                      for j in range(sales_table.n_dims)]
+            assert_batch_is_scalar(att, list(product(*labels)))
+        finally:
+            att.release()
+
+    def test_release_after_a_batch_lets_shared_memory_close(self, snapshot):
+        payload = pack_snapshot_bytes(snapshot.tree, snapshot.table)
+        shm = shared_memory.SharedMemory(create=True, size=len(payload))
+        try:
+            shm.buf[:len(payload)] = payload
+            att = attach_packed(shm.buf)
+            assert att.tree._point_query_batch(
+                att.table, [("S2", "*", "f")]) == [9.0]
+            att.release()
+            shm.close()  # BufferError while any export is alive
+        finally:
+            shm.unlink()
 
 
 class TestPackedRowsView:

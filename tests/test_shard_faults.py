@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from repro.errors import ServerDegradedError, WorkerCrashedError
 from repro.reliability.faults import InjectedCrash, ServingFaults
 from tests.retry import RetryPolicy
 from repro.shard import ShardServer, created_segments
+from repro.shard.worker import _BATCH_MIN
 
 RECORD = ("S3", "P1", "s", 5.0)
 
@@ -139,6 +141,54 @@ class TestWorkerKill:
         os.kill(victim, signal.SIGKILL)
         value = retry.call(lambda: server.point(("S2", "*", "f")))
         assert value == 9.0
+
+
+class TestChunkedMapQuery:
+    def test_kill_mid_chunk_fails_each_of_its_elements_once(self, server):
+        """``map_query`` sends each of the two workers its chunk as one
+        request, answered by one batch-kernel call.  SIGKILL one while its chunk sits unread in its pipe:
+        each element of that chunk fails once with the retryable
+        ``WorkerCrashedError``, the other chunk is answered, and the
+        ledger balances element by element."""
+        calls = [((f"S{i % 40}", "P1", "s"),) for i in range(400)]
+        slots = [server._router.slot("point", args, 2) for args in calls]
+        victim, survivor = server._handles
+        n_victim = slots.count(victim.slot)
+        assert _BATCH_MIN <= n_victim <= len(calls) - _BATCH_MIN
+        answered = survivor.answered
+        before = server.stats()["counters"]
+        outcome = {}
+
+        def bulk() -> None:
+            try:
+                outcome["value"] = server.map_query("point", calls)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        os.kill(victim.pid, signal.SIGSTOP)
+        thread = threading.Thread(target=bulk)
+        thread.start()
+        try:
+            assert wait_until(lambda: victim.inflight() == n_victim)
+        finally:
+            os.kill(victim.pid, signal.SIGKILL)
+        thread.join(10)
+        assert not thread.is_alive()
+        assert isinstance(outcome.get("error"), WorkerCrashedError), outcome
+        after = server.stats()["counters"]
+        assert {key: after[key] - before[key] for key in
+                ("submitted", "completed", "errors", "timeouts")} == {
+            "submitted": 400, "completed": 400 - n_victim,
+            "errors": n_victim, "timeouts": 0,
+        }
+        assert after["submitted"] == (
+            after["completed"] + after["timeouts"]
+            + after["errors"] + after["cancelled"]
+        ), after
+        assert survivor.answered - answered == 400 - n_victim
+        assert wait_until(lambda: fleet_converged(server))
+        assert server.map_query("point", [(("S2", "*", "f"),)] * 4) \
+            == [9.0] * 4
 
 
 class TestPublishCrash:

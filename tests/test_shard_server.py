@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+from itertools import product
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.shard import (
     pack_snapshot_bytes,
 )
 from repro.shard.segment import create_segment, unlink_segment
-from repro.shard.worker import worker_main
+from repro.shard.worker import _BATCH_MIN, worker_main
 
 from .conftest import approx_equal
 
@@ -201,6 +202,58 @@ class TestMapQuery:
         server.map_query("point", [(c,) for c in cells])
         answered = [w["answered"] for w in server.shard_health()["workers"]]
         assert all(a > 0 for a in answered)
+
+    def test_every_element_lands_on_its_router_slot(self, warehouse):
+        """The slot is computed once per distinct prefix, and every
+        element — prefixed or round-robin — still lands where
+        ``router.slot`` puts it, in input order within its chunk."""
+        server = ShardServer(warehouse, processes=3,
+                             router=ShardRouter(seed=5), cache_size=0)
+        twin = ShardRouter(seed=5)
+        calls = [((first, "P1", "s"),)
+                 for first in ("S1", "S2", "*", None, ALL, "S1", "x", 7,
+                               7.0, "S2", "*", "S9")] * 3
+        sent: dict = {}
+        try:
+            for handle in server._handles:
+                def post(data, sinks=None, slot=handle.slot,
+                         original=handle.post):
+                    message = pickle.loads(data)
+                    for request in message[1] if message[0] == "q" else ():
+                        sent.setdefault(slot, []).extend(request[2])
+                    return original(data, sinks)
+                handle.post = post
+            server.map_query("point", calls)
+        finally:
+            server.close()
+        want: dict = {}
+        for args in calls:
+            want.setdefault(twin.slot("point", args, 3), []).append(args)
+        assert sent == want
+
+    def test_a_point_chunk_answers_like_the_warehouse(self, warehouse):
+        """One worker, one chunk past ``_BATCH_MIN``: the batch kernel
+        answers as the warehouse does, value and type, and a wrong-arity
+        call in the middle fails alone."""
+        labels = [("S1", "S2", "S9", "*", None), ("P1", "P2", "*"),
+                  ("s", "f", "*")]
+        calls = [(cell,) for cell in product(*labels)] * 3
+        assert len(calls) >= _BATCH_MIN
+        want = [warehouse.point(cell) for (cell,) in calls]
+        server = ShardServer(warehouse, processes=1, cache_size=0)
+        try:
+            got = server.map_query("point", calls)
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            before = server.stats()["counters"]
+            with pytest.raises(QueryError, match="positions"):
+                server.map_query(
+                    "point", calls[:70] + [(("S1", "P1"),)] + calls[70:])
+            after = server.stats()["counters"]
+        finally:
+            server.close()
+        assert (after["completed"] - before["completed"],
+                after["errors"] - before["errors"]) == (len(calls), 1)
 
 
 class TestStatsAndHealth:

@@ -7,7 +7,9 @@ invariant table is in README § Correctness):
 
 * ``frozen`` — a ``QCWarehouse`` (its heap-frozen view, its cache);
   ``dict`` — its dict tree; ``attached`` — its snapshot packed to
-  ``QCTREE/3`` and attached;
+  ``QCTREE/3`` and attached, asked call by call and then every point
+  at once through the batch kernel a shard worker answers
+  ``map_query`` with;
 * ``segmented`` — a ``SegmentedWarehouse`` sealing at 6 rows or 3
   batches (``SEAL_BATCHES``, patched while the machine runs) and
   compacting down to 2 segments;
@@ -316,11 +318,23 @@ class ModelMachine(RuleBasedStateMachine):
             if STORE_OF[config] in self.touched:
                 model.assert_answers(self._ask(config), expected,
                                      where=f"{config} after {self.rule}, ")
+                if config == "attached":
+                    self.batched_points_answer_alike(expected)
                 self._event(f"checked {config} after {self.rule}")
         for op in SNAPSHOT_OPS:
             if any(o == op and not isinstance(w, model.Refused)
                    for o, _, w in self.expected):
                 self._event(f"answered {op}")
+
+    def batched_points_answer_alike(self, expected):
+        """Every expected point through one batch-kernel call."""
+        points = [(args, want) for op, args, want in expected
+                  if op == "point"]
+        values = self.attached.tree._point_query_batch(
+            self.attached.table, [args[0] for args, _ in points])
+        for (args, want), got in zip(points, values):
+            model.assert_same("point", got, want,
+                              where=f"attached batch {args!r}: ")
 
     @staticmethod
     def _event(name):
