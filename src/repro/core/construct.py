@@ -6,23 +6,29 @@ Construction is two-phase:
    classes — one per class, plus redundant rediscoveries that each encode a
    drill-down relationship;
 2. temp classes are sorted by upper bound in dictionary order (``*`` before
-   every concrete value) and inserted.  The first occurrence of an upper
-   bound creates its path and stores the aggregate; every redundant
-   occurrence instead contributes a drill-down link: from the node of its
-   lattice child's upper bound, labeled with the first dimension where the
-   child bound is ``*`` but the rediscovered lower bound is not, targeting
-   the prefix of the current bound's path through that dimension
-   (Definition 1, condition 4).
+   every concrete value, ties by class id) and inserted.  The first
+   occurrence of an upper bound creates its path and stores the
+   aggregate; every redundant occurrence instead contributes a drill-down
+   link: from the node of its lattice child's upper bound, labeled with
+   the first dimension where the child bound is ``*`` but the
+   rediscovered lower bound is not, targeting the prefix of the current
+   bound's path through that dimension (Definition 1, condition 4).
+
+Both phases run on arrays.  Phase 2 is one ``lexsort``; node ids follow
+from where adjacent sorted bounds first differ, and link endpoints are
+looked up, never walked.  The tree is the one ``insert_path`` and
+``add_link`` build record by record, node ids and dict order included.
 """
 
 from __future__ import annotations
 
-from repro.core.cells import ALL, dict_sort_key
-from repro.core.classes import enumerate_temp_classes
+import numpy as np
+
+from repro.core.cells import ALL
+from repro.core.classes import temp_class_arrays
 from repro.core.qctree import QCTree
 from repro.cube.aggregates import make_aggregate
 from repro.cube.table import BaseTable
-from repro.errors import QueryError
 
 
 def build_qctree(table: BaseTable, aggregate="count") -> QCTree:
@@ -36,10 +42,73 @@ def build_qctree(table: BaseTable, aggregate="count") -> QCTree:
     permuting the input rows yields an identical tree.
     """
     agg = make_aggregate(aggregate)
-    temp_classes = enumerate_temp_classes(table, agg)
     tree = QCTree(table.n_dims, agg, dim_names=table.schema.dimension_names)
-    insert_temp_classes(tree, temp_classes)
+    upper, lower, child, states = temp_class_arrays(table, agg)
+    if not states:
+        return tree
+    nodes, classes, links = _insertion_plan(upper, lower, child)
+    del upper, lower, child  # the tree grows into the memory they held
+    ids = [tree.root]
+    for p, j, v in nodes:
+        ids.append(tree._new_node(ids[p], j, v))
+    for n, i in classes:
+        tree.set_state(ids[n], states[i])
+    for s, j, v, t in links:
+        tree.add_link(ids[s], j, v, ids[t])
     return tree
+
+
+def _insertion_plan(upper, lower, child) -> tuple:
+    """Phase 2 as the calls it makes on an empty tree: ``nodes`` yields
+    ``(parent, dim, value)`` in the order ``insert_path`` mints them,
+    ``classes`` ``(node, class id)`` and ``links`` ``(source, dim,
+    value, target)`` in the order they are added."""
+    order = np.lexsort(upper.T[::-1])  # stable: ties keep class-id order
+    ub = upper[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ub[1:] != ub[:-1]).any(axis=1)
+    bounds = ub[first]
+    bound_of = np.empty(len(order), dtype=np.int64)
+    bound_of[order] = np.cumsum(first) - 1
+    nodes, mint = _prefix_nodes(bounds)
+    at, through = np.nonzero(mint)
+    # A redundant record's link: the first dimension its lattice child's
+    # bound leaves ``*`` and its lower bound fills.
+    redundant = order[~first]
+    child_bound = bound_of[child[redundant]]
+    opened = (bounds[child_bound] < 0) & (lower[redundant] >= 0)
+    keep = opened.any(axis=1)
+    redundant, child_bound = redundant[keep], child_bound[keep]
+    dim = opened[keep].argmax(axis=1)
+    return (
+        zip(nodes[at, through].tolist(), through.tolist(),
+            bounds[at, through].tolist()),
+        zip(nodes[:, -1].tolist(), order[first].tolist()),
+        zip(nodes[child_bound, dim].tolist(), dim.tolist(),
+            upper[redundant, dim].tolist(),
+            nodes[bound_of[redundant], dim + 1].tolist()),
+    )
+
+
+def _prefix_nodes(bounds):
+    """``(nodes, mint)`` for distinct bounds in dictionary order:
+    ``nodes[i, t + 1]`` is ``path_prefix_node(bounds[i], t)`` once
+    ``insert_path`` has inserted them in turn (``nodes[i, 0]`` the root)
+    and ``mint`` marks where each node is created.  Sorted bounds sharing
+    a prefix are adjacent, so a prefix is new where it differs from the
+    previous bound's."""
+    fresh = np.ones(bounds.shape, dtype=bool)
+    fresh[1:] = np.logical_or.accumulate(bounds[1:] != bounds[:-1], axis=1)
+    mint = fresh & (bounds >= 0)
+    nodes = np.zeros((len(bounds), bounds.shape[1] + 1), dtype=np.int32)
+    nodes[:, 1:][mint] = np.arange(1, np.count_nonzero(mint) + 1)
+    rows = np.arange(len(bounds))
+    for t in range(bounds.shape[1]):
+        hole = fresh[:, t] & (bounds[:, t] < 0)  # ``*`` stays on its node
+        nodes[hole, t + 1] = nodes[hole, t]
+        last = np.maximum.accumulate(np.where(fresh[:, t], rows, 0))
+        nodes[:, t + 1] = nodes[last, t + 1]
+    return nodes, mint
 
 
 def build_qctree_reference(table: BaseTable, aggregate="count") -> QCTree:
@@ -112,65 +181,3 @@ def build_qctree_reference(table: BaseTable, aggregate="count") -> QCTree:
                 if source is not None and target is not None:
                     tree.add_link(source, j, value, target)
     return tree
-
-
-def insert_temp_classes(tree: QCTree, temp_classes) -> None:
-    """Phase 2 of Algorithm 1: sorted insertion plus link building.
-
-    Shared with batch insertion, which inserts freshly created classes the
-    same way.  ``temp_classes`` may be empty (empty base table).
-    """
-    if not temp_classes:
-        return
-    by_id = {t.class_id: t for t in temp_classes}
-    ordered = sorted(
-        temp_classes, key=lambda t: (dict_sort_key(t.upper_bound), t.class_id)
-    )
-    last_bound = None
-    for current in ordered:
-        if current.upper_bound != last_bound:
-            node = tree.insert_path(current.upper_bound)
-            tree.set_state(node, current.state)
-            last_bound = current.upper_bound
-        else:
-            add_drilldown_link(tree, by_id, current)
-
-
-def add_drilldown_link(tree: QCTree, by_id: dict, current) -> None:
-    """Record the drill-down encoded by a redundant temp class.
-
-    ``current`` rediscovered an already-inserted upper bound from lattice
-    child ``by_id[current.child_id]``.  Let ``D`` be the first dimension
-    where the child bound is ``*`` while ``current``'s lower bound is
-    concrete (for DFS output this is exactly the dimension the search
-    instantiated).  Per Definition 1 condition 4 the link goes out of the
-    node spelling the child bound's values *before* ``D``, is labeled with
-    ``current``'s value at ``D``, and targets the prefix node of
-    ``current``'s bound through ``D``.
-    """
-    child = by_id.get(current.child_id)
-    if child is None:
-        raise QueryError(
-            f"temp class i{current.class_id} references unknown child "
-            f"i{current.child_id}"
-        )
-    child_ub = child.upper_bound
-    lb = current.lower_bound
-    link_dim = None
-    for j, (ub_v, lb_v) in enumerate(zip(child_ub, lb)):
-        if ub_v is ALL and lb_v is not ALL:
-            link_dim = j
-            break
-    if link_dim is None:
-        # The rediscovered bound does not refine the child bound in any
-        # dimension the child left open; no drill-down link is expressible
-        # (cannot occur for DFS output, but tolerated for robustness).
-        return
-    source = tree.path_prefix_node(child_ub, link_dim - 1)
-    target = tree.path_prefix_node(current.upper_bound, link_dim)
-    if source is None or target is None:
-        raise QueryError(
-            "drill-down link endpoints missing; temp classes were not "
-            "inserted in dictionary order"
-        )
-    tree.add_link(source, link_dim, current.upper_bound[link_dim], target)

@@ -13,8 +13,8 @@ deletion in the program, a batch of one included, is a call of it — and
 it amortizes that work once per batch instead:
 
 * the insert delta is **sorted in dimension order** so the cover-
-  partition DFS (:func:`~repro.core.classes.enumerate_temp_classes`,
-  the same BUC-style machinery Algorithm 1 construction uses) visits
+  partition DFS (:func:`~repro.core.classes.class_states`, the
+  level-at-a-time partitioner Algorithm 1 construction uses) visits
   each shared prefix once and computes the Δ class partition in a
   single pass over the whole batch;
 * classification against the old tree shares one memoized closure /

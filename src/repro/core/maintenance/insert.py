@@ -39,7 +39,7 @@ import time
 
 from repro.core import cells
 from repro.core.cells import ALL, Cell, meet, truncate
-from repro.core.classes import enumerate_temp_classes
+from repro.core.classes import class_states
 from repro.core.point_query import locate
 from repro.core.qctree import QCTree
 from repro.cube.cover_index import CoverIndex
@@ -152,9 +152,7 @@ def batch_insert(tree: QCTree, delta_table: BaseTable,
 
     # Step 1: Δ-closed cells with their aggregate states.
     _t_start = time.perf_counter()
-    delta_states: dict = {}
-    for temp in enumerate_temp_classes(delta_table, agg):
-        delta_states.setdefault(temp.upper_bound, temp.state)
+    delta_states = class_states(delta_table, agg)
 
     # Step 2: classification, all against the pre-update tree.
     records = []  # (final bound W, old node or None, new state)

@@ -7,6 +7,10 @@ per class.  To make incremental maintenance cheap, aggregates here expose a
 
 ``state(table, rows)``
     Build the aggregate state of a set of rows.
+``states(table, rows, starts)``
+    The states of many row sets at once (construction's partitions): the
+    NumPy array ``rows`` cut into segments beginning at ``starts``.  Each
+    is bit for bit what ``state`` gives it; sums add left to right.
 ``merge(a, b)``
     Combine two disjoint states (used by insertion: old class state merged
     with the delta's state).
@@ -26,7 +30,41 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import MaintenanceError, SchemaError
+
+#: Segments up to this long are summed one position per step, all at once.
+_SHORT_SEGMENT = 64
+
+
+def _lengths(rows, starts):
+    """Row count of every segment of ``rows`` beginning at ``starts``."""
+    return np.diff(np.append(starts, len(rows)))
+
+
+def _segment_sums(values, starts):
+    """Every segment's ``sum()``, added left to right from 0 in row order
+    (``np.add.reduceat`` adds pairwise: other last bits).  Short segments
+    advance one position per step together; a longer one accumulates."""
+    lengths = _lengths(values, starts)
+    sums = np.zeros(len(starts))
+    short = np.flatnonzero(lengths <= _SHORT_SEGMENT)
+    short = short[np.argsort(-lengths[short], kind="stable")]
+    first = starts[short]
+    acc = np.zeros(len(short))
+    # live[p]: how many (longest-first) short segments reach position p.
+    live = np.searchsorted(-lengths[short], -np.arange(_SHORT_SEGMENT))
+    for p, n in enumerate(live.tolist()):
+        if not n:
+            break
+        acc[:n] += values[first[:n] + p]
+    sums[short] = acc
+    for s in np.flatnonzero(lengths > _SHORT_SEGMENT).tolist():
+        a = starts[s]
+        # ``+ 0.0`` turns an all-(-0.0) total into 0.0, as a start of 0 does.
+        sums[s] = np.add.accumulate(values[a:a + lengths[s]])[-1] + 0.0
+    return sums
 
 
 class AggregateFunction:
@@ -40,6 +78,14 @@ class AggregateFunction:
     def state(self, table, rows: Sequence[int]):
         """Return the aggregate state of ``rows`` (indices into ``table``)."""
         raise NotImplementedError
+
+    def states(self, table, rows, starts) -> list:
+        """The state of every segment of ``rows`` (see module docstring);
+        this default calls :meth:`state` once per segment."""
+        bounds = np.append(starts, len(rows)).tolist()
+        rows = rows.tolist()
+        return [self.state(table, rows[a:b])
+                for a, b in zip(bounds, bounds[1:])]
 
     def merge(self, a, b):
         """Combine the states of two disjoint row sets."""
@@ -70,6 +116,9 @@ class Count(AggregateFunction):
 
     def state(self, table, rows):
         return len(rows)
+
+    def states(self, table, rows, starts):
+        return _lengths(rows, starts).tolist()
 
     def merge(self, a, b):
         return a + b
@@ -111,6 +160,9 @@ class Sum(_MeasureAggregate):
         column = self._column(table)
         return float(sum(column[i] for i in rows))
 
+    def states(self, table, rows, starts):
+        return _segment_sums(self._column(table)[rows], starts).tolist()
+
     def merge(self, a, b):
         return a + b
 
@@ -121,11 +173,25 @@ class Sum(_MeasureAggregate):
         return state
 
 
-class Min(_MeasureAggregate):
+class _Extremum(_MeasureAggregate):
+    """MIN / MAX: one ``reduceat``, unless the column holds NaN, an
+    infinity or -0.0, where Python's ``min`` / ``max`` order differs."""
+
+    subtractable = False
+
+    def states(self, table, rows, starts):
+        column = self._column(table)
+        if np.isfinite(column).all() and not np.signbit(column).any(
+                where=column == 0):
+            return self._ufunc.reduceat(column[rows], starts).tolist()
+        return super().states(table, rows, starts)
+
+
+class Min(_Extremum):
     """MIN(measure); state is the float minimum.  Not subtractable."""
 
     _tag = "min"
-    subtractable = False
+    _ufunc = np.minimum
 
     def state(self, table, rows):
         column = self._column(table)
@@ -138,11 +204,11 @@ class Min(_MeasureAggregate):
         return state
 
 
-class Max(_MeasureAggregate):
+class Max(_Extremum):
     """MAX(measure); state is the float maximum.  Not subtractable."""
 
     _tag = "max"
-    subtractable = False
+    _ufunc = np.maximum
 
     def state(self, table, rows):
         column = self._column(table)
@@ -164,6 +230,10 @@ class Average(_MeasureAggregate):
     def state(self, table, rows):
         column = self._column(table)
         return (float(sum(column[i] for i in rows)), len(rows))
+
+    def states(self, table, rows, starts):
+        sums = _segment_sums(self._column(table)[rows], starts)
+        return list(zip(sums.tolist(), _lengths(rows, starts).tolist()))
 
     def merge(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
@@ -193,8 +263,20 @@ class Variance(_MeasureAggregate):
 
     def state(self, table, rows):
         column = self._column(table)
-        values = [float(column[i]) for i in rows]
-        return (len(values), sum(values), sum(v * v for v in values))
+        # Left to right on every Python version: from 3.12, sum() of
+        # Python floats compensates.
+        total = sumsq = 0
+        for i in rows:
+            v = float(column[i])
+            total += v
+            sumsq += v * v
+        return (len(rows), total, sumsq)
+
+    def states(self, table, rows, starts):
+        values = self._column(table)[rows]
+        return list(zip(_lengths(rows, starts).tolist(),
+                        _segment_sums(values, starts).tolist(),
+                        _segment_sums(values * values, starts).tolist()))
 
     def merge(self, a, b):
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
@@ -226,6 +308,9 @@ class MultiAggregate(AggregateFunction):
 
     def state(self, table, rows):
         return tuple(p.state(table, rows) for p in self.parts)
+
+    def states(self, table, rows, starts):
+        return list(zip(*(p.states(table, rows, starts) for p in self.parts)))
 
     def merge(self, a, b):
         return tuple(p.merge(x, y) for p, x, y in zip(self.parts, a, b))

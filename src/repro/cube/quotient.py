@@ -24,7 +24,7 @@ from repro.core.cells import (
     generalizes,
     strictly_generalizes,
 )
-from repro.core.classes import enumerate_temp_classes
+from repro.core.classes import class_states, enumerate_temp_classes
 from repro.cube.aggregates import make_aggregate
 from repro.cube.table import BaseTable
 
@@ -233,12 +233,9 @@ class QCTable:
     @classmethod
     def from_table(cls, table: BaseTable, aggregate="count") -> "QCTable":
         agg = make_aggregate(aggregate)
-        temp = enumerate_temp_classes(table, agg)
-        first_state: dict = {}
-        for t in temp:
-            first_state.setdefault(t.upper_bound, t.state)
         rows = sorted(
-            ((ub, agg.value(state)) for ub, state in first_state.items()),
+            ((ub, agg.value(state))
+             for ub, state in class_states(table, agg).items()),
             key=lambda pair: dict_sort_key(pair[0]),
         )
         return cls(rows, table.n_dims)

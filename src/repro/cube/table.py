@@ -111,7 +111,8 @@ class BaseTable:
 
         Synthetic generators produce coded data directly; labels equal the
         codes.  ``cardinalities`` fixes each dimension's domain size (else
-        the observed maximum is used).
+        the observed maximum is used).  A code outside ``[0,
+        cardinality)`` raises :class:`SchemaError`.
         """
         rows = [tuple(int(v) for v in r) for r in rows]
         n_dims = schema.n_dims
@@ -124,6 +125,13 @@ class BaseTable:
             cardinalities = [
                 (max((r[j] for r in rows), default=-1) + 1) for j in range(n_dims)
             ]
+        codes = np.array(rows, dtype=np.int64).reshape(len(rows), n_dims)
+        bad = ((codes < 0) | (codes >= np.asarray(cardinalities))).any(axis=1)
+        if bad.any():
+            raise SchemaError(
+                f"encoded row {rows[int(bad.argmax())]!r} has a code outside "
+                f"[0, cardinality) for cardinalities {tuple(cardinalities)}"
+            )
         decoders = [list(range(card)) for card in cardinalities]
         encoders = [{v: v for v in range(card)} for card in cardinalities]
         measures = np.asarray(measures, dtype=np.float64).reshape(

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.cells import ALL, Cell, meet
-from repro.core.classes import enumerate_temp_classes
+from repro.core.classes import class_states
 from repro.core.iceberg import _satisfies
 from repro.core.point_query import locate
 from repro.core.range_query import encode_range, range_classes
@@ -250,11 +250,7 @@ def scatter_iceberg(pieces, aggregate, threshold, op: str = ">=",
         candidates = _class_states(live[0]).items()
     elif live:
         union = _union_table(live)
-        states: dict = {}
-        for temp in enumerate_temp_classes(union, aggregate):
-            # Redundant rediscoveries repeat an upper bound with the
-            # same cover, hence the same state — first record wins.
-            states.setdefault(temp.upper_bound, temp.state)
+        states = class_states(union, aggregate)
         candidates = (
             (
                 tuple(

@@ -5,8 +5,11 @@ example; we reproduce that table and check the DFS's structural
 invariants against the brute-force oracle on random inputs.
 """
 
+import hashlib
+
 import pytest
 
+from repro.core import classes
 from repro.core.cells import ALL, generalizes
 from repro.core.classes import (
     enumerate_temp_classes,
@@ -14,6 +17,7 @@ from repro.core.classes import (
     unique_upper_bounds,
 )
 from repro.cube.lattice import closed_cells, closure
+from repro.data.synthetic import zipf_table
 from tests.conftest import make_random_table
 
 
@@ -84,6 +88,29 @@ class TestPaperExample:
                 assert child.upper_bound[diff[0]] is ALL
 
 
+def stream_digest(temp) -> str:
+    """sha256 of the ``(class_id, ub, lb, child_id, repr(state))`` stream."""
+    stream = [(t.class_id, t.upper_bound, t.lower_bound, t.child_id,
+               repr(t.state)) for t in temp]
+    return hashlib.sha256(repr(stream).encode()).hexdigest()
+
+
+class TestGoldenStream:
+    def test_zipf_sum_stream_digest(self):
+        # Recorded from the recursive Python DFS this partitioner
+        # replaced; reproduce with
+        #   PYTHONPATH=src python -c "from tests.test_classes_dfs import *;
+        #   print(stream_digest(enumerate_temp_classes(
+        #   zipf_table(2000, 6, 30, seed=0), ('sum', 'M0'))))"
+        # It pins class ids (preorder, children by dimension then value),
+        # bounds, lattice children and every sum to the last bit.
+        temp = enumerate_temp_classes(zipf_table(2000, 6, 30, seed=0),
+                                      ("sum", "M0"))
+        assert len(temp) == 15000
+        assert stream_digest(temp) == (
+            "fbcbbf83a6d9519665dc8c0dc1cfb59ded24331b4f2f657f5dae18267044f382")
+
+
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(25))
     def test_upper_bounds_are_exactly_closed_cells(self, seed):
@@ -124,13 +151,15 @@ class TestInvariants:
         table = make_random_table(0, n_rows=1).without_rows([0])
         assert enumerate_temp_classes(table, "count") == []
 
-    def test_visitor_sees_every_record(self):
-        table = make_random_table(3)
-        seen = []
-        temp = enumerate_temp_classes(
-            table, "count", visitor=lambda t, rows: seen.append(t.class_id)
-        )
-        assert seen == [t.class_id for t in temp]
+    @pytest.mark.parametrize("seed", range(10))
+    def test_working_chunks_do_not_change_the_stream(self, seed,
+                                                     monkeypatch):
+        # A level is closed, summed and split in chunks of rows; chunk
+        # boundaries falling inside every level must not show.
+        table = make_random_table(seed + 400, n_rows=40)
+        whole = enumerate_temp_classes(table, ("avg", "m"))
+        monkeypatch.setattr(classes, "_CHUNK", 3)
+        assert enumerate_temp_classes(table, ("avg", "m")) == whole
 
 
 class TestPartitionClosure:

@@ -72,6 +72,19 @@ class TestFromEncoded:
         with pytest.raises(SchemaError):
             BaseTable.from_encoded([(0,)], [[1.0]], schema)
 
+    def test_negative_code_rejected(self, schema):
+        # -1 stands for ``*`` in the construction's code matrix; it used
+        # to be accepted and decode to the last label of the dimension.
+        with pytest.raises(SchemaError, match="outside"):
+            BaseTable.from_encoded([(0, -1)], [[1.0]], schema,
+                                   cardinalities=[2, 2])
+
+    def test_code_at_cardinality_rejected(self, schema):
+        # It used to be accepted and fail only at decode (IndexError).
+        with pytest.raises(SchemaError, match="outside"):
+            BaseTable.from_encoded([(2, 0)], [[1.0]], schema,
+                                   cardinalities=[2, 2])
+
 
 class TestEncodingApi:
     def test_encode_cell_with_stars(self, table):
