@@ -4,7 +4,8 @@ A scaled model of the paper's evaluation dataset (September 1985 land
 station records): nine correlated dimensions, heavily skewed station
 activity.  The example compares the four storage structures on the same
 data, runs the paper's query workloads, applies a day of incremental
-loads, and round-trips the warehouse through its on-disk format.
+loads, and round-trips the warehouse through its checkpoint directory
+and write-ahead log.
 
 Run:  python examples/weather_olap.py
 """
@@ -63,17 +64,24 @@ def main():
     warehouse.delete(faulty)
     print(f"  after recall: {warehouse.stats()['classes']} classes")
 
-    print("\n-- Persistence round trip --")
+    print("\n-- Persistence round trip: checkpoint, log, crash, recover --")
     with tempfile.TemporaryDirectory() as tmp:
-        tree_path = os.path.join(tmp, "weather.qct")
-        table_path = os.path.join(tmp, "weather.csv")
-        warehouse.save(tree_path, table_path)
-        loaded = QCWarehouse.load(tree_path, table_path, table.schema)
-        same = loaded.tree.equivalent_to(warehouse.tree)
-        print(f"  saved {os.path.getsize(tree_path):,} bytes; "
-              f"reload identical: {same}")
+        directory = os.path.join(tmp, "weather.d")
+        wal_path = os.path.join(directory, "wal.log")
+        warehouse.checkpoint(directory)
+        size = sum(os.path.getsize(os.path.join(directory, name))
+                   for name in os.listdir(directory))
+        # A late reading, logged before it is applied: the process
+        # "crashes" here without a second checkpoint.
+        warehouse.attach_wal(wal_path)
+        warehouse.insert(new_readings[20:21])
+        loaded = QCWarehouse.recover(directory, wal_path, table.schema)
+        print(f"  checkpointed {size:,} bytes; replayed "
+              f"{loaded.last_recovery['replayed']} logged batch; "
+              f"recovered {loaded.n_rows:,} of {warehouse.n_rows:,} rows")
         probe = ("*",) * 6
-        print(f"  AVG(temperature) overall: {loaded.point(probe):.2f}")
+        print(f"  AVG(temperature) overall: {loaded.point(probe):.2f} "
+              f"(before the crash: {warehouse.point(probe):.2f})")
 
 
 if __name__ == "__main__":

@@ -4,14 +4,19 @@ The CLI wraps the most common warehouse operations so a reproduced
 pipeline can be driven from the shell::
 
     python -m repro build sales.csv --dims Store,Product,Season \\
-        --measures Sale --aggregate "avg(Sale)" --out sales.qct
-    python -m repro stats sales.qct
-    python -m repro point sales.qct --table sales.csv "S2,*,f"
-    python -m repro range sales.qct --table sales.csv "S1|S2,*,f"
-    python -m repro iceberg sales.qct --table sales.csv --threshold 9
-    python -m repro fsck sales.qct --table sales.csv
-    python -m repro dump sales.qct --table sales.csv
-    python -m repro serve sales.qct --table sales.csv --workers 4
+        --measures Sale --aggregate "avg(Sale)" --out sales.d
+    python -m repro stats sales.d
+    python -m repro point sales.d "S2,*,f"
+    python -m repro range sales.d "S1|S2,*,f"
+    python -m repro iceberg sales.d --threshold 9
+    python -m repro fsck sales.d
+    python -m repro dump sales.d
+    python -m repro serve sales.d --workers 4
+
+``build`` writes a checkpoint directory (:mod:`repro.core.manifest`,
+whose manifest names the schema too); every other verb opens it through
+``recover`` with the write-ahead log ``DIR/wal.log``, so it also sees
+the writes a killed ``serve`` logged.
 
 Cells use ``,`` between dimensions and ``*`` for ALL; range dimensions
 separate candidate values with ``|``.
@@ -29,6 +34,9 @@ concurrent warehouse::
     stats
     health
     quit
+
+Each write is fsynced to ``DIR/wal.log`` before its ``OK`` is sent;
+``quit`` or EOF closes the server and checkpoints ``DIR``.
 
 ``health`` prints the JSON health/readiness report (liveness, snapshot
 staleness, queue depth, worker liveness, degraded state, breaker state)
@@ -53,17 +61,22 @@ corruption.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
+from collections import Counter
 
 from repro import __version__
-from repro.core.piece import Piece, paired_table
-from repro.core.serialize import load_qctree_from
+from repro.core.manifest import load_manifest, manifest_schema
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import ReproError
-from repro.reliability.fsck import fsck_tree
+from repro.segments import SegmentedWarehouse
 from repro.serving.protocol import parse_cell, parse_range_spec as parse_range
+
+#: The write-ahead log ``serve`` keeps inside the checkpoint directory.
+WAL_NAME = "wal.log"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,6 +104,19 @@ def _int_in(low: int, high=None):
     return parse
 
 
+def _seconds(text: str) -> float:
+    """An ``argparse`` ``type=`` for a deadline: positive and finite
+    (``0`` or less expires every request unseen)."""
+    value = float(text)
+    if not 0 < value < math.inf:  # nan fails both comparisons
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text}")
+    return value
+
+
+_seconds.__name__ = "float"
+
+
 def _schema_from_args(args) -> Schema:
     return Schema(
         dimensions=tuple(args.dims.split(",")),
@@ -98,48 +124,27 @@ def _schema_from_args(args) -> Schema:
     )
 
 
-def _load_warehouse(args):
-    """The saved pair behind every query/serve command, through the one
-    pair loader (:meth:`Piece.load <repro.core.piece.Piece.load>`), so
-    the CLI answers exactly what ``QCWarehouse.load`` answers."""
-    dim_names = load_qctree_from(args.tree).dim_names
-    schema = Schema(dimensions=dim_names,
-                    measures=args_measures(args, dim_names))
-    piece, _, _ = Piece.load(args.tree, args.table, schema)
-    aggregate = piece.tree.aggregate
-    if args.segmented:
-        # Segmented ingest: the snapshot's table seeds the store (a
-        # bootstrap bigger than --seal-rows seals immediately) and the
-        # background compactor starts right away; the .qct tree is used
-        # for its schema + aggregate spec.
-        from repro.segments import SegmentedWarehouse
-
-        warehouse = SegmentedWarehouse(
-            piece.table, aggregate=aggregate, seal_rows=args.seal_rows,
-        )
-        warehouse.start_compactor()
-        return warehouse
-    return QCWarehouse(piece.table, aggregate=aggregate, tree=piece.tree)
-
-
-def args_measures(args, dim_names):
-    if args.measures:
-        return tuple(args.measures.split(","))
-    # Infer measures from the CSV header: everything after the dimensions.
-    import csv
-
-    with open(args.table, newline="") as fp:
-        header = next(csv.reader(fp))
-    return tuple(header[len(dim_names):])
+def _open_store(directory, segmented=None, **options) -> QCWarehouse:
+    """The store in checkpoint ``directory``, for every verb: the
+    manifest's schema, then ``recover`` with ``DIR/wal.log``.  None for
+    ``segmented`` lets the directory pick the class (sealed segments
+    make it a SegmentedWarehouse); ``options`` go to its constructor."""
+    payload = load_manifest(directory)
+    schema = manifest_schema(payload, directory)
+    if segmented is None:
+        segmented = bool(payload["segments"])
+    store = SegmentedWarehouse if segmented else QCWarehouse
+    return store.recover(directory, os.path.join(directory, WAL_NAME),
+                         schema, **options)
 
 
 def cmd_build(args) -> int:
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        raise ReproError(f"{args.out} is not empty; build writes a new store")
     schema = _schema_from_args(args)
     table = BaseTable.from_csv(args.csv, schema)
     warehouse = QCWarehouse(table, aggregate=args.aggregate)
-    # Written the way ``save()`` writes it: the label dictionaries ride
-    # along, so the file pairs with any CSV holding the same rows.
-    warehouse.save(args.out)
+    warehouse.checkpoint(args.out)
     stats = warehouse.stats()
     print(
         f"built {args.out}: {stats['classes']} classes, "
@@ -150,24 +155,25 @@ def cmd_build(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    tree = load_qctree_from(args.tree)
-    for key, value in tree.stats().items():
+    store = _open_store(args.directory)
+    sizes = Counter()
+    for piece in store.pieces():
+        sizes.update(piece.tree.stats())
+    for key, value in sizes.items():
         print(f"{key}: {value}")
-    print(f"aggregate: {tree.aggregate.name}")
-    print(f"dimensions: {', '.join(tree.dim_names)}")
+    print(f"aggregate: {store.aggregate.name}")
+    print(f"dimensions: {', '.join(store.table.schema.dimension_names)}")
     return 0
 
 
 def cmd_point(args) -> int:
-    warehouse = _load_warehouse(args)
-    value = warehouse.point(parse_cell(args.cell))
+    value = _open_store(args.directory).point(parse_cell(args.cell))
     print("NULL" if value is None else value)
     return 0
 
 
 def cmd_range(args) -> int:
-    warehouse = _load_warehouse(args)
-    results = warehouse.range(parse_range(args.spec))
+    results = _open_store(args.directory).range(parse_range(args.spec))
     for cell, value in sorted(results.items()):
         print(f"{','.join(map(str, cell))}\t{value}")
     print(f"# {len(results)} cells", file=sys.stderr)
@@ -175,46 +181,17 @@ def cmd_range(args) -> int:
 
 
 def cmd_iceberg(args) -> int:
-    warehouse = _load_warehouse(args)
-    for upper_bound, value in warehouse.iceberg(args.threshold, op=args.op):
+    store = _open_store(args.directory)
+    for upper_bound, value in store.iceberg(args.threshold, op=args.op):
         print(f"{','.join(map(str, upper_bound))}\t{value}")
     return 0
 
 
 def cmd_dump(args) -> int:
-    warehouse = _load_warehouse(args)
-    print(warehouse.tree.dump(decoder=warehouse.table.decode_value))
+    for piece in _open_store(args.directory).pieces():
+        print(f"# {piece.name}")
+        print(piece.tree.dump(decoder=piece.table.decode_value))
     return 0
-
-
-def _serve_dispatch(server, warehouse, line, out) -> bool:
-    """Handle one ``serve`` protocol line; False means quit.
-
-    Parsing and response framing come from
-    :mod:`repro.serving.protocol` — the same definition the asyncio TCP
-    front door speaks, so stdin and TCP sessions are interchangeable.
-    """
-    from repro.serving import protocol
-
-    parsed = protocol.parse_line(line, n_dims=warehouse.table.n_dims)
-    if parsed.kind == "quit":
-        return False
-    if parsed.kind == "stats":
-        print(protocol.format_response(parsed, server.stats()),
-              file=out, flush=True)
-        return True
-    if parsed.kind == "write":
-        getattr(server, parsed.command)([parsed.args[0]])
-        print(protocol.format_response(parsed, None), file=out, flush=True)
-        return True
-    # Queries go through the worker pool unless the answer is a cache
-    # hit; ``health`` is never cached, so its reply still proves a live
-    # worker, not just a live control thread.
-    value = server.query(
-        parsed.op, *parsed.args, timeout=parsed.timeout, **parsed.kwargs
-    )
-    print(protocol.format_response(parsed, value), file=out, flush=True)
-    return True
 
 
 def _make_server(warehouse, args):
@@ -243,69 +220,87 @@ def _make_server(warehouse, args):
 
 
 def cmd_serve(args) -> int:
-    warehouse = _load_warehouse(args)
+    options = {"seal_rows": args.seal_rows} if args.segmented else {}
+    warehouse = _open_store(args.directory, args.segmented, **options)
     try:
+        if args.segmented:
+            warehouse.start_compactor()
         server = _make_server(warehouse, args)
     except BaseException:
         # A stranded segment compactor (non-daemon) would hang exit.
         warehouse.close()
         raise
-    stats = warehouse.stats()
-    detail = (
-        f"{stats['segments_live']} segments"
-        if stats.get("serving") == "segmented"
-        else f"{stats['classes']} classes"
-    )
+    health = warehouse.segment_health()
+    detail = (f"{health['segments_live']} segments" if health
+              else f"{warehouse.tree.n_classes} classes")
     fleet = (f"{args.processes} processes, " if args.processes else "")
-    if args.use_async:
-        return _serve_async(server, args, detail, fleet)
+    serve = _serve_async if args.use_async else _serve_lines
+    try:
+        code = serve(server, args, f"{detail}, {fleet}{args.workers} workers")
+    finally:
+        server.close()
+    # Every acknowledged write is in the log already; the checkpoint
+    # folds them into DIR and empties the log.
+    warehouse.checkpoint(args.directory)
+    return code
+
+
+def _serve_lines(server, args, detail: str) -> int:
+    """``serve``: the line protocol on stdin/stdout until ``quit`` or
+    EOF.  Parsing and response framing come from
+    :mod:`repro.serving.protocol` — the same definition the asyncio TCP
+    front door speaks, so stdin and TCP sessions are interchangeable."""
+    from repro.serving import protocol
+
     print(
-        f"serving {args.tree}: {detail}, "
-        f"{fleet}{args.workers} workers, queue {args.queue_size} "
+        f"serving {args.directory}: {detail}, queue {args.queue_size} "
         f"(point/range/iceberg/rollup/…; 'quit' to stop)",
         file=sys.stderr,
     )
-    from repro.serving import protocol
-
-    try:
-        for raw_line in sys.stdin:
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                if not _serve_dispatch(server, warehouse, line, sys.stdout):
-                    break
-            except ReproError as exc:
-                print(protocol.format_error(exc), file=sys.stdout, flush=True)
-    finally:
-        server.close()
+    n_dims = server.warehouse.table.n_dims
+    for raw_line in sys.stdin:
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            parsed = protocol.parse_line(line, n_dims=n_dims)
+            if parsed.kind == "quit":
+                break
+            if parsed.kind == "stats":
+                value = server.stats()
+            elif parsed.kind == "write":
+                value = getattr(server, parsed.command)([parsed.args[0]])
+            else:
+                # Through the worker pool unless the answer is a cache
+                # hit; ``health`` is never cached, so its reply still
+                # proves a live worker, not just a live control thread.
+                value = server.query(parsed.op, *parsed.args,
+                                     timeout=parsed.timeout, **parsed.kwargs)
+            print(protocol.format_response(parsed, value), flush=True)
+        except ReproError as exc:
+            print(protocol.format_error(exc), flush=True)
     return 0
 
 
-def _serve_async(server, args, detail: str, fleet: str) -> int:
+def _serve_async(server, args, detail: str) -> int:
     """``serve --async``: the asyncio TCP front door in the foreground.
 
     The listener runs in a dedicated loop thread
     (:class:`~repro.serving.async_server.AsyncServerThread`); stdin
     stays a control channel — EOF or a ``quit`` line drains the
-    transport and shuts the server down.
+    transport.
     """
     from repro.serving.async_server import AsyncServerThread
 
-    try:
-        handle = AsyncServerThread(
-            server, host=args.host, port=args.port,
-            max_connections=args.max_connections,
-            max_inflight=args.max_inflight,
-            default_timeout=args.timeout,
-        )
-    except BaseException:
-        server.close()
-        raise
+    handle = AsyncServerThread(
+        server, host=args.host, port=args.port,
+        max_connections=args.max_connections,
+        max_inflight=args.max_inflight,
+        default_timeout=args.timeout,
+    )
     print(
-        f"serving {args.tree} on {handle.host}:{handle.port} (async): "
-        f"{detail}, {fleet}{args.workers} workers, "
-        f"queue {args.queue_size}, "
+        f"serving {args.directory} on {handle.host}:{handle.port} (async): "
+        f"{detail}, queue {args.queue_size}, "
         f"max {args.max_connections} connections × "
         f"{args.max_inflight} in flight "
         f"('quit' or EOF on stdin to stop)",
@@ -319,7 +314,6 @@ def _serve_async(server, args, detail: str, fleet: str) -> int:
         pass
     finally:
         handle.close()
-        server.close()
     if handle.leftover_tasks:  # pragma: no cover - defensive
         print(
             f"error: {len(handle.leftover_tasks)} asyncio tasks survived "
@@ -330,27 +324,20 @@ def _serve_async(server, args, detail: str, fleet: str) -> int:
 
 
 def cmd_fsck(args) -> int:
-    tree = load_qctree_from(args.tree)
-    table = None
-    if args.table is not None:
-        schema = Schema(
-            dimensions=tree.dim_names,
-            measures=args_measures(args, tree.dim_names),
-        )
-        table = BaseTable.from_csv(args.table, schema)
-        # Check the *stored* tree (never a rebuilt one) against the rows
-        # under the codes it was saved with; a legacy file without
-        # dictionaries is checked under the CSV's own sorted codes.
-        paired = paired_table(tree, table)
-        if paired is not None:
-            table = paired
-    report = fsck_tree(
-        # --samples 0 means "check every class".
-        tree, table=table, samples=args.samples or None, seed=args.seed
-    )
+    store = _open_store(args.directory)
+    # --samples 0 means "check every class".
+    report = store.verify(deep=True, samples=args.samples or None,
+                          seed=args.seed)
+    # fsck reports on the stored trees: a piece recover rebuilt from its
+    # CSV answers correctly, but its stored tree was torn, unpaired with
+    # the CSV or stamped behind it.
+    for name in store.last_recovery["rebuilt"]:
+        report.add("rebuilt", f"{name}: stored tree unusable (torn, "
+                              f"unpaired or behind its CSV); rebuilt "
+                              f"from the CSV")
     for issue in report.issues:
         print(issue)
-    print(f"{args.tree}: {report.summary()}")
+    print(f"{args.directory}: {report.summary()}")
     return 0 if report.ok else 2
 
 
@@ -371,42 +358,43 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated measure column names")
     p_build.add_argument("--aggregate", default="count",
                          help='aggregate spec, e.g. count or "avg(Sale)"')
-    p_build.add_argument("--out", required=True, help="output .qct path")
+    p_build.add_argument("--out", required=True,
+                         help="checkpoint directory to create")
     p_build.set_defaults(func=cmd_build)
 
-    p_stats = sub.add_parser("stats", help="show a saved tree's statistics")
-    p_stats.add_argument("tree")
-    p_stats.set_defaults(func=cmd_stats)
-
-    def with_table(p):
-        p.add_argument("tree")
-        p.add_argument("--table", required=True,
-                       help="CSV base table (for label encoding)")
-        # What the shared loader reads of flags only some of these
-        # commands have; those flags take their defaults from here.
-        p.set_defaults(measures=None, segmented=False)
+    def with_directory(p):
+        p.add_argument("directory", help="checkpoint directory (build --out)")
         return p
 
-    p_point = with_table(sub.add_parser("point", help="answer a point query"))
+    p_stats = with_directory(
+        sub.add_parser("stats", help="show a store's tree statistics"))
+    p_stats.set_defaults(func=cmd_stats)
+
+    p_point = with_directory(
+        sub.add_parser("point", help="answer a point query"))
     p_point.add_argument("cell", help='e.g. "S2,*,f"')
     p_point.set_defaults(func=cmd_point)
 
-    p_range = with_table(sub.add_parser("range", help="answer a range query"))
+    p_range = with_directory(
+        sub.add_parser("range", help="answer a range query"))
     p_range.add_argument("spec", help='e.g. "S1|S2,*,f"')
     p_range.set_defaults(func=cmd_range)
 
-    p_ice = with_table(sub.add_parser("iceberg", help="pure iceberg query"))
+    p_ice = with_directory(
+        sub.add_parser("iceberg", help="pure iceberg query"))
     p_ice.add_argument("--threshold", type=float, required=True)
     p_ice.add_argument("--op", default=">=", choices=[">=", ">", "<=", "<"])
     p_ice.set_defaults(func=cmd_iceberg)
 
-    p_dump = with_table(sub.add_parser("dump", help="pretty-print the tree"))
+    p_dump = with_directory(
+        sub.add_parser("dump", help="pretty-print every piece's tree"))
     p_dump.set_defaults(func=cmd_dump)
 
-    p_serve = with_table(sub.add_parser(
+    p_serve = with_directory(sub.add_parser(
         "serve",
         help="serve queries over stdin/stdout through a QCServer, or "
-             "over TCP with --async",
+             "over TCP with --async; writes are logged to DIR/wal.log "
+             "and checkpointed into DIR on quit",
     ))
     # What stays settable, and why.  --processes / --segmented / --async
     # each pick a server, store or transport that benchmarks/e2e has a
@@ -420,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="reader worker threads (default 4)")
     p_serve.add_argument("--queue-size", type=_int_in(1), default=128,
                          help="admission queue bound (default 128)")
-    p_serve.add_argument("--timeout", type=float, default=None,
+    p_serve.add_argument("--timeout", type=_seconds, default=None,
                          help="per-request deadline in seconds (default none)")
-    p_serve.add_argument("--warm-keys", type=int, default=32,
+    p_serve.add_argument("--warm-keys", type=_int_in(0), default=32,
                          help="hottest cache keys replayed after each "
                               "snapshot swap (default 32; 0 disables)")
     p_serve.add_argument("--processes", type=_int_in(0), default=0,
@@ -432,11 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "CPU-bound traffic; default 0 = threads only; "
                               "incompatible with --segmented)")
     p_serve.add_argument("--segmented", action="store_true",
-                         help="serve from a SegmentedWarehouse: writes land "
+                         help="open DIR as a SegmentedWarehouse: writes land "
                               "in a small head that seals into immutable "
                               "segments, queries scatter-gather, a background "
                               "compactor merges segments (write latency "
-                              "bounded by head size, not cube size)")
+                              "bounded by head size, not cube size); plain "
+                              "serve refuses a DIR holding segments")
     p_serve.add_argument("--seal-rows", type=_int_in(1), default=2048,
                          help="head rows at which a segmented warehouse "
                               "seals the head into a segment (default 2048; "
@@ -466,16 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "backpressure)")
     p_serve.set_defaults(func=cmd_serve)
 
-    p_fsck = sub.add_parser(
-        "fsck", help="verify a saved tree's invariants (exit 2 on corruption)"
-    )
-    p_fsck.add_argument("tree")
-    p_fsck.add_argument("--table", default=None,
-                        help="CSV base table enabling aggregate re-derivation")
-    p_fsck.add_argument("--measures", default="",
-                        help="comma-separated measure column names "
-                             "(inferred from the CSV header by default)")
-    p_fsck.add_argument("--samples", type=int, default=64,
+    p_fsck = with_directory(sub.add_parser(
+        "fsck", help="verify a store's stored trees (exit 2 on corruption)"
+    ))
+    p_fsck.add_argument("--samples", type=_int_in(0), default=64,
                         help="classes to re-aggregate (0 = all; default 64)")
     p_fsck.add_argument("--seed", type=int, default=0,
                         help="sampling seed (default 0)")

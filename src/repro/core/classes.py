@@ -60,25 +60,6 @@ class TempClass:
         )
 
 
-def partition_closure(table: BaseTable, cell: Cell, rows) -> Cell:
-    """Jump ``cell`` to its class upper bound within partition ``rows``.
-
-    For each ``*`` dimension, if every row of the partition carries the
-    same value there, the upper bound takes that value.  ``rows`` must be
-    exactly the cover set of ``cell`` and non-empty.
-    """
-    table_rows = table.rows
-    first = table_rows[rows[0]]
-    out = list(cell)
-    for j, v in enumerate(cell):
-        if v is not ALL:
-            continue
-        candidate = first[j]
-        if all(table_rows[i][j] == candidate for i in rows[1:]):
-            out[j] = candidate
-    return tuple(out)
-
-
 def _runs(ends):
     """``(first, stop, base)`` runs of the items whose sizes add up to
     ``ends``, each of at most ``_CHUNK`` entries (or one larger item);
@@ -220,7 +201,3 @@ def class_states(table: BaseTable, aggregate="count") -> dict:
     return dict(zip(_cells(upper[first]),
                     [states[i] for i in first.tolist()]))
 
-
-def unique_upper_bounds(temp_classes) -> set:
-    """The distinct class upper bounds among a DFS result."""
-    return {t.upper_bound for t in temp_classes}

@@ -6,7 +6,9 @@ never modified; none for a store that never seals), the head snapshot
 (``head-XXXXXXXX.qct``/``.csv``, a fresh sequence-numbered pair per
 checkpoint), and ``MANIFEST.json`` — a checksummed JSON document naming
 exactly which files constitute the store, in segment order, at which
-WAL LSN, and the aggregate every tree can be rebuilt with.
+WAL LSN, the aggregate every tree can be rebuilt with, and the schema
+(dimension and measure names) the tables are read under — so a
+directory names everything needed to reopen it.
 
 The manifest is written *last* and atomically (temp file + fsync +
 rename + directory fsync), so every crash leaves one of two states:
@@ -28,6 +30,7 @@ import os
 import zlib
 
 from repro.atomic import replace_file
+from repro.cube.schema import Schema
 from repro.errors import RecoveryError
 
 MANIFEST_NAME = "MANIFEST.json"
@@ -35,7 +38,8 @@ FORMAT = "QCSEGSET/1"
 
 
 def save_manifest(directory, *, lsn: int, generation: int, aggregate_spec,
-                  segments: list, head: dict, next_segment_id: int) -> None:
+                  schema: Schema, segments: list, head: dict,
+                  next_segment_id: int) -> None:
     """Atomically publish a manifest describing the current segment set.
 
     ``segments`` is a list of ``{"id", "rows", "tree", "table"}`` entries
@@ -47,6 +51,8 @@ def save_manifest(directory, *, lsn: int, generation: int, aggregate_spec,
         "lsn": int(lsn),
         "generation": int(generation),
         "aggregate": aggregate_spec,
+        "schema": {"dimensions": list(schema.dimension_names),
+                   "measures": list(schema.measure_names)},
         "next_segment_id": int(next_segment_id),
         "segments": segments,
         "head": head,
@@ -88,6 +94,19 @@ def load_manifest(directory) -> dict:
             f"{payload.get('format')!r}"
         )
     return payload
+
+
+def manifest_schema(payload: dict, directory) -> Schema:
+    """The schema a manifest names; raises :class:`RecoveryError` for a
+    manifest written before the entry existed."""
+    entry = payload.get("schema")
+    if entry is None:
+        raise RecoveryError(
+            f"segment manifest in {directory} names no schema; rebuild "
+            f"the store, or recover it with a schema and checkpoint it"
+        )
+    return Schema(dimensions=tuple(entry["dimensions"]),
+                  measures=tuple(entry["measures"]))
 
 
 def manifest_files(payload: dict) -> set:

@@ -62,7 +62,7 @@ def _csv_stamped_lsn(table_path) -> int:
         return 0
 
 
-def paired_table(tree, table: BaseTable) -> Optional[BaseTable]:
+def _paired_table(tree, table: BaseTable) -> Optional[BaseTable]:
     """``table`` (fresh from its CSV, codes minted in sorted order)
     re-encoded to the codes the loaded ``tree`` was saved under, or None
     when they cannot be paired: the file carries no ``labels``
@@ -324,7 +324,7 @@ class Piece:
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self, tree_path, table_path=None, meta=None) -> None:
+    def save(self, tree_path, table_path, meta=None) -> None:
         """Persist the pair: table CSV first, then the ``QCTREE/2`` tree.
 
         Both writes are atomic (temp file + fsync + rename) and both are
@@ -341,15 +341,13 @@ class Piece:
         has the right name — left by another run or another warehouse —
         is overwritten.
         """
-        paths = (os.path.abspath(tree_path),
-                 table_path and os.path.abspath(table_path))
+        paths = (os.path.abspath(tree_path), os.path.abspath(table_path))
         if (self.segment_id is not None and self._saved_at == paths
-                and all(os.path.exists(p) for p in paths if p)):
+                and all(os.path.exists(p) for p in paths)):
             return
         lsn = (meta or {}).get("wal_lsn")
-        if table_path is not None:
-            comment = f"wal_lsn={lsn}" if lsn is not None else None
-            self.table.to_csv(table_path, comment=comment)
+        comment = f"wal_lsn={lsn}" if lsn is not None else None
+        self.table.to_csv(table_path, comment=comment)
         # The label dictionaries ride along: the tree stores encoded
         # codes, and a CSV round-trip would otherwise re-mint them in
         # sorted order — silently mispairing tree and table whenever
@@ -359,7 +357,7 @@ class Piece:
         self._saved_at = paths
 
     @classmethod
-    def load(cls, tree_path, table_path, schema, aggregate=None) -> tuple:
+    def load(cls, tree_path, table_path, schema, aggregate) -> tuple:
         """Restore a pair written by :meth:`save`; returns ``(piece,
         lsn, rebuilt)`` — the WAL position the pair includes and whether
         the tree had to be rebuilt from the CSV.
@@ -369,9 +367,7 @@ class Piece:
         identically); the stored tree is used only when it provably
         pairs with it.  The tree is rebuilt from the table when
 
-        * the tree file is missing or fails its checksum — possible only
-          when ``aggregate`` names what to rebuild with; without it the
-          error propagates, since nothing else records the aggregate;
+        * the tree file is missing or fails its checksum;
         * the table is stamped ahead of the tree (torn checkpoint: the
           table committed, the tree written after it did not);
         * the file carries **no** ``labels`` dictionaries (legacy or
@@ -382,27 +378,24 @@ class Piece:
           replaced after the tree was written).
 
         Otherwise the CSV table is re-encoded to the codes the tree was
-        saved under (:func:`paired_table`).  A missing or unreadable CSV
-        is unrecoverable and propagates.
+        saved under (:func:`_paired_table`).  A rebuild uses
+        ``aggregate`` — the one the manifest records.  A missing or
+        unreadable CSV is unrecoverable and propagates.
         """
         table = BaseTable.from_csv(table_path, schema)
         table_lsn = _csv_stamped_lsn(table_path)
         try:
             tree = load_qctree_from(tree_path)
         except (SerializationError, OSError):
-            if aggregate is None:
-                raise
             tree = None
         if tree is not None:
             lsn = _stamped_lsn(tree.snapshot_meta)
-            paired = None if table_lsn > lsn else paired_table(tree, table)
+            paired = None if table_lsn > lsn else _paired_table(tree, table)
             if paired is not None:
                 piece = cls(tree, paired)
                 piece._saved_at = (os.path.abspath(tree_path),
                                    os.path.abspath(table_path))
                 return piece, lsn, False
-            if aggregate is None:
-                aggregate = tree.aggregate
         return cls.build(table, aggregate), table_lsn, True
 
     def __repr__(self):

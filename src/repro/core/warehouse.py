@@ -116,8 +116,7 @@ class QCWarehouse:
     COMPACT_INTERVAL = 0.05
 
     def __init__(self, table: BaseTable, aggregate="count",
-                 tree=None, index_key=None, wal=None,
-                 cache_size: int = 1024):
+                 index_key=None, wal=None, cache_size: int = 1024):
         self.aggregate = make_aggregate(aggregate)
         self._index_key = index_key
         self.wal: Optional[WriteAheadLog] = wal
@@ -127,10 +126,7 @@ class QCWarehouse:
         # outside it, so readers and writers only wait on pointer swaps.
         self._lock = threading.RLock()
         #: The head: the one piece writes land in.
-        self._live = (
-            Piece(tree, table) if tree is not None
-            else Piece.build(table, self.aggregate)
-        )
+        self._live = Piece.build(table, self.aggregate)
         #: Sealed pieces, oldest first; swapped (never edited) under the
         #: lock.
         self._segments: list = []
@@ -798,29 +794,20 @@ class QCWarehouse:
         self.wal = WriteAheadLog(wal_path)
         return self.wal
 
-    def save(self, tree_path, table_path=None) -> None:
-        """Export the head as a ``QCTREE/2`` tree (and optionally its
-        table as CSV) — the whole store while it is one piece.
+    def save(self, tree_path, table_path) -> None:
+        """Export the head as a ``QCTREE/2`` tree and its table as CSV —
+        the whole store while it is one piece.
 
         The pair format of :meth:`Piece.save
         <repro.core.piece.Piece.save>`: both writes atomic, table first,
         stamped with the WAL position they include when a log is
-        attached.  :meth:`checkpoint` is the durable layout.
+        attached.  Nothing reads a pair back on its own:
+        :meth:`checkpoint` is the durable layout, :meth:`recover` its
+        reader.
         """
         lsn = self.wal.last_lsn if self.wal is not None else None
         meta = {"wal_lsn": lsn} if lsn is not None else None
         self._live.save(tree_path, table_path, meta=meta)
-
-    @classmethod
-    def load(cls, tree_path, table_path, schema: Schema,
-             index_key=None) -> "QCWarehouse":
-        """Import a pair written by :meth:`save` through the one pair
-        loader (:meth:`Piece.load <repro.core.piece.Piece.load>`).  A
-        torn or missing tree raises: nothing beside it records the
-        aggregate to rebuild with."""
-        piece, _, _ = Piece.load(tree_path, table_path, schema)
-        return cls(piece.table, piece.tree.aggregate, tree=piece.tree,
-                   index_key=index_key)
 
     def checkpoint(self, directory) -> None:
         """Snapshot every piece into ``directory``, then truncate the WAL.
@@ -866,6 +853,7 @@ class QCWarehouse:
                 lsn=lsn,
                 generation=self._generation,
                 aggregate_spec=_spec_to_json(aggregate_spec(self.aggregate)),
+                schema=self.table.schema,
                 segments=entries,
                 head=head,
                 next_segment_id=top + 1,
@@ -892,7 +880,9 @@ class QCWarehouse:
         never seals refuses a manifest holding sealed pieces.  Then every
         committed WAL batch past the manifest's LSN is re-applied in
         order through the live batch body (:meth:`_apply`, minus the WAL
-        append), so replay reproduces seals and delete routing exactly:
+        append), so replay reproduces seals and delete routing exactly,
+        and a head left over the seal threshold then seals the way a
+        fresh store's bootstrap table does:
 
         * a batch the manifest already includes is skipped, so a crash
           *during* a checkpoint (manifest durable, log not yet
@@ -905,10 +895,11 @@ class QCWarehouse:
           recovery.
 
         The returned warehouse keeps logging to the same WAL;
-        ``last_recovery`` records what happened: ``rebuilt`` (any piece)
-        and ``rebuilt_segments`` (which sealed ones), ``replayed``,
-        ``skipped``, ``torn_tail``, ``checkpoint_lsn``, and the
-        ``orphans`` an interrupted checkpoint left (ignored).
+        ``last_recovery`` records what happened: ``rebuilt`` (the
+        :attr:`~repro.core.piece.Piece.name` of every piece whose stored
+        tree was not used), ``replayed``, ``skipped``, ``torn_tail``,
+        ``checkpoint_lsn``, and the ``orphans`` an interrupted checkpoint
+        left (ignored).
         """
         payload = load_manifest(directory)
         wh = cls(BaseTable.from_records([], schema),
@@ -921,27 +912,28 @@ class QCWarehouse:
                 f"as a SegmentedWarehouse"
             )
 
-        def load(entry) -> tuple:
-            piece, _, rebuilt = Piece.load(
+        rebuilt = []
+
+        def load(entry, segment_id=None) -> Piece:
+            piece, _, was_rebuilt = Piece.load(
                 os.path.join(directory, entry["tree"]),
                 os.path.join(directory, entry["table"]),
                 schema, wh.aggregate,
             )
-            return piece, rebuilt
+            if segment_id is not None:
+                piece.seal(segment_id)
+            if was_rebuilt:
+                rebuilt.append(piece.name)
+            return piece
 
-        rebuilt_segments = []
         for entry in payload["segments"]:
-            piece, rebuilt = load(entry)
-            piece.seal(int(entry["id"]))
-            wh._segments.append(piece)
-            if rebuilt:
-                rebuilt_segments.append(piece.segment_id)
+            wh._segments.append(load(entry, int(entry["id"])))
         # Freshly minted ids never collide with persisted ones.
         wh._ids = itertools.count(max(
             [int(payload.get("next_segment_id", 1))]
             + [s.segment_id + 1 for s in wh._segments]
         ))
-        wh._live, head_rebuilt = load(payload["head"])
+        wh._live = load(payload["head"])
         wh._generation = int(payload.get("generation", 0))
         wh._checkpoint_seq = int(payload["head"].get("seq", 0))
         lsn = int(payload["lsn"])
@@ -956,11 +948,11 @@ class QCWarehouse:
                 replayed += 1
             except MaintenanceError as exc:
                 skipped.append((record.lsn, str(exc)))
+        wh._maybe_seal()
         wh.invalidate_serving_view()
         wh.wal = wal
         wh.last_recovery = dict(
-            rebuilt=head_rebuilt or bool(rebuilt_segments),
-            rebuilt_segments=rebuilt_segments,
+            rebuilt=rebuilt,
             orphans=find_orphans(directory, payload),
             segments=len(payload["segments"]),
             replayed=replayed,

@@ -25,7 +25,9 @@ preserving the batch's single-transaction semantics.  Pure batches keep
 the original op names, so logs written by older builds replay unchanged.  A *torn tail* — a
 final line that is incomplete or fails its checksum — is expected after
 a crash mid-append and is silently dropped: the append never committed,
-and the in-memory mutation it preceded died with the process.  A corrupt
+and the in-memory mutation it preceded died with the process.  The
+next append cuts it off first, so a store reopened after the crash logs
+its new batches on lines of their own.  A corrupt
 record *followed by* valid ones cannot be explained by a torn append and
 raises :class:`RecoveryError` instead of silently skipping committed
 batches.
@@ -78,6 +80,9 @@ class WriteAheadLog:
         self.path = os.fspath(path)
         self.tail_was_torn = False
         self.base_lsn = 0
+        # Where the next append must cut the file (the end of its last
+        # whole record) when a crashed append left a torn tail.
+        self._cut_at: Optional[int] = None
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             records = self._scan()
             last = records[-1].lsn if records else self.base_lsn
@@ -104,8 +109,15 @@ class WriteAheadLog:
             {"lsn": lsn, "op": op, "records": [list(r) for r in records]}
         )
         crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+        line = f"{crc:08x} {body}\n"
+        if self._cut_at is not None:
+            # Glued onto a torn tail, this record would fail its
+            # checksum and be dropped as torn too.
+            os.truncate(self.path, self._cut_at)
+            line = "\n" + line
+            self._cut_at = None
         with open(self.path, "a") as fp:
-            fp.write(f"{crc:08x} {body}\n")
+            fp.write(line)
             fp.flush()
             os.fsync(fp.fileno())
         self._next_lsn = lsn + 1
@@ -140,7 +152,9 @@ class WriteAheadLog:
         self.base_lsn = int(match.group(1) or 0)
         out: List[WalRecord] = []
         torn_at: Optional[int] = None
+        end = whole = len(lines[0])  # byte offsets past a line's text
         for lineno, raw in enumerate(lines[1:], start=2):
+            end += 1 + len(raw)
             if not raw.strip():
                 continue  # blank (including the final empty split element)
             record = self._parse_line(raw)
@@ -161,7 +175,10 @@ class WriteAheadLog:
                     f"{record.lsn} follows {previous}"
                 )
             out.append(record)
+            whole = end
         self.tail_was_torn = torn_at is not None
+        self._cut_at = (whole if self.tail_was_torn
+                        or not data.endswith(b"\n") else None)
         return out
 
     @staticmethod
@@ -202,6 +219,7 @@ class WriteAheadLog:
         base = self._next_lsn - 1
         self._write_header(base)
         self.base_lsn = base
+        self._cut_at = None
 
     @property
     def last_lsn(self) -> int:

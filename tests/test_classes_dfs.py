@@ -11,11 +11,9 @@ import pytest
 
 from repro.core import classes
 from repro.core.cells import ALL, generalizes
-from repro.core.classes import (
-    enumerate_temp_classes,
-    partition_closure,
-    unique_upper_bounds,
-)
+from repro.core.classes import enumerate_temp_classes
+from repro.core.construct import build_qctree
+from repro.core.explore import class_of
 from repro.cube.lattice import closed_cells, closure
 from repro.data.synthetic import zipf_table
 from tests.conftest import make_random_table
@@ -116,7 +114,7 @@ class TestInvariants:
     def test_upper_bounds_are_exactly_closed_cells(self, seed):
         table = make_random_table(seed)
         temp = enumerate_temp_classes(table, "count")
-        assert unique_upper_bounds(temp) == closed_cells(table)
+        assert {t.upper_bound for t in temp} == closed_cells(table)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_upper_bound_is_closure_of_lower_bound(self, seed):
@@ -163,24 +161,31 @@ class TestInvariants:
 
 
 class TestPartitionClosure:
+    """The closure jump — a ``*`` dimension takes the value every row of
+    the cell's partition shares — as the built tree reports it: a cell's
+    class upper bound is its closure."""
+
+    def _upper_bound(self, table, raw_cell):
+        tree = build_qctree(table, "count")
+        view = class_of(tree, table.encode_cell(raw_cell))
+        return table.decode_cell(view.upper_bound)
+
     def test_fills_constant_dimensions(self, sales_table):
-        rows = sales_table.select((0, ALL, ALL))  # store S1
-        ub = partition_closure(sales_table, (0, ALL, ALL), rows)
-        assert sales_table.decode_cell(ub) == ("S1", "*", "s")
+        assert self._upper_bound(sales_table, ("S1", "*", "*")) == (
+            "S1", "*", "s")
 
     def test_keeps_existing_values(self, sales_table):
-        rows = sales_table.select((ALL, 0, ALL))  # product P1
-        ub = partition_closure(sales_table, (ALL, 0, ALL), rows)
-        assert sales_table.decode_cell(ub) == ("*", "P1", "*")
+        assert self._upper_bound(sales_table, ("*", "P1", "*")) == (
+            "*", "P1", "*")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_oracle_closure(self, seed):
         table = make_random_table(seed + 300)
+        tree = build_qctree(table, "count")
         from tests.conftest import all_cells
 
         for cell in all_cells(table):
-            rows = table.select(cell)
-            if rows:
-                assert partition_closure(table, cell, rows) == closure(
+            if table.select(cell):
+                assert class_of(tree, cell).upper_bound == closure(
                     table, cell
                 )

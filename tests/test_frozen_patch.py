@@ -149,8 +149,8 @@ class TestPatchEquivalence:
         replay(seed + 100, ("burst",), steps=2, configs=("frozen",))
 
     def test_modify_through_warehouse(self):
-        table, tree = _build(3, n_rows=10)
-        wh = QCWarehouse(table, ("sum", "m"), tree=tree, cache_size=0)
+        table, _ = _build(3, n_rows=10)
+        wh = QCWarehouse(table, ("sum", "m"), cache_size=0)
         wh.view  # compile the initial frozen view
         old = table.decode_cell(table.rows[0]) + tuple(table.measures[0])
         wh.modify([old], [("9", "9", "9", 5.0)])

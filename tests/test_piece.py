@@ -20,7 +20,7 @@ from repro.core.qctree import QCTree
 from repro.core.serialize import save_qctree
 from repro.core.warehouse import QCWarehouse
 from repro.cube.table import BaseTable
-from repro.errors import MaintenanceError, SerializationError
+from repro.errors import MaintenanceError
 from tests.conftest import refreeze_ratios
 from tests.model import SCHEMA, make_program, record
 
@@ -187,15 +187,15 @@ class TestOnDiskTwin:
         piece = self._piece()
         tree_path, table_path = tmp_path / "p.qct", tmp_path / "p.csv"
         piece.save(tree_path, table_path, meta={"wal_lsn": 5})
-        loaded, lsn, rebuilt = Piece.load(tree_path, table_path, SCHEMA)
+        loaded, lsn, rebuilt = Piece.load(tree_path, table_path, SCHEMA, AGG)
         assert (lsn, rebuilt) == (5, False)
         assert loaded.tree.signature() == piece.tree.signature()
         assert loaded.table.rows == piece.table.rows
         assert loaded.table._decoders == piece.table._decoders
 
-    def _assert_rebuilt(self, piece, tmp_path, **load_options):
+    def _assert_rebuilt(self, piece, tmp_path):
         loaded, lsn, rebuilt = Piece.load(
-            tmp_path / "p.qct", tmp_path / "p.csv", SCHEMA, **load_options)
+            tmp_path / "p.qct", tmp_path / "p.csv", SCHEMA, AGG)
         assert rebuilt
         assert sorted(loaded.table.iter_records()) == \
             sorted(piece.table.iter_records())
@@ -216,21 +216,16 @@ class TestOnDiskTwin:
         save_qctree(piece.tree, tmp_path / "p.qct")
         self._assert_rebuilt(piece, tmp_path)
 
-    def test_corrupt_tree_rebuilds_or_raises(self, tmp_path):
+    def test_corrupt_tree_rebuilds(self, tmp_path):
         piece = self._piece()
         piece.save(tmp_path / "p.qct", tmp_path / "p.csv")
         (tmp_path / "p.qct").write_text("garbage")
-        self._assert_rebuilt(piece, tmp_path, aggregate=AGG)
-        # Without an aggregate nothing says what to rebuild with.
-        with pytest.raises(SerializationError):
-            Piece.load(tmp_path / "p.qct", tmp_path / "p.csv", SCHEMA)
+        self._assert_rebuilt(piece, tmp_path)
 
-    def test_missing_tree_rebuilds_or_raises(self, tmp_path):
+    def test_missing_tree_rebuilds(self, tmp_path):
         piece = self._piece()
         piece.table.to_csv(tmp_path / "p.csv")
-        self._assert_rebuilt(piece, tmp_path, aggregate=AGG)
-        with pytest.raises(FileNotFoundError):
-            Piece.load(tmp_path / "p.qct", tmp_path / "p.csv", SCHEMA)
+        self._assert_rebuilt(piece, tmp_path)
 
     def test_sealed_piece_skips_only_its_own_files(self, tmp_path):
         piece = self._piece()
@@ -249,7 +244,7 @@ class TestOnDiskTwin:
         piece.save(tmp_path / "q.qct", tmp_path / "q.csv")  # elsewhere
         assert (tmp_path / "q.qct").read_bytes() == written[0]
         loaded, _, _ = Piece.load(tmp_path / "q.qct", tmp_path / "q.csv",
-                                  SCHEMA)
+                                  SCHEMA, AGG)
         loaded.seal(1)
         (tmp_path / "q.qct").write_text("marker")
         loaded.save(tmp_path / "q.qct", tmp_path / "q.csv")  # loaded from

@@ -300,10 +300,8 @@ class TestCrashWindows:
     def test_torn_snapshot_is_rejected_loudly(self, paths):
         """A torn tree file is not trusted: recovery rebuilds the tree
         from its CSV with the manifest's aggregate and says so in
-        ``last_recovery["rebuilt"]`` — the rule every piece follows.
-        The pair import, which records no aggregate, still raises."""
+        ``last_recovery["rebuilt"]`` — the rule every piece follows."""
         from repro.core.manifest import load_manifest
-        from repro.errors import SerializationError
         from repro.reliability.faults import torn_write
 
         directory, _ = paths
@@ -314,12 +312,9 @@ class TestCrashWindows:
         tree_path = os.path.join(directory, head["tree"])
         torn_write(tree_path, keep_fraction=0.6)
         recovered = recover(paths)
-        assert recovered.last_recovery["rebuilt"] is True
+        assert recovered.last_recovery["rebuilt"] == ["head"]
         assert_equivalent_answers(recovered,
                                   reference_after([("insert", INSERT_1)]))
-        with pytest.raises(SerializationError, match=head["tree"]):
-            QCWarehouse.load(tree_path, os.path.join(directory,
-                                                     head["table"]), SCHEMA)
 
     def test_one_piece_store_refuses_sealed_segments(self, paths):
         """A ``QCWarehouse`` is always one piece: it will not recover a
@@ -401,13 +396,13 @@ class TestCheckpointTruncatesWal:
 
 def _writers(tmp_path):
     """``{name: (write the file, its directory)}`` for every durable file."""
-    from repro.core.serialize import save_qctree_packed
+    from repro.core.serialize import save_qctree, save_qctree_packed
     from repro.core.manifest import save_manifest
 
     wh = QCWarehouse.from_records(BASE, SCHEMA, aggregate=("sum", "Sale"))
     wal = WriteAheadLog(tmp_path / "log.wal")
     return {
-        "save_qctree": lambda: wh.save(tmp_path / "t.qct"),
+        "save_qctree": lambda: save_qctree(wh.tree, tmp_path / "t.qct"),
         "save_qctree_packed": lambda: save_qctree_packed(
             wh.serving_tree, tmp_path / "t.qct3", table=wh.table),
         "to_csv": lambda: wh.table.to_csv(tmp_path / "t.csv"),
@@ -415,7 +410,7 @@ def _writers(tmp_path):
         "wal_truncate": wal.truncate,
         "save_manifest": lambda: save_manifest(
             tmp_path, lsn=0, generation=0, aggregate_spec="count",
-            segments=[], head={"rows": 0, "tree": "h.qct", "table": "h.csv"},
+            schema=SCHEMA, segments=[], head={"rows": 0, "tree": "h.qct", "table": "h.csv"},
             next_segment_id=1),
     }
 

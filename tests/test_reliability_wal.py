@@ -96,14 +96,31 @@ class TestTornTail:
         wal.append("insert", BATCH_A)
         partial_append(wal_path, "ffffffff {\"broken")
         reopened = WriteAheadLog(wal_path)
-        # The torn garbage has no trailing newline; the next append glues
-        # onto it, and that composite line fails its checksum — replay
-        # must not resurrect it, and committed appends keep their lsn
-        # chain from the last *committed* record.
+        # The torn garbage has no trailing newline.  The next append cuts
+        # it off instead of gluing onto it (a glued line would fail its
+        # checksum and lose a batch that was acknowledged), and the lsn
+        # chain continues from the last *committed* record.
         reopened.append("delete", BATCH_B)
-        final = WriteAheadLog(wal_path).records()
-        assert [(r.lsn, r.op) for r in final] == [(1, "insert")] or \
-               [(r.lsn, r.op) for r in final] == [(1, "insert"), (2, "delete")]
+        final = WriteAheadLog(wal_path)
+        assert [(r.lsn, r.op) for r in final.records()] == [
+            (1, "insert"), (2, "delete")]
+        assert not final.tail_was_torn
+        # ... and so do the appends after it.
+        final.append("insert", BATCH_B)
+        assert [r.lsn for r in WriteAheadLog(wal_path).records()] == [1, 2, 3]
+
+    def test_append_after_unterminated_last_record(self, wal_path):
+        """A crash can also stop an append after its record but before
+        its newline: the record is whole, and the next one must still
+        start a line of its own."""
+        wal = WriteAheadLog(wal_path)
+        wal.append("insert", BATCH_A)
+        torn_write(wal_path, keep_bytes=len(open(wal_path, "rb").read()) - 1)
+        reopened = WriteAheadLog(wal_path)
+        assert [r.lsn for r in reopened.records()] == [1]
+        reopened.append("delete", BATCH_B)
+        assert [(r.lsn, r.op) for r in WriteAheadLog(wal_path).records()] == [
+            (1, "insert"), (2, "delete")]
 
     def test_crash_during_append_never_loses_prior_records(self, wal_path):
         from repro.reliability.faults import count_io

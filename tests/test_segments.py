@@ -18,7 +18,12 @@ import time
 
 import pytest
 
-from repro.core.manifest import find_orphans, load_manifest, save_manifest
+from repro.core.manifest import (
+    find_orphans,
+    load_manifest,
+    manifest_schema,
+    save_manifest,
+)
 from repro.core.warehouse import QCWarehouse
 from repro.cube.aggregates import values_close
 from repro.cube.schema import Schema
@@ -286,7 +291,7 @@ class TestSealedPiecesShareTheLifecycle:
 class TestManifest:
     def _payload(self):
         return dict(
-            lsn=7, generation=3, aggregate_spec="count",
+            lsn=7, generation=3, aggregate_spec="count", schema=SCHEMA,
             segments=[{"id": 1, "rows": 5, "tree": "segment-00000001.qct",
                        "table": "segment-00000001.csv"}],
             head={"rows": 2, "tree": "head-00000001.qct",
@@ -300,6 +305,7 @@ class TestManifest:
         assert payload["lsn"] == 7
         assert payload["segments"][0]["id"] == 1
         assert payload["head"]["seq"] == 1
+        assert manifest_schema(payload, tmp_path) == SCHEMA
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(RecoveryError, match="no segment manifest"):
@@ -387,10 +393,9 @@ class TestCheckpointRecover:
         report = recovered.verify(deep=True, samples=None)
         assert report.ok, report.issues
 
-        # The report says so: any piece rebuilt, and which sealed ones.
-        assert recovered.last_recovery["rebuilt"] is True
-        assert recovered.last_recovery["rebuilt_segments"] == [
-            payload["segments"][0]["id"]
+        # The report names the rebuilt piece.
+        assert recovered.last_recovery["rebuilt"] == [
+            f"segment[{payload['segments'][0]['id']}]"
         ]
         # The rebuilt piece has no good file on disk: the next
         # checkpoint rewrites it instead of trusting the name.
@@ -398,7 +403,7 @@ class TestCheckpointRecover:
         again = SegmentedWarehouse.recover(
             tmp_path / "ckpt", tmp_path / "wal", SCHEMA, seal_rows=4
         )
-        assert again.last_recovery["rebuilt"] is False
+        assert again.last_recovery["rebuilt"] == []
 
     def test_second_checkpoint_skips_its_own_segment_files(self, tmp_path):
         wh = self._grown(tmp_path)
@@ -458,6 +463,23 @@ class TestCheckpointRecover:
             "segment-00000099.qct"
         ]
 
+    def test_recover_seals_a_head_over_its_threshold(self, tmp_path):
+        """A head checkpointed by a store that never seals is over a
+        segmented store's threshold: recovery seals it the way a fresh
+        store seals its bootstrap table."""
+        rows = _records(50)
+        QCWarehouse.from_records(rows, SCHEMA, ("sum", "m")).checkpoint(
+            tmp_path / "ckpt")
+        recovered = SegmentedWarehouse.recover(
+            tmp_path / "ckpt", tmp_path / "wal", SCHEMA, seal_rows=8)
+        fresh = _warehouse(n_rows=50, seal_rows=8)
+        for store in (recovered, fresh):
+            health = store.segment_health()
+            assert (health["seals"], health["head_rows"]) == (1, 0)
+        everything = ("*", "*", "*")
+        assert values_close(recovered.point(everything),
+                            fresh.point(everything))
+
     def test_recovered_ids_do_not_collide(self, tmp_path):
         """Fresh seals after recovery must not reuse manifest segment
         ids (file names would silently collide at the next checkpoint)."""
@@ -492,9 +514,10 @@ class TestLabelDictionaryPersistence:
         wh = self._drifted_warehouse()
         expected = {cell: wh.point(cell) for cell in
                     [("aa", "*", "*"), ("mm", "*", "*"), ("*", "b", "*")]}
-        wh.save(tmp_path / "w.qct", tmp_path / "w.csv")
-        loaded = QCWarehouse.load(tmp_path / "w.qct", tmp_path / "w.csv",
-                                  SCHEMA)
+        wh.checkpoint(tmp_path / "ckpt")
+        loaded = QCWarehouse.recover(tmp_path / "ckpt", tmp_path / "wal",
+                                     SCHEMA)
+        assert loaded.last_recovery["rebuilt"] == []
         for cell, value in expected.items():
             assert values_close(loaded.point(cell), value), cell
         # The loaded pair must also keep *maintaining* correctly.

@@ -74,7 +74,7 @@ def test_router_prefixes_only_snapshot_ops():
 #: ``**kwargs`` to ``QCServer`` and ``AsyncQCServer``.
 KEYWORDS = {
     "repro:QCWarehouse": (
-        "table", "aggregate", "tree", "index_key", "wal", "cache_size"),
+        "table", "aggregate", "index_key", "wal", "cache_size"),
     "repro:QCWarehouse.point": ("raw_cell",),
     "repro:QCWarehouse.range": ("raw_spec",),
     "repro:QCWarehouse.iceberg": ("threshold", "op"),
@@ -146,17 +146,17 @@ KEYWORDS = {
 #: CLI verb -> its positionals and flags, in declaration order.
 CLI_FLAGS = {
     "build": ("csv", "--dims", "--measures", "--aggregate", "--out"),
-    "stats": ("tree",),
-    "point": ("tree", "--table", "cell"),
-    "range": ("tree", "--table", "spec"),
-    "iceberg": ("tree", "--table", "--threshold", "--op"),
-    "dump": ("tree", "--table"),
+    "stats": ("directory",),
+    "point": ("directory", "cell"),
+    "range": ("directory", "spec"),
+    "iceberg": ("directory", "--threshold", "--op"),
+    "dump": ("directory",),
     "serve": (
-        "tree", "--table", "--workers", "--queue-size", "--timeout",
+        "directory", "--workers", "--queue-size", "--timeout",
         "--warm-keys", "--processes", "--segmented", "--seal-rows",
         "--cache-size", "--async", "--host", "--port", "--max-connections",
         "--max-inflight"),
-    "fsck": ("tree", "--table", "--measures", "--samples", "--seed"),
+    "fsck": ("directory", "--samples", "--seed"),
 }
 
 

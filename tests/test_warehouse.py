@@ -118,10 +118,9 @@ class TestExploration:
 
 class TestPersistence:
     def test_save_load_roundtrip(self, warehouse, sales_schema, tmp_path):
-        tree_path = tmp_path / "tree.qct"
-        table_path = tmp_path / "table.csv"
-        warehouse.save(tree_path, table_path)
-        loaded = QCWarehouse.load(tree_path, table_path, sales_schema)
+        warehouse.checkpoint(tmp_path / "ckpt")
+        loaded = QCWarehouse.recover(tmp_path / "ckpt", tmp_path / "wal",
+                                     sales_schema)
         assert loaded.point(("S2", "*", "f")) == 9.0
         assert loaded.tree.equivalent_to(warehouse.tree)
         # And the restored warehouse stays maintainable.
