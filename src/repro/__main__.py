@@ -36,7 +36,9 @@ concurrent warehouse::
     quit
 
 Each write is fsynced to ``DIR/wal.log`` before its ``OK`` is sent;
-``quit`` or EOF closes the server and checkpoints ``DIR``.
+``quit`` or EOF closes the server and checkpoints ``DIR``.  One
+``serve`` runs per directory: it holds a lock on ``DIR/serve.lock``, and
+a second one exits 1 with an ``error:`` line.
 
 ``health`` prints the JSON health/readiness report (liveness, snapshot
 staleness, queue depth, worker liveness, degraded state, breaker state)
@@ -61,6 +63,7 @@ corruption.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import math
 import os
 import sys
@@ -220,28 +223,38 @@ def _make_server(warehouse, args):
 
 
 def cmd_serve(args) -> int:
-    options = {"seal_rows": args.seal_rows} if args.segmented else {}
-    warehouse = _open_store(args.directory, args.segmented, **options)
-    try:
-        if args.segmented:
-            warehouse.start_compactor()
-        server = _make_server(warehouse, args)
-    except BaseException:
-        # A stranded segment compactor (non-daemon) would hang exit.
-        warehouse.close()
-        raise
-    health = warehouse.segment_health()
-    detail = (f"{health['segments_live']} segments" if health
-              else f"{warehouse.tree.n_classes} classes")
-    fleet = (f"{args.processes} processes, " if args.processes else "")
-    serve = _serve_async if args.use_async else _serve_lines
-    try:
-        code = serve(server, args, f"{detail}, {fleet}{args.workers} workers")
-    finally:
-        server.close()
-    # Every acknowledged write is in the log already; the checkpoint
-    # folds them into DIR and empties the log.
-    warehouse.checkpoint(args.directory)
+    load_manifest(args.directory)  # no lock file in a non-store
+    # One serve per directory: two would interleave DIR/wal.log and
+    # leave it unopenable.  The lock dies with the descriptor.
+    with open(os.path.join(args.directory, "serve.lock"), "w") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ReproError(f"{args.directory} is already being served "
+                             "(serve.lock is held)") from None
+        options = {"seal_rows": args.seal_rows} if args.segmented else {}
+        warehouse = _open_store(args.directory, args.segmented, **options)
+        try:
+            if args.segmented:
+                warehouse.start_compactor()
+            server = _make_server(warehouse, args)
+        except BaseException:
+            # A stranded segment compactor (non-daemon) would hang exit.
+            warehouse.close()
+            raise
+        health = warehouse.segment_health()
+        detail = (f"{health['segments_live']} segments" if health
+                  else f"{warehouse.tree.n_classes} classes")
+        fleet = (f"{args.processes} processes, " if args.processes else "")
+        serve = _serve_async if args.use_async else _serve_lines
+        try:
+            code = serve(server, args,
+                         f"{detail}, {fleet}{args.workers} workers")
+        finally:
+            server.close()
+        # Every acknowledged write is in the log already; the checkpoint
+        # folds them into DIR and empties the log.
+        warehouse.checkpoint(args.directory)
     return code
 
 

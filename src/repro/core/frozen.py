@@ -9,79 +9,64 @@ of compact multidimensional-array cube representations:
 * nodes are numbered in preorder (root is 0);
 * tree edges and drill-down links live in CSR-style parallel arrays —
   per-node *sorted* key slices resolved with :mod:`bisect`, keys being
-  ``dim * stride + value`` ints (``(dim, value)`` tuples for exotic,
-  non-int labels) — plus a merged per-node *routing* dict (edges shadow
-  links on equal labels) so one probe per step serves Algorithm 3's
-  edge-then-link rule;
+  ``dim * stride + value`` ints — plus a merged per-node *routing* dict
+  (edges shadow links on equal labels) so one probe per step serves
+  Algorithm 3's edge-then-link rule;
 * ``last_dim`` and the Lemma-2 *forced* descent (the unique child in
   the last child-bearing dimension) are precomputed per node, and a
   class-kind vector marks the aggregate-bearing nodes;
-* every node's upper bound is a ready tuple, turning the final
-  verification of Algorithm 3 into an O(1) fetch, and class aggregate
-  values are pre-extracted from their states.
+* every node's upper bound is a row of label codes, turning the final
+  verification of Algorithm 3 into an O(1) fetch, and class states and
+  values are fixed-width ``float64`` rows.
 
-One class, two storages
------------------------
-Everything above is written once, against *indexable sequences*.  What
-differs is only where the sequences live:
-
-* **heap** — :meth:`QCTree.freeze <repro.core.qctree.QCTree.freeze>` /
-  :meth:`FrozenQCTree.from_tree` compile the dict tree into tuples, with
-  every routing dict, upper bound and value built eagerly;
-* **attached** — :meth:`FrozenQCTree.from_buffers` wraps the typed
-  ``memoryview`` sections of a ``QCTREE/3`` blob (shared memory or an
-  mmap'd file, see :mod:`repro.shard.pack`) without copying them.  A
-  node's routing dict, upper-bound tuple and value/state are decoded on
-  first visit and cached, so attach stays O(1) and the hot prefix of the
-  tree reaches heap speed after warmup.
-
-The traversal protocol shared with :class:`~repro.core.qctree.QCTree`
-(``child`` / ``link_target`` / ``last_child_dim`` / ``children_in_dim``
-/ ``state`` / ``upper_bound_of`` / ``value_at`` / the ``iter_*`` family)
-and the Algorithm-3 fast paths (``_search_route`` / ``_descend_to_class``
-/ ``_locate`` / ``_point_query``) are the same functions on both; the
-only storage-specific code is the two constructors, the lazy decode
-guards (``route is None`` / ``ub is None`` / ``value is _UNSET``), which
-never fire on a heap tree, and the attached-only batch kernel
-(``_point_query_batch``, a shard worker's answer to a bulk read).  Answers — and node-access counts — equal the
-dict tree's by construction, and ``frozen.signature() ==
-tree.signature()``.
+One storage
+-----------
+Every frozen tree is the typed ``memoryview`` sections of the
+``QCTREE/3`` layout (:data:`BUFFER_SECTIONS`, :mod:`repro.shard.pack`)
+wrapped by :meth:`FrozenQCTree.from_buffers`.  :meth:`QCTree.freeze
+<repro.core.qctree.QCTree.freeze>` / :meth:`FrozenQCTree.from_tree`
+compile them from the dict tree's parallel lists with array operations
+(:func:`_columns`); :func:`repro.shard.pack.attach_packed` slices them
+out of a blob in shared memory or an mmap'd file.  A node's routing
+dict, upper-bound tuple and value/state decode on first visit and are
+cached.  The traversal protocol shared with the dict tree, the
+Algorithm-3 fast paths (``_search_route`` / ``_descend_to_class`` /
+``_locate`` / ``_point_query``) and the batch kernel
+(``_point_query_batch``) are written once; answers and node-access
+counts equal the dict tree's, and ``frozen.signature() ==
+tree.signature()``.  Only what the layout holds freezes: labels must be
+non-negative int codes (a tree built from a
+:class:`~repro.cube.table.BaseTable` has them) and class states one
+shape of int (|x| < 2**53) and float leaves; anything else raises
+:class:`~repro.errors.SerializationError`.
 
 Incremental refreeze
 --------------------
-Recompiling the whole tree after every maintenance batch throws away the
-locality the paper's Algorithms 5–7 work hard for, so :meth:`patch`
-splices a recorded :class:`~repro.core.maintenance.delta.
-MaintenanceDelta` into a *new* heap tree at cost proportional to the
-dirty set: touched nodes get fresh routing/edge/link rows, pruned nodes
-become unreachable tombstone slots, and brand-new nodes are appended
-into spare capacity past the preorder prefix.  Per-node edge and link
-slices of touched nodes live in a small overlay consulted before the
-shared CSR arrays; the untouched majority of every array is reused
-(tuples are shared or block-copied, never re-derived).  A patch falls
-back to a full :meth:`from_tree` compile when the dirty set is too large
-(:data:`FULL_REFREEZE_RATIO`), when accumulated tombstones/overlay debt
-says it is time to compact (:data:`COMPACT_RATIO`), or when the delta needs
-representation changes a splice cannot express (label-code overflow of
-the routing-key stride; an attached tree, which has no map back to the
-dict tree's ids).  Either way the result answers every query identically
-to a from-scratch freeze — the property tests assert node-for-node
-equivalence.
-
-Freezing requires each dimension's label codes to be mutually comparable
-(dictionary-encoded ints always are); a mixed-type dimension cannot be
-sorted and raises :class:`~repro.errors.QueryError`.
+:meth:`patch` splices a recorded :class:`~repro.core.maintenance.delta.
+MaintenanceDelta` into a *new* tree over the same sections, at cost
+proportional to the dirty set: touched nodes get edge/link rows in an
+overlay consulted before the shared CSR arrays, pruned nodes become
+unreachable tombstone slots, new nodes are appended past the preorder
+prefix, and touched and appended slots carry their decoded routing
+dict, upper bound, state and value in the caches.  It falls back to a
+full :meth:`from_tree` compile past :data:`FULL_REFREEZE_RATIO`, when
+tombstone/overlay debt passes :data:`COMPACT_RATIO`, or when a splice
+cannot express the delta (a label code past the stride's headroom; an
+attached tree, which has no map back to the dict tree's ids).  Either
+way the result answers every query like a from-scratch freeze.
 
 Instances are immutable: attribute assignment after construction raises
 :class:`TypeError`, so a tree can be shared across threads (the lazy
-caches of an attached tree only ever fill a slot with the one value it
-can hold) and cached query results can never be invalidated by in-place
-edits — the warehouse swaps in a whole new tree instead.
+caches only ever fill a slot with the one value it can hold) and cached
+query results can never be invalidated by in-place edits — the
+warehouse swaps in a whole new tree instead.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import suppress
+from itertools import compress
 from typing import Iterator, Optional
 
 import numpy as np
@@ -89,15 +74,15 @@ import numpy as np
 from repro.core.cells import ALL, Cell
 from repro.core.qctree import QCTree
 from repro.cube.aggregates import make_aggregate
-from repro.errors import QueryError
+from repro.errors import QueryError, SerializationError
 
 
 #: Routing-key sentinel guaranteed to miss every per-node routing dict:
 #: used for query values that cannot possibly label an edge or link.
 _ABSENT = object()
 
-#: Marks a value/state slot of an attached tree not decoded yet (``None``
-#: is taken: it is the decoded value of a non-class node).
+#: Marks a value/state slot not decoded yet (``None`` is taken: it is
+#: the decoded value of a non-class node).
 _UNSET = object()
 
 #: Ends :meth:`FrozenQCTree._batch_routes`, past every routing key.
@@ -115,7 +100,7 @@ FULL_REFREEZE_RATIO = 0.25
 #: fraction of the live nodes.
 COMPACT_RATIO = 0.5
 
-#: The ``QCTREE/3`` sections an attached tree reads in place; section
+#: The ``QCTREE/3`` sections a frozen tree reads in place; section
 #: ``name`` is held in slot ``_name``.
 BUFFER_SECTIONS = (
     "edge_start", "edge_key", "edge_child",
@@ -123,15 +108,18 @@ BUFFER_SECTIONS = (
     "last_dim", "forced", "ub", "class_kind", "state_data", "value_data",
 )
 
+_MAX_EXACT_INT = 2 ** 53
+
 
 def _route_key(stride, dim, value):
     """The routing/CSR key for label ``(dim, value)``.
 
     In int-key mode (``stride > 0``) out-of-range and un-comparable
     values map to :data:`_ABSENT` so they miss the table — exactly as
-    they would miss the generic representation's nested dicts.  Numeric
-    edge cases keep dict-lookup parity: ``3.0`` finds the code ``3``
-    (equal numbers hash alike), ``3.5`` misses.
+    they would miss the dict tree's nested dicts.  Numeric edge cases
+    keep dict-lookup parity: ``3.0`` finds the code ``3`` (equal numbers
+    hash alike), ``3.5`` misses.  A root-only tree has no labels and
+    ``stride == 0``; a patch of it keeps ``(dim, value)`` keys.
     """
     if stride:
         try:
@@ -143,62 +131,282 @@ def _route_key(stride, dim, value):
     return (dim, value)
 
 
-def _sorted_row(tree, node, remap):
-    """One dict-tree node's ``(edges, links)`` as sorted
-    ``((dim, value), mapped_id)`` lists.  Raises ``TypeError`` when a
-    dimension mixes label types that do not sort and ``KeyError`` when a
-    neighbor is missing from ``remap``."""
-    edges = sorted(
-        ((dim, val), remap[child])
-        for dim, val, child in tree.iter_children_of(node)
+def _overlay_row(tree, node, slot_of, stride):
+    """``(edges, links, last_dim, forced)`` of dict node ``node``: its
+    edge and link rows as sorted ``(keys, slots)`` tuple pairs keyed for
+    ``stride``, its last child-bearing dimension and Lemma-2 forced
+    child — or None when a label code is past the stride.  Raises
+    ``TypeError`` when a dimension mixes label types that do not sort
+    and ``KeyError`` when a neighbor has no slot."""
+    edges, links = (
+        sorted(((dim, value), slot_of[target])
+               for dim, value, target in triples)
+        for triples in (tree.iter_children_of(node), tree.iter_links_of(node))
     )
-    links = sorted(
-        ((dim, val), remap[target])
-        for dim, val, target in tree.iter_links_of(node)
-    )
-    return edges, links
-
-
-def _compile_row(edges, links, stride):
-    """One node's array row from its :func:`_sorted_row`.
-
-    Returns ``(edge_keys, edge_children, link_keys, link_targets,
-    routing, last_dim, forced)`` with keys encoded for ``stride`` and
-    ``routing`` the merged label map (edges shadow links, mirroring
-    ``search_route``'s edge-first probe order).
-    """
-    edge_keys, edge_children = zip(*edges) if edges else ((), ())
-    link_keys, link_targets = zip(*links) if links else ((), ())
-    if stride:
-        edge_keys = [dim * stride + val for dim, val in edge_keys]
-        link_keys = [dim * stride + val for dim, val in link_keys]
-    routing = dict(zip(link_keys, link_targets))
-    routing.update(zip(edge_keys, edge_children))
-    last_dim = -1
-    forced = -1
+    if stride and not all(type(value) is int and 0 <= value < stride
+                          for (_, value), _ in edges + links):
+        return None
+    last_dim = forced = -1
     if edges:
         # Sorted by (dim, value): the last dimension's children are the
         # tail, so there is exactly one iff the second-to-last differs.
         last_dim = edges[-1][0][0]
         if len(edges) == 1 or edges[-2][0][0] != last_dim:
-            forced = edge_children[-1]
-    return (edge_keys, edge_children, link_keys, link_targets,
-            routing, last_dim, forced)
+            forced = edges[-1][1]
+    edges, links = (
+        (tuple(dim * stride + value if stride else (dim, value)
+               for (dim, value), _ in row),
+         tuple(target for _, target in row))
+        for row in (edges, links)
+    )
+    return edges, links, last_dim, forced
+
+
+# -- the columns -------------------------------------------------------------
+
+
+def check_label(value):
+    """``value`` if it is a label the layout holds (a non-negative int
+    code that fits ``int64``), else :class:`SerializationError`."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 0 <= value < 2 ** 63):
+        raise SerializationError(
+            f"cannot pack label {value!r}: the packed layout requires "
+            "dictionary-encoded non-negative int codes (build the tree "
+            "from a BaseTable)"
+        )
+    return value
+
+
+def _codes(labels: list) -> np.ndarray:
+    """``labels`` as an ``int64`` array, each checked by
+    :func:`check_label` — a column at a time, a value at a time only to
+    name the one that fails."""
+    codes = None
+    if set(map(type, labels)) <= {int}:
+        with suppress(OverflowError):
+            codes = np.array(labels, dtype=np.int64)
+    if codes is None or codes.min(initial=0) < 0:
+        for value in labels:
+            check_label(value)
+    return codes
+
+
+def template_of(sample):
+    """The shape template of one aggregate state/value: nested lists of
+    ``"i"`` (int leaf) / ``"f"`` (float leaf)."""
+    if isinstance(sample, tuple):
+        return [template_of(part) for part in sample]
+    if isinstance(sample, bool) or not isinstance(sample, (int, float)):
+        raise SerializationError(
+            f"cannot pack aggregate payload {sample!r}: only ints, floats "
+            "and (nested) tuples of them are packable"
+        )
+    return "i" if isinstance(sample, int) else "f"
+
+
+def template_leaves(template) -> list:
+    """The ``"i"`` / ``"f"`` leaves of a template, in packed order."""
+    if isinstance(template, list):
+        return [leaf for sub in template for leaf in template_leaves(sub)]
+    return [] if template is None else [template]
 
 
 def template_width(template) -> int:
     """Number of ``float64`` leaves in a packed state/value template."""
-    if template is None:
-        return 0
+    return len(template_leaves(template))
+
+
+def leaf_columns(values, template, out) -> None:
+    """Append one ``float64`` column per leaf of ``template`` to ``out``,
+    holding that leaf of every payload in ``values`` — after verifying
+    that *each* payload matches the template's shape and leaf types
+    exactly (so reconstruction is lossless).  The checks run a column at
+    a time (type sets, ``min``/``max``); only a failing column is
+    rescanned to name the offending value."""
+    kinds = set(map(type, values))
     if isinstance(template, list):
-        return sum(template_width(t) for t in template)
-    return 1
+        width = len(template)
+        if (not all(issubclass(kind, tuple) for kind in kinds)
+                or set(map(len, values)) != {width}):
+            bad = next(v for v in values
+                       if not isinstance(v, tuple) or len(v) != width)
+            raise SerializationError(
+                f"aggregate payload {bad!r} does not match the tree's "
+                f"uniform shape {template!r}"
+            )
+        for column, sub in zip(zip(*values), template):
+            leaf_columns(column, sub, out)
+        return
+    if template == "i":
+        if (any(kind is bool or not issubclass(kind, int) for kind in kinds)
+                or not -_MAX_EXACT_INT < min(values)
+                or not max(values) < _MAX_EXACT_INT):
+            bad = next(v for v in values if type(v) is bool
+                       or not isinstance(v, int)
+                       or not -_MAX_EXACT_INT < v < _MAX_EXACT_INT)
+            raise SerializationError(
+                f"aggregate int payload {bad!r} is not exactly packable "
+                "as float64"
+            )
+    elif not all(issubclass(kind, float) for kind in kinds):
+        bad = next(v for v in values if not isinstance(v, float))
+        raise SerializationError(
+            f"aggregate payload {bad!r} does not match the tree's "
+            f"uniform leaf type {template!r}"
+        )
+    out.append(np.fromiter(values, dtype=np.float64, count=len(values)))
+
+
+def lemma2_columns(edge_start, edge_dim, edge_child):
+    """``(last_dim, forced)`` of every node from its ``(dim, value)``-
+    sorted edge rows: a node's last dimension is its last edge's, and
+    the Lemma-2 descent is forced iff that dimension holds exactly one
+    child (``-1`` where there is none)."""
+    n = edge_start.size - 1
+    last_dim = np.full(n, -1, dtype=np.int64)
+    forced = np.full(n, -1, dtype=np.int64)
+    parents = np.flatnonzero(np.diff(edge_start))
+    tail = edge_start[parents + 1] - 1
+    last_dim[parents] = edge_dim[tail]
+    lone = (tail == edge_start[parents]) | (edge_dim[tail - 1] != edge_dim[tail])
+    forced[parents[lone]] = edge_child[tail[lone]]
+    return last_dim, forced
+
+
+def _csr_start(owner, n: int) -> np.ndarray:
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
+    return start
+
+
+def _view(array, fmt: str = "q") -> memoryview:
+    """``array`` as a flat typed ``memoryview`` — the kind of section
+    :func:`repro.shard.pack.attach_packed` hands over."""
+    flat = np.ascontiguousarray(array, dtype="<f8" if fmt == "d" else "<i8")
+    return memoryview(flat.reshape(-1)).cast("B").cast(fmt)
+
+
+def _payload_rows(payloads: list, class_ids, n: int):
+    """``(template, view)``: the ``n × width`` ``float64`` matrix whose
+    row ``class_ids[k]`` holds the leaves of ``payloads[k]`` (every
+    other row zero), checked by :func:`leaf_columns`."""
+    template = template_of(payloads[0]) if payloads else None
+    columns: list = []
+    if payloads:
+        leaf_columns(payloads, template, columns)
+    matrix = np.zeros((n, len(columns)), dtype=np.float64)
+    for j, column in enumerate(columns):
+        matrix[class_ids, j] = column
+    return template, _view(matrix, "d")
+
+
+def _columns(tree: QCTree):
+    """Compile the dict tree to ``(meta, views, slot_of)``: the meta
+    block and typed :data:`BUFFER_SECTIONS` views :meth:`FrozenQCTree.
+    from_buffers` takes, and the map of each live dict id to its
+    preorder slot.
+
+    Array operations over the parallel lists: upper bounds from at most
+    ``n_dims`` parent-pointer steps, the preorder (children by ``(dim,
+    value)``) as one sort of the root paths, and the edge rows as every
+    non-root node under its parent.  The link dicts are read in one
+    Python pass, and each class's value through ``aggregate.value``.
+    The stride keeps 2× headroom past the largest code, so
+    :meth:`FrozenQCTree.patch` can splice in freshly minted dictionary
+    codes without re-keying (:func:`repro.shard.pack.pack_snapshot_bytes`
+    re-strides to the tightest fit).
+    """
+    n_dims, root = tree.n_dims, tree.root
+    dim = np.array(tree.node_dim, dtype=np.int64)
+    parent = np.array(tree.parent, dtype=np.int64)
+    labels = list(tree.node_value)
+    for node in (root, *tree._free_ids):
+        labels[node] = 0
+    value = _codes(labels)
+    kids = np.setdiff1d(np.arange(dim.size), [root, *tree._free_ids])
+
+    links = tree.links
+    link_src, link_dim, fan, link_val, link_dst = [], [], [], [], []
+    for node in compress(range(len(links)), links):
+        for d, by_value in links[node].items():
+            link_src.append(node)
+            link_dim.append(d)
+            fan.append(len(by_value))
+            link_val += by_value
+            link_dst += by_value.values()
+    link_val = _codes(link_val)
+    top = max(int(value[kids].max(initial=-1)), int(link_val.max(initial=-1)))
+    stride = 2 * (top + 1) if top >= 0 else 0
+
+    # Upper bounds (ALL as -1) from the parent pointers.
+    ids = np.concatenate(([root], kids))
+    ub = np.full((ids.size, n_dims), -1, dtype=np.int64)
+    row, at = np.arange(1, ids.size), kids
+    for _ in range(n_dims):
+        ub[row, dim[at]] = value[at]
+        at = parent[at]
+        keep = at != root
+        row, at = row[keep], at[keep]
+    # Preorder: a root path holds its value in each dimension it labels,
+    # ``stride`` (past every value) in one it skips on the way to a
+    # deeper label, and -1 past its own, so a prefix sorts before its
+    # extensions and siblings by (dim, value).
+    own = np.concatenate(([-1], dim[kids]))
+    path = np.where((ub < 0) & (np.arange(n_dims) < own[:, None]), stride, ub)
+    pre = np.lexsort(path.T[::-1])
+    order, ub = ids[pre], ub[pre]
+    n = order.size
+    slot = np.full(dim.size, -1, dtype=np.int64)
+    slot[order] = np.arange(n)
+
+    # Edges: preorder numbers siblings in (dim, value) order, so a
+    # stable sort by parent leaves every row sorted.
+    child, owner = order[1:], slot[parent[order[1:]]]
+    by_parent = np.argsort(owner, kind="stable")
+    edge_child = np.arange(1, n)[by_parent]
+    edge_dim = dim[child][by_parent]
+    edge_start = _csr_start(owner, n)
+    last_dim, forced = lemma2_columns(edge_start, edge_dim, edge_child)
+
+    fan = np.array(fan, dtype=np.int64)
+    link_owner = np.repeat(slot[np.array(link_src, dtype=np.int64)], fan)
+    link_key = (np.repeat(np.array(link_dim, dtype=np.int64), fan) * stride
+                + link_val)
+    by_owner = np.lexsort((link_key, link_owner))
+
+    states = list(map(tree.state.__getitem__, order.tolist()))
+    holds = [state is not None for state in states]
+    class_ids = np.flatnonzero(holds)
+    meta = {
+        "n_dims": n_dims, "dim_names": tree.dim_names,
+        "aggregate": tree.aggregate, "stride": stride,
+        "counts": {"nodes": n},
+        "snapshot_meta": getattr(tree, "snapshot_meta", None),
+    }
+    payloads = list(compress(states, holds))
+    meta["state_template"], state_data = _payload_rows(payloads, class_ids, n)
+    meta["value_template"], value_data = _payload_rows(
+        list(map(tree.aggregate.value, payloads)), class_ids, n
+    )
+    views = dict(
+        state_data=state_data, value_data=value_data,
+        edge_start=_view(edge_start),
+        edge_key=_view(edge_dim * stride + value[order[edge_child]]),
+        edge_child=_view(edge_child),
+        link_start=_view(_csr_start(link_owner, n)),
+        link_key=_view(link_key[by_owner]),
+        link_target=_view(slot[np.array(link_dst, dtype=np.int64)][by_owner]),
+        last_dim=_view(last_dim), forced=_view(forced), ub=_view(ub),
+        class_kind=_view(holds),
+    )
+    return meta, views, dict(zip(order.tolist(), range(n)))
 
 
 def _rebuild(template, flat, pos: int):
     """Rebuild one aggregate state/value from its packed ``float64``
-    leaves (the inverse of :func:`repro.shard.pack._leaf_columns`);
-    returns ``(value, next_pos)``."""
+    leaves (the inverse of :func:`leaf_columns`); returns ``(value,
+    next_pos)``."""
     if isinstance(template, list):
         parts = []
         for sub in template:
@@ -209,15 +417,28 @@ def _rebuild(template, flat, pos: int):
     return (int(leaf) if template == "i" else leaf), pos + 1
 
 
+def _decode(kind, data, codec, node: int):
+    """One node's state/value from its packed ``float64`` row (None off
+    the classes)."""
+    if not kind[node]:
+        return None
+    template, width = codec
+    base = node * width
+    return _rebuild(template, data[base:base + width], 0)[0]
+
+
 class _LazyStates:
-    """``tree.state`` of an attached tree: a sequence decoding each
-    class state from the packed state matrix on first access."""
+    """``tree.state``: a sequence decoding each class state from the
+    packed state matrix on first access (``_cache`` holds what is
+    decoded, and what a patch put there).  It holds the tree's sections,
+    not the tree: a reference cycle would keep every superseded tree
+    alive until a full collection."""
 
-    __slots__ = ("_tree", "_cache")
+    __slots__ = ("_kind", "_data", "_codec", "_cache")
 
-    def __init__(self, tree, n: int):
-        self._tree = tree
-        self._cache = [_UNSET] * n
+    def __init__(self, tree, cache: list):
+        self._kind, self._data, self._codec, self._cache = (
+            tree._class_kind, tree._state_data, tree._state_codec, cache)
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -225,18 +446,14 @@ class _LazyStates:
     def __getitem__(self, node: int):
         state = self._cache[node]
         if state is _UNSET:
-            tree = self._tree
-            state = self._cache[node] = tree._decode(
-                tree._state_data, tree._state_codec, node
+            state = self._cache[node] = _decode(
+                self._kind, self._data, self._codec, node
             )
         return state
 
-    def __iter__(self):
-        return (self[node] for node in range(len(self._cache)))
-
 
 class FrozenQCTree:
-    """Read-optimized immutable QC-tree over heap or attached storage.
+    """Read-optimized immutable QC-tree over ``QCTREE/3`` sections.
 
     Build via :meth:`QCTree.freeze` (or :meth:`from_tree`), or attach a
     ``QCTREE/3`` blob with :func:`repro.shard.pack.attach_packed`; node
@@ -251,12 +468,13 @@ class FrozenQCTree:
         "_edge_start", "_edge_key", "_edge_child",
         "_link_start", "_link_key", "_link_target",
         "_last_dim", "_forced", "_class_kind",
-        "_routes", "_ubs", "_value",
-        # heap only: patch bookkeeping
-        "_source_map", "_dead", "_edge_over", "_link_over",
-        # attached only: the packed rows the lazy decode reads (and the
-        # batch kernel's routing keys)
         "_ub", "_state_data", "_value_data", "_state_codec", "_value_codec",
+        # decode caches: routing dicts, upper-bound tuples, values
+        "_routes", "_ubs", "_value",
+        # patch bookkeeping: the dict id -> slot map (None on an attached
+        # tree), tombstones, and the overlay rows of touched slots
+        "_source_map", "_dead", "_edge_over", "_link_over",
+        # the batch kernel's routing keys
         "_batch",
     )
 
@@ -269,9 +487,7 @@ class FrozenQCTree:
     @classmethod
     def _new(cls, **fields) -> "FrozenQCTree":
         self = object.__new__(cls)
-        for slot in ("_source_map", "_edge_over", "_link_over", "_ub",
-                     "_state_data", "_value_data", "_state_codec",
-                     "_value_codec", "_batch"):
+        for slot in ("_source_map", "_edge_over", "_link_over", "_batch"):
             object.__setattr__(self, slot, None)
         object.__setattr__(self, "_dead", frozenset())
         object.__setattr__(self, "root", 0)
@@ -281,86 +497,16 @@ class FrozenQCTree:
 
     @classmethod
     def from_tree(cls, tree: QCTree) -> "FrozenQCTree":
-        """Compile ``tree`` into heap storage (see module docstring)."""
-        order = list(tree.iter_nodes())
-        remap = {node: i for i, node in enumerate(order)}
-        n = len(order)
-        state = [tree.state[old] for old in order]
-        value_of = tree.aggregate.value
-        edge_start = [0] * (n + 1)
-        edge_key: list = []
-        edge_child: list = []
-        link_start = [0] * (n + 1)
-        link_key: list = []
-        link_target: list = []
-        routes: list = [None] * n
-        last_dim = [-1] * n
-        forced = [-1] * n
-        try:
-            for i, old in enumerate(order):
-                (e_keys, e_children, l_keys, l_targets,
-                 routes[i], last_dim[i], forced[i]) = _compile_row(
-                    *_sorted_row(tree, old, remap), 0
-                )
-                edge_key.extend(e_keys)
-                edge_child.extend(e_children)
-                edge_start[i + 1] = len(edge_key)
-                link_key.extend(l_keys)
-                link_target.extend(l_targets)
-                link_start[i + 1] = len(link_key)
-        except TypeError as exc:
-            raise QueryError(
-                "cannot freeze QC-tree: a dimension mixes label types "
-                f"that do not sort together ({exc})"
-            ) from exc
-
-        # When every label is a non-negative int (dictionary codes always
-        # are), the (dim, value) keys compress to ``dim * stride + value``
-        # — one int hash per probe instead of a tuple allocation.  The
-        # stride carries 2× headroom past the largest code seen, so a
-        # later patch() can splice in freshly minted dictionary codes
-        # without re-keying every row.  ``stride`` stays 0 for exotic
-        # label types, keeping (dim, value) keys.
-        labels = [v for _, v in edge_key]
-        labels += [v for _, v in link_key]
-        stride = 0
-        if labels and all(type(v) is int and v >= 0 for v in labels):
-            stride = 2 * (max(labels) + 1)
-            edge_key = [dim * stride + v for dim, v in edge_key]
-            link_key = [dim * stride + v for dim, v in link_key]
-            routes = [
-                {dim * stride + v: target
-                 for (dim, v), target in routing.items()}
-                for routing in routes
-            ]
-
-        return cls._new(
-            n_dims=tree.n_dims,
-            dim_names=tuple(tree.dim_names),
-            aggregate=tree.aggregate,
-            state=tuple(state),
-            snapshot_meta=dict(getattr(tree, "snapshot_meta", {})),
-            patch_stats={
-                "mode": "fresh", "dirty": n, "touched": n, "appended": 0,
-                "tombstoned": 0, "dead_slots": 0, "overlay": 0, "slots": n,
-            },
-            _stride=stride,
-            _edge_start=tuple(edge_start),
-            _edge_key=tuple(edge_key),
-            _edge_child=tuple(edge_child),
-            _link_start=tuple(link_start),
-            _link_key=tuple(link_key),
-            _link_target=tuple(link_target),
-            _last_dim=tuple(last_dim),
-            _forced=tuple(forced),
-            _class_kind=tuple(0 if st is None else 1 for st in state),
-            _routes=tuple(routes),
-            _ubs=tuple(tree.upper_bound_of(old) for old in order),
-            _value=tuple(
-                None if st is None else value_of(st) for st in state
-            ),
-            _source_map=remap,
-        )
+        """Compile ``tree`` into its ``QCTREE/3`` sections with array
+        operations (:func:`_columns`) and wrap them with
+        :meth:`from_buffers`.  Raises :class:`SerializationError` for a
+        tree the layout cannot hold (see the module docstring)."""
+        meta, views, slot_of = _columns(tree)
+        self = cls.from_buffers(meta, views)
+        self.patch_stats.update(mode="fresh", dirty=len(slot_of),
+                                touched=len(slot_of))
+        object.__setattr__(self, "_source_map", slot_of)
+        return self
 
     @classmethod
     def from_buffers(cls, meta: dict, views: dict) -> "FrozenQCTree":
@@ -391,7 +537,7 @@ class FrozenQCTree:
                           template_width(meta["value_template"])),
             **{"_" + name: views[name] for name in BUFFER_SECTIONS},
         )
-        object.__setattr__(self, "state", _LazyStates(self, n))
+        object.__setattr__(self, "state", _LazyStates(self, [_UNSET] * n))
         return self
 
     # -- incremental refreeze --------------------------------------------------
@@ -407,8 +553,11 @@ class FrozenQCTree:
         pruned nodes leave unreachable tombstone slots, new nodes are
         appended past the preorder prefix, and the touched nodes' edge/
         link slices live in an overlay consulted before the shared CSR
-        arrays.  The result is immutable and answers every query exactly
-        like ``delta.tree.freeze()`` would.
+        arrays.  The new view shares this one's sections; its decode
+        caches are copies of this one's, with the touched and appended
+        slots' routing dicts, upper bounds, states and values filled in.
+        The result is immutable and answers every query exactly like
+        ``delta.tree.freeze()`` would.
 
         Fallback heuristics (each produces a full recompile, reported in
         ``patch_stats["mode"]``):
@@ -436,8 +585,7 @@ class FrozenQCTree:
 
         if self._source_map is None:
             return full("full", "attached")
-        n_live = self.n_nodes
-        if len(dirty) > FULL_REFREEZE_RATIO * max(1, n_live):
+        if len(dirty) > FULL_REFREEZE_RATIO * max(1, self.n_nodes):
             return full("full", "dirty-ratio")
 
         # -- classify dirty ids against the post-mutation ground truth ----
@@ -474,50 +622,33 @@ class FrozenQCTree:
             return full("compacted", "patch-debt")
 
         # -- splice ---------------------------------------------------------
-        agg = tree.aggregate
+        value_of = tree.aggregate.value
         stride = self._stride
         grow = len(appended)
-        state = list(self.state) + [None] * grow
-        kind = list(self._class_kind) + [0] * grow
-        value = list(self._value) + [None] * grow
-        ubs = list(self._ubs) + [None] * grow
-        routes = list(self._routes) + [None] * grow
-        last_dim = list(self._last_dim) + [-1] * grow
-        forced = list(self._forced) + [-1] * grow
+        state = self.state._cache + [None] * grow
+        value = self._value + [None] * grow
+        ubs = self._ubs + [None] * grow
+        routes = self._routes + [None] * grow
         edge_over = dict(self._edge_over) if self._edge_over else {}
         link_over = dict(self._link_over) if self._link_over else {}
+        rows = {}  # slot -> (class kind, last_dim, forced)
 
         for slot in gone:
             dead.add(slot)
-            state[slot] = None
-            kind[slot] = 0
-            value[slot] = None
-            ubs[slot] = None
-            routes[slot] = {}
-            last_dim[slot] = -1
-            forced[slot] = -1
-            edge_over[slot] = ((), ())
-            link_over[slot] = ((), ())
-
+            state[slot] = value[slot] = routes[slot] = None
+            rows[slot] = (0, -1, -1)
+            edge_over[slot] = link_over[slot] = ((), ())
         try:
             for d, slot in rebuild:
-                edges, links = _sorted_row(tree, d, source_map)
-                if stride and not all(
-                    type(val) is int and 0 <= val < stride
-                    for part in (edges, links) for (_, val), _ in part
-                ):
+                row = _overlay_row(tree, d, source_map, stride)
+                if row is None:
                     return full("full", "stride-overflow")
-                (e_keys, e_children, l_keys, l_targets,
-                 routes[slot], last_dim[slot], forced[slot]) = _compile_row(
-                    edges, links, stride
-                )
-                st = tree.state[d]
-                state[slot] = st
-                kind[slot] = 0 if st is None else 1
-                value[slot] = agg.value(st) if st is not None else None
+                edge_over[slot], link_over[slot], last, forced = row
+                st = state[slot] = tree.state[d]
+                value[slot] = None if st is None else value_of(st)
                 ubs[slot] = tree.upper_bound_of(d)
-                edge_over[slot] = (tuple(e_keys), tuple(e_children))
-                link_over[slot] = (tuple(l_keys), tuple(l_targets))
+                routes[slot] = None  # rebuilt from the overlay on demand
+                rows[slot] = (st is not None, last, forced)
         except TypeError:
             return full("full", "unsortable-labels")
         except KeyError:
@@ -526,40 +657,42 @@ class FrozenQCTree:
             # catch a recorder gap that made this path common).
             return full("full", "unmapped-neighbor")
 
-        return FrozenQCTree._new(
+        columns = {}
+        for j, (name, fill) in enumerate(
+                (("_class_kind", 0), ("_last_dim", -1), ("_forced", -1))):
+            column = np.full(base_slots + grow, fill, dtype=np.int64)
+            column[:base_slots] = getattr(self, name)
+            for slot, row in rows.items():
+                column[slot] = row[j]
+            columns[name] = _view(column)
+
+        out = FrozenQCTree._new(
             n_dims=tree.n_dims,
             dim_names=tuple(tree.dim_names),
-            aggregate=agg,
-            state=tuple(state),
+            aggregate=tree.aggregate,
             snapshot_meta=dict(getattr(tree, "snapshot_meta", {})),
             patch_stats={
-                "mode": "patched",
-                "dirty": len(dirty),
-                "touched": len(rebuild),
-                "appended": grow,
-                "tombstoned": len(gone),
-                "dead_slots": len(dead),
-                "overlay": len(edge_over),
-                "slots": base_slots + grow,
+                "mode": "patched", "dirty": len(dirty),
+                "touched": len(rebuild), "appended": grow,
+                "tombstoned": len(gone), "dead_slots": len(dead),
+                "overlay": len(edge_over), "slots": base_slots + grow,
             },
             _stride=stride,
-            _edge_start=self._edge_start,
-            _edge_key=self._edge_key,
-            _edge_child=self._edge_child,
-            _link_start=self._link_start,
-            _link_key=self._link_key,
-            _link_target=self._link_target,
-            _last_dim=tuple(last_dim),
-            _forced=tuple(forced),
-            _class_kind=tuple(kind),
-            _routes=tuple(routes),
-            _ubs=tuple(ubs),
-            _value=tuple(value),
+            **{"_" + name: getattr(self, "_" + name)
+               for name in BUFFER_SECTIONS if "_" + name not in columns},
+            **columns,
+            _state_codec=self._state_codec,
+            _value_codec=self._value_codec,
+            _routes=routes,
+            _ubs=ubs,
+            _value=value,
             _source_map=source_map,
             _dead=frozenset(dead),
             _edge_over=edge_over,
             _link_over=link_over,
         )
+        object.__setattr__(out, "state", _LazyStates(out, state))
+        return out
 
     # -- immutability --------------------------------------------------------
 
@@ -587,8 +720,8 @@ class FrozenQCTree:
         return keys, targets, start[node], start[node + 1]
 
     def _route_of(self, node: int) -> dict:
-        """Build and cache ``node``'s routing dict (attached trees, on
-        first visit): links first, so edges shadow them."""
+        """Build and cache ``node``'s routing dict on first visit: links
+        first, so edges shadow them."""
         route = {}
         for links in (True, False):
             keys, targets, lo, hi = self._row(node, links)
@@ -596,14 +729,6 @@ class FrozenQCTree:
                 route[keys[i]] = targets[i]
         self._routes[node] = route
         return route
-
-    def _decode(self, data, codec, node: int):
-        """One node's state/value from its packed ``float64`` row."""
-        if not self._class_kind[node]:
-            return None
-        template, width = codec
-        base = node * width
-        return _rebuild(template, data[base:base + width], 0)[0]
 
     # -- size & iteration ----------------------------------------------------
 
@@ -716,8 +841,8 @@ class FrozenQCTree:
         """User-facing aggregate value at a class node (None elsewhere)."""
         value = self._value[node]
         if value is _UNSET:
-            value = self._value[node] = self._decode(
-                self._value_data, self._value_codec, node
+            value = self._value[node] = _decode(
+                self._class_kind, self._value_data, self._value_codec, node
             )
         return value
 
@@ -825,7 +950,7 @@ class FrozenQCTree:
         """Aggregate value of ``cell`` or None — the tightest serving path.
 
         Same walk as :meth:`_locate` with the access counter, the node
-        id, and every method call a heap tree does not need stripped out;
+        id, and every method call a warm node does not need stripped out;
         :func:`repro.core.point_query.point_query` dispatches here.
         """
         if len(cell) != self.n_dims:
@@ -908,8 +1033,10 @@ class FrozenQCTree:
         return routes
 
     def _point_query_batch(self, table, cells) -> list:
-        """Algorithm 3 over raw-label cells of ``n_dims`` labels, on
-        attached storage: each answer as ``point_query_raw`` gives it.
+        """Algorithm 3 over raw-label cells of ``n_dims`` labels, on an
+        unpatched tree (the CSR sections alone, no overlay — what a
+        shard worker attaches): each answer as ``point_query_raw`` gives
+        it.
         The frontier advances one dimension at a time — a
         ``searchsorted`` over :meth:`_batch_routes` for every live cell,
         Lemma 2's descents as masked retries."""
@@ -974,11 +1101,11 @@ class FrozenQCTree:
         """Serialize this tree to the zero-copy ``QCTREE/3`` layout (see
         :mod:`repro.shard.pack`): typed little-endian buffers attachable
         from shared memory or an mmap'd file and traversed in place by
-        :meth:`from_buffers`.  The writer reads this tree's arrays in
-        bulk (no per-node walk); a patched view (overlays, tombstones,
-        appended slots) compacts into fresh contiguous ids on the way
-        out.  ``table`` embeds the base table, making the blob a
-        complete serving snapshot."""
+        :meth:`from_buffers`.  The writer reads this tree's sections in
+        bulk (no per-node walk) and re-strides the keys; a patched view
+        (overlays, tombstones, appended slots) compacts into fresh
+        contiguous ids on the way out.  ``table`` embeds the base
+        table, making the blob a complete serving snapshot."""
         from repro.shard.pack import pack_snapshot_bytes
 
         return pack_snapshot_bytes(self, table=table, stamp=stamp)

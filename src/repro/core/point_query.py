@@ -34,8 +34,8 @@ they move to; counting the starting node is the caller's job.
 
 The functions here run against either tree representation: the mutable
 dict-backed :class:`~repro.core.qctree.QCTree` or the immutable
-array-backed :class:`~repro.core.frozen.FrozenQCTree` (over heap or
-attached ``QCTREE/3`` storage — one class either way), which share the
+array-backed :class:`~repro.core.frozen.FrozenQCTree` (its
+``QCTREE/3`` sections, compiled in-process or attached), which share the
 traversal protocol (``child`` / ``link_target`` / ``last_child_dim`` /
 ``children_in_dim`` / ``state`` / ``upper_bound_of``).
 :func:`search_route`, :func:`descend_to_class` and

@@ -445,9 +445,12 @@ class QCTree:
         """Build the immutable array-backed serving view of this tree.
 
         Returns a :class:`~repro.core.frozen.FrozenQCTree` answering
-        every query identically (equal :meth:`signature`); see that
-        module for the layout.  The frozen view is a snapshot — later
-        mutations of this tree do not propagate into it.
+        every query identically (equal :meth:`signature`): its
+        ``QCTREE/3`` sections, compiled from these parallel lists with
+        array operations (see that module; a tree the layout cannot hold
+        raises :class:`~repro.errors.SerializationError`).  The frozen
+        view is a snapshot — later mutations of this tree do not
+        propagate into it.
         """
         from repro.core.frozen import FrozenQCTree
 

@@ -5,8 +5,8 @@ on a simple rule: everything a query touches is bundled into a single
 snapshot object whose parts never mutate — an ordered tuple of
 :class:`~repro.serving.scatter.PieceView` objects (oldest sealed segment
 first, the live piece last), each an array-backed
-:class:`~repro.core.frozen.FrozenQCTree` (over heap storage in a thread
-server, attached to a shared ``QCTREE/3`` blob in a shard worker) plus
+:class:`~repro.core.frozen.FrozenQCTree` (compiled in-process in a
+thread server, attached to a shared ``QCTREE/3`` blob in a shard worker) plus
 its copy-on-write :class:`~repro.cube.table.BaseTable` (maintenance
 builds a *new* table; published ones are never edited in place) — with
 the aggregate, the serving stamp ``(WAL LSN, mutation epoch)`` they are
@@ -213,8 +213,8 @@ class ServingSnapshot:
             "lsn": lsn,
             "epoch": epoch,
             # Anything but the mutable dict tree is the immutable array
-            # tree, whichever storage (heap or attached) it reads; a
-            # sealed piece is only ever published frozen.
+            # tree, compiled or attached; a sealed piece is only ever
+            # published frozen.
             "frozen": not isinstance(self.tree, QCTree),
             "n_rows": sum(p.table.n_rows for p in self.pieces),
             "classes": sum(p.tree.n_classes for p in self.pieces),

@@ -7,9 +7,9 @@ at one core for pure-CPU traffic.  This package breaks that cap:
   stable packing of a frozen serving snapshot (tree CSR arrays,
   aggregate state vectors, base table) into typed little-endian
   buffers, attachable zero-copy from shared memory or an mmap'd file
-  and traversed in place by the same
-  :class:`~repro.core.frozen.FrozenQCTree` class the thread server
-  reads from heap storage;
+  and traversed in place as a
+  :class:`~repro.core.frozen.FrozenQCTree`, the sections every frozen
+  tree is made of;
 * :mod:`~repro.shard.segment` — ``/dev/shm`` segment lifecycle with
   strict hygiene (no leaked ``qctree-*`` segments after close, crash,
   or SIGTERM);

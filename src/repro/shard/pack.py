@@ -1,14 +1,12 @@
 """``QCTREE/3`` — the packed, shareable snapshot codec.
 
-A heap :class:`~repro.core.frozen.FrozenQCTree` is already pointer-free
-CSR arrays, but they are *Python* arrays: tuples of ints, per-node
-routing dicts, boxed aggregate states.  Packing flattens the whole
-serving snapshot — tree topology, upper bounds, aggregate state/value
-vectors, and the base table — into a handful of typed little-endian
-buffers (``int64`` / ``float64``) plus one small JSON meta block that
-interns every string exactly once (dimension names, the aggregate spec,
-and the per-dimension label dictionaries; rows and tree labels store
-only int codes).  The result is byte-layout-stable::
+A :class:`~repro.core.frozen.FrozenQCTree` *is* the typed sections of
+this layout.  Packing writes one serving snapshot — tree topology,
+upper bounds, aggregate state/value vectors, and the base table — as
+those ``int64`` / ``float64`` little-endian buffers plus one small JSON
+meta block that interns every string exactly once (dimension names, the
+aggregate spec, and the per-dimension label dictionaries; rows and tree
+labels store only int codes).  The result is byte-layout-stable::
 
     QCTREE/3 crc32=XXXXXXXX meta=M body=B\\n
     <M bytes of JSON meta>
@@ -19,42 +17,19 @@ and therefore *attachable*: map the bytes — from
 ``multiprocessing.shared_memory`` or an mmap'd snapshot file — and
 :func:`attach_packed` hands the section views to
 :meth:`FrozenQCTree.from_buffers
-<repro.core.frozen.FrozenQCTree.from_buffers>`, which is the same tree
-class over ``memoryview`` storage: same traversal protocol, same
-``_locate`` / ``_point_query`` functions.  Attach cost is parsing the
-small meta block and slicing a dozen memoryviews — no deserialization of
-nodes, rows, or states — so N worker processes can serve one physical
-copy of the snapshot (see :mod:`repro.shard.server`).
+<repro.core.frozen.FrozenQCTree.from_buffers>`, the constructor every
+frozen tree goes through.  Attach parses the small meta block and
+slices a dozen memoryviews, so N worker processes can serve one
+physical copy of the snapshot (see :mod:`repro.shard.server`).
 
 This module is the byte layout and nothing else: the one writer
 (:func:`pack_snapshot_bytes`), the header/CRC parsing of
 :func:`attach_packed`, the packed base-table view, and the ``QCTREE/3``
-→ mutable rebuild.
-
-The writer is columnar.  Every shard write publishes a whole new blob
-right after an O(dirty) refreeze, so packing must not cost a Python
-visit per node: it reads the frozen tree's storage in bulk with NumPy —
-a live mask and its running sum renumber the slots (tombstones and
-spare capacity drop out), the patch overlay rows are appended behind
-the shared CSR arrays in the only Python loop (O(dirty)) and one ragged
-gather fetches every live row, keys are split and re-strided with a
-vectorised ``divmod``, ``last_dim`` / ``forced`` come from the compacted
-rows, and upper bounds, state/value matrices and the table sections are
-bulk conversions whose checks run a column at a time.  A dict-backed
-:class:`~repro.core.qctree.QCTree` is frozen first; an attached tree
-feeds its ``memoryview`` sections through the same code.  The invariant:
-for every input the bytes are exactly those of the per-node protocol
-walk this writer replaced (kept as ``tests/reference_pack.py``, the
-oracle of ``tests/test_pack_oracle.py``), so readers of the format never
-noticed.
-
-Aggregate states and values are packed as fixed-shape ``float64`` rows:
-every class of one tree shares its state *shape* (e.g. ``(sum, count)``
-for AVG), so the shape is recorded once as a template of ``"i"`` /
-``"f"`` leaves and each state flattens to ``S`` numbers.  Exotic
-aggregates whose states are not uniform numeric tuples cannot be packed
-and raise :class:`~repro.errors.SerializationError` — the thread-based
-server still serves them; the multi-process path requires packability.
+→ mutable rebuild.  The writer is columnar — every shard write
+publishes a whole new blob right after an O(dirty) refreeze, so it never
+visits a node — and for every input its bytes are exactly those of the
+per-node protocol walk it replaced (kept as ``tests/reference_pack.py``,
+the oracle of ``tests/test_pack_oracle.py``).
 """
 
 from __future__ import annotations
@@ -63,16 +38,26 @@ import json
 import mmap
 import re
 import zlib
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
 from repro.core.cells import ALL
-from repro.core.frozen import BUFFER_SECTIONS, FrozenQCTree
+from repro.core.frozen import (
+    _MAX_EXACT_INT,
+    BUFFER_SECTIONS,
+    FrozenQCTree,
+    check_label,
+    leaf_columns,
+    lemma2_columns,
+    template_leaves,
+    template_of,
+    template_width,
+)
 from repro.core.qctree import QCTree
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
-from repro.errors import QueryError, SerializationError
+from repro.errors import SerializationError
 
 MAGIC_V3 = b"QCTREE/3"
 _V3_HEADER = re.compile(
@@ -94,94 +79,16 @@ SECTIONS = (
 #: Little-endian item types of the two section formats.
 _DTYPES = {"q": np.dtype("<i8"), "d": np.dtype("<f8")}
 
-_MAX_EXACT_INT = 2 ** 53
 
-
-# -- state/value templates ---------------------------------------------------
-
-
-def _template_of(sample):
-    """The shape template of one aggregate state/value: nested lists of
-    ``"i"`` (int leaf) / ``"f"`` (float leaf)."""
-    if isinstance(sample, tuple):
-        return [_template_of(part) for part in sample]
-    if isinstance(sample, bool) or not isinstance(sample, (int, float)):
-        raise SerializationError(
-            f"cannot pack aggregate payload {sample!r}: only ints, floats "
-            "and (nested) tuples of them are packable"
-        )
-    return "i" if isinstance(sample, int) else "f"
-
-
-def _template_leaves(template) -> list:
-    """The ``"i"`` / ``"f"`` leaves of a template, in packed order."""
-    if isinstance(template, list):
-        return [leaf for sub in template for leaf in _template_leaves(sub)]
-    return [] if template is None else [template]
-
-
-def _is_int_leaf(value) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and -_MAX_EXACT_INT < value < _MAX_EXACT_INT)
-
-
-def _leaf_columns(values, template, out) -> None:
-    """Append one ``float64`` column per leaf of ``template`` to ``out``,
-    holding that leaf of every payload in ``values`` — after verifying
-    that *each* payload matches the template's shape and leaf types
-    exactly (so reconstruction is lossless).  The checks run a column at
-    a time (type sets, ``min``/``max``); only a failing column is
-    rescanned to name the offending value."""
-    kinds = set(map(type, values))
-    if isinstance(template, list):
-        width = len(template)
-        if (not all(issubclass(kind, tuple) for kind in kinds)
-                or set(map(len, values)) != {width}):
-            bad = next(v for v in values
-                       if not isinstance(v, tuple) or len(v) != width)
-            raise SerializationError(
-                f"aggregate payload {bad!r} does not match the tree's "
-                f"uniform shape {template!r}"
-            )
-        for column, sub in zip(zip(*values), template):
-            _leaf_columns(column, sub, out)
-        return
-    if template == "i":
-        if (any(kind is bool or not issubclass(kind, int) for kind in kinds)
-                or not -_MAX_EXACT_INT < min(values)
-                or not max(values) < _MAX_EXACT_INT):
-            bad = next(v for v in values if not _is_int_leaf(v))
-            raise SerializationError(
-                f"aggregate int payload {bad!r} is not exactly packable "
-                "as float64"
-            )
-    elif not all(issubclass(kind, float) for kind in kinds):
-        bad = next(v for v in values if not isinstance(v, float))
-        raise SerializationError(
-            f"aggregate payload {bad!r} does not match the tree's "
-            f"uniform leaf type {template!r}"
-        )
-    out.append(np.fromiter(values, dtype=np.float64, count=len(values)))
-
-
-def _payload_matrix(payloads, template, class_ids, n: int):
-    """The ``n × width`` ``float64`` matrix of a heap tree's states (or
-    values): class node ``class_ids[k]`` holds the leaves of
-    ``payloads[k]``, every other row is zero."""
-    columns: list = []
-    if payloads:
-        _leaf_columns(payloads, template, columns)
-    matrix = np.zeros((n, len(columns)), dtype=np.float64)
-    for j, column in enumerate(columns):
-        matrix[class_ids, j] = column
-    return matrix
+# -- packing -----------------------------------------------------------------
 
 
 def _packed_matrix(data, template, is_class):
-    """The same matrix re-read from an attached tree's packed rows:
-    class rows pass through, the rest are zeroed, and ``"i"`` leaves
-    must still hold integers ``float64`` represents exactly."""
-    leaves = _template_leaves(template)
+    """The ``n × width`` ``float64`` state (or value) matrix re-read
+    from a tree's packed rows: class rows pass through, the rest are
+    zeroed, and ``"i"`` leaves must still hold integers ``float64``
+    represents exactly."""
+    leaves = template_leaves(template)
     matrix = np.asarray(data, dtype=np.float64).reshape(
         is_class.size, len(leaves)
     )
@@ -199,28 +106,11 @@ def _packed_matrix(data, template, is_class):
     return matrix
 
 
-# -- packing -----------------------------------------------------------------
-
-#: Stand-in for ``ALL`` while upper bounds are validated (a label can
-#: never be this negative, ``-1`` could be a bad label).
-_ALL_CODE = np.iinfo(np.int64).min
-
-
-def _check_label(value):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SerializationError(
-            f"cannot pack label {value!r}: the packed layout requires "
-            "dictionary-encoded non-negative int codes (build the tree "
-            "from a BaseTable)"
-        )
-    return value
-
-
 def _compact_rows(start, keys, targets, over, live, remap, stride, what):
     """One CSR family (edges or links) compacted onto the live nodes.
 
-    ``start`` / ``keys`` / ``targets`` are the tree's shared CSR arrays
-    (tuples or ``memoryview`` sections) and ``over`` the patch overlay
+    ``start`` / ``keys`` / ``targets`` are the tree's shared CSR
+    sections and ``over`` the patch overlay
     ``slot -> (keys, targets)`` that shadows them.  Overlay rows are
     appended behind the CSR arrays — the only Python loop, O(dirty) —
     and then every live node's row is fetched by one ragged gather, so
@@ -259,7 +149,7 @@ def _compact_rows(start, keys, targets, over, live, remap, stride, what):
         pairs = list(keys) + over_keys
         pairs = [pairs[i] for i in pick.tolist()]
         for _dim, value in pairs:
-            _check_label(value)
+            check_label(value)
         dims, values = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
     hops = np.concatenate([
@@ -281,75 +171,62 @@ def _compact_rows(start, keys, targets, over, live, remap, stride, what):
 
 def _upper_bounds(tree, live):
     """The ``n × n_dims`` upper-bound matrix of the live nodes, ``ALL``
-    as ``-1``."""
-    n_dims = tree.n_dims
-    if tree._ub is not None:  # attached: the section, already coded
-        return np.maximum(
-            np.asarray(tree._ub, dtype=np.int64).reshape(-1, n_dims), -1
-        )
-    flat = list(chain.from_iterable(compress(tree._ubs, live.tolist())))
-    if not set(map(type, flat)) <= {int, type(ALL)}:
-        for value in flat:
-            if value is not ALL:
-                _check_label(value)
-    codes = np.fromiter(
-        [_ALL_CODE if value is ALL else value for value in flat],
-        dtype=np.int64, count=len(flat),
-    )
-    negative = codes[(codes < 0) & (codes != _ALL_CODE)]
-    if negative.size:
-        _check_label(int(negative[0]))
-    return np.maximum(codes, -1).reshape(-1, n_dims)
+    as ``-1``: the ``ub`` section, then the rows a patch decoded into
+    its overlay slots (their labels checked one by one, O(dirty))."""
+    ub = np.full((live.size, tree.n_dims), -1, dtype=np.int64)
+    base = np.asarray(tree._ub, dtype=np.int64).reshape(-1, tree.n_dims)
+    ub[:len(base)] = np.maximum(base, -1)
+    for slot in tree._edge_over or ():
+        if live[slot]:
+            ub[slot] = [-1 if value is ALL else check_label(value)
+                        for value in tree._ubs[slot]]
+    return ub[live]
 
 
 def _class_sections(tree, live):
     """``(is_class, templates, matrices)`` of the live nodes: the class
     mask, then the ``(state, value)`` pair of shape templates and of
-    ``n × width`` ``float64`` matrices (zero rows off the classes)."""
+    ``n × width`` ``float64`` matrices (zero rows off the classes) —
+    the packed rows, then the payloads a patch put in its overlay
+    slots, checked against the template like a compile checks them."""
     kind = np.asarray(tree._class_kind, dtype=np.int64) != 0
-    is_class = kind[live]
-    if tree._ub is not None:  # attached: the packed rows themselves
-        templates = (tree._state_codec[0], tree._value_codec[0])
-        packed = (tree._state_data, tree._value_data)
-        return is_class, templates, tuple(
-            _packed_matrix(data, template, is_class)
-            for data, template in zip(packed, templates)
-        )
-    holds = (kind & live).tolist()
-    class_ids = np.flatnonzero(is_class)
+    base = len(tree._edge_start) - 1
+    over = [slot for slot in sorted(tree._edge_over or ()) if kind[slot]]
     templates, matrices = [], []
-    for payloads in (tree.state, tree._value):
-        payloads = tuple(compress(payloads, holds))
-        template = _template_of(payloads[0]) if payloads else None
+    for (template, _), data, cache in (
+            (tree._state_codec, tree._state_data, tree.state._cache),
+            (tree._value_codec, tree._value_data, tree._value)):
+        payloads = [cache[slot] for slot in over]
+        if template is None and payloads:  # no class when compiled
+            template = template_of(payloads[0])
+        matrix = np.zeros((kind.size, template_width(template)))
+        if len(data):
+            matrix[:base] = _packed_matrix(data, template, kind[:base])
+        columns: list = []
+        if payloads:
+            leaf_columns(payloads, template, columns)
+            matrix[over] = np.column_stack(columns)
         templates.append(template)
-        matrices.append(
-            _payload_matrix(payloads, template, class_ids, is_class.size)
-        )
-    return is_class, tuple(templates), tuple(matrices)
+        matrices.append(matrix[live])
+    return kind[live], tuple(templates), tuple(matrices)
 
 
 def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
                         snapshot_meta=None) -> bytes:
     """Serialize a serving snapshot to the ``QCTREE/3`` byte layout.
 
-    The writer is columnar: it reads a :class:`FrozenQCTree`'s storage
-    in bulk — the CSR arrays, the patch overlays, the tombstone set, the
-    upper-bound / state / value vectors of a heap tree or the typed
-    sections of an attached one — and never visits a node.  A live mask
-    and its running sum renumber the slots, so a patched view (overlay
-    rows, tombstones, appended slots) compacts into fresh contiguous ids
-    on the way out.  A dict-backed :class:`QCTree` is frozen first.  The
-    invariant the tests hold it to: for any input, byte for byte the
-    blob the per-node protocol walk it replaced would have written
-    (``tests/reference_pack.py``).
+    Columnar: a live mask and its running sum renumber the slots
+    (tombstones and spare capacity drop out), a patched view's overlay
+    rows are appended behind the shared CSR arrays and one ragged gather
+    fetches every live row, its overlay slots' upper bounds and payloads
+    are laid over the packed rows (the only Python loops, O(dirty)), and
+    keys are split and re-strided to the tightest fit with a vectorised
+    ``divmod``.  A dict-backed :class:`QCTree` is frozen first.
     ``table`` rides along when given, making the blob a complete
     self-contained snapshot a worker process can serve from.
     """
     if isinstance(tree, QCTree):
-        try:
-            tree = FrozenQCTree.from_tree(tree)
-        except QueryError as exc:
-            raise SerializationError(f"cannot pack: {exc}") from exc
+        tree = tree.freeze()
     n_dims = tree.n_dims
     slots = len(tree._routes)
     live = np.ones(slots, dtype=bool)
@@ -379,16 +256,7 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
     edge_key = edge_dim * stride + edge_val
     link_key = link_dim * stride + link_val
 
-    # Lemma 2: rows are (dim, value)-sorted, so a node's last dimension
-    # is its last edge's, and the descent is forced iff that dimension
-    # holds exactly one child.
-    last_dim = np.full(n, -1, dtype=np.int64)
-    forced = np.full(n, -1, dtype=np.int64)
-    parents = np.flatnonzero(np.diff(edge_start))
-    tail = edge_start[parents + 1] - 1
-    last_dim[parents] = edge_dim[tail]
-    lone = (tail == edge_start[parents]) | (edge_dim[tail - 1] != edge_dim[tail])
-    forced[parents[lone]] = edge_child[tail[lone]]
+    last_dim, forced = lemma2_columns(edge_start, edge_dim, edge_child)
 
     is_class, templates, matrices = _class_sections(tree, live)
 

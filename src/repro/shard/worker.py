@@ -172,8 +172,8 @@ def worker_main(conn, segment_name: str, lsn: int, epoch: int,
     parent's death — however abrupt — is an EOF on ``conn``."""
     for parent_end in inherited:
         parent_end.close()
-    # The fork copied the parent's whole heap (dict tree, heap frozen
-    # view, cover index, table).  The worker never frees any of it, yet
+    # The fork copied the parent's whole heap (dict tree, frozen view,
+    # cover index, table).  The worker never frees any of it, yet
     # each full collection would walk it all — a ~30 ms stall every few
     # bulk batches.  Park it in the permanent generation.
     gc.freeze()

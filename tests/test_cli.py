@@ -434,6 +434,51 @@ class TestDurability:
             assert main(["point", built_dir, f"N{i},*,*"]) == 0
             assert capsys.readouterr().out.strip() == f"{i}.5"
 
+    def test_one_serve_per_directory(self, built_dir):
+        """Two servers would interleave ``DIR/wal.log`` and leave the
+        directory unopenable: while one ``serve`` runs, a second exits 1
+        with one ``error:`` line; once the first quits, a new one
+        starts."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + env.get("PYTHONPATH", "").split(os.pathsep))
+        command = [sys.executable, "-m", "repro", "serve", built_dir,
+                   "--workers", "1"]
+        first = subprocess.Popen(
+            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, env=env,
+        )
+        watchdog = threading.Timer(60, first.kill)
+        watchdog.start()
+        try:
+            first.stdin.write("point S2,*,f\n")
+            first.stdin.flush()
+            assert first.stdout.readline().strip() == "9.0"  # it is up
+            second = subprocess.run(
+                command, input="insert S9,P1,s,1.0\nquit\n",
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert second.returncode == 1
+            assert second.stdout == ""
+            [line] = second.stderr.splitlines()
+            assert line.startswith("error:") and "already being served" in line
+            first.stdin.write("quit\n")
+            first.stdin.flush()
+            assert first.wait(timeout=60) == 0
+        finally:
+            watchdog.cancel()
+            if first.poll() is None:
+                first.kill()
+                first.wait()
+            first.stdin.close()
+            first.stdout.close()
+        third = subprocess.run(
+            command, input="point S2,*,f\npoint S9,*,*\nquit\n",
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert third.returncode == 0
+        assert third.stdout.split() == ["9.0", "NULL"]
+
 
 class TestFsckCommand:
     def test_clean_tree_exits_zero(self, built_dir, capsys):

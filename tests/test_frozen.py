@@ -215,11 +215,11 @@ STORAGES = ("fresh", "patched", "bytes", "mmap")
 
 @contextlib.contextmanager
 def open_storage(kind, seed, tmp_path, **kwargs):
-    """``(table, dict tree, array tree)`` with the array tree on one of
-    the four storages: a fresh heap compile, a heap tree patched so that
-    it carries overlay rows, appended slots *and* tombstones, a
-    ``QCTREE/3`` blob attached from ``bytes``, and one attached from an
-    mmap'd file."""
+    """``(table, dict tree, array tree)`` with the array tree's sections
+    from one of four sources: a fresh in-process compile, that compile
+    patched so that it carries overlay rows, appended slots *and*
+    tombstones, a ``QCTREE/3`` blob attached from ``bytes``, and one
+    attached from an mmap'd file."""
     kwargs.setdefault("n_dims", 3)
     kwargs.setdefault("cardinality", 3)
     kwargs.setdefault("n_rows", 12)
@@ -361,11 +361,11 @@ def test_fast_paths_are_defined_once_in_the_source_tree():
         assert len(re.findall(rf"def {name}\(", text)) == 1, name
 
 
-@pytest.mark.parametrize("kind", ("bytes", "mmap"))
+@pytest.mark.parametrize("kind", ("fresh", "bytes", "mmap"))
 def test_attach_decodes_nothing_per_node(kind, tmp_path):
-    """Attach stays O(1): no routing dict, upper bound, value or state
-    exists until a query visits the node — and then only for the nodes
-    on the walk."""
+    """A fresh freeze and an attach leave the nodes coded: no routing
+    dict, upper bound, value or state exists until a query visits the
+    node — and then only for the nodes on the walk."""
     with open_storage(kind, 3, tmp_path) as (table, _, array):
         assert all(route is None for route in array._routes)
         assert all(ub is None for ub in array._ubs)
