@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.core.maintenance.delete import batch_delete, resolve_deletions
 from repro.core.maintenance.insert import batch_insert
 from repro.cube.cover_index import CoverIndex
@@ -66,8 +68,7 @@ def _dimension_order_key(n_dims):
     single recursion branches instead of being rediscovered per tuple.
     The key is the dimension labels only: Python's sort is stable, so
     duplicate dimension tuples keep their arrival order whatever their
-    measures — the order earliest-match delete (and segment compaction,
-    which re-inserts rows through here) depends on.
+    measures — the order earliest-match delete depends on.
     """
     def key(record):
         return tuple(_label_key(v) for v in record[:n_dims])
@@ -174,6 +175,13 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
                 raise MaintenanceError(
                     f"cannot insert batch: {exc}"
                 ) from exc
+            # A stored inf or nan poisons every ancestor state for good:
+            # deleting the row again leaves nan (inf - inf) behind.
+            finite = np.isfinite(delta_table.measures).all(axis=1)
+            if not finite.all():
+                bad = inserts[int(np.argmin(finite))]
+                raise MaintenanceError(f"cannot insert batch: record "
+                                       f"{bad!r} has a non-finite measure")
         else:
             new_table, delta_table = mid_table, None
 

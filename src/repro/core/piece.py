@@ -2,11 +2,12 @@
 from it.
 
 Theorem 2 makes a QC-tree a *derived index of its base table*: unique
-for the table, so always rebuildable from it, and Algorithms 5–7
-maintain exactly that pair.  Every store in this repo is one or more
-such pairs — a :class:`~repro.core.warehouse.QCWarehouse` holds one live
-piece, a :class:`~repro.core.warehouse.SegmentedWarehouse` a list of
-sealed pieces plus one live piece — and this class is the only place
+for the table, so always rebuildable from it.  Algorithms 5–7 maintain
+the live pair; a batch against a sealed one rebuilds.  Every store in
+this repo is one or more such pairs — a
+:class:`~repro.core.warehouse.QCWarehouse` holds one live piece, a
+:class:`~repro.core.warehouse.SegmentedWarehouse` a list of sealed
+pieces plus one live piece — and this class is the only place
 that knows a pair's lifecycle: the refreeze decision
 (:meth:`Piece.frozen_view`), the cover index (:attr:`Piece.cover_index`),
 mutation by replacement (:meth:`Piece.derive`), the on-disk twin
@@ -32,6 +33,7 @@ from typing import Optional
 
 from repro.core.construct import build_qctree
 from repro.core.maintenance.batch import maintain_batch
+from repro.core.maintenance.delete import resolve_deletions
 from repro.core.serialize import load_qctree_from, save_qctree
 from repro.cube.cover_index import CoverIndex
 from repro.cube.table import BaseTable, csv_comment
@@ -83,15 +85,15 @@ class Piece:
                  "_cover_index", "_cover_rebuilt", "_cover_patched",
                  "_row_counts", "_saved_at", "_lock")
 
-    def __init__(self, tree, table: BaseTable, frozen=None,
+    def __init__(self, tree, table: BaseTable,
                  segment_id: Optional[int] = None):
-        #: The mutable dict tree Algorithms 5–7 run against.
+        #: The dict tree (Algorithms 5–7 maintain it while live).
         self.tree = tree
         #: The base table (copy-on-write: a batch installs a *new* one).
         self.table = table
         #: None while live; the segment id once sealed (immutable).
         self.segment_id = segment_id
-        self._frozen = frozen
+        self._frozen = None
         self._pending = None
         # The long-lived cover index over the live table: built lazily
         # on the first write (or deep fsck), patched per batch from the
@@ -270,28 +272,22 @@ class Piece:
 
     def derive(self, inserts=(), deletes=(),
                segment_id: Optional[int] = None) -> "Piece":
-        """A new piece equal to this one after the batch; this piece is
-        not touched.
+        """A new piece built (Theorem 2) from this one's table after the
+        batch; this piece is not touched.
 
-        The batch runs on a *copy* of the dict tree (the one tree copy
-        left on a write path: a second tree is the contract here) and a
-        finalised frozen view is patched copy-on-write, so concurrent
-        readers and failed batches both see the original.  ``deletes``
-        are matched the way
-        :func:`~repro.core.maintenance.delete.resolve_deletions`
-        matches — earliest rows first, measures ignored; ``inserts`` are
-        appended after this piece's rows and ``maintain_batch`` sorts
-        them on their dimension labels only (a stable sort), so rows
-        with the same dimension tuple keep their arrival order — what
-        earliest-first delete matching depends on.
+        ``deletes`` drop the rows
+        :func:`~repro.core.maintenance.delete.resolve_deletions` matches
+        (earliest first, measures ignored), then ``inserts`` are appended
+        in arrival order — the order earliest-first delete matching
+        depends on.  No tree is copied; the frozen view compiles on the
+        new piece's first read.
         """
-        tree = self.tree.copy()
-        result = maintain_batch(tree, self.table,
-                                inserts=inserts, deletes=deletes)
-        frozen = None
-        if self.frozen_ready:
-            frozen = self._frozen.patch(result.delta)
-        return Piece(tree, result.table, frozen=frozen,
+        table = self.table
+        if deletes:
+            table, _ = resolve_deletions(table, deletes)
+        if inserts:
+            table, _ = table.extended(inserts)
+        return Piece(build_qctree(table, self.tree.aggregate), table,
                      segment_id=segment_id)
 
     def seal(self, segment_id: int) -> None:

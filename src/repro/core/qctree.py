@@ -460,10 +460,9 @@ class QCTree:
         """Structural copy sharing immutable labels and states.
 
         Maintenance mutates trees in place (and undoes a failed batch
-        from its journal); benchmarks and :meth:`Piece.derive
-        <repro.core.piece.Piece.derive>` copy first.  Aggregate states
-        are immutable values (ints, floats, tuples), so sharing them is
-        safe.
+        from its journal); benchmarks and tests that keep the original
+        copy first — no write path does.  Aggregate states are immutable
+        values (ints, floats, tuples), so sharing them is safe.
         """
         clone = QCTree(self.n_dims, self.aggregate, dim_names=self.dim_names)
         clone.node_dim = list(self.node_dim)

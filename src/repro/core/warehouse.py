@@ -16,12 +16,12 @@ piece gets a segment id, joins the sealed list (tree, table, frozen view
 and unread refreeze delta ride along) and a fresh empty head starts.
 Queries scatter-gather across the pieces (:mod:`repro.serving.scatter`);
 a background **compactor** unions adjacent sealed pieces, the *newer*
-one's rows folded into a copy of the *older* one so global arrival order
-— what delete matching keys on — survives.  Deletes are matched the way
-the engine matches them, earliest surviving row first, and rows owned by
-sealed pieces are removed copy-on-write (:meth:`Piece.derive
-<repro.core.piece.Piece.derive>`); the piece list is swapped only after
-the whole batch succeeded.
+one's rows appended to the *older* one's so global arrival order — what
+delete matching keys on — survives.  Deletes are matched the way the
+engine matches them, earliest surviving row first.  A sealed piece is
+never maintained: compaction and deletes rebuild it from the updated
+table (:meth:`Piece.derive <repro.core.piece.Piece.derive>`); the piece
+list is swapped only after the whole batch succeeded.
 
 :class:`QCWarehouse`'s seal thresholds are infinite: its head never
 seals, so it is always one piece and its write cost grows with the cube.
@@ -522,8 +522,8 @@ class QCWarehouse:
         Inserts go to the head.  With no sealed piece, deletes do too —
         :func:`~repro.core.maintenance.batch.maintain_batch` validates
         them; otherwise each is routed to the piece owning its match
-        (:meth:`_route_deletes`) and sealed pieces are replaced
-        copy-on-write.  If the head batch fails, the head rolled back
+        (:meth:`_route_deletes`) and each sealed piece hit is rebuilt
+        without them.  If the head batch fails, the head rolled back
         and the piece list was never swapped: the batch is a no-op.
         """
         with self._lock:
@@ -664,11 +664,10 @@ class QCWarehouse:
     def compact_once(self) -> bool:
         """Union one adjacent sealed pair; True when a pair was merged.
 
-        The expensive merge runs outside the warehouse lock against
-        immutable inputs; the result is only installed if both originals
-        still sit adjacent in the list (a concurrent delete rewrite or
-        rebuild abandons the merge — it simply retries on the next
-        tick).
+        The merge — one build over both tables' rows — runs outside the
+        warehouse lock against immutable tables; the result is only
+        installed if both originals still sit adjacent in the list (a
+        concurrent delete rewrite abandons it; the next tick retries).
         """
         with self._lock:
             if not self.compaction_backlog:
@@ -681,7 +680,6 @@ class QCWarehouse:
                                + self._segments[i + 1].n_rows),
             )
             base, newer = self._segments[best], self._segments[best + 1]
-            base_tree, newer_tree = base.tree, newer.tree
         t0 = time.perf_counter()
         # The OLDER piece is always the merge base, so the newer piece's
         # rows are appended after it and global arrival order survives.
@@ -694,10 +692,7 @@ class QCWarehouse:
             except ValueError:
                 return False
             if (at + 1 >= len(self._segments)
-                    or self._segments[at + 1] is not newer
-                    # a rebuild() replaced a tree under the merge
-                    or base.tree is not base_tree
-                    or newer.tree is not newer_tree):
+                    or self._segments[at + 1] is not newer):
                 return False
             self._segments[at:at + 2] = [merged]
             self._compactions += 1

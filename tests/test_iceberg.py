@@ -12,6 +12,7 @@ from repro.core.construct import build_qctree
 from repro.core.iceberg import (
     MeasureIndex, _satisfies, constrained_iceberg, pure_iceberg,
 )
+from repro.core.piece import Piece
 from repro.core.range_query import range_query
 from repro.core.warehouse import QCWarehouse
 from repro.cube.lattice import full_cube
@@ -157,12 +158,14 @@ class TestConstrainedIceberg:
 
 def _two_pieces(records, schema) -> SegmentedWarehouse:
     """``sum(m)`` over ``records`` held in two populated pieces, one
-    per half."""
+    per half, each built from its rows: the write path refuses a
+    non-finite measure, and these records may carry one."""
     half = len(records) // 2
     seg = SegmentedWarehouse.from_records(
         records[:half], schema, ("sum", "m"), seal_rows=half
     )
-    seg.insert(records[half:])
+    seg._live = Piece.build(
+        BaseTable.from_records(records[half:], schema), seg.aggregate)
     assert len([p for p in seg.pieces() if p.n_rows]) == 2
     return seg
 

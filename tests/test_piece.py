@@ -125,9 +125,9 @@ class TestPreview:
 
 
 class TestOneTreeCopy:
-    def test_only_derive_copies_the_tree(self, monkeypatch):
-        """A write costs its delta: no path copies the tree but
-        ``derive``, whose contract is a second tree — once."""
+    def test_no_write_path_copies_the_tree(self, monkeypatch):
+        """A write costs its delta, and ``derive`` builds its tree from
+        the updated table: no path copies a tree."""
         copies = []
         copy = QCTree.copy
         monkeypatch.setattr(
@@ -143,7 +143,7 @@ class TestOneTreeCopy:
             piece.apply(deletes=[record((99, 99, 99))])
         assert copies == []
         piece.derive(*batches[1])
-        assert len(copies) == 1
+        assert copies == []
 
 
 class TestDerive:
@@ -158,7 +158,7 @@ class TestDerive:
         before = _state(parent)
         child = parent.derive(*batches[1], segment_id=7)
         assert _state(parent) == before
-        assert child.segment_id == 7 and child.frozen_ready == ready
+        assert child.segment_id == 7 and not child.frozen_ready
         assert child.tree.equivalent_to(build_qctree(child.table, AGG))
         _assert_view_current(child)
 

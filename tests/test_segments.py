@@ -127,6 +127,25 @@ class TestDeleteRouting:
         assert wh.point(victim[:3]) != before
         assert wh.n_rows == 9
 
+    def test_sealed_delete_answers_like_a_fresh_build(self):
+        """A delete that hits a sealed piece rebuilds it from its rows,
+        so the big value leaves no rounding behind: incremental
+        maintenance read 0.0 here, (0.1 + 1e17 + 0.2) - 1e17."""
+        schema = Schema(dimensions=("D1", "D2"), measures=("M",))
+        rows = [("a", "x", 0.1), ("a", "y", 1e17), ("a", "z", 0.2),
+                ("b", "x", 0.5)]
+        wh = SegmentedWarehouse.from_records(rows, schema, ("sum", "M"),
+                                             seal_rows=4)
+        try:
+            assert wh.segment_health()["segments_live"] == 1
+            wh.maintain(deletes=[("a", "y", 0)])
+            fresh = QCWarehouse.from_records(
+                [r for r in rows if r[1] != "y"], schema, ("sum", "M"))
+            for cell in [("a", "*"), ("*", "*")]:
+                assert wh.point(cell) == fresh.point(cell)
+        finally:
+            wh.close()
+
     def test_duplicates_spread_across_segments(self):
         """Three copies living in different segments: deleting all three
         must consume one per location, oldest first."""
@@ -281,11 +300,11 @@ class TestSealedPiecesShareTheLifecycle:
             sealed = wh.seal()  # handed over with its unread delta
             assert sealed.pending_delta is not None
             assert sealed.frozen_view().patch_stats["mode"] in modes
-            # ... and so does a copy-on-write replacement of it.
+            # A replacement of it is rebuilt: its first view is fresh.
             wh.maintain(deletes=[_record(0)])
             replaced = wh._segments[0]
-            assert replaced is not sealed and replaced.frozen_ready
-            assert replaced.frozen_view().patch_stats["mode"] in modes
+            assert replaced is not sealed and not replaced.frozen_ready
+            assert replaced.frozen_view().patch_stats["mode"] == "fresh"
 
 
 class TestManifest:

@@ -87,6 +87,23 @@ class TestRefusedBatches:
         assert wh.table.n_rows == 3
         assert_unchanged(wh.tree, wh.table, before)
 
+    @pytest.mark.parametrize("measure", [float("inf"), float("-inf"),
+                                         float("nan")])
+    def test_non_finite_insert_is_refused(self, measure):
+        """Stored, an inf would sit in every ancestor class's state, and
+        deleting it again left nan there (inf - inf) for good."""
+        schema = Schema(dimensions=("D1", "D2"), measures=("M",))
+        wh = QCWarehouse.from_records(
+            [("a", "x", 0.1), ("a", "z", 0.2), ("b", "x", 0.5)], schema,
+            aggregate=("sum", "M"))
+        cells = [("a", "*"), ("*", "*"), ("a", "x"), ("*", "x")]
+        before = [wh.point(cell) for cell in cells]
+        with pytest.raises(MaintenanceError, match="non-finite measure"):
+            wh.insert([("a", "y", measure)])
+        assert [wh.point(cell) for cell in cells] == before
+        assert wh.table.n_rows == 3
+        wh.tree.check_invariants()
+
     def test_queries_keep_working_after_refusal(self, wh):
         with pytest.raises(MaintenanceError):
             wh.delete([("S1", "P1", "f", 0.0)])
