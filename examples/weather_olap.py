@@ -82,6 +82,13 @@ def main():
         probe = ("*",) * 6
         print(f"  AVG(temperature) overall: {loaded.point(probe):.2f} "
               f"(before the crash: {warehouse.point(probe):.2f})")
+        # Labels are ints; the checkpoint keeps their type, so a
+        # labelled cell answers after the restart as it did before.
+        station, *_, day = new_readings[20][:6]
+        labelled = (station, "*", "*", "*", "*", day)
+        print(f"  AVG(temperature) at station {station} on day {day}: "
+              f"{loaded.point(labelled):.2f} "
+              f"(before the crash: {warehouse.point(labelled):.2f})")
 
 
 if __name__ == "__main__":

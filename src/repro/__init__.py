@@ -14,7 +14,6 @@ from repro.core import (
     MeasureIndex, constrained_iceberg, pure_iceberg,
     class_of, drill_into_class, intelligent_rollup,
     lattice_drilldowns, lattice_rollups, rollup_exceptions,
-    dumps_qctree, load_qctree_from, loads_qctree, save_qctree,
 )
 from repro.core.maintenance import (
     apply_deletions, apply_insertions, batch_delete, batch_insert,
@@ -38,7 +37,6 @@ __all__ = [
     "MeasureIndex", "constrained_iceberg", "pure_iceberg",
     "class_of", "drill_into_class", "intelligent_rollup",
     "lattice_drilldowns", "lattice_rollups", "rollup_exceptions",
-    "dumps_qctree", "load_qctree_from", "loads_qctree", "save_qctree",
     "apply_deletions", "apply_insertions", "batch_delete", "batch_insert",
     "delete_one_by_one", "insert_one_by_one",
     "BaseTable", "Schema", "make_aggregate",

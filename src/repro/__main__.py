@@ -13,10 +13,11 @@ pipeline can be driven from the shell::
     python -m repro dump sales.d
     python -m repro serve sales.d --workers 4
 
-``build`` writes a checkpoint directory (:mod:`repro.core.manifest`,
-whose manifest names the schema too); every other verb opens it through
-``recover`` with the write-ahead log ``DIR/wal.log``, so it also sees
-the writes a killed ``serve`` logged.
+``build`` writes a checkpoint directory (:mod:`repro.core.manifest`: the
+base table as CSV and a manifest naming its checksum, the schema and
+the aggregate); every other verb opens it through ``recover`` with the
+write-ahead log ``DIR/wal.log``, so it also sees the writes a killed
+``serve`` logged.  Opening builds the tree from the table.
 
 Cells use ``,`` between dimensions and ``*`` for ALL; range dimensions
 separate candidate values with ``|``.
@@ -57,7 +58,8 @@ deadline budgets; stdin becomes a control channel (``quit``/EOF stops).
 
 Exit status: 0 on success, 1 on any error (bad input, a command line
 ``argparse`` rejects, missing or corrupt files), 2 when ``fsck`` finds
-corruption.
+corruption: a table that fails its checksum or does not read, or a
+tree that fails verification.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ from repro.core.manifest import load_manifest, manifest_schema
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
-from repro.errors import ReproError
+from repro.errors import RecoveryError, ReproError
+from repro.reliability.fsck import FsckReport
 from repro.segments import SegmentedWarehouse
 from repro.serving.protocol import parse_cell, parse_range_spec as parse_range
 
@@ -337,17 +340,18 @@ def _serve_async(server, args, detail: str) -> int:
 
 
 def cmd_fsck(args) -> int:
-    store = _open_store(args.directory)
-    # --samples 0 means "check every class".
-    report = store.verify(deep=True, samples=args.samples or None,
-                          seed=args.seed)
-    # fsck reports on the stored trees: a piece recover rebuilt from its
-    # CSV answers correctly, but its stored tree was torn, unpaired with
-    # the CSV or stamped behind it.
-    for name in store.last_recovery["rebuilt"]:
-        report.add("rebuilt", f"{name}: stored tree unusable (torn, "
-                              f"unpaired or behind its CSV); rebuilt "
-                              f"from the CSV")
+    # An unreadable manifest, or one naming no schema, is an error
+    # (exit 1); a sound manifest naming a damaged table is corruption.
+    manifest_schema(load_manifest(args.directory), args.directory)
+    try:
+        store = _open_store(args.directory)
+    except RecoveryError as exc:
+        report = FsckReport()
+        report.add("unreadable", str(exc))
+    else:
+        # --samples 0 means "check every class".
+        report = store.verify(deep=True, samples=args.samples or None,
+                              seed=args.seed)
     for issue in report.issues:
         print(issue)
     print(f"{args.directory}: {report.summary()}")
@@ -469,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(func=cmd_serve)
 
     p_fsck = with_directory(sub.add_parser(
-        "fsck", help="verify a store's stored trees (exit 2 on corruption)"
+        "fsck", help="verify a store's tables and the trees built from "
+                     "them (exit 2 on corruption)"
     ))
     p_fsck.add_argument("--samples", type=_int_in(0), default=64,
                         help="classes to re-aggregate (0 = all; default 64)")

@@ -14,9 +14,6 @@ from repro.core.explore import (
     class_of, drill_into_class, intelligent_rollup, lattice_drilldowns,
     lattice_rollups, rollup_exceptions,
 )
-from repro.core.serialize import (
-    dumps_qctree, load_qctree_from, loads_qctree, save_qctree,
-)
 from repro.core.warehouse import QCWarehouse
 
 __all__ = [
@@ -27,6 +24,5 @@ __all__ = [
     "range_query_raw", "MeasureIndex", "constrained_iceberg", "pure_iceberg",
     "class_of", "drill_into_class", "intelligent_rollup",
     "lattice_drilldowns", "lattice_rollups", "rollup_exceptions",
-    "dumps_qctree", "load_qctree_from", "loads_qctree", "save_qctree",
     "QCWarehouse",
 ]

@@ -382,7 +382,6 @@ def _columns(tree: QCTree):
         "n_dims": n_dims, "dim_names": tree.dim_names,
         "aggregate": tree.aggregate, "stride": stride,
         "counts": {"nodes": n},
-        "snapshot_meta": getattr(tree, "snapshot_meta", None),
     }
     payloads = list(compress(states, holds))
     meta["state_template"], state_data = _payload_rows(payloads, class_ids, n)
@@ -670,7 +669,7 @@ class FrozenQCTree:
             n_dims=tree.n_dims,
             dim_names=tuple(tree.dim_names),
             aggregate=tree.aggregate,
-            snapshot_meta=dict(getattr(tree, "snapshot_meta", {})),
+            snapshot_meta={},
             patch_stats={
                 "mode": "patched", "dirty": len(dirty),
                 "touched": len(rebuild), "appended": grow,

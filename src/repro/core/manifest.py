@@ -1,14 +1,17 @@
 """The manifest: the one atomic commit point of a checkpoint.
 
-Every store checkpoints into one directory layout: immutable
-per-segment files (``segment-XXXXXXXX.qct``/``.csv``, written first and
-never modified; none for a store that never seals), the head snapshot
-(``head-XXXXXXXX.qct``/``.csv``, a fresh sequence-numbered pair per
-checkpoint), and ``MANIFEST.json`` — a checksummed JSON document naming
-exactly which files constitute the store, in segment order, at which
-WAL LSN, the aggregate every tree can be rebuilt with, and the schema
-(dimension and measure names) the tables are read under — so a
-directory names everything needed to reopen it.
+A checkpoint is its base tables.  Theorem 2 makes a QC-tree a function
+of its table, so every store checkpoints into one directory of tables:
+immutable per-segment CSVs (``segment-XXXXXXXX.csv``, written first and
+never modified; none for a store that never seals), the head's table
+(``head-XXXXXXXX.csv``, a fresh sequence-numbered file per checkpoint),
+and ``MANIFEST.json`` — a checksummed JSON document naming exactly which
+tables constitute the store, in segment order, each with its row count
+and the CRC32 of its bytes, at which WAL LSN, the aggregate every tree
+is built with, and the schema (dimension and measure names, and each
+dimension's label type) the tables are read under — so a directory
+names everything needed to reopen it.  Opening one builds every tree
+again (:meth:`Piece.load <repro.core.piece.Piece.load>`).
 
 The manifest is written *last* and atomically (temp file + fsync +
 rename + directory fsync), so every crash leaves one of two states:
@@ -20,7 +23,11 @@ rename + directory fsync), so every crash leaves one of two states:
   into place.
 
 Files present in the directory but absent from the manifest are orphans
-from an interrupted checkpoint; recovery ignores (and reports) them.
+from an interrupted checkpoint; recovery ignores (and reports) them.  A
+directory written before tables were the whole checkpoint also names a
+``.qct`` tree file per entry: recovery ignores the ``tree`` keys, reads
+an entry without ``crc32`` unchecked and every dimension's labels as
+strings, and the next checkpoint deletes the trees as orphans.
 """
 
 from __future__ import annotations
@@ -38,13 +45,15 @@ FORMAT = "QCSEGSET/1"
 
 
 def save_manifest(directory, *, lsn: int, generation: int, aggregate_spec,
-                  schema: Schema, segments: list, head: dict,
+                  schema: Schema, label_types, segments: list, head: dict,
                   next_segment_id: int) -> None:
     """Atomically publish a manifest describing the current segment set.
 
-    ``segments`` is a list of ``{"id", "rows", "tree", "table"}`` entries
-    in segment (arrival) order; ``head`` is ``{"rows", "tree", "table"}``
-    for the mutable head's snapshot.
+    ``segments`` is a list of ``{"id", "rows", "table", "crc32"}``
+    entries in segment (arrival) order; ``head`` is ``{"rows", "table",
+    "crc32", "seq"}`` for the mutable head's table.  ``label_types``
+    names each dimension's label type (a
+    :data:`~repro.cube.table.LABEL_PARSERS` key, None when unknown).
     """
     payload = {
         "format": FORMAT,
@@ -52,7 +61,8 @@ def save_manifest(directory, *, lsn: int, generation: int, aggregate_spec,
         "generation": int(generation),
         "aggregate": aggregate_spec,
         "schema": {"dimensions": list(schema.dimension_names),
-                   "measures": list(schema.measure_names)},
+                   "measures": list(schema.measure_names),
+                   "label_types": list(label_types)},
         "next_segment_id": int(next_segment_id),
         "segments": segments,
         "head": head,
@@ -109,14 +119,20 @@ def manifest_schema(payload: dict, directory) -> Schema:
                   measures=tuple(entry["measures"]))
 
 
+def manifest_label_types(payload: dict, schema: Schema) -> tuple:
+    """Each of ``schema``'s dimensions' label type as the manifest
+    records it; a manifest written before the entry existed reads every
+    label as a string, as its writer did."""
+    types = (payload.get("schema") or {}).get("label_types")
+    if types is None:
+        return ("str",) * schema.n_dims
+    return tuple(types)
+
+
 def manifest_files(payload: dict) -> set:
     """Every file a manifest references (for orphan detection)."""
-    names = {MANIFEST_NAME}
-    for entry in payload["segments"]:
-        names.add(entry["tree"])
-        names.add(entry["table"])
-    names.add(payload["head"]["tree"])
-    names.add(payload["head"]["table"])
+    names = {MANIFEST_NAME, payload["head"]["table"]}
+    names.update(entry["table"] for entry in payload["segments"])
     return names
 
 

@@ -10,7 +10,7 @@ this repo is one or more such pairs — a
 pieces plus one live piece — and this class is the only place
 that knows a pair's lifecycle: the refreeze decision
 (:meth:`Piece.frozen_view`), the cover index (:attr:`Piece.cover_index`),
-mutation by replacement (:meth:`Piece.derive`), the on-disk twin
+mutation by replacement (:meth:`Piece.derive`), the on-disk table
 (:meth:`Piece.save` / :meth:`Piece.load`), and :meth:`Piece.fsck` /
 :meth:`Piece.rebuild`.
 
@@ -19,63 +19,27 @@ from then on it is immutable (replaced through :meth:`derive`, never
 edited), which is what lets a checkpoint skip files this very object
 already wrote.
 
-On disk a piece is the checksummed ``QCTREE/2`` snapshot plus the table
-CSV; see :mod:`repro.core.manifest` for the checkpoint directory
-every store writes.
+On disk a piece is its table's CSV and nothing else: :meth:`load`
+builds the tree from it, so every open takes one path.  See
+:mod:`repro.core.manifest` for the checkpoint directory every store
+writes.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import zlib
 from collections import Counter
 from typing import Optional
 
 from repro.core.construct import build_qctree
 from repro.core.maintenance.batch import maintain_batch
 from repro.core.maintenance.delete import resolve_deletions
-from repro.core.serialize import load_qctree_from, save_qctree
 from repro.cube.cover_index import CoverIndex
-from repro.cube.table import BaseTable, csv_comment
-from repro.errors import SchemaError, SerializationError
+from repro.cube.table import BaseTable
+from repro.errors import RecoveryError, SchemaError
 from repro.reliability.fsck import fsck_tree
-from repro.reliability.transactional import transactional
-
-
-def _stamped_lsn(meta) -> int:
-    """The ``wal_lsn`` stamp of a snapshot meta dict (0 when absent)."""
-    try:
-        return int(meta.get("wal_lsn") or 0)
-    except (AttributeError, TypeError, ValueError):
-        return 0
-
-
-def _csv_stamped_lsn(table_path) -> int:
-    """The ``wal_lsn`` stamp of a table CSV comment (0 when absent)."""
-    try:
-        comment = csv_comment(table_path)
-    except OSError:
-        return 0
-    if not comment or not comment.startswith("wal_lsn="):
-        return 0
-    try:
-        return int(comment.split("=", 1)[1])
-    except ValueError:
-        return 0
-
-
-def _paired_table(tree, table: BaseTable) -> Optional[BaseTable]:
-    """``table`` (fresh from its CSV, codes minted in sorted order)
-    re-encoded to the codes the loaded ``tree`` was saved under, or None
-    when they cannot be paired: the file carries no ``labels``
-    dictionaries, or they do not cover the table's labels."""
-    labels = tree.snapshot_labels
-    if labels is None:
-        return None
-    try:
-        return table.with_label_dictionaries(labels)
-    except SchemaError:
-        return None
 
 
 class Piece:
@@ -248,28 +212,6 @@ class Piece:
                 )
         return result
 
-    def preview(self, inserts=(), deletes=()) -> tuple:
-        """``(before, after)`` — the classes as ``{decoded upper bound:
-        value}`` now and as the batch would leave them; nothing is kept.
-
-        Apply → read → roll back on the live dict tree, borrowed under
-        the piece's lock: readers only ever see the frozen view, which
-        the round trip leaves current.  The persistent cover index is
-        not lent (a rolled-back batch would leave it ahead of the table).
-        """
-        def classes(table):
-            return {table.decode_cell(ub): value for ub, value
-                    in self.tree.class_upper_bounds().items()}
-
-        with self._lock, transactional(self.tree) as rollback:
-            try:
-                before = classes(self.table)
-                result = maintain_batch(self.tree, self.table,
-                                        inserts=inserts, deletes=deletes)
-                return before, classes(result.table)
-            finally:
-                rollback()
-
     def derive(self, inserts=(), deletes=(),
                segment_id: Optional[int] = None) -> "Piece":
         """A new piece built (Theorem 2) from this one's table after the
@@ -301,7 +243,6 @@ class Piece:
         """Rebuild the tree from the table (Theorem 2: the table
         determines it), dropping everything derived from the old one."""
         self.tree = build_qctree(self.table, self.tree.aggregate)
-        self._saved_at = None
         self.drop_view()
 
     def fsck(self, deep: bool = True, samples: Optional[int] = 64,
@@ -320,79 +261,56 @@ class Piece:
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self, tree_path, table_path, meta=None) -> None:
-        """Persist the pair: table CSV first, then the ``QCTREE/2`` tree.
-
-        Both writes are atomic (temp file + fsync + rename) and both are
-        stamped with ``meta["wal_lsn"]`` when given — the last log
-        position they include.  The table is written *before* the tree,
-        so a crash between the two leaves a recognisable state: a table
-        stamped ahead of the tree (:meth:`load` rebuilds the tree from
-        it) rather than the reverse, which would be unrecoverable
-        without a table at the tree's lsn.
+    def save(self, table_path) -> str:
+        """Write the table's CSV atomically (temp file + fsync + rename)
+        and return its CRC32 (8 hex digits) for the manifest.
 
         A sealed piece is immutable, so it skips the write when *this
-        object* already persisted itself at (or was loaded from) exactly
-        these paths and the files are still there; a file that merely
-        has the right name — left by another run or another warehouse —
-        is overwritten.
+        object* already wrote (or was loaded from) exactly this path and
+        the file is still there; a file that merely has the right name —
+        left by another run or another warehouse — is overwritten.
         """
-        paths = (os.path.abspath(tree_path), os.path.abspath(table_path))
-        if (self.segment_id is not None and self._saved_at == paths
-                and all(os.path.exists(p) for p in paths)):
-            return
-        lsn = (meta or {}).get("wal_lsn")
-        comment = f"wal_lsn={lsn}" if lsn is not None else None
-        self.table.to_csv(table_path, comment=comment)
-        # The label dictionaries ride along: the tree stores encoded
-        # codes, and a CSV round-trip would otherwise re-mint them in
-        # sorted order — silently mispairing tree and table whenever
-        # maintenance appended labels out of sorted order.
-        save_qctree(self.tree, tree_path, meta=meta,
-                    labels=self.table._decoders)
-        self._saved_at = paths
+        path = os.path.abspath(table_path)
+        if (self.segment_id is not None and self._saved_at is not None
+                and self._saved_at[0] == path and os.path.exists(path)):
+            return self._saved_at[1]
+        crc = self.table.to_csv(path)
+        self._saved_at = (path, crc)
+        return crc
 
     @classmethod
-    def load(cls, tree_path, table_path, schema, aggregate) -> tuple:
-        """Restore a pair written by :meth:`save`; returns ``(piece,
-        lsn, rebuilt)`` — the WAL position the pair includes and whether
-        the tree had to be rebuilt from the CSV.
+    def load(cls, table_path, schema, aggregate, label_types=None,
+             crc32: Optional[str] = None, rows: Optional[int] = None):
+        """The piece :meth:`save` wrote at ``table_path``: its table read
+        under ``label_types`` and its tree built with ``aggregate``.
 
-        The table is authoritative (it is written first, so it is at
-        least as fresh, and Theorem 2 makes the rebuilt tree answer
-        identically); the stored tree is used only when it provably
-        pairs with it.  The tree is rebuilt from the table when
-
-        * the tree file is missing or fails its checksum;
-        * the table is stamped ahead of the tree (torn checkpoint: the
-          table committed, the tree written after it did not);
-        * the file carries **no** ``labels`` dictionaries (legacy or
-          hand-written): a CSV parse mints codes in sorted order, the
-          tree may have been saved under any order, and nothing in the
-          file says which;
-        * the dictionaries do not cover the table's labels (a table
-          replaced after the tree was written).
-
-        Otherwise the CSV table is re-encoded to the codes the tree was
-        saved under (:func:`_paired_table`).  A rebuild uses
-        ``aggregate`` — the one the manifest records.  A missing or
-        unreadable CSV is unrecoverable and propagates.
+        ``crc32`` and ``rows`` are what the manifest recorded for the
+        file; a file whose bytes or row count differ, or that is not a
+        readable table of ``schema``, raises :class:`RecoveryError`
+        naming it.  A missing file raises :class:`OSError`.
         """
-        table = BaseTable.from_csv(table_path, schema)
-        table_lsn = _csv_stamped_lsn(table_path)
+        with open(table_path, "rb") as fp:
+            data = fp.read()
+        found = f"{zlib.crc32(data):08x}"
+        if crc32 is not None and found != crc32:
+            raise RecoveryError(
+                f"{table_path}: checksum mismatch (the manifest says "
+                f"crc32={crc32}, the file has {found})"
+            )
         try:
-            tree = load_qctree_from(tree_path)
-        except (SerializationError, OSError):
-            tree = None
-        if tree is not None:
-            lsn = _stamped_lsn(tree.snapshot_meta)
-            paired = None if table_lsn > lsn else _paired_table(tree, table)
-            if paired is not None:
-                piece = cls(tree, paired)
-                piece._saved_at = (os.path.abspath(tree_path),
-                                   os.path.abspath(table_path))
-                return piece, lsn, False
-        return cls.build(table, aggregate), table_lsn, True
+            table = BaseTable.parse_csv(data.decode("utf-8"), schema,
+                                        label_types)
+        except (UnicodeDecodeError, SchemaError) as exc:
+            raise RecoveryError(f"{table_path}: {exc}") from exc
+        if rows is not None and table.n_rows != rows:
+            raise RecoveryError(
+                f"{table_path}: {table.n_rows} rows, the manifest says "
+                f"{rows}"
+            )
+        piece = cls.build(table, aggregate)
+        if crc32 is not None:
+            piece._saved_at = (os.path.abspath(table_path), crc32)
+        return piece
 
     def __repr__(self):
         return (

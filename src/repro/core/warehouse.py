@@ -27,7 +27,12 @@ list is swapped only after the whole batch succeeded.
 seals, so it is always one piece and its write cost grows with the cube.
 :class:`~repro.segments.SegmentedWarehouse` is the same class with
 finite thresholds, bounding write cost by head size.  Both checkpoint
-into one layout — the manifest directory of :mod:`repro.core.manifest`.
+into one layout — the manifest directory of :mod:`repro.core.manifest`,
+which holds each piece's table and no tree: recovery builds every tree
+again from its table.  The store keeps each dimension's label type, so
+the labels a checkpoint writes as text come back as the values they
+were, and a write whose labels are of another type is refused before
+it is logged.
 
 Example
 -------
@@ -49,7 +54,12 @@ import time
 from typing import Optional
 
 from repro.core.iceberg import MeasureIndex
-from repro.core.manifest import find_orphans, load_manifest, save_manifest
+from repro.core.manifest import (
+    find_orphans,
+    load_manifest,
+    manifest_label_types,
+    save_manifest,
+)
 from repro.core.piece import Piece
 from repro.core.query_cache import (
     MISS,
@@ -59,10 +69,9 @@ from repro.core.query_cache import (
     point_cache_key,
     range_cache_key,
 )
-from repro.core.serialize import _spec_to_json
-from repro.cube.aggregates import aggregate_spec, make_aggregate
+from repro.cube.aggregates import _spec_to_json, aggregate_spec, make_aggregate
 from repro.cube.schema import Schema
-from repro.cube.table import BaseTable
+from repro.cube.table import BaseTable, label_type
 from repro.errors import (
     MaintenanceError,
     QueryError,
@@ -127,6 +136,9 @@ class QCWarehouse:
         self._lock = threading.RLock()
         #: The head: the one piece writes land in.
         self._live = Piece.build(table, self.aggregate)
+        #: Each dimension's label type (:func:`~repro.cube.table.label_type`;
+        #: None until a dimension holds labels of one type).
+        self._label_types = table.label_types()
         #: Sealed pieces, oldest first; swapped (never edited) under the
         #: lock.
         self._segments: list = []
@@ -486,6 +498,7 @@ class QCWarehouse:
         deletes = [tuple(r) for r in deletes]
         if not inserts and not deletes:
             return
+        types = self._checked_label_types(deletes + inserts)
         if self.wal is not None:
             if not deletes:
                 self.wal.append("insert", inserts)
@@ -496,6 +509,33 @@ class QCWarehouse:
                 tagged += [("+",) + r for r in inserts]
                 self.wal.append("maintain", tagged)
         self._apply(inserts, deletes)
+        self._label_types = types
+
+    def _checked_label_types(self, records) -> tuple:
+        """The store's label types once ``records`` are written: a
+        dimension without a type takes its first label's.  Raises
+        :class:`SchemaError` for a label of one of the types a
+        checkpoint records that is not its dimension's — written, it
+        would come back from a checkpoint as its dimension's type and no
+        longer be the label it was.  A label of any other type (bytes, a
+        tuple) is not checked: no checkpoint spells it back."""
+        types = list(self._label_types)
+        schema = self.table.schema
+        width = schema.n_dims + schema.n_measures
+        for record in records:
+            if len(record) != width:
+                continue  # maintenance refuses it as malformed
+            for j, label in enumerate(record[:schema.n_dims]):
+                kind = label_type(label)
+                if types[j] is None:
+                    types[j] = kind
+                elif kind is not None and kind != types[j]:
+                    raise SchemaError(
+                        f"label {label!r} of record {record!r} is not of "
+                        f"type {types[j]}, the label type of dimension "
+                        f"{schema.dimension_names[j]!r}"
+                    )
+        return tuple(types)
 
     def insert(self, records) -> None:
         """Insert raw records incrementally (one batched maintenance call).
@@ -587,34 +627,6 @@ class QCWarehouse:
                 f"cannot delete: no matching rows left for {unmatched!r}"
             )
         return plan
-
-    def what_if(self, insertions=(), deletions=()) -> dict:
-        """What-if analysis (§1): the class-level impact of a hypothetical
-        update, without touching this warehouse.
-
-        Applies the deletions then the insertions to the head, reads the
-        class structure and rolls the batch back (:meth:`Piece.preview
-        <repro.core.piece.Piece.preview>`), then diffs.  Returns a dict
-        with ``added``, ``removed``, and ``changed`` mappings from
-        decoded upper bounds to aggregate values (``changed`` maps to
-        ``(before, after)`` pairs).  No CLI verb or protocol command
-        reaches it; it stays as the paper's motivating application, on
-        the same journal every write uses.
-        """
-        from repro.cube.aggregates import values_close
-
-        before, after = self._live.preview(insertions, deletions)
-        return {
-            "added": {ub: v for ub, v in after.items() if ub not in before},
-            "removed": {
-                ub: v for ub, v in before.items() if ub not in after
-            },
-            "changed": {
-                ub: (before[ub], after[ub])
-                for ub in before.keys() & after.keys()
-                if not values_close(before[ub], after[ub])
-            },
-        }
 
     # -- sealing and compaction -------------------------------------------------
 
@@ -790,29 +802,26 @@ class QCWarehouse:
         return self.wal
 
     def save(self, tree_path, table_path) -> None:
-        """Export the head as a ``QCTREE/2`` tree and its table as CSV —
-        the whole store while it is one piece.
+        """Export the head's table as CSV — the whole store while it is
+        one piece.  ``tree_path`` is not written: a tree is rebuilt from
+        its table, so :meth:`checkpoint` stores none either.
 
-        The pair format of :meth:`Piece.save
-        <repro.core.piece.Piece.save>`: both writes atomic, table first,
-        stamped with the WAL position they include when a log is
-        attached.  Nothing reads a pair back on its own:
-        :meth:`checkpoint` is the durable layout, :meth:`recover` its
-        reader.
+        Nothing reads the file back on its own: :meth:`checkpoint` is
+        the durable layout, :meth:`recover` its reader.
         """
-        lsn = self.wal.last_lsn if self.wal is not None else None
-        meta = {"wal_lsn": lsn} if lsn is not None else None
-        self._live.save(tree_path, table_path, meta=meta)
+        self._live.save(table_path)
 
     def checkpoint(self, directory) -> None:
-        """Snapshot every piece into ``directory``, then truncate the WAL.
+        """Snapshot every piece's table into ``directory``, then truncate
+        the WAL.
 
-        Each piece is a pair written by :meth:`Piece.save
+        Each piece is its table's CSV, written by :meth:`Piece.save
         <repro.core.piece.Piece.save>` — sealed ones as
-        ``segment-XXXXXXXX``, skipped when this warehouse already wrote
-        (or recovered) that very file, the head as a fresh
-        sequence-numbered ``head-XXXXXXXX`` pair each time.  The
-        manifest (:mod:`repro.core.manifest`) is written last and
+        ``segment-XXXXXXXX.csv``, skipped when this warehouse already
+        wrote (or recovered) that very file, the head as a fresh
+        sequence-numbered ``head-XXXXXXXX.csv`` each time.  The manifest
+        (:mod:`repro.core.manifest`) records each file's row count and
+        CRC32 and the store's label types; it is written last and
         atomically, and only after it is durable are files it does not
         reference garbage-collected.  A crash at any point leaves either
         the old or the new manifest with all of its files intact; WAL
@@ -826,22 +835,16 @@ class QCWarehouse:
             self._checkpoint_seq += 1
             seq = self._checkpoint_seq
 
-            def write(piece, stem, meta, **entry) -> dict:
-                tree_name, table_name = f"{stem}.qct", f"{stem}.csv"
-                piece.save(os.path.join(directory, tree_name),
-                           os.path.join(directory, table_name), meta=meta)
-                return dict(entry, rows=piece.n_rows, tree=tree_name,
-                            table=table_name)
+            def write(piece, name, **entry) -> dict:
+                crc = piece.save(os.path.join(directory, name))
+                return dict(entry, rows=piece.n_rows, table=name, crc32=crc)
 
             entries = [
-                write(piece, f"segment-{piece.segment_id:08d}",
-                      {"segment_id": piece.segment_id,
-                       "rows": piece.n_rows, "wal_lsn": lsn},
+                write(piece, f"segment-{piece.segment_id:08d}.csv",
                       id=piece.segment_id)
                 for piece in self._segments
             ]
-            head = write(self._live, f"head-{seq:08d}",
-                         {"wal_lsn": lsn, "checkpoint_seq": seq}, seq=seq)
+            head = write(self._live, f"head-{seq:08d}.csv", seq=seq)
             top = max((s.segment_id for s in self._segments), default=0)
             save_manifest(
                 directory,
@@ -849,6 +852,7 @@ class QCWarehouse:
                 generation=self._generation,
                 aggregate_spec=_spec_to_json(aggregate_spec(self.aggregate)),
                 schema=self.table.schema,
+                label_types=self._label_types,
                 segments=entries,
                 head=head,
                 next_segment_id=top + 1,
@@ -868,11 +872,13 @@ class QCWarehouse:
         """Rebuild a warehouse after a crash: manifest + WAL replay.
 
         Loads the manifest (the single atomic commit point) and restores
-        every piece it names through the one pair loader
-        (:meth:`Piece.load <repro.core.piece.Piece.load>`): a tree that
-        is torn, missing, stamped behind its CSV or unpaired with it is
-        rebuilt from the CSV with the manifest's aggregate.  A store that
-        never seals refuses a manifest holding sealed pieces.  Then every
+        every piece it names through :meth:`Piece.load
+        <repro.core.piece.Piece.load>`: the table is checked against the
+        manifest's CRC32 and row count, read under the manifest's label
+        types, and its tree built with the manifest's aggregate.  A
+        table that fails its check raises :class:`RecoveryError` naming
+        the file.  A store that never seals refuses a manifest holding
+        sealed pieces.  Then every
         committed WAL batch past the manifest's LSN is re-applied in
         order through the live batch body (:meth:`_apply`, minus the WAL
         append), so replay reproduces seals and delete routing exactly,
@@ -890,11 +896,9 @@ class QCWarehouse:
           recovery.
 
         The returned warehouse keeps logging to the same WAL;
-        ``last_recovery`` records what happened: ``rebuilt`` (the
-        :attr:`~repro.core.piece.Piece.name` of every piece whose stored
-        tree was not used), ``replayed``, ``skipped``, ``torn_tail``,
-        ``checkpoint_lsn``, and the ``orphans`` an interrupted checkpoint
-        left (ignored).
+        ``last_recovery`` records what happened: ``replayed``,
+        ``skipped``, ``torn_tail``, ``checkpoint_lsn``, and the
+        ``orphans`` an interrupted checkpoint left (ignored).
         """
         payload = load_manifest(directory)
         wh = cls(BaseTable.from_records([], schema),
@@ -907,18 +911,16 @@ class QCWarehouse:
                 f"as a SegmentedWarehouse"
             )
 
-        rebuilt = []
+        types = manifest_label_types(payload, schema)
 
         def load(entry, segment_id=None) -> Piece:
-            piece, _, was_rebuilt = Piece.load(
-                os.path.join(directory, entry["tree"]),
-                os.path.join(directory, entry["table"]),
-                schema, wh.aggregate,
+            piece = Piece.load(
+                os.path.join(directory, entry["table"]), schema,
+                wh.aggregate, label_types=types, crc32=entry.get("crc32"),
+                rows=entry.get("rows"),
             )
             if segment_id is not None:
                 piece.seal(segment_id)
-            if was_rebuilt:
-                rebuilt.append(piece.name)
             return piece
 
         for entry in payload["segments"]:
@@ -943,11 +945,17 @@ class QCWarehouse:
                 replayed += 1
             except MaintenanceError as exc:
                 skipped.append((record.lsn, str(exc)))
+        # A dimension the checkpoint held no label of takes the type of
+        # what the log replayed into it.
+        replayed_types = [p.table.label_types() for p in wh.pieces()]
+        wh._label_types = tuple(
+            known or next((t[j] for t in replayed_types if t[j]), None)
+            for j, known in enumerate(types)
+        )
         wh._maybe_seal()
         wh.invalidate_serving_view()
         wh.wal = wal
         wh.last_recovery = dict(
-            rebuilt=rebuilt,
             orphans=find_orphans(directory, payload),
             segments=len(payload["segments"]),
             replayed=replayed,

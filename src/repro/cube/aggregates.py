@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import MaintenanceError, SchemaError
+from repro.errors import MaintenanceError, SchemaError, SerializationError
 
 #: Segments up to this long are summed one position per step, all at once.
 _SHORT_SEGMENT = 64
@@ -376,8 +376,28 @@ def aggregate_spec(aggregate: AggregateFunction):
         return (aggregate._tag, aggregate.measure)
     raise SchemaError(
         f"cannot derive a spec for custom aggregate {aggregate!r}; "
-        "serialize trees built from registry aggregates only"
+        "persist stores built from registry aggregates only"
     )
+
+
+def _spec_to_json(spec):
+    """Render an aggregate spec in a JSON-safe, parseable form.
+
+    Tuples become the string call form (``("sum", "m")`` -> ``"sum(m)"``),
+    which :func:`make_aggregate` parses back; lists recurse.  Measure names
+    containing parentheses are rejected rather than silently corrupted.
+    """
+    if isinstance(spec, tuple):
+        tag, measure = spec
+        if "(" in str(measure) or ")" in str(measure):
+            raise SerializationError(
+                f"measure name {measure!r} cannot be serialized "
+                "(contains parentheses)"
+            )
+        return f"{tag}({measure})"
+    if isinstance(spec, list):
+        return [_spec_to_json(s) for s in spec]
+    return spec
 
 
 def values_close(a, b, rel_tol: float = 1e-9, abs_tol: float = 1e-12) -> bool:

@@ -18,6 +18,9 @@ maintenance.
 from __future__ import annotations
 
 import csv
+import io
+import numbers
+import zlib
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -54,13 +57,27 @@ def _measure_matrix(records, schema: Schema):
     return np.array(matrix, dtype=np.float64).reshape(len(records), n_meas)
 
 
-def csv_comment(path) -> Optional[str]:
-    """The leading ``# ...`` comment of a CSV written by
-    :meth:`BaseTable.to_csv`, or None if the file has none."""
-    with open(path, newline="") as f:
-        first = f.readline()
-    if first.startswith("#"):
-        return first[1:].strip()
+#: The label types a checkpoint records per dimension, by name, with the
+#: parser that reads one back from its CSV text.
+LABEL_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": {"True": True, "False": False}.__getitem__,
+}
+
+
+def label_type(label) -> Optional[str]:
+    """The :data:`LABEL_PARSERS` name of ``label``'s type; None for a
+    type a CSV cannot spell back."""
+    if isinstance(label, (bool, np.bool_)):
+        return "bool"
+    if isinstance(label, numbers.Integral):
+        return "int"
+    if isinstance(label, float):
+        return "float"
+    if isinstance(label, str):
+        return "str"
     return None
 
 
@@ -286,40 +303,6 @@ class BaseTable:
             self._encoders,
         )
 
-    def with_label_dictionaries(self, decoders) -> "BaseTable":
-        """Re-encode this table's rows under externally supplied
-        per-dimension label dictionaries (label lists in code order).
-
-        Used when a persisted QC-tree dictates the code assignment: a
-        CSV round-trip re-mints codes in globally sorted order, which
-        diverges from a table grown batch-by-batch (fresh labels get
-        *appended* codes).  Raises :class:`SchemaError` when a row label
-        is missing from the supplied dictionaries — the caller should
-        treat the pairing as inconsistent and rebuild.
-        """
-        if len(decoders) != self.n_dims:
-            raise SchemaError(
-                f"{len(decoders)} label dictionaries supplied, table has "
-                f"{self.n_dims} dimensions"
-            )
-        decoders = [list(d) for d in decoders]
-        encoders = [
-            {label: code for code, label in enumerate(d)} for d in decoders
-        ]
-        rows = []
-        for row in self.rows:
-            try:
-                rows.append(tuple(
-                    encoders[j][self.decode_value(j, row[j])]
-                    for j in range(self.n_dims)
-                ))
-            except KeyError as exc:
-                raise SchemaError(
-                    f"label {exc.args[0]!r} is not present in the "
-                    f"supplied dictionary"
-                ) from exc
-        return BaseTable(self.schema, rows, self.measures, decoders, encoders)
-
     def projected(self, dims) -> "BaseTable":
         """Return a table restricted to the listed dimensions (re-encoded)."""
         indices = [
@@ -347,43 +330,81 @@ class BaseTable:
 
     # -- CSV I/O ---------------------------------------------------------------
 
-    def to_csv(self, path, comment: Optional[str] = None) -> None:
-        """Write the decoded records with a header row, atomically.
+    def label_types(self) -> tuple:
+        """Per dimension, the :func:`label_type` every label shares; None
+        for a dimension without labels or with labels of mixed types."""
+        out = []
+        for labels in self._decoders:
+            kinds = {label_type(label) for label in labels}
+            out.append(kinds.pop() if len(kinds) == 1 else None)
+        return tuple(out)
+
+    def to_csv(self, path) -> str:
+        """Write the decoded records with a header row, atomically, and
+        return the written bytes' CRC32 as 8 hex digits.
 
         The file goes to a sibling temp path, is flushed and fsynced,
         and renamed into place — a crash mid-write leaves any previous
-        file untouched.  ``comment``, if given, is written as a leading
-        ``# ...`` line (ignored by :meth:`from_csv`, readable via
-        :func:`csv_comment`); the warehouse uses it to stamp table
-        snapshots with their write-ahead-log position.
+        file untouched.
         """
-        def write(f):
-            if comment is not None:
-                f.write(f"# {comment}\n")
-            writer = csv.writer(f)
-            writer.writerow(
-                list(self.schema.dimension_names)
-                + list(self.schema.measure_names)
-            )
-            writer.writerows(self.iter_records())
-
-        replace_file(path, write, newline="")
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(
+            list(self.schema.dimension_names) + list(self.schema.measure_names)
+        )
+        writer.writerows(self.iter_records())
+        data = text.getvalue().encode("utf-8")
+        replace_file(path, lambda f: f.write(data), mode="wb")
+        return f"{zlib.crc32(data):08x}"
 
     @classmethod
     def from_csv(cls, path, schema: Schema) -> "BaseTable":
-        """Read records written by :meth:`to_csv` (measures parsed as float).
+        """Read records written by :meth:`to_csv`, every label a string;
+        see :meth:`parse_csv`."""
+        with open(path, newline="", encoding="utf-8") as f:
+            return cls.parse_csv(f.read(), schema)
 
-        Leading ``#`` comment lines are skipped.
+    @classmethod
+    def parse_csv(cls, text: str, schema: Schema,
+                  label_types=None) -> "BaseTable":
+        """The table of CSV ``text`` (a header naming ``schema``'s
+        columns, then records); measures parse as float.
+
+        ``label_types`` names each dimension's label type
+        (:data:`LABEL_PARSERS`); without it, or for a None entry, labels
+        stay strings.  Leading ``#`` comment lines are skipped.  A
+        missing or wrong header, a label its type cannot parse and a
+        malformed record raise :class:`SchemaError`.
         """
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader, None)
             while header and header[0].startswith("#"):
-                header = next(reader)
+                header = next(reader, None)
             expected = list(schema.dimension_names) + list(schema.measure_names)
             if header != expected:
                 raise SchemaError(
                     f"CSV header {header!r} does not match schema {expected!r}"
                 )
             records = [tuple(row) for row in reader if row]
+        except csv.Error as exc:
+            raise SchemaError(f"malformed CSV: {exc}") from exc
+        for r in records:
+            if len(r) != len(expected):
+                raise SchemaError(
+                    f"CSV record {r!r} has {len(r)} fields, the header "
+                    f"{len(expected)}"
+                )
+        for j, name in enumerate(label_types or ()):
+            if name in (None, "str"):
+                continue
+            parse = LABEL_PARSERS[name]
+            try:
+                typed = {text: parse(text) for text in {r[j] for r in records}}
+            except (KeyError, ValueError) as exc:
+                raise SchemaError(
+                    f"dimension {schema.dimension_names[j]!r} holds a label "
+                    f"that is not of type {name}: {exc}"
+                ) from None
+            records = [r[:j] + (typed[r[j]],) + r[j + 1:] for r in records]
         return cls.from_records(records, schema)

@@ -6,7 +6,7 @@ at one core for pure-CPU traffic.  This package breaks that cap:
 * :mod:`~repro.shard.pack` — the ``QCTREE/3`` codec: a byte-layout-
   stable packing of a frozen serving snapshot (tree CSR arrays,
   aggregate state vectors, base table) into typed little-endian
-  buffers, attachable zero-copy from shared memory or an mmap'd file
+  buffers, attachable zero-copy from shared memory (or any buffer)
   and traversed in place as a
   :class:`~repro.core.frozen.FrozenQCTree`, the sections every frozen
   tree is made of;
@@ -25,9 +25,7 @@ See DESIGN §10 for the layout, lifecycle, and failure-mode table.
 from repro.shard.pack import (
     AttachedSnapshot,
     attach_packed,
-    attach_packed_file,
     pack_snapshot_bytes,
-    packed_to_document,
 )
 from repro.shard.segment import (
     active_segments,
@@ -43,10 +41,8 @@ __all__ = [
     "ShardServer",
     "active_segments",
     "attach_packed",
-    "attach_packed_file",
     "cleanup_created_segments",
     "created_segments",
     "install_signal_cleanup",
     "pack_snapshot_bytes",
-    "packed_to_document",
 ]

@@ -14,7 +14,7 @@ labels store only int codes).  The result is byte-layout-stable::
     <B bytes of section data, 8-byte aligned, little-endian>
 
 and therefore *attachable*: map the bytes — from
-``multiprocessing.shared_memory`` or an mmap'd snapshot file — and
+``multiprocessing.shared_memory`` or an mmap'd file — and
 :func:`attach_packed` hands the section views to
 :meth:`FrozenQCTree.from_buffers
 <repro.core.frozen.FrozenQCTree.from_buffers>`, the constructor every
@@ -24,8 +24,10 @@ physical copy of the snapshot (see :mod:`repro.shard.server`).
 
 This module is the byte layout and nothing else: the one writer
 (:func:`pack_snapshot_bytes`), the header/CRC parsing of
-:func:`attach_packed`, the packed base-table view, and the ``QCTREE/3``
-→ mutable rebuild.  The writer is columnar — every shard write
+:func:`attach_packed`, and the packed base-table view.  It writes no
+file: a checkpoint is its tables (:mod:`repro.core.manifest`), and the
+blob lives in shared memory for the shard fleet.  The writer is
+columnar — every shard write
 publishes a whole new blob right after an O(dirty) refreeze, so it never
 visits a node — and for every input its bytes are exactly those of the
 per-node protocol walk it replaced (kept as ``tests/reference_pack.py``,
@@ -35,7 +37,6 @@ the oracle of ``tests/test_pack_oracle.py``).
 from __future__ import annotations
 
 import json
-import mmap
 import re
 import zlib
 from itertools import chain
@@ -55,6 +56,7 @@ from repro.core.frozen import (
     template_width,
 )
 from repro.core.qctree import QCTree
+from repro.cube.aggregates import _spec_to_json, aggregate_spec
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import SerializationError
@@ -311,7 +313,7 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
         "version": 3,
         "n_dims": n_dims,
         "dim_names": list(tree.dim_names),
-        "aggregate": _aggregate_spec_json(tree.aggregate),
+        "aggregate": _spec_to_json(aggregate_spec(tree.aggregate)),
         "stride": stride,
         "counts": {
             "nodes": n, "edges": int(edge_key.size),
@@ -343,13 +345,6 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
     ).encode("ascii")
     pad = (-(len(header) + len(meta_bytes))) % 8
     return b"".join([header, meta_bytes, b"\0" * pad, *chunks])
-
-
-def _aggregate_spec_json(aggregate):
-    from repro.core.serialize import _spec_to_json
-    from repro.cube.aggregates import aggregate_spec
-
-    return _spec_to_json(aggregate_spec(aggregate))
 
 
 # -- packed base table -------------------------------------------------------
@@ -448,11 +443,10 @@ def attach_packed(buffer, verify: bool = False) -> AttachedSnapshot:
 
     ``buffer`` may be ``bytes``, a ``memoryview`` (e.g.
     ``SharedMemory.buf``), or an ``mmap`` object.  ``verify=True``
-    checks the header CRC over meta+body.  Its two callers need
-    different values, which is why it is an option: a file may have
-    rotted on disk (:func:`attach_packed_file`, ``load_qctree_from``
-    verify), shared memory published by the local writer a moment ago
-    has not, and a shard worker's attach must stay O(1).
+    checks the header CRC over meta+body.  A shard worker attaches
+    without it — the blob was published by the local writer a moment
+    ago and the attach must stay O(1) — while bytes read back from a
+    file or an mmap may have rotted, so a reader of those passes True.
     """
     view = memoryview(buffer)
     views = [view]
@@ -544,74 +538,3 @@ def _attach_views(view, views, verify: bool):
     return AttachedSnapshot(
         tree, table, stamp, body_off + body_len, meta, views
     )
-
-
-def attach_packed_file(path, verify: bool = True) -> AttachedSnapshot:
-    """mmap a ``QCTREE/3`` snapshot file and attach it zero-copy.
-
-    The mapping is held by the returned views; page cache makes repeat
-    attaches effectively free, which is the "instant load" property the
-    packed layout exists for.
-    """
-    with open(path, "rb") as fp:
-        mapped = mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ)
-    try:
-        return attach_packed(mapped, verify=verify)
-    except SerializationError as exc:
-        mapped.close()
-        raise SerializationError(f"{path}: {exc}") from exc
-
-
-# -- packed -> mutable reconstruction ---------------------------------------
-
-
-def packed_to_document(attached_or_tree) -> dict:
-    """The ``QCTREE/2`` JSON document equivalent of a packed tree.
-
-    Lets :func:`repro.core.serialize._tree_from_document` rebuild a
-    mutable :class:`~repro.core.qctree.QCTree` from a packed snapshot —
-    the ``QCTREE/3`` half of "v2 still loads and re-packs".
-    """
-    from repro.core.serialize import _state_to_json
-
-    attached = attached_or_tree
-    tree = getattr(attached, "tree", attached)
-    order = []
-    parent_row = {}
-    stack = [(tree.root, -1, -1, -1)]
-    while stack:
-        node, dim, value, parent_idx = stack.pop()
-        idx = len(order)
-        order.append(node)
-        parent_row[node] = (dim, value, parent_idx)
-        children = sorted(tree.iter_children_of(node), reverse=True)
-        for cdim, cvalue, child in children:
-            stack.append((child, cdim, cvalue, idx))
-    remap = {node: i for i, node in enumerate(order)}
-    nodes = []
-    for node in order:
-        dim, value, parent_idx = parent_row[node]
-        nodes.append([
-            dim, None if value < 0 else value, parent_idx,
-            _state_to_json(tree.state[node]),
-        ])
-    links = [
-        [remap[src], dim, value, remap[dst]]
-        for src, dim, value, dst in tree.iter_links()
-    ]
-    document = {
-        "n_dims": tree.n_dims,
-        "dim_names": list(tree.dim_names),
-        "aggregate": _aggregate_spec_json(tree.aggregate),
-        "nodes": nodes,
-        "links": links,
-    }
-    meta = getattr(tree, "snapshot_meta", None)
-    if meta:
-        document["meta"] = dict(meta)
-    table_meta = None
-    if attached is not tree:
-        table_meta = (attached.meta or {}).get("table")
-    if table_meta is not None:
-        document["labels"] = [list(d) for d in table_meta["labels"]]
-    return document

@@ -284,7 +284,6 @@ def reference_pack(tree, table=None, stamp=(0, 0),
 
 
 def _aggregate_spec_json(aggregate):
-    from repro.core.serialize import _spec_to_json
-    from repro.cube.aggregates import aggregate_spec
+    from repro.cube.aggregates import _spec_to_json, aggregate_spec
 
     return _spec_to_json(aggregate_spec(aggregate))

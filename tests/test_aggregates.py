@@ -13,13 +13,14 @@ from repro.cube.aggregates import (
     Min,
     MultiAggregate,
     Sum,
+    _spec_to_json,
     aggregate_spec,
     make_aggregate,
     values_close,
 )
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
-from repro.errors import MaintenanceError, SchemaError
+from repro.errors import MaintenanceError, SchemaError, SerializationError
 
 
 @pytest.fixture
@@ -150,6 +151,19 @@ class TestRegistry:
             agg = make_aggregate(spec)
             rebuilt = make_aggregate(aggregate_spec(agg))
             assert rebuilt.name == agg.name
+
+    def test_spec_json_roundtrip(self):
+        """The manifest's aggregate entry: the call form, parsed back."""
+        for spec in ["count", ("sum", "m"), ("avg", "m"),
+                     [("sum", "m"), "count"], [("avg", "m"), ("max", "m")]]:
+            agg = make_aggregate(spec)
+            text = _spec_to_json(aggregate_spec(agg))
+            assert make_aggregate(text).name == agg.name
+        assert _spec_to_json([("sum", "m"), "count"]) == ["sum(m)", "count"]
+
+    def test_spec_json_rejects_a_measure_with_parentheses(self):
+        with pytest.raises(SerializationError, match="parentheses"):
+            _spec_to_json(aggregate_spec(make_aggregate(("sum", "m(1)"))))
 
 
 class TestValuesClose:

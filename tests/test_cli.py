@@ -41,8 +41,8 @@ def built_dir(tmp_path, sales_csv):
     return out
 
 
-def _head_tree(directory):
-    return os.path.join(directory, load_manifest(directory)["head"]["tree"])
+def _head_table(directory):
+    return os.path.join(directory, load_manifest(directory)["head"]["table"])
 
 
 def _rewrite_manifest(directory, edit):
@@ -82,6 +82,7 @@ class TestCommands:
         assert payload["schema"] == {
             "dimensions": ["Store", "Product", "Season"],
             "measures": ["Sale"],
+            "label_types": ["str", "str", "str"],
         }
         assert payload["segments"] == []
 
@@ -118,8 +119,8 @@ class TestCommands:
     def test_saved_warehouse_answers_like_the_api(self, tmp_path,
                                                   monkeypatch, capsys):
         """Labels appended out of sorted order (``a`` after ``b`` and
-        ``c``) survive build → serve insert → quit → point: the stored
-        tree keeps the codes it was maintained under."""
+        ``c``) survive build → serve insert → quit → point: the tree is
+        built from the table the directory holds."""
         import io
 
         from repro import QCWarehouse, Schema
@@ -146,14 +147,18 @@ class TestCommands:
                    for line in capsys.readouterr().out.splitlines())
         want = wh.range((["a", "b", "c"], "*"))
         assert got == {",".join(c): str(v) for c, v in want.items()}
-        # fsck checks the stored tree, which recover used as it was.
         assert main(["fsck", directory, "--samples", "0"]) == 0
 
     def test_built_tree_carries_its_label_dictionaries(self, built_dir):
-        from repro.core.serialize import load_qctree_from
-
-        tree = load_qctree_from(_head_tree(built_dir))
-        assert tree.snapshot_labels is not None
+        """The built directory's table is the tree's label dictionary:
+        every label, under the type the manifest records."""
+        with open(_head_table(built_dir)) as fp:
+            assert fp.read().split() == [
+                "Store,Product,Season,Sale", "S1,P1,s,6.0", "S1,P2,s,12.0",
+                "S2,P1,f,9.0"]
+        assert load_manifest(built_dir)["schema"]["label_types"] == \
+            ["str", "str", "str"]
+        assert not [n for n in os.listdir(built_dir) if n.endswith(".qct")]
 
     def test_missing_file_is_error_not_traceback(self, tmp_path, capsys):
         code = main(["stats", str(tmp_path / "nope")])
@@ -184,17 +189,18 @@ class TestCommands:
             assert "names no schema" in err
 
     def test_torn_head_tree_answers_from_its_csv(self, built_dir, capsys):
-        """``point`` answers from the rebuild of the CSV; ``fsck``
-        reports on the stored tree, which is torn, and names it."""
-        from repro.reliability.faults import torn_write
-
-        torn_write(_head_tree(built_dir), keep_fraction=0.6)
+        """A head tree file the layout that stored trees left, torn: no
+        verb reads it — ``point`` answers from the build of the CSV and
+        ``fsck`` finds the store clean."""
+        head = _head_table(built_dir)
+        with open(head[:-len(".csv")] + ".qct", "w") as fp:
+            fp.write("QCTREE/2 crc32=0000")
+        _rewrite_manifest(built_dir, lambda payload: payload["head"].update(
+            tree=os.path.basename(head)[:-len(".csv")] + ".qct"))
         assert main(["point", built_dir, "S2,*,f"]) == 0
         assert capsys.readouterr().out.strip() == "9.0"
-        assert main(["fsck", built_dir]) == 2
-        out = capsys.readouterr().out
-        assert "rebuilt: head: stored tree unusable" in out
-        assert "1 issue(s) found" in out
+        assert main(["fsck", built_dir]) == 0
+        assert "clean" in capsys.readouterr().out
 
 
 class TestVersion:
@@ -507,22 +513,20 @@ class TestFsckCommand:
         assert "clean" in out and "6 aggregates" in out
 
     def test_corrupted_node_table_exits_two(self, built_dir, capsys):
-        tree = _head_tree(built_dir)
-        with open(tree) as fp:
-            text = fp.read()
-        _, payload = text.split("\n", 1)
-        doc = json.loads(payload)
-        # Point a drill-down link at a node labeled with something else:
-        # the file still loads, but the tree violates Definition 1.
-        doc["links"][0][3] = 0
-        new_payload = json.dumps(doc)
-        crc = zlib.crc32(new_payload.encode()) & 0xFFFFFFFF
-        header = (f"QCTREE/2 crc32={crc:08x} nodes={len(doc['nodes'])} "
-                  f"links={len(doc['links'])}")
-        with open(tree, "w") as fp:
-            fp.write(header + "\n" + new_payload)
+        """One flipped byte of the head table: the CRC32 the manifest
+        recorded no longer matches, ``fsck`` names the file and exits 2,
+        the read verbs exit 1."""
+        table = _head_table(built_dir)
+        with open(table, "rb") as fp:
+            data = bytearray(fp.read())
+        data[data.index(b"9.0")] = ord("8")  # 9.0 -> 8.0: silent rot
+        with open(table, "wb") as fp:
+            fp.write(data)
         assert main(["fsck", built_dir]) == 2
-        assert "issue" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "checksum mismatch" in out and table in out
+        assert main(["point", built_dir, "S2,*,f"]) == 1
+        assert table in capsys.readouterr().err
 
     def test_unreadable_tree_exits_one(self, tmp_path):
         bad = tmp_path / "bad.qct"

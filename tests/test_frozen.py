@@ -6,6 +6,7 @@ counts for every query kind, same protocol surface — only faster.
 """
 
 import contextlib
+import mmap
 import pathlib
 import random
 import re
@@ -23,18 +24,11 @@ from repro.core.maintenance import apply_deletions, apply_insertions
 from repro.core.point_query import locate, locate_generic, point_query
 from repro.core.qctree import tree_signature
 from repro.core.range_query import range_query
-from repro.core.serialize import (
-    dumps_qctree,
-    loads_qctree,
-    save_qctree_packed,
-)
 from repro.errors import QueryError
 from repro.serving.scatter import _range_states
-from repro.shard.pack import (
-    attach_packed,
-    attach_packed_file,
-    pack_snapshot_bytes,
-)
+from repro.core.warehouse import QCWarehouse
+from repro.cube.table import BaseTable
+from repro.shard.pack import attach_packed, pack_snapshot_bytes
 from tests.conftest import (
     all_cells,
     approx_equal,
@@ -193,17 +187,28 @@ class TestRangeAndIcebergParity:
 
 
 class TestFreezeOnLoad:
-    def test_loads_with_freeze_returns_frozen(self):
-        _, tree, _ = _tree_pair(11)
-        text = dumps_qctree(tree, meta={"wal_lsn": 3})
-        loaded = loads_qctree(text).freeze()
+    """A recovered store builds its tree from the checkpointed table: the
+    serving view is that build frozen, the dict tree stays mutable."""
+
+    def _recovered(self, tmp_path):
+        table, _, _ = _tree_pair(11)
+        QCWarehouse(table, ("sum", "m")).checkpoint(tmp_path / "ckpt")
+        # The table the CSV holds: the rows' labels, none of the unused
+        # codes ``from_encoded`` reserves.
+        rows = BaseTable.from_records(table.iter_records(), table.schema)
+        recovered = QCWarehouse.recover(tmp_path / "ckpt", tmp_path / "wal",
+                                        table.schema)
+        return build_qctree(rows, ("sum", "m")), recovered
+
+    def test_loads_with_freeze_returns_frozen(self, tmp_path):
+        tree, recovered = self._recovered(tmp_path)
+        loaded = recovered.serving_tree
         assert isinstance(loaded, FrozenQCTree)
         assert loaded.signature() == tree.signature()
-        assert loaded.snapshot_meta == {"wal_lsn": 3}
 
-    def test_loads_default_stays_mutable(self):
-        _, tree, _ = _tree_pair(11)
-        loaded = loads_qctree(dumps_qctree(tree))
+    def test_loads_default_stays_mutable(self, tmp_path):
+        tree, recovered = self._recovered(tmp_path)
+        loaded = recovered.tree
         assert not isinstance(loaded, FrozenQCTree)
         assert loaded.signature() == tree.signature()
 
@@ -248,8 +253,10 @@ def open_storage(kind, seed, tmp_path, **kwargs):
         attached = attach_packed(pack_snapshot_bytes(array_tree, table))
     elif kind == "mmap":
         path = tmp_path / f"{seed}.qct3"
-        save_qctree_packed(array_tree, path, table=table)
-        attached = attach_packed_file(path)
+        path.write_bytes(pack_snapshot_bytes(array_tree, table))
+        with open(path, "rb") as fp:
+            mapped = mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ)
+        attached = attach_packed(mapped, verify=True)
     try:
         yield table, tree, (attached.tree if attached else array_tree)
     finally:

@@ -404,15 +404,15 @@ class TestWarehouseIntegration:
         wh = QCWarehouse(table, ("sum", "m"), cache_size=0)
         wh.view
         with pytest.raises(Exception):
-            wh.delete([("no-such", "no-such", "no-such", 1.0)])
-        wh.insert([("9", "9", "9", 1.0)])
+            wh.delete([(99, 99, 99, 1.0)])
+        wh.insert([(9, 9, 9, 1.0)])
         _assert_equivalent(wh.serving_tree, wh.tree, wh.table)
 
     def test_rebuild_resets_to_fresh_compile(self):
         table = make_random_table(22, n_dims=3, cardinality=3, n_rows=10)
         wh = QCWarehouse(table, ("sum", "m"), cache_size=0)
         wh.view
-        wh.insert([("9", "9", "9", 1.0)])
+        wh.insert([(9, 9, 9, 1.0)])
         wh.rebuild()
         assert wh.serving_tree.patch_stats["mode"] == "fresh"
         _assert_equivalent(wh.serving_tree, wh.tree, wh.table)
@@ -425,5 +425,9 @@ class TestWarehouseIntegration:
         wh.view
         rng = random.Random(23)
         for _ in range(4):
-            wh.insert([model.gen_record(rng)])
+            # The table's labels are ints: the model's record, its codes
+            # as the labels.
+            *labels, measure = model.gen_record(rng)
+            wh.insert([tuple(int(label[1:]) for label in labels)
+                       + (measure,)])
         _assert_equivalent(wh.serving_tree, wh.tree, wh.table)

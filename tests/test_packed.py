@@ -1,11 +1,10 @@
 """QCTREE/3 packed-snapshot codec: zero-copy attach ≡ frozen tree.
 
 The contract under test: ``pack_snapshot_bytes`` of a frozen serving
-snapshot, attached via ``attach_packed`` (shared memory semantics) or
-``attach_packed_file`` (mmap), answers every traversal-protocol and
-fast-path question identically to the :class:`FrozenQCTree` it was
-packed from — and the v3 byte format round-trips through the generic
-``load_qctree_from`` loader in both freeze modes.
+snapshot, attached via ``attach_packed`` from bytes, shared memory or an
+mmap'd file, answers every traversal-protocol and fast-path question
+identically to the :class:`FrozenQCTree` it was packed from — and the
+blob's own table rebuilds the mutable tree (Theorem 2).
 """
 
 from __future__ import annotations
@@ -17,23 +16,13 @@ from multiprocessing import shared_memory
 import pytest
 
 from repro.core.cells import ALL
+from repro.core.construct import build_qctree
 from repro.core.frozen import FrozenQCTree
 from repro.core.point_query import point_query_raw
 from repro.core.qctree import QCTree
-from repro.core.serialize import (
-    SerializationError,
-    load_qctree_from,
-    save_qctree,
-    save_qctree_packed,
-)
 from repro.core.warehouse import QCWarehouse
-from repro.errors import QueryError
-from repro.shard.pack import (
-    attach_packed,
-    attach_packed_file,
-    pack_snapshot_bytes,
-    packed_to_document,
-)
+from repro.errors import QueryError, SerializationError
+from repro.shard.pack import attach_packed, pack_snapshot_bytes
 from repro.shard.worker import _BATCH_MIN, _answer_chunk
 
 from .conftest import all_cells, approx_equal, dict_view, make_random_table
@@ -156,9 +145,8 @@ class TestPackAttachParity:
             shm.unlink()
 
     def test_mutable_rebuild_is_equivalent(self, attached, snapshot):
-        from repro.core.serialize import _tree_from_document
-
-        rebuilt = _tree_from_document(packed_to_document(attached))
+        """Theorem 2: the blob's table determines the tree."""
+        rebuilt = build_qctree(attached.table, attached.tree.aggregate)
         assert rebuilt.equivalent_to(snapshot.tree)
 
 
@@ -174,50 +162,50 @@ class TestV3Format:
 
     def test_save_load_frozen_mode(self, snapshot, tmp_path):
         path = tmp_path / "packed.qct3"
-        save_qctree_packed(snapshot.tree, path, table=snapshot.table)
-        tree = load_qctree_from(path).freeze()
-        assert type(tree) is FrozenQCTree
-        assert tree.signature() == snapshot.tree.signature()
+        path.write_bytes(pack_snapshot_bytes(snapshot.tree, snapshot.table))
+        att = attach_packed(path.read_bytes(), verify=True)
+        try:
+            assert type(att.tree) is FrozenQCTree
+            assert att.tree.signature() == snapshot.tree.signature()
+        finally:
+            att.release()
 
     def test_save_load_mutable_mode(self, snapshot, tmp_path):
+        """A mutable tree comes back from a blob's table, not its tree."""
         path = tmp_path / "packed.qct3"
-        save_qctree_packed(snapshot.tree, path, table=snapshot.table)
-        tree = load_qctree_from(path)
+        path.write_bytes(pack_snapshot_bytes(snapshot.tree, snapshot.table))
+        att = attach_packed(path.read_bytes(), verify=True)
+        try:
+            tree = build_qctree(att.table, att.tree.aggregate)
+        finally:
+            att.release()
         assert type(tree) is QCTree
         assert tree.equivalent_to(snapshot.tree)
 
     def test_attach_packed_file_mmap(self, snapshot, tmp_path):
         path = tmp_path / "packed.qct3"
-        save_qctree_packed(snapshot.tree, path, table=snapshot.table)
-        att = attach_packed_file(path)
-        try:
-            assert_trees_equivalent(
-                att.tree, snapshot.tree, snapshot.table
-            )
-        finally:
-            att.release()
+        path.write_bytes(pack_snapshot_bytes(snapshot.tree, snapshot.table))
+        with open(path, "rb") as fp:
+            with mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+                att = attach_packed(mm, verify=True)
+                try:
+                    assert_trees_equivalent(
+                        att.tree, snapshot.tree, snapshot.table
+                    )
+                finally:
+                    att.release()
 
-    def test_crc_detects_corruption(self, snapshot, tmp_path):
-        path = tmp_path / "packed.qct3"
-        save_qctree_packed(snapshot.tree, path, table=snapshot.table)
-        blob = bytearray(path.read_bytes())
+    def test_crc_detects_corruption(self, snapshot):
+        blob = bytearray(pack_snapshot_bytes(snapshot.tree, snapshot.table))
         blob[-3] ^= 0xFF  # flip a bit deep in the body
-        path.write_bytes(blob)
         with pytest.raises(SerializationError, match="checksum"):
-            attach_packed_file(path)
+            attach_packed(bytes(blob), verify=True)
 
     def test_truncated_header_rejected(self):
         with pytest.raises(SerializationError):
             attach_packed(b"QCTREE/3 crc32=deadbeef")
         with pytest.raises(SerializationError):
             attach_packed(b"\x00" * 64)
-
-    def test_v2_file_still_loads(self, sales_table, tmp_path):
-        warehouse = QCWarehouse(sales_table, aggregate="avg(Sale)")
-        path = tmp_path / "legacy.qct"
-        save_qctree(warehouse.tree, path)
-        tree = load_qctree_from(path)
-        assert tree.equivalent_to(warehouse.tree)
 
     def test_frozen_pack_method(self, snapshot):
         payload = snapshot.tree.pack(snapshot.table, stamp=(1, 2))
@@ -230,7 +218,7 @@ class TestV3Format:
 
     def test_attach_from_mmap_object(self, snapshot, tmp_path):
         path = tmp_path / "packed.qct3"
-        save_qctree_packed(snapshot.tree, path, table=snapshot.table)
+        path.write_bytes(pack_snapshot_bytes(snapshot.tree, snapshot.table))
         with open(path, "rb") as fp:
             with mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ) as mm:
                 att = attach_packed(mm, verify=True)

@@ -2,12 +2,14 @@
 
 Both warehouses, every sealed segment and the CLI hold their data as
 :class:`~repro.core.piece.Piece` objects, so the refreeze decision, the
-cover-index lifecycle, derive and the on-disk twin are pinned here once
+cover-index lifecycle, derive and the on-disk table are pinned here once
 — against the random mutation programs of the maintenance oracle —
 instead of per store.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,6 @@ from repro.core.construct import build_qctree
 from repro.core.maintenance import maintain_batch
 from repro.core.piece import Piece
 from repro.core.qctree import QCTree
-from repro.core.serialize import save_qctree
-from repro.core.warehouse import QCWarehouse
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError
 from tests.conftest import refreeze_ratios
@@ -103,27 +103,6 @@ class TestFailedBatch:
         assert piece.tree.equivalent_to(build_qctree(piece.table, AGG))
 
 
-class TestPreview:
-    @settings(max_examples=25)
-    @given(seed=st.integers(0, 10_000), ready=st.booleans())
-    def test_reads_the_batch_and_keeps_nothing(self, seed, ready):
-        table, batches, _ = make_program(seed, 2, n_rows=6)
-        piece = Piece.build(table, AGG)
-        piece.apply(*batches[0])
-        if ready:
-            piece.frozen_view()
-        state, index = _state(piece), piece.live_cover_index
-        before, after = piece.preview(*batches[1])
-        assert _state(piece) == state and piece.live_cover_index is index
-        assert before == {
-            piece.table.decode_cell(ub): value
-            for ub, value in piece.tree.class_upper_bounds().items()
-        }
-        piece.apply(*batches[1])
-        assert after == piece.preview()[0]
-        _assert_view_current(piece)
-
-
 class TestOneTreeCopy:
     def test_no_write_path_copies_the_tree(self, monkeypatch):
         """A write costs its delta, and ``derive`` builds its tree from
@@ -137,8 +116,6 @@ class TestOneTreeCopy:
         piece.frozen_view()
         piece.apply(*batches[0])
         maintain_batch(build_qctree(table, AGG), table, *batches[0])
-        wh = QCWarehouse(table, AGG)
-        wh.what_if(insertions=batches[0][0], deletions=batches[0][1])
         with pytest.raises(MaintenanceError):
             piece.apply(deletes=[record((99, 99, 99))])
         assert copies == []
@@ -173,6 +150,9 @@ class TestDerive:
 
 
 class TestOnDiskTwin:
+    """On disk a piece is its table's CSV; loading builds the tree from
+    it (Theorem 2), so no file a tree was once stored in is read."""
+
     def _piece(self, seed=13):
         """A piece whose label codes drifted from sorted order."""
         _, batches, _ = make_program(seed, 3, n_rows=5)
@@ -185,40 +165,47 @@ class TestOnDiskTwin:
 
     def test_round_trip(self, tmp_path):
         piece = self._piece()
-        tree_path, table_path = tmp_path / "p.qct", tmp_path / "p.csv"
-        piece.save(tree_path, table_path, meta={"wal_lsn": 5})
-        loaded, lsn, rebuilt = Piece.load(tree_path, table_path, SCHEMA, AGG)
-        assert (lsn, rebuilt) == (5, False)
-        assert loaded.tree.signature() == piece.tree.signature()
-        assert loaded.table.rows == piece.table.rows
-        assert loaded.table._decoders == piece.table._decoders
+        crc = piece.save(tmp_path / "p.csv")
+        assert crc == f"{zlib.crc32((tmp_path / 'p.csv').read_bytes()):08x}"
+        loaded = Piece.load(tmp_path / "p.csv", SCHEMA, AGG, crc32=crc,
+                            rows=piece.n_rows)
+        assert list(loaded.table.iter_records()) == \
+            list(piece.table.iter_records())
+        assert loaded.tree.equivalent_to(build_qctree(loaded.table, AGG))
+        for cell in {r[:3] for r in piece.table.iter_records()}:
+            assert loaded.frozen_view()._point_query(
+                loaded.table.encode_cell(cell)) == \
+                piece.frozen_view()._point_query(piece.table.encode_cell(cell))
 
     def _assert_rebuilt(self, piece, tmp_path):
-        loaded, lsn, rebuilt = Piece.load(
-            tmp_path / "p.qct", tmp_path / "p.csv", SCHEMA, AGG)
-        assert rebuilt
+        loaded = Piece.load(tmp_path / "p.csv", SCHEMA, AGG)
         assert sorted(loaded.table.iter_records()) == \
             sorted(piece.table.iter_records())
         assert loaded.tree.equivalent_to(build_qctree(loaded.table, AGG))
-        return lsn
 
     def test_table_stamped_ahead_of_tree_rebuilds(self, tmp_path):
+        """A table of the older layout, stamped with the WAL position on
+        a comment line and newer than its tree, loads from the table."""
         piece = self._piece()
-        piece.save(tmp_path / "p.qct", tmp_path / "p.csv",
-                   meta={"wal_lsn": 3})
+        piece.save(tmp_path / "p.csv")
+        (tmp_path / "p.qct").write_text("QCTREE/2 behind its table")
         piece.apply([("v0", "v0", "v0", 1.0)])
-        piece.table.to_csv(tmp_path / "p.csv", comment="wal_lsn=4")
-        assert self._assert_rebuilt(piece, tmp_path) == 4
+        piece.table.to_csv(tmp_path / "p.csv")
+        text = (tmp_path / "p.csv").read_text()
+        (tmp_path / "p.csv").write_text("# wal_lsn=4\n" + text)
+        self._assert_rebuilt(piece, tmp_path)
 
     def test_file_without_label_dictionaries_rebuilds(self, tmp_path):
+        """The CSV mints codes in sorted order, not the drifted ones."""
         piece = self._piece()
-        piece.table.to_csv(tmp_path / "p.csv")
-        save_qctree(piece.tree, tmp_path / "p.qct")
+        piece.save(tmp_path / "p.csv")
         self._assert_rebuilt(piece, tmp_path)
+        loaded = Piece.load(tmp_path / "p.csv", SCHEMA, AGG)
+        assert loaded.table._decoders != piece.table._decoders
 
     def test_corrupt_tree_rebuilds(self, tmp_path):
         piece = self._piece()
-        piece.save(tmp_path / "p.qct", tmp_path / "p.csv")
+        piece.save(tmp_path / "p.csv")
         (tmp_path / "p.qct").write_text("garbage")
         self._assert_rebuilt(piece, tmp_path)
 
@@ -229,23 +216,21 @@ class TestOnDiskTwin:
 
     def test_sealed_piece_skips_only_its_own_files(self, tmp_path):
         piece = self._piece()
-        tree_path, table_path = tmp_path / "p.qct", tmp_path / "p.csv"
-        tree_path.write_text("someone else's")
+        table_path = tmp_path / "p.csv"
         table_path.write_text("someone else's")
         piece.seal(1)
-        piece.save(tree_path, table_path)  # overwrites the strangers
-        written = tree_path.read_bytes(), table_path.read_bytes()
-        tree_path.write_text("marker")
-        piece.save(tree_path, table_path)  # its own: skipped
-        assert tree_path.read_text() == "marker"
-        tree_path.unlink()
-        piece.save(tree_path, table_path)  # ... unless it is gone
-        assert tree_path.read_bytes() == written[0]
-        piece.save(tmp_path / "q.qct", tmp_path / "q.csv")  # elsewhere
-        assert (tmp_path / "q.qct").read_bytes() == written[0]
-        loaded, _, _ = Piece.load(tmp_path / "q.qct", tmp_path / "q.csv",
-                                  SCHEMA, AGG)
+        crc = piece.save(table_path)  # overwrites the stranger
+        written = table_path.read_bytes()
+        table_path.write_text("marker")
+        assert piece.save(table_path) == crc  # its own: skipped
+        assert table_path.read_text() == "marker"
+        table_path.unlink()
+        piece.save(table_path)  # ... unless it is gone
+        assert table_path.read_bytes() == written
+        piece.save(tmp_path / "q.csv")  # elsewhere
+        assert (tmp_path / "q.csv").read_bytes() == written
+        loaded = Piece.load(tmp_path / "q.csv", SCHEMA, AGG, crc32=crc)
         loaded.seal(1)
-        (tmp_path / "q.qct").write_text("marker")
-        loaded.save(tmp_path / "q.qct", tmp_path / "q.csv")  # loaded from
-        assert (tmp_path / "q.qct").read_text() == "marker"
+        (tmp_path / "q.csv").write_text("marker")
+        loaded.save(tmp_path / "q.csv")  # loaded from
+        assert (tmp_path / "q.csv").read_text() == "marker"

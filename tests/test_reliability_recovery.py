@@ -298,9 +298,9 @@ class TestCrashWindows:
             restore_disk()
 
     def test_torn_snapshot_is_rejected_loudly(self, paths):
-        """A torn tree file is not trusted: recovery rebuilds the tree
-        from its CSV with the manifest's aggregate and says so in
-        ``last_recovery["rebuilt"]`` — the rule every piece follows."""
+        """A torn table is not trusted: it fails the CRC32 its manifest
+        recorded, and recovery raises naming the file instead of
+        answering from the rows that survived."""
         from repro.core.manifest import load_manifest
         from repro.reliability.faults import torn_write
 
@@ -309,12 +309,11 @@ class TestCrashWindows:
         wh.insert(INSERT_1)
         wh.checkpoint(directory)
         head = load_manifest(directory)["head"]
-        tree_path = os.path.join(directory, head["tree"])
-        torn_write(tree_path, keep_fraction=0.6)
-        recovered = recover(paths)
-        assert recovered.last_recovery["rebuilt"] == ["head"]
-        assert_equivalent_answers(recovered,
-                                  reference_after([("insert", INSERT_1)]))
+        table_path = os.path.join(directory, head["table"])
+        torn_write(table_path, keep_fraction=0.6)
+        with pytest.raises(RecoveryError, match="checksum mismatch") as info:
+            recover(paths)
+        assert head["table"] in str(info.value)
 
     def test_one_piece_store_refuses_sealed_segments(self, paths):
         """A ``QCWarehouse`` is always one piece: it will not recover a
@@ -396,28 +395,25 @@ class TestCheckpointTruncatesWal:
 
 def _writers(tmp_path):
     """``{name: (write the file, its directory)}`` for every durable file."""
-    from repro.core.serialize import save_qctree, save_qctree_packed
     from repro.core.manifest import save_manifest
 
     wh = QCWarehouse.from_records(BASE, SCHEMA, aggregate=("sum", "Sale"))
     wal = WriteAheadLog(tmp_path / "log.wal")
     return {
-        "save_qctree": lambda: save_qctree(wh.tree, tmp_path / "t.qct"),
-        "save_qctree_packed": lambda: save_qctree_packed(
-            wh.serving_tree, tmp_path / "t.qct3", table=wh.table),
         "to_csv": lambda: wh.table.to_csv(tmp_path / "t.csv"),
         "wal_create": lambda: WriteAheadLog(tmp_path / "new.wal"),
         "wal_truncate": wal.truncate,
         "save_manifest": lambda: save_manifest(
             tmp_path, lsn=0, generation=0, aggregate_spec="count",
-            schema=SCHEMA, segments=[], head={"rows": 0, "tree": "h.qct", "table": "h.csv"},
+            schema=SCHEMA, label_types=("str",) * SCHEMA.n_dims,
+            segments=[], head={"rows": 0, "table": "h.csv",
+                               "crc32": "00000000"},
             next_segment_id=1),
     }
 
 
 @pytest.mark.parametrize("writer", [
-    "save_qctree", "save_qctree_packed", "to_csv", "wal_create",
-    "wal_truncate", "save_manifest",
+    "to_csv", "wal_create", "wal_truncate", "save_manifest",
 ])
 def test_every_writer_syncs_its_directory_after_the_rename(
         writer, tmp_path, monkeypatch):

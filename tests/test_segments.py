@@ -27,8 +27,7 @@ from repro.core.manifest import (
 from repro.core.warehouse import QCWarehouse
 from repro.cube.aggregates import values_close
 from repro.cube.schema import Schema
-from repro.cube.table import BaseTable
-from repro.errors import MaintenanceError, RecoveryError, SchemaError
+from repro.errors import MaintenanceError, RecoveryError
 from repro.segments import SegmentedWarehouse
 from tests.conftest import refreeze_ratios
 
@@ -311,10 +310,11 @@ class TestManifest:
     def _payload(self):
         return dict(
             lsn=7, generation=3, aggregate_spec="count", schema=SCHEMA,
-            segments=[{"id": 1, "rows": 5, "tree": "segment-00000001.qct",
-                       "table": "segment-00000001.csv"}],
-            head={"rows": 2, "tree": "head-00000001.qct",
-                  "table": "head-00000001.csv", "seq": 1},
+            label_types=("str", "int", None),
+            segments=[{"id": 1, "rows": 5, "table": "segment-00000001.csv",
+                       "crc32": "0badf00d"}],
+            head={"rows": 2, "table": "head-00000001.csv",
+                  "crc32": "0badf00d", "seq": 1},
             next_segment_id=2,
         )
 
@@ -325,6 +325,7 @@ class TestManifest:
         assert payload["segments"][0]["id"] == 1
         assert payload["head"]["seq"] == 1
         assert manifest_schema(payload, tmp_path) == SCHEMA
+        assert payload["schema"]["label_types"] == ["str", "int", None]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(RecoveryError, match="no segment manifest"):
@@ -348,18 +349,19 @@ class TestManifest:
 
     def test_find_orphans(self, tmp_path):
         save_manifest(tmp_path, **self._payload())
-        for name in ("segment-00000001.qct", "segment-00000001.csv",
-                     "head-00000001.qct", "head-00000001.csv",
-                     "segment-00000009.qct", "head-00000000.csv",
+        for name in ("segment-00000001.csv", "head-00000001.csv",
+                     "segment-00000009.csv", "head-00000000.csv",
+                     # a tree file of the layout that stored trees
+                     "head-00000001.qct",
                      "unrelated.txt", "MANIFEST.json.tmp",
                      "MANIFEST.json.tmp.123",
                      # a hard crash's leftover of an atomic file write
-                     "segment-00000001.qct.tmp.123"):
+                     "segment-00000001.csv.tmp.123"):
             (tmp_path / name).write_text("x")
         payload = load_manifest(tmp_path)
         assert find_orphans(tmp_path, payload) == [
-            "head-00000000.csv", "segment-00000001.qct.tmp.123",
-            "segment-00000009.qct",
+            "head-00000000.csv", "head-00000001.qct",
+            "segment-00000001.csv.tmp.123", "segment-00000009.csv",
         ]
 
 
@@ -376,18 +378,15 @@ class TestCheckpointRecover:
         wh.checkpoint(tmp_path / "ckpt")
         wh.maintain(inserts=_records(2, start=50))
         # What a hard crash in the middle of a file write leaves behind.
-        for name in ("segment-00000001.qct.tmp.999", "head-00000009.csv.tmp.9"):
+        for name in ("segment-00000001.csv.tmp.999", "head-00000009.csv.tmp.9"):
             (tmp_path / "ckpt" / name).write_text("x")
         wh.checkpoint(tmp_path / "ckpt")
         names = sorted(os.listdir(tmp_path / "ckpt"))
         payload = load_manifest(tmp_path / "ckpt")
-        # GC: exactly the manifest's files remain (no stale head pairs,
+        # GC: exactly the manifest's files remain (no stale head tables,
         # no temporary files).
-        assert set(names) == {
-            n for n in names if n == "MANIFEST.json"
-        } | {e["tree"] for e in payload["segments"]} \
-          | {e["table"] for e in payload["segments"]} \
-          | {payload["head"]["tree"], payload["head"]["table"]}
+        assert set(names) == {"MANIFEST.json", payload["head"]["table"]} \
+            | {e["table"] for e in payload["segments"]}
         assert payload["head"]["seq"] == 2
         recovered = SegmentedWarehouse.recover(
             tmp_path / "ckpt", tmp_path / "wal", SCHEMA, seal_rows=4
@@ -396,10 +395,14 @@ class TestCheckpointRecover:
         assert recovered.n_rows == wh.n_rows
 
     def test_corrupt_segment_tree_rebuilt_from_csv(self, tmp_path):
+        """A tree file beside a segment's table — what the layout that
+        stored trees left — is never read, however corrupt: the segment
+        is built from its table, and the next checkpoint deletes it."""
         wh = self._grown(tmp_path)
         wh.checkpoint(tmp_path / "ckpt")
         payload = load_manifest(tmp_path / "ckpt")
-        tree_file = tmp_path / "ckpt" / payload["segments"][0]["tree"]
+        table = payload["segments"][0]["table"]
+        tree_file = tmp_path / "ckpt" / table.replace(".csv", ".qct")
         tree_file.write_text("garbage")
         recovered = SegmentedWarehouse.recover(
             tmp_path / "ckpt", tmp_path / "wal", SCHEMA, seal_rows=4
@@ -411,26 +414,16 @@ class TestCheckpointRecover:
             )
         report = recovered.verify(deep=True, samples=None)
         assert report.ok, report.issues
-
-        # The report names the rebuilt piece.
-        assert recovered.last_recovery["rebuilt"] == [
-            f"segment[{payload['segments'][0]['id']}]"
-        ]
-        # The rebuilt piece has no good file on disk: the next
-        # checkpoint rewrites it instead of trusting the name.
+        assert recovered.last_recovery["orphans"] == [tree_file.name]
         recovered.checkpoint(tmp_path / "ckpt")
-        again = SegmentedWarehouse.recover(
-            tmp_path / "ckpt", tmp_path / "wal", SCHEMA, seal_rows=4
-        )
-        assert again.last_recovery["rebuilt"] == []
+        assert not tree_file.exists()
 
     def test_second_checkpoint_skips_its_own_segment_files(self, tmp_path):
         wh = self._grown(tmp_path)
         wh.checkpoint(tmp_path / "ckpt")
         payload = load_manifest(tmp_path / "ckpt")
-        files = [tmp_path / "ckpt" / entry[kind]
-                 for entry in payload["segments"]
-                 for kind in ("tree", "table")]
+        files = [tmp_path / "ckpt" / entry["table"]
+                 for entry in payload["segments"]]
         assert files
         before = [os.stat(f).st_mtime_ns for f in files]
         time.sleep(0.01)
@@ -460,7 +453,6 @@ class TestCheckpointRecover:
         recovered = SegmentedWarehouse.recover(
             tmp_path / "ckpt", tmp_path / "wal", SCHEMA, seal_rows=4
         )
-        assert not recovered.last_recovery["rebuilt"]
         assert recovered.n_rows == live.n_rows == 9
         everything = ("*", "*", "*")
         assert values_close(recovered.point(everything),
@@ -514,10 +506,10 @@ class TestCheckpointRecover:
 
 
 class TestLabelDictionaryPersistence:
-    """Regression for the label-code drift bug: a tree whose labels were
-    minted incrementally (per-batch, append-order) must stay correctly
-    paired with its table across save/load, even though the CSV re-encode
-    mints codes in globally-sorted order."""
+    """A store whose labels were minted incrementally (per batch, in
+    append order) answers the same after a checkpoint round trip, whose
+    CSV re-encode mints codes in globally sorted order: the tree is
+    built from the table it is read with."""
 
     def _drifted_warehouse(self):
         # Insert labels in an order that diverges from sorted order, then
@@ -536,7 +528,6 @@ class TestLabelDictionaryPersistence:
         wh.checkpoint(tmp_path / "ckpt")
         loaded = QCWarehouse.recover(tmp_path / "ckpt", tmp_path / "wal",
                                      SCHEMA)
-        assert loaded.last_recovery["rebuilt"] == []
         for cell, value in expected.items():
             assert values_close(loaded.point(cell), value), cell
         # The loaded pair must also keep *maintaining* correctly.
@@ -544,11 +535,6 @@ class TestLabelDictionaryPersistence:
         assert loaded.point(("aa", "*", "*")) is None
         report = loaded.verify(deep=True, samples=None)
         assert report.ok, report.issues
-
-    def test_with_label_dictionaries_rejects_unknown_label(self):
-        table = BaseTable.from_records([("a", "b", "c", 1.0)], SCHEMA)
-        with pytest.raises(SchemaError):
-            table.with_label_dictionaries([["z"], ["b"], ["c"]])
 
     def test_segment_round_trip_preserves_drifted_codes(self, tmp_path):
         wh = _warehouse(n_rows=0, seal_rows=100)
@@ -561,7 +547,6 @@ class TestLabelDictionaryPersistence:
         recovered = SegmentedWarehouse.recover(
             tmp_path / "ckpt", tmp_path / "wal", SCHEMA
         )
-        assert not recovered.last_recovery["rebuilt"]
         assert values_close(recovered.point(("aa", "*", "*")), 2.0)
         recovered.maintain(deletes=[("aa", "b", "c", 2.0)])
         assert recovered.point(("aa", "*", "*")) is None

@@ -1,5 +1,7 @@
-"""Tests for the QCTREE/2 snapshot format: checksums, atomicity, offsets,
-the load_qctree_from error contract, and v1 backward compatibility."""
+"""The table file of a checkpoint: the CRC32 and row count its manifest
+entry records, atomic writes, :meth:`Piece.load`'s error contract, and
+directories written by the layouts that stored a tree next to each
+table (the pinned ``QCTREE/1`` document below is such a tree)."""
 
 import json
 import os
@@ -9,21 +11,25 @@ import zlib
 import pytest
 
 from repro.core.construct import build_qctree
+from repro.core.manifest import load_manifest
+from repro.core.piece import Piece
 from repro.core.point_query import point_query
-from repro.core.serialize import (
-    dumps_qctree,
-    load_qctree_from,
-    loads_qctree,
-    save_qctree,
-)
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
-from repro.errors import SerializationError
+from repro.errors import RecoveryError
 from repro.reliability.faults import InjectedCrash, count_io, crash_on_io
 from tests.conftest import all_cells, approx_equal, make_random_table
+from tests.test_serialize import (
+    checkpointed,
+    head_table,
+    recover,
+    rewrite_manifest,
+    same_rows,
+)
 
 # The exact QCTREE/1 bytes the pre-checksum code wrote for the paper's
-# Figure 1 table under avg(Sale) — pinned so old snapshots keep loading.
+# Figure 1 table under avg(Sale): a tree file a directory of that era
+# holds next to its table.
 V1_FIXTURE = (
     'QCTREE/1\n{"n_dims": 3, "dim_names": ["Store", "Product", "Season"], '
     '"aggregate": "avg(Sale)", "nodes": [[-1, null, -1, [27.0, 3]], '
@@ -35,188 +41,232 @@ V1_FIXTURE = (
 )
 
 
-def rewrap_v2(text: str, mutate):
-    """Apply ``mutate`` to the decoded document and re-sign the payload."""
-    _, payload = text.split("\n", 1)
-    doc = json.loads(payload)
-    mutate(doc)
-    new_payload = json.dumps(doc)
-    crc = zlib.crc32(new_payload.encode("utf-8")) & 0xFFFFFFFF
-    header = (f"QCTREE/2 crc32={crc:08x} nodes={len(doc['nodes'])} "
-              f"links={len(doc['links'])}")
-    return header + "\n" + new_payload
+def v1_directory(path, sales_table):
+    """A checkpoint directory whose head tree is the pinned QCTREE/1
+    file: the entry names it, and no entry carries a ``crc32``."""
+    path.mkdir()
+    (path / "head-00000001.qct").write_text(V1_FIXTURE)
+    lines = ["Store,Product,Season,Sale"]
+    lines += [",".join(map(str, r)) for r in sales_table.iter_records()]
+    (path / "head-00000001.csv").write_text("\n".join(lines) + "\n")
+    payload = {
+        "format": "QCSEGSET/1", "lsn": 0, "generation": 0,
+        "aggregate": "avg(Sale)",
+        "schema": {"dimensions": ["Store", "Product", "Season"],
+                   "measures": ["Sale"]},
+        "next_segment_id": 1, "segments": [],
+        "head": {"rows": 3, "tree": "head-00000001.qct",
+                 "table": "head-00000001.csv", "seq": 1},
+    }
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+    (path / "MANIFEST.json").write_text(
+        json.dumps({"crc32": f"{crc:08x}", "manifest": payload}))
+    return path
+
+
+def resign_head(directory, data):
+    """Write ``data`` as the head table and re-sign its entry, as a
+    writer that produced those bytes would have."""
+    head_table(directory).write_bytes(data)
+    rewrite_manifest(directory, lambda payload: payload["head"].update(
+        crc32=f"{zlib.crc32(data):08x}"))
 
 
 class TestFormatV2:
-    def test_header_carries_crc_and_counts(self, sales_table):
-        tree = build_qctree(sales_table, ("avg", "Sale"))
-        text = dumps_qctree(tree)
-        header, payload = text.split("\n", 1)
-        assert header.startswith("QCTREE/2 crc32=")
-        crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-        assert f"crc32={crc:08x}" in header
-        assert f"nodes={tree.n_nodes}" in header
-        assert f"links={tree.n_links}" in header
+    @pytest.fixture
+    def directory(self, tmp_path, sales_table):
+        return checkpointed(tmp_path, sales_table, ("avg", "Sale"))[1]
 
-    def test_single_character_corruption_detected(self, sales_table):
-        text = dumps_qctree(build_qctree(sales_table, ("avg", "Sale")))
-        header_end = text.index("\n") + 1
-        # Flip one payload digit: 6.0 -> 7.0 style silent corruption.
-        pos = text.index("27.0")
-        mutated = text[:pos] + "47.0" + text[pos + 4:]
-        assert mutated != text and len(mutated) == len(text)
-        with pytest.raises(SerializationError, match="checksum mismatch"):
-            loads_qctree(mutated)
-        # The message names the payload byte range.
-        with pytest.raises(SerializationError, match=str(header_end)):
-            loads_qctree(mutated)
+    def test_header_carries_crc_and_counts(self, directory, sales_table):
+        entry = load_manifest(directory)["head"]
+        data = (directory / entry["table"]).read_bytes()
+        assert entry["crc32"] == f"{zlib.crc32(data):08x}"
+        assert entry["rows"] == sales_table.n_rows
+        assert "tree" not in entry
 
-    def test_truncation_detected(self, sales_table):
-        text = dumps_qctree(build_qctree(sales_table, "count"))
-        for cut in (len(text) // 2, len(text) - 1):
-            with pytest.raises(SerializationError):
-                loads_qctree(text[:cut])
+    def test_single_character_corruption_detected(self, directory,
+                                                  sales_schema):
+        table = head_table(directory)
+        data = table.read_bytes()
+        # Flip one measure digit: 9.0 -> 8.0 style silent corruption.
+        mutated = data.replace(b"9.0", b"8.0")
+        assert mutated != data and len(mutated) == len(data)
+        table.write_bytes(mutated)
+        with pytest.raises(RecoveryError, match="checksum mismatch") as info:
+            recover(directory, sales_schema)
+        # The message names the file.
+        assert str(table) in str(info.value)
 
-    def test_missing_payload_reports_offset(self, sales_table):
-        text = dumps_qctree(build_qctree(sales_table, "count"))
-        header = text.split("\n", 1)[0]
-        with pytest.raises(SerializationError, match="offset"):
-            loads_qctree(header + "\n")
+    def test_truncation_detected(self, directory, sales_schema):
+        table = head_table(directory)
+        data = table.read_bytes()
+        for cut in (len(data) // 2, len(data) - 1):
+            table.write_bytes(data[:cut])
+            with pytest.raises(RecoveryError):
+                recover(directory, sales_schema)
 
-    def test_count_mismatch_detected(self, sales_table):
-        text = dumps_qctree(build_qctree(sales_table, "count"))
-        header, payload = text.split("\n", 1)
-        lied = header.replace("nodes=", "nodes=9", 1)
-        with pytest.raises(SerializationError, match="count mismatch"):
-            loads_qctree(lied + "\n" + payload)
+    def test_missing_payload_reports_offset(self, directory, sales_schema):
+        """Only the header line survived: the file is named."""
+        table = head_table(directory)
+        table.write_bytes(table.read_bytes().split(b"\n")[0] + b"\n")
+        with pytest.raises(RecoveryError, match=table.name):
+            recover(directory, sales_schema)
 
-    def test_malformed_header_rejected(self, sales_table):
-        text = dumps_qctree(build_qctree(sales_table, "count"))
-        _, payload = text.split("\n", 1)
-        with pytest.raises(SerializationError, match="header"):
-            loads_qctree("QCTREE/2 crc32=zz nodes=1\n" + payload)
+    def test_count_mismatch_detected(self, directory, sales_schema):
+        rewrite_manifest(directory,
+                         lambda payload: payload["head"].update(rows=9))
+        with pytest.raises(RecoveryError, match="rows"):
+            recover(directory, sales_schema)
 
-    def test_consistent_resigned_corruption_caught_by_loader(self, sales_table):
-        # A forged checksum over a broken document must still fail.
-        text = dumps_qctree(build_qctree(sales_table, "count"))
-        broken = rewrap_v2(text, lambda doc: doc["nodes"].__setitem__(
-            0, [0, 3, -1, None]))
-        with pytest.raises(SerializationError, match="root"):
-            loads_qctree(broken)
+    def test_malformed_header_rejected(self, directory, sales_schema):
+        data = head_table(directory).read_bytes()
+        resign_head(directory, data.replace(b"Season", b"Saison", 1))
+        with pytest.raises(RecoveryError, match="header"):
+            recover(directory, sales_schema)
+
+    def test_consistent_resigned_corruption_caught_by_loader(
+            self, directory, sales_schema):
+        # A forged checksum over a broken table must still fail.
+        data = head_table(directory).read_bytes()
+        resign_head(directory, data.replace(b"9.0", b"x.0"))
+        with pytest.raises(RecoveryError, match="non-numeric"):
+            recover(directory, sales_schema)
 
 
 class TestLoadFromPathContract:
-    """load_qctree_from must raise SerializationError naming the path —
-    never leak JSONDecodeError / KeyError / UnicodeDecodeError."""
+    """Piece.load must raise RecoveryError naming the path — never leak
+    a csv, Unicode or schema error."""
 
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.qct"
+    def load(self, path, sales_schema, crc32=None):
+        return Piece.load(path, sales_schema, ("avg", "Sale"), crc32=crc32)
+
+    def test_empty_file(self, tmp_path, sales_schema):
+        path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(SerializationError, match="empty.qct"):
-            load_qctree_from(path)
+        with pytest.raises(RecoveryError, match="empty.csv"):
+            self.load(path, sales_schema)
 
-    def test_truncated_file(self, tmp_path, sales_table):
-        text = dumps_qctree(build_qctree(sales_table, "count"))
-        path = tmp_path / "torn.qct"
-        path.write_text(text[: len(text) // 3])
-        with pytest.raises(SerializationError, match="torn.qct"):
-            load_qctree_from(path)
+    def test_truncated_file(self, tmp_path, sales_table, sales_schema):
+        path = tmp_path / "torn.csv"
+        crc = sales_table.to_csv(path)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(RecoveryError, match="torn.csv"):
+            self.load(path, sales_schema, crc32=crc)
 
-    def test_non_json_file(self, tmp_path):
-        path = tmp_path / "notjson.qct"
-        path.write_text("QCTREE/1\n{this is not json")
-        with pytest.raises(SerializationError, match="notjson.qct"):
-            load_qctree_from(path)
+    def test_non_json_file(self, tmp_path, sales_schema):
+        path = tmp_path / "notcsv.csv"
+        path.write_text("this is not a table\n")
+        with pytest.raises(RecoveryError, match="notcsv.csv"):
+            self.load(path, sales_schema)
 
-    def test_binary_garbage(self, tmp_path):
-        path = tmp_path / "binary.qct"
+    def test_binary_garbage(self, tmp_path, sales_schema):
+        path = tmp_path / "binary.csv"
         path.write_bytes(b"\x00\xff\xfe\x01QCTREE\x80\x81")
-        with pytest.raises(SerializationError, match="binary.qct"):
-            load_qctree_from(path)
+        with pytest.raises(RecoveryError, match="binary.csv"):
+            self.load(path, sales_schema)
 
-    def test_missing_keys_named_path(self, tmp_path):
-        path = tmp_path / "keys.qct"
-        path.write_text("QCTREE/1\n" + json.dumps({"n_dims": 2}))
-        with pytest.raises(SerializationError, match="keys.qct"):
-            load_qctree_from(path)
+    def test_missing_keys_named_path(self, tmp_path, sales_schema):
+        path = tmp_path / "keys.csv"
+        path.write_text("Store,Product,Sale\nS1,P1,6.0\n")
+        with pytest.raises(RecoveryError, match="keys.csv"):
+            self.load(path, sales_schema)
 
-    def test_missing_file_is_oserror(self, tmp_path):
+    def test_missing_file_is_oserror(self, tmp_path, sales_schema):
         with pytest.raises(OSError):
-            load_qctree_from(tmp_path / "nope.qct")
+            self.load(tmp_path / "nope.csv", sales_schema)
 
 
 class TestV1BackwardCompatibility:
-    def test_pinned_v1_fixture_loads(self, sales_table):
-        tree = loads_qctree(V1_FIXTURE)
+    """A directory whose head tree is a QCTREE/1 file opens: the tree is
+    ignored and built again from the table beside it."""
+
+    def test_pinned_v1_fixture_loads(self, tmp_path, sales_table):
+        store = recover(v1_directory(tmp_path / "v1", sales_table),
+                        sales_table.schema)
+        tree = store.tree
         assert tree.dim_names == ("Store", "Product", "Season")
         assert tree.aggregate.name == "avg(Sale)"
         fresh = build_qctree(sales_table, ("avg", "Sale"))
         assert tree.equivalent_to(fresh)
 
-    def test_pinned_v1_fixture_answers_queries(self, sales_table):
-        tree = loads_qctree(V1_FIXTURE)
+    def test_pinned_v1_fixture_answers_queries(self, tmp_path, sales_table):
+        tree = recover(v1_directory(tmp_path / "v1", sales_table),
+                       sales_table.schema).tree
         fresh = build_qctree(sales_table, ("avg", "Sale"))
         for cell in all_cells(sales_table):
             assert approx_equal(point_query(tree, cell),
                                 point_query(fresh, cell))
 
-    def test_v1_file_loads_from_disk(self, tmp_path):
-        path = tmp_path / "legacy.qct"
-        path.write_text(V1_FIXTURE)
-        tree = load_qctree_from(path)
-        assert tree.n_classes == 6
+    def test_v1_file_loads_from_disk(self, tmp_path, sales_table):
+        directory = v1_directory(tmp_path / "v1", sales_table)
+        store = recover(directory, sales_table.schema)
+        assert store.tree.n_classes == 6
+        assert store.last_recovery["orphans"] == ["head-00000001.qct"]
 
-    def test_resaving_v1_produces_v2(self, tmp_path):
-        path = tmp_path / "legacy.qct"
-        path.write_text(V1_FIXTURE)
-        tree = load_qctree_from(path)
-        save_qctree(tree, path)
-        assert path.read_text().startswith("QCTREE/2 ")
-        assert load_qctree_from(path).equivalent_to(tree)
+    def test_resaving_v1_produces_v2(self, tmp_path, sales_table):
+        """The next checkpoint writes the current layout: the tree file
+        goes, the entry gains its table's checksum."""
+        directory = v1_directory(tmp_path / "v1", sales_table)
+        store = recover(directory, sales_table.schema)
+        store.checkpoint(directory)
+        assert sorted(os.listdir(directory)) == [
+            "MANIFEST.json", "head-00000002.csv", "wal.log"]
+        assert "crc32" in load_manifest(directory)["head"]
+        assert recover(directory, sales_table.schema).tree.equivalent_to(
+            store.tree)
 
 
 class TestAtomicSave:
     def test_successful_save_is_loadable(self, tmp_path, sales_table):
-        tree = build_qctree(sales_table, ("avg", "Sale"))
-        path = tmp_path / "tree.qct"
-        save_qctree(tree, path)
-        assert load_qctree_from(path).equivalent_to(tree)
+        piece = Piece.build(sales_table, ("avg", "Sale"))
+        path = tmp_path / "table.csv"
+        crc = piece.save(path)
+        loaded = Piece.load(path, sales_table.schema, ("avg", "Sale"),
+                            crc32=crc)
+        assert loaded.tree.equivalent_to(piece.tree)
         leftovers = [p for p in os.listdir(tmp_path) if ".tmp." in p]
         assert leftovers == []
 
     def test_crash_at_every_io_step_preserves_old_snapshot(
             self, tmp_path, sales_table):
-        old_tree = build_qctree(sales_table, "count")
-        path = str(tmp_path / "tree.qct")
-        save_qctree(old_tree, path)
+        old = Piece.build(sales_table, "count")
+        path = str(tmp_path / "table.csv")
+        old_crc = old.save(path)
         old_bytes = open(path, "rb").read()
-        new_tree = build_qctree(sales_table, ("sum", "Sale"))
+        new = old.derive(inserts=[("S3", "P3", "w", 5.0)])
 
-        total_ops = count_io(lambda: save_qctree(new_tree, path))
+        total_ops = count_io(lambda: new.table.to_csv(path))
         assert total_ops >= 4  # open, write, flush/fsync, close, replace
+        new_crc = new.table.to_csv(path)
         for fail_after in range(total_ops):
-            # Reset to the old snapshot state before each injected crash.
+            # Reset to the old table before each injected crash.
             with open(path, "wb") as fp:
                 fp.write(old_bytes)
             with crash_on_io(fail_after) as clock:
                 with pytest.raises(InjectedCrash):
-                    save_qctree(new_tree, path)
+                    new.table.to_csv(path)
             on_disk = open(path, "rb").read()
             committed = any(
                 label.startswith("replace:") for label in clock.trace
             )
             if committed:
-                assert load_qctree_from(path).equivalent_to(new_tree)
+                loaded = Piece.load(path, sales_table.schema, "count",
+                                    crc32=new_crc)
+                assert loaded.tree.equivalent_to(
+                    build_qctree(same_rows(new.table), "count"))
             else:
                 assert on_disk == old_bytes
-                assert load_qctree_from(path).equivalent_to(old_tree)
+                loaded = Piece.load(path, sales_table.schema, "count",
+                                    crc32=old_crc)
+                assert loaded.tree.equivalent_to(old.tree)
 
     def test_crash_on_first_save_leaves_no_file(self, tmp_path, sales_table):
-        tree = build_qctree(sales_table, "count")
-        path = str(tmp_path / "fresh.qct")
+        piece = Piece.build(sales_table, "count")
+        path = str(tmp_path / "fresh.csv")
         with crash_on_io(1):
             with pytest.raises(InjectedCrash):
-                save_qctree(tree, path)
+                piece.save(path)
         assert not os.path.exists(path)
 
 
@@ -232,11 +282,11 @@ AGGREGATE_SPECS = [
 
 
 class TestRoundTripProperty:
-    """Round-trip over randomly generated trees: random dimensionality,
+    """Checkpoint round trips over random tables: random dimensionality,
     cardinality, row counts, and every registry aggregate shape."""
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_random_tree_roundtrip(self, seed):
+    def test_random_tree_roundtrip(self, seed, tmp_path):
         rng = random.Random(seed * 7919)
         table = make_random_table(
             seed,
@@ -245,8 +295,9 @@ class TestRoundTripProperty:
             n_rows=rng.randint(1, 25),
         )
         spec = rng.choice(AGGREGATE_SPECS)
-        tree = build_qctree(table, spec)
-        clone = loads_qctree(dumps_qctree(tree))
+        tree = build_qctree(same_rows(table), spec)
+        _, directory = checkpointed(tmp_path, table, spec)
+        clone = recover(directory, table.schema).tree
         assert clone.signature() == tree.signature()
         assert clone.aggregate.name == tree.aggregate.name
         assert clone.dim_names == tree.dim_names
@@ -258,20 +309,19 @@ class TestRoundTripProperty:
                                   cardinality=rng.randint(1, 4),
                                   n_rows=rng.randint(1, 15))
         spec = rng.choice(AGGREGATE_SPECS)
-        tree = build_qctree(table, spec)
-        path = tmp_path / f"tree-{seed}.qct"
-        save_qctree(tree, path)
-        clone = load_qctree_from(path)
+        store, directory = checkpointed(tmp_path, table, spec)
+        clone = recover(directory, table.schema)
         for cell in all_cells(table):
-            assert approx_equal(point_query(tree, cell),
-                                point_query(clone, cell))
+            raw = table.decode_cell(cell)
+            assert approx_equal(store.point(raw), clone.point(raw)), raw
 
-    def test_string_labels_roundtrip(self):
+    def test_string_labels_roundtrip(self, tmp_path):
         schema = Schema(dimensions=("City", "Kind"), measures=("v",))
         table = BaseTable.from_records(
             [("Oslo", "a", 1.0), ("Bergen", "b", 2.0), ("Oslo", "b", 3.0)],
             schema,
         )
-        tree = build_qctree(table, ("sum", "v"))
-        clone = loads_qctree(dumps_qctree(tree))
-        assert clone.equivalent_to(tree)
+        store, directory = checkpointed(tmp_path, table, ("sum", "v"))
+        clone = recover(directory, schema)
+        assert clone.tree.equivalent_to(store.tree)
+        assert clone.table._decoders == [["Bergen", "Oslo"], ["a", "b"]]

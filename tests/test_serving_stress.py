@@ -76,7 +76,7 @@ def test_readers_see_only_published_snapshots():
 
     # Fresh labels per batch so every insert adds exactly BATCH_SIZE rows.
     batches = [
-        [(f"new{b}", f"new{b}", f"new{b}") + (1.0,)
+        [(100 + b, 100 + b, 100 + b) + (1.0,)
          for _ in range(BATCH_SIZE)]
         for b in range(N_BATCHES)
     ]
@@ -163,7 +163,7 @@ def test_mixed_insert_delete_membership():
     warehouse = QCWarehouse(table, aggregate="count")
     base = warehouse.point(("*", "*"))
 
-    extra = [("x0", "x0", 1.0), ("x1", "x1", 1.0)]
+    extra = [(100, 100, 1.0), (101, 101, 1.0)]
     plan = [("insert", [extra[0]]), ("insert", [extra[1]]),
             ("delete", [extra[0]]), ("delete", [extra[1]])] * 3
     # Published count after each step of the plan:

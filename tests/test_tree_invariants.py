@@ -1,7 +1,7 @@
 """Structural invariant checks for QC-trees across their whole lifecycle.
 
 ``QCTree.check_invariants`` is run after construction, after random
-mixes of insert/delete batches, and after serialization round trips —
+mixes of insert/delete batches, and after a checkpoint round trip —
 plus failure-injection tests confirming it catches corruption.
 """
 
@@ -12,7 +12,7 @@ import pytest
 from repro.core.construct import build_qctree
 from repro.core.maintenance import apply_deletions
 from repro.core.maintenance import apply_insertions
-from repro.core.serialize import dumps_qctree, loads_qctree
+from repro.core.warehouse import QCWarehouse
 from tests.conftest import make_random_table
 
 
@@ -44,9 +44,13 @@ class TestLifecycle:
         assert tree.equivalent_to(rebuilt)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_after_serialize_roundtrip(self, seed):
-        tree = build_qctree(make_random_table(seed), "count")
-        loads_qctree(dumps_qctree(tree)).check_invariants()
+    def test_after_serialize_roundtrip(self, seed, tmp_path):
+        """The tree a recovered store builds from its checkpointed table."""
+        table = make_random_table(seed)
+        QCWarehouse(table, "count").checkpoint(tmp_path / "ckpt")
+        recovered = QCWarehouse.recover(tmp_path / "ckpt", tmp_path / "wal",
+                                        table.schema)
+        recovered.tree.check_invariants()
 
     def test_copy_shares_nothing_structural(self, sales_table):
         tree = build_qctree(sales_table, ("avg", "Sale"))

@@ -144,27 +144,3 @@ class TestValidation:
         assert wh.point(("*", "P1", "*")) == (15.0, 2)
         # Both records share P1, so the root class's bound is (*, P1, *).
         assert dict(wh.iceberg(10)) == {("*", "P1", "*"): (15.0, 2)}
-
-
-class TestWhatIf:
-    def test_what_if_insertion_reports_impact(self, warehouse):
-        impact = warehouse.what_if(
-            insertions=[("S2", "P2", "f", 4.0)]
-        )
-        # New classes appear (e.g. the inserted tuple's own class)...
-        assert ("S2", "P2", "f") in impact["added"]
-        # ...the root class's average drops...
-        before, after = impact["changed"][("*", "*", "*")]
-        assert before == 9.0 and after == pytest.approx(7.75)
-        # ...and the warehouse itself is untouched.
-        assert warehouse.table.n_rows == 3
-        assert warehouse.point(("*", "*", "*")) == 9.0
-
-    def test_what_if_deletion_reports_impact(self, warehouse):
-        impact = warehouse.what_if(deletions=[("S1", "P2", "s", 0.0)])
-        assert ("S1", "P2", "s") in impact["removed"]
-        assert warehouse.table.n_rows == 3
-
-    def test_what_if_noop(self, warehouse):
-        impact = warehouse.what_if()
-        assert impact == {"added": {}, "removed": {}, "changed": {}}
