@@ -43,17 +43,17 @@ shape of int (|x| < 2**53) and float leaves; anything else raises
 Incremental refreeze
 --------------------
 :meth:`patch` splices a recorded :class:`~repro.core.maintenance.delta.
-MaintenanceDelta` into a *new* tree over the same sections, at cost
-proportional to the dirty set: touched nodes get edge/link rows in an
-overlay consulted before the shared CSR arrays, pruned nodes become
-unreachable tombstone slots, new nodes are appended past the preorder
-prefix, and touched and appended slots carry their decoded routing
-dict, upper bound, state and value in the caches.  It falls back to a
-full :meth:`from_tree` compile past :data:`FULL_REFREEZE_RATIO`, when
+MaintenanceDelta` into a *new* tree at cost proportional to the dirty
+set: the overlay, consulted before the shared CSR arrays, holds the
+edge/link rows of structurally changed nodes; states, values, class
+kinds and new bounds are section writes, so a node whose state alone
+changed (§3.3's *update* fate, most of a batch) is a column write.
+Pruned nodes leave tombstones, new nodes are appended.  It recompiles
+with :meth:`from_tree` past :data:`FULL_REFREEZE_RATIO`, when
 tombstone/overlay debt passes :data:`COMPACT_RATIO`, or when a splice
-cannot express the delta (a label code past the stride's headroom; an
-attached tree, which has no map back to the dict tree's ids).  Either
-way the result answers every query like a from-scratch freeze.
+cannot express the delta (a label past the stride's headroom; a payload
+the layout cannot hold, which the compile refuses as ``freeze()`` does;
+an attached tree).  Either way it answers like a from-scratch freeze.
 
 Instances are immutable: attribute assignment after construction raises
 :class:`TypeError`, so a tree can be shared across threads (the lazy
@@ -131,35 +131,28 @@ def _route_key(stride, dim, value):
     return (dim, value)
 
 
-def _overlay_row(tree, node, slot_of, stride):
-    """``(edges, links, last_dim, forced)`` of dict node ``node``: its
-    edge and link rows as sorted ``(keys, slots)`` tuple pairs keyed for
-    ``stride``, its last child-bearing dimension and Lemma-2 forced
-    child — or None when a label code is past the stride.  Raises
-    ``TypeError`` when a dimension mixes label types that do not sort
-    and ``KeyError`` when a neighbor has no slot."""
-    edges, links = (
-        sorted(((dim, value), slot_of[target])
-               for dim, value, target in triples)
-        for triples in (tree.iter_children_of(node), tree.iter_links_of(node))
-    )
-    if stride and not all(type(value) is int and 0 <= value < stride
-                          for (_, value), _ in edges + links):
-        return None
-    last_dim = forced = -1
-    if edges:
-        # Sorted by (dim, value): the last dimension's children are the
-        # tail, so there is exactly one iff the second-to-last differs.
-        last_dim = edges[-1][0][0]
-        if len(edges) == 1 or edges[-2][0][0] != last_dim:
-            forced = edges[-1][1]
-    edges, links = (
-        (tuple(dim * stride + value if stride else (dim, value)
-               for (dim, value), _ in row),
-         tuple(target for _, target in row))
-        for row in (edges, links)
-    )
-    return edges, links, last_dim, forced
+def _overlay_row(by_dim: dict, slot_of, stride):
+    """``(keys, slots)``: a dict node's ``{dim: {value: neighbor}}``
+    edges (or links) as a row sorted by ``(dim, value)``, keyed for
+    ``stride`` and mapped through ``slot_of`` — or None when a label is
+    not an int code below the stride (``2**63`` for a root-only base).
+    Raises ``TypeError`` when a dimension mixes label types that do not
+    sort and ``LookupError`` when a neighbor has no slot (``-1``)."""
+    limit = stride or 2 ** 63
+    keys: list = []
+    slots: list = []
+    for dim in sorted(by_dim):
+        by_value = by_dim[dim]
+        values = sorted(by_value)
+        if (not all(type(value) is int for value in values)
+                or values[0] < 0 or values[-1] >= limit):
+            return None
+        keys += ([dim * stride + value for value in values] if stride
+                 else [(dim, value) for value in values])
+        slots += map(slot_of.__getitem__, map(by_value.__getitem__, values))
+    if -1 in slots:
+        raise LookupError("a neighbor has no slot")
+    return tuple(keys), tuple(slots)
 
 
 # -- the columns -------------------------------------------------------------
@@ -287,25 +280,29 @@ def _view(array, fmt: str = "q") -> memoryview:
     return memoryview(flat.reshape(-1)).cast("B").cast(fmt)
 
 
-def _payload_rows(payloads: list, class_ids, n: int):
-    """``(template, view)``: the ``n × width`` ``float64`` matrix whose
-    row ``class_ids[k]`` holds the leaves of ``payloads[k]`` (every
-    other row zero), checked by :func:`leaf_columns`."""
-    template = template_of(payloads[0]) if payloads else None
+def _payload_rows(payloads: list, class_ids, n: int, template=None,
+                  base=()):
+    """``(template, matrix)``: an ``n × width`` ``float64`` matrix of
+    the packed rows ``base`` (zeros past them), with row ``class_ids[k]``
+    the leaves of ``payloads[k]`` checked by :func:`leaf_columns`; the
+    first payload sets a missing template."""
+    if template is None and payloads:
+        template = template_of(payloads[0])
     columns: list = []
     if payloads:
         leaf_columns(payloads, template, columns)
-    matrix = np.zeros((n, len(columns)), dtype=np.float64)
+    matrix = np.zeros((n, template_width(template)), dtype=np.float64)
+    matrix.reshape(-1)[:len(base)] = base
     for j, column in enumerate(columns):
         matrix[class_ids, j] = column
-    return template, _view(matrix, "d")
+    return template, matrix
 
 
 def _columns(tree: QCTree):
     """Compile the dict tree to ``(meta, views, slot_of)``: the meta
     block and typed :data:`BUFFER_SECTIONS` views :meth:`FrozenQCTree.
-    from_buffers` takes, and the map of each live dict id to its
-    preorder slot.
+    from_buffers` takes, and the list of each dict id's preorder slot
+    (``-1`` for a free id).
 
     Array operations over the parallel lists: upper bounds from at most
     ``n_dims`` parent-pointer steps, the preorder (children by ``(dim,
@@ -389,7 +386,7 @@ def _columns(tree: QCTree):
         list(map(tree.aggregate.value, payloads)), class_ids, n
     )
     views = dict(
-        state_data=state_data, value_data=value_data,
+        state_data=_view(state_data, "d"), value_data=_view(value_data, "d"),
         edge_start=_view(edge_start),
         edge_key=_view(edge_dim * stride + value[order[edge_child]]),
         edge_child=_view(edge_child),
@@ -399,7 +396,7 @@ def _columns(tree: QCTree):
         last_dim=_view(last_dim), forced=_view(forced), ub=_view(ub),
         class_kind=_view(holds),
     )
-    return meta, views, dict(zip(order.tolist(), range(n)))
+    return meta, views, slot.tolist()
 
 
 def _rebuild(template, flat, pos: int):
@@ -470,8 +467,8 @@ class FrozenQCTree:
         "_ub", "_state_data", "_value_data", "_state_codec", "_value_codec",
         # decode caches: routing dicts, upper-bound tuples, values
         "_routes", "_ubs", "_value",
-        # patch bookkeeping: the dict id -> slot map (None on an attached
-        # tree), tombstones, and the overlay rows of touched slots
+        # patch bookkeeping: each dict id's slot (-1 for none; None on an
+        # attached tree), tombstones, and the overlay rows of touched slots
         "_source_map", "_dead", "_edge_over", "_link_over",
         # the batch kernel's routing keys
         "_batch",
@@ -502,8 +499,8 @@ class FrozenQCTree:
         tree the layout cannot hold (see the module docstring)."""
         meta, views, slot_of = _columns(tree)
         self = cls.from_buffers(meta, views)
-        self.patch_stats.update(mode="fresh", dirty=len(slot_of),
-                                touched=len(slot_of))
+        self.patch_stats.update(mode="fresh", dirty=self.n_nodes,
+                                touched=self.n_nodes)
         object.__setattr__(self, "_source_map", slot_of)
         return self
 
@@ -523,8 +520,9 @@ class FrozenQCTree:
             aggregate=make_aggregate(meta["aggregate"]),
             snapshot_meta=dict(meta.get("snapshot_meta") or {}),
             patch_stats={
-                "mode": "attached", "dirty": 0, "touched": 0, "appended": 0,
-                "tombstoned": 0, "dead_slots": 0, "overlay": 0, "slots": n,
+                "mode": "attached", "dirty": 0, "restated": 0, "touched": 0,
+                "appended": 0, "tombstoned": 0, "dead_slots": 0, "overlay": 0,
+                "slots": n,
             },
             _stride=meta["stride"],
             _routes=[None] * n,
@@ -548,15 +546,15 @@ class FrozenQCTree:
         ``delta`` must have been recorded against the tree this view was
         compiled from (the same object, still holding every un-dirty node
         unchanged); the post-mutation tree is the ground truth for what
-        each dirty node now contains.  Existing node ids stay stable;
-        pruned nodes leave unreachable tombstone slots, new nodes are
-        appended past the preorder prefix, and the touched nodes' edge/
-        link slices live in an overlay consulted before the shared CSR
-        arrays.  The new view shares this one's sections; its decode
-        caches are copies of this one's, with the touched and appended
-        slots' routing dicts, upper bounds, states and values filled in.
-        The result is immutable and answers every query exactly like
-        ``delta.tree.freeze()`` would.
+        each dirty node now contains.  Ids stay stable; pruned nodes
+        leave tombstone slots, new nodes are appended.  A node whose
+        edges (links) changed gets an edge (link) row in the overlay;
+        every dirty node's state, value and class kind, new upper bounds
+        and Lemma-2 columns are written into copies of those sections,
+        so a node only ``restated`` is column writes alone
+        (``patch_stats["restated"]``; ``"touched"`` counts overlay
+        slots).  The other sections are shared.  The result is immutable
+        and answers every query exactly like ``delta.tree.freeze()``.
 
         Fallback heuristics (each produces a full recompile, reported in
         ``patch_stats["mode"]``):
@@ -569,7 +567,8 @@ class FrozenQCTree:
           spare capacity is reclaimed by repacking (``mode="compacted"``).
         * representation limits — a label code past the routing-key
           stride's headroom, an unsortable label mix, an unmapped
-          neighbor, or an attached tree (``mode="full"``, see
+          neighbor, an unpackable payload (the compile raises, as
+          ``freeze()`` does), or an attached tree (``mode="full"``, see
           ``patch_stats["reason"]``).
         """
         tree = delta.tree
@@ -588,82 +587,118 @@ class FrozenQCTree:
             return full("full", "dirty-ratio")
 
         # -- classify dirty ids against the post-mutation ground truth ----
+        # Trusting the categories as for every clean node: a new id gets
+        # rows and an upper bound, ``reedged`` an edge row and Lemma-2
+        # columns, ``relinked`` a link row; every one gets column writes.
         free = tree._free_ids
         tree_size = len(tree.node_dim)
-        source_map = dict(self._source_map)
+        slot_of = self._source_map + [-1] * (tree_size - len(self._source_map))
         base_slots = len(self._routes)
         dead = set(self._dead)
-        gone: list = []      # frozen slots to tombstone
-        rebuild: list = []   # (dict id, frozen slot) rows to (re)derive
-        appended: list = []  # dict ids gaining brand-new slots
+        new_ids = delta.created | delta.removed
+        # Slots to tombstone; (dict id, slot) of each live dirty id.
+        gone, live, appended = [], [], 0
         for d in sorted(dirty):
-            alive = d < tree_size and d not in free
-            slot = source_map.get(d)
-            if not alive:
-                if slot is not None:
-                    del source_map[d]
+            slot = slot_of[d] if d < len(slot_of) else -1
+            if d >= tree_size or d in free:
+                if slot >= 0:
+                    slot_of[d] = -1
                     if slot not in dead:
                         gone.append(slot)
                 continue
-            if slot is None or slot in dead:
-                slot = base_slots + len(appended)
-                appended.append(d)
-                source_map[d] = slot
-            rebuild.append((d, slot))
+            if slot < 0 or slot in dead:
+                slot = slot_of[d] = base_slots + appended
+                appended += 1
+                new_ids.add(d)
+            live.append((d, slot))
+        placed = [(d, slot) for d, slot in live if d in new_ids]
+        edged = [(d, slot) for d, slot in live
+                 if d in new_ids or d in delta.reedged]
+        linked = [(d, slot) for d, slot in live
+                  if d in new_ids or d in delta.relinked]
+        touched = {slot for _, slot in edged + linked}
 
         # -- compaction: reclaim tombstones + overlay debt by repacking ----
-        overlay_after = set(self._edge_over or ())
-        overlay_after.update(slot for _, slot in rebuild)
-        overlay_after.update(gone)
+        overlay_after = touched.union(
+            self._edge_over or (), self._link_over or (), gone)
         dead_after = len(dead) + len(gone)
-        live_after = base_slots + len(appended) - dead_after
+        live_after = base_slots + appended - dead_after
         if dead_after + len(overlay_after) > COMPACT_RATIO * max(1, live_after):
             return full("compacted", "patch-debt")
 
-        # -- splice ---------------------------------------------------------
-        value_of = tree.aggregate.value
+        # -- splice: overlay rows where edges or links changed ---------------
         stride = self._stride
-        grow = len(appended)
-        state = self.state._cache + [None] * grow
-        value = self._value + [None] * grow
-        ubs = self._ubs + [None] * grow
-        routes = self._routes + [None] * grow
+        n = base_slots + appended
+        state = self.state._cache + [None] * appended
+        value = self._value + [None] * appended
+        ubs = self._ubs + [None] * appended
+        routes = self._routes + [None] * appended
         edge_over = dict(self._edge_over) if self._edge_over else {}
         link_over = dict(self._link_over) if self._link_over else {}
-        rows = {}  # slot -> (class kind, last_dim, forced)
-
+        columns = {}
         for slot in gone:
-            dead.add(slot)
-            state[slot] = value[slot] = routes[slot] = None
-            rows[slot] = (0, -1, -1)
+            state[slot] = value[slot] = None
             edge_over[slot] = link_over[slot] = ((), ())
+        dead.update(gone)
+        for slot in touched.union(gone):
+            routes[slot] = None  # rebuilt from the overlay on demand
+        if edged:  # a tombstone's Lemma-2 columns are never read
+            last_dim, forced = (
+                np.pad(column, (0, appended), constant_values=-1)
+                for column in (self._last_dim, self._forced))
+            columns.update(_last_dim=last_dim, _forced=forced)
         try:
-            for d, slot in rebuild:
-                row = _overlay_row(tree, d, source_map, stride)
-                if row is None:
-                    return full("full", "stride-overflow")
-                edge_over[slot], link_over[slot], last, forced = row
-                st = state[slot] = tree.state[d]
-                value[slot] = None if st is None else value_of(st)
-                ubs[slot] = tree.upper_bound_of(d)
-                routes[slot] = None  # rebuilt from the overlay on demand
-                rows[slot] = (st is not None, last, forced)
+            for over, rows, attr in ((edge_over, edged, "children"),
+                                     (link_over, linked, "links")):
+                for d, slot in rows:
+                    row = over[slot] = _overlay_row(
+                        getattr(tree, attr)[d], slot_of, stride)
+                    if row is None:
+                        return full("full", "stride-overflow")
         except TypeError:
             return full("full", "unsortable-labels")
-        except KeyError:
-            # A rebuilt node references a neighbor the dirty set missed;
-            # recompiling is always correct (and the property tests would
-            # catch a recorder gap that made this path common).
+        except LookupError:
+            # A neighbor the dirty set missed; recompiling is always
+            # correct (the property tests would catch a recorder gap).
             return full("full", "unmapped-neighbor")
+        for d, slot in edged:
+            # Lemma 2: the last child-bearing dimension, forced when it
+            # holds one child.
+            by_dim = tree.children[d]
+            last_dim[slot] = last = max(by_dim, default=-1)
+            forced[slot] = (edge_over[slot][1][-1]
+                            if last >= 0 and len(by_dim[last]) == 1 else -1)
+        if placed:
+            ub = np.pad(np.reshape(self._ub, (-1, self.n_dims)),
+                        ((0, appended), (0, 0)), constant_values=-1)
+            for d, slot in placed:
+                ubs[slot] = tree.upper_bound_of(d)
+                ub[slot] = [-1 if v is ALL else v for v in ubs[slot]]
+            columns["_ub"] = ub
 
-        columns = {}
-        for j, (name, fill) in enumerate(
-                (("_class_kind", 0), ("_last_dim", -1), ("_forced", -1))):
-            column = np.full(base_slots + grow, fill, dtype=np.int64)
-            column[:base_slots] = getattr(self, name)
-            for slot, row in rows.items():
-                column[slot] = row[j]
-            columns[name] = _view(column)
+        # -- column writes: every live dirty slot's state, value and kind ---
+        value_of = tree.aggregate.value
+        for d, slot in live:
+            st = state[slot] = tree.state[d]
+            value[slot] = None if st is None else value_of(st)
+        written = [slot for _, slot in live]
+        holds = [state[slot] is not None for slot in written]
+        kind = np.pad(self._class_kind, (0, appended))
+        kind[gone] = 0
+        kind[written] = holds
+        columns["_class_kind"] = kind
+        written = list(compress(written, holds))
+        try:
+            state_template, columns["_state_data"] = _payload_rows(
+                [state[slot] for slot in written], written, n,
+                self._state_codec[0], self._state_data)
+            value_template, columns["_value_data"] = _payload_rows(
+                [value[slot] for slot in written], written, n,
+                self._value_codec[0], self._value_data)
+        except SerializationError:
+            # The layout cannot hold a payload: the compile refuses it
+            # exactly as ``freeze()`` does.
+            return full("full", "unpackable-payload")
 
         out = FrozenQCTree._new(
             n_dims=tree.n_dims,
@@ -672,20 +707,23 @@ class FrozenQCTree:
             snapshot_meta={},
             patch_stats={
                 "mode": "patched", "dirty": len(dirty),
-                "touched": len(rebuild), "appended": grow,
+                "restated": len(live) - len(touched),
+                "touched": len(touched), "appended": appended,
                 "tombstoned": len(gone), "dead_slots": len(dead),
-                "overlay": len(edge_over), "slots": base_slots + grow,
+                "overlay": len(edge_over.keys() | link_over.keys()),
+                "slots": n,
             },
             _stride=stride,
             **{"_" + name: getattr(self, "_" + name)
                for name in BUFFER_SECTIONS if "_" + name not in columns},
-            **columns,
-            _state_codec=self._state_codec,
-            _value_codec=self._value_codec,
+            **{name: _view(column, "d" if column.dtype == np.float64 else "q")
+               for name, column in columns.items()},
+            _state_codec=(state_template, template_width(state_template)),
+            _value_codec=(value_template, template_width(value_template)),
             _routes=routes,
             _ubs=ubs,
             _value=value,
-            _source_map=source_map,
+            _source_map=slot_of,
             _dead=frozenset(dead),
             _edge_over=edge_over,
             _link_over=link_over,

@@ -278,16 +278,19 @@ class BaseTable:
         return combined, delta
 
     def without_rows(self, indices) -> "BaseTable":
-        """Return a table with the given row indices removed."""
-        drop = set(indices)
+        """Return a table with the given row indices removed (a repeated
+        index once), copied in C: ``del`` from the end, ``np.delete``."""
+        drop = sorted(set(indices), reverse=True)
         bad = [i for i in drop if not 0 <= i < self.n_rows]
         if bad:
             raise SchemaError(f"row indices out of range: {sorted(bad)}")
-        keep = [i for i in range(self.n_rows) if i not in drop]
+        rows = list(self.rows)
+        for i in drop:
+            del rows[i]
         return BaseTable(
             self.schema,
-            [self.rows[i] for i in keep],
-            self.measures[keep] if keep else self.measures[:0],
+            rows,
+            np.delete(self.measures, drop, axis=0),
             self._decoders,
             self._encoders,
         )

@@ -43,17 +43,13 @@ from itertools import chain
 
 import numpy as np
 
-from repro.core.cells import ALL
 from repro.core.frozen import (
     _MAX_EXACT_INT,
     BUFFER_SECTIONS,
     FrozenQCTree,
     check_label,
-    leaf_columns,
     lemma2_columns,
     template_leaves,
-    template_of,
-    template_width,
 )
 from repro.core.qctree import QCTree
 from repro.cube.aggregates import _spec_to_json, aggregate_spec
@@ -171,59 +167,17 @@ def _compact_rows(start, keys, targets, over, live, remap, stride, what):
     return new_start, dims, values, remap[hops]
 
 
-def _upper_bounds(tree, live):
-    """The ``n × n_dims`` upper-bound matrix of the live nodes, ``ALL``
-    as ``-1``: the ``ub`` section, then the rows a patch decoded into
-    its overlay slots (their labels checked one by one, O(dirty))."""
-    ub = np.full((live.size, tree.n_dims), -1, dtype=np.int64)
-    base = np.asarray(tree._ub, dtype=np.int64).reshape(-1, tree.n_dims)
-    ub[:len(base)] = np.maximum(base, -1)
-    for slot in tree._edge_over or ():
-        if live[slot]:
-            ub[slot] = [-1 if value is ALL else check_label(value)
-                        for value in tree._ubs[slot]]
-    return ub[live]
-
-
-def _class_sections(tree, live):
-    """``(is_class, templates, matrices)`` of the live nodes: the class
-    mask, then the ``(state, value)`` pair of shape templates and of
-    ``n × width`` ``float64`` matrices (zero rows off the classes) —
-    the packed rows, then the payloads a patch put in its overlay
-    slots, checked against the template like a compile checks them."""
-    kind = np.asarray(tree._class_kind, dtype=np.int64) != 0
-    base = len(tree._edge_start) - 1
-    over = [slot for slot in sorted(tree._edge_over or ()) if kind[slot]]
-    templates, matrices = [], []
-    for (template, _), data, cache in (
-            (tree._state_codec, tree._state_data, tree.state._cache),
-            (tree._value_codec, tree._value_data, tree._value)):
-        payloads = [cache[slot] for slot in over]
-        if template is None and payloads:  # no class when compiled
-            template = template_of(payloads[0])
-        matrix = np.zeros((kind.size, template_width(template)))
-        if len(data):
-            matrix[:base] = _packed_matrix(data, template, kind[:base])
-        columns: list = []
-        if payloads:
-            leaf_columns(payloads, template, columns)
-            matrix[over] = np.column_stack(columns)
-        templates.append(template)
-        matrices.append(matrix[live])
-    return kind[live], tuple(templates), tuple(matrices)
-
-
 def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
                         snapshot_meta=None) -> bytes:
     """Serialize a serving snapshot to the ``QCTREE/3`` byte layout.
 
     Columnar: a live mask and its running sum renumber the slots
-    (tombstones and spare capacity drop out), a patched view's overlay
-    rows are appended behind the shared CSR arrays and one ragged gather
-    fetches every live row, its overlay slots' upper bounds and payloads
-    are laid over the packed rows (the only Python loops, O(dirty)), and
-    keys are split and re-strided to the tightest fit with a vectorised
-    ``divmod``.  A dict-backed :class:`QCTree` is frozen first.
+    (tombstones and spare capacity drop out), a patched view's edge/link
+    overlay rows are appended behind the shared CSR arrays and one
+    ragged gather fetches every live row (the only Python loop,
+    O(dirty)), every per-node column is read from its section, and keys
+    are re-strided to the tightest fit with a vectorised ``divmod``.  A
+    dict-backed :class:`QCTree` is frozen first.
     ``table`` rides along when given, making the blob a complete
     self-contained snapshot a worker process can serve from.
     """
@@ -247,7 +201,8 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
         tree._link_start, tree._link_key, tree._link_target,
         tree._link_over, live, remap, stride, "link",
     )
-    ub = _upper_bounds(tree, live)
+    ub = np.maximum(
+        np.asarray(tree._ub, dtype=np.int64).reshape(-1, n_dims)[live], -1)
 
     # Re-stride the keys to the tightest fit: the frozen tree's own
     # stride carries patch headroom the packed layout does not need.
@@ -260,7 +215,11 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
 
     last_dim, forced = lemma2_columns(edge_start, edge_dim, edge_child)
 
-    is_class, templates, matrices = _class_sections(tree, live)
+    kind = np.asarray(tree._class_kind, dtype=np.int64) != 0
+    is_class = kind[live]
+    templates = (tree._state_codec[0], tree._value_codec[0])
+    matrices = [_packed_matrix(data, template, kind)[live] for template, data
+                in zip(templates, (tree._state_data, tree._value_data))]
 
     table_rows = np.empty(0, dtype=np.int64)
     table_measures = np.empty(0, dtype=np.float64)

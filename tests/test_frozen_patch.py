@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.core.construct import build_qctree
+from repro.core.frozen import _decode
 from repro.core.maintenance import (
     MaintenanceDelta,
     apply_deletions,
@@ -25,6 +26,9 @@ from repro.core.maintenance import (
 )
 from repro.core.point_query import point_query
 from repro.core.warehouse import QCWarehouse
+from repro.data.synthetic import zipf_table
+from repro.errors import SerializationError
+from repro.shard.pack import pack_snapshot_bytes
 from tests import model
 from tests.conftest import (
     all_cells,
@@ -32,6 +36,7 @@ from tests.conftest import (
     make_random_table,
     patch_with,
 )
+from tests.reference_pack import reference_pack
 from tests.test_stateful import replay
 
 
@@ -188,6 +193,117 @@ class TestPatchEquivalence:
             oracle.drilldowns(("*", "*", "*"))
         assert wh.open_class(("S1", "*", "s")) == \
             oracle.open_class(("S1", "*", "s"))
+
+
+class TestColumnWrites:
+    """A node whose state alone changed is a column write: no overlay
+    row, no upper-bound walk, no routing reset."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reinserted_row_is_written_as_columns(self, seed):
+        """Re-inserting a row the table holds changes no class bound or
+        edge: every fate is an update.  Maintenance may still remove a
+        link and add it back (a retarget), which records its source as
+        relinked; that source alone gets an overlay row."""
+        table, tree = _build(seed, n_rows=40)
+        frozen = tree.freeze()
+        row = table.decode_cell(table.rows[0]) + tuple(table.measures[0])
+        tree.begin_delta()
+        table = apply_insertions(tree, table, [row])
+        delta = tree.end_delta()
+        assert not (delta.created or delta.removed or delta.reedged)
+        patched = patch_with(frozen, delta, full=1.0)
+        stats = patched.patch_stats
+        assert stats["mode"] == "patched" and stats["appended"] == 0
+        assert stats["restated"] == len(delta.dirty - delta.relinked)
+        assert stats["touched"] == len(delta.relinked)
+        assert not patched._edge_over
+        if not delta.relinked:
+            assert stats["restated"] == stats["dirty"] > 0
+            assert stats["touched"] == 0 and not patched._link_over
+        _assert_equivalent(patched, tree, table)
+        assert patched.class_upper_bounds() == tree.class_upper_bounds()
+        assert pack_snapshot_bytes(patched, table) == \
+            reference_pack(patched, table)
+
+    def test_some_reinserts_are_pure_updates(self):
+        """The seeds above include re-inserts with no retarget at all,
+        where the patch writes every dirty id as a column."""
+        quiet = 0
+        for seed in range(6):
+            table, tree = _build(seed, n_rows=40)
+            row = table.decode_cell(table.rows[0]) + tuple(table.measures[0])
+            tree.begin_delta()
+            apply_insertions(tree, table, [row])
+            delta = tree.end_delta()
+            quiet += delta.dirty == delta.restated
+        assert quiet >= 3
+
+    def test_benchmark_shaped_batch_is_mostly_column_writes(self):
+        """A 32-row insert into a 5,000-row Zipf store, then its delete:
+        each writes at least 75 % of its dirty ids as columns (a count).
+        The share is the data's: over table seeds 0–7 it reads 0.70–0.81
+        (seed 1's delete 0.749), and still 0.73–0.84 with the links that
+        a retarget leaves unchanged counted as column writes; seed 3 is
+        pinned."""
+        table = zipf_table(5000, 6, 30, zipf=2.0, seed=3)
+        first = {}
+        extra = zipf_table(2000, 6, 30, zipf=2.0, seed=3 + 7919)
+        for row, measure in zip(extra.rows, extra.measures):
+            first.setdefault(row, tuple(map(int, row)) + (float(measure[0]),))
+        batch = list(first.values())[:32]
+        wh = QCWarehouse(table, ("sum", "M0"), cache_size=0)
+        wh.serving_tree
+        for write in (wh.insert, wh.delete):
+            write(batch)
+            stats = wh.serving_tree.patch_stats
+            assert stats["mode"] == "patched"
+            assert stats["restated"] >= 0.75 * stats["dirty"]
+            assert stats["restated"] + stats["touched"] <= stats["dirty"]
+        _assert_equivalent(wh.serving_tree, wh.tree, wh.table)
+
+    def test_unpackable_state_is_refused_like_freeze(self):
+        """A recorded state the layout cannot hold (an int past 2**53)
+        makes the patch recompile, which refuses it as ``freeze()``
+        does — the patched view never holds it silently."""
+        table = make_random_table(3, n_dims=3, cardinality=3, n_rows=20)
+        tree = build_qctree(table, "count")
+        frozen = tree.freeze()
+        node = max(tree.iter_class_nodes())
+        tree.begin_delta()
+        tree.set_state(node, 2 ** 60)
+        delta = tree.end_delta()
+        assert delta.dirty == delta.restated == {node}
+        with pytest.raises(SerializationError) as refused:
+            patch_with(frozen, delta, full=1.0)
+        with pytest.raises(SerializationError) as frozen_refused:
+            tree.freeze()
+        assert str(refused.value) == str(frozen_refused.value)
+        assert str(2 ** 60) in str(refused.value)
+
+    def test_column_writes_leave_the_routing_alone(self):
+        """A state-only slot keeps its decoded routing dict and upper
+        bound; its new state and value are in the caches and sections."""
+        table, tree = _build(2, n_rows=40)
+        frozen = tree.freeze()
+        for cell in all_cells(table):
+            point_query(frozen, cell)  # decode every route on the way
+        row = table.decode_cell(table.rows[0]) + tuple(table.measures[0])
+        tree.begin_delta()
+        apply_insertions(tree, table, [row])
+        delta = tree.end_delta()
+        patched = patch_with(frozen, delta, full=1.0)
+        slots = frozen._source_map
+        for d in delta.restated - delta.relinked:
+            slot = slots[d]
+            assert patched._routes[slot] is frozen._routes[slot]
+            assert patched._ubs[slot] is frozen._ubs[slot]
+            want = tree.state[d]
+            assert patched.state[slot] == want
+            # The sections hold it too: decoded afresh, not from a cache.
+            assert _decode(patched._class_kind, patched._state_data,
+                           patched._state_codec, slot) == want
+            assert patched.upper_bound_of(slot) == tree.upper_bound_of(d)
 
 
 class TestFallbackFuzz:

@@ -131,7 +131,8 @@ class TestByteIdentity:
                     stats = frozen.patch_stats
                     if (stats["mode"] == "patched" and frozen._dead
                             and frozen._edge_over
-                            and stats["slots"] > len(frozen._edge_start) - 1):
+                            and stats["slots"] > len(frozen._edge_start) - 1
+                            and stats["restated"] > 0):
                         saw_rich_patch = True
                     _assert_same_bytes(tree, frozen, table)
         assert seen >= {"fresh", "patched", "compacted", "full"}

@@ -146,6 +146,27 @@ class TestDerivation:
     def test_without_rows_out_of_range(self, table):
         with pytest.raises(SchemaError):
             table.without_rows([99])
+        with pytest.raises(SchemaError, match=r"\[-1\]"):
+            table.without_rows([0, -1])
+
+    def test_without_rows_keeps_order(self):
+        schema = Schema(dimensions=("A",), measures=("m",))
+        table = BaseTable.from_records(
+            [(f"v{i}", float(i)) for i in range(10)], schema)
+        t = table.without_rows([7, 2, 5])
+        assert t.rows == [table.rows[i] for i in (0, 1, 3, 4, 6, 8, 9)]
+        assert list(t.measures[:, 0]) == [0.0, 1.0, 3.0, 4.0, 6.0, 8.0, 9.0]
+        assert table.n_rows == 10  # the original is untouched
+
+    def test_without_rows_duplicate_indices(self, table):
+        t = table.without_rows([1, 1, 1])
+        assert t.rows == [table.rows[0], table.rows[2]]
+        assert list(t.measures[:, 0]) == [1.0, 3.0]
+
+    def test_without_rows_drops_everything(self, table):
+        t = table.without_rows(range(table.n_rows))
+        assert t.n_rows == 0 and t.rows == []
+        assert t.measures.shape == (0, table.measures.shape[1])
 
     def test_subset(self, table):
         t = table.subset([2, 0])
