@@ -29,16 +29,18 @@ compile them from the dict tree's parallel lists with array operations
 (:func:`_columns`); :func:`repro.shard.pack.attach_packed` slices them
 out of a blob in shared memory or an mmap'd file.  A node's routing
 dict, upper-bound tuple and value/state decode on first visit and are
-cached.  The traversal protocol shared with the dict tree, the
-Algorithm-3 fast paths (``_search_route`` / ``_descend_to_class`` /
-``_locate`` / ``_point_query``) and the batch kernel
-(``_point_query_batch``) are written once; answers and node-access
-counts equal the dict tree's, and ``frozen.signature() ==
-tree.signature()``.  Only what the layout holds freezes: labels must be
-non-negative int codes (a tree built from a
+cached.  The traversal protocol shared with the dict tree, the batch
+kernel (``_point_query_batch``) and Algorithm 3 are written once: the
+tree answers it with the same three methods as the dict tree
+(``locate`` / ``search_route`` / ``descend_to_class``), one walk each
+over the arrays, and answers and node-access counts equal the
+protocol reference's (:mod:`repro.core.point_query`); ``frozen.
+signature() == tree.signature()``.  Only what the layout holds freezes:
+labels must be non-negative int codes (a tree built from a
 :class:`~repro.cube.table.BaseTable` has them) and class states one
 shape of int (|x| < 2**53) and float leaves; anything else raises
-:class:`~repro.errors.SerializationError`.
+:class:`~repro.errors.SerializationError`.  Every key is the int
+``dim * stride + value``, with ``stride > 0`` even on a root-only tree.
 
 Incremental refreeze
 --------------------
@@ -74,7 +76,7 @@ import numpy as np
 from repro.core.cells import ALL, Cell
 from repro.core.qctree import QCTree
 from repro.cube.aggregates import make_aggregate
-from repro.errors import QueryError, SerializationError
+from repro.errors import SerializationError
 
 
 #: Routing-key sentinel guaranteed to miss every per-node routing dict:
@@ -112,43 +114,38 @@ _MAX_EXACT_INT = 2 ** 53
 
 
 def _route_key(stride, dim, value):
-    """The routing/CSR key for label ``(dim, value)``.
+    """The routing/CSR key ``dim * stride + value`` for label ``(dim,
+    value)``.
 
-    In int-key mode (``stride > 0``) out-of-range and un-comparable
-    values map to :data:`_ABSENT` so they miss the table — exactly as
-    they would miss the dict tree's nested dicts.  Numeric edge cases
-    keep dict-lookup parity: ``3.0`` finds the code ``3`` (equal numbers
-    hash alike), ``3.5`` misses.  A root-only tree has no labels and
-    ``stride == 0``; a patch of it keeps ``(dim, value)`` keys.
+    Out-of-range and un-comparable values map to :data:`_ABSENT` so they
+    miss the table — exactly as they would miss the dict tree's nested
+    dicts.  Numeric edge cases keep dict-lookup parity: ``3.0`` finds the
+    code ``3`` (equal numbers hash alike), ``3.5`` misses.
     """
-    if stride:
-        try:
-            if 0 <= value < stride:
-                return dim * stride + value
-        except TypeError:
-            pass
-        return _ABSENT
-    return (dim, value)
+    try:
+        if 0 <= value < stride:
+            return dim * stride + value
+    except TypeError:
+        pass
+    return _ABSENT
 
 
 def _overlay_row(by_dim: dict, slot_of, stride):
     """``(keys, slots)``: a dict node's ``{dim: {value: neighbor}}``
-    edges (or links) as a row sorted by ``(dim, value)``, keyed for
-    ``stride`` and mapped through ``slot_of`` — or None when a label is
-    not an int code below the stride (``2**63`` for a root-only base).
-    Raises ``TypeError`` when a dimension mixes label types that do not
-    sort and ``LookupError`` when a neighbor has no slot (``-1``)."""
-    limit = stride or 2 ** 63
+    edges (or links) as a row of ``dim * stride + value`` keys in sorted
+    order, mapped through ``slot_of`` — or None when a label is not an
+    int code below the stride.  Raises ``TypeError`` when a dimension
+    mixes label types that do not sort and ``LookupError`` when a
+    neighbor has no slot (``-1``)."""
     keys: list = []
     slots: list = []
     for dim in sorted(by_dim):
         by_value = by_dim[dim]
         values = sorted(by_value)
         if (not all(type(value) is int for value in values)
-                or values[0] < 0 or values[-1] >= limit):
+                or values[0] < 0 or values[-1] >= stride):
             return None
-        keys += ([dim * stride + value for value in values] if stride
-                 else [(dim, value) for value in values])
+        keys += [dim * stride + value for value in values]
         slots += map(slot_of.__getitem__, map(by_value.__getitem__, values))
     if -1 in slots:
         raise LookupError("a neighbor has no slot")
@@ -309,10 +306,11 @@ def _columns(tree: QCTree):
     value)``) as one sort of the root paths, and the edge rows as every
     non-root node under its parent.  The link dicts are read in one
     Python pass, and each class's value through ``aggregate.value``.
-    The stride keeps 2× headroom past the largest code, so
-    :meth:`FrozenQCTree.patch` can splice in freshly minted dictionary
-    codes without re-keying (:func:`repro.shard.pack.pack_snapshot_bytes`
-    re-strides to the tightest fit).
+    The stride keeps 2× headroom past the largest code (2 on a root-only
+    tree, which has none), so :meth:`FrozenQCTree.patch` can splice in
+    freshly minted dictionary codes without re-keying
+    (:func:`repro.shard.pack.pack_snapshot_bytes` re-strides to the
+    tightest fit).
     """
     n_dims, root = tree.n_dims, tree.root
     dim = np.array(tree.node_dim, dtype=np.int64)
@@ -334,7 +332,7 @@ def _columns(tree: QCTree):
             link_dst += by_value.values()
     link_val = _codes(link_val)
     top = max(int(value[kids].max(initial=-1)), int(link_val.max(initial=-1)))
-    stride = 2 * (top + 1) if top >= 0 else 0
+    stride = 2 * (max(top, 0) + 1)
 
     # Upper bounds (ALL as -1) from the parent pointers.
     ids = np.concatenate(([root], kids))
@@ -648,11 +646,11 @@ class FrozenQCTree:
                 for column in (self._last_dim, self._forced))
             columns.update(_last_dim=last_dim, _forced=forced)
         try:
-            for over, rows, attr in ((edge_over, edged, "children"),
-                                     (link_over, linked, "links")):
+            for over, rows, by_node in ((edge_over, edged, tree.children),
+                                        (link_over, linked, tree.links)):
                 for d, slot in rows:
-                    row = over[slot] = _overlay_row(
-                        getattr(tree, attr)[d], slot_of, stride)
+                    row = over[slot] = _overlay_row(by_node[d], slot_of,
+                                                    stride)
                     if row is None:
                         return full("full", "stride-overflow")
         except TypeError:
@@ -806,7 +804,7 @@ class FrozenQCTree:
         keys, targets, lo, hi = self._row(node, links)
         stride = self._stride
         for i in range(lo, hi):
-            dim, value = divmod(keys[i], stride) if stride else keys[i]
+            dim, value = divmod(keys[i], stride)
             yield dim, value, targets[i]
 
     def iter_children_of(self, node: int) -> Iterator[tuple]:
@@ -827,10 +825,7 @@ class FrozenQCTree:
         if key is _ABSENT:
             return None
         keys, targets, lo, hi = self._row(node, links)
-        try:
-            i = bisect_left(keys, key, lo, hi)
-        except TypeError:
-            return None  # value type never present in this dimension
+        i = bisect_left(keys, key, lo, hi)
         if i < hi and keys[i] == key:
             return targets[i]
         return None
@@ -852,10 +847,10 @@ class FrozenQCTree:
         """Mapping ``value -> child`` of ``node``'s tree children in ``dim``."""
         keys, children, lo, hi = self._row(node)
         stride = self._stride
-        first = bisect_left(keys, dim * stride if stride else (dim,), lo, hi)
+        first = bisect_left(keys, dim * stride, lo, hi)
         out = {}
         for i in range(first, hi):
-            d, value = divmod(keys[i], stride) if stride else keys[i]
+            d, value = divmod(keys[i], stride)
             if d != dim:
                 break
             out[value] = children[i]
@@ -889,14 +884,12 @@ class FrozenQCTree:
             for node in self.iter_class_nodes()
         }
 
-    # -- Algorithm 3 fast paths ----------------------------------------------
+    # -- Algorithm 3 -----------------------------------------------------------
 
-    def _search_route(self, node: int, dim: int, value,
-                      counter=None) -> Optional[int]:
-        """``search_route`` over the arrays; answers and counts exactly
-        like :func:`repro.core.point_query.search_route`.
-        :func:`repro.core.range_query.range_classes` binds this per query.
-        """
+    def search_route(self, node: int, dim: int, value,
+                     counter=None) -> Optional[int]:
+        """One ``searchroute`` step over the arrays; answers and counts
+        exactly like :func:`repro.core.point_query.search_route`."""
         routes = self._routes
         forced = self._forced
         last_dim = self._last_dim
@@ -919,7 +912,7 @@ class FrozenQCTree:
             if counter is not None:
                 counter[0] += 1
 
-    def _descend_to_class(self, node: int, counter=None) -> Optional[int]:
+    def descend_to_class(self, node: int, counter=None) -> Optional[int]:
         """``descend_to_class`` via the precomputed forced-child array."""
         kind = self._class_kind
         forced = self._forced
@@ -931,9 +924,11 @@ class FrozenQCTree:
                 counter[0] += 1
         return node
 
-    def _locate(self, cell: Cell, counter=None) -> Optional[int]:
+    def locate(self, cell: Cell, counter=None) -> Optional[int]:
         """Algorithm 3 over the arrays; semantics and node-access counts
-        identical to :func:`repro.core.point_query.locate_generic`.
+        identical to :func:`repro.core.point_query.locate_generic`.  One
+        loop, :func:`_route_key`, :meth:`search_route` and
+        :meth:`descend_to_class` inlined: every point query takes it.
         """
         routes = self._routes
         stride = self._stride
@@ -946,7 +941,10 @@ class FrozenQCTree:
         for dim, value in enumerate(cell):
             if value is ALL:
                 continue
-            key = _route_key(stride, dim, value)
+            try:  # _route_key, inlined
+                key = dim * stride + value if 0 <= value < stride else _ABSENT
+            except TypeError:
+                key = _ABSENT
             while True:
                 route = routes[node]
                 if route is None:
@@ -982,64 +980,6 @@ class FrozenQCTree:
             if cv is not ALL and cv != uv:
                 return None
         return node
-
-    def _point_query(self, cell: Cell):
-        """Aggregate value of ``cell`` or None — the tightest serving path.
-
-        Same walk as :meth:`_locate` with the access counter, the node
-        id, and every method call a warm node does not need stripped out;
-        :func:`repro.core.point_query.point_query` dispatches here.
-        """
-        if len(cell) != self.n_dims:
-            raise QueryError(
-                f"query cell {cell!r} has {len(cell)} positions, tree has "
-                f"{self.n_dims} dimensions"
-            )
-        routes = self._routes
-        stride = self._stride
-        forced = self._forced
-        last_dim = self._last_dim
-        kind = self._class_kind
-        node = 0
-        for dim, value in enumerate(cell):
-            if value is ALL:
-                continue
-            if stride:
-                try:
-                    key = (
-                        dim * stride + value
-                        if 0 <= value < stride else _ABSENT
-                    )
-                except TypeError:
-                    key = _ABSENT
-            else:
-                key = (dim, value)
-            while True:
-                route = routes[node]
-                if route is None:
-                    route = self._route_of(node)
-                nxt = route.get(key)
-                if nxt is not None:
-                    node = nxt
-                    break
-                last = last_dim[node]
-                if last < 0 or last >= dim:
-                    return None
-                node = forced[node]
-                if node < 0:
-                    return None
-        while not kind[node]:
-            node = forced[node]
-            if node < 0:
-                return None
-        ub = self._ubs[node]
-        if ub is None:
-            ub = self.upper_bound_of(node)
-        for cv, uv in zip(cell, ub):
-            if cv is not ALL and cv != uv:
-                return None
-        value = self._value[node]
-        return self.value_at(node) if value is _UNSET else value
 
     def _batch_routes(self):
         """Every edge and link as a sorted key ``(node * n_dims + dim) *

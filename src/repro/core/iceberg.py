@@ -19,7 +19,14 @@ two strategies, both implemented here:
     and their ancestors; because drill-down links can enter a class's path
     from outside its ancestor chain, we retain the exact backward-reachable
     set over tree edges and links instead — a superset that preserves
-    completeness at the same asymptotic cost.)
+    completeness at the same asymptotic cost.)  The restriction is one
+    membership test after each of the tree's own ``search_route`` steps
+    inside Algorithm 4's :func:`~repro.core.range_query.expand_range`:
+    the retained set is closed backwards over edges and links, so a
+    route that passes a node outside it cannot end inside it.
+
+An unknown operator is refused up front (:func:`check_op`), whether or
+not the range holds anything.
 """
 
 from __future__ import annotations
@@ -27,16 +34,23 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Callable, Optional
 
-from repro.core.cells import generalizes
-from repro.core.point_query import descend_to_class
+from repro.core.cells import dict_sort_key, generalizes
 from repro.core.qctree import QCTree
-from repro.core.range_query import RangeQuery, expand_range
+from repro.core.range_query import RangeQuery, expand_range, range_query
 from repro.errors import QueryError
 
 _OPS = {
     ">=": (bisect_left, True), ">": (bisect_right, True),
     "<=": (bisect_right, False), "<": (bisect_left, False),
 }
+
+
+def check_op(op: str) -> None:
+    """Raise :class:`QueryError` unless ``op`` is an iceberg operator."""
+    if op not in _OPS:
+        raise QueryError(
+            f"unknown iceberg operator {op!r}; use one of {sorted(_OPS)}"
+        )
 
 
 class MeasureIndex:
@@ -77,8 +91,7 @@ class MeasureIndex:
     def nodes_satisfying(self, threshold, op: str = ">=") -> list:
         """Class node ids whose indexed key satisfies ``key op threshold``,
         in ascending key order."""
-        if op not in _OPS:
-            raise QueryError(f"unknown iceberg operator {op!r}; use one of {sorted(_OPS)}")
+        check_op(op)
         if threshold != threshold:
             # No key compares true with NaN; bisect would still cut.
             return []
@@ -103,8 +116,6 @@ def pure_iceberg(
     """
     if index is None:
         index = MeasureIndex(tree, key=key)
-    from repro.core.cells import dict_sort_key
-
     out = [
         (tree.upper_bound_of(node), tree.value_at(node))
         for node in index.nodes_satisfying(threshold, op)
@@ -131,9 +142,8 @@ def constrained_iceberg(
     Ablation A2 (``benchmarks/bench_ablation_iceberg_strategies.py``)
     measures both.
     """
+    check_op(op)
     if strategy == "filter":
-        from repro.core.range_query import range_query
-
         keyfn = key if key is not None else (lambda value: value)
         results = range_query(tree, spec)
         return {
@@ -192,31 +202,20 @@ def _marked_range_query(tree, spec, threshold, op, index, key) -> dict:
     useful = _useful_nodes(tree, satisfying)
     query = spec if isinstance(spec, RangeQuery) else RangeQuery(spec, tree.n_dims)
     results: dict = {}
+    search_route = tree.search_route
 
-    def route(node, dim, value):
-        """search_route, pruned where it steps off the useful nodes (the
-        route itself is never bent: past a useless node the cell's own
-        class cannot satisfy, and any other class is a wrong answer)."""
-        while True:
-            nxt = tree.child(node, dim, value)
-            if nxt is None:
-                nxt = tree.link_target(node, dim, value)
-            if nxt is not None:
-                return nxt if nxt in useful else None
-            last = tree.last_child_dim(node)
-            if last is None or last >= dim:
-                return None
-            kids = tree.children_in_dim(node, last)
-            if len(kids) != 1:
-                return None
-            node = next(iter(kids.values()))
-            if node not in useful:
-                return None
+    def step(node, dim, value):
+        """``search_route``, pruned where it ends off the useful nodes
+        (the route itself is never bent: past a useless node the cell's
+        own class cannot satisfy, and any other class is a wrong
+        answer)."""
+        nxt = search_route(node, dim, value)
+        return nxt if nxt in useful else None
 
     if tree.root not in useful:
         return results
-    for cell, node in expand_range(query, tree.root, route):
-        final = descend_to_class(tree, node)
+    for cell, node in expand_range(query, tree.root, step):
+        final = tree.descend_to_class(node)
         if (final is not None and final in satisfying
                 and generalizes(cell, tree.upper_bound_of(final))):
             value = tree.value_at(final)

@@ -32,19 +32,20 @@ number of distinct positions on its root-to-class walk.  The helpers
 :func:`search_route` and :func:`descend_to_class` count only the nodes
 they move to; counting the starting node is the caller's job.
 
-The functions here run against either tree representation: the mutable
-dict-backed :class:`~repro.core.qctree.QCTree` or the immutable
-array-backed :class:`~repro.core.frozen.FrozenQCTree` (its
-``QCTREE/3`` sections, compiled in-process or attached), which share the
-traversal protocol (``child`` / ``link_target`` / ``last_child_dim`` /
-``children_in_dim`` / ``state`` / ``upper_bound_of``).
-:func:`search_route`, :func:`descend_to_class` and
-:func:`locate_generic` are Algorithm 3 over that protocol and nothing
-else — the *reference* the array tree's ``_search_route`` /
-``_descend_to_class`` / ``_locate`` / ``_point_query`` fast paths are
-held to, answer for answer and node access for node access, by the
-parity tests.  :func:`locate` and :func:`point_query` dispatch to the
-fast path when the representation has one.
+Every tree answers Algorithm 3 itself, through the same three methods:
+``locate(cell, counter)``, ``search_route(node, dim, value, counter)``
+and ``descend_to_class(node, counter)``.  :func:`search_route`,
+:func:`descend_to_class` and :func:`locate_generic` here are Algorithm 3
+over the shared traversal protocol (``child`` / ``link_target`` /
+``last_child_dim`` / ``children_in_dim`` / ``state`` /
+``upper_bound_of``) and nothing else.  The mutable
+:class:`~repro.core.qctree.QCTree` borrows them as its methods; the
+array-backed :class:`~repro.core.frozen.FrozenQCTree` has its own walks
+over its ``QCTREE/3`` sections, held to this *reference* answer for
+answer and node access for node access by the parity tests (which call
+``locate_generic(frozen, …)`` to run the reference on the arrays).
+:func:`locate` and :func:`point_query` check the cell's arity and call
+``tree.locate``.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.cells import ALL, Cell, generalizes
-from repro.core.qctree import QCTree
 from repro.errors import QueryError, SchemaError
 
 
-def search_route(tree: QCTree, node: int, dim: int, value,
+def search_route(tree, node: int, dim: int, value,
                  counter=None) -> Optional[int]:
     """One ``searchroute`` step: reach a node labeled ``(dim, value)``.
 
@@ -89,7 +89,7 @@ def search_route(tree: QCTree, node: int, dim: int, value,
             counter[0] += 1
 
 
-def descend_to_class(tree: QCTree, node: int, counter=None) -> Optional[int]:
+def descend_to_class(tree, node: int, counter=None) -> Optional[int]:
     """Follow forced dimensions until a class (aggregate-bearing) node.
 
     Used after all query values are matched: the remaining dimensions of
@@ -110,34 +110,35 @@ def descend_to_class(tree: QCTree, node: int, counter=None) -> Optional[int]:
     return node
 
 
+def _wrong_arity(tree, cell) -> QueryError:
+    return QueryError(
+        f"query cell {cell!r} has {len(cell)} positions, tree has "
+        f"{tree.n_dims} dimensions"
+    )
+
+
 def locate(tree, cell: Cell, counter=None) -> Optional[int]:
     """Return the class node answering point query ``cell``, or None.
 
     The returned node's upper bound is the closure of ``cell``; None means
     the cell has an empty cover set.  ``counter`` (optional one-element
     list) accumulates node accesses per the module convention (the start
-    node counts, so an all-``*`` query on a class root reports 1).
-
-    Dispatches to the tree's optimized ``_locate`` when the representation
-    provides one (the array tree does, on every storage); both paths
-    answer and count identically.
+    node counts, so an all-``*`` query on a class root reports 1).  A
+    cell of the wrong arity raises :class:`QueryError`; the walk is the
+    tree's own ``locate``.
     """
     if len(cell) != tree.n_dims:
-        raise QueryError(
-            f"query cell {cell!r} has {len(cell)} positions, tree has "
-            f"{tree.n_dims} dimensions"
-        )
-    fast = getattr(tree, "_locate", None)
-    if fast is not None:
-        return fast(cell, counter)
-    return locate_generic(tree, cell, counter)
+        raise _wrong_arity(tree, cell)
+    return tree.locate(cell, counter)
 
 
 def locate_generic(tree, cell: Cell, counter=None) -> Optional[int]:
-    """:func:`locate` over the shared traversal protocol only.
+    """Algorithm 3 over the shared traversal protocol only.
 
-    Works on any representation and never takes a representation-specific
-    fast path; the parity tests run it against every representation.
+    :meth:`QCTree.locate <repro.core.qctree.QCTree.locate>` is this
+    function; called on any other representation it runs the reference
+    walk there, which is how the parity tests hold the array tree's own
+    ``locate`` to it.
     """
     node = tree.root
     if counter is not None:
@@ -157,20 +158,15 @@ def locate_generic(tree, cell: Cell, counter=None) -> Optional[int]:
 
 
 def point_query(tree, cell: Cell):
-    """Answer a point query: the aggregate value of ``cell`` or None.
-
-    Dispatches to the representation's ``_point_query`` fast path when it
-    has one (the array tree does); otherwise routes through
-    :func:`locate`.  Both give the same answers.
-    """
-    fast = getattr(tree, "_point_query", None)
-    if fast is not None:
-        return fast(cell)
-    node = locate(tree, cell)
+    """Answer a point query: the aggregate value of ``cell`` or None —
+    :func:`locate` (inlined: every read takes it) plus a value read."""
+    if len(cell) != tree.n_dims:
+        raise _wrong_arity(tree, cell)
+    node = tree.locate(cell)
     return None if node is None else tree.value_at(node)
 
 
-def point_query_raw(tree: QCTree, table, raw_cell):
+def point_query_raw(tree, table, raw_cell):
     """Point query with user-facing labels, e.g. ``("S1", "*", "s")``.
 
     Labels are encoded through ``table``'s dictionaries; a label absent
@@ -179,10 +175,7 @@ def point_query_raw(tree: QCTree, table, raw_cell):
     bug and raises :class:`QueryError`.
     """
     if len(raw_cell) != tree.n_dims:
-        raise QueryError(
-            f"query cell {raw_cell!r} has {len(raw_cell)} positions, tree "
-            f"has {tree.n_dims} dimensions"
-        )
+        raise _wrong_arity(tree, raw_cell)
     try:
         cell = table.encode_cell(raw_cell)
     except SchemaError:

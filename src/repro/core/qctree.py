@@ -24,6 +24,11 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.core.cells import ALL, Cell, format_cell
+from repro.core.point_query import (
+    descend_to_class,
+    locate_generic,
+    search_route,
+)
 from repro.cube.aggregates import AggregateFunction, values_close
 from repro.errors import QueryError
 
@@ -501,6 +506,14 @@ class QCTree:
             self.upper_bound_of(node): self.value_at(node)
             for node in self.iter_class_nodes()
         }
+
+    # -- Algorithm 3 -----------------------------------------------------------
+
+    # The protocol reference of :mod:`repro.core.point_query`, which the
+    # array tree's own walks are held to.
+    locate = locate_generic
+    search_route = search_route
+    descend_to_class = descend_to_class
 
     # -- comparison & display --------------------------------------------------
 

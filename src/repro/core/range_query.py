@@ -12,21 +12,22 @@ cannot be routed any further, the whole sub-space of completions is pruned
 (the paper's Example 6).
 
 That traversal exists once, :func:`expand_range`, parameterized by the
-routing step: :func:`range_classes` runs it with ``search_route`` (the
-array tree's ``_search_route`` when the representation has one) and
+routing step.  :func:`range_classes` runs it with the tree's own
+``search_route`` and finishes each cell with its ``descend_to_class``
+(every tree has both: the dict tree borrows the protocol reference of
+:mod:`repro.core.point_query`, the array tree walks its sections), and
 returns ``{point cell: class node}``, of which :func:`range_query`
-(values), the segment scatter-gather (mergeable states) and the
-constrained-iceberg *mark* plan (a step restricted to useful nodes) are
-thin consumers.  Likewise the raw-label → code loop of every raw range
-entry point is the one :func:`encode_range`.
+(values) and the segment scatter-gather (mergeable states) are thin
+consumers.  The constrained-iceberg *mark* plan runs
+:func:`expand_range` too, with ``tree.search_route`` pruned to the nodes
+that can reach a satisfying class.  Likewise the raw-label → code loop
+of every raw range entry point is the one :func:`encode_range`.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.core.cells import ALL, generalizes
-from repro.core.point_query import descend_to_class, point_query, search_route
+from repro.core.point_query import point_query
 from repro.core.qctree import QCTree
 from repro.errors import QueryError, SchemaError
 
@@ -121,17 +122,9 @@ def range_classes(tree, spec) -> dict:
     ``spec`` is anything :class:`RangeQuery` accepts.
     """
     query = spec if isinstance(spec, RangeQuery) else RangeQuery(spec, tree.n_dims)
-    # Bind the representation's traversal fast paths once per query; the
-    # array tree provides them, the dict-backed tree takes the generic
-    # protocol route.  Answers are identical either way.
-    step = getattr(tree, "_search_route", None)
-    if step is not None:
-        descend = tree._descend_to_class
-    else:
-        step = partial(search_route, tree)
-        descend = partial(descend_to_class, tree)
+    descend = tree.descend_to_class
     found: dict = {}
-    for cell, node in expand_range(query, tree.root, step):
+    for cell, node in expand_range(query, tree.root, tree.search_route):
         node = descend(node)
         if node is not None and generalizes(cell, tree.upper_bound_of(node)):
             found[cell] = node

@@ -49,7 +49,12 @@ import threading
 from typing import Optional
 
 from repro.core import explore
-from repro.core.iceberg import MeasureIndex, constrained_iceberg, pure_iceberg
+from repro.core.iceberg import (
+    MeasureIndex,
+    check_op,
+    constrained_iceberg,
+    pure_iceberg,
+)
 from repro.core.point_query import point_query_raw
 from repro.core.qctree import QCTree
 from repro.core.range_query import encode_range, range_query_raw
@@ -143,10 +148,13 @@ class ServingSnapshot:
 
         The paper's two plans (``"filter"`` / ``"mark"``) are
         answer-equivalent; over several pieces either one filters the
-        gathered range answer.
+        gathered range answer.  An unknown ``strategy`` or ``op`` is
+        refused before the range is looked at, so an empty range refuses
+        it too.
         """
         if strategy not in ("filter", "mark"):
             raise QueryError(f"unknown iceberg strategy {strategy!r}")
+        check_op(op)
         if not self._single:
             return scatter.scatter_iceberg_in_range(
                 self.pieces, self.aggregate, raw_spec, threshold, op=op,

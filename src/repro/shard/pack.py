@@ -47,7 +47,6 @@ from repro.core.frozen import (
     _MAX_EXACT_INT,
     BUFFER_SECTIONS,
     FrozenQCTree,
-    check_label,
     lemma2_columns,
     template_leaves,
 )
@@ -135,21 +134,10 @@ def _compact_rows(start, keys, targets, over, live, remap, stride, what):
     np.cumsum(count, out=new_start[1:])
     pick = np.repeat(begin - new_start[:-1], count) + np.arange(new_start[-1])
 
-    if stride:
-        packed = np.concatenate([
-            np.asarray(keys, dtype=np.int64),
-            np.asarray(over_keys, dtype=np.int64),
-        ])[pick]
-        dims, values = np.divmod(packed, stride)
-    else:
-        # Exotic (dim, value) tuple keys: the labels are not known to
-        # be dictionary codes, so each one is checked.
-        pairs = list(keys) + over_keys
-        pairs = [pairs[i] for i in pick.tolist()]
-        for _dim, value in pairs:
-            check_label(value)
-        dims, values = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-
+    dims, values = np.divmod(np.concatenate([
+        np.asarray(keys, dtype=np.int64),
+        np.asarray(over_keys, dtype=np.int64),
+    ])[pick], stride)
     hops = np.concatenate([
         np.asarray(targets, dtype=np.int64),
         np.asarray(over_targets, dtype=np.int64),
@@ -283,7 +271,7 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
         "stamp": [int(lsn), int(epoch)],
         "snapshot_meta": dict(
             snapshot_meta if snapshot_meta is not None
-            else getattr(tree, "snapshot_meta", {}) or {}
+            else tree.snapshot_meta
         ),
         "table": table_meta,
         "sections": sections,

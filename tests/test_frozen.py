@@ -21,7 +21,13 @@ from repro.core.construct import build_qctree
 from repro.core.frozen import _UNSET, FrozenQCTree
 from repro.core.iceberg import MeasureIndex, constrained_iceberg, pure_iceberg
 from repro.core.maintenance import apply_deletions, apply_insertions
-from repro.core.point_query import locate, locate_generic, point_query
+from repro.core.point_query import (
+    descend_to_class,
+    locate,
+    locate_generic,
+    point_query,
+    search_route,
+)
 from repro.core.qctree import tree_signature
 from repro.core.range_query import range_query
 from repro.errors import QueryError
@@ -84,7 +90,7 @@ class TestPointParity:
     @pytest.mark.parametrize("seed", range(25))
     def test_every_cell_and_every_count(self, seed):
         """Answers AND node-access counts agree across the four walks:
-        {dict, frozen} x {generic protocol, representation fast path}."""
+        {dict, frozen} x {protocol reference, the tree's own walk}."""
         table, tree, frozen = _tree_pair(seed)
         for cell in all_cells(table):
             counters = [[0] for _ in range(4)]
@@ -276,21 +282,21 @@ class TestEveryStorage:
     @pytest.mark.parametrize("seed", range(6))
     def test_locate_answers_and_counts_equal_generic_on_dict_tree(
             self, kind, seed, tmp_path):
-        """The array fast path answers — and costs, in the paper's
+        """The array tree's own walk answers — and costs, in the paper's
         node-access count — exactly what Algorithm 3 over the traversal
         protocol does on the source dict tree."""
         with open_storage(kind, seed, tmp_path) as (table, tree, array):
             for cell in all_cells(table):
                 want, got = [0], [0]
                 want_node = locate_generic(tree, cell, counter=want)
-                got_node = array._locate(cell, counter=got)
+                got_node = array.locate(cell, counter=got)
                 assert got == want, cell
                 assert (got_node is None) == (want_node is None), cell
                 if got_node is not None:
                     assert array.upper_bound_of(got_node) == \
                         tree.upper_bound_of(want_node)
                 assert approx_equal(
-                    array._point_query(cell), point_query(tree, cell)
+                    point_query(array, cell), point_query(tree, cell)
                 )
                 generic = [0]
                 locate_generic(array, cell, counter=generic)
@@ -345,27 +351,76 @@ class TestEveryStorage:
 
     def test_one_set_of_functions(self, kind, tmp_path):
         """Every storage is the same class, so the protocol and the
-        fast paths resolve to the same function objects as on a fresh
-        heap tree."""
+        Algorithm-3 walks resolve to the same function objects as on a
+        fresh compile; the dict tree's walks are the protocol
+        reference itself."""
         with open_storage(kind, 1, tmp_path) as (_, tree, array):
-            heap = tree.freeze()
-            assert type(array) is type(heap) is FrozenQCTree
+            fresh = tree.freeze()
+            assert type(array) is type(fresh) is FrozenQCTree
             for name in (
-                "_search_route", "_descend_to_class", "_locate",
-                "_point_query", "child", "link_target", "children_in_dim",
+                "search_route", "descend_to_class", "locate",
+                "child", "link_target", "children_in_dim",
                 "iter_children_of", "iter_links_of", "signature",
                 "equivalent_to", "stats",
             ):
                 assert getattr(array, name).__func__ is \
-                    getattr(heap, name).__func__, name
+                    getattr(fresh, name).__func__, name
+            for name, reference in (
+                ("search_route", search_route),
+                ("descend_to_class", descend_to_class),
+                ("locate", locate_generic),
+            ):
+                assert getattr(tree, name).__func__ is reference, name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constrained_iceberg_mark_equals_filter(
+            self, kind, seed, tmp_path):
+        """The mark plan (Algorithm 4 with the tree's own
+        ``search_route`` pruned to the useful nodes) answers what the
+        filter plan does, and what it does on the dict tree."""
+        with open_storage(kind, seed + 70, tmp_path) as (table, tree, array):
+            rng = random.Random(seed)
+            values = sorted(range_query(tree, (ALL,) * table.n_dims)
+                            .values())
+            for _ in range(4):
+                spec = [
+                    ALL if rng.random() < 0.3 else sorted(rng.sample(
+                        range(table.cardinality(j)),
+                        rng.randint(1, table.cardinality(j)),
+                    ))
+                    for j in range(table.n_dims)
+                ]
+                threshold = rng.choice(values)
+                for op in (">=", ">", "<=", "<"):
+                    want = constrained_iceberg(tree, spec, threshold, op,
+                                               strategy="filter")
+                    for strategy in ("filter", "mark"):
+                        assert constrained_iceberg(
+                            array, spec, threshold, op, strategy=strategy,
+                        ) == want, (spec, threshold, op, strategy)
 
 
 def test_fast_paths_are_defined_once_in_the_source_tree():
+    """Each Algorithm-3 walk is defined once on ``FrozenQCTree`` and once
+    as the protocol reference the dict tree borrows, and no caller looks
+    a walk up by name."""
     src = pathlib.Path(repro.__file__).parent
-    text = "\n".join(p.read_text() for p in src.rglob("*.py"))
-    for name in ("_search_route", "_descend_to_class", "_locate",
-                 "_point_query"):
-        assert len(re.findall(rf"def {name}\(", text)) == 1, name
+    texts = {p.relative_to(src).as_posix(): p.read_text()
+             for p in src.rglob("*.py")}
+    for name, reference in (("search_route", "search_route"),
+                            ("descend_to_class", "descend_to_class"),
+                            ("locate", "locate_generic")):
+        methods = [path for path, text in texts.items()
+                   for _ in re.findall(rf"\n    def {name}\(self,", text)]
+        functions = [path for path, text in texts.items()
+                     for _ in re.findall(rf"\ndef {reference}\(tree,", text)]
+        assert methods == ["core/frozen.py"], (name, methods)
+        assert functions == ["core/point_query.py"], (name, functions)
+    for path, text in texts.items():
+        assert not re.search(
+            r"def _(search_route|descend_to_class|locate|point_query)\(",
+            text), path
+        assert not re.search(r"getattr\(tree,\s*[\"']_", text), path
 
 
 @pytest.mark.parametrize("kind", ("fresh", "bytes", "mmap"))
@@ -379,6 +434,6 @@ def test_attach_decodes_nothing_per_node(kind, tmp_path):
         assert all(value is _UNSET for value in array._value)
         assert all(state is _UNSET for state in array.state._cache)
         counter = [0]
-        array._locate((ALL,) * table.n_dims, counter=counter)
+        array.locate((ALL,) * table.n_dims, counter=counter)
         built = sum(route is not None for route in array._routes)
         assert built <= counter[0] < array.n_nodes

@@ -155,6 +155,28 @@ class TestConstrainedIceberg:
         decoded = {sales_table.decode_cell(c): v for c, v in got.items()}
         assert decoded == {("*", "P1", "*"): 7.5}
 
+    @pytest.mark.parametrize("strategy", ["filter", "mark"])
+    def test_unknown_operator_rejected_on_any_range(self, strategy):
+        """An unknown operator is refused whether or not the range holds
+        anything, on one piece and on several, and no empty answer is
+        cached for it."""
+        schema = Schema(dimensions=("A", "B"), measures=("m",))
+        records = [("a", "b", 1.0), ("a", "c", 2.0), ("d", "b", 3.0)]
+        mono = QCWarehouse.from_records(records, schema, ("sum", "m"))
+        seg = _two_pieces(records, schema)
+        table = BaseTable.from_records(records, schema)
+        tree = build_qctree(table, ("sum", "m"))
+        for spec in ((["a"], "*"), (["zz"], "*")):
+            for wh in (mono, seg):
+                for _ in range(2):
+                    with pytest.raises(QueryError, match="operator '!!'"):
+                        wh.iceberg_in_range(spec, 1, op="!!",
+                                            strategy=strategy)
+        for codes in (([0], ALL), ([table.cardinality(0) + 5], ALL)):
+            with pytest.raises(QueryError, match="operator '!!'"):
+                constrained_iceberg(tree, codes, 1, op="!!",
+                                    strategy=strategy)
+
 
 def _two_pieces(records, schema) -> SegmentedWarehouse:
     """``sum(m)`` over ``records`` held in two populated pieces, one

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.construct import build_qctree
 from repro.core.maintenance import apply_deletions, apply_insertions
+from repro.core.point_query import point_query
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
@@ -31,7 +32,12 @@ from repro.errors import SerializationError
 from repro.shard import ShardServer, created_segments
 from repro.shard.pack import attach_packed, pack_snapshot_bytes
 from tests import model
-from tests.conftest import make_random_table, patch_with, refreeze_ratios
+from tests.conftest import (
+    all_cells,
+    make_random_table,
+    patch_with,
+    refreeze_ratios,
+)
 from tests.reference_pack import reference_pack
 from tests.test_frozen_patch import _mutate_once
 
@@ -175,7 +181,9 @@ class TestEdgeCases:
         wh.delete([table.decode_cell(row) + tuple(measure)
                    for row, measure in zip(table.rows, table.measures)])
         snap = wh.snapshot_view()
-        assert snap.tree.n_nodes == 1 and snap.tree._stride == 0
+        assert snap.tree.n_nodes == 1 and snap.tree._stride > 0
+        for cell in [*all_cells(snap.table), (0, 5), ("x", 1.0)]:
+            assert point_query(snap.tree, cell) is None
         blob = pack_snapshot_bytes(snap.tree, snap.table)
         assert blob == reference_pack(snap.tree, snap.table)
         attached = attach_packed(blob, verify=True)
@@ -204,21 +212,21 @@ class TestEdgeCases:
         assert created_segments() == []
 
     def test_patch_on_a_root_only_base_keeps_tuple_keys_packable(self):
-        """A view frozen while root-only has ``_stride == 0``; patched
-        (not recompiled) it carries valid int labels as ``(dim, value)``
-        tuple keys — exotic, but the oracle packs it, so must we."""
+        """A view frozen while root-only still has a positive stride, so
+        patched (not recompiled) it carries its new labels as int keys,
+        and packs to the oracle's bytes."""
         table = make_random_table(2, n_dims=2, cardinality=2, n_rows=1)
         tree = build_qctree(table, ("sum", "m"))
         victim = table.decode_cell(table.rows[0]) + tuple(table.measures[0])
         table = apply_deletions(tree, table, [victim])
         frozen = tree.freeze()
-        assert frozen._stride == 0
+        assert frozen.n_nodes == 1 and frozen._stride > 0
         tree.begin_delta()
         table = apply_insertions(tree, table, [(1, 0, 2.0), (0, 1, 3.0)])
         frozen = patch_with(frozen, tree.end_delta(), full=1e9,
                             compact=1e9)
         assert frozen.patch_stats["mode"] == "patched"
-        assert frozen._stride == 0 and frozen.n_nodes > 1
+        assert frozen._stride > 0 and frozen.n_nodes > 1
         _assert_same_bytes(tree, frozen, table)
 
     def test_exotic_labels_are_rejected(self):

@@ -18,7 +18,7 @@ import pytest
 from repro.core.cells import ALL
 from repro.core.construct import build_qctree
 from repro.core.frozen import FrozenQCTree
-from repro.core.point_query import point_query_raw
+from repro.core.point_query import point_query, point_query_raw
 from repro.core.qctree import QCTree
 from repro.core.warehouse import QCWarehouse
 from repro.errors import QueryError, SerializationError
@@ -48,7 +48,7 @@ def assert_trees_equivalent(packed, frozen, table):
     assert packed.signature() == frozen.signature()
     for cell in all_cells(table):
         assert approx_equal(
-            packed._point_query(cell), frozen._point_query(cell)
+            point_query(packed, cell), point_query(frozen, cell)
         ), cell
 
 
@@ -122,7 +122,7 @@ class TestPackAttachParity:
             pack_snapshot_bytes(snapshot.tree, snapshot.table)
         )
         att = attach_packed(payload)
-        att.tree._point_query((ALL,) * snapshot.table.n_dims)
+        point_query(att.tree, (ALL,) * snapshot.table.n_dims)
         att.release()
         del att
         # A writable source buffer can only be resized once every
@@ -225,8 +225,8 @@ class TestV3Format:
                 try:
                     cell = (ALL,) * snapshot.table.n_dims
                     assert approx_equal(
-                        att.tree._point_query(cell),
-                        snapshot.tree._point_query(cell),
+                        point_query(att.tree, cell),
+                        point_query(snapshot.tree, cell),
                     )
                 finally:
                     att.release()

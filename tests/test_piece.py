@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.construct import build_qctree
 from repro.core.maintenance import maintain_batch
 from repro.core.piece import Piece
+from repro.core.point_query import point_query
 from repro.core.qctree import QCTree
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError
@@ -173,9 +174,9 @@ class TestOnDiskTwin:
             list(piece.table.iter_records())
         assert loaded.tree.equivalent_to(build_qctree(loaded.table, AGG))
         for cell in {r[:3] for r in piece.table.iter_records()}:
-            assert loaded.frozen_view()._point_query(
-                loaded.table.encode_cell(cell)) == \
-                piece.frozen_view()._point_query(piece.table.encode_cell(cell))
+            assert point_query(loaded.frozen_view(),
+                               loaded.table.encode_cell(cell)) == \
+                point_query(piece.frozen_view(), piece.table.encode_cell(cell))
 
     def _assert_rebuilt(self, piece, tmp_path):
         loaded = Piece.load(tmp_path / "p.csv", SCHEMA, AGG)

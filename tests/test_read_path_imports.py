@@ -16,6 +16,7 @@ import textwrap
 import pytest
 
 from repro.core.frozen import FrozenQCTree
+from repro.core.iceberg import constrained_iceberg, pure_iceberg
 from repro.serving.snapshot import ServingSnapshot
 from repro.shard import server, worker
 
@@ -28,10 +29,13 @@ HOT = {
     "point_query": point_query.point_query,
     "range_query_raw": range_query.range_query_raw,
     "range_query_naive": range_query.range_query_naive,
+    "range_classes": range_query.range_classes,
+    "pure_iceberg": pure_iceberg,
+    "constrained_iceberg": constrained_iceberg,
     "encode_range": range_query.encode_range,
     "ServingSnapshot.point": ServingSnapshot.point,
     "ServingSnapshot.range": ServingSnapshot.range,
-    "FrozenQCTree._point_query": FrozenQCTree._point_query,
+    "FrozenQCTree.locate": FrozenQCTree.locate,
     "FrozenQCTree._point_query_batch": FrozenQCTree._point_query_batch,
     "worker._answer_batch": worker._answer_batch,
     "worker._answer_chunk": worker._answer_chunk,
