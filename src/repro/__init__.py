@@ -12,8 +12,6 @@ from repro.core import (
     point_query, point_query_raw,
     RangeQuery, range_query, range_query_naive, range_query_raw,
     MeasureIndex, constrained_iceberg, pure_iceberg,
-    class_of, drill_into_class, intelligent_rollup,
-    lattice_drilldowns, lattice_rollups, rollup_exceptions,
 )
 from repro.core.maintenance import (
     apply_deletions, apply_insertions, batch_delete, batch_insert,
@@ -35,8 +33,6 @@ __all__ = [
     "point_query", "point_query_raw",
     "RangeQuery", "range_query", "range_query_naive", "range_query_raw",
     "MeasureIndex", "constrained_iceberg", "pure_iceberg",
-    "class_of", "drill_into_class", "intelligent_rollup",
-    "lattice_drilldowns", "lattice_rollups", "rollup_exceptions",
     "apply_deletions", "apply_insertions", "batch_delete", "batch_insert",
     "delete_one_by_one", "insert_one_by_one",
     "BaseTable", "Schema", "make_aggregate",

@@ -419,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     # olap_inproc); the rest are deployment and tuning values (pool and
     # queue sizes, deadlines, cache sizes, listen address, connection
     # caps, the seal threshold).  The read engine and the refreeze
-    # thresholds are not here: the code chooses those from what it
-    # observes (degraded or not; the dirty share of a batch).
+    # thresholds are not here: reads always come from the frozen view,
+    # and the refreeze mode follows the dirty share of a batch.
     p_serve.add_argument("--workers", type=_int_in(1), default=4,
                          help="reader worker threads (default 4)")
     p_serve.add_argument("--queue-size", type=_int_in(1), default=128,

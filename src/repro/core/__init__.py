@@ -10,10 +10,6 @@ from repro.core.range_query import (
     RangeQuery, range_query, range_query_naive, range_query_raw,
 )
 from repro.core.iceberg import MeasureIndex, constrained_iceberg, pure_iceberg
-from repro.core.explore import (
-    class_of, drill_into_class, intelligent_rollup, lattice_drilldowns,
-    lattice_rollups, rollup_exceptions,
-)
 from repro.core.warehouse import QCWarehouse
 
 __all__ = [
@@ -22,7 +18,5 @@ __all__ = [
     "point_query",
     "point_query_raw", "RangeQuery", "range_query", "range_query_naive",
     "range_query_raw", "MeasureIndex", "constrained_iceberg", "pure_iceberg",
-    "class_of", "drill_into_class", "intelligent_rollup",
-    "lattice_drilldowns", "lattice_rollups", "rollup_exceptions",
     "QCWarehouse",
 ]

@@ -27,16 +27,16 @@ and work entirely in that cube's cell space.  :class:`TreeCube` is one
 ``(tree, table)`` pair in dictionary-code space (it runs off the
 QC-tree, plus the base table only where member enumeration genuinely
 needs cover information); :class:`~repro.serving.scatter.UnionCube` is
-the union of several pieces in raw-label space.  The historical
-code-space functions (:func:`class_of` … :func:`drill_into_class`) are
-the ``TreeCube`` spelling of the same code.
+the union of several pieces in raw-label space.  The served API over
+them is :class:`~repro.serving.snapshot.ServingSnapshot` and the
+warehouse methods that delegate to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.core.cells import (
     ALL,
@@ -48,7 +48,6 @@ from repro.core.cells import (
     specialize,
 )
 from repro.core.point_query import locate
-from repro.core.qctree import QCTree
 from repro.cube.aggregates import values_close
 from repro.errors import QueryError
 
@@ -56,17 +55,14 @@ from repro.errors import QueryError
 class TreeCube:
     """One ``(tree, table)`` pair as a cube, in dictionary-code space.
 
-    Any traversal-protocol tree works (dict or array-backed).  Without a
-    ``table`` only the tree-only operations are exact: cells stay
-    encoded in error messages, and a class is approximated by its upper
-    bound alone (see :meth:`lower_bounds`).
+    Any traversal-protocol tree works (dict or array-backed).
     """
 
     __slots__ = ("tree", "table")
 
     sort_key = staticmethod(dict_sort_key)
 
-    def __init__(self, tree, table=None):
+    def __init__(self, tree, table):
         self.tree = tree
         self.table = table
 
@@ -74,7 +70,7 @@ class TreeCube:
         return self.table.encode_cell(raw_cell)
 
     def decode(self, cell: Cell) -> tuple:
-        return cell if self.table is None else self.table.decode_cell(cell)
+        return self.table.decode_cell(cell)
 
     def probe(self, cell: Cell):
         node = locate(self.tree, cell)
@@ -87,12 +83,6 @@ class TreeCube:
         return {rows[i][dim] for i in self.table.select(ub)}
 
     def lower_bounds(self, ub: Cell) -> list:
-        if self.table is None:
-            # No cover information: only the upper bound itself is known
-            # to be a member, so callers explore its generalizations
-            # alone — a cheaper approximation that can miss neighbours
-            # entered through other members.
-            return [ub]
         # Lazy: cube.quotient imports core.cells, whose package imports
         # this module.
         from repro.cube.quotient import class_lower_bounds
@@ -234,20 +224,6 @@ def _interval_union_members(lower_bounds, upper_bound) -> Iterator[Cell]:
                 )
 
 
-# -- the code-space spelling ---------------------------------------------------
-
-
-@dataclass
-class ClassView:
-    """A class surfaced by an exploration call."""
-
-    upper_bound: Cell
-    value: object
-
-    def __repr__(self):
-        return f"ClassView(ub={self.upper_bound}, value={self.value})"
-
-
 @dataclass
 class ClassStructure:
     """The opened-up view of one class (see :func:`cube_open_class`)."""
@@ -266,40 +242,3 @@ class ClassStructure:
         return generalizes(cell, self.upper_bound) and any(
             generalizes(lb, cell) for lb in self.lower_bounds
         )
-
-
-def _views(pairs) -> list:
-    return [ClassView(ub, value) for ub, value in pairs]
-
-
-def class_of(tree: QCTree, cell: Cell) -> Optional[ClassView]:
-    """The class containing ``cell``, or None if it is not in the cube."""
-    hit = TreeCube(tree).probe(cell)
-    return None if hit is None else ClassView(*hit)
-
-
-def intelligent_rollup(tree: QCTree, cell: Cell, rel_tol: float = 1e-9) -> list:
-    """:func:`cube_rollup` over one tree, as :class:`ClassView` objects."""
-    return _views(cube_rollup(TreeCube(tree), cell, rel_tol))
-
-
-def rollup_exceptions(tree: QCTree, cell: Cell, rel_tol: float = 1e-9) -> list:
-    """:func:`cube_rollup_exceptions` over one tree."""
-    return _views(cube_rollup_exceptions(TreeCube(tree), cell, rel_tol))
-
-
-def lattice_drilldowns(tree: QCTree, cell: Cell, table) -> list:
-    """:func:`cube_drilldowns` over one ``(tree, table)`` pair."""
-    return _views(cube_drilldowns(TreeCube(tree, table), cell))
-
-
-def lattice_rollups(tree: QCTree, cell: Cell, table=None) -> list:
-    """:func:`cube_rollups` over one tree; without a base ``table`` only
-    upper-bound generalizations are explored
-    (:meth:`TreeCube.lower_bounds`)."""
-    return _views(cube_rollups(TreeCube(tree, table), cell))
-
-
-def drill_into_class(tree: QCTree, cell: Cell, table) -> ClassStructure:
-    """:func:`cube_open_class` over one ``(tree, table)`` pair."""
-    return cube_open_class(TreeCube(tree, table), cell)

@@ -108,8 +108,9 @@ class QCWarehouse:
     (:meth:`FrozenQCTree.patch <repro.core.frozen.FrozenQCTree.patch>`),
     recompiled otherwise — with answers memoized in a bounded LRU cache
     stamped by the serving version (WAL LSN + local mutation epoch): any
-    insert, delete, seal, compaction, rebuild or recovery atomically
-    invalidates every cached answer.  Pass ``cache_size=0`` to disable
+    insert, delete, seal, compaction, rebuild (also the one a failing
+    :meth:`verify` makes) or recovery atomically invalidates every
+    cached answer.  Pass ``cache_size=0`` to disable
     the cache.  See the module docstring for the pieces and sealing.
     """
 
@@ -150,7 +151,6 @@ class QCWarehouse:
         self._generation = 0
         self._epoch = 0
         self._view = None
-        self._degraded = False
         self._head_batches = 0
         self._seals = self._compactions = self._segment_rewrites = 0
         self._maintain_batched = self._maintain_sequential = 0
@@ -184,7 +184,8 @@ class QCWarehouse:
 
         ``(WAL LSN, mutation epoch)``: the LSN covers logged maintenance,
         the epoch covers un-logged changes — WAL-less warehouses,
-        :meth:`rebuild`, degraded-mode flips, seals and compactions.
+        :meth:`rebuild`, a repairing :meth:`verify`, seals and
+        compactions.
         """
         lsn = self.wal.last_lsn if self.wal is not None else 0
         return (lsn, self._epoch)
@@ -211,18 +212,10 @@ class QCWarehouse:
 
     @property
     def serving_tree(self):
-        """The head's representation queries run against right now.
-
-        The frozen view while healthy, brought current lazily: compiled
-        on first use, patched from the merged maintenance deltas
-        afterwards (:meth:`Piece.frozen_view
-        <repro.core.piece.Piece.frozen_view>`).  The mutable dict tree
-        while degraded (fsck found corruption — no point compiling a
-        corrupt tree into a faster one).  The choice follows
-        ``_degraded``, a state the code observes; no option picks it.
-        """
-        if self._degraded:
-            return self.tree
+        """The head's frozen view, the tree queries run against, brought
+        current lazily: compiled on first use, patched from the merged
+        maintenance deltas afterwards (:meth:`Piece.frozen_view
+        <repro.core.piece.Piece.frozen_view>`)."""
         frozen = self._live.frozen_view()
         self.last_refreeze = dict(frozen.patch_stats)
         return frozen
@@ -236,7 +229,7 @@ class QCWarehouse:
         This is the publication point the concurrent server
         (:class:`~repro.serving.server.QCServer`) swaps into place after
         each mutation; the snapshot shares no mutable structure with the
-        warehouse unless the warehouse is degraded.
+        warehouse.
         """
         with self._lock:
             views = [PieceView(piece.frozen_view(), piece.table)
@@ -251,23 +244,16 @@ class QCWarehouse:
     def view(self):
         """The snapshot queries delegate to right now — rebuilt lazily
         after each mutation, so every query family and the exploration
-        API run on the frozen trees while healthy."""
+        API run on the frozen trees."""
         if self._view is None:
             self._view = self.snapshot_view()
         return self._view
 
     @property
-    def degraded(self) -> bool:
-        """True when the last :meth:`verify` found corruption."""
-        return self._degraded
-
-    @property
     def serving(self) -> str:
         """How reads are served: ``segmented`` for a store that seals,
-        else ``frozen`` — or ``dict`` while degraded."""
-        if self.segment_health() is not None:
-            return "segmented"
-        return "dict" if self._degraded else "frozen"
+        else ``frozen``."""
+        return "frozen" if self.segment_health() is None else "segmented"
 
     def _mutated(self) -> None:
         """Invalidate every warehouse-level read structure after a change
@@ -297,67 +283,43 @@ class QCWarehouse:
 
     def verify(self, deep: bool = True, samples: Optional[int] = 64,
                seed: int = 0) -> FsckReport:
-        """Fsck every piece and merge the reports; returns the
-        :class:`FsckReport <repro.reliability.fsck.FsckReport>`.
+        """Fsck every piece, rebuild each one that fails from its table,
+        and return the merged :class:`FsckReport
+        <repro.reliability.fsck.FsckReport>` of what was found.
 
         ``deep=True`` also re-derives sampled class aggregates from the
-        base tables.  A failing report flips the warehouse into degraded
-        mode: :meth:`point` answers by base-table scan until a later
-        :meth:`verify` passes (e.g. after :meth:`rebuild`).
+        base tables.  Theorem 2 makes a tree a derived index of its
+        table, so the repair is a rebuild, as in :meth:`rebuild`: the
+        cached view and every cached answer drop with it, and every
+        later read comes from a frozen view of the fresh tree.  The
+        report still says what was wrong (``ok`` is False); a second
+        :meth:`verify` reports the repaired store.
         """
-        pieces = self.pieces()
-        report = FsckReport()
-        for piece in pieces:
-            sub = piece.fsck(deep=deep, samples=samples, seed=seed)
-            # A one-piece store has nothing to tell apart.
-            prefix = f"{piece.name}: " if len(pieces) > 1 else ""
-            for issue in sub.issues:
-                report.add(issue.code, prefix + issue.message, issue.node)
-            for what, count in sub.checked.items():
-                report.checked[what] = report.checked.get(what, 0) + count
-        # A pass/fail flip switches the serving representation, so
-        # indexed node ids and cached answers — possibly computed before
-        # the corruption was detected — are both suspect.
-        was_degraded = self._degraded
-        self._degraded = not report.ok
-        if was_degraded != self._degraded:
-            self.invalidate_serving_view()
-        return report
+        with self._lock:
+            pieces = self.pieces()
+            report = FsckReport()
+            for piece in pieces:
+                sub = piece.fsck(deep=deep, samples=samples, seed=seed)
+                # A one-piece store has nothing to tell apart.
+                prefix = f"{piece.name}: " if len(pieces) > 1 else ""
+                for issue in sub.issues:
+                    report.add(issue.code, prefix + issue.message,
+                               issue.node)
+                for what, count in sub.checked.items():
+                    report.checked[what] = (report.checked.get(what, 0)
+                                            + count)
+                if not sub.ok:
+                    piece.rebuild()
+            if not report.ok:
+                self._pieces_swapped()
+            return report
 
     def rebuild(self) -> None:
-        """Rebuild every piece's tree from its table (recovers from
-        degraded mode when the tables are trustworthy)."""
+        """Rebuild every piece's tree from its table."""
         with self._lock:
             for piece in self.pieces():
                 piece.rebuild()
-            self._degraded = False
             self._pieces_swapped()
-
-    def _scan_point(self, raw_cell):
-        """The degraded-mode point answer, straight from the base rows
-        of every piece (states merge because each base row lives in
-        exactly one piece)."""
-        n_dims = self.table.n_dims
-        if len(raw_cell) != n_dims:
-            raise QueryError(
-                f"query cell {raw_cell!r} has {len(raw_cell)} positions, "
-                f"table has {n_dims} dimensions"
-            )
-        state = None
-        for piece in self.pieces():
-            table = piece.table
-            try:
-                cell = table.encode_cell(raw_cell)
-            except SchemaError:
-                continue
-            rows = table.select(cell)
-            if not rows:
-                continue
-            part = self.aggregate.state(table, rows)
-            state = part if state is None else self.aggregate.merge(
-                state, part
-            )
-        return None if state is None else self.aggregate.value(state)
 
     # -- queries -------------------------------------------------------------
 
@@ -365,13 +327,13 @@ class QCWarehouse:
         """Serve ``compute()`` through the stamped query cache.
 
         ``key`` of None (query not normalizable) bypasses the cache, as
-        does a disabled cache or degraded mode.  ``copy`` (e.g. ``dict``
+        does a disabled cache.  ``copy`` (e.g. ``dict``
         / ``list``) guards mutable cached results: both the hit and the
         fill path return a private copy, so a caller mutating its answer
         can never poison the cache.
         """
         cache = self._cache
-        if cache is None or key is None or self._degraded:
+        if cache is None or key is None:
             return compute()
         stamp = self.serving_stamp()
         value = cache.lookup(key, stamp)
@@ -384,13 +346,8 @@ class QCWarehouse:
         """Point query with raw labels (``"*"`` / None / ALL for any).
 
         Served from the query cache when a fresh answer for the cell is
-        present, else from the :attr:`view`.  A degraded warehouse (one
-        whose tree failed :meth:`verify`) answers by scanning the base
-        rows instead of routing through the possibly-corrupt tree —
-        slower, but never wrong — and bypasses the cache entirely.
+        present, else from the :attr:`view`.
         """
-        if self._degraded:
-            return self._scan_point(raw_cell)
         return self._cached(
             point_cache_key(raw_cell), lambda: self.view.point(raw_cell)
         )
@@ -441,8 +398,8 @@ class QCWarehouse:
 
     # -- exploration ---------------------------------------------------------
 
-    # All exploration runs through the serving view (the frozen trees
-    # while healthy): the shared traversal protocol makes every
+    # All exploration runs through the serving view (the frozen trees):
+    # the shared traversal protocol makes every
     # representation answer identically, so these are thin delegations.
 
     def class_of(self, raw_cell):
@@ -514,11 +471,10 @@ class QCWarehouse:
     def _checked_label_types(self, records) -> tuple:
         """The store's label types once ``records`` are written: a
         dimension without a type takes its first label's.  Raises
-        :class:`SchemaError` for a label of one of the types a
-        checkpoint records that is not its dimension's — written, it
-        would come back from a checkpoint as its dimension's type and no
-        longer be the label it was.  A label of any other type (bytes, a
-        tuple) is not checked: no checkpoint spells it back."""
+        :class:`SchemaError` for a label a checkpoint cannot spell back:
+        one of no type a checkpoint records (bytes, a tuple, None), or of
+        another type than its dimension's — written, it would come back
+        from a checkpoint as another value."""
         types = list(self._label_types)
         schema = self.table.schema
         width = schema.n_dims + schema.n_measures
@@ -527,9 +483,15 @@ class QCWarehouse:
                 continue  # maintenance refuses it as malformed
             for j, label in enumerate(record[:schema.n_dims]):
                 kind = label_type(label)
+                if kind is None:
+                    raise SchemaError(
+                        f"label {label!r} of record {record!r} is not a "
+                        f"str, int, float or bool: a checkpoint cannot "
+                        f"spell it back"
+                    )
                 if types[j] is None:
                     types[j] = kind
-                elif kind is not None and kind != types[j]:
+                elif kind != types[j]:
                     raise SchemaError(
                         f"label {label!r} of record {record!r} is not of "
                         f"type {types[j]}, the label type of dimension "
@@ -992,7 +954,7 @@ class QCWarehouse:
         refreeze, batch, seal and compaction."""
         with self._lock:
             lsn, epoch = self.serving_stamp()
-            stamp = dict(lsn=lsn, epoch=epoch, frozen=not self._degraded)
+            stamp = dict(lsn=lsn, epoch=epoch)
             health = self.segment_health()
             if health is None:
                 out = self.tree.stats()
@@ -1010,7 +972,6 @@ class QCWarehouse:
                 n_rows=self.n_rows,
                 n_dims=self.table.n_dims,
                 aggregate=self.aggregate.name,
-                degraded=self._degraded,
                 serving=self.serving,
                 serving_stamp=stamp,
                 maintain_batched=self._maintain_batched,
@@ -1030,10 +991,9 @@ class QCWarehouse:
 
     def __repr__(self):
         with self._lock:
-            flags = ", degraded" if self._degraded else ""
             return (
                 f"{type(self).__name__}(segments={len(self._segments)}, "
                 f"head_rows={self.table.n_rows}, rows={self.n_rows}, "
-                f"aggregate={self.aggregate.name}{flags})"
+                f"aggregate={self.aggregate.name})"
             )
 

@@ -348,8 +348,18 @@ class BaseTable:
 
         The file goes to a sibling temp path, is flushed and fsynced,
         and renamed into place — a crash mid-write leaves any previous
-        file untouched.
+        file untouched.  A label of no :func:`label_type` raises
+        :class:`SchemaError` before anything is written: its ``str()``
+        would read back as another label.
         """
+        for name, labels in zip(self.schema.dimension_names, self._decoders):
+            for label in labels:
+                if label_type(label) is None:
+                    raise SchemaError(
+                        f"label {label!r} of dimension {name!r} is not a "
+                        f"str, int, float or bool: a CSV cannot spell it "
+                        f"back"
+                    )
         text = io.StringIO()
         writer = csv.writer(text)
         writer.writerow(

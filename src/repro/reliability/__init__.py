@@ -12,8 +12,8 @@ outlive its base data; this package makes it outlive *crashes*:
 * :mod:`repro.reliability.transactional` rolls a failed batch back to
   the pre-batch tree;
 * :mod:`repro.reliability.fsck` re-derives the tree's invariants and
-  sampled aggregates, feeding the CLI ``fsck`` command and the
-  warehouse's degraded mode;
+  sampled aggregates, feeding the CLI ``fsck`` command and
+  ``QCWarehouse.verify``, which rebuilds a failing piece from its table;
 * :mod:`repro.reliability.faults` injects torn writes, partial appends,
   and exception-at-nth-I/O crashes so tests can prove every recovery
   path.

@@ -36,8 +36,9 @@ Checks, in order:
     ``samples=None`` every class is checked.
 
 The result is a :class:`FsckReport`; nothing raises on corruption, so a
-caller can render all findings (the CLI ``python -m repro fsck`` does)
-or flip a warehouse into degraded mode.
+caller can render all findings (the CLI ``python -m repro fsck`` does).
+:meth:`QCWarehouse.verify <repro.core.warehouse.QCWarehouse.verify>`
+rebuilds every piece whose report fails from its base table.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ errors into explicit load shedding instead of a pile-up:
   :class:`~repro.serving.server.QCServer`: liveness, snapshot staleness
   (LSN/epoch lag of the published snapshot behind the warehouse's dict
   tree — nonzero exactly when a write applied but could not publish),
-  queue depth, worker liveness, degraded state, and breaker state.
+  queue depth, worker liveness, write-degraded state, and breaker
+  state.
 * :class:`CircuitBreaker` is the classic three-state breaker over a
   windowed error rate: CLOSED counts outcomes and opens when the recent
   error rate crosses a threshold (with a minimum request volume, so one
@@ -195,10 +196,10 @@ def health_report(server) -> dict:
         the process is worth keeping: not closed and at least one
         worker thread alive;
     ``ready``
-        worth routing traffic to: live, not degraded (server write
-        pipeline or warehouse), breaker not open, and admission not
-        shedding (``QCServer._backlog``: the queue's depth — and, for a
-        shard server, its forwards in flight — under ``queue_size``);
+        worth routing traffic to: live, the write pipeline not degraded,
+        breaker not open, and admission not shedding
+        (``QCServer._backlog``: the queue's depth — and, for a shard
+        server, its forwards in flight — under ``queue_size``);
     ``status``
         ``"ok"`` / ``"degraded"`` / ``"down"``, the one-word rollup;
     ``staleness``
@@ -216,10 +217,10 @@ def health_report(server) -> dict:
     queue = server._queue
     depth = queue.depth()
     breaker = server.breaker.snapshot() if server.breaker is not None else None
-    degraded = server.write_degraded or warehouse.degraded
     live = not server.closed and workers["alive"] > 0
     ready = (
-        live and not degraded and server._backlog() < queue.maxsize
+        live and not server.write_degraded
+        and server._backlog() < queue.maxsize
         and (breaker is None or breaker["state"] != OPEN)
     )
     if not live:
@@ -235,7 +236,6 @@ def health_report(server) -> dict:
         "closed": server.closed,
         "degraded": {
             "writes": server.write_degraded,
-            "warehouse": warehouse.degraded,
             "reason": server.degraded_reason,
         },
         "staleness": {

@@ -52,7 +52,7 @@ realtime OLAP serving stacks do:
   poisonous batch cannot wedge the single-writer path.
 * A **health/readiness subsystem** (:mod:`~repro.serving.health`)
   serves a ``health`` op reporting liveness, snapshot staleness,
-  queue depth, worker liveness, and degraded state, and an optional
+  queue depth, worker liveness, and write-degraded state, and an optional
   :class:`~repro.serving.health.CircuitBreaker` sheds load at admission
   (:class:`~repro.errors.CircuitOpenError`) when the recent error rate
   crosses a threshold, half-opening to probe recovery.
@@ -103,7 +103,6 @@ from repro.errors import (
     ServerClosedError,
     ServerDegradedError,
     ServerOverloadedError,
-    ServingError,
     WorkerCrashedError,
     WriteQuarantinedError,
 )
@@ -144,7 +143,7 @@ def _own_copy(op: str, value):
 
 
 class QCServer:
-    """Multi-worker query service over a frozen-serving warehouse.
+    """Multi-worker query service over a warehouse's frozen snapshots.
 
     >>> server = QCServer(warehouse, workers=4)
     >>> server.submit("point", ("S2", "*", "f")).result()
@@ -157,9 +156,9 @@ class QCServer:
     Parameters
     ----------
     warehouse:
-        A healthy (not degraded) warehouse, so that the snapshot is its
-        frozen view.  The server owns its mutation path: apply writes
-        through the server, not the warehouse, while serving.
+        The store to serve; every snapshot is its frozen views.  The
+        server owns its mutation path: apply writes through the server,
+        not the warehouse, while serving.
     workers:
         Reader threads.  They are deliberately *non-daemon*: a clean
         :meth:`close` must leave no background threads behind (CI
@@ -283,18 +282,8 @@ class QCServer:
 
     @classmethod
     def _servable_snapshot(cls, warehouse):
-        """A fresh snapshot of ``warehouse`` that is safe to publish
-        (a classmethod: the shard server packs one before any server
-        state exists)."""
-        if warehouse.degraded:
-            # The snapshot would alias the mutable dict tree, which the
-            # writer path edits in place — concurrent readers would see
-            # torn state.
-            raise ServingError(
-                f"{cls.__name__} requires a healthy frozen-serving "
-                "warehouse (not degraded); the mutable dict tree cannot "
-                "be shared with concurrent writers"
-            )
+        """A fresh snapshot of ``warehouse`` to publish (a classmethod:
+        the shard server packs one before any server state exists)."""
         return warehouse.snapshot_view()
 
     @property

@@ -37,10 +37,10 @@ a :class:`~repro.serving.scatter.UnionCube` — so both stores answer, and
 fail, alike.
 
 Every query family runs through the shared traversal protocol, so a
-one-piece snapshot also works over the mutable dict tree — what a
-degraded warehouse answers from, and the reference the parity suites
-build directly (such a snapshot is *not* safe to share with a
-concurrent writer — :class:`~repro.serving.server.QCServer` refuses it).
+one-piece snapshot also works over the mutable dict tree — the
+reference the parity suites build directly.  No store serves one: a
+warehouse publishes frozen trees only, which is what lets a snapshot be
+shared with a concurrent writer.
 """
 
 from __future__ import annotations

@@ -201,6 +201,24 @@ class TestLabelTypes:
             recovered.delete([("2001", "a", 1.0)])
         assert len(WriteAheadLog(tmp_path / "wal")) == 1
 
+    @pytest.mark.parametrize("label", [b"2003", None, (2003,)])
+    def test_a_label_no_checkpoint_spells_back_is_refused(
+            self, tmp_path, label):
+        """A label of no checkpointed type (bytes, None, a tuple) is
+        refused before the log, and a table holding one is refused by
+        the checkpoint rather than written as its ``str()``."""
+        wh = self._store()
+        wh.attach_wal(tmp_path / "wal")
+        with pytest.raises(SchemaError, match="spell it back"):
+            wh.insert([(2003, label, 1.0)])
+        assert len(WriteAheadLog(tmp_path / "wal")) == 0
+        assert wh.n_rows == 3
+        odd = QCWarehouse.from_records([(2001, label, 1.0)], YEARS,
+                                       ("sum", "M"))
+        with pytest.raises(SchemaError, match="Kind"):
+            odd.checkpoint(tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt" / "MANIFEST.json").exists()
+
     def test_a_dimension_without_labels_takes_its_first_writes_type(self):
         wh = QCWarehouse.from_records([], YEARS, ("sum", "M"))
         wh.insert([(1999, "z", 1.0)])

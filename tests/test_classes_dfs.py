@@ -13,7 +13,7 @@ from repro.core import classes
 from repro.core.cells import ALL, generalizes
 from repro.core.classes import enumerate_temp_classes
 from repro.core.construct import build_qctree
-from repro.core.explore import class_of
+from repro.core.explore import TreeCube
 from repro.cube.lattice import closed_cells, closure
 from repro.data.synthetic import zipf_table
 from tests.conftest import make_random_table
@@ -167,8 +167,8 @@ class TestPartitionClosure:
 
     def _upper_bound(self, table, raw_cell):
         tree = build_qctree(table, "count")
-        view = class_of(tree, table.encode_cell(raw_cell))
-        return table.decode_cell(view.upper_bound)
+        ub, _ = TreeCube(tree, table).probe(table.encode_cell(raw_cell))
+        return table.decode_cell(ub)
 
     def test_fills_constant_dimensions(self, sales_table):
         assert self._upper_bound(sales_table, ("S1", "*", "*")) == (
@@ -181,11 +181,9 @@ class TestPartitionClosure:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_oracle_closure(self, seed):
         table = make_random_table(seed + 300)
-        tree = build_qctree(table, "count")
+        cube = TreeCube(build_qctree(table, "count"), table)
         from tests.conftest import all_cells
 
         for cell in all_cells(table):
             if table.select(cell):
-                assert class_of(tree, cell).upper_bound == closure(
-                    table, cell
-                )
+                assert cube.probe(cell)[0] == closure(table, cell)

@@ -1,11 +1,16 @@
-"""Tests for the QC-tree fsck and warehouse degraded mode."""
+"""Tests for the QC-tree fsck and the warehouse's repairing verify."""
+
+import random
 
 import pytest
 
 from repro.core.construct import build_qctree
+from repro.core.frozen import FrozenQCTree
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.reliability.fsck import fsck_tree
+from repro.segments import SegmentedWarehouse
+from tests import model
 from tests.conftest import all_cells, approx_equal, make_random_table
 
 
@@ -41,7 +46,6 @@ class TestCleanTrees:
         wh.delete([("S1", "P2", "s", 0.0)])
         report = wh.verify(samples=None)
         assert report.ok, str(report)
-        assert not wh.degraded
 
 
 class TestCorruptionIsFlagged:
@@ -157,30 +161,35 @@ class TestCorruptionIsFlagged:
 
 
 class TestScanPointQuery:
-    """The base-table scan a degraded warehouse answers points with."""
+    """The points a warehouse serves once :meth:`verify` has rebuilt a
+    corrupt tree from its table."""
 
     @pytest.fixture
-    def degraded(self, sales_table):
+    def repaired(self, sales_table):
         wh = QCWarehouse(sales_table, aggregate=("avg", "Sale"))
-        wh._degraded = True
+        victim = next(iter(wh.tree.iter_class_nodes()))
+        wh.tree.set_state(victim, (123456.0, 1))
+        assert not wh.verify(samples=None).ok
         return wh
 
-    def test_scan_matches_tree(self, sales_table, degraded):
+    def test_scan_matches_tree(self, sales_table, repaired):
         tree = build_qctree(sales_table, ("avg", "Sale"))
         from repro.core.point_query import point_query
 
         for cell in all_cells(sales_table):
             assert approx_equal(
-                degraded.point(sales_table.decode_cell(cell)),
+                repaired.point(sales_table.decode_cell(cell)),
                 point_query(tree, cell),
             )
 
-    def test_scan_empty_cover_is_none(self, degraded):
+    def test_scan_empty_cover_is_none(self, repaired):
         # S1, P1, f — not a real combination
-        assert degraded.point(("S1", "P1", "f")) is None
+        assert repaired.point(("S1", "P1", "f")) is None
 
 
 class TestDegradedMode:
+    """A failed :meth:`verify` repairs the store: no second read mode."""
+
     SCHEMA = Schema(dimensions=("Store", "Product", "Season"),
                     measures=("Sale",))
     RECORDS = [
@@ -204,29 +213,82 @@ class TestDegradedMode:
         self.corrupt(wh)
         report = wh.verify(samples=None)
         assert not report.ok
-        assert wh.degraded
-        assert wh.stats()["degraded"] is True
-        assert wh.stats()["serving"] == "dict"
-        assert wh.serving_tree is wh.tree
-        assert "degraded" in repr(wh)
-        # Degraded answers come from the base table and are still right.
+        stats = wh.stats()
+        assert "degraded" not in stats
+        assert stats["serving"] == "frozen"
+        assert isinstance(wh.serving_tree, FrozenQCTree)
+        assert "degraded" not in repr(wh)
+        # The rebuilt tree answers every family like a fresh build.
         for cell in all_cells(wh.table):
             raw = wh.table.decode_cell(cell)
             assert approx_equal(wh.point(raw), fresh.point(raw))
+            assert wh.range(raw) == fresh.range(raw)
+        assert wh.iceberg(100000) == fresh.iceberg(100000) == []
         assert wh.point(("S9", "*", "*")) is None  # unknown label: NULL
+        assert wh.verify(samples=None).ok
 
     def test_rebuild_recovers(self):
         wh = QCWarehouse.from_records(self.RECORDS, self.SCHEMA,
                                       aggregate=("avg", "Sale"))
         self.corrupt(wh)
-        assert not wh.verify(samples=None).ok
         wh.rebuild()
-        assert not wh.degraded
         assert wh.verify(samples=None).ok
         assert approx_equal(wh.point(("S2", "*", "f")), 9.0)
 
     def test_clean_verify_clears_degraded(self):
+        """A clean verify rebuilds nothing: the stamp stays and cached
+        answers keep serving."""
         wh = QCWarehouse.from_records(self.RECORDS, self.SCHEMA)
-        wh._degraded = True
+        wh.point(("S1", "*", "*"))
+        stamp, tree = wh.serving_stamp(), wh.tree
         assert wh.verify().ok
-        assert not wh.degraded
+        assert wh.serving_stamp() == stamp and wh.tree is tree
+        wh.point(("S1", "*", "*"))
+        assert wh.stats()["query_cache"]["hits"] == 1
+
+
+def _store(kind, records):
+    """A store over ``records``: a :class:`QCWarehouse` (one piece), or
+    a :class:`SegmentedWarehouse` whose sealed first piece holds the
+    first eight and whose head the rest."""
+    if kind == "monolithic":
+        return QCWarehouse.from_records(records, model.SCHEMA,
+                                        model.AGGREGATE)
+    seg = SegmentedWarehouse.from_records(records[:8], model.SCHEMA,
+                                          model.AGGREGATE, seal_rows=8)
+    seg.insert(records[8:])
+    assert len(seg.pieces()) == 2 and seg.pieces()[1].n_rows
+    return seg
+
+
+class TestVerifyRepairs:
+    """A failed verify rebuilds the corrupt piece from its table: every
+    family then answers like a fresh build, cached cells included."""
+
+    @pytest.mark.parametrize("kind", ["monolithic", "segmented"])
+    def test_every_family_answers_like_a_fresh_build(self, kind):
+        rng = random.Random(0)
+        records = [model.gen_record(rng) for _ in range(12)]
+        fresh = QCWarehouse.from_records(records, model.SCHEMA,
+                                         model.AGGREGATE)
+        expected = [
+            (op, args, model.answer(model.asker(fresh), op, *args))
+            for op, args in model.queries(model.Reference(records))
+            if op in ("point", "range", "iceberg", "rollup")
+        ]
+        assert {op for op, _, _ in expected} == {
+            "point", "range", "iceberg", "rollup"}
+        with _store(kind, records) as wh:
+            ask = model.asker(wh)
+            model.assert_answers(ask, expected)  # fills the cache
+            tree = wh.pieces()[0].tree
+            node = next(tree.iter_class_nodes())
+            tree.set_state(node, tree.state[node] + 123456.0)
+            # Serve the corrupt tree, as a view compiled after the damage
+            # would.
+            wh.pieces()[0].drop_view()
+            report = wh.verify(samples=None)
+            assert not report.ok
+            assert wh.stats()["serving"] in ("frozen", "segmented")
+            model.assert_answers(ask, expected)
+            assert wh.verify(samples=None).ok

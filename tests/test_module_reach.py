@@ -1,4 +1,5 @@
-"""Every module under ``src/repro`` is on some path that runs.
+"""Every module under ``src/repro``, and every name a ``repro`` package
+exports, is on some path that runs.
 
 A static ``ast`` import graph, nothing executed.  Roots are the CLI
 (``repro.__main__``) and every ``repro…`` name the benchmarks import
@@ -10,6 +11,12 @@ being re-exported does not make a module reached, which is how three
 modules once stayed alive on nothing but ``core/__init__.py``, their
 own tests and one example.  A package counts as reached when one of
 its modules is.
+
+Names are held to the same rule, with ``examples/*.py`` as roots too:
+a name in a package's ``__all__`` is reached when a root or a reached
+module imports it (or reads it as an attribute of an imported module),
+or when the reached module that defines it uses it.  The few names
+only tests need are listed in :data:`TEST_ONLY` with the reason.
 """
 
 import ast
@@ -23,6 +30,19 @@ ROOT_FILES = [
     REPO / "benchmarks" / "common.py",
     *sorted((REPO / "benchmarks").glob("bench_*.py")),
 ]
+EXAMPLES = sorted((REPO / "examples").glob("*.py"))
+
+#: Exported names no program path reaches, each with what keeps it.
+TEST_ONLY = {
+    "build_qctree_reference": "the differential oracle construction "
+                              "is checked against",
+    "count_io": "fault injection: counts the I/O steps a crash sweep "
+                "walks",
+    "partial_append": "fault injection: the torn WAL tail recovery "
+                      "drops",
+    "torn_write": "fault injection: a file cut short mid-write",
+    "active_segments": "the /dev/shm leak check the shard tests assert",
+}
 
 
 def _modules() -> dict:
@@ -78,8 +98,8 @@ def _targets(path: Path) -> set:
     }
 
 
-def _reached() -> set:
-    frontier = {"repro.__main__"}.union(*map(_targets, ROOT_FILES))
+def _reached(roots=tuple(ROOT_FILES)) -> set:
+    frontier = {"repro.__main__"}.union(*map(_targets, roots))
     reached = set()
     while frontier:
         module = frontier.pop()
@@ -97,3 +117,71 @@ def test_every_module_is_reached():
     assert len(ROOT_FILES) > 2, "the bench_*.py roots were not found"
     assert all(path.exists() for path in ROOT_FILES)
     assert sorted(set(MODULES) - _reached()) == []
+
+
+def _exported() -> list:
+    """``(package, name)`` for every name in a package's ``__all__``."""
+    out = []
+    for module, path in MODULES.items():
+        if not _is_package(module):
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["__all__"]):
+                out += [(module, name)
+                        for name in ast.literal_eval(node.value)]
+    return out
+
+
+@cache
+def _names_used(path: Path) -> set:
+    """``(defining module, name)`` for every repro name the file imports
+    or reads as an attribute of an imported repro module."""
+    tree = ast.parse(path.read_text())
+    modules, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name, alias.name)
+                           for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                target = _resolve(node.module, alias.name)
+                if target == f"{node.module}.{alias.name}":
+                    modules[alias.asname or alias.name] = target
+                elif target is not None:
+                    used.add((target, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and modules.get(node.value.id) in MODULES):
+            used.add((_resolve(modules[node.value.id], node.attr),
+                      node.attr))
+    return used
+
+
+@cache
+def _names_loaded(path: Path) -> set:
+    return {node.id for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_exported_name_is_reached():
+    roots = ROOT_FILES + EXAMPLES
+    assert EXAMPLES, "the examples/*.py roots were not found"
+    reached = _reached(tuple(roots))
+    files = roots + [MODULES[m] for m in sorted(reached)
+                     if not _is_package(m)]
+    used = set().union(*map(_names_used, files))
+    unreached = []
+    for package, name in _exported():
+        home = _resolve(package, name)
+        if (home, name) in used or (
+                home in reached and not _is_package(home)
+                and name in _names_loaded(MODULES[home])):
+            continue
+        unreached.append(name)
+    assert sorted(set(unreached) - set(TEST_ONLY)) == []
+    # An exception that is reached after all is stale.
+    assert sorted(set(TEST_ONLY) - set(unreached)) == []

@@ -318,12 +318,14 @@ class TestEdgeCases:
             self, sales_table):
         """Every ``SerializationError`` is raised before the publish
         protocol creates a shared-memory segment."""
-        wh = QCWarehouse(sales_table, "avg(Sale)")
+        schema = Schema(dimensions=("Year", "Kind"), measures=("M",))
+        wh = QCWarehouse.from_records([(2001, "a", 1.0)], schema, "sum(M)")
         with ShardServer(wh, processes=1) as server:
             before = created_segments()
             epoch = server.shard_health()["current_epoch"]
-            # bytes labels cannot ride in the JSON label dictionary.
-            wh.insert([(b"S9", "P1", "s", 1.0)])
+            # A NumPy integer is an int label (a checkpoint spells it
+            # back), but it cannot ride in the JSON label dictionary.
+            wh.insert([(np.int64(2099), "a", 1.0)])
             with pytest.raises(SerializationError, match="JSON"):
                 server._publish()
             assert created_segments() == before

@@ -2,7 +2,7 @@
 
 The cache may only ever serve an answer computed at the warehouse's
 current serving version — any insert, delete, rebuild, recovery, or
-degraded-mode flip must atomically invalidate every cached entry.
+repairing verify must atomically invalidate every cached entry.
 """
 
 import pytest
@@ -239,17 +239,22 @@ class TestWarehouseIntegration:
         assert wh.stats()["query_cache"]["invalidations"] >= 1
 
     def test_degraded_mode_bypasses_cache(self):
+        """A verify that rebuilds a corrupt tree drops every cached
+        answer; the clean one after it drops none."""
         wh = make_wh()
         assert wh.point(("S2", "*", "f")) == 9.0  # now cached
         victim = next(iter(wh.tree.iter_class_nodes()))
         wh.tree.set_state(victim, (123456.0, 1))
-        report = wh.verify(samples=None)
-        assert not report.ok and wh.degraded
-        # Even previously-cached cells must come from the base table now.
+        stamp = wh.serving_stamp()
+        assert not wh.verify(samples=None).ok
+        assert wh.serving_stamp() != stamp
+        # Previously-cached cells are recomputed from the rebuilt tree.
         assert wh.point(("S2", "*", "f")) == 9.0
-        wh.rebuild()
+        counters = wh.stats()["query_cache"]
+        assert counters["invalidations"] >= 1 and counters["hits"] == 0
         assert wh.verify(samples=None).ok
         assert wh.point(("S2", "*", "f")) == 9.0
+        assert wh.stats()["query_cache"]["hits"] == 1
 
     def test_cache_disabled(self):
         wh = make_wh(cache_size=0)

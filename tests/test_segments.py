@@ -603,7 +603,16 @@ class TestServingSurface:
         assert not wh.segment_health()["compactor_running"]
 
     def test_degraded_falls_back_to_scan(self):
+        """A sealed piece that fails verify is rebuilt from its table in
+        place: same segment id, same answers."""
         wh = _warehouse(n_rows=10, seal_rows=4)
         expected = wh.point(("x1", "*", "*"))
-        wh._degraded = True
+        sealed = wh.pieces()[0]
+        segment_id = sealed.segment_id
+        node = next(sealed.tree.iter_class_nodes())
+        sealed.tree.set_state(node, sealed.tree.state[node] + 1000.0)
+        sealed.drop_view()
+        assert not wh.verify(samples=None).ok
+        assert wh.pieces()[0].segment_id == segment_id
         assert values_close(wh.point(("x1", "*", "*")), expected)
+        assert wh.verify(samples=None).ok

@@ -249,9 +249,7 @@ class TestHealthReport:
             assert report["staleness"]["lsn_lag"] == 0
             assert report["staleness"]["epoch_lag"] == 0
             assert report["workers"]["alive"] == 2
-            assert report["degraded"] == {
-                "writes": False, "warehouse": False, "reason": None,
-            }
+            assert report["degraded"] == {"writes": False, "reason": None}
             assert report["breaker"]["state"] == CLOSED
 
     def test_health_served_as_an_op(self, warehouse):

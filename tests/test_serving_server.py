@@ -13,7 +13,6 @@ from repro.errors import (
     QueryError,
     ServerClosedError,
     ServerOverloadedError,
-    ServingError,
 )
 from repro.serving import QCServer
 from repro.serving.metrics import LatencyHistogram, ServerMetrics
@@ -127,12 +126,15 @@ class TestWrites:
             assert server.point(("S2", "*", "f"), timeout=2.0) == 9.0
 
     def test_dict_serving_warehouse_rejected(self, sales_table):
-        """A degraded warehouse answers from its mutable dict tree,
-        which cannot be shared with the writer path."""
-        mutable = QCWarehouse(sales_table)
-        mutable._degraded = True
-        with pytest.raises(ServingError, match="frozen-serving"):
-            QCServer(mutable, workers=1)
+        """No store state is refused: a store whose verify failed was
+        rebuilt, and its server publishes frozen trees."""
+        wh = QCWarehouse(sales_table)
+        victim = next(iter(wh.tree.iter_class_nodes()))
+        wh.tree.set_state(victim, 123456)
+        assert not wh.verify(samples=None).ok
+        with QCServer(wh, workers=1) as srv:
+            assert srv.snapshot.describe()["frozen"] is True
+            assert srv.point(("*", "*", "*")) == 3
 
 
 class TestAdmissionControl:

@@ -129,12 +129,11 @@ class TestWarehouseStatsStamp:
     def test_stats_serving_stamp(self, sales_table):
         wh = QCWarehouse(sales_table, aggregate="avg(Sale)")
         stamp = wh.stats()["serving_stamp"]
-        assert stamp == {"lsn": 0, "epoch": 0, "frozen": True}
+        assert stamp == {"lsn": 0, "epoch": 0}
         wh.insert([("S3", "P1", "s", 5.0)])
         wh.point(("S3", "P1", "s"))  # force refreeze of the view
         stamp = wh.stats()["serving_stamp"]
         assert stamp["epoch"] == 1
-        assert stamp["frozen"] is True
 
     def test_stats_cache_counters(self, sales_table):
         wh = QCWarehouse(sales_table, aggregate="avg(Sale)", cache_size=64)

@@ -290,10 +290,18 @@ class TestConstruction:
             ShardServer(warehouse, processes=0)
 
     def test_rejects_dict_engine_warehouse(self, sales_table):
+        """A store whose verify failed was rebuilt from its table, so
+        the fleet packs and serves the fresh tree."""
         warehouse = QCWarehouse(sales_table, aggregate="avg(Sale)")
-        warehouse._degraded = True  # answers from the mutable dict tree
-        with pytest.raises(ServingError, match="frozen"):
-            ShardServer(warehouse, processes=1)
+        victim = next(iter(warehouse.tree.iter_class_nodes()))
+        warehouse.tree.set_state(victim, (123456.0, 1))
+        assert not warehouse.verify(samples=None).ok
+        server = ShardServer(warehouse, processes=1)
+        try:
+            assert approx_equal(server.point(("S2", "*", "f")), 9.0)
+            assert approx_equal(server.point(("*", "*", "*")), 9.0)
+        finally:
+            server.close()
         assert created_segments() == []
 
     def test_rejects_segmented_warehouse(self, sales_table):
