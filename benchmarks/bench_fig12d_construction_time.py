@@ -6,6 +6,8 @@ much smaller than the full cube and the depth-first class computation is
 efficient.  (In this pure-Python setting Dwarf's builder is also a single
 recursion, so the gap narrows; the shape to check is linear-ish scaling
 for every method and QC-tree construction staying in the same league.)
+The QC-tree series times ``build_frozen``: Algorithm 1 to the frozen
+columns, the tree every store is born with.
 """
 
 from functools import lru_cache
@@ -13,14 +15,14 @@ from functools import lru_cache
 import pytest
 
 from common import print_series, synth, timed
-from repro.core.construct import build_qctree
+from repro.core.construct import build_frozen
 from repro.cube.quotient import QCTable
 from repro.dwarf.build import build_dwarf
 
 TUPLE_SWEEP = [1000, 2000, 4000, 8000, 16000]
 
 BUILDERS = {
-    "qctree": lambda table: build_qctree(table, "count"),
+    "qctree": lambda table: build_frozen(table, "count"),
     "qc_table": lambda table: QCTable.from_table(table, "count"),
     "dwarf": lambda table: build_dwarf(table, "count"),
 }

@@ -164,7 +164,7 @@ def cmd_stats(args) -> int:
     store = _open_store(args.directory)
     sizes = Counter()
     for piece in store.pieces():
-        sizes.update(piece.tree.stats())
+        sizes.update(piece.frozen_view().stats())
     for key, value in sizes.items():
         print(f"{key}: {value}")
     print(f"aggregate: {store.aggregate.name}")
@@ -196,7 +196,7 @@ def cmd_iceberg(args) -> int:
 def cmd_dump(args) -> int:
     for piece in _open_store(args.directory).pieces():
         print(f"# {piece.name}")
-        print(piece.tree.dump(decoder=piece.table.decode_value))
+        print(piece.frozen_view().dump(decoder=piece.table.decode_value))
     return 0
 
 
@@ -247,7 +247,7 @@ def cmd_serve(args) -> int:
             raise
         health = warehouse.segment_health()
         detail = (f"{health['segments_live']} segments" if health
-                  else f"{warehouse.tree.n_classes} classes")
+                  else f"{warehouse.serving_tree.n_classes} classes")
         fleet = (f"{args.processes} processes, " if args.processes else "")
         serve = _serve_async if args.use_async else _serve_lines
         try:

@@ -14,10 +14,16 @@ Construction is two-phase:
    rediscovered lower bound is not, targeting the prefix of the current
    bound's path through that dimension (Definition 1, condition 4).
 
-Both phases run on arrays.  Phase 2 is one ``lexsort``; node ids follow
-from where adjacent sorted bounds first differ, and link endpoints are
-looked up, never walked.  The tree is the one ``insert_path`` and
-``add_link`` build record by record, node ids and dict order included.
+Both phases run on arrays, and construction outputs columns only.
+Phase 2 is one ``lexsort``: node ids follow from where adjacent sorted
+bounds first differ, link endpoints are looked up, never walked, and
+the insertion plan's ``(parent, dim, value)`` nodes, ``(node, class)``
+pairs and ``(source, dim, value, target)`` links go straight into the
+one compiler of the ``QCTREE/3`` sections
+(:func:`~repro.core.frozen.compile_columns`): :func:`build_frozen` is
+the tree every piece is born with.  A dict tree exists only where
+Algorithms 5–7 run; :func:`build_qctree` thaws one from the columns
+(:meth:`QCTree.from_frozen`).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 
 from repro.core.cells import ALL
 from repro.core.classes import temp_class_arrays
+from repro.core.frozen import FrozenQCTree, compile_columns
 from repro.core.qctree import QCTree
 from repro.cube.aggregates import make_aggregate
 from repro.cube.table import BaseTable
@@ -39,30 +46,42 @@ def build_qctree(table: BaseTable, aggregate="count") -> QCTree:
     ``("avg", "Sale")``, or a list of specs for a multi-measure tree).
 
     The result is unique for a given table and dimension order (Theorem 1):
-    permuting the input rows yields an identical tree.
+    permuting the input rows yields an identical tree.  It is the thaw
+    (:meth:`QCTree.from_frozen`) of :func:`build_frozen`'s columns.
     """
+    return QCTree.from_frozen(build_frozen(table, aggregate))
+
+
+def build_frozen(table: BaseTable, aggregate="count") -> FrozenQCTree:
+    """Algorithm 1 compiled straight to the ``QCTREE/3`` sections: the
+    :class:`FrozenQCTree` of ``table``'s QC-tree, with no dict tree on
+    the way (:func:`~repro.core.frozen.compile_columns` over the
+    insertion plan's arrays).  Its patch map is the identity, the ids
+    :meth:`QCTree.from_frozen` gives a thawed tree."""
     agg = make_aggregate(aggregate)
-    tree = QCTree(table.n_dims, agg, dim_names=table.schema.dimension_names)
     upper, lower, child, states = temp_class_arrays(table, agg)
-    if not states:
-        return tree
-    nodes, classes, links = _insertion_plan(upper, lower, child)
-    del upper, lower, child  # the tree grows into the memory they held
-    ids = [tree.root]
-    for p, j, v in nodes:
-        ids.append(tree._new_node(ids[p], j, v))
-    for n, i in classes:
-        tree.set_state(ids[n], states[i])
-    for s, j, v, t in links:
-        tree.add_link(ids[s], j, v, ids[t])
-    return tree
+    nodes, (class_nodes, class_ids), links = _insertion_plan(upper, lower,
+                                                             child)
+    payloads = [states[i] for i in class_ids.tolist()]
+    del upper, lower, child, states  # the columns grow into their memory
+    parent, dim, value = (np.concatenate(([-1], column)) for column in nodes)
+    meta, views, _ = compile_columns(
+        dict(n_dims=table.n_dims, dim_names=table.schema.dimension_names,
+             aggregate=agg),
+        parent, dim, value, np.arange(1, parent.size), links, class_nodes,
+        payloads,
+    )
+    return FrozenQCTree.from_columns(meta, views,
+                                     range(meta["counts"]["nodes"]))
 
 
 def _insertion_plan(upper, lower, child) -> tuple:
-    """Phase 2 as the calls it makes on an empty tree: ``nodes`` yields
-    ``(parent, dim, value)`` in the order ``insert_path`` mints them,
-    ``classes`` ``(node, class id)`` and ``links`` ``(source, dim,
-    value, target)`` in the order they are added."""
+    """Phase 2 as ``int64`` arrays over node ids in the order
+    ``insert_path`` would mint them (the root is 0): ``nodes`` is
+    ``(parent, dim, value)`` of nodes ``1, 2, …``, ``classes`` ``(node,
+    class id)`` and ``links`` ``(source, dim, value, target)`` — one per
+    label, those a tree edge already realizes dropped, and the last of
+    several on one label kept, as ``add_link`` keeps them."""
     order = np.lexsort(upper.T[::-1])  # stable: ties keep class-id order
     ub = upper[order]
     first = np.ones(len(order), dtype=bool)
@@ -72,6 +91,8 @@ def _insertion_plan(upper, lower, child) -> tuple:
     bound_of[order] = np.cumsum(first) - 1
     nodes, mint = _prefix_nodes(bounds)
     at, through = np.nonzero(mint)
+    parent = nodes[at, through].astype(np.int64)
+    value = bounds[at, through].astype(np.int64)
     # A redundant record's link: the first dimension its lattice child's
     # bound leaves ``*`` and its lower bound fills.
     redundant = order[~first]
@@ -80,13 +101,23 @@ def _insertion_plan(upper, lower, child) -> tuple:
     keep = opened.any(axis=1)
     redundant, child_bound = redundant[keep], child_bound[keep]
     dim = opened[keep].argmax(axis=1)
+    source = nodes[child_bound, dim].astype(np.int64)
+    label = upper[redundant, dim].astype(np.int64)
+    target = nodes[bound_of[redundant], dim + 1].astype(np.int64)
+    # ``add_link`` skips a link its source's tree edge realizes ...
+    at = target - 1
+    kept = ~((parent[at] == source) & (through[at] == dim)
+             & (value[at] == label))
+    links = np.stack((source, dim, label, target))[:, kept]
+    # ... and a later link on the same label replaces an earlier one.
+    key = ((links[0] * upper.shape[1] + links[1]) * (bounds.max(initial=0) + 1)
+           + links[2])
+    _, last = np.unique(key[::-1], return_index=True)
+    links = links[:, np.sort(key.size - 1 - last)]
     return (
-        zip(nodes[at, through].tolist(), through.tolist(),
-            bounds[at, through].tolist()),
-        zip(nodes[:, -1].tolist(), order[first].tolist()),
-        zip(nodes[child_bound, dim].tolist(), dim.tolist(),
-            upper[redundant, dim].tolist(),
-            nodes[bound_of[redundant], dim + 1].tolist()),
+        (parent, through.astype(np.int64), value),
+        (nodes[:, -1].astype(np.int64), order[first]),
+        tuple(links),
     )
 
 

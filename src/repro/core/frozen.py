@@ -23,12 +23,16 @@ One storage
 -----------
 Every frozen tree is the typed ``memoryview`` sections of the
 ``QCTREE/3`` layout (:data:`BUFFER_SECTIONS`, :mod:`repro.shard.pack`)
-wrapped by :meth:`FrozenQCTree.from_buffers`.  :meth:`QCTree.freeze
-<repro.core.qctree.QCTree.freeze>` / :meth:`FrozenQCTree.from_tree`
-compile them from the dict tree's parallel lists with array operations
-(:func:`_columns`); :func:`repro.shard.pack.attach_packed` slices them
-out of a blob in shared memory or an mmap'd file.  A node's routing
-dict, upper-bound tuple and value/state decode on first visit and are
+wrapped by :meth:`FrozenQCTree.from_buffers`, and one compiler makes
+them with array operations (:func:`compile_columns`):
+:func:`~repro.core.construct.build_frozen` feeds it Algorithm 1's
+insertion plan — every piece is born so — and :meth:`from_tree` a
+maintained dict tree (the live head's full refreeze);
+:func:`repro.shard.pack.attach_packed` slices them out of a blob in
+shared memory, and :meth:`QCTree.from_frozen
+<repro.core.qctree.QCTree.from_frozen>` thaws them back into a dict
+tree.  A node's routing dict, upper-bound tuple and value/state decode
+on first visit and are
 cached.  The traversal protocol shared with the dict tree, the batch
 kernel (``_point_query_batch``) and Algorithm 3 are written once: the
 tree answers it with the same three methods as the dict tree
@@ -155,31 +159,22 @@ def _overlay_row(by_dim: dict, slot_of, stride):
 # -- the columns -------------------------------------------------------------
 
 
-def check_label(value):
-    """``value`` if it is a label the layout holds (a non-negative int
-    code that fits ``int64``), else :class:`SerializationError`."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or not 0 <= value < 2 ** 63):
-        raise SerializationError(
-            f"cannot pack label {value!r}: the packed layout requires "
-            "dictionary-encoded non-negative int codes (build the tree "
-            "from a BaseTable)"
-        )
-    return value
-
-
 def _codes(labels: list) -> np.ndarray:
-    """``labels`` as an ``int64`` array, each checked by
-    :func:`check_label` — a column at a time, a value at a time only to
-    name the one that fails."""
-    codes = None
+    """``labels`` as an ``int64`` array — checked a column at a time,
+    rescanned only to name a label the layout cannot hold (it needs
+    dictionary-encoded non-negative int codes that fit ``int64``)."""
     if set(map(type, labels)) <= {int}:
         with suppress(OverflowError):
             codes = np.array(labels, dtype=np.int64)
-    if codes is None or codes.min(initial=0) < 0:
-        for value in labels:
-            check_label(value)
-    return codes
+            if codes.min(initial=0) >= 0:
+                return codes
+    bad = next(value for value in labels if type(value) is not int
+               or not 0 <= value < 2 ** 63)
+    raise SerializationError(
+        f"cannot pack label {bad!r}: the packed layout requires "
+        "dictionary-encoded non-negative int codes (build the tree "
+        "from a BaseTable)"
+    )
 
 
 def template_of(sample):
@@ -295,32 +290,15 @@ def _payload_rows(payloads: list, class_ids, n: int, template=None,
     return template, matrix
 
 
-def _columns(tree: QCTree):
-    """Compile the dict tree to ``(meta, views, slot_of)``: the meta
-    block and typed :data:`BUFFER_SECTIONS` views :meth:`FrozenQCTree.
-    from_buffers` takes, and the list of each dict id's preorder slot
-    (``-1`` for a free id).
-
-    Array operations over the parallel lists: upper bounds from at most
-    ``n_dims`` parent-pointer steps, the preorder (children by ``(dim,
-    value)``) as one sort of the root paths, and the edge rows as every
-    non-root node under its parent.  The link dicts are read in one
-    Python pass, and each class's value through ``aggregate.value``.
-    The stride keeps 2× headroom past the largest code (2 on a root-only
-    tree, which has none), so :meth:`FrozenQCTree.patch` can splice in
-    freshly minted dictionary codes without re-keying
-    (:func:`repro.shard.pack.pack_snapshot_bytes` re-strides to the
-    tightest fit).
-    """
-    n_dims, root = tree.n_dims, tree.root
-    dim = np.array(tree.node_dim, dtype=np.int64)
-    parent = np.array(tree.parent, dtype=np.int64)
+def _tree_columns(tree: QCTree):
+    """:func:`compile_columns` fed from a dict tree: its parallel lists,
+    labels checked by :func:`_codes`, and its link dicts read in one
+    Python pass.  Returns the compile with each dict id's slot as a
+    list (the :meth:`FrozenQCTree.patch` map)."""
+    free = [tree.root, *tree._free_ids]
     labels = list(tree.node_value)
-    for node in (root, *tree._free_ids):
+    for node in free:
         labels[node] = 0
-    value = _codes(labels)
-    kids = np.setdiff1d(np.arange(dim.size), [root, *tree._free_ids])
-
     links = tree.links
     link_src, link_dim, fan, link_val, link_dst = [], [], [], [], []
     for node in compress(range(len(links)), links):
@@ -330,18 +308,56 @@ def _columns(tree: QCTree):
             fan.append(len(by_value))
             link_val += by_value
             link_dst += by_value.values()
-    link_val = _codes(link_val)
+    fan = np.array(fan, dtype=np.int64)
+    holds = [state is not None for state in tree.state]
+    for node in tree._free_ids:
+        holds[node] = False  # a freed slot is off the tree, state or not
+    meta, views, slot = compile_columns(
+        dict(n_dims=tree.n_dims, dim_names=tree.dim_names,
+             aggregate=tree.aggregate),
+        np.array(tree.parent, dtype=np.int64),
+        np.array(tree.node_dim, dtype=np.int64), _codes(labels),
+        np.setdiff1d(np.arange(len(labels)), free),
+        (np.repeat(np.array(link_src, dtype=np.int64), fan),
+         np.repeat(np.array(link_dim, dtype=np.int64), fan),
+         _codes(link_val), np.array(link_dst, dtype=np.int64)),
+        np.flatnonzero(holds), list(compress(tree.state, holds)),
+    )
+    return meta, views, slot.tolist()
+
+
+def compile_columns(header, parent, dim, value, kids, links, class_nodes,
+                    payloads):
+    """The one compiler of the ``QCTREE/3`` sections: the meta block
+    (``header``'s ``n_dims``, ``dim_names`` and ``aggregate`` plus what
+    the compile finds) and typed :data:`BUFFER_SECTIONS` views
+    :meth:`FrozenQCTree.from_buffers` takes, and each node id's preorder
+    slot (``-1`` off the tree).
+
+    Node 0 is the root; ``kids`` are the other ids in the tree, with
+    ``parent``, ``dim`` and non-negative ``value`` indexed by id
+    (``int64`` arrays); ``links`` is ``(source, dim, value, target)``
+    arrays, one link per source and label; ``payloads[k]`` is node
+    ``class_nodes[k]``'s state.  Upper bounds take at most ``n_dims``
+    parent-pointer steps, the preorder (children by ``(dim, value)``)
+    one sort of the root paths.  The stride keeps 2× headroom past the
+    largest code (2 on a root-only tree), so :meth:`FrozenQCTree.patch`
+    can splice in freshly minted codes without re-keying
+    (:func:`repro.shard.pack.pack_snapshot_bytes` re-strides tight).
+    """
+    n_dims = header["n_dims"]
+    link_src, link_dim, link_val, link_dst = links
     top = max(int(value[kids].max(initial=-1)), int(link_val.max(initial=-1)))
     stride = 2 * (max(top, 0) + 1)
 
     # Upper bounds (ALL as -1) from the parent pointers.
-    ids = np.concatenate(([root], kids))
+    ids = np.concatenate(([0], kids))
     ub = np.full((ids.size, n_dims), -1, dtype=np.int64)
     row, at = np.arange(1, ids.size), kids
     for _ in range(n_dims):
         ub[row, dim[at]] = value[at]
         at = parent[at]
-        keep = at != root
+        keep = at != 0
         row, at = row[keep], at[keep]
     # Preorder: a root path holds its value in each dimension it labels,
     # ``stride`` (past every value) in one it skips on the way to a
@@ -364,25 +380,18 @@ def _columns(tree: QCTree):
     edge_start = _csr_start(owner, n)
     last_dim, forced = lemma2_columns(edge_start, edge_dim, edge_child)
 
-    fan = np.array(fan, dtype=np.int64)
-    link_owner = np.repeat(slot[np.array(link_src, dtype=np.int64)], fan)
-    link_key = (np.repeat(np.array(link_dim, dtype=np.int64), fan) * stride
-                + link_val)
+    link_owner = slot[link_src]
+    link_key = link_dim * stride + link_val
     by_owner = np.lexsort((link_key, link_owner))
 
-    states = list(map(tree.state.__getitem__, order.tolist()))
-    holds = [state is not None for state in states]
-    class_ids = np.flatnonzero(holds)
-    meta = {
-        "n_dims": n_dims, "dim_names": tree.dim_names,
-        "aggregate": tree.aggregate, "stride": stride,
-        "counts": {"nodes": n},
-    }
-    payloads = list(compress(states, holds))
-    meta["state_template"], state_data = _payload_rows(payloads, class_ids, n)
+    class_slots = slot[class_nodes]
+    kind = np.zeros(n, dtype=np.int64)
+    kind[class_slots] = 1
+    meta = dict(header, stride=stride, counts={"nodes": n})
+    meta["state_template"], state_data = _payload_rows(payloads,
+                                                       class_slots, n)
     meta["value_template"], value_data = _payload_rows(
-        list(map(tree.aggregate.value, payloads)), class_ids, n
-    )
+        list(map(header["aggregate"].value, payloads)), class_slots, n)
     views = dict(
         state_data=_view(state_data, "d"), value_data=_view(value_data, "d"),
         edge_start=_view(edge_start),
@@ -390,11 +399,84 @@ def _columns(tree: QCTree):
         edge_child=_view(edge_child),
         link_start=_view(_csr_start(link_owner, n)),
         link_key=_view(link_key[by_owner]),
-        link_target=_view(slot[np.array(link_dst, dtype=np.int64)][by_owner]),
+        link_target=_view(slot[link_dst][by_owner]),
         last_dim=_view(last_dim), forced=_view(forced), ub=_view(ub),
-        class_kind=_view(holds),
+        class_kind=_view(kind),
     )
-    return meta, views, slot.tolist()
+    return meta, views, slot
+
+
+def live_rows(tree, links: bool, live, remap):
+    """One CSR family (edges, or links) of a frozen ``tree`` gathered
+    onto its live slots: ``(start, dims, values, targets)``, the rows of
+    the slots ``live`` marks in slot order with every target mapped
+    through ``remap``.
+
+    A patched view's overlay rows (``slot -> (keys, targets)``, which
+    shadow the shared CSR sections) are appended behind them — the only
+    Python loop, O(dirty) — and one ragged gather fetches every live
+    slot's row, so tombstones, stale shadowed rows and spare capacity
+    drop out.  A target that is tombstoned or out of range raises
+    :class:`SerializationError`.
+    """
+    if links:
+        start, keys, targets = tree._link_start, tree._link_key, tree._link_target
+        over, what = tree._link_over, "link"
+    else:
+        start, keys, targets = tree._edge_start, tree._edge_key, tree._edge_child
+        over, what = tree._edge_over, "edge"
+    slots = live.size
+    start = np.asarray(start, dtype=np.int64)
+    base = start.size - 1
+    begin = np.zeros(slots, dtype=np.int64)
+    count = np.zeros(slots, dtype=np.int64)
+    begin[:base] = start[:-1]
+    count[:base] = np.diff(start)
+    over_keys: list = []
+    over_targets: list = []
+    for slot, (row_keys, row_targets) in (over or {}).items():
+        begin[slot] = len(keys) + len(over_keys)
+        count[slot] = len(row_keys)
+        over_keys.extend(row_keys)
+        over_targets.extend(row_targets)
+    begin, count = begin[live], count[live]
+    new_start = np.zeros(count.size + 1, dtype=np.int64)
+    np.cumsum(count, out=new_start[1:])
+    pick = np.repeat(begin - new_start[:-1], count) + np.arange(new_start[-1])
+
+    dims, values = np.divmod(np.concatenate([
+        np.asarray(keys, dtype=np.int64),
+        np.asarray(over_keys, dtype=np.int64),
+    ])[pick], tree._stride)
+    hops = np.concatenate([
+        np.asarray(targets, dtype=np.int64),
+        np.asarray(over_targets, dtype=np.int64),
+    ])[pick]
+    sound = (hops >= 0) & (hops < slots)
+    sound[sound] = live[hops[sound]]
+    if not sound.all():
+        at = int(np.flatnonzero(~sound)[0])
+        owner = int(np.searchsorted(new_start, at, side="right")) - 1
+        raise SerializationError(
+            f"cannot pack {what} ({int(dims[at])}, {int(values[at])}) of "
+            f"node {owner}: it points at slot {int(hops[at])}, which is "
+            "tombstoned or out of range"
+        )
+    return new_start, dims, values, remap[hops]
+
+
+def _payloads(template, matrix) -> list:
+    """The payloads of a packed ``float64`` matrix's rows (the inverse
+    of :func:`leaf_columns`), decoded a column at a time."""
+    columns = iter(matrix.T)
+
+    def decode(leaf):
+        if isinstance(leaf, list):
+            return list(zip(*map(decode, leaf)))
+        column = next(columns)
+        return (column.astype(np.int64) if leaf == "i" else column).tolist()
+
+    return decode(template)
 
 
 def _rebuild(template, flat, pos: int):
@@ -491,15 +573,21 @@ class FrozenQCTree:
 
     @classmethod
     def from_tree(cls, tree: QCTree) -> "FrozenQCTree":
-        """Compile ``tree`` into its ``QCTREE/3`` sections with array
-        operations (:func:`_columns`) and wrap them with
-        :meth:`from_buffers`.  Raises :class:`SerializationError` for a
-        tree the layout cannot hold (see the module docstring)."""
-        meta, views, slot_of = _columns(tree)
+        """Compile the dict ``tree`` into its ``QCTREE/3`` sections
+        (:func:`compile_columns`).  Raises :class:`SerializationError`
+        for a tree the layout cannot hold (see the module docstring)."""
+        return cls.from_columns(*_tree_columns(tree))
+
+    @classmethod
+    def from_columns(cls, meta: dict, views: dict,
+                     source_map) -> "FrozenQCTree":
+        """A fresh compile: :meth:`from_buffers` over sections
+        :func:`compile_columns` just made, keeping ``source_map`` (each
+        source node id's slot) for :meth:`patch`."""
         self = cls.from_buffers(meta, views)
         self.patch_stats.update(mode="fresh", dirty=self.n_nodes,
                                 touched=self.n_nodes)
-        object.__setattr__(self, "_source_map", slot_of)
+        object.__setattr__(self, "_source_map", source_map)
         return self
 
     @classmethod
@@ -590,7 +678,8 @@ class FrozenQCTree:
         # columns, ``relinked`` a link row; every one gets column writes.
         free = tree._free_ids
         tree_size = len(tree.node_dim)
-        slot_of = self._source_map + [-1] * (tree_size - len(self._source_map))
+        slot_of = list(self._source_map)
+        slot_of += [-1] * (tree_size - len(slot_of))
         base_slots = len(self._routes)
         dead = set(self._dead)
         new_ids = delta.created | delta.removed
@@ -800,6 +889,24 @@ class FrozenQCTree:
         kind = self._class_kind
         return (node for node in range(len(kind)) if kind[node])
 
+    def _live_mask(self) -> np.ndarray:
+        """Per slot, whether it holds a node (False on tombstones)."""
+        live = np.ones(len(self._routes), dtype=bool)
+        live[np.fromiter(self._dead, dtype=np.intp, count=len(self._dead))] = False
+        return live
+
+    def _states(self) -> list:
+        """Every slot's state (None off the classes), decoded from the
+        state matrix a column at a time."""
+        template, width = self._state_codec
+        classes = np.flatnonzero(np.asarray(self._class_kind))
+        states = [None] * len(self._class_kind)
+        if classes.size:
+            rows = np.asarray(self._state_data).reshape(-1, width)[classes]
+            for node, state in zip(classes.tolist(), _payloads(template, rows)):
+                states[node] = state
+        return states
+
     def _iter_row(self, node: int, links: bool) -> Iterator[tuple]:
         keys, targets, lo, hi = self._row(node, links)
         stride = self._stride
@@ -812,11 +919,6 @@ class FrozenQCTree:
 
     def iter_links_of(self, node: int) -> Iterator[tuple]:
         return self._iter_row(node, True)
-
-    def iter_links(self) -> Iterator[tuple]:
-        for node in self.iter_nodes():
-            for dim, value, target in self._iter_row(node, True):
-                yield node, dim, value, target
 
     # -- traversal protocol --------------------------------------------------
 
@@ -877,12 +979,6 @@ class FrozenQCTree:
                 self._class_kind, self._value_data, self._value_codec, node
             )
         return value
-
-    def class_upper_bounds(self) -> dict:
-        return {
-            self.upper_bound_of(node): self.value_at(node)
-            for node in self.iter_class_nodes()
-        }
 
     # -- Algorithm 3 -----------------------------------------------------------
 
@@ -1060,14 +1156,8 @@ class FrozenQCTree:
         values = [None] * len(cells)
         if hits.size:
             template, value_width = self._value_codec
-            found = np.asarray(self._value_data).reshape(
-                -1, value_width)[node[hits]]
-            if isinstance(template, list):
-                found = [_rebuild(template, row, 0)[0]
-                         for row in found.tolist()]
-            else:
-                found = found[:, 0].astype(
-                    int if template == "i" else float).tolist()
+            found = _payloads(template, np.asarray(self._value_data).reshape(
+                -1, value_width)[node[hits]])
             for i, value in zip(hits.tolist(), found):
                 values[i] = value
         return values
@@ -1091,9 +1181,12 @@ class FrozenQCTree:
 
     # Written against the traversal protocol only, so the dict tree's
     # own definitions serve every representation.
+    iter_links = QCTree.iter_links
+    class_upper_bounds = QCTree.class_upper_bounds
     signature = QCTree.signature
     equivalent_to = QCTree.equivalent_to
     stats = QCTree.stats
+    dump = QCTree.dump
 
     def __repr__(self):
         mode = self.patch_stats.get("mode", "fresh")

@@ -1,18 +1,21 @@
-"""``Piece`` — one ``(dict tree, base table)`` pair and everything derived
-from it.
+"""``Piece`` — one base table and the QC-tree derived from it.
 
 Theorem 2 makes a QC-tree a *derived index of its base table*: unique
-for the table, so always rebuildable from it.  Algorithms 5–7 maintain
-the live pair; a batch against a sealed one rebuilds.  Every store in
-this repo is one or more such pairs — a
-:class:`~repro.core.warehouse.QCWarehouse` holds one live piece, a
-:class:`~repro.core.warehouse.SegmentedWarehouse` a list of sealed
-pieces plus one live piece — and this class is the only place
-that knows a pair's lifecycle: the refreeze decision
+for the table, so always rebuildable from it.  Every store in this repo
+is one or more pieces — a :class:`~repro.core.warehouse.QCWarehouse`
+holds one live piece, a :class:`~repro.core.warehouse.SegmentedWarehouse`
+a list of sealed pieces plus one live piece — and this class is the only
+place that knows a piece's lifecycle: the refreeze decision
 (:meth:`Piece.frozen_view`), the cover index (:attr:`Piece.cover_index`),
 mutation by replacement (:meth:`Piece.derive`), the on-disk table
 (:meth:`Piece.save` / :meth:`Piece.load`), and :meth:`Piece.fsck` /
 :meth:`Piece.rebuild`.
+
+A piece is born as its columns: :meth:`build`, :meth:`derive`,
+:meth:`rebuild` and :meth:`load` run Algorithm 1 straight to the frozen
+view (:func:`~repro.core.construct.build_frozen`).  A dict tree exists
+only where Algorithms 5–7 run: a live piece thaws one at its first
+:meth:`apply` (:attr:`Piece.tree`) and keeps it until it is sealed.
 
 A piece is *live* until :meth:`Piece.seal` gives it a ``segment_id``;
 from then on it is immutable (replaced through :meth:`derive`, never
@@ -33,9 +36,10 @@ import zlib
 from collections import Counter
 from typing import Optional
 
-from repro.core.construct import build_qctree
+from repro.core.construct import build_frozen
 from repro.core.maintenance.batch import maintain_batch
 from repro.core.maintenance.delete import resolve_deletions
+from repro.core.qctree import QCTree
 from repro.cube.cover_index import CoverIndex
 from repro.cube.table import BaseTable
 from repro.errors import RecoveryError, SchemaError
@@ -43,21 +47,21 @@ from repro.reliability.fsck import fsck_tree
 
 
 class Piece:
-    """Owner of one ``(dict tree, table)`` pair (see module docstring)."""
+    """Owner of one base table and its tree (see module docstring)."""
 
-    __slots__ = ("tree", "table", "segment_id", "_frozen", "_pending",
-                 "_cover_index", "_cover_rebuilt", "_cover_patched",
-                 "_row_counts", "_saved_at", "_lock")
+    __slots__ = ("table", "aggregate", "segment_id", "_tree", "_frozen",
+                 "_pending", "_cover_index", "_cover_rebuilt",
+                 "_cover_patched", "_row_counts", "_saved_at", "_lock")
 
-    def __init__(self, tree, table: BaseTable,
+    def __init__(self, frozen, table: BaseTable,
                  segment_id: Optional[int] = None):
-        #: The dict tree (Algorithms 5–7 maintain it while live).
-        self.tree = tree
         #: The base table (copy-on-write: a batch installs a *new* one).
         self.table = table
+        self.aggregate = frozen.aggregate
         #: None while live; the segment id once sealed (immutable).
         self.segment_id = segment_id
-        self._frozen = None
+        self._tree = None
+        self._frozen = frozen
         self._pending = None
         # The long-lived cover index over the live table: built lazily
         # on the first write (or deep fsck), patched per batch from the
@@ -72,34 +76,53 @@ class Piece:
 
     @classmethod
     def build(cls, table: BaseTable, aggregate) -> "Piece":
-        """A fresh piece over ``table`` (Algorithm 1 construction)."""
-        return cls(build_qctree(table, aggregate), table)
+        """A fresh piece over ``table``: Algorithm 1 to its columns."""
+        return cls(build_frozen(table, aggregate), table)
 
     # -- read view -----------------------------------------------------------
 
     def frozen_view(self):
         """The frozen serving view, brought current on demand.
 
-        Compiled on first use; afterwards the deltas accumulated since
-        the last read are spliced into the stale view — cost
-        proportional to the maintenance delta, not the tree size —
-        unless :meth:`FrozenQCTree.patch
-        <repro.core.frozen.FrozenQCTree.patch>` finds the dirty set too
-        large and recompiles.
-        Sealing hands a live piece over with whatever view and unread
-        delta it had, so for a sealed piece the expensive compile/patch
-        happens here — off the write path — at most once.
+        Born with the piece (built again from the table after
+        :meth:`rebuild`); afterwards the deltas accumulated since the
+        last read are spliced into the stale view — cost proportional to
+        the maintenance delta, not the tree size — unless
+        :meth:`FrozenQCTree.patch <repro.core.frozen.FrozenQCTree.patch>`
+        finds the dirty set too large and recompiles.  Sealing hands a
+        live piece over with whatever view and unread delta it had, so
+        for a sealed piece the patch happens here — off the write path —
+        at most once, and its dict tree goes with the delta.
         """
         frozen = self._frozen
         if frozen is not None and self._pending is None:
             return frozen
         with self._lock:
-            if self._frozen is None:
-                self._frozen = self.tree.freeze()
-            elif self._pending is not None:
-                self._frozen = self._frozen.patch(self._pending)
+            return self._current_view()
+
+    def _current_view(self):
+        """:meth:`frozen_view`'s work, under ``self._lock``."""
+        if self._frozen is None:
+            self._frozen = build_frozen(self.table, self.aggregate)
+        elif self._pending is not None:
+            self._frozen = self._frozen.patch(self._pending)
             self._pending = None
-            return self._frozen
+            if self.segment_id is not None:
+                self._tree = None  # sealed: nothing maintains it any more
+        return self._frozen
+
+    @property
+    def tree(self) -> QCTree:
+        """The dict tree Algorithms 5–7 maintain: the frozen view's thaw
+        (:meth:`QCTree.from_frozen`), kept by a live piece from its first
+        use on; a sealed piece keeps none, so each access thaws anew."""
+        with self._lock:
+            tree = self._tree
+            if tree is None:
+                tree = QCTree.from_frozen(self._current_view())
+                if self.segment_id is None:
+                    self._tree = tree
+            return tree
 
     @property
     def frozen_ready(self) -> bool:
@@ -109,16 +132,8 @@ class Piece:
     @property
     def pending_delta(self):
         """The merged maintenance delta no read has consumed yet (None
-        when the view is current or was never compiled)."""
+        when the view is current)."""
         return self._pending
-
-    def drop_view(self) -> None:
-        """Forget the frozen view and any unread delta: the next
-        :meth:`frozen_view` recompiles from the (transactionally
-        maintained) dict tree, which is always safe."""
-        with self._lock:
-            self._frozen = None
-            self._pending = None
 
     @property
     def n_rows(self) -> int:
@@ -187,12 +202,12 @@ class Piece:
 
         Transactional: on failure tree, table and view are untouched.
         On success the batch's delta is merged into the unread pending
-        delta (when a frozen view exists to patch), so any number of
-        writes between two reads cost one patch.
+        delta, so any number of writes between two reads cost one patch.
         """
+        tree = self.tree
         with self._lock:
             try:
-                result = maintain_batch(self.tree, self.table,
+                result = maintain_batch(tree, self.table,
                                         inserts=inserts, deletes=deletes,
                                         cover_index=self.cover_index)
             except BaseException:
@@ -204,12 +219,9 @@ class Piece:
             self.table = result.table
             self._row_counts = None
             self._cover_patched += 1
-            if self._frozen is not None:
-                pending = self._pending
-                self._pending = (
-                    result.delta if pending is None
-                    else pending.merge(result.delta)
-                )
+            pending = self._pending
+            self._pending = (result.delta if pending is None
+                             else pending.merge(result.delta))
         return result
 
     def derive(self, inserts=(), deletes=(),
@@ -221,36 +233,45 @@ class Piece:
         :func:`~repro.core.maintenance.delete.resolve_deletions` matches
         (earliest first, measures ignored), then ``inserts`` are appended
         in arrival order — the order earliest-first delete matching
-        depends on.  No tree is copied; the frozen view compiles on the
-        new piece's first read.
+        depends on.  No tree is copied: the new piece is built to its
+        columns.
         """
         table = self.table
         if deletes:
             table, _ = resolve_deletions(table, deletes)
         if inserts:
             table, _ = table.extended(inserts)
-        return Piece(build_qctree(table, self.tree.aggregate), table,
+        return Piece(build_frozen(table, self.aggregate), table,
                      segment_id=segment_id)
 
     def seal(self, segment_id: int) -> None:
         """Make this piece immutable under ``segment_id`` — O(1): the
         frozen view and unread delta stay as they are (finalised lazily
-        by :meth:`frozen_view`), only the write-side index is released."""
-        self.segment_id = segment_id
-        self._cover_index = None
+        by :meth:`frozen_view`, which then drops the dict tree), the
+        write-side index is released, and without a delta the dict tree
+        goes at once."""
+        with self._lock:
+            self.segment_id = segment_id
+            self._cover_index = None
+            if self._pending is None:
+                self._tree = None
 
     def rebuild(self) -> None:
-        """Rebuild the tree from the table (Theorem 2: the table
-        determines it), dropping everything derived from the old one."""
-        self.tree = build_qctree(self.table, self.tree.aggregate)
-        self.drop_view()
+        """Drop everything derived from the table — dict tree, view and
+        unread delta — which is always safe (Theorem 2: the table
+        determines the tree): the next read builds the columns again,
+        the next write thaws them."""
+        with self._lock:
+            self._tree = self._frozen = self._pending = None
 
     def fsck(self, deep: bool = True, samples: Optional[int] = 64,
              seed: int = 0):
-        """Verify the pair; ``deep`` also re-derives sampled class
-        aggregates from the table."""
+        """Verify the piece: the dict tree a live piece maintains, else
+        what it serves (through a thaw it does not keep); ``deep`` also
+        re-derives sampled class aggregates from the table."""
+        tree = self._tree if self.segment_id is None else None
         return fsck_tree(
-            self.tree,
+            self.frozen_view() if tree is None else tree,
             table=self.table if deep else None,
             samples=samples,
             seed=seed,
@@ -313,7 +334,4 @@ class Piece:
         return piece
 
     def __repr__(self):
-        return (
-            f"Piece({self.name}, rows={self.n_rows}, "
-            f"classes={self.tree.n_classes})"
-        )
+        return f"Piece({self.name}, rows={self.n_rows})"

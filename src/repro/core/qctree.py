@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+import numpy as np
+
 from repro.core.cells import ALL, Cell, format_cell
 from repro.core.point_query import (
     descend_to_class,
@@ -147,11 +149,11 @@ class QCTree:
                 yield node
 
     def iter_links(self) -> Iterator[tuple]:
-        """Yield links as ``(source, dim, value, target)``."""
-        for node, by_dim in enumerate(self.links):
-            for dim, by_value in by_dim.items():
-                for value, target in by_value.items():
-                    yield node, dim, value, target
+        """Yield links as ``(source, dim, value, target)``, sources in
+        :meth:`iter_nodes` order."""
+        for node in self.iter_nodes():
+            for dim, value, target in self.iter_links_of(node):
+                yield node, dim, value, target
 
     def iter_children_of(self, node: int) -> Iterator[tuple]:
         """Yield ``node``'s tree edges as ``(dim, value, child)``.
@@ -446,17 +448,51 @@ class QCTree:
                 delta.note_edges(parent)
             node = parent
 
-    def freeze(self) -> "FrozenQCTree":
-        """Build the immutable array-backed serving view of this tree.
+    @classmethod
+    def from_frozen(cls, frozen) -> "QCTree":
+        """The dict tree of a :class:`~repro.core.frozen.FrozenQCTree`:
+        the thaw Algorithms 5–7 start from, and the one way a build
+        becomes a dict tree.  Node ``i`` is slot ``i`` (a fresh compile's
+        patch map is the identity) and a tombstone a free id; edges and
+        links come from one gather (:func:`~repro.core.frozen.live_rows`),
+        each node's in ``(dim, value)`` order."""
+        from repro.core.frozen import live_rows
 
-        Returns a :class:`~repro.core.frozen.FrozenQCTree` answering
-        every query identically (equal :meth:`signature`): its
-        ``QCTREE/3`` sections, compiled from these parallel lists with
-        array operations (see that module; a tree the layout cannot hold
-        raises :class:`~repro.errors.SerializationError`).  The frozen
-        view is a snapshot — later mutations of this tree do not
-        propagate into it.
-        """
+        tree = cls(frozen.n_dims, frozen.aggregate,
+                   dim_names=frozen.dim_names)
+        live = frozen._live_mask()
+        n = live.size
+        # The tree's own lists first, then the scratch a chunk at a time:
+        # scratch freed among the tree's objects would stay resident.
+        tree.node_dim, tree.parent = [-1] * n, [-1] * n
+        tree.node_value = [None] * n
+        tree.children = [{} for _ in range(n)]
+        tree.links = [{} for _ in range(n)]
+        tree.state = frozen._states()
+        tree._free_ids = set(np.flatnonzero(~live).tolist())
+        ids = list(range(n))  # one int per id, shared by every use
+        for nested in (tree.children, tree.links):
+            start, *rows = live_rows(frozen, nested is tree.links, live,
+                                     np.arange(n))
+            rows.insert(0, np.repeat(np.flatnonzero(live), np.diff(start)))
+            for at in range(0, start[-1], 4096):
+                for node, dim, value, target in zip(
+                        *(column[at:at + 4096].tolist() for column in rows)):
+                    node, target = ids[node], ids[target]
+                    by_value = nested[node].get(dim)
+                    if by_value is None:
+                        by_value = nested[node][dim] = {}
+                    by_value[value] = target
+                    if nested is tree.children:
+                        tree.node_dim[target] = dim
+                        tree.node_value[target] = value
+                        tree.parent[target] = node
+        return tree
+
+    def freeze(self) -> "FrozenQCTree":
+        """The :class:`~repro.core.frozen.FrozenQCTree` of this tree
+        (:meth:`~repro.core.frozen.FrozenQCTree.from_tree`): equal
+        :meth:`signature`, a snapshot later mutations do not reach."""
         from repro.core.frozen import FrozenQCTree
 
         return FrozenQCTree.from_tree(self)
@@ -560,36 +596,28 @@ class QCTree:
         }
 
     def dump(self, decoder=None) -> str:
-        """Multi-line rendering in the spirit of the paper's Figure 4."""
+        """Multi-line rendering in the spirit of the paper's Figure 4
+        (written against the traversal protocol, so every representation
+        renders alike)."""
         lines = []
 
-        def label(node):
-            if node == self.root:
-                text = "Root"
-            else:
-                dim, value = self.node_dim[node], self.node_value[node]
-                raw = decoder(dim, value) if decoder else value
-                text = f"{self.dim_names[dim]}={raw}"
+        def label(dim, value):
+            raw = decoder(dim, value) if decoder else value
+            return f"{self.dim_names[dim]}={raw}"
+
+        def walk(node, text, depth):
             if self.state[node] is not None:
                 text += f" : {self.value_at(node)}"
-            return text
+            lines.append("  " * depth + text)
+            for dim, value, target in sorted(self.iter_links_of(node)):
+                lines.append(
+                    "  " * (depth + 1) + f"~~{label(dim, value)}~~> "
+                    + format_cell(self.upper_bound_of(target), decoder)
+                )
+            for dim, value, child in sorted(self.iter_children_of(node)):
+                walk(child, label(dim, value), depth + 1)
 
-        def walk(node, depth):
-            lines.append("  " * depth + label(node))
-            for dim in sorted(self.links[node]):
-                for value in sorted(self.links[node][dim]):
-                    target = self.links[node][dim][value]
-                    raw = decoder(dim, value) if decoder else value
-                    lines.append(
-                        "  " * (depth + 1)
-                        + f"~~{self.dim_names[dim]}={raw}~~> "
-                        + format_cell(self.upper_bound_of(target), decoder)
-                    )
-            for dim in sorted(self.children[node]):
-                for value in sorted(self.children[node][dim]):
-                    walk(self.children[node][dim][value], depth + 1)
-
-        walk(self.root, 0)
+        walk(self.root, "Root", 0)
         return "\n".join(lines)
 
     def __repr__(self):

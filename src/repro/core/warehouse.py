@@ -7,13 +7,15 @@ maintenance, semantic exploration, and persistence.  Queries accept raw
 dimension labels (``"S1"``, ``"*"``) and return decoded results.
 
 Theorem 2 makes a QC-tree a derived index of its base table, so a store
-is a list of :class:`~repro.core.piece.Piece` objects — ``(dict tree,
-table)`` pairs over disjoint rows — and distributive/algebraic aggregate
-states merge across them.  Writes land in the last piece, the *head*,
-maintained by the Algorithms 5–7 batched engine.  Once the head crosses
+is a list of :class:`~repro.core.piece.Piece` objects — base tables
+over disjoint rows, each with its frozen tree — and
+distributive/algebraic aggregate states merge across them.  Writes land
+in the last piece, the *head*, whose dict tree (thawed at its first
+write) the Algorithms 5–7 batched engine maintains.  Once the head crosses
 ``seal_rows`` rows or ``SEAL_BATCHES`` batches it **seals**: O(1), the
-piece gets a segment id, joins the sealed list (tree, table, frozen view
-and unread refreeze delta ride along) and a fresh empty head starts.
+piece gets a segment id, joins the sealed list (table, frozen view and
+unread refreeze delta ride along; the dict tree goes once the view is
+current) and a fresh empty head starts.
 Queries scatter-gather across the pieces (:mod:`repro.serving.scatter`);
 a background **compactor** unions adjacent sealed pieces, the *newer*
 one's rows appended to the *older* one's so global arrival order — what
@@ -135,11 +137,12 @@ class QCWarehouse:
         # heavy work (compaction merges, frozen-view compiles) happens
         # outside it, so readers and writers only wait on pointer swaps.
         self._lock = threading.RLock()
+        #: Each dimension's label type (:func:`~repro.cube.table.label_type`;
+        #: None until a dimension holds labels of one type).  A dimension
+        #: whose labels mix types raises :class:`SchemaError` here.
+        self._label_types = table.label_types()
         #: The head: the one piece writes land in.
         self._live = Piece.build(table, self.aggregate)
-        #: Each dimension's label type (:func:`~repro.cube.table.label_type`;
-        #: None until a dimension holds labels of one type).
-        self._label_types = table.label_types()
         #: Sealed pieces, oldest first; swapped (never edited) under the
         #: lock.
         self._segments: list = []
@@ -191,14 +194,15 @@ class QCWarehouse:
         return (lsn, self._epoch)
 
     def pieces(self) -> list:
-        """Every ``(dict tree, table)`` pair: the sealed pieces, oldest
-        first, then the head."""
+        """Every piece: the sealed ones, oldest first, then the head."""
         with self._lock:
             return self._segments + [self._live]
 
     @property
     def tree(self):
-        """The head's mutable dict tree."""
+        """The head's mutable dict tree, thawed on first use
+        (:attr:`Piece.tree <repro.core.piece.Piece.tree>`); reads and
+        :meth:`stats` use :attr:`serving_tree` instead."""
         return self._live.tree
 
     @property
@@ -270,15 +274,16 @@ class QCWarehouse:
     def invalidate_serving_view(self) -> None:
         """Drop every derived serving structure and start clean.
 
-        The next :attr:`serving_tree` access recompiles the head's
-        frozen view instead of patching; the epoch bump invalidates
-        every cached answer.  This is the serving layer's recovery
-        fallback: when a refreeze or a snapshot publication fails
-        partway, the accumulated patch state is suspect — recompiling
-        from the (transactionally maintained) dict tree is always safe.
+        The head is rebuilt (:meth:`Piece.rebuild
+        <repro.core.piece.Piece.rebuild>`): the next :attr:`serving_tree`
+        access builds its frozen view from the table instead of
+        patching; the epoch bump invalidates every cached answer.  This
+        is the serving layer's recovery fallback: when a refreeze or a
+        snapshot publication fails partway, the accumulated patch state
+        is suspect — building from the table is always safe.
         """
         with self._lock:
-            self._live.drop_view()
+            self._live.rebuild()
             self._mutated()
 
     def verify(self, deep: bool = True, samples: Optional[int] = 64,
@@ -915,7 +920,7 @@ class QCWarehouse:
             for j, known in enumerate(types)
         )
         wh._maybe_seal()
-        wh.invalidate_serving_view()
+        wh._mutated()
         wh.wal = wal
         wh.last_recovery = dict(
             orphans=find_orphans(directory, payload),
@@ -957,14 +962,14 @@ class QCWarehouse:
             stamp = dict(lsn=lsn, epoch=epoch)
             health = self.segment_health()
             if health is None:
-                out = self.tree.stats()
+                out = self._live.frozen_view().stats()
                 out["cover_index"] = self._live.cover_stats()
             else:
                 out = dict(
                     health,
                     segment_rows=[s.n_rows for s in self._segments],
                     head_batches=self._head_batches,
-                    head_classes=self.tree.n_classes,
+                    head_classes=self._live.frozen_view().n_classes,
                     segment_rewrites=self._segment_rewrites,
                 )
                 stamp["generation"] = self._generation

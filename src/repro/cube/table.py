@@ -36,6 +36,15 @@ def _label_sort_key(label):
     return (label.__class__.__name__, label)
 
 
+def _new_labels(records, j: int, known=()) -> list:
+    """Dimension ``j``'s labels in ``records`` that ``known`` lacks, in
+    dictionary order, a NumPy scalar as its Python scalar (``.item()``,
+    what a checkpoint and a snapshot's JSON spell back)."""
+    labels = {v.item() if isinstance(v, np.generic) else v
+              for v in {r[j] for r in records}}
+    return sorted(labels.difference(known), key=_label_sort_key)
+
+
 def _measure_matrix(records, schema: Schema):
     """The float64 measure matrix of raw ``records`` (dimension labels
     then measures, schema order); :class:`SchemaError` for a record of
@@ -114,7 +123,7 @@ class BaseTable:
         encoders = []
         decoders = []
         for j in range(n_dims):
-            labels = sorted({r[j] for r in records}, key=_label_sort_key)
+            labels = _new_labels(records, j)
             encoders.append({label: code for code, label in enumerate(labels)})
             decoders.append(list(labels))
         rows = [
@@ -258,10 +267,7 @@ class BaseTable:
         encoders = [dict(e) for e in self._encoders]
         decoders = [list(d) for d in self._decoders]
         for j in range(n_dims):
-            fresh = sorted(
-                {r[j] for r in records} - set(encoders[j]), key=_label_sort_key
-            )
-            for label in fresh:
+            for label in _new_labels(records, j, encoders[j]):
                 encoders[j][label] = len(decoders[j])
                 decoders[j].append(label)
         new_rows = [
@@ -334,12 +340,19 @@ class BaseTable:
     # -- CSV I/O ---------------------------------------------------------------
 
     def label_types(self) -> tuple:
-        """Per dimension, the :func:`label_type` every label shares; None
-        for a dimension without labels or with labels of mixed types."""
+        """Per dimension, the :func:`label_type` every label shares (None
+        without labels); :class:`SchemaError` for a dimension whose labels
+        mix types, which a checkpoint could not read back."""
         out = []
-        for labels in self._decoders:
+        for name, labels in zip(self.schema.dimension_names, self._decoders):
             kinds = {label_type(label) for label in labels}
-            out.append(kinds.pop() if len(kinds) == 1 else None)
+            if len(kinds) > 1:
+                raise SchemaError(
+                    f"dimension {name!r} mixes labels of types "
+                    f"{sorted(map(str, kinds))}: a checkpoint could not "
+                    f"spell them back"
+                )
+            out.append(kinds.pop() if kinds else None)
         return tuple(out)
 
     def to_csv(self, path) -> str:

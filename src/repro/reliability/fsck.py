@@ -265,10 +265,11 @@ def _check_aggregates(tree: QCTree, table, class_nodes: list,
     report.checked["aggregates"] = checked
 
 
-def fsck_tree(tree: QCTree, table=None, samples: Optional[int] = 64,
+def fsck_tree(tree, table=None, samples: Optional[int] = 64,
               seed: int = 0, cover_index=None) -> FsckReport:
-    """Verify ``tree``; returns a :class:`FsckReport` (never raises on
-    corruption).
+    """Verify ``tree`` — a dict tree, or a frozen one through its thaw
+    (:meth:`QCTree.from_frozen`); returns a :class:`FsckReport` (never
+    raises on corruption).
 
     ``table`` enables the aggregate re-derivation pass; ``samples``
     bounds how many classes that pass recomputes (None = all).
@@ -278,6 +279,8 @@ def fsck_tree(tree: QCTree, table=None, samples: Optional[int] = 64,
     """
     report = FsckReport()
     try:
+        if not isinstance(tree, QCTree):
+            tree = QCTree.from_frozen(tree)
         live = _check_structure(tree, report)
         _check_links(tree, live, report)
         if any(i.code.startswith("structure-") for i in report.issues):

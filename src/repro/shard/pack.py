@@ -48,6 +48,7 @@ from repro.core.frozen import (
     BUFFER_SECTIONS,
     FrozenQCTree,
     lemma2_columns,
+    live_rows,
     template_leaves,
 )
 from repro.core.qctree import QCTree
@@ -103,58 +104,6 @@ def _packed_matrix(data, template, is_class):
     return matrix
 
 
-def _compact_rows(start, keys, targets, over, live, remap, stride, what):
-    """One CSR family (edges or links) compacted onto the live nodes.
-
-    ``start`` / ``keys`` / ``targets`` are the tree's shared CSR
-    sections and ``over`` the patch overlay
-    ``slot -> (keys, targets)`` that shadows them.  Overlay rows are
-    appended behind the CSR arrays — the only Python loop, O(dirty) —
-    and then every live node's row is fetched by one ragged gather, so
-    tombstones, stale shadowed rows and spare capacity simply drop out.
-    Returns ``(new_start, dims, values, new_targets)`` in the compact
-    ids of ``remap``.
-    """
-    slots = live.size
-    start = np.asarray(start, dtype=np.int64)
-    base = start.size - 1
-    begin = np.zeros(slots, dtype=np.int64)
-    count = np.zeros(slots, dtype=np.int64)
-    begin[:base] = start[:-1]
-    count[:base] = np.diff(start)
-    over_keys: list = []
-    over_targets: list = []
-    for slot, (row_keys, row_targets) in (over or {}).items():
-        begin[slot] = len(keys) + len(over_keys)
-        count[slot] = len(row_keys)
-        over_keys.extend(row_keys)
-        over_targets.extend(row_targets)
-    begin, count = begin[live], count[live]
-    new_start = np.zeros(count.size + 1, dtype=np.int64)
-    np.cumsum(count, out=new_start[1:])
-    pick = np.repeat(begin - new_start[:-1], count) + np.arange(new_start[-1])
-
-    dims, values = np.divmod(np.concatenate([
-        np.asarray(keys, dtype=np.int64),
-        np.asarray(over_keys, dtype=np.int64),
-    ])[pick], stride)
-    hops = np.concatenate([
-        np.asarray(targets, dtype=np.int64),
-        np.asarray(over_targets, dtype=np.int64),
-    ])[pick]
-    sound = (hops >= 0) & (hops < slots)
-    sound[sound] = live[hops[sound]]
-    if not sound.all():
-        at = int(np.flatnonzero(~sound)[0])
-        owner = int(np.searchsorted(new_start, at, side="right")) - 1
-        raise SerializationError(
-            f"cannot pack {what} ({int(dims[at])}, {int(values[at])}) of "
-            f"node {owner}: it points at slot {int(hops[at])}, which is "
-            "tombstoned or out of range"
-        )
-    return new_start, dims, values, remap[hops]
-
-
 def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
                         snapshot_meta=None) -> bytes:
     """Serialize a serving snapshot to the ``QCTREE/3`` byte layout.
@@ -162,8 +111,8 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
     Columnar: a live mask and its running sum renumber the slots
     (tombstones and spare capacity drop out), a patched view's edge/link
     overlay rows are appended behind the shared CSR arrays and one
-    ragged gather fetches every live row (the only Python loop,
-    O(dirty)), every per-node column is read from its section, and keys
+    ragged gather fetches every live row (:func:`~repro.core.frozen.
+    live_rows`), every per-node column is read from its section, and keys
     are re-strided to the tightest fit with a vectorised ``divmod``.  A
     dict-backed :class:`QCTree` is frozen first.
     ``table`` rides along when given, making the blob a complete
@@ -172,23 +121,16 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
     if isinstance(tree, QCTree):
         tree = tree.freeze()
     n_dims = tree.n_dims
-    slots = len(tree._routes)
-    live = np.ones(slots, dtype=bool)
-    live[np.fromiter(tree._dead, dtype=np.intp, count=len(tree._dead))] = False
+    live = tree._live_mask()
     n = int(live.sum())
     if n == 0:
         raise SerializationError("cannot pack an empty QC-tree (no root)")
     remap = np.cumsum(live) - 1
 
-    stride = tree._stride
-    edge_start, edge_dim, edge_val, edge_child = _compact_rows(
-        tree._edge_start, tree._edge_key, tree._edge_child,
-        tree._edge_over, live, remap, stride, "edge",
-    )
-    link_start, link_dim, link_val, link_target = _compact_rows(
-        tree._link_start, tree._link_key, tree._link_target,
-        tree._link_over, live, remap, stride, "link",
-    )
+    edge_start, edge_dim, edge_val, edge_child = live_rows(
+        tree, False, live, remap)
+    link_start, link_dim, link_val, link_target = live_rows(
+        tree, True, live, remap)
     ub = np.maximum(
         np.asarray(tree._ub, dtype=np.int64).reshape(-1, n_dims)[live], -1)
 

@@ -12,6 +12,7 @@ from hypothesis import settings
 
 from repro.core import frozen
 from repro.core.cells import ALL
+from repro.core.qctree import QCTree
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.serving.scatter import PieceView
@@ -66,6 +67,26 @@ def dict_view(warehouse):
     straight over the warehouse's mutable dict tree, as it is now."""
     return ServingSnapshot([PieceView(warehouse.tree, warehouse.table)],
                            warehouse.aggregate)
+
+
+@pytest.fixture
+def thaws(monkeypatch):
+    """The frozen trees :meth:`QCTree.from_frozen` thaws while the test
+    runs, in order."""
+    seen = []
+    thaw = QCTree.from_frozen.__func__
+    monkeypatch.setattr(QCTree, "from_frozen", classmethod(
+        lambda cls, frozen: seen.append(frozen) or thaw(cls, frozen)))
+    return seen
+
+
+def corrupt_served_state(piece, bump):
+    """Make a piece that holds no dict tree serve one class state passed
+    through ``bump``, as a view compiled from a damaged tree would."""
+    tree = QCTree.from_frozen(piece.frozen_view())
+    node = next(tree.iter_class_nodes())
+    tree.set_state(node, bump(tree.state[node]))
+    piece._frozen = tree.freeze()
 
 
 @contextmanager

@@ -183,6 +183,28 @@ class TestLabelTypes:
         payload = load_manifest(tmp_path / "ckpt")
         assert payload["schema"]["label_types"] == ["int", "str"]
 
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_a_dimension_of_mixed_label_types_is_refused(self, segmented,
+                                                         tmp_path):
+        """Its labels would be written as text and read back as one
+        type: ``1`` would come back as ``"1"`` and ``point((1, "*"))``
+        would read None after a restart.  Construction refuses it, as a
+        write does."""
+        store = SegmentedWarehouse if segmented else QCWarehouse
+        options = {"seal_rows": 1} if segmented else {}
+        records = [(1, "a", 1.0), ("x", "b", 2.0)]
+        with pytest.raises(SchemaError, match="'Year' mixes"):
+            store.from_records(records, YEARS, ("sum", "M"), **options)
+        wh = store.from_records(records[:1], YEARS, ("sum", "M"), **options)
+        with pytest.raises(SchemaError, match="Year"):
+            wh.insert(records[1:])
+        wh.checkpoint(tmp_path / "ckpt")
+        wh.close()
+        recovered = store.recover(tmp_path / "ckpt", tmp_path / "wal", YEARS,
+                                  **options)
+        assert recovered.point((1, "*")) == 1.0
+        recovered.close()
+
     def test_a_logged_label_keeps_the_type_of_its_dimension(self, tmp_path):
         wh = self._store()
         wh.attach_wal(tmp_path / "wal")

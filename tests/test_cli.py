@@ -17,6 +17,7 @@ import pytest
 
 from repro.__main__ import main, parse_cell, parse_range
 from repro.core.manifest import load_manifest
+from tests.test_construct import FIGURE_4_DUMP
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -115,6 +116,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.startswith("# head\n")
         assert "Root" in out and "Store=S1" in out
+
+    def test_read_verbs_read_the_frozen_tree(self, built_dir, capsys,
+                                             thaws):
+        """No read-only verb thaws a dict tree: stats and dump render
+        the frozen tree through the traversal protocol."""
+        assert main(["stats", built_dir]) == 0
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "nodes: 11", "tree_edges: 10", "links: 5", "classes: 6"]
+        assert main(["dump", built_dir]) == 0
+        assert capsys.readouterr().out == "# head\n" + FIGURE_4_DUMP + "\n"
+        for argv in (["point", built_dir, "S2,*,f"],
+                     ["range", built_dir, "S1|S2,*,*"],
+                     ["iceberg", built_dir, "--threshold", "10"]):
+            assert main(argv) == 0
+        assert thaws == []
 
     def test_saved_warehouse_answers_like_the_api(self, tmp_path,
                                                   monkeypatch, capsys):

@@ -1,16 +1,25 @@
 """Tests for QC-tree construction (Algorithm 1) against the paper's Figure 4
-and Theorem 1 (uniqueness)."""
+and Theorem 1 (uniqueness), and for its one output: the columns."""
 
+import hashlib
 import random
 
 import pytest
 
 from repro.core.cells import ALL
-from repro.core.construct import build_qctree
+from repro.core.construct import (
+    build_frozen,
+    build_qctree,
+    build_qctree_reference,
+)
+from repro.core.qctree import QCTree
 from repro.cube.lattice import closed_cells
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
+from repro.data.synthetic import zipf_table
+from repro.shard.pack import pack_snapshot_bytes
 from tests.conftest import make_random_table
+from tests.reference_pack import reference_pack
 
 
 class TestPaperFigure4:
@@ -154,3 +163,82 @@ class TestEdgeCases:
         )
         tree = build_qctree(table, ("avg", "Sale"))
         assert list(tree.class_upper_bounds().values()) == [7.0]
+
+
+#: Figure 4 as ``dump`` renders it: links first, then children, each by
+#: (dimension, value).
+FIGURE_4_DUMP = """\
+Root : 9.0
+  ~~Product=P2~~> (S1, P2, *)
+  ~~Season=f~~> (S2, P1, f)
+  ~~Season=s~~> (S1, *, s)
+  Store=S1
+    Product=P1
+      Season=s : 6.0
+    Product=P2
+      Season=s : 12.0
+    Season=s : 9.0
+  Store=S2
+    Product=P1
+      Season=f : 9.0
+  Product=P1 : 7.5
+    ~~Season=f~~> (S2, P1, f)
+    ~~Season=s~~> (S1, P1, s)"""
+
+
+class TestColumnsFirst:
+    """Algorithm 1 outputs the ``QCTREE/3`` sections; the dict tree is
+    their thaw.  Both must be the tree the record-by-record build made:
+    its structure, its bit-exact states and its packed bytes."""
+
+    SPECS = ["count", ("sum", "m"), ("avg", "m"), ("min", "m"),
+             [("sum", "m"), ("avg", "m")]]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_thaw_and_bytes_equal_the_reference_construction(self, seed):
+        table = make_random_table(seed + 500)
+        spec = self.SPECS[seed % len(self.SPECS)]
+        frozen = build_frozen(table, spec)
+        reference = build_qctree_reference(table, spec)
+        thawed = QCTree.from_frozen(frozen)
+        assert thawed.signature() == reference.signature()
+        assert frozen.signature() == reference.signature()
+        assert pack_snapshot_bytes(frozen, table) == \
+            reference_pack(reference, table)
+        thawed.check_invariants()
+
+    def test_golden_digest(self):
+        """The packed bytes of the 2,000-row zipf table the class
+        stream's golden digest pins, recorded from the dict-tree build
+        this compile replaced."""
+        table = zipf_table(2000, 6, 30, seed=0)
+        frozen = build_frozen(table, ("sum", "M0"))
+        blob = pack_snapshot_bytes(frozen, table)
+        assert blob == reference_pack(build_qctree(table, ("sum", "M0")),
+                                      table)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "fd9af8c02602087581248f5ef3f820109ae28dc2705e5ebf6ad485182e80ca7f")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_thaw_ids_are_slots(self, seed):
+        """The thaw mints nodes in slot order, so the frozen tree's patch
+        map is the identity and both trees name each node alike."""
+        table = make_random_table(seed + 700)
+        frozen = build_frozen(table, ("sum", "m"))
+        thawed = QCTree.from_frozen(frozen)
+        assert list(frozen._source_map) == list(range(frozen.n_nodes))
+        assert len(thawed.node_dim) == thawed.n_nodes == frozen.n_nodes
+        for node in frozen.iter_nodes():
+            assert thawed.upper_bound_of(node) == frozen.upper_bound_of(node)
+            assert thawed.value_at(node) == frozen.value_at(node)
+            assert sorted(thawed.iter_links_of(node)) == \
+                sorted(frozen.iter_links_of(node))
+
+    def test_figure_4_from_the_columns(self, sales_table):
+        frozen = build_frozen(sales_table, ("avg", "Sale"))
+        assert frozen.stats() == {"nodes": 11, "tree_edges": 10,
+                                  "links": 5, "classes": 6}
+        thawed = QCTree.from_frozen(frozen)
+        decode = sales_table.decode_value
+        assert frozen.dump(decode) == thawed.dump(decode)
+        assert frozen.dump(decode) == FIGURE_4_DUMP

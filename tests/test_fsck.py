@@ -11,7 +11,12 @@ from repro.cube.schema import Schema
 from repro.reliability.fsck import fsck_tree
 from repro.segments import SegmentedWarehouse
 from tests import model
-from tests.conftest import all_cells, approx_equal, make_random_table
+from tests.conftest import (
+    all_cells,
+    approx_equal,
+    corrupt_served_state,
+    make_random_table,
+)
 
 
 def codes(report):
@@ -281,12 +286,8 @@ class TestVerifyRepairs:
         with _store(kind, records) as wh:
             ask = model.asker(wh)
             model.assert_answers(ask, expected)  # fills the cache
-            tree = wh.pieces()[0].tree
-            node = next(tree.iter_class_nodes())
-            tree.set_state(node, tree.state[node] + 123456.0)
-            # Serve the corrupt tree, as a view compiled after the damage
-            # would.
-            wh.pieces()[0].drop_view()
+            corrupt_served_state(wh.pieces()[0],
+                                 lambda state: state + 123456.0)
             report = wh.verify(samples=None)
             assert not report.ok
             assert wh.stats()["serving"] in ("frozen", "segmented")

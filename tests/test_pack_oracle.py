@@ -323,13 +323,30 @@ class TestEdgeCases:
         with ShardServer(wh, processes=1) as server:
             before = created_segments()
             epoch = server.shard_health()["current_epoch"]
-            # A NumPy integer is an int label (a checkpoint spells it
-            # back), but it cannot ride in the JSON label dictionary.
-            wh.insert([(np.int64(2099), "a", 1.0)])
+            wh.insert([(2099, "a", 1.0)])
+            # Snapshot meta the JSON meta block cannot hold fails the
+            # packer.
+            wh.serving_tree.snapshot_meta["unpackable"] = {2099}
             with pytest.raises(SerializationError, match="JSON"):
                 server._publish()
             assert created_segments() == before
             assert server.shard_health()["current_epoch"] == epoch
+        assert created_segments() == []
+
+
+    def test_a_numpy_label_publishes_and_reads(self):
+        """A NumPy scalar is an ``int`` / ``str`` label that a write
+        accepts; the table stores its Python scalar, so it rides in the
+        JSON label dictionary of every later publish."""
+        schema = Schema(dimensions=("Year", "Kind"), measures=("M",))
+        wh = QCWarehouse.from_records([(2001, "a", 1.0)], schema, "sum(M)")
+        with ShardServer(wh, processes=1) as server:
+            wh.insert([(np.int64(2099), "a", 1.0),
+                       (2001, np.str_("b"), 2.0)])
+            server._publish()
+            assert server.point((2099, "*")) == 1.0
+            assert server.point(("*", "b")) == 2.0
+        assert [type(label) for label in wh.table._decoders[0]] == [int, int]
         assert created_segments() == []
 
 

@@ -1,4 +1,4 @@
-"""The ``(dict tree, table)`` lifecycle, tested on the piece itself.
+"""The piece lifecycle, tested on the piece itself.
 
 Both warehouses, every sealed segment and the CLI hold their data as
 :class:`~repro.core.piece.Piece` objects, so the refreeze decision, the
@@ -9,6 +9,7 @@ instead of per store.
 
 from __future__ import annotations
 
+import random
 import zlib
 
 import pytest
@@ -20,10 +21,12 @@ from repro.core.maintenance import maintain_batch
 from repro.core.piece import Piece
 from repro.core.point_query import point_query
 from repro.core.qctree import QCTree
+from repro.core.warehouse import QCWarehouse
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError
+from repro.segments import SegmentedWarehouse
 from tests.conftest import refreeze_ratios
-from tests.model import SCHEMA, make_program, record
+from tests.model import SCHEMA, gen_record, make_program, record
 
 AGG = ("sum", "m")
 
@@ -68,13 +71,18 @@ class TestRefreeze:
         assert piece.tree.equivalent_to(build_qctree(piece.table, AGG))
 
     def test_no_view_no_pending(self):
-        """Nothing accumulates until a view exists to patch."""
+        """A rebuild leaves no view, no delta and no dict tree: the next
+        read builds the view fresh, and the next write thaws it."""
         table, batches, _ = make_program(3, 2)
         piece = Piece.build(table, AGG)
-        for inserts, deletes in batches:
-            piece.apply(inserts, deletes)
-        assert piece.pending_delta is None
+        piece.apply(*batches[0])
+        assert piece.pending_delta is not None
+        piece.rebuild()
+        assert piece.pending_delta is None and piece._tree is None
         assert piece.frozen_view().patch_stats["mode"] == "fresh"
+        piece.apply(*batches[1])
+        assert piece.pending_delta is not None
+        _assert_view_current(piece)
 
     def test_ratio_zero_always_recompiles(self):
         table, batches, _ = make_program(5, 1, n_rows=8)
@@ -136,7 +144,9 @@ class TestDerive:
         before = _state(parent)
         child = parent.derive(*batches[1], segment_id=7)
         assert _state(parent) == before
-        assert child.segment_id == 7 and not child.frozen_ready
+        # Born as its columns: a view and no dict tree.
+        assert child.segment_id == 7 and child.frozen_ready
+        assert child._tree is None
         assert child.tree.equivalent_to(build_qctree(child.table, AGG))
         _assert_view_current(child)
 
@@ -235,3 +245,73 @@ class TestOnDiskTwin:
         (tmp_path / "q.csv").write_text("marker")
         loaded.save(tmp_path / "q.csv")  # loaded from
         assert (tmp_path / "q.csv").read_text() == "marker"
+
+
+class TestBornAsColumns:
+    """A piece is born as its columns: a dict tree exists only on a live
+    piece, from its first write on, and no sealed piece keeps one."""
+
+    def test_no_sealed_piece_holds_a_dict_tree(self, thaws):
+        rng = random.Random(0)
+        records = [gen_record(rng) for _ in range(40)]
+        with SegmentedWarehouse.from_records(
+                records[:30], SCHEMA, AGG, seal_rows=8,
+                compact_min_segments=1) as seg:
+
+            def settled():
+                """A read brings every view current; then only the head
+                may hold a dict tree."""
+                seg.point(records[0][:3])
+                assert all(p._tree is None for p in seg.pieces()[:-1])
+
+            settled()  # the bootstrap table sealed at once
+            assert thaws == []
+            seg.insert(records[30:34])  # a write thaws the head
+            assert len(thaws) == 1 and seg.pieces()[-1]._tree is not None
+            settled()
+            seg.seal()
+            settled()
+            seg.insert(records[34:36])
+            seg.delete([records[0]])  # rewrites the first sealed piece
+            settled()
+            assert seg.compact_once()
+            settled()
+            assert len(thaws) == 2  # each head's first write
+            # fsck checks what a sealed piece serves, through a thaw it
+            # does not keep.
+            sealed = len(seg.pieces()) - 1
+            assert seg.verify(samples=None).ok
+            settled()
+            assert len(thaws) == 2 + sealed
+
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_a_recovered_store_reads_without_thawing(self, segmented,
+                                                     tmp_path, thaws):
+        rng = random.Random(1)
+        records = [gen_record(rng) for _ in range(24)]
+        store = (SegmentedWarehouse.from_records(records, SCHEMA, AGG,
+                                                 seal_rows=10)
+                 if segmented else
+                 QCWarehouse.from_records(records, SCHEMA, AGG))
+        with store:
+            store.checkpoint(tmp_path / "ckpt")
+        options = {"seal_rows": 10} if segmented else {}
+        cls = SegmentedWarehouse if segmented else QCWarehouse
+        with cls.recover(tmp_path / "ckpt", tmp_path / "wal", SCHEMA,
+                         **options) as wh:
+            cell = records[0][:3]
+            del thaws[:]
+            assert wh.point(cell) == store.point(cell)
+            assert wh.range(("*",) + cell[1:]) == \
+                store.range(("*",) + cell[1:])
+            assert wh.iceberg(1.0) == store.iceberg(1.0)
+            assert wh.stats()["n_rows"] == 24
+            for piece in wh.pieces():
+                piece.frozen_view().dump(piece.table.decode_value)
+            assert thaws == []
+            wh.insert([records[1]])
+            wh.insert([records[2]])
+            assert len(thaws) == 1
+            fresh = QCWarehouse.from_records(records + records[1:3], SCHEMA,
+                                             AGG)
+            assert wh.point(cell) == fresh.point(cell)

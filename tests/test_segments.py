@@ -29,7 +29,7 @@ from repro.cube.aggregates import values_close
 from repro.cube.schema import Schema
 from repro.errors import MaintenanceError, RecoveryError
 from repro.segments import SegmentedWarehouse
-from tests.conftest import refreeze_ratios
+from tests.conftest import corrupt_served_state, refreeze_ratios
 
 SCHEMA = Schema(dimensions=("A", "B", "C"), measures=("m",))
 
@@ -298,11 +298,15 @@ class TestSealedPiecesShareTheLifecycle:
             wh.maintain(inserts=_records(2, start=8))
             sealed = wh.seal()  # handed over with its unread delta
             assert sealed.pending_delta is not None
+            # The delta keeps the dict tree until the view consumes it.
+            assert sealed._tree is not None
             assert sealed.frozen_view().patch_stats["mode"] in modes
-            # A replacement of it is rebuilt: its first view is fresh.
+            assert sealed._tree is None
+            # A replacement of it is rebuilt: born as its fresh view.
             wh.maintain(deletes=[_record(0)])
             replaced = wh._segments[0]
-            assert replaced is not sealed and not replaced.frozen_ready
+            assert replaced is not sealed and replaced.frozen_ready
+            assert replaced._tree is None
             assert replaced.frozen_view().patch_stats["mode"] == "fresh"
 
 
@@ -609,9 +613,7 @@ class TestServingSurface:
         expected = wh.point(("x1", "*", "*"))
         sealed = wh.pieces()[0]
         segment_id = sealed.segment_id
-        node = next(sealed.tree.iter_class_nodes())
-        sealed.tree.set_state(node, sealed.tree.state[node] + 1000.0)
-        sealed.drop_view()
+        corrupt_served_state(sealed, lambda state: state + 1000.0)
         assert not wh.verify(samples=None).ok
         assert wh.pieces()[0].segment_id == segment_id
         assert values_close(wh.point(("x1", "*", "*")), expected)
