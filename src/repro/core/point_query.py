@@ -53,7 +53,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.cells import ALL, Cell, generalizes
-from repro.errors import QueryError, SchemaError
+from repro.errors import QueryError
 
 
 def search_route(tree, node: int, dim: int, value,
@@ -169,15 +169,23 @@ def point_query(tree, cell: Cell):
 def point_query_raw(tree, table, raw_cell):
     """Point query with user-facing labels, e.g. ``("S1", "*", "s")``.
 
-    Labels are encoded through ``table``'s dictionaries; a label absent
-    from its dimension means the cell cannot be in the cube, so the answer
-    is None rather than an error.  A cell of the wrong arity is a caller
-    bug and raises :class:`QueryError`.
+    Labels are encoded through ``table``'s dictionaries in one pass
+    (``"*"``, None and :data:`ALL` mean any); a label absent from its
+    dimension means the cell cannot be in the cube, so the answer is
+    None rather than an error.  A cell of the wrong arity is a caller
+    bug and raises :class:`QueryError`; an unhashable label raises
+    ``TypeError``, as a dictionary lookup does.
     """
     if len(raw_cell) != tree.n_dims:
         raise _wrong_arity(tree, raw_cell)
-    try:
-        cell = table.encode_cell(raw_cell)
-    except SchemaError:
-        return None
-    return point_query(tree, cell)
+    cell = []
+    for label, codes in zip(raw_cell, table._encoders):
+        if label is ALL or label is None or label == "*":
+            cell.append(ALL)
+        else:
+            code = codes.get(label)
+            if code is None:
+                return None
+            cell.append(code)
+    node = tree.locate(cell)
+    return None if node is None else tree.value_at(node)

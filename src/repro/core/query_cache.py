@@ -17,13 +17,18 @@ Because one cache holds answers of several query kinds, keys are
 canonical hashable key (``("point", cell)``, ``("range", spec)``, …).
 Range specs are canonicalized — scalar, list, set, and ``range`` forms
 of the same candidate set, in any order, produce the same key — so
-equivalent queries share one entry.  A query that cannot be normalized
-(unhashable labels, values that do not sort) gets ``None`` and bypasses
-the cache.
+equivalent queries share one entry.  The normalized spec is a valid raw
+spec, and the warehouse hands it to the range kernel as is, so a range
+is sorted and de-duplicated once per miss.  A query that cannot be
+normalized (unhashable labels, values that do not sort) gets ``None``
+and bypasses the cache.
 
 Eviction is plain LRU over a :class:`collections.OrderedDict`; hits,
 misses, eviction, and invalidation counts are kept for the serving
-benchmark's cache-hit-rate metric.
+benchmark's cache-hit-rate metric.  A probe is one ``dict.get``.  The
+cache keeps no demand heat: the one reader of heat, a server's
+post-swap warmer, keeps its own (:class:`~repro.serving.server.
+DemandHeat`).
 """
 
 from __future__ import annotations
@@ -113,14 +118,9 @@ class LsnQueryCache:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
-        #: Per-key demand counts.  Unlike the entries, heat *survives*
-        #: stamp invalidation — that is the point: after a snapshot swap
-        #: it remembers which answers were hottest, so the writer can
-        #: re-fill them (:meth:`hot_keys`) instead of serving every
-        #: reader a cold miss.  Decayed on invalidation so old workloads
-        #: fade rather than pinning the warm set forever.
-        self._heat: dict = {}
-        #: Entries re-filled by cache warming (bumped by the warmer).
+        #: Entries re-filled by a server's post-swap warming (bumped by
+        #: the warmer, :meth:`QCServer._warm_cache
+        #: <repro.serving.server.QCServer._warm_cache>`).
         self.warmed = 0
 
     def __len__(self) -> int:
@@ -132,25 +132,32 @@ class LsnQueryCache:
         return self._stamp
 
     def lookup(self, key, stamp):
-        """The cached answer for ``key`` at ``stamp``, or :data:`MISS`.
+        """The cached answer for ``key`` at ``stamp``, or :data:`MISS`;
+        counts one hit or one miss.
 
         A stamp different from the one the entries were filled under
         invalidates the whole cache first — the atomic part: between the
         comparison and the answer there is no window where an old entry
-        can be served against new data.
+        can be served against new data.  An unhashable ``key`` raises
+        ``TypeError`` before anything is counted or invalidated, so a
+        caller can try a key and bypass the cache on that error.
         """
-        value = self.probe(key, stamp)
+        entries = self._entries
+        value = entries.get(key, MISS)
+        if stamp != self._stamp:
+            self.invalidate(stamp)
+            value = MISS
         if value is MISS:
-            self._note_heat(key)
-            if stamp != self._stamp:
-                self.invalidate(stamp)
             self.misses += 1
+        else:
+            entries.move_to_end(key)  # most recently used
+            self.hits += 1
         return value
 
     def probe(self, key, stamp):
         """The hit half of :meth:`lookup`: the cached answer, counted as
-        a hit exactly as ``lookup`` counts one (hits, heat, LRU order) —
-        or :data:`MISS` with nothing counted and nothing invalidated.
+        a hit exactly as ``lookup`` counts one (hits, LRU order) — or
+        :data:`MISS` with nothing counted and nothing invalidated.
 
         For a caller that answers hits itself and hands everything else
         to a path that does its own ``lookup``: that lookup counts the
@@ -160,53 +167,35 @@ class LsnQueryCache:
         if stamp != self._stamp:
             return MISS
         entries = self._entries
-        try:
-            value = entries[key]
-        except KeyError:
-            return MISS
-        entries.move_to_end(key)  # most recently used
-        self._note_heat(key)
-        self.hits += 1
+        value = entries.get(key, MISS)
+        if value is not MISS:
+            entries.move_to_end(key)
+            self.hits += 1
         return value
-
-    def _note_heat(self, key) -> None:
-        heat = self._heat
-        heat[key] = heat.get(key, 0) + 1
-        if len(heat) > 4 * self.maxsize:
-            # Keep the heat table bounded: drop the cold tail.
-            keep = sorted(heat, key=heat.get, reverse=True)[: 2 * self.maxsize]
-            self._heat = {k: heat[k] for k in keep}
-
-    def hot_keys(self, n: int) -> list:
-        """The ``n`` most-demanded keys, hottest first (for cache warming)."""
-        if n <= 0 or not self._heat:
-            return []
-        heat = self._heat
-        return sorted(heat, key=heat.get, reverse=True)[:n]
 
     def store(self, key, stamp, value) -> None:
         """Remember ``key -> value`` as valid at ``stamp``."""
         if stamp != self._stamp:
             self.invalidate(stamp)
-        self._entries[key] = value
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        entries[key] = value
+        if len(entries) > self.maxsize:
+            entries.popitem(last=False)
             self.evictions += 1
 
     def invalidate(self, stamp=None) -> None:
-        """Drop every entry and re-pin the cache to ``stamp``.
-
-        Heat is halved, not cleared: the next warm pass still knows what
-        was hot, while a workload shift stops being remembered after a
-        few swaps.
-        """
+        """Drop every entry and re-pin the cache to ``stamp``."""
         self._entries.clear()
         self._stamp = stamp
         self.invalidations += 1
-        self._heat = {k: h // 2 for k, h in self._heat.items() if h > 1}
 
     def stats(self) -> dict:
-        """Hit/miss/size counters (for ``QCWarehouse.stats`` and benchmarks)."""
+        """Hit/miss/size counters (for ``QCWarehouse.stats`` and benchmarks).
+
+        ``hot_tracked`` is 0 here: a cache keeps no demand heat.  A
+        server that warms its cache reports its own heat table's size
+        under that key (:class:`~repro.serving.server.DemandHeat`).
+        """
         lookups = self.hits + self.misses
         return {
             "size": len(self._entries),
@@ -216,7 +205,7 @@ class LsnQueryCache:
             "invalidations": self.invalidations,
             "evictions": self.evictions,
             "warmed": self.warmed,
-            "hot_tracked": len(self._heat),
+            "hot_tracked": 0,
             "hit_rate": (self.hits / lookups) if lookups else 0.0,
         }
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from repro.core.cells import ALL, generalizes
 from repro.core.point_query import point_query
 from repro.core.qctree import QCTree
-from repro.errors import QueryError, SchemaError
+from repro.errors import QueryError
 
 
 class RangeQuery:
@@ -58,6 +58,18 @@ class RangeQuery:
                 positions.append((entry,))
         self.positions = tuple(positions)
         self.n_dims = n_dims
+
+    @classmethod
+    def of_positions(cls, positions: tuple, n_dims: int) -> "RangeQuery":
+        """A query over positions that are already normalized — each
+        :data:`ALL` or a non-empty tuple of distinct values — taken as
+        they are: nothing is checked or sorted again.  Candidates are
+        walked in the order given; an answer is a dict, so the order
+        changes nothing in it."""
+        query = cls.__new__(cls)
+        query.positions = positions
+        query.n_dims = n_dims
+        return query
 
     def n_points(self) -> int:
         """Number of point cells the range expands to."""
@@ -160,11 +172,16 @@ def range_query_naive(tree: QCTree, spec) -> dict:
 
 
 def encode_range(table, raw_spec):
-    """Encode a raw-label range spec into ``table``'s codes — the one
-    label→code loop every raw range entry point shares.
+    """Encode a raw-label range spec into a :class:`RangeQuery` over
+    ``table``'s codes — the one label→code loop every raw range entry
+    point shares, and the only normalization a spec gets on its way to
+    the walk.
 
     Candidate values missing from a dimension's dictionary are dropped (a
-    value never loaded cannot match anything); returns None when a
+    value never loaded cannot match anything) and repeated ones kept
+    once, in the order given — a spec normalized for the query cache
+    (:func:`~repro.core.query_cache.normalize_range_spec`) is walked in
+    its sorted order, nothing is sorted again.  Returns None when a
     dimension's candidates all vanish (the range cannot match anything).
     A spec of the wrong arity is refused here, in the caller's labels,
     before any of them is encoded.
@@ -174,36 +191,31 @@ def encode_range(table, raw_spec):
             f"range query {raw_spec!r} has {len(raw_spec)} positions, "
             f"store has {table.n_dims} dimensions"
         )
-    encoded = []
-    for dim, entry in enumerate(raw_spec):
+    positions = []
+    for entry, codes in zip(raw_spec, table._encoders):
         if entry is ALL or entry is None or entry == "*":
-            encoded.append(ALL)
+            positions.append(ALL)
             continue
-        # Accept exactly the iterable types RangeQuery.__init__ accepts —
-        # including range objects, which previously fell through to the
-        # single-label branch and silently matched nothing.
-        values = (
-            entry
-            if isinstance(entry, (list, tuple, set, frozenset, range))
-            else [entry]
-        )
-        codes = []
-        for value in values:
-            try:
-                codes.append(table.encode_value(dim, value))
-            except SchemaError:
-                continue
-        if not codes:
+        # Exactly the iterable types RangeQuery.__init__ accepts; any
+        # other entry is one label.
+        if isinstance(entry, (list, tuple, set, frozenset, range)):
+            found = tuple(dict.fromkeys(
+                code for code in map(codes.get, entry) if code is not None
+            ))
+        else:
+            code = codes.get(entry)
+            found = () if code is None else (code,)
+        if not found:
             return None
-        encoded.append(codes)
-    return encoded
+        positions.append(found)
+    return RangeQuery.of_positions(tuple(positions), len(positions))
 
 
 def range_query_raw(tree: QCTree, table, raw_spec) -> dict:
     """Range query with user-facing labels; results are decoded cells
     (see :func:`encode_range` for how unknown labels are treated)."""
-    encoded = encode_range(table, raw_spec)
-    if encoded is None:
+    query = encode_range(table, raw_spec)
+    if query is None:
         return {}
-    results = range_query(tree, encoded)
+    results = range_query(tree, query)
     return {table.decode_cell(cell): value for cell, value in results.items()}

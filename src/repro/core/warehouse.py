@@ -68,12 +68,11 @@ from repro.core.query_cache import (
     LsnQueryCache,
     constrained_iceberg_cache_key,
     iceberg_cache_key,
-    point_cache_key,
-    range_cache_key,
+    normalize_range_spec,
 )
 from repro.cube.aggregates import _spec_to_json, aggregate_spec, make_aggregate
 from repro.cube.schema import Schema
-from repro.cube.table import BaseTable, label_type
+from repro.cube.table import BaseTable, label_type, python_scalars
 from repro.errors import (
     MaintenanceError,
     QueryError,
@@ -248,10 +247,16 @@ class QCWarehouse:
     def view(self):
         """The snapshot queries delegate to right now — rebuilt lazily
         after each mutation, so every query family and the exploration
-        API run on the frozen trees."""
-        if self._view is None:
-            self._view = self.snapshot_view()
-        return self._view
+        API run on the frozen trees.  Built and installed under the
+        store lock, which every mutation holds while it drops the view:
+        a view built before a write can never be installed after it."""
+        view = self._view
+        if view is None:
+            with self._lock:
+                view = self._view
+                if view is None:
+                    view = self._view = self.snapshot_view()
+        return view
 
     @property
     def serving(self) -> str:
@@ -329,7 +334,8 @@ class QCWarehouse:
     # -- queries -------------------------------------------------------------
 
     def _cached(self, key, compute, copy=None):
-        """Serve ``compute()`` through the stamped query cache.
+        """Serve ``compute(view)`` through the stamped query cache, at the
+        stamp of the view that computes it.
 
         ``key`` of None (query not normalizable) bypasses the cache, as
         does a disabled cache.  ``copy`` (e.g. ``dict``
@@ -337,13 +343,14 @@ class QCWarehouse:
         fill path return a private copy, so a caller mutating its answer
         can never poison the cache.
         """
+        view = self._view or self.view
         cache = self._cache
         if cache is None or key is None:
-            return compute()
-        stamp = self.serving_stamp()
+            return compute(view)
+        stamp = view.stamp
         value = cache.lookup(key, stamp)
         if value is MISS:
-            value = compute()
+            value = compute(view)
             cache.store(key, stamp, value)
         return value if copy is None else copy(value)
 
@@ -351,24 +358,42 @@ class QCWarehouse:
         """Point query with raw labels (``"*"`` / None / ALL for any).
 
         Served from the query cache when a fresh answer for the cell is
-        present, else from the :attr:`view`.
+        present, else from the :attr:`view`.  The miss path is the view,
+        one cache probe and one store, at the stamp of the view that
+        answers (:meth:`_cached`, inlined: every read takes it); a cell
+        that cannot be a cache key is answered by the view alone.
         """
-        return self._cached(
-            point_cache_key(raw_cell), lambda: self.view.point(raw_cell)
-        )
+        view = self._view or self.view
+        cache = self._cache
+        if cache is None:
+            return view.point(raw_cell)
+        stamp = view.stamp
+        try:
+            key = ("point", tuple(raw_cell))
+            value = cache.lookup(key, stamp)
+        except TypeError:  # not a sequence of hashable labels
+            return view.point(raw_cell)
+        if value is MISS:
+            value = view.point(raw_cell)
+            cache.store(key, stamp, value)
+        return value
 
     def range(self, raw_spec) -> dict:
         """Range query with raw labels; returns ``{decoded cell: value}``.
 
         Cached under a normalized spec key — equivalent scalar/list/set/
         ``range`` spellings of the same query share one entry — at the
-        current serving stamp, so any mutation invalidates it.
+        current serving stamp, so any mutation invalidates it.  The
+        normalized spec is also what the view walks, so a miss sorts
+        the spec once.  A spec that cannot be a key, or of the wrong
+        arity (refused in the caller's own spelling), goes to the view
+        alone.
         """
-        return self._cached(
-            range_cache_key(raw_spec),
-            lambda: self.view.range(raw_spec),
-            copy=dict,
-        )
+        spec = None if self._cache is None else normalize_range_spec(raw_spec)
+        if spec is None or len(spec) != self.table.n_dims:
+            return self.view.range(raw_spec)
+        return self._cached(("range", spec), lambda view: view.range(spec),
+                            copy=dict)
 
     def iceberg(self, threshold, op: str = ">=") -> list:
         """Pure iceberg query: classes whose aggregate clears the threshold.
@@ -378,7 +403,7 @@ class QCWarehouse:
         """
         return self._cached(
             iceberg_cache_key(threshold, op),
-            lambda: self.view.iceberg(threshold, op=op),
+            lambda view: view.iceberg(threshold, op=op),
             copy=list,
         )
 
@@ -387,7 +412,7 @@ class QCWarehouse:
         """Constrained iceberg query; returns ``{decoded cell: value}``."""
         return self._cached(
             constrained_iceberg_cache_key(raw_spec, threshold, op, strategy),
-            lambda: self.view.iceberg_in_range(
+            lambda view: view.iceberg_in_range(
                 raw_spec, threshold, op=op, strategy=strategy
             ),
             copy=dict,
@@ -454,10 +479,12 @@ class QCWarehouse:
         :func:`wal_batch` for the record shapes), so a crash at any
         later point is recoverable via :meth:`recover`.  An empty batch
         is a true no-op: nothing is logged, the serving version does not
-        move, and cached answers stay valid.
+        move, and cached answers stay valid.  A NumPy scalar label or
+        measure is taken as its Python scalar before anything is checked
+        or logged, so a write reads the same with and without a log.
         """
-        inserts = [tuple(r) for r in inserts]
-        deletes = [tuple(r) for r in deletes]
+        inserts = [python_scalars(r) for r in inserts]
+        deletes = [python_scalars(r) for r in deletes]
         if not inserts and not deletes:
             return
         types = self._checked_label_types(deletes + inserts)

@@ -36,12 +36,17 @@ def _label_sort_key(label):
     return (label.__class__.__name__, label)
 
 
+def python_scalars(values) -> tuple:
+    """``values`` as a tuple, each NumPy scalar as its Python scalar
+    (``.item()``, what a checkpoint, a WAL record and a snapshot's JSON
+    spell back)."""
+    return tuple(v.item() if isinstance(v, np.generic) else v for v in values)
+
+
 def _new_labels(records, j: int, known=()) -> list:
     """Dimension ``j``'s labels in ``records`` that ``known`` lacks, in
-    dictionary order, a NumPy scalar as its Python scalar (``.item()``,
-    what a checkpoint and a snapshot's JSON spell back)."""
-    labels = {v.item() if isinstance(v, np.generic) else v
-              for v in {r[j] for r in records}}
+    dictionary order, a NumPy scalar as its Python scalar."""
+    labels = set(python_scalars({r[j] for r in records}))
     return sorted(labels.difference(known), key=_label_sort_key)
 
 
@@ -233,10 +238,10 @@ class BaseTable:
 
     def decode_cell(self, cell: Cell) -> tuple:
         """Decode an internal cell back to raw labels (ALL becomes ``"*"``)."""
-        return tuple(
-            "*" if v is ALL else self.decode_value(j, v)
-            for j, v in enumerate(cell)
-        )
+        return tuple([
+            "*" if v is ALL else labels[v]
+            for v, labels in zip(cell, self._decoders)
+        ])
 
     # -- row access ---------------------------------------------------------
 

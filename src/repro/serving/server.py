@@ -21,7 +21,9 @@ exactly one shared mutable reference:
   the linearizable-snapshot-read guarantee the stress tests assert.
   After the swap the writer *warms* the query cache by replaying the
   hottest keys against the new snapshot, so readers do not all pay the
-  post-publication cold-miss storm.  Write latency is reported per
+  post-publication cold-miss storm; which keys are hottest is the
+  server's own :class:`DemandHeat`, noted on each cacheable read.
+  Write latency is reported per
   phase (``maintain`` — with ``maintain_partition`` /
   ``maintain_merge`` / ``maintain_index`` sub-phases from the batched
   engine — then ``refreeze`` / ``publish`` / ``warm``) in
@@ -142,6 +144,48 @@ def _own_copy(op: str, value):
     return value if copy is None else copy(value)
 
 
+class DemandHeat:
+    """Per-key demand counts of a server's cacheable reads: what the
+    writer re-fills after a snapshot swap (:meth:`QCServer._warm_cache`).
+
+    Unlike the cache's entries, heat survives a swap — that is the
+    point: after a swap it remembers which answers were hottest, so the
+    writer can re-fill them instead of serving every reader a cold miss.
+    Each warm pass halves it after reading it, so an old workload fades
+    rather than pinning the warm set, and a key asked once is gone after
+    one swap.  Bounded by the cache's size: past ``4 * size`` keys the
+    cold tail is dropped down to ``2 * size``.
+    """
+
+    __slots__ = ("size", "_counts")
+
+    def __init__(self, size: int):
+        self.size = size
+        self._counts: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def note(self, key) -> None:
+        """Count one read of ``key``."""
+        counts = self._counts
+        counts[key] = counts.get(key, 0) + 1
+        if len(counts) > 4 * self.size:
+            keep = sorted(counts, key=counts.get, reverse=True)
+            self._counts = {k: counts[k] for k in keep[: 2 * self.size]}
+
+    def hot_keys(self, n: int) -> list:
+        """The ``n`` most-demanded keys, hottest first."""
+        counts = self._counts
+        if n <= 0 or not counts:
+            return []
+        return sorted(counts, key=counts.get, reverse=True)[:n]
+
+    def decay(self) -> None:
+        """Halve every count, dropping the keys that reach 0."""
+        self._counts = {k: h // 2 for k, h in self._counts.items() if h > 1}
+
+
 class QCServer:
     """Multi-worker query service over a warehouse's frozen snapshots.
 
@@ -174,7 +218,7 @@ class QCServer:
     warm_keys:
         After each snapshot swap, replay up to this many of the
         hottest cached keys against the new snapshot on the writer
-        thread (0 disables warming).
+        thread (0 disables warming, and with it the demand heat).
     supervised:
         Run the worker supervisor (bounded-rate respawn of dead
         workers).  On by default; ``supervise_interval`` sets its scan
@@ -236,6 +280,10 @@ class QCServer:
         self._cache = LsnQueryCache(cache_size) if cache_size else None
         self._cache_lock = threading.Lock()
         self._warm_keys = warm_keys
+        #: Demand per cache key, read by the warmer; guarded by the
+        #: cache lock.
+        self._heat = (DemandHeat(cache_size)
+                      if cache_size and warm_keys > 0 else None)
         self._faults = faults
         if breaker is None:
             breaker = CircuitBreaker()
@@ -434,8 +482,11 @@ class QCServer:
             return MISS
         start = time.monotonic()
         stamp = self._snapshot.stamp
+        heat = self._heat
         with self._cache_lock:
             value = cache.probe(key, stamp)
+            if value is not MISS and heat is not None:
+                heat.note(key)
         if value is MISS:
             return MISS
         metrics = self._metrics
@@ -620,15 +671,18 @@ class QCServer:
         """The caller's copy of the cached answer to ``request`` at its
         pinned snapshot, else :data:`~repro.core.query_cache.MISS` — a
         miss of a cacheable op sets ``request.key``, so the completion
-        fills the cache.  Counts the hit or miss once."""
+        fills the cache.  Counts the hit or miss, and its demand, once."""
         cache = self._cache
         if cache is None:
             return MISS
         key = self._cache_key(request.op, request.args, request.kwargs)
         if key is None:
             return MISS
+        heat = self._heat
         with self._cache_lock:
             value = cache.lookup(key, request.snapshot.stamp)
+            if heat is not None:
+                heat.note(key)
         if value is MISS:
             request.key = key
             return MISS
@@ -983,14 +1037,16 @@ class QCServer:
     def _warm_cache(self) -> None:
         """Replay the hottest cached keys against the just-published
         snapshot, so readers find warm answers instead of a post-swap
-        cold-miss storm.  Runs on the writer thread, inside the write
-        lock — the published snapshot cannot change underneath it."""
-        cache = self._cache
-        if cache is None or self._warm_keys <= 0:
+        cold-miss storm, then halve the heat.  Runs on the writer
+        thread, inside the write lock — the published snapshot cannot
+        change underneath it."""
+        cache, heat = self._cache, self._heat
+        if heat is None:
             return
         snapshot = self._snapshot
         with self._cache_lock:
-            keys = cache.hot_keys(self._warm_keys)
+            keys = heat.hot_keys(self._warm_keys)
+            heat.decay()
         warmed = 0
         for key in keys:
             try:
@@ -1115,6 +1171,8 @@ class QCServer:
         stats["cache"] = (
             self._cache.stats() if self._cache is not None else None
         )
+        if self._heat is not None:
+            stats["cache"]["hot_tracked"] = len(self._heat)
         refreeze = self.warehouse.last_refreeze
         stats["refreeze"] = dict(refreeze) if refreeze is not None else None
         maintenance = self.warehouse.last_maintenance

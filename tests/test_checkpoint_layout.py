@@ -13,6 +13,7 @@ import json
 import os
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -222,6 +223,37 @@ class TestLabelTypes:
         with pytest.raises(SchemaError, match="Year"):
             recovered.delete([("2001", "a", 1.0)])
         assert len(WriteAheadLog(tmp_path / "wal")) == 1
+
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_numpy_scalars_are_logged_as_python_scalars(self, segmented,
+                                                        tmp_path):
+        """A NumPy label or measure is written through a WAL as the
+        Python scalar it stands for, and reads the same after recovery
+        as without a log."""
+        store = SegmentedWarehouse if segmented else QCWarehouse
+        options = {"seal_rows": 2} if segmented else {}
+        records = [(2001, "a", 1.0), (2002, "a", 2.0), (2002, "b", 4.0)]
+        writes = [[(np.int64(2099), "a", 1.0)],
+                  [(2050, "a", np.float32(1.5))],
+                  [(np.int32(2050), np.str_("b"), np.float64(2.5))]]
+        cells = [(2099, "*"), (2050, "*"), (2050, "b"), ("*", "a"),
+                 ("*", "*"), (2002, "*")]
+        plain = store.from_records(records, YEARS, ("sum", "M"), **options)
+        wh = store.from_records(records, YEARS, ("sum", "M"), **options)
+        wh.attach_wal(tmp_path / "wal")
+        wh.checkpoint(tmp_path / "ckpt")
+        for batch in writes:
+            plain.insert(batch)
+            wh.insert(batch)
+        want = [plain.point(cell) for cell in cells]
+        assert want[:3] == [1.0, 4.0, 2.5]
+        assert [wh.point(cell) for cell in cells] == want
+        recovered = store.recover(tmp_path / "ckpt", tmp_path / "wal", YEARS,
+                                  **options)
+        assert recovered.last_recovery["replayed"] == len(writes)
+        assert [recovered.point(cell) for cell in cells] == want
+        for each in (plain, wh, recovered):
+            each.close()
 
     @pytest.mark.parametrize("label", [b"2003", None, (2003,)])
     def test_a_label_no_checkpoint_spells_back_is_refused(

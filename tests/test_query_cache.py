@@ -5,6 +5,8 @@ current serving version — any insert, delete, rebuild, recovery, or
 repairing verify must atomically invalidate every cached entry.
 """
 
+import threading
+
 import pytest
 
 from repro.core.query_cache import (
@@ -17,6 +19,7 @@ from repro.core.query_cache import (
 )
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
+from repro.serving import QCServer
 from tests.conftest import dict_view
 
 SCHEMA = Schema(dimensions=("Store", "Product", "Season"), measures=("Sale",))
@@ -256,6 +259,30 @@ class TestWarehouseIntegration:
         assert wh.point(("S2", "*", "f")) == 9.0
         assert wh.stats()["query_cache"]["hits"] == 1
 
+    def test_a_view_built_before_a_write_is_not_installed_after_it(
+            self, monkeypatch):
+        """A reader builds the lazy view; a write lands between the
+        build and the install.  The write must win: its answer is what
+        the next read sees, from the cache or not."""
+        wh = make_wh()
+        build = wh.snapshot_view
+        writer = threading.Thread(
+            target=wh.insert, args=([("S1", "P1", "w", 3.0)],))
+
+        def build_then_race():
+            snapshot = build()
+            writer.start()
+            writer.join(0.5)  # the write, unless the store lock holds it
+            return snapshot
+
+        monkeypatch.setattr(wh, "snapshot_view", build_then_race)
+        assert wh.point(("S1", "*", "*")) == 9.0  # the pre-write view
+        writer.join(5.0)
+        assert not writer.is_alive()
+        monkeypatch.undo()
+        assert wh.point(("S1", "*", "*")) == 7.0
+        assert wh.view.stamp == wh.serving_stamp()
+
     def test_cache_disabled(self):
         wh = make_wh(cache_size=0)
         assert wh.point(("S1", "*", "*")) == 9.0
@@ -282,41 +309,75 @@ class TestWarehouseIntegration:
 
 
 class TestHeatTracking:
-    """Demand heat survives invalidation so the warmer knows what to
-    replay after a snapshot swap."""
+    """Demand heat lives with its one reader, the server's post-swap
+    warmer: it survives invalidation so the warmer knows what to replay
+    after a snapshot swap.  A warehouse's own cache keeps none."""
+
+    HOT, WARM = ("S2", "*", "f"), ("S1", "*", "*")
+
+    @staticmethod
+    def server(**kwargs):
+        return QCServer(make_wh(), workers=1, **kwargs)
 
     def test_hot_keys_ordered_by_demand(self):
-        cache = LsnQueryCache(maxsize=8)
+        with self.server() as server:
+            for _ in range(3):
+                server.point(self.HOT)
+            server.point(self.WARM)
+            assert server._heat.hot_keys(2) == [
+                point_cache_key(self.HOT), point_cache_key(self.WARM)]
+            assert server._heat.hot_keys(0) == []
+        wh = make_wh()
         for _ in range(3):
-            cache.lookup("hot", stamp=1)
-        cache.lookup("warm", stamp=1)
-        assert cache.hot_keys(2) == ["hot", "warm"]
-        assert cache.hot_keys(0) == []
+            wh.point(self.HOT)
+        assert wh.stats()["query_cache"]["hot_tracked"] == 0
 
     def test_heat_survives_invalidation(self):
-        cache = LsnQueryCache(maxsize=8)
-        for _ in range(4):
-            cache.lookup("hot", stamp=1)
-        cache.invalidate(stamp=2)
-        assert cache.hot_keys(1) == ["hot"]
+        with self.server() as server:
+            for _ in range(4):
+                server.point(self.HOT)
+            server.insert([("S3", "P1", "s", 5.0)])
+            assert server._heat.hot_keys(1) == [point_cache_key(self.HOT)]
 
     def test_heat_decays_across_invalidations(self):
-        cache = LsnQueryCache(maxsize=8)
-        cache.lookup("once", stamp=1)
-        cache.invalidate(stamp=2)
-        # A single-hit key decays to nothing after one swap.
-        assert "once" not in cache.hot_keys(8)
+        with self.server() as server:
+            server.point(self.HOT)
+            server.insert([("S3", "P1", "s", 5.0)])
+            # A single-read key decays to nothing after one swap.
+            assert point_cache_key(self.HOT) not in server._heat.hot_keys(8)
 
     def test_heat_table_stays_bounded(self):
-        cache = LsnQueryCache(maxsize=4)
-        for i in range(100):
-            cache.lookup(("k", i), stamp=1)
-        assert len(cache._heat) <= 4 * cache.maxsize
+        with self.server(cache_size=4) as server:
+            for i in range(100):
+                server.point((f"S{i}", "*", "*"))
+            assert 0 < len(server._heat) <= 4 * 4
 
     def test_warmed_counter_in_stats(self):
-        cache = LsnQueryCache(maxsize=4)
-        assert cache.stats()["warmed"] == 0
-        cache.warmed += 2
-        stats = cache.stats()
-        assert stats["warmed"] == 2
-        assert "hot_tracked" in stats
+        with self.server() as server:
+            server.point(self.HOT)
+            server.point(self.HOT)
+            stats = server.stats()["cache"]
+            assert stats["warmed"] == 0
+            assert stats["hot_tracked"] == len(server._heat) == 1
+            server.insert([("S3", "P1", "s", 5.0)])
+            assert server.stats()["cache"]["warmed"] == 1
+        with self.server(warm_keys=0) as server:
+            server.point(self.HOT)
+            assert server._heat is None
+            assert server.stats()["cache"]["hot_tracked"] == 0
+
+    def test_hottest_keys_are_replayed_after_a_write(self):
+        """After a write the warmer replays the hottest key, not the
+        cold one: the hot key's next read is a hit on the new snapshot,
+        the cold one's a miss."""
+        with self.server(warm_keys=1) as server:
+            for _ in range(3):
+                server.point(self.HOT)
+            server.point(self.WARM)
+            server.insert([("S3", "P1", "s", 5.0)])
+            assert server.stats()["counters"]["cache_warmed"] == 1
+            hits = server.stats()["cache"]["hits"]
+            assert server.point(self.HOT) == 9.0
+            assert server.stats()["cache"]["hits"] == hits + 1
+            assert server.point(self.WARM) == 9.0
+            assert server.stats()["cache"]["hits"] == hits + 1

@@ -17,6 +17,8 @@ import pytest
 
 from repro.core.frozen import FrozenQCTree
 from repro.core.iceberg import constrained_iceberg, pure_iceberg
+from repro.core.query_cache import LsnQueryCache
+from repro.core.warehouse import QCWarehouse
 from repro.serving.snapshot import ServingSnapshot
 from repro.shard import server, worker
 
@@ -33,6 +35,10 @@ HOT = {
     "pure_iceberg": pure_iceberg,
     "constrained_iceberg": constrained_iceberg,
     "encode_range": range_query.encode_range,
+    "QCWarehouse.point": QCWarehouse.point,
+    "QCWarehouse.range": QCWarehouse.range,
+    "LsnQueryCache.lookup": LsnQueryCache.lookup,
+    "LsnQueryCache.store": LsnQueryCache.store,
     "ServingSnapshot.point": ServingSnapshot.point,
     "ServingSnapshot.range": ServingSnapshot.range,
     "FrozenQCTree.locate": FrozenQCTree.locate,
