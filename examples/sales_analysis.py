@@ -53,8 +53,8 @@ def main():
     warehouse = QCWarehouse.from_records(
         generate_sales(),
         schema,
+        # Icebergs rank a multi-aggregate by its first part: revenue.
         aggregate=[("sum", "revenue"), "count"],
-        index_key=lambda value: value[0],  # index classes by revenue
     )
     print("Warehouse:", warehouse)
     stats = warehouse.stats()

@@ -540,7 +540,7 @@ class FrozenQCTree:
 
     __slots__ = (
         "n_dims", "dim_names", "aggregate", "root", "state",
-        "snapshot_meta", "patch_stats", "_stride",
+        "patch_stats", "_stride",
         "_edge_start", "_edge_key", "_edge_child",
         "_link_start", "_link_key", "_link_target",
         "_last_dim", "_forced", "_class_kind",
@@ -604,7 +604,6 @@ class FrozenQCTree:
             n_dims=meta["n_dims"],
             dim_names=tuple(meta["dim_names"]),
             aggregate=make_aggregate(meta["aggregate"]),
-            snapshot_meta=dict(meta.get("snapshot_meta") or {}),
             patch_stats={
                 "mode": "attached", "dirty": 0, "restated": 0, "touched": 0,
                 "appended": 0, "tombstoned": 0, "dead_slots": 0, "overlay": 0,
@@ -791,7 +790,6 @@ class FrozenQCTree:
             n_dims=tree.n_dims,
             dim_names=tuple(tree.dim_names),
             aggregate=tree.aggregate,
-            snapshot_meta={},
             patch_stats={
                 "mode": "patched", "dirty": len(dirty),
                 "restated": len(live) - len(touched),
@@ -1161,21 +1159,6 @@ class FrozenQCTree:
             for i, value in zip(hits.tolist(), found):
                 values[i] = value
         return values
-
-    # -- packing -------------------------------------------------------------
-
-    def pack(self, table=None, stamp=(0, 0)) -> bytes:
-        """Serialize this tree to the zero-copy ``QCTREE/3`` layout (see
-        :mod:`repro.shard.pack`): typed little-endian buffers attachable
-        from shared memory or an mmap'd file and traversed in place by
-        :meth:`from_buffers`.  The writer reads this tree's sections in
-        bulk (no per-node walk) and re-strides the keys; a patched view
-        (overlays, tombstones, appended slots) compacts into fresh
-        contiguous ids on the way out.  ``table`` embeds the base
-        table, making the blob a complete serving snapshot."""
-        from repro.shard.pack import pack_snapshot_bytes
-
-        return pack_snapshot_bytes(self, table=table, stamp=stamp)
 
     # -- comparison & display ------------------------------------------------
 

@@ -32,7 +32,7 @@ not the range holds anything.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.cells import dict_sort_key, generalizes
 from repro.core.qctree import QCTree
@@ -54,11 +54,11 @@ def check_op(op: str) -> None:
 
 
 class MeasureIndex:
-    """Sorted index of a QC-tree's class nodes keyed by aggregate value.
+    """Sorted index of a QC-tree's class nodes keyed by aggregate rank.
 
-    ``key`` maps a class's user-facing aggregate value to the sortable
-    scalar indexed; it defaults to the identity and must be supplied for
-    multi-aggregate trees (e.g. ``key=lambda v: v[0]``).
+    A class's key is its aggregate's :meth:`rank
+    <repro.cube.aggregates.AggregateFunction.rank>` of its value: the
+    value itself, or a multi-aggregate's first part.
 
     The index belongs to one immutable tree (a serving snapshot) and is
     rebuilt, never updated, so it is two parallel lists sorted by key
@@ -68,16 +68,16 @@ class MeasureIndex:
     filter plan and the segment scatter — decides, i.e. ``HAVING``.
     """
 
-    def __init__(self, tree: QCTree, key: Optional[Callable] = None):
+    def __init__(self, tree: QCTree):
         self.tree = tree
-        self.key = key if key is not None else lambda value: value
+        rank = tree.aggregate.rank
         pairs = []
         for node in tree.iter_class_nodes():
-            k = self.key(tree.value_at(node))
+            k = rank(tree.value_at(node))
             if not isinstance(k, (int, float)):
                 raise QueryError(
-                    f"measure index key must be numeric, got {k!r}; "
-                    "pass key= to select a component of the aggregate"
+                    f"aggregate {tree.aggregate.name} ranks a class by "
+                    f"{k!r}, not a number; its rank() must return one"
                 )
             if k == k:
                 pairs.append((k, node))
@@ -105,7 +105,6 @@ def pure_iceberg(
     threshold,
     op: str = ">=",
     index: Optional[MeasureIndex] = None,
-    key: Optional[Callable] = None,
 ) -> list:
     """All classes whose aggregate satisfies the threshold.
 
@@ -115,7 +114,7 @@ def pure_iceberg(
     across queries, as the paper intends.
     """
     if index is None:
-        index = MeasureIndex(tree, key=key)
+        index = MeasureIndex(tree)
     out = [
         (tree.upper_bound_of(node), tree.value_at(node))
         for node in index.nodes_satisfying(threshold, op)
@@ -131,28 +130,28 @@ def constrained_iceberg(
     op: str = ">=",
     strategy: str = "filter",
     index: Optional[MeasureIndex] = None,
-    key: Optional[Callable] = None,
 ) -> dict:
     """Range query + iceberg condition: ``{point cell: value}``.
 
     ``strategy`` selects the paper's plan (1) ``"filter"`` or plan (2)
-    ``"mark"``; both return identical results.  It stays an option
-    because the two plans are the paper's subject here, not one job done
-    twice: which wins depends on the threshold's selectivity, and
-    Ablation A2 (``benchmarks/bench_ablation_iceberg_strategies.py``)
-    measures both.
+    ``"mark"``; both return identical results.  Ablation A2
+    (``benchmarks/bench_ablation_iceberg_strategies.py``) measures both
+    and found no crossover — filter wins at every selectivity — so the
+    served API (:meth:`ServingSnapshot.iceberg_in_range
+    <repro.serving.snapshot.ServingSnapshot.iceberg_in_range>`) runs
+    plan (1) alone, and plan (2) is kept here for the ablation.
     """
     check_op(op)
     if strategy == "filter":
-        keyfn = key if key is not None else (lambda value: value)
+        rank = tree.aggregate.rank
         results = range_query(tree, spec)
         return {
             cell: value
             for cell, value in results.items()
-            if _satisfies(keyfn(value), threshold, op)
+            if _satisfies(rank(value), threshold, op)
         }
     if strategy == "mark":
-        return _marked_range_query(tree, spec, threshold, op, index, key)
+        return _marked_range_query(tree, spec, threshold, op, index)
     raise QueryError(f"unknown iceberg strategy {strategy!r}")
 
 
@@ -191,11 +190,11 @@ def _useful_nodes(tree: QCTree, satisfying) -> set:
     return useful
 
 
-def _marked_range_query(tree, spec, threshold, op, index, key) -> dict:
+def _marked_range_query(tree, spec, threshold, op, index) -> dict:
     """The subtree-marking strategy for constrained iceberg queries."""
     if index is None:
-        index = MeasureIndex(tree, key=key)
-    keyfn = key if key is not None else (lambda value: value)
+        index = MeasureIndex(tree)
+    rank = tree.aggregate.rank
     satisfying = set(index.nodes_satisfying(threshold, op))
     if not satisfying:
         return {}
@@ -219,6 +218,6 @@ def _marked_range_query(tree, spec, threshold, op, index, key) -> dict:
         if (final is not None and final in satisfying
                 and generalizes(cell, tree.upper_bound_of(final))):
             value = tree.value_at(final)
-            if _satisfies(keyfn(value), threshold, op):
+            if _satisfies(rank(value), threshold, op):
                 results[cell] = value
     return results

@@ -160,7 +160,7 @@ class QCTree:
 
         Part of the traversal protocol shared with
         :class:`~repro.core.frozen.FrozenQCTree`, so graph walks (e.g. the
-        iceberg mark strategy) run unchanged on either representation.
+        iceberg mark plan) run unchanged on either representation.
         """
         for dim, by_value in self.children[node].items():
             for value, child in by_value.items():

@@ -97,12 +97,12 @@ def iceberg_cache_key(threshold, op):
     return _hashable(("iceberg", threshold, op))
 
 
-def constrained_iceberg_cache_key(raw_spec, threshold, op, strategy):
+def constrained_iceberg_cache_key(raw_spec, threshold, op):
     """Cache key for a constrained iceberg query, or None."""
     spec = normalize_range_spec(raw_spec)
     if spec is None:
         return None
-    return _hashable(("iceberg_range", spec, threshold, op, strategy))
+    return _hashable(("iceberg_range", spec, threshold, op))
 
 
 class LsnQueryCache:

@@ -127,10 +127,9 @@ class QCWarehouse:
     COMPACT_INTERVAL = 0.05
 
     def __init__(self, table: BaseTable, aggregate="count",
-                 index_key=None, wal=None, cache_size: int = 1024):
+                 cache_size: int = 1024):
         self.aggregate = make_aggregate(aggregate)
-        self._index_key = index_key
-        self.wal: Optional[WriteAheadLog] = wal
+        self.wal: Optional[WriteAheadLog] = None
         self._cache = LsnQueryCache(cache_size) if cache_size else None
         # One re-entrant lock covers piece-list swaps and head mutation;
         # heavy work (compaction merges, frozen-view compiles) happens
@@ -174,10 +173,10 @@ class QCWarehouse:
 
     @classmethod
     def from_records(cls, records, schema: Schema, aggregate="count",
-                     index_key=None, **options):
+                     **options):
         """Build a warehouse from raw records."""
         return cls(BaseTable.from_records(records, schema), aggregate,
-                   index_key=index_key, **options)
+                   **options)
 
     # -- serving state -------------------------------------------------------
 
@@ -240,7 +239,7 @@ class QCWarehouse:
             views.append(PieceView(self.serving_tree, self.table))
             return ServingSnapshot(
                 views, self.aggregate, stamp=self.serving_stamp(),
-                generation=self._generation, index_key=self._index_key,
+                generation=self._generation,
             )
 
     @property
@@ -407,14 +406,13 @@ class QCWarehouse:
             copy=list,
         )
 
-    def iceberg_in_range(self, raw_spec, threshold, op: str = ">=",
-                         strategy: str = "filter") -> dict:
-        """Constrained iceberg query; returns ``{decoded cell: value}``."""
+    def iceberg_in_range(self, raw_spec, threshold, op: str = ">=") -> dict:
+        """Constrained iceberg query: the range answer kept where the
+        aggregate's rank satisfies the threshold; returns ``{decoded
+        cell: value}``, cached at the current serving stamp."""
         return self._cached(
-            constrained_iceberg_cache_key(raw_spec, threshold, op, strategy),
-            lambda view: view.iceberg_in_range(
-                raw_spec, threshold, op=op, strategy=strategy
-            ),
+            constrained_iceberg_cache_key(raw_spec, threshold, op),
+            lambda view: view.iceberg_in_range(raw_spec, threshold, op=op),
             copy=dict,
         )
 
@@ -422,7 +420,7 @@ class QCWarehouse:
     def index(self) -> MeasureIndex:
         """The measure index, owned by the serving :attr:`view` — the
         node ids it stores must belong to the representation queries
-        traverse (the mark strategy intersects them with walk
+        traverse (the mark plan intersects them with walk
         positions)."""
         return self.view.index
 
@@ -862,7 +860,7 @@ class QCWarehouse:
 
     @classmethod
     def recover(cls, directory, wal_path, schema: Schema,
-                index_key=None, **options) -> "QCWarehouse":
+                **options) -> "QCWarehouse":
         """Rebuild a warehouse after a crash: manifest + WAL replay.
 
         Loads the manifest (the single atomic commit point) and restores
@@ -896,8 +894,7 @@ class QCWarehouse:
         """
         payload = load_manifest(directory)
         wh = cls(BaseTable.from_records([], schema),
-                 make_aggregate(payload["aggregate"]),
-                 index_key=index_key, **options)
+                 make_aggregate(payload["aggregate"]), **options)
         if payload["segments"] and wh.segment_health() is None:
             raise RecoveryError(
                 f"{directory} holds {len(payload['segments'])} sealed "

@@ -20,6 +20,9 @@ per class.  To make incremental maintenance cheap, aggregates here expose a
     layer to recompute the affected classes from the base table.
 ``value(state)``
     The user-facing value.
+``rank(value)``
+    The number an iceberg query thresholds and a measure index sorts:
+    the value itself, or a multi-aggregate's first part.
 
 States are small plain objects (ints, floats, tuples) so they compare,
 hash into serialized trees, and copy trivially.
@@ -101,6 +104,11 @@ class AggregateFunction:
     def value(self, state):
         """Return the user-facing value of a state."""
         raise NotImplementedError
+
+    def rank(self, value):
+        """The number an iceberg query compares with its threshold; an
+        aggregate whose value is not a number overrides it."""
+        return value
 
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.name}>"
@@ -322,6 +330,10 @@ class MultiAggregate(AggregateFunction):
 
     def value(self, state):
         return tuple(p.value(s) for p, s in zip(self.parts, state))
+
+    def rank(self, value):
+        """A multi-aggregate ranks by its first part."""
+        return self.parts[0].rank(value[0])
 
 
 _SIMPLE = {"count": Count}

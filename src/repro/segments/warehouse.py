@@ -21,9 +21,8 @@ class SegmentedWarehouse(QCWarehouse):
     SEAL_BATCHES = 256
 
     def __init__(self, table: BaseTable, aggregate="count",
-                 index_key=None, wal=None, cache_size: int = 1024,
-                 seal_rows: int = 2048, compact_min_segments: int = 4):
+                 cache_size: int = 1024, seal_rows: int = 2048,
+                 compact_min_segments: int = 4):
         self.seal_rows = seal_rows
         self.compact_min_segments = compact_min_segments
-        super().__init__(table, aggregate, index_key=index_key, wal=wal,
-                         cache_size=cache_size)
+        super().__init__(table, aggregate, cache_size=cache_size)

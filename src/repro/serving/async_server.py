@@ -83,7 +83,7 @@ to be answered* — each one is written (or, for a peer that vanished,
 dropped once it resolves) before its connection closes, so no asyncio
 task outlives the close, no future is stranded, and the server's
 admission ledger (``submitted == completed + timeouts + errors +
-cancelled``) still balances.  A bounded ``drain_timeout`` guards
+cancelled``) still balances.  A bounded ``DRAIN_TIMEOUT_S`` guards
 against a wedged server: past it, the remaining connections are aborted
 (the underlying futures then resolve through ``QCServer``'s own
 stranded-request accounting).
@@ -344,15 +344,16 @@ class AsyncQCServer:
     default_timeout:
         Deadline applied to requests without an ``@<budget_s>`` prefix
         (None = the server's own default).
-    drain_timeout:
-        Upper bound on how long :meth:`aclose` waits for in-flight
-        requests to drain before aborting their connections.
     """
+
+    #: Upper bound (seconds) on how long :meth:`aclose` waits for
+    #: in-flight requests to drain before aborting their connections.
+    DRAIN_TIMEOUT_S = 30.0
 
     def __init__(self, server, host: str = "127.0.0.1", port: int = 0, *,
                  max_connections: int = 10_000, max_inflight: int = 32,
                  default_timeout: Optional[float] = None,
-                 drain_timeout: float = 30.0, name: str = "qcasync"):
+                 name: str = "qcasync"):
         if max_connections < 1:
             raise ServingError(
                 f"need at least one connection slot, got {max_connections}"
@@ -368,7 +369,6 @@ class AsyncQCServer:
         self.max_connections = max_connections
         self.max_inflight = max_inflight
         self._default_timeout = default_timeout
-        self._drain_timeout = drain_timeout
         self.name = name
         self._counters = {c: Counter(c) for c in COUNTERS}
         self._listener = None
@@ -429,7 +429,7 @@ class AsyncQCServer:
         """Stop accepting, drain in-flight requests, stop cleanly.
 
         Stops every connection's reading (no new admissions), then
-        waits up to ``drain_timeout`` for what was admitted to be
+        waits up to :attr:`DRAIN_TIMEOUT_S` for what was admitted to be
         answered and the connections to close; anything still open
         after that is aborted so nothing survives the close.
         Idempotent.
@@ -444,7 +444,7 @@ class AsyncQCServer:
             session.stop()
         if self._sessions:
             self._drained = self._loop.create_future()
-            await asyncio.wait({self._drained}, timeout=self._drain_timeout)
+            await asyncio.wait({self._drained}, timeout=self.DRAIN_TIMEOUT_S)
             # Wedged drain (e.g. the server itself hung): force it.
             for session in list(self._sessions):
                 session.abandon()

@@ -227,8 +227,7 @@ def _union_table(pieces):
     return BaseTable.from_records(records, pieces[0].table.schema)
 
 
-def scatter_iceberg(pieces, aggregate, threshold, op: str = ">=",
-                    keyfn=None) -> list:
+def scatter_iceberg(pieces, aggregate, threshold, op: str = ">=") -> list:
     """Pure iceberg across segments: ``[(decoded ub, value), ...]``.
 
     An iceberg must enumerate *every* union class bound, and the union's
@@ -242,8 +241,6 @@ def scatter_iceberg(pieces, aggregate, threshold, op: str = ">=",
     list is used directly.  Warehouse-level callers cache the answer
     under the serving stamp, so repeats are free until the next write.
     """
-    if keyfn is None:
-        keyfn = lambda value: value  # noqa: E731
     live = [piece for piece in pieces if piece.table.n_rows]
     out = []
     if len(live) == 1:
@@ -265,27 +262,10 @@ def scatter_iceberg(pieces, aggregate, threshold, op: str = ">=",
         candidates = ()
     for sem, state in candidates:
         value = aggregate.value(state)
-        if _satisfies(keyfn(value), threshold, op):
+        if _satisfies(aggregate.rank(value), threshold, op):
             out.append((sem, value))
     out.sort(key=lambda pair: raw_sort_key(pair[0]))
     return [(decode_sem(ub), value) for ub, value in out]
-
-
-def scatter_iceberg_in_range(pieces, aggregate, raw_spec, threshold,
-                             op: str = ">=", keyfn=None) -> dict:
-    """Constrained iceberg across segments: ``{decoded cell: value}``.
-
-    The paper's two plans (filter / mark) return identical answers, so
-    the gathered form is always range-then-threshold over merged values.
-    """
-    if keyfn is None:
-        keyfn = lambda value: value  # noqa: E731
-    results = scatter_range(pieces, aggregate, raw_spec)
-    return {
-        cell: value
-        for cell, value in results.items()
-        if _satisfies(keyfn(value), threshold, op)
-    }
 
 
 # -- exploration: the union as a cube -----------------------------------------

@@ -649,11 +649,9 @@ class QCServer:
             comparator = args[1] if len(args) == 2 else kwargs.get("op", ">=")
             return iceberg_cache_key(args[0], comparator)
         if (op == "iceberg_in_range" and len(args) == 2
-                and set(kwargs) <= {"op", "strategy"}):
+                and set(kwargs) <= {"op"}):
             return constrained_iceberg_cache_key(
-                args[0], args[1], kwargs.get("op", ">="),
-                kwargs.get("strategy", "filter"),
-            )
+                args[0], args[1], kwargs.get("op", ">="))
         return None
 
     def _answer(self, request: Request):
@@ -1077,9 +1075,7 @@ class QCServer:
         if kind == "iceberg":
             return snapshot.iceberg(key[1], op=key[2])
         if kind == "iceberg_range":
-            return snapshot.iceberg_in_range(
-                key[1], key[2], op=key[3], strategy=key[4]
-            )
+            return snapshot.iceberg_in_range(key[1], key[2], op=key[3])
         raise QueryError(f"unknown cache key namespace {kind!r}")
 
     # -- lifecycle & reporting -----------------------------------------------

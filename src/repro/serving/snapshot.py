@@ -30,6 +30,9 @@ pieces plus a head), an attached blob and the servers need to know:
   aggregate **states** (:mod:`repro.serving.scatter`, which also says
   why the merged answers equal the one-piece ones exactly).
 
+A constrained iceberg is the range family filtered by the aggregate's
+rank, whatever the piece count.
+
 The semantic exploration API (``rollup``, ``drilldowns``,
 ``open_class``, …) is one implementation (:mod:`repro.core.explore`)
 over the snapshot's *cube* — a :class:`~repro.core.explore.TreeCube` or
@@ -49,16 +52,10 @@ import threading
 from typing import Optional
 
 from repro.core import explore
-from repro.core.iceberg import (
-    MeasureIndex,
-    check_op,
-    constrained_iceberg,
-    pure_iceberg,
-)
+from repro.core.iceberg import MeasureIndex, _satisfies, check_op, pure_iceberg
 from repro.core.point_query import point_query_raw
 from repro.core.qctree import QCTree
-from repro.core.range_query import encode_range, range_query_raw
-from repro.errors import QueryError
+from repro.core.range_query import range_query_raw
 from repro.serving import scatter
 
 
@@ -73,11 +70,10 @@ class ServingSnapshot:
     the warehouse delegates to a snapshot internally.
     """
 
-    __slots__ = ("pieces", "aggregate", "stamp", "generation", "index_key",
-                 "tree", "table", "cube", "_single", "_index", "_index_lock")
+    __slots__ = ("pieces", "aggregate", "stamp", "generation", "tree",
+                 "table", "cube", "_single", "_index", "_index_lock")
 
-    def __init__(self, pieces, aggregate, stamp=(0, 0), generation=0,
-                 index_key=None):
+    def __init__(self, pieces, aggregate, stamp=(0, 0), generation=0):
         #: Oldest sealed segment first; the live piece is always last.
         self.pieces = tuple(pieces)
         if not self.pieces:
@@ -85,7 +81,6 @@ class ServingSnapshot:
         self.aggregate = aggregate
         self.stamp = tuple(stamp)
         self.generation = generation
-        self.index_key = index_key
         live = self.pieces[-1]
         self.tree = live.tree
         self.table = live.table
@@ -112,7 +107,7 @@ class ServingSnapshot:
             with self._index_lock:
                 index = self._index
                 if index is None:
-                    index = MeasureIndex(self.tree, key=self.index_key)
+                    index = MeasureIndex(self.tree)
                     self._index = index
         return index
 
@@ -137,38 +132,24 @@ class ServingSnapshot:
                                    index=self.index)
             return [(self.table.decode_cell(ub), value)
                     for ub, value in classes]
-        return scatter.scatter_iceberg(
-            self.pieces, self.aggregate, threshold, op=op,
-            keyfn=self.index_key,
-        )
+        return scatter.scatter_iceberg(self.pieces, self.aggregate,
+                                       threshold, op=op)
 
-    def iceberg_in_range(self, raw_spec, threshold, op: str = ">=",
-                         strategy: str = "filter") -> dict:
+    def iceberg_in_range(self, raw_spec, threshold, op: str = ">=") -> dict:
         """Constrained iceberg query; returns ``{decoded cell: value}``.
 
-        The paper's two plans (``"filter"`` / ``"mark"``) are
-        answer-equivalent; over several pieces either one filters the
-        gathered range answer.  An unknown ``strategy`` or ``op`` is
-        refused before the range is looked at, so an empty range refuses
-        it too.
+        The paper's plan (1) on any number of pieces: the range answer,
+        kept where the aggregate's rank satisfies ``rank op threshold``.
+        An unknown ``op`` is refused before the range is looked at, so
+        an empty range refuses it too.
         """
-        if strategy not in ("filter", "mark"):
-            raise QueryError(f"unknown iceberg strategy {strategy!r}")
         check_op(op)
-        if not self._single:
-            return scatter.scatter_iceberg_in_range(
-                self.pieces, self.aggregate, raw_spec, threshold, op=op,
-                keyfn=self.index_key,
-            )
-        encoded = encode_range(self.table, raw_spec)
-        if encoded is None:
-            return {}
-        results = constrained_iceberg(
-            self.tree, encoded, threshold, op=op, strategy=strategy,
-            index=self.index if strategy == "mark" else None,
-            key=self.index_key,
-        )
-        return {self.table.decode_cell(c): v for c, v in results.items()}
+        rank = self.aggregate.rank
+        return {
+            cell: value
+            for cell, value in self.range(raw_spec).items()
+            if _satisfies(rank(value), threshold, op)
+        }
 
     # -- exploration ---------------------------------------------------------
 

@@ -104,8 +104,7 @@ def _packed_matrix(data, template, is_class):
     return matrix
 
 
-def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
-                        snapshot_meta=None) -> bytes:
+def pack_snapshot_bytes(tree, table=None, stamp=(0, 0)) -> bytes:
     """Serialize a serving snapshot to the ``QCTREE/3`` byte layout.
 
     Columnar: a live mask and its running sum renumber the slots
@@ -211,10 +210,6 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0),
         "state_template": templates[0],
         "value_template": templates[1],
         "stamp": [int(lsn), int(epoch)],
-        "snapshot_meta": dict(
-            snapshot_meta if snapshot_meta is not None
-            else tree.snapshot_meta
-        ),
         "table": table_meta,
         "sections": sections,
     }
@@ -295,7 +290,7 @@ class AttachedSnapshot:
         self.meta = meta
         self._views = views
 
-    def serving_snapshot(self, index_key=None):
+    def serving_snapshot(self):
         from repro.serving.scatter import PieceView
         from repro.serving.snapshot import ServingSnapshot
 
@@ -306,7 +301,7 @@ class AttachedSnapshot:
             )
         return ServingSnapshot(
             [PieceView(self.tree, self.table)], self.tree.aggregate,
-            stamp=self.stamp, index_key=index_key,
+            stamp=self.stamp,
         )
 
     def release(self) -> None:

@@ -369,9 +369,7 @@ class ShardServer(QCServer):
         self._epoch_segments[1] = shm.name
         try:
             for slot in range(processes):
-                self._handles.append(
-                    self._spawn_process(slot, snapshot.index_key)
-                )
+                self._handles.append(self._spawn_process(slot))
             self._reroute_locked()  # no other thread exists yet
             super().__init__(warehouse, workers=workers or processes,
                              **kwargs)
@@ -403,10 +401,9 @@ class ShardServer(QCServer):
 
     # -- process fleet -------------------------------------------------------
 
-    def _spawn_process(self, slot: int, index_key) -> _ProcHandle:
+    def _spawn_process(self, slot: int) -> _ProcHandle:
         """Fork one worker attached to the current segment and complete
-        its ready handshake; ``index_key`` is the published snapshot's
-        (the worker's iceberg index needs it).  Called single-threaded
+        its ready handshake.  Called single-threaded
         from ``__init__`` and from the supervisor thread on respawn
         (where the fork-with-threads DeprecationWarning of newer Pythons
         is expected and harmless: the child only runs already-imported
@@ -446,7 +443,7 @@ class ShardServer(QCServer):
             proc = self._ctx.Process(
                 target=worker_main,
                 args=(child_conn, self._epoch_segments[self._epoch],
-                      lsn, self._epoch, index_key, inherited),
+                      lsn, self._epoch, inherited),
                 name=f"{getattr(self, 'name', 'shard')}-proc-{slot}",
                 daemon=True,
             )
@@ -878,7 +875,7 @@ class ShardServer(QCServer):
             self._retire_receiver(old, timeout=1.0)
             old.proc.join(timeout=0)
             try:
-                fresh = self._spawn_process(i, self._snapshot.index_key)
+                fresh = self._spawn_process(i)
             except Exception:
                 continue  # segment gone or fork failed; retry next scan
             self._start_receiver(fresh)

@@ -67,12 +67,12 @@ def _picklable_error(exc):
 class _Attachment:
     """One attached epoch: segment handle + packed snapshot views."""
 
-    def __init__(self, name: str, index_key):
+    def __init__(self, name: str):
         self.name = name
         self.shm = attach_segment(name)
         try:
             self.attached = attach_packed(self.shm.buf)
-            self.snapshot = self.attached.serving_snapshot(index_key=index_key)
+            self.snapshot = self.attached.serving_snapshot()
         except BaseException:
             self.shm.close()
             raise
@@ -164,7 +164,7 @@ def _send(conn, message) -> None:
 
 
 def worker_main(conn, segment_name: str, lsn: int, epoch: int,
-                index_key=None, inherited=()) -> None:
+                inherited=()) -> None:
     """Entry point of a shard worker process (runs until ``stop``/EOF).
 
     ``inherited`` are the parent-side pipe ends the fork copied into
@@ -177,7 +177,7 @@ def worker_main(conn, segment_name: str, lsn: int, epoch: int,
     # each full collection would walk it all — a ~30 ms stall every few
     # bulk batches.  Park it in the permanent generation.
     gc.freeze()
-    current = _Attachment(segment_name, index_key)
+    current = _Attachment(segment_name)
     current.snapshot.stamp = (lsn, epoch)
     attached_epoch = epoch
     try:
@@ -199,7 +199,7 @@ def worker_main(conn, segment_name: str, lsn: int, epoch: int,
                         raise InjectedFault(
                             "injected fault at shard:attach"
                         )
-                    fresh = _Attachment(new_name, index_key)
+                    fresh = _Attachment(new_name)
                 except Exception as exc:
                     _send(conn, ("pub_err", new_epoch, repr(exc)))
                 else:

@@ -92,8 +92,7 @@ def _check_label(value):
     return value
 
 
-def reference_pack(tree, table=None, stamp=(0, 0),
-                        snapshot_meta=None) -> bytes:
+def reference_pack(tree, table=None, stamp=(0, 0)) -> bytes:
     """Serialize a serving snapshot to the ``QCTREE/3`` byte layout.
 
     ``tree`` may be frozen, packed, or dict-backed — packing walks the
@@ -259,10 +258,6 @@ def reference_pack(tree, table=None, stamp=(0, 0),
         "state_template": state_template,
         "value_template": value_template,
         "stamp": [int(lsn), int(epoch)],
-        "snapshot_meta": dict(
-            snapshot_meta if snapshot_meta is not None
-            else getattr(tree, "snapshot_meta", {}) or {}
-        ),
         "table": table_meta,
         "sections": sections,
     }

@@ -217,7 +217,7 @@ class TestColumnsFirst:
         assert blob == reference_pack(build_qctree(table, ("sum", "M0")),
                                       table)
         assert hashlib.sha256(blob).hexdigest() == (
-            "fd9af8c02602087581248f5ef3f820109ae28dc2705e5ebf6ad485182e80ca7f")
+            "f247c2760286fa74307910481c1744c4931e513272de39357e1b954725d7066a")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_thaw_ids_are_slots(self, seed):

@@ -46,12 +46,12 @@ class TestMeasureIndex:
         with pytest.raises(QueryError):
             MeasureIndex(tree).nodes_satisfying(1, "==")
 
-    def test_multi_aggregate_needs_key(self, sales_table):
+    def test_multi_aggregate_ranks_by_first_part(self, sales_table):
         tree = build_qctree(sales_table, [("sum", "Sale"), "count"])
-        with pytest.raises(QueryError):
-            MeasureIndex(tree)
-        index = MeasureIndex(tree, key=lambda v: v[0])
+        index = MeasureIndex(tree)
         assert len(index) == tree.n_classes
+        got = sorted(tree.value_at(n) for n in index.nodes_satisfying(18))
+        assert got == [(18.0, 2), (27.0, 3)]
 
 
 class TestPureIceberg:
@@ -158,8 +158,9 @@ class TestConstrainedIceberg:
     @pytest.mark.parametrize("strategy", ["filter", "mark"])
     def test_unknown_operator_rejected_on_any_range(self, strategy):
         """An unknown operator is refused whether or not the range holds
-        anything, on one piece and on several, and no empty answer is
-        cached for it."""
+        anything, on one piece and on several (the served filtered
+        range) and by either kernel plan, and no empty answer is cached
+        for it."""
         schema = Schema(dimensions=("A", "B"), measures=("m",))
         records = [("a", "b", 1.0), ("a", "c", 2.0), ("d", "b", 3.0)]
         mono = QCWarehouse.from_records(records, schema, ("sum", "m"))
@@ -170,8 +171,7 @@ class TestConstrainedIceberg:
             for wh in (mono, seg):
                 for _ in range(2):
                     with pytest.raises(QueryError, match="operator '!!'"):
-                        wh.iceberg_in_range(spec, 1, op="!!",
-                                            strategy=strategy)
+                        wh.iceberg_in_range(spec, 1, op="!!")
         for codes in (([0], ALL), ([table.cardinality(0) + 5], ALL)):
             with pytest.raises(QueryError, match="operator '!!'"):
                 constrained_iceberg(tree, codes, 1, op="!!",

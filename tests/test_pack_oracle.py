@@ -30,6 +30,7 @@ from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import SerializationError
 from repro.shard import ShardServer, created_segments
+from repro.shard import server as server_module
 from repro.shard.pack import attach_packed, pack_snapshot_bytes
 from tests import model
 from tests.conftest import (
@@ -315,7 +316,7 @@ class TestEdgeCases:
             reference_pack(frozen, table)
 
     def test_failed_pack_inside_publish_creates_no_segment(
-            self, sales_table):
+            self, sales_table, monkeypatch):
         """Every ``SerializationError`` is raised before the publish
         protocol creates a shared-memory segment."""
         schema = Schema(dimensions=("Year", "Kind"), measures=("M",))
@@ -324,9 +325,12 @@ class TestEdgeCases:
             before = created_segments()
             epoch = server.shard_health()["current_epoch"]
             wh.insert([(2099, "a", 1.0)])
-            # Snapshot meta the JSON meta block cannot hold fails the
-            # packer.
-            wh.serving_tree.snapshot_meta["unpackable"] = {2099}
+            def unpackable(*args, **kwargs):
+                raise SerializationError(
+                    "snapshot meta is not JSON-serializable: injected")
+
+            monkeypatch.setattr(server_module, "pack_snapshot_bytes",
+                                unpackable)
             with pytest.raises(SerializationError, match="JSON"):
                 server._publish()
             assert created_segments() == before

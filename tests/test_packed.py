@@ -207,15 +207,6 @@ class TestV3Format:
         with pytest.raises(SerializationError):
             attach_packed(b"\x00" * 64)
 
-    def test_frozen_pack_method(self, snapshot):
-        payload = snapshot.tree.pack(snapshot.table, stamp=(1, 2))
-        att = attach_packed(payload)
-        try:
-            assert att.stamp == (1, 2)
-            assert att.tree.signature() == snapshot.tree.signature()
-        finally:
-            att.release()
-
     def test_attach_from_mmap_object(self, snapshot, tmp_path):
         path = tmp_path / "packed.qct3"
         path.write_bytes(pack_snapshot_bytes(snapshot.tree, snapshot.table))

@@ -111,8 +111,8 @@ class TestCacheKeys:
             iceberg_cache_key(9.0, ">="),
             iceberg_cache_key(9.0, ">"),
             iceberg_cache_key(8.0, ">="),
-            constrained_iceberg_cache_key(("*", "*"), 9.0, ">=", "filter"),
-            constrained_iceberg_cache_key(("*", "*"), 9.0, ">=", "mark"),
+            constrained_iceberg_cache_key(("*", "*"), 9.0, ">="),
+            constrained_iceberg_cache_key(("*", "*"), 9.0, ">"),
         }
         assert len(keys) == 5
 
@@ -168,14 +168,14 @@ class TestRangeIcebergCaching:
         assert above != below
         assert wh.stats()["query_cache"]["hits"] == 0
 
-    def test_constrained_iceberg_cached_per_strategy(self):
+    def test_constrained_iceberg_cached_per_op(self):
         wh = make_wh()
-        spec = ("*", "*", "s")
-        mark = wh.iceberg_in_range(spec, 6.0, op=">", strategy="mark")
-        filt = wh.iceberg_in_range(spec, 6.0, op=">", strategy="filter")
-        assert mark == filt  # same answer via either plan...
-        assert wh.iceberg_in_range(spec, 6.0, op=">", strategy="mark") == mark
-        assert wh.stats()["query_cache"]["hits"] == 1  # ...distinct entries
+        spec = (["S1", "S2"], ["P1", "P2"], "*")
+        above = wh.iceberg_in_range(spec, 6.0, op=">")
+        below = wh.iceberg_in_range(spec, 6.0, op="<=")
+        assert above and below and above != below
+        assert wh.iceberg_in_range(spec, 6.0, op=">") == above
+        assert wh.stats()["query_cache"]["hits"] == 1  # distinct entries
 
     def test_insert_invalidates_range_and_iceberg(self):
         wh = make_wh()

@@ -9,10 +9,14 @@ wrong arity, unhashable cells — each answer equals a fresh
 ``snapshot_view()``'s (which has no cache in front), or both raise the
 same exception class.  Both stores, at cache sizes 0, 1 and 1024, on the
 miss and on the hit, across writes.  The cache ledger is pinned too.
+A constrained iceberg is held to the range answer filtered by the
+aggregate's rank, on a scalar and on a multi-aggregate.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 
 import numpy as np
@@ -27,6 +31,9 @@ SCHEMA = Schema(dimensions=("Year", "Kind", "Size"), measures=("M",))
 YEARS, KINDS, SIZES = range(2000, 2006), ("a", "b", "c", "d"), range(5)
 STORES = ("monolithic", "segmented")
 ANY = ("*", None, ALL)
+#: The iceberg operators, as the comparisons they make.
+OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
+       "<": operator.lt}
 
 
 def _records(rng, n):
@@ -34,18 +41,18 @@ def _records(rng, n):
              float(rng.randint(1, 9))) for _ in range(n)]
 
 
-def _store(kind, records, cache_size):
+def _store(kind, records, cache_size, aggregate=("sum", "M")):
     """A store over ``records``: the segmented one written in batches of
     eight rows past its seal threshold, so it reads several pieces."""
     if kind == "segmented":
         wh = SegmentedWarehouse.from_records(
-            records[:8], SCHEMA, ("sum", "M"), seal_rows=8,
+            records[:8], SCHEMA, aggregate, seal_rows=8,
             cache_size=cache_size)
         for at in range(8, len(records), 8):
             wh.insert(records[at:at + 8])
         assert len(wh.pieces()) > 2
         return wh
-    return QCWarehouse.from_records(records, SCHEMA, ("sum", "M"),
+    return QCWarehouse.from_records(records, SCHEMA, aggregate,
                                     cache_size=cache_size)
 
 
@@ -162,6 +169,56 @@ def test_equivalent_spellings_answer_alike(kind):
         assert wh.range(("zz", "*", "*")) == {} == view.range(("zz", "*", "*"))
         assert (wh.point((np.int64(2002), np.str_("a"), "*"))
                 == view.point((2002, "a", "*")))
+    finally:
+        wh.close()
+
+
+def _threshold(rng):
+    """NaN, an infinity, an integer (ties with the integral sums) or any
+    float."""
+    roll = rng.random()
+    if roll < 0.1:
+        return math.nan
+    if roll < 0.2:
+        return rng.choice((math.inf, -math.inf))
+    if roll < 0.5:
+        return float(rng.randint(0, 40))
+    return rng.uniform(-1.0, 60.0)
+
+
+def _filtered(answer, threshold, op):
+    """A range answer kept where the rank (a tuple's first part)
+    satisfies ``rank op threshold``."""
+    keep = OPS[op]
+    return {cell: value for cell, value in answer.items()
+            if keep(value[0] if isinstance(value, tuple) else value,
+                    threshold)}
+
+
+@pytest.mark.parametrize("aggregate", [("sum", "M"), [("sum", "M"), "count"]],
+                         ids=["sum", "sum-count"])
+@pytest.mark.parametrize("cache_size", [0, 1024])
+@pytest.mark.parametrize("kind", STORES)
+def test_constrained_iceberg_is_the_filtered_range(kind, cache_size,
+                                                   aggregate):
+    """``iceberg_in_range(spec, t, op)`` is the snapshot's range answer
+    filtered by the aggregate's rank — every spec family above, NaN and
+    infinite thresholds, all four operators — or both raise alike."""
+    rng = random.Random(f"iceberg:{kind}:{cache_size}:{aggregate}")
+    wh = _store(kind, _records(rng, 60), cache_size, aggregate)
+    try:
+        for _ in range(2):
+            view = wh.snapshot_view()
+            for _ in range(80):
+                spec, threshold = _spec(rng), _threshold(rng)
+                op = rng.choice(sorted(OPS))
+                want = _outcome(
+                    lambda s: _filtered(view.range(s), threshold, op), spec)
+                for attempt in ("miss", "hit"):
+                    got = _outcome(
+                        lambda s: wh.iceberg_in_range(s, threshold, op), spec)
+                    assert got == want, (spec, threshold, op, attempt)
+            wh.insert(_records(rng, 6))
     finally:
         wh.close()
 

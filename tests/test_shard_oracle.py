@@ -49,13 +49,12 @@ def test_shard_matches_thread_server(seed):
     assert created_segments() == []
 
 
-def test_index_key_reaches_the_fleet(sales_table):
-    """A tuple aggregate's iceberg needs the warehouse's ``index_key``;
-    the workers answer it from the published snapshot's, through
-    ``submit`` and ``map_query`` alike."""
+def test_multi_aggregate_iceberg_reaches_the_fleet(sales_table):
+    """A tuple aggregate's iceberg ranks by its first part; the workers
+    derive that from the packed aggregate spec, through ``submit`` and
+    ``map_query`` alike."""
     def warehouse():
-        return QCWarehouse(sales_table, aggregate=[("sum", "Sale"), "count"],
-                           index_key=lambda value: value[0])
+        return QCWarehouse(sales_table, aggregate=[("sum", "Sale"), "count"])
 
     with QCServer(warehouse(), workers=1, cache_size=0) as oracle:
         expected = sorted(oracle.iceberg(10), key=repr)

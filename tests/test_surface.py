@@ -73,8 +73,7 @@ def test_router_prefixes_only_snapshot_ops():
 #: ``cls`` dropped).  ``ShardServer`` and ``AsyncServerThread`` forward
 #: ``**kwargs`` to ``QCServer`` and ``AsyncQCServer``.
 KEYWORDS = {
-    "repro:QCWarehouse": (
-        "table", "aggregate", "index_key", "wal", "cache_size"),
+    "repro:QCWarehouse": ("table", "aggregate", "cache_size"),
     "repro:QCWarehouse.point": ("raw_cell",),
     "repro:QCWarehouse.range": ("raw_spec",),
     "repro:QCWarehouse.iceberg": ("threshold", "op"),
@@ -84,7 +83,7 @@ KEYWORDS = {
     "repro:QCWarehouse.snapshot_view": (),
     "repro:QCWarehouse.attach_wal": ("wal_path",),
     "repro.segments:SegmentedWarehouse": (
-        "table", "aggregate", "index_key", "wal", "cache_size", "seal_rows",
+        "table", "aggregate", "cache_size", "seal_rows",
         "compact_min_segments"),
     "repro.segments:SegmentedWarehouse.point": ("raw_cell",),
     "repro.segments:SegmentedWarehouse.range": ("raw_spec",),
@@ -114,7 +113,7 @@ KEYWORDS = {
     "repro.serving:AsyncServerThread.close": (),
     "repro.serving:AsyncQCServer": (
         "server", "host", "port", "max_connections", "max_inflight",
-        "default_timeout", "drain_timeout", "name"),
+        "default_timeout", "name"),
     "repro.serving:LineClient": ("host", "port", "timeout"),
     "repro.serving:LineClient.call": ("line",),
     "repro.serving:LineClient.close": (),
@@ -124,8 +123,7 @@ KEYWORDS = {
     "repro.serving:parse_line": ("line", "n_dims"),
     "repro.serving.protocol:format_response": ("parsed", "value"),
     "repro.shard:attach_packed": ("buffer", "verify"),
-    "repro.shard:pack_snapshot_bytes": (
-        "tree", "table", "stamp", "snapshot_meta"),
+    "repro.shard:pack_snapshot_bytes": ("tree", "table", "stamp"),
     "repro:BaseTable.from_records": ("records", "schema"),
     "repro:Schema": ("dimensions", "measures"),
     "repro:locate": ("tree", "cell", "counter"),

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.construct import build_qctree
+from repro.core.iceberg import constrained_iceberg
+from repro.core.range_query import encode_range
 from repro.core.warehouse import QCWarehouse
 from repro.errors import MaintenanceError, SchemaError
 
@@ -38,10 +40,15 @@ class TestQueries:
         assert result == {("S1", "P2", "s"): 12.0}
 
     def test_iceberg_in_range_strategies_agree(self, warehouse):
+        """The served answer, the filtered range, equals the kernel's
+        mark plan over the same frozen tree."""
         spec = (["S1", "S2"], "*", "*")
-        a = warehouse.iceberg_in_range(spec, 9)
-        b = warehouse.iceberg_in_range(spec, 9, strategy="mark")
-        assert a == b == {("S1", "*", "*"): 9.0, ("S2", "*", "*"): 9.0}
+        view = warehouse.snapshot_view()
+        marked = constrained_iceberg(
+            view.tree, encode_range(view.table, spec), 9, strategy="mark")
+        assert (warehouse.iceberg_in_range(spec, 9)
+                == {view.table.decode_cell(c): v for c, v in marked.items()}
+                == {("S1", "*", "*"): 9.0, ("S2", "*", "*"): 9.0})
 
     def test_iceberg_in_range_unknown_values(self, warehouse):
         assert warehouse.iceberg_in_range((["ZZ"], "*", "*"), 0) == {}
@@ -139,7 +146,6 @@ class TestValidation:
             [("S1", "P1", "s", 6.0), ("S2", "P1", "f", 9.0)],
             sales_schema,
             aggregate=[("sum", "Sale"), "count"],
-            index_key=lambda value: value[0],
         )
         assert wh.point(("*", "P1", "*")) == (15.0, 2)
         # Both records share P1, so the root class's bound is (*, P1, *).
