@@ -7,9 +7,11 @@ Every benchmark module regenerates one table or figure from the paper's
   --benchmark-only``); heavyweight builds run with ``pedantic`` (few
   rounds) so a full sweep stays minutes, not hours;
 * each module also produces the figure's rows/series through
-  :func:`print_series` / :func:`print_table`, which print *and* append to
-  ``benchmarks/results/<figure>.txt`` so the reproduced shapes survive
-  output capturing and feed EXPERIMENTS.md;
+  :func:`print_series` / :func:`print_table`, which print them and, in a
+  ``--benchmark-only`` sweep, write ``benchmarks/results/<figure>.txt``
+  so the reproduced shapes survive output capturing and feed
+  EXPERIMENTS.md (a run without that flag — a smoke — only prints, and
+  leaves the committed tables as they are);
 * datasets are scaled-down versions of the paper's (substitutions are
   documented in DESIGN.md §5) with fixed seeds, so runs are reproducible;
 * ``main()`` in each module regenerates its figure standalone:
@@ -33,6 +35,9 @@ SYNTH_ROWS = 4000
 ZIPF = 2.0
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+#: Whether :func:`print_table` writes under :data:`RESULTS_DIR`; set by
+#: ``conftest.py`` for a ``--benchmark-only`` sweep.
+WRITE_RESULTS = False
 
 
 @lru_cache(maxsize=64)
@@ -70,10 +75,11 @@ def render_table(title, headers, rows) -> str:
 
 
 def print_table(title, headers, rows, result_file=None):
-    """Print a figure's table and persist it under benchmarks/results/."""
+    """Print a figure's table and, in a ``--benchmark-only`` sweep,
+    persist it under benchmarks/results/."""
     text = render_table(title, headers, rows)
     print("\n" + text + "\n")
-    if result_file is not None:
+    if result_file is not None and WRITE_RESULTS:
         os.makedirs(RESULTS_DIR, exist_ok=True)
         with open(os.path.join(RESULTS_DIR, result_file), "w") as fp:
             fp.write(text + "\n")

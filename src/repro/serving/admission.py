@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import Future
 
 
 class Request:
     """One admitted read, from admission to its one completion.
 
-    ``future`` carries the answer back to the caller; ``deadline`` is an
-    absolute :func:`time.monotonic` instant (None = no deadline);
+    ``future`` (of the server's ``_future_class``) carries the answer
+    back to the caller; ``deadline`` is an absolute
+    :func:`time.monotonic` instant (None = no deadline);
     ``started`` is when the read was admitted, then when a worker began
     serving it — the age a wedged worker shows.  ``key`` is its cache
     key once a lookup missed (the completion fills the cache),
@@ -55,7 +55,7 @@ class Request:
         self.op = op
         self.args = args
         self.kwargs = kwargs
-        self.future = Future()
+        self.future = server._future_class()
         self.deadline = deadline
         self.started = started
         self.key = None

@@ -249,6 +249,8 @@ class QCServer:
     #: Bounded-rate respawn: at most this many restarts per window.
     MAX_RESTARTS_PER_WINDOW = 32
     RESTART_WINDOW_S = 1.0
+    #: The future :meth:`submit` returns for each admitted read.
+    _future_class = Future
 
     def __init__(self, warehouse, workers: int = 4, queue_size: int = 128,
                  default_timeout: Optional[float] = None,
@@ -579,8 +581,9 @@ class QCServer:
     def _finish(self, request: Request, ok: bool, payload) -> None:
         """The one completion of an admitted read, reached through
         :meth:`Request.complete`, on whichever thread has its outcome: a
-        pool worker, a pipe's receiver, the supervisor, a dying worker
-        or :meth:`close`.  ``payload`` is the answer when ``ok``, else
+        pool worker, the reader of a shard worker's pipe (the caller
+        waiting on it, or the pipe's receiver), the supervisor, a dying
+        worker or :meth:`close`.  ``payload`` is the answer when ``ok``, else
         the exception.
 
         A read its caller cancelled counts under ``cancelled`` and

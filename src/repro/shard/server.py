@@ -47,12 +47,16 @@ thread-mode rather than failing.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import select
 import threading
 import time
 import warnings
 import zlib
 from collections import deque
+from concurrent.futures import Future
+from concurrent.futures._base import FINISHED, PENDING
 from itertools import count
 from typing import Optional
 
@@ -188,13 +192,14 @@ _MESSAGE_OVERHEAD = 1024
 
 class _ProcHandle:
     """Parent-side state of one worker process: the process, its pipe,
-    the in-flight table, and the epoch it last confirmed attaching.
+    the in-flight table, the epoch it last confirmed attaching, and the
+    pipe's read role.
 
-    Locking: ``lock`` guards ``pending``/``alive``/``outstanding``;
-    ``send_lock`` serializes pipe sends and is *never* taken by the
-    receiver thread, so a send blocked on a full pipe can never stop the
-    receiver from draining answers (which is what unblocks the worker,
-    and hence the send).
+    Locking: ``lock`` guards ``pending``/``alive``/``outstanding``/
+    ``controls``; ``send_lock`` serializes pipe sends and is *never*
+    taken while reading, so a send blocked on a full pipe can never stop
+    the reader from draining answers (which is what unblocks the
+    worker, and hence the send).
 
     ``outstanding`` is what the request messages sent and not yet
     answered charge the pipe (bytes plus :data:`_MESSAGE_OVERHEAD`
@@ -202,7 +207,22 @@ class _ProcHandle:
     answers each request message with one answer message, in order, and
     has read all of it by then.  So ``outstanding`` bounds what can sit
     unread in the pipe, and a send that keeps it under a budget far
-    below the socket buffer cannot block.
+    below the socket buffer cannot block.  ``controls`` counts the
+    control messages still owed a reply: a ``publish`` its ``pub_ok``
+    or ``pub_err``, a ``stop`` the pipe's EOF (so it is never paid
+    off).
+
+    **The read role** (``read_lock``): at most one thread is ever in
+    ``recv`` on the pipe, and whoever holds the role completes every
+    sink the messages it reads carry, its own and others'.  A caller
+    waiting on its own direct forward takes it when it is free
+    (:class:`_Forward`); the ``shard-rx`` receiver takes it only when
+    roused with replies owed (:meth:`owes`) and nobody leading, or when
+    the pipe hangs up.  Every holder gives it back through
+    :meth:`give_back`, which rouses the receiver if replies are still
+    owed — so an answer never waits for a reader that is not coming.
+    The receiver parks in :meth:`park`, which an answer arriving does
+    not wake: only :meth:`rouse` and the worker's death do.
     """
 
     def __init__(self, slot: int, proc, conn):
@@ -212,38 +232,61 @@ class _ProcHandle:
         self.conn = conn
         self.lock = threading.Lock()
         self.send_lock = threading.Lock()
+        self.read_lock = threading.Lock()
         self.pending: dict = {}
         self.unanswered: deque = deque()
         self.outstanding = 0
+        self.controls = 0
         self.alive = True
+        self.eof = False
         self.attached_epoch = 0
         self.answered = 0
+        self.read_by_caller = 0
+        self.reads = 0  # messages read: the supervisor's progress mark
+        self.idle_mark = None
         self.receiver: Optional[threading.Thread] = None
         self.last_announce = 0.0
+        # The receiver's wake-up: a byte on a non-blocking pipe, polled
+        # beside the worker pipe's hang-up (an fd, so one poll waits on
+        # both).
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        self._parker = select.poll()
+        self._parker.register(conn.fileno(), 0)  # hang-up/error only
+        self._parker.register(self._wake_r, select.POLLIN)
+        self._poller = select.poll()
+        self._poller.register(conn.fileno(), select.POLLIN)
 
     def send(self, message) -> bool:
-        """Send a control message (blocking while the pipe is full);
-        False when the worker is gone."""
+        """Send a control message (blocking while the pipe is full) and
+        rouse the receiver to read its reply; False when the worker is
+        gone."""
         data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
         with self.send_lock:
-            return self.post(data)
+            sent = self.post(data)
+        self.rouse()
+        return sent
 
     def post(self, data: bytes, sinks: Optional[dict] = None) -> bool:
         """Send one pickled message; the caller holds ``send_lock``.
 
         ``sinks`` (``{rid: sink}``) makes it a request message: they
         join ``pending`` and its charge joins ``outstanding`` before the
-        bytes leave, so its answer can never arrive first.  False when
-        the worker is gone — the sinks are registered all the same, and
-        the caller takes back with :meth:`reclaim` those nobody else
-        failed meanwhile, so each is completed exactly once.
+        bytes leave, so its answer can never arrive first; without them
+        it is a control message and joins ``controls``.  False when the
+        worker is gone — the sinks are registered all the same, and the
+        caller takes back with :meth:`reclaim` those nobody else failed
+        meanwhile, so each is completed exactly once.
         """
         with self.lock:
             if sinks is not None:
                 self.pending.update(sinks)
             if not self.alive:
                 return False
-            if sinks is not None:
+            if sinks is None:
+                self.controls += 1
+            else:
                 charge = len(data) + _MESSAGE_OVERHEAD
                 self.unanswered.append(charge)
                 self.outstanding += charge
@@ -279,6 +322,155 @@ class _ProcHandle:
         for sink in stranded:
             sink.complete(False, exc)
 
+    # -- the read role -------------------------------------------------------
+
+    def owes(self) -> bool:
+        """Replies are owed on the pipe and it has not reached EOF."""
+        return not self.eof and bool(self.unanswered or self.controls)
+
+    def rouse(self) -> None:
+        """Wake the parked receiver (it reads if replies are owed and
+        nobody leads).  A no-op once the pipe is retired."""
+        with self.lock:
+            if self._wake_w is None:
+                return
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass  # already roused many times over
+
+    def park(self) -> bool:
+        """Block the receiver until :meth:`rouse` or the pipe hangs up
+        (never on an answer arriving); True on hang-up."""
+        hung_up = False
+        for fd, _mask in self._parker.poll():
+            if fd == self._wake_r:
+                try:
+                    os.read(self._wake_r, 4096)
+                except BlockingIOError:
+                    pass
+            else:
+                hung_up = True
+        return hung_up
+
+    def readable(self, wait: float) -> bool:
+        """Whether a message (or EOF) is readable within ``wait``
+        seconds; for the holder of the read role."""
+        return bool(self._poller.poll(wait * 1000.0))
+
+    def give_back(self) -> None:
+        """Release the read role, then rouse the receiver if replies are
+        still owed: a caller that found the role taken is waiting on
+        its future, not on the pipe."""
+        self.read_lock.release()
+        if self.owes():
+            self.rouse()
+
+    def running(self) -> bool:
+        """Whether the worker serves as far as can be seen now: not found
+        dead, its process not exited, and its pipe not hung up.  A
+        worker killed a moment ago has hung up its pipe (a send to it
+        already fails) before any reader has handled the EOF, and while
+        its exit may not yet show in ``proc.is_alive()``."""
+        if not self.alive or not self.proc.is_alive():
+            return False
+        probe = select.poll()
+        try:
+            probe.register(self.conn.fileno(), 0)  # hang-up/error only
+        except (OSError, ValueError):
+            return False  # retired
+        return not probe.poll(0)
+
+    def retire(self) -> None:
+        """Close the pipe and the wake-up; the caller holds the read
+        role, which stays taken: nobody may read a closed pipe."""
+        try:
+            self.conn.close()
+        except OSError:
+            pass
+        with self.lock:
+            wake, self._wake_r, self._wake_w = (
+                (self._wake_r, self._wake_w), None, None)
+        for fd in wake:
+            os.close(fd)
+
+
+class _Waiters(list):
+    """A direct forward's ``Future._waiters``.  ``concurrent.futures.
+    wait`` and ``as_completed`` install their waiter by appending here,
+    and a caller waiting that way never leads on the pipe — so the
+    append rouses the pipe's receiver (``handle``)."""
+
+    __slots__ = ("handle",)
+
+    def append(self, waiter) -> None:
+        super().append(waiter)
+        self.handle.rouse()
+
+
+class _Forward(Future):
+    """The future :meth:`ShardServer.submit` returns.
+
+    A read the pool or the cache answers leaves it a plain
+    :class:`~concurrent.futures.Future`.  Once the direct path sends the
+    read on a worker's pipe (:meth:`_sent`), :meth:`result` and
+    :meth:`exception` first try to take the pipe's read role without
+    blocking; a caller that gets it reads the pipe itself, finishing
+    every answer it reads, until this future is done or the wait's
+    timeout, the read's deadline or ``SHARD_RPC_TIMEOUT_S`` passes, and
+    then gives the role back.  A caller that finds the role taken waits
+    as on any future.  Consumers that never call those two —
+    :meth:`add_done_callback` (the asyncio door), ``concurrent.futures.
+    wait`` / ``as_completed`` — rouse the pipe's ``shard-rx`` receiver
+    instead.
+    """
+
+    _route = None  # (server, handle, rid, until) once sent direct
+
+    def _sent(self, server, handle: _ProcHandle, rid: int,
+              until: float) -> None:
+        self._route = (server, handle, rid, until)
+        waiters = self._waiters = _Waiters()
+        waiters.handle = handle
+
+    def result(self, timeout: Optional[float] = None):
+        if self._route is not None and self._state == PENDING:
+            timeout = self._lead(timeout)
+            if self._state == FINISHED and self._exception is None:
+                return self._result  # read here: no condition to wait on
+        return super().result(timeout)
+
+    def exception(self, timeout: Optional[float] = None):
+        if self._route is not None and self._state == PENDING:
+            timeout = self._lead(timeout)
+        return super().exception(timeout)
+
+    def add_done_callback(self, fn) -> None:
+        super().add_done_callback(fn)
+        route = self._route
+        if route is not None and self._state == PENDING:
+            route[1].rouse()
+
+    def _lead(self, timeout: Optional[float]) -> Optional[float]:
+        """Read the pipe while the read role is free, until this future
+        is done, the bound passes or the pipe reaches EOF; returns what
+        is left of ``timeout``."""
+        server, handle, rid, until = self._route
+        if not handle.read_lock.acquire(False):
+            return timeout
+        end = None if timeout is None else time.monotonic() + timeout
+        if end is not None and end < until:
+            until = end
+        try:
+            while self._state == PENDING:
+                wait = until - time.monotonic()
+                if (wait <= 0 or not handle.readable(wait)
+                        or not server._read_one(handle, rid)):
+                    break
+        finally:
+            handle.give_back()
+        return None if end is None else max(0.0, end - time.monotonic())
+
 
 class ShardServer(QCServer):
     """A :class:`~repro.serving.server.QCServer` whose reads execute in
@@ -297,11 +489,13 @@ class ShardServer(QCServer):
     :meth:`~repro.serving.server.QCServer.submit` admits every read;
     only where it goes differs (see :meth:`_dispatch`).  A snapshot op
     is answered *direct* — pickled onto a worker's pipe by the calling
-    thread, its answer finished by that pipe's receiver thread — or
-    *local* — run by the pool against the parent's own snapshot,
-    counted in ``shard_local_fallbacks``.  The pool never waits on a
-    worker; besides the local answers it runs ``health`` and
-    ``register_op`` ops.  Everything else is inherited
+    thread, its answer read off the pipe by the thread that waits on
+    its future (:class:`_Forward`) or, when nobody leads on that pipe,
+    by the pipe's ``shard-rx`` receiver — or *local* — run by the pool
+    against the parent's own snapshot, counted in
+    ``shard_local_fallbacks``.  The pool never waits on a worker;
+    besides the local answers it runs ``health`` and ``register_op``
+    ops.  Everything else is inherited
     :class:`~repro.serving.server.QCServer` behavior: admission,
     deadlines, the one completion, cache (answers are cached
     parent-side keyed by snapshot stamp), breaker, write pipeline,
@@ -339,6 +533,8 @@ class ShardServer(QCServer):
     #: Supervisor re-announces the current epoch to a lagging worker at
     #: most this often (seconds).
     REANNOUNCE_INTERVAL_S = 0.5
+
+    _future_class = _Forward
 
     def __init__(self, warehouse, processes: int = 2, workers=None,
                  router: Optional[ShardRouter] = None, **kwargs):
@@ -449,7 +645,6 @@ class ShardServer(QCServer):
             )
             proc.start()
         child_conn.close()
-        handle = _ProcHandle(slot, proc, parent_conn)
         if not parent_conn.poll(self.SPAWN_TIMEOUT_S):
             proc.terminate()
             raise ServingError(
@@ -462,6 +657,7 @@ class ShardServer(QCServer):
             raise ServingError(
                 f"shard worker {slot} sent {kind!r} instead of ready"
             )
+        handle = _ProcHandle(slot, proc, parent_conn)
         handle.attached_epoch = epoch
         return handle
 
@@ -476,52 +672,88 @@ class ShardServer(QCServer):
         thread.start()
 
     def _receiver_loop(self, handle: _ProcHandle) -> None:
-        conn = handle.conn
-        while True:
+        """The ``shard-rx`` thread of one worker: parked until roused or
+        until the pipe hangs up; then, unless a caller is leading, it
+        holds the read role while replies are owed (to EOF after a
+        hang-up).  It ends once the pipe reached EOF."""
+        while not handle.eof:
+            hung_up = handle.park()
+            if hung_up:
+                # A leader holding the role reads the EOF itself or
+                # gives the role back once its own answer is in.
+                handle.read_lock.acquire()
+            elif not handle.read_lock.acquire(False):
+                continue  # the leader's give_back rouses if owed
             try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            kind = message[0]
-            if kind == "a":
-                with handle.lock:
-                    handle.outstanding -= handle.unanswered.popleft()
-                    owed = [
-                        (handle.pending.pop(rid, None), ok, payload)
-                        for rid, ok, payload in message[1]
-                    ]
-                for sink, ok, payload in owed:
-                    # A sink already gone was failed or given up on (RPC
-                    # timeout, map_query timeout): its answer is dropped.
-                    if sink is not None:
-                        handle.answered += _elements(sink)
-                        sink.complete(ok, payload)
-            elif kind == "pub_ok":
-                epoch = message[1]
-                with self._shard_lock:
-                    handle.attached_epoch = epoch
-                    self._reroute_locked()
+                while (not handle.eof and (hung_up or handle.owes())
+                       and self._read_one(handle)):
+                    pass
+            finally:
+                handle.give_back()
+
+    def _read_one(self, handle: _ProcHandle, rid=None) -> bool:
+        """Read one message off ``handle``'s pipe and act on it — the one
+        dispatch of whoever holds the read role: the receiver, or a
+        caller leading on its forward ``rid`` (counted in
+        ``read_by_caller`` when this message answers it).  An answer
+        completes its sinks; ``pub_ok`` / ``pub_err`` move the worker's
+        epoch and ack the publish ticket; EOF is the worker's death:
+        rerouted, its acks cancelled, the crash counted once, every
+        sink on the pipe failed.  False at EOF."""
+        try:
+            message = handle.conn.recv()
+        except (EOFError, OSError):
+            handle.eof = True
+            with handle.lock:
+                was_alive = handle.alive
+                handle.alive = False
+            with self._shard_lock:
+                self._reroute_locked()
+                for epoch in list(self._tickets):
                     self._ack_ticket_locked(epoch, handle.slot)
-            elif kind == "pub_err":
-                epoch = message[1]
-                self._metrics.counter("shard_attach_failures").inc()
-                with self._shard_lock:
-                    # The worker keeps serving its last-good epoch; the
-                    # supervisor re-announces until it converges.
-                    self._ack_ticket_locked(epoch, handle.slot)
-        with handle.lock:
-            was_alive = handle.alive
-            handle.alive = False
-        with self._shard_lock:
-            self._reroute_locked()
-            for epoch in list(self._tickets):
+            if was_alive and not self._procs_stopped:
+                self._metrics.counter("shard_process_crashes").inc()
+            handle.fail_pending(WorkerCrashedError(
+                f"shard worker process {handle.slot} died before "
+                "answering; the read never ran and is safe to retry"
+            ))
+            handle.rouse()  # a parked receiver sees the EOF and ends
+            return False
+        handle.reads += 1
+        kind = message[0]
+        if kind == "a":
+            with handle.lock:
+                handle.outstanding -= handle.unanswered.popleft()
+                owed = [
+                    (handle.pending.pop(r, None), r, ok, payload)
+                    for r, ok, payload in message[1]
+                ]
+            for sink, r, ok, payload in owed:
+                # A sink already gone was failed or given up on (RPC
+                # timeout, map_query timeout): its answer is dropped.
+                if sink is not None:
+                    handle.answered += _elements(sink)
+                    if r == rid:
+                        handle.read_by_caller += 1
+                    sink.complete(ok, payload)
+        elif kind == "pub_ok":
+            epoch = message[1]
+            with handle.lock:
+                handle.controls -= 1
+            with self._shard_lock:
+                handle.attached_epoch = epoch
+                self._reroute_locked()
                 self._ack_ticket_locked(epoch, handle.slot)
-        if was_alive and not self._procs_stopped:
-            self._metrics.counter("shard_process_crashes").inc()
-        handle.fail_pending(WorkerCrashedError(
-            f"shard worker process {handle.slot} died before answering; "
-            "the read never ran and is safe to retry"
-        ))
+        elif kind == "pub_err":
+            epoch = message[1]
+            with handle.lock:
+                handle.controls -= 1
+            self._metrics.counter("shard_attach_failures").inc()
+            with self._shard_lock:
+                # The worker keeps serving its last-good epoch; the
+                # supervisor re-announces until it converges.
+                self._ack_ticket_locked(epoch, handle.slot)
+        return True
 
     def _ack_ticket_locked(self, epoch: int, slot: int) -> None:
         ticket = self._tickets.get(epoch)
@@ -586,6 +818,10 @@ class ShardServer(QCServer):
         the pipes, carries the deadline to the worker, which answers
         :class:`~repro.errors.DeadlineExceededError` unrun past it, and
         is bounded by the supervisor's scan (:meth:`_fail_overdue`).
+        Its answer is read by whoever holds the pipe's read role: the
+        caller waiting in the future's ``result()`` / ``exception()``
+        when the role is free, else the ``shard-rx`` receiver
+        (:class:`_ProcHandle`).
         """
         op, args, kwargs = request.op, request.args, request.kwargs
         fn = SNAPSHOT_OP_TABLE.get(op)
@@ -610,7 +846,7 @@ class ShardServer(QCServer):
                 except Exception:
                     data = None  # unsendable: answered locally
                 # Only this thread (holding send_lock) can raise
-                # ``outstanding``; the receiver only lowers it, so a
+                # ``outstanding``; a reader only lowers it, so a
                 # stale read errs safe.
                 if data is not None and (
                         handle.outstanding + len(data) + _MESSAGE_OVERHEAD
@@ -623,7 +859,12 @@ class ShardServer(QCServer):
                     value = self._lookup(request)
                     if value is not MISS:
                         request.complete(True, value)
-                    elif not handle.post(data, {rid: request}):
+                        return True
+                    until = request.started + self.SHARD_RPC_TIMEOUT_S
+                    if deadline is not None and deadline < until:
+                        until = deadline
+                    request.future._sent(self, handle, rid, until)
+                    if not handle.post(data, {rid: request}):
                         for owned in handle.reclaim((rid,)):
                             owned.complete(False, WorkerCrashedError(
                                 f"shard worker {handle.slot} is down or its "
@@ -685,6 +926,7 @@ class ShardServer(QCServer):
                                 pickle.HIGHEST_PROTOCOL)
             with handle.send_lock:
                 sent = handle.post(data, {rid: sink})
+            handle.rouse()  # this thread waits on the batch, not the pipe
             if not sent:
                 down = WorkerCrashedError(
                     f"shard worker {handle.slot} died mid-batch; retry"
@@ -847,31 +1089,35 @@ class ShardServer(QCServer):
             name = self._epoch_segments.get(epoch)
             lsn = self._stamp[0]
             for i, handle in enumerate(self._handles):
-                if handle.alive and not handle.proc.is_alive():
-                    with handle.lock:
-                        handle.alive = False
-                if not handle.alive:
+                if not handle.alive or not handle.proc.is_alive():
                     respawn.append(i)
                 elif (handle.attached_epoch < epoch
                         and now - handle.last_announce
                         > self.REANNOUNCE_INTERVAL_S):
                     reannounce.append(handle)
-            if respawn:
-                self._reroute_locked()
         for handle in reannounce:
             # Repair a lagging worker: re-announce the current epoch
             # (attach is idempotent worker-side).
             if handle.send(("publish", lsn, epoch, name, None)):
                 handle.last_announce = now
                 self._metrics.counter("shard_reannounces").inc()
+        for handle in self._handles:
+            # Replies owed and nobody reading since the last scan (a
+            # forward nobody waits on): the receiver reads them.
+            mark = handle.reads
+            if handle.owes() and not handle.read_lock.locked():
+                if handle.idle_mark == mark:
+                    handle.rouse()
+                handle.idle_mark = mark
+            else:
+                handle.idle_mark = None
         if self._inflight:  # else nothing to scan but map_query's chunks
             for handle in self._handles:
                 self._fail_overdue(handle, now)
         for i in respawn:
+            # The dead worker's receiver reads its pipe to EOF (the one
+            # death handling, _read_one) before the slot is refilled.
             old = self._handles[i]
-            old.fail_pending(WorkerCrashedError(
-                f"shard worker process {i} died; retry"
-            ))
             self._retire_receiver(old, timeout=1.0)
             old.proc.join(timeout=0)
             try:
@@ -926,12 +1172,11 @@ class ShardServer(QCServer):
             handles = list(self._handles)
             epoch = self._epoch
             segments = len(self._epoch_segments)
+        running = [h.running() for h in handles]
         counters = self._metrics
         return {
             "processes_configured": self._nprocs,
-            "processes_alive": sum(
-                1 for h in handles if h.alive and h.proc.is_alive()
-            ),
+            "processes_alive": sum(running),
             "process_restarts": counters.counter(
                 "shard_process_restarts").value,
             "process_crashes": counters.counter(
@@ -949,12 +1194,13 @@ class ShardServer(QCServer):
                 {
                     "slot": h.slot,
                     "pid": h.pid,
-                    "alive": h.alive and h.proc.is_alive(),
+                    "alive": up,
                     "attached_epoch": h.attached_epoch,
                     "answered": h.answered,
+                    "read_by_caller": h.read_by_caller,
                     "inflight": h.inflight(),
                 }
-                for h in handles
+                for h, up in zip(handles, running)
             ],
             "snapshot_bytes": self._snapshot_bytes,
             "segments": segments,
@@ -993,21 +1239,35 @@ class ShardServer(QCServer):
 
     def _retire_receiver(self, handle: _ProcHandle, timeout: float) -> None:
         """Join the receiver of a worker that is gone, *then* close the
-        parent's end of its pipe.  The worker's exit is an EOF on that
-        pipe, which is what ends a receiver blocked in ``recv()``;
-        closing the connection under it would not wake the read, and
-        the descriptor number could be reused while it still waits on
-        it.  A join that times out is counted
-        (``shard_health()["receiver_join_timeouts"]``), not silent."""
+        parent's end of its pipe.  The worker's exit hangs the pipe up,
+        which wakes the parked receiver to read it to EOF (the one death
+        handling, :meth:`_read_one`).  Closing the connection under a
+        reader would not wake the read, and the descriptor number could
+        be reused while it still waits on it — so the pipe is closed
+        only once the read role is ours.  A receiver that does not end
+        in ``timeout`` is counted (``shard_health()[
+        "receiver_join_timeouts"]``), not silent: its pipe stays open
+        and its reads are failed here."""
+        if handle.conn.closed:
+            return  # retired by an earlier scan whose respawn failed
         receiver = handle.receiver
         if receiver is not None:
             receiver.join(timeout)
             if receiver.is_alive():
                 self._metrics.counter("shard_receiver_join_timeouts").inc()
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
+                handle.fail_pending(WorkerCrashedError(
+                    f"shard worker process {handle.slot} died; retry"
+                ))
+                return
+        # Neither a reader nor a sender may be inside the connection
+        # when it closes: a send blocked mid-message on a dying pipe
+        # writes its rest to whatever descriptor now has its number.
+        if handle.read_lock.acquire(True, timeout):
+            if handle.send_lock.acquire(True, timeout):
+                try:
+                    handle.retire()
+                finally:
+                    handle.send_lock.release()
 
     def _unlink_all_segments(self) -> None:
         with self._shard_lock:

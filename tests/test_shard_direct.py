@@ -2,16 +2,19 @@
 submitted it.
 
 ``ShardServer.submit`` pickles a snapshot op onto its worker's pipe from
-the calling thread and lets the receiver thread resolve the future; no
-pool thread forwards and waits.  These tests pin what that path must
-keep from the pool's — deadlines, the RPC timeout, shedding and
-readiness, the cache's counts, crash handling — and the cases that must
-still go through the pool.  Every server here is closed by the fixture,
-which then requires a balanced admission ledger.
+the calling thread; the caller that waits on the future reads the
+answer off the pipe itself while no other thread does, and the pipe's
+receiver thread reads for everyone else.  No pool thread forwards and
+waits.  These tests pin what that path must keep from the pool's —
+deadlines, the RPC timeout, shedding and readiness, the cache's counts,
+crash handling — who reads each answer, and the cases that must still
+go through the pool.  Every server here is closed by the fixture, which
+then requires a balanced admission ledger.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import signal
 import sys
@@ -24,6 +27,7 @@ import pytest
 from repro.core.warehouse import QCWarehouse
 from repro.errors import (
     DeadlineExceededError,
+    QueryError,
     ServerOverloadedError,
     WorkerCrashedError,
 )
@@ -333,6 +337,158 @@ class TestDirectPath:
             with pytest.raises(WorkerCrashedError):
                 future.result(timeout=5)
         assert server.stats()["counters"]["errors"] == 3
+
+
+class TestWhoReads:
+    """Every way to consume a direct forward completes it: a caller in
+    ``result()`` / ``exception()`` reads its own answer off the pipe, and
+    the receiver reads for consumers that never lead."""
+
+    def test_sequential_results_are_read_by_their_callers(
+            self, make_server):
+        server = make_server(cache_size=0)
+        worker = server.shard_health()["workers"][0]
+        for _ in range(100):
+            assert server.submit("point", CELL).result() == 9.0
+        after = server.shard_health()["workers"][0]
+        assert after["read_by_caller"] - worker["read_by_caller"] == 100
+        assert after["answered"] - worker["answered"] == 100
+
+    def test_exception_leads_too(self, make_server):
+        server = make_server(cache_size=0)
+        assert server.submit("point", CELL).exception(timeout=5) is None
+        future = server.submit("point", ("S2", "*"))  # wrong arity
+        assert isinstance(future.exception(timeout=5), QueryError)
+        with pytest.raises(QueryError):
+            future.result()
+        assert server.shard_health()["workers"][0]["read_by_caller"] == 2
+
+    def test_timed_out_result_then_answer_after_resume(self, server):
+        """``result(timeout=)`` at a stopped worker gives up with
+        ``TimeoutError`` and the read role; a later ``result()`` gets
+        the answer once the worker resumes."""
+        handle = server._handles[0]
+        with stopped(handle.pid):
+            future = server.submit("point", CELL)
+            start = time.monotonic()
+            with pytest.raises(concurrent.futures.TimeoutError):
+                future.result(timeout=0.2)
+            assert time.monotonic() - start < 2.0
+            assert not future.done()
+        assert future.result(timeout=5) == 9.0
+        counters = server.stats()["counters"]
+        assert (counters["completed"], counters["timeouts"]) == (1, 0)
+
+    @pytest.mark.parametrize("how", ["callback", "wait", "as_completed"])
+    def test_consumers_that_never_lead(self, make_server, how):
+        """No supervisor scan to fall back on: a done callback added
+        from another thread, ``concurrent.futures.wait`` and
+        ``as_completed`` each rouse the receiver, and every future
+        completes well under a second."""
+        server = make_server(supervised=False, cache_size=0)
+        futures = [server.submit("point", CELL) for _ in range(5)]
+        start = time.monotonic()
+        if how == "callback":
+            called = threading.Event()
+            adder = threading.Thread(
+                target=futures[-1].add_done_callback,
+                args=(lambda future: called.set(),))
+            adder.start()
+            adder.join(5)
+            assert called.wait(5)
+            done = [f for f in futures if f.done()]
+            assert futures[-1] in done
+        elif how == "wait":
+            done, not_done = concurrent.futures.wait(futures, timeout=5)
+            assert not not_done
+        else:
+            done = list(concurrent.futures.as_completed(futures, timeout=5))
+        assert time.monotonic() - start < 1.0
+        assert [f.result(timeout=5) for f in done] == [9.0] * len(done)
+        assert server.shard_health()["workers"][0]["read_by_caller"] == 0
+
+    def test_a_future_nobody_waits_on_completes(self, server):
+        """The supervisor's scan finds an answer owed with nobody
+        reading and rouses the receiver: counted completed, not a
+        timeout, before ``close()``."""
+        server.submit("point", CELL)
+        assert wait_until(
+            lambda: server.stats()["counters"]["completed"] == 1)
+        counters = server.stats()["counters"]
+        assert counters["timeouts"] == 0
+        assert server._handles[0].owes() is False
+
+    def test_worker_killed_under_a_leading_caller(self, make_server):
+        """SIGKILL while a caller leads on the pipe: its ``result()``
+        raises ``WorkerCrashedError``, every other forward and the
+        ``map_query`` chunk on that pipe fail exactly once, the crash
+        counts once, and the slot respawns.  (A slow scan: the
+        supervisor rouses the receiver only for replies owed with
+        nobody reading across two scans, so the caller leads.)"""
+        server = make_server(cache_size=0, supervise_interval=0.5)
+        handle = server._handles[0]
+        crashes = server.shard_health()["process_crashes"]
+        outcome = {}
+
+        def lead() -> None:
+            try:
+                outcome["lead"] = futures[0].result(timeout=10)
+            except Exception as exc:
+                outcome["lead"] = exc
+
+        def bulk() -> None:
+            try:
+                outcome["bulk"] = server.map_query("point", [(CELL,)] * 8)
+            except Exception as exc:
+                outcome["bulk"] = exc
+
+        os.kill(handle.pid, signal.SIGSTOP)
+        futures = [server.submit("point", CELL) for _ in range(3)]
+        leader = threading.Thread(target=lead)
+        leader.start()
+        assert wait_until(handle.read_lock.locked)
+        gatherer = threading.Thread(target=bulk)
+        gatherer.start()
+        assert wait_until(lambda: handle.inflight() == 3 + 8)
+        os.kill(handle.pid, signal.SIGKILL)
+        leader.join(10)
+        gatherer.join(10)
+        assert not leader.is_alive() and not gatherer.is_alive()
+        assert isinstance(outcome["lead"], WorkerCrashedError), outcome
+        assert isinstance(outcome["bulk"], WorkerCrashedError), outcome
+        for future in futures[1:]:
+            with pytest.raises(WorkerCrashedError):
+                future.result(timeout=5)
+        counters = server.stats()["counters"]
+        assert (counters["errors"], counters["completed"]) == (3 + 8, 0)
+        assert wait_until(
+            lambda: server.shard_health()["process_restarts"] == 1)
+        shard = server.shard_health()
+        assert shard["process_crashes"] == crashes + 1
+        assert shard["workers"][0]["pid"] != handle.pid
+        assert server.submit("point", CELL).result(timeout=5) == 9.0
+
+    def test_pub_ok_read_by_a_leading_caller_acks_the_publish(
+            self, server, monkeypatch):
+        """A read routed to its worker just before a publish swapped the
+        epoch is sent after the announce, so its caller, leading, reads
+        the ``pub_ok`` first.  With the receiver never roused, that
+        caller is its only reader: the ack releases the writer long
+        before ``PUBLISH_ACK_TIMEOUT_S``."""
+        monkeypatch.setattr(server, "PUBLISH_ACK_TIMEOUT_S", 60.0)
+        handle = server._handles[0]
+        monkeypatch.setattr(handle, "rouse", lambda: None)
+        monkeypatch.setattr(server, "_pick", lambda op, args: handle)
+        writer = threading.Thread(
+            target=lambda: server.insert([("S3", "P1", "s", 5.0)]))
+        writer.start()
+        assert wait_until(lambda: handle.controls >= 1)
+        assert writer.is_alive()  # nobody has read the pub_ok yet
+        assert server.submit("point", CELL).result(timeout=5) == 9.0
+        writer.join(5)
+        assert not writer.is_alive()
+        assert handle.attached_epoch == 2
+        assert server.shard_health()["workers"][0]["read_by_caller"] == 1
 
 
 class TestPoolPath:
