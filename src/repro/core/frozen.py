@@ -1111,16 +1111,18 @@ class FrozenQCTree:
         The frontier advances one dimension at a time — a
         ``searchsorted`` over :meth:`_batch_routes` for every live cell,
         Lemma 2's descents as masked retries."""
+        return self._point_query_codes(table.encode_points(cells))
+
+    def _point_query_codes(self, codes) -> list:
+        """:meth:`_point_query_batch` over an ``n × n_dims`` code matrix
+        as :meth:`~repro.cube.table.BaseTable.encode_points` gives it
+        (-1 for ``*``, -2 for a label never seen)."""
         n_dims, stride = self.n_dims, self._stride
         keys, targets = self._batch_routes()
-        codes = np.empty((len(cells), n_dims), dtype=np.int64)
-        for dim, column in enumerate(zip(*cells)):
-            code = table._encoders[dim].get
-            codes[:, dim] = [-1 if v is ALL or v is None or v == "*"
-                             else code(v, -2) for v in column]
+        codes = np.asarray(codes, dtype=np.int64).reshape(-1, n_dims)
         live = ((codes >= -1) & (codes < stride)).all(axis=1)
         bound = codes >= 0
-        node = np.zeros(len(cells), dtype=np.int64)
+        node = np.zeros(len(codes), dtype=np.int64)
         forced, last_dim = np.asarray(self._forced), np.asarray(self._last_dim)
         width = n_dims * stride
         for dim in range(n_dims):
@@ -1151,7 +1153,7 @@ class FrozenQCTree:
         ub = np.asarray(self._ub).reshape(-1, n_dims)[node[hits]]
         wrong = (ub != codes[hits]) & bound[hits]
         hits = hits[~wrong.any(axis=1)]
-        values = [None] * len(cells)
+        values = [None] * len(codes)
         if hits.size:
             template, value_width = self._value_codec
             found = _payloads(template, np.asarray(self._value_data).reshape(

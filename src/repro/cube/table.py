@@ -31,6 +31,12 @@ from repro.cube.schema import Schema
 from repro.errors import SchemaError
 
 
+#: Codes of :meth:`BaseTable.encode_points`: ``*``, and a label the table
+#: has never seen (no cell holding one is in the cube).
+ANY_CODE = -1
+UNSEEN_CODE = -2
+
+
 def _label_sort_key(label):
     """Sort key tolerating mixed label types within a dimension."""
     return (label.__class__.__name__, label)
@@ -235,6 +241,18 @@ class BaseTable:
             else:
                 out.append(self.encode_value(j, v))
         return tuple(out)
+
+    def encode_points(self, cells) -> np.ndarray:
+        """The ``int32`` code matrix of raw cells of ``n_dims`` labels
+        each: :data:`ANY_CODE` where ``"*"``/None/ALL, and
+        :data:`UNSEEN_CODE` for a label this table has never seen.  A
+        label no dictionary can look up raises ``TypeError``."""
+        codes = np.empty((len(cells), self.n_dims), dtype=np.int32)
+        for dim, column in enumerate(zip(*cells)):
+            code = self._encoders[dim].get
+            codes[:, dim] = [ANY_CODE if v is ALL or v is None or v == "*"
+                             else code(v, UNSEEN_CODE) for v in column]
+        return codes
 
     def decode_cell(self, cell: Cell) -> tuple:
         """Decode an internal cell back to raw labels (ALL becomes ``"*"``)."""

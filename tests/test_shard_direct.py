@@ -1,8 +1,8 @@
 """The shard server's direct path: a read sent by the thread that
 submitted it.
 
-``ShardServer.submit`` pickles a snapshot op onto its worker's pipe from
-the calling thread; the caller that waits on the future reads the
+``ShardServer.submit`` sends a snapshot op as one frame on its worker's
+pipe from the calling thread; the caller that waits on the future reads the
 answer off the pipe itself while no other thread does, and the pipe's
 receiver thread reads for everyone else.  No pool thread forwards and
 waits.  These tests pin what that path must keep from the pool's —
@@ -15,9 +15,14 @@ then requires a balanced admission ledger.
 from __future__ import annotations
 
 import concurrent.futures
+import cProfile
+import fcntl
 import os
+import pstats
 import signal
+import struct
 import sys
+import termios
 import threading
 import time
 from contextlib import contextmanager
@@ -33,7 +38,7 @@ from repro.errors import (
 )
 from repro.reliability.faults import InjectedFault, ServingFaults
 from repro.serving import AsyncServerThread, LineClient, QCServer
-from repro.shard import ShardServer, created_segments
+from repro.shard import ShardServer, created_segments, frame, worker
 
 CELL = ("S2", "*", "f")  # 9.0 in the paper's sales table
 
@@ -581,3 +586,82 @@ class TestMapQueryTimeout:
         assert counters["timeouts"] == 50
         assert balanced(counters), counters
         assert server.map_query("point", [(CELL,)] * 3) == [9.0] * 3
+
+
+def unread_bytes(sock) -> int:
+    """Bytes waiting in ``sock``'s receive queue."""
+    return struct.unpack("i", fcntl.ioctl(
+        sock.fileno(), termios.FIONREAD, b"\0" * 4))[0]
+
+
+class TestFrames:
+    #: Python/C calls the caller's thread makes per forwarded point read
+    #: (cProfile): 103 when the pipe was a ``multiprocessing.Connection``
+    #: of pickles, 86 over code frames, with a small margin.
+    CALLS_PER_READ = 90
+
+    def test_calls_per_forwarded_read(self, server):
+        for _ in range(50):
+            assert server.submit("point", CELL).result() == 9.0
+        profile = cProfile.Profile()
+        profile.enable()
+        for _ in range(200):
+            server.submit("point", CELL).result()
+        profile.disable()
+        calls = sum(entry[1] for entry in pstats.Stats(profile).stats.values())
+        assert calls / 200 <= self.CALLS_PER_READ, calls / 200
+
+    def test_a_buffered_answer_is_read_without_a_poll(
+            self, make_server, monkeypatch):
+        """Two answers arrive in one read, and the reader finishes only
+        the first: the second's caller, leading with nothing left on the
+        socket, must find it in the buffer at once, not at
+        ``SHARD_RPC_TIMEOUT_S``."""
+        monkeypatch.setattr(ShardServer, "SHARD_RPC_TIMEOUT_S", 5.0)
+        server = make_server(supervised=False)
+        handle = server._handles[0]
+        with stopped(handle.pid):
+            first = server.submit("point", CELL)
+            second = server.submit("point", ("S1", "*", "*"))
+            assert handle.read_lock.acquire(False)  # nobody else reads
+        try:
+            assert wait_until(lambda: unread_bytes(handle.sock)
+                              >= 2 * frame.VALUE_FRAME.size)
+            assert server._read_one(handle)
+        finally:
+            handle.read_lock.release()
+        assert first.done() and not second.done()
+        assert unread_bytes(handle.sock) == 0 and handle.frames.ready()
+        began = time.monotonic()
+        assert second.result(timeout=5) == 9.0
+        assert time.monotonic() - began < 1.0
+
+    def test_eof_in_the_middle_of_a_frame(self, make_server, monkeypatch,
+                                          tmp_path):
+        """The worker sends half an answer frame and dies: the read
+        fails once with ``WorkerCrashedError``, the crash counts once,
+        and the slot respawns and answers."""
+        cut = tmp_path / "cut"
+        answer = worker._answer_point
+
+        def half_once(*args):
+            data = answer(*args)
+            if cut.exists():
+                return data
+            cut.touch()
+            return data[:len(data) // 2]
+
+        # The fleet forks after this: its workers run the patched one.
+        monkeypatch.setattr(worker, "_answer_point", half_once)
+        server = make_server()
+        handle = server._handles[0]
+        future = server.submit("point", CELL)
+        assert wait_until(cut.exists)
+        assert wait_until(lambda: unread_bytes(handle.sock) > 0)
+        os.kill(handle.pid, signal.SIGKILL)
+        with pytest.raises(WorkerCrashedError):
+            future.result(timeout=5)
+        assert wait_until(
+            lambda: server.shard_health()["process_restarts"] == 1)
+        assert server.shard_health()["process_crashes"] == 1
+        assert server.submit("point", CELL).result(timeout=5) == 9.0

@@ -32,6 +32,7 @@ from repro.shard import (
     created_segments,
     pack_snapshot_bytes,
 )
+from repro.shard import frame
 from repro.shard.segment import create_segment, unlink_segment
 from repro.shard.worker import _BATCH_MIN, worker_main
 
@@ -218,9 +219,8 @@ class TestMapQuery:
             for handle in server._handles:
                 def post(data, sinks=None, slot=handle.slot,
                          original=handle.post):
-                    message = pickle.loads(data)
-                    for request in message[1] if message[0] == "q" else ():
-                        sent.setdefault(slot, []).extend(request[2])
+                    sent.setdefault(slot, []).extend(
+                        _chunk_calls(data, sinks, calls))
                     return original(data, sinks)
                 handle.post = post
             server.map_query("point", calls)
@@ -230,6 +230,16 @@ class TestMapQuery:
         for args in calls:
             want.setdefault(twin.slot("point", args, 3), []).append(args)
         assert sent == want
+
+    def test_a_batch_is_not_a_point_sample(self, server):
+        """A ``map_query`` batch's wall time is recorded under its own
+        histogram, not as one sample of the op's."""
+        server.point(("S1", "*", "*"))
+        before = server.stats()["ops"]["point"]["count"]
+        server.map_query("point", [(("S2", "*", "f"),)] * 200)
+        ops = server.stats()["ops"]
+        assert ops["point"]["count"] == before
+        assert ops["map_query:point"]["count"] == 1
 
     def test_a_point_chunk_answers_like_the_warehouse(self, warehouse):
         """One worker, one chunk past ``_BATCH_MIN``: the batch kernel
@@ -374,21 +384,55 @@ class TestRouter:
         assert slots == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
+def _chunk_calls(data, sinks, calls) -> list:
+    """The calls a ``map_query`` chunk frame carries: a pickled chunk's
+    own, a code chunk's those of its sink's indices."""
+    kind, rid, _length = frame.HEADER.unpack_from(data)
+    if kind == frame.CHUNK:
+        return pickle.loads(data[frame.HEADER.size:])[1]
+    if kind == frame.CODES:
+        return [calls[i] for i in sinks[rid].indices]
+    return []
+
+
+def _as_frame(message) -> bytes:
+    """A message of the tuple wire (``("q", [(rid, op, args, kwargs)])``,
+    or a control tuple) as the frame that carries it now."""
+    if message[0] == "q":
+        (rid, op, args, kwargs), = message[1]
+        return frame.pickled(frame.REQUEST, rid, (op, args, kwargs, None))
+    return frame.pickled(frame.CONTROL, 0, message)
+
+
+def _as_message(data: bytes):
+    """A worker's frame as the tuple wire's message: a control tuple, or
+    ``("a", [(rid, ok, payload)])``."""
+    kind, rid, _length = frame.HEADER.unpack_from(data)
+    body = data[frame.HEADER.size:]
+    if kind == frame.CONTROL:
+        return pickle.loads(body)
+    if kind == frame.VALUE:
+        status, value = frame.VALUE_BODY.unpack(body)
+        return ("a", [(rid, True, value if status == frame.FLOAT else None)])
+    return ("a", [(rid, *pickle.loads(body))])
+
+
 class _StubPipe:
-    """The worker's end of the pipe, scripted: hands out ``inbox`` and
-    then EOF, records what the worker sends."""
+    """The worker's end of the pipe, scripted: hands out ``inbox`` as
+    frames and then EOF, records what the worker sends."""
 
     def __init__(self, inbox):
-        self.inbox = list(inbox)
+        self.inbox = b"".join(map(_as_frame, inbox))
         self.sent = []
 
-    def recv(self):
-        if not self.inbox:
-            raise EOFError
-        return self.inbox.pop(0)
+    def recv_into(self, view):
+        n = min(len(view), len(self.inbox))
+        view[:n] = self.inbox[:n]
+        self.inbox = self.inbox[n:]
+        return n
 
-    def send_bytes(self, data):
-        self.sent.append(pickle.loads(data))
+    def sendall(self, data):
+        self.sent.append(_as_message(data))
 
     def close(self):
         pass
