@@ -65,13 +65,13 @@ def build_frozen(table: BaseTable, aggregate="count") -> FrozenQCTree:
     payloads = [states[i] for i in class_ids.tolist()]
     del upper, lower, child, states  # the columns grow into their memory
     parent, dim, value = (np.concatenate(([-1], column)) for column in nodes)
-    meta, views, _ = compile_columns(
+    meta, views, states, _ = compile_columns(
         dict(n_dims=table.n_dims, dim_names=table.schema.dimension_names,
              aggregate=agg),
         parent, dim, value, np.arange(1, parent.size), links, class_nodes,
         payloads,
     )
-    return FrozenQCTree.from_columns(meta, views,
+    return FrozenQCTree.from_columns(meta, views, states,
                                      range(meta["counts"]["nodes"]))
 
 

@@ -48,7 +48,6 @@ from repro.core.cells import (
     specialize,
 )
 from repro.core.point_query import locate
-from repro.cube.aggregates import values_close
 from repro.errors import QueryError
 
 
@@ -102,19 +101,19 @@ def _start_class(cube, cell: Cell) -> tuple:
     return hit
 
 
-def _rollup_region(cube, cell: Cell, rel_tol: float, holds: bool) -> list:
+def _rollup_region(cube, cell: Cell, holds: bool) -> list:
     """The classes that are closures of generalizations of ``cell``'s
-    class and whose value matches ``cell``'s (``holds``) or breaks from
+    class and whose value equals ``cell``'s (``holds``) or differs from
     it, as ``(upper bound, value)``.  The search runs over *classes*, not
     cells (the paper: "we only need to search at most 2 classes")."""
     start_ub, value = _start_class(cube, cell)
     return [
         pair for pair in closures_below(cube.probe, start_ub).items()
-        if values_close(pair[1], value, rel_tol=rel_tol) == holds
+        if (pair[1] == value) == holds
     ]
 
 
-def cube_rollup(cube, cell: Cell, rel_tol: float = 1e-9) -> list:
+def cube_rollup(cube, cell: Cell) -> list:
     """Most general contexts where ``cell``'s aggregate value still holds.
 
     This is the paper's intelligent roll-up example (§1): starting from
@@ -127,16 +126,16 @@ def cube_rollup(cube, cell: Cell, rel_tol: float = 1e-9) -> list:
     :func:`cube_rollup_exceptions`.
     """
     return sorted(
-        _rollup_region(cube, cell, rel_tol, holds=True),
+        _rollup_region(cube, cell, holds=True),
         key=lambda pair: (len(nonstar_positions(pair[0])),
                           cube.sort_key(pair[0])),
     )
 
 
-def cube_rollup_exceptions(cube, cell: Cell, rel_tol: float = 1e-9) -> list:
+def cube_rollup_exceptions(cube, cell: Cell) -> list:
     """Classes between ``cell`` and its roll-up frontier with other
     values, in the walk's discovery order (the same on every cube)."""
-    return _rollup_region(cube, cell, rel_tol, holds=False)
+    return _rollup_region(cube, cell, holds=False)
 
 
 def _neighbours(cube, ub: Cell, cells) -> list:

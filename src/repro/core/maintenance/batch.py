@@ -44,8 +44,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.core.maintenance.delete import batch_delete, resolve_deletions
 from repro.core.maintenance.insert import batch_insert
 from repro.cube.cover_index import CoverIndex
@@ -175,13 +173,6 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
                 raise MaintenanceError(
                     f"cannot insert batch: {exc}"
                 ) from exc
-            # A stored inf or nan poisons every ancestor state for good:
-            # deleting the row again leaves nan (inf - inf) behind.
-            finite = np.isfinite(delta_table.measures).all(axis=1)
-            if not finite.all():
-                bad = inserts[int(np.argmin(finite))]
-                raise MaintenanceError(f"cannot insert batch: record "
-                                       f"{bad!r} has a non-finite measure")
         else:
             new_table, delta_table = mid_table, None
 

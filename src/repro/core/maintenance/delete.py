@@ -66,7 +66,7 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
     n_dims = tree.n_dims
     new_closure = cover_index.closure
 
-    # Subtractable aggregates (COUNT/SUM/AVG) take the deleted rows'
+    # Subtractable aggregates (COUNT/SUM/AVG/VAR) take the deleted rows'
     # contribution out of the class states in place; the others are
     # recomputed from the new base table.
     if agg.subtractable:
@@ -81,6 +81,7 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
     # — walk the tree restricted to the distinct deleted rows.
     distinct_rows = set(delta_rows)
     fates = []  # (old bound, node, new bound or None, new state or None)
+    removed: dict = {}  # the state of each covered set of delta rows
     for ub, node in tree.classes_generalizing(distinct_rows):
         w = new_closure(ub)
         if w is None:
@@ -90,14 +91,12 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
             # updated and the target of a merge, and subtraction must see
             # the pre-deletion state.
             # delta rows covered by the surviving bound
-            covered = sorted(delta_index.rows(w))
-            source = locate(tree, w)
-            removed = agg.state(delta_table, covered)
-            state = (
-                agg.subtract(tree.state[source], removed)
-                if covered
-                else tree.state[source]
-            )
+            covered = tuple(sorted(delta_index.rows(w)))
+            state = tree.state[locate(tree, w)]
+            if covered:
+                if covered not in removed:
+                    removed[covered] = agg.state(delta_table, covered)
+                state = agg.subtract(state, removed[covered])
         else:
             # positions(), not rows(): the measure matrix is addressed by
             # compacted table position, which diverges from the stable

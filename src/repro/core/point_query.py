@@ -37,7 +37,7 @@ Every tree answers Algorithm 3 itself, through the same three methods:
 and ``descend_to_class(node, counter)``.  :func:`search_route`,
 :func:`descend_to_class` and :func:`locate_generic` here are Algorithm 3
 over the shared traversal protocol (``child`` / ``link_target`` /
-``last_child_dim`` / ``children_in_dim`` / ``state`` /
+``last_child_dim`` / ``children_in_dim`` / ``is_class`` /
 ``upper_bound_of``) and nothing else.  The mutable
 :class:`~repro.core.qctree.QCTree` borrows them as its methods; the
 array-backed :class:`~repro.core.frozen.FrozenQCTree` has its own walks
@@ -97,7 +97,7 @@ def descend_to_class(tree, node: int, counter=None) -> Optional[int]:
     as the unique child in the node's last child-bearing dimension.
     ``counter`` counts each node moved to, per the module convention.
     """
-    while tree.state[node] is None:
+    while not tree.is_class(node):
         last = tree.last_child_dim(node)
         if last is None:
             return None

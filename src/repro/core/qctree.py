@@ -31,7 +31,7 @@ from repro.core.point_query import (
     locate_generic,
     search_route,
 )
-from repro.cube.aggregates import AggregateFunction, values_close
+from repro.cube.aggregates import AggregateFunction
 from repro.errors import QueryError
 
 
@@ -468,7 +468,7 @@ class QCTree:
         tree.node_value = [None] * n
         tree.children = [{} for _ in range(n)]
         tree.links = [{} for _ in range(n)]
-        tree.state = frozen._states()
+        tree.state = list(frozen.state)
         tree._free_ids = set(np.flatnonzero(~live).tolist())
         ids = list(range(n))  # one int per id, shared by every use
         for nested in (tree.children, tree.links):
@@ -531,6 +531,10 @@ class QCTree:
             node = self.parent[node]
         return tuple(out)
 
+    def is_class(self, node: int) -> bool:
+        """Whether ``node`` carries a class (an aggregate state)."""
+        return self.state[node] is not None
+
     def value_at(self, node: int):
         """User-facing aggregate value at a class node (None elsewhere)."""
         state = self.state[node]
@@ -556,27 +560,21 @@ class QCTree:
     def signature(self) -> tuple:
         """Order-independent structural signature (paths, links, values).
 
-        Two QC-trees over the same data must have equal signatures up to
-        float tolerance; :meth:`equivalent_to` performs the tolerant
-        comparison.  Node ids are abstracted away by describing nodes
-        through their root paths, so a :class:`FrozenQCTree
+        Two QC-trees over the same data have equal signatures: aggregate
+        states are exact, so a maintained tree's values are a fresh
+        build's to the last bit.  Node ids are abstracted away by
+        describing nodes through their root paths, so a :class:`FrozenQCTree
         <repro.core.frozen.FrozenQCTree>` built from this tree has an
         *equal* signature despite its compacted ids.
         """
         return tree_signature(self)
 
-    def equivalent_to(self, other: "QCTree", rel_tol: float = 1e-9) -> bool:
-        """Structural equality with float-tolerant aggregate comparison."""
+    def equivalent_to(self, other: "QCTree") -> bool:
+        """Equal :meth:`signature`: the same paths, links and values (by
+        ``repr`` where a NaN, which MIN/MAX keeps over a NaN measure,
+        defeats ``==``)."""
         mine, theirs = self.signature(), other.signature()
-        if mine[0] != theirs[0] or mine[1] != theirs[1]:
-            return False
-        my_classes, their_classes = mine[2], theirs[2]
-        if len(my_classes) != len(their_classes):
-            return False
-        for (ub_a, val_a), (ub_b, val_b) in zip(my_classes, their_classes):
-            if ub_a != ub_b or not values_close(val_a, val_b, rel_tol=rel_tol):
-                return False
-        return True
+        return mine == theirs or repr(mine) == repr(theirs)
 
     def check_invariants(self) -> None:
         """Assert that :func:`~repro.reliability.fsck.fsck_tree` finds
@@ -606,8 +604,9 @@ class QCTree:
             return f"{self.dim_names[dim]}={raw}"
 
         def walk(node, text, depth):
-            if self.state[node] is not None:
-                text += f" : {self.value_at(node)}"
+            value = self.value_at(node)
+            if value is not None:
+                text += f" : {value}"
             lines.append("  " * depth + text)
             for dim, value, target in sorted(self.iter_links_of(node)):
                 lines.append(

@@ -72,7 +72,8 @@ from repro.core.query_cache import (
 )
 from repro.cube.aggregates import _spec_to_json, aggregate_spec, make_aggregate
 from repro.cube.schema import Schema
-from repro.cube.table import BaseTable, label_type, python_scalars
+from repro.cube.table import (BaseTable, label_type, python_scalars,
+                               refuse_non_finite)
 from repro.errors import (
     MaintenanceError,
     QueryError,
@@ -479,13 +480,16 @@ class QCWarehouse:
         is a true no-op: nothing is logged, the serving version does not
         move, and cached answers stay valid.  A NumPy scalar label or
         measure is taken as its Python scalar before anything is checked
-        or logged, so a write reads the same with and without a log.
+        or logged, so a write reads the same with and without a log.  A
+        label of another type and a non-finite measure raise
+        :class:`SchemaError` before the log append.
         """
         inserts = [python_scalars(r) for r in inserts]
         deletes = [python_scalars(r) for r in deletes]
         if not inserts and not deletes:
             return
         types = self._checked_label_types(deletes + inserts)
+        refuse_non_finite(inserts, self.table.schema)
         if self.wal is not None:
             if not deletes:
                 self.wal.append("insert", inserts)

@@ -5,11 +5,11 @@ from repro.cube.table import BaseTable
 from repro.cube.cover_index import CoverIndex
 from repro.cube.aggregates import (
     AggregateFunction, Average, Count, Max, Min, MultiAggregate, Sum,
-    make_aggregate, values_close,
+    make_aggregate,
 )
 
 __all__ = [
     "Dimension", "Measure", "Schema", "BaseTable", "CoverIndex",
     "AggregateFunction", "Average", "Count", "Max", "Min", "MultiAggregate",
-    "Sum", "make_aggregate", "values_close",
+    "Sum", "make_aggregate",
 ]

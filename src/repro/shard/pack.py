@@ -2,7 +2,7 @@
 
 A :class:`~repro.core.frozen.FrozenQCTree` *is* the typed sections of
 this layout.  Packing writes one serving snapshot — tree topology,
-upper bounds, aggregate state/value vectors, and the base table — as
+upper bounds, aggregate values, and the base table — as
 those ``int64`` / ``float64`` little-endian buffers plus one small JSON
 meta block that interns every string exactly once (dimension names, the
 aggregate spec, and the per-dimension label dictionaries; rows and tree
@@ -69,8 +69,7 @@ SECTIONS = (
     ("edge_start", "q"), ("edge_key", "q"), ("edge_child", "q"),
     ("link_start", "q"), ("link_key", "q"), ("link_target", "q"),
     ("last_dim", "q"), ("forced", "q"),
-    ("ub", "q"), ("class_kind", "q"),
-    ("state_data", "d"), ("value_data", "d"),
+    ("ub", "q"), ("class_kind", "q"), ("value_data", "d"),
     ("table_rows", "q"), ("table_measures", "d"),
 )
 
@@ -82,7 +81,7 @@ _DTYPES = {"q": np.dtype("<i8"), "d": np.dtype("<f8")}
 
 
 def _packed_matrix(data, template, is_class):
-    """The ``n × width`` ``float64`` state (or value) matrix re-read
+    """The ``n × width`` ``float64`` value matrix re-read
     from a tree's packed rows: class rows pass through, the rest are
     zeroed, and ``"i"`` leaves must still hold integers ``float64``
     represents exactly."""
@@ -146,9 +145,8 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0)) -> bytes:
 
     kind = np.asarray(tree._class_kind, dtype=np.int64) != 0
     is_class = kind[live]
-    templates = (tree._state_codec[0], tree._value_codec[0])
-    matrices = [_packed_matrix(data, template, kind)[live] for template, data
-                in zip(templates, (tree._state_data, tree._value_data))]
+    template = tree._value_codec[0]
+    value_data = _packed_matrix(tree._value_data, template, kind)[live]
 
     table_rows = np.empty(0, dtype=np.int64)
     table_measures = np.empty(0, dtype=np.float64)
@@ -182,7 +180,7 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0)) -> bytes:
         "link_target": link_target,
         "last_dim": last_dim, "forced": forced,
         "ub": ub, "class_kind": is_class,
-        "state_data": matrices[0], "value_data": matrices[1],
+        "value_data": value_data,
         "table_rows": table_rows, "table_measures": table_measures,
     }
     sections = []
@@ -207,8 +205,7 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0)) -> bytes:
             "nodes": n, "edges": int(edge_key.size),
             "links": int(link_key.size), "classes": int(is_class.sum()),
         },
-        "state_template": templates[0],
-        "value_template": templates[1],
+        "value_template": template,
         "stamp": [int(lsn), int(epoch)],
         "table": table_meta,
         "sections": sections,

@@ -13,6 +13,7 @@ from hypothesis import settings
 from repro.core import frozen
 from repro.core.cells import ALL
 from repro.core.qctree import QCTree
+from repro.cube.aggregates import Sum
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.serving.scatter import PieceView
@@ -80,6 +81,13 @@ def thaws(monkeypatch):
     return seen
 
 
+def plus(x: float):
+    """A ``bump`` for :func:`corrupt_served_state`: a SUM state with
+    ``x`` more in it."""
+    m, d = x.as_integer_ratio()
+    return lambda state: Sum(0).merge(state, (1 - d.bit_length(), m))
+
+
 def corrupt_served_state(piece, bump):
     """Make a piece that holds no dict tree serve one class state passed
     through ``bump``, as a view compiled from a damaged tree would."""
@@ -139,13 +147,3 @@ def all_cells(table):
     ]
     return product(*domains)
 
-
-def approx_equal(a, b, tol=1e-9):
-    """None-aware tolerant comparison of aggregate values."""
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(
-            approx_equal(x, y, tol) for x, y in zip(a, b)
-        )
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))

@@ -10,10 +10,13 @@ only place under ``tests/`` that says what that is:
   :func:`make_program` over it): raw-label records with fresh labels,
   in-batch duplicates and deletes of rows that are present.  Every
   measure is a pure function of its key (:func:`measure`), so
-  delete-by-key is unambiguous even between true duplicates;
+  delete-by-key is unambiguous even between true duplicates, and the
+  measures cancel (fractions beside ±1e16), so a float sum taken in
+  another order reads another value;
 * **the reference** — :class:`Reference`, a brute-force cube over the
   live records: ``probe`` is :func:`repro.cube.lattice.closure` plus
-  ``cell_aggregate``, ``cover_values`` is :meth:`BaseTable.select`,
+  :func:`exact_value` of the covered rows (exact arithmetic, rounded
+  once), ``cover_values`` is :meth:`BaseTable.select`,
   ``lower_bounds`` is :func:`repro.cube.quotient.class_lower_bounds`.
   Point, range, ``class_of`` and both icebergs come straight off the
   lattice; the five exploration ops run :mod:`repro.core.explore`'s one
@@ -28,17 +31,24 @@ only place under ``tests/`` that says what that is:
 from __future__ import annotations
 
 import json
+import math
 import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from repro.core import explore
 from repro.core.cells import ALL, dict_sort_key
 from repro.core.construct import build_qctree
 from repro.core.maintenance import maintain_batch
-from repro.cube.aggregates import make_aggregate, values_close
-from repro.cube.lattice import cell_aggregate, closed_cells, closure
+from repro.cube.aggregates import (
+    Count,
+    MultiAggregate,
+    aggregate_spec,
+    make_aggregate,
+)
+from repro.cube.lattice import closed_cells, closure
 from repro.cube.quotient import class_lower_bounds
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
@@ -49,6 +59,17 @@ CARD = 3  # labels a base table draws from, per dimension
 FRESH = 2  # extra labels per dimension a program may mint
 SCHEMA = Schema(dimensions=[f"D{j}" for j in range(N_DIMS)], measures=("m",))
 AGGREGATE = ("sum", "m")
+#: Every aggregate of :mod:`repro.cube.aggregates`, and a
+#: multi-aggregate (ranked by its first part).
+AGGREGATES = {
+    "sum": AGGREGATE, "count": "count", "avg": ("avg", "m"),
+    "var": ("var", "m"), "min": ("min", "m"), "max": ("max", "m"),
+    "multi": [("avg", "m"), "count", ("var", "m"), ("max", "m")],
+}
+#: The measures a key draws from: fractions binary cannot add exactly,
+#: beside ±1e16, which swallows them in any float sum that meets it
+#: first.
+MEASURES = (0.1, 0.2, 0.3, 1e16, -1e16, 2.5, 0.7)
 
 
 def label(code: int) -> str:
@@ -60,8 +81,30 @@ UNSEEN = label(CARD + FRESH)
 
 
 def measure(codes) -> float:
-    """The measure as a pure function of the key."""
-    return float(sum((2 * j + 3) * c for j, c in enumerate(codes)) % 10 + 1)
+    """The measure as a pure function of the key, one of
+    :data:`MEASURES`."""
+    return MEASURES[sum((2 * j + 3) * c for j, c in enumerate(codes))
+                    % len(MEASURES)]
+
+
+def exact_value(aggregate, values):
+    """``aggregate``'s value over the measures ``values``, from exact
+    arithmetic: SUM is :func:`math.fsum`'s correctly rounded sum, AVG
+    and VAR round a :class:`~fractions.Fraction` once."""
+    if isinstance(aggregate, MultiAggregate):
+        return tuple(exact_value(part, values) for part in aggregate.parts)
+    if isinstance(aggregate, Count):
+        return len(values)
+    tag = aggregate_spec(aggregate)[0]
+    if tag in ("min", "max"):
+        return min(values) if tag == "min" else max(values)
+    if tag == "sum":
+        return math.fsum(values)
+    xs = [Fraction(x) for x in values]
+    mean = sum(xs) / len(xs)
+    if tag == "avg":
+        return float(mean)
+    return float(sum(x * x for x in xs) / len(xs) - mean * mean)
 
 
 def record(codes) -> tuple:
@@ -161,8 +204,10 @@ class Reference:
 
     def _value(self, cell):
         if cell not in self._values:
-            self._values[cell] = cell_aggregate(self.table, self.aggregate,
-                                                cell)
+            rows = self.table.select(cell)
+            self._values[cell] = exact_value(
+                self.aggregate, self.table.measures[rows, 0].tolist()
+            ) if rows else None
         return self._values[cell]
 
     def probe(self, cell):
@@ -209,15 +254,15 @@ class Reference:
         return out
 
     def iceberg(self, threshold, op: str = ">=") -> list:
-        passes = _COMPARE[op]
+        passes, rank = _COMPARE[op], self.aggregate.rank
         return [(self.decode(ub), value)
                 for ub in closed_cells(self.table)
-                if passes(value := self._value(ub), threshold)]
+                if passes(rank(value := self._value(ub)), threshold)]
 
     def iceberg_in_range(self, spec, threshold, op: str = ">=") -> dict:
-        passes = _COMPARE[op]
+        passes, rank = _COMPARE[op], self.aggregate.rank
         return {cell: value for cell, value in self.range(spec).items()
-                if passes(value, threshold)}
+                if passes(rank(value), threshold)}
 
     def class_of(self, raw_cell):
         hit = self.probe(self.encode(raw_cell))
@@ -335,12 +380,6 @@ def answer(ask, op: str, *args):
         return Refused(type(exc))
 
 
-def _close(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return values_close(a, b)
-
-
 def _cell(pair):
     return pair[0]
 
@@ -349,12 +388,12 @@ def _classes_same(got, want) -> bool:
     """``[(cell, value)]`` in any order."""
     got, want = sorted(got, key=_cell), sorted(want, key=_cell)
     return [c for c, _ in got] == [c for c, _ in want] and all(
-        _close(a, b) for (_, a), (_, b) in zip(got, want))
+        a == b for (_, a), (_, b) in zip(got, want))
 
 
 def _cells_same(got, want) -> bool:
     """``{cell: value}``."""
-    return set(got) == set(want) and all(_close(got[c], want[c]) for c in got)
+    return set(got) == set(want) and all(got[c] == want[c] for c in got)
 
 
 def _class_of_same(got, want) -> bool:
@@ -366,7 +405,7 @@ def _open_same(got, want) -> bool:
     return (got["upper_bound"] == want["upper_bound"]
             and sorted(got["lower_bounds"]) == sorted(want["lower_bounds"])
             and sorted(got["members"]) == sorted(want["members"])
-            and _close(got["value"], want["value"]))
+            and got["value"] == want["value"])
 
 
 #: Stable fields of a ``health`` answer (the rest are live readings).
@@ -385,7 +424,7 @@ def _line_same(got: str, want: str) -> bool:
 
 
 SHAPES = {
-    "point": _close,
+    "point": operator.eq,
     "class_of": _class_of_same,
     "range": _cells_same,
     "iceberg_in_range": _cells_same,

@@ -9,6 +9,9 @@ tree representation (``tests/test_pack_oracle.py``), and must stay well
 ahead of it on the clock (the no-wall-clock-constant regression guard).
 
 Do not "improve" this file — its value is that it does not change.
+It follows the layout only: the section of class states left the layout
+when states became exact (a worker answers from the values), so it
+writes values alone.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ SECTIONS = (
     ("edge_start", "q"), ("edge_key", "q"), ("edge_child", "q"),
     ("link_start", "q"), ("link_key", "q"), ("link_target", "q"),
     ("last_dim", "q"), ("forced", "q"),
-    ("ub", "q"), ("class_kind", "q"),
-    ("state_data", "d"), ("value_data", "d"),
+    ("ub", "q"), ("class_kind", "q"), ("value_data", "d"),
     ("table_rows", "q"), ("table_measures", "d"),
 )
 
@@ -112,10 +114,7 @@ def reference_pack(tree, table=None, stamp=(0, 0)) -> bytes:
     per_links = []
     ubs = []
     max_label = -1
-    states = tree.state
-    state_template = None
     value_template = None
-    state_rows = []
     value_rows = []
     class_kind = array("q", bytes(8 * n))
     for i, old in enumerate(order):
@@ -142,18 +141,13 @@ def reference_pack(tree, table=None, stamp=(0, 0)) -> bytes:
                 if val > max_label:
                     max_label = val
         ubs.append(ub)
-        state = states[old]
-        if state is not None:
+        value = tree.value_at(old)
+        if value is not None:
             class_kind[i] = 1
-            value = tree.value_at(old)
-            if state_template is None:
-                state_template = _template_of(state)
+            if value_template is None:
                 value_template = _template_of(value)
-            srow: list = []
-            _flatten_into(state, state_template, srow)
             vrow: list = []
             _flatten_into(value, value_template, vrow)
-            state_rows.append((i, srow))
             value_rows.append((i, vrow))
 
     stride = max_label + 1 if max_label >= 0 else 1
@@ -189,11 +183,7 @@ def reference_pack(tree, table=None, stamp=(0, 0)) -> bytes:
         for j, val in enumerate(ub):
             ub_flat[base + j] = -1 if val is ALL else val
 
-    s_width = template_width(state_template)
     v_width = template_width(value_template)
-    state_data = array("d", bytes(8 * n * s_width))
-    for i, row in state_rows:
-        state_data[i * s_width:(i + 1) * s_width] = array("d", row)
     value_data = array("d", bytes(8 * n * v_width))
     for i, row in value_rows:
         value_data[i * v_width:(i + 1) * v_width] = array("d", row)
@@ -227,7 +217,7 @@ def reference_pack(tree, table=None, stamp=(0, 0)) -> bytes:
         "link_target": link_target,
         "last_dim": last_dim, "forced": forced,
         "ub": ub_flat, "class_kind": class_kind,
-        "state_data": state_data, "value_data": value_data,
+        "value_data": value_data,
         "table_rows": table_rows, "table_measures": table_measures,
     }
     sections = []
@@ -253,9 +243,8 @@ def reference_pack(tree, table=None, stamp=(0, 0)) -> bytes:
         "stride": stride,
         "counts": {
             "nodes": n, "edges": len(edge_key), "links": len(link_key),
-            "classes": len(state_rows),
+            "classes": len(value_rows),
         },
-        "state_template": state_template,
         "value_template": value_template,
         "stamp": [int(lsn), int(epoch)],
         "table": table_meta,

@@ -6,8 +6,10 @@ order the segment list happens to have, and compaction re-merges them
 again — so ``merge`` must be a commutative semigroup operation that is
 *exact* against computing the state over the union of the underlying
 rows.  Deletion additionally relies on ``subtract`` being the exact
-inverse of ``merge`` for subtractable aggregates.  These are
-hypothesis-checked here for every aggregate in the registry, including
+inverse of ``merge`` for subtractable aggregates.  States are exact, so
+every law is checked with ``==``, against ``fractions.Fraction`` where a
+value is at stake.  These are hypothesis-checked here for every
+aggregate in the registry, including
 :class:`~repro.cube.aggregates.Variance` (whose moment-form state exists
 precisely because the textbook running-variance update is *not*
 associative) and :class:`~repro.cube.aggregates.MultiAggregate`.
@@ -16,7 +18,7 @@ associative) and :class:`~repro.cube.aggregates.MultiAggregate`.
 from __future__ import annotations
 
 import math
-import statistics
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -31,7 +33,6 @@ from repro.cube.aggregates import (
     Sum,
     Variance,
     make_aggregate,
-    values_close,
 )
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
@@ -54,19 +55,17 @@ AGGREGATES = [
 IDS = [name for name, _ in AGGREGATES]
 FACTORIES = [factory for _, factory in AGGREGATES]
 
-# Bounded, finite measures: the laws hold over the reals; float
-# round-off is absorbed by values_close's relative tolerance as long as
-# magnitudes stay sane.
+# Bounded, finite measures: the laws hold exactly over every finite
+# double (exact states).
 measures = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
               allow_infinity=False, width=32),
     min_size=1, max_size=12,
 )
 
-#: Integer-valued floats: sums and sums-of-squares are exact, so
-#: algebraic inverses can be asserted without float tolerance caveats.
-exact_measures = st.lists(
-    st.integers(min_value=-1000, max_value=1000).map(float),
+#: Measures that cancel: fractions beside ±1e16.
+cancelling_measures = st.lists(
+    st.sampled_from([0.1, 0.2, 0.3, -0.1, 1e16, -1e16, 0.0]),
     min_size=1, max_size=12,
 )
 
@@ -83,19 +82,13 @@ def _state(aggregate, values):
     return aggregate.state(table, range(len(values)))
 
 
-def states_close(a, b):
-    """States are numbers or (nested) tuples of numbers; compare like
-    values, with tolerance — merge order may legally reassociate sums."""
-    return values_close(a, b, rel_tol=1e-6, abs_tol=1e-6)
-
-
 @pytest.mark.parametrize("factory", FACTORIES, ids=IDS)
 class TestMergeLaws:
     @given(a=measures, b=measures)
     def test_commutative(self, factory, a, b):
         agg = factory()
         sa, sb = _state(agg, a), _state(agg, b)
-        assert states_close(agg.merge(sa, sb), agg.merge(sb, sa))
+        assert agg.merge(sa, sb) == agg.merge(sb, sa)
 
     @given(a=measures, b=measures, c=measures)
     def test_associative(self, factory, a, b, c):
@@ -103,7 +96,7 @@ class TestMergeLaws:
         sa, sb, sc = _state(agg, a), _state(agg, b), _state(agg, c)
         left = agg.merge(agg.merge(sa, sb), sc)
         right = agg.merge(sa, agg.merge(sb, sc))
-        assert states_close(left, right)
+        assert left == right
 
     @given(a=measures, b=measures)
     def test_merge_is_exact_over_union(self, factory, a, b):
@@ -111,24 +104,23 @@ class TestMergeLaws:
         scatter-gather itself — segments hold disjoint row multisets."""
         agg = factory()
         merged = agg.merge(_state(agg, a), _state(agg, b))
-        assert states_close(merged, _state(agg, a + b))
-        assert values_close(
-            agg.value(merged), agg.value(_state(agg, a + b)),
-            rel_tol=1e-6, abs_tol=1e-6,
-        )
+        assert merged == _state(agg, a + b)
+        assert agg.value(merged) == agg.value(_state(agg, a + b))
 
-    @given(a=exact_measures, b=exact_measures)
+    @given(a=cancelling_measures, b=cancelling_measures)
     def test_subtract_inverts_merge(self, factory, a, b):
-        """For subtractable aggregates, subtract(merge(x, y), y) == x —
-        what sealed-segment deletion relies on.  Exact on
-        exactly-representable values; over arbitrary floats the moment
-        form (like any running sum) loses low bits to cancellation,
-        which is tolerated downstream by values_close, not here."""
+        """For subtractable aggregates, subtract(merge(x, y), y) is x —
+        what deletion relies on — over measures that cancel.  The
+        difference keeps the merge's exponent, so it is x's number (and
+        value), and merging y back gives the merge again."""
         agg = factory()
         if not agg.subtractable:
             pytest.skip(f"{agg.name} is not subtractable")
         sa, sb = _state(agg, a), _state(agg, b)
-        assert states_close(agg.subtract(agg.merge(sa, sb), sb), sa)
+        merged = agg.merge(sa, sb)
+        back = agg.subtract(merged, sb)
+        assert agg.value(back) == agg.value(sa)
+        assert agg.merge(back, sb) == merged
 
 
 class TestIdentity:
@@ -150,8 +142,8 @@ class TestIdentity:
         agg = factory()
         empty = agg.state(_table([]), [])
         sa = _state(agg, a)
-        assert states_close(agg.merge(empty, sa), sa)
-        assert states_close(agg.merge(sa, empty), sa)
+        assert agg.merge(empty, sa) == sa
+        assert agg.merge(sa, empty) == sa
 
     @pytest.mark.parametrize("factory", [lambda: Min("m"), lambda: Max("m")],
                              ids=["min", "max"])
@@ -161,40 +153,46 @@ class TestIdentity:
             agg.state(_table([]), [])
 
 
+def _exact_moments(values):
+    """``(sum, mean, population variance)`` of ``values`` as
+    fractions: the reference every value is rounded from, once."""
+    xs = [Fraction(x) for x in values]
+    total = sum(xs)
+    mean = total / len(xs)
+    return total, mean, sum(x * x for x in xs) / len(xs) - mean * mean
+
+
 class TestValues:
-    """States must finalize to the textbook value."""
+    """States must finalize to the textbook value, correctly rounded."""
 
     @given(a=measures)
     def test_reference_values(self, a):
         table = _table(a)
         rows = range(len(a))
+        total, mean, variance = _exact_moments(a)
         assert Count().value(Count().state(table, rows)) == len(a)
-        assert values_close(
-            Sum("m").value(Sum("m").state(table, rows)),
-            math.fsum(a), rel_tol=1e-6, abs_tol=1e-6,
-        )
+        assert Sum("m").value(Sum("m").state(table, rows)) == math.fsum(a)
+        assert Sum("m").value(Sum("m").state(table, rows)) == float(total)
         assert Min("m").value(Min("m").state(table, rows)) == min(a)
         assert Max("m").value(Max("m").state(table, rows)) == max(a)
-        assert values_close(
-            Average("m").value(Average("m").state(table, rows)),
-            statistics.fmean(a), rel_tol=1e-6, abs_tol=1e-6,
-        )
-        assert values_close(
-            Variance("m").value(Variance("m").state(table, rows)),
-            statistics.pvariance(a), rel_tol=1e-6, abs_tol=1e-3,
-        )
+        assert (Average("m").value(Average("m").state(table, rows))
+                == float(mean))
+        assert (Variance("m").value(Variance("m").state(table, rows))
+                == float(variance))
 
     def test_variance_of_empty_and_singleton(self):
         var = Variance("m")
-        assert math.isnan(var.value((0, 0.0, 0.0)))
+        assert math.isnan(var.value(var.state(_table([]), [])))
         assert var.value(var.state(_table([3.5]), [0])) == 0.0
 
     def test_variance_never_negative(self):
-        # Catastrophic cancellation (huge mean, tiny spread) must clamp
-        # to zero, not leak a negative variance.
+        # Catastrophic cancellation (huge mean, tiny spread): the exact
+        # moments give the true variance, never a negative one.
         var = Variance("m")
         values = [1e8 + 0.1, 1e8 + 0.2, 1e8 + 0.3]
-        assert var.value(var.state(_table(values), range(3))) >= 0.0
+        value = var.value(var.state(_table(values), range(3)))
+        assert value >= 0.0
+        assert value == float(_exact_moments(values)[2])
 
     def test_registry_spells(self):
         assert isinstance(make_aggregate("var(m)"), Variance)

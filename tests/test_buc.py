@@ -8,7 +8,7 @@ from repro.cube.lattice import full_cube, iter_nonempty_cells
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import QueryError
-from tests.conftest import approx_equal, make_random_table
+from tests.conftest import make_random_table
 
 
 class TestFullCube:
@@ -19,7 +19,7 @@ class TestFullCube:
         expected = full_cube(table, ("sum", "m"))
         assert set(got) == set(expected)
         for cell in expected:
-            assert approx_equal(got[cell], expected[cell])
+            assert got[cell] == expected[cell]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cell_count(self, seed):

@@ -332,16 +332,17 @@ class TestServeCommand:
 
     def test_non_finite_measure_is_refused(self, built_dir, monkeypatch,
                                            capsys):
-        """``float("inf")`` parses, so the measure reaches maintenance;
-        stored, it would read nan in every ancestor cell once deleted."""
+        """``float("inf")`` parses, but no exact aggregate state holds
+        it: the store refuses the row before its WAL append (stored, it
+        read nan in every ancestor cell once deleted)."""
         code, out, _ = self.run_serve(
             built_dir, monkeypatch, capsys,
             "insert S3,P1,s,inf\npoint S2,*,f\npoint *,*,*\n",
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].startswith("error: MaintenanceError: ")
-        assert "non-finite measure" in lines[0]
+        assert lines[0].startswith("error: SchemaError: ")
+        assert "non-finite measure 'Sale'" in lines[0]
         assert lines[1:] == ["9.0", "9.0"]
 
     @pytest.mark.parametrize("flags", [

@@ -13,7 +13,7 @@ from repro.cube.table import BaseTable
 from repro.dwarf.build import build_dwarf
 from repro.dwarf.query import dwarf_point_query, dwarf_range_query
 from repro.errors import QueryError
-from tests.conftest import all_cells, approx_equal, make_random_table
+from tests.conftest import all_cells, make_random_table
 
 
 class TestConstruction:
@@ -74,8 +74,9 @@ class TestPointQueries:
         dwarf = build_dwarf(table, ("sum", "m"))
         oracle = full_cube(table, ("sum", "m"))
         for cell in all_cells(table):
-            assert approx_equal(
-                dwarf_point_query(dwarf, cell), oracle.get(cell)
+            assert (
+                dwarf_point_query(dwarf, cell)
+                == oracle.get(cell)
             ), f"cell {cell} rows {table.rows}"
 
     def test_wrong_arity_rejected(self):
@@ -114,7 +115,7 @@ class TestRangeQueries:
             b = range_query(tree, spec)
             assert set(a) == set(b)
             for cell in a:
-                assert approx_equal(a[cell], b[cell])
+                assert a[cell] == b[cell]
 
     def test_range_on_empty_dwarf(self):
         schema = Schema(dimensions=("A",), measures=("m",))

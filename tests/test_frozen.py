@@ -37,7 +37,6 @@ from repro.cube.table import BaseTable
 from repro.shard.pack import attach_packed, pack_snapshot_bytes
 from tests.conftest import (
     all_cells,
-    approx_equal,
     make_random_table,
     refreeze_ratios,
 )
@@ -108,9 +107,7 @@ class TestPointParity:
             }
             assert len(bounds) == 1, (cell, answers)
             assert len({c[0] for c in counters}) == 1, (cell, counters)
-            assert approx_equal(
-                point_query(tree, cell), point_query(frozen, cell)
-            )
+            assert point_query(tree, cell) == point_query(frozen, cell)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -161,7 +158,7 @@ class TestRangeAndIcebergParity:
             got = range_query(frozen, spec)
             assert set(got) == set(expected)
             for cell in got:
-                assert approx_equal(got[cell], expected[cell])
+                assert got[cell] == expected[cell]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_pure_iceberg_matches(self, seed):
@@ -295,9 +292,7 @@ class TestEveryStorage:
                 if got_node is not None:
                     assert array.upper_bound_of(got_node) == \
                         tree.upper_bound_of(want_node)
-                assert approx_equal(
-                    point_query(array, cell), point_query(tree, cell)
-                )
+                assert point_query(array, cell) == point_query(tree, cell)
                 generic = [0]
                 locate_generic(array, cell, counter=generic)
                 assert generic == want, cell
@@ -342,12 +337,15 @@ class TestEveryStorage:
                     ))
                     for j in range(table.n_dims)
                 ]
-                states = _range_states(array, spec)
+                # An attached tree holds values, not states: its
+                # cells are the source tree's.
+                states = _range_states(
+                    tree if array.state is None else array, spec)
                 values = range_query(array, spec)
                 assert list(states) == list(values)
                 assert values == range_query(tree, spec)
                 for cell, state in states.items():
-                    assert approx_equal(value(state), values[cell])
+                    assert value(state) == values[cell]
 
     def test_one_set_of_functions(self, kind, tmp_path):
         """Every storage is the same class, so the protocol and the
@@ -426,13 +424,14 @@ def test_fast_paths_are_defined_once_in_the_source_tree():
 @pytest.mark.parametrize("kind", ("fresh", "bytes", "mmap"))
 def test_attach_decodes_nothing_per_node(kind, tmp_path):
     """A fresh freeze and an attach leave the nodes coded: no routing
-    dict, upper bound, value or state exists until a query visits the
-    node — and then only for the nodes on the walk."""
+    dict, upper bound or value exists until a query visits the node —
+    and then only for the nodes on the walk.  States are not decoded at
+    all: a compile holds its exact list, an attach holds none."""
     with open_storage(kind, 3, tmp_path) as (table, _, array):
         assert all(route is None for route in array._routes)
         assert all(ub is None for ub in array._ubs)
         assert all(value is _UNSET for value in array._value)
-        assert all(state is _UNSET for state in array.state._cache)
+        assert (array.state is None) == (kind != "fresh")
         counter = [0]
         array.locate((ALL,) * table.n_dims, counter=counter)
         built = sum(route is not None for route in array._routes)

@@ -32,7 +32,6 @@ from repro.shard.pack import pack_snapshot_bytes
 from tests import model
 from tests.conftest import (
     all_cells,
-    approx_equal,
     make_random_table,
     patch_with,
 )
@@ -72,9 +71,7 @@ def _assert_equivalent(patched, tree, table):
     assert patched.n_classes == full.n_classes
     if table.n_rows and table.n_dims <= 3:
         for cell in all_cells(table):
-            assert approx_equal(
-                point_query(patched, cell), point_query(full, cell)
-            )
+            assert point_query(patched, cell) == point_query(full, cell)
 
 
 class TestDeltaRecording:
@@ -283,7 +280,8 @@ class TestColumnWrites:
 
     def test_column_writes_leave_the_routing_alone(self):
         """A state-only slot keeps its decoded routing dict and upper
-        bound; its new state and value are in the caches and sections."""
+        bound; its new state is in the state list and its value in the
+        caches and sections."""
         table, tree = _build(2, n_rows=40)
         frozen = tree.freeze()
         for cell in all_cells(table):
@@ -298,11 +296,10 @@ class TestColumnWrites:
             slot = slots[d]
             assert patched._routes[slot] is frozen._routes[slot]
             assert patched._ubs[slot] is frozen._ubs[slot]
-            want = tree.state[d]
-            assert patched.state[slot] == want
-            # The sections hold it too: decoded afresh, not from a cache.
-            assert _decode(patched._class_kind, patched._state_data,
-                           patched._state_codec, slot) == want
+            assert patched.state[slot] == tree.state[d]
+            # The sections hold the value: decoded afresh, not from a cache.
+            assert _decode(patched._class_kind, patched._value_data,
+                           patched._value_codec, slot) == tree.value_at(d)
             assert patched.upper_bound_of(slot) == tree.upper_bound_of(d)
 
 

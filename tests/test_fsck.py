@@ -8,14 +8,15 @@ from repro.core.construct import build_qctree
 from repro.core.frozen import FrozenQCTree
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
+from repro.cube.table import BaseTable
 from repro.reliability.fsck import fsck_tree
 from repro.segments import SegmentedWarehouse
 from tests import model
 from tests.conftest import (
     all_cells,
-    approx_equal,
     corrupt_served_state,
     make_random_table,
+    plus,
 )
 
 
@@ -115,13 +116,23 @@ class TestCorruptionIsFlagged:
         # not halt.
         assert "classes" not in report.checked
 
+    def test_nan_class_value_is_no_mismatch(self):
+        """A MAX class over a NaN measure recomputes to NaN: the same
+        value, though ``==`` says otherwise."""
+        table = BaseTable.from_encoded(
+            [(0, 0), (1, 0), (2, 1)], [[1.0], [float("nan")], [3.0]],
+            Schema(dimensions=("A", "B"), measures=("m",)))
+        report = fsck_tree(build_qctree(table, ("max", "m")), table=table,
+                           samples=None)
+        assert report.ok, str(report)
+
     def test_tampered_aggregate_state(self, sales_table):
         tree = self._tree(sales_table)
         victim = next(
             n for n in range(len(tree.node_dim))
             if tree.state[n] is not None and n != tree.root
         )
-        tree.set_state(victim, (9999.0, 1))
+        tree.set_state(victim, (0, 9999, 1))  # avg: one row of 9999
         report = fsck_tree(tree, table=sales_table, samples=None)
         assert "aggregate-mismatch" in codes(report)
         # Without the base table the tampering is invisible — deep
@@ -182,9 +193,9 @@ class TestScanPointQuery:
         from repro.core.point_query import point_query
 
         for cell in all_cells(sales_table):
-            assert approx_equal(
-                repaired.point(sales_table.decode_cell(cell)),
-                point_query(tree, cell),
+            assert (
+                repaired.point(sales_table.decode_cell(cell))
+                == point_query(tree, cell)
             )
 
     def test_scan_empty_cover_is_none(self, repaired):
@@ -226,7 +237,7 @@ class TestDegradedMode:
         # The rebuilt tree answers every family like a fresh build.
         for cell in all_cells(wh.table):
             raw = wh.table.decode_cell(cell)
-            assert approx_equal(wh.point(raw), fresh.point(raw))
+            assert wh.point(raw) == fresh.point(raw)
             assert wh.range(raw) == fresh.range(raw)
         assert wh.iceberg(100000) == fresh.iceberg(100000) == []
         assert wh.point(("S9", "*", "*")) is None  # unknown label: NULL
@@ -238,7 +249,7 @@ class TestDegradedMode:
         self.corrupt(wh)
         wh.rebuild()
         assert wh.verify(samples=None).ok
-        assert approx_equal(wh.point(("S2", "*", "f")), 9.0)
+        assert wh.point(("S2", "*", "f")) == 9.0
 
     def test_clean_verify_clears_degraded(self):
         """A clean verify rebuilds nothing: the stamp stays and cached
@@ -287,7 +298,7 @@ class TestVerifyRepairs:
             ask = model.asker(wh)
             model.assert_answers(ask, expected)  # fills the cache
             corrupt_served_state(wh.pieces()[0],
-                                 lambda state: state + 123456.0)
+                                 plus(123456.0))
             report = wh.verify(samples=None)
             assert not report.ok
             assert wh.stats()["serving"] in ("frozen", "segmented")

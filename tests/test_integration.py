@@ -17,7 +17,6 @@ from repro.data.workloads import point_query_workload, range_query_workload
 from repro.dwarf.build import build_dwarf
 from repro.dwarf.query import dwarf_point_query, dwarf_range_query
 from repro.storage import compression_report
-from tests.conftest import approx_equal
 
 
 class TestThreeStructuresAgree:
@@ -40,7 +39,7 @@ class TestThreeStructuresAgree:
             a = point_query(setup["tree"], q)
             b = dwarf_point_query(setup["dwarf"], q)
             c = setup["cube"].get(q)
-            assert approx_equal(a, b) and approx_equal(a, c), q
+            assert a == b and a == c, q
 
     def test_range_workload(self, setup):
         specs = range_query_workload(setup["table"], 40, seed=2)
@@ -49,7 +48,7 @@ class TestThreeStructuresAgree:
             b = dwarf_range_query(setup["dwarf"], spec)
             assert set(a) == set(b)
             for cell in a:
-                assert approx_equal(a[cell], b[cell])
+                assert a[cell] == b[cell]
 
     def test_iceberg_against_cube_scan(self, setup):
         index = MeasureIndex(setup["tree"])
@@ -62,7 +61,7 @@ class TestThreeStructuresAgree:
             if value >= threshold:
                 ub = closure(setup["table"], cell)
                 assert ub in classes
-                assert approx_equal(classes[ub], value)
+                assert classes[ub] == value
 
 
 class TestWeatherPipeline:

@@ -15,7 +15,7 @@ from repro.core.maintenance import (
 )
 from repro.core.point_query import point_query
 from repro.errors import MaintenanceError
-from tests.conftest import all_cells, approx_equal, make_random_table
+from tests.conftest import all_cells, make_random_table
 
 
 def _assert_equals_rebuild(tree, new_table, aggregate):
@@ -129,9 +129,9 @@ class TestTheorem2:
         from repro.cube.lattice import cell_aggregate
 
         for cell in all_cells(new_table):
-            assert approx_equal(
-                point_query(tree, cell),
-                cell_aggregate(new_table, ("sum", "m"), cell),
+            assert (
+                point_query(tree, cell)
+                == cell_aggregate(new_table, ("sum", "m"), cell)
             )
 
     def test_deleting_missing_record_rejected(self, sales_table):

@@ -193,7 +193,8 @@ class TestEdgeCases:
             assert attached.meta["counts"] == {
                 "nodes": 1, "edges": 0, "links": 0, "classes": 0,
             }
-            assert attached.meta["state_template"] is None
+            assert attached.meta["value_template"] is None
+            assert "state_template" not in attached.meta
         finally:
             attached.release()
 
@@ -276,19 +277,21 @@ class TestEdgeCases:
             pack_snapshot_bytes(tree.freeze(), table)
 
     def test_mixed_leaf_types_and_shapes_are_rejected(self):
+        """Values are what is packed: a MIN/MAX pair's value is its
+        state, so a bad state is a bad value."""
         table = make_random_table(3, n_dims=3, cardinality=3, n_rows=10)
-        tree = build_qctree(table, ("avg", "m"))
+        tree = build_qctree(table, [("min", "m"), ("max", "m")])
         nodes = list(tree.iter_class_nodes())
-        tree.state[nodes[-1]] = (1, 2)  # int where float
+        tree.state[nodes[-1]] = (1, 2.0)  # int where float
         with pytest.raises(SerializationError, match="leaf type"):
             pack_snapshot_bytes(tree.freeze(), table)
-        tree.state[nodes[-1]] = (1.0, 2, 3)  # wrong arity
+        tree.state[nodes[-1]] = (1.0,)  # wrong arity
         with pytest.raises(SerializationError, match="uniform shape"):
             pack_snapshot_bytes(tree.freeze(), table)
 
     def test_numpy_float_leaves_are_accepted(self):
         table = make_random_table(3, n_dims=3, cardinality=3, n_rows=10)
-        tree = build_qctree(table, ("sum", "m"))
+        tree = build_qctree(table, ("max", "m"))
         for node in tree.iter_class_nodes():
             tree.state[node] = np.float64(tree.state[node])
         frozen = tree.freeze()

@@ -25,7 +25,7 @@ from repro.errors import QueryError, SerializationError
 from repro.shard.pack import attach_packed, pack_snapshot_bytes
 from repro.shard.worker import _BATCH_MIN, _answer_chunk
 
-from .conftest import all_cells, approx_equal, dict_view, make_random_table
+from .conftest import all_cells, dict_view, make_random_table
 
 
 @pytest.fixture
@@ -47,9 +47,7 @@ def assert_trees_equivalent(packed, frozen, table):
     """Full query-surface parity between a packed and a frozen tree."""
     assert packed.signature() == frozen.signature()
     for cell in all_cells(table):
-        assert approx_equal(
-            point_query(packed, cell), point_query(frozen, cell)
-        ), cell
+        assert point_query(packed, cell) == point_query(frozen, cell), cell
 
 
 class TestPackAttachParity:
@@ -98,8 +96,9 @@ class TestPackAttachParity:
         assert list(table.rows) == list(snapshot.table.rows)
         assert table.decode_value(0, 0) == snapshot.table.decode_value(0, 0)
         for i in range(table.n_rows):
-            assert approx_equal(
-                tuple(table.measures[i]), tuple(snapshot.table.measures[i])
+            assert (
+                tuple(table.measures[i])
+                == tuple(snapshot.table.measures[i])
             )
 
     def test_attached_measures_are_read_only(self, attached):
@@ -138,7 +137,9 @@ class TestPackAttachParity:
             shm.buf[:len(payload)] = payload
             att = attach_packed(shm.buf)
             assert att.tree.signature() == snapshot.tree.signature()
-            assert list(att.tree.state) == list(snapshot.tree.state)
+            nodes = range(att.tree.n_nodes)
+            assert ([att.tree.value_at(n) for n in nodes]
+                    == [snapshot.tree.value_at(n) for n in nodes])
             att.release()
             shm.close()  # BufferError while any export is alive
         finally:
@@ -215,9 +216,9 @@ class TestV3Format:
                 att = attach_packed(mm, verify=True)
                 try:
                     cell = (ALL,) * snapshot.table.n_dims
-                    assert approx_equal(
-                        point_query(att.tree, cell),
-                        point_query(snapshot.tree, cell),
+                    assert (
+                        point_query(att.tree, cell)
+                        == point_query(snapshot.tree, cell)
                     )
                 finally:
                     att.release()
@@ -227,9 +228,7 @@ class TestServingSnapshotBridge:
     def test_serving_snapshot_answers(self, attached, snapshot):
         serving = attached.serving_snapshot()
         n = snapshot.table.n_dims
-        assert approx_equal(
-            serving.point((ALL,) * n), snapshot.point((ALL,) * n)
-        )
+        assert serving.point((ALL,) * n) == snapshot.point((ALL,) * n)
         assert serving.stamp == (3, 7)
 
     def test_describe_says_frozen_on_every_array_storage(

@@ -10,7 +10,7 @@ from repro.core.construct import build_qctree
 from repro.core.point_query import locate, point_query, point_query_raw
 from repro.cube.lattice import cell_aggregate, closure, full_cube
 from repro.errors import QueryError
-from tests.conftest import all_cells, approx_equal, make_random_table
+from tests.conftest import all_cells, make_random_table
 
 
 class TestExample5:
@@ -45,7 +45,7 @@ class TestAgainstOracle:
         tree = build_qctree(table, ("sum", "m"))
         oracle = full_cube(table, ("sum", "m"))
         for cell in all_cells(table):
-            assert approx_equal(point_query(tree, cell), oracle.get(cell)), (
+            assert point_query(tree, cell) == oracle.get(cell), (
                 f"cell {cell} on rows {table.rows}"
             )
 
@@ -55,8 +55,9 @@ class TestAgainstOracle:
         table = make_random_table(seed, n_dims=3, cardinality=3, n_rows=8)
         tree = build_qctree(table, "count")
         for cell in all_cells(table):
-            assert approx_equal(
-                point_query(tree, cell), cell_aggregate(table, "count", cell)
+            assert (
+                point_query(tree, cell)
+                == cell_aggregate(table, "count", cell)
             )
 
     @pytest.mark.parametrize("seed", range(10))
@@ -145,7 +146,7 @@ class TestAccessPattern:
         tree = build_qctree(table, spec)
         oracle = full_cube(table, spec)
         for cell in all_cells(table):
-            assert approx_equal(point_query(tree, cell), oracle.get(cell))
+            assert point_query(tree, cell) == oracle.get(cell)
 
 
 class TestRawQueryValidation:

@@ -9,7 +9,7 @@ from repro.cube.lattice import (
     quotient_classes,
 )
 from repro.cube.quotient import QCTable, QuotientCube, class_lower_bounds
-from tests.conftest import all_cells, approx_equal, make_random_table
+from tests.conftest import all_cells, make_random_table
 
 
 class TestQuotientCube:
@@ -39,7 +39,7 @@ class TestQuotientCube:
         for qclass in qc:
             reference = by_ub[qclass.upper_bound]
             assert set(qclass.lower_bounds) == set(reference.lower_bounds)
-            assert approx_equal(qclass.value, reference.value)
+            assert qclass.value == reference.value
 
     @pytest.mark.parametrize("seed", range(8))
     def test_cover_partition_is_convex(self, seed):
@@ -120,6 +120,4 @@ class TestQCTable:
         qt = QCTable.from_table(table, ("sum", "m"))
         oracle = full_cube(table, ("sum", "m"))
         for cell in list(all_cells(table))[:40]:
-            assert approx_equal(
-                qt.point_query(cell, table), oracle.get(cell)
-            )
+            assert qt.point_query(cell, table) == oracle.get(cell)

@@ -14,7 +14,7 @@ from repro.core.range_query import (
     range_query_raw,
 )
 from repro.errors import QueryError
-from tests.conftest import approx_equal, make_random_table
+from tests.conftest import make_random_table
 
 
 class TestRangeQuerySpec:
@@ -80,7 +80,7 @@ class TestAgainstNaivePlan:
             naive = range_query_naive(tree, spec)
             assert set(smart) == set(naive)
             for cell in smart:
-                assert approx_equal(smart[cell], naive[cell])
+                assert smart[cell] == naive[cell]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_all_star_spec_returns_root_class_only(self, seed):

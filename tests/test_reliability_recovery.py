@@ -27,7 +27,7 @@ from repro.errors import RecoveryError
 from repro.reliability.faults import InjectedCrash, count_io, crash_on_io
 from repro.reliability.wal import WriteAheadLog
 from repro.segments import SegmentedWarehouse
-from tests.conftest import all_cells, approx_equal
+from tests.conftest import all_cells
 
 
 DIMS, MEASURES = ("Store", "Product", "Season"), ("Sale",)
@@ -70,15 +70,15 @@ def assert_equivalent_answers(recovered, reference_wh):
     table = reference_wh.table
     for cell in all_cells(table):
         raw = table.decode_cell(cell)
-        assert approx_equal(recovered.point(raw), reference_wh.point(raw))
+        assert recovered.point(raw) == reference_wh.point(raw)
     spec = (["S1", "S2", "S3"], "*", "*")
     got, want = recovered.range(spec), reference_wh.range(spec)
     assert got.keys() == want.keys()
-    assert all(approx_equal(got[c], want[c]) for c in want)
+    assert all(got[c] == want[c] for c in want)
     got_ice = sorted(recovered.iceberg(5))
     want_ice = sorted(reference_wh.iceberg(5))
     assert [ub for ub, _ in got_ice] == [ub for ub, _ in want_ice]
-    assert all(approx_equal(gv, wv) for (_, gv), (_, wv)
+    assert all(gv == wv for (_, gv), (_, wv)
                in zip(got_ice, want_ice))
     assert recovered.n_rows == table.n_rows
     for piece in recovered.pieces():

@@ -25,11 +25,10 @@ from repro.core.manifest import (
     save_manifest,
 )
 from repro.core.warehouse import QCWarehouse
-from repro.cube.aggregates import values_close
 from repro.cube.schema import Schema
 from repro.errors import MaintenanceError, RecoveryError
 from repro.segments import SegmentedWarehouse
-from tests.conftest import corrupt_served_state, refreeze_ratios
+from tests.conftest import corrupt_served_state, plus, refreeze_ratios
 
 SCHEMA = Schema(dimensions=("A", "B", "C"), measures=("m",))
 
@@ -211,14 +210,14 @@ class TestGenerationAndCache:
         before_range = wh.range(spec)
         before_iceberg = wh.iceberg(1.0)
         wh.compact_now()
-        assert values_close(wh.point(cell), before_point)
+        assert wh.point(cell) == before_point
         assert wh.range(spec) == before_range
         assert sorted(wh.iceberg(1.0), key=repr) == \
             sorted(before_iceberg, key=repr)
         # ...and a genuinely different post-compaction state is not
         # masked by the old entries.
         wh.maintain(deletes=[_record(1)])
-        assert not values_close(wh.point(cell), before_point)
+        assert wh.point(cell) != before_point
 
     def test_cache_keys_include_generation(self):
         wh = _warehouse(n_rows=0, seal_rows=100, cache_size=32)
@@ -413,9 +412,7 @@ class TestCheckpointRecover:
         )
         assert recovered.n_rows == wh.n_rows
         for cell in (("x1", "*", "*"), ("*", "x2", "*")):
-            assert values_close(recovered.point(cell), wh.point(cell)) or (
-                recovered.point(cell) is None and wh.point(cell) is None
-            )
+            assert recovered.point(cell) == wh.point(cell)
         report = recovered.verify(deep=True, samples=None)
         assert report.ok, report.issues
         assert recovered.last_recovery["orphans"] == [tree_file.name]
@@ -459,10 +456,8 @@ class TestCheckpointRecover:
         )
         assert recovered.n_rows == live.n_rows == 9
         everything = ("*", "*", "*")
-        assert values_close(recovered.point(everything),
-                            live.point(everything))
-        assert not values_close(live.point(everything),
-                                stale.point(everything))
+        assert recovered.point(everything) == live.point(everything)
+        assert live.point(everything) != stale.point(everything)
         spec = (["x0", "x1", "x2", "x3"], "*", "*")
         assert recovered.range(spec) == live.range(spec)
         assert recovered.iceberg(0.0) == live.iceberg(0.0)
@@ -492,8 +487,7 @@ class TestCheckpointRecover:
             health = store.segment_health()
             assert (health["seals"], health["head_rows"]) == (1, 0)
         everything = ("*", "*", "*")
-        assert values_close(recovered.point(everything),
-                            fresh.point(everything))
+        assert recovered.point(everything) == fresh.point(everything)
 
     def test_recovered_ids_do_not_collide(self, tmp_path):
         """Fresh seals after recovery must not reuse manifest segment
@@ -533,7 +527,7 @@ class TestLabelDictionaryPersistence:
         loaded = QCWarehouse.recover(tmp_path / "ckpt", tmp_path / "wal",
                                      SCHEMA)
         for cell, value in expected.items():
-            assert values_close(loaded.point(cell), value), cell
+            assert loaded.point(cell) == value, cell
         # The loaded pair must also keep *maintaining* correctly.
         loaded.maintain(deletes=[("aa", "b", "c", 2.0)])
         assert loaded.point(("aa", "*", "*")) is None
@@ -551,7 +545,7 @@ class TestLabelDictionaryPersistence:
         recovered = SegmentedWarehouse.recover(
             tmp_path / "ckpt", tmp_path / "wal", SCHEMA
         )
-        assert values_close(recovered.point(("aa", "*", "*")), 2.0)
+        assert recovered.point(("aa", "*", "*")) == 2.0
         recovered.maintain(deletes=[("aa", "b", "c", 2.0)])
         assert recovered.point(("aa", "*", "*")) is None
 
@@ -562,9 +556,7 @@ class TestServingSurface:
         snap = wh.snapshot_view()
         before = snap.point(("x1", "*", "*"))
         wh.maintain(inserts=_records(6, start=6))
-        assert values_close(snap.point(("x1", "*", "*")), before) or (
-            snap.point(("x1", "*", "*")) is None and before is None
-        )
+        assert snap.point(("x1", "*", "*")) == before
         assert snap.describe()["generation"] <= \
             wh.segment_health()["generation"]
 
@@ -613,8 +605,8 @@ class TestServingSurface:
         expected = wh.point(("x1", "*", "*"))
         sealed = wh.pieces()[0]
         segment_id = sealed.segment_id
-        corrupt_served_state(sealed, lambda state: state + 1000.0)
+        corrupt_served_state(sealed, plus(1000.0))
         assert not wh.verify(samples=None).ok
         assert wh.pieces()[0].segment_id == segment_id
-        assert values_close(wh.point(("x1", "*", "*")), expected)
+        assert wh.point(("x1", "*", "*")) == expected
         assert wh.verify(samples=None).ok

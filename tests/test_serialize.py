@@ -22,7 +22,7 @@ from repro.core.piece import Piece
 from repro.core.warehouse import QCWarehouse
 from repro.cube.table import BaseTable
 from repro.errors import RecoveryError, SchemaError
-from tests.conftest import all_cells, approx_equal, make_random_table
+from tests.conftest import all_cells, make_random_table
 
 
 def checkpointed(tmp_path, table, aggregate, name="ckpt"):
@@ -80,7 +80,7 @@ class TestRoundTrip:
         clone = recover(directory, table.schema)
         for cell in all_cells(table):
             raw = table.decode_cell(cell)
-            assert approx_equal(store.point(raw), clone.point(raw)), raw
+            assert store.point(raw) == clone.point(raw), raw
 
     def test_metadata_preserved(self, sales_table, tmp_path):
         _, directory = checkpointed(tmp_path, sales_table, ("avg", "Sale"))

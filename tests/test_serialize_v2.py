@@ -18,7 +18,7 @@ from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import RecoveryError
 from repro.reliability.faults import InjectedCrash, count_io, crash_on_io
-from tests.conftest import all_cells, approx_equal, make_random_table
+from tests.conftest import all_cells, make_random_table
 from tests.test_serialize import (
     checkpointed,
     head_table,
@@ -195,8 +195,7 @@ class TestV1BackwardCompatibility:
                        sales_table.schema).tree
         fresh = build_qctree(sales_table, ("avg", "Sale"))
         for cell in all_cells(sales_table):
-            assert approx_equal(point_query(tree, cell),
-                                point_query(fresh, cell))
+            assert point_query(tree, cell) == point_query(fresh, cell)
 
     def test_v1_file_loads_from_disk(self, tmp_path, sales_table):
         directory = v1_directory(tmp_path / "v1", sales_table)
@@ -313,7 +312,7 @@ class TestRoundTripProperty:
         clone = recover(directory, table.schema)
         for cell in all_cells(table):
             raw = table.decode_cell(cell)
-            assert approx_equal(store.point(raw), clone.point(raw)), raw
+            assert store.point(raw) == clone.point(raw), raw
 
     def test_string_labels_roundtrip(self, tmp_path):
         schema = Schema(dimensions=("City", "Kind"), measures=("v",))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import cProfile
+import faulthandler
 import fcntl
 import os
 import pstats
@@ -111,6 +112,18 @@ def record_pool(server) -> list:
 
 
 class TestDirectPath:
+    def test_twenty_thousand_reads_finish(self, server):
+        """The loop behind a hang seen once: 20,000 direct reads on one
+        worker did not finish within 120 s, and no stack was taken.  A
+        recurrence now dumps every thread's stack and ends the run
+        rather than hanging it."""
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            for _ in range(20_000):
+                assert server.submit("point", CELL).result() == 9.0
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+
     def test_answers_while_the_pool_is_parked(self, server):
         """The only pool thread is held by a custom op; a point query
         still answers, through the fleet."""

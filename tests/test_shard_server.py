@@ -36,7 +36,6 @@ from repro.shard import frame
 from repro.shard.segment import create_segment, unlink_segment
 from repro.shard.worker import _BATCH_MIN, worker_main
 
-from .conftest import approx_equal
 
 
 @pytest.fixture
@@ -182,7 +181,7 @@ class TestMapQuery:
         # An unknown label is a "no such cell" → None, not an error.
         expected = [warehouse.point(c) for c in cells[:-1]] + [None]
         got = server.map_query("point", [(c,) for c in cells])
-        assert all(approx_equal(g, e) for g, e in zip(got, expected))
+        assert all(g == e for g, e in zip(got, expected))
 
     def test_bulk_keeps_ledger_balanced(self, server):
         calls = [(("S1", "P1", "s"),)] * 10
@@ -308,8 +307,8 @@ class TestConstruction:
         assert not warehouse.verify(samples=None).ok
         server = ShardServer(warehouse, processes=1)
         try:
-            assert approx_equal(server.point(("S2", "*", "f")), 9.0)
-            assert approx_equal(server.point(("*", "*", "*")), 9.0)
+            assert server.point(("S2", "*", "f")) == 9.0
+            assert server.point(("*", "*", "*")) == 9.0
         finally:
             server.close()
         assert created_segments() == []

@@ -1,8 +1,10 @@
 """The one model, checked against every engine configuration.
 
 One hypothesis state machine writes one random program into up to four
-warehouses and, after every rule, checks six configurations against the
-brute-force lattice of ``tests/model.py`` (the configuration × rule ×
+warehouses, under one of ``model.AGGREGATES`` (every aggregate and a
+multi-aggregate; MIN and MAX deletes take the recompute path), and,
+after every rule, checks six configurations against the brute-force
+lattice of ``tests/model.py`` with ``==`` (the configuration × rule ×
 invariant table is in README § Correctness):
 
 * ``frozen`` — a ``QCWarehouse`` (its heap-frozen view, its cache);
@@ -19,7 +21,9 @@ invariant table is in README § Correctness):
 :func:`replay` runs the machine on one seeded program, hypothesis aside,
 over the configurations it is given — ``replay(seed, ("write",),
 configs=("attached",))`` checks (and builds) one; the pinned corpora of
-the other suites are replays.
+the other suites are replays.  :func:`test_every_aggregate_replays`
+runs one replay per aggregate, so each is checked whatever hypothesis
+draws.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ class Store:
     """One warehouse the program writes into — directly, or through a
     server — with its WAL and checkpoint directory."""
 
-    def __init__(self, name, records, directory):
+    def __init__(self, name, records, directory, aggregate):
         self.name = name
         self.segmented = name.startswith("seg")
         self.served = name.endswith("served")
@@ -84,7 +88,7 @@ class Store:
         #: WAL positions of batches that failed (a batch is logged
         #: before it is applied, so replay meets them again).
         self.failed_lsns = set()
-        warehouse = self.kind(model.table_of(records), model.AGGREGATE,
+        warehouse = self.kind(model.table_of(records), aggregate,
                               **self.options)
         warehouse.attach_wal(self.wal)
         self._adopt(warehouse)
@@ -126,17 +130,19 @@ class ModelMachine(RuleBasedStateMachine):
     #: The configurations checked (and so the stores built).
     configs = CONFIGS
 
-    @initialize(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 8))
-    def setup(self, seed, rows):
+    @initialize(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 8),
+                aggregate=st.sampled_from(sorted(model.AGGREGATES)))
+    def setup(self, seed, rows, aggregate="sum"):
         # Hypothesis picks the rules; what a rule writes comes from here.
         self.rng = rng = random.Random(seed)
+        self.aggregate = model.AGGREGATES[aggregate]
         self.seal_batches = mock.patch.object(
             SegmentedWarehouse, "SEAL_BATCHES", SEAL_BATCHES)
         self.seal_batches.start()
         self.live = [model.gen_record(rng) for _ in range(rows)]
         self.directory = tempfile.mkdtemp(prefix="qc-model-")
         self.stores = {
-            name: Store(name, self.live, self.directory)
+            name: Store(name, self.live, self.directory, self.aggregate)
             for name in sorted({STORE_OF[c] for c in self.configs})
         }
         for store in self.stores.values():
@@ -307,7 +313,7 @@ class ModelMachine(RuleBasedStateMachine):
 
     def every_op_answers_like_the_lattice(self):
         if self.expected is None:
-            self.expected = model.expectations(self.live)
+            self.expected = model.expectations(self.live, self.aggregate)
         self.checks += 1
         # Alternate the order, so a stamped cache smaller than one pass
         # still holds answers the next pass asks for.
@@ -339,11 +345,10 @@ class ModelMachine(RuleBasedStateMachine):
         if currently_in_test_context():  # not in a replay
             event(name)
 
-    @staticmethod
-    def every_tree_is_a_fresh_build(stores):
+    def every_tree_is_a_fresh_build(self, stores):
         for store in stores:
             for piece in store.warehouse.pieces():
-                want = build_qctree(piece.table, model.AGGREGATE)
+                want = build_qctree(piece.table, self.aggregate)
                 assert piece.tree.signature() == want.signature(), \
                     (store.name, piece)
 
@@ -364,19 +369,33 @@ ModelMachine.TestCase.settings = settings(
 TestWarehouseStateful = ModelMachine.TestCase
 
 
-def replay(seed, rules=("write",), steps=4, configs=CONFIGS, rows=None):
+def replay(seed, rules=("write",), steps=4, configs=CONFIGS, rows=None,
+           aggregate="sum"):
     """The machine on one seeded program, hypothesis aside: ``setup``
-    (``rows`` base rows, else 0–8), then ``steps`` rules drawn from
-    ``rules``, the invariants after each, over ``configs``."""
+    (``rows`` base rows, else 0–8, under ``model.AGGREGATES[aggregate]``),
+    then ``steps`` rules drawn from ``rules``, the invariants after
+    each, over ``configs``."""
     rng = random.Random(seed)
     machine = ModelMachine()
     machine.configs = configs
     try:
         machine.setup(seed=seed, rows=rng.randint(0, 8) if rows is None
-                      else rows)
+                      else rows, aggregate=aggregate)
         machine.holds_after_every_rule()
         for _ in range(steps):
             getattr(machine, rng.choice(rules))()
             machine.holds_after_every_rule()
     finally:
         machine.teardown()
+
+
+#: Every rule of the machine.
+RULES = ("write", "write_one", "burst", "failed_delete", "seal", "compact",
+         "checkpoint", "recover", "refreeze", "rebuild")
+
+
+@pytest.mark.parametrize("aggregate", sorted(model.AGGREGATES))
+def test_every_aggregate_replays(aggregate):
+    """One seeded program per aggregate, every rule in reach, every
+    configuration answering ``==`` to the exact reference."""
+    replay(11, rules=RULES, steps=6, rows=6, aggregate=aggregate)

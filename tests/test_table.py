@@ -52,6 +52,16 @@ class TestFromRecords:
         assert table.measures.shape == (3, 1)
         assert table.measures[2, 0] == 3.0
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"),
+                                     float("nan")])
+    def test_non_finite_measure_rejected(self, schema, bad):
+        """An exact aggregate state holds finite numbers only: the
+        table names the record and the measure."""
+        with pytest.raises(SchemaError, match=r"record \('y', 'q', "
+                           r".*\) has the non-finite measure 'm'"):
+            BaseTable.from_records([("x", "p", 1.0), ("y", "q", bad)],
+                                   schema)
+
 
 class TestFromEncoded:
     def test_roundtrip(self, schema):
@@ -194,6 +204,13 @@ class TestCsv:
         assert sorted(tuple(r[:2]) for r in loaded.iter_records()) == sorted(
             tuple(r[:2]) for r in table.iter_records()
         )
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_measure_rejected(self, schema, bad):
+        text = f"A,B,m\nx,p,1.0\ny,q,{bad}\n"
+        with pytest.raises(SchemaError, match=r"record \('y', 'q', "
+                           f"'{bad}'\\) has the non-finite measure 'm'"):
+            BaseTable.parse_csv(text, schema)
 
     def test_header_mismatch_rejected(self, table, tmp_path):
         path = tmp_path / "t.csv"

@@ -21,9 +21,9 @@ from repro.core.point_query import point_query
 from repro.core.qctree import QCTree
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
-from repro.errors import MaintenanceError
+from repro.errors import MaintenanceError, SchemaError
 from repro.reliability.transactional import transactional
-from tests.conftest import all_cells, approx_equal, patch_with
+from tests.conftest import all_cells, patch_with
 from tests.model import make_program, record, run_batched
 
 
@@ -45,7 +45,7 @@ def assert_unchanged(tree, table, before):
     after = snapshot_answers(tree, table)
     assert before.keys() == after.keys()
     for cell in before:
-        assert approx_equal(before[cell], after[cell]), cell
+        assert before[cell] == after[cell], cell
 
 
 @pytest.fixture
@@ -89,25 +89,46 @@ class TestRefusedBatches:
 
     @pytest.mark.parametrize("measure", [float("inf"), float("-inf"),
                                          float("nan")])
-    def test_non_finite_insert_is_refused(self, measure):
-        """Stored, an inf would sit in every ancestor class's state, and
-        deleting it again left nan there (inf - inf) for good."""
+    def test_non_finite_insert_is_refused(self, measure, tmp_path):
+        """An exact state holds finite numbers only: the warehouse
+        refuses the row, naming it and its measure, before the WAL
+        append (stored as a float, an inf sat in every ancestor class,
+        and deleting it again left nan there, inf - inf, for good)."""
         schema = Schema(dimensions=("D1", "D2"), measures=("M",))
         wh = QCWarehouse.from_records(
             [("a", "x", 0.1), ("a", "z", 0.2), ("b", "x", 0.5)], schema,
             aggregate=("sum", "M"))
+        wal = wh.attach_wal(tmp_path / "wh.wal")
         cells = [("a", "*"), ("*", "*"), ("a", "x"), ("*", "x")]
         before = [wh.point(cell) for cell in cells]
-        with pytest.raises(MaintenanceError, match="non-finite measure"):
+        with pytest.raises(SchemaError,
+                           match=r"\('a', 'y', .*\) has the non-finite "
+                                 r"measure 'M'"):
             wh.insert([("a", "y", measure)])
+        assert wal.last_lsn == 0
         assert [wh.point(cell) for cell in cells] == before
         assert wh.table.n_rows == 3
         wh.tree.check_invariants()
 
+    def test_non_finite_modify_is_refused(self, tmp_path):
+        """A modification's insert half is checked like an insert: the
+        whole batch is refused before the WAL append."""
+        schema = Schema(dimensions=("D1", "D2"), measures=("M",))
+        wh = QCWarehouse.from_records(
+            [("a", "x", 0.1), ("a", "z", 0.2), ("b", "x", 0.5)], schema,
+            aggregate=("avg", "M"))
+        wal = wh.attach_wal(tmp_path / "wh.wal")
+        before = wh.tree.signature()
+        with pytest.raises(SchemaError, match="non-finite measure 'M'"):
+            wh.modify([("a", "x", 0.1)], [("a", "x", float("nan"))])
+        assert wal.last_lsn == 0
+        assert wh.tree.signature() == before
+        assert wh.table.n_rows == 3
+
     def test_queries_keep_working_after_refusal(self, wh):
         with pytest.raises(MaintenanceError):
             wh.delete([("S1", "P1", "f", 0.0)])
-        assert approx_equal(wh.point(("S2", "*", "f")), 9.0)
+        assert wh.point(("S2", "*", "f")) == 9.0
         assert wh.range((["S1", "S2"], "*", "*"))
         # And the warehouse still verifies clean.
         assert wh.verify(samples=None).ok

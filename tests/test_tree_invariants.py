@@ -58,7 +58,7 @@ class TestLifecycle:
         clone.check_invariants()
         # Mutating the clone leaves the original untouched.
         node = next(clone.iter_class_nodes())
-        clone.set_state(node, (999.0, 1))
+        clone.set_state(node, (0, 999, 1))  # avg: one row of 999
         assert not tree.equivalent_to(clone)
         rebuilt = build_qctree(sales_table, ("avg", "Sale"))
         assert tree.equivalent_to(rebuilt)

@@ -1,11 +1,15 @@
 """Tests for the QCWarehouse façade."""
 
+import math
+import random
+
 import pytest
 
 from repro.core.construct import build_qctree
 from repro.core.iceberg import constrained_iceberg
 from repro.core.range_query import encode_range
 from repro.core.warehouse import QCWarehouse
+from repro.cube.schema import Schema
 from repro.errors import MaintenanceError, SchemaError
 
 
@@ -63,7 +67,7 @@ class TestQueries:
 class TestMaintenance:
     def test_insert_updates_queries(self, warehouse):
         warehouse.insert([("S2", "P2", "f", 4.0)])
-        assert warehouse.point(("S2", "*", "f")) == pytest.approx(6.5)
+        assert warehouse.point(("S2", "*", "f")) == 6.5
         assert warehouse.table.n_rows == 4
 
     def test_insert_matches_rebuild(self, warehouse):
@@ -150,3 +154,67 @@ class TestValidation:
         assert wh.point(("*", "P1", "*")) == (15.0, 2)
         # Both records share P1, so the root class's bound is (*, P1, *).
         assert dict(wh.iceberg(10)) == {("*", "P1", "*"): (15.0, 2)}
+
+
+class TestExactStates:
+    """ROADMAP item 14's probes through the public API: a maintained
+    store answers what a fresh build answers, with ``==``."""
+
+    SCHEMA = Schema(dimensions=("D1", "D2"), measures=("M",))
+    ROWS = [("a", "x", 0.1), ("a", "z", 0.2), ("b", "x", 0.5)]
+
+    @pytest.mark.parametrize("tag", ["sum", "avg", "var"])
+    def test_huge_row_inserted_then_deleted(self, tag):
+        """``(a,*)`` and ``(*,*)`` read 0.0 after 1e17 came and went,
+        where a fresh build reads 0.30000000000000004 and 0.8."""
+        wh = QCWarehouse.from_records(self.ROWS, self.SCHEMA, (tag, "M"))
+        fresh = QCWarehouse.from_records(self.ROWS, self.SCHEMA, (tag, "M"))
+        wh.insert([("a", "y", 1e17)])
+        wh.delete([("a", "y", 1e17)])
+        for cell in [("a", "*"), ("*", "*")]:
+            assert wh.point(cell) == fresh.point(cell), cell
+        assert wh.tree.signature() == fresh.tree.signature()
+        if tag == "sum":
+            assert wh.point(("a", "*")) == 0.30000000000000004
+            assert wh.point(("*", "*")) == 0.8
+
+    def test_two_hundred_laps_do_not_drift(self):
+        """200 insert + delete laps of ``(a,y,1e6 + 0.37 i)`` used to leave
+        ``(a,*)`` at 0.30000000004656613."""
+        wh = QCWarehouse.from_records(self.ROWS, self.SCHEMA, ("sum", "M"))
+        for i in range(200):
+            row = ("a", "y", 1e6 + 0.37 * i)
+            wh.insert([row])
+            wh.delete([row])
+        assert wh.point(("a", "*")) == 0.30000000000000004
+        assert wh.tree.signature() == QCWarehouse.from_records(
+            self.ROWS, self.SCHEMA, ("sum", "M")).tree.signature()
+
+    def test_cancelling_batches_on_every_store(self):
+        """60 rows of {0.1, 0.2, 0.3, ±1e16} in 5-row batches: a
+        monolithic store, a segmented one sealing every 8 rows and a
+        fresh build answer every cell alike, and alike to the correctly
+        rounded sum of its rows."""
+        from repro.segments import SegmentedWarehouse
+
+        rng = random.Random(14)
+        rows = [(rng.choice("abc"), rng.choice("xyz"),
+                 rng.choice([0.1, 0.2, 0.3, 1e16, -1e16]))
+                for _ in range(60)]
+        wh = QCWarehouse.from_records(rows[:5], self.SCHEMA, ("sum", "M"))
+        seg = SegmentedWarehouse.from_records(rows[:5], self.SCHEMA,
+                                              ("sum", "M"), seal_rows=8)
+        try:
+            for at in range(5, 60, 5):
+                wh.insert(rows[at:at + 5])
+                seg.insert(rows[at:at + 5])
+            assert len(seg.pieces()) > 2
+            fresh = QCWarehouse.from_records(rows, self.SCHEMA, ("sum", "M"))
+            for a in "abc*":
+                for b in "xyz*":
+                    want = math.fsum(m for x, y, m in rows
+                                     if a in (x, "*") and b in (y, "*"))
+                    got = [store.point((a, b)) for store in (wh, seg, fresh)]
+                    assert got == [want] * 3, (a, b)
+        finally:
+            seg.close()
