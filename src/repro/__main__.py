@@ -79,7 +79,12 @@ from repro.cube.table import BaseTable
 from repro.errors import RecoveryError, ReproError
 from repro.reliability.fsck import FsckReport
 from repro.segments import SegmentedWarehouse
-from repro.serving.protocol import parse_cell, parse_range_spec as parse_range
+from repro.serving.protocol import (
+    label_parsers,
+    parse_cell,
+    parse_range_spec as parse_range,
+    read_labels,
+)
 
 #: The write-ahead log ``serve`` keeps inside the checkpoint directory.
 WAL_NAME = "wal.log"
@@ -173,13 +178,17 @@ def cmd_stats(args) -> int:
 
 
 def cmd_point(args) -> int:
-    value = _open_store(args.directory).point(parse_cell(args.cell))
+    store = _open_store(args.directory)
+    parsers = label_parsers(store.label_types)
+    value = store.point(read_labels(parse_cell(args.cell), parsers))
     print("NULL" if value is None else value)
     return 0
 
 
 def cmd_range(args) -> int:
-    results = _open_store(args.directory).range(parse_range(args.spec))
+    store = _open_store(args.directory)
+    parsers = label_parsers(store.label_types)
+    results = store.range(read_labels(parse_range(args.spec), parsers))
     for cell, value in sorted(results.items()):
         print(f"{','.join(map(str, cell))}\t{value}")
     print(f"# {len(results)} cells", file=sys.stderr)
@@ -209,8 +218,7 @@ def _make_server(warehouse, args):
 
     options = dict(
         workers=args.workers, queue_size=args.queue_size,
-        default_timeout=args.timeout, warm_keys=args.warm_keys,
-        cache_size=args.cache_size,
+        default_timeout=args.timeout, cache_size=args.cache_size,
     )
     if args.processes:
         if args.segmented:
@@ -273,13 +281,13 @@ def _serve_lines(server, args, detail: str) -> int:
         f"(point/range/iceberg/rollup/…; 'quit' to stop)",
         file=sys.stderr,
     )
-    n_dims = server.warehouse.table.n_dims
+    parse = protocol.line_parser(server.warehouse)
     for raw_line in sys.stdin:
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            parsed = protocol.parse_line(line, n_dims=n_dims)
+            parsed = parse(line)
             if parsed.kind == "quit":
                 break
             if parsed.kind == "stats":
@@ -427,9 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="admission queue bound (default 128)")
     p_serve.add_argument("--timeout", type=_seconds, default=None,
                          help="per-request deadline in seconds (default none)")
-    p_serve.add_argument("--warm-keys", type=_int_in(0), default=32,
-                         help="hottest cache keys replayed after each "
-                              "snapshot swap (default 32; 0 disables)")
     p_serve.add_argument("--processes", type=_int_in(0), default=0,
                          help="serve reads from N forked worker processes "
                               "over a shared-memory packed snapshot "

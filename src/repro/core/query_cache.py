@@ -25,10 +25,7 @@ and bypasses the cache.
 
 Eviction is plain LRU over a :class:`collections.OrderedDict`; hits,
 misses, eviction, and invalidation counts are kept for the serving
-benchmark's cache-hit-rate metric.  A probe is one ``dict.get``.  The
-cache keeps no demand heat: the one reader of heat, a server's
-post-swap warmer, keeps its own (:class:`~repro.serving.server.
-DemandHeat`).
+benchmark's cache-hit-rate metric.  A probe is one ``dict.get``.
 """
 
 from __future__ import annotations
@@ -118,10 +115,6 @@ class LsnQueryCache:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
-        #: Entries re-filled by a server's post-swap warming (bumped by
-        #: the warmer, :meth:`QCServer._warm_cache
-        #: <repro.serving.server.QCServer._warm_cache>`).
-        self.warmed = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -190,12 +183,7 @@ class LsnQueryCache:
         self.invalidations += 1
 
     def stats(self) -> dict:
-        """Hit/miss/size counters (for ``QCWarehouse.stats`` and benchmarks).
-
-        ``hot_tracked`` is 0 here: a cache keeps no demand heat.  A
-        server that warms its cache reports its own heat table's size
-        under that key (:class:`~repro.serving.server.DemandHeat`).
-        """
+        """Hit/miss/size counters (``QCWarehouse.stats``, benchmarks)."""
         lookups = self.hits + self.misses
         return {
             "size": len(self._entries),
@@ -204,8 +192,6 @@ class LsnQueryCache:
             "misses": self.misses,
             "invalidations": self.invalidations,
             "evictions": self.evictions,
-            "warmed": self.warmed,
-            "hot_tracked": 0,
             "hit_rate": (self.hits / lookups) if lookups else 0.0,
         }
 

@@ -139,7 +139,7 @@ class QCWarehouse:
         #: Each dimension's label type (:func:`~repro.cube.table.label_type`;
         #: None until a dimension holds labels of one type).  A dimension
         #: whose labels mix types raises :class:`SchemaError` here.
-        self._label_types = table.label_types()
+        self.label_types = table.label_types()
         #: The head: the one piece writes land in.
         self._live = Piece.build(table, self.aggregate)
         #: Sealed pieces, oldest first; swapped (never edited) under the
@@ -500,7 +500,7 @@ class QCWarehouse:
                 tagged += [("+",) + r for r in inserts]
                 self.wal.append("maintain", tagged)
         self._apply(inserts, deletes)
-        self._label_types = types
+        self.label_types = types
 
     def _checked_label_types(self, records) -> tuple:
         """The store's label types once ``records`` are written: a
@@ -509,7 +509,7 @@ class QCWarehouse:
         one of no type a checkpoint records (bytes, a tuple, None), or of
         another type than its dimension's — written, it would come back
         from a checkpoint as another value."""
-        types = list(self._label_types)
+        types = list(self.label_types)
         schema = self.table.schema
         width = schema.n_dims + schema.n_measures
         for record in records:
@@ -848,7 +848,7 @@ class QCWarehouse:
                 generation=self._generation,
                 aggregate_spec=_spec_to_json(aggregate_spec(self.aggregate)),
                 schema=self.table.schema,
-                label_types=self._label_types,
+                label_types=self.label_types,
                 segments=entries,
                 head=head,
                 next_segment_id=top + 1,
@@ -943,7 +943,7 @@ class QCWarehouse:
         # A dimension the checkpoint held no label of takes the type of
         # what the log replayed into it.
         replayed_types = [p.table.label_types() for p in wh.pieces()]
-        wh._label_types = tuple(
+        wh.label_types = tuple(
             known or next((t[j] for t in replayed_types if t[j]), None)
             for j, known in enumerate(types)
         )

@@ -20,18 +20,12 @@ must survive, so tests can drive every recovery path deterministically.
 
 **Serving faults** (the fault-tolerant serving layer):
 
-* :class:`ServingFaults` is a programmable plan of named fault sites the
-  server's hot paths call into (:meth:`ServingFaults.fire`): read-op
-  exceptions and injected slow ops (``op:<name>``), worker-thread kills
-  (``worker``), and writer-phase crashes (``write:maintain`` /
-  ``write:refreeze`` / ``write:publish`` / ``write:warm``).  The
-  multi-process :class:`~repro.shard.server.ShardServer` adds
-  ``shard:publish`` (writer crash between packing a snapshot and
-  announcing its segment) and ``shard:attach`` (a worker's attach of
-  the announced epoch fails; it must keep serving its last-good
-  snapshot until the supervisor re-announces).  Each armed site fires
-  a bounded number of times, so a test arms exactly the crash it wants
-  and asserts the recovery it expects.
+* :class:`ServingFaults` is a programmable plan of the named fault
+  sites the servers' hot paths call into (:meth:`ServingFaults.fire`;
+  the class lists them): read-op exceptions and slow ops, worker-thread
+  kills, writer-phase crashes, and the shard fleet's publish and attach
+  failures.  Each armed site fires a bounded number of times, so a test
+  arms exactly the crash it wants and asserts the recovery it expects.
 * :class:`ChaosMonkey` drives a seeded random stream of those faults
   from a background thread — the engine behind the chaos test suite.
 
@@ -253,11 +247,21 @@ class ServingFaults:
         at the top of request handling, before the future is claimed —
         arm with :class:`WorkerKilled` (the default there) to kill the
         worker thread that picks up the next request;
-    ``write:maintain`` / ``write:refreeze`` / ``write:publish`` /
-    ``write:warm``
+    ``write:maintain`` / ``write:refreeze`` / ``write:publish``
         at the start of each writer-pipeline phase — arm with
-        :class:`InjectedCrash` to crash the writer in that phase.
+        :class:`InjectedCrash` to crash the writer in that phase;
+    ``shard:publish`` / ``shard:attach``
+        a shard server's writer between packing a snapshot and
+        announcing it, and a worker's attach of the announced epoch
+        (the worker must keep serving its last-good snapshot until the
+        supervisor re-announces).
+
+    :meth:`arm` refuses any other name (``ValueError``), so a plan
+    naming a site no server fires cannot silently never fire.
     """
+
+    SITES = frozenset({"worker", "write:maintain", "write:refreeze",
+                       "write:publish", "shard:publish", "shard:attach"})
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -273,6 +277,9 @@ class ServingFaults:
         ``exc`` — an exception class or instance; pass ``exc=None`` for
         a delay-only fault.  Re-arming a site replaces its plan.
         """
+        named = site in self.SITES or (site.startswith("op:") and site[3:])
+        if not named:
+            raise ValueError(f"no server fires the fault site {site!r}")
         with self._lock:
             self._points[site] = _FaultPoint(site, times, after, delay_s, exc)
 
@@ -338,7 +345,7 @@ class ChaosMonkey:
     disabled.
     """
 
-    WRITE_PHASES = ("maintain", "refreeze", "publish", "warm")
+    WRITE_PHASES = ("maintain", "refreeze", "publish")
 
     def __init__(self, faults: ServingFaults, *, seed: int = 0,
                  interval_s: float = 0.02, ops=("point",),

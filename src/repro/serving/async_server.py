@@ -148,7 +148,7 @@ class _Session(asyncio.Protocol):
     def __init__(self, door: "AsyncQCServer"):
         self.door = door
         self.transport = None
-        self.n_dims = door._server.warehouse.table.n_dims
+        self.parse = protocol.line_parser(door._server.warehouse)
         self.buffer = b""       # received, not yet parsed
         self.slots: deque = deque()
         self.accepting = False  # False for good: quit, oversized line,
@@ -288,7 +288,7 @@ class _Session(asyncio.Protocol):
             if not line or line.startswith("#"):
                 continue
             try:
-                parsed = protocol.parse_line(line, n_dims=self.n_dims)
+                parsed = self.parse(line)
             except ReproError as exc:
                 self._refuse(exc)
                 continue

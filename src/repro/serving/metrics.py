@@ -160,21 +160,16 @@ class ServerMetrics:
         write-pipeline recoveries: a failed incremental refreeze retried
         as a full recompile, and a failed publication retried from a
         fresh snapshot;
-    ``warm_failures``
-        post-swap cache warmings that raised (never fatal — the write
-        already published);
     ``degraded_entered`` / ``degraded_exited``
         transitions in and out of degraded read-only mode;
     ``refreeze_patched`` / ``refreeze_full``
         how each write's refreeze was served — an incremental patch of
-        the frozen view versus a full recompile (fresh or compacted);
-    ``cache_warmed``
-        cache entries re-filled by post-swap warming.
+        the frozen view versus a full recompile (fresh or compacted).
 
     Per-op histograms measure *service* latency (worker execution); a
     load generator separately measures client-observed latency, which
     adds queueing delay.  Histograms named ``write_phase:<phase>``
-    (maintain / refreeze / publish / warm) are reported separately under
+    (maintain / refreeze / publish) are reported separately under
     ``write_phases`` in :meth:`to_dict`, splitting the writer's total
     ``write:<op>`` time into its pipeline stages.  Histograms named
     ``shard:<phase>`` (the multi-process publish protocol's ``pack`` /
@@ -187,10 +182,9 @@ class ServerMetrics:
         "cancelled", "stranded", "breaker_rejected",
         "worker_crashes", "worker_restarts",
         "snapshot_swaps", "writes_failed", "writes_quarantined",
-        "refreeze_fallbacks", "publish_retries", "warm_failures",
+        "refreeze_fallbacks", "publish_retries",
         "degraded_entered", "degraded_exited",
         "refreeze_patched", "refreeze_full",
-        "cache_warmed",
     )
 
     def __init__(self):

@@ -21,7 +21,9 @@ The optional ``@<budget_s>`` prefix (e.g. ``@0.25 point S2,*,f``) is the
 client-supplied latency budget in seconds: the transport propagates it
 as the request's admission deadline, so a request that cannot be served
 within its budget is answered with ``DeadlineExceededError`` instead of
-consuming a worker after the client has given up.
+consuming a worker after the client has given up.  Labels are text
+on the wire; a session reads each by its dimension's type
+(:func:`line_parser`), so ``point 1,*`` asks an ``int`` dimension for 1.
 
 Responses keep the stdin protocol's framing so existing scripts parse
 either transport:
@@ -46,9 +48,11 @@ import json
 import math
 import socket
 from collections import deque
+from functools import partial
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
+from repro.cube.table import LABEL_PARSERS
 from repro.errors import QueryError
 
 #: Commands answered with exactly one line.
@@ -97,6 +101,35 @@ def coerce_record(fields, n_dims: int) -> tuple:
         except ValueError:
             record.append(value)
     return tuple(record)
+
+
+def label_parsers(label_types) -> Optional[tuple]:
+    """Each dimension's :data:`~repro.cube.table.LABEL_PARSERS` entry
+    (``str`` while untyped); None when all are ``str``, as a text field
+    is then its label already."""
+    if set(label_types) <= {None, "str"}:
+        return None
+    return tuple(LABEL_PARSERS[kind or "str"] for kind in label_types)
+
+
+def _label(parse, field):
+    """``field`` as a label, a candidate list item by item; ``*`` and a
+    field ``parse`` refuses stay text, which no typed dimension holds."""
+    if isinstance(field, list):
+        return [_label(parse, item) for item in field]
+    try:
+        return field if field == "*" else parse(field)
+    except (KeyError, ValueError):
+        return field
+
+
+def read_labels(fields: tuple, parsers: Optional[tuple]) -> tuple:
+    """A cell, range spec or record with its dimension fields read by
+    ``parsers`` (:func:`label_parsers`); a record's measures are kept,
+    and a short cell is left for the engine to refuse."""
+    if parsers is None or len(fields) < len(parsers):
+        return fields
+    return tuple(map(_label, parsers, fields)) + fields[len(parsers):]
 
 
 class ParsedLine(NamedTuple):
@@ -197,6 +230,24 @@ def parse_line(line: str, n_dims: Optional[int] = None) -> ParsedLine:
     raise QueryError(
         f"unknown command {command!r}; known: {', '.join(COMMANDS)}"
     )
+
+
+def line_parser(warehouse) -> Callable[[str], ParsedLine]:
+    """One session's :func:`parse_line` over ``warehouse``, its cells,
+    range specs and records read by :func:`read_labels` —
+    ``parse_line`` itself, with no step per field, over ``str`` labels."""
+    n_dims = warehouse.table.n_dims
+    parsers = label_parsers(warehouse.label_types)
+    if parsers is None:
+        return partial(parse_line, n_dims=n_dims)
+
+    def parse(line: str) -> ParsedLine:
+        parsed = parse_line(line, n_dims)
+        if not parsed.args or parsed.command == "iceberg":
+            return parsed
+        return parsed._replace(args=(read_labels(parsed.args[0], parsers),))
+
+    return parse
 
 
 # -- responses ----------------------------------------------------------------

@@ -19,14 +19,10 @@ exactly one shared mutable reference:
   by assigning the snapshot reference — an atomic swap.  A reader sees
   either the pre- or the post-mutation snapshot, never a mix: that is
   the linearizable-snapshot-read guarantee the stress tests assert.
-  After the swap the writer *warms* the query cache by replaying the
-  hottest keys against the new snapshot, so readers do not all pay the
-  post-publication cold-miss storm; which keys are hottest is the
-  server's own :class:`DemandHeat`, noted on each cacheable read.
   Write latency is reported per
   phase (``maintain`` — with ``maintain_partition`` /
   ``maintain_merge`` / ``maintain_index`` sub-phases from the batched
-  engine — then ``refreeze`` / ``publish`` / ``warm``) in
+  engine — then ``refreeze`` / ``publish``) in
   :meth:`QCServer.stats`.
 
 **Fault tolerance** treats node-level failure as routine, the way
@@ -44,8 +40,7 @@ realtime OLAP serving stacks do:
   failure surfaces the transactional rollback (tree unchanged, error
   re-raised); a failed incremental refreeze falls back to a full
   recompile from the dict tree; a failed publication retries from a
-  fresh snapshot; a failed warm is absorbed (the write already
-  published).  When even the fallbacks fail, the server flips to
+  fresh snapshot.  When even the fallbacks fail, the server flips to
   **degraded read-only mode** — readers keep the last-good snapshot,
   writes raise :class:`~repro.errors.ServerDegradedError` — and every
   subsequent write (or :meth:`recover`) probes whether the fault has
@@ -144,48 +139,6 @@ def _own_copy(op: str, value):
     return value if copy is None else copy(value)
 
 
-class DemandHeat:
-    """Per-key demand counts of a server's cacheable reads: what the
-    writer re-fills after a snapshot swap (:meth:`QCServer._warm_cache`).
-
-    Unlike the cache's entries, heat survives a swap — that is the
-    point: after a swap it remembers which answers were hottest, so the
-    writer can re-fill them instead of serving every reader a cold miss.
-    Each warm pass halves it after reading it, so an old workload fades
-    rather than pinning the warm set, and a key asked once is gone after
-    one swap.  Bounded by the cache's size: past ``4 * size`` keys the
-    cold tail is dropped down to ``2 * size``.
-    """
-
-    __slots__ = ("size", "_counts")
-
-    def __init__(self, size: int):
-        self.size = size
-        self._counts: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def note(self, key) -> None:
-        """Count one read of ``key``."""
-        counts = self._counts
-        counts[key] = counts.get(key, 0) + 1
-        if len(counts) > 4 * self.size:
-            keep = sorted(counts, key=counts.get, reverse=True)
-            self._counts = {k: counts[k] for k in keep[: 2 * self.size]}
-
-    def hot_keys(self, n: int) -> list:
-        """The ``n`` most-demanded keys, hottest first."""
-        counts = self._counts
-        if n <= 0 or not counts:
-            return []
-        return sorted(counts, key=counts.get, reverse=True)[:n]
-
-    def decay(self) -> None:
-        """Halve every count, dropping the keys that reach 0."""
-        self._counts = {k: h // 2 for k, h in self._counts.items() if h > 1}
-
-
 class QCServer:
     """Multi-worker query service over a warehouse's frozen snapshots.
 
@@ -215,10 +168,6 @@ class QCServer:
         overridable per call via ``submit(..., timeout=...)``.
     cache_size:
         Server-side stamped query cache (0 disables it).
-    warm_keys:
-        After each snapshot swap, replay up to this many of the
-        hottest cached keys against the new snapshot on the writer
-        thread (0 disables warming, and with it the demand heat).
     supervised:
         Run the worker supervisor (bounded-rate respawn of dead
         workers).  On by default; ``supervise_interval`` sets its scan
@@ -238,7 +187,7 @@ class QCServer:
         inject failures deterministically.  ``None`` (the default) adds
         no overhead beyond an attribute check.
 
-    The first five are deployment and tuning values; ``supervised`` /
+    The first four are deployment and tuning values; ``supervised`` /
     ``supervise_interval`` / ``quarantine_after`` / ``breaker`` /
     ``faults`` are the fault-tolerance knobs — safety code, which tests
     switch off or arm one at a time to isolate the mechanism they check.
@@ -254,9 +203,8 @@ class QCServer:
 
     def __init__(self, warehouse, workers: int = 4, queue_size: int = 128,
                  default_timeout: Optional[float] = None,
-                 cache_size: int = 4096, warm_keys: int = 32,
-                 name: str = "qcserver", supervised: bool = True,
-                 supervise_interval: float = 0.05,
+                 cache_size: int = 4096, name: str = "qcserver",
+                 supervised: bool = True, supervise_interval: float = 0.05,
                  quarantine_after: int = 3, breaker=None, faults=None):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
@@ -281,11 +229,6 @@ class QCServer:
         self._closed = False
         self._cache = LsnQueryCache(cache_size) if cache_size else None
         self._cache_lock = threading.Lock()
-        self._warm_keys = warm_keys
-        #: Demand per cache key, read by the warmer; guarded by the
-        #: cache lock.
-        self._heat = (DemandHeat(cache_size)
-                      if cache_size and warm_keys > 0 else None)
         self._faults = faults
         if breaker is None:
             breaker = CircuitBreaker()
@@ -484,11 +427,8 @@ class QCServer:
             return MISS
         start = time.monotonic()
         stamp = self._snapshot.stamp
-        heat = self._heat
         with self._cache_lock:
             value = cache.probe(key, stamp)
-            if value is not MISS and heat is not None:
-                heat.note(key)
         if value is MISS:
             return MISS
         metrics = self._metrics
@@ -672,18 +612,15 @@ class QCServer:
         """The caller's copy of the cached answer to ``request`` at its
         pinned snapshot, else :data:`~repro.core.query_cache.MISS` — a
         miss of a cacheable op sets ``request.key``, so the completion
-        fills the cache.  Counts the hit or miss, and its demand, once."""
+        fills the cache.  Counts the hit or miss once."""
         cache = self._cache
         if cache is None:
             return MISS
         key = self._cache_key(request.op, request.args, request.kwargs)
         if key is None:
             return MISS
-        heat = self._heat
         with self._cache_lock:
             value = cache.lookup(key, request.snapshot.stamp)
-            if heat is not None:
-                heat.note(key)
         if value is MISS:
             request.key = key
             return MISS
@@ -831,7 +768,7 @@ class QCServer:
 
     def _mutate(self, op: str, apply, batch_key=None) -> None:
         """The recoverable write pipeline: maintain → refreeze →
-        publish → warm, each phase with its own failure containment.
+        publish, each phase with its own failure containment.
 
         ========== ==========================================================
         phase      on failure
@@ -846,8 +783,6 @@ class QCServer:
                    failure enters degraded read-only mode (readers keep
                    the last-good snapshot — the swap is the final
                    statement of :meth:`_publish`, so it cannot tear).
-        warm       absorbed: warming is an optimization and the write
-                   has already published.
         ========== ==========================================================
 
         Once maintenance succeeds the batch is durably applied (and WAL-
@@ -917,20 +852,12 @@ class QCServer:
                         op, "publish", retry_exc
                     ) from retry_exc
             t3 = time.monotonic()
-            try:
-                self._fire("write:warm")
-                self._warm_cache()
-            except BaseException as exc:
-                # Never fatal: the write has already published.
-                metrics.counter("warm_failures").inc()
-                self._note_write_error(op, "warm", exc)
-            t4 = time.monotonic()
         refreeze = warehouse.last_refreeze
         if refreeze is not None:
             mode = refreeze.get("mode")
             name = "refreeze_patched" if mode == "patched" else "refreeze_full"
             metrics.counter(name).inc()
-        metrics.observe(f"write:{op}", t4 - t0)
+        metrics.observe(f"write:{op}", t3 - t0)
         metrics.observe("write_phase:maintain", t1 - t0)
         maintenance = warehouse.last_maintenance
         if maintenance is not None:
@@ -948,7 +875,6 @@ class QCServer:
             )
         metrics.observe("write_phase:refreeze", t2 - t1)
         metrics.observe("write_phase:publish", t3 - t2)
-        metrics.observe("write_phase:warm", t4 - t3)
 
     # -- write-pipeline fault state (write lock held) ------------------------
 
@@ -1032,54 +958,6 @@ class QCServer:
             except ServerDegradedError:
                 return False
         return True
-
-    # -- cache warming (writer thread, post-swap) ----------------------------
-
-    def _warm_cache(self) -> None:
-        """Replay the hottest cached keys against the just-published
-        snapshot, so readers find warm answers instead of a post-swap
-        cold-miss storm, then halve the heat.  Runs on the writer
-        thread, inside the write lock — the published snapshot cannot
-        change underneath it."""
-        cache, heat = self._cache, self._heat
-        if heat is None:
-            return
-        snapshot = self._snapshot
-        with self._cache_lock:
-            keys = heat.hot_keys(self._warm_keys)
-            heat.decay()
-        warmed = 0
-        for key in keys:
-            try:
-                value = self._replay(snapshot, key)
-            except Exception:
-                continue  # e.g. a label deleted by this very write
-            with self._cache_lock:
-                cache.store(key, snapshot.stamp, value)
-            warmed += 1
-        if warmed:
-            with self._cache_lock:
-                cache.warmed += warmed
-            self._metrics.counter("cache_warmed").inc(warmed)
-
-    @staticmethod
-    def _replay(snapshot, key):
-        """Recompute the answer a cache key denotes against ``snapshot``.
-
-        Normalized range specs are themselves valid raw specs (``"*"``
-        strings and candidate tuples), so every namespaced key family
-        can be replayed verbatim.
-        """
-        kind = key[0]
-        if kind == "point":
-            return snapshot.point(key[1])
-        if kind == "range":
-            return snapshot.range(key[1])
-        if kind == "iceberg":
-            return snapshot.iceberg(key[1], op=key[2])
-        if kind == "iceberg_range":
-            return snapshot.iceberg_in_range(key[1], key[2], op=key[3])
-        raise QueryError(f"unknown cache key namespace {kind!r}")
 
     # -- lifecycle & reporting -----------------------------------------------
 
@@ -1170,8 +1048,6 @@ class QCServer:
         stats["cache"] = (
             self._cache.stats() if self._cache is not None else None
         )
-        if self._heat is not None:
-            stats["cache"]["hot_tracked"] = len(self._heat)
         refreeze = self.warehouse.last_refreeze
         stats["refreeze"] = dict(refreeze) if refreeze is not None else None
         maintenance = self.warehouse.last_maintenance

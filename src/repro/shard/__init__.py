@@ -16,8 +16,7 @@ at one core for pure-CPU traffic.  This package breaks that cap:
 * :mod:`~repro.shard.worker` — the forked worker-process loop;
 * :mod:`~repro.shard.server` — :class:`~repro.shard.server.ShardServer`
   (a :class:`~repro.serving.server.QCServer` whose reads run in N
-  worker processes over one shared packed snapshot) and the
-  first-dimension-prefix :class:`~repro.shard.server.ShardRouter`.
+  worker processes over one shared packed snapshot).
 
 See DESIGN §10 for the layout, lifecycle, and failure-mode table.
 """
@@ -33,11 +32,10 @@ from repro.shard.segment import (
     created_segments,
     install_signal_cleanup,
 )
-from repro.shard.server import ShardRouter, ShardServer
+from repro.shard.server import ShardServer
 
 __all__ = [
     "AttachedSnapshot",
-    "ShardRouter",
     "ShardServer",
     "active_segments",
     "attach_packed",

@@ -14,10 +14,10 @@ This module breaks that cap with the classic shared-nothing-readers design:
   exploration requests lock-free from the shared buffers.  Attach is
   O(1) — slice a dozen memoryviews — so respawn and epoch swap are
   instant, and all processes serve **one physical copy** of the data;
-* a :class:`ShardRouter` shards requests by first-dimension prefix
-  (deterministic hash of the first bound value) so repeated traffic for
-  one prefix lands on one process's warm route cache, falling back to
-  round-robin for unprefixed requests.
+* a read goes to the next routable process in turn, and a
+  ``map_query`` batch is split into one contiguous share per routable
+  process — every process holds the full snapshot, so placement is
+  load balance, not correctness.
 
 **Publish protocol.**  The single writer mutates the dict tree exactly
 as before.  On publish it packs the new frozen view into a *fresh*
@@ -53,14 +53,12 @@ import socket
 import threading
 import time
 import warnings
-import zlib
 from collections import deque
 from concurrent.futures import Future
 from concurrent.futures._base import FINISHED, PENDING, RUNNING
 from itertools import count
 from typing import Optional
 
-from repro.core.cells import ALL
 from repro.core.query_cache import MISS
 from repro.errors import (
     DeadlineExceededError,
@@ -98,47 +96,6 @@ def _mp_context():
     return multiprocessing.get_context(
         "fork" if "fork" in methods else None
     )
-
-
-class ShardRouter:
-    """First-dimension-prefix sharding policy.
-
-    Routing is a *placement* choice, not a correctness one — every
-    worker holds the full snapshot — so the router optimizes for cache
-    locality: requests whose first dimension is bound hash its value
-    (``adler32`` of the repr: stable across processes and runs, unlike
-    ``hash()`` under ``PYTHONHASHSEED`` randomization) so one prefix
-    always lands on the same worker slot; everything else round-robins.
-    """
-
-    #: The ops routed by prefix (a subset of ``SNAPSHOT_OPS``).
-    PREFIX_OPS = ("point", "range", "class_of", "open_class")
-
-    def __init__(self, seed: int = 0):
-        self._rr = count(seed)
-
-    @staticmethod
-    def prefix_key(op: str, args: tuple):
-        """The routing key, or None when the request has no usable
-        first-dimension prefix."""
-        if op not in ShardRouter.PREFIX_OPS or not args:
-            return None
-        spec = args[0]
-        try:
-            first = spec[0]
-        except (TypeError, IndexError, KeyError):
-            return None
-        if first is None or first is ALL or first == "*":
-            return None
-        if isinstance(first, (list, tuple, set, frozenset, dict)):
-            return None  # a candidate set spans shards; balance instead
-        return first
-
-    def slot(self, op: str, args: tuple, n_slots: int) -> int:
-        key = self.prefix_key(op, args)
-        if key is None:
-            return next(self._rr) % n_slots
-        return zlib.adler32(repr(key).encode("utf-8", "replace")) % n_slots
 
 
 class _Chunk:
@@ -617,12 +574,11 @@ class ShardServer(QCServer):
 
     _future_class = _Forward
 
-    def __init__(self, warehouse, processes: int = 2, workers=None,
-                 router: Optional[ShardRouter] = None, **kwargs):
+    def __init__(self, warehouse, processes: int = 2, workers=None, **kwargs):
         if processes < 1:
             raise ValueError(f"need at least one process, got {processes}")
         self._nprocs = processes
-        self._router = router if router is not None else ShardRouter()
+        self._rr = count()  # round-robin over the routable workers
         self._ctx = _mp_context()
         self._shard_lock = threading.Lock()
         self._rid = count(1)
@@ -903,11 +859,10 @@ class ShardServer(QCServer):
             if h.alive and h.attached_epoch == epoch
         )
 
-    def _pick(self, op: str, args: tuple) -> Optional[_ProcHandle]:
+    def _pick(self) -> Optional[_ProcHandle]:
+        """The next routable worker in turn; None without one."""
         live = self._routable
-        if len(live) < 2:  # nothing to place: skip the prefix hash
-            return live[0] if live else None
-        return live[self._router.slot(op, args, len(live))]
+        return live[next(self._rr) % len(live)] if live else None
 
     def _dispatch(self, request: Request) -> bool:
         """Send an admitted snapshot op on a worker's pipe from this
@@ -954,7 +909,7 @@ class ShardServer(QCServer):
         request.snapshot = snapshot
         faults = self._faults
         handle = (None if faults is not None and faults.armed(f"op:{op}")
-                  else self._pick(op, args))
+                  else self._pick())
         if handle is not None and handle.send_lock.acquire(
                 True, self.DIRECT_SEND_WAIT_S):
             try:
@@ -1012,7 +967,7 @@ class ShardServer(QCServer):
 
         ``calls`` is a sequence of positional-argument tuples, e.g.
         ``[(cell,), (cell2,)]`` for ``point``.  The batch is sharded
-        across the routable fleet (prefix-routed, then balanced), each
+        across the routable fleet in even contiguous shares, each
         worker answers its whole chunk — one request — in one message
         round-trip, and the results come back in input order.  This
         amortizes the per-request pipe+future overhead that bounds
@@ -1046,7 +1001,7 @@ class ShardServer(QCServer):
                       *_answer_calls(fn, self._snapshot, calls))
         elif calls:
             chunks = [(handle, next(self._rid), _Chunk(batch, indices))
-                      for handle, indices in self._place(op, calls, live)]
+                      for handle, indices in self._place(len(calls), live)]
         for handle, rid, sink in chunks:
             share = [calls[i] for i in sink.indices]
             codes = chunk_codes(share, snapshot.table) if op == "point" \
@@ -1088,27 +1043,14 @@ class ShardServer(QCServer):
             raise batch.failed[min(batch.failed)]
         return batch.results
 
-    def _place(self, op: str, calls: list, live: tuple) -> list:
-        """``[(handle, indices)]``: each call where ``router.slot`` puts
-        it, the slot computed once per prefix key; one live worker takes
-        every call."""
-        if len(live) == 1:
-            return [(live[0], range(len(calls)))]
-        router, n = self._router, len(live)
-        slot_of: dict = {}
-        shares: dict = {}
-        for index, args in enumerate(calls):
-            key = router.prefix_key(op, args)
-            try:
-                slot = slot_of[type(key), key]
-            except KeyError:
-                slot = router.slot(op, args, n)
-                if key is not None:
-                    slot_of[type(key), key] = slot
-            except TypeError:  # an unhashable prefix
-                slot = router.slot(op, args, n)
-            shares.setdefault(slot, []).append(index)
-        return [(live[slot], indices) for slot, indices in shares.items()]
+    @staticmethod
+    def _place(n_calls: int, live: tuple) -> list:
+        """``[(handle, indices)]``: the calls cut into ``len(live)``
+        contiguous shares in worker order, whose sizes differ by at most
+        one; an empty share is not sent."""
+        cuts = [n_calls * k // len(live) for k in range(len(live) + 1)]
+        return [(handle, range(lo, hi))
+                for handle, lo, hi in zip(live, cuts, cuts[1:]) if hi > lo]
 
     # -- publish protocol ----------------------------------------------------
 
@@ -1118,7 +1060,7 @@ class ShardServer(QCServer):
         Readers keep the previous epoch throughout; from the swap on,
         requests route only to workers that confirmed the new epoch
         (parent fallback covers the gap), so a publish is never a
-        correctness event — only a brief locality one.  Failures before
+        correctness event.  Failures before
         the swap leave the old epoch fully published (the inherited
         write pipeline retries / degrades); failures of individual
         workers leave *them* on their last-good epoch, repaired by the

@@ -185,7 +185,7 @@ def _answer_batch(snapshot, message) -> tuple:
         if fn is None:
             raise ServingError(
                 f"op {op!r} is not a snapshot op; custom "
-                "ops run in the router process"
+                "ops run in the parent process"
             )
         return True, fn(snapshot, *args, **kwargs)
     except Exception as exc:

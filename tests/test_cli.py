@@ -17,6 +17,11 @@ import pytest
 
 from repro.__main__ import main, parse_cell, parse_range
 from repro.core.manifest import load_manifest
+from repro.core.warehouse import QCWarehouse
+from repro.cube.schema import Schema
+from repro.cube.table import BaseTable
+from repro.errors import SchemaError
+from repro.serving import AsyncServerThread, LineClient, QCServer, protocol
 from tests.test_construct import FIGURE_4_DUMP
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -355,15 +360,13 @@ class TestServeCommand:
         ("--timeout", "-1"),
         ("--timeout", "0"),
         ("--timeout", "nan"),
-        ("--warm-keys", "-5"),
     ], ids=" ".join)
     def test_out_of_range_flag_is_a_usage_error(self, built_dir, capsys,
                                                 flags):
         """Exit 1 with one ``error:`` line — these used to reach a
         constructor and die with a ``ValueError`` / ``OverflowError``
-        traceback (``--seal-rows 0`` and ``--warm-keys -5`` were
-        silently accepted; ``--timeout 0`` or ``-1`` expired every
-        request)."""
+        traceback (``--seal-rows 0`` was silently accepted;
+        ``--timeout 0`` or ``-1`` expired every request)."""
         with pytest.raises(SystemExit) as exc_info:
             main(["serve", built_dir, *flags])
         assert exc_info.value.code == 1
@@ -559,3 +562,92 @@ class TestFsckCommand:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "argument --samples: must be" in err
+
+
+class TestIntLabelledStore:
+    """A store whose dimensions hold ints is queried and written with
+    ints over the line protocol — the stdin ``serve``, the asyncio door
+    and the read verbs alike — as :class:`QCWarehouse` answers it."""
+
+    SCHEMA = Schema(dimensions=("A", "B"), measures=("m",))
+    ROWS = [(1, 2, 3.0), (1, 3, 4.0), (2, 2, 5.0)]
+    SCRIPT = [
+        "point 1,*", "range 1|2,2", "rollup 1,2", "class 1,*",
+        "insert 1,2,7.0", "point 1,2", "range 1|2,*",
+        "delete 1,3,4.0", "point 1,*", "point x,*", "iceberg 9 >=",
+    ]
+
+    @pytest.fixture
+    def int_dir(self, tmp_path):
+        out = str(tmp_path / "ints.d")
+        self.store().checkpoint(out)
+        return out
+
+    def store(self):
+        return QCWarehouse(BaseTable.from_records(self.ROWS, self.SCHEMA),
+                           "sum(m)")
+
+    def expected(self) -> list:
+        """Each script line's answer from a warehouse given the same
+        requests with int labels, framed as the protocol frames it."""
+        reference = self.store()
+        typed = {"1": 1, "2": 2, "3": 3, "x": "x", "*": "*"}
+
+        def labels(text):
+            return [[typed[v] for v in part.split("|")] if "|" in part
+                    else typed.get(part, part) for part in text.split(",")]
+
+        lines = []
+        for line in self.SCRIPT:
+            command, rest = line.split(" ", 1)
+            if command == "iceberg":
+                value = reference.iceberg(9.0, ">=")
+            elif command in ("insert", "delete"):
+                *dims, measure = labels(rest)
+                value = getattr(reference, command)(
+                    [tuple(dims) + (float(measure),)])
+            elif command == "range":
+                value = reference.range(tuple(labels(rest)))
+            else:
+                op = protocol.COMMAND_OPS.get(command, command)
+                value = getattr(reference.snapshot_view(), op)(
+                    tuple(labels(rest)))
+            lines.extend(protocol.format_response(
+                protocol.parse_line(line, n_dims=2), value).split("\n"))
+        return lines
+
+    def test_stdin_serve_and_read_verbs(self, int_dir, monkeypatch,
+                                        capsys):
+        import io
+
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO("\n".join(self.SCRIPT) + "\nquit\n"))
+        assert main(["serve", int_dir, "--workers", "2"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines == self.expected()
+        assert "7.0" in lines and "NULL" in lines  # not vacuous
+        assert main(["point", int_dir, "1,2"]) == 0
+        assert main(["range", int_dir, "1|2,2"]) == 0
+        assert capsys.readouterr().out.split("\n")[:3] == [
+            "10.0", "1,2\t10.0", "2,2\t5.0"]
+
+    def test_async_door(self, int_dir):
+        from repro.__main__ import _open_store
+
+        server = QCServer(_open_store(int_dir), workers=2)
+        handle = AsyncServerThread(server, port=0)
+        try:
+            with LineClient(handle.host, handle.port) as client:
+                lines = [answer for line in self.SCRIPT
+                         for answer in client.call(line).split("\n")]
+        finally:
+            handle.close()
+            server.close()
+        assert lines == self.expected()
+
+    def test_insert_of_a_label_of_another_type_is_refused(self):
+        parse = protocol.line_parser(self.store())
+        assert parse("point 1,*").args == ((1, "*"),)
+        assert parse("insert x,2,1.0").args == (("x", 2, 1.0),)
+        with pytest.raises(SchemaError, match="not of type int"):
+            self.store().insert([parse("insert x,2,1.0").args[0]])

@@ -16,6 +16,15 @@ on [0, 100), built through :mod:`repro.data` alone.  Every check is
   for COUNT it is the sum of the range query's answers; for SUM it is
   the value of the merged states of the cells ``c[j:=v]`` (the sum of
   their rounded values is not the rounded sum).
+* **Containment** — T ⊆ T′ ⇒ COUNT_T(c) ≤ COUNT_T′(c) over the workload
+  cells, for a subset built on its own and for a store a delete batch
+  shrank; iceberg answers shrink as the threshold rises.
+* **Theorem 1** — the rows permuted give the same ``QCTREE/3`` blob:
+  the meta block and every tree section are byte for byte the same,
+  and the table sections hold the permuted rows.
+
+The COUNT store and the SUM tree of the whole table are built once and
+shared.
 """
 
 from __future__ import annotations
@@ -23,14 +32,19 @@ from __future__ import annotations
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from repro.core.cells import ALL
 from repro.core.construct import build_frozen
+from repro.core.frozen import BUFFER_SECTIONS
+from repro.core.iceberg import MeasureIndex, pure_iceberg
 from repro.core.warehouse import QCWarehouse
 from repro.cube.aggregates import make_aggregate
+from repro.cube.table import BaseTable
 from repro.data.synthetic import zipf_table
 from repro.data.workloads import point_query_workload
+from repro.shard import attach_packed, pack_snapshot_bytes
 
 SUM = ("sum", "M0")
 #: Insert + delete laps of the Theorem 2 relation.
@@ -41,6 +55,25 @@ BATCH = 32
 @pytest.fixture(scope="module")
 def table():
     return zipf_table(20_000, 6, 30, seed=1)
+
+
+@pytest.fixture(scope="module")
+def counts(table):
+    """The whole table's COUNT store; no test writes to it."""
+    return QCWarehouse(table, "count")
+
+
+@pytest.fixture(scope="module")
+def sums(table):
+    """The whole table's SUM tree."""
+    return build_frozen(table, SUM)
+
+
+@pytest.fixture(scope="module")
+def cells(table):
+    """The workload's point cells, as labels."""
+    return [table.decode_cell(cell)
+            for cell in point_query_workload(table, 400, seed=5)]
 
 
 def test_theorem_2_after_every_lap(table):
@@ -80,9 +113,7 @@ def test_independent_pieces_merge_to_the_whole(table):
     assert classes == whole.n_classes > 30_000
 
 
-def test_roll_up_is_the_sum_over_a_domain(table):
-    counts = QCWarehouse(table, "count")
-    sums = build_frozen(table, SUM)
+def test_roll_up_is_the_sum_over_a_domain(table, counts, sums):
     agg = sums.aggregate
     checked = 0
     for cell in point_query_workload(table, 150, seed=3):
@@ -105,3 +136,71 @@ def test_roll_up_is_the_sum_over_a_domain(table):
                     sums.value_at(top), up
                 checked += 1
     assert checked > 100
+
+
+def test_containment_orders_count(table, counts, cells):
+    """COUNT over a random 3/4 of the rows, built on its own, is at most
+    the whole table's; a delete batch from that store only lowers it."""
+    rng = random.Random(11)
+    part = QCWarehouse(table.subset(
+        sorted(rng.sample(range(table.n_rows), 15_000))), "count")
+
+    def count(store):
+        return [store.point(cell) or 0 for cell in cells]
+
+    whole, before = count(counts), count(part)
+    assert all(p <= w for p, w in zip(before, whole))
+    assert sum(before) < sum(whole)
+    part.delete(rng.sample(list(part.table.iter_records()), 64))
+    after = count(part)
+    assert all(a <= b for a, b in zip(after, before))
+    assert sum(after) < sum(before)
+
+
+def test_iceberg_shrinks_as_the_threshold_rises(counts, sums):
+    index = MeasureIndex(sums)
+    for op in (">=", ">"):
+        for answer, thresholds in (
+                (lambda t: pure_iceberg(sums, t, op, index=index),
+                 (400, 1600, 6400, 25600, 102400)),
+                (lambda t: counts.iceberg(t, op), (8, 32, 128, 512, 2048))):
+            above = [{bound for bound, _ in answer(t)} for t in thresholds]
+            for lower, higher in zip(above, above[1:]):
+                assert higher < lower  # a proper subset: never vacuous
+
+
+def test_theorem_1_permuted_rows_pack_the_same_bytes(table, sums):
+    """Theorem 1: the QC-tree does not depend on the order of the
+    rows.  The permuted table re-encodes its labels in the same sorted
+    order, so only the table sections may differ, by the permutation."""
+    order = list(range(table.n_rows))
+    random.Random(7).shuffle(order)
+    records = list(table.iter_records())
+    permuted = BaseTable.from_records([records[i] for i in order],
+                                      table.schema)
+    blobs = [pack_snapshot_bytes(sums, table),
+             pack_snapshot_bytes(build_frozen(permuted, SUM), permuted)]
+    (meta, sections), (meta2, sections2) = map(_unpacked, blobs)
+    assert meta == meta2
+    assert meta["counts"]["nodes"] > 45_000
+    for name in BUFFER_SECTIONS:
+        assert sections[name] == sections2[name], name
+    for name, width in (("table_rows", table.n_dims),
+                        ("table_measures", table.schema.n_measures)):
+        rows = sections[name].reshape(table.n_rows, width)
+        assert np.array_equal(rows[order], sections2[name].reshape(
+            table.n_rows, width)), name
+
+
+def _unpacked(blob: bytes):
+    """A ``QCTREE/3`` blob's meta block and its sections by name (the
+    tree's as ``bytes``, the table's as arrays)."""
+    meta = attach_packed(blob).meta
+    body = len(blob) - 8 * sum(count for *_, count in meta["sections"])
+    sections = {}
+    for name, fmt, offset, count in meta["sections"]:
+        raw = blob[body + offset:body + offset + 8 * count]
+        sections[name] = (raw if name in BUFFER_SECTIONS
+                          else np.frombuffer(raw, "<i8" if fmt == "q"
+                                             else "<f8"))
+    return meta, sections

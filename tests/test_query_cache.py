@@ -19,7 +19,6 @@ from repro.core.query_cache import (
 )
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
-from repro.serving import QCServer
 from tests.conftest import dict_view
 
 SCHEMA = Schema(dimensions=("Store", "Product", "Season"), measures=("Sale",))
@@ -306,78 +305,3 @@ class TestWarehouseIntegration:
             assert frozen_wh.point(cell) == reference.point(cell)
         assert reference.describe()["frozen"] is False
         assert frozen_wh.stats()["serving"] == "frozen"
-
-
-class TestHeatTracking:
-    """Demand heat lives with its one reader, the server's post-swap
-    warmer: it survives invalidation so the warmer knows what to replay
-    after a snapshot swap.  A warehouse's own cache keeps none."""
-
-    HOT, WARM = ("S2", "*", "f"), ("S1", "*", "*")
-
-    @staticmethod
-    def server(**kwargs):
-        return QCServer(make_wh(), workers=1, **kwargs)
-
-    def test_hot_keys_ordered_by_demand(self):
-        with self.server() as server:
-            for _ in range(3):
-                server.point(self.HOT)
-            server.point(self.WARM)
-            assert server._heat.hot_keys(2) == [
-                point_cache_key(self.HOT), point_cache_key(self.WARM)]
-            assert server._heat.hot_keys(0) == []
-        wh = make_wh()
-        for _ in range(3):
-            wh.point(self.HOT)
-        assert wh.stats()["query_cache"]["hot_tracked"] == 0
-
-    def test_heat_survives_invalidation(self):
-        with self.server() as server:
-            for _ in range(4):
-                server.point(self.HOT)
-            server.insert([("S3", "P1", "s", 5.0)])
-            assert server._heat.hot_keys(1) == [point_cache_key(self.HOT)]
-
-    def test_heat_decays_across_invalidations(self):
-        with self.server() as server:
-            server.point(self.HOT)
-            server.insert([("S3", "P1", "s", 5.0)])
-            # A single-read key decays to nothing after one swap.
-            assert point_cache_key(self.HOT) not in server._heat.hot_keys(8)
-
-    def test_heat_table_stays_bounded(self):
-        with self.server(cache_size=4) as server:
-            for i in range(100):
-                server.point((f"S{i}", "*", "*"))
-            assert 0 < len(server._heat) <= 4 * 4
-
-    def test_warmed_counter_in_stats(self):
-        with self.server() as server:
-            server.point(self.HOT)
-            server.point(self.HOT)
-            stats = server.stats()["cache"]
-            assert stats["warmed"] == 0
-            assert stats["hot_tracked"] == len(server._heat) == 1
-            server.insert([("S3", "P1", "s", 5.0)])
-            assert server.stats()["cache"]["warmed"] == 1
-        with self.server(warm_keys=0) as server:
-            server.point(self.HOT)
-            assert server._heat is None
-            assert server.stats()["cache"]["hot_tracked"] == 0
-
-    def test_hottest_keys_are_replayed_after_a_write(self):
-        """After a write the warmer replays the hottest key, not the
-        cold one: the hot key's next read is a hit on the new snapshot,
-        the cold one's a miss."""
-        with self.server(warm_keys=1) as server:
-            for _ in range(3):
-                server.point(self.HOT)
-            server.point(self.WARM)
-            server.insert([("S3", "P1", "s", 5.0)])
-            assert server.stats()["counters"]["cache_warmed"] == 1
-            hits = server.stats()["cache"]["hits"]
-            assert server.point(self.HOT) == 9.0
-            assert server.stats()["cache"]["hits"] == hits + 1
-            assert server.point(self.WARM) == 9.0
-            assert server.stats()["cache"]["hits"] == hits + 1

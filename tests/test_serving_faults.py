@@ -13,6 +13,8 @@ the model (``tests/model.py``) once the faults clear.
 
 from __future__ import annotations
 
+import inspect
+import re
 import threading
 import time
 
@@ -33,6 +35,8 @@ from repro.reliability.faults import (
     WorkerKilled,
 )
 from repro.serving import QCServer
+from repro.serving import server as server_module
+from repro.shard import server as shard_server_module
 
 from . import model
 from .retry import RetryPolicy
@@ -105,6 +109,22 @@ class TestServingFaults:
         faults.kill_next_worker()
         with pytest.raises(WorkerKilled):
             faults.fire("worker")
+
+    def test_arm_refuses_a_site_no_server_fires(self, faults):
+        """A plan naming a site no server fires (a removed write phase,
+        a typo) fails when armed instead of silently never firing; the
+        named sites are exactly the literal ones the servers fire."""
+        fired = set()
+        for module in (server_module, shard_server_module):
+            fired |= set(re.findall(r'_fire\("([^"]+)"\)',
+                                    inspect.getsource(module)))
+        assert fired == ServingFaults.SITES
+        for site in sorted(fired) + ["op:point", "op:rollup"]:
+            faults.arm(site)
+        for site in ("write:warm", "op:", "point", "shard:pack"):
+            with pytest.raises(ValueError, match="no server fires"):
+                faults.arm(site)
+        assert not faults.armed("write:warm")
 
 
 class TestWorkerSupervision:
@@ -256,15 +276,6 @@ class TestWritePipelineRecovery:
             assert server.point(("S3", "P1", "s")) == 5.0
             assert server.health()["status"] == "ok"
 
-    def test_warm_crash_is_absorbed(self, warehouse, faults):
-        with QCServer(warehouse, workers=2, faults=faults) as server:
-            faults.arm("write:warm", times=1, exc=InjectedCrash)
-            server.insert([self.RECORD])
-            counters = server.stats()["counters"]
-            assert counters["warm_failures"] == 1
-            assert counters["snapshot_swaps"] == 1
-            assert server.point(("S3", "P1", "s")) == 5.0
-
     def test_persistent_publish_fault_degrades_then_recovers(
             self, warehouse, faults):
         with QCServer(warehouse, workers=2, faults=faults) as server:
@@ -381,10 +392,10 @@ class TestChaosMonkey:
 
 # -- write faults, enumerated --------------------------------------------------
 
-WRITE_SITES = ("maintain", "refreeze", "publish", "warm")
+WRITE_SITES = ("maintain", "refreeze", "publish")
 #: The ``(site, times)`` cases the writer surfaces: maintenance always
 #: (nothing applied), refreeze and publish once their fallback fails too
-#: (degraded); a warm failure is absorbed.
+#: (degraded).
 WRITE_RAISES = {("maintain", 1), ("maintain", None), ("refreeze", None),
                 ("publish", None)}
 

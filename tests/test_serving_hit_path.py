@@ -168,7 +168,8 @@ def test_pipelined_miss_hit_hit_keeps_submission_order(warehouse):
 def test_no_stale_hit_across_a_publish(served):
     """After a write's ``OK`` the cell it changed reads the new value —
     on the writing connection, on a second one and in process — though
-    the old value was cached and hot enough for the warm pass."""
+    the old value was cached.  The swap leaves the cache cold: the
+    first read misses and fills it, the next one hits."""
     server, handle = served
     first = LineClient(handle.host, handle.port, timeout=5.0)
     second = LineClient(handle.host, handle.port, timeout=5.0)
@@ -176,8 +177,15 @@ def test_no_stale_hit_across_a_publish(served):
         for client in (first, second, first):
             assert client.call(HOT_LINE) == "9.0"  # hits: HOT is hot
         assert first.call("insert S2,P2,f,3.0") == "OK"
+        cache = server.stats()["cache"]
         assert first.call(HOT_LINE) == "6.0"
+        missed = server.stats()["cache"]
+        assert (missed["hits"], missed["misses"]) == (
+            cache["hits"], cache["misses"] + 1)
         assert second.call(HOT_LINE) == "6.0"
+        hit = server.stats()["cache"]
+        assert (hit["hits"], hit["misses"]) == (
+            cache["hits"] + 1, cache["misses"] + 1)
         assert server.point(HOT) == 6.0
         assert second.call("delete S2,P2,f,3.0") == "OK"
         assert second.call(HOT_LINE) == "9.0"

@@ -344,14 +344,15 @@ class TestCancellation:
 
 
 class TestWritePath:
-    """The phased write pipeline: maintain -> refreeze -> publish -> warm."""
+    """The phased write pipeline: maintain -> refreeze -> publish."""
 
     def test_write_phase_split_in_stats(self, server):
         server.insert([("S3", "P1", "s", 5.0)])
         stats = server.stats()
         phases = stats["write_phases"]
-        for phase in ("maintain", "refreeze", "publish", "warm"):
+        for phase in ("maintain", "refreeze", "publish"):
             assert phases[phase]["count"] == 1
+        assert "warm" not in phases
         # Phase histograms are grouped, not duplicated under ops.
         assert not any(op.startswith("write_phase:") for op in stats["ops"])
         counters = stats["counters"]
@@ -371,31 +372,10 @@ class TestWritePath:
             assert stats["refreeze"]["mode"] == "patched"
             assert stats["counters"]["refreeze_patched"] == 1
 
-    def test_cache_warmed_after_swap(self, warehouse):
-        with QCServer(warehouse, workers=2, warm_keys=8) as server:
-            for _ in range(3):
-                assert server.point(("S2", "*", "f")) == 9.0
-            server.insert([("S3", "P1", "s", 5.0)])
-            stats = server.stats()
-            assert stats["counters"]["cache_warmed"] > 0
-            assert stats["cache"]["warmed"] > 0
-            # The warmed answer is correct on the new snapshot.
-            assert server.point(("S2", "*", "f")) == 9.0
-
-    def test_warm_keys_zero_disables_warming(self, sales_table):
-        warehouse = QCWarehouse(sales_table, aggregate="avg(Sale)")
-        with QCServer(warehouse, workers=2, warm_keys=0) as server:
-            for _ in range(3):
-                server.point(("S2", "*", "f"))
-            server.insert([("S3", "P1", "s", 5.0)])
-            stats = server.stats()
-            assert stats["counters"]["cache_warmed"] == 0
-            assert stats["write_phases"]["warm"]["count"] == 1
-
-    def test_warmed_answers_reflect_the_write(self, warehouse):
-        """Warming replays against the *new* snapshot: a cell the write
-        changed must be re-cached with its post-write answer."""
-        with QCServer(warehouse, workers=2, warm_keys=8) as server:
+    def test_cached_answers_reflect_the_write(self, warehouse):
+        """A cell the write changed answers its post-write value, not
+        the one cached before the swap."""
+        with QCServer(warehouse, workers=2) as server:
             for _ in range(3):
                 assert server.point(("S1", "P1", "s")) == 6.0
             server.insert([("S1", "P1", "s", 12.0)])  # avg becomes 9.0

@@ -496,7 +496,7 @@ class TestWhoReads:
         monkeypatch.setattr(server, "PUBLISH_ACK_TIMEOUT_S", 60.0)
         handle = server._handles[0]
         monkeypatch.setattr(handle, "rouse", lambda: None)
-        monkeypatch.setattr(server, "_pick", lambda op, args: handle)
+        monkeypatch.setattr(server, "_pick", lambda: handle)
         writer = threading.Thread(
             target=lambda: server.insert([("S3", "P1", "s", 5.0)]))
         writer.start()

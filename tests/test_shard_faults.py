@@ -151,9 +151,9 @@ class TestChunkedMapQuery:
         ``WorkerCrashedError``, the other chunk is answered, and the
         ledger balances element by element."""
         calls = [((f"S{i % 40}", "P1", "s"),) for i in range(400)]
-        slots = [server._router.slot("point", args, 2) for args in calls]
         victim, survivor = server._handles
-        n_victim = slots.count(victim.slot)
+        shares = dict(server._place(len(calls), server._routable))
+        n_victim = len(shares[victim])
         assert _BATCH_MIN <= n_victim <= len(calls) - _BATCH_MIN
         answered = survivor.answered
         before = server.stats()["counters"]

@@ -1,8 +1,8 @@
 """Differential oracle: the multi-process ShardServer answers like the
 model.
 
-Seeded programs from the model (random fleet size, router seeding and
-aggregate, mid-stream writes that republish the shared-memory
+Seeded programs from the model (random fleet size and aggregate,
+mid-stream writes that republish the shared-memory
 snapshot) through a forked fleet: after every batch every snapshot op
 answers what the brute-force lattice of the live rows answers
 (``tests/model.py``), through ``submit`` and through the ``map_query``
@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.warehouse import QCWarehouse
 from repro.serving import QCServer
-from repro.shard import ShardRouter, ShardServer, created_segments
+from repro.shard import ShardServer, created_segments
 from tests import model
 
 
@@ -31,9 +31,7 @@ def test_shard_matches_thread_server(seed):
     table, batches, _ = model.make_program(seed, 4, n_rows=rng.randint(8, 16))
     live = list(table.iter_records())
     with ShardServer(QCWarehouse(table, aggregate=aggregate),
-                     processes=rng.randint(1, 3),
-                     router=ShardRouter(seed=rng.randrange(1000)),
-                     cache_size=0) as shard:
+                     processes=rng.randint(1, 3), cache_size=0) as shard:
         for step, (inserts, deletes) in enumerate([([], [])] + batches):
             if inserts or deletes:
                 shard.write(inserts=inserts, deletes=deletes)
@@ -67,23 +65,27 @@ def test_multi_aggregate_iceberg_reaches_the_fleet(sales_table):
     assert created_segments() == []
 
 
-def test_every_router_sharding_answers_identically(sales_table):
-    """The same workload through every possible slot placement."""
+def test_every_fleet_size_answers_identically(sales_table):
+    """The same workload through fleets of one to three processes.  Each
+    cell is asked ``processes`` times, which the round-robin sends to
+    every worker once (five cells are coprime to two and three), and
+    once more in bulk."""
     expected = None
     cells = [("S1", "P1", "s"), ("S2", "*", "f"), ("*", "*", "*"),
              ("S1", "*", "s"), ("S2", "P2", "f")]
     for processes in (1, 2, 3):
-        for seed in (0, 1):
-            server = ShardServer(
-                QCWarehouse(sales_table, aggregate="avg(Sale)"),
-                processes=processes, router=ShardRouter(seed=seed),
-                cache_size=0,
-            )
-            try:
-                answers = [server.point(c) for c in cells]
-            finally:
-                server.close()
-            if expected is None:
-                expected = answers
-            assert answers == expected, (processes, seed)
+        server = ShardServer(
+            QCWarehouse(sales_table, aggregate="avg(Sale)"),
+            processes=processes, cache_size=0,
+        )
+        try:
+            asked = cells * processes
+            answers = [server.point(c) for c in asked]
+            bulk = server.map_query("point", [(c,) for c in asked])
+            assert server.shard_health()["local_fallbacks"] == 0
+        finally:
+            server.close()
+        if expected is None:
+            expected = answers[:len(cells)]
+        assert answers == bulk == expected * processes, processes
     assert created_segments() == []

@@ -1,4 +1,4 @@
-"""ShardServer behavior: multi-process serving, routing, hygiene.
+"""ShardServer behavior: multi-process serving, placement, hygiene.
 
 The multi-process server must present exactly the thread server's
 surface (same ops, same answers, same stats ledger) while running reads
@@ -26,7 +26,6 @@ from repro.core.cells import ALL
 from repro.core.warehouse import QCWarehouse
 from repro.errors import QueryError, ServerClosedError, ServingError
 from repro.shard import (
-    ShardRouter,
     ShardServer,
     active_segments,
     created_segments,
@@ -203,16 +202,15 @@ class TestMapQuery:
         answered = [w["answered"] for w in server.shard_health()["workers"]]
         assert all(a > 0 for a in answered)
 
-    def test_every_element_lands_on_its_router_slot(self, warehouse):
-        """The slot is computed once per distinct prefix, and every
-        element — prefixed or round-robin — still lands where
-        ``router.slot`` puts it, in input order within its chunk."""
-        server = ShardServer(warehouse, processes=3,
-                             router=ShardRouter(seed=5), cache_size=0)
-        twin = ShardRouter(seed=5)
+    def test_a_batch_splits_into_even_contiguous_shares(self, warehouse):
+        """A 2-process batch of 37 calls goes out as the first 18 and
+        the last 19, in input order, and answers what a 1-process fleet
+        answers."""
         calls = [((first, "P1", "s"),)
                  for first in ("S1", "S2", "*", None, ALL, "S1", "x", 7,
                                7.0, "S2", "*", "S9")] * 3
+        calls.append((("S2", "*", "f"),))
+        server = ShardServer(warehouse, processes=2, cache_size=0)
         sent: dict = {}
         try:
             for handle in server._handles:
@@ -222,13 +220,13 @@ class TestMapQuery:
                         _chunk_calls(data, sinks, calls))
                     return original(data, sinks)
                 handle.post = post
-            server.map_query("point", calls)
+            answers = server.map_query("point", calls)
         finally:
             server.close()
-        want: dict = {}
-        for args in calls:
-            want.setdefault(twin.slot("point", args, 3), []).append(args)
-        assert sent == want
+        assert sent == {0: calls[:18], 1: calls[18:]}
+        with ShardServer(QCWarehouse(warehouse.table, "avg(Sale)"),
+                         processes=1, cache_size=0) as single:
+            assert single.map_query("point", calls) == answers
 
     def test_a_batch_is_not_a_point_sample(self, server):
         """A ``map_query`` batch's wall time is recorded under its own
@@ -353,34 +351,26 @@ class TestConstruction:
             server.map_query("point", [(("S1", "P1", "s"),)])
 
 
-class TestRouter:
-    def test_prefix_key_bound_first_dimension(self):
-        assert ShardRouter.prefix_key("point", (("S1", "*", "f"),)) == "S1"
-        assert ShardRouter.prefix_key("range", ((3, ALL),)) == 3
+class TestPlacement:
+    def test_reads_round_robin_over_the_fleet(self, warehouse):
+        with ShardServer(warehouse, processes=2, cache_size=0) as server:
+            for _ in range(6):
+                assert server.point(("S2", "*", "f")) == 9.0
+            answered = [w["answered"]
+                        for w in server.shard_health()["workers"]]
+        assert answered == [3, 3]
 
-    def test_prefix_key_unbound_cases(self):
-        assert ShardRouter.prefix_key("point", (("*", "P1"),)) is None
-        assert ShardRouter.prefix_key("point", ((ALL, "P1"),)) is None
-        assert ShardRouter.prefix_key("range", ((["S1", "S2"], "*"),)) is None
-        assert ShardRouter.prefix_key("iceberg", (9.0,)) is None
-        assert ShardRouter.prefix_key("point", ()) is None
-
-    def test_prefixed_requests_are_sticky(self):
-        router = ShardRouter()
-        slots = {
-            router.slot("point", (("S1", "*", "f"),), 4) for _ in range(10)
-        }
-        assert len(slots) == 1
-
-    def test_sticky_slot_is_seed_independent(self):
-        assert ShardRouter(seed=0).slot(
-            "point", (("S1",),), 4
-        ) == ShardRouter(seed=99).slot("point", (("S1",),), 4)
-
-    def test_unprefixed_requests_round_robin(self):
-        router = ShardRouter()
-        slots = [router.slot("iceberg", (9.0,), 4) for _ in range(8)]
-        assert slots == [0, 1, 2, 3, 0, 1, 2, 3]
+    @pytest.mark.parametrize("n_calls", [0, 1, 2, 3, 7, 9])
+    def test_shares_are_contiguous_and_differ_by_at_most_one(self, n_calls):
+        live = ("a", "b", "c")
+        shares = ShardServer._place(n_calls, live)
+        slots = [live.index(handle) for handle, _ in shares]
+        assert slots == sorted(set(slots))  # each worker once, in order
+        indices = [i for _, share in shares for i in share]
+        assert indices == list(range(n_calls))
+        sizes = [len(share) for _, share in shares]
+        assert all(sizes) and max(sizes, default=0) - min(
+            sizes, default=0) <= 1
 
 
 def _chunk_calls(data, sinks, calls) -> list:

@@ -1,8 +1,8 @@
 """The served surface is one list, spelled consistently everywhere.
 
-A query family exists in four places — the snapshot's methods, the
-server's op table, the line protocol (parser, formatter, framing rule)
-and the shard router's prefix list.  Each gap between them used to be
+A query family exists in three places — the snapshot's methods, the
+server's op table and the line protocol (parser, formatter, framing
+rule).  Each gap between them used to be
 found at runtime; this file finds it at test time.
 
 The *option* surface is pinned the same way: the keywords of every
@@ -22,7 +22,6 @@ from repro.__main__ import build_parser
 from repro.core.warehouse import QCWarehouse
 from repro.serving import QCServer, ServingSnapshot, protocol
 from repro.serving.server import SNAPSHOT_OPS
-from repro.shard import ShardRouter
 
 #: The argument each protocol command takes; a command added to the
 #: protocol without an entry here fails the test that walks COMMANDS.
@@ -63,12 +62,6 @@ def test_every_protocol_command_is_parsed_served_formatted_and_framed(
     assert set(SNAPSHOT_OPS) - reachable == {"iceberg_in_range"}
 
 
-def test_router_prefixes_only_snapshot_ops():
-    assert set(ShardRouter.PREFIX_OPS) <= set(SNAPSHOT_OPS)
-    for op in ShardRouter.PREFIX_OPS:
-        assert ShardRouter.prefix_key(op, (("S1", "*"),)) == "S1"
-
-
 #: ``module:qualified name`` -> its parameters, in order (``self`` /
 #: ``cls`` dropped).  ``ShardServer`` and ``AsyncServerThread`` forward
 #: ``**kwargs`` to ``QCServer`` and ``AsyncQCServer``.
@@ -95,14 +88,14 @@ KEYWORDS = {
     "repro.segments:SegmentedWarehouse.close": (),
     "repro.serving:QCServer": (
         "warehouse", "workers", "queue_size", "default_timeout",
-        "cache_size", "warm_keys", "name", "supervised",
+        "cache_size", "name", "supervised",
         "supervise_interval", "quarantine_after", "breaker", "faults"),
     "repro.serving:QCServer.submit": ("op", "args", "timeout", "kwargs"),
     "repro.serving:QCServer.write": ("inserts", "deletes"),
     "repro.serving:QCServer.stats": (),
     "repro.serving:QCServer.close": ("timeout",),
     "repro.shard:ShardServer": (
-        "warehouse", "processes", "workers", "router", "kwargs"),
+        "warehouse", "processes", "workers", "kwargs"),
     "repro.shard:ShardServer.submit": ("op", "args", "timeout", "kwargs"),
     "repro.shard:ShardServer.write": ("inserts", "deletes"),
     "repro.shard:ShardServer.map_query": ("op", "calls", "timeout"),
@@ -151,7 +144,7 @@ CLI_FLAGS = {
     "dump": ("directory",),
     "serve": (
         "directory", "--workers", "--queue-size", "--timeout",
-        "--warm-keys", "--processes", "--segmented", "--seal-rows",
+        "--processes", "--segmented", "--seal-rows",
         "--cache-size", "--async", "--host", "--port", "--max-connections",
         "--max-inflight"),
     "fsck": ("directory", "--samples", "--seed"),
