@@ -14,19 +14,11 @@ outlive its base data; this package makes it outlive *crashes*:
 * :mod:`repro.reliability.fsck` re-derives the tree's invariants and
   sampled aggregates, feeding the CLI ``fsck`` command and
   ``QCWarehouse.verify``, which rebuilds a failing piece from its table;
-* :mod:`repro.reliability.faults` injects torn writes, partial appends,
-  and exception-at-nth-I/O crashes so tests can prove every recovery
-  path.
+* :mod:`repro.reliability.faults` is the serving layer's fault plan
+  (:class:`~repro.reliability.faults.ServingFaults`); the storage-fault
+  tools that prove every recovery path live with the tests.
 """
 
-from repro.reliability.faults import (
-    FaultClock,
-    InjectedCrash,
-    count_io,
-    crash_on_io,
-    partial_append,
-    torn_write,
-)
 from repro.reliability.fsck import (
     FsckIssue,
     FsckReport,
@@ -36,8 +28,6 @@ from repro.reliability.transactional import transactional
 from repro.reliability.wal import WalRecord, WriteAheadLog
 
 __all__ = [
-    "FaultClock", "InjectedCrash", "count_io", "crash_on_io",
-    "partial_append", "torn_write",
     "FsckIssue", "FsckReport", "fsck_tree",
     "transactional",
     "WalRecord", "WriteAheadLog",

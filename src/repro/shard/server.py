@@ -1,47 +1,18 @@
 """``ShardServer`` — multi-process serving over shared-memory snapshots.
 
 The thread-based :class:`~repro.serving.server.QCServer` is capped at
-one core for pure-CPU traffic: every reader thread shares the GIL.
-This module breaks that cap with the classic shared-nothing-readers design:
-
-* the **parent** keeps everything the thread server already does —
-  admission queue, deadlines, metrics ledger, stamped query cache,
-  circuit breaker, the single-writer mutation pipeline, the supervisor
-  — by *subclassing* ``QCServer``;
-* N forked **worker processes** each attach the current snapshot
-  segment (a ``QCTREE/3`` blob in ``multiprocessing.shared_memory``,
-  see :mod:`repro.shard.pack`) and answer point/range/iceberg/
-  exploration requests lock-free from the shared buffers.  Attach is
-  O(1) — slice a dozen memoryviews — so respawn and epoch swap are
-  instant, and all processes serve **one physical copy** of the data;
-* a read goes to the next routable process in turn, and a
-  ``map_query`` batch is split into one contiguous share per routable
-  process — every process holds the full snapshot, so placement is
-  load balance, not correctness.
-
-**Publish protocol.**  The single writer mutates the dict tree exactly
-as before.  On publish it packs the new frozen view into a *fresh*
-segment, announces ``(lsn, epoch, segment_name)`` to every worker over
-its pipe, swaps the parent snapshot, and waits (bounded) for each
-worker to attach the new epoch and detach the old one; segments with no
-remaining attachments are then unlinked.  A worker that fails to attach
-keeps serving its last-good epoch — it is simply not routed to until
-the supervisor repairs it (re-announce, or respawn on death), with the
-parent answering its share from its own snapshot in the meantime — so
-readers never block on a publish, never observe a torn snapshot, and
-post-publish answers always reflect the current epoch.  POSIX shared
-memory makes the unlink safe even against a straggler: an unlinked
-segment stays mapped until its last detach.
-
-**Failure modes** (see DESIGN §10 for the full table): a crashed worker
-process fails its in-flight requests with
-:class:`~repro.errors.WorkerCrashedError` (safe to retry) and is
-respawned attached to the current segment; a writer crash between pack
-and announce is absorbed by the inherited write pipeline (retry, then
-degraded read-only mode, then :meth:`~repro.serving.server.QCServer.
-recover`); with *zero* routable processes the parent answers from its
-own snapshot (``shard_local_fallbacks``) so the service degrades to
-thread-mode rather than failing.
+one core for pure-CPU traffic.  ``ShardServer`` subclasses it: the
+parent keeps admission, deadlines, the ledger, the stamped cache, the
+breaker, the single writer and the supervisor, while N forked worker
+processes each attach the current ``QCTREE/3`` segment
+(:mod:`repro.shard.pack`) and answer reads lock-free from one shared
+copy.  A publish packs a fresh segment, announces ``(lsn, epoch,
+name)`` on every pipe, swaps the parent snapshot and waits (bounded)
+for the attach acks; a worker on another epoch is not routed to, and
+with none routable the parent answers from its own snapshot.  A dead
+worker fails its in-flight reads with the retryable
+:class:`~repro.errors.WorkerCrashedError` and is respawned.  DESIGN §10
+has the lifecycle, the pipe's protocol and the failure table.
 """
 
 from __future__ import annotations
@@ -53,7 +24,6 @@ import socket
 import threading
 import time
 import warnings
-from collections import deque
 from concurrent.futures import Future
 from concurrent.futures._base import FINISHED, PENDING, RUNNING
 from itertools import count
@@ -87,6 +57,7 @@ from repro.shard.frame import (
     point_frame,
 )
 from repro.shard.pack import pack_snapshot_bytes
+from repro.shard.pipe import CALLER, CLOSE, LEAVE, READ, ROUSE, PipeState
 from repro.shard.segment import create_segment, unlink_segment
 from repro.shard.worker import _answer_calls, worker_main
 
@@ -99,7 +70,7 @@ def _mp_context():
 
 
 class _Chunk:
-    """The ``pending`` sink of one worker's share of a ``map_query``
+    """The sink of one worker's share of a ``map_query``
     batch: fans its answer into the batch by index.  A chunk sent as
     codes keeps its calls and the snapshot whose table encoded them, to
     be answered from if the worker refuses the codes."""
@@ -117,11 +88,6 @@ class _Chunk:
         else:
             self.batch.put(self.indices, (), dict.fromkeys(
                 range(len(self.indices)), payload))
-
-
-def _elements(sink) -> int:
-    """The calls a ``pending`` sink answers."""
-    return 1 if type(sink) is Request else len(sink.indices)
 
 
 class _Batch:
@@ -169,38 +135,18 @@ _MESSAGE_OVERHEAD = 1024
 
 
 class _ProcHandle:
-    """Parent-side state of one worker process: the process, its pipe,
-    the in-flight table, the epoch it last confirmed attaching, and the
-    pipe's read role.
+    """Parent-side end of one worker process: the process, its pipe, the
+    epoch it last confirmed attaching, and the pipe's
+    :class:`~repro.shard.pipe.PipeState` — who is inside the pipe, what
+    is owed on it, whether it serves — which only its transitions
+    change, each under ``lock`` (:meth:`do`).
 
-    Locking: ``lock`` guards ``pending``/``alive``/``outstanding``/
-    ``controls``; ``send_lock`` serializes pipe sends and is *never*
-    taken while reading, so a send blocked on a full pipe can never stop
-    the reader from draining answers (which is what unblocks the
-    worker, and hence the send).
-
-    ``outstanding`` is what the request messages sent and not yet
-    answered charge the pipe (bytes plus :data:`_MESSAGE_OVERHEAD`
-    each), ``unanswered`` their charges in send order: the worker
-    answers each request message with one answer message, in order, and
-    has read all of it by then.  So ``outstanding`` bounds what can sit
-    unread in the pipe, and a send that keeps it under a budget far
-    below the socket buffer cannot block.  ``controls`` counts the
-    control messages still owed a reply: a ``publish`` its ``pub_ok``
-    or ``pub_err``, a ``stop`` the pipe's EOF (so it is never paid
-    off).
-
-    **The read role** (``read_lock``): at most one thread is ever in
-    ``recv`` on the pipe, and whoever holds the role completes every
-    sink the messages it reads carry, its own and others'.  A caller
-    waiting on its own direct forward takes it when it is free
-    (:class:`_Forward`); the ``shard-rx`` receiver takes it only when
-    roused with replies owed (:meth:`owes`) and nobody leading, or when
-    the pipe hangs up.  Every holder gives it back through
-    :meth:`give_back`, which rouses the receiver if replies are still
-    owed — so an answer never waits for a reader that is not coming.
-    The receiver parks in :meth:`park`, which an answer arriving does
-    not wake: only :meth:`rouse` and the worker's death do.
+    ``send_lock`` keeps whole frames apart on the pipe.  It is a second
+    lock because a sender blocked in ``sendall`` on a full pipe must not
+    hold ``lock``, which the reader needs to finish the answers that
+    unblock it.  A request message charges the pipe its bytes plus
+    :data:`_MESSAGE_OVERHEAD` until its answer is read (``pipe.charged``),
+    which bounds what can sit unread in the pipe.
     """
 
     def __init__(self, slot: int, proc, sock, frames: FrameReader):
@@ -211,23 +157,14 @@ class _ProcHandle:
         self.frames = frames
         self.lock = threading.Lock()
         self.send_lock = threading.Lock()
-        self.read_lock = threading.Lock()
-        self.pending: dict = {}
-        self.unanswered: deque = deque()
-        self.outstanding = 0
-        self.controls = 0
-        self.alive = True
-        self.eof = False
+        self.pipe = PipeState()
         self.attached_epoch = 0
         self.answered = 0
         self.read_by_caller = 0
-        self.reads = 0  # messages read: the supervisor's progress mark
-        self.idle_mark = None
         self.receiver: Optional[threading.Thread] = None
         self.last_announce = 0.0
         # The receiver's wake-up: a byte on a non-blocking pipe, polled
-        # beside the worker pipe's hang-up (an fd, so one poll waits on
-        # both).
+        # beside the worker pipe's hang-up (an fd: one poll waits on both).
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
@@ -237,90 +174,85 @@ class _ProcHandle:
         self._poller = select.poll()
         self._poller.register(sock.fileno(), select.POLLIN)
 
+    def do(self, transition, *args):
+        """Run one of ``pipe``'s transitions under ``lock``, acting there
+        on what it returns (:meth:`act`); returns that.  The read path
+        inlines it."""
+        with self.lock:
+            done = transition(*args)
+            if done:
+                self.act(done if type(done) is int else done[0])
+        return done
+
+    def act(self, flags: int) -> None:
+        """Write the wake-up byte a transition asks for, or close the
+        pipe and the wake-up once nobody is inside; under ``lock``, so
+        no byte goes to a closed wake-up."""
+        if flags & ROUSE:
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass  # already roused many times over
+        if flags & CLOSE:
+            self.sock.close()
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+
+    def post(self, data: bytes, rid=None, sink=None, charge: int = 0) -> bool:
+        """Send one frame; the caller holds ``send_lock``.  With ``rid``
+        it is a request message whose ``sink`` and ``charge`` join the
+        books before the bytes leave, so its answer can never arrive
+        first; without, a control message owed a reply.  False when the
+        pipe refused it (the worker is gone): a refused sink is the
+        caller's to fail.  A send that fails is the pipe's hang-up, and
+        the reader of its EOF fails the sink."""
+        lock, pipe = self.lock, self.pipe
+        with lock:
+            if not pipe.send_begin(rid, sink, charge):
+                return False
+        try:
+            self.sock.sendall(data)
+            sent = True
+        except OSError:
+            sent = False
+        with lock:
+            flags = pipe.send_end(sent)
+            if flags:
+                self.act(flags)
+        return True
+
     def send(self, message) -> bool:
         """Send a control message (blocking while the pipe is full) and
-        rouse the receiver to read its reply; False when the worker is
-        gone."""
+        rouse the receiver to read its reply; False when refused."""
         data = pickled(CONTROL, 0, message)
         with self.send_lock:
             sent = self.post(data)
-        self.rouse()
+        self.do(self.pipe.rouse)
         return sent
 
-    def post(self, data: bytes, sinks: Optional[dict] = None) -> bool:
-        """Send one frame; the caller holds ``send_lock``.
-
-        ``sinks`` (``{rid: sink}``) makes it a request message: they
-        join ``pending`` and its charge joins ``outstanding`` before the
-        bytes leave, so its answer can never arrive first; without them
-        it is a control message and joins ``controls``.  False when the
-        worker is gone — the sinks are registered all the same, and the
-        caller takes back with :meth:`reclaim` those nobody else failed
-        meanwhile, so each is completed exactly once.
-        """
-        with self.lock:
-            if sinks is not None:
-                self.pending.update(sinks)
-            if not self.alive:
-                return False
-            if sinks is None:
-                self.controls += 1
-            else:
-                charge = len(data) + _MESSAGE_OVERHEAD
-                self.unanswered.append(charge)
-                self.outstanding += charge
-        try:
-            self.sock.sendall(data)
-        except OSError:
-            return False
-        return True
-
     def reclaim(self, rids) -> list:
-        """Remove ``rids`` from ``pending``; returns the sinks that were
-        still there (the caller now owns completing them)."""
+        """The sinks of ``rids`` still pending, now the caller's to
+        complete."""
         with self.lock:
-            taken = [self.pending.pop(rid, None) for rid in rids]
-        return [sink for sink in taken if sink is not None]
+            return self.pipe.reclaim(rids)
 
     def forwards(self) -> dict:
-        """The unanswered direct forwards by rid (``pending`` also holds
+        """The direct forwards not yet answered, by rid (the books also hold
         ``map_query``'s chunks)."""
         with self.lock:
-            return {rid: sink for rid, sink in self.pending.items()
+            return {rid: sink for rid, sink in self.pipe.sinks().items()
                     if type(sink) is Request}
 
     def inflight(self) -> int:
         """The calls sent and not yet answered; a chunk counts each."""
         with self.lock:
-            return sum(map(_elements, self.pending.values()))
+            return sum(1 if type(sink) is Request else len(sink.indices)
+                       for sink in self.pipe.sinks().values())
 
-    def fail_pending(self, exc) -> None:
-        with self.lock:
-            stranded = list(self.pending.values())
-            self.pending.clear()
-        for sink in stranded:
-            sink.complete(False, exc)
-
-    # -- the read role -------------------------------------------------------
-
-    def owes(self) -> bool:
-        """Replies are owed on the pipe and it has not reached EOF."""
-        return not self.eof and bool(self.unanswered or self.controls)
-
-    def rouse(self) -> None:
-        """Wake the parked receiver (it reads if replies are owed and
-        nobody leads).  A no-op once the pipe is retired."""
-        with self.lock:
-            if self._wake_w is None:
-                return
-            try:
-                os.write(self._wake_w, b"\0")
-            except BlockingIOError:
-                pass  # already roused many times over
-
-    def park(self) -> bool:
-        """Block the receiver until :meth:`rouse` or the pipe hangs up
-        (never on an answer arriving); True on hang-up."""
+    def sleep(self) -> bool:
+        """Block the receiver until roused or until the pipe hangs up
+        (never on an answer arriving); True on hang-up, which is then no
+        longer watched: it stays."""
         hung_up = False
         for fd, _mask in self._parker.poll():
             if fd == self._wake_r:
@@ -329,6 +261,7 @@ class _ProcHandle:
                 except BlockingIOError:
                     pass
             else:
+                self._parker.unregister(fd)
                 hung_up = True
         return hung_up
 
@@ -339,54 +272,11 @@ class _ProcHandle:
         more to wake a ``poll``."""
         return self.frames.ready() or bool(self._poller.poll(wait * 1000.0))
 
-    def give_back(self) -> None:
-        """Release the read role, then rouse the receiver if replies are
-        still owed: a caller that found the role taken is waiting on
-        its future, not on the pipe."""
-        self.read_lock.release()
-        if self.owes():
-            self.rouse()
-
     def running(self) -> bool:
-        """Whether the worker serves as far as can be seen now: not found
-        dead, its process not exited, and its pipe not hung up.  A
-        worker killed a moment ago has hung up its pipe (a send to it
-        already fails) before any reader has handled the EOF, and while
-        its exit may not yet show in ``proc.is_alive()``."""
-        if not self.alive or not self.proc.is_alive():
-            return False
-        probe = select.poll()
-        try:
-            probe.register(self.sock.fileno(), 0)  # hang-up/error only
-        except (OSError, ValueError):
-            return False  # retired
-        return not probe.poll(0)
-
-    def retired(self) -> bool:
-        return self.sock.fileno() == -1
-
-    def retire(self) -> None:
-        """Close the pipe and the wake-up; the caller holds the read
-        role, which stays taken: nobody may read a closed pipe."""
-        self.sock.close()
-        with self.lock:
-            wake, self._wake_r, self._wake_w = (
-                (self._wake_r, self._wake_w), None, None)
-        for fd in wake:
-            os.close(fd)
-
-
-class _Waiters(list):
-    """A direct forward's ``Future._waiters``.  ``concurrent.futures.
-    wait`` and ``as_completed`` install their waiter by appending here,
-    and a caller waiting that way never leads on the pipe — so the
-    append rouses the pipe's receiver (``handle``)."""
-
-    __slots__ = ("handle",)
-
-    def append(self, waiter) -> None:
-        super().append(waiter)
-        self.handle.rouse()
+        """Whether the worker serves as far as can be seen now: its pipe
+        has not hung up, failed a send or reached EOF, and its process
+        has not exited."""
+        return self.pipe.running and self.proc.is_alive()
 
 
 class _Forward(Future):
@@ -394,23 +284,22 @@ class _Forward(Future):
 
     A read the pool or the cache answers leaves it a plain
     :class:`~concurrent.futures.Future`.  Once the direct path sends the
-    read on a worker's pipe (:meth:`_sent`), :meth:`result` and
+    read on a worker's pipe (``_route``), :meth:`result` and
     :meth:`exception` first try to take the pipe's read role without
     blocking; a caller that gets it reads the pipe itself, finishing
     every answer it reads, until this future is done or the wait's
     timeout, the read's deadline or ``SHARD_RPC_TIMEOUT_S`` passes, and
     then gives the role back.  A caller that finds the role taken waits
-    as on any future.  Consumers that never call those two —
-    :meth:`add_done_callback` (the asyncio door), ``concurrent.futures.
-    wait`` / ``as_completed`` — rouse the pipe's ``shard-rx`` receiver
-    instead.
+    as on any future.
 
     Its ``Condition`` is built only when a thread is to wait on it or
-    to be told of the outcome (:meth:`add_done_callback`, ``wait`` /
-    ``as_completed``, a caller that found the read role taken, a
-    cancel): every state change takes the plain lock the ``Condition``
-    is built over, and notifies only once it exists.  A caller that
-    reads its own answer never builds one.
+    to be told of the outcome (``add_done_callback`` — the asyncio door
+    —, ``concurrent.futures.wait`` / ``as_completed``, ``done()``, a
+    caller that found the read role taken, a cancel): every state change
+    takes the plain lock the ``Condition`` is built over, and notifies
+    only once it exists.  A caller that reads its own answer never
+    builds one.  Building it on a forward still owed rouses the pipe's
+    ``shard-rx`` receiver: whoever builds it may never lead.
     """
 
     _route = None  # (server, handle, rid, until) once sent direct
@@ -429,13 +318,11 @@ class _Forward(Future):
         if cond is None:
             cond = self.__dict__.setdefault(
                 "_cond", threading.Condition(self._mutex))
+            route = self._route
+            if route is not None and self._state == PENDING:
+                handle = route[1]
+                handle.do(handle.pipe.rouse)
         return cond
-
-    def _sent(self, server, handle: _ProcHandle, rid: int,
-              until: float) -> None:
-        self._route = (server, handle, rid, until)
-        waiters = self._waiters = _Waiters()
-        waiters.handle = handle
 
     def set_running_or_notify_cancel(self):
         with self._mutex:
@@ -483,18 +370,15 @@ class _Forward(Future):
             return self._exception
         return super().exception(timeout)
 
-    def add_done_callback(self, fn) -> None:
-        super().add_done_callback(fn)
-        route = self._route
-        if route is not None and self._state == PENDING:
-            route[1].rouse()
-
     def _lead(self, timeout: Optional[float]) -> Optional[float]:
         """Read the pipe while the read role is free, until this future
         is done, the bound passes or the pipe reaches EOF; returns what
         is left of ``timeout``."""
         server, handle, rid, until = self._route
-        if not handle.read_lock.acquire(False):
+        lock, pipe = handle.lock, handle.pipe
+        with lock:
+            took = pipe.take(CALLER)
+        if not took:
             return timeout
         end = None if timeout is None else time.monotonic() + timeout
         if end is not None and end < until:
@@ -506,7 +390,10 @@ class _Forward(Future):
                         or not server._read_one(handle, rid)):
                     break
         finally:
-            handle.give_back()
+            with lock:
+                flags = pipe.give_back()
+                if flags:
+                    handle.act(flags)
         return None if end is None else max(0.0, end - time.monotonic())
 
 
@@ -524,23 +411,14 @@ class ShardServer(QCServer):
 
     ``processes`` sets the worker-process fleet; ``workers`` (the
     inherited thread pool) defaults to ``processes``.  The inherited
-    :meth:`~repro.serving.server.QCServer.submit` admits every read;
-    only where it goes differs (see :meth:`_dispatch`).  A snapshot op
-    is answered *direct* — sent as one frame on a worker's pipe by the
-    calling thread, its answer read off the pipe by the thread that waits on
-    its future (:class:`_Forward`) or, when nobody leads on that pipe,
-    by the pipe's ``shard-rx`` receiver — or *local* — run by the pool
-    against the parent's own snapshot, counted in
-    ``shard_local_fallbacks``.  The pool never waits on a worker;
-    besides the local answers it runs ``health`` and ``register_op``
-    ops.  Everything else is inherited
-    :class:`~repro.serving.server.QCServer` behavior: admission,
-    deadlines, the one completion, cache (answers are cached
-    parent-side keyed by snapshot stamp), breaker, write pipeline,
-    degraded mode, fault injection (``op:<name>`` and ``worker`` fire
-    on a pool thread — a read whose ``op:`` site is armed is answered
-    locally — plus the shard sites ``shard:publish`` and
-    ``shard:attach``).
+    :meth:`~repro.serving.server.QCServer.submit` admits every read; a
+    snapshot op is answered *direct* — one frame on a worker's pipe sent
+    by the calling thread, its answer read by the thread waiting on its
+    future (:class:`_Forward`) or by the pipe's ``shard-rx`` receiver —
+    or *local*, by the pool from the parent's own snapshot (counted in
+    ``shard_local_fallbacks``; see :meth:`_dispatch`).  The rest is
+    inherited, plus the fault sites ``shard:publish`` and
+    ``shard:attach``.
     """
 
     #: Seconds a direct forward that carries no deadline may wait for
@@ -551,7 +429,7 @@ class ShardServer(QCServer):
     #: ``supervised=False`` there is no scan, and only the worker checks
     #: a deadline.  Also ``map_query``'s default timeout.
     SHARD_RPC_TIMEOUT_S = 30.0
-    #: Pipe charge (``_ProcHandle.outstanding``, bytes) under which a
+    #: Pipe charge (``PipeState.charged``, bytes) under which a
     #: direct send must keep its worker's pipe — far below the 208 KiB
     #: socket buffer, so a ``submit()`` on an event-loop thread never
     #: blocks on a send.
@@ -640,19 +518,12 @@ class ShardServer(QCServer):
 
     def _spawn_process(self, slot: int) -> _ProcHandle:
         """Fork one worker attached to the current segment and complete
-        its ready handshake.  Called single-threaded
-        from ``__init__`` and from the supervisor thread on respawn
-        (where the fork-with-threads DeprecationWarning of newer Pythons
-        is expected and harmless: the child only runs already-imported
-        code)."""
-        # Async-transport fork safety: the asyncio front door runs its
-        # event loop in a ``*-loop`` thread (AsyncServerThread).  Forking
-        # while that loop is mid-write could duplicate its socket state
-        # into the child were the child ever to touch it; our workers
-        # never do (they run worker_main on a fresh socket pair and shared
-        # memory only), but a respawn under a live transport is worth a
-        # visible warning so operators start transports *after* the
-        # fleet, as `serve --async` does.
+        its ready handshake: single-threaded from ``__init__``, or from
+        the supervisor on respawn (where newer Pythons' fork-with-threads
+        DeprecationWarning is harmless: the child runs only imported
+        code).  The child never touches an asyncio door's ``*-loop``
+        thread's sockets, but forking under one warns, so that transports
+        start after the fleet, as ``serve --async`` does."""
         loop_threads = [
             t.name for t in threading.enumerate()
             if t.is_alive() and t.name.endswith("-loop")
@@ -673,7 +544,7 @@ class ShardServer(QCServer):
         # while any copy is open its reads never see EOF, and the fleet
         # outlives a killed parent as orphans.
         inherited = [parent_sock] + [
-            h.sock for h in self._handles if not h.retired()
+            h.sock for h in self._handles if not h.pipe.closed
         ]
         try:
             with warnings.catch_warnings():
@@ -710,6 +581,7 @@ class ShardServer(QCServer):
         return handle
 
     def _start_receiver(self, handle: _ProcHandle) -> None:
+        handle.do(handle.pipe.start)
         thread = threading.Thread(
             target=self._receiver_loop,
             args=(handle,),
@@ -720,24 +592,25 @@ class ShardServer(QCServer):
         thread.start()
 
     def _receiver_loop(self, handle: _ProcHandle) -> None:
-        """The ``shard-rx`` thread of one worker: parked until roused or
-        until the pipe hangs up; then, unless a caller is leading, it
-        holds the read role while replies are owed (to EOF after a
-        hang-up).  It ends once the pipe reached EOF."""
-        while not handle.eof:
-            hung_up = handle.park()
-            if hung_up:
-                # A leader holding the role reads the EOF itself or
-                # gives the role back once its own answer is in.
-                handle.read_lock.acquire()
-            elif not handle.read_lock.acquire(False):
-                continue  # the leader's give_back rouses if owed
+        """The ``shard-rx`` thread of one worker: asleep until roused or
+        until the pipe hangs up; awake, it reads while replies are owed
+        and nobody leads (to EOF after a hang-up), and it ends at EOF or
+        when the pipe retires."""
+        pipe = handle.pipe
+        hung_up = False
+        while True:
+            flags = handle.do(pipe.park, hung_up)
+            if flags & LEAVE:
+                return
+            hung_up = False
+            if not flags & READ:
+                hung_up = handle.sleep()
+                continue
             try:
-                while (not handle.eof and (hung_up or handle.owes())
-                       and self._read_one(handle)):
+                while pipe.owes() and self._read_one(handle):
                     pass
             finally:
-                handle.give_back()
+                handle.do(pipe.give_back)
 
     def _read_one(self, handle: _ProcHandle, rid=None) -> bool:
         """Read one frame off ``handle``'s pipe and act on it — the one
@@ -747,44 +620,31 @@ class ShardServer(QCServer):
         completes its sink (a refused one is answered here, from the
         snapshot its codes came from); ``pub_ok`` / ``pub_err`` move the
         worker's epoch and ack the publish ticket; EOF — also in the
-        middle of a frame — is the worker's death: rerouted, its acks
-        cancelled, the crash counted once, every sink on the pipe
-        failed.  False at EOF."""
+        middle of a frame — buries the worker (:meth:`_bury`).  False at
+        EOF."""
         frames = handle.frames
         try:
             got = frames.read()
         except OSError:
             got = None
         if got is None:
-            handle.eof = True
-            with handle.lock:
-                was_alive = handle.alive
-                handle.alive = False
-            with self._shard_lock:
-                self._reroute_locked()
-                for epoch in list(self._tickets):
-                    self._ack_ticket_locked(epoch, handle.slot)
-            if was_alive and not self._procs_stopped:
-                self._metrics.counter("shard_process_crashes").inc()
-            handle.fail_pending(WorkerCrashedError(
+            _flags, sinks, crashed = handle.do(handle.pipe.read_eof)
+            self._bury(handle, sinks, crashed, WorkerCrashedError(
                 f"shard worker process {handle.slot} died before "
                 "answering; the read never ran and is safe to retry"
             ))
-            handle.rouse()  # a parked receiver sees the EOF and ends
             return False
-        handle.reads += 1
         kind, r, start, end = got
         if kind == CONTROL:
             self._control(handle, frames.message(start, end))
             return True
         with handle.lock:
-            handle.outstanding -= handle.unanswered.popleft()
-            sink = handle.pending.pop(r, None)
+            sink = handle.pipe.answer(r)
         if sink is None:
             # Failed or given up on (RPC timeout, map_query timeout):
             # its answer is dropped.
             return True
-        handle.answered += _elements(sink)
+        handle.answered += 1 if type(sink) is Request else len(sink.indices)
         if r == rid:
             handle.read_by_caller += 1
         if kind == VALUE:
@@ -796,11 +656,23 @@ class ShardServer(QCServer):
             self._answer_refused(sink)
         return True
 
+    def _bury(self, handle: _ProcHandle, sinks, crashed: bool, exc) -> None:
+        """A worker is gone (its EOF read, or its pipe retired): reroute,
+        cancel its acks, count the crash once and fail ``sinks``, the
+        reads still pending on its pipe."""
+        with self._shard_lock:
+            self._reroute_locked()
+            for epoch in list(self._tickets):
+                self._ack_ticket_locked(epoch, handle.slot)
+        if crashed and not self._procs_stopped:
+            self._metrics.counter("shard_process_crashes").inc()
+        for sink in sinks:
+            sink.complete(False, exc)
+
     def _control(self, handle: _ProcHandle, message) -> None:
         """Act on a worker's ``pub_ok`` / ``pub_err``."""
         kind, epoch = message[:2]
-        with handle.lock:
-            handle.controls -= 1
+        handle.do(handle.pipe.control_paid)
         if kind == "pub_ok":
             with self._shard_lock:
                 handle.attached_epoch = epoch
@@ -843,20 +715,17 @@ class ShardServer(QCServer):
     # -- read path: forward to the fleet -------------------------------------
 
     def _reroute_locked(self) -> None:
-        """Recompute ``_routable``: the live workers attached to the
-        *current* epoch — the only ones routable, so every answer (and
-        thus every parent-side cache fill, keyed by the current stamp)
-        reflects the published snapshot even while laggards still serve
-        an old epoch.  Called under ``_shard_lock`` wherever one of its
-        inputs changes (the epoch, a worker's attached epoch or
-        liveness, the handle list); a request reads the tuple without a
-        lock.  A worker that dies before the next recompute is still in
-        it — its send fails with the retryable ``WorkerCrashedError``,
-        as a request racing the death always could."""
+        """Recompute ``_routable``: the running workers attached to the
+        *current* epoch, so every answer (and every cache fill, keyed by
+        the current stamp) reflects the published snapshot.  Called
+        under ``_shard_lock`` wherever an input changes; a request reads
+        the tuple without a lock.  A worker that dies before the next
+        recompute is still in it: its pipe refuses the send, and the
+        read fails with the retryable ``WorkerCrashedError``."""
         epoch = self._epoch
         self._routable = tuple(
             h for h in self._handles
-            if h.alive and h.attached_epoch == epoch
+            if h.pipe.running and h.attached_epoch == epoch
         )
 
     def _pick(self) -> Optional[_ProcHandle]:
@@ -867,35 +736,18 @@ class ShardServer(QCServer):
     def _dispatch(self, request: Request) -> bool:
         """Send an admitted snapshot op on a worker's pipe from this
         thread (*direct*), else hand it to the inherited pool, which
-        answers it from the parent's own snapshot — always current, so
-        correctness never waits on the fleet.  It stands aside from the
-        direct path exactly when:
-
-        * the op is not in :data:`~repro.serving.server.
-          SNAPSHOT_OP_TABLE`, or :meth:`register_op` overrode it — the
-          pool runs it as for any server;
-        * the server is closed — the pool's queue owns refusing it;
-        * no worker on the current epoch is routable (fleet loss, or
-          the brief window of an in-flight publish), or the ``faults``
-          plan has the op's ``op:<name>`` site armed — local, so the
-          site fires on a pool thread as on any server and its
-          ``delay_s`` holds no receiver or caller thread;
-        * the worker's ``send_lock`` stays busy for
-          :data:`DIRECT_SEND_WAIT_S`, or the message does not fit
-          :data:`DIRECT_SEND_BUDGET` (an unpicklable one fits nothing) —
-          local, so this call waits at most that long for another
-          sender and never on a pipe (the asyncio door calls it on its
-          loop thread).
-
-        Those last two count a local answer in ``shard_local_fallbacks``.
-        The direct path sheds once ``queue_size`` reads are in flight on
-        the pipes, carries the deadline to the worker, which answers
-        :class:`~repro.errors.DeadlineExceededError` unrun past it, and
-        is bounded by the supervisor's scan (:meth:`_fail_overdue`).
-        Its answer is read by whoever holds the pipe's read role: the
-        caller waiting in the future's ``result()`` / ``exception()``
-        when the role is free, else the ``shard-rx`` receiver
-        (:class:`_ProcHandle`).
+        answers it from the parent's own snapshot.  It stands aside (the
+        table in DESIGN §10 says why) for an op outside
+        :data:`~repro.serving.server.SNAPSHOT_OP_TABLE` or overridden by
+        :meth:`register_op`, a closed server, no routable worker, an
+        armed ``op:<name>`` fault site, a ``send_lock`` busy for
+        :data:`DIRECT_SEND_WAIT_S`, or a message that does not fit
+        :data:`DIRECT_SEND_BUDGET` (an unpicklable one fits nothing) —
+        so this call never waits on a pipe.  The last four count a local
+        answer in ``shard_local_fallbacks``.  The direct path sheds at
+        ``queue_size`` reads in flight, carries the deadline to the
+        worker and is bounded by the supervisor's scan
+        (:meth:`_fail_overdue`).
         """
         op, args, kwargs = request.op, request.args, request.kwargs
         fn = SNAPSHOT_OP_TABLE.get(op)
@@ -926,12 +778,12 @@ class ShardServer(QCServer):
                                        (op, args, kwargs, deadline))
                     except Exception:
                         data = None  # unsendable: answered locally
-                # Only this thread (holding send_lock) can raise
-                # ``outstanding``; a reader only lowers it, so a
-                # stale read errs safe.
-                if data is not None and (
-                        handle.outstanding + len(data) + _MESSAGE_OVERHEAD
-                        <= self.DIRECT_SEND_BUDGET):
+                # Only this thread (holding send_lock) can raise the
+                # charge; a reader only lowers it, so a stale read errs
+                # safe.
+                charge = 0 if data is None else len(data) + _MESSAGE_OVERHEAD
+                if data is not None and (handle.pipe.charged + charge
+                                         <= self.DIRECT_SEND_BUDGET):
                     with self._inflight_lock:
                         if self._inflight >= self._queue.maxsize:
                             return False
@@ -944,14 +796,12 @@ class ShardServer(QCServer):
                     until = request.started + self.SHARD_RPC_TIMEOUT_S
                     if deadline is not None and deadline < until:
                         until = deadline
-                    request.future._sent(self, handle, rid, until)
-                    if not handle.post(data, {rid: request}):
-                        for owned in handle.reclaim((rid,)):
-                            owned.complete(False, WorkerCrashedError(
-                                f"shard worker {handle.slot} is down or its "
-                                "pipe broke mid-send; the read never ran "
-                                "and is safe to retry"
-                            ))
+                    request.future._route = (self, handle, rid, until)
+                    if not handle.post(data, rid, request, charge):
+                        request.complete(False, WorkerCrashedError(
+                            f"shard worker {handle.slot} is down; the read "
+                            "never ran and is safe to retry"
+                        ))
                     return True
             finally:
                 handle.send_lock.release()
@@ -973,8 +823,8 @@ class ShardServer(QCServer):
         amortizes the per-request pipe+future overhead that bounds
         ``submit`` — it is the path that scales with cores — while
         keeping the admission ledger balanced (each element counts as
-        submitted and completed/errored; past ``timeout`` the unanswered
-        ones count as timeouts and their late answers are dropped).  The
+        submitted and completed/errored; past ``timeout`` the ones not
+        answered count as timeouts and their late answers are dropped).  The
         first failed element's error re-raises after the batch completes.
         """
         if self._closed:
@@ -1012,18 +862,18 @@ class ShardServer(QCServer):
                 sink.calls, sink.snapshot = share, snapshot
                 data = frame(CODES, rid, EPOCH.pack(epoch) + codes.tobytes())
             with handle.send_lock:
-                sent = handle.post(data, {rid: sink})
-            handle.rouse()  # this thread waits on the batch, not the pipe
+                sent = handle.post(data, rid, sink,
+                                   len(data) + _MESSAGE_OVERHEAD)
+            # This thread waits on the batch, not on the pipe.
+            handle.do(handle.pipe.rouse)
             if not sent:
-                down = WorkerCrashedError(
+                sink.complete(False, WorkerCrashedError(
                     f"shard worker {handle.slot} died mid-batch; retry"
-                )
-                for owned in handle.reclaim((rid,)):
-                    owned.complete(False, down)
+                ))
         limit = self.SHARD_RPC_TIMEOUT_S if timeout is None else timeout
         answered = batch.event.wait(limit)
         if not answered:
-            # Give up on what is unanswered: out of ``pending`` (a late
+            # Give up on what is not answered: off the books (a late
             # answer is dropped), and counted below as timeouts.
             for handle, rid, _sink in chunks:
                 handle.reclaim((rid,))
@@ -1082,7 +932,7 @@ class ShardServer(QCServer):
         inject = self._attach_inject()
         try:
             with self._shard_lock:
-                live = [h for h in self._handles if h.alive]
+                live = [h for h in self._handles if h.pipe.running]
                 # Expect every live worker *before* announcing: a fast
                 # worker's ack can beat this loop, and an ack for a slot
                 # not yet expected would be lost — the ticket would then
@@ -1141,7 +991,7 @@ class ShardServer(QCServer):
         unlinked segment alive for processes that already mapped it."""
         with self._shard_lock:
             attached = {
-                h.attached_epoch for h in self._handles if h.alive
+                h.attached_epoch for h in self._handles if h.pipe.running
             }
             attached.add(self._epoch)
             pending = set(self._tickets)
@@ -1168,7 +1018,7 @@ class ShardServer(QCServer):
             name = self._epoch_segments.get(epoch)
             lsn = self._stamp[0]
             for i, handle in enumerate(self._handles):
-                if not handle.alive or not handle.proc.is_alive():
+                if not handle.running():
                     respawn.append(i)
                 elif (handle.attached_epoch < epoch
                         and now - handle.last_announce
@@ -1183,21 +1033,18 @@ class ShardServer(QCServer):
         for handle in self._handles:
             # Replies owed and nobody reading since the last scan (a
             # forward nobody waits on): the receiver reads them.
-            mark = handle.reads
-            if handle.owes() and not handle.read_lock.locked():
-                if handle.idle_mark == mark:
-                    handle.rouse()
-                handle.idle_mark = mark
-            else:
-                handle.idle_mark = None
+            handle.do(handle.pipe.scan)
         if self._inflight:  # else nothing to scan but map_query's chunks
             for handle in self._handles:
                 self._fail_overdue(handle, now)
         for i in respawn:
-            # The dead worker's receiver reads its pipe to EOF (the one
-            # death handling, _read_one) before the slot is refilled.
+            # The dead worker's receiver reads its pipe to EOF (the
+            # answers already in it complete) before the slot is retired
+            # and refilled.
             old = self._handles[i]
-            self._retire_receiver(old, timeout=1.0)
+            self._join_receiver(old, 1.0)
+            self._retire(old, WorkerCrashedError(
+                f"shard worker process {old.slot} died; retry"))
             old.proc.join(timeout=0)
             try:
                 fresh = self._spawn_process(i)
@@ -1217,7 +1064,7 @@ class ShardServer(QCServer):
             self._gc_segments()
 
     def _fail_overdue(self, handle: _ProcHandle, now: float) -> None:
-        """Fail the forwards ``handle``'s worker has left unanswered past
+        """Fail the forwards ``handle``'s worker has not answered past
         their deadline or ``SHARD_RPC_TIMEOUT_S``, whichever is earlier
         — a wedged-but-alive worker holds no thread of ours, so this
         scan is what bounds its callers' wait.  A late answer finds no
@@ -1305,48 +1152,33 @@ class ShardServer(QCServer):
             if handle.proc.is_alive():
                 handle.proc.terminate()
                 handle.proc.join(timeout=2.0)
-            with handle.lock:
-                handle.alive = False
-            handle.fail_pending(down)
+            self._retire(handle, down)
         for handle in handles:
-            self._retire_receiver(handle, timeout=5.0)
+            self._join_receiver(handle, 5.0)
             # Release the process object's zombie bookkeeping.
             try:
                 handle.proc.close()
             except Exception:
                 pass
 
-    def _retire_receiver(self, handle: _ProcHandle, timeout: float) -> None:
-        """Join the receiver of a worker that is gone, *then* close the
-        parent's end of its pipe.  The worker's exit hangs the pipe up,
-        which wakes the parked receiver to read it to EOF (the one death
-        handling, :meth:`_read_one`).  Closing the connection under a
-        reader would not wake the read, and the descriptor number could
-        be reused while it still waits on it — so the pipe is closed
-        only once the read role is ours.  A receiver that does not end
-        in ``timeout`` is counted (``shard_health()[
-        "receiver_join_timeouts"]``), not silent: its pipe stays open
-        and its reads are failed here."""
-        if handle.retired():
-            return  # retired by an earlier scan whose respawn failed
+    def _retire(self, handle: _ProcHandle, exc) -> None:
+        """Retire a worker's pipe: what is still pending on it fails with
+        ``exc``, its receiver leaves, and the pipe closes as the last
+        thread inside it leaves — at once when nobody is.  Closing under
+        a reader would not wake its read, and under a sender the
+        descriptor number could go to a new pipe mid-send.  Idempotent."""
+        _flags, sinks, crashed = handle.do(handle.pipe.retire)
+        self._bury(handle, sinks, crashed, exc)
+
+    def _join_receiver(self, handle: _ProcHandle, timeout: float) -> None:
+        """Wait for ``handle``'s receiver to end; one that does not in
+        ``timeout`` is counted (``shard_health()[
+        "receiver_join_timeouts"]``), not silent."""
         receiver = handle.receiver
         if receiver is not None:
             receiver.join(timeout)
             if receiver.is_alive():
                 self._metrics.counter("shard_receiver_join_timeouts").inc()
-                handle.fail_pending(WorkerCrashedError(
-                    f"shard worker process {handle.slot} died; retry"
-                ))
-                return
-        # Neither a reader nor a sender may be inside the connection
-        # when it closes: a send blocked mid-message on a dying pipe
-        # writes its rest to whatever descriptor now has its number.
-        if handle.read_lock.acquire(True, timeout):
-            if handle.send_lock.acquire(True, timeout):
-                try:
-                    handle.retire()
-                finally:
-                    handle.send_lock.release()
 
     def _unlink_all_segments(self) -> None:
         with self._shard_lock:
@@ -1373,7 +1205,7 @@ class ShardServer(QCServer):
         self._unlink_all_segments()
 
     def __repr__(self):
-        alive = sum(1 for h in self._handles if h.alive)
+        alive = sum(h.running() for h in self._handles)
         return (
             f"ShardServer(processes={alive}/{self._nprocs}, "
             f"epoch={self._epoch}, closed={self._closed})"

@@ -8,55 +8,24 @@ from :data:`~repro.serving.server.SNAPSHOT_OP_TABLE` — the
 functions the thread-based server dispatches, so both serving modes
 share one query surface.
 
-Wire protocol: frames (:mod:`repro.shard.frame`) on a
-``socket.socketpair``, one answer frame per request frame, in order.
-Each end reads through a :class:`~repro.shard.frame.FrameReader` (one
-``recv_into`` a reusable buffer, as many frames out of it as it holds)
-and writes each frame with one ``sendall``.  A request frame's id
-(``rid``) comes back on its answer.
-
-parent → worker
-    ``POINT``: a point as ``n_dims`` ``int32`` label codes of the
-        pinned snapshot's table (-1 for ``*``), the epoch that table was
-        published as, and the deadline.  Answered ``VALUE`` (a status
-        byte — float or None — and an ``<f8>``), or ``ANSWER`` for any
-        other answer or error, or ``REFUSED`` when the worker is attached
-        to another epoch: the parent then answers from its own snapshot.
-        A point whose labels are not all known to that table (or of the
-        wrong arity, or unhashable) goes as ``REQUEST`` instead.
-    ``CODES``: a ``map_query`` point chunk as an ``n × n_dims`` code
-        matrix (-2 for a label the table never saw: answered None with
-        no walk) and its epoch, taken with ``np.frombuffer``; answered
-        ``ANSWER`` ``(True, (values, {}))`` or ``REFUSED``.
-    ``REQUEST``: pickled ``(op, args, kwargs, deadline)``, every other
-        read.  ``CHUNK``: pickled ``(op, [args, ...])``, every other
-        ``map_query`` chunk, answered ``(True, (values, {position:
-        error}))``.  Both answered ``ANSWER`` ``(ok, payload)``.
-    ``CONTROL`` ``("publish", lsn, epoch, segment_name, inject)``
-        attach the new segment, then release the old one.  On *any*
-        attach failure the worker keeps serving its last-good epoch and
-        reports ``pub_err`` — readers never lose a snapshot.
-        ``inject`` is a test hook: ``"attach"`` forces the failure path.
-    ``CONTROL`` ``("stop",)``
-        detach, close, exit.
-
-A deadline (a direct read carries its caller's, when it has one) is an
-absolute ``time.monotonic()`` instant — one clock for the parent and its
-forked children — checked before the op runs: a request that reaches
-its worker past it is answered with
+Wire protocol: frames (:mod:`repro.shard.frame`; DESIGN §10 "The
+pipe" tables what each kind carries) on a ``socket.socketpair``, one
+answer frame per request frame, in order, each read through a
+:class:`~repro.shard.frame.FrameReader` and written with one
+``sendall``.  A point goes as ``POINT`` codes of the pinned snapshot's
+table and its epoch, answered ``VALUE`` (or ``ANSWER``), or ``REFUSED``
+by a worker on another epoch — the parent then answers from its own
+snapshot; a ``map_query`` point chunk as a ``CODES`` matrix; every
+other read and chunk pickled (``REQUEST`` / ``CHUNK``, answered
+``ANSWER`` ``(ok, payload)``).  ``CONTROL`` carries ``ready``,
+``publish`` (attach the new segment, then release the old; on *any*
+attach failure keep serving the last-good epoch and report ``pub_err``;
+its ``inject="attach"`` test hook forces that path), ``pub_ok`` and
+``stop``.  A deadline is an absolute ``time.monotonic()`` instant (one
+clock for the parent and its forked children) checked before the op
+runs: past it, the read is answered
 :class:`~repro.errors.DeadlineExceededError` unrun, as the thread pool
 answers one that waited in its queue too long.
-
-worker → parent
-    ``CONTROL`` ``("ready", pid, epoch)`` · ``("pub_ok", epoch)`` ·
-    ``("pub_err", epoch, reason)``, and the answer frames above.
-
-A point round trip is a ``sendall`` each way and, on each side, a
-``recv_into`` (the parent's leader polls first, unless the answer is
-already buffered); the codes spare the worker the label lookups and
-both sides the pickler.  ``shard_bulk``'s ``read_p50_us`` went ≈ 44 →
-≈ 31 µs over ``multiprocessing.Connection`` and pickled tuples (ten
-pairs, 2-vCPU x86-64 VM).
 """
 
 from __future__ import annotations

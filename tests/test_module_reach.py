@@ -36,11 +36,6 @@ EXAMPLES = sorted((REPO / "examples").glob("*.py"))
 TEST_ONLY = {
     "build_qctree_reference": "the differential oracle construction "
                               "is checked against",
-    "count_io": "fault injection: counts the I/O steps a crash sweep "
-                "walks",
-    "partial_append": "fault injection: the torn WAL tail recovery "
-                      "drops",
-    "torn_write": "fault injection: a file cut short mid-write",
     "active_segments": "the /dev/shm leak check the shard tests assert",
 }
 

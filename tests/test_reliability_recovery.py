@@ -24,10 +24,10 @@ from repro.core.construct import build_qctree
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.errors import RecoveryError
-from repro.reliability.faults import InjectedCrash, count_io, crash_on_io
 from repro.reliability.wal import WriteAheadLog
 from repro.segments import SegmentedWarehouse
 from tests.conftest import all_cells
+from tests.faults import InjectedCrash, count_io, crash_on_io
 
 
 DIMS, MEASURES = ("Store", "Product", "Season"), ("Sale",)
@@ -302,7 +302,7 @@ class TestCrashWindows:
         recorded, and recovery raises naming the file instead of
         answering from the rows that survived."""
         from repro.core.manifest import load_manifest
-        from repro.reliability.faults import torn_write
+        from tests.faults import torn_write
 
         directory, _ = paths
         wh = fresh_warehouse(paths)

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.errors import RecoveryError
-from repro.reliability.faults import (
+from repro.reliability.wal import WriteAheadLog
+from tests.faults import (
     InjectedCrash,
     crash_on_io,
     partial_append,
     torn_write,
 )
-from repro.reliability.wal import WriteAheadLog
 
 
 @pytest.fixture
@@ -123,7 +123,7 @@ class TestTornTail:
             (1, "insert"), (2, "delete")]
 
     def test_crash_during_append_never_loses_prior_records(self, wal_path):
-        from repro.reliability.faults import count_io
+        from tests.faults import count_io
 
         wal = WriteAheadLog(wal_path)
         wal.append("insert", BATCH_A)

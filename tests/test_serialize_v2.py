@@ -17,8 +17,8 @@ from repro.core.point_query import point_query
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import RecoveryError
-from repro.reliability.faults import InjectedCrash, count_io, crash_on_io
 from tests.conftest import all_cells, make_random_table
+from tests.faults import InjectedCrash, count_io, crash_on_io
 from tests.test_serialize import (
     checkpointed,
     head_table,

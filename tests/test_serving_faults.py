@@ -28,8 +28,6 @@ from repro.errors import (
     WriteQuarantinedError,
 )
 from repro.reliability.faults import (
-    ChaosMonkey,
-    InjectedCrash,
     InjectedFault,
     ServingFaults,
     WorkerKilled,
@@ -37,6 +35,7 @@ from repro.reliability.faults import (
 from repro.serving import QCServer
 from repro.serving import server as server_module
 from repro.shard import server as shard_server_module
+from tests.faults import ChaosMonkey, InjectedCrash
 
 from . import model
 from .retry import RetryPolicy

@@ -15,13 +15,10 @@ from repro.errors import (
     ServingError,
     WorkerCrashedError,
 )
-from repro.reliability.faults import (
-    InjectedCrash,
-    InjectedFault,
-    ServingFaults,
-)
+from repro.reliability.faults import InjectedFault, ServingFaults
 from repro.serving import CircuitBreaker, QCServer
 from repro.serving.health import CLOSED, HALF_OPEN, OPEN
+from tests.faults import InjectedCrash
 from tests.retry import RetryPolicy
 
 

@@ -29,9 +29,10 @@ import threading
 import time
 
 from repro.core.warehouse import QCWarehouse
-from repro.reliability.faults import ChaosMonkey, ServingFaults
+from repro.reliability.faults import ServingFaults
 from repro.serving import QCServer
 from tests.conftest import make_random_table
+from tests.faults import ChaosMonkey
 from tests.retry import RetryPolicy
 
 N_CLIENTS = 4

@@ -18,7 +18,8 @@ import pytest
 
 from repro.core.warehouse import QCWarehouse
 from repro.errors import ServerDegradedError, WorkerCrashedError
-from repro.reliability.faults import InjectedCrash, ServingFaults
+from repro.reliability.faults import ServingFaults
+from tests.faults import InjectedCrash
 from tests.retry import RetryPolicy
 from repro.shard import ShardServer, created_segments
 from repro.shard.worker import _BATCH_MIN

@@ -19,11 +19,12 @@ from repro.core.cells import ALL
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.errors import ServerDegradedError
-from repro.reliability.faults import InjectedCrash, ServingFaults
+from repro.reliability.faults import ServingFaults
 from repro.serving.server import SNAPSHOT_OP_TABLE
 from repro.shard import ShardServer, created_segments, frame
 from repro.shard.frame import FrameReader
 from repro.shard.worker import _BATCH_MIN
+from tests.faults import InjectedCrash
 
 
 class _Feed:

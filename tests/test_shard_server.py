@@ -214,11 +214,11 @@ class TestMapQuery:
         sent: dict = {}
         try:
             for handle in server._handles:
-                def post(data, sinks=None, slot=handle.slot,
-                         original=handle.post):
+                def post(data, rid=None, sink=None, charge=0,
+                         slot=handle.slot, original=handle.post):
                     sent.setdefault(slot, []).extend(
-                        _chunk_calls(data, sinks, calls))
-                    return original(data, sinks)
+                        _chunk_calls(data, {rid: sink}, calls))
+                    return original(data, rid, sink, charge)
                 handle.post = post
             answers = server.map_query("point", calls)
         finally:

@@ -47,13 +47,13 @@ from hypothesis.stateful import (
 from repro.core.construct import build_qctree
 from repro.core.warehouse import QCWarehouse
 from repro.errors import MaintenanceError, WriteQuarantinedError
-from repro.reliability.faults import InjectedCrash
 from repro.segments import SegmentedWarehouse
 from repro.serving import QCServer
 from repro.serving.server import SNAPSHOT_OPS
 from repro.shard.pack import attach_packed, pack_snapshot_bytes
 from tests import model
 from tests.conftest import dict_view, refreeze_ratios
+from tests.faults import InjectedCrash
 
 #: The store each configuration reads.
 STORE_OF = {"frozen": "qc", "dict": "qc", "attached": "qc", "segmented": "seg",

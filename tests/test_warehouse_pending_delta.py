@@ -19,9 +19,9 @@ import pytest
 from repro.core.construct import build_qctree
 from repro.core.warehouse import QCWarehouse
 from repro.errors import MaintenanceError
-from repro.reliability.faults import InjectedCrash
 from tests import model
 from tests.conftest import refreeze_ratios
+from tests.faults import InjectedCrash
 
 SCHEMA, AGG = model.SCHEMA, model.AGGREGATE
 BASE = [
