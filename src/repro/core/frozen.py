@@ -43,10 +43,11 @@ one walk each over the arrays, and answers and node-access counts equal
 the protocol reference's (:mod:`repro.core.point_query`); ``frozen.
 signature() == tree.signature()``.  Only what the layout holds freezes:
 labels must be non-negative int codes (a tree built from a
-:class:`~repro.cube.table.BaseTable` has them) and class values one
-shape of int (|x| < 2**53) and float leaves; anything else raises
-:class:`~repro.errors.SerializationError`.  Every key is the int
-``dim * stride + value``, with ``stride > 0`` even on a root-only tree.
+:class:`~repro.cube.table.BaseTable` has them), anything else raises
+:class:`~repro.errors.SerializationError`.  A class value is laid out by
+its aggregate (``width`` ``float64`` columns, ``write`` / ``read`` in
+:mod:`repro.cube.aggregates`).  Every key is the int ``dim * stride +
+value``, with ``stride > 0`` even on a root-only tree.
 
 Incremental refreeze
 --------------------
@@ -60,9 +61,8 @@ write.
 Pruned nodes leave tombstones, new nodes are appended.  It recompiles
 with :meth:`from_tree` past :data:`FULL_REFREEZE_RATIO`, when
 tombstone/overlay debt passes :data:`COMPACT_RATIO`, or when a splice
-cannot express the delta (a label past the stride's headroom; a payload
-the layout cannot hold, which the compile refuses as ``freeze()`` does;
-an attached tree).  Either way it answers like a from-scratch freeze.
+cannot express the delta (a label past the stride's headroom; an
+attached tree).  Either way it answers like a from-scratch freeze.
 
 Instances are immutable: attribute assignment after construction raises
 :class:`TypeError`, so a tree can be shared across threads (the lazy
@@ -116,8 +116,6 @@ BUFFER_SECTIONS = (
     "link_start", "link_key", "link_target",
     "last_dim", "forced", "ub", "class_kind", "value_data",
 )
-
-_MAX_EXACT_INT = 2 ** 53
 
 
 def _route_key(stride, dim, value):
@@ -180,72 +178,6 @@ def _codes(labels: list) -> np.ndarray:
     )
 
 
-def template_of(sample):
-    """The shape template of one aggregate value: nested lists of
-    ``"i"`` (int leaf) / ``"f"`` (float leaf)."""
-    if isinstance(sample, tuple):
-        return [template_of(part) for part in sample]
-    if isinstance(sample, bool) or not isinstance(sample, (int, float)):
-        raise SerializationError(
-            f"cannot pack aggregate payload {sample!r}: only ints, floats "
-            "and (nested) tuples of them are packable"
-        )
-    return "i" if isinstance(sample, int) else "f"
-
-
-def template_leaves(template) -> list:
-    """The ``"i"`` / ``"f"`` leaves of a template, in packed order."""
-    if isinstance(template, list):
-        return [leaf for sub in template for leaf in template_leaves(sub)]
-    return [] if template is None else [template]
-
-
-def template_width(template) -> int:
-    """Number of ``float64`` leaves in a packed value template."""
-    return len(template_leaves(template))
-
-
-def leaf_columns(values, template, out) -> None:
-    """Append one ``float64`` column per leaf of ``template`` to ``out``,
-    holding that leaf of every payload in ``values`` — after verifying
-    that *each* payload matches the template's shape and leaf types
-    exactly (so reconstruction is lossless).  The checks run a column at
-    a time (type sets, ``min``/``max``); only a failing column is
-    rescanned to name the offending value."""
-    kinds = set(map(type, values))
-    if isinstance(template, list):
-        width = len(template)
-        if (not all(issubclass(kind, tuple) for kind in kinds)
-                or set(map(len, values)) != {width}):
-            bad = next(v for v in values
-                       if not isinstance(v, tuple) or len(v) != width)
-            raise SerializationError(
-                f"aggregate payload {bad!r} does not match the tree's "
-                f"uniform shape {template!r}"
-            )
-        for column, sub in zip(zip(*values), template):
-            leaf_columns(column, sub, out)
-        return
-    if template == "i":
-        if (any(kind is bool or not issubclass(kind, int) for kind in kinds)
-                or not -_MAX_EXACT_INT < min(values)
-                or not max(values) < _MAX_EXACT_INT):
-            bad = next(v for v in values if type(v) is bool
-                       or not isinstance(v, int)
-                       or not -_MAX_EXACT_INT < v < _MAX_EXACT_INT)
-            raise SerializationError(
-                f"aggregate int payload {bad!r} is not exactly packable "
-                "as float64"
-            )
-    elif not all(issubclass(kind, float) for kind in kinds):
-        bad = next(v for v in values if not isinstance(v, float))
-        raise SerializationError(
-            f"aggregate payload {bad!r} does not match the tree's "
-            f"uniform leaf type {template!r}"
-        )
-    out.append(np.fromiter(values, dtype=np.float64, count=len(values)))
-
-
 def lemma2_columns(edge_start, edge_dim, edge_child):
     """``(last_dim, forced)`` of every node from its ``(dim, value)``-
     sorted edge rows: a node's last dimension is its last edge's, and
@@ -273,24 +205,6 @@ def _view(array, fmt: str = "q") -> memoryview:
     :func:`repro.shard.pack.attach_packed` hands over."""
     flat = np.ascontiguousarray(array, dtype="<f8" if fmt == "d" else "<i8")
     return memoryview(flat.reshape(-1)).cast("B").cast(fmt)
-
-
-def _payload_rows(payloads: list, class_ids, n: int, template=None,
-                  base=()):
-    """``(template, matrix)``: an ``n × width`` ``float64`` matrix of
-    the packed rows ``base`` (zeros past them), with row ``class_ids[k]``
-    the leaves of ``payloads[k]`` checked by :func:`leaf_columns`; the
-    first payload sets a missing template."""
-    if template is None and payloads:
-        template = template_of(payloads[0])
-    columns: list = []
-    if payloads:
-        leaf_columns(payloads, template, columns)
-    matrix = np.zeros((n, template_width(template)), dtype=np.float64)
-    matrix.reshape(-1)[:len(base)] = base
-    for j, column in enumerate(columns):
-        matrix[class_ids, j] = column
-    return template, matrix
 
 
 def _tree_columns(tree: QCTree):
@@ -391,8 +305,10 @@ def compile_columns(header, parent, dim, value, kids, links, class_nodes,
     kind = np.zeros(n, dtype=np.int64)
     kind[class_slots] = 1
     meta = dict(header, stride=stride, counts={"nodes": n})
-    meta["value_template"], value_data = _payload_rows(
-        list(map(header["aggregate"].value, payloads)), class_slots, n)
+    aggregate = header["aggregate"]
+    value_data = np.zeros((n, aggregate.width))
+    value_data[class_slots] = aggregate.write(
+        list(map(aggregate.value, payloads)))
     states = np.full(n, None, dtype=object)
     states[class_slots] = np.fromiter(payloads, object, len(payloads))
     views = dict(
@@ -468,44 +384,6 @@ def live_rows(tree, links: bool, live, remap):
     return new_start, dims, values, remap[hops]
 
 
-def _payloads(template, matrix) -> list:
-    """The payloads of a packed ``float64`` matrix's rows (the inverse
-    of :func:`leaf_columns`), decoded a column at a time."""
-    columns = iter(matrix.T)
-
-    def decode(leaf):
-        if isinstance(leaf, list):
-            return list(zip(*map(decode, leaf)))
-        column = next(columns)
-        return (column.astype(np.int64) if leaf == "i" else column).tolist()
-
-    return decode(template)
-
-
-def _rebuild(template, flat, pos: int):
-    """Rebuild one aggregate value from its packed ``float64``
-    leaves (the inverse of :func:`leaf_columns`); returns ``(value,
-    next_pos)``."""
-    if isinstance(template, list):
-        parts = []
-        for sub in template:
-            value, pos = _rebuild(sub, flat, pos)
-            parts.append(value)
-        return tuple(parts), pos
-    leaf = flat[pos]
-    return (int(leaf) if template == "i" else leaf), pos + 1
-
-
-def _decode(kind, data, codec, node: int):
-    """One node's value from its packed ``float64`` row (None off the
-    classes)."""
-    if not kind[node]:
-        return None
-    template, width = codec
-    base = node * width
-    return _rebuild(template, data[base:base + width], 0)[0]
-
-
 class FrozenQCTree:
     """Read-optimized immutable QC-tree over ``QCTREE/3`` sections.
 
@@ -522,7 +400,7 @@ class FrozenQCTree:
         "_edge_start", "_edge_key", "_edge_child",
         "_link_start", "_link_key", "_link_target",
         "_last_dim", "_forced", "_class_kind",
-        "_ub", "_value_data", "_value_codec",
+        "_ub", "_value_data",
         # decode caches: routing dicts, upper-bound tuples, values
         "_routes", "_ubs", "_value",
         # patch bookkeeping: each dict id's slot (-1 for none; None on an
@@ -594,8 +472,6 @@ class FrozenQCTree:
             _routes=[None] * n,
             _ubs=[None] * n,
             _value=[_UNSET] * n,
-            _value_codec=(meta["value_template"],
-                          template_width(meta["value_template"])),
             state=states,
             **{"_" + name: views[name] for name in BUFFER_SECTIONS},
         )
@@ -631,8 +507,7 @@ class FrozenQCTree:
           spare capacity is reclaimed by repacking (``mode="compacted"``).
         * representation limits — a label code past the routing-key
           stride's headroom, an unsortable label mix, an unmapped
-          neighbor, an unpackable payload (the compile raises, as
-          ``freeze()`` does), or an attached tree (``mode="full"``, see
+          neighbor, or an attached tree (``mode="full"``, see
           ``patch_stats["reason"]``).
         """
         tree = delta.tree
@@ -742,10 +617,10 @@ class FrozenQCTree:
             columns["_ub"] = ub
 
         # -- column writes: every live dirty slot's state, value and kind ---
-        value_of = tree.aggregate.value
+        aggregate = tree.aggregate
         for d, slot in live:
             st = state[slot] = tree.state[d]
-            value[slot] = None if st is None else value_of(st)
+            value[slot] = None if st is None else aggregate.value(st)
         written = [slot for _, slot in live]
         holds = [state[slot] is not None for slot in written]
         kind = np.pad(self._class_kind, (0, appended))
@@ -753,19 +628,14 @@ class FrozenQCTree:
         kind[written] = holds
         columns["_class_kind"] = kind
         written = list(compress(written, holds))
-        try:
-            value_template, columns["_value_data"] = _payload_rows(
-                [value[slot] for slot in written], written, n,
-                self._value_codec[0], self._value_data)
-        except SerializationError:
-            # The layout cannot hold a payload: the compile refuses it
-            # exactly as ``freeze()`` does.
-            return full("full", "unpackable-payload")
+        value_data = columns["_value_data"] = np.zeros((n, aggregate.width))
+        value_data.reshape(-1)[:len(self._value_data)] = self._value_data
+        value_data[written] = aggregate.write([value[slot] for slot in written])
 
         out = FrozenQCTree._new(
             n_dims=tree.n_dims,
             dim_names=tuple(tree.dim_names),
-            aggregate=tree.aggregate,
+            aggregate=aggregate,
             patch_stats={
                 "mode": "patched", "dirty": len(dirty),
                 "restated": len(live) - len(touched),
@@ -779,7 +649,6 @@ class FrozenQCTree:
                for name in BUFFER_SECTIONS if "_" + name not in columns},
             **{name: _view(column, "d" if column.dtype == np.float64 else "q")
                for name, column in columns.items()},
-            _value_codec=(value_template, template_width(value_template)),
             _routes=routes,
             _ubs=ubs,
             _value=value,
@@ -941,9 +810,12 @@ class FrozenQCTree:
         """User-facing aggregate value at a class node (None elsewhere)."""
         value = self._value[node]
         if value is _UNSET:
-            value = self._value[node] = _decode(
-                self._class_kind, self._value_data, self._value_codec, node
-            )
+            value = None
+            if self._class_kind[node]:
+                aggregate = self.aggregate
+                value = aggregate.read(self._value_data,
+                                       node * aggregate.width)
+            self._value[node] = value
         return value
 
     # -- Algorithm 3 -----------------------------------------------------------
@@ -1123,9 +995,9 @@ class FrozenQCTree:
         hits = hits[~wrong.any(axis=1)]
         values = [None] * len(codes)
         if hits.size:
-            template, value_width = self._value_codec
-            found = _payloads(template, np.asarray(self._value_data).reshape(
-                -1, value_width)[node[hits]])
+            aggregate = self.aggregate
+            found = aggregate.read_rows(np.asarray(self._value_data).reshape(
+                -1, aggregate.width)[node[hits]])
             for i, value in zip(hits.tolist(), found):
                 values[i] = value
         return values

@@ -26,6 +26,12 @@ per class.  To make incremental maintenance cheap, aggregates here expose a
 ``rank(value)``
     The number an iceberg query thresholds and a measure index sorts:
     the value itself, or a multi-aggregate's first part.
+``write(values)`` / ``read(data, at)`` / ``read_rows(matrix)``
+    How a value sits in the ``value_data`` section of a ``QCTREE/3``
+    tree: ``width`` ``float64`` columns a class, one for a single
+    aggregate, a multi-aggregate's parts side by side, depth first.
+    COUNT reads its column back as ``int``, every other leaf as
+    ``float``.
 
 States are exact, so the distributive (COUNT, SUM, MIN, MAX) and
 algebraic (AVG, VAR) laws of Gray et al. hold as equalities: a maintained
@@ -44,6 +50,7 @@ floats and tuples, which compare and copy.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -103,6 +110,8 @@ class AggregateFunction:
     name: str = "?"
     #: Whether :meth:`subtract` is supported.
     subtractable: bool = False
+    #: ``float64`` columns a value takes in the ``value_data`` section.
+    width: int = 1
 
     def state(self, table, rows: Sequence[int]):
         """Return the aggregate state of ``rows`` (indices into ``table``)."""
@@ -138,6 +147,31 @@ class AggregateFunction:
         aggregate whose value is not a number overrides it."""
         return value
 
+    def write(self, values: list) -> np.ndarray:
+        """``values`` as a ``len(values) × width`` ``float64`` matrix;
+        :class:`SerializationError` names a value ``float64`` cannot
+        hold, which only a custom aggregate makes."""
+        try:
+            return np.fromiter(values, np.float64, len(values)).reshape(-1, 1)
+        except (TypeError, ValueError, OverflowError):
+            for value in values:
+                try:
+                    float(value)
+                except (TypeError, ValueError, OverflowError):
+                    break
+            raise SerializationError(
+                f"cannot pack aggregate value {value!r}: float64 cannot "
+                "hold it"
+            ) from None
+
+    def read(self, data, at: int):
+        """The value :meth:`write` laid out at ``data[at:at + width]``."""
+        return data[at]
+
+    def read_rows(self, matrix) -> list:
+        """The values of a ``k × width`` matrix :meth:`write` made."""
+        return matrix[:, 0].tolist()
+
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.name}>"
 
@@ -168,6 +202,12 @@ class Count(AggregateFunction):
 
     def value(self, state):
         return state
+
+    def read(self, data, at):
+        return int(data[at])
+
+    def read_rows(self, matrix):
+        return matrix[:, 0].astype(np.int64).tolist()
 
 
 class _MeasureAggregate(AggregateFunction):
@@ -359,6 +399,9 @@ class MultiAggregate(AggregateFunction):
             raise SchemaError("MultiAggregate needs at least one part")
         self.name = "multi(" + ", ".join(p.name for p in self.parts) + ")"
         self.subtractable = all(p.subtractable for p in self.parts)
+        # Each part's first column; the last entry is the width.
+        self._at = list(accumulate((p.width for p in self.parts), initial=0))
+        self.width = self._at.pop()
 
     def state(self, table, rows):
         return tuple(p.state(table, rows) for p in self.parts)
@@ -382,6 +425,19 @@ class MultiAggregate(AggregateFunction):
     def rank(self, value):
         """A multi-aggregate ranks by its first part."""
         return self.parts[0].rank(value[0])
+
+    def write(self, values):
+        columns = list(zip(*values, strict=True)) or [()] * len(self.parts)
+        return np.hstack([p.write(list(column)) for p, column
+                          in zip(self.parts, columns, strict=True)])
+
+    def read(self, data, at):
+        return tuple([p.read(data, at + i)
+                      for p, i in zip(self.parts, self._at)])
+
+    def read_rows(self, matrix):
+        return list(zip(*[p.read_rows(matrix[:, i:i + p.width])
+                          for p, i in zip(self.parts, self._at)]))
 
 
 _SIMPLE = {"count": Count}

@@ -44,12 +44,10 @@ from itertools import chain
 import numpy as np
 
 from repro.core.frozen import (
-    _MAX_EXACT_INT,
     BUFFER_SECTIONS,
     FrozenQCTree,
     lemma2_columns,
     live_rows,
-    template_leaves,
 )
 from repro.core.qctree import QCTree
 from repro.cube.aggregates import _spec_to_json, aggregate_spec
@@ -78,29 +76,6 @@ _DTYPES = {"q": np.dtype("<i8"), "d": np.dtype("<f8")}
 
 
 # -- packing -----------------------------------------------------------------
-
-
-def _packed_matrix(data, template, is_class):
-    """The ``n × width`` ``float64`` value matrix re-read
-    from a tree's packed rows: class rows pass through, the rest are
-    zeroed, and ``"i"`` leaves must still hold integers ``float64``
-    represents exactly."""
-    leaves = template_leaves(template)
-    matrix = np.asarray(data, dtype=np.float64).reshape(
-        is_class.size, len(leaves)
-    )
-    matrix = np.where(is_class[:, None], matrix, 0.0)
-    for j, leaf in enumerate(leaves):
-        if leaf != "i":
-            continue
-        column = matrix[:, j]
-        exact = (np.abs(column) < _MAX_EXACT_INT) & (column == np.trunc(column))
-        if not exact.all():
-            raise SerializationError(
-                f"aggregate int payload {column[~exact][0]!r} is not "
-                "exactly packable as float64"
-            )
-    return matrix
 
 
 def pack_snapshot_bytes(tree, table=None, stamp=(0, 0)) -> bytes:
@@ -145,8 +120,9 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0)) -> bytes:
 
     kind = np.asarray(tree._class_kind, dtype=np.int64) != 0
     is_class = kind[live]
-    template = tree._value_codec[0]
-    value_data = _packed_matrix(tree._value_data, template, kind)[live]
+    # A slot that stopped being a class keeps its old row: zero it.
+    value_data = np.where(kind[:, None], np.asarray(
+        tree._value_data).reshape(-1, tree.aggregate.width), 0.0)[live]
 
     table_rows = np.empty(0, dtype=np.int64)
     table_measures = np.empty(0, dtype=np.float64)
@@ -159,13 +135,9 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0)) -> bytes:
             raise SerializationError(
                 f"table labels are not JSON-serializable: {exc}"
             ) from exc
-        rows = table.rows
-        if isinstance(rows, _PackedRows):
-            table_rows = np.asarray(rows._flat, dtype=np.int64)
-        else:
-            table_rows = np.fromiter(
-                chain.from_iterable(rows), dtype=np.int64
-            )
+        table_rows = np.fromiter(
+            chain.from_iterable(table.rows), dtype=np.int64
+        )
         table_measures = np.asarray(table.measures, dtype=np.float64)
         table_meta = {
             "n_rows": table.n_rows,
@@ -205,7 +177,6 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0)) -> bytes:
             "nodes": n, "edges": int(edge_key.size),
             "links": int(link_key.size), "classes": int(is_class.sum()),
         },
-        "value_template": template,
         "stamp": [int(lsn), int(epoch)],
         "table": table_meta,
         "sections": sections,

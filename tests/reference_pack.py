@@ -11,7 +11,9 @@ ahead of it on the clock (the no-wall-clock-constant regression guard).
 Do not "improve" this file — its value is that it does not change.
 It follows the layout only: the section of class states left the layout
 when states became exact (a worker answers from the values), so it
-writes values alone.
+writes values alone; and since a class value is laid out by its
+aggregate, it writes ``tree.aggregate.width`` leaves a node and no value
+template in the meta block.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from array import array
 import numpy as np
 
 from repro.core.cells import ALL
-from repro.core.frozen import template_width
 from repro.errors import SerializationError
 
 SECTIONS = (
@@ -35,49 +36,17 @@ SECTIONS = (
     ("table_rows", "q"), ("table_measures", "d"),
 )
 
-_MAX_EXACT_INT = 2 ** 53
+
+# -- values ------------------------------------------------------------------
 
 
-# -- state/value templates ---------------------------------------------------
-
-
-def _template_of(sample):
-    """The shape template of one aggregate state/value: nested lists of
-    ``"i"`` (int leaf) / ``"f"`` (float leaf)."""
-    if isinstance(sample, tuple):
-        return [_template_of(part) for part in sample]
-    if isinstance(sample, bool) or not isinstance(sample, (int, float)):
-        raise SerializationError(
-            f"cannot pack aggregate payload {sample!r}: only ints, floats "
-            "and (nested) tuples of them are packable"
-        )
-    return "i" if isinstance(sample, int) else "f"
-
-
-def _flatten_into(value, template, out) -> None:
-    """Append ``value``'s leaves to ``out``, verifying it matches the
-    template shape and leaf types exactly (so reconstruction is lossless)."""
-    if isinstance(template, list):
-        if not isinstance(value, tuple) or len(value) != len(template):
-            raise SerializationError(
-                f"aggregate payload {value!r} does not match the tree's "
-                f"uniform shape {template!r}"
-            )
-        for part, sub in zip(value, template):
-            _flatten_into(part, sub, out)
+def _flatten_into(value, out) -> None:
+    """Append ``value``'s leaves to ``out`` as floats, depth first: a
+    multi-aggregate's parts side by side, as its aggregate lays it out."""
+    if isinstance(value, tuple):
+        for part in value:
+            _flatten_into(part, out)
         return
-    if template == "i":
-        if (isinstance(value, bool) or not isinstance(value, int)
-                or not -_MAX_EXACT_INT < value < _MAX_EXACT_INT):
-            raise SerializationError(
-                f"aggregate int payload {value!r} is not exactly packable "
-                "as float64"
-            )
-    elif not isinstance(value, float):
-        raise SerializationError(
-            f"aggregate payload {value!r} does not match the tree's "
-            f"uniform leaf type {template!r}"
-        )
     out.append(float(value))
 
 
@@ -114,7 +83,6 @@ def reference_pack(tree, table=None, stamp=(0, 0)) -> bytes:
     per_links = []
     ubs = []
     max_label = -1
-    value_template = None
     value_rows = []
     class_kind = array("q", bytes(8 * n))
     for i, old in enumerate(order):
@@ -144,10 +112,8 @@ def reference_pack(tree, table=None, stamp=(0, 0)) -> bytes:
         value = tree.value_at(old)
         if value is not None:
             class_kind[i] = 1
-            if value_template is None:
-                value_template = _template_of(value)
             vrow: list = []
-            _flatten_into(value, value_template, vrow)
+            _flatten_into(value, vrow)
             value_rows.append((i, vrow))
 
     stride = max_label + 1 if max_label >= 0 else 1
@@ -183,7 +149,7 @@ def reference_pack(tree, table=None, stamp=(0, 0)) -> bytes:
         for j, val in enumerate(ub):
             ub_flat[base + j] = -1 if val is ALL else val
 
-    v_width = template_width(value_template)
+    v_width = tree.aggregate.width
     value_data = array("d", bytes(8 * n * v_width))
     for i, row in value_rows:
         value_data[i * v_width:(i + 1) * v_width] = array("d", row)
@@ -245,7 +211,6 @@ def reference_pack(tree, table=None, stamp=(0, 0)) -> bytes:
             "nodes": n, "edges": len(edge_key), "links": len(link_key),
             "classes": len(value_rows),
         },
-        "value_template": value_template,
         "stamp": [int(lsn), int(epoch)],
         "table": table_meta,
         "sections": sections,

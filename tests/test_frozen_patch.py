@@ -18,7 +18,6 @@ import random
 import pytest
 
 from repro.core.construct import build_qctree
-from repro.core.frozen import _decode
 from repro.core.maintenance import (
     MaintenanceDelta,
     apply_deletions,
@@ -27,7 +26,6 @@ from repro.core.maintenance import (
 from repro.core.point_query import point_query
 from repro.core.warehouse import QCWarehouse
 from repro.data.synthetic import zipf_table
-from repro.errors import SerializationError
 from repro.shard.pack import pack_snapshot_bytes
 from tests import model
 from tests.conftest import (
@@ -259,25 +257,6 @@ class TestColumnWrites:
             assert stats["restated"] + stats["touched"] <= stats["dirty"]
         _assert_equivalent(wh.serving_tree, wh.tree, wh.table)
 
-    def test_unpackable_state_is_refused_like_freeze(self):
-        """A recorded state the layout cannot hold (an int past 2**53)
-        makes the patch recompile, which refuses it as ``freeze()``
-        does — the patched view never holds it silently."""
-        table = make_random_table(3, n_dims=3, cardinality=3, n_rows=20)
-        tree = build_qctree(table, "count")
-        frozen = tree.freeze()
-        node = max(tree.iter_class_nodes())
-        tree.begin_delta()
-        tree.set_state(node, 2 ** 60)
-        delta = tree.end_delta()
-        assert delta.dirty == delta.restated == {node}
-        with pytest.raises(SerializationError) as refused:
-            patch_with(frozen, delta, full=1.0)
-        with pytest.raises(SerializationError) as frozen_refused:
-            tree.freeze()
-        assert str(refused.value) == str(frozen_refused.value)
-        assert str(2 ** 60) in str(refused.value)
-
     def test_column_writes_leave_the_routing_alone(self):
         """A state-only slot keeps its decoded routing dict and upper
         bound; its new state is in the state list and its value in the
@@ -298,8 +277,9 @@ class TestColumnWrites:
             assert patched._ubs[slot] is frozen._ubs[slot]
             assert patched.state[slot] == tree.state[d]
             # The sections hold the value: decoded afresh, not from a cache.
-            assert _decode(patched._class_kind, patched._value_data,
-                           patched._value_codec, slot) == tree.value_at(d)
+            aggregate = patched.aggregate
+            assert aggregate.read(patched._value_data,
+                                  slot * aggregate.width) == tree.value_at(d)
             assert patched.upper_bound_of(slot) == tree.upper_bound_of(d)
 
 

@@ -7,8 +7,8 @@ on [0, 100), built through :mod:`repro.data` alone.  Every check is
 ``==``: aggregate states are exact, so no relation needs a tolerance.
 
 * **Theorem 2 at scale** — after each 32-row insert and each 32-row
-  delete, the maintained store (its dict tree and its patched frozen
-  view) has a fresh build's signature.
+  delete, the maintained store (its dict tree, its patched frozen view
+  and that view packed and attached) has a fresh build's signature.
 * **Distribution** — the table split at random into pieces built
   independently: each class's state is the merge of the pieces' states
   of its upper bound.
@@ -85,6 +85,12 @@ def test_theorem_2_after_every_lap(table):
         want = build_frozen(wh.table, SUM).signature()
         assert wh.tree.signature() == want, step
         assert wh.serving_tree.signature() == want, step
+        attached = attach_packed(
+            pack_snapshot_bytes(wh.serving_tree, wh.table))
+        try:
+            assert attached.tree.signature() == want, step
+        finally:
+            attached.release()
 
     for lap in range(LAPS):
         wh.insert(extra[lap * BATCH:(lap + 1) * BATCH])
