@@ -14,10 +14,10 @@ pipeline can be driven from the shell::
     python -m repro serve sales.d --workers 4
 
 ``build`` writes a checkpoint directory (:mod:`repro.core.manifest`: the
-base table as CSV and a manifest naming its checksum, the schema and
-the aggregate); every other verb opens it through ``recover`` with the
-write-ahead log ``DIR/wal.log``, so it also sees the writes a killed
-``serve`` logged.  Opening builds the tree from the table.
+base table as a piece file and a manifest naming its checksum, the
+schema and the aggregate); every other verb opens it through
+``recover`` with the write-ahead log ``DIR/wal.log``, so it also sees
+the writes a killed ``serve`` logged.  Opening builds the tree from the table.
 
 Cells use ``,`` between dimensions and ``*`` for ALL; range dimensions
 separate candidate values with ``|``.

@@ -1,7 +1,8 @@
 """The one atomic file writer.
 
-Every durable file of the package — table CSVs, the WAL header and the
-segment manifest — is replaced the same way: written to a
+Every durable file of the package — piece files (each a base table's
+columns), the WAL header and the segment manifest — is replaced the
+same way: written to a
 sibling temporary file that is flushed, fsynced and renamed over the
 destination, after which the directory is fsynced so the rename itself
 survives a crash.  A crash before the rename leaves the previous file

@@ -1,10 +1,12 @@
 """The manifest: the one atomic commit point of a checkpoint.
 
 A checkpoint is its base tables.  Theorem 2 makes a QC-tree a function
-of its table, so every store checkpoints into one directory of tables:
-immutable per-segment CSVs (``segment-XXXXXXXX.csv``, written first and
-never modified; none for a store that never seals), the head's table
-(``head-XXXXXXXX.csv``, a fresh sequence-numbered file per checkpoint),
+of its table, so every store checkpoints into one directory of tables,
+each a piece file (:func:`~repro.core.piece.piece_bytes`: label
+dictionaries, code matrix, measures): immutable per-segment files
+(``segment-XXXXXXXX.piece``, written first and never modified; none for
+a store that never seals), the head's table (``head-XXXXXXXX.piece``, a
+fresh sequence-numbered file per checkpoint),
 and ``MANIFEST.json`` — a checksummed JSON document naming exactly which
 tables constitute the store, in segment order, each with its row count
 and the CRC32 of its bytes, at which WAL LSN, the aggregate every tree
@@ -24,10 +26,13 @@ rename + directory fsync), so every crash leaves one of two states:
 
 Files present in the directory but absent from the manifest are orphans
 from an interrupted checkpoint; recovery ignores (and reports) them.  A
-directory written before tables were the whole checkpoint also names a
-``.qct`` tree file per entry: recovery ignores the ``tree`` keys, reads
-an entry without ``crc32`` unchecked and every dimension's labels as
-strings, and the next checkpoint deletes the trees as orphans.
+directory written before piece files names CSV tables
+(``head-XXXXXXXX.csv``): recovery reads each once, and the next
+checkpoint writes piece files and deletes the CSVs as orphans.  One
+written before tables were the whole checkpoint also names a ``.qct``
+tree file per entry: recovery ignores the ``tree`` keys, reads an entry
+without ``crc32`` unchecked and every dimension's labels as strings,
+and the next checkpoint deletes the trees as orphans.
 """
 
 from __future__ import annotations

@@ -22,7 +22,9 @@ from then on it is immutable (replaced through :meth:`derive`, never
 edited), which is what lets a checkpoint skip files this very object
 already wrote.
 
-On disk a piece is its table's CSV and nothing else: :meth:`load`
+On disk a piece is its table's columns and nothing else — one piece
+file (:func:`piece_bytes`): the label dictionaries in a JSON header,
+then the code matrix and the ``<f8`` measure matrix — and :meth:`load`
 builds the tree from it, so every open takes one path.  See
 :mod:`repro.core.manifest` for the checkpoint directory every store
 writes.
@@ -30,20 +32,101 @@ writes.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import zlib
 from collections import Counter
 from typing import Optional
 
+import numpy as np
+
+from repro.atomic import replace_file
 from repro.core.construct import build_frozen
 from repro.core.maintenance.batch import maintain_batch
 from repro.core.maintenance.delete import resolve_deletions
 from repro.core.qctree import QCTree
 from repro.cube.cover_index import CoverIndex
-from repro.cube.table import BaseTable
+from repro.cube.table import BaseTable, label_type
 from repro.errors import RecoveryError, SchemaError
 from repro.reliability.fsck import fsck_tree
+
+#: The first line of a piece file.  A table file without it is the CSV
+#: an earlier layout wrote, which :meth:`Piece.load` still reads.
+MAGIC = b"QCPIECE/1\n"
+#: The name suffix of a piece file in a checkpoint directory.
+SUFFIX = ".piece"
+
+
+def piece_bytes(table: BaseTable) -> bytes:
+    """``table`` as one piece file: :data:`MAGIC`, then one JSON header
+    line — the schema's names, each dimension's labels in dictionary
+    order (:meth:`BaseTable.columns`), the code dtype and the row count
+    — padded to 8 bytes, then the code matrix in the narrowest unsigned
+    dtype that holds the largest dictionary, then the measure matrix as
+    ``<f8`` (every finite double exactly).  The header is ASCII: JSON
+    escapes every label :func:`~repro.cube.table.label_type` accepts."""
+    labels, codes = table.columns()
+    dtype = np.min_scalar_type(max([len(column) for column in labels] + [1])
+                               - 1).newbyteorder("<")
+    header = json.dumps({
+        "dimensions": table.schema.dimension_names,
+        "measures": table.schema.measure_names,
+        "labels": labels,
+        "codes": dtype.str,
+        "rows": table.n_rows,
+    }, separators=(",", ":")).encode("ascii")
+    head = MAGIC + header
+    return b"".join([head, b" " * (-(len(head) + 1) % 8), b"\n",
+                     codes.astype(dtype).tobytes(),
+                     table.measures.astype("<f8").tobytes()])
+
+
+def read_piece(data: bytes, schema, label_types=None) -> BaseTable:
+    """The table of the piece file :func:`piece_bytes` wrote, each label
+    checked against its dimension's ``label_types`` entry (a
+    :func:`~repro.cube.table.label_type`; None takes any).  A damaged
+    file raises :class:`SchemaError`, ``ValueError`` or ``TypeError``."""
+    end = data.find(b"\n", len(MAGIC))
+    if end < 0:
+        raise SchemaError("the piece header has no end")
+    header = json.loads(data[len(MAGIC):end])
+    missing = sorted({"dimensions", "measures", "labels", "codes",
+                      "rows"}.difference(header))
+    if missing:
+        raise SchemaError(f"the piece header lacks {missing}")
+    names = (tuple(header["dimensions"]), tuple(header["measures"]))
+    if names != (schema.dimension_names, schema.measure_names):
+        raise SchemaError(
+            f"the piece header names the columns {names}, the schema "
+            f"{(schema.dimension_names, schema.measure_names)}")
+    labels, rows = header["labels"], header["rows"]
+    if len(labels) != schema.n_dims or type(rows) is not int or rows < 0:
+        raise SchemaError("the piece header's labels or rows are malformed")
+    for name, kind, column in zip(schema.dimension_names,
+                                  label_types or (None,) * schema.n_dims,
+                                  labels):
+        for label in column:
+            found = label_type(label)
+            if found is None or found != (kind or found):
+                raise SchemaError(
+                    f"dimension {name!r} holds the label {label!r}, not of "
+                    f"type {kind or 'str, int, float or bool'}")
+    dtype = np.dtype(header["codes"])
+    if dtype.kind != "u":
+        raise SchemaError(f"the piece's code dtype {dtype} is not unsigned")
+    body = end + 1
+    size = rows * (schema.n_dims * dtype.itemsize + schema.n_measures * 8)
+    if len(data) - body != size:
+        raise SchemaError(
+            f"the piece header promises {rows} rows in {size} bytes, the "
+            f"body holds {len(data) - body}")
+    codes = np.frombuffer(data, dtype, rows * schema.n_dims, body)
+    measures = np.frombuffer(data, "<f8", rows * schema.n_measures,
+                             body + codes.nbytes)
+    return BaseTable.from_columns(
+        schema, labels, codes.reshape(rows, schema.n_dims),
+        measures.reshape(rows, schema.n_measures).astype(np.float64))
 
 
 class Piece:
@@ -283,8 +366,9 @@ class Piece:
     # -- persistence -----------------------------------------------------------
 
     def save(self, table_path) -> str:
-        """Write the table's CSV atomically (temp file + fsync + rename)
-        and return its CRC32 (8 hex digits) for the manifest.
+        """Write the table's piece file (:func:`piece_bytes`) atomically
+        (:func:`~repro.atomic.replace_file`) and return its CRC32 (8 hex
+        digits) for the manifest.
 
         A sealed piece is immutable, so it skips the write when *this
         object* already wrote (or was loaded from) exactly this path and
@@ -295,7 +379,9 @@ class Piece:
         if (self.segment_id is not None and self._saved_at is not None
                 and self._saved_at[0] == path and os.path.exists(path)):
             return self._saved_at[1]
-        crc = self.table.to_csv(path)
+        data = piece_bytes(self.table)
+        replace_file(path, lambda fp: fp.write(data), mode="wb")
+        crc = f"{zlib.crc32(data):08x}"
         self._saved_at = (path, crc)
         return crc
 
@@ -303,7 +389,9 @@ class Piece:
     def load(cls, table_path, schema, aggregate, label_types=None,
              crc32: Optional[str] = None, rows: Optional[int] = None):
         """The piece :meth:`save` wrote at ``table_path``: its table read
-        under ``label_types`` and its tree built with ``aggregate``.
+        under ``label_types`` and its tree built with ``aggregate``.  A
+        file without :data:`MAGIC` is read as the CSV table an earlier
+        layout wrote; the next checkpoint writes it as a piece file.
 
         ``crc32`` and ``rows`` are what the manifest recorded for the
         file; a file whose bytes or row count differ, or that is not a
@@ -319,9 +407,12 @@ class Piece:
                 f"crc32={crc32}, the file has {found})"
             )
         try:
-            table = BaseTable.parse_csv(data.decode("utf-8"), schema,
-                                        label_types)
-        except (UnicodeDecodeError, SchemaError) as exc:
+            if data.startswith(MAGIC):
+                table = read_piece(data, schema, label_types)
+            else:  # the CSV of an earlier layout: read once, rewritten
+                table = BaseTable.parse_csv(data.decode("utf-8"), schema,
+                                            label_types)
+        except (TypeError, ValueError, SchemaError) as exc:
             raise RecoveryError(f"{table_path}: {exc}") from exc
         if rows is not None and table.n_rows != rows:
             raise RecoveryError(

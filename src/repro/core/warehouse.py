@@ -62,7 +62,7 @@ from repro.core.manifest import (
     manifest_label_types,
     save_manifest,
 )
-from repro.core.piece import Piece
+from repro.core.piece import SUFFIX, Piece
 from repro.core.query_cache import (
     MISS,
     LsnQueryCache,
@@ -798,9 +798,11 @@ class QCWarehouse:
         return self.wal
 
     def save(self, tree_path, table_path) -> None:
-        """Export the head's table as CSV — the whole store while it is
-        one piece.  ``tree_path`` is not written: a tree is rebuilt from
-        its table, so :meth:`checkpoint` stores none either.
+        """Export the head's table as a piece file (:meth:`Piece.save
+        <repro.core.piece.Piece.save>`, the file :meth:`checkpoint`
+        writes) — the whole store while it is one piece.  ``tree_path``
+        is not written: a tree is rebuilt from its table, so
+        :meth:`checkpoint` stores none either.
 
         Nothing reads the file back on its own: :meth:`checkpoint` is
         the durable layout, :meth:`recover` its reader.
@@ -811,11 +813,14 @@ class QCWarehouse:
         """Snapshot every piece's table into ``directory``, then truncate
         the WAL.
 
-        Each piece is its table's CSV, written by :meth:`Piece.save
-        <repro.core.piece.Piece.save>` — sealed ones as
-        ``segment-XXXXXXXX.csv``, skipped when this warehouse already
+        Each piece is its table's piece file — label dictionaries, code
+        matrix and measures — written by :meth:`Piece.save
+        <repro.core.piece.Piece.save>`: sealed ones as
+        ``segment-XXXXXXXX.piece``, skipped when this warehouse already
         wrote (or recovered) that very file, the head as a fresh
-        sequence-numbered ``head-XXXXXXXX.csv`` each time.  The manifest
+        sequence-numbered ``head-XXXXXXXX.piece`` each time.  A CSV table
+        an earlier layout left is not referenced any more, so it goes
+        with the orphans.  The manifest
         (:mod:`repro.core.manifest`) records each file's row count and
         CRC32 and the store's label types; it is written last and
         atomically, and only after it is durable are files it does not
@@ -836,11 +841,11 @@ class QCWarehouse:
                 return dict(entry, rows=piece.n_rows, table=name, crc32=crc)
 
             entries = [
-                write(piece, f"segment-{piece.segment_id:08d}.csv",
+                write(piece, f"segment-{piece.segment_id:08d}{SUFFIX}",
                       id=piece.segment_id)
                 for piece in self._segments
             ]
-            head = write(self._live, f"head-{seq:08d}.csv", seq=seq)
+            head = write(self._live, f"head-{seq:08d}{SUFFIX}", seq=seq)
             top = max((s.segment_id for s in self._segments), default=0)
             save_manifest(
                 directory,

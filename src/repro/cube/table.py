@@ -21,13 +21,11 @@ import csv
 import io
 import math
 import numbers
-import zlib
 from contextlib import suppress
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.atomic import replace_file
 from repro.core.cells import ALL, Cell, covers
 from repro.cube.schema import Schema
 from repro.errors import SchemaError
@@ -97,7 +95,7 @@ def _measure_matrix(records, schema: Schema):
 
 
 #: The label types a checkpoint records per dimension, by name, with the
-#: parser that reads one back from its CSV text.
+#: parser that reads one back from text (a CSV table, a protocol field).
 LABEL_PARSERS = {
     "str": str,
     "int": int,
@@ -108,7 +106,7 @@ LABEL_PARSERS = {
 
 def label_type(label) -> Optional[str]:
     """The :data:`LABEL_PARSERS` name of ``label``'s type; None for a
-    type a CSV cannot spell back."""
+    type a checkpoint cannot spell back."""
     if isinstance(label, (bool, np.bool_)):
         return "bool"
     if isinstance(label, numbers.Integral):
@@ -379,7 +377,7 @@ class BaseTable:
             records.append(labels + tuple(self.measures[i]))
         return BaseTable.from_records(records, schema)
 
-    # -- CSV I/O ---------------------------------------------------------------
+    # -- columns and CSV ------------------------------------------------------
 
     def label_types(self) -> tuple:
         """Per dimension, the :func:`label_type` every label shares (None
@@ -397,33 +395,62 @@ class BaseTable:
             out.append(kinds.pop() if kinds else None)
         return tuple(out)
 
-    def to_csv(self, path) -> str:
-        """Write the decoded records with a header row, atomically, and
-        return the written bytes' CRC32 as 8 hex digits.
-
-        The file goes to a sibling temp path, is flushed and fsynced,
-        and renamed into place — a crash mid-write leaves any previous
-        file untouched.  A label of no :func:`label_type` raises
-        :class:`SchemaError` before anything is written: its ``str()``
-        would read back as another label.
-        """
-        for name, labels in zip(self.schema.dimension_names, self._decoders):
-            for label in labels:
+    def columns(self) -> tuple:
+        """``(labels, codes)``: per dimension the labels the rows use, in
+        dictionary order, and the ``int64`` code matrix of the rows
+        remapped to them — the encoding ``from_records(iter_records())``
+        would mint, whatever labels :meth:`extended` appended out of
+        order or deleted rows left behind.  A label of no
+        :func:`label_type` raises :class:`SchemaError`: no checkpoint
+        could spell it back."""
+        codes = np.array(self.rows, dtype=np.int64).reshape(self.n_rows,
+                                                           self.n_dims)
+        labels = []
+        for j, (name, decoder) in enumerate(zip(self.schema.dimension_names,
+                                                self._decoders)):
+            used = np.flatnonzero(np.bincount(codes[:, j],
+                                              minlength=len(decoder)))
+            column = python_scalars(decoder[c] for c in used.tolist())
+            for label in column:
                 if label_type(label) is None:
                     raise SchemaError(
                         f"label {label!r} of dimension {name!r} is not a "
-                        f"str, int, float or bool: a CSV cannot spell it "
-                        f"back"
+                        f"str, int, float or bool: a checkpoint cannot "
+                        f"spell it back"
                     )
-        text = io.StringIO()
-        writer = csv.writer(text)
-        writer.writerow(
-            list(self.schema.dimension_names) + list(self.schema.measure_names)
-        )
-        writer.writerows(self.iter_records())
-        data = text.getvalue().encode("utf-8")
-        replace_file(path, lambda f: f.write(data), mode="wb")
-        return f"{zlib.crc32(data):08x}"
+            order = sorted(range(len(column)),
+                           key=lambda i: _label_sort_key(column[i]))
+            remap = np.zeros(len(decoder), dtype=np.int64)
+            remap[used[order]] = np.arange(len(order))
+            codes[:, j] = remap[codes[:, j]]
+            labels.append([column[i] for i in order])
+        return labels, codes
+
+    @classmethod
+    def from_columns(cls, schema: Schema, labels, codes,
+                     measures) -> "BaseTable":
+        """The table of :meth:`columns`' ``(labels, codes)`` and a
+        float64 measure matrix.  A repeated label, a code past its
+        dimension's labels and a measure that is not finite raise
+        :class:`SchemaError`."""
+        encoders = []
+        for name, column, top in zip(schema.dimension_names, labels,
+                                     codes.max(axis=0, initial=0)):
+            encoder = {label: code for code, label in enumerate(column)}
+            if len(encoder) != len(column):
+                raise SchemaError(
+                    f"dimension {name!r} repeats a label of its dictionary")
+            if len(codes) and top >= len(column):
+                raise SchemaError(
+                    f"dimension {name!r} has the code {int(top)}, past its "
+                    f"{len(column)} labels")
+            encoders.append(encoder)
+        if not np.isfinite(measures).all():
+            raise SchemaError(
+                "a measure is not finite: exact aggregate states hold no "
+                "NaN or infinity")
+        return cls(schema, list(map(tuple, codes.tolist())), measures,
+                   [list(column) for column in labels], encoders)
 
     @classmethod
     def from_csv(cls, path, schema: Schema) -> "BaseTable":

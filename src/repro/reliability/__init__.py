@@ -6,9 +6,10 @@ outlive its base data; this package makes it outlive *crashes*:
 * :mod:`repro.reliability.wal` logs maintenance batches ahead of tree
   mutation; ``QCWarehouse.checkpoint(directory)`` folds them into the
   manifest directory every store writes — each piece's base table as a
-  CSV whose CRC32 the manifest records, and no tree (Theorem 2 rebuilds
-  it) — and ``QCWarehouse.recover(directory, wal_path, schema)`` checks
-  and reads the tables, builds the trees and replays the rest;
+  piece file (its columns: label dictionaries, codes and measures) whose
+  CRC32 the manifest records, and no tree (Theorem 2 rebuilds it) — and
+  ``QCWarehouse.recover(directory, wal_path, schema)`` checks and reads
+  the tables, builds the trees and replays the rest;
 * :mod:`repro.reliability.transactional` rolls a failed batch back to
   the pre-batch tree;
 * :mod:`repro.reliability.fsck` re-derives the tree's invariants and

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import random
+import zlib
 from contextlib import contextmanager
 from itertools import product
 
@@ -61,6 +64,20 @@ def extended_sales_table(sales_schema):
         ],
         sales_schema,
     )
+
+
+def write_csv(table, path) -> str:
+    """Write ``table`` as the CSV of decoded records under a header row —
+    a ``build`` input, and the table file a checkpoint held before the
+    piece file — and return its CRC32 as 8 hex digits."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(table.schema.dimension_names + table.schema.measure_names)
+    writer.writerows(table.iter_records())
+    data = text.getvalue().encode("utf-8")
+    with open(path, "wb") as fp:
+        fp.write(data)
+    return f"{zlib.crc32(data):08x}"
 
 
 def dict_view(warehouse):

@@ -8,7 +8,9 @@ only place under ``tests/`` that says what that is:
 
 * **the program generator** — :func:`next_batch` (and
   :func:`make_program` over it): raw-label records with fresh labels,
-  in-batch duplicates and deletes of rows that are present.  Every
+  in-batch duplicates and deletes of rows that are present; a *typed*
+  program labels :data:`INT_DIM` with ints, so a checkpoint must keep
+  each dimension's label type.  Every
   measure is a pure function of its key (:func:`measure`), so
   delete-by-key is unambiguous even between true duplicates, and the
   measures cancel (fractions beside ±1e16), so a float sum taken in
@@ -57,6 +59,8 @@ from repro.errors import ReproError, SchemaError
 N_DIMS = 3
 CARD = 3  # labels a base table draws from, per dimension
 FRESH = 2  # extra labels per dimension a program may mint
+#: The dimension a typed program labels with ints.
+INT_DIM = N_DIMS - 1
 SCHEMA = Schema(dimensions=[f"D{j}" for j in range(N_DIMS)], measures=("m",))
 AGGREGATE = ("sum", "m")
 #: Every aggregate of :mod:`repro.cube.aggregates`, and a
@@ -72,12 +76,20 @@ AGGREGATES = {
 MEASURES = (0.1, 0.2, 0.3, 1e16, -1e16, 2.5, 0.7)
 
 
-def label(code: int) -> str:
-    return f"v{code}"
+def label(code: int, dim: int = 0, typed: bool = False):
+    """Dimension ``dim``'s label of ``code``: ``v<code>``, or the int
+    ``2000 + code`` on :data:`INT_DIM` of a typed program."""
+    return 2000 + code if typed and dim == INT_DIM else f"v{code}"
 
 
 #: A label no program ever writes: every op must treat it as unknown.
 UNSEEN = label(CARD + FRESH)
+
+
+def unseen_key(typed: bool = False) -> tuple:
+    """A key of labels no program ever writes, typed as ``typed``
+    programs label their dimensions."""
+    return tuple(label(CARD + FRESH, j, typed) for j in range(N_DIMS))
 
 
 def measure(codes) -> float:
@@ -107,18 +119,19 @@ def exact_value(aggregate, values):
     return float(sum(x * x for x in xs) / len(xs) - mean * mean)
 
 
-def record(codes) -> tuple:
-    return tuple(label(c) for c in codes) + (measure(codes),)
+def record(codes, typed: bool = False) -> tuple:
+    return (tuple(label(c, j, typed) for j, c in enumerate(codes))
+            + (measure(codes),))
 
 
-def gen_record(rng, fresh: bool = False) -> tuple:
+def gen_record(rng, fresh: bool = False, typed: bool = False) -> tuple:
     """A raw record; ``fresh`` mints a label past the base domain ~30 %
     of the time per dimension."""
     return record([
         CARD + rng.randrange(FRESH) if fresh and rng.random() < 0.3
         else rng.randrange(CARD)
         for _ in range(N_DIMS)
-    ])
+    ], typed)
 
 
 def table_of(records) -> BaseTable:
@@ -132,15 +145,16 @@ def remove_rows(live: list, deletes) -> None:
         live.remove(next(r for r in live if r[:N_DIMS] == row[:N_DIMS]))
 
 
-def next_batch(rng, live, max_batch: int = 5) -> tuple:
+def next_batch(rng, live, max_batch: int = 5, typed: bool = False) -> tuple:
     """``(inserts, deletes)``: up to three deletes of rows present in
     ``live``, then inserts (at least one when nothing is deleted), some
     with fresh labels, about one batch in three with an in-batch
-    duplicate.  ``live`` is not touched."""
+    duplicate, labelled as ``typed`` says (:func:`label`).  ``live`` is
+    not touched."""
     n_del = rng.randint(0, min(3, len(live)))
     deletes = rng.sample(live, n_del) if n_del else []
     n_ins = rng.randint(0 if deletes else 1, max_batch)
-    inserts = [gen_record(rng, fresh=rng.random() < 0.4)
+    inserts = [gen_record(rng, fresh=rng.random() < 0.4, typed=typed)
                for _ in range(n_ins)]
     if inserts and rng.random() < 0.3:
         inserts.append(rng.choice(inserts))
@@ -307,7 +321,7 @@ def _lower_bound_below(reference, ub) -> list:
     the class has none (its upper bound is its only lower bound)."""
     lows = [reference.decode(c)
             for c in reference.lower_bounds(reference.encode(ub))]
-    return sorted(c for c in lows if c != ub)[:1]
+    return sorted((c for c in lows if c != ub), key=cell_key)[:1]
 
 
 def queries(reference, every_cell: bool = False) -> list:
@@ -329,13 +343,16 @@ def queries(reference, every_cell: bool = False) -> list:
     if every_cell:
         explored = cells + unseen
     else:
-        classes = sorted(c for c, _ in reference.iceberg(float("-inf"), ">"))
+        classes = sorted((c for c, _ in reference.iceberg(float("-inf"),
+                                                          ">")),
+                         key=cell_key)
         chosen = classes[::max(1, len(classes) // MAX_CLASSES)]
         empty = [c for c in cells if reference.point(c) is None][:1]
         explored = sorted(
             set(chosen) | {("*",) * N_DIMS}
             | {low for ub in chosen for low in _lower_bound_below(reference,
-                                                                  ub)}
+                                                                  ub)},
+            key=cell_key,
         ) + empty + unseen
     out = [(op, (cell,)) for cell in cells + unseen
            for op in CELL_OPS[:2]]
@@ -380,8 +397,14 @@ def answer(ask, op: str, *args):
         return Refused(type(exc))
 
 
+def cell_key(cell) -> tuple:
+    """A sort key of raw cells whose positions mix ``"*"`` and int
+    labels; all-string cells sort as the tuples themselves."""
+    return tuple((isinstance(v, str), v) for v in cell)
+
+
 def _cell(pair):
-    return pair[0]
+    return cell_key(pair[0])
 
 
 def _classes_same(got, want) -> bool:
@@ -403,8 +426,10 @@ def _class_of_same(got, want) -> bool:
 
 def _open_same(got, want) -> bool:
     return (got["upper_bound"] == want["upper_bound"]
-            and sorted(got["lower_bounds"]) == sorted(want["lower_bounds"])
-            and sorted(got["members"]) == sorted(want["members"])
+            and sorted(got["lower_bounds"], key=cell_key)
+            == sorted(want["lower_bounds"], key=cell_key)
+            and sorted(got["members"], key=cell_key)
+            == sorted(want["members"], key=cell_key)
             and got["value"] == want["value"])
 
 

@@ -1,12 +1,13 @@
 """A checkpoint is its tables.
 
-``checkpoint`` writes each piece's base table as CSV plus a manifest
-recording every file's CRC32 and each dimension's label type; ``recover``
-checks and reads the tables and builds every tree again (Theorem 2).
-These tests pin that layout, what a damaged table does to ``recover``
-and ``fsck``, that a directory in the older layout (a ``.qct`` tree next
-to each table, no checksums) still opens, and that labels keep their
-type across a restart.
+``checkpoint`` writes each piece's base table as a piece file (label
+dictionaries, code matrix, measures) plus a manifest recording every
+file's CRC32 and each dimension's label type; ``recover`` checks and
+reads the tables and builds every tree again (Theorem 2).  These tests
+pin that layout, what a damaged table does to ``recover`` and ``fsck``,
+that a directory in an older layout (CSV tables, a ``.qct`` tree next to
+each, no checksums) still opens and loses its CSVs and trees at the next
+checkpoint, and that labels keep their type across a restart.
 """
 
 import json
@@ -17,13 +18,14 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.core.manifest import load_manifest
+from repro.core.manifest import load_manifest, save_manifest
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.data.weather import weather_table
 from repro.errors import RecoveryError, SchemaError
 from repro.reliability.wal import WriteAheadLog
 from repro.segments import SegmentedWarehouse
+from tests.conftest import write_csv
 
 SCHEMA = Schema(dimensions=("Store", "Product", "Season"),
                 measures=("Sale",))
@@ -66,7 +68,7 @@ def test_checkpoint_holds_only_the_manifest_the_tables_and_the_log(
     tables = {entry["table"] for entry in _entries(payload)}
     assert sorted(os.listdir(directory)) == sorted(
         {"MANIFEST.json", "wal.log"} | tables)
-    assert all(name.endswith(".csv") for name in tables)
+    assert all(name.endswith(".piece") for name in tables)
     assert bool(payload["segments"]) == (kind == "segmented")
     for entry in _entries(payload):
         assert "tree" not in entry
@@ -170,12 +172,51 @@ def test_a_directory_in_the_parent_layout_opens_and_loses_its_trees(
 
     store.checkpoint(directory)
     store.close()
-    assert not [n for n in os.listdir(directory) if n.endswith(".qct")]
+    assert not [n for n in os.listdir(directory)
+                if n.endswith((".qct", ".csv"))]
     payload = load_manifest(directory)
     assert all("crc32" in entry for entry in _entries(payload))
     again = type(store).recover(directory, directory / "wal.log", SCHEMA)
     for cell in CELLS:
         assert again.point(cell) == fresh.point(cell), cell
+    again.close()
+
+
+@pytest.mark.parametrize("kind", ["monolithic", "segmented"])
+def test_a_csv_checkpoint_opens_and_its_next_checkpoint_holds_no_csv(
+        tmp_path, kind):
+    """A directory of the CSV layout — tables whose CRC32 and label types
+    the manifest records — opens with its int labels as ints, and the
+    next checkpoint rewrites every table as a piece file."""
+    directory = tmp_path / "csv.d"
+    directory.mkdir()
+    records = [(2001, "a", 1.0), (2002, "a", 2.0), (2002, "b", 4.0),
+               (2003, "b", 8.0)]
+    parts = [records[:2], records[2:]] if kind == "segmented" else [records]
+    fresh = QCWarehouse.from_records(records, YEARS, ("sum", "M"))
+
+    def entry(name, rows):
+        table = QCWarehouse.from_records(rows, YEARS, ("sum", "M")).table
+        return {"rows": len(rows), "table": name,
+                "crc32": write_csv(table, directory / name)}
+
+    segments = [dict(entry(f"segment-{i:08d}.csv", rows), id=i)
+                for i, rows in enumerate(parts[:-1], start=1)]
+    save_manifest(directory, lsn=0, generation=0, aggregate_spec="sum(M)",
+                  schema=YEARS, label_types=("int", "str"),
+                  segments=segments,
+                  head=dict(entry("head-00000001.csv", parts[-1]), seq=1),
+                  next_segment_id=len(parts))
+    store = (SegmentedWarehouse if kind == "segmented" else QCWarehouse)
+    options = {"seal_rows": 100} if kind == "segmented" else {}
+    wh = store.recover(directory, directory / "wal.log", YEARS, **options)
+    cells = [(2002, "*"), ("*", "b"), (2003, "b"), ("*", "*")]
+    assert [wh.point(c) for c in cells] == [fresh.point(c) for c in cells]
+    wh.checkpoint(directory)
+    wh.close()
+    assert not [n for n in os.listdir(directory) if n.endswith(".csv")]
+    again = store.recover(directory, directory / "wal.log", YEARS, **options)
+    assert [again.point(c) for c in cells] == [fresh.point(c) for c in cells]
     again.close()
 
 
@@ -288,6 +329,29 @@ class TestLabelTypes:
         with pytest.raises(SchemaError, match="Kind"):
             odd.checkpoint(tmp_path / "ckpt")
         assert not (tmp_path / "ckpt" / "MANIFEST.json").exists()
+
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_a_lone_surrogate_label_survives_checkpoint_and_recover(
+            self, tmp_path, segmented):
+        """A str label may hold a lone surrogate (what ``surrogateescape``
+        decodes a stray byte to).  The log takes it, so the checkpoint
+        must spell it back too — and then truncate the log."""
+        store = SegmentedWarehouse if segmented else QCWarehouse
+        options = {"seal_rows": 1} if segmented else {}
+        names = Schema(dimensions=("Name", "Kind"), measures=("M",))
+        wh = store.from_records([("a", "b", 1.0)], names, ("sum", "M"),
+                                **options)
+        wh.attach_wal(tmp_path / "wal")
+        wh.insert([("x\udcff", "b", 2.0)])
+        wh.checkpoint(tmp_path / "ckpt")
+        wh.close()
+        assert len(WriteAheadLog(tmp_path / "wal")) == 0
+        recovered = store.recover(tmp_path / "ckpt", tmp_path / "wal", names,
+                                  **options)
+        assert recovered.last_recovery["replayed"] == 0
+        assert recovered.point(("x\udcff", "*")) == 2.0
+        assert recovered.point(("*", "b")) == 3.0
+        recovered.close()
 
     def test_a_dimension_without_labels_takes_its_first_writes_type(self):
         wh = QCWarehouse.from_records([], YEARS, ("sum", "M"))

@@ -8,6 +8,7 @@ and checkpoints ``DIR`` on ``quit``.
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -17,11 +18,13 @@ import pytest
 
 from repro.__main__ import main, parse_cell, parse_range
 from repro.core.manifest import load_manifest
+from repro.core.piece import Piece
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import SchemaError
 from repro.serving import AsyncServerThread, LineClient, QCServer, protocol
+from tests.conftest import write_csv
 from tests.test_construct import FIGURE_4_DUMP
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -30,7 +33,7 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 @pytest.fixture
 def sales_csv(tmp_path, sales_table):
     path = tmp_path / "sales.csv"
-    sales_table.to_csv(path)
+    write_csv(sales_table, path)
     return str(path)
 
 
@@ -170,13 +173,16 @@ class TestCommands:
         assert got == {",".join(c): str(v) for c, v in want.items()}
         assert main(["fsck", directory, "--samples", "0"]) == 0
 
-    def test_built_tree_carries_its_label_dictionaries(self, built_dir):
+    def test_built_tree_carries_its_label_dictionaries(self, built_dir,
+                                                      sales_schema):
         """The built directory's table is the tree's label dictionary:
         every label, under the type the manifest records."""
-        with open(_head_table(built_dir)) as fp:
-            assert fp.read().split() == [
-                "Store,Product,Season,Sale", "S1,P1,s,6.0", "S1,P2,s,12.0",
-                "S2,P1,f,9.0"]
+        table = Piece.load(_head_table(built_dir), sales_schema,
+                           "count").table
+        assert list(table.iter_records()) == [
+            ("S1", "P1", "s", 6.0), ("S1", "P2", "s", 12.0),
+            ("S2", "P1", "f", 9.0)]
+        assert table._decoders == [["S1", "S2"], ["P1", "P2"], ["f", "s"]]
         assert load_manifest(built_dir)["schema"]["label_types"] == \
             ["str", "str", "str"]
         assert not [n for n in os.listdir(built_dir) if n.endswith(".qct")]
@@ -211,13 +217,13 @@ class TestCommands:
 
     def test_torn_head_tree_answers_from_its_csv(self, built_dir, capsys):
         """A head tree file the layout that stored trees left, torn: no
-        verb reads it — ``point`` answers from the build of the CSV and
+        verb reads it — ``point`` answers from the build of its table and
         ``fsck`` finds the store clean."""
-        head = _head_table(built_dir)
-        with open(head[:-len(".csv")] + ".qct", "w") as fp:
+        tree = os.path.splitext(_head_table(built_dir))[0] + ".qct"
+        with open(tree, "w") as fp:
             fp.write("QCTREE/2 crc32=0000")
         _rewrite_manifest(built_dir, lambda payload: payload["head"].update(
-            tree=os.path.basename(head)[:-len(".csv")] + ".qct"))
+            tree=os.path.basename(tree)))
         assert main(["point", built_dir, "S2,*,f"]) == 0
         assert capsys.readouterr().out.strip() == "9.0"
         assert main(["fsck", built_dir]) == 0
@@ -539,7 +545,8 @@ class TestFsckCommand:
         table = _head_table(built_dir)
         with open(table, "rb") as fp:
             data = bytearray(fp.read())
-        data[data.index(b"9.0")] = ord("8")  # 9.0 -> 8.0: silent rot
+        at = data.index(struct.pack("<d", 9.0))
+        data[at:at + 8] = struct.pack("<d", 8.0)  # 9.0 -> 8.0: silent rot
         with open(table, "wb") as fp:
             fp.write(data)
         assert main(["fsck", built_dir]) == 2

@@ -25,8 +25,16 @@ from repro.core.warehouse import QCWarehouse
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError
 from repro.segments import SegmentedWarehouse
-from tests.conftest import refreeze_ratios
-from tests.model import SCHEMA, gen_record, make_program, record
+from repro.shard.pack import pack_snapshot_bytes
+from tests.conftest import refreeze_ratios, write_csv
+from tests.model import (
+    SCHEMA,
+    gen_record,
+    make_program,
+    record,
+    remove_rows,
+    table_of,
+)
 
 AGG = ("sum", "m")
 
@@ -161,8 +169,9 @@ class TestDerive:
 
 
 class TestOnDiskTwin:
-    """On disk a piece is its table's CSV; loading builds the tree from
-    it (Theorem 2), so no file a tree was once stored in is read."""
+    """On disk a piece is its table's piece file (an earlier layout's
+    CSV still loads); loading builds the tree from it (Theorem 2), so no
+    file a tree was once stored in is read."""
 
     def _piece(self, seed=13):
         """A piece whose label codes drifted from sorted order."""
@@ -201,13 +210,14 @@ class TestOnDiskTwin:
         piece.save(tmp_path / "p.csv")
         (tmp_path / "p.qct").write_text("QCTREE/2 behind its table")
         piece.apply([("v0", "v0", "v0", 1.0)])
-        piece.table.to_csv(tmp_path / "p.csv")
+        write_csv(piece.table, tmp_path / "p.csv")
         text = (tmp_path / "p.csv").read_text()
         (tmp_path / "p.csv").write_text("# wal_lsn=4\n" + text)
         self._assert_rebuilt(piece, tmp_path)
 
     def test_file_without_label_dictionaries_rebuilds(self, tmp_path):
-        """The CSV mints codes in sorted order, not the drifted ones."""
+        """The file holds the labels in sorted order, not the drifted
+        codes."""
         piece = self._piece()
         piece.save(tmp_path / "p.csv")
         self._assert_rebuilt(piece, tmp_path)
@@ -222,7 +232,7 @@ class TestOnDiskTwin:
 
     def test_missing_tree_rebuilds(self, tmp_path):
         piece = self._piece()
-        piece.table.to_csv(tmp_path / "p.csv")
+        write_csv(piece.table, tmp_path / "p.csv")
         self._assert_rebuilt(piece, tmp_path)
 
     def test_sealed_piece_skips_only_its_own_files(self, tmp_path):
@@ -245,6 +255,75 @@ class TestOnDiskTwin:
         (tmp_path / "q.csv").write_text("marker")
         loaded.save(tmp_path / "q.csv")  # loaded from
         assert (tmp_path / "q.csv").read_text() == "marker"
+
+
+def _fresh_twin(table):
+    """``(table, its packed blob)`` built afresh from ``table``'s records:
+    what Theorem 1 says any reload of the same rows must give."""
+    fresh = BaseTable.from_records(table.iter_records(), table.schema)
+    return fresh, pack_snapshot_bytes(Piece.build(fresh, AGG).frozen_view(),
+                                      fresh)
+
+
+def _laps(rng, live, n_laps=4):
+    """``n_laps`` batches: inserts with fresh labels (one sorting before
+    every label, one after), and deletes of every row carrying one D0
+    label, which orphans it in the dictionary."""
+    for lap in range(n_laps):
+        inserts = [gen_record(rng, fresh=True) for _ in range(4)]
+        inserts.append((f"a{lap}", f"z{lap}", "v0", 1.5))
+        victim = rng.choice(live)[0]
+        deletes = [r for r in live if r[0] == victim]
+        remove_rows(live, deletes)
+        live.extend(inserts)
+        yield inserts, deletes
+
+
+class TestTheoremOneOnReload:
+    """A reloaded piece is the fresh build of its rows: the file holds
+    the labels the rows use, in dictionary order, so whatever order a
+    live table's dictionaries grew in, and whatever labels its deletes
+    orphaned, the reload encodes — and packs — byte for byte as
+    ``from_records(iter_records())`` does."""
+
+    def test_a_live_piece_reloads_as_its_fresh_build(self, tmp_path):
+        rng = random.Random(5)
+        live = [gen_record(rng) for _ in range(12)]
+        piece = Piece.build(table_of(live), AGG)
+        drifted = False
+        for lap, (inserts, deletes) in enumerate(_laps(rng, live)):
+            piece.apply(inserts, deletes)
+            path = tmp_path / f"lap{lap}.piece"
+            crc = piece.save(path)
+            loaded = Piece.load(path, SCHEMA, AGG, ("str",) * 3, crc32=crc,
+                                rows=piece.n_rows)
+            fresh, blob = _fresh_twin(piece.table)
+            drifted |= piece.table._decoders != fresh._decoders
+            assert loaded.table._decoders == fresh._decoders
+            assert loaded.table.rows == fresh.rows
+            assert loaded.table.measures.tolist() == fresh.measures.tolist()
+            assert pack_snapshot_bytes(loaded.frozen_view(),
+                                       loaded.table) == blob
+        assert drifted  # the remap, not luck, made them equal
+
+    def test_a_segmented_checkpoint_recovers_as_fresh_builds(self, tmp_path):
+        rng = random.Random(6)
+        live = [gen_record(rng) for _ in range(12)]
+        directory = tmp_path / "ckpt"
+        with SegmentedWarehouse.from_records(live, SCHEMA, AGG, seal_rows=6,
+                                             compact_min_segments=2) as seg:
+            for inserts, deletes in _laps(rng, live):
+                seg.maintain(inserts=inserts, deletes=deletes)
+                seg.checkpoint(directory)
+                with SegmentedWarehouse.recover(directory, tmp_path / "wal",
+                                                SCHEMA, seal_rows=6) as again:
+                    assert len(again.pieces()) == len(seg.pieces())
+                    for mine, back in zip(seg.pieces(), again.pieces()):
+                        fresh, blob = _fresh_twin(mine.table)
+                        assert back.table._decoders == fresh._decoders
+                        assert back.table.rows == fresh.rows
+                        assert pack_snapshot_bytes(back.frozen_view(),
+                                                   back.table) == blob
 
 
 class TestBornAsColumns:

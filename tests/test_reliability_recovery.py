@@ -400,7 +400,7 @@ def _writers(tmp_path):
     wh = QCWarehouse.from_records(BASE, SCHEMA, aggregate=("sum", "Sale"))
     wal = WriteAheadLog(tmp_path / "log.wal")
     return {
-        "to_csv": lambda: wh.table.to_csv(tmp_path / "t.csv"),
+        "piece_save": lambda: wh.pieces()[0].save(tmp_path / "t.piece"),
         "wal_create": lambda: WriteAheadLog(tmp_path / "new.wal"),
         "wal_truncate": wal.truncate,
         "save_manifest": lambda: save_manifest(
@@ -413,7 +413,7 @@ def _writers(tmp_path):
 
 
 @pytest.mark.parametrize("writer", [
-    "to_csv", "wal_create", "wal_truncate", "save_manifest",
+    "piece_save", "wal_create", "wal_truncate", "save_manifest",
 ])
 def test_every_writer_syncs_its_directory_after_the_rename(
         writer, tmp_path, monkeypatch):

@@ -405,7 +405,7 @@ class TestCheckpointRecover:
         wh.checkpoint(tmp_path / "ckpt")
         payload = load_manifest(tmp_path / "ckpt")
         table = payload["segments"][0]["table"]
-        tree_file = tmp_path / "ckpt" / table.replace(".csv", ".qct")
+        tree_file = tmp_path / "ckpt" / (os.path.splitext(table)[0] + ".qct")
         tree_file.write_text("garbage")
         recovered = SegmentedWarehouse.recover(
             tmp_path / "ckpt", tmp_path / "wal", SCHEMA, seal_rows=4

@@ -17,12 +17,12 @@ import zlib
 import pytest
 
 from repro.core.construct import build_qctree
-from repro.core.manifest import load_manifest
+from repro.core.manifest import load_manifest, manifest_schema
 from repro.core.piece import Piece
 from repro.core.warehouse import QCWarehouse
 from repro.cube.table import BaseTable
 from repro.errors import RecoveryError, SchemaError
-from tests.conftest import all_cells, make_random_table
+from tests.conftest import all_cells, make_random_table, write_csv
 
 
 def checkpointed(tmp_path, table, aggregate, name="ckpt"):
@@ -58,8 +58,11 @@ def head_table(directory):
 
 
 def unchecked(directory):
-    """Drop the head entry's ``crc32``, as the layout before checksums
-    wrote it: what the table parser and the row count catch alone."""
+    """Rewrite the head as the CSV table the layout before checksums
+    wrote, and drop its entry's ``crc32``: what the CSV reader and the
+    row count catch alone."""
+    schema = manifest_schema(load_manifest(directory), directory)
+    write_csv(recover(directory, schema).table, head_table(directory))
     rewrite_manifest(directory, lambda payload: payload["head"].pop("crc32"))
 
 

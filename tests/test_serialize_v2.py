@@ -6,18 +6,19 @@ table (the pinned ``QCTREE/1`` document below is such a tree)."""
 import json
 import os
 import random
+import struct
 import zlib
 
 import pytest
 
 from repro.core.construct import build_qctree
 from repro.core.manifest import load_manifest
-from repro.core.piece import Piece
+from repro.core.piece import MAGIC, Piece, piece_bytes
 from repro.core.point_query import point_query
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import RecoveryError
-from tests.conftest import all_cells, make_random_table
+from tests.conftest import all_cells, make_random_table, write_csv
 from tests.faults import InjectedCrash, count_io, crash_on_io
 from tests.test_serialize import (
     checkpointed,
@@ -89,8 +90,8 @@ class TestFormatV2:
                                                   sales_schema):
         table = head_table(directory)
         data = table.read_bytes()
-        # Flip one measure digit: 9.0 -> 8.0 style silent corruption.
-        mutated = data.replace(b"9.0", b"8.0")
+        # Rewrite one measure: 9.0 -> 8.0, a silent corruption.
+        mutated = data.replace(struct.pack("<d", 9.0), struct.pack("<d", 8.0))
         assert mutated != data and len(mutated) == len(data)
         table.write_bytes(mutated)
         with pytest.raises(RecoveryError, match="checksum mismatch") as info:
@@ -126,8 +127,10 @@ class TestFormatV2:
             recover(directory, sales_schema)
 
     def test_consistent_resigned_corruption_caught_by_loader(
-            self, directory, sales_schema):
-        # A forged checksum over a broken table must still fail.
+            self, directory, sales_table, sales_schema):
+        # A forged checksum over a broken table must still fail (a CSV
+        # table of an earlier layout, whose measures are text).
+        write_csv(sales_table, head_table(directory))
         data = head_table(directory).read_bytes()
         resign_head(directory, data.replace(b"9.0", b"x.0"))
         with pytest.raises(RecoveryError, match="non-numeric"):
@@ -149,7 +152,7 @@ class TestLoadFromPathContract:
 
     def test_truncated_file(self, tmp_path, sales_table, sales_schema):
         path = tmp_path / "torn.csv"
-        crc = sales_table.to_csv(path)
+        crc = write_csv(sales_table, path)
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(RecoveryError, match="torn.csv"):
             self.load(path, sales_schema, crc32=crc)
@@ -175,6 +178,86 @@ class TestLoadFromPathContract:
     def test_missing_file_is_oserror(self, tmp_path, sales_schema):
         with pytest.raises(OSError):
             self.load(tmp_path / "nope.csv", sales_schema)
+
+
+def forge(table, edit=None, body=None) -> bytes:
+    """A piece file of ``table`` with its header changed by ``edit`` (and
+    padded again) or its body replaced by ``body``."""
+    data = piece_bytes(table)
+    end = data.index(b"\n", len(MAGIC))
+    header = json.loads(data[len(MAGIC):end])
+    if edit is not None:
+        edit(header)
+    head = MAGIC + json.dumps(header).encode("ascii")
+    return (head + b" " * (-(len(head) + 1) % 8) + b"\n"
+            + (data[end + 1:] if body is None else body))
+
+
+class TestPieceFileContract:
+    """Every way a piece file can be damaged raises
+    :class:`RecoveryError` naming the file, here with no manifest
+    checksum to catch it first."""
+
+    def load(self, tmp_path, data, sales_schema, types=("str",) * 3):
+        path = tmp_path / "bad.piece"
+        path.write_bytes(data)
+        with pytest.raises(RecoveryError, match="bad.piece") as info:
+            Piece.load(path, sales_schema, ("avg", "Sale"),
+                       label_types=types)
+        return str(info.value)
+
+    def test_forge_without_edits_loads(self, tmp_path, sales_table):
+        path = tmp_path / "good.piece"
+        path.write_bytes(forge(sales_table))
+        loaded = Piece.load(path, sales_table.schema, ("avg", "Sale"),
+                            label_types=("str",) * 3)
+        assert list(loaded.table.iter_records()) == \
+            list(sales_table.iter_records())
+
+    def test_empty_file(self, tmp_path, sales_schema):
+        self.load(tmp_path, b"", sales_schema)
+
+    def test_magic_line_alone(self, tmp_path, sales_schema):
+        assert "no end" in self.load(tmp_path, MAGIC, sales_schema)
+
+    def test_truncated_body(self, tmp_path, sales_table, sales_schema):
+        def more_rows(header):
+            header["rows"] += 1
+        message = self.load(tmp_path, forge(sales_table, more_rows),
+                            sales_schema)
+        assert "promises 4 rows" in message
+        data = forge(sales_table)
+        assert "promises 3 rows" in self.load(tmp_path, data[:-1],
+                                              sales_schema)
+
+    def test_header_not_json(self, tmp_path, sales_schema):
+        self.load(tmp_path, MAGIC + b"{not json}\n" + bytes(16),
+                  sales_schema)
+
+    def test_another_schemas_names(self, tmp_path, sales_table,
+                                   sales_schema):
+        def rename(header):
+            header["dimensions"] = ["Shop", "Product", "Season"]
+        assert "header names" in self.load(
+            tmp_path, forge(sales_table, rename), sales_schema)
+
+    def test_a_code_past_its_dictionary(self, tmp_path, sales_table,
+                                        sales_schema):
+        def drop_a_label(header):
+            header["labels"][0].pop()
+        assert "past its 1 labels" in self.load(
+            tmp_path, forge(sales_table, drop_a_label), sales_schema)
+
+    def test_a_label_not_of_the_manifests_type(self, tmp_path, sales_table,
+                                               sales_schema):
+        assert "not of type int" in self.load(
+            tmp_path, forge(sales_table), sales_schema,
+            types=("int", "str", "str"))
+
+        def null_label(header):
+            header["labels"][2][0] = None
+        self.load(tmp_path, forge(sales_table, null_label), sales_schema,
+                  types=None)
 
 
 class TestV1BackwardCompatibility:
@@ -210,7 +293,7 @@ class TestV1BackwardCompatibility:
         store = recover(directory, sales_table.schema)
         store.checkpoint(directory)
         assert sorted(os.listdir(directory)) == [
-            "MANIFEST.json", "head-00000002.csv", "wal.log"]
+            "MANIFEST.json", "head-00000002.piece", "wal.log"]
         assert "crc32" in load_manifest(directory)["head"]
         assert recover(directory, sales_table.schema).tree.equivalent_to(
             store.tree)
@@ -235,16 +318,16 @@ class TestAtomicSave:
         old_bytes = open(path, "rb").read()
         new = old.derive(inserts=[("S3", "P3", "w", 5.0)])
 
-        total_ops = count_io(lambda: new.table.to_csv(path))
+        total_ops = count_io(lambda: new.save(path))
         assert total_ops >= 4  # open, write, flush/fsync, close, replace
-        new_crc = new.table.to_csv(path)
+        new_crc = new.save(path)
         for fail_after in range(total_ops):
             # Reset to the old table before each injected crash.
             with open(path, "wb") as fp:
                 fp.write(old_bytes)
             with crash_on_io(fail_after) as clock:
                 with pytest.raises(InjectedCrash):
-                    new.table.to_csv(path)
+                    new.save(path)
             on_disk = open(path, "rb").read()
             committed = any(
                 label.startswith("replace:") for label in clock.trace

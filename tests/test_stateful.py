@@ -2,7 +2,8 @@
 
 One hypothesis state machine writes one random program into up to four
 warehouses, under one of ``model.AGGREGATES`` (every aggregate and a
-multi-aggregate; MIN and MAX deletes take the recompute path), and,
+multi-aggregate; MIN and MAX deletes take the recompute path), its
+``model.INT_DIM`` labelled with ints in a typed program, and,
 after every rule, checks six configurations against the brute-force
 lattice of ``tests/model.py`` with ``==`` (the configuration × rule ×
 invariant table is in README § Correctness):
@@ -131,15 +132,20 @@ class ModelMachine(RuleBasedStateMachine):
     configs = CONFIGS
 
     @initialize(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 8),
-                aggregate=st.sampled_from(sorted(model.AGGREGATES)))
-    def setup(self, seed, rows, aggregate="sum"):
+                aggregate=st.sampled_from(sorted(model.AGGREGATES)),
+                typed=st.booleans())
+    def setup(self, seed, rows, aggregate="sum", typed=False):
         # Hypothesis picks the rules; what a rule writes comes from here.
         self.rng = rng = random.Random(seed)
         self.aggregate = model.AGGREGATES[aggregate]
+        #: Whether the program labels ``model.INT_DIM`` with ints.
+        self.typed = typed
+        if typed:
+            self._event("typed program")
         self.seal_batches = mock.patch.object(
             SegmentedWarehouse, "SEAL_BATCHES", SEAL_BATCHES)
         self.seal_batches.start()
-        self.live = [model.gen_record(rng) for _ in range(rows)]
+        self.live = [model.gen_record(rng, typed=typed) for _ in range(rows)]
         self.directory = tempfile.mkdtemp(prefix="qc-model-")
         self.stores = {
             name: Store(name, self.live, self.directory, self.aggregate)
@@ -171,6 +177,9 @@ class ModelMachine(RuleBasedStateMachine):
         self.live.extend(inserts)
         self._mutated()
 
+    def _batch(self) -> tuple:
+        return model.next_batch(self.rng, self.live, typed=self.typed)
+
     def _bring_views_current(self, ratios):
         with refreeze_ratios(**ratios):
             for store in self.stores.values():
@@ -182,7 +191,7 @@ class ModelMachine(RuleBasedStateMachine):
     @rule()
     def write(self):
         self.rule = "write"
-        self._write(*model.next_batch(self.rng, self.live))
+        self._write(*self._batch())
 
     @rule()
     def write_one(self):
@@ -190,7 +199,8 @@ class ModelMachine(RuleBasedStateMachine):
         if self.live and self.rng.random() < 0.5:
             self._write([], [self.rng.choice(self.live)])
         else:
-            self._write([model.gen_record(self.rng, fresh=True)], [])
+            self._write([model.gen_record(self.rng, fresh=True,
+                                          typed=self.typed)], [])
 
     @rule()
     def burst(self):
@@ -199,7 +209,7 @@ class ModelMachine(RuleBasedStateMachine):
         (not recompiled) when the views are brought current."""
         self.rule = "burst"
         for _ in range(self.rng.randint(2, 3)):
-            self._write(*model.next_batch(self.rng, self.live))
+            self._write(*self._batch())
         self._bring_views_current(PATCHED)
 
     @rule()
@@ -215,8 +225,8 @@ class ModelMachine(RuleBasedStateMachine):
                          for r in self.live)
             deletes = [row] * (copies + 1)
         else:
-            deletes = [(model.UNSEEN,) * model.N_DIMS + (1.0,)]
-        inserts = [model.gen_record(rng, fresh=True)]
+            deletes = [model.unseen_key(self.typed) + (1.0,)]
+        inserts = [model.gen_record(rng, fresh=True, typed=self.typed)]
         for store in self.stores.values():
             # (A server refuses a batch that already failed three times
             # before logging it.)
@@ -275,7 +285,7 @@ class ModelMachine(RuleBasedStateMachine):
         self.rule = "refreeze_full" if full else "refreeze_patched"
         ratios = FULL if full else PATCHED
         with refreeze_ratios(**ratios):
-            self._write(*model.next_batch(self.rng, self.live))
+            self._write(*self._batch())
         self._bring_views_current(ratios)
 
     @rule()
@@ -370,17 +380,18 @@ TestWarehouseStateful = ModelMachine.TestCase
 
 
 def replay(seed, rules=("write",), steps=4, configs=CONFIGS, rows=None,
-           aggregate="sum"):
+           aggregate="sum", typed=False):
     """The machine on one seeded program, hypothesis aside: ``setup``
-    (``rows`` base rows, else 0–8, under ``model.AGGREGATES[aggregate]``),
-    then ``steps`` rules drawn from ``rules``, the invariants after
-    each, over ``configs``."""
+    (``rows`` base rows, else 0–8, under ``model.AGGREGATES[aggregate]``,
+    ``model.INT_DIM`` labelled with ints when ``typed``), then ``steps``
+    rules drawn from ``rules``, the invariants after each, over
+    ``configs``."""
     rng = random.Random(seed)
     machine = ModelMachine()
     machine.configs = configs
     try:
         machine.setup(seed=seed, rows=rng.randint(0, 8) if rows is None
-                      else rows, aggregate=aggregate)
+                      else rows, aggregate=aggregate, typed=typed)
         machine.holds_after_every_rule()
         for _ in range(steps):
             getattr(machine, rng.choice(rules))()
@@ -399,3 +410,13 @@ def test_every_aggregate_replays(aggregate):
     """One seeded program per aggregate, every rule in reach, every
     configuration answering ``==`` to the exact reference."""
     replay(11, rules=RULES, steps=6, rows=6, aggregate=aggregate)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_integer_labels_replay_through_checkpoint_and_recover(seed):
+    """A typed program — ``model.INT_DIM`` labelled with ints — through
+    every rule, checkpoints and recoveries among them: each recovered
+    store reads its labels back as ints, so every configuration still
+    answers ``==`` to the reference asked with int labels."""
+    replay(seed, rules=RULES + ("checkpoint", "recover"), steps=8, rows=6,
+           typed=True)

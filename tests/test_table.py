@@ -6,6 +6,7 @@ from repro.core.cells import ALL
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import SchemaError
+from tests.conftest import write_csv
 
 
 @pytest.fixture
@@ -198,7 +199,7 @@ class TestDerivation:
 class TestCsv:
     def test_roundtrip(self, table, schema, tmp_path):
         path = tmp_path / "t.csv"
-        table.to_csv(path)
+        write_csv(table, path)
         loaded = BaseTable.from_csv(path, schema)
         assert loaded.n_rows == table.n_rows
         assert sorted(tuple(r[:2]) for r in loaded.iter_records()) == sorted(
@@ -214,7 +215,7 @@ class TestCsv:
 
     def test_header_mismatch_rejected(self, table, tmp_path):
         path = tmp_path / "t.csv"
-        table.to_csv(path)
+        write_csv(table, path)
         other = Schema(dimensions=("X", "Y"), measures=("m",))
         with pytest.raises(SchemaError):
             BaseTable.from_csv(path, other)
