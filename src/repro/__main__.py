@@ -357,9 +357,7 @@ def cmd_fsck(args) -> int:
         report = FsckReport()
         report.add("unreadable", str(exc))
     else:
-        # --samples 0 means "check every class".
-        report = store.verify(deep=True, samples=args.samples or None,
-                              seed=args.seed)
+        report = store.verify(deep=True)
     for issue in report.issues:
         print(issue)
     print(f"{args.directory}: {report.summary()}")
@@ -481,10 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fsck", help="verify a store's tables and the trees built from "
                      "them (exit 2 on corruption)"
     ))
-    p_fsck.add_argument("--samples", type=_int_in(0), default=64,
-                        help="classes to re-aggregate (0 = all; default 64)")
-    p_fsck.add_argument("--seed", type=int, default=0,
-                        help="sampling seed (default 0)")
     p_fsck.set_defaults(func=cmd_fsck)
     return parser
 

@@ -243,6 +243,17 @@ def _tree_columns(tree: QCTree):
     return meta, views, states, slot.tolist()
 
 
+def preorder(ub, stride: int) -> np.ndarray:
+    """The permutation putting upper-bound rows ``ub`` (codes, ALL as
+    -1, each below ``stride``) in Algorithm 1's preorder: a row keeps
+    its codes, holds ``stride`` where it skips a dimension on the way to
+    a deeper label and -1 past its own, so a prefix sorts before its
+    extensions and siblings by ``(dim, value)``."""
+    bound = ub >= 0
+    deeper = np.logical_or.accumulate(bound[:, ::-1], axis=1)[:, ::-1]
+    return np.lexsort(np.where(deeper & ~bound, stride, ub).T[::-1])
+
+
 def compile_columns(header, parent, dim, value, kids, links, class_nodes,
                     payloads):
     """The one compiler of the ``QCTREE/3`` sections: the meta block
@@ -276,13 +287,7 @@ def compile_columns(header, parent, dim, value, kids, links, class_nodes,
         at = parent[at]
         keep = at != 0
         row, at = row[keep], at[keep]
-    # Preorder: a root path holds its value in each dimension it labels,
-    # ``stride`` (past every value) in one it skips on the way to a
-    # deeper label, and -1 past its own, so a prefix sorts before its
-    # extensions and siblings by (dim, value).
-    own = np.concatenate(([-1], dim[kids]))
-    path = np.where((ub < 0) & (np.arange(n_dims) < own[:, None]), stride, ub)
-    pre = np.lexsort(path.T[::-1])
+    pre = preorder(ub, stride)
     order, ub = ids[pre], ub[pre]
     n = order.size
     slot = np.full(dim.size, -1, dtype=np.int64)
@@ -325,17 +330,17 @@ def compile_columns(header, parent, dim, value, kids, links, class_nodes,
     return meta, views, states.tolist(), slot
 
 
-def live_rows(tree, links: bool, live, remap):
+def live_rows(tree, links: bool, order):
     """One CSR family (edges, or links) of a frozen ``tree`` gathered
-    onto its live slots: ``(start, dims, values, targets)``, the rows of
-    the slots ``live`` marks in slot order with every target mapped
-    through ``remap``.
+    onto the slots ``order`` lists: ``(start, dims, values, targets)``,
+    row ``i`` being slot ``order[i]``'s and every target renumbered to
+    its position in ``order``.
 
     A patched view's overlay rows (``slot -> (keys, targets)``, which
     shadow the shared CSR sections) are appended behind them — the only
-    Python loop, O(dirty) — and one ragged gather fetches every live
+    Python loop, O(dirty) — and one ragged gather fetches every listed
     slot's row, so tombstones, stale shadowed rows and spare capacity
-    drop out.  A target that is tombstoned or out of range raises
+    drop out.  A target that is not listed or out of range raises
     :class:`SerializationError`.
     """
     if links:
@@ -344,7 +349,7 @@ def live_rows(tree, links: bool, live, remap):
     else:
         start, keys, targets = tree._edge_start, tree._edge_key, tree._edge_child
         over, what = tree._edge_over, "edge"
-    slots = live.size
+    slots = len(tree._routes)
     start = np.asarray(start, dtype=np.int64)
     base = start.size - 1
     begin = np.zeros(slots, dtype=np.int64)
@@ -358,7 +363,7 @@ def live_rows(tree, links: bool, live, remap):
         count[slot] = len(row_keys)
         over_keys.extend(row_keys)
         over_targets.extend(row_targets)
-    begin, count = begin[live], count[live]
+    begin, count = begin[order], count[order]
     new_start = np.zeros(count.size + 1, dtype=np.int64)
     np.cumsum(count, out=new_start[1:])
     pick = np.repeat(begin - new_start[:-1], count) + np.arange(new_start[-1])
@@ -371,17 +376,18 @@ def live_rows(tree, links: bool, live, remap):
         np.asarray(targets, dtype=np.int64),
         np.asarray(over_targets, dtype=np.int64),
     ])[pick]
-    sound = (hops >= 0) & (hops < slots)
-    sound[sound] = live[hops[sound]]
-    if not sound.all():
-        at = int(np.flatnonzero(~sound)[0])
+    position = np.full(slots + 1, -1, dtype=np.int64)  # last: off range
+    position[order] = np.arange(order.size)
+    moved = position[np.where((hops >= 0) & (hops < slots), hops, slots)]
+    if (moved < 0).any():
+        at = int(np.flatnonzero(moved < 0)[0])
         owner = int(np.searchsorted(new_start, at, side="right")) - 1
         raise SerializationError(
             f"cannot pack {what} ({int(dims[at])}, {int(values[at])}) of "
-            f"node {owner}: it points at slot {int(hops[at])}, which is "
-            "tombstoned or out of range"
+            f"node {int(order[owner])}: it points at slot {int(hops[at])}, "
+            "which is tombstoned or out of range"
         )
-    return new_start, dims, values, remap[hops]
+    return new_start, dims, values, moved
 
 
 class FrozenQCTree:

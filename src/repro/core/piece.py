@@ -347,21 +347,15 @@ class Piece:
         with self._lock:
             self._tree = self._frozen = self._pending = None
 
-    def fsck(self, deep: bool = True, samples: Optional[int] = 64,
-             seed: int = 0):
-        """Verify the piece: the dict tree a live piece maintains, else
-        what it serves (through a thaw it does not keep); ``deep`` also
-        re-derives sampled class aggregates from the table."""
-        tree = self._tree if self.segment_id is None else None
-        return fsck_tree(
-            self.frozen_view() if tree is None else tree,
-            table=self.table if deep else None,
-            samples=samples,
-            seed=seed,
-            # Reuse the persistent index (when one is live) instead of
-            # re-deriving the posting lists for the aggregate pass.
-            cover_index=self._cover_index if deep else None,
-        )
+    def fsck(self, deep: bool = True):
+        """Verify the piece (:func:`~repro.reliability.fsck.fsck_tree`):
+        the dict tree a live piece maintains gets the structure and link
+        passes; ``deep`` also rebuilds the tree from the table and
+        compares it, and the view the piece serves, byte for byte."""
+        trees = [self.frozen_view()]
+        if self.segment_id is None and self._tree is not None:
+            trees.insert(0, self._tree)
+        return fsck_tree(*trees, table=self.table if deep else None)
 
     # -- persistence -----------------------------------------------------------
 

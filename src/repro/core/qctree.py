@@ -35,46 +35,6 @@ from repro.cube.aggregates import AggregateFunction
 from repro.errors import QueryError
 
 
-def tree_signature(tree) -> tuple:
-    """Order-independent structural signature of any QC-tree representation.
-
-    ``(paths, links, classes)`` computed through the shared traversal
-    protocol (``iter_nodes`` / ``iter_class_nodes`` / ``iter_links`` /
-    ``upper_bound_of`` / ``value_at``), so a dict-backed
-    :class:`QCTree` and its :meth:`QCTree.freeze` view compare equal.
-    """
-    from repro.core.cells import dict_sort_key
-
-    classes = tuple(
-        sorted(
-            (
-                (tree.upper_bound_of(n), tree.value_at(n))
-                for n in tree.iter_class_nodes()
-            ),
-            key=lambda pair: dict_sort_key(pair[0]),
-        )
-    )
-    paths = tuple(
-        sorted(
-            (tree.upper_bound_of(n) for n in tree.iter_nodes()),
-            key=dict_sort_key,
-        )
-    )
-    links = tuple(
-        sorted(
-            (
-                (tree.upper_bound_of(src), dim, value, tree.upper_bound_of(dst))
-                for src, dim, value, dst in tree.iter_links()
-            ),
-            key=lambda item: (
-                dict_sort_key(item[0]), item[1], item[2],
-                dict_sort_key(item[3]),
-            ),
-        )
-    )
-    return paths, links, classes
-
-
 def _drop(nested: dict, dim: int, value) -> None:
     """Delete ``nested[dim][value]`` and the level it empties."""
     by_value = nested[dim]
@@ -471,10 +431,12 @@ class QCTree:
         tree.state = list(frozen.state)
         tree._free_ids = set(np.flatnonzero(~live).tolist())
         ids = list(range(n))  # one int per id, shared by every use
+        order = np.flatnonzero(live)
         for nested in (tree.children, tree.links):
-            start, *rows = live_rows(frozen, nested is tree.links, live,
-                                     np.arange(n))
-            rows.insert(0, np.repeat(np.flatnonzero(live), np.diff(start)))
+            start, dims, values, targets = live_rows(
+                frozen, nested is tree.links, order)
+            rows = (np.repeat(order, np.diff(start)), dims, values,
+                    order[targets])
             for at in range(0, start[-1], 4096):
                 for node, dim, value, target in zip(
                         *(column[at:at + 4096].tolist() for column in rows)):
@@ -557,28 +519,23 @@ class QCTree:
 
     # -- comparison & display --------------------------------------------------
 
-    def signature(self) -> tuple:
-        """Order-independent structural signature (paths, links, values).
+    def signature(self):
+        """The tree's canonical form (:func:`~repro.shard.pack.
+        canonical_bytes`) by section, node ids gone: by Theorem 1 equal
+        signatures are the same tree — a dict tree and its
+        :meth:`freeze`, a maintained tree and a fresh build of its table
+        (states are exact, so their values agree to the last bit)."""
+        from repro.shard.pack import Signature, canonical_bytes
 
-        Two QC-trees over the same data have equal signatures: aggregate
-        states are exact, so a maintained tree's values are a fresh
-        build's to the last bit.  Node ids are abstracted away by
-        describing nodes through their root paths, so a :class:`FrozenQCTree
-        <repro.core.frozen.FrozenQCTree>` built from this tree has an
-        *equal* signature despite its compacted ids.
-        """
-        return tree_signature(self)
+        return Signature.of(canonical_bytes(self))
 
-    def equivalent_to(self, other: "QCTree") -> bool:
-        """Equal :meth:`signature`: the same paths, links and values (by
-        ``repr`` where a NaN, which MIN/MAX keeps over a NaN measure,
-        defeats ``==``)."""
-        mine, theirs = self.signature(), other.signature()
-        return mine == theirs or repr(mine) == repr(theirs)
+    def equivalent_to(self, other) -> bool:
+        """Equal :meth:`signature`: the same paths, links and values."""
+        return self.signature() == other.signature()
 
     def check_invariants(self) -> None:
         """Assert that :func:`~repro.reliability.fsck.fsck_tree` finds
-        nothing (for tests): structure, links and class routing."""
+        nothing (for tests): the structure and link passes."""
         from repro.reliability.fsck import fsck_tree
 
         report = fsck_tree(self)

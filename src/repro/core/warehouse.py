@@ -291,15 +291,16 @@ class QCWarehouse:
             self._live.rebuild()
             self._mutated()
 
-    def verify(self, deep: bool = True, samples: Optional[int] = 64,
-               seed: int = 0) -> FsckReport:
+    def verify(self, deep: bool = True) -> FsckReport:
         """Fsck every piece, rebuild each one that fails from its table,
         and return the merged :class:`FsckReport
         <repro.reliability.fsck.FsckReport>` of what was found.
 
-        ``deep=True`` also re-derives sampled class aggregates from the
-        base tables.  Theorem 2 makes a tree a derived index of its
-        table, so the repair is a rebuild, as in :meth:`rebuild`: the
+        ``deep=True`` also rebuilds each piece's tree from its table and
+        compares it with what the piece holds, byte for byte
+        (:meth:`Piece.fsck <repro.core.piece.Piece.fsck>`).  Theorem 2
+        makes a tree a derived index of its table, so the repair is a
+        rebuild, as in :meth:`rebuild`: the
         cached view and every cached answer drop with it, and every
         later read comes from a frozen view of the fresh tree.  The
         report still says what was wrong (``ok`` is False); a second
@@ -309,7 +310,7 @@ class QCWarehouse:
             pieces = self.pieces()
             report = FsckReport()
             for piece in pieces:
-                sub = piece.fsck(deep=deep, samples=samples, seed=seed)
+                sub = piece.fsck(deep=deep)
                 # A one-piece store has nothing to tell apart.
                 prefix = f"{piece.name}: " if len(pieces) > 1 else ""
                 for issue in sub.issues:

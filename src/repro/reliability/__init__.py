@@ -12,8 +12,9 @@ outlive its base data; this package makes it outlive *crashes*:
   the tables, builds the trees and replays the rest;
 * :mod:`repro.reliability.transactional` rolls a failed batch back to
   the pre-batch tree;
-* :mod:`repro.reliability.fsck` re-derives the tree's invariants and
-  sampled aggregates, feeding the CLI ``fsck`` command and
+* :mod:`repro.reliability.fsck` checks a dict tree's structure and
+  links and compares each tree with a rebuild of its table by canonical
+  bytes, feeding the CLI ``fsck`` command and
   ``QCWarehouse.verify``, which rebuilds a failing piece from its table;
 * :mod:`repro.reliability.faults` is the serving layer's fault plan
   (:class:`~repro.reliability.faults.ServingFaults`); the storage-fault

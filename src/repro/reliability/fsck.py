@@ -1,56 +1,44 @@
-"""Structural and semantic verification for QC-trees (a tree *fsck*).
+"""Verification of QC-trees against their base table (a tree *fsck*).
 
 A compressed summary that silently drifts from its base table is worse
-than no summary: queries return plausible wrong numbers.  This module
-re-derives the QC-tree's invariants (Definition 1 of the paper) and —
-given the base table — re-checks sampled aggregates against the cover
-sets they summarize, reporting every violation instead of asserting on
-the first one.
+than no summary: queries return plausible wrong numbers.  Theorems 1
+and 2 make a table's QC-tree unique, so checking a tree is an equality:
+rebuild it from the table (:func:`~repro.core.construct.build_frozen`)
+and compare the two canonical forms (:func:`~repro.shard.pack.
+canonical_bytes`) byte for byte — every class, link and value.  Checks,
+in order:
 
-Checks, in order:
+``structure`` (dict trees)
+    Parents alive and consistent with child maps, labels matching edge
+    keys, dimensions strictly increasing along every root path, no
+    cycles, no freed slot reachable or still holding children, links or
+    a state, no allocated node orphaned.  A finding ends the run: the
+    comparison compiles the tree, which corrupt child maps could hang.
 
-``structure``
-    Node bookkeeping: parents alive and mutually consistent with child
-    maps, labels matching edge keys, dimensions strictly increasing
-    along every root path, no cycles, no freed slot reachable or still
-    holding children, links or a state, no allocated node orphaned.  Any
-    structural finding short-circuits the
-    class and aggregate passes — those walk parent chains and child maps
-    and could fail to terminate over the very corruption just found.
-
-``links``
+``links`` (dict trees)
     Every drill-down link targets a live node labeled with the link's
-    own ``(dim, value)`` (Definition 1's prefix-node rule), never
-    duplicates a tree edge, and points strictly forward in dimension
-    order.
+    own ``(dim, value)`` (Definition 1), never duplicates a tree edge,
+    and points strictly forward in dimension order.
 
-``classes``
-    Every class upper bound answers its own point query: the Algorithm 3
-    walk from the root must reach the class node (this exercises the
-    link/forced-descent routing the paper's queries rely on).
+``rebuild`` (with a base table)
+    The canonical form equals the rebuild's; ``rebuild-mismatch`` names
+    the first differing section and row as a cell.  A frozen view is
+    compared as it is.
 
-``aggregates`` (only with a base table)
-    For a sample of classes: the upper bound is *closed* (it equals the
-    meet of the rows it covers), covers at least one row, and its stored
-    value matches the aggregate recomputed from the cover set.  With
-    ``samples=None`` every class is checked.
-
-The result is a :class:`FsckReport`; nothing raises on corruption, so a
-caller can render all findings (the CLI ``python -m repro fsck`` does).
+Nothing raises on corruption: the :class:`FsckReport` lists every
+finding (the CLI ``python -m repro fsck`` prints them), and
 :meth:`QCWarehouse.verify <repro.core.warehouse.QCWarehouse.verify>`
-rebuilds every piece whose report fails from its base table.
+rebuilds every piece whose report fails from its table.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.cells import format_cell
-from repro.core.point_query import locate
+from repro.core.construct import build_frozen
 from repro.core.qctree import QCTree
-from repro.cube.cover_index import CoverIndex
+from repro.errors import SerializationError
 
 
 @dataclass(frozen=True)
@@ -194,111 +182,41 @@ def _check_links(tree: QCTree, live: set, report: FsckReport) -> None:
     report.checked["links"] = n_links
 
 
-def _check_classes(tree: QCTree, live: set, report: FsckReport) -> list:
-    """Every class bound must be reachable by its own point query."""
-    class_nodes = [n for n in live if tree.state[n] is not None]
-    for node in class_nodes:
-        ub = tree.upper_bound_of(node)
-        try:
-            found = locate(tree, ub)
-        except Exception as exc:
-            report.add("class-routing-error",
-                       f"point query for own bound {format_cell(ub)} "
-                       f"raised {exc!r}", node)
-            continue
-        if found is None:
-            report.add("class-unreachable",
-                       f"upper bound {format_cell(ub)} is not reachable "
-                       f"by its own point query", node)
-        elif found != node:
-            report.add("class-misrouted",
-                       f"point query for {format_cell(ub)} lands on node "
-                       f"{found} ({format_cell(tree.upper_bound_of(found))})"
-                       f" instead", node)
-    report.checked["classes"] = len(class_nodes)
-    return class_nodes
+def fsck_tree(*trees, table=None) -> FsckReport:
+    """Verify ``trees`` — dict trees and frozen views of one table;
+    returns a :class:`FsckReport` (never raises on corruption).
 
-
-def _check_aggregates(tree: QCTree, table, class_nodes: list,
-                      samples: Optional[int], seed: int,
-                      report: FsckReport, cover_index=None) -> None:
-    if samples is not None and samples < len(class_nodes):
-        rng = random.Random(seed)
-        class_nodes = rng.sample(sorted(class_nodes), samples)
-    if cover_index is not None and cover_index.n_rows == table.n_rows:
-        # Reuse the caller's long-lived index (the warehouse keeps one
-        # per live table) rather than re-deriving all posting lists; a
-        # row-count mismatch means it is stale, so fall back to a fresh
-        # build — a verifier must not trust a suspect structure.
-        index = cover_index
-    else:
-        index = CoverIndex(table)
-    agg = tree.aggregate
-    checked = 0
-    for node in class_nodes:
-        ub = tree.upper_bound_of(node)
-        checked += 1
-        rows = index.positions(ub)
-        if not rows:
-            report.add("aggregate-empty-cover",
-                       f"class bound {format_cell(ub)} covers no base "
-                       f"row", node)
-            continue
-        closure = index.closure(ub)
-        if closure != ub:
-            report.add("aggregate-not-closed",
-                       f"bound {format_cell(ub)} is not closed: the rows "
-                       f"it covers meet at {format_cell(closure)}", node)
-        try:
-            want = agg.value(agg.state(table, sorted(rows)))
-        except Exception as exc:
-            report.add("aggregate-recompute-error",
-                       f"recomputing {format_cell(ub)} raised {exc!r}",
-                       node)
-            continue
-        got = tree.value_at(node)
-        # repr: a NaN (MIN/MAX over a NaN measure) equals itself.
-        if got != want and repr(got) != repr(want):
-            report.add("aggregate-mismatch",
-                       f"class {format_cell(ub)} stores {got!r} but its "
-                       f"cover set aggregates to {want!r}", node)
-    report.checked["aggregates"] = checked
-
-
-def fsck_tree(tree, table=None, samples: Optional[int] = 64,
-              seed: int = 0, cover_index=None) -> FsckReport:
-    """Verify ``tree`` — a dict tree, or a frozen one through its thaw
-    (:meth:`QCTree.from_frozen`); returns a :class:`FsckReport` (never
-    raises on corruption).
-
-    ``table`` enables the aggregate re-derivation pass; ``samples``
-    bounds how many classes that pass recomputes (None = all).
-    ``cover_index``, when given and in sync with ``table`` (same row
-    count), is reused for that pass instead of building the posting
-    lists from scratch.
+    A dict tree gets the structure and link passes; a structural finding
+    ends the run, since a compile of corrupt child maps need not
+    terminate.  With ``table``, each tree's canonical form is then
+    compared with a rebuild's (:func:`~repro.core.construct.build_frozen`
+    of ``table``): every class, link and value.
     """
     report = FsckReport()
     try:
-        if not isinstance(tree, QCTree):
-            tree = QCTree.from_frozen(tree)
-        live = _check_structure(tree, report)
-        _check_links(tree, live, report)
-        if any(i.code.startswith("structure-") for i in report.issues):
-            # The class and aggregate passes walk parent chains and
-            # child maps and assume the invariants the structure pass
-            # just found broken — descending further risks nontermination
-            # (cycles, self-parents) for no gain: the structural finding
-            # already condemns the tree.
-            return report
-        class_nodes = _check_classes(tree, live, report)
-        if table is not None:
-            if table.n_dims != tree.n_dims:
-                report.add("table-dim-mismatch",
-                           f"base table has {table.n_dims} dimensions, "
-                           f"tree has {tree.n_dims}")
-            else:
-                _check_aggregates(tree, table, class_nodes, samples, seed,
-                                  report, cover_index=cover_index)
+        want = None
+        for tree in trees:
+            if isinstance(tree, QCTree):
+                live = _check_structure(tree, report)
+                _check_links(tree, live, report)
+                if any(i.code.startswith("structure-")
+                       for i in report.issues):
+                    return report
+            if table is None:
+                continue
+            if want is None:
+                want = build_frozen(table, tree.aggregate).signature()
+                report.checked.update(
+                    (what, want["meta"]["counts"][what])
+                    for what in ("nodes", "links", "classes"))
+            try:
+                difference = tree.signature().diff(want, table.decode_value)
+            except SerializationError as exc:
+                difference = f"it has no canonical form ({exc})"
+            if difference is not None:
+                kind = "dict" if isinstance(tree, QCTree) else "frozen"
+                report.add("rebuild-mismatch", f"the {kind} tree differs "
+                           f"from a rebuild of its table: {difference}")
     except Exception as exc:
         # A verifier must survive arbitrary corruption; anything the
         # targeted checks did not anticipate becomes a finding.

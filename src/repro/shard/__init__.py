@@ -23,7 +23,9 @@ See DESIGN §10 for the layout, lifecycle, and failure-mode table.
 
 from repro.shard.pack import (
     AttachedSnapshot,
+    Signature,
     attach_packed,
+    canonical_bytes,
     pack_snapshot_bytes,
 )
 from repro.shard.segment import (
@@ -37,8 +39,10 @@ from repro.shard.server import ShardServer
 __all__ = [
     "AttachedSnapshot",
     "ShardServer",
+    "Signature",
     "active_segments",
     "attach_packed",
+    "canonical_bytes",
     "cleanup_created_segments",
     "created_segments",
     "install_signal_cleanup",

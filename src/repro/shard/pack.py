@@ -23,7 +23,9 @@ slices a dozen memoryviews, so N worker processes can serve one
 physical copy of the snapshot (see :mod:`repro.shard.server`).
 
 This module is the byte layout and nothing else: the one writer
-(:func:`pack_snapshot_bytes`), the header/CRC parsing of
+(:func:`pack_snapshot_bytes`; :func:`canonical_bytes` is its tree
+sections in preorder, a tree's canonical form, split by
+:class:`Signature`), the header/CRC parsing of
 :func:`attach_packed`, and the packed base-table view.  It writes no
 file: a checkpoint is its tables (:mod:`repro.core.manifest`), and the
 blob lives in shared memory for the shard fleet.  The writer is
@@ -40,14 +42,17 @@ import json
 import re
 import zlib
 from itertools import chain
+from typing import Optional
 
 import numpy as np
 
+from repro.core.cells import ALL, format_cell
 from repro.core.frozen import (
     BUFFER_SECTIONS,
     FrozenQCTree,
     lemma2_columns,
     live_rows,
+    preorder,
 )
 from repro.core.qctree import QCTree
 from repro.cube.aggregates import _spec_to_json, aggregate_spec
@@ -81,31 +86,46 @@ _DTYPES = {"q": np.dtype("<i8"), "d": np.dtype("<f8")}
 def pack_snapshot_bytes(tree, table=None, stamp=(0, 0)) -> bytes:
     """Serialize a serving snapshot to the ``QCTREE/3`` byte layout.
 
-    Columnar: a live mask and its running sum renumber the slots
-    (tombstones and spare capacity drop out), a patched view's edge/link
-    overlay rows are appended behind the shared CSR arrays and one
-    ragged gather fetches every live row (:func:`~repro.core.frozen.
-    live_rows`), every per-node column is read from its section, and keys
-    are re-strided to the tightest fit with a vectorised ``divmod``.  A
-    dict-backed :class:`QCTree` is frozen first.
-    ``table`` rides along when given, making the blob a complete
-    self-contained snapshot a worker process can serve from.
+    Columnar and in slot order (tombstones and spare capacity drop
+    out): a patched view's edge/link overlay rows are appended behind
+    the shared CSR arrays and one ragged gather fetches every live row
+    (:func:`~repro.core.frozen.live_rows`), every per-node column is
+    read from its section, and keys are re-strided to the tightest fit
+    with a vectorised ``divmod``.  A dict-backed :class:`QCTree` is
+    frozen first.  ``table`` rides along when given, making the blob a
+    complete self-contained snapshot a worker process can serve from.
     """
     if isinstance(tree, QCTree):
         tree = tree.freeze()
+    return _pack(tree, np.flatnonzero(tree._live_mask()), table, stamp)
+
+
+def canonical_bytes(tree) -> bytes:
+    """``tree``'s ``QCTREE/3`` tree sections, no table, stamp ``(0, 0)``,
+    with its live slots renumbered in Algorithm 1's preorder
+    (:func:`~repro.core.frozen.preorder`; a fresh build's slots already
+    are).  By Theorem 1 two trees are one iff these bytes are equal, in
+    any representation.  The publish path's gather; the sort runs only
+    here, off :func:`pack_snapshot_bytes`."""
+    if isinstance(tree, QCTree):
+        tree = tree.freeze()
+    live = np.flatnonzero(tree._live_mask())
+    ub = np.asarray(tree._ub, dtype=np.int64).reshape(-1, tree.n_dims)[live]
+    return _pack(tree, live[preorder(ub, int(ub.max(initial=0)) + 1)])
+
+
+def _pack(tree, order, table=None, stamp=(0, 0)) -> bytes:
+    """The ``QCTREE/3`` bytes of the frozen ``tree`` with slot
+    ``order[i]`` as node ``i``, and of ``table`` when given."""
     n_dims = tree.n_dims
-    live = tree._live_mask()
-    n = int(live.sum())
+    n = order.size
     if n == 0:
         raise SerializationError("cannot pack an empty QC-tree (no root)")
-    remap = np.cumsum(live) - 1
 
-    edge_start, edge_dim, edge_val, edge_child = live_rows(
-        tree, False, live, remap)
-    link_start, link_dim, link_val, link_target = live_rows(
-        tree, True, live, remap)
+    edge_start, edge_dim, edge_val, edge_child = live_rows(tree, False, order)
+    link_start, link_dim, link_val, link_target = live_rows(tree, True, order)
     ub = np.maximum(
-        np.asarray(tree._ub, dtype=np.int64).reshape(-1, n_dims)[live], -1)
+        np.asarray(tree._ub, dtype=np.int64).reshape(-1, n_dims)[order], -1)
 
     # Re-stride the keys to the tightest fit: the frozen tree's own
     # stride carries patch headroom the packed layout does not need.
@@ -119,10 +139,11 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0)) -> bytes:
     last_dim, forced = lemma2_columns(edge_start, edge_dim, edge_child)
 
     kind = np.asarray(tree._class_kind, dtype=np.int64) != 0
-    is_class = kind[live]
+    is_class = kind[order]
     # A slot that stopped being a class keeps its old row: zero it.
     value_data = np.where(kind[:, None], np.asarray(
-        tree._value_data).reshape(-1, tree.aggregate.width), 0.0)[live]
+        tree._value_data).reshape(-1, tree.aggregate.width), 0.0)[order]
+    value_data[np.isnan(value_data)] = np.nan  # one NaN bit pattern
 
     table_rows = np.empty(0, dtype=np.int64)
     table_measures = np.empty(0, dtype=np.float64)
@@ -197,6 +218,62 @@ def pack_snapshot_bytes(tree, table=None, stamp=(0, 0)) -> bytes:
     ).encode("ascii")
     pad = (-(len(header) + len(meta_bytes))) % 8
     return b"".join([header, meta_bytes, b"\0" * pad, *chunks])
+
+
+class Signature(dict):
+    """A ``QCTREE/3`` blob by section name, plus its ``"meta"`` block.
+    Of :func:`canonical_bytes`, a tree's signature: ``==`` is tree
+    equality, and :meth:`diff` names what differs."""
+
+    @classmethod
+    def of(cls, blob: bytes) -> "Signature":
+        end = blob.index(b"\n")
+        size = int(_V3_HEADER.match(blob[:end]).group(2))
+        meta = json.loads(blob[end + 1:end + 1 + size])
+        at = len(blob) - 8 * sum(count for *_, count in meta["sections"])
+        return cls({name: blob[at + offset:at + offset + 8 * count]
+                    for name, _, offset, count in meta["sections"]},
+                   meta=meta)
+
+    def diff(self, other: "Signature", decoder=None) -> Optional[str]:
+        """None when equal; else the first differing tree section (paths
+        first) and row, shown under the cell of the node the row belongs
+        to (``decoder(dim, code)`` spells labels)."""
+        name = next((name for name in ("ub", *BUFFER_SECTIONS, "meta")
+                     if self[name] != other[name]), None)
+        if name in (None, "meta"):
+            return name and f"meta differs: {self[name]} != {other[name]}"
+        mine, theirs = self._rows(name), other._rows(name)
+        row = next((i for i, (a, b) in enumerate(zip(mine, theirs))
+                    if a.tobytes() != b.tobytes()),
+                   min(len(mine), len(theirs)))
+        return (f"{name} differs at row {row}: {self._at(name, row, decoder)}"
+                f" != {other._at(name, row, decoder)}")
+
+    def _rows(self, name: str) -> np.ndarray:
+        data = np.frombuffer(self[name], _DTYPES[dict(SECTIONS)[name]])
+        nodes = self["meta"]["counts"]["nodes"]
+        return data.reshape(-1, data.size // nodes
+                            if name in ("ub", "value_data") else 1)
+
+    def _at(self, name: str, row: int, decoder) -> str:
+        def spell(dim, code):
+            try:
+                return decoder(dim, code)
+            except Exception:  # no decoder, or a code past its labels
+                return code
+
+        rows, owner = self._rows(name), row
+        if row >= len(rows):
+            return "no row"
+        if name[5:] in ("key", "child", "target"):  # an edge or link row
+            start = self._rows(name[:5] + "start")[:, 0]
+            owner = int(np.searchsorted(start, row, side="right")) - 1
+        if owner < self["meta"]["counts"]["nodes"]:
+            bound = self._rows("ub")[owner].tolist()
+            return format_cell(tuple(ALL if v < 0 else v for v in bound),
+                               spell) + f" {rows[row].tolist()}"
+        return str(rows[row].tolist())
 
 
 # -- packed base table -------------------------------------------------------

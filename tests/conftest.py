@@ -98,6 +98,11 @@ def thaws(monkeypatch):
     return seen
 
 
+#: The sections of a tree's canonical form (``repro.shard.pack.
+#: Signature``) that hold its drill-down links.
+LINKS = ("link_start", "link_key", "link_target")
+
+
 def plus(x: float):
     """A ``bump`` for :func:`corrupt_served_state`: a SUM state with
     ``x`` more in it."""

@@ -12,7 +12,7 @@ from repro.core.construct import build_qctree, build_qctree_reference
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import SchemaError
-from tests.conftest import make_random_table
+from tests.conftest import LINKS, make_random_table
 
 #: Every registry aggregate, plus one spec over two measures.
 SPECS = {
@@ -49,7 +49,9 @@ def _fractional_table(seed):
 def _exact(tree):
     """Signature plus every class's state, by ``repr`` so that NaN
     states compare too."""
-    paths, links, _ = tree.signature()
+    signature = tree.signature()
+    paths = signature["ub"]
+    links = [signature[name] for name in LINKS]
     states = sorted(
         (repr(tree.upper_bound_of(n)), repr(tree.state[n]))
         for n in tree.iter_class_nodes()
@@ -72,8 +74,10 @@ class TestReferenceConstruction:
         table = make_random_table(seed)
         alg1 = build_qctree(table, ("sum", "m"))
         reference = build_qctree_reference(table, ("sum", "m"))
-        assert alg1.signature()[0] == reference.signature()[0], "paths"
-        assert alg1.signature()[1] == reference.signature()[1], "links"
+        mine, want = alg1.signature(), reference.signature()
+        assert mine["ub"] == want["ub"], "paths: " + mine.diff(want)
+        assert all(mine[name] == want[name] for name in LINKS), \
+            "links: " + mine.diff(want)
         assert alg1.equivalent_to(reference)
 
     def test_paper_example(self, sales_table):

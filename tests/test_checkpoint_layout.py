@@ -168,7 +168,7 @@ def test_a_directory_in_the_parent_layout_opens_and_loses_its_trees(
         name for name in os.listdir(directory) if name.endswith(".qct"))
     for cell in CELLS:
         assert store.point(cell) == fresh.point(cell), cell
-    assert store.verify(deep=True, samples=None).ok
+    assert store.verify(deep=True).ok
 
     store.checkpoint(directory)
     store.close()
@@ -389,5 +389,5 @@ class TestLabelTypes:
                                         table.schema)
         assert recovered.point(cell) == expected
         assert recovered.point(("*",) * 6) == wh.point(("*",) * 6)
-        assert main(["fsck", str(directory), "--samples", "0"]) == 0
+        assert main(["fsck", str(directory)]) == 0
         assert "clean" in capsys.readouterr().out

@@ -171,7 +171,7 @@ class TestCommands:
                    for line in capsys.readouterr().out.splitlines())
         want = wh.range((["a", "b", "c"], "*"))
         assert got == {",".join(c): str(v) for c, v in want.items()}
-        assert main(["fsck", directory, "--samples", "0"]) == 0
+        assert main(["fsck", directory]) == 0
 
     def test_built_tree_carries_its_label_dictionaries(self, built_dir,
                                                       sales_schema):
@@ -532,11 +532,11 @@ class TestFsckCommand:
         assert "clean" in capsys.readouterr().out
 
     def test_clean_tree_without_table(self, built_dir, capsys):
-        """No ``--table`` any more: the directory's own CSV is the base
-        table, so every run re-derives class aggregates."""
-        assert main(["fsck", built_dir, "--samples", "0"]) == 0
+        """No ``--table`` any more: the directory's own table is the
+        base, so every run rebuilds the tree and compares every class."""
+        assert main(["fsck", built_dir]) == 0
         out = capsys.readouterr().out
-        assert "clean" in out and "6 aggregates" in out
+        assert "clean" in out and "6 classes" in out
 
     def test_corrupted_node_table_exits_two(self, built_dir, capsys):
         """One flipped byte of the head table: the CRC32 the manifest
@@ -560,15 +560,38 @@ class TestFsckCommand:
         bad.write_text("garbage")
         assert main(["fsck", str(bad)]) == 1
 
+    def test_a_drifted_tree_names_its_first_differing_cell(
+            self, built_dir, capsys, monkeypatch):
+        """A tree that no longer matches its table (here one class
+        state tampered after the open) is reported by the rebuild
+        comparison: the section, and the row as a cell of labels."""
+        import repro.__main__ as cli
+
+        opened = cli._open_store
+
+        def open_tampered(directory, **options):
+            store = opened(directory, **options)
+            tree = store.tree
+            node = tree.find_path(store.table.encode_cell(("S2", "P1", "f")))
+            tree.set_state(node, tree.aggregate.merge(tree.state[node],
+                                                      (0, 1, 1)))
+            return store
+
+        monkeypatch.setattr(cli, "_open_store", open_tampered)
+        assert main(["fsck", built_dir]) == 2
+        out = capsys.readouterr().out
+        assert "rebuild-mismatch" in out
+        assert "value_data differs at row" in out and "(S2, P1, f)" in out
+
     def test_negative_samples_is_a_usage_error(self, built_dir, capsys):
-        """``--samples -3`` used to reach ``random.sample`` and report a
-        clean store as corrupt (exit 2, ``fsck-crashed``)."""
+        """fsck samples nothing, so ``--samples`` is no flag: one usage
+        error line, never a clean store reported as corrupt."""
         with pytest.raises(SystemExit) as exc_info:
             main(["fsck", built_dir, "--samples", "-3"])
         assert exc_info.value.code == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1
-        assert "argument --samples: must be" in err
+        assert "unrecognized arguments: --samples" in err
 
 
 class TestIntLabelledStore:

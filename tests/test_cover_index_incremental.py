@@ -25,7 +25,6 @@ from repro.core.warehouse import QCWarehouse
 from repro.cube.cover_index import CoverIndex
 from repro.cube.schema import Schema
 from repro.errors import MaintenanceError, SchemaError
-from repro.reliability.fsck import fsck_tree
 from tests.conftest import make_random_table
 
 N_DIMS = 3
@@ -382,14 +381,7 @@ class TestMaintenanceWithPersistentIndex:
         wh = QCWarehouse(sales_table, aggregate=("sum", "Sale"))
         wh.insert([("S3", "P1", "s", 2.0)])
         assert wh.pieces()[0].live_cover_index is not None
-        report = wh.verify(deep=True, samples=None)
-        assert report.ok, str(report)
-
-    def test_fsck_ignores_stale_index(self, sales_table):
-        tree = build_qctree(sales_table, "count")
-        stale = CoverIndex(rows=[(0, 0, 0)], n_dims=3)  # wrong row count
-        report = fsck_tree(tree, table=sales_table, samples=None,
-                           cover_index=stale)
+        report = wh.verify(deep=True)
         assert report.ok, str(report)
 
     def test_recovery_replay_reuses_one_index(self, tmp_path):

@@ -28,13 +28,16 @@ from repro.core.point_query import (
     point_query,
     search_route,
 )
-from repro.core.qctree import tree_signature
 from repro.core.range_query import range_query
 from repro.errors import QueryError
 from repro.serving.scatter import _range_states
 from repro.core.warehouse import QCWarehouse
 from repro.cube.table import BaseTable
-from repro.shard.pack import attach_packed, pack_snapshot_bytes
+from repro.shard.pack import (
+    attach_packed,
+    canonical_bytes,
+    pack_snapshot_bytes,
+)
 from tests.conftest import (
     all_cells,
     make_random_table,
@@ -53,7 +56,7 @@ class TestStructure:
     def test_signature_matches_dict_tree(self, seed):
         _, tree, frozen = _tree_pair(seed)
         assert frozen.signature() == tree.signature()
-        assert tree_signature(frozen) == tree_signature(tree)
+        assert canonical_bytes(frozen) == pack_snapshot_bytes(frozen)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_counts_match(self, seed):

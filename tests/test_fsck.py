@@ -27,7 +27,7 @@ def codes(report):
 class TestCleanTrees:
     def test_sales_tree_is_clean(self, sales_table):
         tree = build_qctree(sales_table, ("avg", "Sale"))
-        report = fsck_tree(tree, table=sales_table, samples=None)
+        report = fsck_tree(tree, table=sales_table)
         assert report.ok, str(report)
         assert report.checked["nodes"] == tree.n_nodes
         assert report.checked["classes"] == tree.n_classes
@@ -37,20 +37,20 @@ class TestCleanTrees:
     def test_random_trees_are_clean(self, seed):
         table = make_random_table(seed, n_dims=3, cardinality=4, n_rows=20)
         tree = build_qctree(table, ("sum", "m"))
-        report = fsck_tree(tree, table=table, samples=None)
+        report = fsck_tree(tree, table=table)
         assert report.ok, str(report)
 
     def test_shallow_check_skips_aggregates(self, sales_table):
         tree = build_qctree(sales_table, "count")
         report = fsck_tree(tree)  # no table
         assert report.ok
-        assert "aggregates" not in report.checked
+        assert "classes" not in report.checked
 
     def test_maintained_tree_stays_clean(self, sales_table):
         wh = QCWarehouse(sales_table, aggregate=("avg", "Sale"))
         wh.insert([("S3", "P1", "w", 5.0)])
         wh.delete([("S1", "P2", "s", 0.0)])
-        report = wh.verify(samples=None)
+        report = wh.verify()
         assert report.ok, str(report)
 
 
@@ -122,8 +122,7 @@ class TestCorruptionIsFlagged:
         table = BaseTable.from_encoded(
             [(0, 0), (1, 0), (2, 1)], [[1.0], [float("nan")], [3.0]],
             Schema(dimensions=("A", "B"), measures=("m",)))
-        report = fsck_tree(build_qctree(table, ("max", "m")), table=table,
-                           samples=None)
+        report = fsck_tree(build_qctree(table, ("max", "m")), table=table)
         assert report.ok, str(report)
 
     def test_tampered_aggregate_state(self, sales_table):
@@ -133,11 +132,31 @@ class TestCorruptionIsFlagged:
             if tree.state[n] is not None and n != tree.root
         )
         tree.set_state(victim, (0, 9999, 1))  # avg: one row of 9999
-        report = fsck_tree(tree, table=sales_table, samples=None)
-        assert "aggregate-mismatch" in codes(report)
+        report = fsck_tree(tree, table=sales_table)
+        assert "rebuild-mismatch" in codes(report)
         # Without the base table the tampering is invisible — deep
         # verification exists precisely for this class of corruption.
-        assert "aggregate-mismatch" not in codes(fsck_tree(tree))
+        assert "rebuild-mismatch" not in codes(fsck_tree(tree))
+
+    def test_tampered_state_outside_any_sample_is_reported(self):
+        """Every class is compared: a state the former 64-class sample
+        (``random.Random(0)`` over the sorted class ids) skipped is
+        found, and the report names its section and cell."""
+        wh = QCWarehouse(make_random_table(3, n_dims=4, cardinality=5,
+                                           n_rows=80), ("sum", "m"))
+        tree = wh.tree
+        classes = sorted(tree.iter_class_nodes())
+        assert len(classes) > 64
+        sampled = set(random.Random(0).sample(classes, 64))
+        victim = min(set(classes) - sampled)
+        tree.set_state(victim, tree.aggregate.merge(tree.state[victim],
+                                                    (0, 1)))
+        report = wh.verify()
+        assert codes(report) == {"rebuild-mismatch"}
+        cell = wh.table.decode_cell(tree.upper_bound_of(victim))
+        assert "value_data differs" in str(report)
+        assert "(" + ", ".join(map(str, cell)) + ")" in str(report)
+        assert wh.verify().ok
 
     def test_unreachable_class(self, sales_table):
         tree = self._tree(sales_table)
@@ -185,7 +204,7 @@ class TestScanPointQuery:
         wh = QCWarehouse(sales_table, aggregate=("avg", "Sale"))
         victim = next(iter(wh.tree.iter_class_nodes()))
         wh.tree.set_state(victim, (123456.0, 1))
-        assert not wh.verify(samples=None).ok
+        assert not wh.verify().ok
         return wh
 
     def test_scan_matches_tree(self, sales_table, repaired):
@@ -227,7 +246,7 @@ class TestDegradedMode:
         fresh = QCWarehouse.from_records(self.RECORDS, self.SCHEMA,
                                          aggregate=("avg", "Sale"))
         self.corrupt(wh)
-        report = wh.verify(samples=None)
+        report = wh.verify()
         assert not report.ok
         stats = wh.stats()
         assert "degraded" not in stats
@@ -241,14 +260,14 @@ class TestDegradedMode:
             assert wh.range(raw) == fresh.range(raw)
         assert wh.iceberg(100000) == fresh.iceberg(100000) == []
         assert wh.point(("S9", "*", "*")) is None  # unknown label: NULL
-        assert wh.verify(samples=None).ok
+        assert wh.verify().ok
 
     def test_rebuild_recovers(self):
         wh = QCWarehouse.from_records(self.RECORDS, self.SCHEMA,
                                       aggregate=("avg", "Sale"))
         self.corrupt(wh)
         wh.rebuild()
-        assert wh.verify(samples=None).ok
+        assert wh.verify().ok
         assert wh.point(("S2", "*", "f")) == 9.0
 
     def test_clean_verify_clears_degraded(self):
@@ -299,8 +318,8 @@ class TestVerifyRepairs:
             model.assert_answers(ask, expected)  # fills the cache
             corrupt_served_state(wh.pieces()[0],
                                  plus(123456.0))
-            report = wh.verify(samples=None)
+            report = wh.verify()
             assert not report.ok
             assert wh.stats()["serving"] in ("frozen", "segmented")
             model.assert_answers(ask, expected)
-            assert wh.verify(samples=None).ok
+            assert wh.verify().ok

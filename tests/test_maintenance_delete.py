@@ -15,14 +15,16 @@ from repro.core.maintenance import (
 )
 from repro.core.point_query import point_query
 from repro.errors import MaintenanceError
-from tests.conftest import all_cells, make_random_table
+from tests.conftest import LINKS, all_cells, make_random_table
 
 
 def _assert_equals_rebuild(tree, new_table, aggregate):
-    rebuilt = build_qctree(new_table, aggregate)
-    assert tree.signature()[0] == rebuilt.signature()[0], "paths differ"
-    assert tree.signature()[1] == rebuilt.signature()[1], "links differ"
-    assert tree.equivalent_to(rebuilt), "classes differ"
+    mine, want = tree.signature(), build_qctree(new_table,
+                                                aggregate).signature()
+    assert mine["ub"] == want["ub"], "paths differ: " + mine.diff(want)
+    assert all(mine[name] == want[name] for name in LINKS), \
+        "links differ: " + mine.diff(want)
+    assert mine == want, "classes differ: " + mine.diff(want)
 
 
 class TestPaperExample4:

@@ -20,7 +20,7 @@ from repro.cube.lattice import closure
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
 from repro.errors import MaintenanceError
-from tests.conftest import all_cells, make_random_table
+from tests.conftest import LINKS, all_cells, make_random_table
 
 
 def _random_records(rng, n_dims, card, count):
@@ -32,10 +32,12 @@ def _random_records(rng, n_dims, card, count):
 
 
 def _assert_equals_rebuild(tree, new_table, aggregate):
-    rebuilt = build_qctree(new_table, aggregate)
-    assert tree.signature()[0] == rebuilt.signature()[0], "paths differ"
-    assert tree.signature()[1] == rebuilt.signature()[1], "links differ"
-    assert tree.equivalent_to(rebuilt), "classes differ"
+    mine, want = tree.signature(), build_qctree(new_table,
+                                                aggregate).signature()
+    assert mine["ub"] == want["ub"], "paths differ: " + mine.diff(want)
+    assert all(mine[name] == want[name] for name in LINKS), \
+        "links differ: " + mine.diff(want)
+    assert mine == want, "classes differ: " + mine.diff(want)
 
 
 class TestPaperExample3:

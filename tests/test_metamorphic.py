@@ -8,7 +8,13 @@ on [0, 100), built through :mod:`repro.data` alone.  Every check is
 
 * **Theorem 2 at scale** — after each 32-row insert and each 32-row
   delete, the maintained store (its dict tree, its patched frozen view
-  and that view packed and attached) has a fresh build's signature.
+  and that view packed and attached) has a fresh build's canonical form
+  (``signature()``, :func:`repro.shard.pack.canonical_bytes`); so do
+  the store after the benchmark's own write laps (one row inserted,
+  then deleted), every piece of a segmented store across a seal, a
+  delete and a compaction, and the snapshot a one-process
+  :class:`ShardServer` publishes, whose ``map_query`` answers are the
+  fresh build's.
 * **Distribution** — the table split at random into pieces built
   independently: each class's state is the merge of the pieces' states
   of its upper bound.
@@ -44,7 +50,13 @@ from repro.cube.aggregates import make_aggregate
 from repro.cube.table import BaseTable
 from repro.data.synthetic import zipf_table
 from repro.data.workloads import point_query_workload
-from repro.shard import attach_packed, pack_snapshot_bytes
+from repro.segments import SegmentedWarehouse
+from repro.shard import (
+    ShardServer,
+    Signature,
+    attach_packed,
+    pack_snapshot_bytes,
+)
 
 SUM = ("sum", "M0")
 #: Insert + delete laps of the Theorem 2 relation.
@@ -76,6 +88,13 @@ def cells(table):
             for cell in point_query_workload(table, 400, seed=5)]
 
 
+def _same_as_a_fresh_build(tree, table, step):
+    """``tree``'s canonical form equals a fresh build's of ``table``
+    (Theorems 1 and 2); a failure names the first differing row."""
+    got, want = tree.signature(), build_frozen(table, SUM).signature()
+    assert got == want, f"{step}: {got.diff(want)}"
+
+
 def test_theorem_2_after_every_lap(table):
     wh = QCWarehouse(table, SUM)
     extra = list(zipf_table(BATCH * LAPS, 6, 30, seed=2).iter_records())
@@ -83,8 +102,10 @@ def test_theorem_2_after_every_lap(table):
 
     def fresh_build_equals_the_store(step):
         want = build_frozen(wh.table, SUM).signature()
-        assert wh.tree.signature() == want, step
-        assert wh.serving_tree.signature() == want, step
+        for what, tree in (("dict tree", wh.tree),
+                           ("view", wh.serving_tree)):
+            got = tree.signature()
+            assert got == want, f"{step}, {what}: {got.diff(want)}"
         attached = attach_packed(
             pack_snapshot_bytes(wh.serving_tree, wh.table))
         try:
@@ -97,6 +118,73 @@ def test_theorem_2_after_every_lap(table):
         fresh_build_equals_the_store(f"insert {lap}")
         wh.delete(rng.sample(list(wh.table.iter_records()), BATCH))
         fresh_build_equals_the_store(f"delete {lap}")
+
+
+def test_theorem_2_after_the_benchmarks_write_laps(table):
+    """The ``door_tcp`` write lap of ``benchmarks/e2e`` (its recipe
+    copied from ``plans.py``): insert one row, then delete that row.
+    The row is the first of the seed's fresh rows, drawn from
+    ``zipf_table(60 * 32, 6, 30, seed=1 + 7919)``."""
+    row = next(zipf_table(60 * BATCH, 6, 30, seed=1 + 7919).iter_records())
+    wh = QCWarehouse(table, SUM)
+    for lap in range(2):
+        for step, write in (("insert", wh.insert), ("delete", wh.delete)):
+            write([row])
+            _same_as_a_fresh_build(wh.tree, wh.table, f"{step} {lap}")
+            _same_as_a_fresh_build(wh.serving_tree, wh.table,
+                                   f"{step} {lap}, view")
+
+
+def test_segmented_pieces_across_a_seal_and_a_compaction(table):
+    """Per piece, a segmented store's trees are fresh builds of their
+    tables: the 20,000-row base sealed at once, a head sealed at 64
+    rows, a delete (of the earliest matching rows, wherever they sit),
+    and the sealed pair compacted."""
+    extra = list(zipf_table(3 * BATCH, 6, 30, seed=3).iter_records())
+    seg = SegmentedWarehouse(table, SUM, seal_rows=2 * BATCH,
+                             compact_min_segments=1)
+
+    def every_piece_is_a_fresh_build(step):
+        for piece in seg.pieces():
+            trees = [piece.frozen_view()]
+            if piece._tree is not None:
+                trees.append(piece._tree)
+            for tree in trees:
+                _same_as_a_fresh_build(tree, piece.table,
+                                       f"{step}, {piece.name}")
+
+    try:
+        seg.insert(extra[:BATCH])
+        seg.insert(extra[BATCH:2 * BATCH])
+        assert len(seg.pieces()) == 3 and seg.pieces()[-1].n_rows == 0
+        every_piece_is_a_fresh_build("seal")
+        seg.insert(extra[2 * BATCH:])
+        seg.delete(extra[2 * BATCH:2 * BATCH + 4])
+        every_piece_is_a_fresh_build("delete")
+        assert seg.compact_now() == 1
+        assert len(seg.pieces()) == 2
+        assert sum(piece.n_rows for piece in seg.pieces()) == \
+            table.n_rows + 3 * BATCH - 4
+        every_piece_is_a_fresh_build("compaction")
+    finally:
+        seg.close()
+
+
+def test_shard_server_answers_like_a_fresh_build(table, cells):
+    """A one-process :class:`ShardServer`: after each write, the snapshot
+    it published is a fresh build of the store's table, and its worker's
+    ``map_query`` answers are that build's."""
+    extra = list(zipf_table(BATCH, 6, 30, seed=4).iter_records())
+    wh = QCWarehouse(table, SUM)
+    with ShardServer(wh, processes=1, cache_size=0) as server:
+        for step, write in (("insert", {"inserts": extra}),
+                            ("delete", {"deletes": extra[:BATCH // 2]})):
+            server.write(**write)
+            snapshot = server.snapshot
+            _same_as_a_fresh_build(snapshot.tree, snapshot.table, step)
+            fresh = QCWarehouse(snapshot.table, SUM)
+            assert server.map_query("point", [(cell,) for cell in cells]) \
+                == [fresh.point(cell) for cell in cells], step
 
 
 def test_independent_pieces_merge_to_the_whole(table):
@@ -186,27 +274,15 @@ def test_theorem_1_permuted_rows_pack_the_same_bytes(table, sums):
                                       table.schema)
     blobs = [pack_snapshot_bytes(sums, table),
              pack_snapshot_bytes(build_frozen(permuted, SUM), permuted)]
-    (meta, sections), (meta2, sections2) = map(_unpacked, blobs)
-    assert meta == meta2
-    assert meta["counts"]["nodes"] > 45_000
+    one, two = map(Signature.of, blobs)
+    assert one["meta"] == two["meta"]
+    assert one["meta"]["counts"]["nodes"] > 45_000
     for name in BUFFER_SECTIONS:
-        assert sections[name] == sections2[name], name
-    for name, width in (("table_rows", table.n_dims),
-                        ("table_measures", table.schema.n_measures)):
-        rows = sections[name].reshape(table.n_rows, width)
-        assert np.array_equal(rows[order], sections2[name].reshape(
-            table.n_rows, width)), name
-
-
-def _unpacked(blob: bytes):
-    """A ``QCTREE/3`` blob's meta block and its sections by name (the
-    tree's as ``bytes``, the table's as arrays)."""
-    meta = attach_packed(blob).meta
-    body = len(blob) - 8 * sum(count for *_, count in meta["sections"])
-    sections = {}
-    for name, fmt, offset, count in meta["sections"]:
-        raw = blob[body + offset:body + offset + 8 * count]
-        sections[name] = (raw if name in BUFFER_SECTIONS
-                          else np.frombuffer(raw, "<i8" if fmt == "q"
-                                             else "<f8"))
-    return meta, sections
+        assert one[name] == two[name], name
+    for name, dtype, width in (("table_rows", "<i8", table.n_dims),
+                               ("table_measures", "<f8",
+                                table.schema.n_measures)):
+        rows, permuted_rows = (
+            np.frombuffer(signature[name], dtype).reshape(-1, width)
+            for signature in (one, two))
+        assert np.array_equal(rows[order], permuted_rows), name

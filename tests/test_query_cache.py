@@ -248,13 +248,13 @@ class TestWarehouseIntegration:
         victim = next(iter(wh.tree.iter_class_nodes()))
         wh.tree.set_state(victim, (123456.0, 1))
         stamp = wh.serving_stamp()
-        assert not wh.verify(samples=None).ok
+        assert not wh.verify().ok
         assert wh.serving_stamp() != stamp
         # Previously-cached cells are recomputed from the rebuilt tree.
         assert wh.point(("S2", "*", "f")) == 9.0
         counters = wh.stats()["query_cache"]
         assert counters["invalidations"] >= 1 and counters["hits"] == 0
-        assert wh.verify(samples=None).ok
+        assert wh.verify().ok
         assert wh.point(("S2", "*", "f")) == 9.0
         assert wh.stats()["query_cache"]["hits"] == 1
 

@@ -413,7 +413,7 @@ class TestCheckpointRecover:
         assert recovered.n_rows == wh.n_rows
         for cell in (("x1", "*", "*"), ("*", "x2", "*")):
             assert recovered.point(cell) == wh.point(cell)
-        report = recovered.verify(deep=True, samples=None)
+        report = recovered.verify(deep=True)
         assert report.ok, report.issues
         assert recovered.last_recovery["orphans"] == [tree_file.name]
         recovered.checkpoint(tmp_path / "ckpt")
@@ -531,7 +531,7 @@ class TestLabelDictionaryPersistence:
         # The loaded pair must also keep *maintaining* correctly.
         loaded.maintain(deletes=[("aa", "b", "c", 2.0)])
         assert loaded.point(("aa", "*", "*")) is None
-        report = loaded.verify(deep=True, samples=None)
+        report = loaded.verify(deep=True)
         assert report.ok, report.issues
 
     def test_segment_round_trip_preserves_drifted_codes(self, tmp_path):
@@ -606,7 +606,7 @@ class TestServingSurface:
         sealed = wh.pieces()[0]
         segment_id = sealed.segment_id
         corrupt_served_state(sealed, plus(1000.0))
-        assert not wh.verify(samples=None).ok
+        assert not wh.verify().ok
         assert wh.pieces()[0].segment_id == segment_id
         assert wh.point(("x1", "*", "*")) == expected
-        assert wh.verify(samples=None).ok
+        assert wh.verify().ok

@@ -302,7 +302,7 @@ class TestConstruction:
         warehouse = QCWarehouse(sales_table, aggregate="avg(Sale)")
         victim = next(iter(warehouse.tree.iter_class_nodes()))
         warehouse.tree.set_state(victim, (123456.0, 1))
-        assert not warehouse.verify(samples=None).ok
+        assert not warehouse.verify().ok
         server = ShardServer(warehouse, processes=1)
         try:
             assert server.point(("S2", "*", "f")) == 9.0

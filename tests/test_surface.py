@@ -147,7 +147,7 @@ CLI_FLAGS = {
         "--processes", "--segmented", "--seal-rows",
         "--cache-size", "--async", "--host", "--port", "--max-connections",
         "--max-inflight"),
-    "fsck": ("directory", "--samples", "--seed"),
+    "fsck": ("directory",),
 }
 
 

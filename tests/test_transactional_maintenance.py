@@ -131,7 +131,7 @@ class TestRefusedBatches:
         assert wh.point(("S2", "*", "f")) == 9.0
         assert wh.range((["S1", "S2"], "*", "*"))
         # And the warehouse still verifies clean.
-        assert wh.verify(samples=None).ok
+        assert wh.verify().ok
 
 
 class _FailAfter:
