@@ -73,9 +73,8 @@ class FsckReport:
         counts = ", ".join(
             f"{count} {what}" for what, count in self.checked.items()
         )
-        if self.ok:
-            return f"clean ({counts})"
-        return f"{len(self.issues)} issue(s) found ({counts})"
+        verdict = "clean" if self.ok else f"{len(self.issues)} issue(s) found"
+        return f"{verdict} ({counts})" if counts else verdict
 
     def __str__(self):
         lines = [str(issue) for issue in self.issues]

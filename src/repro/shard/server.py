@@ -7,12 +7,15 @@ breaker, the single writer and the supervisor, while N forked worker
 processes each attach the current ``QCTREE/3`` segment
 (:mod:`repro.shard.pack`) and answer reads lock-free from one shared
 copy.  A publish packs a fresh segment, announces ``(lsn, epoch,
-name)`` on every pipe, swaps the parent snapshot and waits (bounded)
-for the attach acks; a worker on another epoch is not routed to, and
-with none routable the parent answers from its own snapshot.  A dead
-worker fails its in-flight reads with the retryable
-:class:`~repro.errors.WorkerCrashedError` and is respawned.  DESIGN §10
-has the lifecycle, the pipe's protocol and the failure table.
+name)`` to each worker that owes no earlier reply, swaps the parent
+snapshot and waits (bounded) for those workers' replies; a worker on
+another epoch is not routed to, and with none routable the parent
+answers from its own snapshot.  A dead worker fails its in-flight reads
+with the retryable :class:`~repro.errors.WorkerCrashedError` and is
+respawned.  Who serves on which pipe, what each worker is announced and
+which segments stay linked is one :class:`~repro.shard.fleet.FleetState`;
+what is inside each pipe, one :class:`~repro.shard.pipe.PipeState`.
+DESIGN §10 has the lifecycle, both protocols and the failure table.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from repro.shard.frame import (
     point_codes,
     point_frame,
 )
+from repro.shard.fleet import ANNOUNCE, RETIRE, SPAWN, UNLINK, WAKE, FleetState
 from repro.shard.pack import pack_snapshot_bytes
 from repro.shard.pipe import CALLER, CLOSE, LEAVE, READ, ROUSE, PipeState
 from repro.shard.segment import create_segment, unlink_segment
@@ -135,11 +139,11 @@ _MESSAGE_OVERHEAD = 1024
 
 
 class _ProcHandle:
-    """Parent-side end of one worker process: the process, its pipe, the
-    epoch it last confirmed attaching, and the pipe's
-    :class:`~repro.shard.pipe.PipeState` — who is inside the pipe, what
-    is owed on it, whether it serves — which only its transitions
-    change, each under ``lock`` (:meth:`do`).
+    """Parent-side end of one worker process: the process, its pipe (the
+    ``gen``-th of its slot in the :class:`~repro.shard.fleet.FleetState`
+    ``fleet``), and the pipe's :class:`~repro.shard.pipe.PipeState` —
+    who is inside the pipe, what is owed on it, whether it serves —
+    which only its transitions change, each under ``lock`` (:meth:`do`).
 
     ``send_lock`` keeps whole frames apart on the pipe.  It is a second
     lock because a sender blocked in ``sendall`` on a full pipe must not
@@ -149,8 +153,9 @@ class _ProcHandle:
     which bounds what can sit unread in the pipe.
     """
 
-    def __init__(self, slot: int, proc, sock, frames: FrameReader):
-        self.slot = slot
+    def __init__(self, slot: int, gen: int, fleet: FleetState, proc, sock,
+                 frames: FrameReader):
+        self.slot, self.gen, self.fleet = slot, gen, fleet
         self.proc = proc
         self.pid = proc.pid  # kept: a closed Process forgets its pid
         self.sock = sock
@@ -158,11 +163,9 @@ class _ProcHandle:
         self.lock = threading.Lock()
         self.send_lock = threading.Lock()
         self.pipe = PipeState()
-        self.attached_epoch = 0
         self.answered = 0
         self.read_by_caller = 0
         self.receiver: Optional[threading.Thread] = None
-        self.last_announce = 0.0
         # The receiver's wake-up: a byte on a non-blocking pipe, polled
         # beside the worker pipe's hang-up (an fd: one poll waits on both).
         self._wake_r, self._wake_w = os.pipe()
@@ -173,6 +176,13 @@ class _ProcHandle:
         self._parker.register(self._wake_r, select.POLLIN)
         self._poller = select.poll()
         self._poller.register(sock.fileno(), select.POLLIN)
+
+    @property
+    def attached_epoch(self) -> int:
+        """The epoch this worker confirmed attaching, as the fleet holds
+        it; 0 once its slot has moved on to another pipe."""
+        seat = self.fleet.slots[self.slot]
+        return seat.attached if seat.gen == self.gen else 0
 
     def do(self, transition, *args):
         """Run one of ``pipe``'s transitions under ``lock``, acting there
@@ -446,9 +456,6 @@ class ShardServer(QCServer):
     PUBLISH_ACK_TIMEOUT_S = 5.0
     #: Seconds to wait for a freshly spawned worker's ready handshake.
     SPAWN_TIMEOUT_S = 60.0
-    #: Supervisor re-announces the current epoch to a lagging worker at
-    #: most this often (seconds).
-    REANNOUNCE_INTERVAL_S = 0.5
 
     _future_class = _Forward
 
@@ -458,13 +465,8 @@ class ShardServer(QCServer):
         self._nprocs = processes
         self._rr = count()  # round-robin over the routable workers
         self._ctx = _mp_context()
-        self._shard_lock = threading.Lock()
+        self._shard_lock = threading.Lock()  # held by FleetState's transitions
         self._rid = count(1)
-        self._handles: list = []
-        self._routable: tuple = ()  # see _reroute_locked
-        self._epoch_segments: dict = {}  # epoch -> segment name
-        self._tickets: dict = {}  # epoch -> [expected slot set, Event]
-        self._procs_stopped = False
 
         # Pack and publish epoch 1 and fork the fleet *before*
         # super().__init__ spawns any thread: forking a single-threaded
@@ -473,15 +475,13 @@ class ShardServer(QCServer):
         payload = pack_snapshot_bytes(
             snapshot.tree, snapshot.table, stamp=snapshot.stamp
         )
-        self._epoch = 1
-        self._stamp = snapshot.stamp
         self._snapshot_bytes = len(payload)
         shm = create_segment(payload)
-        self._epoch_segments[1] = shm.name
+        self._fleet = FleetState(processes, (shm.name, snapshot.stamp[0]))
         try:
-            for slot in range(processes):
-                self._handles.append(self._spawn_process(slot))
-            self._reroute_locked()  # no other thread exists yet
+            for _spawn, *spawn in self._fleet.scan()[0]:  # one thread yet
+                _, self._routable = self._fleet.respawned(
+                    *spawn[:2], self._spawn_process(*spawn))
             super().__init__(warehouse, workers=workers or processes,
                              **kwargs)
             # The snapshot epoch 1 packed; the one a read pins, with the
@@ -490,12 +490,23 @@ class ShardServer(QCServer):
             self._pinned = (snapshot, 1)
         except BaseException:
             self._shutdown_processes()
-            self._unlink_all_segments()
             raise
 
         # Receivers start only now: every fork already happened.
         for handle in self._handles:
             self._start_receiver(handle)
+
+    @property
+    def _handles(self) -> list:
+        """Each slot's current pipe (a :class:`_ProcHandle`)."""
+        return [seat.pipe for seat in self._fleet.slots]
+
+    @property
+    def _tickets(self) -> dict:
+        """The slots the last publish still waits for a reply from, by
+        its epoch; empty once every one replied or died."""
+        return {self._fleet.epoch: self._fleet.awaited} \
+            if self._fleet.awaited else {}
 
     # -- snapshot packing ----------------------------------------------------
 
@@ -516,10 +527,12 @@ class ShardServer(QCServer):
 
     # -- process fleet -------------------------------------------------------
 
-    def _spawn_process(self, slot: int) -> _ProcHandle:
-        """Fork one worker attached to the current segment and complete
-        its ready handshake: single-threaded from ``__init__``, or from
-        the supervisor on respawn (where newer Pythons' fork-with-threads
+    def _spawn_process(self, slot: int, gen: int, epoch: int,
+                       segment: tuple) -> _ProcHandle:
+        """Fork the ``gen``-th worker of ``slot``, attached to ``epoch``'s
+        ``segment`` (name, lsn), and complete its ready handshake:
+        single-threaded from ``__init__``, or from the supervisor on
+        respawn (where newer Pythons' fork-with-threads
         DeprecationWarning is harmless: the child runs only imported
         code).  The child never touches an asyncio door's ``*-loop``
         thread's sockets, but forking under one warns, so that transports
@@ -538,21 +551,19 @@ class ShardServer(QCServer):
                 stacklevel=2,
             )
         parent_sock, child_sock = socket.socketpair()
-        lsn, _ = self._stamp
+        name, lsn = segment
         # The parent-side pipe ends a forked child inherits: its own and
         # every other worker's.  The child closes them first thing —
         # while any copy is open its reads never see EOF, and the fleet
         # outlives a killed parent as orphans.
-        inherited = [parent_sock] + [
-            h.sock for h in self._handles if not h.pipe.closed
-        ]
+        inherited = [parent_sock] + [h.sock for h in self._handles
+                                     if h is not None and not h.pipe.closed]
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)
                 proc = self._ctx.Process(
                     target=worker_main,
-                    args=(child_sock, self._epoch_segments[self._epoch],
-                          lsn, self._epoch, inherited),
+                    args=(child_sock, name, lsn, epoch, inherited),
                     name=f"{getattr(self, 'name', 'shard')}-proc-{slot}",
                     daemon=True,
                 )
@@ -569,16 +580,13 @@ class ShardServer(QCServer):
             if got is not None and got[0] == CONTROL:
                 ready = frames.message(got[2], got[3])
         if ready is None or ready[0] != "ready":
-            proc.terminate()
-            proc.join(timeout=2.0)
+            self._reap(proc, 0)
             parent_sock.close()
             raise ServingError(
                 f"shard worker {slot} did not come up within "
                 f"{self.SPAWN_TIMEOUT_S}s"
             )
-        handle = _ProcHandle(slot, proc, parent_sock, frames)
-        handle.attached_epoch = ready[2]
-        return handle
+        return _ProcHandle(slot, gen, self._fleet, proc, parent_sock, frames)
 
     def _start_receiver(self, handle: _ProcHandle) -> None:
         handle.do(handle.pipe.start)
@@ -619,7 +627,7 @@ class ShardServer(QCServer):
         ``read_by_caller`` when this frame answers it).  An answer
         completes its sink (a refused one is answered here, from the
         snapshot its codes came from); ``pub_ok`` / ``pub_err`` move the
-        worker's epoch and ack the publish ticket; EOF — also in the
+        worker's epoch in the fleet; EOF — also in the
         middle of a frame — buries the worker (:meth:`_bury`).  False at
         EOF."""
         frames = handle.frames
@@ -657,33 +665,30 @@ class ShardServer(QCServer):
         return True
 
     def _bury(self, handle: _ProcHandle, sinks, crashed: bool, exc) -> None:
-        """A worker is gone (its EOF read, or its pipe retired): reroute,
-        cancel its acks, count the crash once and fail ``sinks``, the
-        reads still pending on its pipe."""
+        """A worker is gone (its EOF read, or its pipe retired): take it
+        out of the fleet, count the crash once (not at shutdown) and fail
+        ``sinks``, the reads still pending on its pipe."""
         with self._shard_lock:
-            self._reroute_locked()
-            for epoch in list(self._tickets):
-                self._ack_ticket_locked(epoch, handle.slot)
-        if crashed and not self._procs_stopped:
+            actions, self._routable = self._fleet.died(handle.slot,
+                                                       handle.gen)
+            crashed = crashed and not self._fleet.stopping
+        if crashed:
             self._metrics.counter("shard_process_crashes").inc()
+        self._act(actions)
         for sink in sinks:
             sink.complete(False, exc)
 
     def _control(self, handle: _ProcHandle, message) -> None:
-        """Act on a worker's ``pub_ok`` / ``pub_err``."""
+        """Act on a worker's ``pub_ok`` / ``pub_err``: a ``pub_err``
+        worker keeps serving its last-good epoch, and the supervisor
+        re-announces until it converges."""
         kind, epoch = message[:2]
         handle.do(handle.pipe.control_paid)
         if kind == "pub_ok":
-            with self._shard_lock:
-                handle.attached_epoch = epoch
-                self._reroute_locked()
-                self._ack_ticket_locked(epoch, handle.slot)
+            self._step(self._fleet.ack, handle.slot, handle.gen, epoch)
         else:
             self._metrics.counter("shard_attach_failures").inc()
-            with self._shard_lock:
-                # The worker keeps serving its last-good epoch; the
-                # supervisor re-announces until it converges.
-                self._ack_ticket_locked(epoch, handle.slot)
+            self._step(self._fleet.nack, handle.slot, handle.gen)
 
     def _answer_refused(self, sink) -> None:
         """Answer a read whose codes its worker refused — they were of
@@ -702,31 +707,60 @@ class ShardServer(QCServer):
             return
         sink.complete(True, value)
 
-    def _ack_ticket_locked(self, epoch: int, slot: int) -> None:
-        ticket = self._tickets.get(epoch)
-        if ticket is None:
-            return
-        expected, event = ticket
-        expected.discard(slot)
-        if not expected:
-            event.set()
-            self._tickets.pop(epoch, None)
+    # -- the fleet ------------------------------------------------------------
+
+    def _step(self, transition, *args) -> None:
+        """Run one :class:`~repro.shard.fleet.FleetState` transition
+        under ``_shard_lock``, which also swaps in the routable tuple it
+        returns (reads take it without a lock), then perform its actions
+        outside the lock."""
+        with self._shard_lock:
+            actions, self._routable = transition(*args)
+        self._act(actions)
+
+    def _act(self, actions, inject=None) -> None:
+        """Perform a transition's actions: the RETIREs first, together
+        (:meth:`_stop_workers`), then the rest in order.  ``inject`` rides
+        a publish's own announces (``shard:attach``).  Only the publisher
+        and the supervisor get announces or spawns: a reader never sends
+        on a pipe, whose sender may be waiting for it to read."""
+        self._stop_workers([action[1] for action in actions
+                            if action[0] == RETIRE])
+        for kind, *args in actions:
+            if kind == ANNOUNCE:
+                handle, epoch, (name, lsn), again = args
+                # A refused announce needs nothing: the pipe is down, and
+                # its worker's burial clears what the slot owes.
+                if handle.send(("publish", lsn, epoch, name,
+                                None if again else inject)) and again:
+                    self._metrics.counter("shard_reannounces").inc()
+            elif kind == UNLINK:
+                unlink_segment(args[0][0])
+            elif kind == WAKE:
+                args[0].set()
+            elif kind == SPAWN:
+                self._respawn(*args)
+
+    def _respawn(self, slot: int, gen: int, epoch: int, segment) -> None:
+        """Replace the dead worker of ``slot`` — whose EOF was read, so
+        what its pipe held was answered or failed: join the old pipe's
+        receiver, retire the pipe, reap the process; then fork the
+        ``gen``-th worker on ``segment``."""
+        old = self._handles[slot]
+        self._join_receiver(old, 1.0)
+        self._retire(old, WorkerCrashedError(
+            f"shard worker process {slot} died; retry"))
+        self._reap(old.proc, 1.0)  # it closed its end: it is exiting
+        try:
+            fresh = self._spawn_process(slot, gen, epoch, segment)
+        except Exception:
+            fresh = None  # fork failed; the next scan retries
+        else:
+            self._start_receiver(fresh)
+            self._metrics.counter("shard_process_restarts").inc()
+        self._step(self._fleet.respawned, slot, gen, fresh)
 
     # -- read path: forward to the fleet -------------------------------------
-
-    def _reroute_locked(self) -> None:
-        """Recompute ``_routable``: the running workers attached to the
-        *current* epoch, so every answer (and every cache fill, keyed by
-        the current stamp) reflects the published snapshot.  Called
-        under ``_shard_lock`` wherever an input changes; a request reads
-        the tuple without a lock.  A worker that dies before the next
-        recompute is still in it: its pipe refuses the send, and the
-        read fails with the retryable ``WorkerCrashedError``."""
-        epoch = self._epoch
-        self._routable = tuple(
-            h for h in self._handles
-            if h.pipe.running and h.attached_epoch == epoch
-        )
 
     def _pick(self) -> Optional[_ProcHandle]:
         """The next routable worker in turn; None without one."""
@@ -905,16 +939,17 @@ class ShardServer(QCServer):
     # -- publish protocol ----------------------------------------------------
 
     def _publish(self) -> None:
-        """Pack → announce → swap → bounded detach wait → GC.
+        """Pack → announce → swap → bounded wait for the attach replies.
 
         Readers keep the previous epoch throughout; from the swap on,
         requests route only to workers that confirmed the new epoch
         (parent fallback covers the gap), so a publish is never a
-        correctness event.  Failures before
-        the swap leave the old epoch fully published (the inherited
-        write pipeline retries / degrades); failures of individual
-        workers leave *them* on their last-good epoch, repaired by the
-        supervisor.
+        correctness event.  Failures before the swap leave the old epoch
+        fully published (the inherited write pipeline retries /
+        degrades); failures of individual workers leave *them* on their
+        last-good epoch, repaired by the supervisor.  The wait is for the
+        workers this publish announced to, and a segment is unlinked by
+        whichever transition unpins it.
         """
         snapshot = self._servable_snapshot(self.warehouse)
         t0 = time.monotonic()
@@ -927,53 +962,24 @@ class ShardServer(QCServer):
         # retry / degraded-mode machinery owns what happens next.
         self._fire("shard:publish")
         shm = create_segment(payload)
-        epoch = self._epoch + 1
-        lsn = snapshot.stamp[0]
         inject = self._attach_inject()
-        try:
-            with self._shard_lock:
-                live = [h for h in self._handles if h.pipe.running]
-                # Expect every live worker *before* announcing: a fast
-                # worker's ack can beat this loop, and an ack for a slot
-                # not yet expected would be lost — the ticket would then
-                # never clear (a full ack timeout, a segment never GC'd).
-                expected = {h.slot for h in live}
-                ticket_event = threading.Event()
-                self._tickets[epoch] = (expected, ticket_event)
-                self._epoch = epoch
-                self._reroute_locked()
-                # Reads pin the new snapshot from here on: no worker is
-                # routable until it has attached the epoch its codes are
-                # for.
-                self._pinned = (snapshot, epoch)
-                self._stamp = snapshot.stamp
-                self._epoch_segments[epoch] = shm.name
-                self._snapshot_bytes = len(payload)
-            now = time.monotonic()
-            for handle in live:
-                if handle.send(("publish", lsn, epoch, shm.name, inject)):
-                    handle.last_announce = now
-                else:
-                    with self._shard_lock:
-                        expected.discard(handle.slot)
-            with self._shard_lock:
-                if not expected:
-                    ticket_event.set()
-                    self._tickets.pop(epoch, None)
-        except BaseException:  # pragma: no cover - announce cannot raise
-            with self._shard_lock:
-                self._tickets.pop(epoch, None)
-            unlink_segment(shm.name)
-            raise
+        replied = threading.Event()
+        with self._shard_lock:
+            actions, self._routable = self._fleet.publish(
+                (shm.name, snapshot.stamp[0]), replied)
+            # Reads pin the new snapshot from here on: no worker is
+            # routable until it has attached the epoch its codes are for.
+            self._pinned = (snapshot, self._fleet.epoch)
+            self._snapshot_bytes = len(payload)
+        self._act(actions, inject)
         self._snapshot = snapshot  # atomic reference swap, as inherited
         self._metrics.counter("snapshot_swaps").inc()
         self._metrics.counter("shard_publishes").inc()
         wait_start = time.monotonic()
-        ticket_event.wait(self.PUBLISH_ACK_TIMEOUT_S)
+        replied.wait(self.PUBLISH_ACK_TIMEOUT_S)
         self._metrics.observe(
             "shard:publish_detach_wait", time.monotonic() - wait_start
         )
-        self._gc_segments()
 
     def _attach_inject(self):
         """Consume an armed ``shard:attach`` fault into a wire flag the
@@ -985,83 +991,21 @@ class ShardServer(QCServer):
             return "attach"
         return None
 
-    def _gc_segments(self) -> None:
-        """Unlink every segment no live worker is attached to (except
-        the current epoch's).  Safe against stragglers: POSIX keeps an
-        unlinked segment alive for processes that already mapped it."""
-        with self._shard_lock:
-            attached = {
-                h.attached_epoch for h in self._handles if h.pipe.running
-            }
-            attached.add(self._epoch)
-            pending = set(self._tickets)
-            dead = [
-                (epoch, name)
-                for epoch, name in self._epoch_segments.items()
-                if epoch not in attached and epoch not in pending
-            ]
-            for epoch, _name in dead:
-                self._epoch_segments.pop(epoch, None)
-        for _epoch, name in dead:
-            unlink_segment(name)
-
     # -- supervision (piggybacked on the inherited supervisor thread) --------
 
     def _supervise_extra(self) -> None:
-        if self._procs_stopped:
-            return
+        """Respawn dead workers and re-announce to lagging ones (the
+        fleet's :meth:`~repro.shard.fleet.FleetState.scan`), rouse the
+        receiver of a pipe owed replies nobody reads, and fail overdue
+        forwards."""
+        self._step(self._fleet.scan)
         now = time.monotonic()
-        respawn = []
-        reannounce = []
-        with self._shard_lock:
-            epoch = self._epoch
-            name = self._epoch_segments.get(epoch)
-            lsn = self._stamp[0]
-            for i, handle in enumerate(self._handles):
-                if not handle.running():
-                    respawn.append(i)
-                elif (handle.attached_epoch < epoch
-                        and now - handle.last_announce
-                        > self.REANNOUNCE_INTERVAL_S):
-                    reannounce.append(handle)
-        for handle in reannounce:
-            # Repair a lagging worker: re-announce the current epoch
-            # (attach is idempotent worker-side).
-            if handle.send(("publish", lsn, epoch, name, None)):
-                handle.last_announce = now
-                self._metrics.counter("shard_reannounces").inc()
         for handle in self._handles:
             # Replies owed and nobody reading since the last scan (a
             # forward nobody waits on): the receiver reads them.
             handle.do(handle.pipe.scan)
-        if self._inflight:  # else nothing to scan but map_query's chunks
-            for handle in self._handles:
+            if self._inflight:  # else only map_query's chunks are owed
                 self._fail_overdue(handle, now)
-        for i in respawn:
-            # The dead worker's receiver reads its pipe to EOF (the
-            # answers already in it complete) before the slot is retired
-            # and refilled.
-            old = self._handles[i]
-            self._join_receiver(old, 1.0)
-            self._retire(old, WorkerCrashedError(
-                f"shard worker process {old.slot} died; retry"))
-            old.proc.join(timeout=0)
-            try:
-                fresh = self._spawn_process(i)
-            except Exception:
-                continue  # segment gone or fork failed; retry next scan
-            self._start_receiver(fresh)
-            with self._shard_lock:
-                self._handles[i] = fresh
-                self._reroute_locked()
-            self._metrics.counter("shard_process_restarts").inc()
-        with self._shard_lock:
-            stale = len(self._epoch_segments) > 1
-        if respawn or stale:
-            # Respawns and re-announce convergence both strand old
-            # epochs' segments; sweep whenever more than the current
-            # epoch's segment is still registered.
-            self._gc_segments()
 
     def _fail_overdue(self, handle: _ProcHandle, now: float) -> None:
         """Fail the forwards ``handle``'s worker has not answered past
@@ -1095,38 +1039,30 @@ class ShardServer(QCServer):
         counters, snapshot footprint, and the publish detach-wait
         histogram.  See the README metrics glossary."""
         with self._shard_lock:
-            handles = list(self._handles)
-            epoch = self._epoch
-            segments = len(self._epoch_segments)
-        running = [h.running() for h in handles]
+            seats = [(seat.pipe, seat.attached) for seat in self._fleet.slots]
+            epoch = self._fleet.epoch
+            segments = len(self._fleet.segments)
+        running = [h.running() for h, _attached in seats]
         counters = self._metrics
         return {
             "processes_configured": self._nprocs,
             "processes_alive": sum(running),
-            "process_restarts": counters.counter(
-                "shard_process_restarts").value,
-            "process_crashes": counters.counter(
-                "shard_process_crashes").value,
-            "attach_failures": counters.counter(
-                "shard_attach_failures").value,
-            "local_fallbacks": counters.counter(
-                "shard_local_fallbacks").value,
-            "reannounces": counters.counter("shard_reannounces").value,
-            "receiver_join_timeouts": counters.counter(
-                "shard_receiver_join_timeouts").value,
-            "publishes": counters.counter("shard_publishes").value,
+            **{name: counters.counter(f"shard_{name}").value for name in (
+                "process_restarts", "process_crashes", "attach_failures",
+                "local_fallbacks", "reannounces", "receiver_join_timeouts",
+                "publishes")},
             "current_epoch": epoch,
             "workers": [
                 {
                     "slot": h.slot,
                     "pid": h.pid,
                     "alive": up,
-                    "attached_epoch": h.attached_epoch,
+                    "attached_epoch": attached,
                     "answered": h.answered,
                     "read_by_caller": h.read_by_caller,
                     "inflight": h.inflight(),
                 }
-                for h, up in zip(handles, running)
+                for (h, attached), up in zip(seats, running)
             ],
             "snapshot_bytes": self._snapshot_bytes,
             "segments": segments,
@@ -1137,30 +1073,40 @@ class ShardServer(QCServer):
     # -- lifecycle -----------------------------------------------------------
 
     def _shutdown_processes(self) -> None:
-        with self._shard_lock:
-            if self._procs_stopped:
-                return
-            self._procs_stopped = True
-            self._routable = ()
-            handles = list(self._handles)
-        down = ServerClosedError("server shut down before request ran")
+        """Stop the fleet (idempotent): every worker, every segment."""
+        self._step(self._fleet.stop)
+
+    def _stop_workers(self, handles) -> None:
+        """Stop ``handles``' workers and retire their pipes (what is
+        pending on them fails with ``ServerClosedError``).  Each worker
+        is told EOF by a shutdown of the pipe's write side, which waits
+        on no worker, and is given 5 s in all to exit (:meth:`_reap`)."""
         for handle in handles:
-            handle.send(("stop",))
+            with handle.lock:  # never a closed pipe: its number is reused
+                if not handle.pipe.closed:
+                    handle.sock.shutdown(socket.SHUT_WR)
         deadline = time.monotonic() + 5.0
         for handle in handles:
-            handle.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if handle.proc.is_alive():
-                handle.proc.terminate()
-                handle.proc.join(timeout=2.0)
-            self._retire(handle, down)
+            self._retire(handle, ServerClosedError(
+                "server shut down before request ran"))
+            self._reap(handle.proc, max(0.0, deadline - time.monotonic()))
         for handle in handles:
             self._join_receiver(handle, 5.0)
-            # Release the process object's zombie bookkeeping.
-            try:
-                handle.proc.close()
-            except Exception:
-                pass
 
+    @staticmethod
+    def _reap(proc, timeout: float) -> None:
+        """Join ``proc``; still alive after ``timeout``, terminate it, and
+        still alive 2 s later (a stopped process defers SIGTERM) kill it;
+        then release its bookkeeping."""
+        try:
+            proc.join(timeout)
+            for end in (proc.terminate, proc.kill):
+                if proc.is_alive():
+                    end()
+                    proc.join(2.0)
+            proc.close()
+        except ValueError:
+            pass  # released already
     def _retire(self, handle: _ProcHandle, exc) -> None:
         """Retire a worker's pipe: what is still pending on it fails with
         ``exc``, its receiver leaves, and the pipe closes as the last
@@ -1180,33 +1126,20 @@ class ShardServer(QCServer):
             if receiver.is_alive():
                 self._metrics.counter("shard_receiver_join_timeouts").inc()
 
-    def _unlink_all_segments(self) -> None:
-        with self._shard_lock:
-            segments = list(self._epoch_segments.items())
-            self._epoch_segments.clear()
-        for _epoch, name in segments:
-            unlink_segment(name)
-
     def close(self, timeout: Optional[float] = None) -> None:
         """Shut down the fleet, the inherited thread pool, and unlink
         every shared segment.  Idempotent; afterwards no server thread,
         worker process, or ``/dev/shm/qctree-*`` segment remains — the
-        shared-memory analogue of the no-leaked-threads guarantee."""
-        with self._lifecycle_lock:
-            already = self._closed
-        if not already:
-            # Supervisor first: a scan that respawns a worker while the
-            # fleet is being stopped would install a process and a
-            # receiver thread that nobody stops.  Then the fleet: its
-            # in-flight forwards fail with ServerClosedError.
-            self._halt_supervisor(timeout)
-            self._shutdown_processes()
+        shared-memory analogue of the no-leaked-threads guarantee.  The
+        fleet stops first: a respawn the supervisor is in the middle of
+        ends by retiring its fresh worker, and a publish after it
+        unlinks its own segment."""
+        self._shutdown_processes()
         super().close(timeout)
-        self._unlink_all_segments()
 
     def __repr__(self):
         alive = sum(h.running() for h in self._handles)
         return (
             f"ShardServer(processes={alive}/{self._nprocs}, "
-            f"epoch={self._epoch}, closed={self._closed})"
+            f"epoch={self._fleet.epoch}, closed={self._closed})"
         )

@@ -9,7 +9,7 @@ from repro.core.frozen import FrozenQCTree
 from repro.core.warehouse import QCWarehouse
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
-from repro.reliability.fsck import fsck_tree
+from repro.reliability.fsck import FsckReport, fsck_tree
 from repro.segments import SegmentedWarehouse
 from tests import model
 from tests.conftest import (
@@ -32,6 +32,16 @@ class TestCleanTrees:
         assert report.checked["nodes"] == tree.n_nodes
         assert report.checked["classes"] == tree.n_classes
         assert "clean" in report.summary()
+
+    def test_summary_without_counts_has_no_empty_parentheses(self):
+        """A report that counted nothing (a piece that did not load)
+        says only how many issues it found."""
+        report = FsckReport()
+        report.add("unreadable", "sales.d/head.piece: checksum mismatch")
+        assert report.summary() == "1 issue(s) found"
+        assert FsckReport().summary() == "clean"
+        report.checked["nodes"] = 11
+        assert report.summary() == "1 issue(s) found (11 nodes)"
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_trees_are_clean(self, seed):

@@ -256,6 +256,49 @@ class TestAttachFailure:
         assert wait_until(lambda: len(created_segments()) == 1)
 
 
+def gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestStoppedWorker:
+    def test_a_stopped_worker_holds_no_server_thread(self, warehouse):
+        """A worker SIGSTOPped behind an epoch is owed that one announce,
+        not one more per scan that fills its pipe until a send blocks
+        the supervisor.  So another worker's death is still repaired,
+        and ``close()`` returns while the worker is stopped, and kills
+        it."""
+        server = ShardServer(warehouse, processes=2, cache_size=0,
+                             supervise_interval=0.01)
+        server.PUBLISH_ACK_TIMEOUT_S = 0.2  # keep the insert quick
+        stopped, other = server._handles
+        closer = None
+        os.kill(stopped.pid, signal.SIGSTOP)
+        try:
+            server.insert([RECORD])
+            time.sleep(2.0)
+            assert stopped.pipe.controls_owed <= 1
+            os.kill(other.pid, signal.SIGKILL)
+            assert wait_until(lambda: server.shard_health()[
+                "process_restarts"] >= 1, timeout_s=2.0)
+            closer = threading.Thread(target=server.close)
+            closer.start()
+            closer.join(15.0)
+            assert not closer.is_alive(), "close() waits on the stopped worker"
+            assert gone(stopped.pid)
+        finally:
+            if not gone(stopped.pid):
+                os.kill(stopped.pid, signal.SIGCONT)
+            if closer is None:
+                server.close()
+            else:
+                closer.join()
+        assert created_segments() == []
+
+
 class TestLedgerUnderFaults:
     def test_ledger_balances_through_chaos(self, server, faults):
         faults.arm("shard:attach", times=1, exc=InjectedCrash)

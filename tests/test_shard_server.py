@@ -504,6 +504,23 @@ class TestHygiene:
         assert server.shard_health()["receiver_join_timeouts"] == 0
         assert created_segments() == []
 
+    def test_close_kills_a_stopped_worker(self, warehouse):
+        """A SIGSTOPped worker defers the SIGTERM ``terminate()`` sends:
+        ``close()`` kills it, and no worker process remains."""
+        server = ShardServer(warehouse, processes=1)
+        pid = server._handles[0].pid
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            server.close()
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        finally:
+            try:
+                os.kill(pid, signal.SIGCONT)
+            except ProcessLookupError:
+                pass
+        assert created_segments() == []
+
     def test_context_manager_cleans_up(self, warehouse):
         with ShardServer(warehouse, processes=1) as server:
             assert server.point(("S2", "*", "f")) == 9.0
