@@ -129,7 +129,7 @@ def temp_class_arrays(table: BaseTable, agg) -> tuple:
     n, n_dims = table.n_rows, table.n_dims
     if not n:
         return (*np.zeros((2, 0, n_dims), np.int32), np.zeros(0, np.int64), [])
-    codes = np.array(table.rows, dtype=np.int32).reshape(n, n_dims)
+    codes = np.asarray(table.codes, dtype=np.int32)
     card = int(codes.max()) + 1
     dims = np.arange(n_dims)
     rows = np.arange(n, dtype=np.int32)

@@ -166,9 +166,10 @@ def build_qctree_reference(table: BaseTable, aggregate="count") -> QCTree:
 
     agg = make_aggregate(aggregate)
     tree = QCTree(table.n_dims, agg, dim_names=table.schema.dimension_names)
-    if not table.rows:
+    if not table.n_rows:
         return tree
     index = CoverIndex(table)
+    table_rows = table.rows
     n_dims = table.n_dims
 
     # Closed cells via closure jumps from every base tuple's generalizations.
@@ -182,7 +183,7 @@ def build_qctree_reference(table: BaseTable, aggregate="count") -> QCTree:
         for j in range(n_dims):
             if bound[j] is not ALL:
                 continue
-            for value in {table.rows[i][j] for i in closed[bound]}:
+            for value in {table_rows[i][j] for i in closed[bound]}:
                 child = index.closure(bound[:j] + (value,) + bound[j + 1:])
                 if child not in closed:
                     frontier.append(child)
@@ -198,7 +199,7 @@ def build_qctree_reference(table: BaseTable, aggregate="count") -> QCTree:
             trunc = tuple(
                 v if d < j else ALL for d, v in enumerate(bound)
             )
-            for value in sorted({table.rows[i][j] for i in rows}):
+            for value in sorted({table_rows[i][j] for i in rows}):
                 drill_closure = index.closure(
                     bound[:j] + (value,) + bound[j + 1:]
                 )

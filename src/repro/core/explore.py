@@ -78,8 +78,8 @@ class TreeCube:
         return self.tree.upper_bound_of(node), self.tree.value_at(node)
 
     def cover_values(self, ub: Cell, dim: int) -> set:
-        rows = self.table.rows
-        return {rows[i][dim] for i in self.table.select(ub)}
+        table = self.table
+        return set(table.codes[table.select(ub), dim].tolist())
 
     def lower_bounds(self, ub: Cell) -> list:
         # Lazy: cube.quotient imports core.cells, whose package imports

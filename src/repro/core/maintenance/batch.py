@@ -195,7 +195,8 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
                 batch_delete(tree, mid_table, delta_rows, cover_index,
                              timings=timings)
             if delta_table is not None:
-                _indexed(cover_index.apply_inserts, delta_table.rows)
+                _indexed(cover_index.apply_inserts,
+                         delta_table.codes.tolist())
                 batch_insert(tree, delta_table, cover_index,
                              timings=timings)
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 
+import numpy as np
+
 from repro.core.cells import ALL, generalizes, truncate
 from repro.cube.cover_index import CoverIndex
 from repro.core.point_query import locate
@@ -45,7 +47,7 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
     ``new_table`` must be the base table with those rows already removed
     and ``delta_rows`` the removed rows as
     :func:`resolve_deletions` returns them (encoded dimension tuples
-    carrying their ``.measures``); ``cover_index`` is the caller's
+    carrying ``.codes`` and ``.measures``); ``cover_index`` is the caller's
     :class:`~repro.cube.cover_index.CoverIndex` *already synced to*
     ``new_table`` (the deletions applied via
     :meth:`~repro.cube.cover_index.CoverIndex.apply_deletes`).  After
@@ -70,11 +72,11 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
     # contribution out of the class states in place; the others are
     # recomputed from the new base table.
     if agg.subtractable:
-        delta_index = CoverIndex(rows=list(delta_rows), n_dims=n_dims)
         delta_table = BaseTable(
-            new_table.schema, list(delta_rows), delta_rows.measures,
+            new_table.schema, delta_rows.codes, delta_rows.measures,
             new_table._decoders, new_table._encoders,
         )
+        delta_index = CoverIndex(delta_table)
 
     # -- phase 1: fates of affected classes (pre-mutation) -----------------
     # Both Δ-questions — the affected classes here, the stale links of (a)
@@ -218,8 +220,8 @@ def batch_delete(tree: QCTree, new_table: BaseTable, delta_rows,
 
 
 class _DeltaRows(list):
-    """Deleted encoded rows, carrying their measure matrix as ``.measures``
-    (so subtractable aggregates — COUNT/SUM/AVG — can be updated in
+    """Deleted encoded rows, carrying their ``.codes`` and ``.measures``
+    matrices (so subtractable aggregates — COUNT/SUM/AVG — can be updated in
     place) and the matched pre-deletion row positions as ``.positions``
     (so a persistent cover index can patch itself via
     :meth:`~repro.cube.cover_index.CoverIndex.apply_deletes`)."""
@@ -247,8 +249,16 @@ def resolve_deletions(table: BaseTable, records):
             raise MaintenanceError(
                 f"cannot delete {record!r}: {exc}"
             ) from exc
+    # One int64 key per row, its mixed-radix number (wrapping past
+    # 2**63): equal rows share a key, and the tuple match below skips a
+    # row that shares one by a wrap.
+    codes = table.codes
+    strides = np.cumprod([1] + [len(d) for d in table._decoders][:-1])
+    cells = np.array([cell for cell in wanted if ALL not in cell],
+                     np.int64).reshape(-1, n_dims)
+    at = np.flatnonzero(np.isin(codes @ strides, cells @ strides))
     drop = []
-    for i, row in enumerate(table.rows):
+    for i, row in zip(at.tolist(), map(tuple, codes[at].tolist())):
         if wanted.get(row, 0) > 0:
             wanted[row] -= 1
             drop.append(i)
@@ -258,7 +268,9 @@ def resolve_deletions(table: BaseTable, records):
             f"rows not present in base table: {dict(leftovers)}"
         )
     new_table = table.without_rows(drop)
-    delta = _DeltaRows(table.rows[i] for i in drop)
+    removed = codes[drop]
+    delta = _DeltaRows(map(tuple, removed.tolist()))
+    delta.codes = removed
     delta.measures = table.measures[drop]
     delta.positions = drop
     return new_table, delta

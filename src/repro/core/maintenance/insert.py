@@ -89,7 +89,7 @@ def batch_insert(tree: QCTree, delta_table: BaseTable,
         raise MaintenanceError(
             f"delta has {delta_table.n_dims} dims, tree has {tree.n_dims}"
         )
-    if not delta_table.rows:
+    if not delta_table.n_rows:
         return
     agg = tree.aggregate
     n_dims = tree.n_dims
@@ -174,7 +174,7 @@ def batch_insert(tree: QCTree, delta_table: BaseTable,
 
     # Step 3a: stale-link retargets (drill-down cell covers Δ-tuples).
     retargets = []
-    for src, j, v in tree.links_covering(delta_table.rows):
+    for src, j, v in tree.links_covering(delta_table.codes.tolist()):
         drill = ub_of(src)
         drill = drill[:j] + (v,) + drill[j + 1:]
         retargets.append((src, j, v, new_closure(drill)))

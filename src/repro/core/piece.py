@@ -241,7 +241,7 @@ class Piece:
             with self._lock:
                 counts = self._row_counts
                 if counts is None:
-                    counts = Counter(self.table.rows)
+                    counts = Counter(map(tuple, self.table.codes.tolist()))
                     self._row_counts = counts
         return counts
 

@@ -80,13 +80,14 @@ class CoverIndex:
 
     def __init__(self, table=None, rows=None, n_dims=None):
         if table is not None:
-            rows = table.rows
-            n_dims = table.n_dims
+            n_dims, columns = table.n_dims, table.codes.T
+            rows = list(map(tuple, table.codes.tolist()))
         elif rows is None:
             raise SchemaError(
                 "CoverIndex needs a table= or an explicit rows= sequence"
             )
-        rows = [tuple(r) for r in rows]
+        else:
+            rows, columns = [tuple(r) for r in rows], None
         if n_dims is None:
             if not rows:
                 raise SchemaError(
@@ -105,44 +106,44 @@ class CoverIndex:
                     f"inconsistent row width: {row!r} has {len(row)} "
                     f"dims, index expects {n_dims}"
                 )
-        self.table = table
         self.n_dims = n_dims
         self._closure_cache: dict = {}
         self._rows_cache: dict = {}  # cell -> cover mask
-        self._reset(rows)
+        self._reset(rows, columns)
         # Observability: how much patching happened to this instance.
         self.applied_inserts = 0
         self.applied_deletes = 0
 
-    def _reset(self, rows: list) -> None:
-        """Index ``rows`` afresh under ids ``0 .. len(rows) - 1``."""
+    def _reset(self, rows: list, columns=None) -> None:
+        """Index ``rows`` afresh under ids ``0 .. len(rows) - 1``
+        (``columns``, when given, are their per-dimension code arrays)."""
         self._rows: dict = {}  # stable id -> dimension tuple, id order
         self._live = 0  # bit i set iff id i is live
         self._next_id = 0
         self._postings = [dict() for _ in range(self.n_dims)]
         self._id_by_pos = None  # live ids in position order, lazily
-        self._add(rows)
+        self._add(rows, columns)
 
-    def _add(self, rows: list) -> list:
+    def _add(self, rows: list, columns=None) -> list:
         """Assign the next ids to ``rows`` and OR them into the postings."""
         start, n = self._next_id, len(rows)
         self._next_id += n
         ids = list(range(start, start + n))
         self._rows.update(zip(ids, rows))
-        for postings, value, mask in self._groups(rows, ids):
+        for postings, value, mask in self._groups(rows, ids, columns):
             postings[value] = postings.get(value, 0) | mask
         self._live |= ((1 << n) - 1) << start
         return ids
 
-    def _groups(self, rows: list, ids: list):
+    def _groups(self, rows: list, ids: list, columns=None):
         """``(postings, value, mask)`` for every distinct value a
         dimension takes in ``rows``; the mask holds the ascending
         ``ids`` of the rows carrying it.  A batch of few rows is grouped
         by a Python loop (NumPy's per-call cost would outweigh it), a
-        table by one stable sort per dimension."""
-        columns = zip(self._postings, zip(*rows))
+        table by one stable sort per dimension of its code column
+        (``columns``, else read off ``rows``)."""
         if len(rows) < 1024:
-            for postings, column in columns:
+            for postings, column in zip(self._postings, zip(*rows)):
                 low, groups = ids[0], {}
                 for i, value in zip(ids, column):
                     groups[value] = groups.get(value, 0) | 1 << (i - low)
@@ -150,14 +151,15 @@ class CoverIndex:
                     yield postings, value, mask << low
             return
         ids = np.array(ids)
-        for postings, column in columns:
-            values = np.array(column)
+        if columns is None:
+            columns = np.array(rows).T
+        for postings, values in zip(self._postings, columns):
             order = np.argsort(values, kind="stable")
             values = values[order]
             starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
             groups = np.split(ids[order], starts[1:])
-            for first, group in zip(order[starts].tolist(), groups):
-                yield postings, column[first], _mask(group)
+            for value, group in zip(values[starts].tolist(), groups):
+                yield postings, value, _mask(group)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -288,7 +290,6 @@ class CoverIndex:
                 )
         if not rows:
             return []
-        self.table = None  # the construction table no longer matches
         assigned = self._add(rows)
         self._id_by_pos = None
         self.applied_inserts += len(rows)
@@ -324,7 +325,6 @@ class CoverIndex:
             seen.add(p)
         if not positions:
             return []
-        self.table = None
         ids = [int(order[p]) for p in positions]
         ascending = sorted(ids)
         rows = [self._rows.pop(i) for i in ascending]

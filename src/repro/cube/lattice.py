@@ -39,10 +39,11 @@ def closure(table: BaseTable, cell: Cell):
     specific cell with the same cover set.  Returns None when the cover
     set is empty (the cell is not in the cube).
     """
-    rows = table.select(cell)
-    if not rows:
+    covered = table.select(cell)
+    if not covered:
         return None
-    return meet_of_tuples(table.rows[i] for i in rows)
+    rows = table.rows
+    return meet_of_tuples(rows[i] for i in covered)
 
 
 def iter_nonempty_cells(table: BaseTable) -> Iterator[Cell]:
@@ -134,6 +135,7 @@ def quotient_classes(table: BaseTable, aggregate="count") -> list:
     from repro.core.cells import dict_sort_key
 
     agg = make_aggregate(aggregate)
+    table_rows = table.rows
     groups = {}
     for cell in iter_nonempty_cells(table):
         key = frozenset(table.select(cell))
@@ -141,7 +143,7 @@ def quotient_classes(table: BaseTable, aggregate="count") -> list:
     classes = []
     for rows_key, members in groups.items():
         rows = sorted(rows_key)
-        ub = meet_of_tuples(table.rows[i] for i in rows)
+        ub = meet_of_tuples(table_rows[i] for i in rows)
         value = agg.value(agg.state(table, rows))
         classes.append(OracleClass(ub, sorted(members, key=dict_sort_key),
                                    rows, value))
@@ -179,9 +181,9 @@ def drilldown_children(table: BaseTable, cell: Cell) -> Iterator[Cell]:
     only yield values that appear among the covered tuples, so results are
     exactly the non-empty specializations.
     """
-    rows = table.select(cell)
+    covered = table.codes[table.select(cell)]
     for j, v in enumerate(cell):
         if v is not ALL:
             continue
-        for value in sorted({table.rows[i][j] for i in rows}):
+        for value in sorted(set(covered[:, j].tolist())):
             yield cell[:j] + (value,) + cell[j + 1:]

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.cells import (
     ALL,
     Cell,
@@ -26,7 +28,7 @@ from repro.core.cells import (
 )
 from repro.core.classes import class_states, enumerate_temp_classes
 from repro.cube.aggregates import make_aggregate
-from repro.cube.table import BaseTable
+from repro.cube.table import ANY_CODE, BaseTable
 
 
 @dataclass
@@ -157,18 +159,20 @@ def class_lower_bounds(table: BaseTable, upper_bound: Cell) -> list:
     hitting sets* of the family ``{ D_t : t outside cov(ub) }`` with
     ``D_t = { j : ub[j] != * and ub[j] != t[j] }``.
     """
-    inside = set(table.select(upper_bound))
-    difference_sets = set()
-    for i, row in enumerate(table.rows):
-        if i in inside:
-            continue
-        diff = frozenset(
-            j
-            for j, v in enumerate(upper_bound)
-            if v is not ALL and v != row[j]
-        )
-        difference_sets.add(diff)
-    return lower_bounds_from_difference_sets(upper_bound, difference_sets)
+    bound = np.array([ANY_CODE if v is ALL else v for v in upper_bound])
+    return lower_bounds_from_difference_sets(
+        upper_bound, difference_sets(table, bound))
+
+
+def difference_sets(table: BaseTable, bound) -> set:
+    """:func:`class_lower_bounds`' family, read off ``table``'s code
+    columns; ``bound`` is a row as :meth:`BaseTable.encode_points` gives
+    it (a label the table lacks differs from every row)."""
+    dims = np.flatnonzero(bound != ANY_CODE)
+    differs = table.codes[:, dims] != bound[dims]
+    # A row that differs nowhere is inside the cover: no constraint.
+    differs = np.unique(differs[differs.any(axis=1)], axis=0)
+    return {frozenset(dims[row].tolist()) for row in differs}
 
 
 def lower_bounds_from_difference_sets(upper_bound: Cell,

@@ -4,8 +4,9 @@ A :class:`BaseTable` holds the fact rows a cube summarizes.  Dimension
 values are dictionary-encoded to dense non-negative ints at construction so
 that cells are cheap tuples and the paper's "dictionary order with ``*``
 first" becomes a plain integer sort (see
-:func:`repro.core.cells.dict_sort_key`).  Measures are kept in a float
-matrix.
+:func:`repro.core.cells.dict_sort_key`).  The rows are stored once, as a
+read-only ``n_rows x n_dims`` integer code matrix (:attr:`BaseTable.codes`);
+every operation reads its columns.  Measures are kept in a float matrix.
 
 Encoding is stable: codes are assigned by sorting the distinct labels of
 each dimension, so two tables built from permutations of the same records
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core.cells import ALL, Cell, covers
+from repro.core.cells import ALL, Cell
 from repro.cube.schema import Schema
 from repro.errors import SchemaError
 
@@ -49,11 +50,25 @@ def python_scalars(values) -> tuple:
     return tuple(v.item() if isinstance(v, np.generic) else v for v in values)
 
 
-def _new_labels(records, j: int, known=()) -> list:
-    """Dimension ``j``'s labels in ``records`` that ``known`` lacks, in
-    dictionary order, a NumPy scalar as its Python scalar."""
-    labels = set(python_scalars({r[j] for r in records}))
+def _new_labels(column, known=()) -> list:
+    """The labels in ``column`` that ``known`` lacks, in dictionary
+    order, a NumPy scalar as its Python scalar."""
+    labels = set(python_scalars(set(column)))
     return sorted(labels.difference(known), key=_label_sort_key)
+
+
+def _encoded(records, encoders, decoders) -> np.ndarray:
+    """The ``int32`` code matrix of ``records``, a column at a time; the
+    labels ``encoders`` lacks are appended in dictionary order."""
+    codes = np.empty((len(records), len(encoders)), dtype=np.int32)
+    for j, (encoder, decoder) in enumerate(zip(encoders, decoders)):
+        column = [r[j] for r in records]
+        for label in _new_labels(column, encoder):
+            encoder[label] = len(decoder)
+            decoder.append(label)
+        codes[:, j] = np.fromiter(map(encoder.__getitem__, column),
+                                  np.int32, len(column))
+    return codes
 
 
 def refuse_non_finite(records, schema: Schema) -> None:
@@ -126,10 +141,12 @@ class BaseTable:
     incremental-maintenance experiments without mutating the original.
     """
 
-    def __init__(self, schema: Schema, rows, measures, decoders, encoders):
+    def __init__(self, schema: Schema, codes, measures, decoders, encoders):
         self.schema = schema
-        #: Encoded dimension rows: list of tuples of ints.
-        self.rows = rows
+        #: The rows: a read-only ``(n_rows, n_dims)`` int matrix, ``int32``
+        #: or an attached blob's ``<i8`` section viewed in place.
+        self.codes = np.ascontiguousarray(codes).view()
+        self.codes.flags.writeable = False
         #: Measure matrix, shape ``(n_rows, n_measures)``.
         self.measures = measures
         self._decoders = decoders  # per-dim list: code -> label
@@ -146,59 +163,55 @@ class BaseTable:
         is a multiset, as required by the maintenance algorithms).
         """
         records = [tuple(r) for r in records]
-        n_dims = schema.n_dims
         measures = _measure_matrix(records, schema)
-        encoders = []
-        decoders = []
-        for j in range(n_dims):
-            labels = _new_labels(records, j)
-            encoders.append({label: code for code, label in enumerate(labels)})
-            decoders.append(list(labels))
-        rows = [
-            tuple(encoders[j][r[j]] for j in range(n_dims)) for r in records
-        ]
-        return cls(schema, rows, measures, decoders, encoders)
+        encoders = [{} for _ in range(schema.n_dims)]
+        decoders = [[] for _ in range(schema.n_dims)]
+        codes = _encoded(records, encoders, decoders)
+        return cls(schema, codes, measures, decoders, encoders)
 
     @classmethod
     def from_encoded(cls, rows, measures, schema: Schema, cardinalities=None) -> "BaseTable":
         """Build a table whose dimension values are already dense ints.
 
-        Synthetic generators produce coded data directly; labels equal the
-        codes.  ``cardinalities`` fixes each dimension's domain size (else
-        the observed maximum is used).  A code outside ``[0,
-        cardinality)`` raises :class:`SchemaError`.
+        Synthetic generators produce coded data directly (rows, or an
+        ``(n_rows, n_dims)`` array); labels equal the codes.
+        ``cardinalities`` fixes each dimension's domain size (else the
+        observed maximum is used).  A code outside ``[0, cardinality)``
+        raises :class:`SchemaError`.
         """
-        rows = [tuple(int(v) for v in r) for r in rows]
         n_dims = schema.n_dims
-        for r in rows:
-            if len(r) != n_dims:
-                raise SchemaError(
-                    f"encoded row {r!r} has {len(r)} dims, schema expects {n_dims}"
-                )
+        try:
+            codes = np.asarray(rows, dtype=np.int64)
+            if codes.size == 0:
+                codes = codes.reshape(0, n_dims)
+            if codes.ndim != 2 or codes.shape[1] != n_dims:
+                raise ValueError(f"their shape is {codes.shape}")
+        except ValueError as exc:  # ragged, or of another width
+            raise SchemaError(
+                f"encoded rows are not {n_dims} codes wide: {exc}") from None
         if cardinalities is None:
-            cardinalities = [
-                (max((r[j] for r in rows), default=-1) + 1) for j in range(n_dims)
-            ]
-        codes = np.array(rows, dtype=np.int64).reshape(len(rows), n_dims)
+            cardinalities = (codes.max(axis=0, initial=-1) + 1).tolist()
         bad = ((codes < 0) | (codes >= np.asarray(cardinalities))).any(axis=1)
         if bad.any():
             raise SchemaError(
-                f"encoded row {rows[int(bad.argmax())]!r} has a code outside "
-                f"[0, cardinality) for cardinalities {tuple(cardinalities)}"
+                f"encoded row {tuple(codes[bad.argmax()].tolist())!r} has a "
+                f"code outside [0, cardinality) for cardinalities "
+                f"{tuple(cardinalities)}"
             )
         decoders = [list(range(card)) for card in cardinalities]
         encoders = [{v: v for v in range(card)} for card in cardinalities]
         measures = np.asarray(measures, dtype=np.float64).reshape(
-            len(rows), schema.n_measures
+            len(codes), schema.n_measures
         )
-        return cls(schema, rows, measures, decoders, encoders)
+        return cls(schema, codes.astype(np.int32, order="C"), measures,
+                   decoders, encoders)
 
     # -- basic properties --------------------------------------------------
 
     @property
     def n_rows(self) -> int:
         """Number of fact rows."""
-        return len(self.rows)
+        return len(self.codes)
 
     @property
     def n_dims(self) -> int:
@@ -206,13 +219,20 @@ class BaseTable:
         return self.schema.n_dims
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.codes)
 
     def __repr__(self):
         return (
             f"BaseTable({self.n_rows} rows, dims={self.schema.dimension_names}, "
             f"measures={self.schema.measure_names})"
         )
+
+    @property
+    def rows(self) -> list:
+        """The encoded rows as a list of int tuples, built from
+        :attr:`codes` on every access (nothing caches it): for tests and
+        the brute-force reference oracles, which read it once per call."""
+        return list(map(tuple, self.codes.tolist()))
 
     def cardinality(self, dim) -> int:
         """Domain size of a dimension (by index or name)."""
@@ -282,13 +302,18 @@ class BaseTable:
 
     def iter_records(self) -> Iterator[tuple]:
         """Yield decoded records: dimension labels then measure values."""
-        for i, row in enumerate(self.rows):
-            dims = tuple(self.decode_value(j, v) for j, v in enumerate(row))
-            yield dims + tuple(self.measures[i])
+        columns = [list(map(decoder.__getitem__, self.codes[:, j].tolist()))
+                   for j, decoder in enumerate(self._decoders)]
+        for dims, measures in zip(zip(*columns), self.measures.tolist()):
+            yield dims + tuple(measures)
 
     def select(self, cell: Cell) -> list:
         """Return indices of rows covered by ``cell`` (encoded)."""
-        return [i for i, row in enumerate(self.rows) if covers(cell, row)]
+        covered = np.ones(self.n_rows, dtype=bool)
+        for j, v in enumerate(cell):
+            if v is not ALL:
+                covered &= self.codes[:, j] == v
+        return np.flatnonzero(covered).tolist()
 
     # -- derivation ----------------------------------------------------------
 
@@ -302,40 +327,31 @@ class BaseTable:
         delta alone.
         """
         records = [tuple(r) for r in records]
-        n_dims = self.n_dims
         new_measures = _measure_matrix(records, self.schema)
         encoders = [dict(e) for e in self._encoders]
         decoders = [list(d) for d in self._decoders]
-        for j in range(n_dims):
-            for label in _new_labels(records, j, encoders[j]):
-                encoders[j][label] = len(decoders[j])
-                decoders[j].append(label)
-        new_rows = [
-            tuple(encoders[j][r[j]] for j in range(n_dims)) for r in records
-        ]
+        new_codes = _encoded(records, encoders, decoders)
         combined = BaseTable(
             self.schema,
-            self.rows + new_rows,
+            np.concatenate([self.codes, new_codes]) if records else self.codes,
             np.vstack([self.measures, new_measures]) if records else self.measures,
             decoders,
             encoders,
         )
-        delta = BaseTable(self.schema, new_rows, new_measures, decoders, encoders)
+        delta = BaseTable(self.schema, new_codes, new_measures, decoders,
+                          encoders)
         return combined, delta
 
     def without_rows(self, indices) -> "BaseTable":
         """Return a table with the given row indices removed (a repeated
-        index once), copied in C: ``del`` from the end, ``np.delete``."""
-        drop = sorted(set(indices), reverse=True)
+        index once), copied in C by ``np.delete``."""
+        drop = sorted(set(indices))
         bad = [i for i in drop if not 0 <= i < self.n_rows]
         if bad:
-            raise SchemaError(f"row indices out of range: {sorted(bad)}")
-        rows = list(self.rows)
-        for i in drop:
-            del rows[i]
+            raise SchemaError(f"row indices out of range: {bad}")
         return BaseTable(
             self.schema,
-            rows,
+            np.delete(self.codes, drop, axis=0),
             np.delete(self.measures, drop, axis=0),
             self._decoders,
             self._encoders,
@@ -343,39 +359,54 @@ class BaseTable:
 
     def subset(self, indices) -> "BaseTable":
         """Return a table holding only the given row indices (same encoding)."""
-        indices = list(indices)
+        indices = np.asarray(list(indices), dtype=np.intp)
         return BaseTable(
             self.schema,
-            [self.rows[i] for i in indices],
-            self.measures[indices] if indices else self.measures[:0],
+            self.codes[indices],
+            self.measures[indices],
             self._decoders,
             self._encoders,
         )
 
     def projected(self, dims) -> "BaseTable":
         """Return a table restricted to the listed dimensions (re-encoded)."""
-        indices = [
-            d if isinstance(d, int) else self.schema.dim_index(d) for d in dims
-        ]
-        schema = self.schema.projected(indices)
-        records = []
-        for i, row in enumerate(self.rows):
-            labels = tuple(self.decode_value(j, row[j]) for j in indices)
-            records.append(labels + tuple(self.measures[i]))
-        return BaseTable.from_records(records, schema)
+        return self._recoded(dims, self.schema.projected)
 
     def reordered(self, dim_order) -> "BaseTable":
         """Return a table with dimensions permuted into ``dim_order``."""
+        return self._recoded(dim_order, self.schema.reordered)
+
+    def _recoded(self, dims, derive) -> "BaseTable":
+        """The table of ``dims`` (indices or names), in that order, under
+        the schema ``derive(indices)``, encoded as :meth:`from_records`
+        would encode its records."""
         indices = [
-            d if isinstance(d, int) else self.schema.dim_index(d)
-            for d in dim_order
+            d if isinstance(d, int) else self.schema.dim_index(d) for d in dims
         ]
-        schema = self.schema.reordered(indices)
-        records = []
-        for i, row in enumerate(self.rows):
-            labels = tuple(self.decode_value(j, row[j]) for j in indices)
-            records.append(labels + tuple(self.measures[i]))
-        return BaseTable.from_records(records, schema)
+        schema = derive(indices)
+        labels, codes = self._dictionary(indices)
+        return BaseTable(
+            schema, codes, self.measures, labels,
+            [{label: code for code, label in enumerate(column)}
+             for column in labels])
+
+    def _dictionary(self, dims) -> tuple:
+        """``(labels, codes)`` of dimensions ``dims``: per dimension the
+        labels the rows use, in dictionary order, and the ``int32`` code
+        matrix of those columns remapped to them."""
+        codes = np.empty((self.n_rows, len(dims)), dtype=np.int32)
+        labels = []
+        for k, j in enumerate(dims):
+            column, decoder = self.codes[:, j], self._decoders[j]
+            used = np.flatnonzero(np.bincount(column, minlength=len(decoder)))
+            names = python_scalars(decoder[c] for c in used.tolist())
+            order = sorted(range(len(names)),
+                           key=lambda i: _label_sort_key(names[i]))
+            remap = np.zeros(len(decoder), dtype=np.int32)
+            remap[used[order]] = np.arange(len(order))
+            codes[:, k] = remap[column]
+            labels.append([names[i] for i in order])
+        return labels, codes
 
     # -- columns and CSV ------------------------------------------------------
 
@@ -397,20 +428,14 @@ class BaseTable:
 
     def columns(self) -> tuple:
         """``(labels, codes)``: per dimension the labels the rows use, in
-        dictionary order, and the ``int64`` code matrix of the rows
+        dictionary order, and the ``int32`` code matrix of the rows
         remapped to them — the encoding ``from_records(iter_records())``
         would mint, whatever labels :meth:`extended` appended out of
         order or deleted rows left behind.  A label of no
         :func:`label_type` raises :class:`SchemaError`: no checkpoint
         could spell it back."""
-        codes = np.array(self.rows, dtype=np.int64).reshape(self.n_rows,
-                                                           self.n_dims)
-        labels = []
-        for j, (name, decoder) in enumerate(zip(self.schema.dimension_names,
-                                                self._decoders)):
-            used = np.flatnonzero(np.bincount(codes[:, j],
-                                              minlength=len(decoder)))
-            column = python_scalars(decoder[c] for c in used.tolist())
+        labels, codes = self._dictionary(range(self.n_dims))
+        for name, column in zip(self.schema.dimension_names, labels):
             for label in column:
                 if label_type(label) is None:
                     raise SchemaError(
@@ -418,12 +443,6 @@ class BaseTable:
                         f"str, int, float or bool: a checkpoint cannot "
                         f"spell it back"
                     )
-            order = sorted(range(len(column)),
-                           key=lambda i: _label_sort_key(column[i]))
-            remap = np.zeros(len(decoder), dtype=np.int64)
-            remap[used[order]] = np.arange(len(order))
-            codes[:, j] = remap[codes[:, j]]
-            labels.append([column[i] for i in order])
         return labels, codes
 
     @classmethod
@@ -449,13 +468,13 @@ class BaseTable:
             raise SchemaError(
                 "a measure is not finite: exact aggregate states hold no "
                 "NaN or infinity")
-        return cls(schema, list(map(tuple, codes.tolist())), measures,
+        return cls(schema, codes.astype(np.int32), measures,
                    [list(column) for column in labels], encoders)
 
     @classmethod
     def from_csv(cls, path, schema: Schema) -> "BaseTable":
-        """Read records written by :meth:`to_csv`, every label a string;
-        see :meth:`parse_csv`."""
+        """Read the CSV file at ``path``, every label a string; see
+        :meth:`parse_csv`."""
         with open(path, newline="", encoding="utf-8") as f:
             return cls.parse_csv(f.read(), schema)
 

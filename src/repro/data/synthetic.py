@@ -52,14 +52,13 @@ def zipf_table(
             f"{len(cards)} cardinalities given for {n_dims} dimensions"
         )
     rng = np.random.default_rng(seed)
-    columns = [
+    codes = np.array([
         rng.choice(card, size=n_rows, p=zipf_probabilities(card, zipf))
         for card in cards
-    ]
-    rows = list(zip(*(col.tolist() for col in columns))) if n_rows else []
+    ]).T
     measures = rng.uniform(0.0, measure_high, size=(n_rows, n_measures))
     schema = Schema(
         dimensions=[f"D{j}" for j in range(n_dims)],
         measures=[f"M{k}" for k in range(n_measures)],
     )
-    return BaseTable.from_encoded(rows, measures, schema, cardinalities=cards)
+    return BaseTable.from_encoded(codes, measures, schema, cardinalities=cards)

@@ -120,9 +120,9 @@ def weather_table(
         "brightness": brightness,
     }
     keep = DIMENSIONS[:n_dims]
-    rows = list(zip(*(columns[name].tolist() for name in keep)))
+    codes = np.column_stack([columns[name] for name in keep])
     temperature = rng.uniform(-30.0, 45.0, size=(n_rows, 1))
     schema = Schema(dimensions=keep, measures=("temperature",))
     return BaseTable.from_encoded(
-        rows, temperature, schema, cardinalities=[cards[name] for name in keep]
+        codes, temperature, schema, cardinalities=[cards[name] for name in keep]
     )

@@ -41,7 +41,7 @@ def point_query_workload(
     cards = table.cardinalities()
     queries = []
     for _ in range(n_queries):
-        row = table.rows[rng.randrange(table.n_rows)]
+        row = table.codes[rng.randrange(table.n_rows)].tolist()
         cell = [
             ALL if rng.random() < star_probability else v for v in row
         ]
@@ -80,7 +80,7 @@ def range_query_workload(
     cards = table.cardinalities()
     queries = []
     for _ in range(n_queries):
-        row = table.rows[rng.randrange(table.n_rows)]
+        row = table.codes[rng.randrange(table.n_rows)].tolist()
         k = rng.randint(min_range_dims, max_range_dims)
         range_dims = set(rng.sample(range(table.n_dims), k))
         spec = []

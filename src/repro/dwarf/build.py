@@ -29,7 +29,7 @@ def build_dwarf(table: BaseTable, aggregate="count") -> Dwarf:
     """
     agg = make_aggregate(aggregate)
     dwarf = Dwarf(table.n_dims, agg)
-    if not table.rows:
+    if not table.n_rows:
         return dwarf
     table_rows = table.rows
     n_dims = table.n_dims

@@ -43,7 +43,10 @@ from repro.core.classes import class_states
 from repro.core.iceberg import _satisfies
 from repro.core.point_query import locate
 from repro.core.range_query import encode_range, range_classes
-from repro.cube.quotient import lower_bounds_from_difference_sets
+from repro.cube.quotient import (
+    difference_sets,
+    lower_bounds_from_difference_sets,
+)
 from repro.cube.table import BaseTable, _label_sort_key
 from repro.errors import QueryError, SchemaError
 
@@ -324,10 +327,9 @@ class UnionCube:
             if cell is None:
                 continue
             table = piece.table
-            values.update(
-                table.decode_value(dim, table.rows[i][dim])
-                for i in table.select(cell)
-            )
+            codes = table.codes[table.select(cell), dim]
+            values.update(table.decode_value(dim, code)
+                          for code in set(codes.tolist()))
         return values
 
     def lower_bounds(self, ub: Cell) -> list:
@@ -338,29 +340,8 @@ class UnionCube:
         ub[j] != t[j]}`` — so per-segment families computed in each
         segment's own encoding union into exactly the monolithic family.
         """
-        difference_sets: set = set()
+        family: set = set()
         for piece in self.pieces:
             table = piece.table
-            targets = []
-            for j, v in enumerate(ub):
-                if v is ALL:
-                    targets.append(ALL)
-                else:
-                    try:
-                        targets.append(table.encode_value(j, v))
-                    except SchemaError:
-                        targets.append(_MISSING)
-            for row in table.rows:
-                diff = frozenset(
-                    j
-                    for j, t in enumerate(targets)
-                    if t is not ALL and (t is _MISSING or t != row[j])
-                )
-                if diff:
-                    difference_sets.add(diff)
-                # An empty diff means the row is inside cov(ub): not an
-                # outside tuple, contributes no constraint.
-        return lower_bounds_from_difference_sets(ub, difference_sets)
-
-
-_MISSING = object()
+            family |= difference_sets(table, table.encode_points([ub])[0])
+        return lower_bounds_from_difference_sets(ub, family)

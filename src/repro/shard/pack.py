@@ -25,8 +25,8 @@ physical copy of the snapshot (see :mod:`repro.shard.server`).
 This module is the byte layout and nothing else: the one writer
 (:func:`pack_snapshot_bytes`; :func:`canonical_bytes` is its tree
 sections in preorder, a tree's canonical form, split by
-:class:`Signature`), the header/CRC parsing of
-:func:`attach_packed`, and the packed base-table view.  It writes no
+:class:`Signature`) and the header/CRC parsing of
+:func:`attach_packed`.  It writes no
 file: a checkpoint is its tables (:mod:`repro.core.manifest`), and the
 blob lives in shared memory for the shard fleet.  The writer is
 columnar — every shard write
@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import re
 import zlib
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -156,9 +155,7 @@ def _pack(tree, order, table=None, stamp=(0, 0)) -> bytes:
             raise SerializationError(
                 f"table labels are not JSON-serializable: {exc}"
             ) from exc
-        table_rows = np.fromiter(
-            chain.from_iterable(table.rows), dtype=np.int64
-        )
+        table_rows = table.codes
         table_measures = np.asarray(table.measures, dtype=np.float64)
         table_meta = {
             "n_rows": table.n_rows,
@@ -276,40 +273,6 @@ class Signature(dict):
         return str(rows[row].tolist())
 
 
-# -- packed base table -------------------------------------------------------
-
-
-class _PackedRows:
-    """Read-only sequence view presenting the flat row buffer as the
-    list-of-int-tuples shape :class:`~repro.cube.table.BaseTable` uses."""
-
-    __slots__ = ("_flat", "_n", "_width")
-
-    def __init__(self, flat, n_rows: int, width: int):
-        self._flat = flat
-        self._n = n_rows
-        self._width = width
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._n))]
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError(i)
-        base = i * self._width
-        return tuple(self._flat[base:base + self._width])
-
-    def __iter__(self):
-        flat, width = self._flat, self._width
-        for i in range(self._n):
-            base = i * width
-            yield tuple(flat[base:base + width])
-
-
 # -- attach ------------------------------------------------------------------
 
 
@@ -317,8 +280,8 @@ class AttachedSnapshot:
     """A ``QCTREE/3`` blob attached in place.
 
     Holds the attached :class:`~repro.core.frozen.FrozenQCTree`, the
-    reconstructed (row-view-backed)
-    :class:`~repro.cube.table.BaseTable` when the blob carried one, the
+    :class:`~repro.cube.table.BaseTable` whose code and measure
+    matrices view the blob's sections when the blob carried one, the
     serving ``stamp``, and the exported memoryviews.  Call
     :meth:`release` before closing the underlying shared-memory segment
     or mmap — it drops every exported buffer view so the mapping can
@@ -460,8 +423,10 @@ def _attach_views(view, views, verify: bool):
             section_views["table_measures"], dtype="<f8"
         ).reshape(n_rows, len(table_meta["measure_names"]))
         measures.flags.writeable = False
-        rows = _PackedRows(section_views["table_rows"], n_rows, n_dims)
-        table = BaseTable(schema, rows, measures, decoders, encoders)
+        codes = np.frombuffer(
+            section_views["table_rows"], dtype="<i8"
+        ).reshape(n_rows, n_dims)
+        table = BaseTable(schema, codes, measures, decoders, encoders)
 
     stamp = tuple(meta.get("stamp") or (0, 0))
     return AttachedSnapshot(

@@ -1107,6 +1107,7 @@ class ShardServer(QCServer):
             proc.close()
         except ValueError:
             pass  # released already
+
     def _retire(self, handle: _ProcHandle, exc) -> None:
         """Retire a worker's pipe: what is still pending on it fails with
         ``exc``, its receiver leaves, and the pipe closes as the last

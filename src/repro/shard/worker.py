@@ -238,7 +238,14 @@ def worker_main(sock, segment_name: str, lsn: int, epoch: int,
     # each full collection would walk it all — a ~30 ms stall every few
     # bulk batches.  Park it in the permanent generation.
     gc.freeze()
-    current = _Attachment(segment_name, lsn, epoch)
+    try:
+        current = _Attachment(segment_name, lsn, epoch)
+    except OSError:
+        # The segment went before the worker could attach it (close()
+        # unlinked it while a respawn was under way): no handshake, and
+        # the parent reads the EOF as a failed spawn.
+        sock.close()
+        return
     frames = FrameReader(sock)
     send = sock.sendall
     try:

@@ -142,6 +142,7 @@ class TestLargeBatches:
             tuple(rng.choice([ALL, rng.randrange(6)]) for _ in range(4))
             for _ in range(80)
         ]
+        rows = table.rows
         for cell in cells:
             covered = table.select(cell)
             assert sorted(index.rows(cell)) == covered, cell
@@ -149,7 +150,7 @@ class TestLargeBatches:
             assert index.closure(cell) == closure(table, cell), cell
             for j in range(4):
                 assert index.values_at(cell, j) == sorted(
-                    {table.rows[i][j] for i in covered}
+                    {rows[i][j] for i in covered}
                 ), (cell, j)
 
     def test_large_deletes_and_inserts_match_a_scan(self):

@@ -208,7 +208,7 @@ class TestIncrementalDifferential:
             ).table
             span = index.stats()["id_span"]
             p = rng.randrange(table.n_rows)
-            victim = table.decode_cell(table.rows[p]) + (0.0,)
+            victim = table.decode_cell(table.codes[p].tolist()) + (0.0,)
             table = maintain_batch(tree, table, deletes=[victim],
                                    cover_index=index).table
             if index.stats()["id_span"] < span:
@@ -325,8 +325,9 @@ class TestMaintenanceWithPersistentIndex:
             deletes = []
             if delete_picks and table_a.n_rows:
                 picks = sorted({p % table_a.n_rows for p in delete_picks})
+                rows = table_a.rows
                 deletes = [
-                    table_a.decode_cell(table_a.rows[i])
+                    table_a.decode_cell(rows[i])
                     + tuple(table_a.measures[i])
                     for i in picks
                 ]

@@ -48,9 +48,10 @@ def _mutate_once(tree, table, rng, op):
     of a model record — returns ``(table, delta)``."""
     tree.begin_delta()
     try:
-        if op == "delete" and table.rows:
-            i = rng.randrange(len(table.rows))
-            rec = table.decode_cell(table.rows[i]) + tuple(table.measures[i])
+        if op == "delete" and table.n_rows:
+            i = rng.randrange(table.n_rows)
+            rec = table.decode_cell(table.codes[i].tolist()) \
+                + tuple(table.measures[i])
             table = apply_deletions(tree, table, [rec])
         else:
             rec = model.gen_record(rng, fresh=op == "insert_new")
@@ -413,9 +414,9 @@ class TestDeltaUnion:
             if per_tuple:
                 tree.begin_delta()
             try:
-                if op == "delete" and table.rows:
-                    i = rng.randrange(len(table.rows))
-                    rec = table.decode_cell(table.rows[i]) \
+                if op == "delete" and table.n_rows:
+                    i = rng.randrange(table.n_rows)
+                    rec = table.decode_cell(table.codes[i].tolist()) \
                         + tuple(table.measures[i])
                     table = apply_deletions(tree, table, [rec])
                 else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -22,7 +23,8 @@ from repro.reliability.faults import ServingFaults
 from tests.faults import InjectedCrash
 from tests.retry import RetryPolicy
 from repro.shard import ShardServer, created_segments
-from repro.shard.worker import _BATCH_MIN
+from repro.shard.server import _mp_context
+from repro.shard.worker import _BATCH_MIN, worker_main
 
 RECORD = ("S3", "P1", "s", 5.0)
 
@@ -316,3 +318,27 @@ class TestLedgerUnderFaults:
             counters["completed"] + counters["timeouts"]
             + counters["errors"] + counters["cancelled"]
         ), counters
+
+
+class TestWorkerStart:
+    def test_a_vanished_first_segment_exits_quietly(self, capfd):
+        """A worker forked on a segment that is already gone (close()
+        unlinked it mid-respawn) prints no traceback and hangs up: the
+        parent's end of the pipe reads EOF, which fails the handshake."""
+        parent_sock, child_sock = socket.socketpair()
+        proc = _mp_context().Process(
+            target=worker_main,
+            args=(child_sock, "qctree-test-never-created", 0, 0,
+                  [parent_sock]),
+            daemon=True,
+        )
+        proc.start()
+        child_sock.close()
+        try:
+            parent_sock.settimeout(15.0)
+            assert parent_sock.recv(1) == b""
+        finally:
+            parent_sock.close()
+            proc.join(15.0)
+        assert proc.exitcode == 0
+        assert "Traceback" not in capfd.readouterr().err

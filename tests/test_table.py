@@ -1,11 +1,17 @@
 """Tests for the dictionary-encoded base table (repro.cube.table)."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cells import ALL
+from repro.core.maintenance.delete import resolve_deletions
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
-from repro.errors import SchemaError
+from repro.data.workloads import point_query_workload, range_query_workload
+from repro.errors import MaintenanceError, SchemaError
 from tests.conftest import write_csv
 
 
@@ -219,3 +225,154 @@ class TestCsv:
         other = Schema(dimensions=("X", "Y"), measures=("m",))
         with pytest.raises(SchemaError):
             BaseTable.from_csv(path, other)
+
+
+# -- the table operations on arrays, against a per-row tuple scan ----------
+
+LABELS = (("a", "b", "c", "d"), ("p", "q", "r"), (3, 1, 2))
+DIFF_SCHEMA = Schema(dimensions=("A", "B", "C"), measures=("m",))
+
+#: Records over a small alphabet, so rows repeat.
+records_strategy = st.lists(
+    st.tuples(*(st.sampled_from(labels) for labels in LABELS),
+              st.integers(0, 9).map(float)),
+    min_size=1, max_size=14,
+)
+
+
+def _plain(rows) -> bool:
+    """Every row a tuple of Python ints (no NumPy scalar leaked)."""
+    return all(type(row) is tuple and all(type(v) is int for v in row)
+               for row in rows)
+
+
+def _scan_codes(records, dims=range(3)) -> list:
+    """Each record's labels at ``dims`` as codes of the labels the
+    records use there, in dictionary order: a per-row tuple scan."""
+    codes = [{label: code for code, label in enumerate(
+        sorted({r[j] for r in records}, key=lambda v: (type(v).__name__, v)))}
+        for j in dims]
+    return [tuple(code[r[j]] for code, j in zip(codes, dims))
+            for r in records]
+
+
+class TestArrayOperationsAgainstAScan:
+    @given(records_strategy, st.tuples(
+        *(st.sampled_from(("*",) + labels) for labels in LABELS)))
+    @settings(max_examples=80, deadline=None)
+    def test_select(self, records, raw_cell):
+        table = BaseTable.from_records(records, DIFF_SCHEMA)
+        try:
+            cell = table.encode_cell(raw_cell)
+        except SchemaError:
+            return  # a label no record holds: nothing to select
+        want = [i for i, r in enumerate(records)
+                if all(v == "*" or v == r[j] for j, v in enumerate(raw_cell))]
+        got = table.select(cell)
+        assert got == want
+        assert all(type(i) is int for i in got)
+
+    @given(records_strategy, st.lists(
+        st.tuples(*(st.sampled_from(labels + extra) for labels, extra in
+                    zip(LABELS, (("e",), (), ())))), max_size=6))
+    @settings(max_examples=120, deadline=None)
+    def test_resolve_deletions(self, records, deletes):
+        table = BaseTable.from_records(records, DIFF_SCHEMA)
+        wanted = Counter(deletes)
+        drop = []
+        for i, r in enumerate(records):  # earliest match first
+            if wanted[r[:3]] > 0:
+                wanted[r[:3]] -= 1
+                drop.append(i)
+        if +wanted:
+            with pytest.raises(MaintenanceError):
+                resolve_deletions(table, [d + (0.0,) for d in deletes])
+            return
+        new, delta = resolve_deletions(table, [d + (0.0,) for d in deletes])
+        assert delta.positions == drop
+        assert list(delta) == [_scan_codes(records)[i] for i in drop]
+        assert _plain(delta)
+        assert delta.codes.tolist() == [list(row) for row in delta]
+        assert list(delta.measures[:, 0]) == [records[i][3] for i in drop]
+        kept = [r for i, r in enumerate(records) if i not in set(drop)]
+        assert list(new.iter_records()) == kept
+
+    @given(records_strategy, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_without_rows_and_subset(self, records, data):
+        table = BaseTable.from_records(records, DIFF_SCHEMA)
+        scan = _scan_codes(records)
+        positions = st.integers(0, len(records) - 1)
+        drop = data.draw(st.lists(positions, max_size=len(records)))
+        kept = table.without_rows(drop)
+        assert kept.rows == [row for i, row in enumerate(scan)
+                             if i not in set(drop)]
+        assert _plain(kept.rows)
+        picks = data.draw(st.lists(positions, max_size=8))
+        picked = table.subset(picks)
+        assert picked.rows == [scan[i] for i in picks]
+        assert list(picked.measures[:, 0]) == [records[i][3] for i in picks]
+        assert _plain(picked.rows)
+
+    @given(records_strategy, st.lists(
+        st.tuples(st.sampled_from(("a", "zz", "e")),
+                  st.sampled_from(("q", "o")), st.sampled_from((2, 0, 7)),
+                  st.just(5.0)), max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_extended_mints_fresh_labels_after_the_old(self, records, more):
+        table = BaseTable.from_records(records, DIFF_SCHEMA)
+        combined, delta = table.extended(more)
+        codes = []
+        for j in range(3):
+            old = sorted({r[j] for r in records},
+                         key=lambda v: (type(v).__name__, v))
+            fresh = sorted({r[j] for r in more}.difference(old),
+                           key=lambda v: (type(v).__name__, v))
+            codes.append({label: code
+                          for code, label in enumerate(old + fresh)})
+        want = [tuple(codes[j][r[j]] for j in range(3)) for r in more]
+        assert delta.rows == want
+        assert combined.rows == _scan_codes(records) + want
+        assert _plain(combined.rows)
+        assert list(combined.iter_records()) == records + more
+
+    @given(records_strategy, st.permutations(range(3)), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_projected_and_reordered(self, records, order, keep):
+        table = BaseTable.from_records(records, DIFF_SCHEMA)
+        dims = order[:keep]
+        projected = table.projected(dims)
+        assert projected.rows == _scan_codes(records, dims)
+        assert _plain(projected.rows)
+        assert list(projected.iter_records()) == [
+            tuple(r[j] for j in dims) + r[3:] for r in records]
+        reordered = table.reordered(order)
+        assert reordered.rows == _scan_codes(records, order)
+        assert _plain(reordered.rows)
+
+    @given(records_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_workload_cells_hold_python_ints(self, records):
+        table = BaseTable.from_records(records, DIFF_SCHEMA)
+        for cell in point_query_workload(table, 20, seed=1):
+            assert all(v is ALL or type(v) is int for v in cell)
+        for spec in range_query_workload(table, 10, seed=1):
+            for v in spec:
+                assert v is ALL or type(v) is int or all(
+                    type(x) is int for x in v)
+
+    def test_resolve_deletions_when_row_keys_collide(self):
+        """Nine dimensions of 256 labels each: the ninth stride is 2**64,
+        so rows that differ only there share a wrapped key, and matching
+        still takes the equal row alone."""
+        schema = Schema(dimensions=tuple("ABCDEFGHI"), measures=("m",))
+        records = [(i,) * 9 + (float(i),) for i in range(256)]
+        twin = (0,) * 8 + (1, 99.0)  # row 0's key, another row
+        table = BaseTable.from_records(records + [twin], schema)
+        new, delta = resolve_deletions(table, [records[0]])
+        assert delta.positions == [0]
+        assert list(new.iter_records()) == records[1:] + [twin]
+        new, delta = resolve_deletions(table, [twin])
+        assert delta.positions == [256]
+        with pytest.raises(MaintenanceError):
+            resolve_deletions(table, [records[0]] * 2)
