@@ -74,6 +74,41 @@ def _dimension_order_key(n_dims):
     return key
 
 
+def batch_tables(table: BaseTable, inserts, deletes) -> tuple:
+    """The table half of a batch: ``(mid_table, delta_rows, new_table,
+    delta_table)``.
+
+    ``deletes`` are matched against ``table`` first
+    (:func:`~repro.core.maintenance.delete.resolve_deletions`, which
+    validates all of them before anything is derived): ``mid_table`` is
+    the reduced table, ``delta_rows`` the removed rows (None without
+    deletes).  ``inserts`` are then sorted by
+    :func:`_dimension_order_key` and appended to ``mid_table``:
+    ``new_table`` is the post-batch table, ``delta_table`` the appended
+    rows alone (None without inserts); fresh labels get fresh codes, so
+    every earlier code stays valid.  A record :meth:`BaseTable.extended
+    <repro.cube.table.BaseTable.extended>` refuses raises
+    :class:`MaintenanceError`.
+
+    :func:`maintain_batch` and a piece rebuilt from its post-batch table
+    (:meth:`Piece.derive <repro.core.piece.Piece.derive>`) both take
+    their tables from here, so the two derive the same table — rows,
+    order and label codes — and refuse the same records alike.
+    """
+    if deletes:
+        mid_table, delta_rows = resolve_deletions(table, deletes)
+    else:
+        mid_table, delta_rows = table, None
+    if not inserts:
+        return mid_table, delta_rows, mid_table, None
+    inserts = sorted(inserts, key=_dimension_order_key(table.n_dims))
+    try:
+        new_table, delta_table = mid_table.extended(inserts)
+    except SchemaError as exc:
+        raise MaintenanceError(f"cannot insert batch: {exc}") from exc
+    return mid_table, delta_rows, new_table, delta_table
+
+
 class BatchMaintenanceResult:
     """What one :func:`maintain_batch` call produced.
 
@@ -158,23 +193,10 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
 
         # Derive both table states up front: delete matching validates
         # the whole batch against the pre-batch table before any tree
-        # mutation, and the insert delta is encoded against the reduced
-        # table (fresh labels keep their codes stable either way).
+        # mutation.
         timings = {"partition": 0.0, "merge": 0.0, "index": 0.0}
-        if deletes:
-            mid_table, delta_rows = resolve_deletions(table, deletes)
-        else:
-            mid_table, delta_rows = table, None
-        if inserts:
-            inserts.sort(key=_dimension_order_key(table.n_dims))
-            try:
-                new_table, delta_table = mid_table.extended(inserts)
-            except SchemaError as exc:
-                raise MaintenanceError(
-                    f"cannot insert batch: {exc}"
-                ) from exc
-        else:
-            new_table, delta_table = mid_table, None
+        mid_table, delta_rows, new_table, delta_table = batch_tables(
+            table, inserts, deletes)
 
         # Each phase's delta is patched into the index just before the
         # phase that reads it: batch_delete reads cover sets of the

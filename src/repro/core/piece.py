@@ -16,6 +16,12 @@ A piece is born as its columns: :meth:`build`, :meth:`derive`,
 view (:func:`~repro.core.construct.build_frozen`).  A dict tree exists
 only where Algorithms 5–7 run: a live piece thaws one at its first
 :meth:`apply` (:attr:`Piece.tree`) and keeps it until it is sealed.
+Not every head write is an :meth:`apply`: a batch large against the
+head replaces it with the piece :meth:`derive` builds from the
+post-batch table (the store's crossover rule,
+:attr:`QCWarehouse.REBUILD_RATIO
+<repro.core.warehouse.QCWarehouse.REBUILD_RATIO>`), so a small head
+never thaws one.
 
 A piece is *live* until :meth:`Piece.seal` gives it a ``segment_id``;
 from then on it is immutable (replaced through :meth:`derive`, never
@@ -43,8 +49,7 @@ import numpy as np
 
 from repro.atomic import replace_file
 from repro.core.construct import build_frozen
-from repro.core.maintenance.batch import maintain_batch
-from repro.core.maintenance.delete import resolve_deletions
+from repro.core.maintenance.batch import batch_tables, maintain_batch
 from repro.core.qctree import QCTree
 from repro.cube.cover_index import CoverIndex
 from repro.cube.table import BaseTable, label_type
@@ -158,9 +163,10 @@ class Piece:
         self._lock = threading.Lock()
 
     @classmethod
-    def build(cls, table: BaseTable, aggregate) -> "Piece":
+    def build(cls, table: BaseTable, aggregate,
+              segment_id: Optional[int] = None) -> "Piece":
         """A fresh piece over ``table``: Algorithm 1 to its columns."""
-        return cls(build_frozen(table, aggregate), table)
+        return cls(build_frozen(table, aggregate), table, segment_id)
 
     # -- read view -----------------------------------------------------------
 
@@ -198,7 +204,9 @@ class Piece:
     def tree(self) -> QCTree:
         """The dict tree Algorithms 5–7 maintain: the frozen view's thaw
         (:meth:`QCTree.from_frozen`), kept by a live piece from its first
-        use on; a sealed piece keeps none, so each access thaws anew."""
+        use on — the first :meth:`apply`, which a head the store only
+        ever rebuilds (:meth:`derive`) never reaches; a sealed piece
+        keeps none, so each access thaws anew."""
         with self._lock:
             tree = self._tree
             if tree is None:
@@ -310,22 +318,21 @@ class Piece:
     def derive(self, inserts=(), deletes=(),
                segment_id: Optional[int] = None) -> "Piece":
         """A new piece built (Theorem 2) from this one's table after the
-        batch; this piece is not touched.
+        batch; this piece is not touched, so a batch that fails leaves
+        nothing to roll back.
 
-        ``deletes`` drop the rows
-        :func:`~repro.core.maintenance.delete.resolve_deletions` matches
-        (earliest first, measures ignored), then ``inserts`` are appended
-        in arrival order — the order earliest-first delete matching
-        depends on.  No tree is copied: the new piece is built to its
-        columns.
+        The post-batch table is the one :meth:`apply` leaves — the same
+        rows, order and label codes
+        (:func:`~repro.core.maintenance.batch.batch_tables`): ``deletes``
+        drop the rows matched earliest first, measures ignored, then
+        ``inserts`` are appended in dimension order, equal dimension
+        tuples in arrival order — the order earliest-first delete
+        matching depends on.  No tree is copied: the new piece is
+        built to its columns, with no dict tree, cover index or pending
+        delta.
         """
-        table = self.table
-        if deletes:
-            table, _ = resolve_deletions(table, deletes)
-        if inserts:
-            table, _ = table.extended(inserts)
-        return Piece(build_frozen(table, self.aggregate), table,
-                     segment_id=segment_id)
+        table = batch_tables(self.table, inserts, deletes)[2]
+        return Piece.build(table, self.aggregate, segment_id)
 
     def seal(self, segment_id: int) -> None:
         """Make this piece immutable under ``segment_id`` — O(1): the

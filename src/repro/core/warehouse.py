@@ -10,8 +10,12 @@ Theorem 2 makes a QC-tree a derived index of its base table, so a store
 is a list of :class:`~repro.core.piece.Piece` objects — base tables
 over disjoint rows, each with its frozen tree — and
 distributive/algebraic aggregate states merge across them.  Writes land
-in the last piece, the *head*, whose dict tree (thawed at its first
-write) the Algorithms 5–7 batched engine maintains.  Once the head crosses
+in the last piece, the *head*.  A batch small against the head is
+maintained by the Algorithms 5–7 batched engine on the head's dict tree
+(thawed at the first such batch); one whose rows reach
+:attr:`QCWarehouse.REBUILD_RATIO` of the head's replaces the head with a
+piece built from its post-batch table — the crossover of the paper's
+Fig. 14, past which a rebuild is the cheaper write.  Once the head crosses
 ``seal_rows`` rows or ``SEAL_BATCHES`` batches it **seals**: O(1), the
 piece gets a segment id, joins the sealed list (table, frozen view and
 unread refreeze delta ride along; the dict tree goes once the view is
@@ -126,6 +130,15 @@ class QCWarehouse:
     compact_min_segments = 0
     #: Seconds between background compactor ticks.
     COMPACT_INTERVAL = 0.05
+    #: ρ, the head's crossover (the paper's Fig. 14): a head batch whose
+    #: inserts plus head deletes reach this share of the head's
+    #: post-batch rows rebuilds the head from its table; a smaller one
+    #: is maintained.  Measured on the benchmark's table (``sum(M0)``,
+    #: 6 dimensions; EXPERIMENTS.md, deviation 2): maintained and
+    #: refrozen, a 32-row batch costs 60–86 ms at every head size and a
+    #: 1-row batch 2.7–4.5 ms, while a rebuild grows with the head, so
+    #: they cross near 4–5k rows (0.7 %) and near 64–100 rows (1–1.5 %).
+    REBUILD_RATIO = 0.01
 
     def __init__(self, table: BaseTable, aggregate="count",
                  cache_size: int = 1024):
@@ -160,8 +173,10 @@ class QCWarehouse:
         self.last_recovery: Optional[dict] = None
         #: ``patch_stats`` of the most recent refreeze of the head.
         self.last_refreeze: Optional[dict] = None
-        #: Stats of the most recent batch: tuple counts, ``partition_s``
-        #: / ``merge_s`` / ``index_s`` sub-phase seconds, the delta.
+        #: Stats of the most recent batch: tuple counts and ``path`` —
+        #: ``maintained`` with the ``partition_s`` / ``merge_s`` /
+        #: ``index_s`` sub-phase seconds and the delta, or ``rebuilt``
+        #: with the ``build_s`` of the new head.
         self.last_maintenance: Optional[dict] = None
         self.last_seal: Optional[dict] = None
         self.last_compaction: Optional[dict] = None
@@ -557,10 +572,18 @@ class QCWarehouse:
         """The WAL-free batch body (also the recovery replay path).
 
         Inserts go to the head.  With no sealed piece, deletes do too —
-        :func:`~repro.core.maintenance.batch.maintain_batch` validates
+        :func:`~repro.core.maintenance.batch.batch_tables` validates
         them; otherwise each is routed to the piece owning its match
         (:meth:`_route_deletes`) and each sealed piece hit is rebuilt
-        without them.  If the head batch fails, the head rolled back
+        without them.
+
+        The head's share of the batch is rebuilt when it reaches
+        :attr:`REBUILD_RATIO` of the head's post-batch rows
+        (:meth:`Piece.derive <repro.core.piece.Piece.derive>`), and
+        maintained by Algorithms 5–7 otherwise (:meth:`Piece.apply
+        <repro.core.piece.Piece.apply>`); both derive the same table.
+        ``last_maintenance["path"]`` says which ran.  If the head batch
+        fails, the head is untouched (rolled back, or never replaced)
         and the piece list was never swapped: the batch is a no-op.
         """
         with self._lock:
@@ -572,7 +595,20 @@ class QCWarehouse:
                 for idx, records in sorted(plan.items()):
                     segments[idx] = segments[idx].derive(
                         deletes=records, segment_id=next(self._ids))
-            result = self._live.apply(inserts, head_deletes)
+            head = self._live
+            share = len(inserts) + len(head_deletes)
+            if share >= self.REBUILD_RATIO * (
+                    head.n_rows + len(inserts) - len(head_deletes)):
+                t0 = time.perf_counter()
+                self._live = head.derive(inserts, head_deletes)
+                stats = {"inserted": len(inserts),
+                         "deleted": len(head_deletes),
+                         "build_s": time.perf_counter() - t0,
+                         "path": "rebuilt"}
+            else:
+                result = head.apply(inserts, head_deletes)
+                stats = dict(result.stats, delta=result.delta.summary(),
+                             path="maintained")
             if plan:
                 # A fully emptied piece leaves the set entirely.
                 self._segments = [s for s in segments if s.n_rows]
@@ -582,9 +618,7 @@ class QCWarehouse:
                 self._maintain_batched += 1
             else:
                 self._maintain_sequential += 1
-            self.last_maintenance = dict(
-                result.stats, delta=result.delta.summary(),
-                segment_rewrites=len(plan))
+            self.last_maintenance = dict(stats, segment_rewrites=len(plan))
             self._head_batches += 1
             self._mutated()
             self._maybe_seal()
@@ -691,9 +725,10 @@ class QCWarehouse:
             base, newer = self._segments[best], self._segments[best + 1]
         t0 = time.perf_counter()
         # The OLDER piece is always the merge base, so the newer piece's
-        # rows are appended after it and global arrival order survives.
-        merged = base.derive(inserts=list(newer.table.iter_records()),
-                             segment_id=next(self._ids))
+        # rows are appended after it, in their order, and global arrival
+        # order survives.
+        table, _ = base.table.extended(newer.table.iter_records())
+        merged = Piece.build(table, self.aggregate, next(self._ids))
         seconds = time.perf_counter() - t0
         with self._lock:
             try:

@@ -22,8 +22,8 @@ exactly one shared mutable reference:
   Write latency is reported per
   phase (``maintain`` — with ``maintain_partition`` /
   ``maintain_merge`` / ``maintain_index`` sub-phases from the batched
-  engine — then ``refreeze`` / ``publish``) in
-  :meth:`QCServer.stats`.
+  engine, or ``rebuild`` for a head rebuilt from its table — then
+  ``refreeze`` / ``publish``) in :meth:`QCServer.stats`.
 
 **Fault tolerance** treats node-level failure as routine, the way
 realtime OLAP serving stacks do:
@@ -859,20 +859,16 @@ class QCServer:
             metrics.counter(name).inc()
         metrics.observe(f"write:{op}", t3 - t0)
         metrics.observe("write_phase:maintain", t1 - t0)
-        maintenance = warehouse.last_maintenance
-        if maintenance is not None:
-            # The batched engine's sub-phases: Δ-partition + classification
-            # vs link derivation + structural apply vs cover-index upkeep.
-            metrics.observe(
-                "write_phase:maintain_partition", maintenance["partition_s"]
-            )
-            metrics.observe(
-                "write_phase:maintain_merge", maintenance["merge_s"]
-            )
-            metrics.observe(
-                "write_phase:maintain_index",
-                maintenance.get("index_s", 0.0),
-            )
+        # The sub-phases the batch ran: a maintained one's Δ-partition
+        # + classification, link derivation + structural apply and
+        # cover-index upkeep, or a rebuilt one's build.
+        maintenance = warehouse.last_maintenance or {}
+        for phase, key in (("maintain_partition", "partition_s"),
+                           ("maintain_merge", "merge_s"),
+                           ("maintain_index", "index_s"),
+                           ("rebuild", "build_s")):
+            if key in maintenance:
+                metrics.observe(f"write_phase:{phase}", maintenance[key])
         metrics.observe("write_phase:refreeze", t2 - t1)
         metrics.observe("write_phase:publish", t3 - t2)
 

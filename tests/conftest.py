@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import random
 import zlib
@@ -16,6 +17,7 @@ from hypothesis import settings
 from repro.core import frozen
 from repro.core.cells import ALL
 from repro.core.qctree import QCTree
+from repro.core.warehouse import QCWarehouse
 from repro.cube.aggregates import Sum
 from repro.cube.schema import Schema
 from repro.cube.table import BaseTable
@@ -135,6 +137,43 @@ def refreeze_ratios(full=None, compact=None):
         yield
     finally:
         frozen.FULL_REFREEZE_RATIO, frozen.COMPACT_RATIO = saved
+
+
+#: ``QCWarehouse.REBUILD_RATIO`` of each head path: 0 rebuilds every
+#: head batch from the post-batch table, ``inf`` maintains every one
+#: (Algorithms 5–7).
+PATHS = {"maintained": math.inf, "rebuilt": 0.0}
+
+
+@contextmanager
+def rebuild_ratio(ratio):
+    """Pin the head's crossover rule, ``QCWarehouse.REBUILD_RATIO`` (a
+    class attribute every store inherits), for the block.  A context
+    manager, not ``monkeypatch``, so the state machine can set it per
+    write."""
+    saved = QCWarehouse.REBUILD_RATIO
+    QCWarehouse.REBUILD_RATIO = ratio
+    try:
+        yield
+    finally:
+        QCWarehouse.REBUILD_RATIO = saved
+
+
+@pytest.fixture
+def maintained():
+    """Every head batch is maintained while the test runs: for tests of
+    what Algorithms 5–7 leave on a head (its dict tree, cover index and
+    pending delta), whose stores are small enough that the rule would
+    rebuild them."""
+    with rebuild_ratio(PATHS["maintained"]):
+        yield
+
+
+@pytest.fixture(params=sorted(PATHS))
+def head_path(request):
+    """The test once per head path: ``maintained`` and ``rebuilt``."""
+    with rebuild_ratio(PATHS[request.param]):
+        yield request.param
 
 
 def patch_with(frozen_tree, delta, full=None, compact=None):

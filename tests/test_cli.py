@@ -328,7 +328,7 @@ class TestServeCommand:
         assert lines[2] == "9.0"
 
     def test_non_numeric_measure_keeps_serving(self, built_dir, monkeypatch,
-                                               capsys):
+                                               capsys, head_path):
         """``float("x")``'s bare ``ValueError`` used to kill the stdin
         loop with a traceback."""
         code, out, _ = self.run_serve(

@@ -343,6 +343,7 @@ class TestMaintenanceWithPersistentIndex:
             assert index.postings(j) == fresh.postings(j)
         assert tree_a.signature() == build_qctree(table_a, "count").signature()
 
+    @pytest.mark.usefixtures("maintained")
     def test_warehouse_counters_and_failure_recovery(self):
         schema = Schema(dimensions=("A", "B"), measures=("m",))
         wh = QCWarehouse.from_records(
@@ -364,6 +365,7 @@ class TestMaintenanceWithPersistentIndex:
         assert stats["rebuilt"] == 2
         assert wh.point(("d", "*")) == 1
 
+    @pytest.mark.usefixtures("maintained")
     def test_warehouse_index_stays_equivalent(self):
         schema = Schema(dimensions=("A", "B", "C"), measures=("m",))
         wh = QCWarehouse.from_records(
@@ -378,6 +380,7 @@ class TestMaintenanceWithPersistentIndex:
         for j in range(wh.table.n_dims):
             assert index.postings(j) == fresh.postings(j)
 
+    @pytest.mark.usefixtures("maintained")
     def test_fsck_reuses_live_index(self, sales_table):
         wh = QCWarehouse(sales_table, aggregate=("sum", "Sale"))
         wh.insert([("S3", "P1", "s", 2.0)])
@@ -385,6 +388,7 @@ class TestMaintenanceWithPersistentIndex:
         report = wh.verify(deep=True)
         assert report.ok, str(report)
 
+    @pytest.mark.usefixtures("maintained")
     def test_recovery_replay_reuses_one_index(self, tmp_path):
         schema = Schema(dimensions=("A", "B"), measures=("m",))
         wh = QCWarehouse.from_records(

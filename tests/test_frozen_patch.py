@@ -149,6 +149,7 @@ class TestPatchEquivalence:
         """Several batches merged into one delta, patched once."""
         replay(seed + 100, ("burst",), steps=2, configs=("frozen",))
 
+    @pytest.mark.usefixtures("maintained")
     def test_modify_through_warehouse(self):
         table, _ = _build(3, n_rows=10)
         wh = QCWarehouse(table, ("sum", "m"), cache_size=0)

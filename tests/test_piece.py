@@ -326,9 +326,11 @@ class TestTheoremOneOnReload:
                                                    back.table) == blob
 
 
+@pytest.mark.usefixtures("maintained")
 class TestBornAsColumns:
     """A piece is born as its columns: a dict tree exists only on a live
-    piece, from its first write on, and no sealed piece keeps one."""
+    piece, from its first maintained write on, and no sealed piece keeps
+    one."""
 
     def test_no_sealed_piece_holds_a_dict_tree(self, thaws):
         rng = random.Random(0)

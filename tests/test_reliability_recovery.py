@@ -154,7 +154,8 @@ class TestRecoverReplaysBatches:
         assert_equivalent_answers(recovered, reference)
 
 
-    def test_non_numeric_measure_is_refused_then_skipped(self, paths):
+    def test_non_numeric_measure_is_refused_then_skipped(self, paths,
+                                                         head_path):
         """``float("x")`` used to leave the table encoder as a bare
         ``ValueError``: the live insert escaped the ``MaintenanceError``
         contract and — logged before it failed — the record wedged

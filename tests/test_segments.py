@@ -286,6 +286,7 @@ class TestSealedPiecesShareTheLifecycle:
     @pytest.mark.parametrize("ratio, modes", [
         (0.0, ("full",)), (1.0, ("patched", "compacted")),
     ])
+    @pytest.mark.usefixtures("maintained")
     def test_sealed_piece_refreezes_with_the_warehouse_ratio(self, ratio,
                                                              modes):
         wh = _warehouse(n_rows=0, seal_rows=100)

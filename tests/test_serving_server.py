@@ -360,6 +360,7 @@ class TestWritePath:
         assert stats["refreeze"]["mode"] in ("patched", "full", "compacted",
                                              "fresh")
 
+    @pytest.mark.usefixtures("maintained")
     def test_small_write_takes_patched_refreeze(self, sales_table):
         # The sales tree is tiny, so one insert dirties more than the
         # 25% ratio; a permissive ratio proves the plumbing.

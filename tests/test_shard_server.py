@@ -50,6 +50,13 @@ def server(warehouse):
     assert created_segments() == []
 
 
+def own_segments() -> list:
+    """This process's ``/dev/shm`` segments: another process on the
+    machine lists its own under the same ``qctree-`` prefix."""
+    return [s for s in active_segments()
+            if s.startswith(f"qctree-{os.getpid()}-")]
+
+
 def wait_until(predicate, timeout_s: float = 5.0) -> bool:
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -323,7 +330,7 @@ class TestConstruction:
         with pytest.raises(ServingError, match="monolithic"):
             ShardServer(warehouse, processes=1)
         assert created_segments() == []
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_rejects_unsealed_segmented_warehouse(self, sales_table):
         """Refused for what the store can become: a head that has not
@@ -465,7 +472,7 @@ class TestHygiene:
         server.close()
         server.close()  # idempotent
         assert created_segments() == []
-        assert active_segments() == []
+        assert own_segments() == []
         for proc in procs:
             # close() released the Process object entirely.
             with pytest.raises(ValueError):

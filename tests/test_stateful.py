@@ -19,6 +19,13 @@ invariant table is in README § Correctness):
 * ``server`` / ``server-segmented`` — ``QCServer(workers=1,
   cache_size=64)`` over one warehouse of each kind.
 
+Every store is small enough that the head's crossover rule
+(``QCWarehouse.REBUILD_RATIO``) would rebuild each batch, so each batch
+draws its path instead — maintained by Algorithms 5–7 or rebuilt from
+the post-batch table — and runs it in every store: both paths, and
+either following the other, in the monolithic and the segmented stores
+alike.  Recovery replays under the store's own rule.
+
 :func:`replay` runs the machine on one seeded program, hypothesis aside,
 over the configurations it is given — ``replay(seed, ("write",),
 configs=("attached",))`` checks (and builds) one; the pinned corpora of
@@ -53,7 +60,7 @@ from repro.serving import QCServer
 from repro.serving.server import SNAPSHOT_OPS
 from repro.shard.pack import attach_packed, pack_snapshot_bytes
 from tests import model
-from tests.conftest import dict_view, refreeze_ratios
+from tests.conftest import PATHS, dict_view, rebuild_ratio, refreeze_ratios
 from tests.faults import InjectedCrash
 
 #: The store each configuration reads.
@@ -145,6 +152,9 @@ class ModelMachine(RuleBasedStateMachine):
         self.seal_batches = mock.patch.object(
             SegmentedWarehouse, "SEAL_BATCHES", SEAL_BATCHES)
         self.seal_batches.start()
+        #: Draws each batch's head path, apart from ``rng`` so that a
+        #: seed writes the same program whichever paths it takes.
+        self.paths = random.Random(f"head paths {seed}")
         self.live = [model.gen_record(rng, typed=typed) for _ in range(rows)]
         self.directory = tempfile.mkdtemp(prefix="qc-model-")
         self.stores = {
@@ -170,9 +180,16 @@ class ModelMachine(RuleBasedStateMachine):
         self.attached = None
         self.touched = set(self.stores)
 
+    def _head_path(self):
+        """Pins the next batch's head path (``PATHS``) in every store."""
+        path = self.paths.choice(sorted(PATHS))
+        self._event(f"head {path}")
+        return rebuild_ratio(PATHS[path])
+
     def _write(self, inserts, deletes):
-        for store in self.stores.values():
-            store.write(inserts, deletes)
+        with self._head_path():
+            for store in self.stores.values():
+                store.write(inserts, deletes)
         model.remove_rows(self.live, deletes)
         self.live.extend(inserts)
         self._mutated()
@@ -227,14 +244,15 @@ class ModelMachine(RuleBasedStateMachine):
         else:
             deletes = [model.unseen_key(self.typed) + (1.0,)]
         inserts = [model.gen_record(rng, fresh=True, typed=self.typed)]
-        for store in self.stores.values():
-            # (A server refuses a batch that already failed three times
-            # before logging it.)
-            with pytest.raises((MaintenanceError, WriteQuarantinedError)) \
-                    as info:
-                store.write(inserts, deletes)
-            if info.type is MaintenanceError:
-                store.failed_lsns.add(store.warehouse.wal.last_lsn)
+        with self._head_path():
+            for store in self.stores.values():
+                # (A server refuses a batch that already failed three
+                # times before logging it.)
+                with pytest.raises((MaintenanceError,
+                                    WriteQuarantinedError)) as info:
+                    store.write(inserts, deletes)
+                if info.type is MaintenanceError:
+                    store.failed_lsns.add(store.warehouse.wal.last_lsn)
         self.touched = set(self.stores)
 
     @rule()

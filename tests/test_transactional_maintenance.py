@@ -80,7 +80,7 @@ class TestRefusedBatches:
         assert wh.table.n_rows == 3
         assert_unchanged(wh.tree, wh.table, before)
 
-    def test_insert_bad_arity(self, wh):
+    def test_insert_bad_arity(self, wh, head_path):
         before = snapshot_answers(wh.tree, wh.table)
         with pytest.raises(MaintenanceError, match="cannot insert"):
             wh.insert([("S3", "P1", 5.0)])  # missing a dimension

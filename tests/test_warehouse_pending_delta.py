@@ -46,6 +46,7 @@ def _assert_serves_like_rebuild(wh):
 
 
 class TestPendingDeltaAccumulation:
+    @pytest.mark.usefixtures("maintained")
     def test_interleaved_batches_patch_once(self):
         """Insert, delete, and mixed batches with no read in between
         still fold into ONE pending delta and one incremental patch."""
