@@ -163,12 +163,14 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
     ``table``; a caller that holds none gets one built here, over
     ``table``, for this batch alone.  The batch delta is applied to it
     in place (:meth:`~repro.cube.cover_index.CoverIndex.apply_deletes`
-    then :meth:`~repro.cube.cover_index.CoverIndex.apply_inserts`) and
-    the maintenance algorithms read its postings (each patch clears
-    the closure memo).  On success the index is in sync with
-    ``result.table``.  On *failure* the tree rolls back but the index
-    may already hold the batch delta — the caller must discard it (the
-    warehouse rebuilds its index lazily after a failed batch).
+    clears the dropped rows' bits, then
+    :meth:`~repro.cube.cover_index.CoverIndex.apply_inserts` appends
+    ``delta_table.codes`` to its code matrix) and the maintenance
+    algorithms read its postings (each patch clears the closure memo).
+    On success the index is in sync with ``result.table``.  On *failure*
+    the tree rolls back but the index may already hold the batch delta —
+    the caller must discard it (the warehouse rebuilds its index lazily
+    after a failed batch).
 
     If the tree already has an active delta recorder
     (:meth:`QCTree.begin_delta <repro.core.qctree.QCTree.begin_delta>`),
@@ -217,8 +219,7 @@ def maintain_batch(tree, table: BaseTable, inserts=(), deletes=(),
                 batch_delete(tree, mid_table, delta_rows, cover_index,
                              timings=timings)
             if delta_table is not None:
-                _indexed(cover_index.apply_inserts,
-                         delta_table.codes.tolist())
+                _indexed(cover_index.apply_inserts, delta_table.codes)
                 batch_insert(tree, delta_table, cover_index,
                              timings=timings)
 

@@ -227,6 +227,24 @@ class _DeltaRows(list):
     :meth:`~repro.cube.cover_index.CoverIndex.apply_deletes`)."""
 
 
+def matching_rows(table: BaseTable, cells) -> list:
+    """``(position, row)`` for every row of ``table`` equal to one of
+    the encoded ``cells``, ascending by position, the row a tuple of
+    Python ints: one vectorised match over the code matrix, tuples only
+    for the rows it finds.  A cell with an ALL matches no row."""
+    wanted = {cell for cell in cells if ALL not in cell}
+    # One int64 key per row, its mixed-radix number (wrapping past
+    # 2**63): equal rows share a key, and the tuple test below skips a
+    # row that shares one by a wrap.
+    codes = table.codes
+    strides = np.cumprod([1] + [len(d) for d in table._decoders][:-1])
+    keys = np.array(list(wanted), np.int64).reshape(-1, table.n_dims)
+    at = np.flatnonzero(np.isin(codes @ strides, keys @ strides))
+    return [(i, row)
+            for i, row in zip(at.tolist(), map(tuple, codes[at].tolist()))
+            if row in wanted]
+
+
 def resolve_deletions(table: BaseTable, records):
     """Match raw delete records against ``table``'s rows, pre-mutation.
 
@@ -249,17 +267,9 @@ def resolve_deletions(table: BaseTable, records):
             raise MaintenanceError(
                 f"cannot delete {record!r}: {exc}"
             ) from exc
-    # One int64 key per row, its mixed-radix number (wrapping past
-    # 2**63): equal rows share a key, and the tuple match below skips a
-    # row that shares one by a wrap.
-    codes = table.codes
-    strides = np.cumprod([1] + [len(d) for d in table._decoders][:-1])
-    cells = np.array([cell for cell in wanted if ALL not in cell],
-                     np.int64).reshape(-1, n_dims)
-    at = np.flatnonzero(np.isin(codes @ strides, cells @ strides))
     drop = []
-    for i, row in zip(at.tolist(), map(tuple, codes[at].tolist())):
-        if wanted.get(row, 0) > 0:
+    for i, row in matching_rows(table, wanted):
+        if wanted[row] > 0:
             wanted[row] -= 1
             drop.append(i)
     leftovers = +wanted
@@ -268,7 +278,7 @@ def resolve_deletions(table: BaseTable, records):
             f"rows not present in base table: {dict(leftovers)}"
         )
     new_table = table.without_rows(drop)
-    removed = codes[drop]
+    removed = table.codes[drop]
     delta = _DeltaRows(map(tuple, removed.tolist()))
     delta.codes = removed
     delta.measures = table.measures[drop]

@@ -42,7 +42,6 @@ import json
 import os
 import threading
 import zlib
-from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -139,7 +138,7 @@ class Piece:
 
     __slots__ = ("table", "aggregate", "segment_id", "_tree", "_frozen",
                  "_pending", "_cover_index", "_cover_rebuilt",
-                 "_cover_patched", "_row_counts", "_saved_at", "_lock")
+                 "_cover_patched", "_saved_at", "_lock")
 
     def __init__(self, frozen, table: BaseTable,
                  segment_id: Optional[int] = None):
@@ -158,7 +157,6 @@ class Piece:
         self._cover_index = None
         self._cover_rebuilt = 0
         self._cover_patched = 0
-        self._row_counts: Optional[Counter] = None
         self._saved_at = None
         self._lock = threading.Lock()
 
@@ -237,22 +235,6 @@ class Piece:
             return "head"
         return f"segment[{self.segment_id}]"
 
-    def row_counts(self) -> Counter:
-        """``Counter`` of encoded dimension tuples, for delete routing.
-
-        Memoised until the next batch (forever, once sealed); lets a
-        delete batch count its matches here in O(records) instead of
-        O(rows).
-        """
-        counts = self._row_counts
-        if counts is None:
-            with self._lock:
-                counts = self._row_counts
-                if counts is None:
-                    counts = Counter(map(tuple, self.table.codes.tolist()))
-                    self._row_counts = counts
-        return counts
-
     # -- maintenance -----------------------------------------------------------
 
     @property
@@ -308,7 +290,6 @@ class Piece:
                 self._cover_index = None
                 raise
             self.table = result.table
-            self._row_counts = None
             self._cover_patched += 1
             pending = self._pending
             self._pending = (result.delta if pending is None

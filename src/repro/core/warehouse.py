@@ -57,9 +57,11 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 from typing import Optional
 
 from repro.core.iceberg import MeasureIndex
+from repro.core.maintenance.delete import matching_rows
 from repro.core.manifest import (
     find_orphans,
     load_manifest,
@@ -631,33 +633,38 @@ class QCWarehouse:
         Validates the *whole* batch before anything mutates, exactly
         like :func:`~repro.core.maintenance.delete.resolve_deletions`:
         matching is by dimension labels only, earliest surviving row
-        first — oldest piece first, then the head.  Raises
+        first — oldest piece first, then the head.  Each piece in turn
+        takes what it can of the records the earlier ones left, counted
+        by one vectorised match over its code matrix
+        (:func:`~repro.core.maintenance.delete.matching_rows`).  Raises
         :class:`MaintenanceError` listing every unmatched record.
         """
         pieces = self.pieces()
         n_dims = self.table.n_dims
         plan: dict = {len(pieces) - 1: []}
-        consumed = [{} for _ in pieces]
-        unmatched = []
-        for record in deletes:
-            dims = tuple(record[:n_dims])
-            for idx, piece in enumerate(pieces):
+        left = list(deletes)
+        for idx, piece in enumerate(pieces):
+            cells = []
+            for record in left:
                 try:
-                    cell = piece.table.encode_cell(dims)
+                    cells.append(piece.table.encode_cell(record[:n_dims]))
                 except (SchemaError, QueryError):
-                    continue
-                used = consumed[idx].get(cell, 0)
-                if piece.row_counts()[cell] - used > 0:
-                    consumed[idx][cell] = used + 1
+                    cells.append(None)
+            counts = Counter(row for _, row in matching_rows(
+                piece.table, [cell for cell in cells if cell is not None]))
+            unmatched = []
+            for record, cell in zip(left, cells):
+                if counts[cell] > 0:
+                    counts[cell] -= 1
                     plan.setdefault(idx, []).append(record)
-                    break
-            else:
-                unmatched.append(record)
-        if unmatched:
-            raise MaintenanceError(
-                f"cannot delete: no matching rows left for {unmatched!r}"
-            )
-        return plan
+                else:
+                    unmatched.append(record)
+            left = unmatched
+            if not left:
+                return plan
+        raise MaintenanceError(
+            f"cannot delete: no matching rows left for {left!r}"
+        )
 
     # -- sealing and compaction -------------------------------------------------
 

@@ -19,9 +19,13 @@ phase of one batch.
 
 Row identity
 ------------
-Postings store **stable row ids**, assigned in append order.  While no
-delete has happened, ids coincide with base-table positions; after a
-delete, ids of surviving rows keep their values even though
+The rows are one ``int32`` code matrix in **stable-id** order: row id
+``i`` is ``codes[i]``.  An index built from a table starts as the
+table's own :attr:`~repro.cube.table.BaseTable.codes` (the same
+read-only array, not a copy), so at build ids equal positions; an
+insert batch is appended with one concatenate and gets the next ids.  A
+delete clears a row's bit in the live mask and leaves its row in the
+matrix, so surviving rows keep their ids even though
 :meth:`BaseTable.without_rows` compacts positions.  The invariant is
 that *ascending id order equals table position order* (deletes preserve
 relative order, inserts append), so :meth:`positions` can translate a
@@ -30,8 +34,13 @@ aggregating measures (``agg.state(table, rows)``) must use.
 :meth:`rows` returns the raw ids (:meth:`row` resolves an id to its
 dimension tuple).  A mask is as wide as the largest id, so a delete that
 leaves more than ``2 x live + 64`` ids issued renumbers the live rows to
-their positions and rebuilds the postings (``stats()["id_span"]`` is the
-width); the memo is empty after every patch, so no old id survives it.
+their positions, drops the retired rows from the matrix
+(``codes[live ids]``) and rebuilds the postings (``stats()["id_span"]``
+is the width); the memo is empty after every patch, so no old id
+survives it.  Ids stay stable between renumbers because postings over
+positions would make every delete batch rewrite every posting: each
+position after the first deleted row shifts.  Every reader converts
+with ``.tolist()``, so cells and closures hold Python ints.
 
 Memo lifetime
 -------------
@@ -80,15 +89,13 @@ class CoverIndex:
 
     def __init__(self, table=None, rows=None, n_dims=None):
         if table is not None:
-            n_dims, columns = table.n_dims, table.codes.T
-            rows = list(map(tuple, table.codes.tolist()))
+            n_dims, rows = table.n_dims, table.codes
         elif rows is None:
             raise SchemaError(
                 "CoverIndex needs a table= or an explicit rows= sequence"
             )
-        else:
-            rows, columns = [tuple(r) for r in rows], None
-        if n_dims is None:
+        elif n_dims is None:
+            rows = list(rows)
             if not rows:
                 raise SchemaError(
                     "cannot derive n_dims from an empty row set; "
@@ -100,60 +107,62 @@ class CoverIndex:
             raise SchemaError(
                 f"n_dims must be a non-negative int, got {n_dims!r}"
             )
-        for row in rows:
-            if len(row) != n_dims:
-                raise SchemaError(
-                    f"inconsistent row width: {row!r} has {len(row)} "
-                    f"dims, index expects {n_dims}"
-                )
         self.n_dims = n_dims
         self._closure_cache: dict = {}
         self._rows_cache: dict = {}  # cell -> cover mask
-        self._reset(rows, columns)
+        self._reset(self._matrix(rows))
         # Observability: how much patching happened to this instance.
         self.applied_inserts = 0
         self.applied_deletes = 0
 
-    def _reset(self, rows: list, columns=None) -> None:
-        """Index ``rows`` afresh under ids ``0 .. len(rows) - 1``
-        (``columns``, when given, are their per-dimension code arrays)."""
-        self._rows: dict = {}  # stable id -> dimension tuple, id order
+    def _matrix(self, rows) -> np.ndarray:
+        """``rows`` — a code matrix or code tuples — as an ``int32``
+        matrix (a matrix is not copied), each row ``n_dims`` codes wide."""
+        if not isinstance(rows, np.ndarray):
+            rows = [tuple(row) for row in rows]
+            for row in rows:
+                if len(row) != self.n_dims:
+                    raise SchemaError(
+                        f"inconsistent row width: {row!r} has {len(row)} "
+                        f"dims, index expects {self.n_dims}"
+                    )
+        return np.asarray(rows, np.int32).reshape(len(rows), self.n_dims)
+
+    def _reset(self, codes: np.ndarray) -> None:
+        """Index the rows ``codes`` afresh under ids ``0 .. len - 1``."""
+        self._codes = codes  # row of id i at codes[i], retired ids too
         self._live = 0  # bit i set iff id i is live
-        self._next_id = 0
+        self.n_rows = 0  # live rows
         self._postings = [dict() for _ in range(self.n_dims)]
         self._id_by_pos = None  # live ids in position order, lazily
-        self._add(rows, columns)
+        self._add(codes, 0)
 
-    def _add(self, rows: list, columns=None) -> list:
-        """Assign the next ids to ``rows`` and OR them into the postings."""
-        start, n = self._next_id, len(rows)
-        self._next_id += n
-        ids = list(range(start, start + n))
-        self._rows.update(zip(ids, rows))
-        for postings, value, mask in self._groups(rows, ids, columns):
+    def _add(self, codes: np.ndarray, start: int) -> None:
+        """OR the rows ``codes``, ids ``start ..``, into the postings."""
+        n = len(codes)
+        ids = np.arange(start, start + n)
+        for postings, value, mask in self._groups(codes, ids):
             postings[value] = postings.get(value, 0) | mask
         self._live |= ((1 << n) - 1) << start
-        return ids
+        self.n_rows += n
 
-    def _groups(self, rows: list, ids: list, columns=None):
+    def _groups(self, codes: np.ndarray, ids: np.ndarray):
         """``(postings, value, mask)`` for every distinct value a
-        dimension takes in ``rows``; the mask holds the ascending
-        ``ids`` of the rows carrying it.  A batch of few rows is grouped
-        by a Python loop (NumPy's per-call cost would outweigh it), a
-        table by one stable sort per dimension of its code column
-        (``columns``, else read off ``rows``)."""
-        if len(rows) < 1024:
-            for postings, column in zip(self._postings, zip(*rows)):
-                low, groups = ids[0], {}
+        dimension takes in the rows ``codes``; the mask holds the
+        ascending ``ids`` of the rows carrying it.  A batch of few rows
+        is grouped by a Python loop (NumPy's per-call cost would
+        outweigh it), a table by one stable sort per dimension."""
+        if len(ids) < 1024:
+            ids = ids.tolist()
+            low = ids[0] if ids else 0
+            for postings, column in zip(self._postings, codes.T.tolist()):
+                groups = {}
                 for i, value in zip(ids, column):
                     groups[value] = groups.get(value, 0) | 1 << (i - low)
                 for value, mask in groups.items():
                     yield postings, value, mask << low
             return
-        ids = np.array(ids)
-        if columns is None:
-            columns = np.array(rows).T
-        for postings, values in zip(self._postings, columns):
+        for postings, values in zip(self._postings, codes.T):
             order = np.argsort(values, kind="stable")
             values = values[order]
             starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
@@ -163,15 +172,12 @@ class CoverIndex:
 
     # -- basic accessors ---------------------------------------------------
 
-    @property
-    def n_rows(self) -> int:
-        """Number of live rows currently indexed."""
-        return len(self._rows)
-
     def row(self, row_id: int) -> tuple:
         """The dimension tuple of a live row id (as returned by
         :meth:`rows`)."""
-        return self._rows[row_id]
+        if not self._live >> row_id & 1:
+            raise KeyError(row_id)
+        return tuple(self._codes[row_id].tolist())
 
     def postings(self, dim: int) -> dict:
         """``{value: frozenset(table positions)}`` for one dimension.
@@ -188,8 +194,8 @@ class CoverIndex:
     def stats(self) -> dict:
         """Size and churn counters for observability."""
         return {
-            "live_rows": len(self._rows),
-            "id_span": self._next_id,
+            "live_rows": self.n_rows,
+            "id_span": len(self._codes),
             "cached_rows": len(self._rows_cache),
             "cached_closures": len(self._closure_cache),
             "applied_inserts": self.applied_inserts,
@@ -246,7 +252,7 @@ class CoverIndex:
         covered = self.mask(cell)
         postings = self._postings[j]
         if covered.bit_count() < len(postings):
-            return sorted({self._rows[i][j] for i in _ids(covered).tolist()})
+            return sorted(set(self._codes[_ids(covered), j].tolist()))
         return sorted(x for x, p in postings.items() if p & covered)
 
     def closure(self, cell: Cell):
@@ -259,7 +265,8 @@ class CoverIndex:
             # ub(c)[j] = x iff every tuple of cov(c) has x at j: x can
             # only be what any one covered row (the lowest id) has
             # there, and "every tuple" is m & postings[j][x] == m.
-            witness = self._rows[(covered & -covered).bit_length() - 1]
+            witness = self._codes[(covered & -covered).bit_length() - 1]
+            witness = witness.tolist()
             cached = self._closure_cache[cell] = tuple(
                 x if value is ALL and covered & postings[x] == covered
                 else value
@@ -276,26 +283,18 @@ class CoverIndex:
     # -- incremental maintenance -------------------------------------------
 
     def apply_inserts(self, rows) -> list:
-        """Index ``rows`` (encoded tuples) appended at the table's end.
-
-        ORs their ids into the postings and clears the memo.  Returns the
-        stable ids assigned to the new rows.
-        """
-        rows = [tuple(r) for r in rows]
-        for row in rows:
-            if len(row) != self.n_dims:
-                raise SchemaError(
-                    f"inconsistent row width: {row!r} has {len(row)} "
-                    f"dims, index expects {self.n_dims}"
-                )
-        if not rows:
-            return []
-        assigned = self._add(rows)
+        """Index ``rows`` (a code matrix or encoded tuples) appended at
+        the table's end: append them to the code matrix, OR their ids
+        into the postings, clear the memo.  Returns their stable ids."""
+        codes = self._matrix(rows)
+        start = len(self._codes)
+        self._codes = np.concatenate([self._codes, codes])
+        self._add(codes, start)
         self._id_by_pos = None
-        self.applied_inserts += len(rows)
+        self.applied_inserts += len(codes)
         self._rows_cache.clear()
         self._closure_cache.clear()
-        return assigned
+        return list(range(start, len(self._codes)))
 
     def apply_deletes(self, row_ids) -> list:
         """Un-index the rows at the given *current table positions*.
@@ -304,41 +303,41 @@ class CoverIndex:
         the table being shrunk (the ``drop`` list
         :func:`~repro.core.maintenance.delete.resolve_deletions`
         produces), i.e. positions *before* compaction.  Clears their
-        bits from the postings (emptied postings are removed so a
-        patched index stays posting-for-posting identical to a freshly
-        built one), renumbers the live ids once the id span outgrows
-        ``2 x live + 64`` (inserts grow both alike, so only a delete can
-        cross that line) and clears the memo.  Returns the stable ids
-        that were retired.
+        bits from the live mask and the postings (an emptied posting is
+        removed, so a patched index stays posting-for-posting identical
+        to a freshly built one); their rows stay in the code matrix until
+        the id span outgrows ``2 x live + 64`` (only a delete can cross
+        that line), when the live rows are renumbered to their positions
+        and the matrix and postings rebuilt.  Clears the memo.  Returns
+        the retired stable ids.
         """
         positions = list(row_ids)
         order = self._position_order()
-        seen = set()
         for p in positions:
             if not isinstance(p, int) or isinstance(p, bool) \
                     or not 0 <= p < len(order):
                 raise SchemaError(
                     f"row position {p!r} out of range 0..{len(order) - 1}"
                 )
-            if p in seen:
-                raise SchemaError(f"duplicate row position {p!r}")
-            seen.add(p)
+        if len(set(positions)) < len(positions):
+            raise SchemaError(f"duplicate row positions in {positions!r}")
         if not positions:
             return []
-        ids = [int(order[p]) for p in positions]
-        ascending = sorted(ids)
-        rows = [self._rows.pop(i) for i in ascending]
-        for postings, value, mask in self._groups(rows, ascending):
+        ids = order[positions]
+        ascending = np.sort(ids)
+        for postings, value, mask in self._groups(self._codes[ascending],
+                                                  ascending):
             left = postings[value] & ~mask
             if left:
                 postings[value] = left
             else:
                 del postings[value]
-        self._live &= ~_mask(np.array(ascending))
+        self._live &= ~_mask(ascending)
+        self.n_rows -= len(ids)
         self._id_by_pos = None
-        if self._next_id > 2 * len(self._rows) + 64:
-            self._reset(list(self._rows.values()))
+        if len(self._codes) > 2 * self.n_rows + 64:
+            self._reset(self._codes[_ids(self._live)])
         self.applied_deletes += len(ids)
         self._rows_cache.clear()
         self._closure_cache.clear()
-        return ids
+        return ids.tolist()

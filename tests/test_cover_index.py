@@ -1,8 +1,11 @@
 """Tests for the inverted cover index (repro.cube.cover_index)."""
 
+import gc
 import random
+import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core.cells import ALL
 from repro.cube.cover_index import CoverIndex
 from repro.cube.lattice import closure
+from repro.data.synthetic import zipf_table
 from tests.conftest import all_cells, make_random_table
 
 
@@ -186,3 +190,37 @@ class TestLargeBatches:
             )
             assert index.positions(cell) == covered, cell
             assert index.closure(cell) == _scan_closure(rows, cell), cell
+
+
+class TestRowStorage:
+    """The index keeps its rows as one code matrix: built from a table
+    it shares the table's, so it holds no Python object per row."""
+
+    def test_a_table_index_retains_little_beyond_its_postings(self):
+        table = zipf_table(20000, 6, 30, zipf=2.0, seed=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            index = CoverIndex(table)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.n_rows == 20000
+        assert retained <= 1.5e6, retained
+
+    def test_reads_hold_python_ints_after_patches(self):
+        index = CoverIndex(rows=[(0, 1, 2), (0, 1, 3), (1, 1, 2)], n_dims=3)
+        index.apply_inserts(np.array([[0, 2, 2], [1, 1, 3]], dtype=np.int32))
+        index.apply_deletes([1])
+        cell = (0, ALL, ALL)
+        (rid, *_) = sorted(index.rows(cell))
+        # (1, *, 3) covers one row, fewer than dimension 1's values, so
+        # its values_at reads the matrix; the others read the postings.
+        reads = [index.row(rid), index.closure(cell),
+                 index.closure((ALL, 1, ALL)), index.values_at(cell, 1),
+                 index.values_at((ALL, ALL, ALL), 2),
+                 index.values_at((1, ALL, 3), 1)]
+        assert reads == [(0, 1, 2), (0, ALL, 2), (ALL, 1, ALL), [1, 2],
+                         [2, 3], [1]]
+        for read in reads:
+            assert all(type(v) is int for v in read if v is not ALL), read
