@@ -99,10 +99,10 @@ _KEY_SENTINEL = np.iinfo(np.int64).max
 
 #: :meth:`FrozenQCTree.patch` recompiles instead of splicing when the
 #: dirty set exceeds this fraction of the live nodes.  A constant, not an
-#: option: the code picks the mode from the dirty set it observes, and
-#: the benchmark has a workload on each side (a 32-row batch on the
-#: 45k-node ``olap_inproc`` tree dirties 2.5 % and patches; a batch on an
-#: ``ingest_seg`` head of < 2,000 nodes dirties half of it and recompiles).
+#: option: the code picks the mode from the dirty set it observes.  No
+#: benchmark workload reaches it: ``olap_inproc`` and ``door_tcp`` patch
+#: every batch (``frozen.patched_share`` 1.0, seed 1), and an
+#: ``ingest_seg`` head is rebuilt, not maintained (``REBUILD_RATIO``).
 FULL_REFREEZE_RATIO = 0.25
 
 #: ... and repacks when tombstones plus overlay rows would exceed this

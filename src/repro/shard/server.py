@@ -29,6 +29,7 @@ import time
 import warnings
 from concurrent.futures import Future
 from concurrent.futures._base import FINISHED, PENDING, RUNNING
+from contextlib import suppress
 from itertools import count
 from typing import Optional
 
@@ -146,9 +147,9 @@ class _ProcHandle:
     which only its transitions change, each under ``lock`` (:meth:`do`).
 
     ``send_lock`` keeps whole frames apart on the pipe.  It is a second
-    lock because a sender blocked in ``sendall`` on a full pipe must not
-    hold ``lock``, which the reader needs to finish the answers that
-    unblock it.  A request message charges the pipe its bytes plus
+    lock because a sender waiting for room must not hold ``lock``, which
+    the reader needs to make room; every send ends by a deadline
+    (:meth:`post`).  A request message charges the pipe its bytes plus
     :data:`_MESSAGE_OVERHEAD` until its answer is read (``pipe.charged``),
     which bounds what can sit unread in the pipe.
     """
@@ -176,6 +177,8 @@ class _ProcHandle:
         self._parker.register(self._wake_r, select.POLLIN)
         self._poller = select.poll()
         self._poller.register(sock.fileno(), select.POLLIN)
+        self._writable = select.poll()
+        self._writable.register(sock.fileno(), select.POLLOUT)
 
     @property
     def attached_epoch(self) -> int:
@@ -208,35 +211,56 @@ class _ProcHandle:
             os.close(self._wake_r)
             os.close(self._wake_w)
 
-    def post(self, data: bytes, rid=None, sink=None, charge: int = 0) -> bool:
-        """Send one frame; the caller holds ``send_lock``.  With ``rid``
-        it is a request message whose ``sink`` and ``charge`` join the
-        books before the bytes leave, so its answer can never arrive
-        first; without, a control message owed a reply.  False when the
-        pipe refused it (the worker is gone): a refused sink is the
-        caller's to fail.  A send that fails is the pipe's hang-up, and
-        the reader of its EOF fails the sink."""
+    def post(self, data: bytes, until: float, rid=None, sink=None,
+             charge: int = 0) -> bool:
+        """Send one frame by ``until``; the caller holds ``send_lock``.
+        With ``rid`` it is a request message whose ``sink`` and
+        ``charge`` join the books before the bytes leave, so its answer
+        can never arrive first; without, a control message owed a reply.
+        False, the sink is the caller's to settle: the pipe refused the
+        frame, or it was not sent whole by ``until``, and no frame can
+        follow a half frame, so the worker is killed.  A send that fails
+        is the hang-up, and the reader of its EOF fails the sink."""
         lock, pipe = self.lock, self.pipe
         with lock:
             if not pipe.send_begin(rid, sink, charge):
                 return False
         try:
-            self.sock.sendall(data)
-            sent = True
+            sent = self._send_by(data, until)
+            late = not sent
         except OSError:
-            sent = False
+            sent = late = False
+        if late:
+            self.reclaim((rid,))
+            with suppress(ValueError):  # closed: reaped already
+                self.proc.kill()  # its Process signals no reaped pid
         with lock:
             flags = pipe.send_end(sent)
             if flags:
                 self.act(flags)
-        return True
+        return not late
 
-    def send(self, message) -> bool:
-        """Send a control message (blocking while the pipe is full) and
+    def _send_by(self, data: bytes, until: float) -> bool:
+        """Whether ``data`` went out whole by ``until``, polling for room."""
+        view = data  # a memoryview once a send falls short: no copies
+        while True:
+            try:
+                sent = self.sock.send(view, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                sent = 0
+            if sent == len(view):
+                return True
+            view = memoryview(view)[sent:]
+            wait = until - time.monotonic()
+            if wait <= 0 or not self._writable.poll(wait * 1e3):
+                return False
+
+    def send(self, message, wait: float) -> bool:
+        """Send a control message, with ``wait`` seconds for room, and
         rouse the receiver to read its reply; False when refused."""
         data = pickled(CONTROL, 0, message)
         with self.send_lock:
-            sent = self.post(data)
+            sent = self.post(data, time.monotonic() + wait)
         self.do(self.pipe.rouse)
         return sent
 
@@ -732,7 +756,8 @@ class ShardServer(QCServer):
                 # A refused announce needs nothing: the pipe is down, and
                 # its worker's burial clears what the slot owes.
                 if handle.send(("publish", lsn, epoch, name,
-                                None if again else inject)) and again:
+                                None if again else inject),
+                               self.PUBLISH_ACK_TIMEOUT_S) and again:
                     self._metrics.counter("shard_reannounces").inc()
             elif kind == UNLINK:
                 unlink_segment(args[0][0])
@@ -831,7 +856,7 @@ class ShardServer(QCServer):
                     if deadline is not None and deadline < until:
                         until = deadline
                     request.future._route = (self, handle, rid, until)
-                    if not handle.post(data, rid, request, charge):
+                    if not handle.post(data, until, rid, request, charge):
                         request.complete(False, WorkerCrashedError(
                             f"shard worker {handle.slot} is down; the read "
                             "never ran and is safe to retry"
@@ -857,9 +882,9 @@ class ShardServer(QCServer):
         amortizes the per-request pipe+future overhead that bounds
         ``submit`` — it is the path that scales with cores — while
         keeping the admission ledger balanced (each element counts as
-        submitted and completed/errored; past ``timeout`` the ones not
-        answered count as timeouts and their late answers are dropped).  The
-        first failed element's error re-raises after the batch completes.
+        submitted and completed/errored; past ``timeout``, sends included,
+        the ones not answered count as timeouts, their late answers are
+        dropped).  The first failed element's error re-raises at the end.
         """
         if self._closed:
             raise ServerClosedError("server is closed")
@@ -875,6 +900,8 @@ class ShardServer(QCServer):
         snapshot, epoch = self._pinned
         live = self._routable
         start = time.monotonic()
+        limit = self.SHARD_RPC_TIMEOUT_S if timeout is None else timeout
+        end = start + limit  # bounds the lock waits, the sends, the wait
         batch = _Batch(len(calls))
         chunks = []
         if not live:
@@ -895,17 +922,21 @@ class ShardServer(QCServer):
             else:
                 sink.calls, sink.snapshot = share, snapshot
                 data = frame(CODES, rid, EPOCH.pack(epoch) + codes.tobytes())
-            with handle.send_lock:
-                sent = handle.post(data, rid, sink,
+            left = end - time.monotonic()
+            if left <= 0 or not handle.send_lock.acquire(True, left):
+                break  # sent nothing: the calls not sent count as timeouts
+            try:
+                sent = handle.post(data, end, rid, sink,
                                    len(data) + _MESSAGE_OVERHEAD)
+            finally:
+                handle.send_lock.release()
             # This thread waits on the batch, not on the pipe.
             handle.do(handle.pipe.rouse)
-            if not sent:
+            if not sent and time.monotonic() < end:  # refused: it is down
                 sink.complete(False, WorkerCrashedError(
                     f"shard worker {handle.slot} died mid-batch; retry"
                 ))
-        limit = self.SHARD_RPC_TIMEOUT_S if timeout is None else timeout
-        answered = batch.event.wait(limit)
+        answered = batch.event.wait(max(0.0, end - time.monotonic()))
         if not answered:
             # Give up on what is not answered: off the books (a late
             # answer is dropped), and counted below as timeouts.
@@ -1095,18 +1126,15 @@ class ShardServer(QCServer):
 
     @staticmethod
     def _reap(proc, timeout: float) -> None:
-        """Join ``proc``; still alive after ``timeout``, terminate it, and
-        still alive 2 s later (a stopped process defers SIGTERM) kill it;
-        then release its bookkeeping."""
+        """Join ``proc``; still alive after ``timeout``, kill it and join
+        it 2 s; then release its bookkeeping, if it is gone by then."""
         try:
             proc.join(timeout)
-            for end in (proc.terminate, proc.kill):
-                if proc.is_alive():
-                    end()
-                    proc.join(2.0)
+            proc.kill()  # signals nothing once it is joined
+            proc.join(2.0)
             proc.close()
         except ValueError:
-            pass  # released already
+            pass  # released already, or still alive: it keeps them
 
     def _retire(self, handle: _ProcHandle, exc) -> None:
         """Retire a worker's pipe: what is still pending on it fails with

@@ -20,8 +20,8 @@ other read and chunk pickled (``REQUEST`` / ``CHUNK``, answered
 ``ANSWER`` ``(ok, payload)``).  ``CONTROL`` carries ``ready``,
 ``publish`` (attach the new segment, then release the old; on *any*
 attach failure keep serving the last-good epoch and report ``pub_err``;
-its ``inject="attach"`` test hook forces that path), ``pub_ok`` and
-``stop``.  A deadline is an absolute ``time.monotonic()`` instant (one
+its ``inject="attach"`` test hook forces that path) and ``pub_ok``.
+A deadline is an absolute ``time.monotonic()`` instant (one
 clock for the parent and its forked children) checked before the op
 runs: past it, the read is answered
 :class:`~repro.errors.DeadlineExceededError` unrun, as the thread pool
@@ -225,7 +225,7 @@ def _answer_codes(current, buf, rid: int, start: int, end: int) -> bytes:
 
 def worker_main(sock, segment_name: str, lsn: int, epoch: int,
                 inherited=()) -> None:
-    """Entry point of a shard worker process (runs until ``stop``/EOF).
+    """Entry point of a shard worker process (runs until EOF).
 
     ``sock`` is the worker's end of the pipe.  ``inherited`` are the
     parent-side ends the fork copied into this process; they are closed
@@ -263,10 +263,7 @@ def worker_main(sock, segment_name: str, lsn: int, epoch: int,
                 send(pickled(ANSWER, rid, _answer_batch(
                     current.snapshot, frames.message(start, end))))
             elif kind == CONTROL:
-                message = frames.message(start, end)
-                if message[0] == "stop":
-                    break
-                current = _publish(current, message, send)
+                current = _publish(current, frames.message(start, end), send)
     except (OSError, KeyboardInterrupt):
         pass  # the parent hung up mid-send, or interactive teardown
     finally:

@@ -18,7 +18,12 @@ import time
 import pytest
 
 from repro.core.warehouse import QCWarehouse
-from repro.errors import ServerDegradedError, WorkerCrashedError
+from repro.data.synthetic import zipf_table
+from repro.errors import (
+    DeadlineExceededError,
+    ServerDegradedError,
+    WorkerCrashedError,
+)
 from repro.reliability.faults import ServingFaults
 from tests.faults import InjectedCrash
 from tests.retry import RetryPolicy
@@ -27,6 +32,7 @@ from repro.shard.server import _mp_context
 from repro.shard.worker import _BATCH_MIN, worker_main
 
 RECORD = ("S3", "P1", "s", 5.0)
+RECORD_IN = (1, 0, 2, 5.0)  # a row of the counted zipf table's kind
 
 
 @pytest.fixture
@@ -266,7 +272,140 @@ def gone(pid: int) -> bool:
     return False
 
 
+def on_a_thread(call):
+    """Run ``call`` on a thread; returns the thread and a list that gets
+    its result, or the exception it raised."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+def resume(pid: int) -> None:
+    try:
+        os.kill(pid, signal.SIGCONT)
+    except ProcessLookupError:
+        pass
+
+
 class TestStoppedWorker:
+    #: A point batch whose chunk is ≈ 2.4 MB of codes: far more than a
+    #: stopped worker's socket buffer takes.
+    CALLS = [(("*", "*", "*"),)] * 200_000
+
+    @pytest.fixture
+    def counted(self):
+        """2,000 rows counted: the whole cube's point reads 2000."""
+        return QCWarehouse(zipf_table(2000, 3, 10, zipf=1.5, seed=1),
+                           aggregate="count")
+
+    @pytest.mark.parametrize("supervised", [True, False])
+    def test_a_bulk_send_ends_by_its_deadline(self, counted, supervised):
+        """A ``map_query`` whose chunk does not fit a stopped worker's
+        pipe raises ``DeadlineExceededError`` by its timeout: its send
+        waits for room only until then.  The supervisor plays no part."""
+        server = ShardServer(counted, processes=1, cache_size=0,
+                             supervised=supervised)
+        pid = server._handles[0].pid
+        os.kill(pid, signal.SIGSTOP)
+        bulk = None
+        try:
+            began = time.monotonic()
+            bulk, outcome = on_a_thread(lambda: server.map_query(
+                "point", self.CALLS, timeout=1.0))
+            bulk.join(1.5)
+            assert not bulk.is_alive(), "map_query waits past its deadline"
+            assert time.monotonic() - began < 1.5
+            assert isinstance(outcome[0], DeadlineExceededError), outcome
+        finally:
+            resume(pid)
+            if bulk is not None:
+                bulk.join()
+            server.close()
+        counters = server.stats()["counters"]
+        assert counters["timeouts"] == len(self.CALLS)
+        assert created_segments() == []
+
+    def test_a_write_behind_a_stuck_bulk_send_returns(self, counted):
+        """An insert whose announce queues behind that send returns once
+        the send gives up.  The worker that missed the deadline is killed
+        and respawned, the fleet answers the insert, and the ledger
+        counts the batch's calls as timeouts."""
+        server = ShardServer(counted, processes=1, cache_size=0,
+                             supervise_interval=0.01)
+        server.PUBLISH_ACK_TIMEOUT_S = 0.2  # keep the insert quick
+        pid = server._handles[0].pid
+        os.kill(pid, signal.SIGSTOP)
+        bulk = write = None
+        try:
+            bulk, outcome = on_a_thread(lambda: server.map_query(
+                "point", self.CALLS, timeout=1.0))
+            time.sleep(0.2)
+            write, _wrote = on_a_thread(lambda: server.insert([RECORD_IN]))
+            write.join(1.5)
+            assert not write.is_alive(), "the insert waits on a stuck send"
+            bulk.join(1.5)
+            assert isinstance(outcome[0], DeadlineExceededError), outcome
+            assert wait_until(lambda: fleet_converged(server))
+            assert server.shard_health()["process_restarts"] >= 1
+            assert server.map_query("point", self.CALLS[:1]) == [2001]
+            counters = server.stats()["counters"]
+            assert counters["timeouts"] == len(self.CALLS)
+            assert counters["submitted"] == (
+                counters["completed"] + counters["timeouts"]
+                + counters["errors"] + counters["cancelled"]
+            ), counters
+        finally:
+            resume(pid)
+            for thread in (bulk, write):
+                if thread is not None:
+                    thread.join()
+            server.close()
+        assert created_segments() == []
+
+    def test_a_busy_worker_that_misses_a_bulk_deadline_is_killed(
+            self, counted):
+        """A worker busy, not stopped, looks the same to a sender: a
+        ``map_query`` chunk queued behind another caller's slow chunk
+        misses its short deadline, and the worker is killed.  The slow
+        chunk's caller gets the retryable ``WorkerCrashedError``, as
+        after any death; the slot is respawned and answers again."""
+        server = ShardServer(counted, processes=1, cache_size=0,
+                             supervise_interval=0.01)
+        handle = server._handles[0]
+        spec = (list(range(10)),) * 3  # ≈ 1 ms of ranging a call
+        slow_calls = [(spec,)] * 5000
+        slow = None
+        try:
+            slow, outcome = on_a_thread(lambda: server.map_query(
+                "range", slow_calls, timeout=60.0))
+            assert wait_until(lambda: handle.inflight() == len(slow_calls)
+                              and not handle.pipe.sending)
+            began = time.monotonic()
+            with pytest.raises(DeadlineExceededError):
+                server.map_query("point", self.CALLS, timeout=1.0)
+            assert time.monotonic() - began < 1.5
+            slow.join(10.0)
+            assert isinstance(outcome[0], WorkerCrashedError), outcome
+            assert wait_until(lambda: fleet_converged(server))
+            assert server.shard_health()["process_restarts"] >= 1
+            assert server.map_query("point", self.CALLS[:1]) == [2000]
+            counters = server.stats()["counters"]
+            assert counters["timeouts"] == len(self.CALLS)
+            assert counters["errors"] == len(slow_calls)
+        finally:
+            if slow is not None:
+                slow.join()
+            server.close()
+        assert created_segments() == []
+
     def test_a_stopped_worker_holds_no_server_thread(self, warehouse):
         """A worker SIGSTOPped behind an epoch is owed that one announce,
         not one more per scan that fills its pipe until a send blocks

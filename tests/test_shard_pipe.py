@@ -2,11 +2,13 @@
 
 :class:`~repro.shard.pipe.PipeState` is the whole protocol of a worker
 pipe's parent end; ``ShardServer`` only does its I/O.  This file models
-that I/O — the send lock, ``sendall``, the socket, ``FrameReader``'s
+that I/O — the send lock, the send, the socket, ``FrameReader``'s
 buffer, the receiver's wake-up and hang-up poll, the worker answering
 in order and dying — around the real transitions, and walks every
 interleaving of up to three callers, the receiver, the supervisor, one
-publish and one worker death, depth first over hashed states.
+publish and one worker death, depth first over hashed states.  One
+caller may be a bounded send that runs out of time while the worker is
+alive and stopped: it kills the worker and ends its send as failed.
 
 It checks, in every state reached:
 
@@ -19,7 +21,8 @@ It checks, in every state reached:
    pending rouse (no lost wake-up);
 5. a crash is counted at most once (and once nothing can move after
    the worker died, exactly once), and a pipe whose hang-up was seen
-   never reads running.
+   never reads running;
+6. no frame follows a half frame on the pipe.
 
 A violation is reported with the invariant and the trace of steps that
 reached it.  ``TestMustFail`` swaps in faulty transitions and checks
@@ -71,14 +74,16 @@ class World:
     send takes and drops it in one step).
     ``wake``: a wake-up byte is pending; ``watch``: the receiver's poll
     still watches the hang-up; ``seen``: the state was told of the
-    hang-up (by that poll or a failed send).  ``done`` counts each
-    caller's sink completions."""
+    hang-up (by that poll or a failed send); ``killed``: a sender that
+    ran out of time killed the worker, which dies at a later step.
+    ``done`` counts each caller's sink completions."""
 
     def __init__(self, state, actors, n_callers: int):
         self.state = state
         self.inbox = self.sock = self.buf = ()
         self.alive = self.watch = self.receiver = True
         self.wake = self.closed = self.seen = self.died = False
+        self.killed = False
         self.sender = None
         self.readers = ()
         self.actors = tuple(actors)
@@ -188,9 +193,10 @@ def give_back(w: World, reader: int, who: str) -> None:
 # take now; none when it is blocked or done.
 
 
-def begin_send(w: World, i: int, rid, who: str) -> str:
-    """Take the (free) send lock, ``send_begin`` and ``sendall``: the
-    sender's pc after it, ``refused``, ``sent`` or ``failed``."""
+def begin_send(w: World, i: int, rid, who: str, kind: str = "req") -> str:
+    """Take the (free) send lock, ``send_begin`` and send: the sender's
+    pc after it, ``refused``, ``sent`` or ``failed``.  A ``half`` frame
+    is one the worker stopped reading halfway."""
     if not w.state.send_begin(rid, rid, 1) & SEND:
         return "refused"
     if w.closed:
@@ -198,7 +204,7 @@ def begin_send(w: World, i: int, rid, who: str) -> str:
     w.sender = i
     if not w.alive:
         return "failed"  # EPIPE
-    w.inbox += (("req" if rid is not None else "ctl", rid),)
+    w.inbox += ((kind if rid is not None else "ctl", rid),)
     return "sent"
 
 
@@ -265,6 +271,42 @@ def caller_moves(w: World, i: int):
                  + " and gives the role back", n)]
     n.act(i, kind, "end")  # waits, and its future is done
     return [(f"{who} is woken", n)]
+
+
+def stall_moves(w: World, i: int):
+    """A bounded send (``_ProcHandle._send_by``: a ``map_query`` chunk)
+    to a worker that stops reading halfway through its frame.  It runs
+    out of time, reclaims its sink (its caller counts a timeout), kills
+    the worker and ends its send as failed; or the worker dies first and
+    the send fails (EPIPE)."""
+    pc = w.actors[i][1]
+    who = f"caller {i}"
+    if pc == "start" and w.sender is not None:
+        return []  # waits for the send lock, until its holder's deadline
+    n = w.clone()
+    if pc == "start":
+        pc = begin_send(n, i, i, who, "half")
+        label = {"refused": "is refused", "failed": SENT["failed"],
+                 "sent": "sends half its frame; the worker stops"}[pc]
+        if pc == "refused":
+            complete(n, i)  # with WorkerCrashedError, by the caller
+        n.act(i, "stall", {"refused": "end", "sent": "half"}.get(pc, pc))
+        return [(f"{who} {label}", n)]
+    if pc == "half":
+        for sink in n.state.reclaim((i,)):
+            complete(n, sink)  # counted a timeout
+        n.killed = not n.died
+        n.act(i, "stall", "killed")
+        moves = [(f"{who} runs out of time, reclaims its sink and kills "
+                  "the worker", n)]
+        if not w.alive:
+            n = w.clone()
+            n.act(i, "stall", "failed")
+            moves.append((f"{who} fails its send (EPIPE)", n))
+        return moves
+    end_send(n, pc, who)
+    n.act(i, "stall", "end")
+    return [(f"{who} ends its send as failed", n)]
 
 
 def publish_moves(w: World, i: int):
@@ -379,14 +421,14 @@ def worker_moves(w: World, dies: bool):
     """The live worker answers its oldest message, or dies (once): its
     socket keeps what it wrote, then EOF."""
     moves = []
-    if w.alive and w.inbox:
+    if w.alive and w.inbox and w.inbox[0][0] != "half":
         n = w.clone()
         (kind, rid), n.inbox = n.inbox[0], n.inbox[1:]
         n.sock += (("ans" if kind == "req" else "ctl", rid),)
         moves.append(("the worker answers "
                       + (f"request {rid}" if kind == "req"
                          else "the publish"), n))
-    if dies and not w.died:
+    if (dies or w.killed) and not w.died:
         n = w.clone()
         n.alive, n.inbox, n.died = False, (), True
         moves.append(("the worker dies", n))
@@ -394,7 +436,8 @@ def worker_moves(w: World, dies: bool):
 
 
 MOVES = {"lead": caller_moves, "wait": caller_moves, "forget": caller_moves,
-         "publish": publish_moves, "receiver": receiver_moves,
+         "stall": stall_moves, "publish": publish_moves,
+         "receiver": receiver_moves,
          "supervisor": supervisor_moves}
 
 
@@ -409,6 +452,8 @@ def successors(w: World, dies: bool) -> list:
 def check_always(w: World) -> None:
     if w.seen and w.state.running:
         raise Violation("the pipe hung up and still reads running")
+    if any(kind == "half" for kind, _rid in w.inbox[:-1]):
+        raise Violation("a frame follows a half frame on the pipe")
 
 
 def check_quiescent(w: World) -> None:
@@ -483,9 +528,10 @@ def unwind(trace) -> list:
 
 
 #: The walks tier-1 runs, each to its end: the read role among three
-#: callers; a publish's control reply; the supervisor's idle scan.
-#: ``REPRO_PIPE_FULL=1`` (CI's "Pipe protocol, enumerated" step) walks
-#: all of them at once, ≈ 25 s.
+#: callers; a publish's control reply; the supervisor's idle scan; a
+#: send that runs out of time.  ``REPRO_PIPE_FULL=1`` (CI's "Pipe and
+#: fleet protocols, enumerated" step) walks the first three at once,
+#: and then again with one caller's send running out of time.
 WALKS = {
     "three callers, a death": dict(callers=("lead", "lead", "wait"),
                                    publish=False),
@@ -493,10 +539,15 @@ WALKS = {
     "a forward nobody waits on": dict(callers=("lead", "wait", "forget"),
                                       publish=False, scans=True,
                                       dies=False),
+    "a send that runs out of time, a publish": dict(
+        callers=("lead", "stall"), dies=False),
 }
 WALKS_WITH_A_PUBLISH = WALKS["two callers, a publish, a death"]
+WALKS_WITH_A_STALL = WALKS["a send that runs out of time, a publish"]
 if os.environ.get("REPRO_PIPE_FULL"):
-    WALKS = {"three callers, a publish, a death": dict()}
+    WALKS = {"three callers, a publish, a death": dict(),
+             "three callers, one send out of time, a publish, a death":
+                 dict(callers=("lead", "wait", "stall"))}
 
 
 @pytest.mark.parametrize("walk", list(WALKS))
@@ -566,6 +617,22 @@ class HangsUpWhenRetired(PipeState):
         self.hung_up = not self.ended
 
 
+class EndsATimedOutSendAsSent(PipeState):
+    """A send that ran out of time (its sender reclaimed its own sink
+    mid-send) is ended as sent: the pipe serves on, and the next frame
+    follows the half frame the worker stopped in."""
+
+    timed_out = False
+
+    def reclaim(self, rids) -> list:
+        self.timed_out = self.sending
+        return super().reclaim(rids)
+
+    def send_end(self, sent: bool) -> int:
+        sent, self.timed_out = sent or self.timed_out, False
+        return super().send_end(sent)
+
+
 class TestMustFail:
     @pytest.mark.parametrize("fault, invariant", [
         (StillRunningWhenHungUp, "hung up and still reads running"),
@@ -581,3 +648,12 @@ class TestMustFail:
         print(f"\n{fault.__name__}: {broken}")
         assert invariant in broken.invariant
         assert "the worker dies" in broken.trace
+
+    def test_a_timed_out_send_ended_as_sent_is_reported(self):
+        with pytest.raises(Violation) as caught:
+            explore(**WALKS_WITH_A_STALL,
+                    state_class=EndsATimedOutSendAsSent)
+        broken = caught.value
+        print(f"\nEndsATimedOutSendAsSent: {broken}")
+        assert "follows a half frame" in broken.invariant
+        assert any("runs out of time" in step for step in broken.trace)

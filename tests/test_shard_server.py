@@ -149,18 +149,18 @@ class TestWrites:
         first_send, last_send = first.send, last.send
         held = []
 
-        def hold_the_announce(message):
+        def hold_the_announce(message, wait):
             if message[0] != "publish":
-                return first_send(message)
+                return first_send(message, wait)
             held.append(message)  # worker 0 hears of it last
             return True
 
-        def send_then_wait_for_the_ack(message):
-            sent = last_send(message)
+        def send_then_wait_for_the_ack(message, wait):
+            sent = last_send(message, wait)
             if sent and message[0] == "publish":
                 assert wait_until(lambda: last.attached_epoch == message[2])
                 while held:
-                    first_send(held.pop())
+                    first_send(held.pop(), wait)
             return sent
 
         first.send = hold_the_announce
@@ -221,11 +221,11 @@ class TestMapQuery:
         sent: dict = {}
         try:
             for handle in server._handles:
-                def post(data, rid=None, sink=None, charge=0,
+                def post(data, until, rid=None, sink=None, charge=0,
                          slot=handle.slot, original=handle.post):
                     sent.setdefault(slot, []).extend(
                         _chunk_calls(data, {rid: sink}, calls))
-                    return original(data, rid, sink, charge)
+                    return original(data, until, rid, sink, charge)
                 handle.post = post
             answers = server.map_query("point", calls)
         finally:
@@ -453,7 +453,6 @@ class TestWorkerMain:
         assert gc.get_freeze_count() == 0
         pipe = _StubPipe([
             ("q", [(1, "point", (("S2", ALL, "f"),), {})]),
-            ("stop",),
         ])
         worker_main(pipe, segment, lsn=4, epoch=1)
         assert gc.get_freeze_count() > 0
@@ -512,7 +511,7 @@ class TestHygiene:
         assert created_segments() == []
 
     def test_close_kills_a_stopped_worker(self, warehouse):
-        """A SIGSTOPped worker defers the SIGTERM ``terminate()`` sends:
+        """A SIGSTOPped worker does not exit when its pipe ends:
         ``close()`` kills it, and no worker process remains."""
         server = ShardServer(warehouse, processes=1)
         pid = server._handles[0].pid
